@@ -35,7 +35,7 @@ from repro.cluster.comm import SimComm, SimCommWorld
 from repro.cluster.leases import LeaseLedger
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
-from repro.core.engine import best_in_thread_range
+from repro.core.distributed import search_lease
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
 from repro.faults.plan import FaultInjected, FaultPlan
@@ -387,9 +387,9 @@ def elastic_spmd_best_combo(
     runs it to completion under churn, and merges in lease order: the
     winner is bit-identical to any fixed-world run over the same grid.
 
-    ``bounds`` keeps CELF pruning on: each lease rebuilds its slice of
-    the table (leases are block-aligned when the table merged
-    ``lease_cuts``) and folds its refreshed bounds back under a lock.
+    ``bounds`` keeps CELF pruning on: each lease prunes against its
+    slice of the table (see :func:`repro.core.distributed.search_lease`)
+    and folds its refreshed bounds back under a lock.
     """
     if n_leases is None:
         n_leases = 4 * n_ranks
@@ -397,33 +397,11 @@ def elastic_spmd_best_combo(
     fold_lock = threading.Lock()
 
     def search(lease, rank):
-        lease_counters = KernelCounters()
-        lease_bounds = None
-        if bounds is not None and bounds.aligned(lease.lam_start, lease.lam_end):
-            with fold_lock:
-                payload = bounds.slice_payload(lease.lam_start, lease.lam_end)
-            lease_bounds = BoundTable.from_payload(payload)
-        stolen = lease.grants > 1
-        with get_telemetry().span(
-            "lease.search", cat="spmd", rank=rank, lease=lease.lease_id,
-            lam_start=lease.lam_start, lam_end=lease.lam_end,
-            **({"stolen": True} if stolen else {}),
-        ) as sp:
-            # Cross-rank causal edge: redoing work the previous holder
-            # lost chains the thief's timeline to the victim's.
-            sp.link(lease.victim_ctx, kind="steal")
-            winner = best_in_thread_range(
-                scheme, g, tumor, normal, params,
-                lease.lam_start, lease.lam_end,
-                counters=lease_counters, memory=memory,
-                bounds=lease_bounds, iteration=iteration,
-            )
-        if lease_bounds is not None:
-            deltas = lease_bounds.deltas(iteration)
-            if deltas:
-                with fold_lock:
-                    bounds.apply_deltas(deltas, iteration)
-        return winner, lease_counters
+        return search_lease(
+            scheme, lease, rank, tumor, normal, params,
+            bounds=bounds, iteration=iteration, memory=memory, call=call,
+            fold_lock=fold_lock,
+        )
 
     runner = ElasticSPMDRunner(
         n_ranks=n_ranks,

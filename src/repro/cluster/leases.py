@@ -19,11 +19,18 @@ thief and a resurfacing straggler) and join/leave churn therefore
 cannot change the winner: the merge input is the same ordered list of
 range-winners on every run.  Kernel counters are kept per lease and
 folded in the same order, with duplicates dropped at completion time,
-so work accounting closes exactly like the static path's.
+so work accounting closes exactly once per lease.
+
+A static schedule is the same ledger with every lease **pinned**: lease
+*i* carries the rank that owns partition *i* (``owners``), ``acquire``
+hands a pinned lease only to its owner, and retiring the owner unpins
+its leases for survivors to steal.  Leases without an owner are pulled
+by whoever asks first.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from dataclasses import dataclass, field
@@ -48,7 +55,9 @@ class Lease:
     ``grants`` counts how many times the lease was handed out; any grant
     after the first is a steal (the range moved to a new holder after an
     expiry or forfeiture).  ``previous_holders`` keeps the churn trail
-    for fault attribution.
+    for fault attribution.  ``owner`` is the rank a pinned lease is
+    reserved for (``None``: anyone may pull it); it stays recorded after
+    the owner retires, so a dump still shows whose partition moved.
 
     The ``*_ctx`` fields carry causal span contexts (see
     :mod:`repro.telemetry.causal`): ``grant_ctx`` is the holder's span
@@ -66,6 +75,7 @@ class Lease:
     lease_id: int
     lam_start: int
     lam_end: int
+    owner: "int | None" = None
     state: str = "available"
     holder: "int | None" = None
     deadline: float = float("inf")
@@ -97,25 +107,38 @@ class LeaseLedger:
     def __init__(
         self,
         boundaries: "tuple[int, ...]",
+        owners: "list[int] | None" = None,
         ttl_s: "float | None" = None,
     ) -> None:
         if len(boundaries) < 2:
             raise ValueError("need at least one lease range")
         self.boundaries = tuple(boundaries)
+        if owners is not None and len(owners) != len(self.boundaries) - 1:
+            raise ValueError("need exactly one owner per lease range")
         self.ttl_s = ttl_s
-        spans = [
-            (lo, hi)
-            for lo, hi in zip(self.boundaries[:-1], self.boundaries[1:])
-            if hi > lo  # duplicate cuts (tiny grids) make empty ranges
-        ]
-        if not spans:
+        self.leases: "list[Lease]" = []
+        for i, (lo, hi) in enumerate(
+            zip(self.boundaries[:-1], self.boundaries[1:])
+        ):
+            if hi > lo:  # duplicate cuts (tiny grids) make empty ranges
+                self.leases.append(
+                    Lease(
+                        lease_id=len(self.leases), lam_start=lo, lam_end=hi,
+                        owner=None if owners is None else owners[i],
+                    )
+                )
+        if not self.leases:
             raise ValueError("every lease range is empty")
-        self.leases = [
-            Lease(lease_id=i, lam_start=lo, lam_end=hi)
-            for i, (lo, hi) in enumerate(spans)
-        ]
         self._lock = threading.Lock()
         self._retired: set = set()
+        # Available lease ids as min-heaps: one per live pinned owner plus
+        # the shared pool (key ``None``), so a grant never scans the
+        # leases.  Ids are appended in ascending order: already heaps.
+        self._pools: "dict[int | None, list[int]]" = {}
+        for lease in self.leases:
+            self._pools.setdefault(lease.owner, []).append(lease.lease_id)
+        self._n_granted = 0
+        self._n_completed = 0
         self.n_steals = 0
         self.n_expired = 0
         self.n_forfeited = 0
@@ -149,57 +172,74 @@ class LeaseLedger:
 
     # -- lifecycle -----------------------------------------------------
 
-    def acquire(self, holder: int, now: "float | None" = None) -> "Lease | None":
-        """Grant the lowest-id available lease to ``holder``.
+    def _peek(self, key: "int | None") -> "int | None":
+        """Lowest available lease id in pool ``key`` (caller holds the lock)."""
+        pool = self._pools.get(key)
+        # A lease completed while pooled (an expired holder resurfacing
+        # before the steal) leaves a stale id behind; drop it here.
+        while pool and self.leases[pool[0]].state != "available":
+            heapq.heappop(pool)
+        return pool[0] if pool else None
 
-        Returns ``None`` when nothing is available (all granted or
-        completed) or the holder has been retired.  A grant after a
-        previous holder lost the lease counts as a steal.
+    def acquire(self, holder: int, now: "float | None" = None) -> "Lease | None":
+        """Grant ``holder`` the lowest-id available lease it may take.
+
+        That is a lease pinned to ``holder`` or one in the shared pool
+        (never pinned, or unpinned when its owner retired).  Returns
+        ``None`` when there is none or the holder has been retired.  A
+        grant after a previous holder lost the lease, or of a lease
+        pinned to someone else, counts as a steal.
         """
         tel = get_telemetry()
         with self._lock:
             if holder in self._retired:
                 return None
-            for lease in self.leases:
-                if lease.state != "available":
-                    continue
-                stolen = lease.grants > 0
-                lease.state = "granted"
-                lease.holder = holder
-                lease.grants += 1
-                # The acquiring thread's span context; the pending
-                # victim context (saved when the last grant was
-                # revoked) binds to this grant so the thief's search
-                # links the right ``steal`` edge even if this grant is
-                # itself revoked before the search closes.
-                lease.grant_ctx = tel.context()
-                lease.victim_ctx = lease.stolen_from_ctx
-                lease.stolen_from_ctx = None
-                if now is None:
-                    now = time.monotonic()
-                lease.deadline = (
-                    now + self.ttl_s if self.ttl_s is not None else float("inf")
-                )
-                self.n_grants += 1
+            pools = [
+                self._pools[key]
+                for key in (holder, None)
+                if self._peek(key) is not None
+            ]
+            if not pools:
+                return None
+            pool = min(pools, key=lambda ids: ids[0])
+            lease = self.leases[heapq.heappop(pool)]
+            stolen = lease.grants > 0 or lease.owner not in (None, holder)
+            lease.state = "granted"
+            lease.holder = holder
+            lease.grants += 1
+            # The acquiring thread's span context; the pending victim
+            # context (saved when the last grant was revoked) binds to
+            # this grant so the thief's search links the right ``steal``
+            # edge even if this grant is itself revoked before the
+            # search closes.
+            lease.grant_ctx = tel.context()
+            lease.victim_ctx = lease.stolen_from_ctx
+            lease.stolen_from_ctx = None
+            if now is None:
+                now = time.monotonic()
+            lease.deadline = (
+                now + self.ttl_s if self.ttl_s is not None else float("inf")
+            )
+            self._n_granted += 1
+            self.n_grants += 1
+            if stolen:
+                self.n_steals += 1
+            self._export(tel)
+            if tel.enabled:
+                tel.count("lease.grants")
                 if stolen:
-                    self.n_steals += 1
-                self._export(tel)
-                if tel.enabled:
-                    tel.count("lease.grants")
-                    if stolen:
-                        tel.count("lease.steals")
-                        if tel.flight is not None:
-                            tel.flight.note(
-                                "lease",
-                                event="steal",
-                                lease=lease.lease_id,
-                                lam_start=lease.lam_start,
-                                lam_end=lease.lam_end,
-                                thief=holder,
-                                previous_holders=list(lease.previous_holders),
-                            )
-                return lease
-        return None
+                    tel.count("lease.steals")
+                    if tel.flight is not None:
+                        tel.flight.note(
+                            "lease",
+                            event="steal",
+                            lease=lease.lease_id,
+                            lam_start=lease.lam_start,
+                            lam_end=lease.lam_end,
+                            thief=holder,
+                            previous_holders=list(lease.previous_holders),
+                        )
+            return lease
 
     def renew(self, holder: int, now: "float | None" = None) -> int:
         """Extend the deadlines of every lease ``holder`` currently holds."""
@@ -237,6 +277,44 @@ class LeaseLedger:
                         lease.deadline, heartbeats[h] + self.ttl_s
                     )
 
+    def _revoke(self, lost, event: str) -> "list[Lease]":
+        """Return every granted lease for which ``lost(lease)`` holds to
+        its pool; ``event`` (``expired`` / ``forfeited``) names the
+        counters and the flight-recorder note."""
+        tel = get_telemetry()
+        revoked: "list[Lease]" = []
+        with self._lock:
+            for lease in self.leases:
+                if lease.state != "granted" or not lost(lease):
+                    continue
+                lease.previous_holders.append(lease.holder)
+                lease.state = "available"
+                lease.holder = None
+                lease.deadline = float("inf")
+                lease.stolen_from_ctx = lease.grant_ctx
+                lease.grant_ctx = None
+                self._n_granted -= 1
+                key = lease.owner if lease.owner not in self._retired else None
+                heapq.heappush(self._pools.setdefault(key, []), lease.lease_id)
+                revoked.append(lease)
+            if revoked:
+                tally = f"n_{event}"  # n_expired / n_forfeited
+                setattr(self, tally, getattr(self, tally) + len(revoked))
+                self._export(tel)
+        if revoked and tel.enabled:
+            tel.count(f"lease.{event}", len(revoked))
+            if tel.flight is not None:
+                for lease in revoked:
+                    tel.flight.note(
+                        "lease",
+                        event=event,
+                        lease=lease.lease_id,
+                        lam_start=lease.lam_start,
+                        lam_end=lease.lam_end,
+                        holder=lease.previous_holders[-1],
+                    )
+        return revoked
+
     def expire(self, now: "float | None" = None) -> "list[Lease]":
         """Reclaim granted leases whose deadline has passed.
 
@@ -245,70 +323,20 @@ class LeaseLedger:
         """
         if now is None:
             now = time.monotonic()
-        tel = get_telemetry()
-        reclaimed: "list[Lease]" = []
-        with self._lock:
-            for lease in self.leases:
-                if lease.state == "granted" and lease.deadline < now:
-                    lease.previous_holders.append(lease.holder)
-                    lease.state = "available"
-                    lease.holder = None
-                    lease.deadline = float("inf")
-                    lease.stolen_from_ctx = lease.grant_ctx
-                    lease.grant_ctx = None
-                    self.n_expired += 1
-                    reclaimed.append(lease)
-            if reclaimed:
-                self._export(tel)
-        if reclaimed and tel.enabled:
-            tel.count("lease.expired", len(reclaimed))
-            if tel.flight is not None:
-                for lease in reclaimed:
-                    tel.flight.note(
-                        "lease",
-                        event="expired",
-                        lease=lease.lease_id,
-                        lam_start=lease.lam_start,
-                        lam_end=lease.lam_end,
-                        holder=lease.previous_holders[-1],
-                    )
-        return reclaimed
+        return self._revoke(lambda lease: lease.deadline < now, "expired")
 
     def forfeit(self, holder: int) -> "list[Lease]":
         """Return every lease ``holder`` holds to the pool (crash/leave)."""
-        tel = get_telemetry()
-        dropped: "list[Lease]" = []
-        with self._lock:
-            for lease in self.leases:
-                if lease.state == "granted" and lease.holder == holder:
-                    lease.previous_holders.append(holder)
-                    lease.state = "available"
-                    lease.holder = None
-                    lease.deadline = float("inf")
-                    lease.stolen_from_ctx = lease.grant_ctx
-                    lease.grant_ctx = None
-                    self.n_forfeited += 1
-                    dropped.append(lease)
-            if dropped:
-                self._export(tel)
-        if dropped and tel.enabled:
-            tel.count("lease.forfeited", len(dropped))
-            if tel.flight is not None:
-                for lease in dropped:
-                    tel.flight.note(
-                        "lease",
-                        event="forfeited",
-                        lease=lease.lease_id,
-                        lam_start=lease.lam_start,
-                        lam_end=lease.lam_end,
-                        holder=holder,
-                    )
-        return dropped
+        return self._revoke(lambda lease: lease.holder == holder, "forfeited")
 
     def retire(self, holder: int) -> "list[Lease]":
-        """Permanently bar ``holder`` from new grants and forfeit its leases."""
+        """Permanently bar ``holder`` from new grants, forfeit the leases
+        it holds and unpin the ones reserved for it."""
         with self._lock:
             self._retired.add(holder)
+            shared = self._pools.setdefault(None, [])
+            for lease_id in self._pools.pop(holder, ()):
+                heapq.heappush(shared, lease_id)
         return self.forfeit(holder)
 
     def complete(
@@ -339,6 +367,9 @@ class LeaseLedger:
                 # Completed by a resurfaced straggler while the steal is
                 # still in flight: same range, same result — accept it.
                 lease.previous_holders.append(lease.holder)
+            if lease.state == "granted":
+                self._n_granted -= 1
+            self._n_completed += 1
             lease.state = "completed"
             lease.holder = None
             lease.deadline = float("inf")
@@ -357,32 +388,32 @@ class LeaseLedger:
     def n_leases(self) -> int:
         return len(self.leases)
 
-    def _count(self, state: str) -> int:
-        return sum(1 for lease in self.leases if lease.state == state)
+    def _available(self) -> int:
+        return len(self.leases) - self._n_granted - self._n_completed
 
     @property
     def n_available(self) -> int:
         with self._lock:
-            return self._count("available")
+            return self._available()
 
     @property
     def n_granted(self) -> int:
         with self._lock:
-            return self._count("granted")
+            return self._n_granted
 
     @property
     def n_completed(self) -> int:
         with self._lock:
-            return self._count("completed")
+            return self._n_completed
 
     @property
     def done(self) -> bool:
         with self._lock:
-            return all(lease.state == "completed" for lease in self.leases)
+            return self._n_completed == len(self.leases)
 
     def completed_fraction(self) -> float:
         with self._lock:
-            return self._count("completed") / len(self.leases)
+            return self._n_completed / len(self.leases)
 
     def holders(self) -> "set[int]":
         with self._lock:
@@ -405,9 +436,9 @@ class LeaseLedger:
         """Gauge snapshot under the ledger lock (cheap; dict stores)."""
         if not tel.enabled:
             return
-        tel.set_gauge("lease.available", self._count("available"))
-        tel.set_gauge("lease.granted", self._count("granted"))
-        tel.set_gauge("lease.completed", self._count("completed"))
+        tel.set_gauge("lease.available", self._available())
+        tel.set_gauge("lease.granted", self._n_granted)
+        tel.set_gauge("lease.completed", self._n_completed)
 
     # -- deterministic merge -------------------------------------------
 
@@ -441,6 +472,7 @@ class LeaseLedger:
                     "lam_end": lease.lam_end,
                     "state": lease.state,
                     "holder": lease.holder,
+                    **({} if lease.owner is None else {"owner": lease.owner}),
                     "grants": lease.grants,
                     "previous_holders": list(lease.previous_holders),
                     **({"call": call} if call is not None else {}),
@@ -452,9 +484,9 @@ class LeaseLedger:
         with self._lock:
             lines = [
                 f"LeaseLedger: {len(self.leases)} leases "
-                f"({self._count('completed')} done, "
-                f"{self._count('granted')} granted, "
-                f"{self._count('available')} available) "
+                f"({self._n_completed} done, "
+                f"{self._n_granted} granted, "
+                f"{self._available()} available) "
                 f"steals={self.n_steals} expired={self.n_expired} "
                 f"forfeited={self.n_forfeited} duplicates={self.n_duplicates}"
             ]

@@ -8,10 +8,11 @@ communication structure of Section III-E.  Runs under the thread-backed
 real cluster unchanged.
 
 Fault tolerance (:func:`spmd_best_combo`): a failed run surfaces as
-:class:`RankFailedError` naming the dead ranks; the driver re-cuts each
-dead rank's λ-range equi-area across the survivors and relaunches the
-SPMD world on the survivors only, each now searching its original
-partitions **plus** its share of the dead ranks' ranges.  Because every
+:class:`RankFailedError` naming the dead ranks; the driver hands each
+dead rank's partitions whole, round-robin, to the survivors — the move
+the lease ledger makes when it unpins a retired rank's leases — and
+relaunches the SPMD world on the survivors only, each now searching its
+original partitions **plus** the ones it inherited.  Because every
 candidate flows through the same total-order reduction, the recovered
 winner is bit-identical to the failure-free one.  A
 :class:`repro.faults.FaultPlan` injects rank crashes / hangs /
@@ -26,19 +27,18 @@ from repro.bitmatrix.matrix import BitMatrix
 from repro.cluster.comm import SimComm
 from repro.cluster.runtime import RankFailedError, SPMDRunner
 from repro.core.combination import MultiHitCombination, better
-from repro.core.distributed import rank_best_combo
 from repro.core.engine import best_in_thread_range
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
+from repro.core.reduction import multi_stage_reduce
 from repro.faults.plan import FaultInjected, FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.faults.report import FaultReport
-from repro.faults.reschedule import rank_partitions, reschedule_ranges
 from repro.scheduling.schedule import Schedule
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.session import get_telemetry
 
-__all__ = ["rank_program", "spmd_best_combo"]
+__all__ = ["rank_best_combo", "rank_program", "spmd_best_combo"]
 
 # Tag reserved for the telemetry gather so it can never collide with the
 # reduce/bcast tags of the winner protocol (0 and 1).
@@ -60,6 +60,30 @@ def _merge_rank_telemetry(comm: SimComm, registry: MetricsRegistry) -> None:
             telemetry.metrics.merge_dict(state)
 
 
+def rank_best_combo(
+    schedule: Schedule,
+    parts: "list[int]",
+    tumor: BitMatrix,
+    normal: BitMatrix,
+    params: FScoreParams,
+    counters: "KernelCounters | None" = None,
+) -> "MultiHitCombination | None":
+    """Search partitions ``parts`` of the schedule, one after the other.
+
+    Each partition is one local GPU's thread range; the per-GPU winners
+    are reduced on-rank, so only one candidate leaves the rank.
+    """
+    return multi_stage_reduce(
+        [
+            best_in_thread_range(
+                schedule.scheme, schedule.g, tumor, normal, params,
+                *schedule.thread_range(part), counters=counters,
+            )
+            for part in parts
+        ]
+    )
+
+
 def rank_program(
     comm: SimComm,
     schedule: Schedule,
@@ -68,23 +92,15 @@ def rank_program(
     normal: BitMatrix,
     params: FScoreParams,
 ) -> "MultiHitCombination | None":
-    """One MPI rank's greedy-iteration body; every rank returns the winner."""
-    telemetry = get_telemetry()
-    rank = comm.Get_rank()
-    rank_counters = KernelCounters() if telemetry.enabled else None
-    with telemetry.span("rank.search", cat="spmd", rank=rank):
-        local = rank_best_combo(
-            schedule, rank, gpus_per_rank, tumor, normal, params,
-            counters=rank_counters,
-        )
-    winner = comm.reduce(local, op=better, root=0)
-    winner = comm.bcast(winner, root=0)
-    if telemetry.enabled:
-        registry = MetricsRegistry()
-        registry.inc("spmd.rank_searches")
-        registry.absorb_kernel_counters(rank_counters, prefix="kernel")
-        _merge_rank_telemetry(comm, registry)
-    return winner
+    """One MPI rank's greedy-iteration body; every rank returns the winner.
+
+    The failure-free case of :func:`_ft_rank_program`: every rank live,
+    nothing inherited, nothing injected.
+    """
+    return _ft_rank_program(
+        comm, schedule, gpus_per_rank, list(range(comm.Get_size())), {},
+        tumor, normal, params, None, 0,
+    )
 
 
 def _ft_rank_program(
@@ -92,19 +108,18 @@ def _ft_rank_program(
     schedule: Schedule,
     gpus_per_rank: int,
     live_ranks: "list[int]",
-    extra: "dict[int, list[tuple[int, int]]]",
+    extra: "dict[int, list[int]]",
     tumor: BitMatrix,
     normal: BitMatrix,
     params: FScoreParams,
     fault_plan: "FaultPlan | None",
     call: int,
 ) -> "MultiHitCombination | None":
-    """Recovery-aware rank body: original partitions + rescheduled shares.
+    """Recovery-aware rank body: original partitions + inherited ones.
 
     ``live_ranks[comm.Get_rank()]`` is the rank's identity in the
-    *original* schedule; ``extra[orig]`` holds λ-ranges inherited from
-    dead ranks.  Identical to :func:`rank_program` when nothing has
-    failed (all ranks live, no extra ranges).
+    *original* schedule; ``extra[orig]`` holds the partitions inherited
+    from dead ranks.
     """
     telemetry = get_telemetry()
     orig = live_ranks[comm.Get_rank()]
@@ -118,26 +133,18 @@ def _ft_rank_program(
                 # merely finishes late.
                 time.sleep(spec.delay_s)
     rank_counters = KernelCounters() if telemetry.enabled else None
-    extra_ranges = extra.get(orig, ())
+    inherited = extra.get(orig, [])
     with telemetry.span("rank.search", cat="spmd", rank=orig, call=call):
         local = rank_best_combo(
-            schedule, orig, gpus_per_rank, tumor, normal, params,
-            counters=rank_counters,
+            schedule, schedule.rank_partitions(orig, gpus_per_rank) + inherited,
+            tumor, normal, params, counters=rank_counters,
         )
-        for lo, hi in extra_ranges:
-            local = better(
-                local,
-                best_in_thread_range(
-                    schedule.scheme, schedule.g, tumor, normal, params, lo, hi,
-                    counters=rank_counters,
-                ),
-            )
     winner = comm.reduce(local, op=better, root=0)
     winner = comm.bcast(winner, root=0)
     if telemetry.enabled:
         registry = MetricsRegistry()
         registry.inc("spmd.rank_searches")
-        registry.inc("spmd.extra_ranges", len(extra_ranges))
+        registry.inc("spmd.extra_ranges", len(inherited))
         registry.absorb_kernel_counters(rank_counters, prefix="kernel")
         _merge_rank_telemetry(comm, registry)
     return winner
@@ -172,15 +179,17 @@ def spmd_best_combo(
     All ranks must agree on the winner (asserted); returns it.
 
     If ranks fail, the run is restarted on the survivors with the dead
-    ranks' λ-ranges re-cut equi-area among them; up to
+    ranks' partitions dealt round-robin among them; up to
     ``1 + retry_policy.resubmits`` recovery restarts are attempted
     (with the policy's backoff) before the last failure propagates.
     ``heartbeat_timeout_s`` should be set below ``recv_timeout_s`` so a
     hung rank is named by the detector before its peers time out.
     """
     policy = retry_policy or RetryPolicy()
+    if report is None:
+        report = FaultReport()
     live = list(range(n_ranks))
-    extra: "dict[int, list[tuple[int, int]]]" = {r: [] for r in live}
+    extra: "dict[int, list[int]]" = {r: [] for r in live}
     restarts = 0
     while True:
         runner = SPMDRunner(
@@ -207,54 +216,44 @@ def spmd_best_combo(
             dead_local = set(err.failed_ranks)
             dead = sorted(live[i] for i in dead_local)
             survivors = [r for i, r in enumerate(live) if i not in dead_local]
-            if report is not None:
-                for i, exc in err.failures:
-                    report.record(
-                        "hang" if isinstance(exc, TimeoutError) else "crash",
-                        "rank",
-                        live[i],
-                        call,
-                        "detected",
-                        attempt=restarts + 1,
-                        detail=f"{type(exc).__name__}: {exc}",
-                    )
+            for i, exc in err.failures:
+                report.record(
+                    "hang" if isinstance(exc, TimeoutError) else "crash",
+                    "rank",
+                    live[i],
+                    call,
+                    "detected",
+                    attempt=restarts + 1,
+                    detail=f"{type(exc).__name__}: {exc}",
+                )
             if not survivors or restarts >= 1 + policy.resubmits:
                 raise
             restarts += 1
             policy.sleep_before(restarts)
-            # Dead ranks' partitions, re-cut equi-area across survivors.
-            dead_parts = [
-                p for r in dead for p in rank_partitions(schedule, r, gpus_per_rank)
-            ]
-            shares = reschedule_ranges(schedule, dead_parts, len(survivors))
+            # Dead ranks' partitions — their own and any they had already
+            # inherited — move whole, round-robin, to the survivors.
             new_extra = {r: list(extra[r]) for r in survivors}
-            for j, survivor in enumerate(survivors):
-                for part, lo, hi in shares[j]:
-                    new_extra[survivor].append((lo, hi))
-                    if report is not None:
-                        report.record_reschedule(
-                            dead_rank=part // gpus_per_rank,
-                            survivor=survivor,
-                            lam_start=lo,
-                            lam_end=hi,
-                            call=call,
-                        )
-            # Extra ranges a dead rank had already inherited move too.
-            orphaned = [rng for r in dead for rng in extra.get(r, ())]
-            for k, (lo, hi) in enumerate(orphaned):
-                survivor = survivors[k % len(survivors)]
-                new_extra[survivor].append((lo, hi))
-                if report is not None:
+            moved = 0
+            for r in dead:
+                for part in schedule.rank_partitions(r, gpus_per_rank) + extra[r]:
+                    lo, hi = schedule.thread_range(part)
+                    if hi <= lo:  # tiny grids leave empty partitions
+                        continue
+                    survivor = survivors[moved % len(survivors)]
+                    moved += 1
+                    new_extra[survivor].append(part)
                     report.record_reschedule(
-                        dead_rank=dead[0], survivor=survivor,
-                        lam_start=lo, lam_end=hi, call=call,
+                        dead_rank=part // gpus_per_rank,
+                        survivor=survivor,
+                        lam_start=lo,
+                        lam_end=hi,
+                        call=call,
                     )
-            if report is not None:
-                report.record(
-                    "crash", "rank", dead[0], call, "restarted",
-                    attempt=restarts,
-                    detail=f"world restarted on {len(survivors)} survivors",
-                )
+            report.record(
+                "crash", "rank", dead[0], call, "restarted",
+                attempt=restarts,
+                detail=f"world restarted on {len(survivors)} survivors",
+            )
             telemetry = get_telemetry()
             if telemetry.flight is not None:
                 # Post-reschedule black box: the assignments section now
@@ -267,7 +266,9 @@ def spmd_best_combo(
                             "survivor": r,
                             "extra_ranges": [
                                 {"lam_start": lo, "lam_end": hi}
-                                for lo, hi in new_extra[r]
+                                for lo, hi in map(
+                                    schedule.thread_range, new_extra[r]
+                                )
                             ],
                             "call": call,
                         }

@@ -1,38 +1,43 @@
-"""Distributed scale-out driver: schedule -> per-GPU search -> reduction.
+"""Distributed scale-out driver: cut the λ-grid -> search each range -> reduce.
 
-One MPI rank per node, six GPU partitions per rank (Fig. 1).  Each GPU
-searches its scheduled thread range with the vectorized engine and
-reduces to a single 20-byte candidate; the rank reduces its six, and rank
-0 reduces across ranks.  The default driver iterates ranks in-process
-(deterministic); :mod:`repro.cluster.runtime` runs the identical rank
-function under the thread-backed SimComm for true SPMD semantics.
+One MPI rank per node, six GPU partitions per rank (Fig. 1).  Every
+range of the grid is a lease on a :class:`repro.cluster.leases.
+LeaseLedger`; ranks take leases, search them with the vectorized engine
+and complete them with a single 20-byte candidate, and the per-lease
+winners fold through the multi-stage max-reduction in lease-id order.
+The driver here iterates ranks in-process (deterministic);
+:mod:`repro.cluster.elastic` pulls the same leases through the same
+:func:`search_lease` on a thread fleet.
 
-Pruned iterations share one two-level bound table whose blocks merge the
-partition boundaries; a GPU partition that covers only part of a
-super-block simply falls back to per-block skip checks (the hierarchical
-fast path requires the whole super inside the searched range), so
-clipping is conservative, never unsound.  Rescheduled dead-rank ranges
-are re-cut with their interior points snapped to block boundaries
-(:func:`repro.faults.reschedule.reschedule_ranges_aligned`), so
-survivors rebuild their slice of the table and recovery keeps the CELF
+The two scheduling modes differ only in the ledger they build:
+
+* static (``elastic=False``): the cuts are the schedule's partition
+  boundaries and each lease is **pinned** to the rank that owns the
+  partition (``part // gpus_per_node``), so a healthy run is exactly the
+  paper's one-partition-per-GPU schedule;
+* ``elastic=True``: ``lease_blocks`` equi-area cuts, nothing pinned —
+  whichever rank is free pulls the next lease, and ``membership``-site
+  :class:`FaultSpec` churn (join/leave) resizes the roster mid-call.
+
+Recovery is one rule for both: a crash or hang on a granted lease is
+retried by the same holder up to ``retry_policy.resubmits`` times with
+backoff, then the holder is retired and its leases — the one it held
+and the ones pinned to it — go back to the pool for survivors to steal
+(the driver itself, holder ``-1``, if nobody survives).  Because both
+cut sets are merged into the bound table, every lease is a whole number
+of λ-blocks whoever ends up searching it, so recovery keeps the CELF
 pruning speedup.
-
-``elastic=True`` switches the engine from fixed one-partition-per-GPU
-scheduling to lease-based work stealing: the λ-space is cut into
-``lease_blocks`` equi-area leases on a :class:`repro.cluster.leases.
-LeaseLedger`, ranks pull leases round-robin, a crashed or hung rank's
-leases are forfeited back to the pool for survivors to steal, and
-``membership``-site :class:`FaultSpec` churn (join/leave) resizes the
-roster mid-call.  The merge folds per-lease winners in lease-id order,
-so the winner is bit-identical to the static path's.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from repro.bitmatrix.matrix import BitMatrix
+from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
 from repro.core.engine import best_in_thread_range
 from repro.core.fscore import FScoreParams
@@ -42,131 +47,103 @@ from repro.core.reduction import ReductionStats, multi_stage_reduce
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.faults.report import FaultReport
-from repro.faults.reschedule import (
-    rank_partitions,
-    reschedule_ranges,
-    reschedule_ranges_aligned,
-)
 from repro.scheduling.equiarea import equiarea_schedule
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.schemes import Scheme
 from repro.telemetry.session import get_telemetry
 
-__all__ = ["DistributedEngine", "rank_best_combo"]
+__all__ = ["DistributedEngine", "search_lease"]
 
 GPUS_PER_NODE = 6
 
 
-def rank_best_combo(
-    schedule: Schedule,
+def search_lease(
+    scheme: Scheme,
+    lease,
     rank: int,
-    gpus_per_rank: int,
     tumor: BitMatrix,
     normal: BitMatrix,
     params: FScoreParams,
-    memory: "MemoryConfig | None" = None,
-    counters: "KernelCounters | None" = None,
-    n_workers: int = 1,
-    pool: "object | None" = None,
-    bounds: "object | None" = None,
+    bounds: "BoundTable | None" = None,
     iteration: int = 0,
+    memory: "MemoryConfig | None" = None,
     sparse: bool = False,
     word_stride: "int | None" = None,
-) -> "MultiHitCombination | None":
-    """Search the ``gpus_per_rank`` partitions owned by one MPI rank.
+    call: int = 0,
+    stall_s: float = 0.0,
+    fold_lock=nullcontext(),
+) -> "tuple[MultiHitCombination | None, KernelCounters]":
+    """Search one lease's λ-range; returns ``(winner, counters)``.
 
-    Partition ``rank * gpus_per_rank + local`` maps to local GPU
-    ``local``; the per-GPU winners are reduced on-rank (stages 1-2 of the
-    reduction happen inside :func:`best_in_thread_range` / here, so only
-    one candidate leaves the rank).
+    The winner is a pure function of the range, so any holder may run
+    this for any lease.  With ``bounds`` the lease prunes against its
+    own slice of the table (leases are block-aligned when the table
+    merged the ledger's cuts; an unaligned range runs unpruned) and the
+    refreshed bounds fold back as deltas — under ``fold_lock`` when
+    holders run on threads.  Metering rides the lease, not the run
+    counters, so a range that is stolen and computed twice still counts
+    once: the ledger keeps the first completion's counters.
 
-    ``n_workers > 1`` searches the rank's partitions on a thread pool —
-    the stand-in for a node's six GPUs running concurrently (NumPy
-    releases the GIL in the bitwise kernels).  Counters are not supported
-    concurrently (they are plain accumulators).
-
-    ``pool`` (a :class:`repro.core.pool.PoolEngine`) searches each
-    partition's thread range on that process pool instead — each
-    simulated GPU's range is itself cut equi-area across the workers.
-    Partitions are walked serially, so counters stay supported.
-
-    ``bounds`` (a :class:`repro.core.bounds.BoundTable`) enables
-    lazy-greedy pruning, but only on the serial path: the table is a
-    plain mutable structure, so partitions searched concurrently
-    (``n_workers > 1``) or through an inner process pool run unpruned.
-    A partition whose range is not block-aligned also runs unpruned.
+    ``stall_s`` is an injected straggler: the holder goes silent for
+    that long inside the search span, spanned as comm time so
+    attribution can explain the lost wall clock.
     """
-    parts = [
-        rank * gpus_per_rank + local
-        for local in range(gpus_per_rank)
-        if rank * gpus_per_rank + local < schedule.n_parts
-    ]
-
-    def search(part: int) -> "MultiHitCombination | None":
-        lo, hi = schedule.thread_range(part)
-        if pool is not None:
-            return pool.best_combo(
-                tumor, normal, params, lam_start=lo, lam_end=hi, counters=counters
-            )
-        part_bounds = (
-            bounds
-            if bounds is not None and n_workers == 1 and bounds.aligned(lo, hi)
-            else None
-        )
-        return best_in_thread_range(
-            schedule.scheme,
-            schedule.g,
-            tumor,
-            normal,
-            params,
-            lo,
-            hi,
-            counters=counters if n_workers == 1 else None,
+    tel = get_telemetry()
+    lo, hi = lease.lam_start, lease.lam_end
+    lease_bounds = None
+    if bounds is not None and bounds.aligned(lo, hi):
+        with fold_lock:
+            payload = bounds.slice_payload(lo, hi)
+        lease_bounds = BoundTable.from_payload(payload)
+    counters = KernelCounters()
+    stolen = lease.grants > 1 or lease.owner not in (None, rank)
+    with tel.span(
+        "lease.search", cat="distributed", rank=rank, lease=lease.lease_id,
+        lam_start=lo, lam_end=hi, call=call,
+        **({"stolen": True} if stolen else {}),
+    ) as span:
+        # Cross-rank causal edge: redoing work the previous holder lost
+        # chains the thief's timeline to the victim's.
+        span.link(lease.victim_ctx, kind="steal")
+        if stall_s > 0:
+            with tel.span(
+                "comm.stall", cat="comm", rank=rank, kind="straggler",
+                delay_s=stall_s,
+            ):
+                time.sleep(stall_s)
+        winner = best_in_thread_range(
+            scheme, tumor.n_genes, tumor, normal, params, lo, hi,
+            counters=counters,
             memory=memory,
-            bounds=part_bounds,
+            bounds=lease_bounds,
             iteration=iteration,
             sparse=sparse,
             word_stride=word_stride,
         )
-
-    if pool is not None:
-        return multi_stage_reduce([search(p) for p in parts])
-
-    if n_workers > 1 and len(parts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as executor:
-            candidates = list(executor.map(search, parts))
-    else:
-        candidates = [search(p) for p in parts]
-    return multi_stage_reduce(candidates)
+    if lease_bounds is not None:
+        deltas = lease_bounds.deltas(iteration)
+        if deltas:
+            with fold_lock:
+                bounds.apply_deltas(deltas, iteration)
+    return winner, counters
 
 
 @dataclass
 class DistributedEngine:
-    """Multi-node search over a scheduled partition of the thread grid.
+    """Multi-node search over a lease ledger of the thread grid.
 
     Parameters mirror a Summit job: ``n_nodes`` MPI ranks with
     ``gpus_per_node`` GPU partitions each.  ``scheduler`` builds the
-    partition (equi-area by default).
+    static partition (equi-area by default).
 
-    Fault tolerance: each rank's search runs under the shared
-    ``retry_policy`` — a rank that fails (injected via ``fault_plan``
-    or raising for real) is retried with backoff up to
-    ``retry_policy.resubmits`` times; a rank that stays dead has its
-    λ-range re-cut equi-area across the surviving ranks, so the
-    iteration completes with a bit-identical winner.  A rank whose
-    wall time exceeds ``retry_policy.deadline_s`` (injected hang) is
-    declared lost; one that finishes but exceeds
-    ``retry_policy.straggler_after_s`` is recorded as a straggler.
-    Everything detected/retried/rescheduled lands in ``report``.
+    ``elastic`` replaces the pinned partition-per-GPU leases with
+    ``lease_blocks`` unpinned ones (``0`` auto-sizes to ``4 * n_nodes``)
+    that ranks pull round-robin; membership churn specs grow/shrink the
+    roster mid-call.  Winners are bit-identical either way.
 
-    ``elastic`` replaces the fixed partition-per-GPU schedule with
-    lease-based work stealing (``lease_blocks`` leases; ``0`` auto-sizes
-    to ``4 * n_nodes``): ranks pull leases round-robin, crash/hang
-    faults forfeit a rank's leases for survivors to steal, and
-    membership churn specs grow/shrink the roster mid-call.  Winners
-    stay bit-identical to the static path.
+    ``fault_plan`` injects rank faults and churn; recovery follows the
+    module's one rule under ``retry_policy``, and everything
+    detected/retried/stolen lands in ``report``.
     """
 
     scheme: Scheme
@@ -174,8 +151,6 @@ class DistributedEngine:
     gpus_per_node: int = GPUS_PER_NODE
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     scheduler: str = "equiarea"
-    n_workers: int = 1  # threads per rank (simulates concurrent local GPUs)
-    pool_workers: int = 0  # >0: pooled search inside each GPU's range
     fault_plan: "FaultPlan | None" = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     elastic: bool = False
@@ -201,13 +176,18 @@ class DistributedEngine:
                 return equidistance_schedule(self.scheme, g, n_parts)
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
 
-    def lease_cuts(self, g: int) -> tuple[int, ...]:
-        """Equi-area lease boundaries of the elastic path.
+    def chunk_cuts(self, g: int) -> tuple[int, ...]:
+        """The ledger's range boundaries (also merged into the bound
+        table, so every lease is a whole number of λ-blocks and pruning
+        survives work stealing).
 
-        Finer than one-per-rank (default ``4 * n_nodes``) so stealing
-        has grain: losing a rank re-pools a few leases, not a sixth of
-        the grid.
+        Static: the schedule's partition cuts.  Elastic: ``lease_blocks``
+        equi-area cuts, finer than one-per-rank (default ``4 * n_nodes``)
+        so stealing has grain: losing a rank re-pools a few leases, not
+        a sixth of the grid.
         """
+        if not self.elastic:
+            return tuple(self.build_schedule(g).boundaries)
         from repro.scheduling.equiarea import equiarea_range_boundaries
         from repro.scheduling.workload import total_threads
 
@@ -216,16 +196,8 @@ class DistributedEngine:
             self.scheme, g, 0, total_threads(self.scheme, g), n
         )
 
-    def chunk_cuts(self, g: int) -> tuple[int, ...]:
-        """The backend's range boundaries (for bound-table alignment).
-
-        Static: the schedule's partition cuts.  Elastic: the lease cuts,
-        so every lease a rank pulls is a whole number of λ-blocks and
-        pruning survives work stealing.
-        """
-        if self.elastic:
-            return self.lease_cuts(g)
-        return tuple(self.build_schedule(g).boundaries)
+    def close(self) -> None:
+        """Nothing to release: ranks run in-process, one ledger per call."""
 
     def best_combo(
         self,
@@ -234,190 +206,94 @@ class DistributedEngine:
         params: FScoreParams,
         counters: "KernelCounters | None" = None,
         reduction_stats: "ReductionStats | None" = None,
-        bounds: "object | None" = None,
+        bounds: "BoundTable | None" = None,
         iteration: int = 0,
     ) -> "MultiHitCombination | None":
-        """Full distributed arg-max: all ranks' results reduced at root.
+        """Full distributed arg-max: every lease's winner reduced at root.
 
-        Ranks that fail beyond the retry budget are declared dead and
-        their λ-ranges re-cut across survivors before the reduction —
-        the winner is bit-identical to the failure-free run.
+        Ranks take turns in rank order (the in-process stand-in for
+        "whichever rank is free pulls next"), one lease per turn, and
+        membership churn fires between rounds at its progress-fraction
+        trigger.  The reduction folds per-lease winners in lease-id
+        order, so no scheduling or recovery detail can reach the result.
         """
-        call = self._calls
-        self._calls += 1
-        if self.elastic:
-            return self._best_combo_elastic(
-                tumor, normal, params, call, counters, reduction_stats,
-                bounds, iteration,
-            )
-        schedule = self.build_schedule(tumor.n_genes)
-        tel = get_telemetry()
-        if tel.flight is not None:
-            tel.flight.set_assignments(
-                "distributed",
-                [
-                    {
-                        "rank": rank,
-                        "partitions": [
-                            {
-                                "part": p,
-                                "lam_start": schedule.thread_range(p)[0],
-                                "lam_end": schedule.thread_range(p)[1],
-                            }
-                            for p in rank_partitions(
-                                schedule, rank, self.gpus_per_node
-                            )
-                        ],
-                        "call": call,
-                    }
-                    for rank in range(self.n_nodes)
-                ],
-            )
-        pool = None
-        if self.pool_workers > 0:
-            from repro.core.pool import PoolEngine
-
-            pool = PoolEngine(
-                scheme=self.scheme, n_workers=self.pool_workers,
-                memory=self.memory, sparse=self.sparse,
-                word_stride=self.word_stride,
-            )
-        try:
-            rank_winners: list["MultiHitCombination | None"] = []
-            dead: list[int] = []
-            for rank in range(self.n_nodes):
-                winner, alive = self._run_rank(
-                    schedule, rank, call, tumor, normal, params, counters, pool,
-                    bounds, iteration,
-                )
-                if alive:
-                    rank_winners.append(winner)
-                else:
-                    dead.append(rank)
-            if dead:
-                rank_winners.extend(
-                    self._reschedule_dead(
-                        schedule, dead, call, tumor, normal, params, counters,
-                        bounds, iteration,
-                    )
-                )
-                # The black box for a survived failure: dumped *after*
-                # rescheduling so it shows both the dead ranks and the
-                # λ-ranges that were re-cut onto survivors.
-                if tel.flight is not None:
-                    tel.flight.dump(
-                        "rank-rescheduled", telemetry=tel,
-                        fault_report=self.report,
-                    )
-            with get_telemetry().span(
-                "reduce", cat="distributed", candidates=len(rank_winners)
-            ):
-                return multi_stage_reduce(rank_winners, stats=reduction_stats)
-        finally:
-            if pool is not None:
-                pool.close()
-
-    # -- elastic lease path --------------------------------------------
-
-    def _best_combo_elastic(
-        self, tumor, normal, params, call, counters, reduction_stats,
-        bounds, iteration,
-    ) -> "MultiHitCombination | None":
-        """Lease-based arg-max with deterministic in-process scheduling.
-
-        Ranks pull leases round-robin in rank order (the in-process
-        stand-in for "whichever rank is free pulls next"); a rank-site
-        crash/hang fault kills the rank — its granted lease is forfeited
-        back to the pool, and whoever pulls it next is the steal.
-        Membership churn fires between grant rounds at its
-        progress-fraction trigger.  The final merge folds per-lease
-        winners in lease-id order, so none of this scheduling detail
-        can reach the result.
-        """
+        # Imported here: repro.cluster imports this module for search_lease.
         from repro.cluster.leases import LeaseLedger
 
-        g = tumor.n_genes
+        call = self._calls
+        self._calls += 1
         tel = get_telemetry()
-        ledger = LeaseLedger(self.lease_cuts(g))
+        cuts = self.chunk_cuts(tumor.n_genes)
+        pins = [part // self.gpus_per_node for part in range(len(cuts) - 1)]
+        ledger = LeaseLedger(cuts, owners=None if self.elastic else pins)
         if tel.flight is not None:
             tel.flight.set_assignments("lease", ledger.assignment_rows(call))
         roster = list(range(self.n_nodes))
         next_rank = self.n_nodes
-        dead: list[int] = []
         while not ledger.done:
-            roster, next_rank = self._elastic_churn(
-                ledger, roster, next_rank, call
-            )
-            workers = list(roster) or [-1]  # -1: the driver drains the pool
-            progressed = False
-            for rank in workers:
+            next_rank = self._apply_churn(ledger, roster, next_rank, call)
+            grants_before = ledger.n_grants
+            for rank in list(roster) or [-1]:  # -1: the driver drains the pool
                 lease = ledger.acquire(rank)
                 if lease is None:
-                    break
-                spec = (
-                    self.fault_plan.take("rank", rank, call)
-                    if self.fault_plan is not None and rank >= 0
-                    else None
-                )
-                if spec is not None and spec.kind in ("crash", "hang"):
-                    # The rank dies holding the lease; forfeiture is the
-                    # first-class fault edge — the range goes back to
-                    # the pool and a survivor's next acquire steals it.
-                    self.report.record(
-                        spec.kind, "rank", rank, call, "lease-forfeit",
-                        detail=(
-                            f"lease {lease.lease_id} "
-                            f"[{lease.lam_start}, {lease.lam_end})"
-                        ),
-                    )
-                    ledger.retire(rank)
-                    roster.remove(rank)
-                    dead.append(rank)
                     continue
-                self._search_lease(
-                    ledger, lease, rank, spec, call, tumor, normal, params,
-                    counters, bounds, iteration,
-                )
-                progressed = True
-            if not progressed and not ledger.done and ledger.n_available == 0:
-                # In-process, a grant is always followed synchronously by
-                # completion or forfeiture, so this cannot be reached.
+                if not self._run_lease(
+                    ledger, lease, rank, call, tumor, normal, params, bounds,
+                    iteration,
+                ):
+                    roster.remove(rank)
+            if ledger.n_grants == grants_before:
+                # Every lease is either reserved for a rank on the roster
+                # or in the shared pool, so a round always grants one.
                 raise RuntimeError(
-                    "elastic scheduler stalled with granted leases"
+                    "lease scheduler stalled with "
+                    f"{ledger.n_available} leases nobody may take"
                 )  # pragma: no cover
         for lease in ledger.leases:
-            # A stolen lease is rescheduled work: attribute the range
-            # move exactly like the static path's survivor rescheduling.
-            if lease.grants > 1 and lease.previous_holders:
+            # A lease finished by someone other than the rank it started
+            # with — its owner, or its first holder — is rescheduled work.
+            origin = lease.owner
+            if origin is None and lease.previous_holders:
+                origin = lease.previous_holders[0]
+            if origin is not None and origin != lease.completed_by:
                 self.report.record_reschedule(
-                    dead_rank=lease.previous_holders[0],
-                    survivor=(
-                        lease.completed_by
-                        if lease.completed_by is not None
-                        else -1
-                    ),
+                    dead_rank=origin,
+                    survivor=lease.completed_by,
                     lam_start=lease.lam_start,
                     lam_end=lease.lam_end,
                     call=call,
                 )
-        if dead and tel.flight is not None:
+        if ledger.n_forfeited and tel.flight is not None:
+            # The black box for a survived failure (a retired rank always
+            # forfeits the lease it held): dumped after the steals so it
+            # shows the dead ranks and who took their leases.
             tel.flight.set_assignments("lease", ledger.assignment_rows(call))
             tel.flight.dump(
                 "lease-churn", telemetry=tel, fault_report=self.report
             )
         if counters is not None:
             ledger.merge_counters(counters)
+        # Stage 2 of the reduction happens on-rank: a pinned rank's
+        # leases fold to the one 20-byte candidate that leaves the node;
+        # unpinned leases each stand alone.
+        candidates: "list[MultiHitCombination | None]" = []
+        for owner, group in groupby(ledger.leases, key=lambda lease: lease.owner):
+            results = [lease.result for lease in group]
+            candidates.extend(
+                results if owner is None else [multi_stage_reduce(results)]
+            )
         with tel.span(
-            "reduce", cat="distributed", candidates=ledger.n_leases
+            "reduce", cat="distributed", candidates=len(candidates)
         ) as sp:
             for ctx in ledger.completion_contexts():
                 sp.link(ctx, kind="complete")
-            return ledger.merge(stats=reduction_stats)
+            return multi_stage_reduce(candidates, stats=reduction_stats)
 
-    def _elastic_churn(self, ledger, roster, next_rank, call):
-        """Consume due membership specs between grant rounds."""
+    def _apply_churn(self, ledger, roster: list, next_rank: int, call: int) -> int:
+        """Consume due membership specs between rounds; returns the next
+        unused rank id."""
         if self.fault_plan is None:
-            return roster, next_rank
+            return next_rank
         frac = ledger.completed_fraction()
         for spec in self.fault_plan.take_churn(call, frac):
             if spec.kind == "join":
@@ -429,79 +305,29 @@ class DistributedEngine:
                     )
                     next_rank += 1
             elif spec.target in roster:
+                # A graceful departure holds nothing between turns, so
+                # retiring only unpins what was reserved for the leaver.
                 roster.remove(spec.target)
+                ledger.retire(spec.target)
                 self.report.record(
                     "leave", "membership", spec.target, call, "drained",
                     detail=f"at {frac:.2f} done",
                 )
-        return roster, next_rank
+        return next_rank
 
-    def _search_lease(
-        self, ledger, lease, rank, spec, call, tumor, normal, params,
-        counters, bounds, iteration,
-    ) -> None:
-        tel = get_telemetry()
-        lo, hi = lease.lam_start, lease.lam_end
-        lease_bounds = None
-        if bounds is not None and bounds.aligned(lo, hi):
-            from repro.core.bounds import BoundTable
+    def _run_lease(
+        self, ledger, lease, rank, call, tumor, normal, params, bounds,
+        iteration,
+    ) -> bool:
+        """One granted lease under the retry policy.
 
-            lease_bounds = BoundTable.from_payload(bounds.slice_payload(lo, hi))
-        # Metering rides the lease (not the run counters directly) so a
-        # range that is stolen and computed twice still counts exactly
-        # once: the ledger keeps the first completion's counters and
-        # merge_counters folds them in lease-id order.
-        lease_counters = KernelCounters() if counters is not None else None
-        stolen = lease.grants > 1
-        with tel.timed_span(
-            "lease.search", cat="distributed", rank=rank,
-            lease=lease.lease_id, lam_start=lo, lam_end=hi, call=call,
-            **({"stolen": True} if stolen else {}),
-        ) as span:
-            span.link(lease.victim_ctx, kind="steal")
-            if spec is not None and spec.kind == "straggler":
-                with tel.span(
-                    "comm.stall", cat="comm", rank=rank,
-                    kind="straggler", delay_s=spec.delay_s,
-                ):
-                    time.sleep(spec.delay_s)
-            winner = best_in_thread_range(
-                self.scheme, tumor.n_genes, tumor, normal, params, lo, hi,
-                counters=lease_counters,
-                memory=self.memory,
-                bounds=lease_bounds,
-                iteration=iteration,
-                sparse=self.sparse,
-                word_stride=self.word_stride,
-            )
-        if spec is not None and spec.kind == "straggler":
-            self.report.record(
-                "straggler", "rank", rank, call, "observed",
-                detail=f"{span.duration_s:.3f}s",
-            )
-        if lease_bounds is not None:
-            deltas = lease_bounds.deltas(iteration)
-            if deltas:
-                bounds.apply_deltas(deltas, iteration)
-        ledger.complete(
-            lease.lease_id, rank, winner, counters=lease_counters
-        )
-
-    # -- fault-tolerant rank execution ---------------------------------
-
-    def _run_rank(
-        self, schedule, rank, call, tumor, normal, params, counters, pool,
-        bounds=None, iteration=0,
-    ) -> "tuple[MultiHitCombination | None, bool]":
-        """One rank's search under the retry policy.
-
-        Returns ``(winner, alive)``; ``alive=False`` marks the rank dead
-        after exhausting ``retry_policy.resubmits`` — its range is then
-        rescheduled by the caller.
+        Returns ``False`` when the holder exhausted
+        ``retry_policy.resubmits`` and was retired: the lease it held
+        and the ones pinned to it are back in the pool.
         """
         tel = get_telemetry()
         policy = self.retry_policy
-        last_kind = None
+        lost_kind = None
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
                 with tel.span(
@@ -510,128 +336,42 @@ class DistributedEngine:
                     policy.sleep_before(attempt - 1)
             spec = (
                 self.fault_plan.take("rank", rank, call)
-                if self.fault_plan is not None
+                if self.fault_plan is not None and rank >= 0
                 else None
             )
             if spec is not None and spec.kind in ("crash", "hang"):
                 # A hang is surfaced by the deadline detector, a crash
                 # by the dead pipe; both mean this attempt is lost.
-                last_kind = spec.kind
+                lost_kind = spec.kind
                 self.report.record(
                     spec.kind, "rank", rank, call, "detected", attempt=attempt,
                     detail="deadline exceeded" if spec.kind == "hang" else "",
                 )
                 continue
-            # Span-as-stopwatch: the straggler detector reads the same
-            # wall clock the trace records.
-            with tel.timed_span(
-                "rank.search", cat="distributed", rank=rank,
-                call=call, attempt=attempt,
-            ) as span:
-                if spec is not None and spec.kind == "straggler":
-                    time.sleep(spec.delay_s)
-                winner = rank_best_combo(
-                    schedule,
-                    rank,
-                    self.gpus_per_node,
-                    tumor,
-                    normal,
-                    params,
-                    memory=self.memory,
-                    counters=counters,
-                    n_workers=self.n_workers,
-                    pool=pool,
-                    bounds=bounds,
-                    iteration=iteration,
-                    sparse=self.sparse,
-                    word_stride=self.word_stride,
-                )
-            wall = span.duration_s
-            if policy.is_straggler(wall) or (
-                spec is not None and spec.kind == "straggler"
-            ):
+            injected = spec is not None and spec.kind == "straggler"
+            started = time.monotonic()
+            winner, lease_counters = search_lease(
+                self.scheme, lease, rank, tumor, normal, params,
+                bounds=bounds, iteration=iteration, memory=self.memory,
+                sparse=self.sparse, word_stride=self.word_stride, call=call,
+                stall_s=spec.delay_s if injected else 0.0,
+            )
+            wall = time.monotonic() - started
+            if injected or policy.is_straggler(wall):
                 self.report.record(
                     "straggler", "rank", rank, call, "observed",
                     attempt=attempt, detail=f"{wall:.3f}s",
                 )
-            if attempt > 1 and last_kind is not None:
+            if lost_kind is not None:
                 self.report.record(
-                    last_kind, "rank", rank, call, "resubmitted", attempt=attempt
+                    lost_kind, "rank", rank, call, "resubmitted", attempt=attempt
                 )
-            return winner, True
-        return None, False
-
-    def _reschedule_dead(
-        self, schedule, dead, call, tumor, normal, params, counters,
-        bounds=None, iteration=0,
-    ) -> "list[MultiHitCombination | None]":
-        """Re-cut dead ranks' λ-ranges across survivors and search them.
-
-        The equi-area re-cut keeps the recovered work balanced; the
-        pieces feed the same reduction as regular rank winners, so the
-        result cannot depend on which ranks died.  With a bound table
-        the interior re-cut points are snapped to block boundaries, so
-        each survivor rebuilds its local slice of the table and recovery
-        keeps the CELF pruning speedup (refreshed bounds fold back as
-        deltas, exactly like a pool chunk's).
-        """
-        tel = get_telemetry()
-        survivors = [r for r in range(self.n_nodes) if r not in dead]
-        dead_parts = [
-            p
-            for r in dead
-            for p in rank_partitions(schedule, r, self.gpus_per_node)
-        ]
-        n_surv = max(1, len(survivors))
-        if bounds is not None:
-            shares = reschedule_ranges_aligned(
-                schedule, dead_parts, n_surv, bounds.boundaries
-            )
-        else:
-            shares = reschedule_ranges(schedule, dead_parts, n_surv)
-        winners: list["MultiHitCombination | None"] = []
-        for j, pieces in enumerate(shares):
-            survivor = survivors[j] if survivors else -1  # -1: root recovers
-            for part, lo, hi in pieces:
-                self.report.record_reschedule(
-                    dead_rank=part // self.gpus_per_node,
-                    survivor=survivor,
-                    lam_start=lo,
-                    lam_end=hi,
-                    call=call,
-                )
-                piece_bounds = None
-                if bounds is not None and bounds.aligned(lo, hi):
-                    from repro.core.bounds import BoundTable
-
-                    piece_bounds = BoundTable.from_payload(
-                        bounds.slice_payload(lo, hi)
-                    )
-                with tel.span(
-                    "fault.reschedule", cat="distributed", rank=survivor,
-                    dead_rank=part // self.gpus_per_node,
-                    lam_start=lo, lam_end=hi,
-                    pruned=piece_bounds is not None,
-                ):
-                    winners.append(
-                        best_in_thread_range(
-                            schedule.scheme,
-                            schedule.g,
-                            tumor,
-                            normal,
-                            params,
-                            lo,
-                            hi,
-                            counters=counters,
-                            memory=self.memory,
-                            bounds=piece_bounds,
-                            iteration=iteration,
-                            sparse=self.sparse,
-                            word_stride=self.word_stride,
-                        )
-                    )
-                if piece_bounds is not None:
-                    deltas = piece_bounds.deltas(iteration)
-                    if deltas:
-                        bounds.apply_deltas(deltas, iteration)
-        return winners
+            ledger.complete(lease.lease_id, rank, winner, counters=lease_counters)
+            return True
+        self.report.record(
+            lost_kind, "rank", rank, call, "lease-forfeit",
+            attempt=policy.max_attempts,
+            detail=f"lease {lease.lease_id} [{lease.lam_start}, {lease.lam_end})",
+        )
+        ledger.retire(rank)
+        return False

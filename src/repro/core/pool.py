@@ -154,15 +154,47 @@ def _apply_worker_fault(spec: FaultSpec) -> None:
         time.sleep(spec.delay_s)
 
 
+def _scan(task: _ChunkTask, tumor: BitMatrix, normal: BitMatrix):
+    """Search one chunk's λ range against its slice of the bound table.
+
+    Shared by the worker and the parent's inline retry, so a recovered
+    chunk prunes (and ships deltas) exactly like the lost attempt.
+    Returns ``(winner, counters, deltas)``; ``deltas`` are the bound
+    entries this chunk refreshed (``None`` when pruning is off).
+    """
+    counters = KernelCounters()
+    local_bounds = (
+        BoundTable.from_payload(task.bounds) if task.bounds is not None else None
+    )
+    best = best_in_thread_range(
+        task.scheme,
+        task.g,
+        tumor,
+        normal,
+        task.params,
+        task.lam_start,
+        task.lam_end,
+        counters=counters,
+        memory=task.memory,
+        bounds=local_bounds,
+        iteration=task.iteration,
+        sparse=task.sparse,
+        word_stride=task.word_stride,
+    )
+    deltas = (
+        local_bounds.deltas(task.iteration) if local_bounds is not None else None
+    )
+    return best, counters, deltas
+
+
 def _search_chunk(task: _ChunkTask):
     """Worker-side: attach, search the λ range, return winner + accounting.
 
-    Returns ``(winner, counters, pid, wall_s, telemetry_state, deltas)``
-    where ``deltas`` are the bound-table entries this chunk refreshed
-    (``None`` when pruning is off).  When ``task.trace`` is set the
-    worker records a ``scan_chunk`` span (and chunk metrics) in a *fresh
-    local* session — never the fork-inherited global one — and ships the
-    exported state back over this result channel for the parent to merge.
+    Returns ``(winner, counters, pid, wall_s, telemetry_state, deltas)``.
+    When ``task.trace`` is set the worker records a ``scan_chunk`` span
+    (and chunk metrics) in a *fresh local* session — never the
+    fork-inherited global one — and ships the exported state back over
+    this result channel for the parent to merge.
     """
     telemetry = Telemetry(enabled=task.trace)
     telemetry.adopt_context(task.trace_ctx)
@@ -178,28 +210,7 @@ def _search_chunk(task: _ChunkTask):
         normal = BitMatrix(
             _attach(task.normal_name, task.normal_shape), task.normal_samples
         )
-        counters = KernelCounters()
-        local_bounds = (
-            BoundTable.from_payload(task.bounds) if task.bounds is not None else None
-        )
-        best = best_in_thread_range(
-            task.scheme,
-            task.g,
-            tumor,
-            normal,
-            task.params,
-            task.lam_start,
-            task.lam_end,
-            counters=counters,
-            memory=task.memory,
-            bounds=local_bounds,
-            iteration=task.iteration,
-            sparse=task.sparse,
-            word_stride=task.word_stride,
-        )
-    deltas = (
-        local_bounds.deltas(task.iteration) if local_bounds is not None else None
-    )
+        best, counters, deltas = _scan(task, tumor, normal)
     state = None
     if task.trace:
         telemetry.count("pool.worker_chunks")
@@ -293,10 +304,6 @@ class PoolEngine:
         Worker processes in the persistent pool.
     memory:
         Memory-optimization config forwarded to every chunk search.
-    chunks_per_worker:
-        Equi-area chunks submitted per worker and call.  1 (default)
-        matches the paper's one-partition-per-device shape; larger
-        values trade scheduling granularity for tail latency.
     timeout:
         Per-chunk seconds before the parent gives up on a worker and
         recovers the chunk (``None`` falls back to
@@ -333,7 +340,6 @@ class PoolEngine:
     scheme: Scheme
     n_workers: int = 2
     memory: MemoryConfig = field(default_factory=MemoryConfig)
-    chunks_per_worker: int = 1
     timeout: "float | None" = None
     start_method: "str | None" = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
@@ -356,17 +362,14 @@ class PoolEngine:
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.chunks_per_worker < 1:
-            raise ValueError("chunks_per_worker must be >= 1")
         if self.lease_blocks < 0:
             raise ValueError("lease_blocks must be >= 0")
 
     @property
     def _n_cuts(self) -> int:
-        """Ranges per call: lease-grained when leasing, else per-worker."""
-        if self.lease_blocks > 0:
-            return max(self.lease_blocks, self.n_workers)
-        return self.n_workers * self.chunks_per_worker
+        """Ranges per call: lease-grained when leasing, else one per
+        worker (the paper's one-partition-per-device shape)."""
+        return max(self.lease_blocks, self.n_workers)
 
     # -- pool / shared-memory lifecycle -------------------------------
 
@@ -478,7 +481,7 @@ class PoolEngine:
 
     def _recover_chunk(
         self, exc: BaseException, chunk: int, call: int, task: _ChunkTask,
-        tumor, normal, params, timeout: "float | None",
+        tumor, normal, timeout: "float | None",
     ):
         """Detected loss of one chunk: resubmit per policy, then inline."""
         kind = "hang" if isinstance(exc, TimeoutError) else "crash"
@@ -530,46 +533,15 @@ class PoolEngine:
             kind, "pool", chunk, call, "inline-retry",
             attempt=policy.resubmits + 2,
         )
-        return self._recover_inline(tumor, normal, params, task) + (True,)
-
-    def _recover_inline(self, tumor, normal, params, task: _ChunkTask):
-        """Re-run a lost chunk in the parent (the guaranteed fallback).
-
-        The ``scan_chunk`` span lands directly in the parent's session
-        (``inline=True``), so the shipped-state slot is ``None``.  The
-        chunk's bound slice is rebuilt from the task payload, exactly as
-        a worker would, so pruning (and the deltas shipped back) are
-        identical to the lost attempt's.
-        """
-        lo, hi = task.lam_start, task.lam_end
-        counters = KernelCounters()
-        local_bounds = (
-            BoundTable.from_payload(task.bounds) if task.bounds is not None else None
-        )
-        with get_telemetry().timed_span(
-            "scan_chunk", cat="pool", lam_start=lo, lam_end=hi, inline=True
+        # The guaranteed fallback: re-run the chunk in the parent.  The
+        # ``scan_chunk`` span lands directly in the parent's session
+        # (``inline=True``), so the shipped-state slot is ``None``.
+        with tel.timed_span(
+            "scan_chunk", cat="pool", lam_start=task.lam_start,
+            lam_end=task.lam_end, inline=True,
         ) as span:
-            best = best_in_thread_range(
-                self.scheme,
-                tumor.n_genes,
-                tumor,
-                normal,
-                params,
-                lo,
-                hi,
-                counters=counters,
-                memory=self.memory,
-                bounds=local_bounds,
-                iteration=task.iteration,
-                sparse=task.sparse,
-                word_stride=task.word_stride,
-            )
-        deltas = (
-            local_bounds.deltas(task.iteration)
-            if local_bounds is not None
-            else None
-        )
-        return best, counters, os.getpid(), span.duration_s, None, deltas
+            best, counters, deltas = _scan(task, tumor, normal)
+        return best, counters, os.getpid(), span.duration_s, None, deltas, True
 
     def _ingest(self, result, tel):
         """Merge one chunk result into the live session as it arrives.
@@ -709,7 +681,7 @@ class PoolEngine:
             results = [
                 self._ingest(
                     self._recover_chunk(
-                        exc, i, call, task, tumor, normal, params, timeout
+                        exc, i, call, task, tumor, normal, timeout
                     ),
                     tel,
                 )
@@ -722,7 +694,7 @@ class PoolEngine:
                     result = fut.result(timeout=timeout) + (False,)
                 except (BrokenExecutor, TimeoutError, OSError) as exc:
                     result = self._recover_chunk(
-                        exc, i, call, task, tumor, normal, params, timeout
+                        exc, i, call, task, tumor, normal, timeout
                     )
                 results.append(self._ingest(result, tel))
 

@@ -29,6 +29,7 @@ from repro.core.kernels import (
     validate_word_stride,
 )
 from repro.core.memopt import MemoryConfig
+from repro.core.pool import PoolEngine
 from repro.core.sequential import sequential_best_combo
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
@@ -88,6 +89,87 @@ class MultiHitResult:
 
     def gene_sets(self) -> list[tuple[int, ...]]:
         return [c.genes for c in self.combinations]
+
+
+class _LocalEngine:
+    """Engine surface of a backend that scans the whole grid in this
+    process: no cuts to align a bound table to, no recovery to report,
+    nothing to release."""
+
+    report = None
+
+    def __init__(self, best_combo) -> None:
+        self.best_combo = best_combo
+
+    def chunk_cuts(self, g: int) -> None:
+        return None
+
+    def close(self) -> None:
+        pass
+
+
+def _single_engine(solver: "MultiHitSolver"):
+    return _LocalEngine(
+        SingleGpuEngine(
+            scheme=solver.scheme, memory=solver.memory,
+            sparse=solver.sparse, word_stride=solver.word_stride,
+        ).best_combo
+    )
+
+
+def _sequential_engine(solver: "MultiHitSolver"):
+    def best_combo(tumor, normal, params, **_):
+        return sequential_best_combo(
+            tumor.to_dense(), normal.to_dense(), solver.hits, params
+        )
+
+    return _LocalEngine(best_combo)
+
+
+def _pool_engine(solver: "MultiHitSolver"):
+    # One persistent pool for the whole greedy run: workers (and the
+    # normal matrix's shared segment) survive across iterations; only
+    # the re-spliced tumor matrix is re-shipped.
+    leases = (solver.lease_blocks or 4 * solver.n_workers) if solver.elastic else 0
+    return PoolEngine(
+        scheme=solver.scheme,
+        n_workers=solver.n_workers,
+        memory=solver.memory,
+        fault_plan=solver.fault_plan,
+        retry_policy=solver.retry_policy or RetryPolicy(),
+        lease_blocks=leases,
+        sparse=solver.sparse,
+        word_stride=solver.word_stride,
+    )
+
+
+def _distributed_engine(solver: "MultiHitSolver"):
+    # One engine for the run so its arg-max call counter lines up with
+    # greedy iterations ("rank 1 crashes at iteration k") and its fault
+    # report spans the whole solve.
+    return DistributedEngine(
+        scheme=solver.scheme,
+        n_nodes=solver.n_nodes,
+        gpus_per_node=solver.gpus_per_node,
+        memory=solver.memory,
+        fault_plan=solver.fault_plan,
+        retry_policy=solver.retry_policy or RetryPolicy(),
+        elastic=solver.elastic,
+        lease_blocks=solver.lease_blocks,
+        sparse=solver.sparse,
+        word_stride=solver.word_stride,
+    )
+
+
+#: Backend name -> factory of the run's engine.  Every engine answers
+#: ``best_combo(tumor, normal, params, counters=, bounds=, iteration=)``
+#: and exposes ``chunk_cuts(g)``, ``report`` and ``close()``.
+_ENGINES = {
+    "single": _single_engine,
+    "pool": _pool_engine,
+    "distributed": _distributed_engine,
+    "sequential": _sequential_engine,
+}
 
 
 @dataclass
@@ -191,7 +273,7 @@ class MultiHitSolver:
             raise ValueError(
                 f"scheme searches {self.scheme.hits}-hit combos, expected {self.hits}"
             )
-        if self.backend not in ("single", "pool", "distributed", "sequential"):
+        if self.backend not in _ENGINES:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -204,44 +286,6 @@ class MultiHitSolver:
                 "elastic work stealing needs the pool or distributed backend"
             )
         validate_word_stride(self.word_stride)
-
-    # -- per-iteration arg-max ----------------------------------------
-
-    def _best(
-        self,
-        tumor: BitMatrix,
-        normal: BitMatrix,
-        params: FScoreParams,
-        counters: KernelCounters,
-        pool: "object | None" = None,
-        dist: "DistributedEngine | None" = None,
-        bounds: "BoundTable | None" = None,
-        iteration: int = 0,
-    ) -> "MultiHitCombination | None":
-        if tumor.n_samples == 0:
-            return None
-        if self.backend == "sequential":
-            return sequential_best_combo(
-                tumor.to_dense(), normal.to_dense(), self.hits, params
-            )
-        if self.backend == "pool":
-            return pool.best_combo(
-                tumor, normal, params, counters=counters,
-                bounds=bounds, iteration=iteration,
-            )
-        if self.backend == "single":
-            engine = SingleGpuEngine(
-                scheme=self.scheme, memory=self.memory,
-                sparse=self.sparse, word_stride=self.word_stride,
-            )
-            return engine.best_combo(
-                tumor, normal, params, counters=counters,
-                bounds=bounds, iteration=iteration,
-            )
-        return dist.best_combo(
-            tumor, normal, params, counters=counters,
-            bounds=bounds, iteration=iteration,
-        )
 
     # -- greedy loop ---------------------------------------------------
 
@@ -292,75 +336,30 @@ class MultiHitSolver:
             combos, active = resume.restore(tumor, self.hits, params)
             work = self._compact(tumor, active)
 
-        pool = None
-        dist = None
-        if self.backend == "pool":
-            from repro.core.pool import PoolEngine
-
-            # One persistent pool for the whole greedy run: workers (and
-            # the normal matrix's shared segment) survive across
-            # iterations; only the re-spliced tumor matrix is re-shipped.
-            pool = PoolEngine(
-                scheme=self.scheme,
-                n_workers=self.n_workers,
-                memory=self.memory,
-                fault_plan=self.fault_plan,
-                retry_policy=self.retry_policy or RetryPolicy(),
-                lease_blocks=(
-                    (self.lease_blocks or 4 * self.n_workers)
-                    if self.elastic
-                    else 0
-                ),
-                sparse=self.sparse,
-                word_stride=self.word_stride,
-            )
-        elif self.backend == "distributed":
-            # One engine for the run so its arg-max call counter lines
-            # up with greedy iterations ("rank 1 crashes at iteration
-            # k") and its fault report spans the whole solve.
-            dist = DistributedEngine(
-                scheme=self.scheme,
-                n_nodes=self.n_nodes,
-                gpus_per_node=self.gpus_per_node,
-                memory=self.memory,
-                fault_plan=self.fault_plan,
-                retry_policy=self.retry_policy or RetryPolicy(),
-                elastic=self.elastic,
-                lease_blocks=self.lease_blocks,
-                sparse=self.sparse,
-                word_stride=self.word_stride,
-            )
+        engine = _ENGINES[self.backend](self)
         tel = get_telemetry()
         try:
             try:
-                table = self._build_bound_table(tumor.n_genes, pool, dist, resume)
+                table = self._build_bound_table(tumor.n_genes, engine, resume)
                 with tel.span(
                     "solve", cat="solver", backend=self.backend, hits=self.hits,
                     prune=self.prune,
                 ):
                     result = self._greedy_loop(
                         tumor, normal, params, counters, combos, records, work,
-                        active, on_iteration, pool, dist, table, should_stop,
+                        active, on_iteration, engine, table, should_stop,
                     )
             except Exception as exc:
                 # Post-mortem black box for a run that dies mid-solve:
                 # the recent span timeline, the registry snapshot, the
                 # fault report so far, and the active λ assignments.
                 if tel.flight is not None:
-                    report = None
-                    if pool is not None:
-                        report = pool.report
-                    elif dist is not None:
-                        report = dist.report
                     tel.flight.dump(
                         "solver-exception", exc=exc, telemetry=tel,
-                        fault_report=report,
+                        fault_report=engine.report,
                     )
                 raise
-            if pool is not None:
-                result.fault_report = pool.report
-            elif dist is not None:
-                result.fault_report = dist.report
+            result.fault_report = engine.report
             if tel.enabled:
                 tel.metrics.absorb_kernel_counters(counters)
                 tel.count("solver.solves")
@@ -376,14 +375,11 @@ class MultiHitSolver:
                     )
             return result
         finally:
-            if pool is not None:
-                pool.close()
+            engine.close()
 
     # -- lazy-greedy machinery -----------------------------------------
 
-    def _build_bound_table(
-        self, g: int, pool, dist, resume
-    ) -> "BoundTable | None":
+    def _build_bound_table(self, g: int, engine, resume) -> "BoundTable | None":
         """Create (or adopt from a checkpoint) the run's bound table.
 
         The backend's chunk/partition cuts are merged into the block
@@ -394,16 +390,12 @@ class MultiHitSolver:
         """
         if not self.prune or self.backend == "sequential":
             return None
-        cuts = None
-        if pool is not None:
-            cuts = pool.chunk_cuts(g)
-        elif dist is not None:
-            cuts = dist.chunk_cuts(g)
         with get_telemetry().span(
             "prune.table_build", cat="solver", n_blocks=self.prune_blocks
         ):
             table = BoundTable.build(
-                self.scheme, g, cuts=cuts, n_blocks=self.prune_blocks
+                self.scheme, g, cuts=engine.chunk_cuts(g),
+                n_blocks=self.prune_blocks,
             )
         persisted = getattr(resume, "bound_table", None)
         if persisted is not None:
@@ -428,7 +420,7 @@ class MultiHitSolver:
 
     def _greedy_loop(
         self, tumor, normal, params, counters, combos, records, work, active,
-        on_iteration, pool, dist, table, should_stop=None,
+        on_iteration, engine, table, should_stop=None,
     ) -> MultiHitResult:
         tel = get_telemetry()
         if tel.enabled:
@@ -467,8 +459,8 @@ class MultiHitSolver:
                 iteration=len(combos) + 1,
                 remaining=remaining_before,
             ) as span:
-                best = self._best(
-                    work, normal, params, counters, pool, dist,
+                best = engine.best_combo(
+                    work, normal, params, counters=counters,
                     bounds=table, iteration=len(combos),
                 )
             dt = span.duration_s

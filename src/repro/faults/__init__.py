@@ -1,6 +1,6 @@
-"""Fault tolerance: deterministic injection, retry policy, rescheduling.
+"""Fault tolerance: deterministic injection, retry policy, reporting.
 
-Three pillars (see DESIGN § fault model):
+Three pillars (see DESIGN § work distribution and recovery):
 
 * :class:`FaultPlan` / :class:`FaultSpec` — a deterministic, seedable
   fault-injection plan (rank crash at iteration *k*, worker hang, recv
@@ -9,9 +9,9 @@ Three pillars (see DESIGN § fault model):
   reproducible test case;
 * :class:`RetryPolicy` — the shared retry/backoff/deadline policy every
   recovery layer consults (extracted from the pool's PR 1 inline retry);
-* :func:`reschedule_ranges` + :class:`FaultReport` — survivor
-  rescheduling of a dead rank's λ-range via the equi-area level walk,
-  with a per-run record of what was detected, retried, and rescheduled.
+* :class:`FaultReport` — the per-run record of what was detected,
+  retried, and rescheduled (a dead rank's λ-ranges handed whole to
+  survivors by the lease ledger or the SPMD restart).
 
 Results under any injected plan are bit-identical to the failure-free
 run: recovery changes *who* searches a thread range, never which
@@ -27,7 +27,6 @@ from repro.faults.plan import (
 )
 from repro.faults.policy import RetryPolicy
 from repro.faults.report import FaultEvent, FaultReport, RescheduledRange
-from repro.faults.reschedule import rank_partitions, reschedule_ranges
 
 __all__ = [
     "FAULT_KINDS",
@@ -39,6 +38,4 @@ __all__ = [
     "FaultEvent",
     "FaultReport",
     "RescheduledRange",
-    "rank_partitions",
-    "reschedule_ranges",
 ]

@@ -2,7 +2,7 @@
 
 A :class:`FaultReport` is what an operator reads after a degraded run:
 every detected fault (what, where, which arg-max call), every retry, and
-every λ-range that was re-cut from a dead rank onto survivors.  The
+every λ-range that moved from a dead rank to a survivor.  The
 engines append to it as they recover; the solver attaches it to the
 :class:`repro.core.solver.MultiHitResult` so degradation is visible in
 the output, not just in a warning that scrolled by.
@@ -23,9 +23,10 @@ class FaultEvent:
 
     ``action`` is one of ``"resubmitted"`` (retried on the original
     executor), ``"inline-retry"`` (recovered in the parent),
-    ``"rescheduled"`` (range re-cut across survivors), ``"restarted"``
-    (SPMD world relaunched on survivors), or ``"observed"`` (detected
-    but the result was kept, e.g. a straggler that finished)."""
+    ``"lease-forfeit"`` (holder retired, its leases stolen by
+    survivors), ``"restarted"`` (SPMD world relaunched on survivors),
+    or ``"observed"`` (detected but the result was kept, e.g. a
+    straggler that finished)."""
 
     kind: str
     site: str

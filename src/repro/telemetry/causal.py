@@ -28,7 +28,7 @@ edge ``kind``   boundary
 ``request``     gateway job submission → the job's solve: the job's
                 ``trace_id`` minted at submit is adopted by the
                 runner's per-job session.
-``retry``       failed attempt → its retry/reschedule span.
+``retry``       failed attempt → its retry span.
 ==============  ====================================================
 
 A context is a plain dict ``{"trace": str|None, "pid": int, "id": int}``

@@ -27,8 +27,7 @@ compute        scan/search/reduce/prune work (the default)
 comm_wait      ``cat == "comm"`` — blocking recv, stalls, send
 lease_wait     ``lease.wait`` — idle polling for a grantable lease
 retry          ``fault.retry`` recovery attempts
-steal          ``fault.reschedule`` and searches of stolen leases
-               (``attrs.stolen``)
+steal          searches of stolen leases (``attrs.stolen``)
 checkpoint     ``cat == "checkpoint"`` — state save I/O
 idle           runner scaffolding (``spmd.rank``/``spmd.world``
                exclusive time) and the virtual root
@@ -84,7 +83,7 @@ def classify_span(span: dict) -> str:
         return "lease_wait"
     if name == "fault.retry":
         return "retry"
-    if name == "fault.reschedule" or attrs.get("stolen"):
+    if attrs.get("stolen"):
         return "steal"
     if cat == "checkpoint":
         return "checkpoint"

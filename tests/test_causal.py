@@ -296,9 +296,8 @@ class TestAttribution:
         assert classify_span({"name": "comm.recv", "cat": "comm"}) == "comm_wait"
         assert classify_span({"name": "lease.wait", "cat": "spmd"}) == "lease_wait"
         assert classify_span({"name": "fault.retry", "cat": "fault"}) == "retry"
-        assert classify_span({"name": "fault.reschedule", "cat": "fault"}) == "steal"
         assert classify_span(
-            {"name": "lease.search", "cat": "spmd", "attrs": {"stolen": True}}
+            {"name": "lease.search", "cat": "distributed", "attrs": {"stolen": True}}
         ) == "steal"
         assert classify_span({"name": "save", "cat": "checkpoint"}) == "checkpoint"
         assert classify_span({"name": "spmd.rank", "cat": "spmd"}) == "idle"

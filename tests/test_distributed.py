@@ -1,10 +1,26 @@
-"""Tests for the distributed engine (schedule -> per-GPU -> reduction)."""
+"""Tests for the distributed engine (lease ledger -> search -> reduction).
 
+``TestDistributionMatrix`` is generated from the switch space: both
+scheduling modes x pruning x the sparse path x every fault the engine
+recovers in-process.  Whatever the cell, the solve must select the
+winners of ``backend="single"`` (tie-breaks included) and score every
+combination exactly once; for a fixed cut set — the same mode — pruning
+and traffic counters must equal the failure-free run's too, because a
+lease's work is a pure function of its range.
+"""
+
+import dataclasses
+from functools import lru_cache
+
+import numpy as np
 import pytest
 
-from repro.core.distributed import DistributedEngine, rank_best_combo
+from repro.cluster.mpi_program import rank_best_combo
+from repro.core.distributed import DistributedEngine
 from repro.core.engine import SingleGpuEngine
 from repro.core.reduction import ReductionStats
+from repro.core.solver import MultiHitSolver
+from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1
 
 
@@ -56,7 +72,10 @@ class TestRankBestCombo:
         from repro.core.reduction import multi_stage_reduce
 
         winners = [
-            rank_best_combo(schedule, r, 2, tumor, normal, params) for r in range(3)
+            rank_best_combo(
+                schedule, schedule.rank_partitions(r, 2), tumor, normal, params
+            )
+            for r in range(3)
         ]
         combined = multi_stage_reduce(winners)
         ref = SingleGpuEngine(scheme=SCHEME_3X1).best_combo(tumor, normal, params)
@@ -66,36 +85,147 @@ class TestRankBestCombo:
         tumor, normal, params = small_bitmatrices
         eng = DistributedEngine(scheme=SCHEME_3X1, n_nodes=2, gpus_per_node=2)
         schedule = eng.build_schedule(tumor.n_genes)
-        assert rank_best_combo(schedule, 99, 2, tumor, normal, params) is None
+        assert schedule.rank_partitions(99, 2) == []
+        assert rank_best_combo(schedule, [], tumor, normal, params) is None
 
 
-class TestThreadedRank:
-    def test_threaded_partitions_same_result(self, small_bitmatrices):
+# -- the generated equivalence matrix --------------------------------------
+
+N_NODES, GPUS_PER_NODE = 3, 2
+N_PARTS = N_NODES * GPUS_PER_NODE
+
+
+def _crash(target, **kw):
+    return FaultSpec(kind="crash", site="rank", target=target, **kw)
+
+
+#: fault case -> (plan factory, retry policy).  Plans are stateful (a spent
+#: spec never fires again), hence factories.
+FAULT_CASES = {
+    "clean": (lambda: None, None),
+    "persistent-crash": (lambda: FaultPlan((_crash(1, count=-1),)), None),
+    "one-shot-crash-resubmitted": (
+        lambda: FaultPlan((_crash(0, at_call=0),)), RetryPolicy(resubmits=1),
+    ),
+    "hang": (
+        lambda: FaultPlan(
+            (FaultSpec(kind="hang", site="rank", target=2, count=-1),)
+        ),
+        None,
+    ),
+    "straggler": (
+        lambda: FaultPlan(
+            (FaultSpec(kind="straggler", site="rank", target=1, delay_s=0.01),)
+        ),
+        None,
+    ),
+    "every-rank-dead": (
+        lambda: FaultPlan(tuple(_crash(r, count=-1) for r in range(N_NODES))),
+        None,
+    ),
+    "join-leave-churn": (
+        lambda: FaultPlan.churn(N_NODES, fraction=0.34, leave_at=0.2, join_at=0.4),
+        None,
+    ),
+}
+
+
+@lru_cache(maxsize=None)
+def _cohort():
+    rng = np.random.default_rng(2021)
+    return rng.random((13, 48)) < 0.4, rng.random((13, 40)) < 0.15
+
+
+def _solve(backend="distributed", fault_case="clean", **kw):
+    plan, policy = FAULT_CASES[fault_case]
+    if backend == "distributed":
+        kw.update(n_nodes=N_NODES, gpus_per_node=GPUS_PER_NODE)
+    return MultiHitSolver(
+        hits=3, backend=backend, max_iterations=4, prune_blocks=24,
+        fault_plan=plan(), retry_policy=policy, **kw,
+    ).solve(*_cohort())
+
+
+@lru_cache(maxsize=None)
+def _clean(elastic, prune, sparse):
+    return _solve(elastic=elastic, prune=prune, sparse=sparse)
+
+
+@lru_cache(maxsize=None)
+def _single(sparse):
+    return _solve(backend="single", sparse=sparse)
+
+
+def _winners(result):
+    return [(c.genes, c.f, c.tp, c.tn) for c in result.combinations]
+
+
+class TestDistributionMatrix:
+    @pytest.mark.parametrize("fault_case", FAULT_CASES)
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("prune", [False, True], ids=["full", "pruned"])
+    @pytest.mark.parametrize("elastic", [False, True], ids=["pinned", "elastic"])
+    def test_cell_matches_clean_run(self, elastic, prune, sparse, fault_case):
+        got = _solve(
+            fault_case=fault_case, elastic=elastic, prune=prune, sparse=sparse
+        )
+        clean = _clean(elastic, prune, sparse)
+        assert _winners(got) == _winners(_single(sparse))
+        assert len(got.combinations) == 4
+        # Work accounting closes: every combination is scored or pruned
+        # exactly once, and identically to the failure-free run.
+        assert got.counters == clean.counters
+        report = got.fault_report
+        if fault_case == "clean":
+            assert not report.events and not report.rescheduled
+        else:
+            assert report.events, "recovery left no entry in the FaultReport"
+        if fault_case == "one-shot-crash-resubmitted":
+            assert any(e.action == "resubmitted" for e in report.events)
+            assert report.n_rescheduled == 0
+        if fault_case == "every-rank-dead":
+            retired = {e.target for e in report.events if e.action == "lease-forfeit"}
+            assert retired == set(range(N_NODES))
+            assert {r.survivor for r in report.rescheduled} == {-1}
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("prune", [False, True], ids=["full", "pruned"])
+    def test_pinned_is_elastic_with_one_lease_per_partition(self, prune, sparse):
+        """The identity that made the static driver redundant: the same
+        cuts through either mode do the same work, counter for counter."""
+        pinned = _clean(False, prune, sparse)
+        elastic = _solve(
+            elastic=True, lease_blocks=N_PARTS, prune=prune, sparse=sparse
+        )
+        assert _winners(elastic) == _winners(pinned)
+        assert dataclasses.asdict(elastic.counters) == dataclasses.asdict(
+            pinned.counters
+        )
+
+    def test_unpruned_work_is_mode_independent(self):
+        assert (
+            _clean(True, False, False).counters.combos_scored
+            == _clean(False, False, False).counters.combos_scored
+            == _single(False).counters.combos_scored
+        )
+
+
+class TestRetryPolicyOnLeases:
+    """Both modes consult the one ``RetryPolicy`` (the elastic path used
+    to ignore it)."""
+
+    @pytest.mark.parametrize("elastic", [False, True], ids=["pinned", "elastic"])
+    def test_slow_lease_is_reported_without_injection(
+        self, small_bitmatrices, elastic
+    ):
         tumor, normal, params = small_bitmatrices
-        seq = DistributedEngine(scheme=SCHEME_3X1, n_nodes=2, gpus_per_node=3)
-        par = DistributedEngine(
-            scheme=SCHEME_3X1, n_nodes=2, gpus_per_node=3, n_workers=3
-        )
-        a = seq.best_combo(tumor, normal, params)
-        b = par.best_combo(tumor, normal, params)
-        assert a.genes == b.genes and a.f == b.f
-
-    def test_threaded_first_pick_matches_single_backend(self, rng):
-        from repro.bitmatrix.matrix import BitMatrix
-        from repro.core.fscore import FScoreParams
-        from repro.core.solver import MultiHitSolver
-        from repro.scheduling.schemes import scheme_for
-
-        t = rng.random((11, 30)) < 0.4
-        n = rng.random((11, 30)) < 0.12
-        ref = MultiHitSolver(hits=3, backend="single").solve(t, n)
-
         engine = DistributedEngine(
-            scheme=scheme_for(3, 2), n_nodes=2, gpus_per_node=3, n_workers=2
+            scheme=SCHEME_3X1, n_nodes=2, gpus_per_node=2, elastic=elastic,
+            retry_policy=RetryPolicy(straggler_after_s=0.0),
         )
-        got = engine.best_combo(
-            BitMatrix.from_dense(t),
-            BitMatrix.from_dense(n),
-            FScoreParams(n_tumor=30, n_normal=30),
+        engine.best_combo(tumor, normal, params)
+        assert engine.report.events
+        assert all(
+            (e.kind, e.action) == ("straggler", "observed")
+            for e in engine.report.events
         )
-        assert got.genes == ref.combinations[0].genes

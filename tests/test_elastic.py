@@ -28,10 +28,7 @@ from repro.core.pool import PoolEngine
 from repro.core.solver import MultiHitSolver
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.report import FaultReport
-from repro.faults.reschedule import reschedule_ranges_aligned
-from repro.scheduling.equiarea import equiarea_schedule
 from repro.scheduling.schemes import SCHEME_3X1, scheme_for
-from repro.scheduling.workload import cumulative_work_before
 from repro.telemetry.session import get_telemetry, telemetry_session
 
 
@@ -95,55 +92,6 @@ class TestChurnPlan:
         plan = FaultPlan.churn(1, fraction=1.0)
         assert not [s for s in plan.specs if s.kind == "leave"]
         assert [s.kind for s in plan.specs] == ["join"]
-
-
-# -- aligned rescheduling (satellite: pruned recovery) -------------------
-
-
-class TestAlignedReschedule:
-    def test_pieces_snap_to_block_boundaries(self):
-        scheme, g = SCHEME_3X1, 24
-        schedule = equiarea_schedule(scheme, g, 6)
-        bounds = BoundTable.build(
-            scheme, g, cuts=schedule.boundaries, n_blocks=24
-        )
-        shares = reschedule_ranges_aligned(
-            schedule, [2, 3], 3, bounds.boundaries
-        )
-        pieces = [t for survivor in shares for t in survivor]
-        assert pieces
-        for _, lo, hi in pieces:
-            assert bounds.aligned(lo, hi), (lo, hi)
-
-    def test_aligned_recut_covers_dead_ranges_exactly(self):
-        scheme, g = SCHEME_3X1, 24
-        schedule = equiarea_schedule(scheme, g, 6)
-        bounds = BoundTable.build(
-            scheme, g, cuts=schedule.boundaries, n_blocks=24
-        )
-        dead = [1, 4]
-        shares = reschedule_ranges_aligned(schedule, dead, 3, bounds.boundaries)
-        got = sorted(
-            (lo, hi) for survivor in shares for (_, lo, hi) in survivor
-        )
-        expect = sum(
-            cumulative_work_before(scheme, g, schedule.thread_range(p)[1])
-            - cumulative_work_before(scheme, g, schedule.thread_range(p)[0])
-            for p in dead
-        )
-        work = sum(
-            cumulative_work_before(scheme, g, hi)
-            - cumulative_work_before(scheme, g, lo)
-            for lo, hi in got
-        )
-        assert work == expect
-        for (_, a), (b, _) in zip(got, got[1:]):
-            assert b >= a
-
-    def test_needs_survivors(self):
-        schedule = equiarea_schedule(SCHEME_3X1, 12, 4)
-        with pytest.raises(ValueError):
-            reschedule_ranges_aligned(schedule, [0], 0, (0, 10))
 
 
 # -- threaded elastic runner ---------------------------------------------

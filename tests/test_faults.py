@@ -29,12 +29,10 @@ from repro.faults import (
     FaultReport,
     FaultSpec,
     RetryPolicy,
-    reschedule_ranges,
 )
 from repro.gpusim.executor import BlockKernelExecutor
 from repro.scheduling.equiarea import equiarea_schedule
 from repro.scheduling.schemes import SCHEME_3X1, scheme_for
-from repro.scheduling.workload import cumulative_work_before
 
 
 def signature(combos):
@@ -132,39 +130,6 @@ class TestRetryPolicy:
         policy = RetryPolicy(straggler_after_s=0.5)
         assert policy.is_straggler(0.6)
         assert not policy.is_straggler(0.4)
-
-
-class TestRescheduleRanges:
-    def test_shares_cover_dead_ranges_exactly(self):
-        scheme, g = SCHEME_3X1, 24
-        schedule = equiarea_schedule(scheme, g, 6)
-        dead_parts = [2, 3]
-        shares = reschedule_ranges(schedule, dead_parts, 3)
-        assert len(shares) == 3
-        pieces = sorted(
-            (lo, hi) for survivor in shares for (_, lo, hi) in survivor
-        )
-        # The union of pieces is exactly the dead partitions' ranges.
-        expect_work = sum(
-            cumulative_work_before(scheme, g, schedule.thread_range(p)[1])
-            - cumulative_work_before(scheme, g, schedule.thread_range(p)[0])
-            for p in dead_parts
-        )
-        got_work = sum(
-            cumulative_work_before(scheme, g, hi)
-            - cumulative_work_before(scheme, g, lo)
-            for lo, hi in pieces
-        )
-        assert got_work == expect_work
-        for (_, a), (b, _) in zip(pieces, pieces[1:]):
-            assert b >= a  # pieces never overlap
-        for _, lo, hi in (t for survivor in shares for t in survivor):
-            assert lo < hi
-
-    def test_needs_survivors(self):
-        schedule = equiarea_schedule(SCHEME_3X1, 12, 4)
-        with pytest.raises(ValueError):
-            reschedule_ranges(schedule, [0], 0)
 
 
 # -- pool column of the matrix -------------------------------------------

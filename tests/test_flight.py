@@ -79,8 +79,8 @@ class TestRing:
 
 class TestRankCrashDump:
     def test_distributed_reschedule_dump(self, tmp_path, small_matrices):
-        """A dead rank's dump names the rank, its spans, and the re-cut
-        λ-ranges — the ISSUE's acceptance scenario."""
+        """A dead rank's dump names the rank, its spans, and the λ-ranges
+        survivors stole — the ISSUE's acceptance scenario."""
         t, n, _ = small_matrices
         fr = FlightRecorder(out_dir=tmp_path)
         with telemetry_session() as tel:
@@ -93,7 +93,7 @@ class TestRankCrashDump:
         dumps = sorted(tmp_path.glob("blackbox-*.json"))
         assert dumps, "no black box written for a rescheduled rank"
         payload = json.loads(dumps[0].read_text())
-        assert payload["reason"] == "rank-rescheduled"
+        assert payload["reason"] == "lease-churn"
 
         report = payload["fault_report"]
         assert report["dead_ranks"] == [0]
@@ -109,9 +109,12 @@ class TestRankCrashDump:
         kinds = {(e["type"], e.get("kind")) for e in payload["timeline"]}
         assert ("fault", "crash") in kinds
         assert ("note", "reschedule") in kinds
-        # ...and the assignments say what every rank was searching.
-        ranks = {row["rank"] for row in payload["assignments"]["distributed"]}
-        assert ranks == {0, 1}
+        # ...and the assignments say whose partitions moved to whom.
+        rows = payload["assignments"]["lease"]
+        assert {row["owner"] for row in rows} == {0, 1}
+        moved = [row for row in rows if row["owner"] == 0]
+        assert moved and all(row["state"] == "completed" for row in moved)
+        assert all(row["previous_holders"] in ([], [0]) for row in moved)
 
     def test_spmd_failed_run_dump_has_failed_rank_spans(self, rng, tmp_path):
         """A world that dies beyond the restart budget dumps with the

@@ -8,6 +8,8 @@ duplicates, cannot change the winner.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -166,6 +168,97 @@ class TestLifecycle:
         rows = ledger.assignment_rows(call=2)
         assert len(rows) == ledger.n_leases
         assert rows[0]["holder"] == 0 and rows[0]["call"] == 2
+
+
+class TestPinnedLeases:
+    """A static schedule on the ledger: lease i is reserved for owners[i]."""
+
+    def test_pinned_lease_goes_only_to_its_live_owner(self):
+        ledger = LeaseLedger((0, 5, 10, 15, 20), owners=[0, 0, 1, 1])
+        assert ledger.acquire(1).lease_id == 2  # skips rank 0's leases
+        assert ledger.acquire(7) is None  # a stranger owns nothing
+        assert ledger.acquire(0).lease_id == 0
+        assert ledger.n_steals == 0
+
+    def test_retire_unpins_for_survivors_to_steal(self):
+        ledger = LeaseLedger((0, 5, 10, 15, 20), owners=[0, 0, 1, 1])
+        held = ledger.acquire(0)
+        ledger.retire(0)
+        # Both of rank 0's leases — the forfeited grant and the one it
+        # never reached — are now anyone's, lowest id first.
+        assert [ledger.acquire(1).lease_id for _ in range(4)] == [0, 1, 2, 3]
+        assert ledger.n_steals == 2 and ledger.n_forfeited == 1
+        assert held.previous_holders == [0] and held.owner == 0
+
+    def test_owners_drop_with_empty_ranges(self):
+        ledger = LeaseLedger((0, 5, 5, 9), owners=[0, 1, 2])
+        assert [(l.lease_id, l.owner) for l in ledger.leases] == [(0, 0), (1, 2)]
+        with pytest.raises(ValueError):
+            LeaseLedger((0, 5, 9), owners=[0])
+
+    def test_assignment_rows_name_the_owner(self):
+        pinned = LeaseLedger((0, 5, 10), owners=[0, 1]).assignment_rows()
+        assert [row["owner"] for row in pinned] == [0, 1]
+        assert "owner" not in LeaseLedger((0, 5, 10)).assignment_rows()[0]
+
+    def test_counts_stay_consistent_through_churn(self):
+        ledger = LeaseLedger(tuple(range(0, 41, 5)), ttl_s=1.0)
+        a, b = ledger.acquire(0, now=0.0), ledger.acquire(1, now=0.0)
+        ledger.expire(now=5.0)  # both back in the pool
+        ledger.complete(a.lease_id, 0, "late")  # completed while pooled
+        assert ledger.acquire(2, now=5.0) is b  # the stale id is skipped
+        assert (ledger.n_available, ledger.n_granted, ledger.n_completed) == (
+            6, 1, 1,
+        )
+        assert ledger.completed_fraction() == 1 / 8 and not ledger.done
+
+
+class TestConcurrentBookkeeping:
+    def test_counts_and_pools_survive_contended_churn(self):
+        """More holders than cores grant / forfeit / complete at once; a
+        lost update to the per-state counts or the id pools would leave
+        them disagreeing with the leases themselves."""
+        n_leases, n_threads = 200, 8
+        ledger = LeaseLedger(
+            tuple(range(n_leases + 1)),
+            owners=[i % n_threads for i in range(n_leases)],
+        )
+        completions = []
+
+        def holder(rank):
+            rng = random.Random(rank)
+            while not ledger.done:
+                lease = ledger.acquire(rank)
+                if lease is None:
+                    if rank % 2:
+                        return  # retired, or nothing it may take is left
+                    continue
+                if rng.random() < 0.3:
+                    # Odd ranks die for good (unpinning their leases for
+                    # the even ones), even ranks merely drop the grant.
+                    (ledger.retire if rank % 2 else ledger.forfeit)(rank)
+                elif ledger.complete(lease.lease_id, rank, rank):
+                    completions.append(lease.lease_id)
+
+        threads = [
+            threading.Thread(target=holder, args=(r,), daemon=True)
+            for r in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert ledger.done and sorted(completions) == list(range(n_leases))
+        assert (ledger.n_available, ledger.n_granted, ledger.n_completed) == (
+            0, 0, n_leases,
+        )
+        assert ledger.n_grants == n_leases + ledger.n_forfeited
 
 
 class TestDeterministicMerge:

@@ -7,7 +7,6 @@ boundary, and a lost worker degrades to an inline retry without changing
 any of that.
 """
 
-import math
 import os
 import time
 import warnings
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 
 import repro.core.pool as pool_module
 from repro.bitmatrix.matrix import BitMatrix
-from repro.core.distributed import DistributedEngine
 from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
@@ -156,8 +154,6 @@ class TestPoolBitExactness:
                 eng.best_combo(tumor, bad, params)
         with pytest.raises(ValueError):
             PoolEngine(scheme=SCHEME_3X1, n_workers=0)
-        with pytest.raises(ValueError):
-            PoolEngine(scheme=SCHEME_3X1, chunks_per_worker=0)
 
 
 class TestSolverBackendEquivalence:
@@ -201,19 +197,6 @@ class TestSolverBackendEquivalence:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
             MultiHitSolver(backend="pool", n_workers=0)
-
-    def test_distributed_pool_workers_match_plain(self, instance):
-        tumor, normal, params = instance
-        scheme = scheme_for(3, 2)
-        plain = DistributedEngine(
-            scheme=scheme, n_nodes=2, gpus_per_node=2
-        ).best_combo(tumor, normal, params)
-        counters = KernelCounters()
-        pooled = DistributedEngine(
-            scheme=scheme, n_nodes=2, gpus_per_node=2, pool_workers=2
-        ).best_combo(tumor, normal, params, counters=counters)
-        assert pooled == plain
-        assert counters.combos_scored == math.comb(tumor.n_genes, 3)
 
 
 # -- shared-memory lifecycle and stats -----------------------------------
