@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from repro.bitmatrix.matrix import BitMatrix
-from repro.cluster.elastic import elastic_spmd_best_combo
+from repro.cluster import LeaseLedger, spmd_best_combo
 from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import FScoreParams
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -54,10 +54,10 @@ def _plan():
 
 
 def _solve(tumor, normal, params):
-    return elastic_spmd_best_combo(
-        SCHEME_3X1, tumor.n_genes, tumor, normal, params,
-        n_ranks=N_RANKS, n_leases=N_LEASES, fault_plan=_plan(),
-        report=FaultReport(), lease_ttl_s=5.0, max_wall_s=120.0,
+    return spmd_best_combo(
+        LeaseLedger.build(SCHEME_3X1, tumor.n_genes, N_LEASES, ttl_s=5.0),
+        SCHEME_3X1, tumor, normal, params, N_RANKS,
+        fault_plan=_plan(), report=FaultReport(), max_wall_s=120.0,
     )
 
 

@@ -2,10 +2,12 @@
 
 Demonstrates the paper's execution structure end-to-end: an equi-area
 schedule partitions the 3x1 thread grid over 4 simulated Summit nodes
-(x6 GPUs); each rank runs on its own thread, searches its partitions,
-and the 20-byte winners are reduced to rank 0 through the MPI-like
-communicator — then the full greedy loop runs distributed and is checked
-against the single-engine result.
+(x6 GPUs).  The paper's rank program runs it first — each rank on its
+own thread searches its partitions and the 20-byte winners are reduced
+to rank 0 through the MPI-like communicator — then the fault-tolerant
+thread fleet runs the same schedule as pinned leases and loses a rank on
+the way, and finally the full greedy loop runs distributed and is
+checked against the single-engine result.
 
 Run:  python examples/distributed_spmd_demo.py
 """
@@ -18,7 +20,8 @@ from repro import (
     equiarea_schedule,
     generate_cohort,
 )
-from repro.cluster import spmd_best_combo
+from repro.cluster import LeaseLedger, SPMDRunner, rank_program, spmd_best_combo
+from repro.faults import FaultPlan, FaultReport, FaultSpec
 
 N_NODES = 4
 GPUS_PER_NODE = 6
@@ -40,12 +43,27 @@ def main() -> None:
         print(f"  rank {rank}: per-GPU work {parts}")
 
     print(f"\nrunning one greedy iteration as SPMD over {N_NODES} ranks...")
-    winner = spmd_best_combo(
-        N_NODES, schedule, tumor, normal, params, gpus_per_rank=GPUS_PER_NODE
-    )
+    winner = SPMDRunner(N_NODES).run(
+        rank_program, schedule, GPUS_PER_NODE, tumor, normal, params
+    )[0]
     names = ",".join(cohort.tumor.gene_names[g] for g in winner.genes)
     print(f"  global winner: {names}  F={winner.f:.4f} TP={winner.tp} TN={winner.tn}")
     assert winner.genes in cohort.planted, "first pick should be a planted driver"
+
+    print("\nsame schedule as pinned leases on the thread fleet, rank 2 dead...")
+    report = FaultReport()
+    survived = spmd_best_combo(
+        LeaseLedger.from_schedule(schedule, GPUS_PER_NODE),
+        SCHEME_3X1, tumor, normal, params, N_NODES,
+        fault_plan=FaultPlan(
+            (FaultSpec(kind="crash", site="rank", target=2, count=-1),)
+        ),
+        report=report,
+    )
+    assert survived == winner, "recovery must not change the winner"
+    print(f"  same winner; {report.n_rescheduled} partitions of rank "
+          f"{report.dead_ranks[0]} stolen by ranks "
+          f"{sorted({r.survivor for r in report.rescheduled})}")
 
     print("\nrunning the full greedy loop with the distributed backend...")
     dist = MultiHitSolver(

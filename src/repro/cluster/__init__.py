@@ -5,13 +5,16 @@ GPUs).  This package substitutes:
 
 * :class:`SimCommWorld` / :class:`SimComm` — a thread-backed, in-process
   MPI-like communicator (send/recv/bcast/gather/reduce/allreduce/barrier)
-  with deterministic collective semantics, used to run the *functional*
-  distributed solver as a real SPMD program;
+  with deterministic collective semantics; :func:`rank_program` under
+  :class:`SPMDRunner` is the paper's Section III-E rank body on it, the
+  failure-free reference (a dead rank fails the world fast);
 * :class:`VirtualCluster` — a deterministic virtual-time engine with a
   latency/bandwidth network model, used to reproduce the paper's timing
   figures at full 1000-node scale without hardware;
-* :class:`LeaseLedger` / :class:`ElasticSPMDRunner` — λ-range leases and
-  the elastic membership layer: ranks pull leases, renew them off the
+* :class:`LeaseLedger` / :class:`ElasticSPMDRunner` /
+  :func:`spmd_best_combo` — λ-range leases and the one fault-tolerant
+  thread fleet: ranks pull leases (pinned one-per-partition for the
+  static schedule, unpinned for an elastic run), renew them off the
   heartbeat channel, and join/leave mid-solve while survivors steal
   expired or forfeited ranges (winners stay bit-identical);
 * :class:`AutoscalePolicy` — reactive grow/shrink recommendations from
@@ -23,10 +26,10 @@ from repro.cluster.comm import CommAbortedError, SimComm, SimCommWorld
 from repro.cluster.runtime import RankFailedError, SPMDRunner
 from repro.cluster.network import NetworkModel, SUMMIT_NETWORK
 from repro.cluster.virtual import RankTimeline, VirtualCluster
-from repro.cluster.mpi_program import rank_program, spmd_best_combo
+from repro.cluster.mpi_program import rank_program
 from repro.cluster.trace import ClusterTrace, TraceEvent, TracingCluster
 from repro.cluster.leases import Lease, LeaseLedger
-from repro.cluster.elastic import ElasticSPMDRunner, elastic_spmd_best_combo
+from repro.cluster.elastic import ElasticSPMDRunner, spmd_best_combo
 from repro.cluster.autoscale import AutoscaleDecision, AutoscalePolicy
 
 __all__ = [
@@ -38,7 +41,6 @@ __all__ = [
     "Lease",
     "LeaseLedger",
     "ElasticSPMDRunner",
-    "elastic_spmd_best_combo",
     "AutoscaleDecision",
     "AutoscalePolicy",
     "SummitNodeSpec",

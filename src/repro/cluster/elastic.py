@@ -1,26 +1,26 @@
-"""Elastic SPMD: dynamic rank churn over a lease-based work-stealing pool.
+"""The fault-tolerant thread fleet: ranks pull leases off one ledger.
 
-The static :class:`repro.cluster.runtime.SPMDRunner` launches a fixed
-world and, on failure, aborts and restarts it on the survivors.  The
-elastic runner never aborts: ranks are threads that *pull* λ-range
-leases from a shared :class:`repro.cluster.leases.LeaseLedger`, renew
-them implicitly through the :class:`SimComm` heartbeat channel, and can
-join or leave mid-solve:
+:func:`spmd_best_combo` is the one entry point for an arg-max on rank
+threads.  It runs a ready :class:`repro.cluster.leases.LeaseLedger` —
+``from_schedule`` for the paper's static schedule (one lease per
+partition, pinned to the owning rank), ``build`` for unpinned equi-area
+leases — on :class:`ElasticSPMDRunner`, the second driver of the ledger
+next to the in-process loop of :class:`repro.core.distributed.
+DistributedEngine`; both share ``search_lease``, ``run_lease`` (the one
+recovery rule) and ``apply_churn`` from that module.
 
-* a **joining** rank (``FaultSpec(kind="join", site="membership")`` or a
-  direct :meth:`ElasticSPMDRunner.spawn` call) registers against the
-  pre-sized world and immediately starts pulling leases;
-* a **leaving** rank (``kind="leave"``) drains: it finishes the lease it
-  holds, then retires from the ledger;
-* a **crashed** rank's leases are forfeited back to the pool and a
-  **hung** rank's leases expire off its stale heartbeat — either way a
-  survivor steals the range and the winner is unchanged (see the
-  determinism argument in :mod:`repro.cluster.leases`).
-
-The supervisor also exports the same ``spmd.heartbeat_stale_s.*``
-gauges as the static runner (cleared at world start, and re-keyed as
-membership changes) and, when an :class:`AutoscalePolicy` is attached,
-publishes its grow/shrink recommendation every poll.
+The fleet never aborts.  Ranks *pull* leases, renew them implicitly
+through the :class:`SimComm` heartbeat channel (no other message is sent
+during an arg-max), and can join or leave mid-solve: a **joining** rank
+registers against the pre-sized world and starts pulling; a **leaving**
+rank finishes the lease it holds, then retires; a **crashed** rank
+retries in place under the policy, then is retired and forfeits its
+leases, held and pinned; a **hung** rank really goes silent, so its
+lease expires off its stale heartbeat.  Either way a survivor steals
+the range and the winner is unchanged (see the determinism argument in
+:mod:`repro.cluster.leases`).  The plain message-passing body,
+:func:`repro.cluster.mpi_program.rank_program`, survives as the paper's
+failure-free reference.
 """
 
 from __future__ import annotations
@@ -28,21 +28,32 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.comm import SimComm, SimCommWorld
 from repro.cluster.leases import LeaseLedger
+from repro.cluster.runtime import export_heartbeat_staleness
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
-from repro.core.distributed import search_lease
+from repro.core.distributed import apply_churn, run_lease, search_lease
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.faults.plan import FaultInjected, FaultPlan
+from repro.core.memopt import MemoryConfig
+from repro.faults.plan import FaultPlan
+from repro.faults.policy import RetryPolicy
 from repro.faults.report import FaultReport
+from repro.scheduling.schemes import Scheme
 from repro.telemetry.session import get_telemetry, set_thread_telemetry
 
-__all__ = ["ElasticSPMDRunner", "elastic_spmd_best_combo"]
+__all__ = ["ElasticSPMDRunner", "spmd_best_combo"]
+
+#: Supervisor / idle-rank poll period.
+_POLL_S = 0.01
+#: How long :meth:`ElasticSPMDRunner.run` waits for rank threads to
+#: unwind once the ledger is done before abandoning them (daemonic).
+_DRAIN_GRACE_S = 2.0
 
 
 @dataclass
@@ -50,35 +61,30 @@ class ElasticSPMDRunner:
     """Drive a lease ledger to completion on an elastic thread fleet.
 
     ``n_ranks`` threads start immediately; up to ``max_ranks`` total can
-    exist over the run (the SimComm world's mailbox/heartbeat fabric is
+    exist over the run (the SimComm world's heartbeat fabric is
     pre-sized, like an MPI session opened with room to grow).  Faults
     and membership churn come from ``fault_plan``: ``rank``-site specs
-    fire in the rank bodies (crash/hang/straggler), ``membership``-site
-    specs fire in the supervisor once the solve reaches their
-    progress-fraction trigger.
+    fire on a granted lease and are recovered by
+    :func:`repro.core.distributed.run_lease` under ``retry_policy``,
+    ``membership``-site specs fire in the supervisor once the solve
+    reaches their progress-fraction trigger.
 
     The runner is deadlock-free by construction: every lease either
-    completes, expires (TTL off a stale heartbeat), or is forfeited —
-    and if the whole fleet dies, the supervisor itself drains the
-    remaining leases inline (holder ``-1``), so :meth:`run` always
-    returns a fully-completed ledger within ``max_wall_s``.
+    completes, expires (``ledger.ttl_s`` off a stale heartbeat), or is
+    forfeited — and once no rank is left that answers (every thread
+    gone, or silent past the TTL), the supervisor itself drains the
+    pool inline (holder ``-1``), so :meth:`run` returns a
+    fully-completed ledger within ``max_wall_s`` unless a silent rank
+    sits on a lease that cannot expire.
     """
 
     n_ranks: int
     max_ranks: "int | None" = None
-    lease_ttl_s: float = 0.5
-    recv_timeout_s: float = 60.0
-    poll_s: float = 0.01
-    drain_grace_s: float = 2.0
     max_wall_s: float = 120.0
     fault_plan: "FaultPlan | None" = None
+    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     report: FaultReport = field(default_factory=FaultReport, repr=False)
     autoscale: "AutoscalePolicy | None" = None
-    # Optional cooperative stop: polled by the supervisor loop alongside
-    # the max_wall_s deadline (same mechanism as MultiHitSolver.solve's
-    # should_stop).  When it fires, the run aborts with the leases still
-    # outstanding reported — the gateway uses this to bound runaway jobs.
-    should_stop: "object | None" = None
 
     def __post_init__(self) -> None:
         if self.n_ranks < 1:
@@ -89,31 +95,30 @@ class ElasticSPMDRunner:
             raise ValueError("max_ranks must be >= n_ranks")
 
     def run(self, ledger: LeaseLedger, search, call: int = 0) -> None:
-        """Pull every lease through ``search(lease, rank)`` to completion.
+        """Pull every lease through ``search`` to completion.
 
-        ``search`` returns ``(winner, counters)`` for the lease's λ-range
-        and must be thread-safe across distinct leases.  On return the
-        ledger is fully completed; merge/counters are the caller's.
+        ``search(lease, rank, stall_s=)`` returns ``(winner, counters)``
+        for the lease's λ-range and must be thread-safe across distinct
+        leases.  On return the ledger is fully completed and the moved
+        leases are in ``report``; merge/counters are the caller's.
         """
         tel = get_telemetry()
         tel.clear_gauges("spmd.heartbeat_stale_s.")
-        world = SimCommWorld(
-            self.max_ranks,
-            recv_timeout_s=self.recv_timeout_s,
-            fault_plan=self.fault_plan,
-        )
+        world = SimCommWorld(self.max_ranks, fault_plan=self.fault_plan)
         stop = threading.Event()
+        started = threading.Event()
         threads: "dict[int, threading.Thread]" = {}
         leave_events: "dict[int, threading.Event]" = {}
-        crashed: "set[int]" = set()
-        lock = threading.Lock()
 
         def worker(rank: int) -> None:
             # Inherit the spawner's (possibly thread-scoped, per-job)
             # telemetry session so rank-side spans/counters stay on it.
             set_thread_telemetry(tel)
             comm = SimComm(world, rank)
-            comm.heartbeat()
+            # The initial world starts together (as after MPI_Init):
+            # without it the first thread can drain a small ledger before
+            # its peers exist, and a planned fault on them never fires.
+            started.wait()
             try:
                 with tel.span("spmd.rank", cat="spmd", rank=rank, elastic=True):
                     self._rank_body(
@@ -121,19 +126,15 @@ class ElasticSPMDRunner:
                         leave_events[rank], call,
                     )
             except BaseException as exc:  # noqa: BLE001 - survivable by design
-                with lock:
-                    crashed.add(rank)
                 ledger.retire(rank)
                 self.report.record(
                     "crash", "rank", rank, call, "lease-forfeit",
                     detail=f"{type(exc).__name__}: {exc}",
                 )
-                if tel.flight is not None:
-                    tel.flight.note(
-                        "lease", event="rank-crashed", rank=rank, call=call
-                    )
 
-        def spawn(rank: int) -> None:
+        def spawn(rank: int) -> bool:
+            if rank >= self.max_ranks:
+                return False
             leave_events[rank] = threading.Event()
             t = threading.Thread(
                 target=worker, args=(rank,), name=f"elastic-rank-{rank}",
@@ -142,6 +143,14 @@ class ElasticSPMDRunner:
             threads[rank] = t
             world.heartbeats[rank] = time.monotonic()
             t.start()
+            return True
+
+        def leave(rank: int) -> bool:
+            ev = leave_events.get(rank)
+            if ev is None or ev.is_set():
+                return False
+            ev.set()
+            return True
 
         if tel.flight is not None:
             tel.flight.set_assignments("lease", ledger.assignment_rows(call))
@@ -150,23 +159,17 @@ class ElasticSPMDRunner:
         ):
             for r in range(self.n_ranks):
                 spawn(r)
+            started.set()
             next_rank = self.n_ranks
             deadline = time.monotonic() + self.max_wall_s
             try:
                 while not ledger.done:
                     now = time.monotonic()
-                    stopped = (
-                        self.should_stop is not None and self.should_stop()
-                    )
-                    if now > deadline or stopped:
-                        reason = (
-                            "should_stop fired" if stopped else
-                            f"exceeded max_wall_s={self.max_wall_s}s"
-                        )
+                    if now > deadline:
                         raise RuntimeError(
-                            f"elastic world {reason} with "
-                            f"{ledger.n_available + ledger.n_granted} "
-                            "leases outstanding"
+                            f"elastic world exceeded max_wall_s={self.max_wall_s}s"
+                            f" with {ledger.n_leases - ledger.n_completed}"
+                            " leases outstanding"
                         )
                     # Heartbeat traffic is the renewal protocol: re-arm
                     # lease deadlines off the beats, then reclaim the
@@ -181,43 +184,58 @@ class ElasticSPMDRunner:
                                 f"[{lease.lam_start}, {lease.lam_end})"
                             ),
                         )
-                    self._export_liveness(tel, world, threads, now)
-                    next_rank = self._apply_churn(
-                        ledger, threads, leave_events, spawn, next_rank, call,
-                        tel,
+                    next_rank = apply_churn(
+                        ledger, self.fault_plan, self.report, call, next_rank,
+                        spawn, leave,
                     )
+                    live = [r for r, t in threads.items() if t.is_alive()]
+                    export_heartbeat_staleness(tel, world.heartbeats, live, now)
                     if self.autoscale is not None:
-                        self._sample_autoscale(tel, world, threads, now)
-                    if not any(t.is_alive() for t in threads.values()):
-                        # Whole fleet gone: the driver drains the pool
-                        # itself (holder -1), the guaranteed fallback.
+                        self.autoscale.recommend(
+                            len(live),
+                            eta_s=(
+                                tel.metrics.gauges.get("progress.eta_s")
+                                if tel.enabled else None
+                            ),
+                            heartbeat_stale_s={
+                                r: now - world.heartbeats[r] for r in live
+                            },
+                        )
+                    ttl = ledger.ttl_s
+                    if not any(
+                        ttl is None or now - world.heartbeats[r] <= ttl
+                        for r in live
+                    ):
+                        # Nobody left who answers — every rank is gone,
+                        # or silent past the TTL: the driver drains the
+                        # pool itself (holder -1), the guaranteed
+                        # fallback.
                         self._drain_inline(ledger, search, call)
-                        break
-                    time.sleep(self.poll_s)
+                        if ledger.done:
+                            break
+                    time.sleep(_POLL_S)
             finally:
                 stop.set()
-                for ev in leave_events.values():
-                    ev.set()
-                t_end = time.monotonic() + self.drain_grace_s
+                t_end = time.monotonic() + _DRAIN_GRACE_S
                 for t in threads.values():
                     t.join(timeout=max(0.0, t_end - time.monotonic()))
+        for moved in ledger.moved():
+            self.report.record_reschedule(*moved, call=call)
         # Stragglers resurfacing after a steal leave duplicates behind;
-        # the run-level dump shows the full churn trail when anything
-        # was stolen or forfeited.
+        # the run-level dump shows the full churn trail — whose leases
+        # moved to whom — when anything was stolen or forfeited.
         if tel.flight is not None:
             tel.flight.set_assignments("lease", ledger.assignment_rows(call))
-            if ledger.n_steals or ledger.n_forfeited or crashed:
+            if ledger.n_steals or ledger.n_forfeited:
                 tel.flight.dump(
                     "lease-churn", telemetry=tel, fault_report=self.report
                 )
-
-    # -- rank body -----------------------------------------------------
 
     def _rank_body(
         self, comm, rank, ledger, search, stop, leave, call
     ) -> None:
         tel = get_telemetry()
-        while not stop.is_set():
+        while not (stop.is_set() or ledger.done):
             comm.heartbeat()
             if leave.is_set():
                 # Graceful departure: nothing held here (between leases),
@@ -226,193 +244,92 @@ class ElasticSPMDRunner:
                 return
             lease = ledger.acquire(rank)
             if lease is None:
-                if ledger.done or rank not in self._live_holders(ledger, rank):
+                if not ledger.n_available:
+                    # Pool drained.  What is still granted is its
+                    # holder's to finish; if that holder goes silent the
+                    # expired lease falls to whoever is still pulling,
+                    # or to the driver.
                     return
-                # Idle until work reappears (an expiry puts a stolen
-                # lease back in the pool): one lease.wait span per
-                # waiting stretch, not per poll tick.
+                # What is left is reserved for live peers: wait for it
+                # to be unpinned.  One lease.wait span per waiting
+                # stretch, not per poll tick.
                 with tel.span("lease.wait", cat="spmd", rank=rank):
-                    while True:
-                        time.sleep(self.poll_s)
-                        if ledger.done or stop.is_set() or leave.is_set():
-                            break
+                    while ledger.n_available and not (
+                        stop.is_set() or leave.is_set()
+                        or ledger.has_work_for(rank)
+                    ):
+                        time.sleep(_POLL_S)
                         comm.heartbeat()
-                        if (
-                            ledger.n_available
-                            or rank not in self._live_holders(ledger, rank)
-                        ):
-                            break
                 continue
-            spec = (
-                self.fault_plan.take("rank", rank, call)
-                if self.fault_plan is not None
-                else None
-            )
-            if spec is not None and spec.kind == "crash":
-                raise FaultInjected(f"injected crash on elastic rank {rank}")
-            if spec is not None and spec.kind in ("hang", "straggler"):
-                # A hang outlives the lease TTL (no heartbeats while
-                # sleeping), so the lease expires and is stolen; the
-                # rank eventually resurfaces and its completion is
-                # dropped as a duplicate.  A straggler finishes late
-                # but inside the TTL.  The stall is spanned as comm
-                # time: a real straggler manifests as a rank gone
-                # silent on the wire, and attribution needs the wait
-                # on *somebody's* timeline to explain the lost time.
-                with tel.span(
-                    "comm.stall", cat="comm", rank=rank,
-                    kind=spec.kind, delay_s=spec.delay_s,
-                ):
-                    time.sleep(spec.delay_s)
-                if spec.kind == "straggler":
-                    self.report.record(
-                        "straggler", "rank", rank, call, "observed",
-                        detail=f"{spec.delay_s:.3f}s",
-                    )
-            comm.heartbeat()
-            winner, counters = search(lease, rank)
-            comm.heartbeat()
-            ledger.complete(lease.lease_id, rank, winner, counters=counters)
-
-    @staticmethod
-    def _live_holders(ledger, rank) -> "set[int]":
-        # A rank with nothing to acquire only lingers while grants are
-        # still outstanding (one may expire back to the pool); once the
-        # pool is drained and no lease is granted, it can exit.
-        holders = ledger.holders()
-        if ledger.n_available:
-            holders.add(rank)
-        return holders
-
-    # -- supervisor pieces ---------------------------------------------
-
-    def _apply_churn(
-        self, ledger, threads, leave_events, spawn, next_rank, call, tel
-    ) -> int:
-        if self.fault_plan is None:
-            return next_rank
-        frac = ledger.completed_fraction()
-        for spec in self.fault_plan.take_churn(call, frac):
-            if spec.kind == "join":
-                n = max(1, spec.target)
-                for _ in range(n):
-                    if next_rank >= self.max_ranks:
-                        break
-                    spawn(next_rank)
-                    self.report.record(
-                        "join", "membership", next_rank, call, "joined",
-                        detail=f"at {frac:.2f} done",
-                    )
-                    if tel.flight is not None:
-                        tel.flight.note(
-                            "lease", event="rank-joined", rank=next_rank,
-                            fraction=round(frac, 3), call=call,
-                        )
-                    next_rank += 1
-            else:  # leave
-                ev = leave_events.get(spec.target)
-                if ev is not None and not ev.is_set():
-                    ev.set()
-                    self.report.record(
-                        "leave", "membership", spec.target, call, "drained",
-                        detail=f"at {frac:.2f} done",
-                    )
-                    if tel.flight is not None:
-                        tel.flight.note(
-                            "lease", event="rank-left", rank=spec.target,
-                            fraction=round(frac, 3), call=call,
-                        )
-        return next_rank
-
-    def _export_liveness(self, tel, world, threads, now) -> None:
-        if not tel.enabled:
-            return
-        tel.clear_gauges("spmd.heartbeat_stale_s.")
-        stalest = 0.0
-        for r, t in threads.items():
-            if not t.is_alive():
-                continue
-            stale = now - world.heartbeats[r]
-            stalest = max(stalest, stale)
-            tel.set_gauge(f"spmd.heartbeat_stale_s.rank{r}", stale)
-        tel.set_gauge("spmd.heartbeat_stale_s.max", stalest)
-
-    def _sample_autoscale(self, tel, world, threads, now) -> None:
-        live = [r for r, t in threads.items() if t.is_alive()]
-        stale = {r: now - world.heartbeats[r] for r in live}
-        eta = tel.metrics.gauges.get("progress.eta_s") if tel.enabled else None
-        self.autoscale.recommend(
-            len(live), eta_s=eta, heartbeat_stale_s=stale
-        )
+            if not run_lease(
+                ledger, lease, rank, search, self.fault_plan,
+                self.retry_policy, self.report, call, sleep_through_hang=True,
+            ):
+                return  # retired: its leases are the survivors' now
 
     def _drain_inline(self, ledger, search, call) -> None:
-        while True:
-            ledger.expire(time.monotonic() + 2 * (self.lease_ttl_s or 0.0) + 1.0)
-            lease = ledger.acquire(-1)
-            if lease is None:
-                if ledger.done:
-                    return
-                continue
-            winner, counters = search(lease, -1)
-            ledger.complete(lease.lease_id, -1, winner, counters=counters)
+        # Dead ranks hold nothing (every exit path retires) and a silent
+        # rank's reservations lapsed with its lease, so whatever nobody
+        # holds is in the shared pool.
+        while (lease := ledger.acquire(-1)) is not None:
+            run_lease(
+                ledger, lease, -1, search, None, self.retry_policy,
+                self.report, call,
+            )
             self.report.record(
                 "crash", "rank", -1, call, "inline-drain",
                 detail=f"lease {lease.lease_id} recovered by driver",
             )
 
 
-def elastic_spmd_best_combo(
-    scheme,
-    g: int,
+def spmd_best_combo(
+    ledger: LeaseLedger,
+    scheme: Scheme,
     tumor: BitMatrix,
     normal: BitMatrix,
     params: FScoreParams,
     n_ranks: int,
-    n_leases: "int | None" = None,
     fault_plan: "FaultPlan | None" = None,
+    retry_policy: "RetryPolicy | None" = None,
     report: "FaultReport | None" = None,
     counters: "KernelCounters | None" = None,
     bounds: "BoundTable | None" = None,
     iteration: int = 0,
-    memory=None,
-    lease_ttl_s: float = 0.5,
-    max_wall_s: float = 120.0,
+    memory: "MemoryConfig | None" = None,
+    sparse: bool = False,
+    word_stride: "int | None" = None,
     autoscale: "AutoscalePolicy | None" = None,
+    max_wall_s: float = 120.0,
     call: int = 0,
 ) -> "MultiHitCombination | None":
-    """One arg-max on an elastic thread fleet with work stealing.
+    """One arg-max on a thread fleet of ``n_ranks`` over ``ledger``.
 
-    Builds a ledger of ``n_leases`` equi-area λ-range leases (default
-    ``4 * n_ranks`` — finer than one-per-rank so stealing has grain),
-    runs it to completion under churn, and merges in lease order: the
-    winner is bit-identical to any fixed-world run over the same grid.
+    The ledger decides the schedule: ``LeaseLedger.from_schedule(...)``
+    is the paper's static one (each rank searches its own partitions
+    unless it fails), ``LeaseLedger.build(...)`` an elastic pool, cut
+    finer than one-per-rank so stealing has grain.  Give it a ``ttl_s``
+    for hung ranks to be stolen from.  Whatever happens to the ranks,
+    the per-lease winners fold in lease-id order: the result is
+    bit-identical to any fixed-world run over the same grid.
 
-    ``bounds`` keeps CELF pruning on: each lease prunes against its
-    slice of the table (see :func:`repro.core.distributed.search_lease`)
-    and folds its refreshed bounds back under a lock.
+    ``bounds`` keeps CELF pruning on when the table merged
+    ``ledger.boundaries``: each lease prunes against its slice (see
+    :func:`repro.core.distributed.search_lease`) and folds its refreshed
+    bounds back under a lock.
     """
-    if n_leases is None:
-        n_leases = 4 * n_ranks
-    ledger = LeaseLedger.build(scheme, g, n_leases, ttl_s=lease_ttl_s)
-    fold_lock = threading.Lock()
-
-    def search(lease, rank):
-        return search_lease(
-            scheme, lease, rank, tumor, normal, params,
-            bounds=bounds, iteration=iteration, memory=memory, call=call,
-            fold_lock=fold_lock,
-        )
-
-    runner = ElasticSPMDRunner(
+    search = partial(
+        search_lease, scheme, tumor=tumor, normal=normal, params=params,
+        bounds=bounds, iteration=iteration, memory=memory, sparse=sparse,
+        word_stride=word_stride, call=call, fold_lock=threading.Lock(),
+    )
+    ElasticSPMDRunner(
         n_ranks=n_ranks,
-        lease_ttl_s=lease_ttl_s,
         max_wall_s=max_wall_s,
         fault_plan=fault_plan,
+        retry_policy=retry_policy or RetryPolicy(),
+        report=report or FaultReport(),
         autoscale=autoscale,
-    )
-    if report is not None:
-        runner.report = report
-    runner.run(ledger, search, call=call)
+    ).run(ledger, search, call=call)
     if counters is not None:
         ledger.merge_counters(counters)
     with get_telemetry().span(

@@ -170,6 +170,16 @@ class LeaseLedger:
         )
         return cls(cuts, ttl_s=ttl_s)
 
+    @classmethod
+    def from_schedule(
+        cls, schedule, gpus_per_rank: int, ttl_s: "float | None" = None
+    ) -> "LeaseLedger":
+        """The paper's static schedule as a ledger: one lease per
+        partition, lease *i* pinned to the rank that owns partition *i*
+        under the rank-major mapping (``i // gpus_per_rank``)."""
+        owners = [part // gpus_per_rank for part in range(schedule.n_parts)]
+        return cls(schedule.boundaries, owners=owners, ttl_s=ttl_s)
+
     # -- lifecycle -----------------------------------------------------
 
     def _peek(self, key: "int | None") -> "int | None":
@@ -180,6 +190,24 @@ class LeaseLedger:
         while pool and self.leases[pool[0]].state != "available":
             heapq.heappop(pool)
         return pool[0] if pool else None
+
+    def _takeable(self, holder: int) -> "list[list[int]]":
+        """The non-empty pools ``holder`` may draw from: its own pinned
+        leases and the shared pool (caller holds the lock)."""
+        if holder in self._retired:
+            return []
+        return [
+            self._pools[key]
+            for key in (holder, None)
+            if self._peek(key) is not None
+        ]
+
+    def _unpin(self, holder: int) -> None:
+        """Move the available leases reserved for ``holder`` to the
+        shared pool (caller holds the lock)."""
+        shared = self._pools.setdefault(None, [])
+        for lease_id in self._pools.pop(holder, ()):
+            heapq.heappush(shared, lease_id)
 
     def acquire(self, holder: int, now: "float | None" = None) -> "Lease | None":
         """Grant ``holder`` the lowest-id available lease it may take.
@@ -192,13 +220,7 @@ class LeaseLedger:
         """
         tel = get_telemetry()
         with self._lock:
-            if holder in self._retired:
-                return None
-            pools = [
-                self._pools[key]
-                for key in (holder, None)
-                if self._peek(key) is not None
-            ]
+            pools = self._takeable(holder)
             if not pools:
                 return None
             pool = min(pools, key=lambda ids: ids[0])
@@ -279,9 +301,16 @@ class LeaseLedger:
 
     def _revoke(self, lost, event: str) -> "list[Lease]":
         """Return every granted lease for which ``lost(lease)`` holds to
-        its pool; ``event`` (``expired`` / ``forfeited``) names the
-        counters and the flight-recorder note."""
+        the pool; ``event`` (``expired`` / ``forfeited``) names the
+        counters and the flight-recorder note.
+
+        A forfeited lease stays reserved for a live owner (it dropped
+        one grant, it is still pulling).  An expired one goes to the
+        shared pool and takes the silent holder's other reservations
+        with it: nothing may wait on a rank that stopped answering.
+        """
         tel = get_telemetry()
+        silent = event == "expired"
         revoked: "list[Lease]" = []
         with self._lock:
             for lease in self.leases:
@@ -294,7 +323,11 @@ class LeaseLedger:
                 lease.stolen_from_ctx = lease.grant_ctx
                 lease.grant_ctx = None
                 self._n_granted -= 1
-                key = lease.owner if lease.owner not in self._retired else None
+                key = lease.owner
+                if silent:
+                    self._unpin(lease.previous_holders[-1])
+                if silent or key in self._retired:
+                    key = None
                 heapq.heappush(self._pools.setdefault(key, []), lease.lease_id)
                 revoked.append(lease)
             if revoked:
@@ -318,8 +351,8 @@ class LeaseLedger:
     def expire(self, now: "float | None" = None) -> "list[Lease]":
         """Reclaim granted leases whose deadline has passed.
 
-        The reclaimed leases return to the pool; the next ``acquire``
-        by any live rank is the steal.
+        The reclaimed leases return to the shared pool, pinned or not;
+        the next ``acquire`` by any live rank is the steal.
         """
         if now is None:
             now = time.monotonic()
@@ -334,9 +367,7 @@ class LeaseLedger:
         it holds and unpin the ones reserved for it."""
         with self._lock:
             self._retired.add(holder)
-            shared = self._pools.setdefault(None, [])
-            for lease_id in self._pools.pop(holder, ()):
-                heapq.heappush(shared, lease_id)
+            self._unpin(holder)
         return self.forfeit(holder)
 
     def complete(
@@ -415,13 +446,28 @@ class LeaseLedger:
         with self._lock:
             return self._n_completed / len(self.leases)
 
-    def holders(self) -> "set[int]":
+    def has_work_for(self, holder: int) -> bool:
+        """Whether :meth:`acquire` would grant ``holder`` a lease now."""
         with self._lock:
-            return {
-                lease.holder
-                for lease in self.leases
-                if lease.state == "granted" and lease.holder is not None
-            }
+            return bool(self._takeable(holder))
+
+    def moved(self) -> "list[tuple[int, int, int, int]]":
+        """``(origin, finisher, lam_start, lam_end)`` for every lease
+        completed by someone other than the rank it started with — its
+        owner, or its first holder: the rescheduled work of a call."""
+        with self._lock:
+            out = []
+            for lease in self.leases:
+                origin = lease.owner
+                if origin is None and lease.previous_holders:
+                    origin = lease.previous_holders[0]
+                if lease.state == "completed" and origin not in (
+                    None, lease.completed_by
+                ):
+                    out.append(
+                        (origin, lease.completed_by, lease.lam_start, lease.lam_end)
+                    )
+            return out
 
     def completion_contexts(self) -> "list[dict]":
         """Completion span contexts in lease-id order (for merge links)."""

@@ -13,8 +13,11 @@ Failure semantics mirror a job launcher with a failure detector:
   a silent rank hung — every communicator operation beats, so a rank
   stuck in a non-returning call is detected without its cooperation;
 * the caller receives :class:`RankFailedError` carrying *which* ranks
-  failed (primary failures, not the cascade of aborted peers), which is
-  what survivor rescheduling needs.
+  failed (primary failures, not the cascade of aborted peers).
+
+The runner only detects: nothing here recovers.  The fault-tolerant
+thread fleet is :class:`repro.cluster.elastic.ElasticSPMDRunner`, whose
+ranks pull leases instead of exchanging messages.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Any, Callable
 from repro.cluster.comm import CommAbortedError, SimComm, SimCommWorld
 from repro.telemetry.session import get_telemetry, set_thread_telemetry
 
-__all__ = ["RankFailedError", "SPMDRunner"]
+__all__ = ["RankFailedError", "SPMDRunner", "export_heartbeat_staleness"]
 
 
 class RankFailedError(RuntimeError):
@@ -44,6 +47,23 @@ class RankFailedError(RuntimeError):
         self.failed_ranks = sorted({r for r, _ in self.failures})
         rank, exc = self.failures[0]
         super().__init__(f"rank {rank} failed: {exc!r}")
+
+
+def export_heartbeat_staleness(telemetry, heartbeats, live_ranks, now) -> None:
+    """Publish ``spmd.heartbeat_stale_s.rank<r>`` for every live rank and
+    ``.max`` over them, re-keyed on each call: a rank that finished or
+    left must not keep a stale gauge on /metrics.  The progress monitor
+    reads the max to flag a world whose ranks have gone quiet before any
+    deadline actually trips."""
+    if not telemetry.enabled:
+        return
+    telemetry.clear_gauges("spmd.heartbeat_stale_s.")
+    stalest = 0.0
+    for r in live_ranks:
+        stale = now - heartbeats[r]
+        stalest = max(stalest, stale)
+        telemetry.set_gauge(f"spmd.heartbeat_stale_s.rank{r}", stale)
+    telemetry.set_gauge("spmd.heartbeat_stale_s.max", stalest)
 
 
 @dataclass
@@ -78,8 +98,7 @@ class SPMDRunner:
 
         telemetry = get_telemetry()
         # Re-key the liveness gauges for this world's membership: a
-        # restart on survivors shrinks (and renumbers) the world, and a
-        # departed rank's stale gauge must not outlive it on /metrics.
+        # previous world's ranks must not outlive it on /metrics.
         telemetry.clear_gauges("spmd.heartbeat_stale_s.")
 
         def worker(rank: int) -> None:
@@ -145,21 +164,11 @@ class SPMDRunner:
                 break
             if self.heartbeat_timeout_s is not None:
                 now = time.monotonic()
-                if telemetry.enabled:
-                    # Liveness gauges at the detector's own poll cadence:
-                    # the progress monitor reads the max to flag a world
-                    # whose ranks have gone quiet before the deadline
-                    # actually trips.
-                    stalest = 0.0
-                    for r, t in enumerate(threads):
-                        if not t.is_alive():
-                            continue
-                        stale = now - world.heartbeats[r]
-                        stalest = max(stalest, stale)
-                        telemetry.set_gauge(
-                            f"spmd.heartbeat_stale_s.rank{r}", stale
-                        )
-                    telemetry.set_gauge("spmd.heartbeat_stale_s.max", stalest)
+                # Liveness gauges at the detector's own poll cadence.
+                export_heartbeat_staleness(
+                    telemetry, world.heartbeats,
+                    [r for r, t in enumerate(threads) if t.is_alive()], now,
+                )
                 for r, t in enumerate(threads):
                     if (
                         t.is_alive()

@@ -7,7 +7,8 @@ and complete them with a single 20-byte candidate, and the per-lease
 winners fold through the multi-stage max-reduction in lease-id order.
 The driver here iterates ranks in-process (deterministic);
 :mod:`repro.cluster.elastic` pulls the same leases through the same
-:func:`search_lease` on a thread fleet.
+:func:`search_lease`, :func:`run_lease` and :func:`apply_churn` on a
+thread fleet.
 
 The two scheduling modes differ only in the ledger they build:
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 
 from repro.bitmatrix.matrix import BitMatrix
@@ -52,7 +54,12 @@ from repro.scheduling.schedule import Schedule
 from repro.scheduling.schemes import Scheme
 from repro.telemetry.session import get_telemetry
 
-__all__ = ["DistributedEngine", "search_lease"]
+__all__ = [
+    "DistributedEngine",
+    "apply_churn",
+    "run_lease",
+    "search_lease",
+]
 
 GPUS_PER_NODE = 6
 
@@ -84,9 +91,10 @@ def search_lease(
     counters, so a range that is stolen and computed twice still counts
     once: the ledger keeps the first completion's counters.
 
-    ``stall_s`` is an injected straggler: the holder goes silent for
-    that long inside the search span, spanned as comm time so
-    attribution can explain the lost wall clock.
+    ``stall_s`` is an injected silence — a straggler, or a hang on a
+    real thread: the holder goes quiet for that long inside the search
+    span, spanned as comm time so attribution can explain the lost wall
+    clock.
     """
     tel = get_telemetry()
     lo, hi = lease.lam_start, lease.lam_end
@@ -106,10 +114,7 @@ def search_lease(
         # chains the thief's timeline to the victim's.
         span.link(lease.victim_ctx, kind="steal")
         if stall_s > 0:
-            with tel.span(
-                "comm.stall", cat="comm", rank=rank, kind="straggler",
-                delay_s=stall_s,
-            ):
+            with tel.span("comm.stall", cat="comm", rank=rank, delay_s=stall_s):
                 time.sleep(stall_s)
         winner = best_in_thread_range(
             scheme, tumor.n_genes, tumor, normal, params, lo, hi,
@@ -126,6 +131,119 @@ def search_lease(
             with fold_lock:
                 bounds.apply_deltas(deltas, iteration)
     return winner, counters
+
+
+def run_lease(
+    ledger,
+    lease,
+    rank: int,
+    search,
+    fault_plan: "FaultPlan | None",
+    policy: RetryPolicy,
+    report: FaultReport,
+    call: int,
+    sleep_through_hang: bool = False,
+) -> bool:
+    """One granted lease under the retry policy — the one recovery rule.
+
+    ``search(lease, rank, stall_s=)`` returns ``(winner, counters)``.  A
+    crash or hang injected on the grant loses the attempt; the holder
+    retries in place up to ``policy.resubmits`` times with backoff
+    (``"resubmitted"``), then is retired (``"lease-forfeit"``): the
+    lease it held and the ones pinned to it go back to the pool, and
+    ``False`` tells the driver to drop the rank.  Every completed lease
+    is checked against ``policy.is_straggler``, injected or not.
+
+    ``sleep_through_hang`` is for holders on real threads, where a hang
+    is a real silence of ``delay_s`` inside the search and the lease TTL
+    is the detector: a survivor steals the expired lease, and the rank
+    resurfaces and carries on (its late completion is dropped as a
+    duplicate).
+    """
+    tel = get_telemetry()
+    lost_kind = None
+    for attempt in range(1, policy.max_attempts + 1):
+        if attempt > 1:
+            with tel.span(
+                "fault.retry", cat="distributed", rank=rank, attempt=attempt
+            ):
+                policy.sleep_before(attempt - 1)
+        spec = (
+            fault_plan.take("rank", rank, call)
+            if fault_plan is not None and rank >= 0
+            else None
+        )
+        kind = spec.kind if spec is not None else None
+        if kind == "crash" or (kind == "hang" and not sleep_through_hang):
+            # A hang is surfaced by the deadline detector, a crash by
+            # the dead pipe; both mean this attempt is lost.
+            lost_kind = kind
+            report.record(
+                kind, "rank", rank, call, "detected", attempt=attempt,
+                detail="deadline exceeded" if kind == "hang" else "",
+            )
+            continue
+        # What is left of an injection is a silence inside the search: a
+        # straggler, or a hang on a real thread.
+        started = time.monotonic()
+        winner, lease_counters = search(
+            lease, rank, stall_s=spec.delay_s if spec is not None else 0.0
+        )
+        wall = time.monotonic() - started
+        if kind == "straggler" or policy.is_straggler(wall):
+            report.record(
+                "straggler", "rank", rank, call, "observed",
+                attempt=attempt, detail=f"{wall:.3f}s",
+            )
+        if lost_kind is not None:
+            report.record(
+                lost_kind, "rank", rank, call, "resubmitted", attempt=attempt
+            )
+        ledger.complete(lease.lease_id, rank, winner, counters=lease_counters)
+        return True
+    report.record(
+        lost_kind, "rank", rank, call, "lease-forfeit",
+        attempt=policy.max_attempts,
+        detail=f"lease {lease.lease_id} [{lease.lam_start}, {lease.lam_end})",
+    )
+    ledger.retire(rank)
+    return False
+
+
+def apply_churn(
+    ledger,
+    fault_plan: "FaultPlan | None",
+    report: FaultReport,
+    call: int,
+    next_rank: int,
+    join,
+    leave,
+) -> int:
+    """Consume the membership specs that are due; returns the next
+    unused rank id.
+
+    The driver supplies the two actions: ``join(rank)`` brings a fresh
+    rank up (``False``: no room left) and ``leave(rank)`` starts a
+    graceful departure (``False``: no such live rank).
+    """
+    if fault_plan is None:
+        return next_rank
+    frac = ledger.completed_fraction()
+    at = f"at {frac:.2f} done"
+    for spec in fault_plan.take_churn(call, frac):
+        if spec.kind == "join":
+            for _ in range(max(1, spec.target)):
+                if not join(next_rank):
+                    break
+                report.record(
+                    "join", "membership", next_rank, call, "joined", detail=at
+                )
+                next_rank += 1
+        elif leave(spec.target):
+            report.record(
+                "leave", "membership", spec.target, call, "drained", detail=at
+            )
+    return next_rank
 
 
 @dataclass
@@ -223,23 +341,51 @@ class DistributedEngine:
         call = self._calls
         self._calls += 1
         tel = get_telemetry()
-        cuts = self.chunk_cuts(tumor.n_genes)
-        pins = [part // self.gpus_per_node for part in range(len(cuts) - 1)]
-        ledger = LeaseLedger(cuts, owners=None if self.elastic else pins)
+        g = tumor.n_genes
+        ledger = (
+            LeaseLedger(self.chunk_cuts(g))
+            if self.elastic
+            else LeaseLedger.from_schedule(
+                self.build_schedule(g), self.gpus_per_node
+            )
+        )
         if tel.flight is not None:
             tel.flight.set_assignments("lease", ledger.assignment_rows(call))
+        search = partial(
+            search_lease, self.scheme, tumor=tumor, normal=normal,
+            params=params, bounds=bounds, iteration=iteration,
+            memory=self.memory, sparse=self.sparse,
+            word_stride=self.word_stride, call=call,
+        )
         roster = list(range(self.n_nodes))
+
+        def join(rank: int) -> bool:
+            roster.append(rank)
+            return True
+
+        def leave(rank: int) -> bool:
+            if rank not in roster:
+                return False
+            # A graceful departure holds nothing between turns, so
+            # retiring only unpins what was reserved for the leaver.
+            roster.remove(rank)
+            ledger.retire(rank)
+            return True
+
         next_rank = self.n_nodes
         while not ledger.done:
-            next_rank = self._apply_churn(ledger, roster, next_rank, call)
+            next_rank = apply_churn(
+                ledger, self.fault_plan, self.report, call, next_rank,
+                join, leave,
+            )
             grants_before = ledger.n_grants
             for rank in list(roster) or [-1]:  # -1: the driver drains the pool
                 lease = ledger.acquire(rank)
                 if lease is None:
                     continue
-                if not self._run_lease(
-                    ledger, lease, rank, call, tumor, normal, params, bounds,
-                    iteration,
+                if not run_lease(
+                    ledger, lease, rank, search, self.fault_plan,
+                    self.retry_policy, self.report, call,
                 ):
                     roster.remove(rank)
             if ledger.n_grants == grants_before:
@@ -249,20 +395,8 @@ class DistributedEngine:
                     "lease scheduler stalled with "
                     f"{ledger.n_available} leases nobody may take"
                 )  # pragma: no cover
-        for lease in ledger.leases:
-            # A lease finished by someone other than the rank it started
-            # with — its owner, or its first holder — is rescheduled work.
-            origin = lease.owner
-            if origin is None and lease.previous_holders:
-                origin = lease.previous_holders[0]
-            if origin is not None and origin != lease.completed_by:
-                self.report.record_reschedule(
-                    dead_rank=origin,
-                    survivor=lease.completed_by,
-                    lam_start=lease.lam_start,
-                    lam_end=lease.lam_end,
-                    call=call,
-                )
+        for moved in ledger.moved():
+            self.report.record_reschedule(*moved, call=call)
         if ledger.n_forfeited and tel.flight is not None:
             # The black box for a survived failure (a retired rank always
             # forfeits the lease it held): dumped after the steals so it
@@ -288,90 +422,3 @@ class DistributedEngine:
             for ctx in ledger.completion_contexts():
                 sp.link(ctx, kind="complete")
             return multi_stage_reduce(candidates, stats=reduction_stats)
-
-    def _apply_churn(self, ledger, roster: list, next_rank: int, call: int) -> int:
-        """Consume due membership specs between rounds; returns the next
-        unused rank id."""
-        if self.fault_plan is None:
-            return next_rank
-        frac = ledger.completed_fraction()
-        for spec in self.fault_plan.take_churn(call, frac):
-            if spec.kind == "join":
-                for _ in range(max(1, spec.target)):
-                    roster.append(next_rank)
-                    self.report.record(
-                        "join", "membership", next_rank, call, "joined",
-                        detail=f"at {frac:.2f} done",
-                    )
-                    next_rank += 1
-            elif spec.target in roster:
-                # A graceful departure holds nothing between turns, so
-                # retiring only unpins what was reserved for the leaver.
-                roster.remove(spec.target)
-                ledger.retire(spec.target)
-                self.report.record(
-                    "leave", "membership", spec.target, call, "drained",
-                    detail=f"at {frac:.2f} done",
-                )
-        return next_rank
-
-    def _run_lease(
-        self, ledger, lease, rank, call, tumor, normal, params, bounds,
-        iteration,
-    ) -> bool:
-        """One granted lease under the retry policy.
-
-        Returns ``False`` when the holder exhausted
-        ``retry_policy.resubmits`` and was retired: the lease it held
-        and the ones pinned to it are back in the pool.
-        """
-        tel = get_telemetry()
-        policy = self.retry_policy
-        lost_kind = None
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                with tel.span(
-                    "fault.retry", cat="distributed", rank=rank, attempt=attempt
-                ):
-                    policy.sleep_before(attempt - 1)
-            spec = (
-                self.fault_plan.take("rank", rank, call)
-                if self.fault_plan is not None and rank >= 0
-                else None
-            )
-            if spec is not None and spec.kind in ("crash", "hang"):
-                # A hang is surfaced by the deadline detector, a crash
-                # by the dead pipe; both mean this attempt is lost.
-                lost_kind = spec.kind
-                self.report.record(
-                    spec.kind, "rank", rank, call, "detected", attempt=attempt,
-                    detail="deadline exceeded" if spec.kind == "hang" else "",
-                )
-                continue
-            injected = spec is not None and spec.kind == "straggler"
-            started = time.monotonic()
-            winner, lease_counters = search_lease(
-                self.scheme, lease, rank, tumor, normal, params,
-                bounds=bounds, iteration=iteration, memory=self.memory,
-                sparse=self.sparse, word_stride=self.word_stride, call=call,
-                stall_s=spec.delay_s if injected else 0.0,
-            )
-            wall = time.monotonic() - started
-            if injected or policy.is_straggler(wall):
-                self.report.record(
-                    "straggler", "rank", rank, call, "observed",
-                    attempt=attempt, detail=f"{wall:.3f}s",
-                )
-            if lost_kind is not None:
-                self.report.record(
-                    lost_kind, "rank", rank, call, "resubmitted", attempt=attempt
-                )
-            ledger.complete(lease.lease_id, rank, winner, counters=lease_counters)
-            return True
-        self.report.record(
-            lost_kind, "rank", rank, call, "lease-forfeit",
-            attempt=policy.max_attempts,
-            detail=f"lease {lease.lease_id} [{lease.lam_start}, {lease.lam_end})",
-        )
-        ledger.retire(rank)
-        return False

@@ -7,10 +7,11 @@ hardware failures is neither deterministic nor CI-friendly.  A
 :class:`FaultSpec` events ("rank 1 crashes on arg-max call 0", "pool
 chunk 2 hangs on call 1", "the recv into rank 0 is dropped once") that
 the execution layers consult at well-defined injection points —
-:class:`repro.core.pool.PoolEngine` chunks, the
-:class:`repro.core.distributed.DistributedEngine` rank loop, the SPMD
-rank program under :class:`repro.cluster.comm.SimComm`, and the
-block-level :class:`repro.gpusim.executor.BlockKernelExecutor`.
+:class:`repro.core.pool.PoolEngine` chunks,
+:func:`repro.core.distributed.run_lease` for a rank holding a lease
+(in-process or on the thread fleet), :class:`repro.cluster.comm.SimComm`
+receives, and the block-level
+:class:`repro.gpusim.executor.BlockKernelExecutor`.
 
 Every spec fires a bounded number of times (``count``; ``-1`` =
 persistent, e.g. a node that stays dead), so an injected failure either

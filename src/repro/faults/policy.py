@@ -1,7 +1,7 @@
 """Shared retry/backoff policy for every recovery layer.
 
 PR 1's pool backend recovered a lost chunk with an ad-hoc immediate
-inline retry; the distributed rank loop and the SPMD runner need the
+inline retry; the lease drivers (in-process and thread fleet) need the
 same decision ("how many times, with what backoff, under what
 deadline?") made consistently.  :class:`RetryPolicy` centralizes it:
 

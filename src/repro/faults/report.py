@@ -24,9 +24,9 @@ class FaultEvent:
     ``action`` is one of ``"resubmitted"`` (retried on the original
     executor), ``"inline-retry"`` (recovered in the parent),
     ``"lease-forfeit"`` (holder retired, its leases stolen by
-    survivors), ``"restarted"`` (SPMD world relaunched on survivors),
-    or ``"observed"`` (detected but the result was kept, e.g. a
-    straggler that finished)."""
+    survivors), ``"lease-expired"`` (holder silent past the TTL, its
+    lease stolen), or ``"observed"`` (detected but the result was kept,
+    e.g. a straggler that finished)."""
 
     kind: str
     site: str

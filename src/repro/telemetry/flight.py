@@ -123,7 +123,7 @@ class FlightRecorder:
         self._append({"type": "metrics", "snapshot": registry.to_dict()})
 
     def note(self, kind: str, **fields) -> None:
-        """Free-form operational event (world restarts, reschedules...)."""
+        """Free-form operational event (lease steals, reschedules...)."""
         self._append({"type": "note", "kind": kind, **fields})
 
     def set_assignments(self, site: str, assignments: "list[dict]") -> None:

@@ -25,7 +25,7 @@ import pytest
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.cli import main
-from repro.cluster.elastic import elastic_spmd_best_combo
+from repro.cluster import LeaseLedger, spmd_best_combo
 from repro.cluster.runtime import SPMDRunner
 from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import FScoreParams
@@ -436,18 +436,18 @@ class TestElasticAcceptance:
                 FaultSpec(kind="crash", site="rank", target=1),
             )
         )
-        kwargs = dict(
-            n_ranks=4, n_leases=8, fault_plan=plan, report=FaultReport(),
-            lease_ttl_s=5.0, max_wall_s=120.0,
-        )
-        if not traced:
-            return elastic_spmd_best_combo(
-                SCHEME_3X1, tumor.n_genes, tumor, normal, params, **kwargs
-            ), None
-        with telemetry_session() as tel:
-            got = elastic_spmd_best_combo(
-                SCHEME_3X1, tumor.n_genes, tumor, normal, params, **kwargs
+
+        def solve():
+            return spmd_best_combo(
+                LeaseLedger.build(SCHEME_3X1, tumor.n_genes, 8, ttl_s=5.0),
+                SCHEME_3X1, tumor, normal, params, 4,
+                fault_plan=plan, report=FaultReport(), max_wall_s=120.0,
             )
+
+        if not traced:
+            return solve(), None
+        with telemetry_session() as tel:
+            got = solve()
         return got, tel
 
     def test_traced_solve_end_to_end(self, instance):

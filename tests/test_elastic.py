@@ -6,7 +6,9 @@ elastic paths (threaded :class:`ElasticSPMDRunner`, in-process
 ``DistributedEngine(elastic=True)``, and the lease-grained pool) select
 bit-identical winners to the static failure-free run, and the kernel
 counters close (every combination is scored exactly once on the
-unpruned path).
+unpruned path).  The timing-free cells of that contract are generated in
+``tests/test_distributed.py::TestDistributionMatrix``; what lives here
+needs a real clock: TTL expiry, heartbeats, the wall deadline.
 """
 
 import time
@@ -15,7 +17,7 @@ import pytest
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.cluster.autoscale import AutoscaleDecision, AutoscalePolicy
-from repro.cluster.elastic import ElasticSPMDRunner, elastic_spmd_best_combo
+from repro.cluster.elastic import ElasticSPMDRunner, spmd_best_combo
 from repro.cluster.leases import LeaseLedger
 from repro.cluster.runtime import SPMDRunner
 from repro.cluster.virtual import VirtualCluster
@@ -28,6 +30,7 @@ from repro.core.pool import PoolEngine
 from repro.core.solver import MultiHitSolver
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.report import FaultReport
+from repro.scheduling.equiarea import equiarea_schedule
 from repro.scheduling.schemes import SCHEME_3X1, scheme_for
 from repro.telemetry.session import get_telemetry, telemetry_session
 
@@ -45,6 +48,19 @@ def instance(rng):
         BitMatrix.from_dense(n),
         FScoreParams(n_tumor=30, n_normal=24),
     )
+
+
+def fleet(instance, n_ranks, n_leases=None, ttl_s=0.5, **kw):
+    """One arg-max on the thread fleet over unpinned equi-area leases;
+    returns ``(winner, ledger)``."""
+    tumor, normal, params = instance
+    ledger = LeaseLedger.build(
+        SCHEME_3X1, tumor.n_genes, n_leases or 4 * n_ranks, ttl_s=ttl_s
+    )
+    got = spmd_best_combo(
+        ledger, SCHEME_3X1, tumor, normal, params, n_ranks, **kw
+    )
+    return got, ledger
 
 
 @pytest.fixture
@@ -105,20 +121,17 @@ class TestElasticRunner:
         )
 
     def test_clean_run_bit_exact_with_closed_counters(self, instance):
-        tumor, normal, params = instance
         ref_counters = KernelCounters()
         ref = self._ref(instance, ref_counters)
         counters = KernelCounters()
-        got = elastic_spmd_best_combo(
-            SCHEME_3X1, tumor.n_genes, tumor, normal, params,
-            n_ranks=3, counters=counters,
-        )
+        got, ledger = fleet(instance, n_ranks=3, counters=counters)
         assert got == ref
         assert counters.combos_scored == ref_counters.combos_scored
+        # Heartbeats renew the grants: a healthy fleet loses no lease.
+        assert ledger.n_expired == 0 and ledger.n_steals == 0
 
     def test_full_churn_matrix_bit_exact(self, instance):
         """crash + hang + leave + join in one solve: the worst case."""
-        tumor, normal, params = instance
         ref = self._ref(instance)
         plan = FaultPlan(
             (
@@ -130,10 +143,9 @@ class TestElasticRunner:
         )
         report = FaultReport()
         counters = KernelCounters()
-        got = elastic_spmd_best_combo(
-            SCHEME_3X1, tumor.n_genes, tumor, normal, params,
-            n_ranks=3, fault_plan=plan, report=report,
-            counters=counters, lease_ttl_s=0.3, max_wall_s=60.0,
+        got, _ = fleet(
+            instance, n_ranks=3, fault_plan=plan, report=report,
+            counters=counters, ttl_s=0.3, max_wall_s=60.0,
         )
         assert got == ref
         kinds = {e.kind for e in report.events}
@@ -145,25 +157,49 @@ class TestElasticRunner:
         self._ref(instance, ref_counters)
         assert counters.combos_scored == ref_counters.combos_scored
 
-    def test_straggler_finishes_inside_ttl(self, instance):
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "unpinned"])
+    def test_hung_rank_is_stolen_from(self, instance, pinned):
+        """A rank silent past the TTL loses its lease — and, pinned, its
+        reservations — to the survivors, who must still be around to
+        take it: idle ranks wait while any grant is outstanding."""
         tumor, normal, params = instance
+        schedule = equiarea_schedule(SCHEME_3X1, tumor.n_genes, 6)
+        ledger = (
+            LeaseLedger.from_schedule(schedule, 2, ttl_s=0.2)
+            if pinned
+            else LeaseLedger(schedule.boundaries, ttl_s=0.2)
+        )
+        # Rank 0's thread starts first, so it is sure to hold a lease.
+        plan = FaultPlan(
+            (FaultSpec(kind="hang", site="rank", target=0, delay_s=1.0),)
+        )
+        report = FaultReport()
+        got = spmd_best_combo(
+            ledger, SCHEME_3X1, tumor, normal, params, 3,
+            fault_plan=plan, report=report, max_wall_s=60.0,
+        )
+        assert got == self._ref(instance)
+        assert ledger.n_expired >= 1 and ledger.n_steals >= 1
+        assert any(e.action == "lease-expired" for e in report.events)
+        assert 0 in report.dead_ranks
+
+    def test_straggler_finishes_inside_ttl(self, instance):
         ref = self._ref(instance)
         plan = FaultPlan(
             (FaultSpec(kind="straggler", site="rank", target=0, delay_s=0.05),)
         )
         report = FaultReport()
-        got = elastic_spmd_best_combo(
-            SCHEME_3X1, tumor.n_genes, tumor, normal, params,
-            n_ranks=2, fault_plan=plan, report=report, lease_ttl_s=5.0,
+        got, ledger = fleet(
+            instance, n_ranks=2, fault_plan=plan, report=report, ttl_s=5.0
         )
         assert got == ref
         assert any(
             e.kind == "straggler" and e.action == "observed"
             for e in report.events
         )
+        assert ledger.n_expired == 0  # slow is not silent
 
     def test_whole_fleet_dead_drained_by_driver(self, instance):
-        tumor, normal, params = instance
         ref = self._ref(instance)
         plan = FaultPlan(
             tuple(
@@ -172,34 +208,12 @@ class TestElasticRunner:
             )
         )
         report = FaultReport()
-        got = elastic_spmd_best_combo(
-            SCHEME_3X1, tumor.n_genes, tumor, normal, params,
-            n_ranks=2, fault_plan=plan, report=report, max_wall_s=60.0,
+        got, _ = fleet(
+            instance, n_ranks=2, fault_plan=plan, report=report,
+            max_wall_s=60.0,
         )
         assert got == ref
         assert any(e.action == "inline-drain" for e in report.events)
-
-    def test_pruned_elastic_matches_pruned_static(self, instance):
-        tumor, normal, params = instance
-        g = tumor.n_genes
-        ref_bounds = BoundTable.build(SCHEME_3X1, g, n_blocks=16)
-        ref_counters = KernelCounters()
-        ref = SingleGpuEngine(scheme=SCHEME_3X1).best_combo(
-            tumor, normal, params, counters=ref_counters, bounds=ref_bounds
-        )
-        ledger_cuts = LeaseLedger.build(SCHEME_3X1, g, n_leases=8).boundaries
-        bounds = BoundTable.build(SCHEME_3X1, g, cuts=ledger_cuts, n_blocks=16)
-        counters = KernelCounters()
-        got = elastic_spmd_best_combo(
-            SCHEME_3X1, g, tumor, normal, params,
-            n_ranks=2, n_leases=8, counters=counters, bounds=bounds,
-        )
-        assert got == ref
-        # Pruning closure: scored + pruned covers the whole grid either way.
-        assert (
-            counters.combos_scored + counters.combos_pruned
-            == ref_counters.combos_scored + ref_counters.combos_pruned
-        )
 
     def test_runner_validation(self):
         with pytest.raises(ValueError):
@@ -208,7 +222,6 @@ class TestElasticRunner:
             ElasticSPMDRunner(n_ranks=4, max_ranks=2)
 
     def test_wall_deadline_raises(self, instance):
-        tumor, normal, params = instance
         plan = FaultPlan(
             tuple(
                 FaultSpec(kind="hang", site="rank", target=r, delay_s=30.0,
@@ -217,9 +230,9 @@ class TestElasticRunner:
             )
         )
         with pytest.raises(RuntimeError, match="max_wall_s"):
-            elastic_spmd_best_combo(
-                SCHEME_3X1, tumor.n_genes, tumor, normal, params,
-                n_ranks=2, fault_plan=plan, lease_ttl_s=60.0, max_wall_s=0.5,
+            fleet(
+                instance, n_ranks=2, fault_plan=plan, ttl_s=60.0,
+                max_wall_s=0.5,
             )
 
 
@@ -381,9 +394,7 @@ class TestHeartbeatGaugeHygiene:
         tumor, normal, params = instance
         with telemetry_session() as tel:
             tel.set_gauge("spmd.heartbeat_stale_s.rank99", 123.0)
-            elastic_spmd_best_combo(
-                SCHEME_3X1, tumor.n_genes, tumor, normal, params, n_ranks=2
-            )
+            fleet(instance, n_ranks=2)
             assert "spmd.heartbeat_stale_s.rank99" not in tel.metrics.gauges
 
     def test_clear_gauges_returns_count(self):
@@ -442,9 +453,9 @@ class TestAutoscalePolicy:
     def test_attached_policy_samples_during_run(self, instance):
         tumor, normal, params = instance
         with telemetry_session() as tel:
-            elastic_spmd_best_combo(
-                SCHEME_3X1, tumor.n_genes, tumor, normal, params,
-                n_ranks=2, autoscale=AutoscalePolicy(stale_after_s=30.0),
+            fleet(
+                instance, n_ranks=2,
+                autoscale=AutoscalePolicy(stale_after_s=30.0),
             )
             assert "autoscale.n_ranks" in tel.metrics.gauges
 
@@ -588,10 +599,9 @@ class TestCausalUnderChurn:
             )
         )
         with telemetry_session() as tel:
-            got = elastic_spmd_best_combo(
-                SCHEME_3X1, tumor.n_genes, tumor, normal, params,
-                n_ranks=3, fault_plan=plan, report=FaultReport(),
-                lease_ttl_s=0.3, max_wall_s=60.0,
+            got, _ = fleet(
+                instance, n_ranks=3, fault_plan=plan, report=FaultReport(),
+                ttl_s=0.3, max_wall_s=60.0,
             )
         assert got == ref
 

@@ -116,38 +116,20 @@ class TestRankCrashDump:
         assert moved and all(row["state"] == "completed" for row in moved)
         assert all(row["previous_holders"] in ([], [0]) for row in moved)
 
-    def test_spmd_failed_run_dump_has_failed_rank_spans(self, rng, tmp_path):
-        """A world that dies beyond the restart budget dumps with the
-        failed ranks named and their final spans on the timeline."""
-        from repro.bitmatrix.matrix import BitMatrix
-        from repro.cluster.mpi_program import spmd_best_combo
-        from repro.cluster.runtime import RankFailedError
-        from repro.core.fscore import FScoreParams
-        from repro.faults.policy import RetryPolicy
-        from repro.scheduling.equiarea import equiarea_schedule
-        from repro.scheduling.schemes import SCHEME_3X1
+    def test_spmd_failed_run_dump_has_failed_rank_spans(self, tmp_path):
+        """A world that dies dumps on the way out with the failed ranks
+        named and their final spans on the timeline."""
+        from repro.cluster.runtime import RankFailedError, SPMDRunner
+        from repro.faults.plan import FaultInjected
 
-        t = BitMatrix.from_dense(rng.random((14, 30)) < 0.4)
-        n = BitMatrix.from_dense(rng.random((14, 30)) < 0.1)
-        params = FScoreParams(n_tumor=30, n_normal=30)
-        schedule = equiarea_schedule(SCHEME_3X1, 14, 4)
-        # Every rank crashes persistently -> no survivors to restart on,
-        # so the failure escapes and the runner dumps on the way out.
-        plan = FaultPlan(
-            [
-                FaultSpec(kind="crash", site="rank", target=0, count=-1),
-                FaultSpec(kind="crash", site="rank", target=1, count=-1),
-            ]
-        )
+        def crash(comm):
+            raise FaultInjected(f"injected crash on rank {comm.Get_rank()}")
+
         fr = FlightRecorder(out_dir=tmp_path)
         with telemetry_session() as tel:
             tel.attach_flight(fr)
             with pytest.raises(RankFailedError):
-                spmd_best_combo(
-                    2, schedule, t, n, params, gpus_per_rank=2,
-                    fault_plan=plan,
-                    retry_policy=RetryPolicy(resubmits=0, backoff_s=0.0),
-                )
+                SPMDRunner(2, recv_timeout_s=5.0).run(crash)
         dumps = sorted(tmp_path.glob("blackbox-*.json"))
         assert dumps
         payload = json.loads(dumps[0].read_text())
@@ -164,11 +146,11 @@ class TestRankCrashDump:
         }
         assert set(failed) <= span_ranks
 
-    def test_spmd_restart_dump_carries_rescheduled_ranges(self, rng, tmp_path):
-        """A *survived* failure (restart on survivors) dumps with each
-        survivor's inherited λ-ranges in the assignments block."""
+    def test_fleet_churn_dump_names_moved_partitions(self, rng, tmp_path):
+        """A *survived* failure on the thread fleet dumps with the lease
+        table saying whose partitions moved to whom."""
         from repro.bitmatrix.matrix import BitMatrix
-        from repro.cluster.mpi_program import spmd_best_combo
+        from repro.cluster import LeaseLedger, spmd_best_combo
         from repro.core.fscore import FScoreParams
         from repro.faults.report import FaultReport
         from repro.scheduling.equiarea import equiarea_schedule
@@ -178,29 +160,36 @@ class TestRankCrashDump:
         n = BitMatrix.from_dense(rng.random((14, 30)) < 0.1)
         params = FScoreParams(n_tumor=30, n_normal=30)
         schedule = equiarea_schedule(SCHEME_3X1, 14, 4)
+
+        def solve(**kw):
+            return spmd_best_combo(
+                LeaseLedger.from_schedule(schedule, 2), SCHEME_3X1, t, n,
+                params, 2, **kw,
+            )
+
         report = FaultReport()
         fr = FlightRecorder(out_dir=tmp_path)
         with telemetry_session() as tel:
             tel.attach_flight(fr)
-            clean = spmd_best_combo(2, schedule, t, n, params, gpus_per_rank=2)
-            got = spmd_best_combo(
-                2, schedule, t, n, params, gpus_per_rank=2,
-                fault_plan=_plan("rank", target=0, at_call=0),
-                report=report, call=0,
+            clean = solve()
+            assert list(tmp_path.glob("blackbox-*.json")) == []
+            got = solve(
+                fault_plan=_plan("rank", target=0, at_call=0), report=report
             )
         assert got == clean  # recovery is bit-identical
-        restart = [
+        churn = [
             json.loads(p.read_text())
             for p in sorted(tmp_path.glob("blackbox-*.json"))
-            if "rank-restart" in p.name
+            if "lease-churn" in p.name
         ]
-        assert restart, "no rank-restart black box"
-        payload = restart[0]
-        spmd = payload["assignments"]["spmd"]
-        assert [row["survivor"] for row in spmd] == [1]
-        ranges = spmd[0]["extra_ranges"]
-        assert ranges and all(r["lam_end"] > r["lam_start"] for r in ranges)
-        assert payload["fault_report"]["rescheduled"]
+        assert churn, "no lease-churn black box"
+        payload = churn[0]
+        moved = [r for r in payload["assignments"]["lease"] if r["owner"] == 0]
+        assert moved and all(r["state"] == "completed" for r in moved)
+        assert all(r["previous_holders"] in ([], [0]) for r in moved)
+        ranges = payload["fault_report"]["rescheduled"]
+        assert {(r["dead_rank"], r["survivor"]) for r in ranges} == {(0, 1)}
+        assert len(ranges) == len(moved)
 
 
 class TestPoolAndSolverDumps:

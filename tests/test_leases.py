@@ -156,7 +156,8 @@ class TestLifecycle:
         ledger = LeaseLedger((0, 5, 10, 15))
         ledger.acquire(3)
         ledger.acquire(7)
-        assert ledger.holders() == {3, 7}
+        rows = ledger.assignment_rows()
+        assert {r["holder"] for r in rows if r["state"] == "granted"} == {3, 7}
         assert (ledger.n_available, ledger.n_granted, ledger.n_completed) == (
             1, 2, 0,
         )
@@ -189,6 +190,41 @@ class TestPinnedLeases:
         assert [ledger.acquire(1).lease_id for _ in range(4)] == [0, 1, 2, 3]
         assert ledger.n_steals == 2 and ledger.n_forfeited == 1
         assert held.previous_holders == [0] and held.owner == 0
+
+    def test_expired_pinned_lease_is_anyones(self):
+        """A silent owner keeps no reservation: its expired lease and the
+        ones it never reached all go to the shared pool."""
+        ledger = LeaseLedger((0, 5, 10), owners=[1, 1], ttl_s=1.0)
+        held = ledger.acquire(1, now=0.0)
+        assert ledger.acquire(0, now=0.0) is None  # all reserved for rank 1
+        assert ledger.expire(now=2.0) == [held]
+        assert ledger.acquire(0, now=2.0) is held and ledger.n_steals == 1
+        assert ledger.acquire(0, now=2.0).lease_id == 1
+        assert ledger.n_steals == 2
+
+    def test_forfeited_pinned_lease_stays_reserved(self):
+        ledger = LeaseLedger((0, 5, 10), owners=[1, 1])
+        held = ledger.acquire(1)
+        assert ledger.forfeit(1) == [held]
+        assert not ledger.has_work_for(0) and ledger.acquire(0) is None
+        assert ledger.has_work_for(1) and ledger.acquire(1) is held
+
+    def test_from_schedule_pins_rank_major(self):
+        from repro.scheduling.equiarea import equiarea_schedule
+
+        schedule = equiarea_schedule(SCHEME_3X1, 20, 6)
+        ledger = LeaseLedger.from_schedule(schedule, gpus_per_rank=2, ttl_s=3.0)
+        assert ledger.boundaries == schedule.boundaries and ledger.ttl_s == 3.0
+        assert [lease.owner for lease in ledger.leases] == [0, 0, 1, 1, 2, 2]
+
+    def test_moved_names_origin_of_leases_finished_elsewhere(self):
+        ledger = LeaseLedger((0, 5, 10, 15), owners=[0, 1, 1])
+        ledger.complete(ledger.acquire(0).lease_id, 0, "own")
+        ledger.acquire(1)
+        ledger.retire(1)
+        for _ in range(2):
+            ledger.complete(ledger.acquire(0).lease_id, 0, "stolen")
+        assert ledger.moved() == [(1, 0, 5, 10), (1, 0, 10, 15)]
 
     def test_owners_drop_with_empty_ranges(self):
         ledger = LeaseLedger((0, 5, 5, 9), owners=[0, 1, 2])

@@ -406,7 +406,7 @@ class TestBackendParity:
 class TestSpmdMerge:
     def test_rank_metrics_gather_to_registry(self, rng):
         from repro.bitmatrix.matrix import BitMatrix
-        from repro.cluster.mpi_program import spmd_best_combo
+        from repro.cluster import SPMDRunner, rank_program
         from repro.core.engine import SingleGpuEngine
         from repro.core.fscore import FScoreParams
         from repro.core.kernels import KernelCounters
@@ -420,8 +420,8 @@ class TestSpmdMerge:
 
         ref = SingleGpuEngine(scheme=SCHEME_3X1).best_combo(t, n, params)
         with telemetry_session() as tel:
-            got = spmd_best_combo(2, schedule, t, n, params, gpus_per_rank=2)
-        assert got.genes == ref.genes and got.f == ref.f
+            results = SPMDRunner(2).run(rank_program, schedule, 2, t, n, params)
+        assert results == [ref, ref]
 
         c = tel.metrics.to_dict()["counters"]
         assert c["spmd.rank_searches"] == 2
@@ -436,7 +436,7 @@ class TestSpmdMerge:
 
     def test_spmd_result_identical_with_telemetry_off(self, rng):
         from repro.bitmatrix.matrix import BitMatrix
-        from repro.cluster.mpi_program import spmd_best_combo
+        from repro.cluster import LeaseLedger, spmd_best_combo
         from repro.core.fscore import FScoreParams
         from repro.scheduling.equiarea import equiarea_schedule
         from repro.scheduling.schemes import SCHEME_3X1
@@ -445,9 +445,16 @@ class TestSpmdMerge:
         n = BitMatrix.from_dense(rng.random((14, 30)) < 0.1)
         params = FScoreParams(n_tumor=30, n_normal=30)
         schedule = equiarea_schedule(SCHEME_3X1, 14, 4)
-        off = spmd_best_combo(2, schedule, t, n, params, gpus_per_rank=2)
+
+        def solve():
+            return spmd_best_combo(
+                LeaseLedger.from_schedule(schedule, 2), SCHEME_3X1, t, n,
+                params, 2,
+            )
+
+        off = solve()
         with telemetry_session():
-            on = spmd_best_combo(2, schedule, t, n, params, gpus_per_rank=2)
+            on = solve()
         assert on == off
 
 
