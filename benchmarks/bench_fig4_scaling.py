@@ -48,6 +48,17 @@ def test_fig4_scaling_full_sweep(benchmark, show, bench_summary):
     assert 0.80 <= result.elastic_at_max_nodes <= 1.05
     assert result.elastic_overhead_at_max < 0.15
 
+    # Where the rank-seconds go at 1000 nodes (analyzer buckets of the
+    # traced jobs + set-up): the tables account for every rank-second of
+    # the two headline runtimes, and what the elastic fleet wins is the
+    # straggler wait.
+    for loss, runtime in (
+        (result.static_loss, runtimes[-1]),
+        (result.elastic_loss, result.elastic[-1].runtime_s),
+    ):
+        assert abs(sum(loss.values()) / (1000 * runtime) - 1.0) < 1e-6
+    assert result.elastic_loss["comm_wait"] < 0.01 * result.static_loss["comm_wait"]
+
     bench_summary(
         "fig4",
         values={
@@ -63,6 +74,8 @@ def test_fig4_scaling_full_sweep(benchmark, show, bench_summary):
             "elastic_runtime_s": [p.runtime_s for p in result.elastic],
             "elastic_at_max_nodes": result.elastic_at_max_nodes,
             "elastic_overhead_at_max": result.elastic_overhead_at_max,
+            "static_loss_rank_s_at_max": result.static_loss,
+            "elastic_loss_rank_s_at_max": result.elastic_loss,
         },
         telemetry=telemetry,
     )

@@ -10,7 +10,10 @@ GPUs).  This package substitutes:
   failure-free reference (a dead rank fails the world fast);
 * :class:`VirtualCluster` — a deterministic virtual-time engine with a
   latency/bandwidth network model, used to reproduce the paper's timing
-  figures at full 1000-node scale without hardware;
+  figures at full 1000-node scale without hardware; built with
+  ``trace=True`` it records its timeline as ordinary
+  :mod:`repro.telemetry` spans + causal links (virtual nanoseconds), so
+  ``multihit trace analyze`` explains a simulated job like a real one;
 * :class:`LeaseLedger` / :class:`ElasticSPMDRunner` /
   :func:`spmd_best_combo` — λ-range leases and the one fault-tolerant
   thread fleet: ranks pull leases (pinned one-per-partition for the
@@ -27,15 +30,11 @@ from repro.cluster.runtime import RankFailedError, SPMDRunner
 from repro.cluster.network import NetworkModel, SUMMIT_NETWORK
 from repro.cluster.virtual import RankTimeline, VirtualCluster
 from repro.cluster.mpi_program import rank_program
-from repro.cluster.trace import ClusterTrace, TraceEvent, TracingCluster
 from repro.cluster.leases import Lease, LeaseLedger
 from repro.cluster.elastic import ElasticSPMDRunner, spmd_best_combo
 from repro.cluster.autoscale import AutoscaleDecision, AutoscalePolicy
 
 __all__ = [
-    "ClusterTrace",
-    "TraceEvent",
-    "TracingCluster",
     "rank_program",
     "spmd_best_combo",
     "Lease",

@@ -13,7 +13,6 @@ uninterrupted one (asserted by the tests).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +21,7 @@ import numpy as np
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core.combination import MultiHitCombination
 from repro.core.fscore import FScoreParams
+from repro.telemetry.export import atomic_write_text
 from repro.telemetry.session import get_telemetry
 
 __all__ = ["SolverState", "save_state", "load_state", "solve_with_checkpoints"]
@@ -101,8 +101,9 @@ class SolverState:
 def save_state(state: SolverState, path: "str | Path") -> None:
     """Persist a checkpoint as JSON, atomically.
 
-    The payload is written to a sibling temp file, flushed to disk, and
-    renamed over ``path`` with :func:`os.replace` — a crash mid-write
+    The payload goes through :func:`~repro.telemetry.export.
+    atomic_write_text` — a sibling temp file, flushed and fsynced, then
+    renamed over ``path`` with :func:`os.replace` — so a crash mid-write
     (the very failure checkpoints exist to survive) can never leave a
     torn checkpoint behind: ``path`` holds either the previous complete
     snapshot or the new one.
@@ -120,22 +121,13 @@ def save_state(state: SolverState, path: "str | Path") -> None:
     }
     if state.bound_table is not None:
         payload["bound_table"] = state.bound_table
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
     telemetry = get_telemetry()
     encoded = json.dumps(payload) + "\n"
     with telemetry.span(
         "checkpoint", cat="checkpoint",
         iterations=len(state.combinations), bytes=len(encoded),
     ):
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(encoded)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        atomic_write_text(path, encoded)
     if telemetry.enabled:
         telemetry.count("checkpoint.writes")
         telemetry.count("checkpoint.bytes", len(encoded))

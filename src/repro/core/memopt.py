@@ -56,6 +56,16 @@ class MemoryConfig:
     def prefetched_rows(self) -> int:
         return int(self.prefetch_i) + int(self.prefetch_j)
 
+    def combo_rows(self, scheme: Scheme) -> "tuple[int, int]":
+        """``(prefetched, rows_per_combo)`` of ``scheme`` under this config.
+
+        At most :attr:`prefetched_rows` of the scheme's fixed rows are
+        read once per thread; every inner combination then loads the
+        remaining fixed rows plus the inner-loop rows.
+        """
+        pre = min(self.prefetched_rows, scheme.flattened)
+        return pre, (scheme.flattened - pre) + scheme.inner
+
 
 NONE = MemoryConfig(False, False, False)
 
@@ -79,9 +89,7 @@ def global_word_reads(
     if lam_end <= lam_start:
         return 0
     f = scheme.flattened
-    d = scheme.inner
-    pre = min(config.prefetched_rows, f)
-    per_combo_rows = (f - pre) + d
+    pre, per_combo_rows = config.combo_rows(scheme)
     total = 0
     # Walk the levels intersecting the range; within a level the work per
     # thread is constant, so the sum is closed-form.

@@ -10,6 +10,10 @@ the lease-stealing runtime with a ±``churn_fraction`` mid-solve fleet
 swap; its efficiencies are measured against the *static* 100-node
 baseline, so the gap between the curves is the cost (or gain — fine
 leases absorb node jitter) of elasticity.
+
+Where the efficiency goes is read off the job's own timeline: the
+largest allocation is re-run traced and :func:`loss_table` buckets every
+simulated rank-second with the trace analyzer.
 """
 
 from __future__ import annotations
@@ -18,17 +22,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.perfmodel.runtime import JobModel
+from repro.perfmodel.runtime import JobModel, JobResult
 from repro.perfmodel.scaling import (
     ScalingPoint,
+    elastic_job,
     elastic_strong_scaling_sweep,
     strong_scaling_sweep,
     weak_scaling_sweep,
 )
 from repro.perfmodel.workloads import BRCA, WorkloadSpec
 from repro.scheduling.schemes import SCHEME_3X1
+from repro.telemetry.critpath import attribute_time
 
-__all__ = ["Fig4Result", "run", "report"]
+__all__ = ["Fig4Result", "loss_table", "run", "report"]
+
+
+def loss_table(job: JobResult) -> "dict[str, float]":
+    """Rank-seconds of a traced job by where they went: the analyzer's
+    buckets over ``job.spans`` plus set-up (outside the cluster clock) on
+    every node.  The four sum to ``n_nodes * total_s``."""
+    buckets = attribute_time(job.spans)["buckets"]
+    return {
+        "compute": buckets["compute"],
+        "host_serial": buckets["idle"],
+        "comm_wait": buckets["comm_wait"],
+        "setup": job.setup_s * job.n_nodes,
+    }
 
 
 @dataclass(frozen=True)
@@ -37,6 +56,9 @@ class Fig4Result:
     strong: list[ScalingPoint]
     weak: list[ScalingPoint]
     elastic: "list[ScalingPoint] | None" = None
+    #: :func:`loss_table` of the static / elastic job at its largest node count.
+    static_loss: "dict[str, float] | None" = None
+    elastic_loss: "dict[str, float] | None" = None
 
     @property
     def strong_avg_efficiency(self) -> float:
@@ -91,7 +113,8 @@ def run(
         weak_nodes,
         baseline_nodes=min(weak_nodes) if weak_nodes else 100,
     )
-    elastic = None
+    static_loss = loss_table(model.run(workload, strong[-1].n_nodes, trace=True))
+    elastic = elastic_loss = None
     if elastic_nodes:
         elastic = elastic_strong_scaling_sweep(
             model,
@@ -100,7 +123,29 @@ def run(
             baseline_nodes=min(min(elastic_nodes), strong[0].n_nodes),
             churn_fraction=churn_fraction,
         )
-    return Fig4Result(workload=workload, strong=strong, weak=weak, elastic=elastic)
+        elastic_loss = loss_table(
+            elastic_job(
+                model, workload, elastic[-1].n_nodes, churn_fraction, trace=True
+            )
+        )
+    return Fig4Result(
+        workload=workload,
+        strong=strong,
+        weak=weak,
+        elastic=elastic,
+        static_loss=static_loss,
+        elastic_loss=elastic_loss,
+    )
+
+
+def _loss_lines(label: str, n_nodes: int, loss: "dict[str, float]") -> list[str]:
+    total = sum(loss.values())
+    lines = [f"      where the rank-seconds go, {label} fleet at {n_nodes} nodes:"]
+    for name, seconds in loss.items():
+        lines.append(
+            f"        {name:<11} {seconds:12.1f} rank-s  {seconds / total:7.2%}"
+        )
+    return lines
 
 
 def report(result: Fig4Result) -> str:
@@ -117,6 +162,8 @@ def report(result: Fig4Result) -> str:
         f"      efficiency at {result.strong[-1].n_nodes} nodes: "
         f"{result.strong_at_max_nodes:.4f} (paper 0.8418 at 1000)"
     )
+    if result.static_loss:
+        lines += _loss_lines("static", result.strong[-1].n_nodes, result.static_loss)
     lines.append("  (b) weak scaling (fixed work per GPU, first iteration):")
     lines.append("      nodes |  runtime (s) | efficiency")
     for p in result.weak:
@@ -140,4 +187,5 @@ def report(result: Fig4Result) -> str:
                 f"      churn overhead at {result.elastic[-1].n_nodes} nodes "
                 f"vs static: {overhead:+.2%}"
             )
+        lines += _loss_lines("elastic", result.elastic[-1].n_nodes, result.elastic_loss)
     return "\n".join(lines)

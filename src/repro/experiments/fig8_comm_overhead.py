@@ -4,6 +4,10 @@ Paper: for a 1000-node run, per-rank message-passing overhead is hidden
 under the largest computation time — the reduce/broadcast wire time is
 microseconds while the per-rank compute skew (straggler wait, which shows
 up as communication/idle time) is seconds.
+
+The job runs traced; the report's last line is the trace analyzer on
+the first iteration's compute + reduce spans: the critical path's
+compute segment names the straggler, ``comm_wait`` is the fleet's wait.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 from repro.perfmodel.runtime import JobModel, JobResult
 from repro.perfmodel.workloads import BRCA, WorkloadSpec
 from repro.scheduling.schemes import SCHEME_3X1
+from repro.telemetry.critpath import analyze_trace
 
 __all__ = ["Fig8Result", "run", "report"]
 
@@ -66,11 +71,20 @@ def report(result: Fig8Result) -> str:
         "  communication hidden by largest computation time: "
         f"{result.comm_hidden} (paper: yes)"
     )
-    trace = result.job.trace
-    if trace is not None and trace.n_iterations:
-        crit = trace.critical_rank(0)
-        lines.append(
-            f"  critical path (iteration 1): rank {crit} computes last; "
-            f"other ranks wait {trace.wait_time(0):.1f} rank-seconds in the reduce"
-        )
+    first = [
+        s
+        for s in result.job.spans
+        if s["attrs"]["iteration"] == 0 and s["name"] in ("compute", "reduce")
+    ]
+    analysis = analyze_trace(first)
+    crit = next(
+        seg["rank"]
+        for seg in analysis["critical_path"]["segments"]
+        if seg["bucket"] == "compute"
+    )
+    waited = analysis["attribution"]["buckets"]["comm_wait"]
+    lines.append(
+        f"  critical path (iteration 1): rank {crit} computes last; "
+        f"the fleet waits {waited:.1f} rank-seconds in the reduce"
+    )
     return "\n".join(lines)

@@ -199,8 +199,7 @@ class BlockKernelExecutor:
     ) -> BlockResult:
         f_ord, d = self.scheme.flattened, self.scheme.inner
         words = tumor.n_words + normal.n_words
-        pre = min(self.memory.prefetched_rows, f_ord)
-        rows_loaded = (f_ord - pre) + d
+        pre, rows_loaded = self.memory.combo_rows(self.scheme)
         ops_combo = self.tuning.ops_per_combo(words, rows_loaded)
         setup_ops = self.tuning.setup_ops_per_thread(words, pre)
 

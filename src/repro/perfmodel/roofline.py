@@ -78,8 +78,7 @@ def operating_point(
     """
     memory = memory or MemoryConfig()
     tuning = tuning or TimingTuning()
-    pre = min(memory.prefetched_rows, scheme.flattened)
-    rows = (scheme.flattened - pre) + scheme.inner
+    _, rows = memory.combo_rows(scheme)
     ops = tuning.ops_per_combo(words, rows)
     raw_bytes = rows * words * 8
     dram_bytes = raw_bytes / tuning.cache_reuse

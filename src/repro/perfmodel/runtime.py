@@ -5,9 +5,16 @@
 each GPU partition's :class:`KernelStats` (exact thread / combination /
 byte counts), evaluates the V100 timing model per GPU, folds GPUs into
 per-rank times, and advances a :class:`VirtualCluster` through each
-iteration's compute + reduce + broadcast sequence.  BitSplicing shrinks
-the packed tumor width between iterations according to the iteration
-model's cover schedule.
+iteration's compute + reduce + broadcast + host-serial sequence.
+BitSplicing shrinks the packed tumor width between iterations according
+to the iteration model's cover schedule.
+
+That loop is written once: the elastic prediction
+(:func:`repro.perfmodel.scaling.elastic_job`) differs only in the
+schedule it cuts and in how kernel times fold into per-rank seconds.
+With ``trace=True`` the job comes back as ordinary :mod:`repro.telemetry`
+spans (``JobResult.spans``) for ``analyze_trace`` / ``multihit trace
+analyze``.
 
 Since only the packed word width changes between greedy iterations, the
 per-partition thread/combination/access structure is computed once per
@@ -24,7 +31,7 @@ import numpy as np
 
 from repro.bitmatrix.packing import words_for
 from repro.cluster.network import SUMMIT_NETWORK, NetworkModel
-from repro.cluster.virtual import VirtualCluster
+from repro.cluster.virtual import HOST_SERIAL, VirtualCluster
 from repro.core.combination import COMBO_RECORD_BYTES
 from repro.core.memopt import MemoryConfig, global_word_reads
 from repro.gpusim.device import V100, DeviceSpec
@@ -45,6 +52,7 @@ __all__ = [
     "partition_kernel_stats",
     "partition_profiles",
     "gpu_busy_times",
+    "single_gpu_scan_seconds",
 ]
 
 
@@ -127,8 +135,7 @@ def partition_profiles(schedule: Schedule, memory: MemoryConfig) -> list[Partiti
 def _stats_from_profile(
     prof: PartitionProfile, scheme: Scheme, words: int, memory: MemoryConfig
 ) -> KernelStats:
-    pre = min(memory.prefetched_rows, scheme.flattened)
-    rows = (scheme.flattened - pre) + scheme.inner
+    pre, rows = memory.combo_rows(scheme)
     return KernelStats(
         n_threads=prof.n_threads,
         n_combos=prof.n_combos,
@@ -169,7 +176,9 @@ class JobResult:
     rank_compute_s: np.ndarray
     rank_comm_s: np.ndarray
     setup_s: float
-    trace: "object | None" = None  # ClusterTrace when run(trace=True)
+    #: ``Tracer.export()``-shaped spans (virtual ns; set-up, being outside
+    #: the cluster clock, is not in them) when run with ``trace=True``.
+    spans: "list[dict] | None" = None
 
     @property
     def n_nodes(self) -> int:
@@ -220,8 +229,9 @@ class JobModel:
     def setup_seconds(self, n_nodes: int) -> float:
         return self.setup_base_s + self.setup_per_node_s * n_nodes
 
-    def _rank_times(self, gpu_times: np.ndarray, n_nodes: int) -> np.ndarray:
+    def _rank_times(self, cluster: VirtualCluster, gpu_times: np.ndarray) -> np.ndarray:
         """Fold per-GPU times into per-rank times (6 concurrent GPUs/rank)."""
+        n_nodes = cluster.n_ranks
         padded = np.zeros(n_nodes * self.gpus_per_node)
         padded[: len(gpu_times)] = gpu_times
         per_rank = padded.reshape(n_nodes, self.gpus_per_node).max(axis=1)
@@ -235,35 +245,35 @@ class JobModel:
         n_nodes: int,
         max_iterations: "int | None" = None,
         trace: bool = False,
+        schedule: "Schedule | None" = None,
+        fold=None,
     ) -> JobResult:
         """Predict the full greedy job on ``n_nodes`` nodes.
 
-        With ``trace=True`` the result carries a
-        :class:`repro.cluster.trace.ClusterTrace` with per-rank,
-        per-iteration phase events (compute / reduce / bcast).
+        Every iteration is kernel times → compute → reduce → broadcast →
+        serial host work on one :class:`VirtualCluster`; with
+        ``trace=True`` the result carries its spans.  ``schedule`` and
+        ``fold(cluster, part_times) -> per-rank compute seconds`` default
+        to the static fleet (one partition per GPU, a rank as slow as its
+        slowest GPU times its node jitter); the elastic prediction passes
+        its own, and its fold may churn ``cluster`` first.
         """
-        schedule = self.build_schedule(workload.g, n_nodes)
+        if schedule is None:
+            schedule = self.build_schedule(workload.g, n_nodes)
+        fold = fold or self._rank_times
         profiles = partition_profiles(schedule, self.memory)
-        if trace:
-            from repro.cluster.trace import TracingCluster
-
-            cluster = TracingCluster(n_nodes, network=self.network)
-        else:
-            cluster = VirtualCluster(n_ranks=n_nodes, network=self.network)
+        cluster = VirtualCluster(n_ranks=n_nodes, network=self.network, trace=trace)
         iteration_s: list[float] = []
         remaining = self.iteration_model.tumor_samples_remaining(workload.n_tumor)
         if max_iterations is not None:
             remaining = remaining[:max_iterations]
-        first = True
-        for n_t in remaining:
-            if trace and not first:
-                cluster.next_iteration()
-            first = False
+        for it, n_t in enumerate(remaining):
+            cluster.iteration = it
             t_words = (
                 words_for(n_t) if self.memory.bitsplice else workload.tumor_words
             )
             before = cluster.elapsed_s
-            gpu_times = gpu_busy_times(
+            part_times = gpu_busy_times(
                 schedule,
                 t_words,
                 workload.normal_words,
@@ -272,11 +282,13 @@ class JobModel:
                 self.tuning,
                 profiles=profiles,
             )
-            cluster.compute(self._rank_times(gpu_times, n_nodes))
+            cluster.compute(fold(cluster, part_times))
             cluster.reduce_to_root(COMBO_RECORD_BYTES)
             # Broadcast winner + covered-sample mask, then serial host work.
             cluster.bcast_from_root(COMBO_RECORD_BYTES + t_words * 8)
-            cluster.compute(np.full(n_nodes, self.host_iteration_s))
+            cluster.compute(
+                np.full(cluster.n_ranks, self.host_iteration_s), name=HOST_SERIAL
+            )
             iteration_s.append(cluster.elapsed_s - before)
         return JobResult(
             total_s=cluster.elapsed_s + self.setup_seconds(n_nodes),
@@ -284,7 +296,7 @@ class JobModel:
             rank_compute_s=cluster.compute_times(),
             rank_comm_s=cluster.comm_times(),
             setup_s=self.setup_seconds(n_nodes),
-            trace=cluster.trace if trace else None,
+            spans=cluster.spans,
         )
 
     # -- single-processor reference estimates ---------------------------
@@ -297,13 +309,13 @@ class JobModel:
             t_words = (
                 words_for(n_t) if self.memory.bitsplice else workload.tumor_words
             )
-            words = t_words + workload.normal_words
-            combos = math.comb(workload.g, scheme.hits)
-            pre = min(self.memory.prefetched_rows, scheme.flattened)
-            rows = (scheme.flattened - pre) + scheme.inner
-            ops = combos * self.tuning.ops_per_combo(words, rows)
-            total += ops / (
-                self.device.peak_int_ops_per_s * self.tuning.issue_efficiency
+            total += single_gpu_scan_seconds(
+                scheme,
+                workload.g,
+                t_words + workload.normal_words,
+                self.memory,
+                self.device,
+                self.tuning,
             )
         return total
 
@@ -338,29 +350,34 @@ def interleaved_gpu_busy_times(
     Same timing model as :func:`gpu_busy_times`; the statistics are summed
     over each partition's disjoint blocks.
     """
-    from repro.core.memopt import global_word_reads
-
     words = tumor_words + normal_words
     work = schedule.work_per_part()
-    pre = min(memory.prefetched_rows, schedule.scheme.flattened)
-    rows = (schedule.scheme.flattened - pre) + schedule.scheme.inner
     times = np.empty(schedule.n_parts)
     for p in range(schedule.n_parts):
-        reads = 0
-        n_threads = 0
-        for lo, hi in schedule.ranges(p):
-            reads += global_word_reads(
-                schedule.scheme, schedule.g, words, lo, hi, memory
-            )
-            n_threads += hi - lo
-        stats = KernelStats(
-            n_threads=n_threads,
+        blocks = schedule.ranges(p)
+        prof = PartitionProfile(
+            n_threads=sum(hi - lo for lo, hi in blocks),
             n_combos=work[p],
-            words_per_combo=words,
-            rows_per_combo=rows,
-            prefetched_rows=pre,
-            bytes_read=reads * 8,
             max_thread_combos=max(schedule.max_thread_work(p), 1 if work[p] else 0),
+            word_read_units=sum(
+                global_word_reads(schedule.scheme, schedule.g, 1, lo, hi, memory)
+                for lo, hi in blocks
+            ),
         )
+        stats = _stats_from_profile(prof, schedule.scheme, words, memory)
         times[p] = kernel_time(stats, device, tuning).total_s
     return times
+
+
+def single_gpu_scan_seconds(
+    scheme: Scheme,
+    g: int,
+    words: int,
+    memory: MemoryConfig,
+    device: DeviceSpec = V100,
+    tuning: TimingTuning = TimingTuning(),
+) -> float:
+    """One-device seconds to score all ``C(g, hits)`` combinations once."""
+    _, rows = memory.combo_rows(scheme)
+    ops = math.comb(g, scheme.hits) * tuning.ops_per_combo(words, rows)
+    return ops / (device.peak_int_ops_per_s * tuning.issue_efficiency)

@@ -28,15 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bitmatrix.packing import words_for
-from repro.cluster.virtual import VirtualCluster
-from repro.core.combination import COMBO_RECORD_BYTES
-from repro.perfmodel.runtime import JobModel, gpu_busy_times, partition_profiles
+from repro.perfmodel.runtime import JobModel, JobResult
 from repro.perfmodel.workloads import WorkloadSpec
 from repro.scheduling.equiarea import equiarea_schedule
 
 __all__ = [
     "ScalingPoint",
+    "elastic_job",
     "elastic_strong_scaling_sweep",
     "scaling_efficiency",
     "simulate_elastic_makespan",
@@ -209,10 +207,7 @@ def elastic_strong_scaling_sweep(
     :func:`simulate_elastic_makespan` while ``churn_fraction`` of the
     fleet leaves at ``leave_at`` completed-lease fraction and the same
     number joins back at ``join_at`` — the ±20% mid-solve swap of the
-    elastic benchmark.  Reduce/broadcast accounting rides a
-    :class:`VirtualCluster` whose membership churns via
-    :meth:`VirtualCluster.leave` / :meth:`VirtualCluster.join` in the
-    same iteration.
+    elastic benchmark (one :func:`elastic_job` per node count).
 
     Efficiency is relative to the **static** sweep's baseline runtime
     (``T_static(baseline) * baseline / (T_elastic(N) * N)``), so the
@@ -226,10 +221,10 @@ def elastic_strong_scaling_sweep(
     base_static = model.run(workload, baseline_nodes).total_s
     points = []
     for n in node_counts:
-        runtime = _elastic_runtime(
+        runtime = elastic_job(
             model, workload, n, churn_fraction, leave_at, join_at,
             leases_per_gpu,
-        )
+        ).total_s
         points.append(
             ScalingPoint(
                 n_nodes=n,
@@ -242,38 +237,36 @@ def elastic_strong_scaling_sweep(
     return points
 
 
-def _elastic_runtime(
+def elastic_job(
     model: JobModel,
     workload: WorkloadSpec,
     n_nodes: int,
-    churn_fraction: float,
-    leave_at: float,
-    join_at: float,
-    leases_per_gpu: int,
-) -> float:
-    """One elastic job prediction: stolen leases + churned collectives."""
+    churn_fraction: float = 0.2,
+    leave_at: float = 0.25,
+    join_at: float = 0.5,
+    leases_per_gpu: int = 4,
+    trace: bool = False,
+) -> JobResult:
+    """One elastic job prediction: stolen leases + churned collectives.
+
+    The job loop is :meth:`JobModel.run`; what is elastic is the
+    schedule (``leases_per_gpu`` equi-area leases per GPU) and the fold:
+    work stealing keeps every surviving executor busy until the pool
+    drains, so each rank's compute time is the list-scheduling makespan,
+    and the mid-solve ±``churn_fraction`` swap hits the first iteration
+    (the cluster's membership churns with it).
+    """
     n_exec = n_nodes * model.gpus_per_node
     schedule = equiarea_schedule(
         model.scheme, workload.g, n_exec * max(1, leases_per_gpu)
     )
-    profiles = partition_profiles(schedule, model.memory)
-    cluster = VirtualCluster(n_ranks=n_nodes, network=model.network)
     k_exec = max(1, round(n_exec * churn_fraction))
     k_nodes = max(1, round(n_nodes * churn_fraction))
-    churned = False
-    for n_t in model.iteration_model.tumor_samples_remaining(workload.n_tumor):
-        t_words = words_for(n_t) if model.memory.bitsplice else workload.tumor_words
-        lease_times = gpu_busy_times(
-            schedule,
-            t_words,
-            workload.normal_words,
-            model.memory,
-            model.device,
-            model.tuning,
-            profiles=profiles,
-        )
-        if not churned:
-            # The mid-solve ±churn_fraction swap hits the first iteration.
+
+    def fold(cluster, lease_times):
+        if cluster.iteration:
+            makespan = simulate_elastic_makespan(lease_times, n_exec)
+        else:
             makespan = simulate_elastic_makespan(
                 lease_times, n_exec,
                 leaves=((leave_at, k_exec),), joins=((join_at, k_exec),),
@@ -281,13 +274,6 @@ def _elastic_runtime(
             if n_nodes > k_nodes:
                 cluster.leave(list(range(n_nodes - k_nodes, n_nodes)))
                 cluster.join(k_nodes)
-            churned = True
-        else:
-            makespan = simulate_elastic_makespan(lease_times, n_exec)
-        # Work stealing keeps every surviving executor busy until the
-        # pool drains, so each rank's compute time is the makespan.
-        cluster.compute(np.full(cluster.n_ranks, makespan))
-        cluster.reduce_to_root(COMBO_RECORD_BYTES)
-        cluster.bcast_from_root(COMBO_RECORD_BYTES + t_words * 8)
-        cluster.compute(np.full(cluster.n_ranks, model.host_iteration_s))
-    return cluster.elapsed_s + model.setup_seconds(n_nodes)
+        return np.full(cluster.n_ranks, makespan)
+
+    return model.run(workload, n_nodes, trace=trace, schedule=schedule, fold=fold)

@@ -24,12 +24,13 @@ resumes from its per-job checkpoint file rather than restarting.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.telemetry.export import atomic_write_text
 
 __all__ = [
     "ACTIVE_STATES",
@@ -288,16 +289,10 @@ class JobStore:
         self._save_locked(job)
 
     def _save_locked(self, job: Job) -> None:
-        path = self.jobs_dir / f"{job.job_id}.json"
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(json.dumps(job.to_payload()) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        atomic_write_text(
+            self.jobs_dir / f"{job.job_id}.json",
+            json.dumps(job.to_payload()) + "\n",
+        )
 
     def save(self, job: Job) -> None:
         with self._lock:

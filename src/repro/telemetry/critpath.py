@@ -30,8 +30,13 @@ retry          ``fault.retry`` recovery attempts
 steal          searches of stolen leases (``attrs.stolen``)
 checkpoint     ``cat == "checkpoint"`` — state save I/O
 idle           runner scaffolding (``spmd.rank``/``spmd.world``
-               exclusive time) and the virtual root
+               exclusive time), a simulated job's per-iteration
+               serial host work (``host.serial``) and the virtual root
 =============  =====================================================
+
+Timestamps are only ever subtracted and compared, so the same analysis
+runs on a :class:`~repro.cluster.virtual.VirtualCluster` trace, whose
+``start_ns``/``end_ns`` are model seconds × 1e9 rather than clock reads.
 
 Exclusive time is a span's duration minus its direct children's
 (clipped) durations, so per-lane buckets sum to the lane's root span
@@ -69,7 +74,7 @@ BUCKETS = (
 )
 
 #: Spans whose *exclusive* time is runner scaffolding, not work.
-_IDLE_NAMES = frozenset({"spmd.rank", "spmd.world", "__root__"})
+_IDLE_NAMES = frozenset({"spmd.rank", "spmd.world", "host.serial", "__root__"})
 
 
 def classify_span(span: dict) -> str:

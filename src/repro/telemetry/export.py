@@ -14,9 +14,9 @@ Three consumers, three formats:
   trajectory through this.
 
 Every exporter writes through :func:`atomic_write_text` — parent
-directories created, tmp + fsync + ``os.replace`` — the same atomicity
-discipline as checkpoints, so a crash mid-export (exactly when a trace
-is most wanted) never leaves a torn artifact.
+directories created, tmp + fsync + ``os.replace``; checkpoints and job
+files go through the same function — so a crash mid-export (exactly
+when a trace is most wanted) never leaves a torn artifact.
 """
 
 from __future__ import annotations
@@ -44,9 +44,11 @@ SUMMARY_SCHEMA = "repro.telemetry.summary/v1"
 def atomic_write_text(path: "str | Path", text: str) -> Path:
     """Write ``text`` to ``path`` atomically (tmp + fsync + ``os.replace``).
 
-    Same discipline as checkpoint writes (:func:`repro.core.checkpoint.
-    save_state`): a crash mid-export can never leave a torn file behind —
-    ``path`` holds either the previous complete artifact or the new one.
+    The one durable-write body of the repo — exporters, checkpoints
+    (:func:`repro.core.checkpoint.save_state`) and the gateway's job
+    store all call it: a crash mid-write can never leave a torn file
+    behind — ``path`` holds either the previous complete artifact or the
+    new one.
     Parent directories are created as needed, so exporters can target
     per-run output trees that do not exist yet.
     """

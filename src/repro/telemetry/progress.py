@@ -69,22 +69,18 @@ def eta_seconds(
 def perfmodel_rate(scheme, n_genes: int, words: int, memory=None) -> float:
     """Timing-model combinations/second for one device (the ETA prior).
 
-    Same arithmetic as :meth:`repro.perfmodel.runtime.JobModel.
-    single_gpu_seconds`, reduced to a rate: combinations per second a
-    V100 sustains on a ``words``-wide packed cohort under ``scheme``.
+    :func:`repro.perfmodel.runtime.single_gpu_scan_seconds` (the term
+    ``JobModel.single_gpu_seconds`` sums per iteration) reduced to a
+    rate: combinations per second a V100 sustains on a ``words``-wide
+    packed cohort under ``scheme``.
     """
     from repro.core.memopt import MemoryConfig
-    from repro.gpusim.device import V100
-    from repro.gpusim.timing import TimingTuning
+    from repro.perfmodel.runtime import single_gpu_scan_seconds
 
-    memory = memory if memory is not None else MemoryConfig()
-    tuning = TimingTuning()
-    pre = min(memory.prefetched_rows, scheme.flattened)
-    rows = (scheme.flattened - pre) + scheme.inner
-    combos = math.comb(n_genes, scheme.hits)
-    ops = combos * tuning.ops_per_combo(words, rows)
-    seconds = ops / (V100.peak_int_ops_per_s * tuning.issue_efficiency)
-    return combos / seconds if seconds > 0 else 0.0
+    seconds = single_gpu_scan_seconds(
+        scheme, n_genes, words, memory if memory is not None else MemoryConfig()
+    )
+    return math.comb(n_genes, scheme.hits) / seconds if seconds > 0 else 0.0
 
 
 @dataclass(frozen=True)
