@@ -7,14 +7,12 @@ bands in :mod:`repro.telemetry.regress` and exits non-zero when any
 gated metric regressed::
 
     PYTHONPATH=src python benchmarks/check_regression.py
-    PYTHONPATH=src python benchmarks/check_regression.py --skip-wall
     PYTHONPATH=src python benchmarks/check_regression.py \\
         --current-dir . --baseline-dir benchmarks/baselines --names greedy
 
-``--skip-wall`` drops wall-clock checks — the right mode when current
-summaries were regenerated on a different machine than the baselines
-(CI runners vs. the committing developer's box); the deterministic
-counter and efficiency gates still apply.
+Every gated metric is deterministic for a fixed seed, so summaries
+regenerated on another machine (a CI runner) gate the same way;
+wall-clock belongs to ``benchmarks/perf/``.
 
 Exit codes: 0 all gates pass, 1 regression detected, 2 usage error.
 """
@@ -47,10 +45,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "--names", nargs="*", default=sorted(DEFAULT_CHECKS),
         help="benchmark names to gate (default: every name with checks)",
     )
-    parser.add_argument(
-        "--skip-wall", action="store_true",
-        help="skip wall-clock checks (cross-machine comparison)",
-    )
     args = parser.parse_args(argv)
 
     unknown = [n for n in args.names if n not in DEFAULT_CHECKS]
@@ -66,7 +60,7 @@ def main(argv: "list[str] | None" = None) -> int:
         )
         for name in args.names
     ]
-    regressions, notes = check_files(pairs, skip_wall=args.skip_wall)
+    regressions, notes = check_files(pairs)
     for note in notes:
         print(note)
     if regressions:

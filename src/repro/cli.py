@@ -50,20 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
              "fewer combinations scored from iteration 2 on)",
     )
     p_solve.add_argument(
-        "--prune-blocks", type=int, default=64, metavar="N",
-        help="target λ-block count for the pruning bound table (default 64)",
-    )
-    p_solve.add_argument(
         "--elastic", action="store_true",
         help="lease-based work stealing instead of fixed partitions "
-             "(pool/distributed backends; winners stay bit-identical, "
-             "and membership churn — joins, leaves, dead ranks — is "
-             "absorbed by survivors stealing the affected λ-leases)",
-    )
-    p_solve.add_argument(
-        "--lease-blocks", type=int, default=0, metavar="N",
-        help="λ-range leases per arg-max call with --elastic "
-             "(default 0 = four per rank/worker)",
+             "(pool/distributed backends, four leases per rank/worker; "
+             "winners stay bit-identical, and membership churn — joins, "
+             "leaves, dead ranks — is absorbed by survivors stealing the "
+             "affected λ-leases)",
     )
     p_solve.add_argument(
         "--sparse", action=argparse.BooleanOptionalAction, default=True,
@@ -71,11 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
              "shared-prefix AND caching and zero-prefix run skipping "
              "(bit-identical winners; --no-sparse restores the dense "
              "traffic model)",
-    )
-    p_solve.add_argument(
-        "--word-stride", type=int, default=64, metavar="W",
-        help="fused-scan slice width in packed words "
-             "(positive multiple of 8; default 64)",
     )
     p_solve.add_argument("--output", type=str, default=None, help="save result JSON")
     p_solve.add_argument(
@@ -283,9 +270,7 @@ def _run_solve(args: argparse.Namespace, telemetry) -> int:
         hits = args.hits
     solver = MultiHitSolver(
         hits=hits, backend=args.backend, n_nodes=args.nodes, n_workers=args.workers,
-        prune=args.prune, prune_blocks=args.prune_blocks,
-        elastic=args.elastic, lease_blocks=args.lease_blocks,
-        sparse=args.sparse, word_stride=args.word_stride,
+        prune=args.prune, elastic=args.elastic, sparse=args.sparse,
     )
     if args.checkpoint:
         from pathlib import Path

@@ -297,7 +297,6 @@ def spmd_best_combo(
     iteration: int = 0,
     memory: "MemoryConfig | None" = None,
     sparse: bool = False,
-    word_stride: "int | None" = None,
     autoscale: "AutoscalePolicy | None" = None,
     max_wall_s: float = 120.0,
     call: int = 0,
@@ -320,7 +319,7 @@ def spmd_best_combo(
     search = partial(
         search_lease, scheme, tumor=tumor, normal=normal, params=params,
         bounds=bounds, iteration=iteration, memory=memory, sparse=sparse,
-        word_stride=word_stride, call=call, fold_lock=threading.Lock(),
+        call=call, fold_lock=threading.Lock(),
     )
     ElasticSPMDRunner(
         n_ranks=n_ranks,

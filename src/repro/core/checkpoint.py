@@ -158,16 +158,15 @@ def solve_with_checkpoints(
     tumor,
     normal,
     path: "str | Path",
-    resume_if_exists: bool = True,
     every: int = 1,
     on_iteration=None,
     should_stop=None,
 ):
     """Run a solver, persisting a checkpoint every ``every`` iterations.
 
-    If ``path`` exists (and ``resume_if_exists``), the run continues from
-    it; either way the file tracks a recent completed iteration, so an
-    interrupted process can always be relaunched with the same call.
+    If ``path`` exists, the run continues from it; either way the file
+    tracks a recent completed iteration, so an interrupted process can
+    always be relaunched with the same call.
     ``every > 1`` trades re-computable iterations for checkpoint I/O;
     the final state is always persisted regardless of cadence, and each
     write is atomic (see :func:`save_state`).
@@ -181,9 +180,7 @@ def solve_with_checkpoints(
     if every < 1:
         raise ValueError("every must be >= 1")
     path = Path(path)
-    resume = None
-    if resume_if_exists and path.exists():
-        resume = load_state(path)
+    resume = load_state(path) if path.exists() else None
 
     last: "list[SolverState | None]" = [None]
     seen = [0]

@@ -16,9 +16,10 @@ The two scheduling modes differ only in the ledger they build:
   boundaries and each lease is **pinned** to the rank that owns the
   partition (``part // gpus_per_node``), so a healthy run is exactly the
   paper's one-partition-per-GPU schedule;
-* ``elastic=True``: ``lease_blocks`` equi-area cuts, nothing pinned —
-  whichever rank is free pulls the next lease, and ``membership``-site
-  :class:`FaultSpec` churn (join/leave) resizes the roster mid-call.
+* ``elastic=True``: :data:`LEASES_PER_PULLER` equi-area cuts per rank,
+  nothing pinned — whichever rank is free pulls the next lease, and
+  ``membership``-site :class:`FaultSpec` churn (join/leave) resizes the
+  roster mid-call.
 
 Recovery is one rule for both: a crash or hang on a granted lease is
 retried by the same holder up to ``retry_policy.resubmits`` times with
@@ -49,7 +50,7 @@ from repro.core.reduction import ReductionStats, multi_stage_reduce
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.faults.report import FaultReport
-from repro.scheduling.equiarea import equiarea_schedule
+from repro.scheduling.equiarea import LEASES_PER_PULLER, equiarea_schedule
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.schemes import Scheme
 from repro.telemetry.session import get_telemetry
@@ -75,7 +76,6 @@ def search_lease(
     iteration: int = 0,
     memory: "MemoryConfig | None" = None,
     sparse: bool = False,
-    word_stride: "int | None" = None,
     call: int = 0,
     stall_s: float = 0.0,
     fold_lock=nullcontext(),
@@ -123,7 +123,6 @@ def search_lease(
             bounds=lease_bounds,
             iteration=iteration,
             sparse=sparse,
-            word_stride=word_stride,
         )
     if lease_bounds is not None:
         deltas = lease_bounds.deltas(iteration)
@@ -255,9 +254,9 @@ class DistributedEngine:
     static partition (equi-area by default).
 
     ``elastic`` replaces the pinned partition-per-GPU leases with
-    ``lease_blocks`` unpinned ones (``0`` auto-sizes to ``4 * n_nodes``)
-    that ranks pull round-robin; membership churn specs grow/shrink the
-    roster mid-call.  Winners are bit-identical either way.
+    :data:`LEASES_PER_PULLER` unpinned ones per node that ranks pull
+    round-robin; membership churn specs grow/shrink the roster
+    mid-call.  Winners are bit-identical either way.
 
     ``fault_plan`` injects rank faults and churn; recovery follows the
     module's one rule under ``retry_policy``, and everything
@@ -272,9 +271,7 @@ class DistributedEngine:
     fault_plan: "FaultPlan | None" = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     elastic: bool = False
-    lease_blocks: int = 0
     sparse: bool = False
-    word_stride: "int | None" = None
     report: FaultReport = field(
         default_factory=FaultReport, repr=False, compare=False
     )
@@ -299,19 +296,18 @@ class DistributedEngine:
         table, so every lease is a whole number of λ-blocks and pruning
         survives work stealing).
 
-        Static: the schedule's partition cuts.  Elastic: ``lease_blocks``
-        equi-area cuts, finer than one-per-rank (default ``4 * n_nodes``)
-        so stealing has grain: losing a rank re-pools a few leases, not
-        a sixth of the grid.
+        Static: the schedule's partition cuts.  Elastic:
+        :data:`LEASES_PER_PULLER` equi-area cuts per node, so losing a
+        rank re-pools a few leases, not its whole share of the grid.
         """
         if not self.elastic:
             return tuple(self.build_schedule(g).boundaries)
         from repro.scheduling.equiarea import equiarea_range_boundaries
         from repro.scheduling.workload import total_threads
 
-        n = self.lease_blocks if self.lease_blocks > 0 else 4 * self.n_nodes
         return equiarea_range_boundaries(
-            self.scheme, g, 0, total_threads(self.scheme, g), n
+            self.scheme, g, 0, total_threads(self.scheme, g),
+            LEASES_PER_PULLER * self.n_nodes,
         )
 
     def close(self) -> None:
@@ -354,8 +350,7 @@ class DistributedEngine:
         search = partial(
             search_lease, self.scheme, tumor=tumor, normal=normal,
             params=params, bounds=bounds, iteration=iteration,
-            memory=self.memory, sparse=self.sparse,
-            word_stride=self.word_stride, call=call,
+            memory=self.memory, sparse=self.sparse, call=call,
         )
         roster = list(range(self.n_nodes))
 

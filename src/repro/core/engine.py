@@ -603,16 +603,13 @@ class SingleGpuEngine:
 
     The distributed engine instantiates one of these per GPU partition;
     used standalone it searches the whole grid (the "single V100" baseline
-    configuration of the prior paper).  ``sparse`` / ``word_stride``
-    select the sparsity-driven scoring path and the fused slice width
-    (``None`` = the kernel default); winners are bit-identical either
-    way.
+    configuration of the prior paper).  ``sparse`` selects the
+    sparsity-driven scoring path; winners are bit-identical either way.
     """
 
     scheme: Scheme
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     sparse: bool = False
-    word_stride: "int | None" = None
 
     def best_combo(
         self,
@@ -641,5 +638,4 @@ class SingleGpuEngine:
             bounds=bounds,
             iteration=iteration,
             sparse=self.sparse,
-            word_stride=self.word_stride,
         )

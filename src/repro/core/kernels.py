@@ -53,24 +53,18 @@ from repro.core.fscore import FScoreParams, fscore
 __all__ = [
     "DEFAULT_WORD_STRIDE",
     "KernelCounters",
-    "WORD_STRIDE",
     "best_of",
     "fused_pair_popcount",
     "resolve_word_stride",
     "score_combos",
     "score_combos_reference",
     "tp_zero_ceiling",
-    "validate_word_stride",
 ]
 
 # Packed uint64 words per fused pass (512 B per row slice): with the
 # broadcast chunking in the engine the live working set stays within L1/L2
 # while each word is still touched exactly once.
 DEFAULT_WORD_STRIDE = 64
-
-# Back-compat module constant; the kernels now take ``word_stride`` as a
-# parameter and fall back to this default when passed ``None``.
-WORD_STRIDE = DEFAULT_WORD_STRIDE
 
 
 def resolve_word_stride(word_stride: "int | None") -> int:
@@ -81,17 +75,6 @@ def resolve_word_stride(word_stride: "int | None") -> int:
     ws = int(word_stride)
     if ws < 1:
         raise ValueError(f"word_stride must be >= 1, got {word_stride}")
-    return ws
-
-
-def validate_word_stride(word_stride: int) -> int:
-    """Solver-level stride policy: a positive multiple of 8, so every
-    configuration ships whole cache lines and all workers agree."""
-    ws = int(word_stride)
-    if ws < 1 or ws % 8:
-        raise ValueError(
-            f"word_stride must be a positive multiple of 8, got {word_stride}"
-        )
     return ws
 
 

@@ -65,7 +65,7 @@ from repro.core.reduction import multi_stage_reduce
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.policy import RetryPolicy
 from repro.faults.report import FaultReport
-from repro.scheduling.equiarea import equiarea_range_boundaries
+from repro.scheduling.equiarea import LEASES_PER_PULLER, equiarea_range_boundaries
 from repro.scheduling.schemes import Scheme
 from repro.telemetry.session import Telemetry, get_telemetry
 from repro.scheduling.workload import (
@@ -116,7 +116,6 @@ class _ChunkTask:
     bounds: "dict | None" = None
     iteration: int = 0
     sparse: bool = False
-    word_stride: "int | None" = None
 
 
 # Per-worker cache: segment name -> (SharedMemory handle, word-array view).
@@ -179,7 +178,6 @@ def _scan(task: _ChunkTask, tumor: BitMatrix, normal: BitMatrix):
         bounds=local_bounds,
         iteration=task.iteration,
         sparse=task.sparse,
-        word_stride=task.word_stride,
     )
     deltas = (
         local_bounds.deltas(task.iteration) if local_bounds is not None else None
@@ -304,33 +302,27 @@ class PoolEngine:
         Worker processes in the persistent pool.
     memory:
         Memory-optimization config forwarded to every chunk search.
-    timeout:
-        Per-chunk seconds before the parent gives up on a worker and
-        recovers the chunk (``None`` falls back to
-        ``retry_policy.deadline_s``; if both are ``None``, waits
-        forever).
-    start_method:
-        ``multiprocessing`` start method; default prefers ``fork``.
     retry_policy:
-        Shared recovery policy: ``resubmits`` re-submissions to the
+        Shared recovery policy: ``deadline_s`` is the per-chunk seconds
+        before the parent gives up on a worker and recovers the chunk
+        (``None`` waits forever); ``resubmits`` re-submissions to the
         (rebuilt) pool with backoff before the guaranteed inline
-        retry; ``deadline_s`` as the default chunk deadline;
-        ``straggler_after_s`` as the soft straggler-detection
+        retry; ``straggler_after_s`` as the soft straggler-detection
         threshold.
     fault_plan:
         Optional deterministic fault injection (site ``"pool"``,
         target = chunk index, call = arg-max call number).
-    lease_blocks:
-        ``> 0`` switches the call to lease-grained scheduling: the range
-        is cut into ``lease_blocks`` equi-area leases (finer than
-        one-per-worker) all submitted up front — the executor's task
-        queue then *is* the work-stealing mechanism (a free worker pulls
-        the next lease, so a straggling worker cannot hold back more
-        than one lease's work), and the timeout/resubmit recovery path
-        doubles as the steal of a lost lease.  Winners and merged
+    elastic:
+        Lease-grained scheduling: the range is cut into
+        :data:`LEASES_PER_PULLER` equi-area leases per worker instead of
+        one chunk per worker, all submitted up front — the executor's
+        task queue then *is* the work-stealing mechanism (a free worker
+        pulls the next lease, so a straggling worker cannot hold back
+        more than one lease's work), and the timeout/resubmit recovery
+        path doubles as the steal of a lost lease.  Winners and merged
         counters are bit-identical to the default cut: both feed the
         same partition-ordered reduce.
-    sparse / word_stride:
+    sparse:
         Forwarded to every chunk's :func:`best_in_thread_range`; the
         sparsity-driven path changes traffic (and its counters are
         partition-dependent, since prefix runs split at chunk
@@ -340,13 +332,10 @@ class PoolEngine:
     scheme: Scheme
     n_workers: int = 2
     memory: MemoryConfig = field(default_factory=MemoryConfig)
-    timeout: "float | None" = None
-    start_method: "str | None" = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     fault_plan: "FaultPlan | None" = None
-    lease_blocks: int = 0
+    elastic: bool = False
     sparse: bool = False
-    word_stride: "int | None" = None
     report: FaultReport = field(
         default_factory=FaultReport, repr=False, compare=False
     )
@@ -362,14 +351,12 @@ class PoolEngine:
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.lease_blocks < 0:
-            raise ValueError("lease_blocks must be >= 0")
 
     @property
     def _n_cuts(self) -> int:
-        """Ranges per call: lease-grained when leasing, else one per
+        """Ranges per call: lease-grained when elastic, else one per
         worker (the paper's one-partition-per-device shape)."""
-        return max(self.lease_blocks, self.n_workers)
+        return (LEASES_PER_PULLER if self.elastic else 1) * self.n_workers
 
     # -- pool / shared-memory lifecycle -------------------------------
 
@@ -377,13 +364,12 @@ class PoolEngine:
         if self._pool is None:
             import multiprocessing
 
-            method = self.start_method
-            if method is None:
-                methods = multiprocessing.get_all_start_methods()
-                method = "fork" if "fork" in methods else methods[0]
+            try:  # fork where the platform has it, else its default
+                context = multiprocessing.get_context("fork")
+            except ValueError:
+                context = multiprocessing.get_context()
             self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                mp_context=multiprocessing.get_context(method),
+                max_workers=self.n_workers, mp_context=context
             )
         return self._pool
 
@@ -481,12 +467,12 @@ class PoolEngine:
 
     def _recover_chunk(
         self, exc: BaseException, chunk: int, call: int, task: _ChunkTask,
-        tumor, normal, timeout: "float | None",
+        tumor, normal,
     ):
         """Detected loss of one chunk: resubmit per policy, then inline."""
         kind = "hang" if isinstance(exc, TimeoutError) else "crash"
         self._note_failure(exc)
-        if self.lease_blocks > 0:
+        if self.elastic:
             # On the lease path a recovered chunk is a stolen lease: the
             # range moves from the lost worker to a new holder (another
             # worker on resubmit, the parent on the inline fallback).
@@ -516,7 +502,7 @@ class PoolEngine:
                 try:
                     out = self._ensure_pool().submit(
                         _search_chunk, retry_task
-                    ).result(timeout=timeout)
+                    ).result(timeout=policy.deadline_s)
                 except (BrokenExecutor, TimeoutError, OSError) as exc2:
                     self._note_failure(exc2)
                     self.report.record(
@@ -608,11 +594,7 @@ class PoolEngine:
         call = self._calls
         self._calls += 1
         tel = get_telemetry()
-        timeout = (
-            self.timeout
-            if self.timeout is not None
-            else self.retry_policy.deadline_s
-        )
+        timeout = self.retry_policy.deadline_s
         if stats is not None:
             stats.n_workers = self.n_workers
 
@@ -659,7 +641,6 @@ class PoolEngine:
                 ),
                 iteration=iteration,
                 sparse=self.sparse,
-                word_stride=self.word_stride,
             )
             for i, (lo, hi) in enumerate(ranges)
         ]
@@ -680,9 +661,7 @@ class PoolEngine:
             futures = None
             results = [
                 self._ingest(
-                    self._recover_chunk(
-                        exc, i, call, task, tumor, normal, timeout
-                    ),
+                    self._recover_chunk(exc, i, call, task, tumor, normal),
                     tel,
                 )
                 for i, task in enumerate(tasks)
@@ -693,9 +672,7 @@ class PoolEngine:
                 try:
                     result = fut.result(timeout=timeout) + (False,)
                 except (BrokenExecutor, TimeoutError, OSError) as exc:
-                    result = self._recover_chunk(
-                        exc, i, call, task, tumor, normal, timeout
-                    )
+                    result = self._recover_chunk(exc, i, call, task, tumor, normal)
                 results.append(self._ingest(result, tel))
 
         prefix = work_prefix_by_level(self.scheme, g)
@@ -731,7 +708,7 @@ class PoolEngine:
         if tel.enabled:
             tel.count("pool.chunks", len(ranges))
             tel.count("pool.calls")
-            if self.lease_blocks > 0:
+            if self.elastic:
                 # Lease accounting on the pool path: every submitted
                 # range is a grant (steals are counted at recovery).
                 tel.count("lease.grants", len(ranges))

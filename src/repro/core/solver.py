@@ -23,11 +23,7 @@ from repro.core.combination import MultiHitCombination
 from repro.core.distributed import DistributedEngine
 from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import DEFAULT_ALPHA, FScoreParams
-from repro.core.kernels import (
-    DEFAULT_WORD_STRIDE,
-    KernelCounters,
-    validate_word_stride,
-)
+from repro.core.kernels import KernelCounters
 from repro.core.memopt import MemoryConfig
 from repro.core.pool import PoolEngine
 from repro.core.sequential import sequential_best_combo
@@ -111,8 +107,7 @@ class _LocalEngine:
 def _single_engine(solver: "MultiHitSolver"):
     return _LocalEngine(
         SingleGpuEngine(
-            scheme=solver.scheme, memory=solver.memory,
-            sparse=solver.sparse, word_stride=solver.word_stride,
+            scheme=solver.scheme, memory=solver.memory, sparse=solver.sparse
         ).best_combo
     )
 
@@ -130,16 +125,14 @@ def _pool_engine(solver: "MultiHitSolver"):
     # One persistent pool for the whole greedy run: workers (and the
     # normal matrix's shared segment) survive across iterations; only
     # the re-spliced tumor matrix is re-shipped.
-    leases = (solver.lease_blocks or 4 * solver.n_workers) if solver.elastic else 0
     return PoolEngine(
         scheme=solver.scheme,
         n_workers=solver.n_workers,
         memory=solver.memory,
         fault_plan=solver.fault_plan,
         retry_policy=solver.retry_policy or RetryPolicy(),
-        lease_blocks=leases,
+        elastic=solver.elastic,
         sparse=solver.sparse,
-        word_stride=solver.word_stride,
     )
 
 
@@ -155,9 +148,7 @@ def _distributed_engine(solver: "MultiHitSolver"):
         fault_plan=solver.fault_plan,
         retry_policy=solver.retry_policy or RetryPolicy(),
         elastic=solver.elastic,
-        lease_blocks=solver.lease_blocks,
         sparse=solver.sparse,
-        word_stride=solver.word_stride,
     )
 
 
@@ -215,22 +206,16 @@ class MultiHitSolver:
         width).  Results are bit-identical to the unpruned engine on
         every backend; only the work counters (and wall time) change.
         Ignored by the ``"sequential"`` oracle.
-    prune_blocks:
-        Target λ-block count for the bound table (finer blocks prune
-        more combinations at slightly more bookkeeping); the backend's
-        chunk/partition cuts are merged in on top, and blocks are
-        grouped into super-blocks of :attr:`BoundTable.super_size` for
-        the hierarchical skip.
+        The bound table has :meth:`BoundTable.build`'s default block
+        count with the backend's chunk/partition cuts merged in on top.
     elastic:
         Lease-based work stealing instead of fixed partitions
         (``"distributed"`` and ``"pool"`` backends).  The λ-space is cut
-        into ``lease_blocks`` equi-area leases; ranks pull leases, a
-        dead rank's leases are stolen by survivors, and ``membership``-
-        site :class:`FaultSpec` churn (join/leave) resizes the fleet
+        into :data:`repro.scheduling.equiarea.LEASES_PER_PULLER`
+        equi-area leases per rank/worker; ranks pull leases, a dead
+        rank's leases are stolen by survivors, and ``membership``-site
+        :class:`FaultSpec` churn (join/leave) resizes the fleet
         mid-solve.  Winners are bit-identical to the static run.
-    lease_blocks:
-        Leases per arg-max call when ``elastic`` (``0`` auto-sizes to
-        four per rank/worker).
     sparse:
         Sparsity-driven scoring path (default on): nonzero-stride
         skipping, shared-prefix AND caching and zero-prefix run
@@ -240,10 +225,10 @@ class MultiHitSolver:
         actually gathered, with the difference in
         ``counters.word_reads_skipped``.  Ignored by the
         ``"sequential"`` oracle.
-    word_stride:
-        Fused-scan slice width in packed words (default 64).  Must be a
-        positive multiple of 8 — the deployment policy; the kernels
-        themselves accept any positive stride for testing.
+
+    These fields are the one declaration of the solve-path options (the
+    CLI and the gateway build a ``MultiHitSolver`` from what they are
+    given) and ``__post_init__`` is the one value check.
     """
 
     hits: int = 4
@@ -258,11 +243,8 @@ class MultiHitSolver:
     fault_plan: "FaultPlan | None" = None
     retry_policy: "RetryPolicy | None" = None
     prune: bool = False
-    prune_blocks: int = 64
     elastic: bool = False
-    lease_blocks: int = 0
     sparse: bool = True
-    word_stride: int = DEFAULT_WORD_STRIDE
 
     def __post_init__(self) -> None:
         if self.hits < 2:
@@ -275,17 +257,13 @@ class MultiHitSolver:
             )
         if self.backend not in _ENGINES:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if self.prune_blocks < 1:
-            raise ValueError("prune_blocks must be >= 1")
-        if self.lease_blocks < 0:
-            raise ValueError("lease_blocks must be >= 0")
+        if min(self.n_workers, self.n_nodes, self.gpus_per_node) < 1:
+            raise ValueError("n_workers, n_nodes and gpus_per_node must be >= 1")
         if self.elastic and self.backend not in ("pool", "distributed"):
             raise ValueError(
-                "elastic work stealing needs the pool or distributed backend"
+                "elastic work stealing needs backend 'pool' or 'distributed' "
+                f"set explicitly, got {self.backend!r}"
             )
-        validate_word_stride(self.word_stride)
 
     # -- greedy loop ---------------------------------------------------
 
@@ -390,13 +368,8 @@ class MultiHitSolver:
         """
         if not self.prune or self.backend == "sequential":
             return None
-        with get_telemetry().span(
-            "prune.table_build", cat="solver", n_blocks=self.prune_blocks
-        ):
-            table = BoundTable.build(
-                self.scheme, g, cuts=engine.chunk_cuts(g),
-                n_blocks=self.prune_blocks,
-            )
+        with get_telemetry().span("prune.table_build", cat="solver"):
+            table = BoundTable.build(self.scheme, g, cuts=engine.chunk_cuts(g))
         persisted = getattr(resume, "bound_table", None)
         if persisted is not None:
             restored = BoundTable.from_payload(persisted)

@@ -29,11 +29,18 @@ from repro.scheduling.workload import (
 )
 
 __all__ = [
+    "LEASES_PER_PULLER",
     "equiarea_schedule",
     "equiarea_schedule_naive",
     "equiarea_range_boundaries",
     "lambda_cut_for_work",
 ]
+
+#: The elastic lease grain: equi-area ranges cut per puller (pool worker
+#: or rank) when work is pulled rather than pre-assigned.  Finer than
+#: one-per-puller so stealing has grain — a lost or straggling puller
+#: re-pools a quarter of its share, not all of it.
+LEASES_PER_PULLER = 4
 
 
 def lambda_cut_for_work(

@@ -19,7 +19,8 @@ gateway boot):
   proportional to their share of the outstanding work.
 
 A tenant may pin ``solver.backend`` / ``solver.n_workers`` in the
-submission; the policy honors pins and budgets around them.
+submission (value-checked there, so used here as given); the policy
+honors pins and budgets around them.
 """
 
 from __future__ import annotations
@@ -120,24 +121,20 @@ class DispatchPolicy:
     def choose(self, job, fleet: FleetState) -> DispatchDecision:
         raise NotImplementedError
 
-    def _pins(self, job) -> dict:
-        """Tenant-pinned solver knobs the policy must honor."""
-        return job.spec.get("solver", {})
-
     def _decide(
         self, job, fleet: FleetState, backend: str, n_workers: int,
         est_cost: float = 0.0,
     ) -> DispatchDecision:
-        pins = self._pins(job)
+        pins = job.spec.get("solver", {})  # tenant pins, to be honored
         backend = pins.get("backend", backend)
         if backend == "single":
             n_workers = 1
-        n_workers = int(pins.get("n_workers", n_workers))
+        n_workers = pins.get("n_workers", n_workers)
         n_workers = max(1, min(n_workers, fleet.max_workers))
         return DispatchDecision(
             backend=backend,
             n_workers=n_workers,
-            n_nodes=int(pins.get("n_nodes", max(1, n_workers))),
+            n_nodes=pins.get("n_nodes", max(1, n_workers)),
             policy=self.name,
             est_cost=est_cost,
         )

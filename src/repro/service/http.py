@@ -45,6 +45,7 @@ import re
 from pathlib import Path
 from urllib.parse import parse_qs
 
+from repro.core.solver import MultiHitSolver
 from repro.service.dispatch import dispatch_policy
 from repro.service.jobs import Job, JobState, JobStore
 from repro.service.queue import AdmissionError, AdmissionQueue
@@ -63,11 +64,12 @@ _ALLOWED_COHORT_KEYS = {
     "dataset", "n_genes", "n_tumor", "n_normal", "hits", "seed",
     "n_driver_combos", "driver_penetrance", "sporadic_fraction",
 }
+#: The gateway's one list of solver keys: each tenant-settable
+#: :class:`MultiHitSolver` field and its JSON type.
 _ALLOWED_SOLVER_KEYS = {
-    "hits", "alpha", "backend", "n_workers", "n_nodes", "prune",
-    "prune_blocks", "elastic", "lease_blocks", "max_iterations",
+    "hits": int, "alpha": float, "backend": str, "n_workers": int,
+    "n_nodes": int, "prune": bool, "elastic": bool, "max_iterations": int,
 }
-_ALLOWED_BACKENDS = {"single", "pool", "distributed", "sequential"}
 
 
 def validate_spec(payload: dict) -> tuple[str, dict]:
@@ -76,7 +78,10 @@ def validate_spec(payload: dict) -> tuple[str, dict]:
     Raises :class:`ValueError` with a client-readable message (-> 400).
     Validation is allow-listed: unknown keys are rejected rather than
     silently dropped, so a typo'd knob fails loudly at submit time
-    instead of quietly solving the wrong problem.
+    instead of quietly solving the wrong problem.  Solver values are
+    checked by type here and by range in ``MultiHitSolver.__post_init__``
+    — which is also where an ``elastic`` spec without a pinned
+    ``backend`` that supports it is refused.
     """
     if not isinstance(payload, dict):
         raise ValueError("body must be a JSON object")
@@ -98,12 +103,21 @@ def validate_spec(payload: dict) -> tuple[str, dict]:
     solver = payload.get("solver", {})
     if not isinstance(solver, dict):
         raise ValueError("solver must be an object")
-    unknown = set(solver) - _ALLOWED_SOLVER_KEYS
+    unknown = solver.keys() - _ALLOWED_SOLVER_KEYS.keys()
     if unknown:
         raise ValueError(f"unknown solver keys: {sorted(unknown)}")
-    backend = solver.get("backend")
-    if backend is not None and backend not in _ALLOWED_BACKENDS:
-        raise ValueError(f"unknown solver backend {backend!r}")
+    for key, value in solver.items():
+        want = _ALLOWED_SOLVER_KEYS[key]
+        # bool is an int subclass and an int is a valid JSON float.
+        if type(value) is not want and (want, type(value)) != (float, int):
+            raise ValueError(
+                f"solver.{key} must be {want.__name__}, "
+                f"got {type(value).__name__}"
+            )
+    try:
+        MultiHitSolver(**solver)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"solver: {exc}") from None
     return tenant, {"cohort": cohort, "solver": solver}
 
 

@@ -153,6 +153,16 @@ class JobRunner:
                 continue
             try:
                 self._run_job(job_id)
+            except Exception as exc:
+                # Whatever ``_run_job`` does not contain itself (dispatch,
+                # store I/O): this job fails, the thread keeps claiming.
+                job = self.store.get(job_id)
+                if job is not None and job.can_enter(JobState.FAILED):
+                    self.store.transition(
+                        job_id, JobState.FAILED,
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
+                    self.telemetry.count("job.failed")
             finally:
                 self.queue.release(job_id)
                 self.fleet.unregister(job_id)
@@ -248,20 +258,17 @@ class JobRunner:
         from repro.core.solver import MultiHitSolver
 
         tumor, normal, hits = self._cohort_arrays(job.spec)
-        solver_spec = dict(job.spec.get("solver", {}))
-        kwargs = {
-            "hits": hits,
-            "backend": decision.backend,
-            "n_workers": decision.n_workers,
-            "n_nodes": decision.n_nodes,
-        }
-        for knob in (
-            "alpha", "prune", "prune_blocks", "elastic", "lease_blocks",
-            "max_iterations",
-        ):
-            if knob in solver_spec:
-                kwargs[knob] = solver_spec[knob]
-        solver = MultiHitSolver(**kwargs)
+        # The spec's solver dict was validated at submit against the
+        # MultiHitSolver fields; dispatch fills in where it runs.
+        solver = MultiHitSolver(
+            **{
+                **job.spec.get("solver", {}),
+                "hits": hits,
+                "backend": decision.backend,
+                "n_workers": decision.n_workers,
+                "n_nodes": decision.n_nodes,
+            }
+        )
 
         total = int(tumor.shape[1]) if hasattr(tumor, "shape") else 0
         t0 = time.monotonic()

@@ -146,14 +146,6 @@ class MetricsRegistry:
         self.inc(f"faults.site.{site}")
         self.inc(f"faults.action.{action}")
 
-    def absorb_pool_stats(self, stats, prefix: str = "pool") -> None:
-        """Fold a :class:`repro.core.pool.PoolStats` in."""
-        self.inc(f"{prefix}.stat_chunks", len(stats.chunks))
-        self.inc(f"{prefix}.stat_inline_retries", stats.n_inline_retries)
-        self.inc(f"{prefix}.stat_shipped_bytes", stats.shipped_bytes)
-        for chunk in stats.chunks:
-            self.observe(f"{prefix}.chunk_wall_s", chunk.wall_seconds)
-
     def absorb_gpu_profile(self, profile, prefix: str = "gpusim") -> None:
         """Fold a :class:`repro.gpusim.profiler.GpuProfile` in."""
         for metric in profile.metrics:

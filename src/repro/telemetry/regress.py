@@ -5,7 +5,7 @@ The repo-root benchmark summaries (``BENCH_fig4.json``,
 overwrites them, committed snapshots show how headline numbers move.
 This module turns that trajectory into a *gate*: compare a current
 summary against a committed baseline with per-metric tolerance bands and
-fail (CI) when wall time grows, combinations-scored regresses, or
+fail (CI) when combinations-scored regresses, modeled runtime grows, or
 scaling efficiency drops beyond the band.
 
 A check names a metric by dotted path into the summary JSON (integer
@@ -13,8 +13,9 @@ segments index lists, so ``extra.strong_runtime_s.-1`` is the
 1000-node runtime) and a direction: for ``higher_is_worse`` metrics the
 band is ``current <= baseline * (1 + tolerance)``; for
 ``lower_is_worse`` it is ``current >= baseline * (1 - tolerance)``.
-Deterministic counters get tight bands; wall-clock metrics get wide
-ones (they gate the synthetic 2x regression, not machine jitter).
+Every gated metric is deterministic for a fixed seed (counters,
+efficiencies, model-predicted seconds); measured wall-clock is gated by
+the repo benchmark (``benchmarks/perf/``), not here.
 
 ``benchmarks/check_regression.py`` is the CLI wrapper CI runs.
 """
@@ -37,18 +38,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RegressionCheck:
-    """One gated metric.
-
-    ``tolerance`` is the fractional band around the baseline;
-    ``wall_clock`` marks timing-derived metrics so cross-machine
-    comparisons can skip them (``--skip-wall``) while still gating the
-    deterministic counters.
-    """
+    """One gated metric; ``tolerance`` is the fractional band around
+    the baseline."""
 
     metric: str  # dotted path into the summary JSON
     higher_is_worse: bool = True
     tolerance: float = 0.10
-    wall_clock: bool = False
 
     def __post_init__(self) -> None:
         if self.tolerance < 0:
@@ -74,10 +69,8 @@ class Regression:
         )
 
 
-#: Gated metrics per benchmark summary name.  Wall-clock checks carry a
-#: wide band (a 2x regression trips them, machine jitter does not);
-#: counter and efficiency checks are tight because they are
-#: deterministic for a fixed seed.
+#: Gated metrics per benchmark summary name.  Counter and efficiency
+#: checks are tight because they are deterministic for a fixed seed.
 DEFAULT_CHECKS: dict[str, tuple[RegressionCheck, ...]] = {
     "greedy": (
         RegressionCheck("extra.combos_scored_pruned", tolerance=0.05),
@@ -87,9 +80,6 @@ DEFAULT_CHECKS: dict[str, tuple[RegressionCheck, ...]] = {
             higher_is_worse=False,
             tolerance=0.20,
         ),
-        RegressionCheck(
-            "extra.wall_seconds_pruned", tolerance=0.75, wall_clock=True
-        ),
     ),
     "fig4": (
         RegressionCheck(
@@ -98,19 +88,15 @@ DEFAULT_CHECKS: dict[str, tuple[RegressionCheck, ...]] = {
         RegressionCheck(
             "extra.strong_avg_efficiency", higher_is_worse=False, tolerance=0.03
         ),
-        # Model-predicted seconds: deterministic, but still a "time" in
-        # spirit — gate the 1000-node headline with a moderate band.
-        RegressionCheck(
-            "extra.strong_runtime_s.-1", tolerance=0.25, wall_clock=True
-        ),
+        # Model-predicted seconds (deterministic on any machine): gate
+        # the 1000-node headline with a moderate band.
+        RegressionCheck("extra.strong_runtime_s.-1", tolerance=0.25),
         # Elastic strong scaling under ±20% mid-solve churn: the lease-
         # stealing fleet must keep its 1000-node efficiency.
         RegressionCheck(
             "extra.elastic_at_max_nodes", higher_is_worse=False, tolerance=0.03
         ),
-        RegressionCheck(
-            "extra.elastic_runtime_s.-1", tolerance=0.25, wall_clock=True
-        ),
+        RegressionCheck("extra.elastic_runtime_s.-1", tolerance=0.25),
     ),
     "kernels": (
         # Sparse kernel path vs the planted <=5%-density instance: the
@@ -125,9 +111,6 @@ DEFAULT_CHECKS: dict[str, tuple[RegressionCheck, ...]] = {
         RegressionCheck(
             "extra.reduction_vs_fused", higher_is_worse=False, tolerance=0.05
         ),
-        RegressionCheck(
-            "extra.wall_seconds_sparse", tolerance=0.75, wall_clock=True
-        ),
     ),
     "elastic": (
         # Churned elastic solve vs static reference: the winner must be
@@ -141,9 +124,6 @@ DEFAULT_CHECKS: dict[str, tuple[RegressionCheck, ...]] = {
             "extra.combos_scored", higher_is_worse=False, tolerance=0.0
         ),
         RegressionCheck("extra.lease_grants", tolerance=0.25),
-        RegressionCheck(
-            "extra.wall_seconds_elastic", tolerance=0.75, wall_clock=True
-        ),
     ),
     "trace": (
         # Causal-trace attribution on the straggler+steal scenario: the
@@ -164,9 +144,6 @@ DEFAULT_CHECKS: dict[str, tuple[RegressionCheck, ...]] = {
             "extra.closure", higher_is_worse=False, tolerance=0.02
         ),
         RegressionCheck("extra.closure", tolerance=0.02),
-        RegressionCheck(
-            "extra.analyze_wall_s", tolerance=0.75, wall_clock=True
-        ),
     ),
 }
 
@@ -191,7 +168,6 @@ def compare_summaries(
     current: dict,
     baseline: dict,
     checks: "tuple[RegressionCheck, ...] | None" = None,
-    skip_wall: bool = False,
 ) -> "list[Regression]":
     """Every checked metric of ``current`` outside its band vs ``baseline``.
 
@@ -203,8 +179,6 @@ def compare_summaries(
         checks = DEFAULT_CHECKS.get(name, ())
     regressions: list[Regression] = []
     for check in checks:
-        if skip_wall and check.wall_clock:
-            continue
         try:
             base = float(resolve_path(baseline, check.metric))
         except (KeyError, IndexError, TypeError, ValueError):
@@ -234,7 +208,7 @@ def compare_summaries(
 
 
 def check_files(
-    pairs: "list[tuple[str, Path, Path]]", skip_wall: bool = False
+    pairs: "list[tuple[str, Path, Path]]",
 ) -> "tuple[list[Regression], list[str]]":
     """Compare (name, current_path, baseline_path) files.
 
@@ -263,7 +237,5 @@ def check_files(
             continue
         current = json.loads(Path(current_path).read_text())
         baseline = json.loads(Path(baseline_path).read_text())
-        regressions.extend(
-            compare_summaries(name, current, baseline, skip_wall=skip_wall)
-        )
+        regressions.extend(compare_summaries(name, current, baseline))
     return regressions, notes

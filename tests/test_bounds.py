@@ -44,6 +44,27 @@ def matrices(cohort):
     return cohort.tumor.values, cohort.normal.values
 
 
+@pytest.fixture
+def block_count(monkeypatch):
+    """``block_count(n)``: solves from here on build their bound table
+    with ``n`` target blocks.  The solver always builds at
+    :meth:`BoundTable.build`'s default; the geometry tests reach the
+    ``n_blocks`` seam underneath it."""
+    build = BoundTable.build.__func__
+
+    def use(n_blocks):
+        monkeypatch.setattr(
+            BoundTable, "build",
+            classmethod(
+                lambda cls, scheme, g, cuts=None: build(
+                    cls, scheme, g, cuts=cuts, n_blocks=n_blocks
+                )
+            ),
+        )
+
+    return use
+
+
 # -- BoundTable unit tests ------------------------------------------------
 
 
@@ -258,10 +279,11 @@ class TestTieBreak:
         )
         assert got == expected
 
-    def test_pruned_iterations_keep_tie_rule(self, tied_instance):
+    def test_pruned_iterations_keep_tie_rule(self, tied_instance, block_count):
         t, n = tied_instance
         ref = MultiHitSolver(hits=3, backend="sequential").solve(t, n)
-        pruned = MultiHitSolver(hits=3, prune=True, prune_blocks=9).solve(t, n)
+        block_count(9)
+        pruned = MultiHitSolver(hits=3, prune=True).solve(t, n)
         assert signature(pruned) == signature(ref)
 
 
@@ -277,10 +299,13 @@ class TestEquivalence:
         assert pruned.uncovered == base.uncovered
 
     @pytest.mark.parametrize("blocks", [1, 5, 160])
-    def test_block_granularity_irrelevant_to_results(self, matrices, blocks):
+    def test_block_granularity_irrelevant_to_results(
+        self, matrices, blocks, block_count
+    ):
         t, n = matrices
         base = MultiHitSolver(hits=3).solve(t, n)
-        pruned = MultiHitSolver(hits=3, prune=True, prune_blocks=blocks).solve(t, n)
+        block_count(blocks)
+        pruned = MultiHitSolver(hits=3, prune=True).solve(t, n)
         assert signature(pruned) == signature(base)
 
     def test_pool_pruned_bit_identical(self, matrices):
@@ -501,16 +526,17 @@ class TestCheckpointResume:
         resumed = MultiHitSolver(hits=3, prune=True).solve(t, n, resume=loaded)
         assert signature(resumed) == signature(full)
 
-    def test_mismatched_table_geometry_dropped(self, matrices):
+    def test_mismatched_table_geometry_dropped(self, matrices, block_count):
         t, n = matrices
         states = []
-        MultiHitSolver(hits=3, prune=True, prune_blocks=64, max_iterations=2).solve(
+        MultiHitSolver(hits=3, prune=True, max_iterations=2).solve(
             t, n, on_iteration=states.append
         )
-        full = MultiHitSolver(hits=3, prune=True, prune_blocks=16).solve(t, n)
+        block_count(16)
+        full = MultiHitSolver(hits=3, prune=True).solve(t, n)
         # Different block geometry: the persisted table can't be adopted,
         # but the resumed run must still be bit-identical.
-        resumed = MultiHitSolver(hits=3, prune=True, prune_blocks=16).solve(
+        resumed = MultiHitSolver(hits=3, prune=True).solve(
             t, n, resume=states[-1]
         )
         assert signature(resumed) == signature(full)

@@ -17,6 +17,13 @@ class TestParser:
         assert args.hits == 3
         assert args.backend == "single"
 
+    @pytest.mark.parametrize(
+        "flag", ["--word-stride", "--lease-blocks", "--prune-blocks"]
+    )
+    def test_removed_solve_flags_are_errors(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["solve", flag, "8"])
+
 
 class TestCommands:
     def test_solve(self, capsys, tmp_path):

@@ -24,6 +24,7 @@ from repro.core.engine import SingleGpuEngine
 from repro.core.reduction import ReductionStats
 from repro.core.solver import MultiHitSolver
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.scheduling.equiarea import LEASES_PER_PULLER
 from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1
 
 
@@ -70,7 +71,6 @@ class TestDistributedEngine:
 # -- the generated equivalence matrix --------------------------------------
 
 N_NODES, GPUS_PER_NODE = 3, 2
-N_PARTS = N_NODES * GPUS_PER_NODE
 
 
 def _crash(target, **kw):
@@ -140,7 +140,7 @@ class _FleetEngine:
             ledger, e.scheme, tumor, normal, params, e.n_nodes,
             fault_plan=e.fault_plan, retry_policy=e.retry_policy,
             report=e.report, memory=e.memory, sparse=e.sparse,
-            word_stride=e.word_stride, call=self.calls - 1, **search,
+            call=self.calls - 1, **search,
         )
 
 
@@ -154,10 +154,10 @@ DRIVERS = {
 def _solve(backend="distributed", fault_case="clean", driver="in-process", **kw):
     plan, policy = FAULT_CASES[fault_case]
     if backend == "distributed":
-        kw.update(n_nodes=N_NODES, gpus_per_node=GPUS_PER_NODE)
+        kw = {"n_nodes": N_NODES, "gpus_per_node": GPUS_PER_NODE, **kw}
     with patch.dict(solver_module._ENGINES, distributed=DRIVERS[driver]):
         return MultiHitSolver(
-            hits=3, backend=backend, max_iterations=4, prune_blocks=24,
+            hits=3, backend=backend, max_iterations=4,
             fault_plan=plan(), retry_policy=policy, **kw,
         ).solve(*_cohort())
 
@@ -236,11 +236,12 @@ class TestDistributionMatrix:
     @pytest.mark.parametrize("prune", [False, True], ids=["full", "pruned"])
     def test_pinned_is_elastic_with_one_lease_per_partition(self, prune, sparse):
         """The identity that made the static driver redundant: the same
-        cuts through either mode do the same work, counter for counter."""
-        pinned = _clean(False, prune, sparse)
-        elastic = _solve(
-            elastic=True, lease_blocks=N_PARTS, prune=prune, sparse=sparse
-        )
+        cuts through either mode do the same work, counter for counter.
+        With as many GPUs per node as the lease grain, the pinned
+        partitions *are* the elastic leases."""
+        shape = dict(gpus_per_node=LEASES_PER_PULLER, prune=prune, sparse=sparse)
+        pinned = _solve(elastic=False, **shape)
+        elastic = _solve(elastic=True, **shape)
         assert _winners(elastic) == _winners(pinned)
         assert dataclasses.asdict(elastic.counters) == dataclasses.asdict(
             pinned.counters

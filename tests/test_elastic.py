@@ -319,8 +319,6 @@ class TestElasticDistributed:
     def test_solver_validation(self):
         with pytest.raises(ValueError):
             MultiHitSolver(hits=2, elastic=True, backend="single")
-        with pytest.raises(ValueError):
-            MultiHitSolver(hits=2, lease_blocks=-1)
 
 
 # -- lease-grained pool --------------------------------------------------
@@ -335,7 +333,7 @@ class TestPoolLeases:
             tumor, normal, params, counters=ref_counters
         )
         counters = KernelCounters()
-        with PoolEngine(scheme=scheme, n_workers=2, lease_blocks=8) as eng:
+        with PoolEngine(scheme=scheme, n_workers=2, elastic=True) as eng:
             got = eng.best_combo(tumor, normal, params, counters=counters)
         assert got == ref
         assert counters.combos_scored == ref_counters.combos_scored
@@ -344,13 +342,9 @@ class TestPoolLeases:
         t, n = cohort
         clean = MultiHitSolver(hits=2, backend="pool", n_workers=2).solve(t, n)
         elastic = MultiHitSolver(
-            hits=2, backend="pool", n_workers=2, elastic=True, lease_blocks=8
+            hits=2, backend="pool", n_workers=2, elastic=True
         ).solve(t, n)
         assert signature(elastic.combinations) == signature(clean.combinations)
-
-    def test_lease_blocks_validation(self):
-        with pytest.raises(ValueError):
-            PoolEngine(scheme=SCHEME_3X1, n_workers=2, lease_blocks=-1)
 
 
 # -- membership + gauges + autoscaler ------------------------------------

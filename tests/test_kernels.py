@@ -9,14 +9,12 @@ from repro.bitmatrix.matrix import BitMatrix
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import (
     DEFAULT_WORD_STRIDE,
-    WORD_STRIDE,
     KernelCounters,
     best_of,
     fused_pair_popcount,
     resolve_word_stride,
     score_combos,
     score_combos_reference,
-    validate_word_stride,
 )
 
 
@@ -92,9 +90,9 @@ class TestFusedKernels:
         params = FScoreParams(n_tumor=n_samples, n_normal=n_samples, alpha=0.1)
         return tumor, normal, params
 
-    @pytest.mark.parametrize("n_samples", [70, 64 * WORD_STRIDE + 130])
+    @pytest.mark.parametrize("n_samples", [70, 64 * DEFAULT_WORD_STRIDE + 130])
     def test_score_combos_matches_reference(self, n_samples):
-        # The wide case spans multiple word strides (n_words > WORD_STRIDE),
+        # The wide case spans multiple word strides (n_words > DEFAULT_WORD_STRIDE),
         # so the fused accumulator actually folds across stride slices.
         rng = np.random.default_rng(42)
         tumor, normal, params = self._random_matrices(rng, 30, n_samples)
@@ -109,7 +107,9 @@ class TestFusedKernels:
             np.testing.assert_array_equal(tn, rtn)
             np.testing.assert_array_equal(f, rf)
 
-    @pytest.mark.parametrize("n_words", [1, WORD_STRIDE - 1, WORD_STRIDE, WORD_STRIDE + 3])
+    @pytest.mark.parametrize("n_words", [
+        1, DEFAULT_WORD_STRIDE - 1, DEFAULT_WORD_STRIDE, DEFAULT_WORD_STRIDE + 3,
+    ])
     def test_fused_pair_popcount_matches_broadcast(self, n_words):
         rng = np.random.default_rng(7)
         base = rng.integers(0, 1 << 63, size=(13, n_words), dtype=np.uint64)
@@ -171,18 +171,11 @@ class TestBestOf:
 
 class TestWordStride:
     def test_resolve_default_and_validation(self):
-        assert resolve_word_stride(None) == DEFAULT_WORD_STRIDE == WORD_STRIDE
+        assert resolve_word_stride(None) == DEFAULT_WORD_STRIDE
         assert resolve_word_stride(3) == 3
         for bad in (0, -8):
             with pytest.raises(ValueError):
                 resolve_word_stride(bad)
-
-    def test_solver_policy_multiple_of_8(self):
-        for ok in (8, 64, 4096):
-            assert validate_word_stride(ok) == ok
-        for bad in (0, -8, 3, 12, 65):
-            with pytest.raises(ValueError):
-                validate_word_stride(bad)
 
     @pytest.mark.parametrize("stride", [1, 8, 4096])
     @pytest.mark.parametrize("sparse", [False, True])

@@ -22,6 +22,7 @@ from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
 from repro.core.pool import PoolDegradedWarning, PoolEngine, PoolStats
+from repro.faults.policy import RetryPolicy
 from repro.core.sequential import sequential_solve
 from repro.core.solver import MultiHitSolver
 from repro.scheduling.equiarea import equiarea_range_boundaries, equiarea_schedule
@@ -285,7 +286,9 @@ class TestGracefulDegradation:
         scheme = scheme_for(2, 1)
         ref = SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
         monkeypatch.setattr(pool_module, "_search_chunk", _slow_chunk)
-        with PoolEngine(scheme=scheme, n_workers=2, timeout=0.2) as eng:
+        with PoolEngine(
+            scheme=scheme, n_workers=2, retry_policy=RetryPolicy(deadline_s=0.2)
+        ) as eng:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 got = eng.best_combo(tumor, normal, params)
@@ -344,7 +347,9 @@ class TestGracefulDegradation:
         monkeypatch.setattr(pool_module, "_search_chunk", _slow_chunk)
         stats = PoolStats()
         counters = KernelCounters()
-        with PoolEngine(scheme=scheme, n_workers=2, timeout=0.2) as eng:
+        with PoolEngine(
+            scheme=scheme, n_workers=2, retry_policy=RetryPolicy(deadline_s=0.2)
+        ) as eng:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PoolDegradedWarning)
                 got = eng.best_combo(

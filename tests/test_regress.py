@@ -51,7 +51,7 @@ class TestResolvePath:
 
 class TestCompareSummaries:
     CHECKS = (
-        RegressionCheck("extra.wall_s", tolerance=0.75, wall_clock=True),
+        RegressionCheck("extra.wall_s", tolerance=0.75),
         RegressionCheck("extra.efficiency", higher_is_worse=False, tolerance=0.03),
     )
 
@@ -68,12 +68,10 @@ class TestCompareSummaries:
         assert regs[0].allowed == pytest.approx(17.5)
         assert "x:extra.wall_s" in regs[0].describe()
 
-    def test_efficiency_drop_regresses_and_skip_wall_filters(self):
+    def test_efficiency_drop_regresses(self):
         base = {"extra": {"wall_s": 10.0, "efficiency": 0.9}}
-        cur = {"extra": {"wall_s": 20.0, "efficiency": 0.5}}
-        regs = compare_summaries(
-            "x", cur, base, checks=self.CHECKS, skip_wall=True
-        )
+        cur = {"extra": {"wall_s": 12.0, "efficiency": 0.5}}
+        regs = compare_summaries("x", cur, base, checks=self.CHECKS)
         assert [r.metric for r in regs] == ["extra.efficiency"]
 
     def test_metric_missing_from_current_is_a_regression(self):
@@ -112,39 +110,26 @@ class TestCheckRegressionCli:
         cli = _load_cli()
         current_dir = tmp_path / "current"
         current_dir.mkdir()
-        src = REPO_ROOT / "BENCH_greedy.json"
+        # The modeled 1000-node runtime: seconds, but deterministic ones.
+        src = REPO_ROOT / "BENCH_fig4.json"
         doctored = json.loads(src.read_text())
-        doctored["extra"]["wall_seconds_pruned"] *= 2.0
-        (current_dir / "BENCH_greedy.json").write_text(json.dumps(doctored))
-        rc = cli.main(["--current-dir", str(current_dir), "--names", "greedy"])
+        doctored["extra"]["strong_runtime_s"][-1] *= 2.0
+        (current_dir / "BENCH_fig4.json").write_text(json.dumps(doctored))
+        rc = cli.main(["--current-dir", str(current_dir), "--names", "fig4"])
         assert rc == 1
         out = capsys.readouterr().out
-        assert "FAIL" in out and "wall_seconds_pruned" in out
-
-    def test_skip_wall_ignores_the_synthetic_regression(self, tmp_path):
-        cli = _load_cli()
-        current_dir = tmp_path / "current"
-        current_dir.mkdir()
-        doctored = json.loads((REPO_ROOT / "BENCH_greedy.json").read_text())
-        doctored["extra"]["wall_seconds_pruned"] *= 2.0
-        (current_dir / "BENCH_greedy.json").write_text(json.dumps(doctored))
-        rc = cli.main(
-            ["--current-dir", str(current_dir), "--names", "greedy", "--skip-wall"]
-        )
-        assert rc == 0
+        assert "FAIL" in out and "strong_runtime_s" in out
 
     def test_counter_regression_fails_even_cross_machine(self, tmp_path):
         """A benchmark that suddenly scores 2x the combinations (pruning
-        broke) trips the deterministic gate regardless of --skip-wall."""
+        broke) trips the deterministic gate on any machine."""
         cli = _load_cli()
         current_dir = tmp_path / "current"
         current_dir.mkdir()
         doctored = json.loads((REPO_ROOT / "BENCH_greedy.json").read_text())
         doctored["extra"]["combos_scored_pruned"] *= 2
         (current_dir / "BENCH_greedy.json").write_text(json.dumps(doctored))
-        rc = cli.main(
-            ["--current-dir", str(current_dir), "--names", "greedy", "--skip-wall"]
-        )
+        rc = cli.main(["--current-dir", str(current_dir), "--names", "greedy"])
         assert rc == 1
 
     def test_unknown_name_is_usage_error(self):
@@ -160,7 +145,7 @@ class TestCheckRegressionCli:
 
     def test_gate_detects_regression_vs_regenerated_baseline(self, tmp_path):
         """End-to-end with real files: copy the committed baseline as
-        current, double every wall metric, gate fails; restore, passes."""
+        current, double a gated counter, gate fails."""
         cli = _load_cli()
         current_dir = tmp_path / "cur"
         baseline_dir = tmp_path / "base"
@@ -175,6 +160,6 @@ class TestCheckRegressionCli:
         ]
         assert cli.main(args) == 0
         greedy = json.loads((current_dir / "BENCH_greedy.json").read_text())
-        greedy["extra"]["wall_seconds_pruned"] *= 2.0
+        greedy["extra"]["word_reads_pruned"] *= 2
         (current_dir / "BENCH_greedy.json").write_text(json.dumps(greedy))
         assert cli.main(args) == 1

@@ -19,7 +19,8 @@ from repro.service import (
     dispatch_policy,
     validate_spec,
 )
-from repro.service.dispatch import FleetState
+from repro.service.dispatch import FleetState, RoundRobinPolicy
+from repro.service.http import _ALLOWED_SOLVER_KEYS
 from repro.service.jobs import Job
 
 
@@ -214,6 +215,42 @@ class TestValidateSpec:
     def test_rejects(self, payload):
         with pytest.raises(ValueError):
             validate_spec(payload)
+
+    COHORT = {"n_genes": 8, "n_tumor": 10, "n_normal": 10}
+
+    @pytest.mark.parametrize("key,want", sorted(
+        _ALLOWED_SOLVER_KEYS.items(), key=lambda kv: kv[0]))
+    def test_rejects_wrong_typed_solver_value(self, key, want):
+        """Parametrized over the allow-list itself: a key added to it is
+        type-checked here with no new test."""
+        wrong = 7 if want is str else "x"
+        with pytest.raises(ValueError, match=f"solver.{key} must be"):
+            validate_spec({"cohort": self.COHORT, "solver": {key: wrong}})
+        if want is not bool:  # a bool is not an int here, JSON or not
+            with pytest.raises(ValueError, match=f"solver.{key} must be"):
+                validate_spec({"cohort": self.COHORT, "solver": {key: True}})
+
+    @pytest.mark.parametrize("solver,named", [
+        ({"n_workers": 0}, "n_workers"),
+        ({"n_nodes": 0}, "n_nodes"),
+        ({"hits": 1}, "hits"),
+        ({"elastic": True}, "backend"),
+        ({"elastic": True, "backend": "sequential"}, "backend"),
+        ({"prune_blocks": 64}, "unknown solver keys"),
+        ({"lease_blocks": 8}, "unknown solver keys"),
+    ])
+    def test_rejects_out_of_range_and_removed(self, solver, named):
+        with pytest.raises(ValueError, match=named):
+            validate_spec({"cohort": self.COHORT, "solver": solver})
+
+    def test_accepts_every_key_at_a_valid_value(self):
+        solver = {
+            "hits": 3, "alpha": 1, "backend": "pool", "n_workers": 2,
+            "n_nodes": 2, "prune": True, "elastic": True, "max_iterations": 4,
+        }
+        assert set(solver) == set(_ALLOWED_SOLVER_KEYS)
+        _, spec = validate_spec({"cohort": self.COHORT, "solver": solver})
+        assert spec["solver"] == solver
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +500,64 @@ class TestGatewayEndToEnd:
         assert counters["job.failed"] == 1
         assert counters["job.completed"] == 1
 
+    def test_bad_solver_values_are_400_and_leave_no_trace(self, tmp_path):
+        cohort = spec_for(0)["cohort"]
+        with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
+            for solver, named in [
+                ({"n_workers": "x"}, "n_workers"),
+                ({"hits": "3"}, "hits"),
+                ({"hits": 3, "elastic": True}, "elastic"),
+                ({"hits": 3, "prune_blocks": 64}, "unknown solver keys"),
+            ]:
+                status, body, _ = _http(
+                    "POST", f"{gw.url}/v1/jobs",
+                    {"cohort": cohort, "solver": solver})
+                assert status == 400 and named in body["error"], body
+            assert len(gw.store) == 0
+            assert gw.queue.backlog == 0 and gw.queue.in_flight == 0
+
+    def test_dispatch_failure_fails_the_job_not_the_supervisor(self, tmp_path):
+        class FirstJobExplodes(RoundRobinPolicy):
+            seen = 0
+
+            def choose(self, job, fleet):
+                self.seen += 1
+                if self.seen == 1:
+                    raise RuntimeError("dispatch exploded")
+                return super().choose(job, fleet)
+
+        gw = Gateway(state_dir=tmp_path, max_concurrent=1)
+        gw.runner.policy = FirstJobExplodes()
+        with gw:
+            doomed = gw.submit(spec_for(1))
+            after = gw.submit(spec_for(2))
+            failed, ok = gw.wait([doomed.job_id, after.job_id], timeout=120)
+        assert failed.state == JobState.FAILED
+        assert "dispatch exploded" in failed.error
+        assert ok.state == JobState.DONE
+        counters = gw.telemetry.metrics.to_dict()["counters"]
+        assert counters["job.failed"] == 1 and counters["job.completed"] == 1
+
+    def test_elastic_spec_is_decided_at_submit_not_by_rotation(self, tmp_path):
+        """``round_robin`` alternates single/pool: the same spec must not
+        fail in one position and succeed in the next."""
+        unpinned = spec_for(1, solver={"elastic": True})
+        pinned = spec_for(
+            1, solver={"elastic": True, "backend": "pool", "n_workers": 2})
+        with Gateway(
+            state_dir=tmp_path, max_concurrent=1, policy="round_robin"
+        ) as gw:
+            for _ in range(2):
+                with pytest.raises(ValueError, match="backend"):
+                    gw.submit(unpinned)
+            jobs = [gw.submit(pinned) for _ in range(2)]
+            done = gw.wait([j.job_id for j in jobs], timeout=120)
+        assert [j.state for j in done] == [JobState.DONE] * 2
+        assert [j.dispatch["backend"] for j in done] == ["pool", "pool"]
+        assert signature(done[0].result["combinations"]) == signature(
+            done[1].result["combinations"]
+        ) == signature(direct_solve(pinned).combinations)
+
     def test_metrics_endpoint_exposes_job_counters(self, tmp_path):
         from repro.telemetry.prom import validate_prometheus
 
@@ -514,6 +609,27 @@ class TestRestartRecovery:
             full.combinations)
         # the solve resumed: only the post-checkpoint iterations ran
         assert len(done.result["iterations"]) == len(full.iterations) - 3
+
+    def test_job_files_from_before_the_value_check_fail_cleanly(self, tmp_path):
+        """Specs stored by an older gateway were never value-checked: one
+        carries a since-removed key, one a wrong-typed pin.  Each fails
+        on its own; the runner lives to finish the job behind them."""
+        store = JobStore(tmp_path)
+        base = spec_for(4)
+        removed_key = store.new_job("old", {
+            "cohort": base["cohort"], "solver": {"hits": 3, "prune_blocks": 64}})
+        bad_pin = store.new_job("old", {
+            "cohort": base["cohort"], "solver": {"hits": 3, "n_workers": "x"}})
+        del store
+        with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
+            assert gw._recovered == 2
+            fresh = gw.submit(spec_for(5))
+            stale_a, stale_b, ok = gw.wait(
+                [removed_key.job_id, bad_pin.job_id, fresh.job_id], timeout=120)
+        assert stale_a.state == JobState.FAILED
+        assert "prune_blocks" in stale_a.error
+        assert stale_b.state == JobState.FAILED
+        assert ok.state == JobState.DONE
 
     def test_cancel_requested_job_finalized_at_boot(self, tmp_path):
         store = JobStore(tmp_path)

@@ -1,12 +1,19 @@
 """Tests for the top-level greedy solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.cluster import spmd_best_combo
+from repro.core.distributed import DistributedEngine
+from repro.core.engine import SingleGpuEngine
 from repro.core.memopt import MemoryConfig
+from repro.core.pool import PoolEngine
 from repro.core.sequential import sequential_solve
 from repro.core.solver import MultiHitSolver
-from repro.scheduling.schemes import SCHEME_2X2, Scheme
+from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, Scheme
+from repro.service.http import _ALLOWED_SOLVER_KEYS
 
 
 class TestConfiguration:
@@ -26,6 +33,50 @@ class TestConfiguration:
     def test_rejects_single_hit(self):
         with pytest.raises(ValueError):
             MultiHitSolver(hits=1)
+
+    def test_rejects_empty_fleet(self):
+        for shape in ({"n_workers": 0}, {"n_nodes": 0}, {"gpus_per_node": 0}):
+            with pytest.raises(ValueError):
+                MultiHitSolver(**shape)
+
+
+class TestOptionsLedger:
+    """``MultiHitSolver``'s fields are the one declaration of the
+    solve-path options; a knob that comes back has to be added here."""
+
+    REMOVED = (
+        "word_stride", "lease_blocks", "prune_blocks", "timeout", "start_method",
+    )
+
+    def test_the_fourteen_fields(self):
+        assert {f.name for f in dataclasses.fields(MultiHitSolver)} == {
+            "hits", "alpha", "backend", "scheme", "memory", "n_nodes",
+            "gpus_per_node", "n_workers", "max_iterations", "fault_plan",
+            "retry_policy", "prune", "elastic", "sparse",
+        }
+
+    def test_gateway_allow_list_is_a_subset(self):
+        fields = {f.name for f in dataclasses.fields(MultiHitSolver)}
+        assert set(_ALLOWED_SOLVER_KEYS) <= fields
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            MultiHitSolver,
+            lambda **kw: SingleGpuEngine(scheme=SCHEME_3X1, **kw),
+            lambda **kw: PoolEngine(scheme=SCHEME_3X1, **kw),
+            lambda **kw: DistributedEngine(scheme=SCHEME_3X1, n_nodes=2, **kw),
+        ],
+        ids=["MultiHitSolver", "SingleGpuEngine", "PoolEngine", "DistributedEngine"],
+    )
+    def test_removed_keywords_are_type_errors(self, build):
+        for name in self.REMOVED:
+            with pytest.raises(TypeError, match=name):
+                build(**{name: 8})
+
+    def test_fleet_entry_point_lost_its_stride(self):
+        with pytest.raises(TypeError, match="word_stride"):
+            spmd_best_combo(None, SCHEME_3X1, None, None, None, 1, word_stride=64)
 
 
 class TestGreedyLoop:

@@ -251,9 +251,11 @@ class TestEngineSparseEquivalence:
     def test_winner_bit_identical(self, scheme, stride):
         tumor, normal, params = self._instance()
         dense = SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
-        got = SingleGpuEngine(
-            scheme=scheme, sparse=True, word_stride=stride
-        ).best_combo(tumor, normal, params)
+        got = best_in_thread_range(
+            scheme, tumor.n_genes, tumor, normal, params,
+            0, total_threads(scheme, tumor.n_genes),
+            sparse=True, word_stride=stride,
+        )
         assert got == dense
 
     @pytest.mark.parametrize("scheme", [scheme_for(3, 3), scheme_for(3, 2)])
@@ -349,13 +351,6 @@ class TestSolverBackendsSparse:
         assert sc.combos_scored == dc.combos_scored
         assert sc.word_reads + sc.word_reads_skipped == dc.word_reads
         assert sc.word_reads <= dc.word_reads
-
-    def test_solver_validates_word_stride(self):
-        with pytest.raises(ValueError):
-            MultiHitSolver(word_stride=12)
-        with pytest.raises(ValueError):
-            MultiHitSolver(word_stride=0)
-        MultiHitSolver(word_stride=8)  # ok
 
 
 # -- traffic model ---------------------------------------------------------
