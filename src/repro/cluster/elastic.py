@@ -40,7 +40,6 @@ from repro.core.combination import MultiHitCombination
 from repro.core.distributed import apply_churn, run_lease, search_lease
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.core.memopt import MemoryConfig
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.faults.report import FaultReport
@@ -295,7 +294,6 @@ def spmd_best_combo(
     counters: "KernelCounters | None" = None,
     bounds: "BoundTable | None" = None,
     iteration: int = 0,
-    memory: "MemoryConfig | None" = None,
     sparse: bool = False,
     autoscale: "AutoscalePolicy | None" = None,
     max_wall_s: float = 120.0,
@@ -318,7 +316,7 @@ def spmd_best_combo(
     """
     search = partial(
         search_lease, scheme, tumor=tumor, normal=normal, params=params,
-        bounds=bounds, iteration=iteration, memory=memory, sparse=sparse,
+        bounds=bounds, iteration=iteration, sparse=sparse,
         call=call, fold_lock=threading.Lock(),
     )
     ElasticSPMDRunner(

@@ -45,7 +45,6 @@ from repro.core.combination import MultiHitCombination
 from repro.core.engine import best_in_thread_range
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.core.memopt import MemoryConfig
 from repro.core.reduction import ReductionStats, multi_stage_reduce
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
@@ -74,7 +73,6 @@ def search_lease(
     params: FScoreParams,
     bounds: "BoundTable | None" = None,
     iteration: int = 0,
-    memory: "MemoryConfig | None" = None,
     sparse: bool = False,
     call: int = 0,
     stall_s: float = 0.0,
@@ -119,7 +117,6 @@ def search_lease(
         winner = best_in_thread_range(
             scheme, tumor.n_genes, tumor, normal, params, lo, hi,
             counters=counters,
-            memory=memory,
             bounds=lease_bounds,
             iteration=iteration,
             sparse=sparse,
@@ -266,7 +263,6 @@ class DistributedEngine:
     scheme: Scheme
     n_nodes: int
     gpus_per_node: int = GPUS_PER_NODE
-    memory: MemoryConfig = field(default_factory=MemoryConfig)
     scheduler: str = "equiarea"
     fault_plan: "FaultPlan | None" = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
@@ -350,7 +346,7 @@ class DistributedEngine:
         search = partial(
             search_lease, self.scheme, tumor=tumor, normal=normal,
             params=params, bounds=bounds, iteration=iteration,
-            memory=self.memory, sparse=self.sparse, call=call,
+            sparse=self.sparse, call=call,
         )
         roster = list(range(self.n_nodes))
 

@@ -26,8 +26,12 @@ whose *tumor* prefix AND is already all-zero is resolved wholesale —
 ``TP = 0`` ceiling ``fscore(0, Nn)``.  Skipped content is reported at
 the ceiling, a sound upper bound, so folded block maxima remain valid
 bounds for the lazy-greedy table (see DESIGN §15 for the soundness
-argument).  Traffic on the sparse path is metered as actually gathered,
-with ``word_reads_skipped`` carrying the complement of the dense charge.
+argument).
+
+The scan is its own traffic meter: ``word_reads`` counts the words it
+gathers from the matrices — dense, exactly
+:func:`repro.core.memopt.fused_word_reads` of the range; sparse, the
+actual gathers, with ``word_reads_skipped`` the rest of that figure.
 
 When a :class:`repro.core.bounds.BoundTable` is supplied the engine takes
 the lazy-greedy fast path instead: super-blocks are visited in descending
@@ -44,7 +48,7 @@ unpruned scan regardless of visitation order or run batching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +66,6 @@ from repro.core.kernels import (
     score_combos,
     tp_zero_ceiling,
 )
-from repro.core.memopt import MemoryConfig, fused_word_reads, global_word_reads
 from repro.scheduling.schemes import Scheme
 from repro.scheduling.workload import level_range, total_threads
 
@@ -85,22 +88,20 @@ def _and_reduce_rows(matrix: BitMatrix, combos: np.ndarray) -> np.ndarray:
 
 
 def _and_reduce_rows_prefix(
-    matrix: BitMatrix, combos: np.ndarray, traffic: "KernelCounters | None"
+    matrix: BitMatrix, combos: np.ndarray, counters: KernelCounters
 ) -> np.ndarray:
     """:func:`_and_reduce_rows` with shared-prefix AND caching.
 
     λ-decode order makes consecutive rows share columns ``1:``; the
     prefix AND is computed once per run and each member costs one more
-    row AND, amortizing gather traffic ~``h×``.  ``traffic`` meters the
+    row AND, amortizing gather traffic ~``h×``.  ``counters`` meters the
     words actually gathered and the cache hits.
     """
     b, h = combos.shape
     w = matrix.n_words
     if h == 1:
-        out = matrix.words[combos[:, 0]]  # gather copies
-        if traffic is not None:
-            traffic.word_reads += b * w
-        return out
+        counters.word_reads += b * w
+        return matrix.words[combos[:, 0]]  # gather copies
     out = np.empty((b, w), dtype=np.uint64)
     change = np.any(combos[1:, 1:] != combos[:-1, 1:], axis=1)
     starts = np.concatenate(([0], np.flatnonzero(change) + 1, [b]))
@@ -112,10 +113,9 @@ def _and_reduce_rows_prefix(
         np.bitwise_and(
             matrix.words[combos[lo:hi, 0]], pre[None, :], out=out[lo:hi]
         )
-        if traffic is not None:
-            traffic.word_reads += (h - 1 + (hi - lo)) * w
-            traffic.word_ops += (h - 2 + (hi - lo)) * w
-            traffic.prefix_and_hits += (hi - lo) - 1
+        counters.word_reads += (h - 1 + (hi - lo)) * w
+        counters.word_ops += (h - 2 + (hi - lo)) * w
+        counters.prefix_and_hits += (hi - lo) - 1
     return out
 
 
@@ -155,65 +155,62 @@ def _scan_blocks(
     normal: BitMatrix,
     params: FScoreParams,
     cut_points,
+    counters: KernelCounters,
     best: "MultiHitCombination | None" = None,
     inner_cache: "dict | None" = None,
-    counters: "KernelCounters | None" = None,
     sparse: bool = False,
     word_stride: "int | None" = None,
-    traffic: "KernelCounters | None" = None,
-) -> tuple["MultiHitCombination | None", int, np.ndarray]:
+) -> tuple["MultiHitCombination | None", np.ndarray]:
     """Exhaustively score threads ``[cut_points[0], cut_points[-1])``.
 
     One fused pass over a run of λ-adjacent blocks.  Returns
-    ``(best, scored, block_max)`` where ``best`` folds the supplied
-    incumbent in via the tuple-comparing tie rule (so callers may chain
-    scans over runs in any order) and ``block_max[k]`` is a valid upper
-    bound on — and without zero-prefix skipping the exact maximum of — F
-    over ``[cut_points[k], cut_points[k+1])`` alone, the quantity a
-    bound table stores.  ``inner_cache`` memoizes per-level inner AND
-    tables across the runs of one call (the matrices are fixed within a
-    call).  ``counters`` here meters only the fusion-diagnostic fields
-    (``decode_strides``, ``inner_tables_built``); work and traffic
-    accounting stays with the caller — except on the sparse path, where
-    the words actually gathered (and the sparse-skip diagnostics) land
-    in ``traffic`` for the caller to fold.
+    ``(best, block_max)`` where ``best`` folds the supplied incumbent in
+    via the tuple-comparing tie rule (so callers may chain scans over
+    runs in any order) and ``block_max[k]`` is a valid upper bound on —
+    and without zero-prefix skipping the exact maximum of — F over
+    ``[cut_points[k], cut_points[k+1])`` alone, the quantity a bound
+    table stores.  ``inner_cache`` memoizes per-level inner AND tables
+    across the runs of one call (the matrices are fixed within a call).
+
+    ``counters`` meters the scan as the work happens: ``combos_scored``,
+    ``word_ops``, the diagnostics, and the words gathered — each
+    thread's fixed rows once, each level's inner table when it is built
+    (once per call through ``inner_cache``); on the sparse path
+    ``word_reads_skipped`` gets the dense gathers minus the actual ones.
     """
     cut = np.asarray(cut_points, dtype=np.int64)
     lam_start, lam_end = int(cut[0]), int(cut[-1])
     block_max = np.full(len(cut) - 1, float("-inf"))
     f_ord = scheme.flattened
     d = scheme.inner
-    scored = 0
     ws = resolve_word_stride(word_stride)
     ceiling = tp_zero_ceiling(params)
 
     if d == 0:
-        # Threads == combinations: decode and score directly.  Dense
-        # traffic is metered by the caller (passing counters would
-        # double-count); sparse traffic is actual and lands in
-        # ``traffic``.
+        # Threads == combinations: decode and score directly; the
+        # kernel meters its own gathers on either path.
         for start in range(lam_start, lam_end, _CHUNK_ELEMENTS):
             end = min(start + _CHUNK_ELEMENTS, lam_end)
             combos = combos_from_linear(np.arange(start, end), f_ord)
-            if counters is not None:
-                counters.decode_strides += 1
+            counters.decode_strides += 1
             fvals, tp, tn = score_combos(
-                tumor, normal, combos, params,
-                traffic if sparse else None,
+                tumor, normal, combos, params, counters,
                 word_stride=ws,
                 sparse=sparse,
                 skip_below=(
                     best.f if sparse and best is not None else None
                 ),
             )
-            scored += int(fvals.size)
             if fvals.size:
                 _fold_block_max(block_max, cut, start, fvals)
             best = better(best, best_of(combos, fvals, tp, tn))
-        return best, scored, block_max
+        return best, block_max
 
     lo_top = int(top_index_array(np.asarray([lam_start]), f_ord)[0])
     hi_top = int(top_index_array(np.asarray([lam_end - 1]), f_ord)[0])
+    w = tumor.n_words + normal.n_words
+    dense_reads = 0  # what the dense scan gathers: fused_word_reads
+    reads_before = counters.word_reads
 
     for m in range(lo_top, hi_top + 1):
         a, b = level_range(scheme, m)
@@ -230,8 +227,8 @@ def _scan_blocks(
                 np.arange(_n_combos(n_inner_genes, d)), d
             ) + (m + 1)
             if sparse:
-                inner_t = _and_reduce_rows_prefix(tumor, inner, traffic)
-                inner_n = _and_reduce_rows_prefix(normal, inner, traffic)
+                inner_t = _and_reduce_rows_prefix(tumor, inner, counters)
+                inner_n = _and_reduce_rows_prefix(normal, inner, counters)
                 inner_masks = (
                     stride_any_mask(inner_t, ws),
                     stride_any_mask(inner_n, ws),
@@ -240,24 +237,23 @@ def _scan_blocks(
                 inner_t = _and_reduce_rows(tumor, inner)
                 inner_n = _and_reduce_rows(normal, inner)
                 inner_masks = None
-            if counters is not None:
-                counters.inner_tables_built += 1
+            dense_reads += inner.shape[0] * d * w
+            counters.inner_tables_built += 1
             if inner_cache is not None:
                 inner_cache[m] = (inner, inner_t, inner_n, inner_masks)
         else:
             inner, inner_t, inner_n, inner_masks = cached
         n_l = inner.shape[0]
-        w = tumor.n_words + normal.n_words
         chunk = max(1, _CHUNK_ELEMENTS // max(1, n_l * max(w, 1)))
         for start in range(t_lo, t_hi, chunk):
             end = min(start + chunk, t_hi)
             tuples = combos_from_linear(np.arange(start, end), f_ord)
-            if counters is not None:
-                counters.decode_strides += 1
+            counters.decode_strides += 1
+            dense_reads += (end - start) * f_ord * w
             if sparse:
                 tp, tn = _pair_scores_sparse(
                     tumor, normal, tuples, inner_t, inner_n, inner_masks,
-                    params, best, ceiling, ws, traffic,
+                    params, best, ceiling, ws, counters,
                 )
             else:
                 base_t = _and_reduce_rows(tumor, tuples)
@@ -265,9 +261,10 @@ def _scan_blocks(
                 # (B, L) popcounts, word-stride fused (no (B, L, W) cube).
                 tp = fused_pair_popcount(base_t, inner_t, ws)
                 tn = params.n_normal - fused_pair_popcount(base_n, inner_n, ws)
+                counters.word_ops += tp.size * (scheme.hits - 1) * w
             fvals = fscore(tp, tn, params)
             fmax = fvals.max()
-            scored += int(fvals.size)
+            counters.combos_scored += int(fvals.size)
             _fold_block_max(block_max, cut, start, fvals.max(axis=1))
             cand: "MultiHitCombination | None" = None
             if best is None or fmax >= best.f:
@@ -290,7 +287,12 @@ def _scan_blocks(
                 )
             best = better(best, cand)
 
-    return best, scored, block_max
+    if sparse:
+        gathered = counters.word_reads - reads_before
+        counters.word_reads_skipped += dense_reads - gathered
+    else:
+        counters.word_reads += dense_reads
+    return best, block_max
 
 
 def _pair_scores_sparse(
@@ -304,7 +306,7 @@ def _pair_scores_sparse(
     best: "MultiHitCombination | None",
     ceiling: float,
     ws: int,
-    traffic: "KernelCounters | None",
+    counters: KernelCounters,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sparse ``(B, L)`` TP / TN for one decode chunk of the nested scan.
 
@@ -316,19 +318,19 @@ def _pair_scores_sparse(
     (a sound upper bound that can never displace or tie the incumbent).
     """
     mask_t, mask_n = inner_masks
-    base_t = _and_reduce_rows_prefix(tumor, tuples, traffic)
+    base_t = _and_reduce_rows_prefix(tumor, tuples, counters)
     drop = None
     if best is not None and best.f > ceiling:
         nz = base_t.any(axis=1)
         if not nz.all():
             drop = ~nz
     if drop is None:
-        base_n = _and_reduce_rows_prefix(normal, tuples, traffic)
+        base_n = _and_reduce_rows_prefix(normal, tuples, counters)
         tp = fused_pair_popcount(
-            base_t, inner_t, ws, stride_any_mask(base_t, ws), mask_t, traffic
+            base_t, inner_t, ws, stride_any_mask(base_t, ws), mask_t, counters
         )
         n_hits = fused_pair_popcount(
-            base_n, inner_n, ws, stride_any_mask(base_n, ws), mask_n, traffic
+            base_n, inner_n, ws, stride_any_mask(base_n, ws), mask_n, counters
         )
         return tp, params.n_normal - n_hits
     kept = np.flatnonzero(~drop)
@@ -336,40 +338,15 @@ def _pair_scores_sparse(
     n_hits = np.zeros_like(tp)
     if kept.size:
         bt = base_t[kept]
-        bn = _and_reduce_rows_prefix(normal, tuples[kept], traffic)
+        bn = _and_reduce_rows_prefix(normal, tuples[kept], counters)
         tp[kept] = fused_pair_popcount(
-            bt, inner_t, ws, stride_any_mask(bt, ws), mask_t, traffic
+            bt, inner_t, ws, stride_any_mask(bt, ws), mask_t, counters
         )
         n_hits[kept] = fused_pair_popcount(
-            bn, inner_n, ws, stride_any_mask(bn, ws), mask_n, traffic
+            bn, inner_n, ws, stride_any_mask(bn, ws), mask_n, counters
         )
-    if traffic is not None:
-        traffic.zero_prefix_runs_skipped += _run_count(drop)
+    counters.zero_prefix_runs_skipped += _run_count(drop)
     return tp, params.n_normal - n_hits
-
-
-def _scan_range(
-    scheme: Scheme,
-    g: int,
-    tumor: BitMatrix,
-    normal: BitMatrix,
-    params: FScoreParams,
-    lam_start: int,
-    lam_end: int,
-    best: "MultiHitCombination | None" = None,
-    inner_cache: "dict | None" = None,
-    counters: "KernelCounters | None" = None,
-    sparse: bool = False,
-    word_stride: "int | None" = None,
-    traffic: "KernelCounters | None" = None,
-) -> tuple["MultiHitCombination | None", int, float]:
-    """Single-range convenience wrapper around :func:`_scan_blocks`."""
-    best, scored, block_max = _scan_blocks(
-        scheme, g, tumor, normal, params, (lam_start, lam_end),
-        best, inner_cache, counters,
-        sparse=sparse, word_stride=word_stride, traffic=traffic,
-    )
-    return best, scored, float(block_max[0])
 
 
 def best_in_thread_range(
@@ -381,7 +358,6 @@ def best_in_thread_range(
     lam_start: int,
     lam_end: int,
     counters: "KernelCounters | None" = None,
-    memory: "MemoryConfig | None" = None,
     bounds: "object | None" = None,
     iteration: int = 0,
     sparse: bool = False,
@@ -406,23 +382,19 @@ def best_in_thread_range(
     lam_end = min(lam_end, total_threads(scheme, g))
     if lam_end <= lam_start:
         return None
+    if counters is None:
+        counters = KernelCounters()  # metered and dropped
 
     if bounds is not None:
         return _best_pruned(
             scheme, g, tumor, normal, params, lam_start, lam_end,
-            bounds, iteration, counters, memory, sparse, word_stride,
+            bounds, iteration, counters, sparse, word_stride,
         )
-
-    traffic = KernelCounters() if sparse else None
-    best, scored, _ = _scan_range(
-        scheme, g, tumor, normal, params, lam_start, lam_end,
-        counters=counters, sparse=sparse, word_stride=word_stride,
-        traffic=traffic,
+    best, _ = _scan_blocks(
+        scheme, g, tumor, normal, params, (lam_start, lam_end), counters,
+        sparse=sparse, word_stride=word_stride,
     )
-    return _metered(
-        best, scored, scheme, g, tumor, normal, lam_start, lam_end, counters,
-        memory, traffic,
-    )
+    return best
 
 
 def _best_pruned(
@@ -435,8 +407,7 @@ def _best_pruned(
     lam_end: int,
     bounds,
     iteration: int,
-    counters: "KernelCounters | None",
-    memory: "MemoryConfig | None",
+    counters: KernelCounters,
     sparse: bool = False,
     word_stride: "int | None" = None,
 ) -> "MultiHitCombination | None":
@@ -447,9 +418,10 @@ def _best_pruned(
     single check.  Within a surviving super, members are walked in λ
     order so the non-skipped ones accumulate into contiguous *runs*, each
     scanned by one :func:`_scan_blocks` call (one decode per stride
-    across the whole run).  While no incumbent exists, runs flush after a
-    single block so the skip checks get a real F to compare against as
-    early as possible.
+    across the whole run; the runs of a call share their inner tables,
+    each built and metered once).  While no incumbent exists, runs flush
+    after a single block so the skip checks get a real F to compare
+    against as early as possible.
 
     Soundness: a skipped block's stored bound is a valid upper bound on
     the F it could achieve at some earlier iteration (the exact maximum
@@ -459,44 +431,22 @@ def _best_pruned(
     demands ``bound < incumbent.f`` *strictly* — so a skipped block (or
     super-block, via the max aggregate) holds neither the winner nor an
     equal-F tie.
-
-    Traffic on this path is metered with :func:`fused_word_reads` — the
-    fused kernel gathers each thread's fixed rows once and each level's
-    inner AND-table once per call, which subsumes the MemOpt prefetch
-    flags; ``memory.bitsplice`` still matters physically through the
-    matrix word width.  With ``sparse`` the meter switches to the words
-    actually gathered, and the fused model's charge minus the actual
-    traffic lands in ``word_reads_skipped``.
     """
     i0, i1 = bounds.block_slice(lam_start, lam_end)
-    w = tumor.n_words + normal.n_words
     best: "MultiHitCombination | None" = None
     inner_cache: dict = {}
-    charged_levels: set = set()
 
     def flush(run: list) -> None:
         nonlocal best
         cuts = [bounds.block_range(b)[0] for b in run]
         cuts.append(bounds.block_range(run[-1])[1])
-        traffic = KernelCounters() if sparse else None
-        best, scored, block_max = _scan_blocks(
-            scheme, g, tumor, normal, params, cuts,
-            best, inner_cache, counters,
-            sparse=sparse, word_stride=word_stride, traffic=traffic,
+        best, block_max = _scan_blocks(
+            scheme, g, tumor, normal, params, cuts, counters,
+            best, inner_cache, sparse=sparse, word_stride=word_stride,
         )
         for k, b in enumerate(run):
             bounds.refresh(b, float(block_max[k]), iteration)
-        if counters is not None:
-            counters.blocks_scanned += len(run)
-            counters.combos_scored += scored
-            model = fused_word_reads(
-                scheme, g, w, cuts[0], cuts[-1], charged_levels
-            )
-            if traffic is not None:
-                _fold_sparse_traffic(counters, traffic, model)
-            else:
-                counters.word_ops += scored * (scheme.hits - 1) * w
-                counters.word_reads += model
+        counters.blocks_scanned += len(run)
 
     for s in map(int, bounds.super_visit_order(i0, i1)):
         a, b_hi = bounds.super_block_range(s)
@@ -505,10 +455,9 @@ def _best_pruned(
             continue
         whole = lo_b == a and hi_b == b_hi
         if whole and best is not None and bounds.can_skip_super(s, best.f):
-            if counters is not None:
-                counters.supers_skipped += 1
-                counters.blocks_skipped += hi_b - lo_b
-                counters.combos_pruned += bounds.super_work(s)
+            counters.supers_skipped += 1
+            counters.blocks_skipped += hi_b - lo_b
+            counters.combos_pruned += bounds.super_work(s)
             continue
         run: list = []
         for b in range(lo_b, hi_b):
@@ -516,9 +465,8 @@ def _best_pruned(
                 if run:
                     flush(run)
                     run = []
-                if counters is not None:
-                    counters.blocks_skipped += 1
-                    counters.combos_pruned += bounds.block_work(b)
+                counters.blocks_skipped += 1
+                counters.combos_pruned += bounds.block_work(b)
                 continue
             run.append(b)
             if best is None:
@@ -526,68 +474,6 @@ def _best_pruned(
                 run = []
         if run:
             flush(run)
-    return best
-
-
-def _fold_sparse_traffic(
-    counters: "KernelCounters",
-    traffic: "KernelCounters",
-    model_reads: int,
-) -> None:
-    """Fold one sparse scan's actual traffic into the run counters.
-
-    ``word_reads`` gets the words actually gathered; the configured dense
-    accounting's charge minus that lands in ``word_reads_skipped``, so
-    ``word_reads + word_reads_skipped`` reproduces the dense-path charge
-    for the identical scan exactly (the closure identity the tests pin).
-    ``combos_scored`` is intentionally not folded — the caller charges
-    the returned ``scored`` exactly as on the dense path.
-    """
-    counters.word_reads += traffic.word_reads
-    counters.word_ops += traffic.word_ops
-    counters.word_reads_skipped += max(0, model_reads - traffic.word_reads)
-    counters.strides_skipped_sparse += traffic.strides_skipped_sparse
-    counters.prefix_and_hits += traffic.prefix_and_hits
-    counters.zero_prefix_runs_skipped += traffic.zero_prefix_runs_skipped
-
-
-def _metered(
-    best: "MultiHitCombination | None",
-    scored: int,
-    scheme: Scheme,
-    g: int,
-    tumor: BitMatrix,
-    normal: BitMatrix,
-    lam_start: int,
-    lam_end: int,
-    counters: "KernelCounters | None",
-    memory: "MemoryConfig | None",
-    traffic: "KernelCounters | None" = None,
-) -> "MultiHitCombination | None":
-    """Meter the call's work and traffic exactly once, identically for the
-    ``d == 0`` and ``d > 0`` paths.
-
-    ``word_reads`` follows the memory-optimization model when ``memory``
-    is given; otherwise it is the unoptimized kernel traffic (every
-    combination reads all ``hits`` rows).  The two agree whenever no
-    prefetch applies, so the MemOpt experiments see path-independent
-    counts on equivalent grids.  A sparse scan's ``traffic`` switches
-    the charge to the actual gathered words, with the model charge minus
-    actual landing in ``word_reads_skipped``.
-    """
-    if counters is None:
-        return best
-    w = tumor.n_words + normal.n_words
-    counters.combos_scored += scored
-    if memory is not None:
-        model = global_word_reads(scheme, g, w, lam_start, lam_end, memory)
-    else:
-        model = scored * scheme.hits * w
-    if traffic is not None:
-        _fold_sparse_traffic(counters, traffic, model)
-    else:
-        counters.word_ops += scored * (scheme.hits - 1) * w
-        counters.word_reads += model
     return best
 
 
@@ -608,7 +494,6 @@ class SingleGpuEngine:
     """
 
     scheme: Scheme
-    memory: MemoryConfig = field(default_factory=MemoryConfig)
     sparse: bool = False
 
     def best_combo(
@@ -634,7 +519,6 @@ class SingleGpuEngine:
             lam_start,
             lam_end,
             counters=counters,
-            memory=self.memory,
             bounds=bounds,
             iteration=iteration,
             sparse=self.sparse,

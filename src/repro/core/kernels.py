@@ -31,12 +31,12 @@ its members are reported with the ceiling as a (sound) upper bound
 instead of being scored.  Only engine scans pass ``skip_below``; the
 public scoring API stays exact.
 
-The kernels meter their own global-memory traffic (word reads) so the
-memory-optimization experiments can compare access volumes at any scale
-without a hardware profiler.  On the sparse path the meter counts the
-words *actually* gathered, and ``word_reads_skipped`` carries the
-complement, so ``word_reads + word_reads_skipped`` always equals the
-dense charge for the same call (an identity the tests pin).
+The kernels meter their own global-memory traffic: ``word_reads`` is
+the words gathered from the matrices, on either path.  On the sparse
+path ``word_reads_skipped`` carries what the dense pass would have
+gathered on top, so ``word_reads + word_reads_skipped`` always equals
+the dense path's ``word_reads`` for the same call (an identity the
+tests pin).
 """
 
 from __future__ import annotations

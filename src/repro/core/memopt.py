@@ -1,4 +1,4 @@
-"""Memory-optimization configuration and access-volume model (Section III-D).
+"""Memory-optimization configuration and access-volume models (Section III-D).
 
 Three optimizations from the paper, all of which change *how much* global
 memory the scoring kernel touches without changing the result:
@@ -12,7 +12,11 @@ memory the scoring kernel touches without changing the result:
 ``global_word_reads`` computes the exact number of global-memory word
 reads a thread-range would perform under a configuration — the quantity
 NVPROF's DRAM counters measure up to caching effects — and is what the
-Fig. 5 experiment compares across configurations.
+Fig. 5 experiment compares across configurations.  The vectorized scan
+cannot express the register prefetches (it gathers every fixed row once
+regardless), so nothing below :class:`~repro.core.solver.MultiHitSolver`
+takes a :class:`MemoryConfig`; what the scan does gather is
+``fused_word_reads``, and the engine's meter equals it exactly.
 """
 
 from __future__ import annotations
@@ -115,7 +119,8 @@ def fused_word_reads(
 ) -> int:
     """Global-memory word reads of the *fused* scan over a thread range.
 
-    The fused kernel (the lazy-greedy engine's scoring pass) touches each
+    The fused kernel (the engine's scoring pass, whose dense
+    ``word_reads`` meter this reproduces with zero residual) touches each
     global word exactly once per logical load: every thread's ``f`` fixed
     rows are gathered and AND-reduced a single time (full-width prefetch —
     this subsumes MemOpt1/2, so :class:`MemoryConfig` prefetch flags do
@@ -126,11 +131,11 @@ def fused_word_reads(
     first touches count — the same convention the paper's MemOpt
     accounting uses for prefetched rows.
 
-    ``charged_levels`` carries first-touch state across the multiple
-    block scans of one engine call (the engine passes the set backing its
-    inner-table cache); each level's table-build cost is charged exactly
-    once per set.  Passing ``None`` charges every intersected level,
-    which is the single-range closed form.
+    ``charged_levels`` carries first-touch state across the several
+    runs one pruned engine call scans (they share one inner-table
+    cache): each level's table-build cost is charged exactly once per
+    set.  Passing ``None`` charges every intersected level, which is the
+    single-range closed form.
     """
     if lam_end <= lam_start:
         return 0

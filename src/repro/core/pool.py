@@ -60,7 +60,6 @@ from repro.core.combination import MultiHitCombination
 from repro.core.engine import best_in_thread_range
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.core.memopt import MemoryConfig
 from repro.core.reduction import multi_stage_reduce
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.policy import RetryPolicy
@@ -102,7 +101,6 @@ class _ChunkTask:
     params: FScoreParams
     lam_start: int
     lam_end: int
-    memory: "MemoryConfig | None"
     fault: "FaultSpec | None" = None
     trace: bool = False  # worker records spans/metrics and ships them back
     # Causal context of the dispatching span (repro.telemetry.causal):
@@ -174,7 +172,6 @@ def _scan(task: _ChunkTask, tumor: BitMatrix, normal: BitMatrix):
         task.lam_start,
         task.lam_end,
         counters=counters,
-        memory=task.memory,
         bounds=local_bounds,
         iteration=task.iteration,
         sparse=task.sparse,
@@ -300,8 +297,6 @@ class PoolEngine:
         Loop-flattening scheme (the thread grid being partitioned).
     n_workers:
         Worker processes in the persistent pool.
-    memory:
-        Memory-optimization config forwarded to every chunk search.
     retry_policy:
         Shared recovery policy: ``deadline_s`` is the per-chunk seconds
         before the parent gives up on a worker and recovers the chunk
@@ -319,19 +314,19 @@ class PoolEngine:
         task queue then *is* the work-stealing mechanism (a free worker
         pulls the next lease, so a straggling worker cannot hold back
         more than one lease's work), and the timeout/resubmit recovery
-        path doubles as the steal of a lost lease.  Winners and merged
-        counters are bit-identical to the default cut: both feed the
-        same partition-ordered reduce.
+        path doubles as the steal of a lost lease.  Winners and
+        ``combos_scored`` are bit-identical to the default cut: both
+        feed the same partition-ordered reduce.
     sparse:
-        Forwarded to every chunk's :func:`best_in_thread_range`; the
-        sparsity-driven path changes traffic (and its counters are
-        partition-dependent, since prefix runs split at chunk
-        boundaries) but winners and ``combos_scored`` stay identical.
+        Forwarded to every chunk's :func:`best_in_thread_range`.
+        Winners and ``combos_scored`` do not depend on it or on the
+        cut; the traffic counters depend on both (each chunk gathers
+        the inner tables of the levels it touches, and sparse prefix
+        runs split at chunk boundaries).
     """
 
     scheme: Scheme
     n_workers: int = 2
-    memory: MemoryConfig = field(default_factory=MemoryConfig)
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     fault_plan: "FaultPlan | None" = None
     elastic: bool = False
@@ -626,7 +621,6 @@ class PoolEngine:
                 params=params,
                 lam_start=lo,
                 lam_end=hi,
-                memory=self.memory,
                 fault=(
                     self.fault_plan.take("pool", i, call)
                     if self.fault_plan is not None

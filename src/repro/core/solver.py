@@ -106,9 +106,7 @@ class _LocalEngine:
 
 def _single_engine(solver: "MultiHitSolver"):
     return _LocalEngine(
-        SingleGpuEngine(
-            scheme=solver.scheme, memory=solver.memory, sparse=solver.sparse
-        ).best_combo
+        SingleGpuEngine(scheme=solver.scheme, sparse=solver.sparse).best_combo
     )
 
 
@@ -128,7 +126,6 @@ def _pool_engine(solver: "MultiHitSolver"):
     return PoolEngine(
         scheme=solver.scheme,
         n_workers=solver.n_workers,
-        memory=solver.memory,
         fault_plan=solver.fault_plan,
         retry_policy=solver.retry_policy or RetryPolicy(),
         elastic=solver.elastic,
@@ -144,7 +141,6 @@ def _distributed_engine(solver: "MultiHitSolver"):
         scheme=solver.scheme,
         n_nodes=solver.n_nodes,
         gpus_per_node=solver.gpus_per_node,
-        memory=solver.memory,
         fault_plan=solver.fault_plan,
         retry_policy=solver.retry_policy or RetryPolicy(),
         elastic=solver.elastic,
@@ -182,8 +178,12 @@ class MultiHitSolver:
         Loop-flattening scheme; defaults to ``(h-1)x1`` (the paper's 3x1
         for ``h = 4``).
     memory:
-        Which memory optimizations are on.  ``memory.bitsplice`` selects
-        splice-vs-mask handling of covered samples.
+        The paper's memory optimizations.  ``memory.bitsplice`` selects
+        splice-vs-mask handling of covered samples (unpruned runs); the
+        register-prefetch flags cannot be expressed by the NumPy scan,
+        which gathers each thread's fixed rows once regardless — they
+        parameterise the models (:func:`repro.core.memopt.
+        global_word_reads`, :class:`repro.perfmodel.runtime.JobModel`).
     n_nodes / gpus_per_node:
         Simulated Summit shape for the distributed backend.
     n_workers:
@@ -200,10 +200,7 @@ class MultiHitSolver:
         the incumbent, surviving blocks are scored by the fused
         multi-block scan (one λ-decode per stride, word-stride-fused
         AND/popcount), and the scan runs on a column-compacted tumor
-        matrix.  The fused gather reads each thread's fixed rows exactly
-        once, subsuming the ``memory`` prefetch flags on this path
-        (``memory.bitsplice`` still matters through the compacted word
-        width).  Results are bit-identical to the unpruned engine on
+        matrix.  Results are bit-identical to the unpruned engine on
         every backend; only the work counters (and wall time) change.
         Ignored by the ``"sequential"`` oracle.
         The bound table has :meth:`BoundTable.build`'s default block
@@ -220,10 +217,10 @@ class MultiHitSolver:
         Sparsity-driven scoring path (default on): nonzero-stride
         skipping, shared-prefix AND caching and zero-prefix run
         skipping in the fused kernels.  Winners, iteration trajectory
-        and ``combos_scored`` are bit-identical either way; traffic
-        counters switch from the dense model charge to the words
-        actually gathered, with the difference in
-        ``counters.word_reads_skipped``.  Ignored by the
+        and ``combos_scored`` are bit-identical either way; either way
+        ``counters.word_reads`` is what the scan gathered, and on the
+        sparse path ``counters.word_reads_skipped`` is what the dense
+        scan would have gathered on top.  Ignored by the
         ``"sequential"`` oracle.
 
     These fields are the one declaration of the solve-path options (the
@@ -382,10 +379,12 @@ class MultiHitSolver:
 
         Pruned runs always repack the uncovered columns into a narrower
         matrix (less word traffic, narrower popcounts); unpruned runs
-        honor the splice-vs-mask ablation knob.
+        honor the splice-vs-mask ablation knob — the one place
+        ``memory`` is read on the solve path.
         """
         if self.prune or self.memory.bitsplice:
             return splice_columns(tumor, active)
+        # Mask covered columns in place: same width, zeroed bits.
         mask = tumor.sample_mask_to_words(active)
         return BitMatrix(tumor.words & mask[None, :], tumor.n_samples)
 
@@ -454,20 +453,8 @@ class MultiHitSolver:
             combos.append(best)
             covered_now = tumor.samples_with_all(best.genes) & active
             active &= ~covered_now
-            if self.prune:
-                with tel.span(
-                    "prune.compact", cat="solver", width_before=work.n_words
-                ):
-                    work = self._compact(tumor, active)
-            elif self.memory.bitsplice:
-                covered_local = work.samples_with_all(best.genes)
-                work = splice_columns(work, ~covered_local)
-            else:
-                # Mask covered columns in place: same width, zeroed bits.
-                mask = work.sample_mask_to_words(
-                    ~work.samples_with_all(best.genes)
-                )
-                work = BitMatrix(work.words & mask[None, :], work.n_samples)
+            with tel.span("compact", cat="solver", width_before=work.n_words):
+                work = self._compact(tumor, active)
             records.append(
                 IterationRecord(
                     iteration=len(combos),

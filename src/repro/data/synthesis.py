@@ -44,15 +44,18 @@ class CohortConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if min(self.hits, self.n_driver_combos) < 1 or self.seed < 0:
+            raise ValueError("hits and n_driver_combos must be >= 1, seed >= 0")
         if self.n_genes < self.hits * self.n_driver_combos:
             raise ValueError(
-                "not enough genes for disjoint driver combinations: "
-                f"{self.n_genes} < {self.hits * self.n_driver_combos}"
+                "n_genes too small for disjoint driver combinations "
+                f"(hits x n_driver_combos): {self.n_genes} < "
+                f"{self.hits * self.n_driver_combos}"
             )
         if not 0.0 <= self.driver_penetrance <= 1.0:
-            raise ValueError("penetrance must be in [0, 1]")
+            raise ValueError("driver_penetrance must be in [0, 1]")
         if not 0.0 <= self.sporadic_fraction < 1.0:
-            raise ValueError("sporadic fraction must be in [0, 1)")
+            raise ValueError("sporadic_fraction must be in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,8 @@ from pathlib import Path
 from urllib.parse import parse_qs
 
 from repro.core.solver import MultiHitSolver
+from repro.data.registry import dataset_names
+from repro.data.synthesis import CohortConfig
 from repro.service.dispatch import dispatch_policy
 from repro.service.jobs import Job, JobState, JobStore
 from repro.service.queue import AdmissionError, AdmissionQueue
@@ -60,9 +62,12 @@ from repro.telemetry.session import Telemetry
 
 __all__ = ["Gateway", "GatewayServer", "validate_spec"]
 
+#: The gateway's one list of cohort keys — a registry ``dataset`` name or
+#: tenant-settable :class:`CohortConfig` fields — with their JSON types.
 _ALLOWED_COHORT_KEYS = {
-    "dataset", "n_genes", "n_tumor", "n_normal", "hits", "seed",
-    "n_driver_combos", "driver_penetrance", "sporadic_fraction",
+    "dataset": str, "n_genes": int, "n_tumor": int, "n_normal": int,
+    "hits": int, "seed": int, "n_driver_combos": int,
+    "driver_penetrance": float, "sporadic_fraction": float,
 }
 #: The gateway's one list of solver keys: each tenant-settable
 #: :class:`MultiHitSolver` field and its JSON type.
@@ -72,16 +77,33 @@ _ALLOWED_SOLVER_KEYS = {
 }
 
 
+def _check_keys(section: str, values: dict, allowed: dict) -> None:
+    """Every key of ``values`` is on the allow-list at its JSON type."""
+    unknown = values.keys() - allowed.keys()
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    for key, value in values.items():
+        want = allowed[key]
+        # bool is an int subclass and an int is a valid JSON float.
+        if type(value) is not want and (want, type(value)) != (float, int):
+            raise ValueError(
+                f"{section}.{key} must be {want.__name__}, "
+                f"got {type(value).__name__}"
+            )
+
+
 def validate_spec(payload: dict) -> tuple[str, dict]:
     """Validate a submission body; returns ``(tenant, spec)``.
 
     Raises :class:`ValueError` with a client-readable message (-> 400).
     Validation is allow-listed: unknown keys are rejected rather than
     silently dropped, so a typo'd knob fails loudly at submit time
-    instead of quietly solving the wrong problem.  Solver values are
-    checked by type here and by range in ``MultiHitSolver.__post_init__``
-    — which is also where an ``elastic`` spec without a pinned
-    ``backend`` that supports it is refused.
+    instead of quietly solving the wrong problem.  Values are checked by
+    type here and by range where they are declared — the cohort's in
+    ``CohortConfig.__post_init__``, the solver's in
+    ``MultiHitSolver.__post_init__`` (which is also where an ``elastic``
+    spec without a pinned ``backend`` that supports it is refused) — so
+    a spec that is stored is one its job can run.
     """
     if not isinstance(payload, dict):
         raise ValueError("body must be a JSON object")
@@ -91,29 +113,24 @@ def validate_spec(payload: dict) -> tuple[str, dict]:
     cohort = payload.get("cohort")
     if not isinstance(cohort, dict) or not cohort:
         raise ValueError("cohort must be a non-empty object")
-    unknown = set(cohort) - _ALLOWED_COHORT_KEYS
-    if unknown:
-        raise ValueError(f"unknown cohort keys: {sorted(unknown)}")
-    if "dataset" not in cohort:
+    _check_keys("cohort", cohort, _ALLOWED_COHORT_KEYS)
+    if "dataset" in cohort:
+        if cohort["dataset"] not in dataset_names():
+            raise ValueError(f"cohort.dataset must be one of {dataset_names()}")
+    else:
         for key in ("n_genes", "n_tumor", "n_normal"):
-            if not isinstance(cohort.get(key), int) or cohort[key] < 1:
+            if cohort.get(key, 0) < 1:
                 raise ValueError(f"cohort.{key} must be a positive integer")
-        if cohort.get("n_genes", 0) > 4096:
+        if cohort["n_genes"] > 4096:
             raise ValueError("cohort.n_genes over the service limit (4096)")
+        try:
+            CohortConfig(**cohort)
+        except ValueError as exc:
+            raise ValueError(f"cohort: {exc}") from None
     solver = payload.get("solver", {})
     if not isinstance(solver, dict):
         raise ValueError("solver must be an object")
-    unknown = solver.keys() - _ALLOWED_SOLVER_KEYS.keys()
-    if unknown:
-        raise ValueError(f"unknown solver keys: {sorted(unknown)}")
-    for key, value in solver.items():
-        want = _ALLOWED_SOLVER_KEYS[key]
-        # bool is an int subclass and an int is a valid JSON float.
-        if type(value) is not want and (want, type(value)) != (float, int):
-            raise ValueError(
-                f"solver.{key} must be {want.__name__}, "
-                f"got {type(value).__name__}"
-            )
+    _check_keys("solver", solver, _ALLOWED_SOLVER_KEYS)
     try:
         MultiHitSolver(**solver)
     except (TypeError, ValueError) as exc:

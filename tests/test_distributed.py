@@ -139,7 +139,7 @@ class _FleetEngine:
         return spmd_best_combo(
             ledger, e.scheme, tumor, normal, params, e.n_nodes,
             fault_plan=e.fault_plan, retry_policy=e.retry_policy,
-            report=e.report, memory=e.memory, sparse=e.sparse,
+            report=e.report, sparse=e.sparse,
             call=self.calls - 1, **search,
         )
 

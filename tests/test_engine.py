@@ -7,7 +7,7 @@ from repro.bitmatrix.matrix import BitMatrix
 from repro.core.engine import SingleGpuEngine, best_in_thread_range
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.core.memopt import MemoryConfig
+from repro.core.memopt import fused_word_reads
 from repro.core.sequential import sequential_best_combo
 from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, SCHEME_4X1, Scheme
 from repro.scheduling.workload import total_threads
@@ -99,7 +99,6 @@ class TestCounters:
             0,
             total_threads(SCHEME_3X1, 14),
             counters=counters,
-            memory=MemoryConfig(),
         )
         import math
 
@@ -110,13 +109,11 @@ class TestCounters:
         "scheme", [Scheme(4, 0), SCHEME_3X1, SCHEME_2X2, Scheme(1, 3)]
     )
     def test_traffic_metered_exactly_once(self, instance, scheme):
-        # Regression: the fully-flattened (d == 0) path metered traffic
-        # through score_combos while the d > 0 path only counted
-        # word_reads when a memory config was passed — and never counted
-        # word_ops at all — so equivalent grids disagreed.  Without a
-        # memory model every combination touches all h rows once:
-        # word_reads = combos * h * w and word_ops = combos * (h-1) * w,
-        # identically for every scheme covering the same combinations.
+        # The scan is the meter on the flat (d == 0) and nested paths
+        # alike: word_ops = combos * (h-1) * w for every scheme covering
+        # the same combinations, and word_reads is what the scheme's
+        # scan gathers — each thread's fixed rows once, each level's
+        # inner table once — i.e. fused_word_reads of the grid.
         import math
 
         _, _, tumor, normal, params = instance
@@ -134,32 +131,26 @@ class TestCounters:
         w = tumor.n_words + normal.n_words
         combos = math.comb(14, 4)
         assert counters.combos_scored == combos
-        assert counters.word_reads == combos * 4 * w
+        assert counters.word_reads == fused_word_reads(
+            scheme, 14, w, 0, total_threads(scheme, 14)
+        )
         assert counters.word_ops == combos * 3 * w
 
-    def test_word_reads_parity_between_paths(self, instance):
-        # word_reads parity between the d == 0 and d > 0 code paths on
-        # an equivalent grid, with and without a memory model.  Under
-        # the no-prefetch memory model the traffic formula degenerates
-        # to h rows per combination for both paths.
+    def test_work_parity_between_paths(self, instance):
+        # The d == 0 and d > 0 code paths do the same work on an
+        # equivalent grid; they gather differently (a flat thread reads
+        # all h rows per combination, a nested one its f fixed rows once
+        # against a shared inner table), so the nested scan reads less.
         _, _, tumor, normal, params = instance
-        for memory in (None, MemoryConfig(False, False, False)):
-            flat, nested = KernelCounters(), KernelCounters()
-            for scheme, counters in ((Scheme(4, 0), flat), (SCHEME_3X1, nested)):
-                best_in_thread_range(
-                    scheme,
-                    14,
-                    tumor,
-                    normal,
-                    params,
-                    0,
-                    total_threads(scheme, 14),
-                    counters=counters,
-                    memory=memory,
-                )
-            assert flat.word_reads == nested.word_reads
-            assert flat.word_ops == nested.word_ops
-            assert flat.combos_scored == nested.combos_scored
+        flat, nested = KernelCounters(), KernelCounters()
+        for scheme, counters in ((Scheme(4, 0), flat), (SCHEME_3X1, nested)):
+            best_in_thread_range(
+                scheme, 14, tumor, normal, params,
+                0, total_threads(scheme, 14), counters=counters,
+            )
+        assert flat.word_ops == nested.word_ops
+        assert flat.combos_scored == nested.combos_scored
+        assert nested.word_reads < flat.word_reads
 
 
 class TestTieDeterminism:

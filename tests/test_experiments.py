@@ -87,6 +87,11 @@ class TestFig5:
         assert reds[2] > reds[1] > reds[0] == 1.0
         assert "Fig 5" in fig5_memopts.report(r)
 
+    def test_word_reads_are_the_model_on_the_solve_trajectory(self):
+        """The row EXPERIMENTS.md quotes, to the word."""
+        r = fig5_memopts.run()
+        assert r.measured_word_reads == [2252640, 1561040, 869440, 674960]
+
 
 class TestFig6:
     def test_decaying_utilization_and_transition(self):

@@ -20,7 +20,7 @@ from repro.service import (
     validate_spec,
 )
 from repro.service.dispatch import FleetState, RoundRobinPolicy
-from repro.service.http import _ALLOWED_SOLVER_KEYS
+from repro.service.http import _ALLOWED_COHORT_KEYS, _ALLOWED_SOLVER_KEYS
 from repro.service.jobs import Job
 
 
@@ -196,27 +196,61 @@ class TestDispatch:
 
 class TestValidateSpec:
     def test_accepts_minimal(self):
-        tenant, spec = validate_spec(
-            {"cohort": {"n_genes": 8, "n_tumor": 10, "n_normal": 10}}
-        )
+        tenant, spec = validate_spec({"cohort": self.COHORT})
         assert tenant == "anonymous"
-        assert spec["cohort"]["n_genes"] == 8
+        assert spec == {"cohort": self.COHORT, "solver": {}}
 
     @pytest.mark.parametrize("payload", [
         [],
         {"cohort": {}},
-        {"cohort": {"n_genes": 8, "n_tumor": 10, "n_normal": 10,
+        {"cohort": {"n_genes": 16, "n_tumor": 10, "n_normal": 10,
                     "evil_knob": 1}},
         {"cohort": {"n_genes": -4, "n_tumor": 10, "n_normal": 10}},
-        {"cohort": {"n_genes": 8, "n_tumor": 10, "n_normal": 10},
+        {"cohort": {"n_genes": 16, "n_tumor": 10, "n_normal": 10},
          "solver": {"backend": "mainframe"}},
-        {"tenant": "", "cohort": {"n_genes": 8, "n_tumor": 10, "n_normal": 10}},
+        {"tenant": "", "cohort": {"n_genes": 16, "n_tumor": 10, "n_normal": 10}},
     ])
     def test_rejects(self, payload):
         with pytest.raises(ValueError):
             validate_spec(payload)
 
-    COHORT = {"n_genes": 8, "n_tumor": 10, "n_normal": 10}
+    # 16 genes: room for the default 4 disjoint 4-hit driver combinations.
+    COHORT = {"n_genes": 16, "n_tumor": 10, "n_normal": 10}
+
+    @pytest.mark.parametrize("key,want", sorted(_ALLOWED_COHORT_KEYS.items()))
+    def test_rejects_wrong_typed_cohort_value(self, key, want):
+        wrong = 7 if want is str else "x"
+        with pytest.raises(ValueError, match=f"cohort.{key} must be"):
+            validate_spec({"cohort": {**self.COHORT, key: wrong}})
+        with pytest.raises(ValueError, match=f"cohort.{key} must be"):
+            validate_spec({"cohort": {**self.COHORT, key: True}})
+
+    @pytest.mark.parametrize("cohort,named", [
+        ({"hits": "x"}, "cohort.hits"),
+        ({"n_genes": True}, "cohort.n_genes"),
+        ({"driver_penetrance": 5}, "driver_penetrance"),
+        ({"dataset": "nope"}, "cohort.dataset"),
+        ({"n_genes": 8, "hits": 3}, "n_genes"),
+        ({"sporadic_fraction": 1}, "sporadic_fraction"),
+        ({"hits": 0}, "hits"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_rejects_bad_cohort_values(self, cohort, named):
+        """A spec whose cohort could only fail once claimed is a 400."""
+        if "dataset" not in cohort:
+            cohort = {**self.COHORT, **cohort}
+        with pytest.raises(ValueError, match=named):
+            validate_spec({"cohort": cohort})
+
+    def test_accepts_every_cohort_key_at_a_valid_value(self):
+        cohort = {
+            "n_genes": 12, "n_tumor": 10, "n_normal": 10, "hits": 3, "seed": 1,
+            "n_driver_combos": 4, "driver_penetrance": 1, "sporadic_fraction": 0.5,
+        }
+        assert set(cohort) | {"dataset"} == set(_ALLOWED_COHORT_KEYS)
+        assert validate_spec({"cohort": cohort})[1]["cohort"] == cohort
+        named = {"dataset": "demo"}
+        assert validate_spec({"cohort": named})[1]["cohort"] == named
 
     @pytest.mark.parametrize("key,want", sorted(
         _ALLOWED_SOLVER_KEYS.items(), key=lambda kv: kv[0]))
@@ -472,13 +506,12 @@ class TestGatewayEndToEnd:
             full.combinations[:found])
 
     def test_crashing_job_isolated_with_flight_dump(self, tmp_path):
-        bad = {
-            "tenant": "clumsy",
-            "cohort": {"dataset": "no-such-dataset"},
-            "solver": {"hits": 3},
-        }
+        bad = {"cohort": {"dataset": "no-such-dataset"}, "solver": {"hits": 3}}
         with Gateway(state_dir=tmp_path, max_concurrent=2) as gw:
-            crash = gw.submit(bad)
+            # Submit refuses this spec; queue it the way a job file
+            # written before the value check would arrive.
+            crash = gw.store.new_job("clumsy", bad)
+            gw.queue.submit(crash.job_id, crash.tenant)
             good = gw.submit(spec_for(5))
             done = gw.wait([crash.job_id, good.job_id], timeout=120)
         crashed, ok = done
@@ -515,6 +548,35 @@ class TestGatewayEndToEnd:
                 assert status == 400 and named in body["error"], body
             assert len(gw.store) == 0
             assert gw.queue.backlog == 0 and gw.queue.in_flight == 0
+
+    def test_bad_cohort_values_are_400_and_leave_no_trace(self, tmp_path):
+        """A cohort that could only fail once a runner claimed it is
+        refused before it is stored, queued or charged to a quota."""
+        good = spec_for(0)
+        with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
+            for cohort, named in [
+                ({"hits": "x"}, "cohort.hits"),
+                ({"n_genes": True}, "cohort.n_genes"),
+                ({"driver_penetrance": 5}, "driver_penetrance"),
+                ({"dataset": "nope"}, "cohort.dataset"),
+                ({"n_genes": 8, "hits": 3}, "n_genes"),
+            ]:
+                if "dataset" not in cohort:
+                    cohort = {**good["cohort"], **cohort}
+                status, body, _ = _http(
+                    "POST", f"{gw.url}/v1/jobs",
+                    {"cohort": cohort, "solver": good["solver"]})
+                assert status == 400 and named in body["error"], body
+            assert len(gw.store) == 0
+            assert not list((tmp_path / "jobs").iterdir())
+            assert gw.queue.backlog == 0 and gw.queue.in_flight == 0
+            # A valid spec is stored exactly as submitted.
+            job = gw.submit(good)
+            stored = json.loads((tmp_path / "jobs" / f"{job.job_id}.json").read_text())
+            assert stored["spec"] == {
+                "cohort": good["cohort"], "solver": good["solver"]
+            }
+            gw.wait([job.job_id], timeout=120)
 
     def test_dispatch_failure_fails_the_job_not_the_supervisor(self, tmp_path):
         class FirstJobExplodes(RoundRobinPolicy):

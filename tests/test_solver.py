@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import spmd_best_combo
-from repro.core.distributed import DistributedEngine
-from repro.core.engine import SingleGpuEngine
+from repro.core.distributed import DistributedEngine, search_lease
+from repro.core.engine import SingleGpuEngine, best_in_thread_range
 from repro.core.memopt import MemoryConfig
 from repro.core.pool import PoolEngine
 from repro.core.sequential import sequential_solve
@@ -77,6 +77,29 @@ class TestOptionsLedger:
     def test_fleet_entry_point_lost_its_stride(self):
         with pytest.raises(TypeError, match="word_stride"):
             spmd_best_combo(None, SCHEME_3X1, None, None, None, 1, word_stride=64)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda **kw: SingleGpuEngine(scheme=SCHEME_3X1, **kw),
+            lambda **kw: PoolEngine(scheme=SCHEME_3X1, **kw),
+            lambda **kw: DistributedEngine(scheme=SCHEME_3X1, n_nodes=2, **kw),
+            lambda **kw: search_lease(SCHEME_3X1, None, 0, None, None, None, **kw),
+            lambda **kw: spmd_best_combo(None, SCHEME_3X1, None, None, None, 1, **kw),
+            lambda **kw: best_in_thread_range(
+                SCHEME_3X1, 8, None, None, None, 0, 1, **kw
+            ),
+        ],
+        ids=[
+            "SingleGpuEngine", "PoolEngine", "DistributedEngine", "search_lease",
+            "spmd_best_combo", "best_in_thread_range",
+        ],
+    )
+    def test_memory_stops_at_the_solver(self, call):
+        """``memory`` is a solver field only: the scan cannot express the
+        prefetch flags, and ``bitsplice`` is read in ``_compact``."""
+        with pytest.raises(TypeError, match="memory"):
+            call(memory=MemoryConfig())
 
 
 class TestGreedyLoop:
