@@ -105,7 +105,6 @@ class ElasticSPMDRunner:
         tel.clear_gauges("spmd.heartbeat_stale_s.")
         world = SimCommWorld(self.max_ranks, fault_plan=self.fault_plan)
         stop = threading.Event()
-        started = threading.Event()
         threads: "dict[int, threading.Thread]" = {}
         leave_events: "dict[int, threading.Event]" = {}
 
@@ -114,15 +113,11 @@ class ElasticSPMDRunner:
             # telemetry session so rank-side spans/counters stay on it.
             set_thread_telemetry(tel)
             comm = SimComm(world, rank)
-            # The initial world starts together (as after MPI_Init):
-            # without it the first thread can drain a small ledger before
-            # its peers exist, and a planned fault on them never fires.
-            started.wait()
             try:
                 with tel.span("spmd.rank", cat="spmd", rank=rank, elastic=True):
                     self._rank_body(
                         comm, rank, ledger, search, stop,
-                        leave_events[rank], call,
+                        leave_events[rank], call, first_round.get(rank),
                     )
             except BaseException as exc:  # noqa: BLE001 - survivable by design
                 ledger.retire(rank)
@@ -156,9 +151,14 @@ class ElasticSPMDRunner:
         with tel.span(
             "spmd.world", cat="spmd", n_ranks=self.n_ranks, elastic=True
         ):
+            # An SPMD launch has every rank alive at t=0: the first
+            # round is granted here, in rank order, so each initial rank
+            # holds a lease (and a fault planned on it fires) however
+            # fast its peers' threads drain the rest.  Joiners start
+            # empty.
+            first_round = {r: ledger.acquire(r) for r in range(self.n_ranks)}
             for r in range(self.n_ranks):
                 spawn(r)
-            started.set()
             next_rank = self.n_ranks
             deadline = time.monotonic() + self.max_wall_s
             try:
@@ -231,9 +231,21 @@ class ElasticSPMDRunner:
                 )
 
     def _rank_body(
-        self, comm, rank, ledger, search, stop, leave, call
+        self, comm, rank, ledger, search, stop, leave, call, lease=None
     ) -> None:
         tel = get_telemetry()
+
+        def run(held) -> bool:
+            return run_lease(
+                ledger, held, rank, search, self.fault_plan,
+                self.retry_policy, self.report, call, sleep_through_hang=True,
+            )
+
+        if lease is not None:  # granted by the driver before the launch
+            ledger.take_up(lease, rank)
+            comm.heartbeat()
+            if not run(lease):
+                return
         while not (stop.is_set() or ledger.done):
             comm.heartbeat()
             if leave.is_set():
@@ -260,10 +272,7 @@ class ElasticSPMDRunner:
                         time.sleep(_POLL_S)
                         comm.heartbeat()
                 continue
-            if not run_lease(
-                ledger, lease, rank, search, self.fault_plan,
-                self.retry_policy, self.report, call, sleep_through_hang=True,
-            ):
+            if not run(lease):
                 return  # retired: its leases are the survivors' now
 
     def _drain_inline(self, ledger, search, call) -> None:

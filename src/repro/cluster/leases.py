@@ -263,6 +263,18 @@ class LeaseLedger:
                         )
             return lease
 
+    def take_up(self, lease: Lease, holder: int) -> None:
+        """``holder`` starts on a lease the driver acquired on its behalf.
+
+        The grant is causally the holder's, so its context becomes the
+        holder's own span (a later thief's ``steal`` edge must reach the
+        victim's timeline, not the driver's) — unless the grant has been
+        revoked in the meantime.
+        """
+        with self._lock:
+            if lease.state == "granted" and lease.holder == holder:
+                lease.grant_ctx = get_telemetry().context()
+
     def renew(self, holder: int, now: "float | None" = None) -> int:
         """Extend the deadlines of every lease ``holder`` currently holds."""
         if self.ttl_s is None:

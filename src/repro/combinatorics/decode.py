@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["binomial_clamped", "top_index_array", "combos_from_linear"]
+__all__ = ["binomial_clamped", "top_index", "top_index_array", "combos_from_linear"]
 
 _INT64_MAX = np.int64(np.iinfo(np.int64).max)
 
@@ -58,6 +58,26 @@ def binomial_clamped(x: np.ndarray, order: int) -> np.ndarray:
         # and the sticky mask keeps them pinned for later rounds.
         out = out * term // (r + 1)
     return np.where(clamped, _GUARD, out)
+
+
+def top_index(lam: int, order: int) -> int:
+    """Largest ``m`` with ``C(m, order) <= lam``, for one Python int.
+
+    The scalar twin of :func:`top_index_array`: the same float estimate,
+    repaired against :func:`math.comb`, which is exact at any size — no
+    guard ceiling, no clamping.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if lam < 0:
+        raise ValueError("lambda must be non-negative")
+    m = int((math.factorial(order) * lam) ** (1.0 / order) + (order - 1) / 2.0)
+    m = max(m, order - 1)
+    while math.comb(m, order) > lam:
+        m -= 1
+    while math.comb(m + 1, order) <= lam:
+        m += 1
+    return m
 
 
 def top_index_array(lam: np.ndarray, order: int) -> np.ndarray:

@@ -8,9 +8,11 @@ inner-combination AND rows.  Scores are bit-exact with the sequential
 reference; ties resolve to the lexicographically smallest gene tuple.
 
 The scan is *fused and batched*: :func:`_scan_blocks` scores an entire
-run of λ-adjacent blocks in one pass, decoding each stride of thread ids
-exactly once (``combos_from_linear`` per stride, not per block) and
-folding per-λ maxima into per-block maxima with a segmented reduction.
+run of λ-adjacent blocks in one pass, enumerating each stride of thread
+ids exactly once (a level walk, :func:`repro.combinatorics.enumeration.
+combinations_array` — a scan inverts λ only at its two ends, however
+many strides it takes) and folding per-λ maxima into per-block maxima
+with a segmented reduction.
 The AND → popcount inner product goes through the word-stride fused
 kernels of :mod:`repro.core.kernels`, so no ``(B, L, n_words)``
 intermediate is ever materialized.
@@ -19,7 +21,7 @@ intermediate is ever materialized.
 bit-identical winners): each matrix's
 :class:`~repro.bitmatrix.sparsity.SparsityIndex` lets the fused passes
 skip stride slices whose nonzero-mask intersection is empty, the
-λ-lexicographic decode order shares one prefix AND across each run of
+λ-lexicographic enumeration order shares one prefix AND across each run of
 consecutive tuples (columns ``1:`` are constant within a run), and a run
 whose *tumor* prefix AND is already all-zero is resolved wholesale —
 ``TP = 0`` exactly — whenever the incumbent's F strictly exceeds the
@@ -48,6 +50,7 @@ unpruned scan regardless of visitation order or run batching.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +58,7 @@ import numpy as np
 from repro.bitmatrix.matrix import BitMatrix
 from repro.bitmatrix.sparsity import stride_any_mask
 from repro.combinatorics.decode import combos_from_linear, top_index_array
+from repro.combinatorics.enumeration import combinations_array
 from repro.core.combination import MultiHitCombination, better
 from repro.core.fscore import FScoreParams, fscore
 from repro.core.kernels import (
@@ -92,7 +96,7 @@ def _and_reduce_rows_prefix(
 ) -> np.ndarray:
     """:func:`_and_reduce_rows` with shared-prefix AND caching.
 
-    λ-decode order makes consecutive rows share columns ``1:``; the
+    λ order makes consecutive rows share columns ``1:``; the
     prefix AND is computed once per run and each member costs one more
     row AND, amortizing gather traffic ~``h×``.  ``counters`` meters the
     words actually gathered and the cache hits.
@@ -133,9 +137,9 @@ def _fold_block_max(
     maxima, segmented at the ``cut`` boundaries.
 
     ``np.maximum.reduceat`` over the in-chunk offsets of the overlapped
-    cut points gives each block's exact maximum even when one decode
-    stride spans several blocks — the reduction that lets the fused scan
-    decode once per stride instead of once per block.  (With zero-prefix
+    cut points gives each block's exact maximum even when one stride
+    spans several blocks — the reduction that lets the fused scan
+    enumerate once per stride instead of once per block.  (With zero-prefix
     run skipping the folded value for skipped λ is the ``TP = 0``
     ceiling — an upper bound rather than the exact maximum, which is all
     a bound table needs.)
@@ -187,11 +191,14 @@ def _scan_blocks(
     ceiling = tp_zero_ceiling(params)
 
     if d == 0:
-        # Threads == combinations: decode and score directly; the
+        # Threads == combinations: enumerate and score directly; the
         # kernel meters its own gathers on either path.
-        for start in range(lam_start, lam_end, _CHUNK_ELEMENTS):
-            end = min(start + _CHUNK_ELEMENTS, lam_end)
-            combos = combos_from_linear(np.arange(start, end), f_ord)
+        chunk = max(
+            1, _CHUNK_ELEMENTS // (f_ord * (tumor.n_words + normal.n_words))
+        )
+        for start in range(lam_start, lam_end, chunk):
+            end = min(start + chunk, lam_end)
+            combos = combinations_array(f_ord, start, end)
             counters.decode_strides += 1
             fvals, tp, tn = score_combos(
                 tumor, normal, combos, params, counters,
@@ -206,7 +213,10 @@ def _scan_blocks(
             best = better(best, best_of(combos, fvals, tp, tn))
         return best, block_max
 
-    lo_top = int(top_index_array(np.asarray([lam_start]), f_ord)[0])
+    # The scan's only closed-form inversions — its first thread's tuple
+    # and its last thread's level (benchmarks/perf meters both by these
+    # names).  Every stride below is enumerated.
+    lo_top = int(combos_from_linear(np.asarray([lam_start]), f_ord)[0, -1])
     hi_top = int(top_index_array(np.asarray([lam_end - 1]), f_ord)[0])
     w = tumor.n_words + normal.n_words
     dense_reads = 0  # what the dense scan gathers: fused_word_reads
@@ -223,9 +233,8 @@ def _scan_blocks(
         # Inner-combination AND tables over genes (m+1 .. g-1).
         cached = inner_cache.get(m) if inner_cache is not None else None
         if cached is None:
-            inner = combos_from_linear(
-                np.arange(_n_combos(n_inner_genes, d)), d
-            ) + (m + 1)
+            inner = combinations_array(d, 0, math.comb(n_inner_genes, d))
+            inner += m + 1
             if sparse:
                 inner_t = _and_reduce_rows_prefix(tumor, inner, counters)
                 inner_n = _and_reduce_rows_prefix(normal, inner, counters)
@@ -247,7 +256,7 @@ def _scan_blocks(
         chunk = max(1, _CHUNK_ELEMENTS // max(1, n_l * max(w, 1)))
         for start in range(t_lo, t_hi, chunk):
             end = min(start + chunk, t_hi)
-            tuples = combos_from_linear(np.arange(start, end), f_ord)
+            tuples = combinations_array(f_ord, start, end)
             counters.decode_strides += 1
             dense_reads += (end - start) * f_ord * w
             if sparse:
@@ -308,7 +317,7 @@ def _pair_scores_sparse(
     ws: int,
     counters: KernelCounters,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse ``(B, L)`` TP / TN for one decode chunk of the nested scan.
+    """Sparse ``(B, L)`` TP / TN for one stride of the nested scan.
 
     Base rows are built with shared-prefix caching; threads whose tumor
     base AND is all-zero have ``TP = 0`` for every inner combination, so
@@ -417,7 +426,7 @@ def _best_pruned(
     whose every member is stamped below the incumbent is skipped in a
     single check.  Within a surviving super, members are walked in λ
     order so the non-skipped ones accumulate into contiguous *runs*, each
-    scanned by one :func:`_scan_blocks` call (one decode per stride
+    scanned by one :func:`_scan_blocks` call (one enumeration per stride
     across the whole run; the runs of a call share their inner tables,
     each built and metered once).  While no incumbent exists, runs flush
     after a single block so the skip checks get a real F to compare
@@ -475,12 +484,6 @@ def _best_pruned(
         if run:
             flush(run)
     return best
-
-
-def _n_combos(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k) if n >= k else 0
 
 
 @dataclass

@@ -85,8 +85,8 @@ class KernelCounters:
     The ``combos_pruned`` / ``blocks_*`` / ``supers_skipped`` fields are
     populated only by the lazy-greedy pruned engine path
     (:mod:`repro.core.bounds`); ``decode_strides`` /
-    ``inner_tables_built`` meter the fused scan (one decode per stride
-    chunk, one inner AND-table build per level per call).  The sparse
+    ``inner_tables_built`` meter the fused scan (the strides it
+    enumerated, one inner AND-table build per level per call).  The sparse
     path adds four more: ``strides_skipped_sparse`` (stride slices the
     nonzero-mask intersection proved empty), ``prefix_and_hits``
     (combinations that reused a cached shared-prefix AND),
@@ -173,9 +173,9 @@ def _fused_and_popcount(
 def _prefix_run_starts(combos: np.ndarray) -> np.ndarray:
     """Boundaries of maximal runs sharing gene columns ``1:``.
 
-    ``combos_from_linear`` peels the top index first, so column 0 (the
-    lowest gene) varies fastest along λ: consecutive decoded rows share
-    their ``h - 1`` high-order genes — the shareable prefix.  Returns the
+    λ order is colex, so column 0 (the lowest gene) varies fastest:
+    consecutive rows of an enumerated stride share their ``h - 1``
+    high-order genes — the shareable prefix.  Returns the
     ``len(runs) + 1`` start offsets (last entry is ``B``).
     """
     b, h = combos.shape

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 from repro.scheduling.schemes import Scheme
 from repro.scheduling.workload import level_range, level_work
-from repro.combinatorics.decode import top_index_array
-
-import numpy as np
+from repro.combinatorics.decode import top_index
 
 __all__ = [
     "MemoryConfig",
@@ -97,8 +95,8 @@ def global_word_reads(
     total = 0
     # Walk the levels intersecting the range; within a level the work per
     # thread is constant, so the sum is closed-form.
-    lo_top = int(top_index_array(np.asarray([lam_start]), f)[0])
-    hi_top = int(top_index_array(np.asarray([lam_end - 1]), f)[0])
+    lo_top = top_index(lam_start, f)
+    hi_top = top_index(lam_end - 1, f)
     for m in range(lo_top, hi_top + 1):
         a, b = level_range(scheme, m)
         n_threads = min(b, lam_end) - max(a, lam_start)
@@ -142,8 +140,8 @@ def fused_word_reads(
     f = scheme.flattened
     d = scheme.inner
     total = 0
-    lo_top = int(top_index_array(np.asarray([lam_start]), f)[0])
-    hi_top = int(top_index_array(np.asarray([lam_end - 1]), f)[0])
+    lo_top = top_index(lam_start, f)
+    hi_top = top_index(lam_end - 1, f)
     for m in range(lo_top, hi_top + 1):
         a, b = level_range(scheme, m)
         n_threads = min(b, lam_end) - max(a, lam_start)
@@ -211,8 +209,8 @@ def sparse_fused_word_reads(
     d = scheme.inner
     per_thread = (f - 1) / prefix_run_length + 1 if f > 1 else float(f)
     total = 0.0
-    lo_top = int(top_index_array(np.asarray([lam_start]), f)[0])
-    hi_top = int(top_index_array(np.asarray([lam_end - 1]), f)[0])
+    lo_top = top_index(lam_start, f)
+    hi_top = top_index(lam_end - 1, f)
     for m in range(lo_top, hi_top + 1):
         a, b = level_range(scheme, m)
         n_threads = min(b, lam_end) - max(a, lam_start)

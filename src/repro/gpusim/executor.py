@@ -24,12 +24,13 @@ teaching, not production solving.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.bitmatrix.matrix import BitMatrix
-from repro.combinatorics.decode import combos_from_linear
+from repro.combinatorics.enumeration import combinations_array
 from repro.core.combination import MultiHitCombination, better
 from repro.core.fscore import FScoreParams
 from repro.core.memopt import MemoryConfig
@@ -203,7 +204,7 @@ class BlockKernelExecutor:
         ops_combo = self.tuning.ops_per_combo(words, rows_loaded)
         setup_ops = self.tuning.setup_ops_per_thread(words, pre)
 
-        tuples = combos_from_linear(np.arange(first, last), f_ord)
+        tuples = combinations_array(f_ord, first, last)
         winner: "MultiHitCombination | None" = None
         cycles = 0.0
         word_reads = 0
@@ -218,9 +219,8 @@ class BlockKernelExecutor:
             elif n_inner < d:
                 continue
             else:
-                inner = combos_from_linear(
-                    np.arange(_n_combos(n_inner, d)), d
-                ) + (top + 1)
+                inner = combinations_array(d, 0, math.comb(n_inner, d))
+                inner += top + 1
                 candidates = np.concatenate(
                     [np.broadcast_to(row, (inner.shape[0], f_ord)), inner], axis=1
                 )
@@ -256,9 +256,3 @@ class BlockKernelExecutor:
             cycles=cycles,
             word_reads=word_reads,
         )
-
-
-def _n_combos(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k) if n >= k else 0

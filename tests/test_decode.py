@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.combinatorics.decode import (
     binomial_clamped,
     combos_from_linear,
+    top_index,
     top_index_array,
 )
 
@@ -81,6 +82,30 @@ class TestTopIndex:
     def test_hypothesis_bracket(self, lam, order):
         m = int(top_index_array(np.array([lam]), order)[0])
         assert math.comb(m, order) <= lam < math.comb(m + 1, order)
+
+
+class TestScalarTopIndex:
+    @given(
+        st.integers(min_value=0, max_value=(1 << 60) - 1),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_agrees_with_array_twin(self, lam, order):
+        m = top_index(lam, order)
+        assert math.comb(m, order) <= lam < math.comb(m + 1, order)
+        assert m == int(top_index_array(np.array([lam]), order)[0])
+
+    def test_exact_beyond_the_array_guard(self):
+        # Python ints all the way: no 2**60 ceiling, no clamping.
+        lam = math.comb(10**7, 4) - 1
+        assert lam > 1 << 60
+        assert top_index(lam, 4) == 10**7 - 1
+        assert top_index(lam + 1, 4) == 10**7
+
+    def test_rejects_invalid(self):
+        with pytest.raises(ValueError):
+            top_index(0, 0)
+        with pytest.raises(ValueError):
+            top_index(-1, 2)
 
 
 class TestCombosFromLinear:

@@ -157,6 +157,29 @@ class TestElasticRunner:
         self._ref(instance, ref_counters)
         assert counters.combos_scored == ref_counters.combos_scored
 
+    def test_first_round_is_granted_in_rank_order(self):
+        """Every initial rank starts on its own lease, so a fault planned
+        on the last rank fires even when a search takes no time at all
+        and the first thread could drain the ledger alone."""
+        ledger = LeaseLedger(tuple(range(0, 90, 10)))  # 8 leases
+        ran = []
+
+        def search(lease, rank, stall_s=0.0):
+            ran.append((rank, lease.lease_id))
+            return None, KernelCounters()
+
+        report = FaultReport()
+        ElasticSPMDRunner(
+            n_ranks=4, report=report,
+            fault_plan=FaultPlan((FaultSpec(kind="crash", site="rank", target=3),)),
+        ).run(ledger, search)
+        assert ledger.done
+        assert {(r, r) for r in range(3)} <= set(ran)
+        # Rank 3 crashed on its first-round lease and a survivor stole it.
+        assert 3 in report.dead_ranks
+        assert ledger.leases[3].previous_holders == [3]
+        assert ledger.n_steals == 1
+
     @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "unpinned"])
     def test_hung_rank_is_stolen_from(self, instance, pinned):
         """A rank silent past the TTL loses its lease — and, pinned, its
@@ -169,7 +192,8 @@ class TestElasticRunner:
             if pinned
             else LeaseLedger(schedule.boundaries, ttl_s=0.2)
         )
-        # Rank 0's thread starts first, so it is sure to hold a lease.
+        # Rank 0 holds a lease from the first round, however fast its
+        # peers drain the rest.
         plan = FaultPlan(
             (FaultSpec(kind="hang", site="rank", target=0, delay_s=1.0),)
         )

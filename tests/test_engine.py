@@ -1,14 +1,18 @@
 """Tests for the vectorized single-GPU engine."""
 
+import math
+
 import numpy as np
 import pytest
 
+import repro.combinatorics.decode as decode
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core.engine import SingleGpuEngine, best_in_thread_range
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
 from repro.core.memopt import fused_word_reads
 from repro.core.sequential import sequential_best_combo
+from repro.core.solver import MultiHitSolver
 from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, SCHEME_4X1, Scheme
 from repro.scheduling.workload import total_threads
 
@@ -100,8 +104,6 @@ class TestCounters:
             total_threads(SCHEME_3X1, 14),
             counters=counters,
         )
-        import math
-
         assert counters.combos_scored == math.comb(14, 4)
         assert counters.word_reads > 0
 
@@ -114,8 +116,6 @@ class TestCounters:
         # the same combinations, and word_reads is what the scheme's
         # scan gathers — each thread's fixed rows once, each level's
         # inner table once — i.e. fused_word_reads of the grid.
-        import math
-
         _, _, tumor, normal, params = instance
         counters = KernelCounters()
         best_in_thread_range(
@@ -151,6 +151,56 @@ class TestCounters:
         assert flat.word_ops == nested.word_ops
         assert flat.combos_scored == nested.combos_scored
         assert nested.word_reads < flat.word_reads
+
+
+class TestEnumeratedStrides:
+    @pytest.mark.parametrize("hits", [3, 4])
+    def test_inversions_scale_with_scans_not_strides(self, hits, monkeypatch):
+        # A scan inverts λ at its two ends and enumerates every stride in
+        # between, so the closed-form machinery runs O(scans) times: the
+        # binomial_clamped count does not grow with G while the stride
+        # count does.
+        calls = [0]
+        clamped = decode.binomial_clamped
+
+        def counting(x, order):
+            calls[0] += 1
+            return clamped(x, order)
+
+        monkeypatch.setattr(decode, "binomial_clamped", counting)
+        per_g = {}
+        for g in (24, 40):
+            rng = np.random.default_rng(g)
+            tumor = rng.random((g, 120)) < 0.2
+            normal = rng.random((g, 100)) < 0.1
+            calls[0] = 0
+            result = MultiHitSolver(hits=hits, max_iterations=3).solve(tumor, normal)
+            scans = len(result.iterations)  # single backend, unpruned
+            assert scans == 3
+            assert 0 < calls[0] <= 16 * scans
+            per_g[g] = (calls[0], result.counters.decode_strides)
+        # Same bound at both sizes; only the stride count followed G.
+        assert per_g[40][1] > per_g[24][1] > 16 * 3
+
+    def test_flat_scheme_stride_follows_row_width(self, rng):
+        # 13-word rows: a flat stride is sized by its gathered words like
+        # a nested one, so C(70, 3) combinations take several strides.
+        t = rng.random((70, 800)) < 0.1
+        n = rng.random((70, 800)) < 0.05
+        tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
+        assert tumor.n_words == normal.n_words == 13
+        params = FScoreParams(n_tumor=800, n_normal=800)
+        flat, nested = KernelCounters(), KernelCounters()
+        winners = [
+            best_in_thread_range(
+                scheme, 70, tumor, normal, params,
+                0, total_threads(scheme, 70), counters=counters,
+            )
+            for scheme, counters in ((Scheme(3, 0), flat), (Scheme(2, 1), nested))
+        ]
+        assert winners[0] == winners[1]
+        assert flat.combos_scored == nested.combos_scored == math.comb(70, 3)
+        assert flat.decode_strides > 1
 
 
 class TestTieDeterminism:

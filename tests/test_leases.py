@@ -19,6 +19,7 @@ from repro.core.kernels import KernelCounters
 from repro.core.reduction import ReductionStats
 from repro.scheduling.schemes import SCHEME_3X1, scheme_for
 from repro.scheduling.workload import cumulative_work_before, total_threads
+from repro.telemetry.session import telemetry_session
 
 
 @pytest.fixture
@@ -169,6 +170,24 @@ class TestLifecycle:
         rows = ledger.assignment_rows(call=2)
         assert len(rows) == ledger.n_leases
         assert rows[0]["holder"] == 0 and rows[0]["call"] == 2
+
+    def test_take_up_moves_the_grant_to_the_holders_span(self):
+        # A lease the driver acquired on a rank's behalf is causally the
+        # rank's once it starts on it; a revoked grant is left alone.
+        with telemetry_session() as tel:
+            ledger = LeaseLedger((0, 10, 20))
+            with tel.span("driver"):
+                lease = ledger.acquire(0)
+                driver_ctx = lease.grant_ctx
+            with tel.span("rank") as rank_span:
+                ledger.take_up(lease, 0)
+                assert lease.grant_ctx == tel.context() != driver_ctx
+            assert lease.grant_ctx["id"] == rank_span.span_id
+            ledger.forfeit(0)
+            with tel.span("late"):
+                ledger.take_up(lease, 0)
+            assert lease.grant_ctx is None
+            assert lease.stolen_from_ctx["id"] == rank_span.span_id
 
 
 class TestPinnedLeases:
