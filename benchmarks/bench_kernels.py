@@ -78,14 +78,15 @@ def test_single_engine_one_iteration(benchmark, cohort):
 
 
 def test_sparse_vs_dense_kernel_traffic(benchmark, show, bench_summary):
-    """Sparsity-driven scan vs the dense fused path on a planted sparse
+    """The nested scan with ``sparse`` off and on, on a planted sparse
     instance (<= 5% mutation density, realistic for cohort matrices).
 
-    Writes ``BENCH_kernels.json`` — the PR-over-PR tracked kernel traffic
-    numbers the ``kernel-sparse`` CI gate compares against the committed
-    baseline.  Acceptance bar: bit-identical winner, exact counter
-    closure against the dense charge, and >= 30% fewer word reads than
-    the dense *fused* traffic model.
+    Writes ``BENCH_kernels.json`` — the kernel numbers the
+    ``kernel-sparse`` CI gate compares against the committed baseline.
+    The nested scan has one body, so ``sparse`` selects nothing: the
+    winner and ``combos_scored`` are identical, both scans charge exactly
+    the fused traffic model, and nothing is skipped.  Wall seconds of
+    both scans are reported, not gated.
     """
     cohort = generate_cohort(
         CohortConfig(
@@ -105,9 +106,6 @@ def test_sparse_vs_dense_kernel_traffic(benchmark, show, bench_summary):
     g = tumor.n_genes
     end = total_threads(scheme, g)
     w = tumor.n_words + normal.n_words
-    # word_stride 8 keeps several stride slices per matrix (13 words
-    # each here), so the nonzero-mask skip has grain to work with.
-    stride = 8
 
     dense_c = KernelCounters()
     t0 = time.perf_counter()
@@ -121,48 +119,37 @@ def test_sparse_vs_dense_kernel_traffic(benchmark, show, bench_summary):
     def run_sparse():
         return best_in_thread_range(
             scheme, g, tumor, normal, params, 0, end,
-            counters=sparse_c, sparse=True, word_stride=stride,
+            counters=sparse_c, sparse=True,
         )
 
     t0 = time.perf_counter()
     sparse_best = benchmark.pedantic(run_sparse, rounds=1, iterations=1)
     wall_sparse = time.perf_counter() - t0
 
-    # Exactness and closure before any perf claim: the dense scan
-    # gathers exactly the fused model, the sparse scan that minus its skips.
+    # Exactness and closure: both scans charge exactly the fused model.
     fused_model = fused_word_reads(scheme, g, w, 0, end)
     assert sparse_best == dense_best
     assert sparse_c.combos_scored == dense_c.combos_scored
-    assert dense_c.word_reads == fused_model
-    assert sparse_c.word_reads + sparse_c.word_reads_skipped == fused_model
-
-    reduction = 1.0 - sparse_c.word_reads / fused_model
-    assert reduction >= 0.30, f"only {reduction:.1%} below the fused model"
+    assert dense_c.word_reads == sparse_c.word_reads == fused_model
+    assert sparse_c.word_reads_skipped == dense_c.word_reads_skipped == 0
 
     bench_summary(
         "kernels",
         values={
             "density_tumor": round(density_t, 4),
             "density_normal": round(density_n, 4),
-            "word_stride": stride,
             "combos_scored": sparse_c.combos_scored,
             "word_reads_fused_model": fused_model,
             "word_reads_sparse": sparse_c.word_reads,
             "word_reads_skipped": sparse_c.word_reads_skipped,
-            "reduction_vs_fused": round(reduction, 4),
-            "prefix_and_hits": sparse_c.prefix_and_hits,
-            "zero_prefix_runs_skipped": sparse_c.zero_prefix_runs_skipped,
-            "strides_skipped_sparse": sparse_c.strides_skipped_sparse,
             "wall_seconds_dense": wall_dense,
             "wall_seconds_sparse": wall_sparse,
         },
     )
     show(
-        "Sparse kernel path (100 genes, 3-hit, densities "
-        f"{density_t:.1%}/{density_n:.1%}, stride {stride})\n"
-        f"  word reads: fused model {fused_model} -> sparse "
-        f"{sparse_c.word_reads} ({reduction:.1%} reduction)\n"
-        f"  prefix AND hits {sparse_c.prefix_and_hits}, zero-prefix runs "
-        f"{sparse_c.zero_prefix_runs_skipped}, strides skipped "
-        f"{sparse_c.strides_skipped_sparse}"
+        "Nested scan, sparse off / on (100 genes, 3-hit, densities "
+        f"{density_t:.1%}/{density_n:.1%})\n"
+        f"  word reads {sparse_c.word_reads} (the fused model), "
+        f"{sparse_c.combos_scored} combinations\n"
+        f"  wall {wall_dense:.4f} s / {wall_sparse:.4f} s"
     )

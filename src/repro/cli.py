@@ -59,10 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument(
         "--sparse", action=argparse.BooleanOptionalAction, default=True,
-        help="sparsity-driven scoring path: nonzero-stride skipping, "
-             "shared-prefix AND caching and zero-prefix run skipping "
-             "(bit-identical winners; --no-sparse restores the dense "
-             "traffic model)",
+        help="sparsity-driven scoring body of the flat (inner == 0) "
+             "scheme: nonzero-stride skipping, shared-prefix AND caching "
+             "and zero-prefix run skipping (bit-identical winners; nested "
+             "schemes have one scan body and ignore it)",
     )
     p_solve.add_argument("--output", type=str, default=None, help="save result JSON")
     p_solve.add_argument(

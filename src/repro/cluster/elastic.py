@@ -146,6 +146,20 @@ class ElasticSPMDRunner:
             ev.set()
             return True
 
+        def observe(live: list, now: float) -> None:
+            export_heartbeat_staleness(tel, world.heartbeats, live, now)
+            if self.autoscale is not None:
+                self.autoscale.recommend(
+                    len(live),
+                    eta_s=(
+                        tel.metrics.gauges.get("progress.eta_s")
+                        if tel.enabled else None
+                    ),
+                    heartbeat_stale_s={
+                        r: now - world.heartbeats[r] for r in live
+                    },
+                )
+
         if tel.flight is not None:
             tel.flight.set_assignments("lease", ledger.assignment_rows(call))
         with tel.span(
@@ -154,11 +168,14 @@ class ElasticSPMDRunner:
             # An SPMD launch has every rank alive at t=0: the first
             # round is granted here, in rank order, so each initial rank
             # holds a lease (and a fault planned on it fires) however
-            # fast its peers' threads drain the rest.  Joiners start
-            # empty.
+            # fast its peers' threads drain the rest, and the launch is
+            # the supervisor's first sample of the fleet, so an attached
+            # policy sees it however soon the ledger completes.  Joiners
+            # start empty.
             first_round = {r: ledger.acquire(r) for r in range(self.n_ranks)}
             for r in range(self.n_ranks):
                 spawn(r)
+            observe(list(range(self.n_ranks)), time.monotonic())
             next_rank = self.n_ranks
             deadline = time.monotonic() + self.max_wall_s
             try:
@@ -188,18 +205,7 @@ class ElasticSPMDRunner:
                         spawn, leave,
                     )
                     live = [r for r, t in threads.items() if t.is_alive()]
-                    export_heartbeat_staleness(tel, world.heartbeats, live, now)
-                    if self.autoscale is not None:
-                        self.autoscale.recommend(
-                            len(live),
-                            eta_s=(
-                                tel.metrics.gauges.get("progress.eta_s")
-                                if tel.enabled else None
-                            ),
-                            heartbeat_stale_s={
-                                r: now - world.heartbeats[r] for r in live
-                            },
-                        )
+                    observe(live, now)
                     ttl = ledger.ttl_s
                     if not any(
                         ttl is None or now - world.heartbeats[r] <= ttl

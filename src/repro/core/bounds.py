@@ -257,12 +257,12 @@ class BoundTable:
     def refresh(self, b: int, max_f: float, iteration: int) -> None:
         """Record the block's scanned maximum observed at ``iteration``.
 
-        With the sparse scan's zero-prefix run skipping the stored value
-        is a valid *upper bound* rather than the exact maximum (skipped
-        runs report the ``TP = 0`` ceiling, which dominates anything
-        they could score) — still sound for the strict-inequality skip,
-        since F is non-increasing across greedy iterations and the
-        ceiling is constant (``Nn`` never shrinks).
+        The nested scan stores the exact maximum.  The flat scheme's
+        sparse body may store a valid *upper bound* instead (zero-prefix
+        runs it resolves wholesale report the ``TP = 0`` ceiling, which
+        dominates anything they could score) — still sound for the
+        strict-inequality skip, since F is non-increasing across greedy
+        iterations and the ceiling is constant (``Nn`` never shrinks).
         """
         self.bounds[b] = max_f
         self.stamps[b] = iteration

@@ -6,13 +6,16 @@ TN``), then computes F.  Here a *block* of combinations is scored at once
 with broadcast bitwise ops; results are bit-exact with the sequential
 reference.
 
-The scoring primitives are *word-stride fused*: gather -> AND ->
-popcount runs over slices of at most ``word_stride`` packed words at a
-time (default :data:`DEFAULT_WORD_STRIDE`), accumulating popcounts into
-per-combination integer totals, so the broadcast working set stays
-cache-sized instead of materializing a full ``(B, L, n_words)`` (or
-``(B, n_words)``) intermediate.  Popcounts are exact integers, so the
-fused pass is bit-identical to the single-shot reference (kept as
+Two scoring primitives, one per scheme shape.  :func:`score_combos`
+scores explicit combinations one row each (the flat scheme's scan and
+the public API) and is *word-stride fused*: gather -> AND -> popcount
+runs over slices of at most ``word_stride`` packed words at a time
+(default :data:`DEFAULT_WORD_STRIDE`), accumulating popcounts into
+per-combination integer totals, so no full ``(B, n_words)``
+intermediate is materialized.  :func:`fused_pair_popcount` is the
+nested scheme's ``(B, L)`` product of thread base rows against an inner
+table, summed one packed word at a time.  Popcounts are exact integers,
+so both are bit-identical to the single-shot reference (kept as
 :func:`score_combos_reference` and enforced by tests).
 
 ``sparse=True`` switches :func:`score_combos` to the sparsity-driven
@@ -28,15 +31,15 @@ skipping*: when the tumor prefix AND of a run is already all-zero, every
 member has ``TP = 0``, and if the caller's incumbent F strictly exceeds
 the ``TP = 0`` ceiling ``fscore(0, Nn)`` the run cannot win or tie, so
 its members are reported with the ceiling as a (sound) upper bound
-instead of being scored.  Only engine scans pass ``skip_below``; the
-public scoring API stays exact.
+instead of being scored.  Only the engine's flat-scheme scan passes
+``skip_below``; the public scoring API stays exact.
 
-The kernels meter their own global-memory traffic: ``word_reads`` is
-the words gathered from the matrices, on either path.  On the sparse
-path ``word_reads_skipped`` carries what the dense pass would have
-gathered on top, so ``word_reads + word_reads_skipped`` always equals
-the dense path's ``word_reads`` for the same call (an identity the
-tests pin).
+:func:`score_combos` meters its own global-memory traffic:
+``word_reads`` is the words gathered from the matrices, on either path.
+On the sparse path ``word_reads_skipped`` carries what the dense pass
+would have gathered on top, so ``word_reads + word_reads_skipped``
+always equals the dense path's ``word_reads`` for the same call (an
+identity the tests pin).
 """
 
 from __future__ import annotations
@@ -61,9 +64,9 @@ __all__ = [
     "tp_zero_ceiling",
 ]
 
-# Packed uint64 words per fused pass (512 B per row slice): with the
-# broadcast chunking in the engine the live working set stays within L1/L2
-# while each word is still touched exactly once.
+# Packed uint64 words per score_combos pass (512 B per row slice): with
+# the stride chunking in the engine the live working set stays within
+# L1/L2 while each word is still touched exactly once.
 DEFAULT_WORD_STRIDE = 64
 
 
@@ -82,21 +85,29 @@ def resolve_word_stride(word_stride: "int | None") -> int:
 class KernelCounters:
     """Accumulated work / traffic counters for one kernel invocation chain.
 
-    The ``combos_pruned`` / ``blocks_*`` / ``supers_skipped`` fields are
+    ``combos_scored`` counts the combinations scored; ``word_ops`` the
+    row ANDs they cost at the dense definition, ``(h - 1)`` rows of
+    ``tumor + normal`` words each; ``word_reads`` the words loaded —
+    gathered on the flat scheme, and on nested schemes the model figure
+    :func:`repro.core.memopt.fused_word_reads` of the range, computed
+    rather than gathered (``f`` rows per thread plus one inner table per
+    level a call touches, charged once per call).  ``decode_strides``
+    counts the strides (flat) or tiles (nested) the scan enumerated and
+    ``inner_tables_built`` the inner tables it built.  The
+    ``combos_pruned`` / ``blocks_*`` / ``supers_skipped`` fields are
     populated only by the lazy-greedy pruned engine path
-    (:mod:`repro.core.bounds`); ``decode_strides`` /
-    ``inner_tables_built`` meter the fused scan (the strides it
-    enumerated, one inner AND-table build per level per call).  The sparse
-    path adds four more: ``strides_skipped_sparse`` (stride slices the
-    nonzero-mask intersection proved empty), ``prefix_and_hits``
-    (combinations that reused a cached shared-prefix AND),
-    ``zero_prefix_runs_skipped`` (suffix runs resolved wholesale from an
-    all-zero tumor prefix), and ``word_reads_skipped`` (the traffic the
-    dense path would have charged minus what was actually gathered — so
-    ``word_reads + word_reads_skipped`` reproduces the dense charge
-    exactly).  They all ride the same merge path as the scoring counters
-    so pool workers, distributed ranks, and elastic leases report
-    pruning, fusion, and sparsity effectiveness for free.
+    (:mod:`repro.core.bounds`).  Four fields are set only by the flat
+    scheme's sparse :func:`score_combos` body and stay 0 on nested
+    scans: ``strides_skipped_sparse`` (stride slices the nonzero-mask
+    intersection proved empty), ``prefix_and_hits`` (combinations that
+    reused a cached shared-prefix AND), ``zero_prefix_runs_skipped``
+    (suffix runs resolved wholesale from an all-zero tumor prefix), and
+    ``word_reads_skipped`` (the traffic the dense path would have charged
+    minus what was actually gathered — so ``word_reads +
+    word_reads_skipped`` reproduces the dense charge exactly).  They all
+    ride the same merge path as the scoring counters so pool workers,
+    distributed ranks, and elastic leases report pruning, fusion, and
+    sparsity effectiveness for free.
     """
 
     combos_scored: int = 0
@@ -294,56 +305,31 @@ def _score_combos_sparse(
 
 
 def fused_pair_popcount(
-    base: np.ndarray,
-    inner: np.ndarray,
-    word_stride: "int | None" = None,
-    base_mask: "np.ndarray | None" = None,
-    inner_mask: "np.ndarray | None" = None,
-    counters: "KernelCounters | None" = None,
+    base: np.ndarray, inner_w: np.ndarray, base_nonzero: np.ndarray
 ) -> np.ndarray:
-    """``(B, L)`` popcounts of ``base[b] & inner[l]``, stride-fused.
+    """``(B, L)`` int32 popcounts of ``base[b] & inner[l]``, word by word.
 
-    The engine's nested-scheme hot loop: ``base`` holds each thread's
-    AND-reduced fixed-gene rows, ``inner`` the cached AND-table of inner
-    combinations.  The broadcast AND is evaluated one word stride at a
-    time so the transient cube is ``(B, L, word_stride)`` at most, never
-    ``(B, L, n_words)``.
+    The engine's nested-scheme hot loop: ``base`` ``(B, W)`` holds each
+    thread's AND-reduced fixed-gene rows, ``inner_w`` ``(W, L)`` the
+    cached inner AND-table stored word-major.  The tile is accumulated
+    one packed word at a time — ``out += popcount(base[:, k] & inner_w[k])``
+    — so no ``(B, L, W)`` cube exists and every temporary is ``(B, L)``.
 
-    ``base_mask`` / ``inner_mask`` (bool ``(B, S)`` / ``(L, S)``
-    stride-nonzero masks) switch on the sparse path: a stride where
-    either side has no nonzero rows is skipped outright, and within an
-    active stride only the nonzero rows on each side are broadcast —
-    zero rows contribute 0 to every popcount, so the result is
-    bit-identical.  ``counters`` then meters the AND work actually
-    performed (``word_ops``) and the slices skipped.
+    ``base_nonzero`` (bool ``(B, W)``, ``base != 0``) says which base
+    words carry any bit.  A word no base row carries is skipped; a
+    word fewer than half the rows carry is broadcast over those rows
+    only.  Zero words add 0 to every popcount, so the choice — made per
+    word from the data — never changes a bit of the result.
     """
-    ws = resolve_word_stride(word_stride)
-    n_words = base.shape[1]
-    out = np.zeros((base.shape[0], inner.shape[0]), dtype=np.int64)
-    sparse = base_mask is not None and inner_mask is not None
-    for s, w0 in enumerate(range(0, n_words, ws)):
-        sl = slice(w0, min(w0 + ws, n_words))
-        if not sparse:
-            out += np.bitwise_count(base[:, None, sl] & inner[None, :, sl]).sum(
-                axis=2, dtype=np.int64
-            )
-            if counters is not None:
-                counters.word_ops += base.shape[0] * inner.shape[0] * (
-                    sl.stop - sl.start
-                )
-            continue
-        rows_on = np.flatnonzero(base_mask[:, s])
-        cols_on = np.flatnonzero(inner_mask[:, s])
-        if rows_on.size == 0 or cols_on.size == 0:
-            if counters is not None:
-                counters.strides_skipped_sparse += 1
-            continue
-        part = np.bitwise_count(
-            base[rows_on][:, None, sl] & inner[cols_on][None, :, sl]
-        ).sum(axis=2, dtype=np.int64)
-        out[np.ix_(rows_on, cols_on)] += part
-        if counters is not None:
-            counters.word_ops += rows_on.size * cols_on.size * (sl.stop - sl.start)
+    n_rows = base.shape[0]
+    out = np.zeros((n_rows, inner_w.shape[1]), dtype=np.int32)
+    live = np.count_nonzero(base_nonzero, axis=0)
+    for k in np.flatnonzero(live):
+        if 2 * live[k] < n_rows:
+            rows = np.flatnonzero(base_nonzero[:, k])
+            out[rows] += np.bitwise_count(base[rows, k, None] & inner_w[None, k])
+        else:
+            out += np.bitwise_count(base[:, k, None] & inner_w[None, k])
     return out
 
 

@@ -15,8 +15,9 @@ NVPROF's DRAM counters measure up to caching effects — and is what the
 Fig. 5 experiment compares across configurations.  The vectorized scan
 cannot express the register prefetches (it gathers every fixed row once
 regardless), so nothing below :class:`~repro.core.solver.MultiHitSolver`
-takes a :class:`MemoryConfig`; what the scan does gather is
-``fused_word_reads``, and the engine's meter equals it exactly.
+takes a :class:`MemoryConfig`; what the scan loads is
+``fused_word_reads`` — the nested scan charges it as its ``word_reads``,
+and the flat scan's dense gathers equal it exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "MemoryConfig",
     "fused_word_reads",
     "global_word_reads",
-    "sparse_fused_word_reads",
 ]
 
 
@@ -117,17 +117,17 @@ def fused_word_reads(
 ) -> int:
     """Global-memory word reads of the *fused* scan over a thread range.
 
-    The fused kernel (the engine's scoring pass, whose dense
-    ``word_reads`` meter this reproduces with zero residual) touches each
-    global word exactly once per logical load: every thread's ``f`` fixed
-    rows are gathered and AND-reduced a single time (full-width prefetch —
-    this subsumes MemOpt1/2, so :class:`MemoryConfig` prefetch flags do
-    not appear here), and each workload level's inner AND-table
-    (``C(g-1-m, d)`` combinations of ``d`` rows) is built once per scan
-    call and reused across every thread and block that touches the level.
-    The word-stride broadcast re-reads hit cache by construction, so only
-    first touches count — the same convention the paper's MemOpt
-    accounting uses for prefetched rows.
+    The engine's scoring pass (whose ``word_reads`` counter is this
+    figure: charged as computed on nested schemes, gathered on the flat
+    one) touches each global word exactly once per logical load: every
+    thread's ``f`` fixed rows are gathered and AND-reduced a single time
+    (full-width prefetch — this subsumes MemOpt1/2, so
+    :class:`MemoryConfig` prefetch flags do not appear here), and each
+    workload level's inner AND-table (``C(g-1-m, d)`` combinations of
+    ``d`` rows) is loaded once per scan call and reused across every
+    thread and block that touches the level.  Re-reads of a cached
+    table or base row are not loads — the same convention the paper's
+    MemOpt accounting uses for prefetched rows.
 
     ``charged_levels`` carries first-touch state across the several
     runs one pruned engine call scans (they share one inner-table
@@ -161,70 +161,3 @@ def fused_word_reads(
             # its h = f rows once.
             total += n_threads * f
     return total * words
-
-
-def sparse_fused_word_reads(
-    scheme: Scheme,
-    g: int,
-    words: int,
-    lam_start: int,
-    lam_end: int,
-    charged_levels: "set[int] | None" = None,
-    *,
-    nonzero_fraction: float = 1.0,
-    prefix_run_length: float = 1.0,
-) -> int:
-    """Predicted word reads of the *sparse* fused scan over a thread range.
-
-    Extends :func:`fused_word_reads` with the two first-order effects of
-    the sparsity-driven path:
-
-    * **Shared-prefix AND caching** — λ-decode order shares one prefix
-      AND across each run of consecutive tuples, so a thread's ``f``-row
-      gather amortizes to ``(f - 1) / r + 1`` rows for an average run
-      length of ``r = prefix_run_length`` tuples (``r = 1`` recovers the
-      dense charge; ``f = 1`` has no prefix to share).
-    * **Nonzero-stride skipping** — the fused broadcast gathers only
-      stride slices whose mask intersection is nonzero, scaling every
-      charge by ``nonzero_fraction`` (the
-      :attr:`~repro.bitmatrix.sparsity.SparsityIndex.nonzero_fraction`
-      of the scanned matrices, or 1.0 for a dense instance).
-
-    At ``(nonzero_fraction=1.0, prefix_run_length=1.0)`` this equals
-    :func:`fused_word_reads` exactly (up to the integer floor).  It is a
-    *model* — the engine meters actual sparse traffic — used for
-    capacity planning and for sanity-checking measured reductions.
-    """
-    if not 0.0 <= nonzero_fraction <= 1.0:
-        raise ValueError(
-            f"nonzero_fraction must be in [0, 1], got {nonzero_fraction}"
-        )
-    if prefix_run_length < 1.0:
-        raise ValueError(
-            f"prefix_run_length must be >= 1, got {prefix_run_length}"
-        )
-    if lam_end <= lam_start:
-        return 0
-    f = scheme.flattened
-    d = scheme.inner
-    per_thread = (f - 1) / prefix_run_length + 1 if f > 1 else float(f)
-    total = 0.0
-    lo_top = top_index(lam_start, f)
-    hi_top = top_index(lam_end - 1, f)
-    for m in range(lo_top, hi_top + 1):
-        a, b = level_range(scheme, m)
-        n_threads = min(b, lam_end) - max(a, lam_start)
-        if n_threads <= 0:
-            continue
-        if d > 0:
-            inner = level_work(scheme, g, m)
-            if inner == 0:
-                continue
-            total += n_threads * per_thread
-            if charged_levels is None or m not in charged_levels:
-                total += inner * d
-                if charged_levels is not None:
-                    charged_levels.add(m)
-        else:
-            total += n_threads * per_thread
-    return int(total * words * nonzero_fraction)

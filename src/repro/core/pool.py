@@ -320,9 +320,8 @@ class PoolEngine:
     sparse:
         Forwarded to every chunk's :func:`best_in_thread_range`.
         Winners and ``combos_scored`` do not depend on it or on the
-        cut; the traffic counters depend on both (each chunk gathers
-        the inner tables of the levels it touches, and sparse prefix
-        runs split at chunk boundaries).
+        cut; the traffic counters depend on the cut (each chunk loads
+        the inner tables of the levels it touches).
     """
 
     scheme: Scheme

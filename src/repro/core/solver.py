@@ -214,14 +214,14 @@ class MultiHitSolver:
         :class:`FaultSpec` churn (join/leave) resizes the fleet
         mid-solve.  Winners are bit-identical to the static run.
     sparse:
-        Sparsity-driven scoring path (default on): nonzero-stride
-        skipping, shared-prefix AND caching and zero-prefix run
-        skipping in the fused kernels.  Winners, iteration trajectory
-        and ``combos_scored`` are bit-identical either way; either way
-        ``counters.word_reads`` is what the scan gathered, and on the
-        sparse path ``counters.word_reads_skipped`` is what the dense
-        scan would have gathered on top.  Ignored by the
-        ``"sequential"`` oracle.
+        Sparsity-driven scoring body of the flat scheme (``inner == 0``,
+        default on): nonzero-stride skipping, shared-prefix AND caching
+        and zero-prefix run skipping in ``score_combos``, where
+        ``counters.word_reads_skipped`` is what the dense body would have
+        gathered on top of ``word_reads``.  Nested schemes (every
+        default scheme) have one scan body and ignore it.  Winners,
+        iteration trajectory and ``combos_scored`` are bit-identical
+        either way.  Ignored by the ``"sequential"`` oracle.
 
     These fields are the one declaration of the solve-path options (the
     CLI and the gateway build a ``MultiHitSolver`` from what they are

@@ -99,18 +99,15 @@ DEFAULT_CHECKS: dict[str, tuple[RegressionCheck, ...]] = {
         RegressionCheck("extra.elastic_runtime_s.-1", tolerance=0.25),
     ),
     "kernels": (
-        # Sparse kernel path vs the planted <=5%-density instance: the
-        # scored-combo count is sparse-invariant (exact gate both ways),
-        # word reads are deterministic for the fixed seed (tight band),
-        # and the headline reduction vs the fused model must hold.
+        # The nested scan on the planted <=5%-density instance: the
+        # scored-combo count is sparse-invariant (exact gate both ways)
+        # and word reads, the fused model, are deterministic for the
+        # fixed seed (tight band).
         RegressionCheck("extra.combos_scored", tolerance=0.0),
         RegressionCheck(
             "extra.combos_scored", higher_is_worse=False, tolerance=0.0
         ),
         RegressionCheck("extra.word_reads_sparse", tolerance=0.02),
-        RegressionCheck(
-            "extra.reduction_vs_fused", higher_is_worse=False, tolerance=0.05
-        ),
     ),
     "elastic": (
         # Churned elastic solve vs static reference: the winner must be

@@ -14,13 +14,13 @@ from repro.scheduling.schemes import SCHEME_3X1, Scheme
 
 class TestEngineChunking:
     def test_tiny_chunks_do_not_change_results(self, monkeypatch, rng):
-        """Force multi-chunk processing within every level."""
+        """Force multi-tile processing within every level."""
         t = rng.random((13, 40)) < 0.35
         n = rng.random((13, 30)) < 0.15
         params = FScoreParams(n_tumor=40, n_normal=30)
         tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
         ref = SingleGpuEngine(scheme=SCHEME_3X1).best_combo(tumor, normal, params)
-        monkeypatch.setattr(engine_mod, "_CHUNK_ELEMENTS", 37)
+        monkeypatch.setattr(engine_mod, "_TILE_ELEMENTS", 7)
         got = SingleGpuEngine(scheme=SCHEME_3X1).best_combo(tumor, normal, params)
         assert got.genes == ref.genes and got.f == ref.f
 

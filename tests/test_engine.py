@@ -1,19 +1,38 @@
 """Tests for the vectorized single-GPU engine."""
 
+import itertools
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.combinatorics.decode as decode
+import repro.core.engine as engine_mod
 from repro.bitmatrix.matrix import BitMatrix
+from repro.bitmatrix.splicing import splice_columns
+from repro.combinatorics.decode import combos_from_linear
+from repro.core.bounds import BoundTable
+from repro.core.combination import better
 from repro.core.engine import SingleGpuEngine, best_in_thread_range
 from repro.core.fscore import FScoreParams
-from repro.core.kernels import KernelCounters
+from repro.core.kernels import (
+    KernelCounters,
+    score_combos_reference,
+    tp_zero_ceiling,
+)
 from repro.core.memopt import fused_word_reads
 from repro.core.sequential import sequential_best_combo
 from repro.core.solver import MultiHitSolver
-from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, SCHEME_4X1, Scheme
+from repro.scheduling.schemes import (
+    SCHEME_2X2,
+    SCHEME_3X1,
+    SCHEME_4X1,
+    Scheme,
+    scheme_for,
+)
 from repro.scheduling.workload import total_threads
 
 
@@ -156,10 +175,11 @@ class TestCounters:
 class TestEnumeratedStrides:
     @pytest.mark.parametrize("hits", [3, 4])
     def test_inversions_scale_with_scans_not_strides(self, hits, monkeypatch):
-        # A scan inverts λ at its two ends and enumerates every stride in
-        # between, so the closed-form machinery runs O(scans) times: the
-        # binomial_clamped count does not grow with G while the stride
-        # count does.
+        # A scan inverts λ at its two ends and enumerates every tile in
+        # between — each tile's lowest level is read off the previous
+        # tile's last row — so the closed-form machinery runs O(scans)
+        # times: the binomial_clamped count does not grow with G while
+        # the tile count does (tiles shrunk so that it must).
         calls = [0]
         clamped = decode.binomial_clamped
 
@@ -168,6 +188,7 @@ class TestEnumeratedStrides:
             return clamped(x, order)
 
         monkeypatch.setattr(decode, "binomial_clamped", counting)
+        monkeypatch.setattr(engine_mod, "_TILE_ELEMENTS", 64)
         per_g = {}
         for g in (24, 40):
             rng = np.random.default_rng(g)
@@ -179,7 +200,7 @@ class TestEnumeratedStrides:
             assert scans == 3
             assert 0 < calls[0] <= 16 * scans
             per_g[g] = (calls[0], result.counters.decode_strides)
-        # Same bound at both sizes; only the stride count followed G.
+        # Same bound at both sizes; only the tile count followed G.
         assert per_g[40][1] > per_g[24][1] > 16 * 3
 
     def test_flat_scheme_stride_follows_row_width(self, rng):
@@ -211,3 +232,118 @@ class TestTieDeterminism:
         for scheme in (SCHEME_3X1, SCHEME_2X2):
             got = SingleGpuEngine(scheme=scheme).best_combo(t, n, params)
             assert got.genes == (0, 1, 2, 3)
+
+
+class TestTiledScan:
+    """The nested scan scores tiles that cross workload levels against
+    the inner table of their lowest level; nothing about that may show
+    in a winner, a tie, a count or a bound."""
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from([(2, 1), (3, 2), (4, 3), (4, 2), (5, 3)]),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from([1, 63, 70, 130, 64 * 65 + 7]),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from([1, 7, 64, 1 << 16]),
+    )
+    def test_split_scan_matches_sequential(
+        self, seed, shape, density, n_samples, cut_at, tile
+    ):
+        hits, flattened = shape
+        scheme = scheme_for(hits, flattened)
+        rng = np.random.default_rng(seed)
+        g = int(rng.integers(hits, hits + 5))
+        t = rng.random((g, n_samples)) < density
+        n = rng.random((g, n_samples)) < density * rng.random()
+        t[rng.random(g) < 0.25] = False  # all-zero genes
+        params = FScoreParams(n_tumor=n_samples, n_normal=n_samples)
+        tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
+        total = total_threads(scheme, g)
+        cut = int(cut_at * total)
+        counters = KernelCounters()
+        with patch.object(engine_mod, "_TILE_ELEMENTS", tile):
+            halves = [
+                best_in_thread_range(
+                    scheme, g, tumor, normal, params, lo, hi, counters=counters
+                )
+                for lo, hi in ((0, cut), (cut, total))
+            ]
+        got = better(*halves)
+        ref = sequential_best_combo(t, n, hits, params)
+        assert (got.genes, got.f, got.tp, got.tn) == (
+            ref.genes, ref.f, ref.tp, ref.tn
+        )
+        assert counters.combos_scored == math.comb(g, hits)
+
+    def test_refreshed_bounds_are_exact_block_maxima(self):
+        # Threads through an all-zero tumor gene have TP = 0 everywhere,
+        # and with a dense normal matrix their best F sits below the
+        # TP = 0 ceiling fscore(0, Nn), which the sparse scan once stored
+        # for them.  Every refreshed bound is now the block's exact
+        # maximum, recounted by the reference scorer.
+        rng = np.random.default_rng(4)
+        g, nt, nn = 16, 600, 40
+        t = rng.random((g, nt)) < 0.7
+        t[[5, 8, 11]] = False
+        n = rng.random((g, nn)) < 0.6
+        tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
+        params = FScoreParams(n_tumor=nt, n_normal=nn)
+        ceiling = tp_zero_ceiling(params)
+        for scheme in (scheme_for(3, 2), scheme_for(4, 3), scheme_for(4, 2)):
+            table = BoundTable.build(scheme, g, n_blocks=24, super_size=4)
+            keep = np.ones(nt, dtype=bool)
+            for iteration in range(3):
+                t_now = splice_columns(tumor, keep)
+                best = best_in_thread_range(
+                    scheme, g, t_now, normal, params,
+                    0, total_threads(scheme, g),
+                    bounds=table, iteration=iteration, sparse=True,
+                )
+                assert best.f > ceiling
+                refreshed = np.flatnonzero(table.stamps == iteration)
+                for b in refreshed:
+                    exact = _block_max(scheme, g, t_now, normal, params, b, table)
+                    assert table.bounds[b] == exact
+                if iteration == 0:  # every block scanned, none at the ceiling
+                    assert (table.bounds < ceiling).any()
+                keep[rng.random(nt) < 0.3] = False
+
+    def test_full_grid_takes_few_tiles(self):
+        # G = 200, 3 hits, 13-word rows: one tile per level was 198
+        # strides; a tile spans as many levels as fit its budget.
+        rng = np.random.default_rng(0)
+        g, ns = 200, 800
+        t = rng.random((g, ns)) < 0.03
+        n = rng.random((g, ns)) < 0.03
+        tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
+        assert tumor.n_words == normal.n_words == 13
+        scheme = scheme_for(3, 2)
+        counters = KernelCounters()
+        best_in_thread_range(
+            scheme, g, tumor, normal, FScoreParams(n_tumor=ns, n_normal=ns),
+            0, total_threads(scheme, g), counters=counters,
+        )
+        assert counters.combos_scored == math.comb(g, 3)
+        levels = g - scheme.flattened  # levels whose threads have inner loops
+        assert counters.decode_strides < levels
+        assert counters.decode_strides <= 40
+
+
+def _block_max(scheme, g, tumor, normal, params, b, table) -> float:
+    """Exact best F over block ``b``'s combinations, by the reference
+    scorer (``-inf`` when its threads own none)."""
+    lo, hi = table.block_range(b)
+    combos = [
+        (*tup, *rest)
+        for tup in combos_from_linear(np.arange(lo, hi), scheme.flattened).tolist()
+        for rest in itertools.combinations(range(tup[-1] + 1, g), scheme.inner)
+    ]
+    if not combos:
+        return float("-inf")
+    f, _, _ = score_combos_reference(tumor, normal, np.asarray(combos), params)
+    return float(f.max())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bitmatrix.matrix import BitMatrix
+from repro.bitmatrix.sparsity import stride_any_mask
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import (
     DEFAULT_WORD_STRIDE,
@@ -78,9 +79,10 @@ class TestScoreCombos:
 
 
 class TestFusedKernels:
-    """The word-stride fused paths must be bit-identical to the
-    single-shot reference — popcounts are exact integers, so any drift
-    is a bug, not rounding."""
+    """The fused kernels (word-stride ``score_combos``, word-by-word
+    ``fused_pair_popcount``) must be bit-identical to the single-shot
+    reference — popcounts are exact integers, so any drift is a bug, not
+    rounding."""
 
     def _random_matrices(self, rng, n_genes, n_samples):
         t = rng.random((n_genes, n_samples)) < 0.35
@@ -114,13 +116,37 @@ class TestFusedKernels:
         rng = np.random.default_rng(7)
         base = rng.integers(0, 1 << 63, size=(13, n_words), dtype=np.uint64)
         inner = rng.integers(0, 1 << 63, size=(9, n_words), dtype=np.uint64)
-        got = fused_pair_popcount(base, inner)
+        got = fused_pair_popcount(base, np.ascontiguousarray(inner.T), base != 0)
         want = (
             np.bitwise_count(base[:, None, :] & inner[None, :, :])
             .sum(axis=2)
             .astype(np.int64)
         )
         np.testing.assert_array_equal(got, want)
+
+    def test_fused_pair_popcount_per_word_row_choice(self):
+        # Word k is nonzero in 0 rows (skipped), 1 row and 3 rows (only
+        # those rows touched), exactly half and all rows (every row
+        # broadcast): the per-word choice never changes a count.
+        rng = np.random.default_rng(5)
+        base = rng.integers(1, 1 << 63, size=(8, 5), dtype=np.uint64)
+        base[:, 0] = 0
+        base[1:, 1] = 0
+        base[4:, 2] = 0
+        base[[0, 2, 4, 5, 6], 4] = 0
+        inner = rng.integers(0, 1 << 63, size=(6, 5), dtype=np.uint64)
+        inner[2] = 0
+        want = (
+            np.bitwise_count(base[:, None, :] & inner[None, :, :])
+            .sum(axis=2)
+            .astype(np.int64)
+        )
+        inner_w = np.ascontiguousarray(inner.T)
+        got = fused_pair_popcount(base, inner_w, stride_any_mask(base, 1))
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, want)
+        zero = np.zeros_like(base)
+        assert not fused_pair_popcount(zero, inner_w, zero != 0).any()
 
 
 class TestBestOf:

@@ -3,7 +3,9 @@
 The contract under test: ``sparse=True`` is a *traffic* optimization —
 ``(f, tp, tn)``, winners, and ``combos_scored`` are bit-identical to the
 dense path on every backend, and the metered traffic closes exactly
-(``word_reads + word_reads_skipped`` reproduces the dense charge).
+(``word_reads + word_reads_skipped`` reproduces the dense charge).  Only
+the flat scheme's ``score_combos`` has a sparse body; on nested schemes
+the switch selects nothing, which the engine-level checks pin too.
 """
 
 import itertools
@@ -21,12 +23,10 @@ from repro.core.engine import SingleGpuEngine, best_in_thread_range
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import (
     KernelCounters,
-    fused_pair_popcount,
     score_combos,
     score_combos_reference,
     tp_zero_ceiling,
 )
-from repro.core.memopt import fused_word_reads, sparse_fused_word_reads
 from repro.core.solver import MultiHitSolver
 from repro.scheduling.schemes import scheme_for
 from repro.scheduling.workload import total_threads
@@ -212,29 +212,6 @@ class TestSparseScoreCombos:
         assert c2.zero_prefix_runs_skipped == 0
         np.testing.assert_array_equal(tn3, rtn)
 
-    def test_fused_pair_popcount_masked_matches(self):
-        rng = np.random.default_rng(4)
-        base = rng.integers(0, 1 << 63, size=(7, 9), dtype=np.uint64)
-        inner = rng.integers(0, 1 << 63, size=(5, 9), dtype=np.uint64)
-        base[2] = 0
-        inner[[0, 3]] = 0
-        for ws in (1, 2, 4, 64):
-            c = KernelCounters()
-            got = fused_pair_popcount(
-                base, inner, ws,
-                stride_any_mask(base, ws), stride_any_mask(inner, ws), c,
-            )
-            want = fused_pair_popcount(base, inner, ws)
-            np.testing.assert_array_equal(got, want)
-        # Fully-zero sides skip every stride.
-        z = np.zeros_like(base)
-        c = KernelCounters()
-        got = fused_pair_popcount(
-            z, inner, 2, stride_any_mask(z, 2), stride_any_mask(inner, 2), c
-        )
-        assert not got.any()
-        assert c.strides_skipped_sparse == 5  # ceil(9 / 2)
-
 
 # -- engine / backend equivalence -----------------------------------------
 
@@ -277,8 +254,8 @@ class TestEngineSparseEquivalence:
 
     def test_engine_counter_closure_unpruned(self):
         # Same scan, sparse vs dense: identical combos_scored, and the
-        # sparse traffic plus its skipped complement reproduces the
-        # dense model charge exactly.
+        # traffic plus its skipped complement reproduces the dense model
+        # charge exactly (the nested scan has one body, so skipped is 0).
         tumor, normal, params = self._instance(seed=7)
         scheme = scheme_for(3, 2)
         end = total_threads(scheme, tumor.n_genes)
@@ -297,7 +274,6 @@ class TestEngineSparseEquivalence:
             sparse_c.word_reads + sparse_c.word_reads_skipped
             == dense_c.word_reads
         )
-        assert sparse_c.word_reads < dense_c.word_reads  # 8% density: must win
 
     def test_counters_merge_new_fields(self):
         a = KernelCounters(
@@ -351,28 +327,3 @@ class TestSolverBackendsSparse:
         assert sc.combos_scored == dc.combos_scored
         assert sc.word_reads + sc.word_reads_skipped == dc.word_reads
         assert sc.word_reads <= dc.word_reads
-
-
-# -- traffic model ---------------------------------------------------------
-
-
-class TestSparseTrafficModel:
-    def test_reduces_to_fused_model(self):
-        scheme = scheme_for(4, 3)
-        args = (scheme, 20, 7, 0, total_threads(scheme, 20))
-        assert sparse_fused_word_reads(*args) == fused_word_reads(*args)
-
-    def test_monotone_in_both_knobs(self):
-        scheme = scheme_for(4, 3)
-        args = (scheme, 20, 7, 0, total_threads(scheme, 20))
-        full = sparse_fused_word_reads(*args)
-        assert sparse_fused_word_reads(*args, nonzero_fraction=0.5) < full
-        assert sparse_fused_word_reads(*args, prefix_run_length=4.0) < full
-        assert sparse_fused_word_reads(*args, nonzero_fraction=0.0) == 0
-
-    def test_validates(self):
-        scheme = scheme_for(4, 3)
-        with pytest.raises(ValueError):
-            sparse_fused_word_reads(scheme, 20, 7, 0, 10, nonzero_fraction=1.5)
-        with pytest.raises(ValueError):
-            sparse_fused_word_reads(scheme, 20, 7, 0, 10, prefix_run_length=0.5)
