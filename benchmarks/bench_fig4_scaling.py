@@ -7,16 +7,14 @@ nodes, 84.18% at 1000); weak scaling ~90% at 500 nodes (avg 94.6%).
 import numpy as np
 
 from repro.experiments import fig4_scaling
-from repro.telemetry import telemetry_session
 
 
-def test_fig4_scaling_full_sweep(benchmark, show, bench_summary):
-    with telemetry_session() as telemetry:
-        result = benchmark.pedantic(
-            lambda: fig4_scaling.run(elastic_nodes=[100, 400, 700, 1000]),
-            rounds=1,
-            iterations=1,
-        )
+def test_fig4_scaling_full_sweep(benchmark, show):
+    result = benchmark.pedantic(
+        lambda: fig4_scaling.run(elastic_nodes=[100, 400, 700, 1000]),
+        rounds=1,
+        iterations=1,
+    )
     effs = [p.efficiency for p in result.strong]
     nodes = [p.n_nodes for p in result.strong]
     assert nodes[0] == 100 and nodes[-1] == 1000
@@ -43,7 +41,6 @@ def test_fig4_scaling_full_sweep(benchmark, show, bench_summary):
     # stealing fleet must hold efficiency at 1000 nodes — fine leases
     # absorb node jitter, so churn costs at most a modest overhead vs
     # the static fleet (and typically wins).
-    elastic_effs = [p.efficiency for p in result.elastic]
     assert result.elastic[-1].n_nodes == 1000
     assert 0.80 <= result.elastic_at_max_nodes <= 1.05
     assert result.elastic_overhead_at_max < 0.15
@@ -59,26 +56,6 @@ def test_fig4_scaling_full_sweep(benchmark, show, bench_summary):
         assert abs(sum(loss.values()) / (1000 * runtime) - 1.0) < 1e-6
     assert result.elastic_loss["comm_wait"] < 0.01 * result.static_loss["comm_wait"]
 
-    bench_summary(
-        "fig4",
-        values={
-            "strong_nodes": nodes,
-            "strong_efficiency": effs,
-            "strong_runtime_s": runtimes,
-            "strong_at_max_nodes": result.strong_at_max_nodes,
-            "strong_avg_efficiency": result.strong_avg_efficiency,
-            "weak_nodes": [p.n_nodes for p in result.weak],
-            "weak_efficiency": weak_effs,
-            "elastic_nodes": [p.n_nodes for p in result.elastic],
-            "elastic_efficiency": elastic_effs,
-            "elastic_runtime_s": [p.runtime_s for p in result.elastic],
-            "elastic_at_max_nodes": result.elastic_at_max_nodes,
-            "elastic_overhead_at_max": result.elastic_overhead_at_max,
-            "static_loss_rank_s_at_max": result.static_loss,
-            "elastic_loss_rank_s_at_max": result.elastic_loss,
-        },
-        telemetry=telemetry,
-    )
     show(fig4_scaling.report(result))
 
 

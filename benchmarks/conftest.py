@@ -4,20 +4,12 @@ Each ``bench_*`` module regenerates one paper table or figure: it runs
 the experiment driver (timed via pytest-benchmark), asserts the paper's
 qualitative shape, and prints the same rows/series the paper reports
 (visible with ``pytest benchmarks/ --benchmark-only -s``; recorded in
-EXPERIMENTS.md).
-
-``bench_summary`` writes a repo-root ``BENCH_<name>.json`` through the
-:mod:`repro.telemetry` summary exporter — the machine-readable perf
-trajectory: each run overwrites the file, so committed snapshots show
-how headline numbers (scaling efficiency, counter totals, span times)
-move across PRs.
+EXPERIMENTS.md).  A run writes no file: measured performance lives in
+the repo benchmark (``benchmarks/perf/``), deterministic pins in the
+tier-1 tests.
 """
 
-from pathlib import Path
-
 import pytest
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -30,24 +22,3 @@ def show(capsys):
             print(text)
 
     return _show
-
-
-@pytest.fixture
-def bench_summary():
-    """Write ``BENCH_<name>.json`` at the repo root via the summary exporter.
-
-    ``values`` lands in the summary's ``extra`` block; pass the session
-    from ``telemetry_session()`` as ``telemetry`` to also include the
-    run's counters, histograms, and per-span aggregates.
-    """
-    from repro.telemetry.export import write_summary
-
-    def _write(name: str, values=None, telemetry=None) -> Path:
-        return write_summary(
-            REPO_ROOT / f"BENCH_{name}.json",
-            name=name,
-            telemetry=telemetry,
-            extra=values,
-        )
-
-    return _write

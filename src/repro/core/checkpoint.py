@@ -79,8 +79,15 @@ class SolverState:
                 f"checkpoint covers {self.active.shape[0]} samples, "
                 f"matrix has {tumor.n_samples}"
             )
-        # Consistency: every recorded combination's samples are inactive.
+        # Consistency: every recorded combination names genes of this
+        # matrix, and its samples are inactive.
         for c in self.combinations:
+            g = c.genes  # strictly increasing: the record enforces it
+            if len(g) != hits or g[0] < 0 or g[-1] >= tumor.n_genes:
+                raise ValueError(
+                    f"checkpoint combination {g} is not a {hits}-hit "
+                    f"tuple of genes in [0, {tumor.n_genes})"
+                )
             covered = tumor.samples_with_all(c.genes)
             if bool((covered & self.active).any()):
                 raise ValueError(
@@ -133,23 +140,55 @@ def save_state(state: SolverState, path: "str | Path") -> None:
         telemetry.count("checkpoint.bytes", len(encoded))
 
 
+def _field(raw, key: str, kind):
+    """``raw[key]`` if ``raw`` is an object holding a ``kind`` there."""
+    value = raw.get(key) if isinstance(raw, dict) else None
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"checkpoint field {key!r} is missing or mistyped")
+    return value
+
+
+def _ints(raw, key: str) -> list:
+    values = _field(raw, key, list)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"checkpoint field {key!r} must hold integers")
+    return values
+
+
 def load_state(path: "str | Path") -> SolverState:
-    """Inverse of :func:`save_state`."""
+    """Inverse of :func:`save_state`.
+
+    A file :func:`save_state` could not have written — torn, bit-flipped,
+    hand-edited — raises :class:`ValueError` naming the field.
+    """
     raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"checkpoint must be an object, got {type(raw).__name__}")
     if raw.get("format_version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {raw.get('format_version')!r}")
-    active = np.zeros(raw["n_samples"], dtype=bool)
-    active[raw["active"]] = True
+    n_samples = _field(raw, "n_samples", int)
+    active_ids = _ints(raw, "active")
+    if not all(0 <= i < n_samples for i in active_ids):
+        raise ValueError(
+            f"checkpoint field 'active' must index samples in [0, {n_samples})"
+        )
+    active = np.zeros(n_samples, dtype=bool)
+    active[active_ids] = True
     combos = tuple(
-        MultiHitCombination(genes=tuple(c["genes"]), f=c["f"], tp=c["tp"], tn=c["tn"])
-        for c in raw["combinations"]
+        MultiHitCombination(
+            genes=tuple(_ints(c, "genes")),
+            f=_field(c, "f", (int, float)),
+            tp=_field(c, "tp", int),
+            tn=_field(c, "tn", int),
+        )
+        for c in _field(raw, "combinations", list)
     )
     return SolverState(
-        hits=raw["hits"],
-        alpha=raw["alpha"],
+        hits=_field(raw, "hits", int),
+        alpha=_field(raw, "alpha", (int, float)),
         combinations=combos,
         active=active,
-        bound_table=raw.get("bound_table"),
+        bound_table=_field(raw, "bound_table", (dict, type(None))),
     )
 
 

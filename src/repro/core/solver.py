@@ -42,7 +42,7 @@ class IterationRecord:
 
     ``combos_scored`` / ``combos_pruned`` / ``word_reads`` are this
     iteration's deltas of the run counters — the per-iteration pruning
-    trajectory the ``BENCH_greedy`` report plots.
+    trajectory ``tests/test_bounds.py`` pins.
     """
 
     iteration: int

@@ -71,6 +71,23 @@ _TRANSITIONS: dict[str, frozenset] = {
     JobState.CANCELLED: frozenset(),
 }
 
+_OPTIONAL = type(None)
+#: The JSON type of each job-file field; the first six are required.
+_FIELD_TYPES: dict[str, "type | tuple"] = {
+    "job_id": str,
+    "tenant": str,
+    "spec": dict,
+    "state": str,
+    "created_at": (int, float),
+    "updated_at": (int, float),
+    "dispatch": (dict, _OPTIONAL),
+    "progress": (dict, _OPTIONAL),
+    "result": (dict, _OPTIONAL),
+    "error": (str, _OPTIONAL),
+    "cancel_requested": (bool, _OPTIONAL),
+    "trace_id": (str, _OPTIONAL),
+}
+
 
 @dataclass
 class Job:
@@ -125,10 +142,20 @@ class Job:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Job":
+        """Rebuild a job from its file; :class:`ValueError` if malformed."""
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"job payload must be an object, got {type(payload).__name__}"
+            )
         if payload.get("schema") != JOB_SCHEMA:
             raise ValueError(
                 f"unsupported job schema {payload.get('schema')!r}"
             )
+        for key, kind in _FIELD_TYPES.items():
+            if not isinstance(payload.get(key), kind):
+                raise ValueError(f"job field {key!r} is missing or mistyped")
+        if payload["state"] not in _TRANSITIONS:
+            raise ValueError(f"unknown job state {payload['state']!r}")
         return cls(
             job_id=payload["job_id"],
             tenant=payload["tenant"],
@@ -184,8 +211,8 @@ class JobStore:
         for path in sorted(self.jobs_dir.glob("job-*.json")):
             try:
                 job = Job.from_payload(json.loads(path.read_text()))
-            except (ValueError, KeyError, json.JSONDecodeError):
-                continue  # unreadable entry: skip, don't brick the store
+            except ValueError:  # torn, undecodable or malformed
+                continue  # skip the entry, don't brick the store
             self._jobs[job.job_id] = job
 
     # -- creation ------------------------------------------------------

@@ -4,8 +4,8 @@ The observability substrate shared by every execution backend: a
 :class:`Tracer` of nested thread/rank-aware spans, a
 :class:`MetricsRegistry` of counters/gauges/histograms with
 cross-process merge, and exporters for JSONL event logs, Chrome
-``trace_event`` JSON (Perfetto-loadable), and benchmark summary JSON
-(`BENCH_*.json`).
+``trace_event`` JSON (Perfetto-loadable), and a run summary JSON
+(``multihit solve --metrics-out``).
 
 Telemetry is off by default (:data:`NULL_TELEMETRY`, whose span calls
 return a shared no-op singleton); instrumented code pays two attribute
@@ -68,11 +68,6 @@ from repro.telemetry.progress import (
     eta_seconds,
     perfmodel_rate,
 )
-from repro.telemetry.regress import (
-    Regression,
-    RegressionCheck,
-    compare_summaries,
-)
 
 __all__ = [
     "BUCKETS",
@@ -86,8 +81,6 @@ __all__ = [
     "NULL_TELEMETRY",
     "ProgressMonitor",
     "ProgressSnapshot",
-    "Regression",
-    "RegressionCheck",
     "SUMMARY_SCHEMA",
     "Span",
     "Stopwatch",
@@ -98,7 +91,6 @@ __all__ = [
     "attribute_time",
     "chrome_trace",
     "classify_span",
-    "compare_summaries",
     "critical_path",
     "current_context",
     "dominant_loss",

@@ -9,9 +9,8 @@ Three consumers, three formats:
   in Perfetto / ``chrome://tracing``.  :func:`validate_chrome_trace`
   checks the schema; the CI smoke job runs it on a real trace.
 * :func:`write_summary` — a flat machine-readable run summary (counters,
-  gauges, histogram moments, per-span-name aggregates, caller extras).
-  The benchmark harness writes its repo-root ``BENCH_*.json`` perf
-  trajectory through this.
+  gauges, histogram moments, per-span-name aggregates, caller extras);
+  ``multihit solve --metrics-out`` writes one per run.
 
 Every exporter writes through :func:`atomic_write_text` — parent
 directories created, tmp + fsync + ``os.replace``; checkpoints and job
@@ -270,8 +269,8 @@ def _prune_rollup(metrics: dict) -> "dict | None":
     ``prune.iteration_*`` histograms; their ``total`` moments must agree
     with the run counters (``kernel.combos_scored`` /
     ``prune.combos_pruned``) and with the sums of the per-iteration
-    ``IterationRecord`` fields the ``BENCH_greedy`` trajectory reports —
-    one number, three views (asserted by the tests).
+    ``IterationRecord`` fields — one number, three views (asserted by
+    the tests).
     """
     counters = metrics["counters"]
     if "prune.blocks_scanned" not in counters and "prune.combos_pruned" not in counters:

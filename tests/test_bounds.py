@@ -375,6 +375,33 @@ class TestEffectiveness:
         for rb, rp in zip(base.iterations, pruned.iterations):
             assert rp.combos_scored + rp.combos_pruned == rb.combos_scored
 
+    def test_pinned_trajectory_on_the_40_gene_cohort(self):
+        """Exact pruned-vs-unpruned totals on one fixed cohort: any change
+        to block bounds, visiting order or the traffic charge moves them."""
+        cohort = generate_cohort(
+            CohortConfig(n_genes=40, n_tumor=120, n_normal=120, hits=3, seed=0)
+        )
+        t, n = cohort.tumor.values, cohort.normal.values
+        base = MultiHitSolver(hits=3).solve(t, n)
+        pruned = MultiHitSolver(hits=3, prune=True).solve(t, n)
+        assert signature(pruned) == signature(base)
+        assert len(base.iterations) == len(pruned.iterations) == 18
+
+        def tail(result, field):
+            return sum(getattr(r, field) for r in result.iterations[1:])
+
+        assert (tail(base, "combos_scored"), tail(pruned, "combos_scored")) == (
+            167_960, 67_944,
+        )
+        assert (tail(base, "word_reads"), tail(pruned, "word_reads")) == (
+            117_819, 47_343,
+        )
+        # Run totals include the final probe iteration, which ends the
+        # loop without a record.
+        assert (pruned.counters.combos_scored, pruned.counters.combos_pruned) == (
+            87_704, 100_016,
+        )
+
     def test_compaction_shrinks_scoring_matrix(self, matrices):
         t, n = matrices
         pruned = MultiHitSolver(hits=3, prune=True).solve(t, n)

@@ -1,7 +1,14 @@
 """Tests for checkpoint/resume of the greedy loop."""
 
+import json
+import tempfile
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.checkpoint import (
     SolverState,
@@ -9,6 +16,7 @@ from repro.core.checkpoint import (
     save_state,
     solve_with_checkpoints,
 )
+from repro.core.combination import MultiHitCombination
 from repro.core.memopt import MemoryConfig
 from repro.core.solver import MultiHitSolver
 
@@ -212,3 +220,99 @@ class TestCadence:
             solve_with_checkpoints(
                 MultiHitSolver(hits=2), t, n, tmp_path / "x.json", every=0
             )
+
+
+# -- malformed and damaged files -------------------------------------------
+
+
+def _saved(instance, tmp_path):
+    """A real two-iteration checkpoint: ``(path, payload)``."""
+    t, n = instance
+    states = []
+    MultiHitSolver(hits=2, max_iterations=2).solve(t, n, on_iteration=states.append)
+    path = tmp_path / "ckpt.json"
+    save_state(states[-1], path)
+    return path, json.loads(path.read_text())
+
+
+@lru_cache(maxsize=None)
+def _checkpoint_bytes():
+    """The fixture instance and the bytes of its two-iteration checkpoint."""
+    rng = np.random.default_rng(12345)
+    instance = rng.random((12, 50)) < 0.4, rng.random((12, 50)) < 0.12
+    with tempfile.TemporaryDirectory() as tmp:
+        path, _ = _saved(instance, Path(tmp))
+        return instance, path.read_bytes()
+
+
+def draw_damage(data, blob: bytes) -> "tuple[bytes, bool]":
+    """A strict prefix of ``blob`` or ``blob`` with one byte flipped;
+    the flag says the file was torn before its closing brace."""
+    if data.draw(st.booleans(), label="torn"):
+        return blob[: data.draw(st.integers(0, blob.rindex(b"}")))], True
+    at = data.draw(st.integers(0, len(blob) - 1), label="at")
+    flipped = blob[at] ^ data.draw(st.integers(1, 255), label="mask")
+    return blob[:at] + bytes([flipped]) + blob[at + 1 :], False
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda raw: [1, 2], "object"),
+            (lambda raw: {**raw, "active": [-1]}, "active"),
+            (lambda raw: {**raw, "active": [raw["n_samples"]]}, "active"),
+            (lambda raw: {**raw, "active": ["3"]}, "active"),
+            (lambda raw: {k: v for k, v in raw.items() if k != "hits"}, "hits"),
+            (lambda raw: {**raw, "n_samples": "50"}, "n_samples"),
+            (lambda raw: {**raw, "combinations": [[0, 1]]}, "genes"),
+            (lambda raw: {**raw, "combinations": [{"genes": [0, None]}]}, "genes"),
+        ],
+        ids=[
+            "not-an-object", "negative-active", "active-past-end", "active-str",
+            "missing-hits", "n_samples-str", "combination-not-object",
+            "gene-not-int",
+        ],
+    )
+    def test_rejected_naming_the_field(self, instance, tmp_path, edit, field):
+        path, raw = _saved(instance, tmp_path)
+        path.write_text(json.dumps(edit(raw)))
+        with pytest.raises(ValueError, match=field):
+            load_state(path)
+
+    @pytest.mark.parametrize(
+        "genes", [(0, 12), (-1, 3), (4,)],
+        ids=["past-last-gene", "negative-gene", "one-gene-for-2-hit"],
+    )
+    def test_restore_rejects_genes_outside_the_matrix(self, instance, genes):
+        t, n = instance  # 12 genes, 2-hit
+        state = SolverState(
+            hits=2,
+            alpha=0.1,
+            combinations=(MultiHitCombination(genes=genes, f=0.5),),
+            active=np.ones(t.shape[1], dtype=bool),
+        )
+        with pytest.raises(ValueError, match="genes in"):
+            MultiHitSolver(hits=2).solve(t, n, resume=state)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_checkpoint_loads_or_raises_value_error(self, data):
+        """Every truncation and single-byte flip of a saved checkpoint is
+        refused with ``ValueError``, or loads a state that the resumed
+        run adopts or refuses with ``ValueError``."""
+        instance, blob = _checkpoint_bytes()
+        damaged, torn = draw_damage(data, blob)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ckpt.json"
+            path.write_bytes(damaged)
+            try:
+                state = load_state(path)
+            except ValueError:
+                return
+        assert not torn
+        try:
+            MultiHitSolver(hits=2, max_iterations=1).solve(*instance, resume=state)
+        except ValueError:
+            pass
+

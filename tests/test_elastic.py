@@ -28,6 +28,7 @@ from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
 from repro.core.pool import PoolEngine
 from repro.core.solver import MultiHitSolver
+from repro.data.synthesis import CohortConfig, generate_cohort
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.report import FaultReport
 from repro.scheduling.equiarea import equiarea_schedule
@@ -310,6 +311,37 @@ class TestElasticDistributed:
         ]
         assert ("leave", "drained") in churn
         assert ("join", "joined") in churn
+
+    def test_mid_solve_churn_5_nodes_pinned(self):
+        """A 5-rank fleet, one rank swapped at 20 % / 40 % progress, on a
+        32-gene cohort: winners and scored work equal the static fleet,
+        and the lease traffic is exact for the fixed plan."""
+        cohort = generate_cohort(
+            CohortConfig(n_genes=32, n_tumor=100, n_normal=100, hits=3, seed=7)
+        )
+        t, n = cohort.tumor.values, cohort.normal.values
+        static = MultiHitSolver(hits=3, backend="distributed", n_nodes=5).solve(t, n)
+        with telemetry_session() as tel:
+            elastic = MultiHitSolver(
+                hits=3, backend="distributed", n_nodes=5, elastic=True,
+                fault_plan=FaultPlan.churn(
+                    5, fraction=0.2, leave_at=0.2, join_at=0.4
+                ),
+            ).solve(t, n)
+            counters = tel.metrics.counters
+        assert signature(elastic.combinations) == signature(static.combinations)
+        assert len(elastic.iterations) == 13
+        scored = [sum(r.combos_scored for r in x.iterations) for x in (elastic, static)]
+        assert scored == [64_480, 64_480]
+        assert elastic.counters.combos_scored == static.counters.combos_scored
+        assert counters["lease.grants"] == 280
+        assert counters.get("lease.steals", 0) == 0
+        churn = {
+            (e.kind, e.action)
+            for e in elastic.fault_report.events
+            if e.site == "membership"
+        }
+        assert churn == {("leave", "drained"), ("join", "joined")}
 
     def test_pruned_elastic_crash_matches_pruned_static(self, instance):
         tumor, normal, params = instance

@@ -1,11 +1,15 @@
 """Tests for the solve-as-a-service gateway (repro.service)."""
 
 import json
+import tempfile
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.solver import MultiHitSolver
 from repro.data.synthesis import CohortConfig, generate_cohort
@@ -21,7 +25,8 @@ from repro.service import (
 )
 from repro.service.dispatch import FleetState, RoundRobinPolicy
 from repro.service.http import _ALLOWED_COHORT_KEYS, _ALLOWED_SOLVER_KEYS
-from repro.service.jobs import Job
+from repro.service.jobs import ACTIVE_STATES, TERMINAL_STATES, Job
+from tests.test_checkpoint import draw_damage
 
 
 def signature(combos):
@@ -99,6 +104,61 @@ class TestJobStore:
     def test_schema_guard(self):
         with pytest.raises(ValueError, match="schema"):
             Job.from_payload({"schema": "bogus/v9"})
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda raw: [1, 2],
+            lambda raw: "job",
+            lambda raw: {k: v for k, v in raw.items() if k != "tenant"},
+            lambda raw: {**raw, "created_at": "yesterday"},
+            lambda raw: {**raw, "spec": [1]},
+            lambda raw: {**raw, "state": "paused"},
+            lambda raw: {**raw, "progress": [3]},
+        ],
+        ids=[
+            "list", "string", "missing-tenant", "created_at-str", "spec-list",
+            "unknown-state", "progress-list",
+        ],
+    )
+    def test_malformed_file_skipped_at_boot(self, tmp_path, edit):
+        store = JobStore(tmp_path)
+        good = store.new_job("t", {})
+        bad = store.new_job("t", {})
+        path = tmp_path / "jobs" / f"{bad.job_id}.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError):
+            Job.from_payload(json.loads(path.read_text()))
+        reloaded = JobStore(tmp_path)
+        assert [j.job_id for j in reloaded.jobs()] == [good.job_id]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_store_boots_past_any_damaged_file(self, data):
+        """Every truncation and single-byte flip of a job file: the store
+        boots, keeps the intact job, and either skips the damaged entry
+        or loads it as a well-formed job."""
+        job = Job(
+            job_id="job-0123456789ab", tenant="acme",
+            spec={"cohort": {"n_genes": 9}}, state=JobState.RUNNING,
+            created_at=1.7e9, updated_at=1.7e9 + 2.5,
+            dispatch={"backend": "pool"}, progress={"iterations": 2},
+            trace_id="0f" * 16,
+        )
+        blob = (json.dumps(job.to_payload()) + "\n").encode()
+        damaged, torn = draw_damage(data, blob)
+        with tempfile.TemporaryDirectory() as tmp:
+            good = JobStore(tmp).new_job("acme", {"cohort": {"n_genes": 8}})
+            (Path(tmp) / "jobs" / f"{job.job_id}.json").write_bytes(damaged)
+
+            reloaded = JobStore(tmp)
+            rows = reloaded.jobs()  # sorts on created_at
+            assert reloaded.get(good.job_id) is not None
+            if torn:
+                assert len(rows) == 1
+            for row in rows:
+                assert row.state in TERMINAL_STATES | ACTIVE_STATES
+                json.dumps(row.summary())
 
 
 # ---------------------------------------------------------------------------
