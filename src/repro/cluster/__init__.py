@@ -16,10 +16,11 @@ GPUs).  This package substitutes:
   ``multihit trace analyze`` explains a simulated job like a real one;
 * :class:`LeaseLedger` / :class:`ElasticSPMDRunner` /
   :func:`spmd_best_combo` — λ-range leases and the one fault-tolerant
-  thread fleet: ranks pull leases (pinned one-per-partition for the
-  static schedule, unpinned for an elastic run), renew them off the
-  heartbeat channel, and join/leave mid-solve while survivors steal
-  expired or forfeited ranges (winners stay bit-identical);
+  thread fleet, which runs ``backend="distributed"``: ranks pull leases
+  (pinned one-per-partition for the static schedule, unpinned for an
+  elastic run), renew them with heartbeats, and join/leave mid-solve
+  while survivors steal expired or forfeited ranges (winners stay
+  bit-identical);
 * :class:`AutoscalePolicy` — reactive grow/shrink recommendations from
   the live ETA and heartbeat-staleness gauges.
 """

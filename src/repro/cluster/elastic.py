@@ -1,24 +1,25 @@
-"""The fault-tolerant thread fleet: ranks pull leases off one ledger.
+"""The thread fleet: ranks pull leases off one ledger.
 
-:func:`spmd_best_combo` is the one entry point for an arg-max on rank
-threads.  It runs a ready :class:`repro.cluster.leases.LeaseLedger` —
-``from_schedule`` for the paper's static schedule (one lease per
-partition, pinned to the owning rank), ``build`` for unpinned equi-area
-leases — on :class:`ElasticSPMDRunner`, the second driver of the ledger
-next to the in-process loop of :class:`repro.core.distributed.
-DistributedEngine`; both share ``search_lease``, ``run_lease`` (the one
-recovery rule) and ``apply_churn`` from that module.
+:func:`spmd_best_combo` runs an arg-max over a ready
+:class:`repro.cluster.leases.LeaseLedger` — ``from_schedule`` for the
+paper's static schedule (one lease per partition, pinned to the owning
+rank), ``build`` for unpinned equi-area leases — on
+:class:`ElasticSPMDRunner`, the one driver of a ledger.
+``backend="distributed"`` (:class:`repro.core.distributed.
+DistributedEngine`) calls it once per greedy iteration; its ranks search
+with ``search_lease`` and recover with ``run_lease`` (the one recovery
+rule) from that module.
 
-The fleet never aborts.  Ranks *pull* leases, renew them implicitly
-through the :class:`SimComm` heartbeat channel (no other message is sent
-during an arg-max), and can join or leave mid-solve: a **joining** rank
-registers against the pre-sized world and starts pulling; a **leaving**
-rank finishes the lease it holds, then retires; a **crashed** rank
-retries in place under the policy, then is retired and forfeits its
-leases, held and pinned; a **hung** rank really goes silent, so its
-lease expires off its stale heartbeat.  Either way a survivor steals
-the range and the winner is unchanged (see the determinism argument in
-:mod:`repro.cluster.leases`).  The plain message-passing body,
+The fleet never aborts.  Ranks *pull* leases, renew them with a
+heartbeat between leases (no message is sent during an arg-max), and
+can join or leave mid-solve: a **joining** rank starts pulling; a
+**leaving** rank finishes the lease it holds, then retires; a
+**crashed** rank retries in place under the policy, then is retired and
+forfeits its leases, held and pinned; a **hung** rank really goes
+silent, so its lease expires off its stale heartbeat once the ledger's
+TTL passes.  Either way a survivor steals the range and the winner is
+unchanged (see the determinism argument in :mod:`repro.cluster.leases`).
+The plain message-passing body,
 :func:`repro.cluster.mpi_program.rank_program`, survives as the paper's
 failure-free reference.
 """
@@ -32,14 +33,14 @@ from functools import partial
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.cluster.autoscale import AutoscalePolicy
-from repro.cluster.comm import SimComm, SimCommWorld
 from repro.cluster.leases import LeaseLedger
 from repro.cluster.runtime import export_heartbeat_staleness
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
-from repro.core.distributed import apply_churn, run_lease, search_lease
+from repro.core.distributed import run_lease, search_lease
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
+from repro.core.reduction import ReductionStats
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.faults.report import FaultReport
@@ -60,26 +61,27 @@ class ElasticSPMDRunner:
     """Drive a lease ledger to completion on an elastic thread fleet.
 
     ``n_ranks`` threads start immediately; up to ``max_ranks`` total can
-    exist over the run (the SimComm world's heartbeat fabric is
-    pre-sized, like an MPI session opened with room to grow).  Faults
-    and membership churn come from ``fault_plan``: ``rank``-site specs
-    fire on a granted lease and are recovered by
-    :func:`repro.core.distributed.run_lease` under ``retry_policy``,
-    ``membership``-site specs fire in the supervisor once the solve
-    reaches their progress-fraction trigger.
+    exist over the run (the heartbeat table is pre-sized, like an MPI
+    session opened with room to grow).  Faults and membership churn
+    come from ``fault_plan``: ``rank``-site specs fire on a granted
+    lease and are recovered by :func:`repro.core.distributed.run_lease`
+    under ``retry_policy``; ``membership``-site specs fire in the
+    supervisor once the solve reaches their progress-fraction trigger —
+    at the latest on the pass that sees the ledger done, so a plan's
+    churn lands in the call it is due however fast the ranks drain it.
 
     The runner is deadlock-free by construction: every lease either
     completes, expires (``ledger.ttl_s`` off a stale heartbeat), or is
     forfeited — and once no rank is left that answers (every thread
     gone, or silent past the TTL), the supervisor itself drains the
     pool inline (holder ``-1``), so :meth:`run` returns a
-    fully-completed ledger within ``max_wall_s`` unless a silent rank
-    sits on a lease that cannot expire.
+    fully-completed ledger unless a silent rank sits on a lease that
+    cannot expire.  ``max_wall_s`` bounds that case (``None``: no cap).
     """
 
     n_ranks: int
     max_ranks: "int | None" = None
-    max_wall_s: float = 120.0
+    max_wall_s: "float | None" = 120.0
     fault_plan: "FaultPlan | None" = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     report: FaultReport = field(default_factory=FaultReport, repr=False)
@@ -103,63 +105,7 @@ class ElasticSPMDRunner:
         """
         tel = get_telemetry()
         tel.clear_gauges("spmd.heartbeat_stale_s.")
-        world = SimCommWorld(self.max_ranks, fault_plan=self.fault_plan)
-        stop = threading.Event()
-        threads: "dict[int, threading.Thread]" = {}
-        leave_events: "dict[int, threading.Event]" = {}
-
-        def worker(rank: int) -> None:
-            # Inherit the spawner's (possibly thread-scoped, per-job)
-            # telemetry session so rank-side spans/counters stay on it.
-            set_thread_telemetry(tel)
-            comm = SimComm(world, rank)
-            try:
-                with tel.span("spmd.rank", cat="spmd", rank=rank, elastic=True):
-                    self._rank_body(
-                        comm, rank, ledger, search, stop,
-                        leave_events[rank], call, first_round.get(rank),
-                    )
-            except BaseException as exc:  # noqa: BLE001 - survivable by design
-                ledger.retire(rank)
-                self.report.record(
-                    "crash", "rank", rank, call, "lease-forfeit",
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-
-        def spawn(rank: int) -> bool:
-            if rank >= self.max_ranks:
-                return False
-            leave_events[rank] = threading.Event()
-            t = threading.Thread(
-                target=worker, args=(rank,), name=f"elastic-rank-{rank}",
-                daemon=True,
-            )
-            threads[rank] = t
-            world.heartbeats[rank] = time.monotonic()
-            t.start()
-            return True
-
-        def leave(rank: int) -> bool:
-            ev = leave_events.get(rank)
-            if ev is None or ev.is_set():
-                return False
-            ev.set()
-            return True
-
-        def observe(live: list, now: float) -> None:
-            export_heartbeat_staleness(tel, world.heartbeats, live, now)
-            if self.autoscale is not None:
-                self.autoscale.recommend(
-                    len(live),
-                    eta_s=(
-                        tel.metrics.gauges.get("progress.eta_s")
-                        if tel.enabled else None
-                    ),
-                    heartbeat_stale_s={
-                        r: now - world.heartbeats[r] for r in live
-                    },
-                )
-
+        fleet = _Fleet(self, ledger, search, call)
         if tel.flight is not None:
             tel.flight.set_assignments("lease", ledger.assignment_rows(call))
         with tel.span(
@@ -172,58 +118,14 @@ class ElasticSPMDRunner:
             # the supervisor's first sample of the fleet, so an attached
             # policy sees it however soon the ledger completes.  Joiners
             # start empty.
-            first_round = {r: ledger.acquire(r) for r in range(self.n_ranks)}
-            for r in range(self.n_ranks):
-                spawn(r)
-            observe(list(range(self.n_ranks)), time.monotonic())
-            next_rank = self.n_ranks
-            deadline = time.monotonic() + self.max_wall_s
+            first_round = [ledger.acquire(r) for r in range(self.n_ranks)]
+            for rank, lease in enumerate(first_round):
+                fleet.spawn(rank, lease)
+            fleet.observe(time.monotonic())
             try:
-                while not ledger.done:
-                    now = time.monotonic()
-                    if now > deadline:
-                        raise RuntimeError(
-                            f"elastic world exceeded max_wall_s={self.max_wall_s}s"
-                            f" with {ledger.n_leases - ledger.n_completed}"
-                            " leases outstanding"
-                        )
-                    # Heartbeat traffic is the renewal protocol: re-arm
-                    # lease deadlines off the beats, then reclaim the
-                    # stale ones for survivors to steal.
-                    ledger.sync_heartbeats(world.heartbeats, now)
-                    for lease in ledger.expire(now):
-                        holder = lease.previous_holders[-1]
-                        self.report.record(
-                            "hang", "rank", holder, call, "lease-expired",
-                            detail=(
-                                f"lease {lease.lease_id} "
-                                f"[{lease.lam_start}, {lease.lam_end})"
-                            ),
-                        )
-                    next_rank = apply_churn(
-                        ledger, self.fault_plan, self.report, call, next_rank,
-                        spawn, leave,
-                    )
-                    live = [r for r, t in threads.items() if t.is_alive()]
-                    observe(live, now)
-                    ttl = ledger.ttl_s
-                    if not any(
-                        ttl is None or now - world.heartbeats[r] <= ttl
-                        for r in live
-                    ):
-                        # Nobody left who answers — every rank is gone,
-                        # or silent past the TTL: the driver drains the
-                        # pool itself (holder -1), the guaranteed
-                        # fallback.
-                        self._drain_inline(ledger, search, call)
-                        if ledger.done:
-                            break
-                    time.sleep(_POLL_S)
+                self._supervise(fleet)
             finally:
-                stop.set()
-                t_end = time.monotonic() + _DRAIN_GRACE_S
-                for t in threads.values():
-                    t.join(timeout=max(0.0, t_end - time.monotonic()))
+                fleet.stop()
         for moved in ledger.moved():
             self.report.record_reschedule(*moved, call=call)
         # Stragglers resurfacing after a steal leave duplicates behind;
@@ -236,25 +138,173 @@ class ElasticSPMDRunner:
                     "lease-churn", telemetry=tel, fault_report=self.report
                 )
 
-    def _rank_body(
-        self, comm, rank, ledger, search, stop, leave, call, lease=None
+    def _supervise(self, fleet: "_Fleet") -> None:
+        """Renew, expire, churn and fall back until the ledger is done;
+        woken by every completion, and at least every ``_POLL_S``."""
+        ledger = fleet.ledger
+        started = time.monotonic()
+        while True:
+            fleet.progress.clear()
+            now = time.monotonic()
+            # Heartbeats are the renewal protocol: re-arm lease deadlines
+            # off the beats, then reclaim the stale ones for survivors
+            # to steal.
+            ledger.sync_heartbeats(fleet.heartbeats, now)
+            for lease in ledger.expire(now):
+                self.report.record(
+                    "hang", "rank", lease.previous_holders[-1], fleet.call,
+                    "lease-expired",
+                    detail=(
+                        f"lease {lease.lease_id} "
+                        f"[{lease.lam_start}, {lease.lam_end})"
+                    ),
+                )
+            fleet.apply_churn()
+            if ledger.done:
+                return
+            if self.max_wall_s is not None and now - started > self.max_wall_s:
+                raise RuntimeError(
+                    f"elastic world exceeded max_wall_s={self.max_wall_s}s"
+                    f" with {ledger.n_leases - ledger.n_completed}"
+                    " leases outstanding"
+                )
+            live = fleet.observe(now)
+            ttl = ledger.ttl_s
+            if not any(
+                ttl is None or now - fleet.heartbeats[r] <= ttl for r in live
+            ):
+                # Nobody left who answers — every rank is gone, or
+                # silent past the TTL: the driver drains the pool itself
+                # (holder -1), the guaranteed fallback.
+                fleet.drain_inline()
+                if ledger.done:
+                    continue
+            fleet.progress.wait(_POLL_S)
+
+
+class _Fleet:
+    """One run's rank threads: their heartbeats, joins and departures."""
+
+    def __init__(
+        self, runner: ElasticSPMDRunner, ledger: LeaseLedger, search, call: int
     ) -> None:
-        tel = get_telemetry()
+        self.runner = runner
+        self.ledger = ledger
+        self.search = search
+        self.call = call
+        self.tel = get_telemetry()
+        #: Last-beat monotonic time per rank id (a plain list: ranks
+        #: never message each other during an arg-max).
+        self.heartbeats = [0.0] * runner.max_ranks
+        self.threads: "dict[int, threading.Thread]" = {}
+        self.leaving: "dict[int, threading.Event]" = {}
+        self.next_rank = runner.n_ranks
+        self.stopping = threading.Event()
+        #: Set on every completed lease and rank exit: wakes the supervisor.
+        self.progress = threading.Event()
 
-        def run(held) -> bool:
-            return run_lease(
-                ledger, held, rank, search, self.fault_plan,
-                self.retry_policy, self.report, call, sleep_through_hang=True,
+    def spawn(self, rank: int, lease=None) -> bool:
+        """Start rank ``rank`` (on ``lease`` if the launch granted it one);
+        ``False`` when the world has no room left."""
+        if rank >= self.runner.max_ranks:
+            return False
+        self.leaving[rank] = threading.Event()
+        self.heartbeats[rank] = time.monotonic()
+        thread = threading.Thread(
+            target=self._worker, args=(rank, lease),
+            name=f"elastic-rank-{rank}", daemon=True,
+        )
+        self.threads[rank] = thread
+        thread.start()
+        return True
+
+    def stop(self) -> None:
+        self.stopping.set()
+        t_end = time.monotonic() + _DRAIN_GRACE_S
+        for thread in self.threads.values():
+            thread.join(timeout=max(0.0, t_end - time.monotonic()))
+
+    def observe(self, now: float) -> "list[int]":
+        """Export heartbeat staleness (and feed an attached autoscale
+        policy); returns the ranks whose threads are alive."""
+        tel, autoscale = self.tel, self.runner.autoscale
+        live = [r for r, t in self.threads.items() if t.is_alive()]
+        export_heartbeat_staleness(tel, self.heartbeats, live, now)
+        if autoscale is not None:
+            autoscale.recommend(
+                len(live),
+                eta_s=(
+                    tel.metrics.gauges.get("progress.eta_s")
+                    if tel.enabled else None
+                ),
+                heartbeat_stale_s={
+                    r: now - self.heartbeats[r] for r in live
+                },
             )
+        return live
 
+    def apply_churn(self) -> None:
+        """Consume the membership specs that are due: a join starts fresh
+        ranks, a leave asks a rank to drain."""
+        plan, report = self.runner.fault_plan, self.runner.report
+        if plan is None:
+            return
+        frac = self.ledger.completed_fraction()
+        at = f"at {frac:.2f} done"
+        for spec in plan.take_churn(self.call, frac):
+            if spec.kind == "join":
+                for _ in range(max(1, spec.target)):
+                    if not self.spawn(self.next_rank):
+                        break
+                    report.record(
+                        "join", "membership", self.next_rank, self.call,
+                        "joined", detail=at,
+                    )
+                    self.next_rank += 1
+                continue
+            leaving = self.leaving.get(spec.target)
+            if leaving is not None and not leaving.is_set():
+                leaving.set()
+                report.record(
+                    "leave", "membership", spec.target, self.call, "drained",
+                    detail=at,
+                )
+
+    def _worker(self, rank: int, lease) -> None:
+        # Inherit the spawner's (possibly thread-scoped, per-job)
+        # telemetry session so rank-side spans/counters stay on it.
+        set_thread_telemetry(self.tel)
+        try:
+            with self.tel.span("spmd.rank", cat="spmd", rank=rank, elastic=True):
+                self._rank_body(rank, lease)
+        except BaseException as exc:  # noqa: BLE001 - survivable by design
+            self.ledger.retire(rank)
+            self.runner.report.record(
+                "crash", "rank", rank, self.call, "lease-forfeit",
+                detail=f"{type(exc).__name__}: {exc}",
+            )
+        finally:
+            self.progress.set()
+
+    def _run(self, rank: int, lease) -> bool:
+        runner = self.runner
+        kept = run_lease(
+            self.ledger, lease, rank, self.search, runner.fault_plan,
+            runner.retry_policy, runner.report, self.call,
+        )
+        self.progress.set()
+        return kept
+
+    def _rank_body(self, rank: int, lease) -> None:
+        ledger, leaving, beats = self.ledger, self.leaving[rank], self.heartbeats
         if lease is not None:  # granted by the driver before the launch
             ledger.take_up(lease, rank)
-            comm.heartbeat()
-            if not run(lease):
+            beats[rank] = time.monotonic()
+            if not self._run(rank, lease):
                 return
-        while not (stop.is_set() or ledger.done):
-            comm.heartbeat()
-            if leave.is_set():
+        while not (self.stopping.is_set() or ledger.done):
+            beats[rank] = time.monotonic()
+            if leaving.is_set():
                 # Graceful departure: nothing held here (between leases),
                 # so retiring forfeits nothing — the drain semantics.
                 ledger.retire(rank)
@@ -270,28 +320,29 @@ class ElasticSPMDRunner:
                 # What is left is reserved for live peers: wait for it
                 # to be unpinned.  One lease.wait span per waiting
                 # stretch, not per poll tick.
-                with tel.span("lease.wait", cat="spmd", rank=rank):
+                with self.tel.span("lease.wait", cat="spmd", rank=rank):
                     while ledger.n_available and not (
-                        stop.is_set() or leave.is_set()
+                        self.stopping.is_set() or leaving.is_set()
                         or ledger.has_work_for(rank)
                     ):
                         time.sleep(_POLL_S)
-                        comm.heartbeat()
+                        beats[rank] = time.monotonic()
                 continue
-            if not run(lease):
+            if not self._run(rank, lease):
                 return  # retired: its leases are the survivors' now
 
-    def _drain_inline(self, ledger, search, call) -> None:
+    def drain_inline(self) -> None:
         # Dead ranks hold nothing (every exit path retires) and a silent
         # rank's reservations lapsed with its lease, so whatever nobody
         # holds is in the shared pool.
-        while (lease := ledger.acquire(-1)) is not None:
+        runner = self.runner
+        while (lease := self.ledger.acquire(-1)) is not None:
             run_lease(
-                ledger, lease, -1, search, None, self.retry_policy,
-                self.report, call,
+                self.ledger, lease, -1, self.search, None,
+                runner.retry_policy, runner.report, self.call,
             )
-            self.report.record(
-                "crash", "rank", -1, call, "inline-drain",
+            runner.report.record(
+                "crash", "rank", -1, self.call, "inline-drain",
                 detail=f"lease {lease.lease_id} recovered by driver",
             )
 
@@ -307,11 +358,12 @@ def spmd_best_combo(
     retry_policy: "RetryPolicy | None" = None,
     report: "FaultReport | None" = None,
     counters: "KernelCounters | None" = None,
+    reduction_stats: "ReductionStats | None" = None,
     bounds: "BoundTable | None" = None,
     iteration: int = 0,
     sparse: bool = False,
     autoscale: "AutoscalePolicy | None" = None,
-    max_wall_s: float = 120.0,
+    max_wall_s: "float | None" = 120.0,
     call: int = 0,
 ) -> "MultiHitCombination | None":
     """One arg-max on a thread fleet of ``n_ranks`` over ``ledger``.
@@ -321,7 +373,8 @@ def spmd_best_combo(
     unless it fails), ``LeaseLedger.build(...)`` an elastic pool, cut
     finer than one-per-rank so stealing has grain.  Give it a ``ttl_s``
     for hung ranks to be stolen from.  Whatever happens to the ranks,
-    the per-lease winners fold in lease-id order: the result is
+    the winners fold through :meth:`LeaseLedger.merge` in lease-id
+    order (``reduction_stats`` records its stages): the result is
     bit-identical to any fixed-world run over the same grid.
 
     ``bounds`` keeps CELF pruning on when the table merged
@@ -352,4 +405,4 @@ def spmd_best_combo(
         # slowest lease chain instead of dead-ending at the reduce.
         for ctx in ledger.completion_contexts():
             sp.link(ctx, kind="complete")
-        return ledger.merge()
+        return ledger.merge(stats=reduction_stats)

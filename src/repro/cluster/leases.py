@@ -35,6 +35,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.core.distributed import node_candidates
 from repro.core.reduction import multi_stage_reduce
 from repro.scheduling.equiarea import equiarea_range_boundaries
 from repro.scheduling.workload import total_threads
@@ -100,8 +101,7 @@ class LeaseLedger:
     One ledger per arg-max call.  ``ttl_s`` arms a renewal deadline on
     every grant: a holder that neither completes nor renews within the
     TTL loses the lease back to the pool (``ttl_s=None`` disables the
-    clock — correct for the in-process engine, where a grant is followed
-    synchronously by completion or explicit forfeiture).
+    clock: a silent holder then keeps its lease until it resurfaces).
     """
 
     def __init__(
@@ -292,12 +292,12 @@ class LeaseLedger:
     def sync_heartbeats(
         self, heartbeats: "list[float]", now: "float | None" = None
     ) -> None:
-        """Re-arm deadlines from the SimComm heartbeat channel.
+        """Re-arm deadlines from the fleet's heartbeats.
 
-        ``heartbeats[r]`` is rank ``r``'s last-beat monotonic time (the
-        list every :class:`repro.cluster.comm.SimComm` op updates); a
-        granted lease's deadline becomes ``beat + ttl_s``, so leases are
-        renewed by ordinary communicator traffic, with no extra protocol.
+        ``heartbeats[r]`` is rank ``r``'s last-beat monotonic time (a
+        rank beats between leases and while it waits for one); a granted
+        lease's deadline becomes ``beat + ttl_s``, so only a silence
+        inside one search can outlive the TTL.
         """
         if self.ttl_s is None:
             return
@@ -501,18 +501,18 @@ class LeaseLedger:
     # -- deterministic merge -------------------------------------------
 
     def merge(self, stats=None):
-        """Fold the per-lease winners in lease-id order — the whole
-        determinism story in one line: the reduction input is identical
-        regardless of which rank completed which lease, or in what
-        order, so churn cannot change the winner."""
+        """Fold the per-lease winners in lease-id order: on-rank first
+        (:func:`repro.core.distributed.node_candidates`, the paper's
+        stage 2), then at the root (stage 3).  The whole determinism
+        story: the reduction input is identical regardless of which rank
+        completed which lease, or in what order, so churn cannot change
+        the winner."""
         incomplete = [
             lease.lease_id for lease in self.leases if lease.state != "completed"
         ]
         if incomplete:
             raise RuntimeError(f"leases not completed: {incomplete}")
-        return multi_stage_reduce(
-            [lease.result for lease in self.leases], stats=stats
-        )
+        return multi_stage_reduce(node_candidates(self.leases), stats=stats)
 
     def merge_counters(self, into) -> None:
         """Fold per-lease kernel counters in lease-id order into ``into``."""

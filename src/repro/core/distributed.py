@@ -5,10 +5,9 @@ range of the grid is a lease on a :class:`repro.cluster.leases.
 LeaseLedger`; ranks take leases, search them with the vectorized engine
 and complete them with a single 20-byte candidate, and the per-lease
 winners fold through the multi-stage max-reduction in lease-id order.
-The driver here iterates ranks in-process (deterministic);
-:mod:`repro.cluster.elastic` pulls the same leases through the same
-:func:`search_lease`, :func:`run_lease` and :func:`apply_churn` on a
-thread fleet.
+Each rank is a thread of :func:`repro.cluster.elastic.spmd_best_combo`,
+the one driver of a ledger, running :func:`search_lease` under
+:func:`run_lease`.
 
 The two scheduling modes differ only in the ledger they build:
 
@@ -19,16 +18,18 @@ The two scheduling modes differ only in the ledger they build:
 * ``elastic=True``: :data:`LEASES_PER_PULLER` equi-area cuts per rank,
   nothing pinned — whichever rank is free pulls the next lease, and
   ``membership``-site :class:`FaultSpec` churn (join/leave) resizes the
-  roster mid-call.
+  fleet mid-call.
 
-Recovery is one rule for both: a crash or hang on a granted lease is
-retried by the same holder up to ``retry_policy.resubmits`` times with
-backoff, then the holder is retired and its leases — the one it held
-and the ones pinned to it — go back to the pool for survivors to steal
-(the driver itself, holder ``-1``, if nobody survives).  Because both
-cut sets are merged into the bound table, every lease is a whole number
-of λ-blocks whoever ends up searching it, so recovery keeps the CELF
-pruning speedup.
+Recovery is one rule for both: a crash on a granted lease is retried by
+the same holder up to ``retry_policy.resubmits`` times with backoff,
+then the holder is retired and its leases — the one it held and the
+ones pinned to it — go back to the pool for survivors to steal (the
+driver itself, holder ``-1``, if nobody survives).  A hang is a real
+silence inside the search: past the lease TTL,
+``retry_policy.deadline_s``, the lease expires and a survivor steals
+it.  Because both cut sets are merged into the bound table, every lease
+is a whole number of λ-blocks whoever ends up searching it, so recovery
+keeps the CELF pruning speedup.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import groupby
 
 from repro.bitmatrix.matrix import BitMatrix
@@ -56,7 +56,7 @@ from repro.telemetry.session import get_telemetry
 
 __all__ = [
     "DistributedEngine",
-    "apply_churn",
+    "node_candidates",
     "run_lease",
     "search_lease",
 ]
@@ -138,26 +138,24 @@ def run_lease(
     policy: RetryPolicy,
     report: FaultReport,
     call: int,
-    sleep_through_hang: bool = False,
 ) -> bool:
     """One granted lease under the retry policy — the one recovery rule.
 
     ``search(lease, rank, stall_s=)`` returns ``(winner, counters)``.  A
-    crash or hang injected on the grant loses the attempt; the holder
-    retries in place up to ``policy.resubmits`` times with backoff
+    crash injected on the grant loses the attempt; the holder retries in
+    place up to ``policy.resubmits`` times with backoff
     (``"resubmitted"``), then is retired (``"lease-forfeit"``): the
     lease it held and the ones pinned to it go back to the pool, and
-    ``False`` tells the driver to drop the rank.  Every completed lease
-    is checked against ``policy.is_straggler``, injected or not.
+    ``False`` tells the rank to stop.  Every completed lease is checked
+    against ``policy.is_straggler``, injected or not.
 
-    ``sleep_through_hang`` is for holders on real threads, where a hang
-    is a real silence of ``delay_s`` inside the search and the lease TTL
-    is the detector: a survivor steals the expired lease, and the rank
-    resurfaces and carries on (its late completion is dropped as a
-    duplicate).
+    A hang or a straggler is a real silence of ``delay_s`` inside the
+    search.  The lease TTL is the hang detector: a survivor steals the
+    expired lease, and the rank resurfaces and carries on (its late
+    completion is dropped as a duplicate).
     """
     tel = get_telemetry()
-    lost_kind = None
+    crashed = False
     for attempt in range(1, policy.max_attempts + 1):
         if attempt > 1:
             with tel.span(
@@ -170,17 +168,10 @@ def run_lease(
             else None
         )
         kind = spec.kind if spec is not None else None
-        if kind == "crash" or (kind == "hang" and not sleep_through_hang):
-            # A hang is surfaced by the deadline detector, a crash by
-            # the dead pipe; both mean this attempt is lost.
-            lost_kind = kind
-            report.record(
-                kind, "rank", rank, call, "detected", attempt=attempt,
-                detail="deadline exceeded" if kind == "hang" else "",
-            )
+        if kind == "crash":
+            crashed = True
+            report.record("crash", "rank", rank, call, "detected", attempt=attempt)
             continue
-        # What is left of an injection is a silence inside the search: a
-        # straggler, or a hang on a real thread.
         started = time.monotonic()
         winner, lease_counters = search(
             lease, rank, stall_s=spec.delay_s if spec is not None else 0.0
@@ -191,14 +182,12 @@ def run_lease(
                 "straggler", "rank", rank, call, "observed",
                 attempt=attempt, detail=f"{wall:.3f}s",
             )
-        if lost_kind is not None:
-            report.record(
-                lost_kind, "rank", rank, call, "resubmitted", attempt=attempt
-            )
+        if crashed:
+            report.record("crash", "rank", rank, call, "resubmitted", attempt=attempt)
         ledger.complete(lease.lease_id, rank, winner, counters=lease_counters)
         return True
     report.record(
-        lost_kind, "rank", rank, call, "lease-forfeit",
+        "crash", "rank", rank, call, "lease-forfeit",
         attempt=policy.max_attempts,
         detail=f"lease {lease.lease_id} [{lease.lam_start}, {lease.lam_end})",
     )
@@ -206,40 +195,18 @@ def run_lease(
     return False
 
 
-def apply_churn(
-    ledger,
-    fault_plan: "FaultPlan | None",
-    report: FaultReport,
-    call: int,
-    next_rank: int,
-    join,
-    leave,
-) -> int:
-    """Consume the membership specs that are due; returns the next
-    unused rank id.
-
-    The driver supplies the two actions: ``join(rank)`` brings a fresh
-    rank up (``False``: no room left) and ``leave(rank)`` starts a
-    graceful departure (``False``: no such live rank).
-    """
-    if fault_plan is None:
-        return next_rank
-    frac = ledger.completed_fraction()
-    at = f"at {frac:.2f} done"
-    for spec in fault_plan.take_churn(call, frac):
-        if spec.kind == "join":
-            for _ in range(max(1, spec.target)):
-                if not join(next_rank):
-                    break
-                report.record(
-                    "join", "membership", next_rank, call, "joined", detail=at
-                )
-                next_rank += 1
-        elif leave(spec.target):
-            report.record(
-                "leave", "membership", spec.target, call, "drained", detail=at
-            )
-    return next_rank
+def node_candidates(leases) -> "list[MultiHitCombination | None]":
+    """Stage 2 of the reduction, on-rank: a pinned rank's leases fold to
+    the one 20-byte candidate that leaves the node; an unpinned lease
+    stands alone.  ``leases`` come in lease-id order and a pinned rank's
+    are contiguous, so the fold never depends on who searched what."""
+    candidates: "list[MultiHitCombination | None]" = []
+    for owner, group in groupby(leases, key=lambda lease: lease.owner):
+        results = [lease.result for lease in group]
+        candidates.extend(
+            results if owner is None else [multi_stage_reduce(results)]
+        )
+    return candidates
 
 
 @dataclass
@@ -251,13 +218,14 @@ class DistributedEngine:
     static partition (equi-area by default).
 
     ``elastic`` replaces the pinned partition-per-GPU leases with
-    :data:`LEASES_PER_PULLER` unpinned ones per node that ranks pull
-    round-robin; membership churn specs grow/shrink the roster
+    :data:`LEASES_PER_PULLER` unpinned ones per node that whichever rank
+    is free pulls; membership churn specs grow/shrink the fleet
     mid-call.  Winners are bit-identical either way.
 
     ``fault_plan`` injects rank faults and churn; recovery follows the
-    module's one rule under ``retry_policy``, and everything
-    detected/retried/stolen lands in ``report``.
+    module's one rule under ``retry_policy``, whose ``deadline_s`` is
+    the lease TTL, and everything detected/retried/stolen lands in
+    ``report``.
     """
 
     scheme: Scheme
@@ -307,7 +275,8 @@ class DistributedEngine:
         )
 
     def close(self) -> None:
-        """Nothing to release: ranks run in-process, one ledger per call."""
+        """Nothing to release: the rank threads and the ledger live for
+        one call."""
 
     def best_combo(
         self,
@@ -321,95 +290,32 @@ class DistributedEngine:
     ) -> "MultiHitCombination | None":
         """Full distributed arg-max: every lease's winner reduced at root.
 
-        Ranks take turns in rank order (the in-process stand-in for
-        "whichever rank is free pulls next"), one lease per turn, and
-        membership churn fires between rounds at its progress-fraction
-        trigger.  The reduction folds per-lease winners in lease-id
-        order, so no scheduling or recovery detail can reach the result.
+        The ledger runs on ``n_nodes`` rank threads
+        (:func:`repro.cluster.elastic.spmd_best_combo`), with
+        ``retry_policy.deadline_s`` as its lease TTL and no wall-clock
+        cap.  The reduction folds per-lease winners in lease-id order,
+        so no scheduling or recovery detail can reach the result.
         """
         # Imported here: repro.cluster imports this module for search_lease.
+        from repro.cluster.elastic import spmd_best_combo
         from repro.cluster.leases import LeaseLedger
 
         call = self._calls
         self._calls += 1
-        tel = get_telemetry()
         g = tumor.n_genes
+        ttl = self.retry_policy.deadline_s
         ledger = (
-            LeaseLedger(self.chunk_cuts(g))
+            LeaseLedger(self.chunk_cuts(g), ttl_s=ttl)
             if self.elastic
             else LeaseLedger.from_schedule(
-                self.build_schedule(g), self.gpus_per_node
+                self.build_schedule(g), self.gpus_per_node, ttl_s=ttl
             )
         )
-        if tel.flight is not None:
-            tel.flight.set_assignments("lease", ledger.assignment_rows(call))
-        search = partial(
-            search_lease, self.scheme, tumor=tumor, normal=normal,
-            params=params, bounds=bounds, iteration=iteration,
-            sparse=self.sparse, call=call,
+        return spmd_best_combo(
+            ledger, self.scheme, tumor, normal, params, self.n_nodes,
+            fault_plan=self.fault_plan, retry_policy=self.retry_policy,
+            report=self.report, counters=counters,
+            reduction_stats=reduction_stats, bounds=bounds,
+            iteration=iteration, sparse=self.sparse, max_wall_s=None,
+            call=call,
         )
-        roster = list(range(self.n_nodes))
-
-        def join(rank: int) -> bool:
-            roster.append(rank)
-            return True
-
-        def leave(rank: int) -> bool:
-            if rank not in roster:
-                return False
-            # A graceful departure holds nothing between turns, so
-            # retiring only unpins what was reserved for the leaver.
-            roster.remove(rank)
-            ledger.retire(rank)
-            return True
-
-        next_rank = self.n_nodes
-        while not ledger.done:
-            next_rank = apply_churn(
-                ledger, self.fault_plan, self.report, call, next_rank,
-                join, leave,
-            )
-            grants_before = ledger.n_grants
-            for rank in list(roster) or [-1]:  # -1: the driver drains the pool
-                lease = ledger.acquire(rank)
-                if lease is None:
-                    continue
-                if not run_lease(
-                    ledger, lease, rank, search, self.fault_plan,
-                    self.retry_policy, self.report, call,
-                ):
-                    roster.remove(rank)
-            if ledger.n_grants == grants_before:
-                # Every lease is either reserved for a rank on the roster
-                # or in the shared pool, so a round always grants one.
-                raise RuntimeError(
-                    "lease scheduler stalled with "
-                    f"{ledger.n_available} leases nobody may take"
-                )  # pragma: no cover
-        for moved in ledger.moved():
-            self.report.record_reschedule(*moved, call=call)
-        if ledger.n_forfeited and tel.flight is not None:
-            # The black box for a survived failure (a retired rank always
-            # forfeits the lease it held): dumped after the steals so it
-            # shows the dead ranks and who took their leases.
-            tel.flight.set_assignments("lease", ledger.assignment_rows(call))
-            tel.flight.dump(
-                "lease-churn", telemetry=tel, fault_report=self.report
-            )
-        if counters is not None:
-            ledger.merge_counters(counters)
-        # Stage 2 of the reduction happens on-rank: a pinned rank's
-        # leases fold to the one 20-byte candidate that leaves the node;
-        # unpinned leases each stand alone.
-        candidates: "list[MultiHitCombination | None]" = []
-        for owner, group in groupby(ledger.leases, key=lambda lease: lease.owner):
-            results = [lease.result for lease in group]
-            candidates.extend(
-                results if owner is None else [multi_stage_reduce(results)]
-            )
-        with tel.span(
-            "reduce", cat="distributed", candidates=len(candidates)
-        ) as sp:
-            for ctx in ledger.completion_contexts():
-                sp.link(ctx, kind="complete")
-            return multi_stage_reduce(candidates, stats=reduction_stats)

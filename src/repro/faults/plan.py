@@ -9,7 +9,7 @@ chunk 2 hangs on call 1", "the recv into rank 0 is dropped once") that
 the execution layers consult at well-defined injection points —
 :class:`repro.core.pool.PoolEngine` chunks,
 :func:`repro.core.distributed.run_lease` for a rank holding a lease
-(in-process or on the thread fleet), :class:`repro.cluster.comm.SimComm`
+on the thread fleet, :class:`repro.cluster.comm.SimComm`
 receives, and the block-level
 :class:`repro.gpusim.executor.BlockKernelExecutor`.
 

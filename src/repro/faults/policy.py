@@ -1,9 +1,9 @@
 """Shared retry/backoff policy for every recovery layer.
 
-PR 1's pool backend recovered a lost chunk with an ad-hoc immediate
-inline retry; the lease drivers (in-process and thread fleet) need the
-same decision ("how many times, with what backoff, under what
-deadline?") made consistently.  :class:`RetryPolicy` centralizes it:
+The pool backend's worker processes and the distributed backend's rank
+threads need the same decision ("how many times, with what backoff,
+under what deadline?") made consistently.  :class:`RetryPolicy`
+centralizes it:
 
 * ``resubmits`` — how many times a failed unit is re-submitted to its
   original executor (pool worker / rank) before falling back to the
@@ -11,9 +11,11 @@ deadline?") made consistently.  :class:`RetryPolicy` centralizes it:
   the range across survivors);
 * ``backoff_s`` / ``backoff_factor`` — exponential backoff between
   attempts (0 by default: tests and simulations should not sleep);
-* ``deadline_s`` — per-unit detection deadline.  A chunk or rank that
-  has not answered within the deadline is declared lost (the
-  heartbeat/deadline failure detector);
+* ``deadline_s`` — per-unit detection deadline, the same for both
+  units: a pool chunk that has not answered within it is declared lost,
+  and it is the TTL of a distributed lease, which expires (and is
+  stolen) when its rank stays silent inside a search that long.
+  ``None``: no detector — a hung unit is only slow;
 * ``straggler_after_s`` — soft threshold: a unit that *completes* but
   took longer than this is recorded as a detected straggler (its result
   is kept — slow is not wrong).

@@ -47,6 +47,10 @@ __all__ = [
 
 PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: Largest request body any route reads (a gateway job spec is well
+#: under a kilobyte); a larger declared ``Content-Length`` is a 413.
+MAX_BODY_BYTES = 1 << 20
+
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SAMPLE = re.compile(
     r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?[0-9.eE+-]+|NaN|[+-]Inf)$"
@@ -197,15 +201,26 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("DELETE")
 
     def _dispatch(self, method: str) -> None:
-        path = self.path.split("?", 1)[0]
-        query = self.path.split("?", 1)[1] if "?" in self.path else ""
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
+        path, _, query = self.path.partition("?")
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self._refuse(400, "malformed Content-Length")
+            return
+        if int(declared) > MAX_BODY_BYTES:
+            self._refuse(413, f"body over {MAX_BODY_BYTES} bytes")
+            return
+        body = self.rfile.read(int(declared))
         try:
             resp = self.server.route(method, path, body, query)
         except Exception as exc:  # route bug: answer 500, keep serving
             resp = json_reply(500, {"error": f"{type(exc).__name__}: {exc}"})
         self._reply(resp)
+
+    def _refuse(self, status: int, error: str) -> None:
+        # The body stays unread, so the connection cannot carry another
+        # request.
+        self.close_connection = True
+        self._reply(json_reply(status, {"error": error}))
 
     def _reply(self, resp: Response) -> None:
         self.send_response(resp.status)

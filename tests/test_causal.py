@@ -214,6 +214,26 @@ class TestPoolDispatch:
 
 
 # ---------------------------------------------------------------------------
+# rank lanes of the distributed backend
+
+
+class TestDistributedLanes:
+    def test_traced_solve_has_one_lane_per_rank(self, small_matrices):
+        """``backend="distributed"`` runs its ranks on threads: the lease
+        searches of a traced solve sit on several lanes, and attribution
+        still closes over them."""
+        t, n, _params = small_matrices
+        solver = MultiHitSolver(hits=2, backend="distributed", n_nodes=3)
+        with telemetry_session() as tel:
+            solver.solve(t, n)
+        spans = tel.tracer.export()
+        _edge_integrity(spans)
+        searches = [s for s in spans if s["name"] == "lease.search"]
+        assert len({s["tid"] for s in searches}) >= 2
+        assert analyze_trace(spans)["attribution"]["closure"] >= 0.99
+
+
+# ---------------------------------------------------------------------------
 # critical path + attribution units (synthetic traces)
 
 

@@ -1,16 +1,19 @@
 """Tests for the distributed engine (lease ledger -> search -> reduction).
 
 ``TestDistributionMatrix`` is generated from the switch space: both
-drivers of the ledger (the in-process engine and the thread fleet) x
-both scheduling modes x pruning x the sparse path x every fault a driver
-recovers.  Whatever the cell, the solve must select the winners of
-``backend="single"`` (tie-breaks included) and score every combination
-exactly once; for a fixed cut set — the same mode — pruning and traffic
-counters must equal the failure-free in-process run's too, because a
-lease's work is a pure function of its range.
+ways into the thread fleet (the engine behind ``backend="distributed"``
+and a direct :func:`spmd_best_combo` call) x both scheduling modes x
+pruning x the sparse path x every fault the fleet recovers.  Whatever
+the cell, the solve must select the winners of ``backend="single"``
+(tie-breaks included) and score every combination exactly once; for a
+fixed cut set — the same mode — pruning and traffic counters must equal
+the failure-free engine run's too, because a lease's work is a pure
+function of its range.
 """
 
 import dataclasses
+import sys
+import threading
 from functools import lru_cache
 from unittest.mock import patch
 
@@ -85,11 +88,14 @@ FAULT_CASES = {
     "one-shot-crash-resubmitted": (
         lambda: FaultPlan((_crash(0, at_call=0),)), RetryPolicy(resubmits=1),
     ),
+    # A hang is a real silence: the lease TTL (``deadline_s``) expires
+    # it well before the rank resurfaces.
     "hang": (
         lambda: FaultPlan(
-            (FaultSpec(kind="hang", site="rank", target=2, count=-1),)
+            (FaultSpec(kind="hang", site="rank", target=2, count=-1,
+                       delay_s=0.12),)
         ),
-        None,
+        RetryPolicy(deadline_s=0.03),
     ),
     "straggler": (
         lambda: FaultPlan(
@@ -115,10 +121,10 @@ def _cohort():
 
 
 class _FleetEngine:
-    """:func:`spmd_best_combo` behind the solver's engine surface, so the
-    matrix drives the thread fleet through the same greedy loop — cuts,
-    bound table, splicing, fault plan — as the in-process engine it
-    borrows its configuration from."""
+    """:func:`spmd_best_combo` called directly behind the solver's engine
+    surface, so the matrix drives the public entry point through the
+    same greedy loop — cuts, bound table, splicing, fault plan — as the
+    engine it borrows its configuration from (but no lease TTL)."""
 
     def __init__(self, engine: DistributedEngine) -> None:
         self.engine = engine
@@ -144,14 +150,14 @@ class _FleetEngine:
         )
 
 
-_in_process = solver_module._ENGINES["distributed"]
+_engine = solver_module._ENGINES["distributed"]
 DRIVERS = {
-    "in-process": _in_process,
-    "thread-fleet": lambda solver: _FleetEngine(_in_process(solver)),
+    "engine": _engine,
+    "thread-fleet": lambda solver: _FleetEngine(_engine(solver)),
 }
 
 
-def _solve(backend="distributed", fault_case="clean", driver="in-process", **kw):
+def _solve(backend="distributed", fault_case="clean", driver="engine", **kw):
     plan, policy = FAULT_CASES[fault_case]
     if backend == "distributed":
         kw = {"n_nodes": N_NODES, "gpus_per_node": GPUS_PER_NODE, **kw}
@@ -176,8 +182,8 @@ def _winners(result):
     return [(c.genes, c.f, c.tp, c.tn) for c in result.combinations]
 
 
-#: A real-time ``hang`` would make the fleet sleep; it stays in the TTL
-#: tests (tests/test_elastic.py) so the matrix neither sleeps nor flakes.
+#: Without a lease TTL a ``hang`` is only a sleep; the direct calls'
+#: TTL cases are in tests/test_elastic.py.
 CELLS = [
     (driver, case)
     for driver in DRIVERS
@@ -189,7 +195,7 @@ CELLS = [
 class TestDistributionMatrix:
     @pytest.mark.parametrize(
         "driver,fault_case", CELLS,
-        ids=[c if d == "in-process" else f"{d}-{c}" for d, c in CELLS],
+        ids=[c if d == "engine" else f"{d}-{c}" for d, c in CELLS],
     )
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     @pytest.mark.parametrize("prune", [False, True], ids=["full", "pruned"])
@@ -205,7 +211,7 @@ class TestDistributionMatrix:
         assert _winners(got) == _winners(_single(sparse))
         assert len(got.combinations) == 4
         # Work accounting closes: every combination is scored or pruned
-        # exactly once, and identically to the failure-free in-process run.
+        # exactly once, and identically to the failure-free engine run.
         assert got.counters == clean.counters
         report = got.fault_report
         if fault_case == "clean":
@@ -247,6 +253,31 @@ class TestDistributionMatrix:
             pinned.counters
         )
 
+    def test_more_rank_threads_than_cores_under_a_short_switch_interval(self):
+        """Rank threads share the bound table, the fault report and the
+        ledger: with four times the cores' worth of ranks preempted every
+        few bytecodes, a lost update would move a winner or a counter."""
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            solve = threading.Thread(
+                target=lambda: out.append(
+                    _solve(n_nodes=8, elastic=True, prune=True, sparse=False)
+                ),
+                daemon=True,
+            )
+            solve.start()
+            solve.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not solve.is_alive() and len(out) == 1
+        (got,) = out
+        reference = _single(False)
+        assert _winners(got) == _winners(reference)
+        c = got.counters
+        assert c.combos_scored + c.combos_pruned == reference.counters.combos_scored
+
     def test_unpruned_work_is_mode_independent(self):
         assert (
             _clean(True, False, False).counters.combos_scored
@@ -256,8 +287,7 @@ class TestDistributionMatrix:
 
 
 class TestRetryPolicyOnLeases:
-    """Both drivers, both modes, consult the one ``RetryPolicy`` (the
-    elastic path and then the thread fleet used to ignore it)."""
+    """Both ways in, both modes, consult the one ``RetryPolicy``."""
 
     @pytest.mark.parametrize(
         "elastic,driver",

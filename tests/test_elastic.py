@@ -2,7 +2,7 @@
 
 The contract: under **any** mid-solve membership churn — ranks joining,
 draining, crashing, or going silent until their leases are stolen — the
-elastic paths (threaded :class:`ElasticSPMDRunner`, in-process
+elastic paths (:class:`ElasticSPMDRunner` called directly, behind
 ``DistributedEngine(elastic=True)``, and the lease-grained pool) select
 bit-identical winners to the static failure-free run, and the kernel
 counters close (every combination is scored exactly once on the

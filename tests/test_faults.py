@@ -1,5 +1,5 @@
 """Fault-injection matrix: crash / hang / recv-fault / straggler across
-the pool, in-process distributed, SPMD, and gpusim layers.
+the pool, distributed, SPMD, and gpusim layers.
 
 The contract under test is the tentpole guarantee: under **any**
 deterministic :class:`FaultPlan`, a solve completes and its selected
@@ -227,7 +227,7 @@ class TestPoolInjection:
         assert "FaultReport" in faulty.fault_report.describe()
 
 
-# -- in-process distributed column ---------------------------------------
+# -- distributed column --------------------------------------------------
 
 
 class TestDistributedInjection:
@@ -266,8 +266,11 @@ class TestDistributedInjection:
 
     def test_persistent_hang_detected_and_rescheduled(self, instance):
         tumor, normal, params = instance
-        plan = FaultPlan((FaultSpec(kind="hang", site="rank", target=2, count=-1),))
-        clean, faulty = self._engines(plan)
+        plan = FaultPlan(
+            (FaultSpec(kind="hang", site="rank", target=2, count=-1, delay_s=0.12),)
+        )
+        # The lease TTL is the hang detector: shorter than the silence.
+        clean, faulty = self._engines(plan, RetryPolicy(deadline_s=0.03))
         assert faulty.best_combo(tumor, normal, params) == clean.best_combo(
             tumor, normal, params
         )

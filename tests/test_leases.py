@@ -96,8 +96,8 @@ class TestLifecycle:
     def test_heartbeats_renew_granted_leases(self):
         ledger = LeaseLedger((0, 5, 10), ttl_s=1.0)
         lease = ledger.acquire(2, now=100.0)
-        # Rank 2's communicator traffic beats at t=104: the lease deadline
-        # follows the heartbeat with no explicit renew call.
+        # Rank 2 beats at t=104: the lease deadline follows the
+        # heartbeat with no explicit renew call.
         ledger.sync_heartbeats([0.0, 0.0, 104.0], now=104.0)
         assert lease.deadline == pytest.approx(105.0)
         # A beat older than the armed deadline never shortens it.

@@ -1,8 +1,8 @@
 """The one traffic meter closes against the one model, on every backend.
 
 Generated from the switch space: every way of distributing the arg-max
-(single, pool x {1, 2, 4} workers, the in-process distributed engine and
-the thread fleet, pinned and elastic) x ``prune`` x ``sparse``.  Whatever
+(single, pool x {1, 2, 4} workers, the distributed engine and a direct
+call of its thread fleet, pinned and elastic) x ``prune`` x ``sparse``.  Whatever
 the cell, what the scan metered equals :func:`fused_word_reads` summed
 over the ranges each call searched, at the width it searched them:
 
@@ -33,13 +33,13 @@ _SHAPE = {"backend": "distributed", "n_nodes": 3, "gpus_per_node": 2}
 
 #: cell id -> (solver knobs, driver of the distributed ledger)
 BACKENDS = {
-    "single": ({"backend": "single"}, "in-process"),
+    "single": ({"backend": "single"}, "engine"),
     **{
-        f"pool-{n}": ({"backend": "pool", "n_workers": n}, "in-process")
+        f"pool-{n}": ({"backend": "pool", "n_workers": n}, "engine")
         for n in (1, 2, 4)
     },
-    "distributed-pinned": (_SHAPE, "in-process"),
-    "distributed-elastic": ({**_SHAPE, "elastic": True}, "in-process"),
+    "distributed-pinned": (_SHAPE, "engine"),
+    "distributed-elastic": ({**_SHAPE, "elastic": True}, "engine"),
     "fleet-pinned": (_SHAPE, "thread-fleet"),
     "fleet-elastic": ({**_SHAPE, "elastic": True}, "thread-fleet"),
 }

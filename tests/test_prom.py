@@ -9,6 +9,7 @@
 """
 
 import json
+import socket
 import threading
 import urllib.request
 
@@ -23,7 +24,11 @@ from repro.telemetry import (
     telemetry_session,
     validate_prometheus,
 )
-from repro.telemetry.prom import PROM_CONTENT_TYPE, prometheus_name
+from repro.telemetry.prom import (
+    MAX_BODY_BYTES,
+    PROM_CONTENT_TYPE,
+    prometheus_name,
+)
 
 
 def _get(url: str):
@@ -174,6 +179,35 @@ class TestServerLifecycle:
         with MetricsServer() as server:
             req = urllib.request.Request(
                 server.url + "/metrics", data=b"{}", method="POST"
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req, timeout=5)
+            assert err.value.code == 405
+
+    @pytest.mark.parametrize(
+        "length,status",
+        [("abc", 400), ("-1", 400), ("1_0", 400), ("100000000000", 413)],
+    )
+    def test_content_length_framing(self, length, status):
+        """A malformed or negative ``Content-Length`` is a 400, one over
+        the body cap a 413 — answered without reading (or allocating)
+        the declared body — and the server keeps serving."""
+        with MetricsServer() as server:
+            with socket.create_connection(("127.0.0.1", server.port)) as sock:
+                sock.settimeout(5)
+                sock.sendall(
+                    b"POST /metrics HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: " + length.encode() + b"\r\n\r\n"
+                )
+                reply = sock.makefile("rb").readline()
+            assert reply.split()[1:2] == [str(status).encode()], reply
+            assert _get(server.url + "/healthz")[0] == 200
+
+    def test_body_under_the_cap_reaches_the_route(self):
+        assert MAX_BODY_BYTES >= 1 << 16
+        with MetricsServer() as server:
+            req = urllib.request.Request(
+                server.url + "/metrics", data=b"x" * 1000, method="POST"
             )
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(req, timeout=5)
