@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-workers", type=int, default=8, metavar="N",
-        help="fleet-wide worker budget the dispatch policies allocate from",
+        help="fleet-wide worker budget: the most workers any job gets "
+             "(the sizing rule also caps its own picks at the core count)",
     )
     p_serve.add_argument(
         "--queue-depth", type=int, default=32, metavar="N",
@@ -134,10 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--tenant-quota", type=int, default=8, metavar="N",
         help="per-tenant in-flight job bound (0 disables)",
-    )
-    p_serve.add_argument(
-        "--policy", choices=["round_robin", "weighted_by_load", "cost_aware"],
-        default="round_robin", help="dispatch policy (backend + worker budget)",
     )
     p_serve.add_argument(
         "--checkpoint-every", type=int, default=1, metavar="N",
@@ -338,7 +335,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_workers=args.max_workers,
         queue_depth=args.queue_depth,
         tenant_quota=args.tenant_quota,
-        policy=args.policy,
         checkpoint_every=args.checkpoint_every,
     )
     if gateway._recovered:
@@ -353,7 +349,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     signal.signal(signal.SIGTERM, _handle)
     with gateway:
         _note(args, f"gateway listening on {gateway.url} "
-                    f"(policy={args.policy}, state={args.state_dir})")
+                    f"(state={args.state_dir})")
         if args.ready_file:
             import json as _json
             from pathlib import Path

@@ -20,9 +20,8 @@ GPUs).  This package substitutes:
   (pinned one-per-partition for the static schedule, unpinned for an
   elastic run), renew them with heartbeats, and join/leave mid-solve
   while survivors steal expired or forfeited ranges (winners stay
-  bit-identical);
-* :class:`AutoscalePolicy` — reactive grow/shrink recommendations from
-  the live ETA and heartbeat-staleness gauges.
+  bit-identical).  A run's fleet size is fixed at launch, as on an
+  allocation; only the fault plan's membership specs change it.
 """
 
 from repro.cluster.node import SummitNodeSpec, SUMMIT_NODE
@@ -33,7 +32,6 @@ from repro.cluster.virtual import RankTimeline, VirtualCluster
 from repro.cluster.mpi_program import rank_program
 from repro.cluster.leases import Lease, LeaseLedger
 from repro.cluster.elastic import ElasticSPMDRunner, spmd_best_combo
-from repro.cluster.autoscale import AutoscaleDecision, AutoscalePolicy
 
 __all__ = [
     "rank_program",
@@ -41,8 +39,6 @@ __all__ = [
     "Lease",
     "LeaseLedger",
     "ElasticSPMDRunner",
-    "AutoscaleDecision",
-    "AutoscalePolicy",
     "SummitNodeSpec",
     "SUMMIT_NODE",
     "CommAbortedError",

@@ -19,9 +19,10 @@ forfeits its leases, held and pinned; a **hung** rank really goes
 silent, so its lease expires off its stale heartbeat once the ledger's
 TTL passes.  Either way a survivor steals the range and the winner is
 unchanged (see the determinism argument in :mod:`repro.cluster.leases`).
-The plain message-passing body,
-:func:`repro.cluster.mpi_program.rank_program`, survives as the paper's
-failure-free reference.
+Joins and leaves come only from the fault plan's ``membership`` specs:
+as on an allocation, nothing resizes the fleet at run time.  The plain
+message-passing body, :func:`repro.cluster.mpi_program.rank_program`,
+survives as the paper's failure-free reference.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from repro.bitmatrix.matrix import BitMatrix
-from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.leases import LeaseLedger
 from repro.cluster.runtime import export_heartbeat_staleness
 from repro.core.bounds import BoundTable
@@ -85,7 +85,6 @@ class ElasticSPMDRunner:
     fault_plan: "FaultPlan | None" = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     report: FaultReport = field(default_factory=FaultReport, repr=False)
-    autoscale: "AutoscalePolicy | None" = None
 
     def __post_init__(self) -> None:
         if self.n_ranks < 1:
@@ -115,9 +114,9 @@ class ElasticSPMDRunner:
             # round is granted here, in rank order, so each initial rank
             # holds a lease (and a fault planned on it fires) however
             # fast its peers' threads drain the rest, and the launch is
-            # the supervisor's first sample of the fleet, so an attached
-            # policy sees it however soon the ledger completes.  Joiners
-            # start empty.
+            # the supervisor's first heartbeat sample, so the staleness
+            # gauges are published however soon the ledger completes.
+            # Joiners start empty.
             first_round = [ledger.acquire(r) for r in range(self.n_ranks)]
             for rank, lease in enumerate(first_round):
                 fleet.spawn(rank, lease)
@@ -225,22 +224,10 @@ class _Fleet:
             thread.join(timeout=max(0.0, t_end - time.monotonic()))
 
     def observe(self, now: float) -> "list[int]":
-        """Export heartbeat staleness (and feed an attached autoscale
-        policy); returns the ranks whose threads are alive."""
-        tel, autoscale = self.tel, self.runner.autoscale
+        """Export heartbeat staleness; returns the ranks whose threads
+        are alive."""
         live = [r for r, t in self.threads.items() if t.is_alive()]
-        export_heartbeat_staleness(tel, self.heartbeats, live, now)
-        if autoscale is not None:
-            autoscale.recommend(
-                len(live),
-                eta_s=(
-                    tel.metrics.gauges.get("progress.eta_s")
-                    if tel.enabled else None
-                ),
-                heartbeat_stale_s={
-                    r: now - self.heartbeats[r] for r in live
-                },
-            )
+        export_heartbeat_staleness(self.tel, self.heartbeats, live, now)
         return live
 
     def apply_churn(self) -> None:
@@ -362,7 +349,6 @@ def spmd_best_combo(
     bounds: "BoundTable | None" = None,
     iteration: int = 0,
     sparse: bool = False,
-    autoscale: "AutoscalePolicy | None" = None,
     max_wall_s: "float | None" = 120.0,
     call: int = 0,
 ) -> "MultiHitCombination | None":
@@ -393,7 +379,6 @@ def spmd_best_combo(
         fault_plan=fault_plan,
         retry_policy=retry_policy or RetryPolicy(),
         report=report or FaultReport(),
-        autoscale=autoscale,
     ).run(ledger, search, call=call)
     if counters is not None:
         ledger.merge_counters(counters)

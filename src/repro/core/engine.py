@@ -191,7 +191,6 @@ def _scan_blocks(
     inner_cache: "dict | None" = None,
     charged_levels: "set | None" = None,
     sparse: bool = False,
-    word_stride: "int | None" = None,
 ) -> tuple["MultiHitCombination | None", np.ndarray]:
     """Exhaustively score threads ``[cut_points[0], cut_points[-1])``.
 
@@ -228,7 +227,6 @@ def _scan_blocks(
             counters.decode_strides += 1
             fvals, tp, tn = score_combos(
                 tumor, normal, combos, params, counters,
-                word_stride=word_stride,
                 sparse=sparse,
                 skip_below=(
                     best.f if sparse and best is not None else None
@@ -289,7 +287,6 @@ def best_in_thread_range(
     bounds: "object | None" = None,
     iteration: int = 0,
     sparse: bool = False,
-    word_stride: "int | None" = None,
 ) -> "MultiHitCombination | None":
     """Best combination among those owned by threads ``[lam_start, lam_end)``.
 
@@ -299,10 +296,10 @@ def best_in_thread_range(
     ``bounds`` (a :class:`repro.core.bounds.BoundTable` whose block
     boundaries align with this range) switches on the lazy-greedy pruned
     path; the table is mutated in place — scored blocks are refreshed and
-    stamped with ``iteration``.  ``sparse`` and ``word_stride`` reach
-    only the flat scheme (``inner == 0``), whose
-    :func:`repro.core.kernels.score_combos` still has a sparsity-driven
-    body and a word-stride slice width; the nested scan has one body.
+    stamped with ``iteration``.  ``sparse`` reaches only the flat scheme
+    (``inner == 0``), whose :func:`repro.core.kernels.score_combos`
+    still has a sparsity-driven body (at the kernel's default word
+    stride); the nested scan has one body.
     The winner is bit-identical across all four combinations of
     ``bounds`` and ``sparse``; only the work counters differ.
     """
@@ -317,11 +314,11 @@ def best_in_thread_range(
     if bounds is not None:
         return _best_pruned(
             scheme, g, tumor, normal, params, lam_start, lam_end,
-            bounds, iteration, counters, sparse, word_stride,
+            bounds, iteration, counters, sparse,
         )
     best, _ = _scan_blocks(
         scheme, g, tumor, normal, params, (lam_start, lam_end), counters,
-        sparse=sparse, word_stride=word_stride,
+        sparse=sparse,
     )
     return best
 
@@ -338,7 +335,6 @@ def _best_pruned(
     iteration: int,
     counters: KernelCounters,
     sparse: bool = False,
-    word_stride: "int | None" = None,
 ) -> "MultiHitCombination | None":
     """Hierarchical CELF visitation over the fused multi-block scan.
 
@@ -372,8 +368,7 @@ def _best_pruned(
         cuts.append(bounds.block_range(run[-1])[1])
         best, block_max = _scan_blocks(
             scheme, g, tumor, normal, params, cuts, counters,
-            best, inner_cache, charged_levels,
-            sparse=sparse, word_stride=word_stride,
+            best, inner_cache, charged_levels, sparse=sparse,
         )
         for k, b in enumerate(run):
             bounds.refresh(b, float(block_max[k]), iteration)

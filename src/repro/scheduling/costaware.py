@@ -41,8 +41,8 @@ def total_schedule_cost(
     """Modeled cost (abstract cycles) of one full ``C(g, hits)`` scan.
 
     The same per-level sum :func:`costaware_schedule` balances across
-    partitions, summed instead of cut — the gateway's ``cost_aware``
-    dispatch policy sizes a job's worker budget from this number.
+    partitions, summed instead of cut — the gateway's dispatch rule
+    (:func:`repro.service.dispatch.decide`) sizes every job from it.
     """
     cost = cost or ThreadCostModel()
     total = 0.0

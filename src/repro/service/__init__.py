@@ -5,18 +5,13 @@ execution over the existing engine fleet:
 
 * :mod:`repro.service.jobs` — job lifecycle + atomic JSON job store;
 * :mod:`repro.service.queue` — bounded admission queue, tenant quotas;
-* :mod:`repro.service.dispatch` — pluggable backend/budget policies;
+* :mod:`repro.service.dispatch` — the one sizing rule (backend + budget
+  from the job's modeled cost, tenant pins honored);
 * :mod:`repro.service.runner` — supervisor threads driving the solvers;
 * :mod:`repro.service.http` — the stdlib HTTP API (``repro serve``).
 """
 
-from repro.service.dispatch import (
-    DispatchDecision,
-    DispatchPolicy,
-    FleetState,
-    POLICIES,
-    dispatch_policy,
-)
+from repro.service.dispatch import DispatchDecision, FleetState
 from repro.service.http import Gateway, GatewayServer, validate_spec
 from repro.service.jobs import Job, JobState, JobStore
 from repro.service.queue import (
@@ -31,7 +26,6 @@ __all__ = [
     "AdmissionError",
     "AdmissionQueue",
     "DispatchDecision",
-    "DispatchPolicy",
     "FleetState",
     "Gateway",
     "GatewayServer",
@@ -39,9 +33,7 @@ __all__ = [
     "JobRunner",
     "JobState",
     "JobStore",
-    "POLICIES",
     "QueueFullError",
     "QuotaExceededError",
-    "dispatch_policy",
     "validate_spec",
 ]

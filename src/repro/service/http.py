@@ -30,7 +30,8 @@ Submission body (JSON)::
     }
 
 :class:`Gateway` is the composition root: it builds the job store, the
-admission queue, the dispatch policy, and the runner, recovers
+admission queue and the runner (which sizes each job with the one
+dispatch rule, :func:`repro.service.dispatch.decide`), recovers
 interrupted jobs from a previous process (non-terminal jobs are
 re-queued; their per-job checkpoints turn the re-run into a resume),
 and serves until stopped.  The Python API (:meth:`Gateway.submit` /
@@ -48,7 +49,6 @@ from urllib.parse import parse_qs
 from repro.core.solver import MultiHitSolver
 from repro.data.registry import dataset_names
 from repro.data.synthesis import CohortConfig
-from repro.service.dispatch import dispatch_policy
 from repro.service.jobs import Job, JobState, JobStore
 from repro.service.queue import AdmissionError, AdmissionQueue
 from repro.service.runner import JobRunner
@@ -150,7 +150,6 @@ class Gateway:
         max_workers: int = 8,
         queue_depth: int = 32,
         tenant_quota: int = 8,
-        policy: str = "round_robin",
         checkpoint_every: int = 1,
         telemetry: "Telemetry | None" = None,
     ) -> None:
@@ -158,11 +157,9 @@ class Gateway:
         self.telemetry = telemetry or Telemetry(enabled=True)
         self.store = JobStore(self.state_dir)
         self.queue = AdmissionQueue(depth=queue_depth, tenant_quota=tenant_quota)
-        self.policy = dispatch_policy(policy)
         self.runner = JobRunner(
             store=self.store,
             queue=self.queue,
-            policy=self.policy,
             state_dir=self.state_dir,
             telemetry=self.telemetry,
             max_concurrent=max_concurrent,

@@ -10,7 +10,7 @@ moves through
 
 ``queued`` means accepted past admission control but not yet claimed;
 ``admitted`` means a supervisor thread claimed it and the dispatch
-policy chose its backend + worker budget; ``cancelled`` can be entered
+rule sized its backend + worker budget; ``cancelled`` can be entered
 from any non-terminal state (a queued job cancels instantly, a running
 one within one solver iteration via the cooperative ``should_stop``).
 
@@ -94,8 +94,8 @@ class Job:
     """One tenant's solve request plus its lifecycle bookkeeping.
 
     ``spec`` is the validated submission payload (see
-    :meth:`JobStore.new_job`); ``dispatch`` is the policy's decision
-    (backend, worker budget, policy name, modeled cost); ``progress`` is
+    :meth:`JobStore.new_job`); ``dispatch`` is the dispatch rule's
+    decision (backend, worker budget, modeled cost); ``progress`` is
     the runner's live feed (iterations, coverage, ETA); ``result`` is
     the :func:`repro.io.results.result_to_dict` payload once terminal.
     """

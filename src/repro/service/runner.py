@@ -1,8 +1,9 @@
 """The job runner: supervisor threads executing jobs on the engines.
 
 ``max_concurrent`` supervisor threads block on the admission queue,
-claim jobs FIFO, ask the dispatch policy for a backend + budget, and
-drive the existing solver stack end to end.  Per job, the runner
+claim jobs FIFO, size each one with the dispatch rule
+(:func:`repro.service.dispatch.decide`: backend + budget from its
+modeled cost, tenant pins honored), and drive the existing solver stack end to end.  Per job, the runner
 isolates everything the engines share process-wide:
 
 * **telemetry** — each job solves inside its own thread-scoped
@@ -34,7 +35,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.service.dispatch import DispatchPolicy, FleetState
+from repro.service.dispatch import FleetState, decide
 from repro.service.jobs import JobState, JobStore
 from repro.service.queue import AdmissionQueue
 from repro.telemetry.flight import FlightRecorder
@@ -55,7 +56,6 @@ class JobRunner:
         self,
         store: JobStore,
         queue: AdmissionQueue,
-        policy: DispatchPolicy,
         state_dir: "str | Path",
         telemetry: "Telemetry | None" = None,
         max_concurrent: int = 2,
@@ -67,7 +67,6 @@ class JobRunner:
             raise ValueError("max_concurrent must be >= 1")
         self.store = store
         self.queue = queue
-        self.policy = policy
         self.state_dir = Path(state_dir)
         self.telemetry = telemetry or Telemetry(enabled=True)
         self.max_concurrent = max_concurrent
@@ -180,7 +179,7 @@ class JobRunner:
                 self.store.transition(job_id, JobState.CANCELLED)
                 tel.count("job.cancelled")
             return
-        decision = self.policy.choose(job, self.fleet)
+        decision = decide(job, self.fleet)
         self.fleet.register(job_id, decision)
         self.store.transition(
             job_id, JobState.ADMITTED, dispatch=decision.to_payload()

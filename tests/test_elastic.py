@@ -11,12 +11,9 @@ unpruned path).  The timing-free cells of that contract are generated in
 needs a real clock: TTL expiry, heartbeats, the wall deadline.
 """
 
-import time
-
 import pytest
 
 from repro.bitmatrix.matrix import BitMatrix
-from repro.cluster.autoscale import AutoscaleDecision, AutoscalePolicy
 from repro.cluster.elastic import ElasticSPMDRunner, spmd_best_combo
 from repro.cluster.leases import LeaseLedger
 from repro.cluster.runtime import SPMDRunner
@@ -403,7 +400,7 @@ class TestPoolLeases:
         assert signature(elastic.combinations) == signature(clean.combinations)
 
 
-# -- membership + gauges + autoscaler ------------------------------------
+# -- membership + gauges ------------------------------------------------
 
 
 class TestVirtualClusterMembership:
@@ -458,56 +455,6 @@ class TestHeartbeatGaugeHygiene:
 
     def test_clear_gauges_disabled_is_noop(self):
         assert get_telemetry().clear_gauges("x.") in (0, 0)
-
-
-class TestAutoscalePolicy:
-    def test_silent_ranks_trigger_shrink_first(self):
-        policy = AutoscalePolicy(target_eta_s=100.0, stale_after_s=1.0)
-        d = policy.recommend(
-            4, eta_s=500.0, heartbeat_stale_s={0: 0.1, 2: 5.0, 3: 9.0}
-        )
-        assert d.action == "shrink" and d.delta == 2
-        assert d.stale_ranks == (2, 3)
-
-    def test_late_eta_grows_proportionally(self):
-        policy = AutoscalePolicy(target_eta_s=100.0)
-        d = policy.recommend(4, eta_s=250.0, heartbeat_stale_s={})
-        assert d.action == "grow" and d.delta == 6  # ceil(4*2.5) - 4
-
-    def test_grow_capped_by_max_step_and_max_ranks(self):
-        policy = AutoscalePolicy(target_eta_s=1.0, max_step=3, max_ranks=6)
-        d = policy.recommend(4, eta_s=1000.0)
-        assert d.action == "grow" and d.delta == 2  # max_ranks clamp
-
-    def test_early_eta_shrinks(self):
-        policy = AutoscalePolicy(target_eta_s=100.0, shrink_margin=0.5)
-        d = policy.recommend(8, eta_s=20.0)
-        assert d.action == "shrink" and d.delta == 6  # down to ceil(8*0.2)
-
-    def test_hold_inside_band(self):
-        policy = AutoscalePolicy(target_eta_s=100.0)
-        d = policy.recommend(4, eta_s=80.0)
-        assert d.is_hold and d.delta == 0
-
-    def test_no_target_only_staleness_rule(self):
-        policy = AutoscalePolicy(stale_after_s=1.0)
-        assert policy.recommend(4, eta_s=1e9).is_hold
-        assert policy.recommend(4, heartbeat_stale_s={1: 99.0}).action == "shrink"
-
-    def test_decision_gauges_exported(self):
-        with telemetry_session() as tel:
-            AutoscalePolicy(target_eta_s=10.0).recommend(2, eta_s=100.0)
-            assert tel.metrics.gauges["autoscale.n_ranks"] == 2
-            assert tel.metrics.gauges["autoscale.delta"] > 0
-
-    def test_attached_policy_samples_during_run(self, instance):
-        tumor, normal, params = instance
-        with telemetry_session() as tel:
-            fleet(
-                instance, n_ranks=2,
-                autoscale=AutoscalePolicy(stale_after_s=30.0),
-            )
-            assert "autoscale.n_ranks" in tel.metrics.gauges
 
 
 # -- elastic scaling model (fig4 extras) ---------------------------------

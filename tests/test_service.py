@@ -1,6 +1,7 @@
 """Tests for the solve-as-a-service gateway (repro.service)."""
 
 import json
+import os
 import tempfile
 import time
 import urllib.error
@@ -20,10 +21,11 @@ from repro.service import (
     JobStore,
     QueueFullError,
     QuotaExceededError,
-    dispatch_policy,
     validate_spec,
 )
-from repro.service.dispatch import FleetState, RoundRobinPolicy
+from repro.service import runner as runner_mod
+from repro.service.dispatch import SINGLE_THRESHOLD, FleetState, _job_cost, decide
+from repro.service.runner import JobRunner
 from repro.service.http import _ALLOWED_COHORT_KEYS, _ALLOWED_SOLVER_KEYS
 from repro.service.jobs import ACTIVE_STATES, TERMINAL_STATES, Job
 from tests.test_checkpoint import draw_damage
@@ -209,45 +211,77 @@ class TestDispatch:
     def _job(self, spec=None):
         return Job(job_id="job-x", tenant="t", spec=spec or spec_for(0))
 
-    def test_round_robin_rotates(self):
-        policy = dispatch_policy("round_robin")
-        fleet = FleetState(max_workers=8, backends=("single", "pool"))
-        backends = [policy.choose(self._job(), fleet).backend for _ in range(4)]
-        assert backends == ["single", "pool", "single", "pool"]
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        """Set the host core count the rule reads."""
+        return lambda n: monkeypatch.setattr(os, "cpu_count", lambda: n)
 
     def test_pins_honored_and_clamped(self):
-        policy = dispatch_policy("round_robin")
         fleet = FleetState(max_workers=4)
-        decision = policy.choose(
+        decision = decide(
             self._job({"cohort": {"n_genes": 20},
                        "solver": {"backend": "pool", "n_workers": 99}}),
             fleet,
         )
         assert decision.backend == "pool"
         assert decision.n_workers == 4  # clamped to the fleet
+        assert decision.n_nodes == 4
+        single = decide(self._job(spec_for(0, solver={"backend": "single"})), fleet)
+        assert (single.backend, single.n_workers, single.n_nodes) == ("single", 1, 1)
+        nodes = decide(self._job(spec_for(0, solver={
+            "backend": "distributed", "n_workers": 2, "n_nodes": 3})), fleet)
+        assert (nodes.backend, nodes.n_workers, nodes.n_nodes) == (
+            "distributed", 2, 3)
 
-    def test_weighted_by_load_prefers_idle_backend(self):
-        policy = dispatch_policy("weighted_by_load")
-        fleet = FleetState(max_workers=8, backends=("single", "pool"))
-        first = policy.choose(self._job(spec_for(1, n_genes=40)), fleet)
-        fleet.register("job-a", first)
-        second = policy.choose(self._job(spec_for(2, n_genes=40)), fleet)
-        assert second.backend != first.backend
-
-    def test_cost_aware_sizes_to_the_job(self):
-        policy = dispatch_policy("cost_aware")
+    def test_cost_aware_sizes_to_the_job(self, cores):
+        cores(8)
         fleet = FleetState(max_workers=8)
-        small = policy.choose(self._job(spec_for(0, n_genes=10)), fleet)
+        small = decide(self._job(spec_for(0, n_genes=10)), fleet)
         assert small.backend == "single"
         assert small.n_workers == 1
-        big = policy.choose(self._job(spec_for(0, n_genes=600)), fleet)
+        big = decide(self._job(spec_for(0, n_genes=600)), fleet)
         assert big.backend == "pool"
-        assert big.n_workers >= 2
+        assert big.n_workers == 8  # alone in the fleet: the whole budget
         assert big.est_cost > small.est_cost
+        # A second job of the same cost gets its half of the budget.
+        fleet.register("job-a", big)
+        assert decide(self._job(spec_for(1, n_genes=600)), fleet).n_workers == 4
 
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="unknown dispatch policy"):
-            dispatch_policy("lowest_bidder")
+    def test_threshold_sits_at_the_measured_break_even(self, cores):
+        cores(2)
+        fleet = FleetState()
+        below = decide(self._job(spec_for(0, n_genes=60)), fleet)
+        above = decide(self._job(spec_for(0, n_genes=140)), fleet)
+        assert below.est_cost < SINGLE_THRESHOLD < above.est_cost
+        assert below.backend == "single"
+        assert (above.backend, above.n_workers) == ("pool", 2)
+
+    def test_budget_capped_at_the_core_count(self, cores):
+        big = self._job(spec_for(0, n_genes=600))
+        cores(2)
+        assert decide(big, FleetState(max_workers=8)).n_workers == 2
+        cores(1)
+        assert decide(big, FleetState(max_workers=8)).backend == "single"
+        # A tenant's pinned worker count is theirs: only max_workers clamps.
+        pinned = self._job(spec_for(0, solver={"backend": "pool", "n_workers": 6}))
+        assert decide(pinned, FleetState(max_workers=8)).n_workers == 6
+
+    def test_dataset_job_priced_from_its_recipe(self):
+        named = _job_cost({"cohort": {"dataset": "brca-mini"}})
+        assert named == _job_cost({"cohort": {"n_genes": 60, "hits": 4}})
+        assert named == pytest.approx(7.49e7, rel=1e-3)
+        # The solver's hits win over the dataset's, as in the runner.
+        assert _job_cost(
+            {"cohort": {"dataset": "brca-mini"}, "solver": {"hits": 3}}
+        ) == _job_cost({"cohort": {"n_genes": 60, "hits": 3}})
+        assert _job_cost({"cohort": {"dataset": "no-such-dataset"}}) == 0.0
+
+    def test_policy_inputs_are_gone(self, tmp_path):
+        with pytest.raises(TypeError, match="policy"):
+            Gateway(state_dir=tmp_path, policy="cost_aware")
+        with pytest.raises(TypeError, match="policy"):
+            JobRunner(store=JobStore(tmp_path), queue=AdmissionQueue(),
+                      policy=None, state_dir=tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -638,19 +672,19 @@ class TestGatewayEndToEnd:
             }
             gw.wait([job.job_id], timeout=120)
 
-    def test_dispatch_failure_fails_the_job_not_the_supervisor(self, tmp_path):
-        class FirstJobExplodes(RoundRobinPolicy):
-            seen = 0
+    def test_dispatch_failure_fails_the_job_not_the_supervisor(
+        self, tmp_path, monkeypatch
+    ):
+        seen = []
 
-            def choose(self, job, fleet):
-                self.seen += 1
-                if self.seen == 1:
-                    raise RuntimeError("dispatch exploded")
-                return super().choose(job, fleet)
+        def first_job_explodes(job, fleet):
+            seen.append(job.job_id)
+            if len(seen) == 1:
+                raise RuntimeError("dispatch exploded")
+            return decide(job, fleet)
 
-        gw = Gateway(state_dir=tmp_path, max_concurrent=1)
-        gw.runner.policy = FirstJobExplodes()
-        with gw:
+        monkeypatch.setattr(runner_mod, "decide", first_job_explodes)
+        with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
             doomed = gw.submit(spec_for(1))
             after = gw.submit(spec_for(2))
             failed, ok = gw.wait([doomed.job_id, after.job_id], timeout=120)
@@ -661,14 +695,12 @@ class TestGatewayEndToEnd:
         assert counters["job.failed"] == 1 and counters["job.completed"] == 1
 
     def test_elastic_spec_is_decided_at_submit_not_by_rotation(self, tmp_path):
-        """``round_robin`` alternates single/pool: the same spec must not
-        fail in one position and succeed in the next."""
+        """An unpinned elastic spec is refused at submit every time,
+        whatever dispatch would pick for it; a pinned one runs."""
         unpinned = spec_for(1, solver={"elastic": True})
         pinned = spec_for(
             1, solver={"elastic": True, "backend": "pool", "n_workers": 2})
-        with Gateway(
-            state_dir=tmp_path, max_concurrent=1, policy="round_robin"
-        ) as gw:
+        with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
             for _ in range(2):
                 with pytest.raises(ValueError, match="backend"):
                     gw.submit(unpinned)
@@ -679,6 +711,19 @@ class TestGatewayEndToEnd:
         assert signature(done[0].result["combinations"]) == signature(
             done[1].result["combinations"]
         ) == signature(direct_solve(pinned).combinations)
+
+    def test_unpinned_jobs_run_single_on_a_default_gateway(self, tmp_path):
+        """Small unpinned jobs stay in-process, every one of them: the
+        sizing rule has no rotation to land a job on a pool."""
+        specs = [spec_for(seed, n_genes=24) for seed in (0, 1)]
+        with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
+            jobs = [gw.submit(spec) for spec in specs]
+            done = gw.wait([j.job_id for j in jobs], timeout=120)
+        assert [j.dispatch["backend"] for j in done] == ["single", "single"]
+        for job, spec in zip(done, specs):
+            assert job.dispatch["n_workers"] == 1
+            assert signature(job.result["combinations"]) == signature(
+                direct_solve(spec).combinations)
 
     def test_metrics_endpoint_exposes_job_counters(self, tmp_path):
         from repro.telemetry.prom import validate_prometheus
@@ -752,6 +797,27 @@ class TestRestartRecovery:
         assert "prune_blocks" in stale_a.error
         assert stale_b.state == JobState.FAILED
         assert ok.state == JobState.DONE
+
+    def test_job_file_with_a_policy_name_recovers(self, tmp_path):
+        """A job file written when decisions still named their dispatch
+        policy loads, re-queues and is re-sized by the one rule."""
+        spec = spec_for(6)
+        store = JobStore(tmp_path)
+        job = store.new_job("old", spec)
+        store.transition(job.job_id, JobState.ADMITTED, dispatch={
+            "backend": "pool", "n_workers": 4, "n_nodes": 4,
+            "policy": "round_robin", "est_cost": 1.2e5,
+        })
+        store.transition(job.job_id, JobState.RUNNING)
+        del store
+        with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
+            assert gw._recovered == 1
+            done = gw.wait([job.job_id], timeout=120)[0]
+        assert done.state == JobState.DONE
+        assert done.dispatch["backend"] == "single"
+        assert "policy" not in done.dispatch
+        assert signature(done.result["combinations"]) == signature(
+            direct_solve(spec).combinations)
 
     def test_cancel_requested_job_finalized_at_boot(self, tmp_path):
         store = JobStore(tmp_path)

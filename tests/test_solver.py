@@ -77,6 +77,10 @@ class TestOptionsLedger:
     def test_fleet_entry_point_lost_its_stride(self):
         with pytest.raises(TypeError, match="word_stride"):
             spmd_best_combo(None, SCHEME_3X1, None, None, None, 1, word_stride=64)
+        with pytest.raises(TypeError, match="word_stride"):
+            best_in_thread_range(
+                SCHEME_3X1, 8, None, None, None, 0, 1, word_stride=64
+            )
 
     @pytest.mark.parametrize(
         "call",

@@ -23,6 +23,7 @@ from repro.core.engine import SingleGpuEngine, best_in_thread_range
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import (
     KernelCounters,
+    best_of,
     score_combos,
     score_combos_reference,
     tp_zero_ceiling,
@@ -226,13 +227,14 @@ class TestEngineSparseEquivalence:
     @pytest.mark.parametrize("scheme", [scheme_for(3, 3), scheme_for(3, 2)])
     @pytest.mark.parametrize("stride", [1, 2, 64])
     def test_winner_bit_identical(self, scheme, stride):
+        # The engine scans at the kernel's default stride; the sparse
+        # kernel at any stride picks the engine's dense winner.
         tumor, normal, params = self._instance()
         dense = SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
-        got = best_in_thread_range(
-            scheme, tumor.n_genes, tumor, normal, params,
-            0, total_threads(scheme, tumor.n_genes),
-            sparse=True, word_stride=stride,
-        )
+        combos = _all_combos(tumor.n_genes, scheme.hits)
+        got = best_of(combos, *score_combos(
+            tumor, normal, combos, params, sparse=True, word_stride=stride,
+        ))
         assert got == dense
 
     @pytest.mark.parametrize("scheme", [scheme_for(3, 3), scheme_for(3, 2)])
