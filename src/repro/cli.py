@@ -137,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tenant in-flight job bound (0 disables)",
     )
     p_serve.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="N",
-        help="per-job checkpoint cadence in greedy iterations (default 1)",
-    )
-    p_serve.add_argument(
         "--ready-file", type=str, default=None, metavar="PATH",
         help="write {url, port} JSON once listening (CI / scripts find "
              "the ephemeral port here)",
@@ -335,7 +331,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_workers=args.max_workers,
         queue_depth=args.queue_depth,
         tenant_quota=args.tenant_quota,
-        checkpoint_every=args.checkpoint_every,
     )
     if gateway._recovered:
         _note(args, f"recovered {gateway._recovered} interrupted job(s)")

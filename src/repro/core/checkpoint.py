@@ -13,6 +13,7 @@ uninterrupted one (asserted by the tests).
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -200,6 +201,7 @@ def solve_with_checkpoints(
     every: int = 1,
     on_iteration=None,
     should_stop=None,
+    min_interval_s: float = 0.0,
 ):
     """Run a solver, persisting a checkpoint every ``every`` iterations.
 
@@ -207,8 +209,13 @@ def solve_with_checkpoints(
     tracks a recent completed iteration, so an interrupted process can
     always be relaunched with the same call.
     ``every > 1`` trades re-computable iterations for checkpoint I/O;
-    the final state is always persisted regardless of cadence, and each
-    write is atomic (see :func:`save_state`).
+    ``min_interval_s`` does the same by the clock: a save is due once
+    ``every`` iterations have passed *and* at least ``min_interval_s``
+    seconds since the last write (or since the run began), so a crash
+    loses at most that much solve time, however short the iterations.
+    The default, 0, makes the cadence iterations only.  The final state
+    is always persisted regardless of cadence, and each write is atomic
+    (see :func:`save_state`).
 
     ``on_iteration(state)`` is chained after the checkpoint bookkeeping
     (the gateway's progress feed rides this).  ``should_stop`` is
@@ -222,14 +229,18 @@ def solve_with_checkpoints(
     resume = load_state(path) if path.exists() else None
 
     last: "list[SolverState | None]" = [None]
-    seen = [0]
+    since = [0]  # iterations since the last write
+    written_at = [time.monotonic()]
 
     def _on_iteration(state: SolverState) -> None:
-        seen[0] += 1
+        since[0] += 1
         last[0] = state
-        if seen[0] % every == 0:
+        now = time.monotonic()
+        if since[0] >= every and now - written_at[0] >= min_interval_s:
             save_state(state, path)
             last[0] = None
+            since[0] = 0
+            written_at[0] = now
         if on_iteration is not None:
             on_iteration(state)
 

@@ -120,6 +120,22 @@ class _ChunkTask:
 _ATTACHED: dict = {}
 
 
+def _init_worker() -> None:
+    """Worker start-up: attaching a segment never calls the resource tracker.
+
+    Workers are forked, and the gateway runs several pool jobs on
+    threads of one process: a fork taken while another job's thread
+    holds the tracker's lock (publishing or unlinking a segment) hands
+    the worker that lock held by a thread it does not have, and the
+    registration ``SharedMemory(name=...)`` makes before Python 3.13
+    then blocks the worker forever.  The parent creates, tracks and
+    unlinks every segment, so a worker has nothing to register.
+    """
+    from multiprocessing import resource_tracker
+
+    resource_tracker.register = lambda name, rtype: None
+
+
 def _attach(name: str, shape: tuple[int, int]) -> np.ndarray:
     entry = _ATTACHED.get(name)
     if entry is None:
@@ -363,7 +379,8 @@ class PoolEngine:
             except ValueError:
                 context = multiprocessing.get_context()
             self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers, mp_context=context
+                max_workers=self.n_workers, mp_context=context,
+                initializer=_init_worker,
             )
         return self._pool
 

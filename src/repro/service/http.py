@@ -150,7 +150,6 @@ class Gateway:
         max_workers: int = 8,
         queue_depth: int = 32,
         tenant_quota: int = 8,
-        checkpoint_every: int = 1,
         telemetry: "Telemetry | None" = None,
     ) -> None:
         self.state_dir = Path(state_dir)
@@ -164,7 +163,6 @@ class Gateway:
             telemetry=self.telemetry,
             max_concurrent=max_concurrent,
             max_workers=max_workers,
-            checkpoint_every=checkpoint_every,
         )
         self.server = GatewayServer(
             gateway=self, telemetry=self.telemetry, host=host, port=port
@@ -316,8 +314,12 @@ class _GatewayHTTP(_Server):
     def _route_submit(self, match, body, query) -> Response:
         try:
             payload = json.loads(body or b"{}")
-        except json.JSONDecodeError as exc:
-            return json_reply(400, {"error": f"invalid JSON: {exc}"})
+        except (
+            json.JSONDecodeError, UnicodeDecodeError, RecursionError
+        ) as exc:  # malformed, not UTF-8/16/32, or nested too deep
+            return json_reply(
+                400, {"error": f"invalid JSON: {type(exc).__name__}: {exc}"}
+            )
         try:
             job = self.gateway.submit(payload)
         except AdmissionError as exc:

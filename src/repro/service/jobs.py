@@ -14,11 +14,17 @@ rule sized its backend + worker budget; ``cancelled`` can be entered
 from any non-terminal state (a queued job cancels instantly, a running
 one within one solver iteration via the cooperative ``should_stop``).
 
-Every mutation is persisted through the same atomic discipline as
-checkpoints (sibling tmp file + fsync + ``os.replace``), one file per
-job, so a crashed or restarted gateway recovers the exact set of jobs
-and their states from the directory — and a job interrupted mid-solve
-resumes from its per-job checkpoint file rather than restarting.
+A write is durable only where restart recovery reads what it records.
+Submission, ``running`` (which carries the dispatch decision), every
+terminal state and every ``cancel_requested`` go through the same
+atomic discipline as checkpoints (sibling tmp file + fsync +
+``os.replace``), one file per job, so a crashed or restarted gateway
+recovers the exact set of jobs from the directory — and a job
+interrupted mid-solve resumes from its per-job checkpoint file rather
+than restarting.  Entering ``admitted`` and the runner's progress feed
+are published in memory only: recovery re-queues every active job
+alike, whatever its state and progress say, so writing either would
+buy nothing.  The next durable write of the job carries them.
 """
 
 from __future__ import annotations
@@ -96,7 +102,8 @@ class Job:
     ``spec`` is the validated submission payload (see
     :meth:`JobStore.new_job`); ``dispatch`` is the dispatch rule's
     decision (backend, worker budget, modeled cost); ``progress`` is
-    the runner's live feed (iterations, coverage, ETA); ``result`` is
+    the runner's live feed (iterations, coverage, ETA — in memory, on
+    disk only as of the job's last write); ``result`` is
     the :func:`repro.io.results.result_to_dict` payload once terminal.
     """
 
@@ -190,16 +197,19 @@ class Job:
 class JobStore:
     """One JSON file per job under ``root/jobs/``, written atomically.
 
-    The store is the gateway's durable source of truth: submission,
-    every state transition, progress updates, and the final result all
-    go through :meth:`save`, which uses tmp + fsync + ``os.replace`` so
-    a crash mid-write can never leave a torn job file.  A fresh store
+    The store is the gateway's source of truth: memory holds every
+    job's current state, and the directory holds what restart recovery
+    reads.  :meth:`new_job`, :meth:`update`, :meth:`requeue` and every
+    :meth:`transition` except into ``admitted`` write the job's file
+    (tmp + fsync + ``os.replace``, so a crash mid-write can never leave
+    a torn file); :meth:`publish` and entering ``admitted`` change
+    memory only, and the job's next write carries them.  A fresh store
     pointed at an existing directory reloads every job (what gateway
     restart recovery is built on).
 
-    All mutations funnel through :meth:`transition` / :meth:`update`,
-    serialized by one lock — the HTTP threads, the supervisor threads,
-    and the progress feeds all touch jobs concurrently.
+    All mutations are serialized by one lock — the HTTP threads, the
+    supervisor threads, and the progress feeds all touch jobs
+    concurrently.
     """
 
     def __init__(self, root: "str | Path") -> None:
@@ -262,9 +272,11 @@ class JobStore:
     def transition(self, job_id: str, state: str, **updates) -> Job:
         """Move a job to ``state``, stamping + persisting atomically.
 
-        Raises :class:`ValueError` on an illegal lifecycle edge (e.g.
-        ``done -> running``) — transitions are where the state machine
-        is enforced, so no caller can corrupt a record.
+        Entering ``admitted`` is not persisted: on disk the job stays
+        ``queued`` until ``running`` is written, and recovery treats the
+        two alike.  Raises :class:`ValueError` on an illegal lifecycle
+        edge (e.g. ``done -> running``) — transitions are where the
+        state machine is enforced, so no caller can corrupt a record.
         """
         with self._lock:
             job = self._require(job_id)
@@ -274,7 +286,9 @@ class JobStore:
                     f"for {job_id}"
                 )
             job.state = state
-            self._apply_locked(job, updates)
+            self._apply_locked(
+                job, updates, durable=state != JobState.ADMITTED
+            )
             return job
 
     def requeue(self, job_id: str) -> Job:
@@ -295,10 +309,21 @@ class JobStore:
             return job
 
     def update(self, job_id: str, **updates) -> Job:
-        """Persist non-lifecycle fields (progress, cancel_requested...)."""
+        """Persist non-lifecycle fields (cancel_requested...)."""
         with self._lock:
             job = self._require(job_id)
             self._apply_locked(job, updates)
+            return job
+
+    def publish(self, job_id: str, **updates) -> Job:
+        """Set non-lifecycle fields in memory only (the progress feed).
+
+        Readers of the store see them at once; the job's next durable
+        write carries them to disk.
+        """
+        with self._lock:
+            job = self._require(job_id)
+            self._apply_locked(job, updates, durable=False)
             return job
 
     def _require(self, job_id: str) -> Job:
@@ -307,21 +332,19 @@ class JobStore:
             raise KeyError(f"unknown job {job_id!r}")
         return job
 
-    def _apply_locked(self, job: Job, updates: dict) -> None:
+    def _apply_locked(
+        self, job: Job, updates: dict, durable: bool = True
+    ) -> None:
         for key, value in updates.items():
             if not hasattr(job, key):
                 raise AttributeError(f"job has no field {key!r}")
             setattr(job, key, value)
         job.updated_at = time.time()
-        self._save_locked(job)
+        if durable:
+            self._save_locked(job)
 
     def _save_locked(self, job: Job) -> None:
         atomic_write_text(
             self.jobs_dir / f"{job.job_id}.json",
             json.dumps(job.to_payload()) + "\n",
         )
-
-    def save(self, job: Job) -> None:
-        with self._lock:
-            self._jobs[job.job_id] = job
-            self._save_locked(job)

@@ -14,11 +14,22 @@ isolates everything the engines share process-wide:
   aggregates the fleet's scoring traffic across tenants), and the
   lifecycle counters (``job.completed`` / ``job.failed`` / ...) move.
 * **checkpoints** — each job writes ``checkpoints/<job id>.json`` under
-  the gateway state dir; a restarted gateway re-queues interrupted jobs
-  and their solves resume from the checkpoint, bit-identical.
+  the gateway state dir, by the clock (at most one save per
+  :data:`CHECKPOINT_INTERVAL_S`, plus the final state); a restarted
+  gateway re-queues interrupted jobs and their solves resume from the
+  checkpoint, bit-identical.
 * **flight recorder** — each job gets its own recorder tagged with the
   job id, dumping ``blackbox-<job id>-*.json`` into a shared directory,
   so a crashing job leaves its own post-mortem and nothing else's.
+
+A job pays five durable writes: the submit and ``running`` job-file
+writes, the final checkpoint, the trace, and the terminal job-file
+write — in that order, the trace before the terminal state.  A long
+job adds one checkpoint per :data:`CHECKPOINT_INTERVAL_S`.  Entering
+``admitted`` and the per-iteration progress feed are published in the
+store's memory only (HTTP pollers read memory; recovery re-queues
+every active job whatever it says), and the terminal write carries the
+final progress.
 
 Cancellation is cooperative: ``cancel()`` sets the job's event, the
 solver's ``should_stop`` observes it between iterations, and the job
@@ -41,7 +52,14 @@ from repro.service.queue import AdmissionQueue
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.session import Telemetry, thread_telemetry_session
 
-__all__ = ["JobRunner"]
+__all__ = ["CHECKPOINT_INTERVAL_S", "JobRunner"]
+
+#: Least solve time between two mid-run checkpoint saves of one job: the
+#: most a crash can lose.  One save measured ~0.4 ms traced on a 2-core,
+#: ext4-backed host (~0.18 ms of it the tmp + fsync + rename), so a 1 s
+#: interval keeps saves under 0.05 % of a long solve; one save per
+#: iteration was 16 % of a 4-iteration, ~10 ms gateway job.
+CHECKPOINT_INTERVAL_S = 1.0
 
 
 class JobRunner:
@@ -60,7 +78,6 @@ class JobRunner:
         telemetry: "Telemetry | None" = None,
         max_concurrent: int = 2,
         max_workers: int = 8,
-        checkpoint_every: int = 1,
         claim_timeout_s: float = 0.2,
     ) -> None:
         if max_concurrent < 1:
@@ -70,7 +87,6 @@ class JobRunner:
         self.state_dir = Path(state_dir)
         self.telemetry = telemetry or Telemetry(enabled=True)
         self.max_concurrent = max_concurrent
-        self.checkpoint_every = checkpoint_every
         self.claim_timeout_s = claim_timeout_s
         self.fleet = FleetState(max_workers=max_workers)
         self.checkpoint_dir = self.state_dir / "checkpoints"
@@ -181,6 +197,8 @@ class JobRunner:
             return
         decision = decide(job, self.fleet)
         self.fleet.register(job_id, decision)
+        # Published in memory only; the ``running`` write below is the
+        # one that persists the decision.
         self.store.transition(
             job_id, JobState.ADMITTED, dispatch=decision.to_payload()
         )
@@ -276,7 +294,7 @@ class JobRunner:
             elapsed = time.monotonic() - t0
             covered = total - state.n_uncovered
             rate = covered / elapsed if elapsed > 0 and covered > 0 else 0.0
-            self.store.update(
+            self.store.publish(
                 job.job_id,
                 progress={
                     "iterations": state.n_found,
@@ -295,9 +313,9 @@ class JobRunner:
             tumor,
             normal,
             self.checkpoint_dir / f"{job.job_id}.json",
-            every=self.checkpoint_every,
             on_iteration=on_iteration,
             should_stop=event.is_set,
+            min_interval_s=CHECKPOINT_INTERVAL_S,
         )
 
     def _cohort_arrays(self, spec: dict):

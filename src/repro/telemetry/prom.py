@@ -51,6 +51,10 @@ PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: under a kilobyte); a larger declared ``Content-Length`` is a 413.
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a connection may sit silent mid-request (or idle between
+#: keep-alive requests) before its handler thread drops it.
+REQUEST_TIMEOUT_S = 10.0
+
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SAMPLE = re.compile(
     r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?[0-9.eE+-]+|NaN|[+-]Inf)$"
@@ -189,7 +193,15 @@ class _Handler(BaseHTTPRequestHandler):
     (:meth:`_Server.build_routes`), so mounting new endpoints (the
     gateway's ``/v1/*``) means subclassing :class:`_Server`, not
     re-implementing ``do_GET``.
+
+    ``timeout`` (:data:`REQUEST_TIMEOUT_S`) bounds every socket read: a
+    client that stalls mid-body times out, and ``handle_one_request``
+    closes its connection.
     """
+
+    def setup(self) -> None:
+        self.timeout = REQUEST_TIMEOUT_S  # read per connection
+        super().setup()
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         self._dispatch("GET")
@@ -210,6 +222,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._refuse(413, f"body over {MAX_BODY_BYTES} bytes")
             return
         body = self.rfile.read(int(declared))
+        if len(body) < int(declared):
+            # The client closed before sending its whole body: a
+            # truncated request is never routed, nor answered.
+            self.close_connection = True
+            return
         try:
             resp = self.server.route(method, path, body, query)
         except Exception as exc:  # route bug: answer 500, keep serving

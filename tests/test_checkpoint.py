@@ -186,11 +186,10 @@ class TestAtomicity:
 
 
 class TestCadence:
-    def test_every_n_write_count(self, instance, tmp_path, monkeypatch):
+    @staticmethod
+    def _record_saves(monkeypatch):
         import repro.core.checkpoint as ckpt_module
 
-        t, n = instance
-        path = tmp_path / "run.json"
         writes = []
         real_save = ckpt_module.save_state
         monkeypatch.setattr(
@@ -198,10 +197,58 @@ class TestCadence:
             "save_state",
             lambda state, p: (writes.append(state.n_found), real_save(state, p)),
         )
+        return writes
+
+    def test_every_n_write_count(self, instance, tmp_path, monkeypatch):
+        t, n = instance
+        path = tmp_path / "run.json"
+        writes = self._record_saves(monkeypatch)
         solve_with_checkpoints(MultiHitSolver(hits=2, max_iterations=5), t, n, path, every=2)
         # Iterations 2 and 4 hit the cadence; iteration 5 is the final
         # guaranteed save.
         assert writes == [2, 4, 5]
+        assert load_state(path).n_found == 5
+
+    def test_default_interval_writes_every_iteration(
+        self, instance, tmp_path, monkeypatch
+    ):
+        """``every=1`` with the default ``min_interval_s`` is the CLI's and
+        the per-iteration cadence: one save per iteration, no more."""
+        t, n = instance
+        writes = self._record_saves(monkeypatch)
+        solve_with_checkpoints(
+            MultiHitSolver(hits=2, max_iterations=5), t, n, tmp_path / "r.json"
+        )
+        assert writes == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "every,interval,expected",
+        [(1, 2.5, [3, 5]), (2, 0.5, [2, 4, 5]), (4, 2.5, [4, 5]),
+         (1, 3600.0, [5])],
+    )
+    def test_min_interval_batches_saves_by_the_clock(
+        self, instance, tmp_path, monkeypatch, every, interval, expected
+    ):
+        """A save is due after ``every`` iterations *and* ``min_interval_s``
+        since the last write; the final state is saved regardless.  The
+        clock reads 0 at the start and advances 1 s per iteration."""
+        import types
+
+        import repro.core.checkpoint as ckpt_module
+
+        t, n = instance
+        ticks = iter(range(100))
+        monkeypatch.setattr(
+            ckpt_module, "time",
+            types.SimpleNamespace(monotonic=lambda: float(next(ticks))),
+        )
+        writes = self._record_saves(monkeypatch)
+        path = tmp_path / "r.json"
+        solve_with_checkpoints(
+            MultiHitSolver(hits=2, max_iterations=5), t, n, path,
+            every=every, min_interval_s=interval,
+        )
+        assert writes == expected
         assert load_state(path).n_found == 5
 
     def test_every_n_resumes_bit_exact(self, instance, tmp_path):

@@ -24,6 +24,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", flag, "8"])
 
+    def test_checkpoint_cadence_is_a_solve_flag_only(self):
+        """``serve`` checkpoints by the clock, so it has no cadence flag;
+        ``solve`` keeps its iteration cadence."""
+        args = build_parser().parse_args(["solve", "--checkpoint-every", "3"])
+        assert args.checkpoint_every == 3
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--checkpoint-every", "1"])
+
 
 class TestCommands:
     def test_solve(self, capsys, tmp_path):

@@ -8,6 +8,7 @@ any of that.
 """
 
 import os
+import threading
 import time
 import warnings
 
@@ -249,6 +250,41 @@ class TestStatsAndSharedMemory:
         eng.best_combo(tumor, normal, params)
         eng.close()
         eng.close()
+
+    def test_worker_forked_while_tracker_lock_held_still_attaches(
+        self, instance
+    ):
+        """Another thread (another gateway job) inside the resource
+        tracker when the pool forks must not hang the worker's attach."""
+        from multiprocessing import resource_tracker
+
+        tumor, _, _ = instance
+        eng = PoolEngine(scheme=scheme_for(2, 1), n_workers=1)
+        name = eng._publish("tumor", tumor, None)
+        holding, release = threading.Event(), threading.Event()
+
+        def hold_tracker_lock():
+            with resource_tracker._resource_tracker._lock:
+                holding.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold_tracker_lock)
+        holder.start()
+        try:
+            assert holding.wait(10)
+            # The pool forks its worker here, inside submit().
+            future = eng._ensure_pool().submit(
+                pool_module._attach, name, tumor.words.shape)
+            try:
+                attached = future.result(timeout=10)
+            except TimeoutError:
+                eng._timed_out = True  # close() terminates the hung worker
+                raise
+            np.testing.assert_array_equal(attached, tumor.words)
+        finally:
+            release.set()
+            holder.join(10)
+            eng.close()
 
 
 # -- graceful degradation ------------------------------------------------

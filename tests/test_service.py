@@ -2,6 +2,7 @@
 
 import json
 import os
+import socket
 import tempfile
 import time
 import urllib.error
@@ -28,6 +29,7 @@ from repro.service.dispatch import SINGLE_THRESHOLD, FleetState, _job_cost, deci
 from repro.service.runner import JobRunner
 from repro.service.http import _ALLOWED_COHORT_KEYS, _ALLOWED_SOLVER_KEYS
 from repro.service.jobs import ACTIVE_STATES, TERMINAL_STATES, Job
+from repro.telemetry import prom
 from tests.test_checkpoint import draw_damage
 
 
@@ -75,6 +77,27 @@ class TestJobStore:
         assert got.tenant == "acme"
         assert got.dispatch == {"backend": "single"}
         assert got.progress == {"iterations": 3}
+
+    def test_admitted_and_progress_stay_in_memory(self, tmp_path):
+        """Entering ``admitted`` and publishing progress write nothing;
+        the ``running`` write carries both, with the dispatch decision."""
+        store = JobStore(tmp_path)
+        job = store.new_job("acme", {"cohort": {"n_genes": 8}})
+        path = tmp_path / "jobs" / f"{job.job_id}.json"
+        submitted = path.read_bytes()
+        store.transition(job.job_id, JobState.ADMITTED,
+                         dispatch={"backend": "single"})
+        store.publish(job.job_id, progress={"iterations": 1})
+        assert store.get(job.job_id).state == JobState.ADMITTED
+        assert store.get(job.job_id).progress == {"iterations": 1}
+        assert path.read_bytes() == submitted
+        assert JobStore(tmp_path).get(job.job_id).state == JobState.QUEUED
+
+        store.transition(job.job_id, JobState.RUNNING)
+        on_disk = JobStore(tmp_path).get(job.job_id)
+        assert on_disk.state == JobState.RUNNING
+        assert on_disk.dispatch == {"backend": "single"}
+        assert on_disk.progress == {"iterations": 1}
 
     def test_illegal_transitions_rejected(self, tmp_path):
         store = JobStore(tmp_path)
@@ -436,6 +459,18 @@ def _http(method, url, payload=None):
         return err.code, json.loads(err.read()), dict(err.headers)
 
 
+def _raw_post(port, declared, body):
+    """A socket that has sent ``POST /v1/jobs`` declaring ``declared``
+    body bytes, followed by ``body``."""
+    sock = socket.create_connection(("127.0.0.1", port))
+    sock.settimeout(5)
+    sock.sendall(
+        b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+        b"Content-Length: %d\r\n\r\n" % declared + body
+    )
+    return sock
+
+
 class TestGatewayEndToEnd:
     def test_concurrent_mixed_backends_bit_identical(self, tmp_path):
         """>= 8 concurrent jobs across mixed backends match direct solves."""
@@ -502,6 +537,47 @@ class TestGatewayEndToEnd:
             assert [j["job_id"] for j in body["jobs"]] == [jid]
             status, body, _ = _http("GET", f"{url}/healthz")
             assert status == 200 and body["jobs"] == 1
+
+    @pytest.mark.parametrize(
+        "body", [b"\x80abc", b"[" * 200000], ids=["not-utf8", "too-deep"]
+    )
+    def test_undecodable_body_is_400(self, tmp_path, body):
+        with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
+            req = urllib.request.Request(
+                f"{gw.url}/v1/jobs", data=body, method="POST")
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req, timeout=10)
+            assert err.value.code == 400
+            assert "invalid JSON" in json.loads(err.value.read())["error"]
+            assert len(gw.store) == 0
+            assert _http("GET", f"{gw.url}/healthz")[0] == 200
+
+    def test_stalled_body_is_dropped_and_stores_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """A client that declares more body than it sends and goes quiet
+        loses its connection after the handler timeout; nothing is
+        stored, and the gateway keeps serving."""
+        monkeypatch.setattr(prom, "REQUEST_TIMEOUT_S", 0.3)
+        with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
+            with _raw_post(gw.port, 100, b'{"ten') as sock:
+                assert sock.recv(1024) == b""  # closed, unanswered
+            assert len(gw.store) == 0
+            status, sub, _ = _http("POST", f"{gw.url}/v1/jobs", spec_for(3))
+            assert status == 202
+            gw.wait([sub["job_id"]], timeout=120)
+
+    def test_short_body_is_never_routed(self, tmp_path):
+        """A body cut short of its ``Content-Length`` — even one that
+        parses as a valid spec — is never submitted."""
+        body = json.dumps(spec_for(3)).encode()
+        with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
+            with _raw_post(gw.port, len(body) + 50, body) as sock:
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(1024) == b""
+            assert len(gw.store) == 0
+            assert gw.queue.backlog == 0 and gw.queue.in_flight == 0
+            assert _http("GET", f"{gw.url}/healthz")[0] == 200
 
     def test_trace_endpoint_serves_causal_analysis(
         self, tmp_path, slow_iterations
@@ -855,3 +931,103 @@ class TestRestartRecovery:
         full = direct_solve(plain)
         assert signature(done.result["combinations"]) == signature(
             full.combinations)
+
+
+class TestDurability:
+    """A job's durable writes are the ones restart recovery reads."""
+
+    def test_gateway_job_makes_five_fsyncs(self, tmp_path, monkeypatch):
+        """Submit, running, the final checkpoint, the trace, done: no
+        admitted write, no progress write and no checkpoint per
+        iteration (a 4-iteration job made 13 when each was durable)."""
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr("repro.telemetry.export.os.fsync", counting)
+        spec = spec_for(0, n_genes=24, n_tumor=60, n_normal=60,
+                        solver={"max_iterations": 4})
+        with Gateway(state_dir=tmp_path, max_concurrent=2) as gw:
+            job = gw.submit(spec)
+            done = gw.wait([job.job_id], timeout=120)[0]
+        # Leaving the context joined the supervisors: every write landed.
+        assert done.state == JobState.DONE
+        assert len(done.result["iterations"]) == 4
+        assert len(fsyncs) == 5
+        # The terminal write carries the final progress.
+        on_disk = JobStore(tmp_path).get(job.job_id)
+        assert on_disk.state == JobState.DONE
+        assert on_disk.progress["iterations"] == 4
+        assert on_disk.dispatch == done.dispatch
+
+    def test_slowed_job_checkpoints_mid_run(
+        self, tmp_path, monkeypatch, slow_iterations
+    ):
+        """With the interval shorter than an iteration, a running job
+        saves as it goes, not only at the end."""
+        from repro.core import checkpoint as checkpoint_mod
+
+        monkeypatch.setattr(runner_mod, "CHECKPOINT_INTERVAL_S", 0.01)
+        saves = []
+        real_save = checkpoint_mod.save_state
+        monkeypatch.setattr(
+            checkpoint_mod, "save_state",
+            lambda state, path: (saves.append(state.n_found),
+                                 real_save(state, path)),
+        )
+        spec = spec_for(0, n_genes=32, n_tumor=120, n_normal=120)
+        with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
+            job = gw.submit(spec)
+            done = gw.wait([job.job_id], timeout=120)[0]
+        assert done.state == JobState.DONE
+        found = len(done.result["combinations"])
+        assert found >= 3
+        # Every iteration after the first sleeps past the interval first.
+        assert set(range(2, found + 1)) <= set(saves)
+        assert saves[-1] == found
+
+    @pytest.mark.parametrize("state", [JobState.ADMITTED, JobState.RUNNING])
+    def test_job_file_with_persisted_progress_recovers(self, tmp_path, state):
+        """Job files from a gateway that wrote ``admitted`` and every
+        progress update to disk still load, re-queue and resume from
+        their checkpoint, bit-identical."""
+        from repro.core.checkpoint import solve_with_checkpoints
+
+        spec = spec_for(9, solver={"backend": "single"})
+        job = JobStore(tmp_path).new_job("old", spec)
+        path = tmp_path / "jobs" / f"{job.job_id}.json"
+        raw = json.loads(path.read_text())
+        raw.update(
+            state=state,
+            dispatch={"backend": "single", "n_workers": 1, "n_nodes": 1,
+                      "est_cost": 1.0e5},
+            progress={"iterations": 2, "uncovered": 9, "covered": 41,
+                      "total": 50, "eta_s": 0.01, "elapsed_s": 0.02},
+        )
+        path.write_text(json.dumps(raw) + "\n")
+        cohort = generate_cohort(CohortConfig(**spec["cohort"]))
+        (tmp_path / "checkpoints").mkdir()
+        solve_with_checkpoints(
+            MultiHitSolver(hits=3, max_iterations=2),
+            cohort.tumor.values, cohort.normal.values,
+            tmp_path / "checkpoints" / f"{job.job_id}.json",
+        )
+        with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
+            assert gw._recovered == 1
+            done = gw.wait([job.job_id], timeout=120)[0]
+        assert done.state == JobState.DONE
+        full = direct_solve(spec)
+        assert signature(done.result["combinations"]) == signature(
+            full.combinations)
+        assert len(done.result["iterations"]) == len(full.iterations) - 2
+        assert done.progress["iterations"] == len(full.combinations)
+
+    def test_checkpoint_cadence_is_not_a_knob(self, tmp_path):
+        with pytest.raises(TypeError, match="checkpoint_every"):
+            Gateway(state_dir=tmp_path, checkpoint_every=1)
+        with pytest.raises(TypeError, match="checkpoint_every"):
+            JobRunner(store=JobStore(tmp_path), queue=AdmissionQueue(),
+                      state_dir=tmp_path, checkpoint_every=1)
