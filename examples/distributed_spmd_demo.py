@@ -1,13 +1,13 @@
-"""Distributed greedy search as a real SPMD program over simulated ranks.
+"""Distributed greedy search on the rank fleet over simulated nodes.
 
 Demonstrates the paper's execution structure end-to-end: an equi-area
 schedule partitions the 3x1 thread grid over 4 simulated Summit nodes
-(x6 GPUs).  The paper's rank program runs it first — each rank on its
-own thread searches its partitions and the 20-byte winners are reduced
-to rank 0 through the MPI-like communicator — then the fault-tolerant
-thread fleet runs the same schedule as pinned leases and loses a rank on
-the way, and finally the full greedy loop runs distributed and is
-checked against the single-engine result.
+(x6 GPUs).  The thread fleet runs that schedule as pinned leases — each
+rank on its own thread searches its own partitions, and one candidate
+per rank is reduced at the root — first healthy, then with rank 2 dead
+(its partitions are stolen by the survivors, and the winner must not
+change); finally the full greedy loop runs distributed and is checked
+against the single-engine result.
 
 Run:  python examples/distributed_spmd_demo.py
 """
@@ -20,7 +20,7 @@ from repro import (
     equiarea_schedule,
     generate_cohort,
 )
-from repro.cluster import LeaseLedger, SPMDRunner, rank_program, spmd_best_combo
+from repro.cluster import LeaseLedger, spmd_best_combo
 from repro.faults import FaultPlan, FaultReport, FaultSpec
 
 N_NODES = 4
@@ -42,15 +42,16 @@ def main() -> None:
         parts = work[rank * GPUS_PER_NODE : (rank + 1) * GPUS_PER_NODE]
         print(f"  rank {rank}: per-GPU work {parts}")
 
-    print(f"\nrunning one greedy iteration as SPMD over {N_NODES} ranks...")
-    winner = SPMDRunner(N_NODES).run(
-        rank_program, schedule, GPUS_PER_NODE, tumor, normal, params
-    )[0]
+    print(f"\nrunning one greedy iteration on the fleet over {N_NODES} ranks...")
+    winner = spmd_best_combo(
+        LeaseLedger.from_schedule(schedule, GPUS_PER_NODE),
+        SCHEME_3X1, tumor, normal, params, N_NODES,
+    )
     names = ",".join(cohort.tumor.gene_names[g] for g in winner.genes)
     print(f"  global winner: {names}  F={winner.f:.4f} TP={winner.tp} TN={winner.tn}")
     assert winner.genes in cohort.planted, "first pick should be a planted driver"
 
-    print("\nsame schedule as pinned leases on the thread fleet, rank 2 dead...")
+    print("\nsame schedule with rank 2 dead...")
     report = FaultReport()
     survived = spmd_best_combo(
         LeaseLedger.from_schedule(schedule, GPUS_PER_NODE),

@@ -50,7 +50,7 @@ from repro.data import (
     four_hit_cancers,
 )
 from repro.analysis import MultiHitClassifier, sensitivity_specificity
-from repro.cluster import SimComm, SimCommWorld, SPMDRunner, VirtualCluster
+from repro.cluster import VirtualCluster
 from repro.faults import FaultPlan, FaultReport, FaultSpec, RetryPolicy
 from repro.perfmodel import JobModel, WorkloadSpec
 from repro.telemetry import (
@@ -89,9 +89,6 @@ __all__ = [
     "four_hit_cancers",
     "MultiHitClassifier",
     "sensitivity_specificity",
-    "SimComm",
-    "SimCommWorld",
-    "SPMDRunner",
     "VirtualCluster",
     "FaultPlan",
     "FaultSpec",

@@ -20,9 +20,9 @@ silent, so its lease expires off its stale heartbeat once the ledger's
 TTL passes.  Either way a survivor steals the range and the winner is
 unchanged (see the determinism argument in :mod:`repro.cluster.leases`).
 Joins and leaves come only from the fault plan's ``membership`` specs:
-as on an allocation, nothing resizes the fleet at run time.  The plain
-message-passing body, :func:`repro.cluster.mpi_program.rank_program`,
-survives as the paper's failure-free reference.
+as on an allocation, nothing resizes the fleet at run time.  This is
+the only rank runner: the paper's Section III-E reduce of one candidate
+per rank is :meth:`LeaseLedger.merge`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from functools import partial
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.cluster.leases import LeaseLedger
-from repro.cluster.runtime import export_heartbeat_staleness
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
 from repro.core.distributed import run_lease, search_lease
@@ -54,6 +53,23 @@ _POLL_S = 0.01
 #: How long :meth:`ElasticSPMDRunner.run` waits for rank threads to
 #: unwind once the ledger is done before abandoning them (daemonic).
 _DRAIN_GRACE_S = 2.0
+
+
+def export_heartbeat_staleness(telemetry, heartbeats, live_ranks, now) -> None:
+    """Publish ``spmd.heartbeat_stale_s.rank<r>`` for every live rank and
+    ``.max`` over them, re-keyed on each call: a rank that finished or
+    left must not keep a stale gauge on /metrics.  The progress monitor
+    reads the max to flag a world whose ranks have gone quiet before any
+    deadline actually trips."""
+    if not telemetry.enabled:
+        return
+    telemetry.clear_gauges("spmd.heartbeat_stale_s.")
+    stalest = 0.0
+    for r in live_ranks:
+        stale = now - heartbeats[r]
+        stalest = max(stalest, stale)
+        telemetry.set_gauge(f"spmd.heartbeat_stale_s.rank{r}", stale)
+    telemetry.set_gauge("spmd.heartbeat_stale_s.max", stalest)
 
 
 @dataclass

@@ -3,15 +3,15 @@
 Three pillars (see DESIGN § work distribution and recovery):
 
 * :class:`FaultPlan` / :class:`FaultSpec` — a deterministic, seedable
-  fault-injection plan (rank crash at iteration *k*, worker hang, recv
-  drop/delay, slow-GPU straggler) hooked into the pool, distributed,
-  SPMD/SimComm and gpusim layers, so any failure scenario is a
-  reproducible test case;
+  fault-injection plan (rank crash at iteration *k*, worker hang,
+  slow-GPU straggler, fleet join/leave) hooked into the pool, the rank
+  fleet, its membership and the gpusim layer, so any failure scenario
+  is a reproducible test case;
 * :class:`RetryPolicy` — the shared retry/backoff/deadline policy every
   recovery layer consults (extracted from the pool's PR 1 inline retry);
 * :class:`FaultReport` — the per-run record of what was detected,
   retried, and rescheduled (a dead rank's λ-ranges handed whole to
-  survivors by the lease ledger or the SPMD restart).
+  survivors by the lease ledger).
 
 Results under any injected plan are bit-identical to the failure-free
 run: recovery changes *who* searches a thread range, never which

@@ -5,13 +5,14 @@ walltime kill is routine; testing the recovery machinery on real
 hardware failures is neither deterministic nor CI-friendly.  A
 :class:`FaultPlan` is the substitute: an explicit list of
 :class:`FaultSpec` events ("rank 1 crashes on arg-max call 0", "pool
-chunk 2 hangs on call 1", "the recv into rank 0 is dropped once") that
-the execution layers consult at well-defined injection points —
+chunk 2 hangs on call 1", "rank 3 leaves once the solve is 20 % done")
+that the execution layers consult at well-defined injection points —
 :class:`repro.core.pool.PoolEngine` chunks,
 :func:`repro.core.distributed.run_lease` for a rank holding a lease
-on the thread fleet, :class:`repro.cluster.comm.SimComm`
-receives, and the block-level
-:class:`repro.gpusim.executor.BlockKernelExecutor`.
+on the thread fleet, the fleet's membership
+(:class:`repro.cluster.elastic.ElasticSPMDRunner`), and the block-level
+:class:`repro.gpusim.executor.BlockKernelExecutor`.  Each site takes
+only the kinds it acts on (:data:`SITE_KINDS`).
 
 Every spec fires a bounded number of times (``count``; ``-1`` =
 persistent, e.g. a node that stays dead), so an injected failure either
@@ -27,16 +28,21 @@ from dataclasses import dataclass, field
 
 __all__ = ["FAULT_KINDS", "FAULT_SITES", "FaultInjected", "FaultPlan", "FaultSpec"]
 
-#: Supported failure modes.  ``join`` / ``leave`` are membership churn
-#: events for the elastic scale-out, not failures per se: a ``join``
-#: registers ``target`` new ranks mid-solve, a ``leave`` drains rank
-#: ``target`` (its leases are forfeited back to the pool).
-FAULT_KINDS = ("crash", "hang", "straggler", "recv_drop", "recv_delay",
-               "join", "leave")
+#: Injection point -> the fault kinds it acts on: a pool worker chunk
+#: and a rank holding a lease crash, hang or straggle; a simulated-GPU
+#: block crashes or straggles (its cycles scale); the fleet's membership
+#: takes ``join`` / ``leave``, churn events rather than failures — a
+#: ``join`` registers ``target`` new ranks mid-solve, a ``leave`` drains
+#: rank ``target`` (its leases are forfeited back to the pool).
+SITE_KINDS = {
+    "pool": ("crash", "hang", "straggler"),
+    "rank": ("crash", "hang", "straggler"),
+    "gpu": ("crash", "straggler"),
+    "membership": ("join", "leave"),
+}
 
-#: Injection points: pool worker chunk, distributed/SPMD rank, SimComm
-#: receive, simulated-GPU block, elastic membership layer.
-FAULT_SITES = ("pool", "rank", "comm", "gpu", "membership")
+FAULT_SITES = tuple(SITE_KINDS)
+FAULT_KINDS = tuple(dict.fromkeys(k for kinds in SITE_KINDS.values() for k in kinds))
 
 
 class FaultInjected(RuntimeError):
@@ -52,13 +58,13 @@ class FaultSpec:
     kind:
         ``"crash"`` (the unit dies), ``"hang"`` (it blocks past any
         deadline), ``"straggler"`` (it is slow but correct),
-        ``"recv_drop"`` / ``"recv_delay"`` (one message is lost /
-        delayed in transit — ``comm`` site only).
+        ``"join"`` / ``"leave"`` (membership churn).
     site:
-        Where the fault fires (see :data:`FAULT_SITES`).
+        Where the fault fires; it must take ``kind`` (see
+        :data:`SITE_KINDS`).
     target:
-        Site-local index: chunk index (pool), rank (rank/comm, matched
-        against the *receiving* rank for comm faults), block id (gpu).
+        Site-local index: chunk index (pool), rank (rank, leave), block
+        id (gpu), number of new ranks (join).
     at_call:
         Which arg-max call (greedy iteration) the fault fires on;
         ``None`` matches any call.
@@ -68,7 +74,7 @@ class FaultSpec:
         (a dead node stays dead — retry cannot help, only
         rescheduling or a checkpoint can).
     delay_s:
-        Sleep injected for ``hang`` / ``straggler`` / ``recv_delay``.
+        Sleep injected for ``hang`` / ``straggler``.
         For ``membership``-site churn specs this is instead the
         **progress fraction** (completed leases / total leases, in
         ``[0, 1]``) the solve must reach before the churn fires — a
@@ -91,13 +97,13 @@ class FaultSpec:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.site not in FAULT_SITES:
             raise ValueError(f"unknown fault site {self.site!r}")
+        if self.kind not in SITE_KINDS[self.site]:
+            raise ValueError(
+                f"the {self.site} site takes {'/'.join(SITE_KINDS[self.site])},"
+                f" not {self.kind!r}"
+            )
         if self.count == 0:
             raise ValueError("count must be positive or -1 (persistent)")
-        if (self.kind in ("join", "leave")) != (self.site == "membership"):
-            raise ValueError(
-                "join/leave faults fire at the membership site (and only "
-                "join/leave may target it)"
-            )
 
 
 @dataclass
@@ -107,7 +113,7 @@ class FaultPlan:
     ``take(site, target, call)`` returns the first matching live spec
     and decrements its remaining count; a spent spec never fires again,
     so a retried or rescheduled unit of work sees a clean execution.
-    Matching is thread-safe (SPMD ranks run on threads).
+    Matching is thread-safe (fleet ranks run on threads).
     """
 
     specs: tuple[FaultSpec, ...] = ()
@@ -134,18 +140,6 @@ class FaultPlan:
                 if left > 0:
                     self._remaining[i] = left - 1
                 return spec
-        return None
-
-    def peek(self, site: str, target: int, call: "int | None" = None) -> "FaultSpec | None":
-        """Like :meth:`take` but without consuming the fault."""
-        with self._lock:
-            for i, spec in enumerate(self.specs):
-                if spec.site != site or spec.target != target:
-                    continue
-                if spec.at_call is not None and call is not None and spec.at_call != call:
-                    continue
-                if self._remaining[i] != 0:
-                    return spec
         return None
 
     def take_churn(self, call: "int | None", fraction: float) -> "list[FaultSpec]":

@@ -9,9 +9,10 @@ receiving side:
 ==============  ====================================================
 edge ``kind``   boundary
 ==============  ====================================================
-``message``     SimComm ``send`` → ``recv`` (point-to-point and every
-                collective built on it): the sender's open span rides
-                inside the mailbox envelope; ``recv`` links to it.
+``message``     VirtualCluster reduce: every rank's ``reduce`` /
+                ``bcast`` span links to the latest span of the rank it
+                waited on (the slowest rank, or the root) — virtual
+                time only; the thread fleet sends no messages.
 ``dispatch``    parent → pool worker / spawned rank: the dispatching
                 span context ships on the ``_ChunkTask`` (or is
                 installed as the tracer's ``remote_parent``) and the

@@ -9,16 +9,15 @@ buffer that retains the most recent N span-close events, fault events,
 and metric snapshots per process, plus the *active λ-range assignments*
 of whatever engine is currently searching.
 
-On any detected failure — :class:`repro.cluster.runtime.RankFailedError`,
-:class:`repro.cluster.comm.CommAbortedError` surfacing as a world abort,
+On any detected failure — leases stolen or forfeited on the rank fleet,
 a :class:`repro.core.pool.PoolDegradedWarning`-grade chunk loss, a
 device crash in the gpusim executor, or an unhandled solver exception —
 the instrumented layers call :meth:`FlightRecorder.dump`, which writes a
 post-mortem JSON "black box" (recent timeline + metrics registry
 snapshot + :class:`repro.faults.FaultReport` + active assignments)
 through the same atomic tmp + fsync + ``os.replace`` discipline as
-checkpoints.  Dumps are sequence-numbered, so a cascade (rank failure →
-restart → second failure) leaves one readable file per event.
+checkpoints.  Dumps are sequence-numbered, so a cascade of failures
+leaves one readable file per event.
 
 Attach a recorder to a live session with
 :meth:`repro.telemetry.Telemetry.attach_flight`; it subscribes to the
@@ -174,9 +173,6 @@ class FlightRecorder:
                 "type": type(exc).__name__,
                 "message": str(exc),
             }
-            failed = getattr(exc, "failed_ranks", None)
-            if failed is not None:
-                payload["exception"]["failed_ranks"] = list(failed)
         if telemetry is not None:
             payload["metrics"] = telemetry.metrics.to_dict()
         if fault_report is not None:

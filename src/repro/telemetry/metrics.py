@@ -3,16 +3,14 @@
 One namespace absorbs every accounting stream the repo previously kept
 in islands: the scoring-kernel :class:`~repro.core.kernels.KernelCounters`
 (``kernel.*``), pool chunk statistics (``pool.*``), fault/retry events
-(``faults.*``, routed live from :class:`repro.faults.FaultReport`), comm
-traffic (``comm.*``), gpusim launch accounting and NVPROF-style
-occupancy/stall metrics (``gpusim.*``), and checkpoint I/O
-(``checkpoint.*``).
+(``faults.*``, routed live from :class:`repro.faults.FaultReport`),
+gpusim launch accounting and NVPROF-style occupancy/stall metrics
+(``gpusim.*``), and checkpoint I/O (``checkpoint.*``).
 
 Registries merge: pool workers ship ``to_dict()`` snapshots back over
-the existing result channel, SPMD ranks gather theirs to rank 0 over the
-communicator, and the parent folds them in with :meth:`merge_dict`.
-Counters add, gauges last-write-wins, histograms combine their
-count/sum/min/max moments.
+the existing result channel and the parent folds them in with
+:meth:`merge_dict`.  Counters add, gauges last-write-wins, histograms
+combine their count/sum/min/max moments.
 """
 
 from __future__ import annotations

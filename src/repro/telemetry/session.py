@@ -1,7 +1,7 @@
 """The telemetry session: one tracer + one metrics registry per run.
 
-Instrumented layers (solver, pool, distributed engine, SimComm, SPMD
-runner, gpusim, checkpoints) call :func:`get_telemetry` and talk to
+Instrumented layers (solver, pool, distributed engine, rank fleet,
+gpusim, checkpoints) call :func:`get_telemetry` and talk to
 whatever session is installed.  The default is :data:`NULL_TELEMETRY`, a
 permanently disabled session whose ``span``/``count`` calls are no-ops
 (``span`` returns the shared no-op singleton, so the hot path allocates
@@ -21,7 +21,7 @@ stay populated with telemetry off) but records a span only when enabled.
 
 Sessions resolve **thread-first**: :func:`set_thread_telemetry` installs
 a session that only the calling thread (and threads that explicitly
-inherit it — the SPMD rank runners do) sees, falling back to the
+inherit it — the fleet's rank threads do) sees, falling back to the
 process-global session installed by :func:`set_telemetry`.  This is what
 lets the multi-tenant gateway (:mod:`repro.service`) run many solves
 concurrently in one process, each with its own isolated span timeline

@@ -5,8 +5,7 @@ The invariants the causal layer promises:
 * contexts are plain dicts minted only by enabled sessions; every
   ``link``-shaped API is a no-op on ``None`` so call sites never branch
   on enabled/disabled;
-* SimComm ``recv`` records a ``message`` edge to the sender's span,
-  pool workers re-root under the dispatching span via ``dispatch``
+* pool workers re-root under the dispatching span via ``dispatch``
   edges, stolen-lease searches link the victim via ``steal`` edges,
   and the reduce links every lease completion via ``complete`` edges;
 * ``(pid, span_id)`` stays unique across absorbed worker spans, and
@@ -26,7 +25,6 @@ import pytest
 from repro.bitmatrix.matrix import BitMatrix
 from repro.cli import main
 from repro.cluster import LeaseLedger, spmd_best_combo
-from repro.cluster.runtime import SPMDRunner
 from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import FScoreParams
 from repro.core.solver import MultiHitSolver
@@ -132,58 +130,6 @@ def _edge_integrity(spans):
     for s in spans:
         for link in s.get("links") or ():
             assert (link["pid"], link["id"]) in keys, (s["name"], link)
-
-
-# ---------------------------------------------------------------------------
-# message edges across SimComm
-
-
-class TestMessageEdges:
-    def test_recv_links_to_send(self):
-        def prog(comm):
-            if comm.Get_rank() == 0:
-                comm.send("payload", dest=1, tag=3)
-                return None
-            return comm.recv(source=0, tag=3)
-
-        with telemetry_session() as tel:
-            SPMDRunner(2).run(prog)
-        spans = tel.tracer.export()
-        _edge_integrity(spans)
-        sends = [s for s in spans if s["name"] == "comm.send"]
-        recvs = [s for s in spans if s["name"] == "comm.recv"]
-        assert len(sends) == 1 and len(recvs) == 1
-        (link,) = recvs[0]["links"]
-        assert link["kind"] == "message"
-        # The edge crosses ranks: the recv's cause lives on rank 0.
-        sender = next(
-            s for s in spans if (s["pid"], s["id"]) == (link["pid"], link["id"])
-        )
-        assert sender["rank"] == 0 and recvs[0]["rank"] == 1
-
-    def test_collectives_thread_edges_through_root(self):
-        import operator
-
-        def prog(comm):
-            value = comm.bcast(comm.Get_rank() * 0 + 7, root=0)
-            return comm.reduce(value, operator.add, root=0)
-
-        with telemetry_session() as tel:
-            SPMDRunner(3).run(prog)
-        spans = tel.tracer.export()
-        _edge_integrity(spans)
-        linked = [s for s in spans if s["name"] == "comm.recv" and s.get("links")]
-        # Every completed recv (bcast fan-out + reduce fan-in) is linked.
-        assert len(linked) == 4
-
-    def test_disabled_ships_no_context(self):
-        from repro.cluster.comm import SimCommWorld
-
-        world = SimCommWorld(2)
-        world.comm(0).send("x", dest=1)
-        box = world._box(0, 1, 0)
-        obj, ctx = box.get_nowait()
-        assert obj == "x" and ctx is None
 
 
 # ---------------------------------------------------------------------------

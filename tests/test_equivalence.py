@@ -1,7 +1,7 @@
 """Cross-engine equivalence: the library's central correctness property.
 
 Every engine (sequential oracle, vectorized single-GPU with any scheme,
-distributed with any schedule, SPMD under SimComm) must return the
+distributed with any schedule on the rank fleet) must return the
 identical greedy output — same combinations, same F values, same cover
 sets — on arbitrary inputs.
 """

@@ -1,5 +1,5 @@
-"""Fault-injection matrix: crash / hang / recv-fault / straggler across
-the pool, distributed, SPMD, and gpusim layers.
+"""Fault-injection matrix: crash / hang / straggler across the pool,
+distributed, and gpusim layers.
 
 The contract under test is the tentpole guarantee: under **any**
 deterministic :class:`FaultPlan`, a solve completes and its selected
@@ -8,14 +8,9 @@ changes who searches a λ-range, never the winner — and a run killed
 mid-iteration resumes from its checkpoint to an identical final result.
 """
 
-import time
-
 import pytest
 
 from repro.bitmatrix.matrix import BitMatrix
-from repro.cluster.comm import CommAbortedError, SimCommWorld
-from repro.cluster.mpi_program import rank_program
-from repro.cluster.runtime import RankFailedError, SPMDRunner
 from repro.core.checkpoint import load_state, solve_with_checkpoints
 from repro.core.distributed import DistributedEngine
 from repro.core.engine import SingleGpuEngine
@@ -24,6 +19,8 @@ from repro.core.kernels import KernelCounters
 from repro.core.pool import PoolDegradedWarning, PoolEngine
 from repro.core.solver import MultiHitSolver
 from repro.faults import (
+    FAULT_KINDS,
+    FAULT_SITES,
     FaultInjected,
     FaultPlan,
     FaultReport,
@@ -31,8 +28,7 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.gpusim.executor import BlockKernelExecutor
-from repro.scheduling.equiarea import equiarea_schedule
-from repro.scheduling.schemes import SCHEME_3X1, scheme_for
+from repro.scheduling.schemes import scheme_for
 
 
 def signature(combos):
@@ -68,10 +64,29 @@ class TestFaultPlan:
             FaultSpec(kind="crash", site="nowhere")
         with pytest.raises(ValueError):
             FaultSpec(kind="crash", site="pool", count=0)
+        # Each site takes only the kinds it acts on: a gpu block cannot
+        # hang, and nothing sends messages a fault could drop or delay.
+        with pytest.raises(ValueError):
+            FaultSpec(kind="hang", site="gpu")
+        takes = {
+            "pool": {"crash", "hang", "straggler"},
+            "rank": {"crash", "hang", "straggler"},
+            "gpu": {"crash", "straggler"},
+            "membership": {"join", "leave"},
+        }
+        assert FAULT_SITES == tuple(takes)
+        assert set(FAULT_KINDS) == set().union(*takes.values())
+        assert len(FAULT_KINDS) == 5
+        for site in FAULT_SITES:
+            for kind in FAULT_KINDS:
+                if kind in takes[site]:
+                    FaultSpec(kind=kind, site=site)
+                else:
+                    with pytest.raises(ValueError):
+                        FaultSpec(kind=kind, site=site)
 
     def test_one_shot_take(self):
         plan = FaultPlan((FaultSpec(kind="crash", site="pool", target=1, at_call=0),))
-        assert plan.peek("pool", 1, 0) is not None
         assert plan.take("pool", 1, 0).kind == "crash"
         assert plan.take("pool", 1, 0) is None  # spent
         assert plan.n_pending == 0
@@ -316,105 +331,6 @@ class TestDistributedInjection:
         assert signature(faulty.combinations) == signature(clean.combinations)
         assert faulty.fault_report is not None
         assert faulty.fault_report.n_rescheduled >= 1
-
-
-# -- SPMD column ---------------------------------------------------------
-# Rank crash / straggler / every-rank-dead recovery on rank threads is
-# the thread-fleet half of tests/test_distributed.py::TestDistributionMatrix.
-
-
-class TestSpmdInjection:
-    """The reference rank program has no recovery story: a comm-site
-    fault or a silent rank surfaces through the runner's detectors."""
-
-    def _run(self, instance, runner, before=lambda comm: None):
-        tumor, normal, params = instance
-        schedule = equiarea_schedule(SCHEME_3X1, 14, 6)
-
-        def body(comm):
-            before(comm)
-            return rank_program(comm, schedule, 2, tumor, normal, params)
-
-        return runner.run(body)
-
-    def test_recv_delay_is_harmless(self, instance):
-        tumor, normal, params = instance
-        plan = FaultPlan(
-            (FaultSpec(kind="recv_delay", site="comm", target=0, delay_s=0.1),)
-        )
-        results = self._run(
-            instance, SPMDRunner(3, recv_timeout_s=10.0, fault_plan=plan)
-        )
-        ref = SingleGpuEngine(scheme=SCHEME_3X1).best_combo(tumor, normal, params)
-        assert results == [ref] * 3
-
-    def test_recv_drop_fails_the_world_fast(self, instance):
-        # Drop one message delivered to rank 0 (the reduce at the root):
-        # the root never gets it, the first receive to time out — the
-        # root's, or a peer's waiting on the broadcast — aborts the
-        # world, and nothing relaunches it.
-        plan = FaultPlan((FaultSpec(kind="recv_drop", site="comm", target=0),))
-        t0 = time.monotonic()
-        with pytest.raises(RankFailedError) as err:
-            self._run(
-                instance, SPMDRunner(3, recv_timeout_s=1.0, fault_plan=plan)
-            )
-        assert time.monotonic() - t0 < 10.0
-        assert all(
-            isinstance(exc, TimeoutError) for _, exc in err.value.failures
-        )
-
-    def test_hung_rank_detected_by_heartbeat(self, instance):
-        def hang_rank_1(comm):
-            if comm.Get_rank() == 1:
-                time.sleep(1.0)
-
-        t0 = time.monotonic()
-        with pytest.raises(RankFailedError) as err:
-            self._run(
-                instance,
-                SPMDRunner(3, recv_timeout_s=30.0, heartbeat_timeout_s=0.3),
-                before=hang_rank_1,
-            )
-        # The heartbeat detector fired well before the peers' 30 s recv
-        # timeout would have.  (A peer blocked in the reduce on the hung
-        # rank is just as silent, so which of them gets named is open.)
-        assert time.monotonic() - t0 < 15.0
-        (_, exc), = err.value.failures
-        assert isinstance(exc, TimeoutError) and "heartbeat stale" in str(exc)
-
-
-class TestSpmdFailFast:
-    def test_survivors_abort_instead_of_draining_timeout(self):
-        """A dead peer must not leave survivors blocked for recv_timeout_s."""
-
-        def prog(comm):
-            if comm.Get_rank() == 1:
-                raise RuntimeError("boom")
-            return comm.recv(source=1)  # would block 60 s without the abort
-
-        t0 = time.monotonic()
-        with pytest.raises(RankFailedError) as err:
-            SPMDRunner(2, recv_timeout_s=60.0).run(prog)
-        assert time.monotonic() - t0 < 5.0
-        assert err.value.failed_ranks == [1]
-        assert "rank 1 failed" in str(err.value)
-
-    def test_aborted_peers_are_not_blamed(self):
-        def prog(comm):
-            if comm.Get_rank() == 0:
-                raise ValueError("root died")
-            comm.recv(source=0)
-
-        with pytest.raises(RankFailedError) as err:
-            SPMDRunner(3, recv_timeout_s=60.0).run(prog)
-        assert err.value.failed_ranks == [0]
-
-    def test_world_abort_breaks_barrier_and_recv(self):
-        world = SimCommWorld(2, recv_timeout_s=60.0)
-        world.abort("test abort")
-        with pytest.raises(CommAbortedError, match="test abort"):
-            world.comm(0).recv(source=1)
 
 
 # -- gpusim column -------------------------------------------------------

@@ -116,36 +116,6 @@ class TestRankCrashDump:
         assert moved and all(row["state"] == "completed" for row in moved)
         assert all(row["previous_holders"] in ([], [0]) for row in moved)
 
-    def test_spmd_failed_run_dump_has_failed_rank_spans(self, tmp_path):
-        """A world that dies dumps on the way out with the failed ranks
-        named and their final spans on the timeline."""
-        from repro.cluster.runtime import RankFailedError, SPMDRunner
-        from repro.faults.plan import FaultInjected
-
-        def crash(comm):
-            raise FaultInjected(f"injected crash on rank {comm.Get_rank()}")
-
-        fr = FlightRecorder(out_dir=tmp_path)
-        with telemetry_session() as tel:
-            tel.attach_flight(fr)
-            with pytest.raises(RankFailedError):
-                SPMDRunner(2, recv_timeout_s=5.0).run(crash)
-        dumps = sorted(tmp_path.glob("blackbox-*.json"))
-        assert dumps
-        payload = json.loads(dumps[0].read_text())
-        assert payload["reason"] == "rank-failed"
-        assert payload["exception"]["type"] == "RankFailedError"
-        failed = payload["exception"]["failed_ranks"]
-        assert failed and set(failed) <= {0, 1}
-        # The failed ranks' lifetime spans made it onto the ring:
-        # Span.__exit__ records even when the body raised.
-        span_ranks = {
-            e.get("rank")
-            for e in payload["timeline"]
-            if e["type"] == "span" and e["name"] == "spmd.rank"
-        }
-        assert set(failed) <= span_ranks
-
     def test_fleet_churn_dump_names_moved_partitions(self, rng, tmp_path):
         """A *survived* failure on the thread fleet dumps with the lease
         table saying whose partitions moved to whom."""

@@ -404,36 +404,6 @@ class TestBackendParity:
 
 
 class TestSpmdMerge:
-    def test_rank_metrics_gather_to_registry(self, rng):
-        from repro.bitmatrix.matrix import BitMatrix
-        from repro.cluster import SPMDRunner, rank_program
-        from repro.core.engine import SingleGpuEngine
-        from repro.core.fscore import FScoreParams
-        from repro.core.kernels import KernelCounters
-        from repro.scheduling.equiarea import equiarea_schedule
-        from repro.scheduling.schemes import SCHEME_3X1
-
-        t = BitMatrix.from_dense(rng.random((16, 40)) < 0.35)
-        n = BitMatrix.from_dense(rng.random((16, 30)) < 0.15)
-        params = FScoreParams(n_tumor=40, n_normal=30)
-        schedule = equiarea_schedule(SCHEME_3X1, 16, 4)
-
-        ref = SingleGpuEngine(scheme=SCHEME_3X1).best_combo(t, n, params)
-        with telemetry_session() as tel:
-            results = SPMDRunner(2).run(rank_program, schedule, 2, t, n, params)
-        assert results == [ref, ref]
-
-        c = tel.metrics.to_dict()["counters"]
-        assert c["spmd.rank_searches"] == 2
-        # Rank-local kernel counters merged at rank 0: scored work is
-        # exactly conserved across the partition; word traffic is only
-        # bounded below (each range re-loads its prefetch rows).
-        full = KernelCounters()
-        SingleGpuEngine(scheme=SCHEME_3X1).best_combo(t, n, params, counters=full)
-        assert c["kernel.combos_scored"] == full.combos_scored
-        assert c["kernel.word_reads"] >= full.word_reads
-        assert c["kernel.word_ops"] >= full.word_ops
-
     def test_spmd_result_identical_with_telemetry_off(self, rng):
         from repro.bitmatrix.matrix import BitMatrix
         from repro.cluster import LeaseLedger, spmd_best_combo
