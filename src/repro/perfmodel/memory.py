@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.combinatorics.decode import top_index
 from repro.gpusim.device import V100, DeviceSpec
 from repro.scheduling.schedule import Schedule
-from repro.scheduling.workload import thread_top_index
 
 __all__ = ["GpuMemoryPlan", "plan_memory"]
 
@@ -76,12 +76,8 @@ def plan_memory(
         lo, hi = schedule.thread_range(p)
         if hi <= lo:
             continue
-        top_lo = int(
-            thread_top_index(schedule.scheme, np.asarray([lo], dtype=np.uint64))[0]
-        )
-        top_hi = int(
-            thread_top_index(schedule.scheme, np.asarray([hi - 1], dtype=np.uint64))[0]
-        )
+        top_lo = top_index(lo, schedule.scheme.flattened)
+        top_hi = top_index(hi - 1, schedule.scheme.flattened)
         inner_rows = max(0, g - 1 - top_lo)  # rows (top_lo, g)
         tuple_rows = top_hi + 1  # rows [0, top_hi]
         hot[p] = inner_rows * words * _WORD_BYTES

@@ -32,6 +32,7 @@ import numpy as np
 from repro.bitmatrix.packing import words_for
 from repro.cluster.network import SUMMIT_NETWORK, NetworkModel
 from repro.cluster.virtual import HOST_SERIAL, VirtualCluster
+from repro.combinatorics.decode import top_index
 from repro.core.combination import COMBO_RECORD_BYTES
 from repro.core.memopt import MemoryConfig, global_word_reads
 from repro.gpusim.device import V100, DeviceSpec
@@ -42,7 +43,7 @@ from repro.scheduling.equiarea import equiarea_schedule
 from repro.scheduling.equidistance import equidistance_schedule
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.schemes import Scheme
-from repro.scheduling.workload import level_work, thread_top_index
+from repro.scheduling.workload import level_work
 
 __all__ = [
     "IterationModel",
@@ -116,7 +117,7 @@ def _profile_one(
         return PartitionProfile(0, 0, 0, 0)
     scheme, g = schedule.scheme, schedule.g
     units = global_word_reads(scheme, g, 1, lo, hi, memory)
-    top_lo = int(thread_top_index(scheme, np.asarray([lo], dtype=np.uint64))[0])
+    top_lo = top_index(lo, scheme.flattened)
     max_combos = level_work(scheme, g, top_lo)
     return PartitionProfile(
         n_threads=hi - lo,

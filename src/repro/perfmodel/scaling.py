@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.combinatorics.decode import top_index
 from repro.perfmodel.runtime import JobModel, JobResult
 from repro.perfmodel.workloads import WorkloadSpec
 from repro.scheduling.equiarea import equiarea_schedule
@@ -82,16 +83,6 @@ def strong_scaling_sweep(
     ]
 
 
-def _gene_count_for_work(h: int, target_work: int, g_hint: int) -> int:
-    """Smallest G with ``C(G, h) >= target_work`` (monotone search)."""
-    g = max(h, int(g_hint))
-    while math.comb(g, h) < target_work:
-        g += max(1, g // 50)
-    while g > h and math.comb(g - 1, h) >= target_work:
-        g -= 1
-    return g
-
-
 def weak_scaling_sweep(
     model: JobModel,
     workload: WorkloadSpec,
@@ -108,7 +99,9 @@ def weak_scaling_sweep(
     runtimes = {}
     for n in node_counts:
         target = base_work * n // baseline_nodes
-        g_n = _gene_count_for_work(h, target, workload.g)
+        # The smallest G with C(G, h) >= target: one past the level of
+        # id target - 1.
+        g_n = top_index(max(target - 1, 0), h) + 1
         scaled = WorkloadSpec(
             name=f"{workload.name}@{n}",
             g=g_n,

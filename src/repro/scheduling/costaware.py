@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.combinatorics.decode import top_index
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.schemes import Scheme
 from repro.scheduling.workload import level_range, level_work, total_threads
@@ -123,10 +124,6 @@ def schedule_cost_per_part(
     scheme, g = schedule.scheme, schedule.g
     # Cost of threads below a boundary, assembled from whole levels plus
     # the partial level at the cut (same decomposition as work_per_part).
-    from repro.scheduling.workload import thread_top_index
-
-    import numpy as np
-
     prefix = [0.0] * (g + 1)
     acc = 0.0
     for m in range(g):
@@ -137,7 +134,7 @@ def schedule_cost_per_part(
     def cost_before(lam: int) -> float:
         if lam == 0:
             return 0.0
-        top = int(thread_top_index(scheme, np.asarray([lam - 1], dtype=np.uint64))[0])
+        top = top_index(lam - 1, scheme.flattened)
         lo, _ = level_range(scheme, top)
         return prefix[top] + (lam - lo) * cost.level_cost(scheme, g, top)
 

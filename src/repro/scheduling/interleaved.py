@@ -17,15 +17,13 @@ scheme).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
+from repro.combinatorics.decode import top_index
 from repro.scheduling.schemes import Scheme
 from repro.scheduling.workload import (
-    level_range,
+    cumulative_work_before,
     level_work,
-    thread_top_index,
     total_threads,
     work_prefix_by_level,
 )
@@ -46,7 +44,6 @@ class InterleavedSchedule:
     g: int
     n_parts: int
     block_size: int = 4096
-    _cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if self.n_parts < 1:
@@ -77,29 +74,17 @@ class InterleavedSchedule:
 
     # -- accounting ------------------------------------------------------
 
-    def _prefix(self) -> list[int]:
-        if "prefix" not in self._cache:
-            self._cache["prefix"] = work_prefix_by_level(self.scheme, self.g)
-        return self._cache["prefix"]
-
-    def _work_before(self, lam: int) -> int:
-        if lam == 0:
-            return 0
-        top = int(
-            thread_top_index(self.scheme, np.asarray([lam - 1], dtype=np.uint64))[0]
-        )
-        lo, _ = level_range(self.scheme, top)
-        return self._prefix()[top] + (lam - lo) * level_work(self.scheme, self.g, top)
-
     def work_per_part(self) -> list[int]:
         """Exact combinations per partition (sums its blocks)."""
-        out = []
-        for p in range(self.n_parts):
-            total = 0
-            for lo, hi in self.ranges(p):
-                total += self._work_before(hi) - self._work_before(lo)
-            out.append(total)
-        return out
+        prefix = work_prefix_by_level(self.scheme, self.g)
+
+        def before(lam: int) -> int:
+            return cumulative_work_before(self.scheme, self.g, lam, prefix)
+
+        return [
+            sum(before(hi) - before(lo) for lo, hi in self.ranges(p))
+            for p in range(self.n_parts)
+        ]
 
     def thread_counts(self) -> list[int]:
         return [sum(hi - lo for lo, hi in self.ranges(p)) for p in range(self.n_parts)]
@@ -110,8 +95,7 @@ class InterleavedSchedule:
         if not ranges:
             return 0
         lo = ranges[0][0]
-        top = int(thread_top_index(self.scheme, np.asarray([lo], dtype=np.uint64))[0])
-        return level_work(self.scheme, self.g, top)
+        return level_work(self.scheme, self.g, top_index(lo, self.scheme.flattened))
 
     def imbalance(self) -> float:
         work = self.work_per_part()

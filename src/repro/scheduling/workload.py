@@ -16,8 +16,7 @@ import math
 import numpy as np
 
 from repro.combinatorics.binomial import binomial, binomial_float
-from repro.combinatorics.tetrahedral import triple_from_linear_array
-from repro.combinatorics.triangular import pair_from_linear_array
+from repro.combinatorics.decode import top_index, top_index_array
 from repro.scheduling.schemes import Scheme
 
 __all__ = [
@@ -68,17 +67,6 @@ def level_range(scheme: Scheme, m: int) -> tuple[int, int]:
 
 def thread_top_index(scheme: Scheme, lam: np.ndarray) -> np.ndarray:
     """Largest decoded gene index for each linear thread id."""
-    lam = np.asarray(lam, dtype=np.uint64)
-    if scheme.flattened == 1:
-        return lam.astype(np.int64)
-    if scheme.flattened == 2:
-        _, j = pair_from_linear_array(lam)
-        return j
-    if scheme.flattened == 3:
-        _, _, k = triple_from_linear_array(lam)
-        return k
-    from repro.combinatorics.decode import top_index_array
-
     return top_index_array(lam, scheme.flattened)
 
 
@@ -106,7 +94,7 @@ def cumulative_work_before(
     lam = min(lam, total_threads(scheme, g))
     if prefix is None:
         prefix = work_prefix_by_level(scheme, g)
-    top = int(thread_top_index(scheme, np.asarray([lam - 1], dtype=np.uint64))[0])
+    top = top_index(lam - 1, scheme.flattened)
     lo, _ = level_range(scheme, top)
     return prefix[top] + (lam - lo) * level_work(scheme, g, top)
 

@@ -435,7 +435,7 @@ class TestFusedTrafficIdentity:
     reads and :func:`global_word_reads` apples-to-apples)."""
 
     def _expected_reads(self, scheme, g, w, table, iteration):
-        from repro.combinatorics.decode import top_index_array
+        from repro.combinatorics.decode import top_index
         from repro.scheduling.workload import level_range, level_work
 
         f, d = scheme.flattened, scheme.inner
@@ -443,8 +443,7 @@ class TestFusedTrafficIdentity:
         touched = set()
         for blk in np.flatnonzero(table.stamps == iteration):
             lo, hi = table.block_range(int(blk))
-            lo_top = int(top_index_array(np.array([lo]), f)[0])
-            hi_top = int(top_index_array(np.array([hi - 1]), f)[0])
+            lo_top, hi_top = top_index(lo, f), top_index(hi - 1, f)
             for m in range(lo_top, hi_top + 1):
                 a, b = level_range(scheme, m)
                 n_threads = min(b, hi) - max(a, lo)

@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.combinatorics.decode import (
-    binomial_clamped,
     combos_from_linear,
     top_index,
     top_index_array,
@@ -20,41 +19,6 @@ from repro.combinatorics.decode import (
 def _encode(combo) -> int:
     """Combinatorial-number-system rank of a strictly increasing tuple."""
     return sum(math.comb(int(c), r + 1) for r, c in enumerate(combo))
-
-
-class TestBinomialClamped:
-    def test_exact_small(self):
-        for order in (1, 2, 3, 4, 5):
-            x = np.arange(0, 200)
-            got = binomial_clamped(x, order)
-            for xi, gi in zip(x, got):
-                assert int(gi) == math.comb(int(xi), order)
-
-    def test_exact_where_naive_product_wraps(self):
-        # The naive falling product x*(x-1)*(x-2)*(x-3) wraps int64 from
-        # x ~ 55k, but C(x, 4) itself still fits; divide-as-you-go must
-        # return the exact value there.
-        for x in (55_000, 60_000, 80_000):
-            got = int(binomial_clamped(np.array([x]), 4)[0])
-            assert got == math.comb(x, 4)
-
-    def test_clamps_instead_of_wrapping(self):
-        # Lanes whose intermediates would overflow clamp *to* the guard
-        # (never wrap negative); every clamped lane's true value sits
-        # above the guard, so boundary comparisons stay exact.
-        x = np.array([10, 60_000, 2_000_000, 40_000_000])
-        got = binomial_clamped(x, 4)
-        assert int(got[0]) == math.comb(10, 4)
-        assert int(got[-1]) == 1 << 60  # C(4e7, 4) ~ 1e29 >> guard
-        assert (got > 0).all()
-        assert (got[1:] >= got[:-1]).all()
-        for xi, gi in zip(x, got):
-            if int(gi) == 1 << 60:
-                assert math.comb(int(xi), 4) > 1 << 60
-
-    def test_rejects_unsupported_order(self):
-        with pytest.raises(ValueError):
-            binomial_clamped(np.array([10]), 9)
 
 
 class TestTopIndex:
@@ -84,6 +48,15 @@ class TestTopIndex:
         assert math.comb(m, order) <= lam < math.comb(m + 1, order)
 
 
+    @given(
+        st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=50),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_array_agrees_with_scalar(self, lams, order):
+        got = top_index_array(np.array(lams), order)
+        assert got.tolist() == [top_index(x, order) for x in lams]
+
+
 class TestScalarTopIndex:
     @given(
         st.integers(min_value=0, max_value=(1 << 60) - 1),
@@ -95,9 +68,9 @@ class TestScalarTopIndex:
         assert m == int(top_index_array(np.array([lam]), order)[0])
 
     def test_exact_beyond_the_array_guard(self):
-        # Python ints all the way: no 2**60 ceiling, no clamping.
+        # Python ints all the way: no ceiling at all, not even int64's.
         lam = math.comb(10**7, 4) - 1
-        assert lam > 1 << 60
+        assert lam > 1 << 63
         assert top_index(lam, 4) == 10**7 - 1
         assert top_index(lam + 1, 4) == 10**7
 
@@ -182,6 +155,22 @@ class TestOverflowRegression:
         assert not t.is_alive(), "order-4 decode at 60k genes hung"
         assert result[0][0].tolist() == [59_996, 59_997, 59_998, 59_999]
 
-    def test_top_index_rejects_lambda_at_guard(self):
-        with pytest.raises(ValueError):
-            top_index_array(np.array([1 << 60]), 4)
+    def test_top_index_array_exact_up_to_int64_max(self):
+        # No 2**60 guard: every int64 lambda is looked up among exact level
+        # starts, including boundaries where the old clamped binomial sat.
+        m = top_index((1 << 63) - 1, 4)
+        lam = np.array(
+            [0, 1 << 60, math.comb(m, 4) - 1, math.comb(m, 4), (1 << 63) - 1]
+        )
+        got = top_index_array(lam, 4)
+        assert got.tolist() == [top_index(int(x), 4) for x in lam]
+        assert got[-2] == got[-1] == m
+        assert _encode(combos_from_linear(lam[-1:], 4)[0]) == (1 << 63) - 1
+
+    def test_sparse_array_over_a_wide_span(self):
+        # Order 2 from 0 to 2**62 spans ~3e9 levels; a table of them would
+        # not fit, so three ids are inverted one by one.
+        lam = np.array([0, 1 << 52, 1 << 62])
+        got = combos_from_linear(lam, 2)
+        assert [_encode(row) for row in got] == lam.tolist()
+        assert top_index_array(lam, 2).tolist() == [top_index(int(x), 2) for x in lam]

@@ -175,19 +175,27 @@ class TestCounters:
 class TestEnumeratedStrides:
     @pytest.mark.parametrize("hits", [3, 4])
     def test_inversions_scale_with_scans_not_strides(self, hits, monkeypatch):
-        # A scan inverts λ at its two ends and enumerates every tile in
-        # between — each tile's lowest level is read off the previous
-        # tile's last row — so the closed-form machinery runs O(scans)
-        # times: the binomial_clamped count does not grow with G while
-        # the tile count does (tiles shrunk so that it must).
+        # A scan inverts λ at its two ends, with the scalar top_index, and
+        # enumerates every tile in between — each tile's lowest level is
+        # read off the previous tile's last row — so the engine's
+        # inversions run twice per scan whatever G, while the tile count
+        # grows (tiles shrunk so that it must).  The array decoders are
+        # never on the scan's path.
         calls = [0]
-        clamped = decode.binomial_clamped
+        scalar = engine_mod.top_index
 
-        def counting(x, order):
+        def counting(lam, order):
+            assert isinstance(lam, int)
             calls[0] += 1
-            return clamped(x, order)
+            return scalar(lam, order)
 
-        monkeypatch.setattr(decode, "binomial_clamped", counting)
+        def forbidden(*args):
+            raise AssertionError("the scan called an array decoder")
+
+        monkeypatch.setattr(engine_mod, "top_index", counting)
+        for name in ("combos_from_linear", "top_index_array"):
+            monkeypatch.setattr(decode, name, forbidden)
+            monkeypatch.setattr(engine_mod, name, forbidden)
         monkeypatch.setattr(engine_mod, "_TILE_ELEMENTS", 64)
         per_g = {}
         for g in (24, 40):
@@ -198,10 +206,10 @@ class TestEnumeratedStrides:
             result = MultiHitSolver(hits=hits, max_iterations=3).solve(tumor, normal)
             scans = len(result.iterations)  # single backend, unpruned
             assert scans == 3
-            assert 0 < calls[0] <= 16 * scans
-            per_g[g] = (calls[0], result.counters.decode_strides)
-        # Same bound at both sizes; only the tile count followed G.
-        assert per_g[40][1] > per_g[24][1] > 16 * 3
+            assert calls[0] == 2 * scans
+            per_g[g] = result.counters.decode_strides
+        # Same inversion count at both sizes; only the tile count followed G.
+        assert per_g[40] > per_g[24] > 2 * 3
 
     def test_flat_scheme_stride_follows_row_width(self, rng):
         # 13-word rows: a flat stride is sized by its gathered words like

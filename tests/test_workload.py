@@ -93,6 +93,15 @@ class TestLevels:
             if hi > lo:
                 assert (tops[lo:hi] == m).all()
 
+    def test_top_index_has_no_closed_form_ceiling(self):
+        # The float closed forms stop at 2**52 (order 2) and 2**60 (order
+        # 3); the workload model's inverse is exact past both.
+        for scheme, lam in ((SCHEME_2X2, 1 << 52), (SCHEME_3X1, 1 << 60)):
+            f = scheme.flattened
+            ids = np.array([lam - 1, lam, lam + 1], dtype=np.uint64)
+            for x, m in zip(ids.tolist(), thread_top_index(scheme, ids).tolist()):
+                assert math.comb(m, f) <= x < math.comb(m + 1, f)
+
 
 class TestPrefix:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
