@@ -56,20 +56,16 @@ _DRAIN_GRACE_S = 2.0
 
 
 def export_heartbeat_staleness(telemetry, heartbeats, live_ranks, now) -> None:
-    """Publish ``spmd.heartbeat_stale_s.rank<r>`` for every live rank and
-    ``.max`` over them, re-keyed on each call: a rank that finished or
-    left must not keep a stale gauge on /metrics.  The progress monitor
-    reads the max to flag a world whose ranks have gone quiet before any
-    deadline actually trips."""
+    """Publish ``spmd.heartbeat_stale_s.max``, the stalest live rank's
+    silence, re-written on each call (a rank that finished or left no
+    longer counts).  The progress monitor reads it to flag a world whose
+    ranks have gone quiet before any deadline actually trips."""
     if not telemetry.enabled:
         return
-    telemetry.clear_gauges("spmd.heartbeat_stale_s.")
-    stalest = 0.0
-    for r in live_ranks:
-        stale = now - heartbeats[r]
-        stalest = max(stalest, stale)
-        telemetry.set_gauge(f"spmd.heartbeat_stale_s.rank{r}", stale)
-    telemetry.set_gauge("spmd.heartbeat_stale_s.max", stalest)
+    telemetry.set_gauge(
+        "spmd.heartbeat_stale_s.max",
+        max((now - heartbeats[r] for r in live_ranks), default=0.0),
+    )
 
 
 @dataclass
@@ -119,7 +115,6 @@ class ElasticSPMDRunner:
         leases are in ``report``; merge/counters are the caller's.
         """
         tel = get_telemetry()
-        tel.clear_gauges("spmd.heartbeat_stale_s.")
         fleet = _Fleet(self, ledger, search, call)
         if tel.flight is not None:
             tel.flight.set_assignments("lease", ledger.assignment_rows(call))
@@ -131,7 +126,7 @@ class ElasticSPMDRunner:
             # holds a lease (and a fault planned on it fires) however
             # fast its peers' threads drain the rest, and the launch is
             # the supervisor's first heartbeat sample, so the staleness
-            # gauges are published however soon the ledger completes.
+            # gauge is published however soon the ledger completes.
             # Joiners start empty.
             first_round = [ledger.acquire(r) for r in range(self.n_ranks)]
             for rank, lease in enumerate(first_round):

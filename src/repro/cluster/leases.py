@@ -246,7 +246,6 @@ class LeaseLedger:
             self.n_grants += 1
             if stolen:
                 self.n_steals += 1
-            self._export(tel)
             if tel.enabled:
                 tel.count("lease.grants")
                 if stolen:
@@ -345,7 +344,6 @@ class LeaseLedger:
             if revoked:
                 tally = f"n_{event}"  # n_expired / n_forfeited
                 setattr(self, tally, getattr(self, tally) + len(revoked))
-                self._export(tel)
         if revoked and tel.enabled:
             tel.count(f"lease.{event}", len(revoked))
             if tel.flight is not None:
@@ -420,7 +418,6 @@ class LeaseLedger:
             lease.counters = counters
             lease.completed_by = holder
             lease.complete_ctx = tel.context()
-            self._export(tel)
         if tel.enabled:
             tel.count("lease.completed")
         return True
@@ -489,14 +486,6 @@ class LeaseLedger:
                 for lease in self.leases
                 if lease.complete_ctx is not None
             ]
-
-    def _export(self, tel) -> None:
-        """Gauge snapshot under the ledger lock (cheap; dict stores)."""
-        if not tel.enabled:
-            return
-        tel.set_gauge("lease.available", self._available())
-        tel.set_gauge("lease.granted", self._n_granted)
-        tel.set_gauge("lease.completed", self._n_completed)
 
     # -- deterministic merge -------------------------------------------
 

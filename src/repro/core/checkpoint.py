@@ -129,16 +129,12 @@ def save_state(state: SolverState, path: "str | Path") -> None:
     }
     if state.bound_table is not None:
         payload["bound_table"] = state.bound_table
-    telemetry = get_telemetry()
     encoded = json.dumps(payload) + "\n"
-    with telemetry.span(
+    with get_telemetry().span(
         "checkpoint", cat="checkpoint",
         iterations=len(state.combinations), bytes=len(encoded),
     ):
         atomic_write_text(path, encoded)
-    if telemetry.enabled:
-        telemetry.count("checkpoint.writes")
-        telemetry.count("checkpoint.bytes", len(encoded))
 
 
 def _field(raw, key: str, kind):

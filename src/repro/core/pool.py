@@ -203,9 +203,9 @@ def _search_chunk(task: _ChunkTask):
 
     Returns ``(winner, counters, pid, wall_s, telemetry_state, deltas)``.
     When ``task.trace`` is set the worker records a ``scan_chunk`` span
-    (and chunk metrics) in a *fresh local* session — never the
-    fork-inherited global one — and ships the exported state back over
-    this result channel for the parent to merge.
+    in a *fresh local* session — never the fork-inherited global one —
+    and ships the exported state back over this result channel for the
+    parent to merge.
     """
     telemetry = Telemetry(enabled=task.trace)
     telemetry.adopt_context(task.trace_ctx)
@@ -222,11 +222,7 @@ def _search_chunk(task: _ChunkTask):
             _attach(task.normal_name, task.normal_shape), task.normal_samples
         )
         best, counters, deltas = _scan(task, tumor, normal)
-    state = None
-    if task.trace:
-        telemetry.count("pool.worker_chunks")
-        telemetry.observe("pool.chunk_wall_s", span.duration_s)
-        state = telemetry.export_state()
+    state = telemetry.export_state() if task.trace else None
     return best, counters, os.getpid(), span.duration_s, state, deltas
 
 
@@ -405,9 +401,6 @@ class PoolEngine:
                 dst = np.ndarray(matrix.words.shape, dtype=np.uint64, buffer=shm.buf)
                 dst[:] = matrix.words
             self._segments[slot] = _Segment(matrix, shm)
-        if tel.enabled:
-            tel.count("pool.publishes")
-            tel.count("pool.shipped_bytes", matrix.words.nbytes)
         if stats is not None:
             stats.publish_seconds += span.duration_s
             stats.shipped_bytes += matrix.words.nbytes
@@ -454,7 +447,6 @@ class PoolEngine:
     def _note_failure(self, exc: BaseException) -> None:
         """Bookkeeping common to every detected chunk loss."""
         tel = get_telemetry()
-        tel.count("pool.degraded")
         if not self._warned:
             self._warned = True
             warnings.warn(
@@ -715,13 +707,10 @@ class PoolEngine:
                         inline_retry=retried,
                     )
                 )
-        if tel.enabled:
-            tel.count("pool.chunks", len(ranges))
-            tel.count("pool.calls")
-            if self.elastic:
-                # Lease accounting on the pool path: every submitted
-                # range is a grant (steals are counted at recovery).
-                tel.count("lease.grants", len(ranges))
+        if tel.enabled and self.elastic:
+            # Lease accounting on the pool path: every submitted range
+            # is a grant (steals are counted at recovery).
+            tel.count("lease.grants", len(ranges))
         if tel.flight is not None:
             # One registry snapshot per arg-max call: the black box's
             # metric trail, sampled at the call cadence rather than on a

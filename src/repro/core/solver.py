@@ -338,16 +338,6 @@ class MultiHitSolver:
             if tel.enabled:
                 tel.metrics.absorb_kernel_counters(counters)
                 tel.count("solver.solves")
-                tel.count("solver.iterations", len(result.iterations))
-                tel.count("solver.combinations", len(result.combinations))
-                tel.set_gauge("solver.coverage", result.coverage)
-                tel.set_gauge("solver.uncovered", result.uncovered)
-                if self.prune:
-                    examined = counters.combos_scored + counters.combos_pruned
-                    tel.set_gauge(
-                        "prune.hit_rate",
-                        counters.combos_pruned / examined if examined else 0.0,
-                    )
             return result
         finally:
             engine.close()
@@ -407,8 +397,6 @@ class MultiHitSolver:
             if self.max_iterations is not None and len(combos) >= self.max_iterations:
                 break
             if should_stop is not None and should_stop():
-                if tel.enabled:
-                    tel.count("solver.stopped_early")
                 break
             remaining_before = int(active.sum())
             scored_0 = counters.combos_scored
@@ -438,16 +426,12 @@ class MultiHitSolver:
             dt = span.duration_s
             iter_scored = counters.combos_scored - scored_0
             iter_pruned = counters.combos_pruned - pruned_0
-            if tel.enabled:
+            if tel.enabled and self.backend != "pool":
                 # The pool backend live-feeds progress.* per chunk as
                 # futures resolve; every other backend reports here,
                 # once per iteration, so the totals never double-count.
-                if self.backend != "pool":
-                    tel.count("progress.combos_scored", iter_scored)
-                    tel.count("progress.combos_pruned", iter_pruned)
-                if self.prune:
-                    tel.observe("prune.iteration_combos_scored", iter_scored)
-                    tel.observe("prune.iteration_combos_pruned", iter_pruned)
+                tel.count("progress.combos_scored", iter_scored)
+                tel.count("progress.combos_pruned", iter_pruned)
             if best is None or best.tp == 0:
                 break
             combos.append(best)

@@ -84,11 +84,10 @@ class FaultReport:
             )
         )
         # Live-route every fault/recovery event into the telemetry
-        # metrics registry (so degraded runs show up in exported
-        # summaries) and onto the flight recorder's ring (so the black
-        # box shows the fault sequence leading up to a dump).
-        if telemetry.enabled:
-            telemetry.metrics.record_fault_event(kind, site, action)
+        # registry (the progress monitor's fault count) and onto the
+        # flight recorder's ring (so the black box shows the fault
+        # sequence leading up to a dump).
+        telemetry.count("faults.events")
         if telemetry.flight is not None:
             telemetry.flight.record_fault(
                 kind, site, target, call, action, detail=detail,
@@ -108,7 +107,6 @@ class FaultReport:
             )
         )
         telemetry = get_telemetry()
-        telemetry.count("faults.rescheduled_ranges")
         if telemetry.flight is not None:
             telemetry.flight.note(
                 "reschedule",

@@ -175,15 +175,6 @@ class BlockKernelExecutor:
                 winner = multi_stage_reduce(
                     [b.winner for b in blocks], block_size=32
                 )
-        if telemetry.enabled:
-            telemetry.count("gpusim.launches")
-            telemetry.count("gpusim.blocks", len(blocks))
-            telemetry.count(
-                "gpusim.word_reads", sum(b.word_reads for b in blocks)
-            )
-            telemetry.observe(
-                "gpusim.launch_cycles", sum(b.cycles for b in blocks)
-            )
         return KernelLaunchResult(blocks=blocks, winner=winner)
 
     # -- one block ------------------------------------------------------

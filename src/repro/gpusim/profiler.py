@@ -86,8 +86,7 @@ class Profiler:
     tuning: TimingTuning = field(default_factory=TimingTuning)
 
     def profile(self, launches: list[KernelStats]) -> GpuProfile:
-        telemetry = get_telemetry()
-        with telemetry.span("gpusim.profile", cat="gpusim", gpus=len(launches)):
+        with get_telemetry().span("gpusim.profile", cat="gpusim", gpus=len(launches)):
             timings = [kernel_time(s, self.device, self.tuning) for s in launches]
             slowest = max((t.busy_s for t in timings), default=0.0)
             metrics = []
@@ -97,9 +96,4 @@ class Profiler:
                 metrics.append(
                     metrics_from_timing(s, t, dram_bytes=dram_bytes, utilization=util)
                 )
-        profile = GpuProfile(metrics)
-        # Occupancy/stall counters land in the unified registry under
-        # the gpusim.* namespace (the NVPROF-island merge).
-        if telemetry.enabled:
-            telemetry.metrics.absorb_gpu_profile(profile)
-        return profile
+        return GpuProfile(metrics)

@@ -266,9 +266,9 @@ class Gateway:
 class _GatewayHTTP(_Server):
     """The route table: ``/v1/*`` mounted beside ``/metrics``/``/healthz``."""
 
-    def __init__(self, addr, telemetry, prefix, gateway: Gateway):
+    def __init__(self, addr, telemetry, gateway: Gateway):
         self.gateway = gateway  # before super(): build_routes runs in init
-        super().__init__(addr, telemetry, prefix)
+        super().__init__(addr, telemetry)
 
     def build_routes(self):
         return super().build_routes() + [
@@ -437,6 +437,4 @@ class GatewayServer(MetricsServer):
         self.gateway = gateway
 
     def _make_server(self) -> _GatewayHTTP:
-        return _GatewayHTTP(
-            (self.host, self.port), self.telemetry, self.prefix, self.gateway
-        )
+        return _GatewayHTTP((self.host, self.port), self.telemetry, self.gateway)

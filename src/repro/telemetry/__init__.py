@@ -25,7 +25,7 @@ an exported trace into a critical path + per-bucket time attribution
 (``multihit trace analyze``).
 """
 
-from repro.telemetry.causal import current_context, new_trace_id
+from repro.telemetry.causal import new_trace_id
 from repro.telemetry.critpath import (
     BUCKETS,
     CRITPATH_SCHEMA,
@@ -62,12 +62,7 @@ from repro.telemetry.prom import (
     render_prometheus,
     validate_prometheus,
 )
-from repro.telemetry.progress import (
-    ProgressMonitor,
-    ProgressSnapshot,
-    eta_seconds,
-    perfmodel_rate,
-)
+from repro.telemetry.progress import ProgressMonitor, ProgressSnapshot
 
 __all__ = [
     "BUCKETS",
@@ -92,14 +87,11 @@ __all__ = [
     "chrome_trace",
     "classify_span",
     "critical_path",
-    "current_context",
     "dominant_loss",
-    "eta_seconds",
     "format_report",
     "get_telemetry",
     "load_trace",
     "new_trace_id",
-    "perfmodel_rate",
     "render_prometheus",
     "set_telemetry",
     "summarize",

@@ -247,7 +247,7 @@ def summarize(
         row["total_s"] += duration
         row["max_s"] = max(row["max_s"], duration)
     metrics = telemetry.metrics.to_dict()
-    summary = {
+    return {
         "schema": SUMMARY_SCHEMA,
         "name": name,
         "counters": metrics["counters"],
@@ -256,40 +256,6 @@ def summarize(
         "spans": span_rollup,
         "extra": dict(extra or {}),
     }
-    prune = _prune_rollup(metrics)
-    if prune is not None:
-        summary["prune"] = prune
-    return summary
-
-
-def _prune_rollup(metrics: dict) -> "dict | None":
-    """Derived scored/pruned totals when the lazy-greedy engine ran.
-
-    The solver routes each iteration's counter deltas into the
-    ``prune.iteration_*`` histograms; their ``total`` moments must agree
-    with the run counters (``kernel.combos_scored`` /
-    ``prune.combos_pruned``) and with the sums of the per-iteration
-    ``IterationRecord`` fields — one number, three views (asserted by
-    the tests).
-    """
-    counters = metrics["counters"]
-    if "prune.blocks_scanned" not in counters and "prune.combos_pruned" not in counters:
-        return None
-    hist = metrics["histograms"]
-    rollup = {
-        "combos_scored": counters.get("kernel.combos_scored", 0),
-        "combos_pruned": counters.get("prune.combos_pruned", 0),
-        "blocks_scanned": counters.get("prune.blocks_scanned", 0),
-        "blocks_skipped": counters.get("prune.blocks_skipped", 0),
-    }
-    for key, name in (
-        ("iteration_combos_scored", "prune.iteration_combos_scored"),
-        ("iteration_combos_pruned", "prune.iteration_combos_pruned"),
-    ):
-        if name in hist:
-            rollup[f"{key}_total"] = hist[name]["total"]
-            rollup["iterations"] = hist[name]["count"]
-    return rollup
 
 
 def write_summary(

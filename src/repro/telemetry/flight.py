@@ -233,8 +233,6 @@ class FlightRecorder:
             reason, exc=exc, telemetry=telemetry, fault_report=fault_report
         )
         atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-        if telemetry is not None and telemetry.enabled:
-            telemetry.count("flight.dumps")
         return path
 
 

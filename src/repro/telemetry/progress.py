@@ -11,12 +11,12 @@ metrics registry:
   ``progress.combos_scored`` / ``progress.combos_pruned`` counters
   (per worker chunk on the pool backend, per iteration elsewhere); the
   monitor turns them into an in-iteration completion fraction;
-* **rank health** — the SPMD fault detector exports per-rank heartbeat
-  staleness gauges (``spmd.heartbeat_stale_s.*``); the monitor surfaces
-  the worst one next to the fault-event count;
-* **ETA** — measured throughput (combinations examined per second since
-  the monitor started) once data exists, the :mod:`repro.perfmodel`
-  timing-model rate (:func:`perfmodel_rate`) before it does.
+* **rank health** — the rank fleet exports the stalest live rank's
+  heartbeat age (``spmd.heartbeat_stale_s.max``); the monitor surfaces
+  it next to the ``faults.events`` count;
+* **ETA** — the measured rate (combinations examined per second since
+  the monitor started) applied to what is left of the iteration;
+  ``None`` until a combination has been examined.
 
 Each sample is re-exported as gauges (``progress.fraction``,
 ``progress.rate_combos_per_s``, ``progress.eta_s``) so the same numbers
@@ -30,57 +30,21 @@ far and exports ``progress.critical_path_fraction`` (critical-path
 seconds over total attributed rank-seconds — 1.0 means fully serial)
 and ``progress.comm_wait_fraction`` (share of rank time blocked on the
 wire), rendered on the status line as ``crit ..% / comm ..%``.  The
-analysis is skipped past ``span_cap`` retained spans so a monster
+analysis is skipped past :data:`SPAN_CAP` retained spans so a monster
 trace never turns the sampler into the bottleneck it is watching.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass
 
-__all__ = ["ProgressMonitor", "ProgressSnapshot", "eta_seconds", "perfmodel_rate"]
+__all__ = ["ProgressMonitor", "ProgressSnapshot"]
 
-
-def eta_seconds(
-    done: float,
-    total: float,
-    elapsed_s: float,
-    model_rate: "float | None" = None,
-) -> "float | None":
-    """Remaining seconds for ``total - done`` units of work.
-
-    Measured throughput (``done / elapsed_s``) wins once any work has
-    completed; before that the caller's model estimate (combinations per
-    second from the perf model) is used.  ``None`` when no rate is
-    available or the work is already complete.
-    """
-    remaining = max(0.0, total - done)
-    if remaining == 0.0:
-        return 0.0
-    rate = done / elapsed_s if done > 0 and elapsed_s > 0 else model_rate
-    if not rate or rate <= 0:
-        return None
-    return remaining / rate
-
-
-def perfmodel_rate(scheme, n_genes: int, words: int, memory=None) -> float:
-    """Timing-model combinations/second for one device (the ETA prior).
-
-    :func:`repro.perfmodel.runtime.single_gpu_scan_seconds` (the term
-    ``JobModel.single_gpu_seconds`` sums per iteration) reduced to a
-    rate: combinations per second a V100 sustains on a ``words``-wide
-    packed cohort under ``scheme``.
-    """
-    from repro.core.memopt import MemoryConfig
-    from repro.perfmodel.runtime import single_gpu_scan_seconds
-
-    seconds = single_gpu_scan_seconds(
-        scheme, n_genes, words, memory if memory is not None else MemoryConfig()
-    )
-    return math.comb(n_genes, scheme.hits) / seconds if seconds > 0 else 0.0
+#: Retained spans past which a sample skips the causal analysis (the
+#: gauges keep their last exported values).
+SPAN_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -149,30 +113,14 @@ class ProgressMonitor:
     stream:
         Where the single-line status goes (``None`` disables rendering;
         the monitor still samples and exports gauges).
-    model_rate:
-        Combinations/second prior for the ETA before measurements exist
-        (:func:`perfmodel_rate`).
-    span_cap:
-        Skip the per-sample causal analysis once the session has
-        retained more than this many spans (0 disables the analysis
-        entirely); the gauges keep their last exported values.
     """
 
-    def __init__(
-        self,
-        telemetry=None,
-        interval_s: float = 0.5,
-        stream=None,
-        model_rate: "float | None" = None,
-        span_cap: int = 4096,
-    ) -> None:
+    def __init__(self, telemetry=None, interval_s: float = 0.5, stream=None) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be > 0")
         self.telemetry = telemetry
         self.interval_s = interval_s
         self.stream = stream
-        self.model_rate = model_rate
-        self.span_cap = span_cap
         self.samples: list[ProgressSnapshot] = []
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
@@ -211,21 +159,9 @@ class ProgressMonitor:
 
         measured = examined - self._examined0
         rate = measured / elapsed if measured > 0 and elapsed > 0 else None
-        # elapsed_s=0 forces eta_seconds onto the explicit rate: the
-        # measured run rate when there is one, the perf-model prior
-        # otherwise (``done`` alone is in-iteration, not run-elapsed).
-        eta = (
-            eta_seconds(
-                float(done), float(total), 0.0,
-                model_rate=rate or self.model_rate,
-            )
-            if total
-            else None
-        )
+        # The run rate applied to what is left of this iteration.
+        eta = max(0, total - done) / rate if total and rate else None
 
-        stale = [
-            v for k, v in gauges.items() if k.startswith("spmd.heartbeat_stale_s")
-        ]
         crit_frac, comm_frac = self._span_fractions(telemetry)
         snapshot = ProgressSnapshot(
             elapsed_s=elapsed,
@@ -234,9 +170,9 @@ class ProgressMonitor:
             iteration_done=done,
             iteration_total=total,
             fraction=min(1.0, fraction),
-            rate_combos_per_s=rate or self.model_rate,
+            rate_combos_per_s=rate,
             eta_s=eta,
-            heartbeat_stale_s=max(stale) if stale else None,
+            heartbeat_stale_s=gauges.get("spmd.heartbeat_stale_s.max"),
             fault_events=counters.get("faults.events", 0),
             critical_path_fraction=crit_frac,
             comm_wait_fraction=comm_frac,
@@ -265,10 +201,10 @@ class ProgressMonitor:
         happen mid-span, so any analysis error degrades to ``None``
         rather than killing the sampler.
         """
-        if not telemetry.enabled or self.span_cap <= 0:
+        if not telemetry.enabled:
             return None, None
         spans = telemetry.tracer.export()
-        if not spans or len(spans) > self.span_cap:
+        if not spans or len(spans) > SPAN_CAP:
             return None, None
         from repro.telemetry.critpath import attribute_time, critical_path
 

@@ -61,14 +61,9 @@ _SAMPLE = re.compile(
 )
 
 
-def prometheus_name(name: str, prefix: str = "repro") -> str:
+def prometheus_name(name: str) -> str:
     """Sanitize a registry metric name into a legal Prometheus name."""
-    body = re.sub(r"[^a-zA-Z0-9_:]", "_", name)
-    if prefix:
-        body = f"{prefix}_{body}"
-    if not _NAME_OK.match(body):
-        body = f"_{body}"
-    return body
+    return "repro_" + re.sub(r"[^a-zA-Z0-9_:]", "_", name)
 
 
 def _fmt(value: float) -> str:
@@ -82,22 +77,22 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def render_prometheus(metrics: "dict | object", prefix: str = "repro") -> str:
+def render_prometheus(metrics: "dict | object") -> str:
     """Render a registry (or its ``to_dict`` snapshot) as exposition text."""
     if hasattr(metrics, "to_dict"):
         metrics = metrics.to_dict()
     lines: list[str] = []
     for name in sorted(metrics.get("counters", {})):
-        prom = prometheus_name(name, prefix)
+        prom = prometheus_name(name)
         lines.append(f"# TYPE {prom} counter")
         lines.append(f"{prom} {_fmt(metrics['counters'][name])}")
     for name in sorted(metrics.get("gauges", {})):
-        prom = prometheus_name(name, prefix)
+        prom = prometheus_name(name)
         lines.append(f"# TYPE {prom} gauge")
         lines.append(f"{prom} {_fmt(metrics['gauges'][name])}")
     for name in sorted(metrics.get("histograms", {})):
         h = metrics["histograms"][name]
-        prom = prometheus_name(name, prefix)
+        prom = prometheus_name(name)
         lines.append(f"# TYPE {prom} summary")
         lines.append(f"{prom}_count {_fmt(h['count'])}")
         lines.append(f"{prom}_sum {_fmt(h['total'])}")
@@ -263,10 +258,9 @@ class _Server(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, addr, telemetry, prefix: str):
+    def __init__(self, addr, telemetry):
         super().__init__(addr, _Handler)
         self._telemetry = telemetry
-        self._prefix = prefix
         self.started_at = time.monotonic()
         self.routes = self.build_routes()
 
@@ -312,7 +306,7 @@ class _Server(ThreadingHTTPServer):
         from repro.telemetry.session import get_telemetry
 
         telemetry = self._telemetry or get_telemetry()
-        return render_prometheus(telemetry.metrics, prefix=self._prefix)
+        return render_prometheus(telemetry.metrics)
 
 
 class MetricsServer:
@@ -338,19 +332,15 @@ class MetricsServer:
         telemetry=None,
         host: str = "127.0.0.1",
         port: int = 0,
-        prefix: str = "repro",
     ) -> None:
         self.telemetry = telemetry
         self.host = host
         self.port = port
-        self.prefix = prefix
         self._server: "_Server | None" = None
         self._thread: "threading.Thread | None" = None
 
     def _make_server(self) -> _Server:
-        return self.server_class(
-            (self.host, self.port), self.telemetry, self.prefix
-        )
+        return self.server_class((self.host, self.port), self.telemetry)
 
     def start(self) -> "MetricsServer":
         if self._server is not None:

@@ -114,11 +114,6 @@ class Telemetry:
         if self.enabled:
             self.metrics.set_gauge(name, value)
 
-    def clear_gauges(self, prefix: str) -> int:
-        if self.enabled:
-            return self.metrics.clear_gauges(prefix)
-        return 0
-
     # -- causal context ------------------------------------------------
 
     def context(self) -> "dict | None":
@@ -134,8 +129,8 @@ class Telemetry:
     def adopt_context(self, ctx: "dict | None") -> "Telemetry":
         """Join the trace ``ctx`` belongs to (worker-side re-rooting).
 
-        Pool workers and rank runners that build a fresh session call
-        this with the dispatching context shipped to them: the session
+        Pool workers build a fresh session per chunk and call this
+        with the dispatching context shipped to them: the session
         takes over the trace id and records a ``dispatch`` link from
         every stack-root span to the dispatching span.  A ``None``
         context (disabled parent) is a no-op.

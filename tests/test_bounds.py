@@ -415,11 +415,9 @@ class TestEffectiveness:
         with telemetry_session() as tel:
             MultiHitSolver(hits=3, prune=True, max_iterations=3).solve(t, n)
             counters = tel.metrics.to_dict()["counters"]
-            gauges = tel.metrics.to_dict()["gauges"]
         assert counters["prune.blocks_scanned"] > 0
         assert counters["prune.blocks_skipped"] > 0
         assert counters["prune.combos_pruned"] > 0
-        assert 0.0 < gauges["prune.hit_rate"] < 1.0
 
 
 # -- fused traffic accounting ----------------------------------------------

@@ -41,11 +41,12 @@ from repro.telemetry import (
     critical_path,
     dominant_loss,
     format_report,
+    get_telemetry,
     load_trace,
     telemetry_session,
     write_jsonl,
 )
-from repro.telemetry.causal import context_key, current_context, new_trace_id
+from repro.telemetry.causal import new_trace_id
 from repro.telemetry.spans import Span
 
 
@@ -60,7 +61,6 @@ class TestContexts:
         with tel.span("work", cat="t") as span:
             ctx = tel.context()
         assert ctx == {"trace": tel.trace_id, "pid": os.getpid(), "id": span.span_id}
-        assert context_key(ctx) == (os.getpid(), span.span_id)
 
     def test_disabled_context_is_none_and_mints_no_trace(self):
         tel = Telemetry(enabled=False)
@@ -68,7 +68,6 @@ class TestContexts:
         assert tel.context() is None
         with tel.span("work"):
             assert tel.context() is None
-        assert context_key(None) is None
 
     def test_noop_and_stopwatch_link_return_self(self):
         assert NOOP_SPAN.link({"pid": 1, "id": 2}) is NOOP_SPAN
@@ -115,12 +114,12 @@ class TestContexts:
         off.adopt_context({"trace": "t", "pid": 1, "id": 2})
         assert off.trace_id is None
 
-    def test_current_context_resolves_installed_session(self):
+    def test_context_resolves_installed_session(self):
         with telemetry_session() as tel:
             with tel.span("work") as span:
-                ctx = current_context()
+                ctx = get_telemetry().context()
             assert ctx["id"] == span.span_id
-        assert current_context() is None  # NULL session after exit
+        assert get_telemetry().context() is None  # NULL session after exit
 
 
 def _edge_integrity(spans):

@@ -29,7 +29,7 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.report import FaultReport
 from repro.scheduling.equiarea import equiarea_schedule
 from repro.scheduling.schemes import SCHEME_3X1, scheme_for
-from repro.telemetry.session import get_telemetry, telemetry_session
+from repro.telemetry.session import telemetry_session
 
 
 def signature(combos):
@@ -429,23 +429,16 @@ class TestVirtualClusterMembership:
 
 class TestHeartbeatGaugeHygiene:
     def test_elastic_runner_clears_stale_rank_gauges(self, instance):
-        tumor, normal, params = instance
+        """A new world re-writes the one staleness gauge at launch, so a
+        reading left by a previous world's dead rank is gone."""
         with telemetry_session() as tel:
-            tel.set_gauge("spmd.heartbeat_stale_s.rank99", 123.0)
+            tel.set_gauge("spmd.heartbeat_stale_s.max", 123.0)
             fleet(instance, n_ranks=2)
-            assert "spmd.heartbeat_stale_s.rank99" not in tel.metrics.gauges
-
-    def test_clear_gauges_returns_count(self):
-        with telemetry_session() as tel:
-            tel.set_gauge("x.a", 1.0)
-            tel.set_gauge("x.b", 2.0)
-            tel.set_gauge("y.a", 3.0)
-            assert tel.clear_gauges("x.") == 2
-            assert set(tel.metrics.gauges) >= {"y.a"}
-            assert "x.a" not in tel.metrics.gauges
-
-    def test_clear_gauges_disabled_is_noop(self):
-        assert get_telemetry().clear_gauges("x.") in (0, 0)
+            gauges = tel.metrics.gauges
+        assert gauges["spmd.heartbeat_stale_s.max"] < 123.0
+        assert [g for g in gauges if g.startswith("spmd.")] == [
+            "spmd.heartbeat_stale_s.max"
+        ]
 
 
 # -- elastic scaling model (fig4 extras) ---------------------------------

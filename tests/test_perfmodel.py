@@ -13,6 +13,7 @@ from repro.perfmodel.runtime import (
     partition_kernel_stats,
     partition_profiles,
     gpu_busy_times,
+    single_gpu_scan_seconds,
 )
 from repro.perfmodel.scaling import (
     scaling_efficiency,
@@ -145,6 +146,31 @@ class TestJobModel:
 from repro.gpusim.device import V100  # noqa: E402
 
 V100_EFFECTIVE = V100.peak_int_ops_per_s * TimingTuning().issue_efficiency
+
+
+class TestSingleGpuScanRate:
+    """``C(G, h) / single_gpu_scan_seconds`` is the model's combinations
+    per second on one device — the figure a measured rate is checked
+    against."""
+
+    @staticmethod
+    def _rate(g: int, words: int) -> float:
+        seconds = single_gpu_scan_seconds(SCHEME_3X1, g, words, MemoryConfig())
+        return math.comb(g, SCHEME_3X1.hits) / seconds
+
+    def test_matches_device_throughput(self):
+        """Peak int-ops × issue efficiency / ops-per-combo: ``C(G, h)``
+        cancels, so the rate is independent of the gene count."""
+        words = 100
+        tuning, mem = TimingTuning(), MemoryConfig()
+        pre = min(mem.prefetched_rows, SCHEME_3X1.flattened)
+        rows = (SCHEME_3X1.flattened - pre) + SCHEME_3X1.inner
+        expected = V100_EFFECTIVE / tuning.ops_per_combo(words, rows)
+        assert self._rate(12000, words) == pytest.approx(expected)
+        assert self._rate(500, words) == pytest.approx(expected)
+
+    def test_rate_positive_and_scales_down_with_width(self):
+        assert self._rate(1000, 10) > self._rate(1000, 1000) > 0
 
 
 class TestScalingSweeps:

@@ -129,16 +129,11 @@ class TestProfilerIntegration:
         assert profile.utilization.max() == pytest.approx(1.0)
         assert profile.busy_s.shape == (4,)
 
-    def test_profile_feeds_metrics_registry(self):
+    def test_profile_records_one_span(self):
         with telemetry_session() as tel:
             Profiler().profile(self._launches())
-        state = tel.metrics.to_dict()
-        assert state["counters"]["gpusim.bound.memory"] == 2
-        assert state["counters"]["gpusim.bound.compute"] == 2
-        assert state["gauges"]["gpusim.memory_to_compute_transition"] == 2
-        assert state["histograms"]["gpusim.utilization"]["count"] == 4
-        assert state["histograms"]["gpusim.busy_s"]["max"] > 0.0
         assert [s["name"] for s in tel.tracer.export()] == ["gpusim.profile"]
+        assert tel.metrics.to_dict()["counters"] == {}
 
     def test_profile_records_nothing_when_disabled(self):
         profile = Profiler().profile(self._launches())

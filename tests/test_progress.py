@@ -1,7 +1,7 @@
 """Tests for the progress/ETA monitor.
 
-* ``eta_seconds`` prefers measured throughput, falls back to the model;
-* ``perfmodel_rate`` matches the perf-model arithmetic and is sane;
+* the ETA is what is left of the iteration at the measured rate, and
+  ``None`` until a combination has been examined;
 * a sample over a live solve reports the iteration accounting the
   solver published (scheduled = C(G, h); done <= scheduled);
 * the monitor thread renders and re-exports gauges, and the status
@@ -10,6 +10,7 @@
 
 import io
 import math
+import time
 
 import pytest
 
@@ -17,56 +18,38 @@ from repro.core.solver import MultiHitSolver
 from repro.telemetry import (
     ProgressMonitor,
     ProgressSnapshot,
-    eta_seconds,
-    perfmodel_rate,
+    Telemetry,
     telemetry_session,
 )
 
 
 class TestEta:
-    def test_measured_rate_wins(self):
-        # 100 of 300 done in 10s -> 10/s -> 20s left (model ignored).
-        assert eta_seconds(100, 300, 10.0, model_rate=1.0) == pytest.approx(20.0)
+    """The monitor's ETA over a hand-fed registry: 300 combinations
+    scheduled, ``examined`` of them counted between two samples."""
 
-    def test_model_prior_before_data(self):
-        assert eta_seconds(0, 300, 5.0, model_rate=30.0) == pytest.approx(10.0)
+    @staticmethod
+    def _eta(examined: int) -> ProgressSnapshot:
+        tel = Telemetry()
+        tel.set_gauge("progress.combos_scheduled", 300)
+        monitor = ProgressMonitor(telemetry=tel)
+        first = monitor.sample()  # starts the clock: nothing measured yet
+        assert first.eta_s is None
+        time.sleep(0.01)
+        tel.count("progress.combos_scored", examined)
+        return monitor.sample()
+
+    def test_measured_rate_wins(self):
+        snap = self._eta(100)
+        assert snap.rate_combos_per_s == pytest.approx(100 / snap.elapsed_s)
+        assert snap.eta_s == pytest.approx(200 / snap.rate_combos_per_s)
 
     def test_no_rate_no_eta(self):
-        assert eta_seconds(0, 300, 5.0) is None
+        snap = self._eta(0)
+        assert snap.rate_combos_per_s is None and snap.eta_s is None
 
     def test_complete_is_zero(self):
-        assert eta_seconds(300, 300, 10.0) == 0.0
-        assert eta_seconds(400, 300, 10.0) == 0.0
-
-
-class TestPerfmodelRate:
-    def test_matches_device_throughput(self):
-        """The rate is per-combination device throughput: peak int-ops *
-        issue efficiency / ops-per-combo, so it cancels ``C(G, h)`` and
-        is independent of the gene count."""
-        from repro.core.memopt import MemoryConfig
-        from repro.gpusim.device import V100
-        from repro.gpusim.timing import TimingTuning
-        from repro.scheduling.schemes import SCHEME_3X1
-
-        words = 100
-        tuning, mem = TimingTuning(), MemoryConfig()
-        pre = min(mem.prefetched_rows, SCHEME_3X1.flattened)
-        rows = (SCHEME_3X1.flattened - pre) + SCHEME_3X1.inner
-        expected = (
-            V100.peak_int_ops_per_s
-            * tuning.issue_efficiency
-            / tuning.ops_per_combo(words, rows)
-        )
-        assert perfmodel_rate(SCHEME_3X1, 12000, words) == pytest.approx(expected)
-        assert perfmodel_rate(SCHEME_3X1, 500, words) == pytest.approx(expected)
-
-    def test_rate_positive_and_scales_down_with_width(self):
-        from repro.scheduling.schemes import SCHEME_3X1
-
-        narrow = perfmodel_rate(SCHEME_3X1, 1000, 10)
-        wide = perfmodel_rate(SCHEME_3X1, 1000, 1000)
-        assert narrow > wide > 0
+        assert self._eta(300).eta_s == 0.0
+        assert self._eta(400).eta_s == 0.0
 
 
 class TestStatusLine:

@@ -41,25 +41,25 @@ class TestRender:
         assert prometheus_name("kernel.combos_scored") == (
             "repro_kernel_combos_scored"
         )
-        assert prometheus_name("spmd.heartbeat_stale_s.rank0") == (
-            "repro_spmd_heartbeat_stale_s_rank0"
+        assert prometheus_name("spmd.heartbeat_stale_s.max") == (
+            "repro_spmd_heartbeat_stale_s_max"
         )
         assert prometheus_name("weird metric-name!") == "repro_weird_metric_name_"
 
     def test_all_metric_types_render_and_validate(self):
         reg = MetricsRegistry()
         reg.inc("kernel.combos_scored", 42)
-        reg.set_gauge("solver.coverage", 0.875)
-        reg.observe("pool.chunk_wall_s", 0.5)
-        reg.observe("pool.chunk_wall_s", 1.5)
+        reg.set_gauge("progress.fraction", 0.875)
+        reg.observe("job.wall_s", 0.5)
+        reg.observe("job.wall_s", 1.5)
         text = render_prometheus(reg)
         n = validate_prometheus(text)
         assert n == 6  # counter + gauge + summary(count,sum) + min + max
         assert "# TYPE repro_kernel_combos_scored counter" in text
         assert "repro_kernel_combos_scored 42" in text
-        assert "repro_pool_chunk_wall_s_count 2" in text
-        assert "repro_pool_chunk_wall_s_sum 2" in text
-        assert "repro_pool_chunk_wall_s_max 1.5" in text
+        assert "repro_job_wall_s_count 2" in text
+        assert "repro_job_wall_s_sum 2" in text
+        assert "repro_job_wall_s_max 1.5" in text
 
     def test_validator_rejects_malformed(self):
         with pytest.raises(ValueError, match="missing TYPE"):
@@ -155,6 +155,24 @@ class TestMidSolveScrape:
         # and the total matches the solver's own accounting.
         assert final == result.counters.combos_scored
         assert readings[0] < final
+
+
+class TestElasticScrape:
+    def test_scrape_after_elastic_distributed_solve_validates(
+        self, small_matrices
+    ):
+        """The lease ledger's counters must not collide with any other
+        series: one name, one type, one ``# TYPE`` line."""
+        t, n, _ = small_matrices
+        with telemetry_session() as tel:
+            MultiHitSolver(
+                hits=2, backend="distributed", n_nodes=2, elastic=True
+            ).solve(t, n)
+            with MetricsServer(telemetry=tel) as server:
+                status, _, body = _get(server.url + "/metrics")
+        assert status == 200
+        assert validate_prometheus(body) > 0
+        assert "# TYPE repro_lease_completed counter" in body
 
 
 class TestServerLifecycle:
