@@ -358,7 +358,6 @@ def spmd_best_combo(
     counters: "KernelCounters | None" = None,
     reduction_stats: "ReductionStats | None" = None,
     bounds: "BoundTable | None" = None,
-    iteration: int = 0,
     sparse: bool = False,
     max_wall_s: "float | None" = 120.0,
     call: int = 0,
@@ -374,15 +373,15 @@ def spmd_best_combo(
     order (``reduction_stats`` records its stages): the result is
     bit-identical to any fixed-world run over the same grid.
 
-    ``bounds`` keeps CELF pruning on when the table merged
-    ``ledger.boundaries``: each lease prunes against its slice (see
-    :func:`repro.core.distributed.search_lease`) and folds its refreshed
-    bounds back under a lock.
+    ``bounds`` (a table covering the ledger's range) turns pruning on:
+    each lease prunes against a copy of its slice (see
+    :func:`repro.core.distributed.search_lease`), and the refreshed
+    slices are written back in lease-id order once the ledger is done.
     """
+    refreshed: dict = {}
     search = partial(
         search_lease, scheme, tumor=tumor, normal=normal, params=params,
-        bounds=bounds, iteration=iteration, sparse=sparse,
-        call=call, fold_lock=threading.Lock(),
+        bounds=bounds, refreshed=refreshed, sparse=sparse, call=call,
     )
     ElasticSPMDRunner(
         n_ranks=n_ranks,
@@ -393,6 +392,8 @@ def spmd_best_combo(
     ).run(ledger, search, call=call)
     if counters is not None:
         ledger.merge_counters(counters)
+    for lease_id in sorted(refreshed):
+        bounds.write_back(refreshed[lease_id])
     with get_telemetry().span(
         "reduce", cat="spmd", leases=ledger.n_leases, call=call
     ) as sp:

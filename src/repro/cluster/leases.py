@@ -159,9 +159,7 @@ class LeaseLedger:
     ) -> "LeaseLedger":
         """Equi-area lease cuts over ``[lam_start, lam_end)``.
 
-        The same O(G) level walk as every other cut in the repo, so
-        merging :attr:`boundaries` into a :class:`BoundTable` makes
-        every lease a whole number of λ-blocks (pruning stays on).
+        The same O(G) level walk as every other cut in the repo.
         """
         if lam_end is None:
             lam_end = total_threads(scheme, g)

@@ -54,12 +54,14 @@ def _levels(lam: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
         return lam, lam
     if lam.min() < 0:
         raise ValueError("lambda must be non-negative")
+    if order == 1:  # C(m, 1) = m: every λ is its own level start
+        return lam, lam
     lo = top_index(int(lam.min()), order)
     hi = top_index(int(lam.max()), order)
     if hi - lo < lam.size:
         levels = np.arange(lo, hi + 1)
     else:
-        levels = np.unique([top_index(int(x), order) for x in lam.flat])
+        levels = np.array(sorted({top_index(int(x), order) for x in lam.flat}))
     starts = np.array([math.comb(int(m), order) for m in levels], dtype=np.int64)
     k = np.searchsorted(starts, lam, side="right") - 1
     return levels[k], starts[k]

@@ -34,19 +34,15 @@ _FORMAT_VERSION = 1
 class SolverState:
     """Resumable snapshot of the greedy loop between iterations.
 
-    ``bound_table`` is the lazy-greedy engine's per-λ-block bound cache
-    (:meth:`repro.core.bounds.BoundTable.to_payload`).  It is strictly
-    optional: bounds are exact upper bounds derived from earlier
-    iterations, so a resumed run that drops the table (older checkpoint,
-    different backend geometry, pruning disabled) rescans a few blocks
-    but produces bit-identical iterations.
+    The pruned engine's bound table is a cache and is not part of it: a
+    resumed run rescans under the prefix ceiling alone and produces
+    bit-identical iterations.
     """
 
     hits: int
     alpha: float
     combinations: tuple[MultiHitCombination, ...]
     active: np.ndarray  # uncovered tumor samples (vs original columns)
-    bound_table: "dict | None" = None
 
     @classmethod
     def capture(
@@ -55,14 +51,12 @@ class SolverState:
         alpha: float,
         combos: list[MultiHitCombination],
         active: np.ndarray,
-        bound_table: "dict | None" = None,
     ) -> "SolverState":
         return cls(
             hits=hits,
             alpha=alpha,
             combinations=tuple(combos),
             active=active.copy(),
-            bound_table=bound_table,
         )
 
     def restore(
@@ -127,8 +121,6 @@ def save_state(state: SolverState, path: "str | Path") -> None:
         "active": [int(i) for i in np.flatnonzero(state.active)],
         "n_samples": int(state.active.shape[0]),
     }
-    if state.bound_table is not None:
-        payload["bound_table"] = state.bound_table
     encoded = json.dumps(payload) + "\n"
     with get_telemetry().span(
         "checkpoint", cat="checkpoint",
@@ -156,7 +148,8 @@ def load_state(path: "str | Path") -> SolverState:
     """Inverse of :func:`save_state`.
 
     A file :func:`save_state` could not have written — torn, bit-flipped,
-    hand-edited — raises :class:`ValueError` naming the field.
+    hand-edited — raises :class:`ValueError` naming the field.  The
+    ``bound_table`` key older files carry is ignored.
     """
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
@@ -185,7 +178,6 @@ def load_state(path: "str | Path") -> SolverState:
         alpha=_field(raw, "alpha", (int, float)),
         combinations=combos,
         active=active,
-        bound_table=_field(raw, "bound_table", (dict, type(None))),
     )
 
 

@@ -27,15 +27,13 @@ ones pinned to it — go back to the pool for survivors to steal (the
 driver itself, holder ``-1``, if nobody survives).  A hang is a real
 silence inside the search: past the lease TTL,
 ``retry_policy.deadline_s``, the lease expires and a survivor steals
-it.  Because both cut sets are merged into the bound table, every lease
-is a whole number of λ-blocks whoever ends up searching it, so recovery
-keeps the CELF pruning speedup.
+it.  A pruned lease searches a copy of its slice of the bound table,
+whoever ends up searching it, so recovery keeps the pruning speedup.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -72,22 +70,22 @@ def search_lease(
     normal: BitMatrix,
     params: FScoreParams,
     bounds: "BoundTable | None" = None,
-    iteration: int = 0,
+    refreshed: "dict | None" = None,
     sparse: bool = False,
     call: int = 0,
     stall_s: float = 0.0,
-    fold_lock=nullcontext(),
 ) -> "tuple[MultiHitCombination | None, KernelCounters]":
     """Search one lease's λ-range; returns ``(winner, counters)``.
 
     The winner is a pure function of the range, so any holder may run
-    this for any lease.  With ``bounds`` the lease prunes against its
-    own slice of the table (leases are block-aligned when the table
-    merged the ledger's cuts; an unaligned range runs unpruned) and the
-    refreshed bounds fold back as deltas — under ``fold_lock`` when
-    holders run on threads.  Metering rides the lease, not the run
-    counters, so a range that is stolen and computed twice still counts
-    once: the ledger keeps the first completion's counters.
+    this for any lease.  With ``bounds`` the lease prunes against a copy
+    of its slice of the table, taken at grant, and leaves the refreshed
+    slice in ``refreshed[lease_id]`` for the caller to write back once
+    the ledger is done.  The table is not written during the call, so
+    every search of a lease refreshes the same values.  Metering rides
+    the lease, not the run counters, so a range that is stolen and
+    computed twice still counts once: the ledger keeps the first
+    completion's counters.
 
     ``stall_s`` is an injected silence — a straggler, or a hang on a
     real thread: the holder goes quiet for that long inside the search
@@ -96,11 +94,7 @@ def search_lease(
     """
     tel = get_telemetry()
     lo, hi = lease.lam_start, lease.lam_end
-    lease_bounds = None
-    if bounds is not None and bounds.aligned(lo, hi):
-        with fold_lock:
-            payload = bounds.slice_payload(lo, hi)
-        lease_bounds = BoundTable.from_payload(payload)
+    lease_bounds = None if bounds is None else bounds.slice(lo, hi)
     counters = KernelCounters()
     stolen = lease.grants > 1 or lease.owner not in (None, rank)
     with tel.span(
@@ -118,14 +112,10 @@ def search_lease(
             scheme, tumor.n_genes, tumor, normal, params, lo, hi,
             counters=counters,
             bounds=lease_bounds,
-            iteration=iteration,
             sparse=sparse,
         )
     if lease_bounds is not None:
-        deltas = lease_bounds.deltas(iteration)
-        if deltas:
-            with fold_lock:
-                bounds.apply_deltas(deltas, iteration)
+        refreshed.setdefault(lease.lease_id, lease_bounds)
     return winner, counters
 
 
@@ -256,9 +246,7 @@ class DistributedEngine:
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
 
     def chunk_cuts(self, g: int) -> tuple[int, ...]:
-        """The ledger's range boundaries (also merged into the bound
-        table, so every lease is a whole number of λ-blocks and pruning
-        survives work stealing).
+        """The ledger's range boundaries.
 
         Static: the schedule's partition cuts.  Elastic:
         :data:`LEASES_PER_PULLER` equi-area cuts per node, so losing a
@@ -286,7 +274,6 @@ class DistributedEngine:
         counters: "KernelCounters | None" = None,
         reduction_stats: "ReductionStats | None" = None,
         bounds: "BoundTable | None" = None,
-        iteration: int = 0,
     ) -> "MultiHitCombination | None":
         """Full distributed arg-max: every lease's winner reduced at root.
 
@@ -316,6 +303,6 @@ class DistributedEngine:
             fault_plan=self.fault_plan, retry_policy=self.retry_policy,
             report=self.report, counters=counters,
             reduction_stats=reduction_stats, bounds=bounds,
-            iteration=iteration, sparse=self.sparse, max_wall_s=None,
+            sparse=self.sparse, max_wall_s=None,
             call=call,
         )

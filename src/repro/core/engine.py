@@ -6,7 +6,7 @@ of the genes above its top index.  Scores are bit-exact with the
 sequential reference; ties resolve to the lexicographically smallest
 gene tuple.
 
-The scan scores *tiles*, not threads or levels: :func:`_scan_blocks`
+The scan scores *tiles*, not threads or levels: :func:`_scan_range`
 cuts its λ-range into runs of adjacent threads that fill one fixed
 ``(B, L)`` element budget (:data:`_TILE_ELEMENTS`), however many
 workload levels a run crosses.  A tile's tuples are enumerated (a level
@@ -18,8 +18,7 @@ with :func:`repro.core.kernels.fused_pair_popcount`, a word-major
 popcount product that, word by word, touches only the base rows carrying
 the word when fewer than half do.  Entries
 whose inner genes do not lie above the thread's top gene are set to
-``-inf`` and not counted.  Per-λ maxima fold into per-block maxima with
-a segmented reduction; every value is exact, block maxima included.
+``-inf`` and not counted.
 
 ``sparse`` selects nothing on this nested path (it still selects the
 flat scheme's :func:`repro.core.kernels.score_combos` body).
@@ -27,23 +26,23 @@ flat scheme's :func:`repro.core.kernels.score_combos` body).
 Counters: ``combos_scored`` and ``word_ops`` count the valid entries
 (``word_ops`` at its dense definition, ``(hits - 1)`` row ANDs per
 combination); ``decode_strides`` counts tiles and ``inner_tables_built``
-the inner tables built.  ``word_reads`` on the nested path is the model
-figure :func:`repro.core.memopt.fused_word_reads` of the range —
-computed, not gathered: ``f`` rows per thread plus one inner table per
-level the call touches, charged once per call (the runs of a pruned
-call share one charged-level set).  ``word_reads_skipped`` stays 0.
+the inner tables built.  ``word_reads`` on the unpruned nested path is
+the model figure :func:`repro.core.memopt.fused_word_reads` of the
+range — computed, not gathered: ``f`` rows per thread plus one inner
+table per level the call touches.  ``word_reads_skipped`` stays 0.
 
-When a :class:`repro.core.bounds.BoundTable` is supplied the engine takes
-the lazy-greedy fast path instead: super-blocks are visited in descending
-aggregate-bound order, and a super-block whose every member is stamped
-below the incumbent is skipped in one step without touching per-block
-metadata.  Surviving supers fall back to per-block checks, and their
-non-skipped members — λ-adjacent by construction — are scanned as single
-fused multi-block runs.  Because skipping requires the bound to be
-*strictly* below the incumbent F, and the incumbent is maintained with
-the tuple-comparing :func:`repro.core.combination.better`, the winner —
-F, TP, TN, and the lexicographic tie rule — is bit-identical to the
-unpruned scan regardless of visitation order or run batching.
+When a :class:`repro.core.bounds.BoundTable` is supplied the engine runs
+an exact branch and bound instead (:func:`_best_pruned`): every thread
+is bounded by ``min(stored, ceiling)`` — its exact maximum when last
+scored, and ``fscore(TP_prefix, Nn)`` from its tumor prefix — and
+threads are scored best-first in doubling λ-sorted batches until the
+next bound is *strictly* below the incumbent.  The incumbent is
+maintained with the tuple-comparing
+:func:`repro.core.combination.better`, so the winner — F, TP, TN, and
+the lexicographic tie rule — is bit-identical to the unpruned scan.
+That path's ``word_reads`` counts what it gathers, and
+``threads_scanned`` / ``threads_skipped`` / ``combos_pruned`` record
+what the bounds saved.
 """
 
 from __future__ import annotations
@@ -55,12 +54,13 @@ import numpy as np
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.bitmatrix.sparsity import stride_any_mask
-from repro.combinatorics.decode import top_index
+from repro.combinatorics.decode import combos_from_linear, top_index
 
-# The array decoders are bound here but never called by the scan: the
-# benchmark harness (benchmarks/perf/trace.py) patches them by these names.
-from repro.combinatorics.decode import combos_from_linear, top_index_array  # noqa: F401
+# Bound here but never called by the scan: the benchmark harness
+# (benchmarks/perf/trace.py) patches it by this name.
+from repro.combinatorics.decode import top_index_array  # noqa: F401
 from repro.combinatorics.enumeration import combinations_array
+from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination, better
 from repro.core.fscore import FScoreParams, fscore
 from repro.core.kernels import (
@@ -72,7 +72,7 @@ from repro.core.kernels import (
 )
 from repro.core.memopt import fused_word_reads
 from repro.scheduling.schemes import Scheme
-from repro.scheduling.workload import total_threads
+from repro.scheduling.workload import level_work, total_threads
 
 __all__ = ["SingleGpuEngine", "best_in_thread_range"]
 
@@ -93,25 +93,6 @@ def _and_reduce_rows(matrix: BitMatrix, combos: np.ndarray) -> np.ndarray:
     for c in range(1, combos.shape[1]):
         np.bitwise_and(out, matrix.words[combos[:, c]], out=out)
     return out
-
-
-def _fold_block_max(
-    block_max: np.ndarray, cut: np.ndarray, start: int, lam_max: np.ndarray
-) -> None:
-    """Fold per-λ maxima for λ in ``[start, start + len)`` into per-block
-    maxima, segmented at the ``cut`` boundaries.
-
-    ``np.maximum.reduceat`` over the in-chunk offsets of the overlapped
-    cut points gives each block's exact maximum even when one tile
-    spans several blocks — the reduction that lets the fused scan
-    enumerate once per tile instead of once per block.
-    """
-    end = start + len(lam_max)
-    k0 = int(np.searchsorted(cut, start, side="right")) - 1
-    k1 = int(np.searchsorted(cut, end - 1, side="right")) - 1
-    offsets = np.maximum(cut[k0 : k1 + 1], start) - start
-    seg_max = np.maximum.reduceat(lam_max, offsets)
-    np.maximum(block_max[k0 : k1 + 1], seg_max, out=block_max[k0 : k1 + 1])
 
 
 def _inner_table(
@@ -183,41 +164,25 @@ def _score_tile(
     )
 
 
-def _scan_blocks(
+def _scan_range(
     scheme: Scheme,
     g: int,
     tumor: BitMatrix,
     normal: BitMatrix,
     params: FScoreParams,
-    cut_points,
+    lam_start: int,
+    lam_end: int,
     counters: KernelCounters,
-    best: "MultiHitCombination | None" = None,
-    inner_cache: "dict | None" = None,
-    charged_levels: "set | None" = None,
     sparse: bool = False,
-) -> tuple["MultiHitCombination | None", np.ndarray]:
-    """Exhaustively score threads ``[cut_points[0], cut_points[-1])``.
-
-    One fused pass over a run of λ-adjacent blocks.  Returns
-    ``(best, block_max)`` where ``best`` folds the supplied incumbent in
-    via the tuple-comparing tie rule (so callers may chain scans over
-    runs in any order) and ``block_max[k]`` is the exact maximum of F
-    over ``[cut_points[k], cut_points[k+1])`` alone, the quantity a
-    bound table stores (on the flat scheme's sparse body, an upper bound
-    where zero-prefix runs were resolved wholesale).  ``inner_cache``
-    memoizes per-level inner tables and ``charged_levels`` the levels
-    already charged to ``word_reads`` across the runs of one call (the
-    matrices are fixed within a call); without a cache only the current
-    tile's table is kept.
+) -> "MultiHitCombination | None":
+    """Exhaustively score threads ``[lam_start, lam_end)`` in λ order.
 
     ``counters`` meters the scan (see the module docstring for what each
     field means on either path).
     """
-    cut = np.asarray(cut_points, dtype=np.int64)
-    lam_start, lam_end = int(cut[0]), int(cut[-1])
-    block_max = np.full(len(cut) - 1, float("-inf"))
     f_ord = scheme.flattened
     d = scheme.inner
+    best: "MultiHitCombination | None" = None
 
     if d == 0:
         # Threads == combinations: enumerate and score directly; the
@@ -226,8 +191,7 @@ def _scan_blocks(
             1, _CHUNK_ELEMENTS // (f_ord * (tumor.n_words + normal.n_words))
         )
         for start in range(lam_start, lam_end, chunk):
-            end = min(start + chunk, lam_end)
-            combos = combinations_array(f_ord, start, end)
+            combos = combinations_array(f_ord, start, min(start + chunk, lam_end))
             counters.decode_strides += 1
             fvals, tp, tn = score_combos(
                 tumor, normal, combos, params, counters,
@@ -236,46 +200,70 @@ def _scan_blocks(
                     best.f if sparse and best is not None else None
                 ),
             )
-            if fvals.size:
-                _fold_block_max(block_max, cut, start, fvals)
             best = better(best, best_of(combos, fvals, tp, tn))
-        return best, block_max
+        return best
 
     w = tumor.n_words + normal.n_words
-    counters.word_reads += fused_word_reads(
-        scheme, g, w, lam_start, lam_end, charged_levels
-    )
+    counters.word_reads += fused_word_reads(scheme, g, w, lam_start, lam_end)
     # The scan's only inversions — its first thread's level and its last
     # thread's.  Threads above level g-1-d have empty inner loops, so a
     # range reaching them ends where they begin.
     m = top_index(lam_start, f_ord)
     if top_index(lam_end - 1, f_ord) > g - 1 - d:
         lam_end = math.comb(g - d, f_ord)
-    tables = inner_cache if inner_cache is not None else {}
+    level, table = None, None
 
     start = lam_start
     while start < lam_end:
-        if m not in tables:
-            if inner_cache is None:
-                tables.clear()  # nothing outlives the call: one table live
-            tables[m] = _inner_table(scheme, g, m, tumor, normal)
+        if level != m:  # one table live at a time
+            level, table = m, _inner_table(scheme, g, m, tumor, normal)
             counters.inner_tables_built += 1
         # Rows fill the budget against the wider of the tile's two
         # shapes, (B, L) entries and (B, W) base words.
-        width = max(tables[m][0].shape[0], tumor.n_words, normal.n_words)
+        width = max(table[0].shape[0], tumor.n_words, normal.n_words)
         end = min(start + max(1, _TILE_ELEMENTS // width), lam_end)
         tuples = combinations_array(f_ord, start, end)
         counters.decode_strides += 1
-        lam_max, cand = _score_tile(
-            scheme, tuples, m, tables[m], tumor, normal, params, best, counters
+        _, cand = _score_tile(
+            scheme, tuples, m, table, tumor, normal, params, best, counters
         )
-        _fold_block_max(block_max, cut, start, lam_max)
         best = better(best, cand)
         # The next tile's lowest level, read off this tile's last row.
         top_last = int(tuples[-1, -1])
         m = top_last if end < math.comb(top_last + 1, f_ord) else top_last + 1
         start = end
-    return best, block_max
+    return best
+
+
+def _prefix_ceilings(
+    scheme: Scheme,
+    tumor: BitMatrix,
+    params: FScoreParams,
+    lam_start: int,
+    lam_end: int,
+    counters: KernelCounters,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each thread's top gene and F ceiling over ``[lam_start, lam_end)``.
+
+    A thread's combinations all contain its ``f`` fixed genes, so their
+    ``TP`` is at most ``TP_prefix``, the popcount of the AND of those
+    genes' tumor rows, and their ``TN`` at most ``Nn``: F is at most
+    ``fscore(TP_prefix, Nn)`` (float rounding is monotone).  One pass per
+    call, in tile-sized λ windows; it gathers ``f`` tumor rows per thread.
+    """
+    f_ord = scheme.flattened
+    tops = np.empty(lam_end - lam_start, dtype=np.int64)
+    tp = np.empty(lam_end - lam_start, dtype=np.int64)
+    window = max(1, _TILE_ELEMENTS // max(1, tumor.n_words))
+    for start in range(lam_start, lam_end, window):
+        end = min(start + window, lam_end)
+        tuples = combinations_array(f_ord, start, end)
+        rows = _and_reduce_rows(tumor, tuples)
+        at = slice(start - lam_start, end - lam_start)
+        tp[at] = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+        tops[at] = tuples[:, -1]
+    counters.word_reads += (lam_end - lam_start) * f_ord * tumor.n_words
+    return tops, fscore(tp, params.n_normal, params)
 
 
 def best_in_thread_range(
@@ -287,8 +275,7 @@ def best_in_thread_range(
     lam_start: int,
     lam_end: int,
     counters: "KernelCounters | None" = None,
-    bounds: "object | None" = None,
-    iteration: int = 0,
+    bounds: "BoundTable | None" = None,
     sparse: bool = False,
 ) -> "MultiHitCombination | None":
     """Best combination among those owned by threads ``[lam_start, lam_end)``.
@@ -296,10 +283,10 @@ def best_in_thread_range(
     A thread owns every ``hits``-combination formed by its decoded
     ``flattened``-tuple plus ``inner`` further genes above its top index.
 
-    ``bounds`` (a :class:`repro.core.bounds.BoundTable` whose block
-    boundaries align with this range) switches on the lazy-greedy pruned
-    path; the table is mutated in place — scored blocks are refreshed and
-    stamped with ``iteration``.  ``sparse`` reaches only the flat scheme
+    ``bounds`` (a :class:`repro.core.bounds.BoundTable` covering exactly
+    this range) switches on the pruned best-first path; the table is
+    mutated in place — every scored thread's entry becomes its exact
+    maximum F.  ``sparse`` reaches only the flat scheme
     (``inner == 0``), whose :func:`repro.core.kernels.score_combos`
     still has a sparsity-driven body (at the kernel's default word
     stride); the nested scan has one body.
@@ -309,6 +296,13 @@ def best_in_thread_range(
     if tumor.n_genes != g or normal.n_genes != g:
         raise ValueError("matrix gene count must match g")
     lam_end = min(lam_end, total_threads(scheme, g))
+    if bounds is not None and (bounds.lam_start, bounds.lam_end) != (
+        lam_start, lam_end
+    ):
+        raise ValueError(
+            f"bound table covers [{bounds.lam_start}, {bounds.lam_end}), "
+            f"the scan [{lam_start}, {lam_end})"
+        )
     if lam_end <= lam_start:
         return None
     if counters is None:
@@ -317,13 +311,12 @@ def best_in_thread_range(
     if bounds is not None:
         return _best_pruned(
             scheme, g, tumor, normal, params, lam_start, lam_end,
-            bounds, iteration, counters, sparse,
+            bounds, counters, sparse,
         )
-    best, _ = _scan_blocks(
-        scheme, g, tumor, normal, params, (lam_start, lam_end), counters,
+    return _scan_range(
+        scheme, g, tumor, normal, params, lam_start, lam_end, counters,
         sparse=sparse,
     )
-    return best
 
 
 def _best_pruned(
@@ -334,75 +327,91 @@ def _best_pruned(
     params: FScoreParams,
     lam_start: int,
     lam_end: int,
-    bounds,
-    iteration: int,
+    bounds: BoundTable,
     counters: KernelCounters,
     sparse: bool = False,
 ) -> "MultiHitCombination | None":
-    """Hierarchical CELF visitation over the fused multi-block scan.
+    """Best-first branch and bound over the threads of one range.
 
-    Super-blocks are visited in descending aggregate-bound order; one
-    whose every member is stamped below the incumbent is skipped in a
-    single check.  Within a surviving super, members are walked in λ
-    order so the non-skipped ones accumulate into contiguous *runs*, each
-    scanned by one :func:`_scan_blocks` call (one enumeration per tile
-    across the whole run; the runs of a call share their inner tables
-    and charge each level's to ``word_reads`` once).  While no incumbent
-    exists, runs flush after a single block so the skip checks get a
-    real F to compare against as early as possible.
+    Each thread is bounded by ``min(stored, ceiling)``
+    (:meth:`BoundTable.visit_order`) and visited in descending bound
+    order.  Threads are scored in batches that double from one thread
+    up to the tile budget: a batch is decoded with
+    :func:`combos_from_linear`, sorted by λ and scored against the inner
+    table of its lowest level (built once per call), and each scored
+    thread's entry becomes its exact maximum.  The scan stops at the
+    first bound *strictly* below the incumbent; the threads left
+    unvisited add their combinations to ``combos_pruned``.
 
-    Soundness: a skipped block's stored bound is the exact maximum F it
-    reached when it was last scored (on the flat scheme's sparse body,
-    the ``TP = 0`` ceiling where zero-prefix runs were resolved
-    wholesale — an upper bound), F is non-increasing across iterations
-    (TP shrinks, TN is fixed, float rounding is monotone), and skipping
-    demands ``bound < incumbent.f`` *strictly* — so a skipped block (or
-    super-block, via the max aggregate) holds neither the winner nor an
-    equal-F tie.
+    Soundness: a stored bound is the exact maximum F the thread reached
+    when it was last scored (on the flat scheme's sparse body, the
+    ``TP = 0`` ceiling where zero-prefix runs were resolved wholesale —
+    an upper bound), F is non-increasing across iterations (TP shrinks,
+    TN is fixed, float rounding is monotone), the ceiling bounds every
+    combination of the thread now, and a thread is left only when its
+    bound is *strictly* below the incumbent's F — so an unvisited thread
+    holds neither the winner nor an equal-F tie, and the tuple-comparing
+    :func:`better` makes the winner independent of visiting order.
+
+    ``word_reads`` here is what the path gathers: the ceiling pass's
+    tumor rows, each batch's ``f`` rows per thread and each inner table
+    built.
     """
-    i0, i1 = bounds.block_slice(lam_start, lam_end)
+    f_ord, d = scheme.flattened, scheme.inner
+    # Threads above level g-1-d own no combination: never visited.
+    n = min(lam_end, math.comb(g - d, f_ord)) - lam_start
+    if n <= 0:
+        return None
+    tops, ceiling = _prefix_ceilings(
+        scheme, tumor, params, lam_start, lam_start + n, counters
+    )
+    order, keys = bounds.visit_order(ceiling)
+    neg_keys = -keys  # ascending, for the stop search
+    w = tumor.n_words + normal.n_words
+    if d:
+        widest = max(math.comb(g - 1 - int(tops[0]), d), tumor.n_words, normal.n_words)
+        budget = max(1, _TILE_ELEMENTS // widest)
+    else:
+        budget = max(1, _CHUNK_ELEMENTS // (f_ord * w))
+    tables: dict = {}
     best: "MultiHitCombination | None" = None
-    inner_cache: dict = {}
-    charged_levels: set = set()
-
-    def flush(run: list) -> None:
-        nonlocal best
-        cuts = [bounds.block_range(b)[0] for b in run]
-        cuts.append(bounds.block_range(run[-1])[1])
-        best, block_max = _scan_blocks(
-            scheme, g, tumor, normal, params, cuts, counters,
-            best, inner_cache, charged_levels, sparse=sparse,
+    pos, size = 0, 1
+    while pos < n:
+        stop = n if best is None else int(
+            np.searchsorted(neg_keys, -best.f, side="right")
         )
-        for k, b in enumerate(run):
-            bounds.refresh(b, float(block_max[k]), iteration)
-        counters.blocks_scanned += len(run)
-
-    for s in map(int, bounds.super_visit_order(i0, i1)):
-        a, b_hi = bounds.super_block_range(s)
-        lo_b, hi_b = max(a, i0), min(b_hi, i1)
-        if lo_b >= hi_b:
-            continue
-        whole = lo_b == a and hi_b == b_hi
-        if whole and best is not None and bounds.can_skip_super(s, best.f):
-            counters.supers_skipped += 1
-            counters.blocks_skipped += hi_b - lo_b
-            counters.combos_pruned += bounds.super_work(s)
-            continue
-        run: list = []
-        for b in range(lo_b, hi_b):
-            if best is not None and bounds.can_skip(b, best.f):
-                if run:
-                    flush(run)
-                    run = []
-                counters.blocks_skipped += 1
-                counters.combos_pruned += bounds.block_work(b)
-                continue
-            run.append(b)
-            if best is None:
-                flush(run)
-                run = []
-        if run:
-            flush(run)
+        if stop <= pos:
+            break
+        picked = np.sort(order[pos : min(pos + size, stop)])
+        tuples = combos_from_linear(picked + lam_start, f_ord)
+        counters.decode_strides += 1
+        if d:
+            m = int(tuples[0, -1])
+            if m not in tables:
+                tables[m] = _inner_table(scheme, g, m, tumor, normal)
+                counters.inner_tables_built += 1
+                counters.word_reads += len(tables[m][0]) * d * w
+            counters.word_reads += len(picked) * f_ord * w
+            lam_max, cand = _score_tile(
+                scheme, tuples, m, tables[m], tumor, normal, params, best,
+                counters,
+            )
+        else:
+            lam_max, tp, tn = score_combos(
+                tumor, normal, tuples, params, counters,
+                sparse=sparse,
+                skip_below=best.f if sparse and best is not None else None,
+            )
+            cand = best_of(tuples, lam_max, tp, tn)
+        bounds.refresh(picked, lam_max)
+        best = better(best, cand)
+        counters.threads_scanned += len(picked)
+        pos += len(picked)
+        size = min(2 * size, budget)
+    rest = order[pos:]
+    counters.threads_skipped += len(rest)
+    work = np.array([level_work(scheme, g, m) for m in range(g)], dtype=np.int64)
+    counters.combos_pruned += int(work[tops[rest]].sum())
     return best
 
 
@@ -428,8 +437,7 @@ class SingleGpuEngine:
         lam_start: int = 0,
         lam_end: "int | None" = None,
         counters: "KernelCounters | None" = None,
-        bounds: "object | None" = None,
-        iteration: int = 0,
+        bounds: "BoundTable | None" = None,
     ) -> "MultiHitCombination | None":
         g = tumor.n_genes
         if lam_end is None:
@@ -444,6 +452,5 @@ class SingleGpuEngine:
             lam_end,
             counters=counters,
             bounds=bounds,
-            iteration=iteration,
             sparse=self.sparse,
         )

@@ -68,6 +68,8 @@ __all__ = [
 # the stride chunking in the engine the live working set stays within
 # L1/L2 while each word is still touched exactly once.
 DEFAULT_WORD_STRIDE = 64
+# Largest fused_pair_popcount product (words) computed as one broadcast.
+_CUBE_ELEMENTS = 1 << 16
 
 
 def resolve_word_stride(word_stride: "int | None") -> int:
@@ -93,10 +95,10 @@ class KernelCounters:
     rather than gathered (``f`` rows per thread plus one inner table per
     level a call touches, charged once per call).  ``decode_strides``
     counts the strides (flat) or tiles (nested) the scan enumerated and
-    ``inner_tables_built`` the inner tables it built.  The
-    ``combos_pruned`` / ``blocks_*`` / ``supers_skipped`` fields are
-    populated only by the lazy-greedy pruned engine path
-    (:mod:`repro.core.bounds`).  Four fields are set only by the flat
+    ``inner_tables_built`` the inner tables it built.  The pruned
+    best-first path (:mod:`repro.core.bounds`) meters what it gathers
+    instead and alone populates ``combos_pruned`` and ``threads_*``
+    (threads scored / left unvisited).  Four fields are set only by the flat
     scheme's sparse :func:`score_combos` body and stay 0 on nested
     scans: ``strides_skipped_sparse`` (stride slices the nonzero-mask
     intersection proved empty), ``prefix_and_hits`` (combinations that
@@ -114,9 +116,8 @@ class KernelCounters:
     word_reads: int = 0
     word_ops: int = 0
     combos_pruned: int = 0
-    blocks_scanned: int = 0
-    blocks_skipped: int = 0
-    supers_skipped: int = 0
+    threads_scanned: int = 0
+    threads_skipped: int = 0
     decode_strides: int = 0
     inner_tables_built: int = 0
     strides_skipped_sparse: int = 0
@@ -129,15 +130,18 @@ class KernelCounters:
         self.word_reads += other.word_reads
         self.word_ops += other.word_ops
         self.combos_pruned += other.combos_pruned
-        self.blocks_scanned += other.blocks_scanned
-        self.blocks_skipped += other.blocks_skipped
-        self.supers_skipped += other.supers_skipped
+        self.threads_scanned += other.threads_scanned
+        self.threads_skipped += other.threads_skipped
         self.decode_strides += other.decode_strides
         self.inner_tables_built += other.inner_tables_built
         self.strides_skipped_sparse += other.strides_skipped_sparse
         self.prefix_and_hits += other.prefix_and_hits
         self.zero_prefix_runs_skipped += other.zero_prefix_runs_skipped
         self.word_reads_skipped += other.word_reads_skipped
+
+    # Harness-only (benchmarks/perf/layers.py reads it): the thread skip
+    # count under the block table's name.
+    supers_skipped = property(lambda self: self.threads_skipped)
 
 
 def tp_zero_ceiling(params: FScoreParams) -> float:
@@ -313,15 +317,25 @@ def fused_pair_popcount(
     thread's AND-reduced fixed-gene rows, ``inner_w`` ``(W, L)`` the
     cached inner AND-table stored word-major.  The tile is accumulated
     one packed word at a time — ``out += popcount(base[:, k] & inner_w[k])``
-    — so no ``(B, L, W)`` cube exists and every temporary is ``(B, L)``.
+    — so a full tile never materializes a ``(B, L, W)`` cube and every
+    temporary is ``(B, L)``.
 
     ``base_nonzero`` (bool ``(B, W)``, ``base != 0``) says which base
     words carry any bit.  A word no base row carries is skipped; a
     word fewer than half the rows carry is broadcast over those rows
     only.  Zero words add 0 to every popcount, so the choice — made per
-    word from the data — never changes a bit of the result.
+    word from the data — never changes a bit of the result.  A short,
+    wide product — at most :data:`_CUBE_ELEMENTS` words, no more rows
+    than inner columns (the pruned scan's small batches) — is one
+    ``(B, W, L)`` broadcast instead: the same popcounts without a numpy
+    call per word.  The broadcast's inner loop runs along ``L``, so a
+    tall, narrow tile keeps the per-word loop.
     """
     n_rows = base.shape[0]
+    if n_rows <= inner_w.shape[1] and n_rows * inner_w.size <= _CUBE_ELEMENTS:
+        return np.bitwise_count(base[:, :, None] & inner_w[None]).sum(
+            axis=1, dtype=np.int32
+        )
     out = np.zeros((n_rows, inner_w.shape[1]), dtype=np.int32)
     live = np.count_nonzero(base_nonzero, axis=0)
     for k in np.flatnonzero(live):

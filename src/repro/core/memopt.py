@@ -113,13 +113,12 @@ def fused_word_reads(
     words: int,
     lam_start: int,
     lam_end: int,
-    charged_levels: "set[int] | None" = None,
 ) -> int:
     """Global-memory word reads of the *fused* scan over a thread range.
 
-    The engine's scoring pass (whose ``word_reads`` counter is this
-    figure: charged as computed on nested schemes, gathered on the flat
-    one) touches each global word exactly once per logical load: every
+    The engine's unpruned scoring pass (whose ``word_reads`` counter is
+    this figure: charged as computed on nested schemes, gathered on the
+    flat one) touches each global word exactly once per logical load: every
     thread's ``f`` fixed rows are gathered and AND-reduced a single time
     (full-width prefetch — this subsumes MemOpt1/2, so
     :class:`MemoryConfig` prefetch flags do not appear here), and each
@@ -128,12 +127,6 @@ def fused_word_reads(
     thread and block that touches the level.  Re-reads of a cached
     table or base row are not loads — the same convention the paper's
     MemOpt accounting uses for prefetched rows.
-
-    ``charged_levels`` carries first-touch state across the several
-    runs one pruned engine call scans (they share one inner-table
-    cache): each level's table-build cost is charged exactly once per
-    set.  Passing ``None`` charges every intersected level, which is the
-    single-range closed form.
     """
     if lam_end <= lam_start:
         return 0
@@ -151,11 +144,7 @@ def fused_word_reads(
             inner = level_work(scheme, g, m)
             if inner == 0:
                 continue  # empty inner loops: the engine never gathers
-            total += n_threads * f
-            if charged_levels is None or m not in charged_levels:
-                total += inner * d
-                if charged_levels is not None:
-                    charged_levels.add(m)
+            total += n_threads * f + inner * d
         else:
             # Fully flattened: every thread is one combination reading
             # its h = f rows once.

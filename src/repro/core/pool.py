@@ -25,14 +25,12 @@ not re-pickled per chunk: a chunk task carries only segment names,
 shapes and the λ range; workers attach lazily and cache the mapping
 until the segment names change.
 
-Pruned iterations ship each aligned chunk its slice of the two-level
-bound table (:meth:`repro.core.bounds.BoundTable.slice_payload`); the
-worker-side slice rebuilds its derived super-block aggregates locally on
-construction, so the hierarchical skip and the fused multi-block runs
-work identically in-process and cross-process, and the refreshed bounds
-ride back as per-chunk deltas.  The fused-scan counters
-(``decode_strides``, ``inner_tables_built``, ``supers_skipped``) merge
-across workers like every other :class:`KernelCounters` field.
+Pruned iterations ship each chunk a copy of its slice of the bound
+table (:meth:`repro.core.bounds.BoundTable.slice`); the worker prunes
+against it and returns it refreshed, and the parent writes the slices
+back in partition order.  The scan counters (``decode_strides``,
+``inner_tables_built``, ``threads_skipped``) merge across workers like
+every other :class:`KernelCounters` field.
 
 A lost worker never loses a greedy iteration: a crashed or timed-out
 chunk is re-submitted per the engine's :class:`repro.faults.RetryPolicy`
@@ -107,12 +105,10 @@ class _ChunkTask:
     # the worker session adopts it, so its scan_chunk span re-roots to
     # the parent's timeline and joins the parent's trace_id.
     trace_ctx: "dict | None" = None
-    # Lazy-greedy pruning: the parent table's slice covering this chunk
-    # (BoundTable.slice_payload) and the greedy iteration stamp.  The
-    # worker prunes against the slice and ships refreshed bounds back as
-    # deltas in the result tuple.
-    bounds: "dict | None" = None
-    iteration: int = 0
+    # Pruning: a copy of the parent table's slice covering this chunk.
+    # The worker prunes against it and ships it back refreshed in the
+    # result tuple.
+    bounds: "BoundTable | None" = None
     sparse: bool = False
 
 
@@ -171,14 +167,11 @@ def _scan(task: _ChunkTask, tumor: BitMatrix, normal: BitMatrix):
     """Search one chunk's λ range against its slice of the bound table.
 
     Shared by the worker and the parent's inline retry, so a recovered
-    chunk prunes (and ships deltas) exactly like the lost attempt.
-    Returns ``(winner, counters, deltas)``; ``deltas`` are the bound
-    entries this chunk refreshed (``None`` when pruning is off).
+    chunk prunes (and refreshes its slice) exactly like the lost attempt.
+    Returns ``(winner, counters, bounds)``; ``bounds`` is the refreshed
+    slice (``None`` when pruning is off).
     """
     counters = KernelCounters()
-    local_bounds = (
-        BoundTable.from_payload(task.bounds) if task.bounds is not None else None
-    )
     best = best_in_thread_range(
         task.scheme,
         task.g,
@@ -188,20 +181,16 @@ def _scan(task: _ChunkTask, tumor: BitMatrix, normal: BitMatrix):
         task.lam_start,
         task.lam_end,
         counters=counters,
-        bounds=local_bounds,
-        iteration=task.iteration,
+        bounds=task.bounds,
         sparse=task.sparse,
     )
-    deltas = (
-        local_bounds.deltas(task.iteration) if local_bounds is not None else None
-    )
-    return best, counters, deltas
+    return best, counters, task.bounds
 
 
 def _search_chunk(task: _ChunkTask):
     """Worker-side: attach, search the λ range, return winner + accounting.
 
-    Returns ``(winner, counters, pid, wall_s, telemetry_state, deltas)``.
+    Returns ``(winner, counters, pid, wall_s, telemetry_state, bounds)``.
     When ``task.trace`` is set the worker records a ``scan_chunk`` span
     in a *fresh local* session — never the fork-inherited global one —
     and ships the exported state back over this result channel for the
@@ -221,9 +210,9 @@ def _search_chunk(task: _ChunkTask):
         normal = BitMatrix(
             _attach(task.normal_name, task.normal_shape), task.normal_samples
         )
-        best, counters, deltas = _scan(task, tumor, normal)
+        best, counters, bounds = _scan(task, tumor, normal)
     state = telemetry.export_state() if task.trace else None
-    return best, counters, os.getpid(), span.duration_s, state, deltas
+    return best, counters, os.getpid(), span.duration_s, state, bounds
 
 
 # -- per-run statistics --------------------------------------------------
@@ -529,8 +518,8 @@ class PoolEngine:
             "scan_chunk", cat="pool", lam_start=task.lam_start,
             lam_end=task.lam_end, inline=True,
         ) as span:
-            best, counters, deltas = _scan(task, tumor, normal)
-        return best, counters, os.getpid(), span.duration_s, None, deltas, True
+            best, counters, bounds = _scan(task, tumor, normal)
+        return best, counters, os.getpid(), span.duration_s, None, bounds, True
 
     def _ingest(self, result, tel):
         """Merge one chunk result into the live session as it arrives.
@@ -539,7 +528,7 @@ class PoolEngine:
         here — in future-resolution order, not after the whole call —
         so a concurrent ``/metrics`` scrape or progress monitor sees
         per-chunk movement mid-iteration.  The later partition-order
-        loop only merges kernel counters and bound deltas, keeping
+        loop only merges kernel counters and bound slices, keeping
         those bit-deterministic.
         """
         _, chunk_counters, _, _, tel_state, _, _ = result
@@ -551,15 +540,6 @@ class PoolEngine:
 
     # -- the arg-max ---------------------------------------------------
 
-    def chunk_cuts(self, g: int) -> tuple[int, ...]:
-        """The deterministic equi-area chunk boundaries of a full-grid call.
-
-        The solver merges these into its bound table's block boundaries
-        so every worker chunk is a whole number of λ-blocks.
-        """
-        total = total_threads(self.scheme, g)
-        return equiarea_range_boundaries(self.scheme, g, 0, total, self._n_cuts)
-
     def best_combo(
         self,
         tumor: BitMatrix,
@@ -570,7 +550,6 @@ class PoolEngine:
         counters: "KernelCounters | None" = None,
         stats: "PoolStats | None" = None,
         bounds: "BoundTable | None" = None,
-        iteration: int = 0,
     ) -> "MultiHitCombination | None":
         """Pooled arg-max over ``[lam_start, lam_end)``.
 
@@ -578,11 +557,10 @@ class PoolEngine:
         per-chunk winners are reduced with the library-wide tie rule, so
         worker count and chunk boundaries never change the result.
 
-        ``bounds`` enables lazy-greedy pruning: each chunk task carries
-        the parent table's slice for its λ-range, workers prune against
-        it, and refreshed bounds come back as per-chunk deltas that are
-        folded into the parent table here.  A chunk whose range does not
-        align with the table's blocks simply runs unpruned.
+        ``bounds`` (a table covering ``[lam_start, lam_end)``) enables
+        pruning: each chunk task carries a copy of the table's slice for
+        its λ-range, workers prune against it, and the refreshed slices
+        are written back here in partition order.
         """
         g = tumor.n_genes
         if normal.n_genes != g:
@@ -636,12 +614,7 @@ class PoolEngine:
                 ),
                 trace=tel.enabled,
                 trace_ctx=dispatch_ctx,
-                bounds=(
-                    bounds.slice_payload(lo, hi)
-                    if bounds is not None and bounds.aligned(lo, hi)
-                    else None
-                ),
-                iteration=iteration,
+                bounds=None if bounds is None else bounds.slice(lo, hi),
                 sparse=self.sparse,
             )
             for i, (lo, hi) in enumerate(ranges)
@@ -681,11 +654,11 @@ class PoolEngine:
         winners: list["MultiHitCombination | None"] = []
         for i, (
             (lo, hi),
-            (best, chunk_counters, pid, wall, tel_state, deltas, retried),
+            (best, chunk_counters, pid, wall, tel_state, refreshed, retried),
         ) in enumerate(zip(ranges, results)):
             winners.append(best)
-            if bounds is not None and deltas:
-                bounds.apply_deltas(deltas, iteration)
+            if refreshed is not None:
+                bounds.write_back(refreshed)
             if counters is not None:
                 counters.merge(chunk_counters)
             if not retried and self.retry_policy.is_straggler(wall):

@@ -89,16 +89,12 @@ class MultiHitResult:
 
 class _LocalEngine:
     """Engine surface of a backend that scans the whole grid in this
-    process: no cuts to align a bound table to, no recovery to report,
-    nothing to release."""
+    process: no recovery to report, nothing to release."""
 
     report = None
 
     def __init__(self, best_combo) -> None:
         self.best_combo = best_combo
-
-    def chunk_cuts(self, g: int) -> None:
-        return None
 
     def close(self) -> None:
         pass
@@ -149,8 +145,8 @@ def _distributed_engine(solver: "MultiHitSolver"):
 
 
 #: Backend name -> factory of the run's engine.  Every engine answers
-#: ``best_combo(tumor, normal, params, counters=, bounds=, iteration=)``
-#: and exposes ``chunk_cuts(g)``, ``report`` and ``close()``.
+#: ``best_combo(tumor, normal, params, counters=, bounds=)`` and exposes
+#: ``report`` and ``close()``.
 _ENGINES = {
     "single": _single_engine,
     "pool": _pool_engine,
@@ -193,18 +189,17 @@ class MultiHitSolver:
         engine; detected faults and recovery actions come back on
         ``result.fault_report``.
     prune:
-        Switch on the lazy-greedy pruned iteration engine: a persistent
-        two-level :class:`repro.core.bounds.BoundTable` lets every
-        iteration after the first skip whole super-blocks (and then
-        individual blocks) whose previous best F cannot beat (or tie)
-        the incumbent, surviving blocks are scored by the fused
-        multi-block scan (one λ-decode per stride, word-stride-fused
-        AND/popcount), and the scan runs on a column-compacted tumor
-        matrix.  Results are bit-identical to the unpruned engine on
-        every backend; only the work counters (and wall time) change.
-        Ignored by the ``"sequential"`` oracle.
-        The bound table has :meth:`BoundTable.build`'s default block
-        count with the backend's chunk/partition cuts merged in on top.
+        Make every arg-max an exact branch and bound: a persistent
+        :class:`repro.core.bounds.BoundTable` keeps one upper bound on F
+        per λ thread (8 bytes per thread), each thread is bounded by
+        ``min(stored, fscore(TP_prefix, Nn))``, threads are scored
+        best-first, and the scan stops at the first bound strictly
+        below the incumbent — from the first iteration on, since the
+        prefix ceiling needs no history.  The scan runs on a
+        column-compacted tumor matrix.  Results are bit-identical to
+        the unpruned engine on every backend; only the work counters
+        (and wall time) change.  Ignored by the ``"sequential"``
+        oracle.
     elastic:
         Lease-based work stealing instead of fixed partitions
         (``"distributed"`` and ``"pool"`` backends).  The λ-space is cut
@@ -315,7 +310,11 @@ class MultiHitSolver:
         tel = get_telemetry()
         try:
             try:
-                table = self._build_bound_table(tumor.n_genes, engine, resume)
+                table = (
+                    BoundTable.build(self.scheme, tumor.n_genes)
+                    if self.prune and self.backend != "sequential"
+                    else None
+                )
                 with tel.span(
                     "solve", cat="solver", backend=self.backend, hits=self.hits,
                     prune=self.prune,
@@ -341,28 +340,6 @@ class MultiHitSolver:
             return result
         finally:
             engine.close()
-
-    # -- lazy-greedy machinery -----------------------------------------
-
-    def _build_bound_table(self, g: int, engine, resume) -> "BoundTable | None":
-        """Create (or adopt from a checkpoint) the run's bound table.
-
-        The backend's chunk/partition cuts are merged into the block
-        boundaries so every range a backend searches is a whole number
-        of blocks.  A persisted table is adopted only when it describes
-        the identical grid and blocks; otherwise it is silently dropped
-        — the table is a cache, and starting stale merely costs rescans.
-        """
-        if not self.prune or self.backend == "sequential":
-            return None
-        with get_telemetry().span("prune.table_build", cat="solver"):
-            table = BoundTable.build(self.scheme, g, cuts=engine.chunk_cuts(g))
-        persisted = getattr(resume, "bound_table", None)
-        if persisted is not None:
-            restored = BoundTable.from_payload(persisted)
-            if restored.matches(table):
-                table = restored
-        return table
 
     def _compact(self, tumor: BitMatrix, active: np.ndarray) -> BitMatrix:
         """The scoring matrix for the current ``active`` set.
@@ -420,8 +397,7 @@ class MultiHitSolver:
                 remaining=remaining_before,
             ) as span:
                 best = engine.best_combo(
-                    work, normal, params, counters=counters,
-                    bounds=table, iteration=len(combos),
+                    work, normal, params, counters=counters, bounds=table
                 )
             dt = span.duration_s
             iter_scored = counters.combos_scored - scored_0
@@ -457,12 +433,7 @@ class MultiHitSolver:
                 from repro.core.checkpoint import SolverState
 
                 on_iteration(
-                    SolverState.capture(
-                        self.hits, self.alpha, combos, active,
-                        bound_table=(
-                            table.to_payload() if table is not None else None
-                        ),
-                    )
+                    SolverState.capture(self.hits, self.alpha, combos, active)
                 )
         return MultiHitResult(
             combinations=combos,

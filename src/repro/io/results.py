@@ -33,8 +33,8 @@ def result_to_dict(result: MultiHitResult) -> dict:
             "word_reads": result.counters.word_reads,
             "word_ops": result.counters.word_ops,
             "combos_pruned": result.counters.combos_pruned,
-            "blocks_scanned": result.counters.blocks_scanned,
-            "blocks_skipped": result.counters.blocks_skipped,
+            "threads_scanned": result.counters.threads_scanned,
+            "threads_skipped": result.counters.threads_skipped,
         },
         "combinations": [
             {"genes": list(c.genes), "f": c.f, "tp": c.tp, "tn": c.tn}
@@ -88,7 +88,11 @@ def load_result(path: "str | Path") -> MultiHitResult:
         )
         for r in raw["iterations"]
     ]
-    counters = KernelCounters(**raw["counters"])
+    # Files from the block-table engine also carry its block counts.
+    counters = KernelCounters(**{
+        k: v for k, v in raw["counters"].items()
+        if k not in ("blocks_scanned", "blocks_skipped")
+    })
     return MultiHitResult(
         combinations=combos,
         iterations=iterations,

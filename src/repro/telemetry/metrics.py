@@ -91,8 +91,8 @@ class MetricsRegistry:
         """Fold a :class:`repro.core.kernels.KernelCounters` in.
 
         The pruning fields land under ``prune.*``: they describe the
-        lazy-greedy engine, not kernel traffic, and are only emitted
-        when the pruned path actually ran.
+        pruned best-first engine, not kernel traffic, and are only
+        emitted when the pruned path actually ran.
         """
         self.inc("kernel.combos_scored", counters.combos_scored)
         self.inc("kernel.word_reads", counters.word_reads)
@@ -102,11 +102,10 @@ class MetricsRegistry:
             self.inc("kernel.inner_tables_built", counters.inner_tables_built)
         if counters.word_reads_skipped:
             self.inc("kernel.word_reads_skipped", counters.word_reads_skipped)
-        if counters.blocks_scanned or counters.blocks_skipped:
+        if counters.threads_scanned or counters.threads_skipped:
             self.inc("prune.combos_pruned", counters.combos_pruned)
-            self.inc("prune.blocks_skipped", counters.blocks_skipped)
-            self.inc("prune.blocks_scanned", counters.blocks_scanned)
-            self.inc("prune.supers_skipped", counters.supers_skipped)
+            self.inc("prune.threads_skipped", counters.threads_skipped)
+            self.inc("prune.threads_scanned", counters.threads_scanned)
 
     # -- merge / serialization -----------------------------------------
 

@@ -1,31 +1,39 @@
-"""Tests for the lazy-greedy pruned iteration engine.
+"""Tests for the pruned best-first arg-max.
 
-Covers the :class:`repro.core.bounds.BoundTable` itself, the soundness
-contract (pruned results bit-identical to unpruned on every backend,
-including under injected faults), the tie-break regression (out-of-order
-block visitation still resolves ties to the lexicographically smallest
-tuple), pruning effectiveness, and checkpoint interaction (resume with
-and without the persisted table).
+Covers the per-thread :class:`repro.core.bounds.BoundTable` itself, the
+soundness contract (pruned results bit-identical to unpruned and to the
+sequential oracle on every backend, including under injected faults and
+on tie-heavy cohorts), the strict stop rule and the tie-break under
+scrambled visiting order, pruning effectiveness, the gathered-traffic
+meter, and checkpoint interaction (the table is never persisted; older
+checkpoints carrying a block table still resume).
 """
 
-import dataclasses
+import itertools
+import json
+import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.core.engine as engine_mod
+import repro.core.kernels as kernels_mod
+from repro.bitmatrix.matrix import BitMatrix
+from repro.combinatorics.decode import combos_from_linear
 from repro.core.bounds import BoundTable
 from repro.core.checkpoint import load_state, save_state
 from repro.core.engine import best_in_thread_range
-from repro.core.kernels import KernelCounters
-from repro.core.sequential import sequential_best_combo
+from repro.core.fscore import FScoreParams
+from repro.core.kernels import KernelCounters, score_combos_reference
+from repro.core.sequential import sequential_best_combo, sequential_solve
 from repro.core.solver import MultiHitSolver
 from repro.data.synthesis import CohortConfig, generate_cohort
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.scheduling.schemes import scheme_for
-from repro.scheduling.workload import (
-    cumulative_work_before,
-    total_threads,
-)
+from repro.scheduling.workload import total_threads
 
 
 def signature(result):
@@ -44,25 +52,28 @@ def matrices(cohort):
     return cohort.tumor.values, cohort.normal.values
 
 
-@pytest.fixture
-def block_count(monkeypatch):
-    """``block_count(n)``: solves from here on build their bound table
-    with ``n`` target blocks.  The solver always builds at
-    :meth:`BoundTable.build`'s default; the geometry tests reach the
-    ``n_blocks`` seam underneath it."""
-    build = BoundTable.build.__func__
+def _packed(t, n):
+    tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
+    return tumor, normal, FScoreParams(n_tumor=t.shape[1], n_normal=n.shape[1])
 
-    def use(n_blocks):
-        monkeypatch.setattr(
-            BoundTable, "build",
-            classmethod(
-                lambda cls, scheme, g, cuts=None: build(
-                    cls, scheme, g, cuts=cuts, n_blocks=n_blocks
-                )
-            ),
-        )
 
-    return use
+def _thread_maxima(scheme, g, t, n, params) -> np.ndarray:
+    """Exact best F of every thread (``-inf`` for one owning nothing), by
+    the reference scorer."""
+    tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
+    tuples = combos_from_linear(
+        np.arange(total_threads(scheme, g)), scheme.flattened
+    )
+    out = np.full(len(tuples), -np.inf)
+    for lam, tup in enumerate(tuples.tolist()):
+        combos = [
+            (*tup, *rest)
+            for rest in itertools.combinations(range(tup[-1] + 1, g), scheme.inner)
+        ]
+        if combos:
+            f, _, _ = score_combos_reference(tumor, normal, np.asarray(combos), params)
+            out[lam] = f.max()
+    return out
 
 
 # -- BoundTable unit tests ------------------------------------------------
@@ -71,182 +82,101 @@ def block_count(monkeypatch):
 class TestBoundTable:
     def test_build_partitions_grid(self):
         scheme = scheme_for(3, 2)
-        g = 20
-        table = BoundTable.build(scheme, g, n_blocks=8)
-        total = total_threads(scheme, g)
-        assert table.boundaries[0] == 0
-        assert table.boundaries[-1] == total
-        assert (np.diff(table.boundaries) > 0).all()
-        # Per-block works sum to the whole grid's work.
-        assert table.works.sum() == cumulative_work_before(scheme, g, total)
-        assert (table.stamps == -1).all()
-        assert np.isinf(table.bounds).all()
+        table = BoundTable.build(scheme, 20)
+        # One never-scored entry per λ thread of the whole grid.
+        assert (table.lam_start, table.lam_end) == (0, total_threads(scheme, 20))
+        assert table.values.dtype == np.float64
+        assert np.isinf(table.values).all()
 
     def test_backend_cuts_merged(self):
+        """Any λ cut works: slices at a backend's cuts, refreshed and
+        written back in partition order, rebuild the whole table."""
         scheme = scheme_for(3, 2)
-        g = 20
-        total = total_threads(scheme, g)
+        total = total_threads(scheme, 20)
         cuts = (0, 17, 171, total)
-        table = BoundTable.build(scheme, g, cuts=cuts, n_blocks=4)
-        for c in cuts:
-            assert c in table.boundaries
-        # Every cut range is aligned, i.e. a whole number of blocks.
-        assert table.aligned(17, 171)
-        i0, i1 = table.block_slice(17, 171)
-        assert table.boundaries[i0] == 17 and table.boundaries[i1] == 171
+        table = BoundTable.build(scheme, 20)
+        for lo, hi in zip(cuts, cuts[1:]):
+            part = table.slice(lo, hi)
+            part.refresh(np.arange(hi - lo), np.arange(lo, hi) / total)
+            table.write_back(part)
+        assert (table.values == np.arange(total) / total).all()
 
     def test_unaligned_range_rejected(self):
-        table = BoundTable.build(scheme_for(3, 2), 20, n_blocks=4)
-        assert not table.aligned(1, 5)
-        with pytest.raises(ValueError, match="not aligned"):
-            table.block_slice(1, 5)
+        scheme = scheme_for(3, 2)
+        table = BoundTable.build(scheme, 20)
+        with pytest.raises(ValueError, match="outside"):
+            table.slice(1, table.lam_end + 1)
+        t = np.ones((20, 8), dtype=bool)
+        tumor, normal, params = _packed(t, t)
+        # The scan's range must be exactly the table's.
+        with pytest.raises(ValueError, match="bound table covers"):
+            best_in_thread_range(
+                scheme, 20, tumor, normal, params, 5, 50,
+                bounds=table.slice(0, 50),
+            )
 
     def test_visit_order_descending_with_id_ties(self):
-        table = BoundTable.build(scheme_for(3, 2), 20, n_blocks=6)
-        n = table.n_blocks
-        table.bounds[:] = 0.5
-        table.bounds[n - 1] = 0.9
-        order = table.visit_order(0, n)
-        assert order[0] == n - 1
-        # Equal bounds resolve to ascending block id.
-        assert list(order[1:]) == list(range(n - 1))
+        table = BoundTable(np.array([0.5, 0.9, np.inf, 0.5, 0.5]))
+        ceiling = np.array([0.7, 0.7, 0.6, 0.8, 0.5])
+        order, keys = table.visit_order(ceiling)
+        # min(stored, ceiling) = [.5, .7, .6, .5, .5]; equal bounds visit
+        # in ascending λ.
+        assert order.tolist() == [1, 2, 0, 3, 4]
+        assert keys.tolist() == [0.7, 0.6, 0.5, 0.5, 0.5]
+        # A shorter ceiling orders only the threads it covers.
+        assert table.visit_order(ceiling[:2])[0].tolist() == [1, 0]
 
     def test_can_skip_requires_stamp_and_strict_bound(self):
-        table = BoundTable.build(scheme_for(3, 2), 20, n_blocks=4)
-        # Never-scored blocks are never skippable.
-        assert not table.can_skip(0, 0.1)
-        table.refresh(0, 0.5, iteration=0)
-        assert table.can_skip(0, 0.6)
-        # An equal bound may hide an equal-F lexicographic tie: no skip.
-        assert not table.can_skip(0, 0.5)
-        assert not table.can_skip(0, 0.4)
-
-    def test_payload_round_trip(self):
-        table = BoundTable.build(scheme_for(3, 2), 20, n_blocks=6)
-        table.refresh(1, 0.25, iteration=3)
-        lo, hi = table.block_range(0)[0], table.block_range(2)[1]
-        payload = table.slice_payload(lo, hi)
-        import json
-
-        clone = BoundTable.from_payload(json.loads(json.dumps(payload)))
-        assert clone.offset == 0
-        assert clone.n_blocks == 3
-        assert clone.stamps[1] == 3
-        assert clone.bounds[1] == 0.25
-        assert np.isinf(clone.bounds[0])  # None -> +inf survives JSON
+        """Exact bounds equal to the winner's F are scored (they may hide
+        a lexicographically smaller tie); everything strictly below is
+        left unvisited."""
+        rng = np.random.default_rng(3)
+        base_t = rng.random((5, 40)) < 0.5
+        base_n = rng.random((5, 40)) < 0.2
+        t, n = np.vstack([base_t, base_t]), np.vstack([base_n, base_n])
+        scheme, g = scheme_for(3, 2), 10
+        tumor, normal, params = _packed(t, n)
+        exact = _thread_maxima(scheme, g, t, n, params)
+        expected = sequential_best_combo(t, n, 3, params)
+        table = BoundTable(np.where(np.isfinite(exact), exact, np.inf))
+        counters = KernelCounters()
+        got = best_in_thread_range(
+            scheme, g, tumor, normal, params, 0, total_threads(scheme, g),
+            counters=counters, bounds=table,
+        )
+        assert got == expected
+        ties = int((exact == expected.f).sum())
+        assert ties > 1
+        assert counters.threads_scanned == ties
+        # Threads owning no combination are never visited nor counted.
+        owning = np.isfinite(exact)
+        assert counters.threads_skipped == int((exact[owning] < expected.f).sum())
 
     def test_deltas_address_parent_blocks(self):
-        table = BoundTable.build(scheme_for(3, 2), 20, n_blocks=6)
-        lo = table.block_range(2)[0]
-        hi = table.block_range(4)[1]
-        child = BoundTable.from_payload(table.slice_payload(lo, hi))
-        assert child.offset == 2
-        child.refresh(1, 0.7, iteration=5)  # local block 1 == global 3
-        deltas = child.deltas(5)
-        assert deltas == [(3, 0.7)]
-        table.apply_deltas(deltas, iteration=5)
-        assert table.bounds[3] == 0.7
-        assert table.stamps[3] == 5
-        # Stale (earlier-iteration) entries don't leak into deltas.
-        assert child.deltas(4) == []
+        table = BoundTable.build(scheme_for(3, 2), 20)
+        child = table.slice(40, 60)
+        assert child.lam_start == 40
+        child.refresh(np.array([1]), np.array([0.7]))  # local 1 == global 41
+        assert np.isinf(table.values[41])  # a copy until written back
+        table.write_back(child)
+        assert table.values[41] == 0.7
+        assert np.isinf(np.delete(table.values, 41)).all()
 
-    def test_matches_and_reset(self):
-        scheme = scheme_for(3, 2)
-        a = BoundTable.build(scheme, 20, n_blocks=6)
-        b = BoundTable.build(scheme, 20, n_blocks=6)
-        assert a.matches(b)
-        assert not a.matches(BoundTable.build(scheme, 21, n_blocks=6))
-        assert not a.matches(BoundTable.build(scheme, 20, n_blocks=3))
-        a.refresh(0, 0.3, iteration=1)
-        a.reset()
-        assert (a.stamps == -1).all() and np.isinf(a.bounds).all()
-
-
-# -- hierarchical (super-block) layer --------------------------------------
-
-
-class TestSuperBlocks:
-    def _table(self, super_size=3):
-        return BoundTable.build(
-            scheme_for(3, 2), 20, n_blocks=8, super_size=super_size
-        )
-
-    def test_geometry_and_derived_aggregates(self):
-        table = self._table(super_size=3)
-        k = table.super_size
-        assert table.n_supers == -(-table.n_blocks // k)
-        covered = []
-        for s in range(table.n_supers):
-            a, b = table.super_block_range(s)
-            covered.extend(range(a, b))
-            assert table.super_work(s) == int(table.works[a:b].sum())
-            assert table.super_of(a) == s
-        assert covered == list(range(table.n_blocks))
-
-    def test_skip_requires_all_members_stamped_and_strict_bound(self):
-        table = self._table(super_size=3)
-        a, b = table.super_block_range(0)
-        # Fresh table: nothing skippable.
-        assert not table.can_skip_super(0, 1.0)
-        for blk in range(a, b - 1):
-            table.refresh(blk, 0.2, iteration=0)
-        # One member still unstamped: no super skip.
-        assert not table.can_skip_super(0, 1.0)
-        table.refresh(b - 1, 0.5, iteration=0)
-        assert table.can_skip_super(0, 0.6)
-        # Aggregate is the member max, and the inequality is strict.
-        assert not table.can_skip_super(0, 0.5)
-        assert not table.can_skip_super(0, 0.3)
-
-    def test_visit_order_descending_with_id_ties(self):
-        table = self._table(super_size=2)
-        for blk in range(table.n_blocks):
-            table.refresh(blk, 0.5, iteration=0)
-        a, _ = table.super_block_range(table.n_supers - 1)
-        table.refresh(a, 0.9, iteration=0)
-        order = table.super_visit_order(0, table.n_blocks)
-        assert order[0] == table.n_supers - 1
-        assert list(order[1:]) == list(range(table.n_supers - 1))
-
-    def test_refresh_reset_and_deltas_update_aggregates(self):
-        table = self._table(super_size=3)
-        table.refresh(0, 0.4, iteration=0)
-        assert not table.can_skip_super(0, 1.0)  # siblings unstamped
-        a, b = table.super_block_range(0)
-        for blk in range(a, b):
-            table.refresh(blk, 0.4, iteration=0)
-        assert table.can_skip_super(0, 0.5)
-        table.reset()
-        assert not table.can_skip_super(0, 0.5)
-        # Delta fold-back (the pool path) refreshes aggregates too.
-        table.apply_deltas([(blk, 0.1) for blk in range(a, b)], iteration=1)
-        assert table.can_skip_super(0, 0.2)
-
-    def test_payload_round_trip_preserves_super_size(self):
-        import json
-
-        table = self._table(super_size=5)
-        clone = BoundTable.from_payload(
-            json.loads(json.dumps(table.to_payload()))
-        )
-        assert clone.super_size == 5
-        # Older payloads without the field still load (default fan-out).
-        legacy = table.to_payload()
-        del legacy["super_size"]
-        assert BoundTable.from_payload(legacy).super_size == 8
-
-    def test_super_size_one_degenerates_to_blocks(self):
-        table = self._table(super_size=1)
-        assert table.n_supers == table.n_blocks
-        table.refresh(2, 0.3, iteration=0)
-        assert table.can_skip_super(2, 0.4) == table.can_skip(2, 0.4)
+    def test_payload_round_trip(self):
+        # What a pool chunk ships: the slice survives pickling, +inf too.
+        table = BoundTable.build(scheme_for(3, 2), 20)
+        table.values[3] = 0.25
+        clone = pickle.loads(pickle.dumps(table.slice(2, 6)))
+        assert clone.lam_start == 2
+        assert clone.values[1] == 0.25
+        assert np.isinf(clone.values[0])
 
 
 # -- tie-break regression -------------------------------------------------
 
 
 class TestTieBreak:
-    """Out-of-order block visitation must not change tie resolution."""
+    """Out-of-order visitation must not change tie resolution."""
 
     @pytest.fixture
     def tied_instance(self, rng):
@@ -260,31 +190,72 @@ class TestTieBreak:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_shuffled_priorities_match_sequential(self, tied_instance, seed):
         t, n = tied_instance
-        from repro.bitmatrix.matrix import BitMatrix
-        from repro.core.fscore import FScoreParams
-
-        tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
-        params = FScoreParams(n_tumor=t.shape[1], n_normal=n.shape[1])
+        tumor, normal, params = _packed(t, n)
         scheme = scheme_for(3, 2)
         g = t.shape[0]
         expected = sequential_best_combo(t, n, 3, params)
-
-        table = BoundTable.build(scheme, g, n_blocks=7)
-        # Arbitrary priorities scramble the visitation order; stamps stay
-        # -1 so nothing is skippable — this isolates order-independence.
-        table.bounds[:] = np.random.default_rng(seed).random(table.n_blocks)
+        # Valid bounds with arbitrary slack scramble the visiting order.
+        exact = _thread_maxima(scheme, g, t, n, params)
+        slack = np.random.default_rng(seed).random(len(exact))
+        table = BoundTable(np.where(np.isfinite(exact), exact + slack, np.inf))
         got = best_in_thread_range(
             scheme, g, tumor, normal, params, 0, total_threads(scheme, g),
-            bounds=table, iteration=0,
+            bounds=table,
         )
         assert got == expected
 
-    def test_pruned_iterations_keep_tie_rule(self, tied_instance, block_count):
+    def test_pruned_iterations_keep_tie_rule(self, tied_instance):
         t, n = tied_instance
         ref = MultiHitSolver(hits=3, backend="sequential").solve(t, n)
-        block_count(9)
         pruned = MultiHitSolver(hits=3, prune=True).solve(t, n)
         assert signature(pruned) == signature(ref)
+
+
+# -- property: every backend against the oracle ---------------------------
+
+
+_BACKENDS = {
+    "single": {},
+    "pool": {"backend": "pool", "n_workers": 2},
+    "pool-elastic": {"backend": "pool", "n_workers": 2, "elastic": True},
+    "distributed": {"backend": "distributed", "n_nodes": 2, "gpus_per_node": 2},
+    "distributed-elastic": {
+        "backend": "distributed", "n_nodes": 2, "gpus_per_node": 2,
+        "elastic": True,
+    },
+}
+
+
+@settings(
+    max_examples=6, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    g=st.integers(min_value=5, max_value=14),
+    hits=st.integers(min_value=2, max_value=4),
+)
+def test_pruned_backends_match_sequential_solve(seed, g, hits):
+    """Small tie-heavy cohorts — duplicated and all-zero rows — solve to
+    the sequential oracle's exact trajectory on every backend, and every
+    iteration's scored + pruned covers the grid."""
+    rng = np.random.default_rng(seed)
+    n_samples = int(rng.integers(20, 90))
+    t = rng.random((g, n_samples)) < rng.uniform(0.2, 0.6)
+    n = rng.random((g, n_samples)) < rng.uniform(0.05, 0.3)
+    t[g // 2] = t[0]  # a duplicated gene forces exact ties
+    n[g // 2] = n[0]
+    t[g - 1] = False  # an all-zero gene
+    expected = [
+        (c.genes, c.f, c.tp, c.tn) for c in sequential_solve(t, n, hits)
+    ]
+    for knobs in _BACKENDS.values():
+        result = MultiHitSolver(hits=hits, prune=True, **knobs).solve(t, n)
+        assert signature(result) == expected, knobs
+        for record in result.iterations:
+            assert (
+                record.combos_scored + record.combos_pruned == math.comb(g, hits)
+            ), knobs
 
 
 # -- cross-backend equivalence -------------------------------------------
@@ -298,13 +269,14 @@ class TestEquivalence:
         assert signature(pruned) == signature(base)
         assert pruned.uncovered == base.uncovered
 
-    @pytest.mark.parametrize("blocks", [1, 5, 160])
+    @pytest.mark.parametrize("tile", [1, 5, 160])
     def test_block_granularity_irrelevant_to_results(
-        self, matrices, blocks, block_count
+        self, matrices, tile, monkeypatch
     ):
+        """The tile budget caps the batch size; no cap moves a winner."""
         t, n = matrices
         base = MultiHitSolver(hits=3).solve(t, n)
-        block_count(blocks)
+        monkeypatch.setattr(engine_mod, "_TILE_ELEMENTS", tile)
         pruned = MultiHitSolver(hits=3, prune=True).solve(t, n)
         assert signature(pruned) == signature(base)
 
@@ -315,8 +287,8 @@ class TestEquivalence:
             hits=3, backend="pool", n_workers=2, prune=True
         ).solve(t, n)
         assert signature(pruned) == signature(base)
-        # Workers actually pruned (deltas round-tripped, counters merged).
-        assert pruned.counters.blocks_skipped > 0
+        # Workers actually pruned (slices round-tripped, counters merged).
+        assert pruned.counters.threads_skipped > 0
         assert pruned.counters.combos_pruned > 0
 
     def test_distributed_pruned_bit_identical(self, matrices):
@@ -366,10 +338,11 @@ class TestEffectiveness:
         pruned_tail = sum(r.combos_scored for r in pruned.iterations[1:])
         assert len(base.iterations) >= 3
         assert pruned_tail * 2 <= base_tail
-        # Iteration 1 has no bounds yet: full scan, nothing pruned.
-        assert pruned.iterations[0].combos_pruned == 0
+        # Iteration 1 has no stored bounds, but the prefix ceiling
+        # already prunes it.
+        assert pruned.iterations[0].combos_pruned > 0
         assert (
-            pruned.iterations[0].combos_scored == base.iterations[0].combos_scored
+            pruned.iterations[0].combos_scored < base.iterations[0].combos_scored
         )
         # Accounting closes: every combination is scored or pruned.
         for rb, rp in zip(base.iterations, pruned.iterations):
@@ -377,7 +350,8 @@ class TestEffectiveness:
 
     def test_pinned_trajectory_on_the_40_gene_cohort(self):
         """Exact pruned-vs-unpruned totals on one fixed cohort: any change
-        to block bounds, visiting order or the traffic charge moves them."""
+        to the bounds, the visiting order or the traffic charge moves
+        them."""
         cohort = generate_cohort(
             CohortConfig(n_genes=40, n_tumor=120, n_normal=120, hits=3, seed=0)
         )
@@ -391,15 +365,15 @@ class TestEffectiveness:
             return sum(getattr(r, field) for r in result.iterations[1:])
 
         assert (tail(base, "combos_scored"), tail(pruned, "combos_scored")) == (
-            167_960, 67_944,
+            167_960, 7_084,
         )
         assert (tail(base, "word_reads"), tail(pruned, "word_reads")) == (
-            117_819, 47_343,
+            117_819, 35_811,
         )
         # Run totals include the final probe iteration, which ends the
         # loop without a record.
         assert (pruned.counters.combos_scored, pruned.counters.combos_pruned) == (
-            87_704, 100_016,
+            17_132, 170_588,
         )
 
     def test_compaction_shrinks_scoring_matrix(self, matrices):
@@ -415,102 +389,101 @@ class TestEffectiveness:
         with telemetry_session() as tel:
             MultiHitSolver(hits=3, prune=True, max_iterations=3).solve(t, n)
             counters = tel.metrics.to_dict()["counters"]
-        assert counters["prune.blocks_scanned"] > 0
-        assert counters["prune.blocks_skipped"] > 0
+        assert counters["prune.threads_scanned"] > 0
+        assert counters["prune.threads_skipped"] > 0
         assert counters["prune.combos_pruned"] > 0
 
 
-# -- fused traffic accounting ----------------------------------------------
+# -- gathered traffic accounting -------------------------------------------
 
 
 class TestFusedTrafficIdentity:
-    """``word_reads`` on the pruned path follow the fused traffic model:
-    every scanned thread's ``f`` base rows are gathered once, and each
-    workload level's inner AND-table is built once per engine call.  The
-    identity must close against an independent per-block summation
-    regardless of run batching, super-block skipping, or column
-    compaction (the fused-kernel analogue of keeping compacted-matrix
-    reads and :func:`global_word_reads` apples-to-apples)."""
+    """``word_reads`` on the pruned path is what it gathers: the ceiling
+    pass's tumor rows, each batch's base rows and every inner table it
+    builds.  The identity must close against a tally of the actual row
+    gathers, across iterations and column compaction, on nested and
+    flat schemes."""
 
-    def _expected_reads(self, scheme, g, w, table, iteration):
-        from repro.combinatorics.decode import top_index
-        from repro.scheduling.workload import level_range, level_work
+    @pytest.fixture
+    def gathered(self, monkeypatch):
+        tally = [0]
+        rows, fused = engine_mod._and_reduce_rows, kernels_mod._fused_and_popcount
 
-        f, d = scheme.flattened, scheme.inner
-        total = 0
-        touched = set()
-        for blk in np.flatnonzero(table.stamps == iteration):
-            lo, hi = table.block_range(int(blk))
-            lo_top, hi_top = top_index(lo, f), top_index(hi - 1, f)
-            for m in range(lo_top, hi_top + 1):
-                a, b = level_range(scheme, m)
-                n_threads = min(b, hi) - max(a, lo)
-                if n_threads <= 0:
-                    continue
-                if d > 0 and level_work(scheme, g, m) == 0:
-                    continue
-                total += n_threads * f
-                if d > 0:
-                    touched.add(m)
-        total += sum(level_work(scheme, g, m) * d for m in touched)
-        return total * w
+        def count_rows(matrix, combos):
+            tally[0] += combos.size * matrix.n_words
+            return rows(matrix, combos)
 
-    def _pruned_scan(self, tumor, normal, params, scheme, g, table, iteration):
-        counters = KernelCounters()
-        best_in_thread_range(
-            scheme, g, tumor, normal, params,
-            0, total_threads(scheme, g),
-            counters=counters, bounds=table, iteration=iteration,
-        )
-        return counters
+        def count_fused(words, combos, word_stride):
+            tally[0] += combos.size * words.shape[1]
+            return fused(words, combos, word_stride)
+
+        monkeypatch.setattr(engine_mod, "_and_reduce_rows", count_rows)
+        monkeypatch.setattr(kernels_mod, "_fused_and_popcount", count_fused)
+        return tally
 
     @pytest.mark.parametrize("flattened", [2, 3])
     def test_identity_closes_across_iterations_and_compaction(
-        self, matrices, flattened
+        self, matrices, flattened, gathered
     ):
-        from repro.bitmatrix.matrix import BitMatrix
         from repro.bitmatrix.splicing import splice_columns
-        from repro.core.fscore import FScoreParams
 
         t, n = matrices
-        tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
-        params = FScoreParams(n_tumor=t.shape[1], n_normal=n.shape[1])
+        tumor, normal, params = _packed(t, n)
         scheme = scheme_for(3, flattened)
         g = t.shape[0]
-        table = BoundTable.build(scheme, g, n_blocks=24, super_size=4)
-        w = tumor.n_words + normal.n_words
-
-        c0 = self._pruned_scan(tumor, normal, params, scheme, g, table, 0)
-        assert c0.word_reads == self._expected_reads(scheme, g, w, table, 0)
-        assert c0.decode_strides > 0
-
-        # "Iteration 1": splice out half the tumor columns (TP only
-        # shrinks, so reusing the table is sound) and verify the identity
-        # still closes with the *compacted* word width while pruning and
-        # run batching are actually engaged.
-        keep = np.zeros(tumor.n_samples, dtype=bool)
-        keep[: tumor.n_samples // 2] = True
-        tumor2 = splice_columns(tumor, keep)
-        assert tumor2.n_words < tumor.n_words
-        w2 = tumor2.n_words + normal.n_words
-        c1 = self._pruned_scan(tumor2, normal, params, scheme, g, table, 1)
-        assert c1.blocks_skipped > 0
-        assert c1.word_reads == self._expected_reads(scheme, g, w2, table, 1)
-        # Accounting still closes combination-for-combination.
-        assert c1.combos_scored + c1.combos_pruned == int(table.works.sum())
+        table = BoundTable.build(scheme, g)
+        keep = np.ones(tumor.n_samples, dtype=bool)
+        for iteration in range(3):
+            # Splice out columns between iterations (TP only shrinks, so
+            # reusing the table is sound): the identity must hold at the
+            # compacted width.
+            tumor_now = splice_columns(tumor, keep)
+            gathered[0] = 0
+            c = KernelCounters()
+            best_in_thread_range(
+                scheme, g, tumor_now, normal, params,
+                0, total_threads(scheme, g), counters=c, bounds=table,
+            )
+            assert c.word_reads == gathered[0] > 0
+            assert c.decode_strides > 0 and c.threads_skipped > 0
+            # Accounting closes combination-for-combination.
+            assert c.combos_scored + c.combos_pruned == math.comb(g, 3)
+            keep[: tumor.n_samples // (4 - iteration)] = False
 
     def test_supers_skipped_surface_in_solver_counters(self, matrices):
         t, n = matrices
         pruned = MultiHitSolver(hits=3, prune=True).solve(t, n)
-        assert pruned.counters.supers_skipped > 0
+        # The harness-only name reads the thread skip count.
+        assert pruned.counters.supers_skipped == pruned.counters.threads_skipped
+        assert pruned.counters.threads_skipped > 0
         assert pruned.counters.decode_strides > 0
 
 
 # -- checkpoint interaction -----------------------------------------------
 
 
+def _block_table_checkpoint(state, path) -> None:
+    """``state`` in the block-table engine's checkpoint format: the same
+    fields plus the full bound table it persisted."""
+    save_state(state, path)
+    raw = json.loads(path.read_text())
+    raw["bound_table"] = {
+        "scheme_key": [3, 2, 1],
+        "g": 28,
+        "offset": 0,
+        "boundaries": [0, 120, 378],
+        "bounds": [0.31, None],
+        "stamps": [1, -1],
+        "works": [2_104, 1_172],
+        "super_size": 8,
+    }
+    path.write_text(json.dumps(raw) + "\n")
+
+
 class TestCheckpointResume:
-    def test_resume_with_and_without_table(self, matrices, tmp_path):
+    def test_resume_with_and_without_table(self, matrices):
+        """A resume rescans under the prefix ceiling alone and still
+        prunes its first iteration."""
         t, n = matrices
         full = MultiHitSolver(hits=3, prune=True).solve(t, n)
 
@@ -518,58 +491,36 @@ class TestCheckpointResume:
         MultiHitSolver(hits=3, prune=True, max_iterations=2).solve(
             t, n, on_iteration=states.append
         )
-        state = states[-1]
-        assert state.bound_table is not None
+        resumed = MultiHitSolver(hits=3, prune=True).solve(t, n, resume=states[-1])
 
-        # Resume adopting the persisted bound table.
-        with_table = MultiHitSolver(hits=3, prune=True).solve(t, n, resume=state)
-        # Resume after dropping it (older checkpoint / unknown provenance).
-        stripped = dataclasses.replace(state, bound_table=None)
-        without_table = MultiHitSolver(hits=3, prune=True).solve(
-            t, n, resume=stripped
-        )
+        assert signature(resumed) == signature(full)
+        assert len(resumed.iterations) == len(full.iterations) - 2
+        assert resumed.iterations[0].combos_pruned > 0
 
-        assert signature(with_table) == signature(full)
-        assert signature(without_table) == signature(full)
-        assert len(with_table.iterations) == len(full.iterations) - 2
-        # The adopted table prunes the resumed run's first iteration too.
-        assert with_table.iterations[0].combos_pruned > 0
-        assert without_table.iterations[0].combos_pruned == 0
-
-    def test_table_survives_json_round_trip(self, matrices, tmp_path):
+    def test_mismatched_table_geometry_dropped(self, matrices, tmp_path):
+        """A checkpoint written in the block-table format loads, its table
+        is ignored, and the run resumes to the same winners."""
         t, n = matrices
         states = []
         MultiHitSolver(hits=3, prune=True, max_iterations=2).solve(
             t, n, on_iteration=states.append
         )
         path = tmp_path / "ck.json"
-        save_state(states[-1], path)
+        _block_table_checkpoint(states[-1], path)
         loaded = load_state(path)
-        assert loaded.bound_table == states[-1].bound_table
+        assert loaded.combinations == states[-1].combinations
         full = MultiHitSolver(hits=3, prune=True).solve(t, n)
         resumed = MultiHitSolver(hits=3, prune=True).solve(t, n, resume=loaded)
         assert signature(resumed) == signature(full)
 
-    def test_mismatched_table_geometry_dropped(self, matrices, block_count):
+    def test_unpruned_runs_checkpoint_without_table(self, matrices, tmp_path):
         t, n = matrices
-        states = []
-        MultiHitSolver(hits=3, prune=True, max_iterations=2).solve(
-            t, n, on_iteration=states.append
-        )
-        block_count(16)
-        full = MultiHitSolver(hits=3, prune=True).solve(t, n)
-        # Different block geometry: the persisted table can't be adopted,
-        # but the resumed run must still be bit-identical.
-        resumed = MultiHitSolver(hits=3, prune=True).solve(
-            t, n, resume=states[-1]
-        )
-        assert signature(resumed) == signature(full)
-        assert resumed.iterations[0].combos_pruned == 0
-
-    def test_unpruned_runs_checkpoint_without_table(self, matrices):
-        t, n = matrices
-        states = []
-        MultiHitSolver(hits=3, max_iterations=1).solve(
-            t, n, on_iteration=states.append
-        )
-        assert states[-1].bound_table is None
+        for prune in (False, True):
+            states = []
+            MultiHitSolver(hits=3, prune=prune, max_iterations=1).solve(
+                t, n, on_iteration=states.append
+            )
+            save_state(states[-1], tmp_path / "ck.json")
+            assert "bound_table" not in json.loads(
+                (tmp_path / "ck.json").read_text()
+            )

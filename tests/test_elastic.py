@@ -11,6 +11,7 @@ unpruned path).  The timing-free cells of that contract are generated in
 needs a real clock: TTL expiry, heartbeats, the wall deadline.
 """
 
+import numpy as np
 import pytest
 
 from repro.bitmatrix.matrix import BitMatrix
@@ -347,15 +348,13 @@ class TestElasticDistributed:
         kwargs = dict(scheme=scheme, n_nodes=3, gpus_per_node=2)
         clean = DistributedEngine(**kwargs)
         faulty = DistributedEngine(**kwargs, elastic=True, fault_plan=plan)
-        ref_bounds = BoundTable.build(
-            scheme, g, cuts=clean.chunk_cuts(g), n_blocks=16
-        )
-        bounds = BoundTable.build(
-            scheme, g, cuts=faulty.chunk_cuts(g), n_blocks=16
-        )
+        ref_bounds = BoundTable.build(scheme, g)
+        bounds = BoundTable.build(scheme, g)
         ref = clean.best_combo(tumor, normal, params, bounds=ref_bounds)
         got = faulty.best_combo(tumor, normal, params, bounds=bounds)
         assert got == ref
+        # Each lease bounds its own slice, whoever searched it.
+        assert np.isfinite(bounds.values).any()
 
     def test_solver_elastic_distributed_under_churn(self, cohort):
         t, n = cohort

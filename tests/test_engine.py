@@ -291,9 +291,9 @@ class TestTiledScan:
     def test_refreshed_bounds_are_exact_block_maxima(self):
         # Threads through an all-zero tumor gene have TP = 0 everywhere,
         # and with a dense normal matrix their best F sits below the
-        # TP = 0 ceiling fscore(0, Nn), which the sparse scan once stored
-        # for them.  Every refreshed bound is now the block's exact
-        # maximum, recounted by the reference scorer.
+        # TP = 0 ceiling fscore(0, Nn).  Every refreshed bound is the
+        # thread's exact maximum, recounted by the reference scorer, and
+        # every stored bound still bounds its thread after the splice.
         rng = np.random.default_rng(4)
         g, nt, nn = 16, 600, 40
         t = rng.random((g, nt)) < 0.7
@@ -303,22 +303,24 @@ class TestTiledScan:
         params = FScoreParams(n_tumor=nt, n_normal=nn)
         ceiling = tp_zero_ceiling(params)
         for scheme in (scheme_for(3, 2), scheme_for(4, 3), scheme_for(4, 2)):
-            table = BoundTable.build(scheme, g, n_blocks=24, super_size=4)
+            table = BoundTable.build(scheme, g)
             keep = np.ones(nt, dtype=bool)
-            for iteration in range(3):
+            for _ in range(3):
                 t_now = splice_columns(tumor, keep)
+                before = table.values.copy()
                 best = best_in_thread_range(
                     scheme, g, t_now, normal, params,
-                    0, total_threads(scheme, g),
-                    bounds=table, iteration=iteration, sparse=True,
+                    0, total_threads(scheme, g), bounds=table, sparse=True,
                 )
                 assert best.f > ceiling
-                refreshed = np.flatnonzero(table.stamps == iteration)
-                for b in refreshed:
-                    exact = _block_max(scheme, g, t_now, normal, params, b, table)
-                    assert table.bounds[b] == exact
-                if iteration == 0:  # every block scanned, none at the ceiling
-                    assert (table.bounds < ceiling).any()
+                refreshed = np.flatnonzero(table.values != before)
+                assert refreshed.size
+                for lam in refreshed:
+                    exact = _thread_max(scheme, g, t_now, normal, params, lam)
+                    assert table.values[lam] == exact
+                for lam in np.flatnonzero(np.isfinite(table.values)):
+                    exact = _thread_max(scheme, g, t_now, normal, params, lam)
+                    assert table.values[lam] >= exact
                 keep[rng.random(nt) < 0.3] = False
 
     def test_full_grid_takes_few_tiles(self):
@@ -342,13 +344,12 @@ class TestTiledScan:
         assert counters.decode_strides <= 40
 
 
-def _block_max(scheme, g, tumor, normal, params, b, table) -> float:
-    """Exact best F over block ``b``'s combinations, by the reference
-    scorer (``-inf`` when its threads own none)."""
-    lo, hi = table.block_range(b)
+def _thread_max(scheme, g, tumor, normal, params, lam) -> float:
+    """Exact best F over thread ``lam``'s combinations, by the reference
+    scorer (``-inf`` when it owns none)."""
+    (tup,) = combos_from_linear(np.array([lam]), scheme.flattened).tolist()
     combos = [
         (*tup, *rest)
-        for tup in combos_from_linear(np.arange(lo, hi), scheme.flattened).tolist()
         for rest in itertools.combinations(range(tup[-1] + 1, g), scheme.inner)
     ]
     if not combos:

@@ -242,15 +242,11 @@ class TestEngineSparseEquivalence:
         tumor, normal, params = self._instance(seed=3)
         g = tumor.n_genes
         dense = SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
-        table = BoundTable.build(scheme, g, n_blocks=8)
+        table = BoundTable.build(scheme, g)
         c = KernelCounters()
         eng = SingleGpuEngine(scheme=scheme, sparse=True)
-        first = eng.best_combo(
-            tumor, normal, params, counters=c, bounds=table, iteration=0
-        )
-        again = eng.best_combo(
-            tumor, normal, params, counters=c, bounds=table, iteration=1
-        )
+        first = eng.best_combo(tumor, normal, params, counters=c, bounds=table)
+        again = eng.best_combo(tumor, normal, params, counters=c, bounds=table)
         assert first == dense
         assert again == dense
 

@@ -480,8 +480,8 @@ class TestPruneSummaryAgreement:
         c = summary["counters"]
         assert c["kernel.combos_scored"] == result.counters.combos_scored
         assert c["prune.combos_pruned"] == result.counters.combos_pruned
-        assert c["prune.blocks_scanned"] == result.counters.blocks_scanned
-        assert c["prune.blocks_skipped"] == result.counters.blocks_skipped
+        assert c["prune.threads_scanned"] == result.counters.threads_scanned
+        assert c["prune.threads_skipped"] == result.counters.threads_skipped
         # The per-iteration feed closes against the run counters even
         # though the final probe iteration emits no IterationRecord.
         assert c["progress.combos_scored"] == result.counters.combos_scored
