@@ -37,6 +37,7 @@ from repro.cluster.leases import LeaseLedger
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
 from repro.core.distributed import run_lease, search_lease
+from repro.core.engine import NormalHitStore
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
 from repro.core.reduction import ReductionStats
@@ -361,6 +362,7 @@ def spmd_best_combo(
     sparse: bool = False,
     max_wall_s: "float | None" = 120.0,
     call: int = 0,
+    normal_hits: "NormalHitStore | None" = None,
 ) -> "MultiHitCombination | None":
     """One arg-max on a thread fleet of ``n_ranks`` over ``ledger``.
 
@@ -377,11 +379,14 @@ def spmd_best_combo(
     each lease prunes against a copy of its slice (see
     :func:`repro.core.distributed.search_lease`), and the refreshed
     slices are written back in lease-id order once the ledger is done.
+    ``normal_hits`` (a :class:`repro.core.engine.NormalHitStore`) is
+    shared by every rank's unpruned scans.
     """
     refreshed: dict = {}
     search = partial(
         search_lease, scheme, tumor=tumor, normal=normal, params=params,
         bounds=bounds, refreshed=refreshed, sparse=sparse, call=call,
+        normal_hits=normal_hits,
     )
     ElasticSPMDRunner(
         n_ranks=n_ranks,

@@ -40,7 +40,7 @@ from itertools import groupby
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
-from repro.core.engine import best_in_thread_range
+from repro.core.engine import NormalHitStore, best_in_thread_range
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
 from repro.core.reduction import ReductionStats, multi_stage_reduce
@@ -74,6 +74,7 @@ def search_lease(
     sparse: bool = False,
     call: int = 0,
     stall_s: float = 0.0,
+    normal_hits: "NormalHitStore | None" = None,
 ) -> "tuple[MultiHitCombination | None, KernelCounters]":
     """Search one lease's λ-range; returns ``(winner, counters)``.
 
@@ -85,7 +86,9 @@ def search_lease(
     every search of a lease refreshes the same values.  Metering rides
     the lease, not the run counters, so a range that is stolen and
     computed twice still counts once: the ledger keeps the first
-    completion's counters.
+    completion's counters.  ``normal_hits`` is the engine's store, shared
+    by every rank thread: whether a lease reads or fills it depends on
+    who scanned what before, its winner does not.
 
     ``stall_s`` is an injected silence — a straggler, or a hang on a
     real thread: the holder goes quiet for that long inside the search
@@ -113,6 +116,7 @@ def search_lease(
             counters=counters,
             bounds=lease_bounds,
             sparse=sparse,
+            normal_hits=normal_hits,
         )
     if lease_bounds is not None:
         refreshed.setdefault(lease.lease_id, lease_bounds)
@@ -215,7 +219,8 @@ class DistributedEngine:
     ``fault_plan`` injects rank faults and churn; recovery follows the
     module's one rule under ``retry_policy``, whose ``deadline_s`` is
     the lease TTL, and everything detected/retried/stolen lands in
-    ``report``.
+    ``report``.  One :class:`repro.core.engine.NormalHitStore`, kept
+    across calls, serves every rank thread's unpruned scans.
     """
 
     scheme: Scheme
@@ -231,6 +236,9 @@ class DistributedEngine:
     )
 
     _calls: int = field(default=0, init=False, repr=False, compare=False)
+    _normal_hits: "NormalHitStore | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def build_schedule(self, g: int) -> Schedule:
         n_parts = self.n_nodes * self.gpus_per_node
@@ -290,6 +298,10 @@ class DistributedEngine:
         call = self._calls
         self._calls += 1
         g = tumor.n_genes
+        if bounds is None:
+            self._normal_hits = NormalHitStore.reuse(
+                self._normal_hits, self.scheme, g, normal
+            )
         ttl = self.retry_policy.deadline_s
         ledger = (
             LeaseLedger(self.chunk_cuts(g), ttl_s=ttl)
@@ -305,4 +317,5 @@ class DistributedEngine:
             reduction_stats=reduction_stats, bounds=bounds,
             sparse=self.sparse, max_wall_s=None,
             call=call,
+            normal_hits=None if bounds is not None else self._normal_hits,
         )

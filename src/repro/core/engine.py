@@ -23,13 +23,29 @@ whose inner genes do not lie above the thread's top gene are set to
 ``sparse`` selects nothing on this nested path (it still selects the
 flat scheme's :func:`repro.core.kernels.score_combos` body).
 
+Normal hits are computed once per solve.  Equation 1's ``TN`` depends
+only on the normal matrix, which no greedy iteration changes (BitSplicing
+narrows the tumor side alone), so a :class:`NormalHitStore` keeps every
+combination's normal popcount, indexed by combination rank: thread λ's
+combinations occupy ``[cumulative_work_before(λ),
+cumulative_work_before(λ + 1))``, so a tile's valid entries (row-major)
+are one contiguous slice wherever a partition or a tile is cut.  A
+tile's first scan fills its slice; every later scan reads it and
+gathers, ANDs and popcounts only the tumor side (a level's normal inner
+table is built only on a miss).  The store is capped at
+:data:`NORMAL_HIT_BUDGET` bytes.  ``C(G, h)`` counts of
+``np.min_scalar_type(Nn)`` fit at cohort scale (2.5 MiB at G 200, h 3,
+Nn < 65536); threads past the cap are scored in full every time, and at
+the paper's scale (``C(20000, 4)`` combinations) almost all of them are.
+
 Counters: ``combos_scored`` and ``word_ops`` count the valid entries
 (``word_ops`` at its dense definition, ``(hits - 1)`` row ANDs per
 combination); ``decode_strides`` counts tiles and ``inner_tables_built``
-the inner tables built.  ``word_reads`` on the unpruned nested path is
-the model figure :func:`repro.core.memopt.fused_word_reads` of the
-range — computed, not gathered: ``f`` rows per thread plus one inner
-table per level the call touches.  ``word_reads_skipped`` stays 0.
+the inner tables built.  ``word_reads`` is what the scan gathers, on
+every nested path: ``f`` rows per thread of each tile and ``d`` rows per
+inner combination of each table built, from each matrix it gathers
+from, so a tile whose normal hits are stored charges only tumor rows.
+``word_reads_skipped`` stays 0.
 
 When a :class:`repro.core.bounds.BoundTable` is supplied the engine runs
 an exact branch and bound instead (:func:`_best_pruned`): every thread
@@ -40,15 +56,16 @@ next bound is *strictly* below the incumbent.  The incumbent is
 maintained with the tuple-comparing
 :func:`repro.core.combination.better`, so the winner — F, TP, TN, and
 the lexicographic tie rule — is bit-identical to the unpruned scan.
-That path's ``word_reads`` counts what it gathers, and
+It never uses the normal-hit store, and
 ``threads_scanned`` / ``threads_skipped`` / ``combos_pruned`` record
 what the bounds saved.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,17 +87,96 @@ from repro.core.kernels import (
     fused_pair_popcount,
     score_combos,
 )
-from repro.core.memopt import fused_word_reads
 from repro.scheduling.schemes import Scheme
-from repro.scheduling.workload import level_work, total_threads
+from repro.scheduling.workload import (
+    cumulative_work_before,
+    level_range,
+    level_work,
+    total_threads,
+    work_prefix_by_level,
+)
 
-__all__ = ["SingleGpuEngine", "best_in_thread_range"]
+__all__ = [
+    "NORMAL_HIT_BUDGET",
+    "NormalHitStore",
+    "SingleGpuEngine",
+    "best_in_thread_range",
+]
 
 # Soft cap on elements (combinations x words) per flat-scheme stride.
 _CHUNK_ELEMENTS = 1 << 22
 # Entries per nested-scheme tile, threads x max(inner combinations, row
 # words): every temporary of a tile holds at most this many 8-byte values.
 _TILE_ELEMENTS = 1 << 16
+#: Bytes one :class:`NormalHitStore` may hold.
+NORMAL_HIT_BUDGET = 32 << 20
+
+
+class NormalHitStore:
+    """Each combination's normal hit count, kept across a solve's scans.
+
+    Bound to one ``(scheme, g, normal)``: counts are indexed by
+    combination rank (:func:`cumulative_work_before` of the thread plus
+    the offset in its inner loop) and typed ``np.min_scalar_type(Nn)``.
+    The lowest-λ threads whose counts fit :data:`NORMAL_HIT_BUDGET`
+    bytes are stored (``[0, lam_cap)``, at most the threads whose inner
+    loops are not empty); pages are committed as they fill.  A thread is
+    marked filled once its counts are written, so a reader on another
+    thread never sees a half-written slice, and two scans of one thread
+    write equal counts.
+    """
+
+    def __init__(self, scheme: Scheme, g: int, normal: BitMatrix) -> None:
+        self.scheme, self.g, self._words = scheme, g, normal.words
+        dtype = np.min_scalar_type(normal.n_samples)
+        self._prefix = work_prefix_by_level(scheme, g)
+        cap = NORMAL_HIT_BUDGET // dtype.itemsize
+        if self._prefix[g] <= cap:
+            self.lam_cap = math.comb(g - scheme.inner, scheme.flattened)
+        else:  # the whole levels below m fit, then part of level m
+            m = bisect.bisect_right(self._prefix, cap) - 1
+            self.lam_cap = level_range(scheme, m)[0] + (
+                cap - self._prefix[m]
+            ) // level_work(scheme, g, m)
+        self.counts = np.empty(self._rank(self.lam_cap), dtype=dtype)
+        self.filled = np.zeros(self.lam_cap, dtype=bool)
+
+    @classmethod
+    def reuse(
+        cls,
+        store: "NormalHitStore | None",
+        scheme: Scheme,
+        g: int,
+        normal: BitMatrix,
+    ) -> "NormalHitStore | None":
+        """The store an engine hands an unpruned scan of ``normal``:
+        ``store`` while it is bound to ``(scheme, g, normal)``, a new one
+        otherwise, and ``None`` for a flat scheme, which reads none.  A
+        pruned scan reads none either; its callers pass no store."""
+        if not scheme.inner:
+            return None
+        if store is not None and store.binds(scheme, g, normal):
+            return store
+        return cls(scheme, g, normal)
+
+    def binds(self, scheme: Scheme, g: int, normal: BitMatrix) -> bool:
+        return (scheme, g) == (self.scheme, self.g) and normal.words is self._words
+
+    def _rank(self, lam: int) -> int:
+        return cumulative_work_before(self.scheme, self.g, lam, self._prefix)
+
+    def read(self, lo: int, hi: int) -> "np.ndarray | None":
+        """Counts of threads ``[lo, hi)`` in rank order, or ``None``
+        unless every one of them is stored."""
+        if hi > self.lam_cap or not self.filled[lo:hi].all():
+            return None
+        return self.counts[self._rank(lo) : self._rank(hi)]
+
+    def write(self, lo: int, hi: int, counts: np.ndarray) -> None:
+        """Store the counts of threads ``[lo, hi)`` (rank order, ``hi <=
+        lam_cap``)."""
+        self.counts[self._rank(lo) : self._rank(hi)] = counts
+        self.filled[lo:hi] = True
 
 
 def _and_reduce_rows(matrix: BitMatrix, combos: np.ndarray) -> np.ndarray:
@@ -95,52 +191,91 @@ def _and_reduce_rows(matrix: BitMatrix, combos: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inner_table(
-    scheme: Scheme, g: int, m: int, tumor: BitMatrix, normal: BitMatrix
-) -> tuple:
+def _gather(
+    matrix: BitMatrix, combos: np.ndarray, counters: KernelCounters
+) -> np.ndarray:
+    """:func:`_and_reduce_rows`, charged to ``word_reads`` as gathered."""
+    counters.word_reads += combos.size * matrix.n_words
+    return _and_reduce_rows(matrix, combos)
+
+
+class _Level:
     """Level ``m``'s inner combinations over genes ``m+1 .. g-1`` and
-    their tumor / normal AND rows, stored word-major ``(W, L)``."""
-    d = scheme.inner
-    inner = combinations_array(d, 0, math.comb(g - 1 - m, d))
-    inner += m + 1
-    return (
-        inner,
-        np.ascontiguousarray(_and_reduce_rows(tumor, inner).T),
-        np.ascontiguousarray(_and_reduce_rows(normal, inner).T),
-    )
+    their AND rows, stored word-major ``(W, L)``: the tumor rows at once,
+    the normal rows on first use."""
+
+    def __init__(
+        self, scheme: Scheme, g: int, m: int, tumor: BitMatrix,
+        counters: KernelCounters,
+    ) -> None:
+        d = scheme.inner
+        self.m = m
+        self.inner = combinations_array(d, 0, math.comb(g - 1 - m, d))
+        self.inner += m + 1
+        self.tumor_w = np.ascontiguousarray(_gather(tumor, self.inner, counters).T)
+        self._normal_w = None
+        counters.inner_tables_built += 1
+
+    def normal_w(self, normal: BitMatrix, counters: KernelCounters) -> np.ndarray:
+        if self._normal_w is None:
+            self._normal_w = np.ascontiguousarray(
+                _gather(normal, self.inner, counters).T
+            )
+        return self._normal_w
 
 
 def _score_tile(
     scheme: Scheme,
     tuples: np.ndarray,
-    m: int,
-    table: tuple,
+    level: _Level,
     tumor: BitMatrix,
     normal: BitMatrix,
     params: FScoreParams,
     best: "MultiHitCombination | None",
     counters: KernelCounters,
+    normal_hits: "tuple[NormalHitStore, int] | None" = None,
 ) -> tuple[np.ndarray, "MultiHitCombination | None"]:
-    """Score one tile: threads ``tuples`` (lowest level ``m``) against
-    level ``m``'s inner ``table``.
+    """Score one tile: threads ``tuples`` (lowest level ``level.m``)
+    against that level's inner table.
 
     Returns each thread's maximum F and the tile's candidate — ``None``
     unless it can displace or tie ``best``.  Entries whose inner genes
     do not lie above the thread's top gene belong to no thread; they are
-    ``-inf`` and not counted.
+    ``-inf`` and not counted.  ``normal_hits`` is a store and the
+    tile's first thread λ: the tile is then the threads ``[λ, λ + B)``,
+    whose stored normal hits replace the normal side, or whose normal
+    side fills the store.
     """
-    inner, inner_tw, inner_nw = table
-    base_t = _and_reduce_rows(tumor, tuples)
-    base_n = _and_reduce_rows(normal, tuples)
-    tp = fused_pair_popcount(base_t, inner_tw, stride_any_mask(base_t, 1))
-    tn = params.n_normal - fused_pair_popcount(
-        base_n, inner_nw, stride_any_mask(base_n, 1)
-    )
-    fvals = fscore(tp, tn, params)
+    inner = level.inner
     top = tuples[:, -1]
+    below = inner[:, 0] <= top[:, None] if top[-1] > level.m else None
+    base_t = _gather(tumor, tuples, counters)
+    tp = fused_pair_popcount(base_t, level.tumor_w, stride_any_mask(base_t, 1))
+    stored = None
+    if normal_hits is not None:
+        store, lam = normal_hits
+        hi = lam + len(tuples)
+        stored = store.read(lam, hi)
+    if stored is None:
+        base_n = _gather(normal, tuples, counters)
+        hits_n = fused_pair_popcount(
+            base_n, level.normal_w(normal, counters), stride_any_mask(base_n, 1)
+        )
+        if normal_hits is not None and hi <= store.lam_cap:
+            store.write(
+                lam, hi, hits_n.ravel() if below is None else hits_n[~below]
+            )
+    elif below is None:
+        hits_n = stored.reshape(tp.shape).astype(np.int32)
+    else:
+        hits_n = np.zeros(tp.shape, dtype=np.int32)
+        hits_n[~below] = stored
+    # int32, not the store's type: under NEP 50, Nn minus a uint8 or
+    # uint16 array would stay in that type.  In place: the hits are spent.
+    tn = np.subtract(params.n_normal, hits_n, out=hits_n)
+    fvals = fscore(tp, tn, params)
     n_valid = fvals.size
-    if top[-1] > m:  # the tile climbs past its lowest level
-        below = inner[:, 0] <= top[:, None]
+    if below is not None:  # the tile climbs past its lowest level
         fvals[below] = -np.inf
         n_valid -= int(np.count_nonzero(below))
     counters.combos_scored += n_valid
@@ -174,6 +309,7 @@ def _scan_range(
     lam_end: int,
     counters: KernelCounters,
     sparse: bool = False,
+    normal_hits: "NormalHitStore | None" = None,
 ) -> "MultiHitCombination | None":
     """Exhaustively score threads ``[lam_start, lam_end)`` in λ order.
 
@@ -203,29 +339,27 @@ def _scan_range(
             best = better(best, best_of(combos, fvals, tp, tn))
         return best
 
-    w = tumor.n_words + normal.n_words
-    counters.word_reads += fused_word_reads(scheme, g, w, lam_start, lam_end)
     # The scan's only inversions — its first thread's level and its last
     # thread's.  Threads above level g-1-d have empty inner loops, so a
     # range reaching them ends where they begin.
     m = top_index(lam_start, f_ord)
     if top_index(lam_end - 1, f_ord) > g - 1 - d:
         lam_end = math.comb(g - d, f_ord)
-    level, table = None, None
+    level = None
 
     start = lam_start
     while start < lam_end:
-        if level != m:  # one table live at a time
-            level, table = m, _inner_table(scheme, g, m, tumor, normal)
-            counters.inner_tables_built += 1
+        if level is None or level.m != m:  # one table live at a time
+            level = _Level(scheme, g, m, tumor, counters)
         # Rows fill the budget against the wider of the tile's two
         # shapes, (B, L) entries and (B, W) base words.
-        width = max(table[0].shape[0], tumor.n_words, normal.n_words)
+        width = max(len(level.inner), tumor.n_words, normal.n_words)
         end = min(start + max(1, _TILE_ELEMENTS // width), lam_end)
         tuples = combinations_array(f_ord, start, end)
         counters.decode_strides += 1
         _, cand = _score_tile(
-            scheme, tuples, m, table, tumor, normal, params, best, counters
+            scheme, tuples, level, tumor, normal, params, best, counters,
+            None if normal_hits is None else (normal_hits, start),
         )
         best = better(best, cand)
         # The next tile's lowest level, read off this tile's last row.
@@ -258,11 +392,10 @@ def _prefix_ceilings(
     for start in range(lam_start, lam_end, window):
         end = min(start + window, lam_end)
         tuples = combinations_array(f_ord, start, end)
-        rows = _and_reduce_rows(tumor, tuples)
+        rows = _gather(tumor, tuples, counters)
         at = slice(start - lam_start, end - lam_start)
         tp[at] = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
         tops[at] = tuples[:, -1]
-    counters.word_reads += (lam_end - lam_start) * f_ord * tumor.n_words
     return tops, fscore(tp, params.n_normal, params)
 
 
@@ -277,6 +410,7 @@ def best_in_thread_range(
     counters: "KernelCounters | None" = None,
     bounds: "BoundTable | None" = None,
     sparse: bool = False,
+    normal_hits: "NormalHitStore | None" = None,
 ) -> "MultiHitCombination | None":
     """Best combination among those owned by threads ``[lam_start, lam_end)``.
 
@@ -290,8 +424,11 @@ def best_in_thread_range(
     (``inner == 0``), whose :func:`repro.core.kernels.score_combos`
     still has a sparsity-driven body (at the kernel's default word
     stride); the nested scan has one body.
-    The winner is bit-identical across all four combinations of
-    ``bounds`` and ``sparse``; only the work counters differ.
+    ``normal_hits`` (a :class:`NormalHitStore` bound to ``scheme``,
+    ``g`` and ``normal``) serves and keeps the unpruned nested scan's
+    normal hit counts; the pruned and flat paths ignore it.
+    The winner is bit-identical across every combination of ``bounds``,
+    ``sparse`` and ``normal_hits``; only the work counters differ.
     """
     if tumor.n_genes != g or normal.n_genes != g:
         raise ValueError("matrix gene count must match g")
@@ -302,6 +439,12 @@ def best_in_thread_range(
         raise ValueError(
             f"bound table covers [{bounds.lam_start}, {bounds.lam_end}), "
             f"the scan [{lam_start}, {lam_end})"
+        )
+    if normal_hits is not None and not normal_hits.binds(scheme, g, normal):
+        raise ValueError(
+            f"normal-hit store is bound to {normal_hits.scheme} over "
+            f"{normal_hits.g} genes and its own normal matrix; this scan is "
+            f"{scheme} over {g} genes"
         )
     if lam_end <= lam_start:
         return None
@@ -315,7 +458,7 @@ def best_in_thread_range(
         )
     return _scan_range(
         scheme, g, tumor, normal, params, lam_start, lam_end, counters,
-        sparse=sparse,
+        sparse=sparse, normal_hits=normal_hits,
     )
 
 
@@ -353,9 +496,9 @@ def _best_pruned(
     holds neither the winner nor an equal-F tie, and the tuple-comparing
     :func:`better` makes the winner independent of visiting order.
 
-    ``word_reads`` here is what the path gathers: the ceiling pass's
-    tumor rows, each batch's ``f`` rows per thread and each inner table
-    built.
+    ``word_reads`` counts the ceiling pass's tumor rows on top of the
+    scan's gathers: each batch's ``f`` rows per thread and each inner
+    table built.
     """
     f_ord, d = scheme.flattened, scheme.inner
     # Threads above level g-1-d own no combination: never visited.
@@ -388,12 +531,9 @@ def _best_pruned(
         if d:
             m = int(tuples[0, -1])
             if m not in tables:
-                tables[m] = _inner_table(scheme, g, m, tumor, normal)
-                counters.inner_tables_built += 1
-                counters.word_reads += len(tables[m][0]) * d * w
-            counters.word_reads += len(picked) * f_ord * w
+                tables[m] = _Level(scheme, g, m, tumor, counters)
             lam_max, cand = _score_tile(
-                scheme, tuples, m, tables[m], tumor, normal, params, best,
+                scheme, tuples, tables[m], tumor, normal, params, best,
                 counters,
             )
         else:
@@ -419,15 +559,19 @@ def _best_pruned(
 class SingleGpuEngine:
     """Convenience wrapper: one simulated GPU searching a thread range.
 
-    The distributed engine instantiates one of these per GPU partition;
-    used standalone it searches the whole grid (the "single V100" baseline
-    configuration of the prior paper).  ``sparse`` selects the flat
-    scheme's sparsity-driven scoring body; winners are bit-identical
-    either way.
+    Used standalone it searches the whole grid (the "single V100"
+    baseline configuration of the prior paper).  ``sparse`` selects the
+    flat scheme's sparsity-driven scoring body; winners are
+    bit-identical either way.  The engine keeps one
+    :class:`NormalHitStore` for the normal matrix it last searched, so
+    a solve's unpruned scans compute each normal hit count once.
     """
 
     scheme: Scheme
     sparse: bool = False
+    _normal_hits: "NormalHitStore | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def best_combo(
         self,
@@ -442,6 +586,10 @@ class SingleGpuEngine:
         g = tumor.n_genes
         if lam_end is None:
             lam_end = total_threads(self.scheme, g)
+        if bounds is None:
+            self._normal_hits = NormalHitStore.reuse(
+                self._normal_hits, self.scheme, g, normal
+            )
         return best_in_thread_range(
             self.scheme,
             g,
@@ -453,4 +601,5 @@ class SingleGpuEngine:
             counters=counters,
             bounds=bounds,
             sparse=self.sparse,
+            normal_hits=None if bounds is not None else self._normal_hits,
         )

@@ -89,16 +89,16 @@ class KernelCounters:
 
     ``combos_scored`` counts the combinations scored; ``word_ops`` the
     row ANDs they cost at the dense definition, ``(h - 1)`` rows of
-    ``tumor + normal`` words each; ``word_reads`` the words loaded —
-    gathered on the flat scheme, and on nested schemes the model figure
-    :func:`repro.core.memopt.fused_word_reads` of the range, computed
-    rather than gathered (``f`` rows per thread plus one inner table per
-    level a call touches, charged once per call).  ``decode_strides``
-    counts the strides (flat) or tiles (nested) the scan enumerated and
+    ``tumor + normal`` words each; ``word_reads`` the words gathered, on
+    every path — on nested schemes each tile's ``f`` rows per thread and
+    each inner table built, from the tumor matrix and, unless the
+    tile's normal hits are stored (:class:`repro.core.engine.
+    NormalHitStore`), from the normal one.  ``decode_strides`` counts
+    the strides (flat) or tiles (nested) the scan enumerated and
     ``inner_tables_built`` the inner tables it built.  The pruned
-    best-first path (:mod:`repro.core.bounds`) meters what it gathers
-    instead and alone populates ``combos_pruned`` and ``threads_*``
-    (threads scored / left unvisited).  Four fields are set only by the flat
+    best-first path (:mod:`repro.core.bounds`) also counts its ceiling
+    pass's tumor rows and alone populates ``combos_pruned`` and
+    ``threads_*`` (threads scored / left unvisited).  Four fields are set only by the flat
     scheme's sparse :func:`score_combos` body and stay 0 on nested
     scans: ``strides_skipped_sparse`` (stride slices the nonzero-mask
     intersection proved empty), ``prefix_and_hits`` (combinations that

@@ -15,9 +15,11 @@ NVPROF's DRAM counters measure up to caching effects — and is what the
 Fig. 5 experiment compares across configurations.  The vectorized scan
 cannot express the register prefetches (it gathers every fixed row once
 regardless), so nothing below :class:`~repro.core.solver.MultiHitSolver`
-takes a :class:`MemoryConfig`; what the scan loads is
-``fused_word_reads`` — the nested scan charges it as its ``word_reads``,
-and the flat scan's dense gathers equal it exactly.
+takes a :class:`MemoryConfig`.  What the scan loads is its own
+``word_reads`` counter, gathered on every path: each thread's fixed rows
+once, each inner table it builds once, and on unpruned nested scans only
+the tumor side once a combination's normal hits are stored
+(:class:`repro.core.engine.NormalHitStore`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from repro.combinatorics.decode import top_index
 
 __all__ = [
     "MemoryConfig",
-    "fused_word_reads",
     "global_word_reads",
 ]
 
@@ -104,49 +105,4 @@ def global_word_reads(
             continue
         w = level_work(scheme, g, m)
         total += n_threads * (pre + w * per_combo_rows)
-    return total * words
-
-
-def fused_word_reads(
-    scheme: Scheme,
-    g: int,
-    words: int,
-    lam_start: int,
-    lam_end: int,
-) -> int:
-    """Global-memory word reads of the *fused* scan over a thread range.
-
-    The engine's unpruned scoring pass (whose ``word_reads`` counter is
-    this figure: charged as computed on nested schemes, gathered on the
-    flat one) touches each global word exactly once per logical load: every
-    thread's ``f`` fixed rows are gathered and AND-reduced a single time
-    (full-width prefetch — this subsumes MemOpt1/2, so
-    :class:`MemoryConfig` prefetch flags do not appear here), and each
-    workload level's inner AND-table (``C(g-1-m, d)`` combinations of
-    ``d`` rows) is loaded once per scan call and reused across every
-    thread and block that touches the level.  Re-reads of a cached
-    table or base row are not loads — the same convention the paper's
-    MemOpt accounting uses for prefetched rows.
-    """
-    if lam_end <= lam_start:
-        return 0
-    f = scheme.flattened
-    d = scheme.inner
-    total = 0
-    lo_top = top_index(lam_start, f)
-    hi_top = top_index(lam_end - 1, f)
-    for m in range(lo_top, hi_top + 1):
-        a, b = level_range(scheme, m)
-        n_threads = min(b, lam_end) - max(a, lam_start)
-        if n_threads <= 0:
-            continue
-        if d > 0:
-            inner = level_work(scheme, g, m)
-            if inner == 0:
-                continue  # empty inner loops: the engine never gathers
-            total += n_threads * f + inner * d
-        else:
-            # Fully flattened: every thread is one combination reading
-            # its h = f rows once.
-            total += n_threads * f
     return total * words

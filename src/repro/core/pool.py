@@ -23,7 +23,11 @@ The packed :class:`BitMatrix` words are shipped **once per greedy
 iteration** via POSIX shared memory (``multiprocessing.shared_memory``),
 not re-pickled per chunk: a chunk task carries only segment names,
 shapes and the λ range; workers attach lazily and cache the mapping
-until the segment names change.
+until the segment names change.  Each worker also keeps a
+:class:`repro.core.engine.NormalHitStore` for the normal segment it has
+attached, so a range it scans again in a later iteration reads its
+normal hits instead of recomputing them; the store goes with the
+segment.
 
 Pruned iterations ship each chunk a copy of its slice of the bound
 table (:meth:`repro.core.bounds.BoundTable.slice`); the worker prunes
@@ -55,7 +59,7 @@ import numpy as np
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
-from repro.core.engine import best_in_thread_range
+from repro.core.engine import NormalHitStore, best_in_thread_range
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
 from repro.core.reduction import multi_stage_reduce
@@ -114,6 +118,8 @@ class _ChunkTask:
 
 # Per-worker cache: segment name -> (SharedMemory handle, word-array view).
 _ATTACHED: dict = {}
+# Per-worker normal-hit store: normal segment name -> NormalHitStore.
+_NORMAL_HITS: dict = {}
 
 
 def _init_worker() -> None:
@@ -144,7 +150,10 @@ def _attach(name: str, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _evict_stale(keep: set) -> None:
-    """Drop cached mappings from earlier iterations (segments renamed)."""
+    """Drop cached mappings from earlier iterations (segments renamed),
+    and the normal-hit store of a normal segment that went with them."""
+    for name in [n for n in _NORMAL_HITS if n not in keep]:
+        del _NORMAL_HITS[name]
     for name in [n for n in _ATTACHED if n not in keep]:
         shm, _ = _ATTACHED.pop(name)
         try:
@@ -163,11 +172,15 @@ def _apply_worker_fault(spec: FaultSpec) -> None:
         time.sleep(spec.delay_s)
 
 
-def _scan(task: _ChunkTask, tumor: BitMatrix, normal: BitMatrix):
+def _scan(
+    task: _ChunkTask, tumor: BitMatrix, normal: BitMatrix,
+    normal_hits: "NormalHitStore | None" = None,
+):
     """Search one chunk's λ range against its slice of the bound table.
 
     Shared by the worker and the parent's inline retry, so a recovered
     chunk prunes (and refreshes its slice) exactly like the lost attempt.
+    A worker passes its normal-hit store; the inline retry has none.
     Returns ``(winner, counters, bounds)``; ``bounds`` is the refreshed
     slice (``None`` when pruning is off).
     """
@@ -183,6 +196,7 @@ def _scan(task: _ChunkTask, tumor: BitMatrix, normal: BitMatrix):
         counters=counters,
         bounds=task.bounds,
         sparse=task.sparse,
+        normal_hits=normal_hits,
     )
     return best, counters, task.bounds
 
@@ -210,7 +224,12 @@ def _search_chunk(task: _ChunkTask):
         normal = BitMatrix(
             _attach(task.normal_name, task.normal_shape), task.normal_samples
         )
-        best, counters, bounds = _scan(task, tumor, normal)
+        store = None
+        if task.bounds is None:
+            store = _NORMAL_HITS[task.normal_name] = NormalHitStore.reuse(
+                _NORMAL_HITS.get(task.normal_name), task.scheme, task.g, normal
+            )
+        best, counters, bounds = _scan(task, tumor, normal, store)
     state = telemetry.export_state() if task.trace else None
     return best, counters, os.getpid(), span.duration_s, state, bounds
 
@@ -321,8 +340,9 @@ class PoolEngine:
     sparse:
         Forwarded to every chunk's :func:`best_in_thread_range`.
         Winners and ``combos_scored`` do not depend on it or on the
-        cut; the traffic counters depend on the cut (each chunk loads
-        the inner tables of the levels it touches).
+        cut; ``word_reads`` depends on the cut (each chunk builds its
+        own inner tables) and on which worker ran which chunk before
+        (each worker stores the normal hits of the ranges it scanned).
     """
 
     scheme: Scheme

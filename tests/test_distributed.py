@@ -23,7 +23,7 @@ import pytest
 from repro.cluster import LeaseLedger, spmd_best_combo
 from repro.core import solver as solver_module
 from repro.core.distributed import DistributedEngine
-from repro.core.engine import SingleGpuEngine
+from repro.core.engine import NormalHitStore, SingleGpuEngine
 from repro.core.reduction import ReductionStats
 from repro.core.solver import MultiHitSolver
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
@@ -123,8 +123,9 @@ def _cohort():
 class _FleetEngine:
     """:func:`spmd_best_combo` called directly behind the solver's engine
     surface, so the matrix drives the public entry point through the
-    same greedy loop — cuts, bound table, splicing, fault plan — as the
-    engine it borrows its configuration from (but no lease TTL)."""
+    same greedy loop — cuts, bound table, splicing, fault plan, a
+    normal-hit store kept across calls — as the engine it borrows its
+    configuration from (but no lease TTL)."""
 
     def __init__(self, engine: DistributedEngine) -> None:
         self.engine = engine
@@ -132,6 +133,7 @@ class _FleetEngine:
         self.chunk_cuts = engine.chunk_cuts
         self.close = engine.close
         self.calls = 0
+        self.normal_hits = None
 
     def best_combo(self, tumor, normal, params, **search):
         e = self.engine
@@ -142,11 +144,16 @@ class _FleetEngine:
             else LeaseLedger.from_schedule(e.build_schedule(g), e.gpus_per_node)
         )
         self.calls += 1
+        pruned = search.get("bounds") is not None
+        if not pruned:
+            self.normal_hits = NormalHitStore.reuse(
+                self.normal_hits, e.scheme, g, normal
+            )
         return spmd_best_combo(
             ledger, e.scheme, tumor, normal, params, e.n_nodes,
             fault_plan=e.fault_plan, retry_policy=e.retry_policy,
-            report=e.report, sparse=e.sparse,
-            call=self.calls - 1, **search,
+            report=e.report, sparse=e.sparse, call=self.calls - 1,
+            normal_hits=None if pruned else self.normal_hits, **search,
         )
 
 

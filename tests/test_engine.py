@@ -13,7 +13,7 @@ import repro.combinatorics.decode as decode
 import repro.core.engine as engine_mod
 from repro.bitmatrix.matrix import BitMatrix
 from repro.bitmatrix.splicing import splice_columns
-from repro.combinatorics.decode import combos_from_linear
+from repro.combinatorics.decode import combos_from_linear, top_index
 from repro.core.bounds import BoundTable
 from repro.core.combination import better
 from repro.core.engine import SingleGpuEngine, best_in_thread_range
@@ -23,7 +23,6 @@ from repro.core.kernels import (
     score_combos_reference,
     tp_zero_ceiling,
 )
-from repro.core.memopt import fused_word_reads
 from repro.core.sequential import sequential_best_combo
 from repro.core.solver import MultiHitSolver
 from repro.scheduling.schemes import (
@@ -33,7 +32,7 @@ from repro.scheduling.schemes import (
     Scheme,
     scheme_for,
 )
-from repro.scheduling.workload import total_threads
+from repro.scheduling.workload import level_range, level_work, total_threads
 
 
 @pytest.fixture
@@ -47,6 +46,30 @@ def instance(rng):
         BitMatrix.from_dense(n),
         FScoreParams(n_tumor=45, n_normal=38),
     )
+
+
+def fused_word_reads(scheme, g, words, lam_start, lam_end):
+    """The fused scan's traffic model over a thread range: every thread's
+    ``f`` fixed rows once, and each workload level's inner AND-table
+    (``C(g-1-m, d)`` combinations of ``d`` rows) once — the flat scheme
+    (``d == 0``) reads a thread's ``f`` rows once and nothing else.
+    Exact for the flat scan and for a nested scan of one thread per
+    tile; an upper bound for a nested tile that scores a run of levels
+    against its lowest level's table."""
+    if lam_end <= lam_start:
+        return 0
+    f, d = scheme.flattened, scheme.inner
+    total = 0
+    for m in range(top_index(lam_start, f), top_index(lam_end - 1, f) + 1):
+        a, b = level_range(scheme, m)
+        n_threads = min(b, lam_end) - max(a, lam_start)
+        if n_threads <= 0:
+            continue
+        if d == 0:
+            total += n_threads * f
+        elif level_work(scheme, g, m):
+            total += n_threads * f + level_work(scheme, g, m) * d
+    return total * words
 
 
 ALL_SCHEMES = [Scheme(1, 1), Scheme(2, 1), Scheme(1, 2), SCHEME_2X2, SCHEME_3X1, SCHEME_4X1, Scheme(2, 0), Scheme(3, 0)]
@@ -132,28 +155,52 @@ class TestCounters:
     def test_traffic_metered_exactly_once(self, instance, scheme):
         # The scan is the meter on the flat (d == 0) and nested paths
         # alike: word_ops = combos * (h-1) * w for every scheme covering
-        # the same combinations, and word_reads is what the scheme's
-        # scan gathers — each thread's fixed rows once, each level's
-        # inner table once — i.e. fused_word_reads of the grid.
+        # the same combinations, and word_reads is what the scan
+        # gathers.  With one thread per tile no tile crosses a level, so
+        # every level builds its tables once and word_reads is the fused
+        # model exactly.
         _, _, tumor, normal, params = instance
-        counters = KernelCounters()
-        best_in_thread_range(
-            scheme,
-            14,
-            tumor,
-            normal,
-            params,
-            0,
-            total_threads(scheme, 14),
-            counters=counters,
-        )
         w = tumor.n_words + normal.n_words
         combos = math.comb(14, 4)
+        model = fused_word_reads(scheme, 14, w, 0, total_threads(scheme, 14))
+        counters = KernelCounters()
+        with patch.object(engine_mod, "_TILE_ELEMENTS", 1):
+            best_in_thread_range(
+                scheme, 14, tumor, normal, params,
+                0, total_threads(scheme, 14), counters=counters,
+            )
         assert counters.combos_scored == combos
-        assert counters.word_reads == fused_word_reads(
-            scheme, 14, w, 0, total_threads(scheme, 14)
-        )
+        assert counters.word_reads == model
         assert counters.word_ops == combos * 3 * w
+
+    @pytest.mark.parametrize(
+        "scheme", [Scheme(4, 0), SCHEME_3X1, SCHEME_2X2, Scheme(1, 3)]
+    )
+    def test_traffic_metered_as_gathered(self, instance, scheme):
+        # At the default tile size a tile scores a run of levels against
+        # its lowest level's table, so it builds fewer tables than the
+        # model counts: word_reads is the gather tally, bounded by it.
+        _, _, tumor, normal, params = instance
+        tally = [0]
+        gather = engine_mod._and_reduce_rows
+
+        def counted(matrix, combos):
+            tally[0] += combos.size * matrix.n_words
+            return gather(matrix, combos)
+
+        counters = KernelCounters()
+        with patch.object(engine_mod, "_and_reduce_rows", counted):
+            best_in_thread_range(
+                scheme, 14, tumor, normal, params,
+                0, total_threads(scheme, 14), counters=counters,
+            )
+        w = tumor.n_words + normal.n_words
+        model = fused_word_reads(scheme, 14, w, 0, total_threads(scheme, 14))
+        if scheme.inner:
+            assert counters.word_reads == tally[0]
+            assert 0 < counters.word_reads <= model
+        else:
+            assert counters.word_reads == model
 
     def test_work_parity_between_paths(self, instance):
         # The d == 0 and d > 0 code paths do the same work on an

@@ -4,16 +4,16 @@ Generated from the switch space: every way of distributing the arg-max
 (single, pool x {1, 2, 4} workers, the distributed engine and a direct
 call of its thread fleet, pinned and elastic) x ``prune`` x ``sparse``.
 
-* Unpruned, what the scan metered equals :func:`fused_word_reads` summed
-  over the ranges each call searched, at the width it searched them —
-  dense: ``word_reads`` is that sum, iteration by iteration; sparse:
-  ``word_reads + word_reads_skipped`` is.  A call builds each level's
-  inner table once, so the sum — unlike ``combos_scored`` and the
-  winners, which no cut can move — depends on where the backend cuts
-  the grid; the test takes the cuts from the backend.
-* Pruned, the scan meters what it gathers: ``word_reads`` equals a
-  tally of every row gather of the solve, iteration by iteration,
-  counted in this process and in the pool workers forked from it.
+Pruned or not, the scan meters what it gathers: ``word_reads`` equals a
+tally of every row gather of the solve, iteration by iteration, counted
+in this process and in the pool workers forked from it.  What it
+gathers — unlike ``combos_scored`` and the winners, which nothing can
+move — depends on where the backend cuts the grid (each call builds its
+own inner tables) and, unpruned, on which normal hits the scanning
+process has stored (a pool worker holds only those of ranges it scanned
+before).  The hits-4 cells (the paper's 3x1 scheme and the 2x2 one,
+whose valid inner columns are not a suffix) run single and on the
+fleet's shared store.
 """
 
 import multiprocessing
@@ -25,10 +25,8 @@ import pytest
 import repro.core.engine as engine_mod
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core import solver as solver_module
-from repro.core.memopt import fused_word_reads
 from repro.core.solver import MultiHitSolver
-from repro.scheduling.equiarea import equiarea_range_boundaries
-from repro.scheduling.workload import total_threads
+from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1
 from tests.test_distributed import DRIVERS, _cohort, _winners
 
 ITERATIONS = 3
@@ -46,19 +44,6 @@ BACKENDS = {
     "fleet-pinned": (_SHAPE, "thread-fleet"),
     "fleet-elastic": ({**_SHAPE, "elastic": True}, "thread-fleet"),
 }
-
-
-def _call_ranges(solver: MultiHitSolver, g: int) -> list:
-    """The λ-ranges one arg-max of ``solver``'s backend searches, one
-    per ``best_in_thread_range`` call."""
-    total = total_threads(solver.scheme, g)
-    if solver.backend == "pool":
-        cuts = equiarea_range_boundaries(solver.scheme, g, 0, total, solver.n_workers)
-    elif solver.backend == "distributed":
-        cuts = solver_module._ENGINES["distributed"](solver).chunk_cuts(g)
-    else:
-        cuts = (0, total)
-    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
 def _tally_gathers(monkeypatch, tumor, normal):
@@ -87,20 +72,29 @@ def _tally_gathers(monkeypatch, tumor, normal):
     return tally
 
 
+#: cell id -> (solver knobs, driver) of the hits-4 cells
+HITS4 = {
+    f"{name}-{label}": ({**knobs, "hits": 4, "scheme": scheme}, driver)
+    for label, scheme in (("3x1", SCHEME_3X1), ("2x2", SCHEME_2X2))
+    for name, (knobs, driver) in BACKENDS.items()
+    if name in ("single", "fleet-elastic")
+}
+
+
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 @pytest.mark.parametrize("prune", [False, True], ids=["full", "pruned"])
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", [*BACKENDS, *HITS4])
 def test_metered_traffic_equals_the_model(backend, prune, sparse, monkeypatch):
-    knobs, driver = BACKENDS[backend]
+    knobs, driver = {**BACKENDS, **HITS4}[backend]
+    knobs = {"hits": 3, **knobs}
     t, n = _cohort()
     tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
-    g = tumor.n_genes
     tally = _tally_gathers(monkeypatch, tumor, normal)
     gathered = []  # the tally as each iteration left it
 
     with patch.dict(solver_module._ENGINES, distributed=DRIVERS[driver]):
         solver = MultiHitSolver(
-            hits=3, max_iterations=ITERATIONS, prune=prune, sparse=sparse, **knobs
+            max_iterations=ITERATIONS, prune=prune, sparse=sparse, **knobs
         )
         result = solver.solve(
             tumor, normal, on_iteration=lambda state: gathered.append(tally.value)
@@ -109,32 +103,15 @@ def test_metered_traffic_equals_the_model(backend, prune, sparse, monkeypatch):
     c = result.counters
     assert (c.combos_pruned > 0) == prune  # pruning engaged: threads were left
 
-    if prune:
-        per_iteration = [b - a for a, b in zip([0] + gathered, gathered)]
-        assert [r.word_reads for r in result.iterations] == per_iteration
-        assert c.word_reads == gathered[-1]
-        assert c.word_reads_skipped == 0
-    else:
-        ranges = _call_ranges(solver, g)
-        widths = [tumor.n_words] + [r.tumor_words for r in result.iterations]
-        expected = [
-            sum(
-                fused_word_reads(solver.scheme, g, widths[i] + normal.n_words, lo, hi)
-                for lo, hi in ranges
-            )
-            for i in range(ITERATIONS)
-        ]
-        if sparse:
-            assert c.word_reads + c.word_reads_skipped == sum(expected)
-            assert 0 < c.word_reads <= sum(expected)
-        else:
-            assert [r.word_reads for r in result.iterations] == expected
-            assert c.word_reads == sum(expected)
-            assert c.word_reads_skipped == 0
+    per_iteration = [b - a for a, b in zip([0] + gathered, gathered)]
+    assert [r.word_reads for r in result.iterations] == per_iteration
+    assert c.word_reads == gathered[-1]
+    assert c.word_reads_skipped == 0
 
     # What no cut can move: the winners, and unpruned the scored count.
     reference = MultiHitSolver(
-        hits=3, max_iterations=ITERATIONS, sparse=sparse
+        hits=knobs["hits"], scheme=solver.scheme, max_iterations=ITERATIONS,
+        sparse=sparse,
     ).solve(tumor, normal)
     assert _winners(result) == _winners(reference)
     assert c.combos_scored + c.combos_pruned == reference.counters.combos_scored
