@@ -16,9 +16,18 @@ per thread, and it is scored against the inner AND-table of its
 *lowest* level — the widest one, a superset of every higher level's —
 with :func:`repro.core.kernels.fused_pair_popcount`, a word-major
 popcount product that, word by word, touches only the base rows carrying
-the word when fewer than half do.  Entries
-whose inner genes do not lie above the thread's top gene are set to
-``-inf`` and not counted.
+the word when fewer than half do.  Entries whose inner genes do not lie
+above the thread's top gene belong to no thread: they are dropped and
+not counted, and the valid ones are scored once, row-major, which is
+combination-rank order.  The epilogue forms Equation 1's numerator
+``fl(α·TP) + TN`` (:func:`repro.core.fscore.numerator`) in one float64
+buffer and divides only its maximum by ``Nt + Nn``: division by a
+positive constant is monotone, so that is the tile's maximum F.  F
+itself is materialised only on a tile that can displace or tie the
+incumbent, to find its ties, which are taken in F because division can
+merge different numerators.  A tile whose integer ceiling
+``fscore(max TP, Nn)`` is strictly below the incumbent skips the float
+pass, and per-thread maxima are formed only for the pruned caller.
 
 ``sparse`` selects nothing on this nested path (it still selects the
 flat scheme's :func:`repro.core.kernels.score_combos` body).
@@ -29,14 +38,15 @@ narrows the tumor side alone), so a :class:`NormalHitStore` keeps every
 combination's normal popcount, indexed by combination rank: thread λ's
 combinations occupy ``[cumulative_work_before(λ),
 cumulative_work_before(λ + 1))``, so a tile's valid entries (row-major)
-are one contiguous slice wherever a partition or a tile is cut.  A
-tile's first scan fills its slice; every later scan reads it and
-gathers, ANDs and popcounts only the tumor side (a level's normal inner
-table is built only on a miss).  The store is capped at
-:data:`NORMAL_HIT_BUDGET` bytes.  ``C(G, h)`` counts of
-``np.min_scalar_type(Nn)`` fit at cohort scale (2.5 MiB at G 200, h 3,
-Nn < 65536); threads past the cap are scored in full every time, and at
-the paper's scale (``C(20000, 4)`` combinations) almost all of them are.
+are one contiguous slice wherever a partition or a tile is cut, in the
+order the epilogue scores them.  A tile's first scan fills its slice;
+every later scan reads it as it is and gathers, ANDs and popcounts only
+the tumor side (a level's normal inner table is built only on a miss).
+The store is capped at :data:`NORMAL_HIT_BUDGET` bytes.  ``C(G, h)``
+counts of ``np.min_scalar_type(Nn)`` fit at cohort scale (2.5 MiB at
+G 200, h 3, Nn < 65536); threads past the cap are scored in full every
+time, and at the paper's scale (``C(20000, 4)`` combinations) almost all
+of them are.
 
 Counters: ``combos_scored`` and ``word_ops`` count the valid entries
 (``word_ops`` at its dense definition, ``(hits - 1)`` row ANDs per
@@ -70,16 +80,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bitmatrix.matrix import BitMatrix
-from repro.bitmatrix.sparsity import stride_any_mask
 from repro.combinatorics.decode import combos_from_linear, top_index
 
 # Bound here but never called by the scan: the benchmark harness
-# (benchmarks/perf/trace.py) patches it by this name.
+# (benchmarks/perf/trace.py) patches them by these names.
+from repro.bitmatrix.sparsity import stride_any_mask  # noqa: F401
 from repro.combinatorics.decode import top_index_array  # noqa: F401
 from repro.combinatorics.enumeration import combinations_array
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination, better
-from repro.core.fscore import FScoreParams, fscore
+from repro.core.fscore import FScoreParams, fscore, numerator
 from repro.core.kernels import (
     KernelCounters,
     _lexmin_rows,
@@ -234,68 +244,81 @@ def _score_tile(
     best: "MultiHitCombination | None",
     counters: KernelCounters,
     normal_hits: "tuple[NormalHitStore, int] | None" = None,
-) -> tuple[np.ndarray, "MultiHitCombination | None"]:
+    thread_max: bool = False,
+) -> tuple["np.ndarray | None", "MultiHitCombination | None"]:
     """Score one tile: threads ``tuples`` (lowest level ``level.m``)
     against that level's inner table.
 
-    Returns each thread's maximum F and the tile's candidate — ``None``
-    unless it can displace or tie ``best``.  Entries whose inner genes
-    do not lie above the thread's top gene belong to no thread; they are
-    ``-inf`` and not counted.  ``normal_hits`` is a store and the
-    tile's first thread λ: the tile is then the threads ``[λ, λ + B)``,
-    whose stored normal hits replace the normal side, or whose normal
-    side fills the store.
+    Returns each thread's maximum F (with ``thread_max``, which only the
+    pruned caller reads; ``None`` otherwise) and the tile's candidate —
+    ``None`` unless it can displace or tie ``best``.  Entries whose inner
+    genes do not lie above the thread's top gene belong to no thread and
+    are dropped; the valid ones are scored once, row-major, which is
+    combination-rank order (the store's).  ``normal_hits`` is a store
+    and the tile's first thread λ: the tile is then the threads
+    ``[λ, λ + B)``, whose stored normal hits replace the normal side, or
+    whose normal side fills the store.
     """
     inner = level.inner
     top = tuples[:, -1]
-    below = inner[:, 0] <= top[:, None] if top[-1] > level.m else None
+    valid = inner[:, 0] > top[:, None] if top[-1] > level.m else None
     base_t = _gather(tumor, tuples, counters)
-    tp = fused_pair_popcount(base_t, level.tumor_w, stride_any_mask(base_t, 1))
-    stored = None
+    tp = fused_pair_popcount(base_t, level.tumor_w, base_t != 0)
+    hits = None
     if normal_hits is not None:
         store, lam = normal_hits
         hi = lam + len(tuples)
-        stored = store.read(lam, hi)
-    if stored is None:
+        hits = store.read(lam, hi)
+    if hits is None:
         base_n = _gather(normal, tuples, counters)
-        hits_n = fused_pair_popcount(
-            base_n, level.normal_w(normal, counters), stride_any_mask(base_n, 1)
+        hits = fused_pair_popcount(
+            base_n, level.normal_w(normal, counters), base_n != 0
         )
+        hits = hits.ravel() if valid is None else hits[valid]
         if normal_hits is not None and hi <= store.lam_cap:
-            store.write(
-                lam, hi, hits_n.ravel() if below is None else hits_n[~below]
-            )
-    elif below is None:
-        hits_n = stored.reshape(tp.shape).astype(np.int32)
-    else:
-        hits_n = np.zeros(tp.shape, dtype=np.int32)
-        hits_n[~below] = stored
-    # int32, not the store's type: under NEP 50, Nn minus a uint8 or
-    # uint16 array would stay in that type.  In place: the hits are spent.
-    tn = np.subtract(params.n_normal, hits_n, out=hits_n)
-    fvals = fscore(tp, tn, params)
-    n_valid = fvals.size
-    if below is not None:  # the tile climbs past its lowest level
-        fvals[below] = -np.inf
-        n_valid -= int(np.count_nonzero(below))
+            store.write(lam, hi, hits)
+    n_valid = len(hits)
     counters.combos_scored += n_valid
     counters.word_ops += (
         n_valid * (scheme.hits - 1) * (tumor.n_words + normal.n_words)
     )
-    lam_max = fvals.max(axis=1)
-    fmax = lam_max.max()
+    # The tile's F ceiling from integers alone: TN <= Nn, and the whole
+    # tile's TP (a superset of the valid entries) bounds theirs.  The
+    # pruned caller needs every thread's exact maximum, so never skips.
+    if (
+        not thread_max
+        and best is not None
+        and fscore(tp.max(), params.n_normal, params) < best.f
+    ):
+        return None, None
+    tp = tp.ravel() if valid is None else tp[valid]
+    # int32, not the store's type: under NEP 50, Nn minus a uint8 or
+    # uint16 array would stay in that type.
+    tn = np.subtract(params.n_normal, hits, dtype=np.int32)
+    num = numerator(tp, tn, params)
+    fmax = num.max() / params.denominator
+    lam_max = None
+    if thread_max:  # each thread's valid entries are one run of ``num``
+        per_row = (
+            np.full(len(tuples), len(inner)) if valid is None
+            else np.count_nonzero(valid, axis=1)
+        )
+        starts = np.cumsum(per_row) - per_row
+        lam_max = np.maximum.reduceat(num, starts) / params.denominator
     if best is not None and fmax < best.f:
         return lam_max, None
-    ties = np.argwhere(fvals == fmax)
-    rows = np.concatenate([tuples[ties[:, 0]], inner[ties[:, 1]]], axis=1)
+    # Ties in F, not in the numerator: division can merge numerators.
+    ties = np.flatnonzero(np.divide(num, params.denominator, out=num) == fmax)
+    at = ties if valid is None else np.flatnonzero(valid)[ties]
+    i, j = np.divmod(at, len(inner))
+    rows = np.concatenate([tuples[i], inner[j]], axis=1)
     genes = _lexmin_rows(rows)
-    # Recover tp/tn of the winner from its tie position.
-    i, j = ties[np.flatnonzero((rows == genes).all(axis=1))[0]]
+    k = ties[np.flatnonzero((rows == genes).all(axis=1))[0]]
     return lam_max, MultiHitCombination(
         genes=tuple(int(x) for x in genes),
         f=float(fmax),
-        tp=int(tp[i, j]),
-        tn=int(tn[i, j]),
+        tp=int(tp[k]),
+        tn=int(tn[k]),
     )
 
 
@@ -534,7 +557,7 @@ def _best_pruned(
                 tables[m] = _Level(scheme, g, m, tumor, counters)
             lam_max, cand = _score_tile(
                 scheme, tuples, tables[m], tumor, normal, params, best,
-                counters,
+                counters, thread_max=True,
             )
         else:
             lam_max, tp, tn = score_combos(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DEFAULT_ALPHA", "FScoreParams", "fscore"]
+__all__ = ["DEFAULT_ALPHA", "FScoreParams", "fscore", "numerator"]
 
 DEFAULT_ALPHA = 0.1
 
@@ -45,10 +45,25 @@ class FScoreParams:
         return float(self.n_tumor + self.n_normal)
 
 
+def numerator(
+    tp: "np.ndarray | float", tn: "np.ndarray | float", params: FScoreParams
+) -> np.ndarray:
+    """Equation 1's numerator ``fl(alpha * TP) + TN``, in one float64 buffer.
+
+    F is this divided by the fixed denominator, and correctly rounded
+    division by a positive constant is monotone, so the largest numerator
+    gives the largest F.  Ties are not preserved, though: division can map
+    different numerators to one F (at ``Nt = Nn = 50``, ``(TP 14, TN 2)``
+    and ``(TP 4, TN 3)`` give 3.4000000000000004 and 3.4, both F 0.034),
+    so equal-F ties are found in F, never here.
+    """
+    num = np.multiply(tp, params.alpha, dtype=np.float64)
+    num += tn
+    return num
+
+
 def fscore(
     tp: "np.ndarray | float", tn: "np.ndarray | float", params: FScoreParams
 ) -> np.ndarray:
     """Vectorized Equation 1."""
-    tp = np.asarray(tp, dtype=np.float64)
-    tn = np.asarray(tn, dtype=np.float64)
-    return (params.alpha * tp + tn) / params.denominator
+    return numerator(tp, tn, params) / params.denominator
