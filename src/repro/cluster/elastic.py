@@ -1,14 +1,16 @@
-"""The thread fleet: ranks pull leases off one ledger.
+"""The rank fleet: ranks pull leases off one ledger.
 
 :func:`spmd_best_combo` runs an arg-max over a ready
 :class:`repro.cluster.leases.LeaseLedger` — ``from_schedule`` for the
 paper's static schedule (one lease per partition, pinned to the owning
 rank), ``build`` for unpinned equi-area leases — on
-:class:`ElasticSPMDRunner`, the one driver of a ledger.
-``backend="distributed"`` (:class:`repro.core.distributed.
-DistributedEngine`) calls it once per greedy iteration; its ranks search
-with ``search_lease`` and recover with ``run_lease`` (the one recovery
-rule) from that module.
+:class:`ElasticSPMDRunner`, the one driver of a ledger.  Both fleets
+call it once per greedy iteration: ``backend="distributed"``
+(:class:`repro.core.distributed.DistributedEngine`), whose rank threads
+scan in-thread, and ``backend="pool"`` (:class:`repro.core.pool.
+PoolEngine`), whose rank threads ship each lease to a worker process.
+Ranks search with ``search_lease`` and recover with ``run_lease`` (the
+one recovery rule) from :mod:`repro.core.distributed`.
 
 The fleet never aborts.  Ranks *pull* leases, renew them with a
 heartbeat between leases (no message is sent during an arg-max), and
@@ -363,6 +365,7 @@ def spmd_best_combo(
     max_wall_s: "float | None" = 120.0,
     call: int = 0,
     normal_hits: "NormalHitStore | None" = None,
+    scan=None,
 ) -> "MultiHitCombination | None":
     """One arg-max on a thread fleet of ``n_ranks`` over ``ledger``.
 
@@ -380,13 +383,15 @@ def spmd_best_combo(
     :func:`repro.core.distributed.search_lease`), and the refreshed
     slices are written back in lease-id order once the ledger is done.
     ``normal_hits`` (a :class:`repro.core.engine.NormalHitStore`) is
-    shared by every rank's unpruned scans.
+    shared by every rank's unpruned scans.  ``scan`` is how a rank
+    scans a lease (see :func:`repro.core.distributed.search_lease`):
+    in its own thread by default, in a worker process for the pool.
     """
     refreshed: dict = {}
     search = partial(
         search_lease, scheme, tumor=tumor, normal=normal, params=params,
         bounds=bounds, refreshed=refreshed, sparse=sparse, call=call,
-        normal_hits=normal_hits,
+        normal_hits=normal_hits, scan=scan,
     )
     ElasticSPMDRunner(
         n_ranks=n_ranks,

@@ -17,9 +17,9 @@ comes from the thread's own tumor prefix, visits threads best-first and
 stops at the first bound *strictly* below the incumbent.
 
 The table is a cache, never a source of truth: any entry may be reset
-to ``+inf`` at the cost of rescans.  A pool chunk or a lease gets a copy
-of its slice at grant (:meth:`BoundTable.slice`) and returns it
-refreshed; the parent writes the slices back in partition order
+to ``+inf`` at the cost of rescans.  A lease, on either fleet, gets a
+copy of its slice at grant (:meth:`BoundTable.slice`) and returns it
+refreshed; the parent writes the slices back in lease-id order
 (:meth:`BoundTable.write_back`), so the table after a call never
 depends on which worker or rank searched what.  Checkpoints do not carry
 it: a resumed run rescans under the ceiling alone.
@@ -73,7 +73,7 @@ class BoundTable:
         return slice(lo - self.lam_start, hi - self.lam_start)
 
     def slice(self, lo: int, hi: int) -> "BoundTable":
-        """A copy of the bounds of ``[lo, hi)`` — what a chunk or lease
+        """A copy of the bounds of ``[lo, hi)`` — what a lease
         gets at grant."""
         return BoundTable(self.values[self._window(lo, hi)].copy(), lo)
 

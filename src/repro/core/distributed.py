@@ -20,7 +20,9 @@ The two scheduling modes differ only in the ledger they build:
   ``membership``-site :class:`FaultSpec` churn (join/leave) resizes the
   fleet mid-call.
 
-Recovery is one rule for both: a crash on a granted lease is retried by
+Recovery is one rule for both, and for the pool's ranks
+(:mod:`repro.core.pool`): a crash on a granted lease — injected, or a
+:class:`WorkerLost` from a pool rank's scan — is retried by
 the same holder up to ``retry_policy.resubmits`` times with backoff,
 then the holder is retired and its leases — the one it held and the
 ones pinned to it — go back to the pool for survivors to steal (the
@@ -54,12 +56,20 @@ from repro.telemetry.session import get_telemetry
 
 __all__ = [
     "DistributedEngine",
+    "WorkerLost",
     "node_candidates",
     "run_lease",
     "search_lease",
 ]
 
 GPUS_PER_NODE = 6
+
+
+class WorkerLost(RuntimeError):
+    """A search attempt lost with the process running it (it died,
+    missed the deadline, or its pipe broke).  :func:`run_lease` retries
+    it exactly like an injected crash; any other exception from a search
+    is a bug and propagates."""
 
 
 def search_lease(
@@ -75,6 +85,7 @@ def search_lease(
     call: int = 0,
     stall_s: float = 0.0,
     normal_hits: "NormalHitStore | None" = None,
+    scan=None,
 ) -> "tuple[MultiHitCombination | None, KernelCounters]":
     """Search one lease's λ-range; returns ``(winner, counters)``.
 
@@ -94,6 +105,10 @@ def search_lease(
     real thread: the holder goes quiet for that long inside the search
     span, spanned as comm time so attribution can explain the lost wall
     clock.
+
+    ``scan(lease, rank, counters, bounds)`` replaces the in-thread
+    :func:`best_in_thread_range` call: the pool's ranks ship the range to
+    a worker process (:class:`repro.core.pool.PoolEngine`).
     """
     tel = get_telemetry()
     lo, hi = lease.lam_start, lease.lam_end
@@ -111,13 +126,16 @@ def search_lease(
         if stall_s > 0:
             with tel.span("comm.stall", cat="comm", rank=rank, delay_s=stall_s):
                 time.sleep(stall_s)
-        winner = best_in_thread_range(
-            scheme, tumor.n_genes, tumor, normal, params, lo, hi,
-            counters=counters,
-            bounds=lease_bounds,
-            sparse=sparse,
-            normal_hits=normal_hits,
-        )
+        if scan is None:
+            winner = best_in_thread_range(
+                scheme, tumor.n_genes, tumor, normal, params, lo, hi,
+                counters=counters,
+                bounds=lease_bounds,
+                sparse=sparse,
+                normal_hits=normal_hits,
+            )
+        else:
+            winner = scan(lease, rank, counters, lease_bounds)
     if lease_bounds is not None:
         refreshed.setdefault(lease.lease_id, lease_bounds)
     return winner, counters
@@ -136,12 +154,13 @@ def run_lease(
     """One granted lease under the retry policy — the one recovery rule.
 
     ``search(lease, rank, stall_s=)`` returns ``(winner, counters)``.  A
-    crash injected on the grant loses the attempt; the holder retries in
-    place up to ``policy.resubmits`` times with backoff
-    (``"resubmitted"``), then is retired (``"lease-forfeit"``): the
-    lease it held and the ones pinned to it go back to the pool, and
-    ``False`` tells the rank to stop.  Every completed lease is checked
-    against ``policy.is_straggler``, injected or not.
+    crash injected on the grant, or a :class:`WorkerLost` raised by the
+    search, loses the attempt; the holder retries in place up to
+    ``policy.resubmits`` times with backoff (``"resubmitted"``), then is
+    retired (``"lease-forfeit"``): the lease it held and the ones pinned
+    to it go back to the pool, and ``False`` tells the rank to stop.
+    Every completed lease is checked against ``policy.is_straggler``,
+    injected or not, and feeds the live ``progress.*`` counters once.
 
     A hang or a straggler is a real silence of ``delay_s`` inside the
     search.  The lease TTL is the hang detector: a survivor steals the
@@ -167,9 +186,17 @@ def run_lease(
             report.record("crash", "rank", rank, call, "detected", attempt=attempt)
             continue
         started = time.monotonic()
-        winner, lease_counters = search(
-            lease, rank, stall_s=spec.delay_s if spec is not None else 0.0
-        )
+        try:
+            winner, lease_counters = search(
+                lease, rank, stall_s=spec.delay_s if spec is not None else 0.0
+            )
+        except WorkerLost as exc:
+            crashed = True
+            report.record(
+                "crash", "rank", rank, call, "detected", attempt=attempt,
+                detail=str(exc),
+            )
+            continue
         wall = time.monotonic() - started
         if kind == "straggler" or policy.is_straggler(wall):
             report.record(
@@ -178,7 +205,11 @@ def run_lease(
             )
         if crashed:
             report.record("crash", "rank", rank, call, "resubmitted", attempt=attempt)
-        ledger.complete(lease.lease_id, rank, winner, counters=lease_counters)
+        if ledger.complete(lease.lease_id, rank, winner, counters=lease_counters):
+            # Live progress, once per completed range on either fleet;
+            # a duplicate completion adds nothing.
+            tel.count("progress.combos_scored", lease_counters.combos_scored)
+            tel.count("progress.combos_pruned", lease_counters.combos_pruned)
         return True
     report.record(
         "crash", "rank", rank, call, "lease-forfeit",
@@ -253,23 +284,6 @@ class DistributedEngine:
                 return equidistance_schedule(self.scheme, g, n_parts)
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
 
-    def chunk_cuts(self, g: int) -> tuple[int, ...]:
-        """The ledger's range boundaries.
-
-        Static: the schedule's partition cuts.  Elastic:
-        :data:`LEASES_PER_PULLER` equi-area cuts per node, so losing a
-        rank re-pools a few leases, not its whole share of the grid.
-        """
-        if not self.elastic:
-            return tuple(self.build_schedule(g).boundaries)
-        from repro.scheduling.equiarea import equiarea_range_boundaries
-        from repro.scheduling.workload import total_threads
-
-        return equiarea_range_boundaries(
-            self.scheme, g, 0, total_threads(self.scheme, g),
-            LEASES_PER_PULLER * self.n_nodes,
-        )
-
     def close(self) -> None:
         """Nothing to release: the rank threads and the ledger live for
         one call."""
@@ -304,7 +318,9 @@ class DistributedEngine:
             )
         ttl = self.retry_policy.deadline_s
         ledger = (
-            LeaseLedger(self.chunk_cuts(g), ttl_s=ttl)
+            LeaseLedger.build(
+                self.scheme, g, LEASES_PER_PULLER * self.n_nodes, ttl_s=ttl
+            )
             if self.elastic
             else LeaseLedger.from_schedule(
                 self.build_schedule(g), self.gpus_per_node, ttl_s=ttl

@@ -1,93 +1,101 @@
 """Multiprocess equi-area execution backend (the ``"pool"`` backend).
 
 The paper's scale-out fans the per-iteration arg-max over thousands of
-GPUs: cut the thread grid into equal-*work* (equi-area) partitions,
-search each independently, reduce the per-partition winners through the
-multi-stage max-reduction.  This module realizes the identical
-shard -> score -> reduce shape on CPU cores:
+GPUs: cut the thread grid into equal-*work* (equi-area) ranges, search
+each independently, fold the per-range winners through the multi-stage
+max-reduction.  The pool is that shape on CPU cores, and it is the rank
+fleet of :mod:`repro.cluster.elastic` with worker processes behind its
+ranks:
 
-* the λ thread-range is cut with the O(G) equi-area level walk
-  (:func:`repro.scheduling.equiarea.equiarea_range_boundaries`, so a
-  single simulated GPU's sub-range can itself be pooled);
-* each chunk runs :func:`repro.core.engine.best_in_thread_range` in a
-  persistent worker process (one pool per engine, reused across greedy
-  iterations);
-* per-chunk :class:`KernelCounters` are merged in partition order and
-  the per-chunk winners flow through the same
-  :func:`repro.core.reduction.multi_stage_reduce` as every other engine,
-  so tie-breaking is bit-exact with the ``"single"`` and
-  ``"sequential"`` backends regardless of worker count or partition
-  boundaries.
+* each call builds a :class:`repro.cluster.leases.LeaseLedger` over
+  equi-area cuts of its λ-range (one lease per worker, or
+  :data:`LEASES_PER_PULLER` per worker when ``elastic``) and drives it
+  with :func:`repro.cluster.elastic.spmd_best_combo` on ``n_workers``
+  rank threads;
+* a rank scans a lease by shipping its range to a persistent worker
+  process (:func:`_search_chunk`, one executor per engine, reused across
+  greedy iterations) instead of scanning in its own thread;
+* winners fold through :meth:`LeaseLedger.merge` in lease-id order and
+  counters merge per lease, so winners, tie-breaks and ``combos_scored``
+  are bit-exact with the ``"single"`` backend for any worker count, cut
+  or schedule.
 
 The packed :class:`BitMatrix` words are shipped **once per greedy
 iteration** via POSIX shared memory (``multiprocessing.shared_memory``),
-not re-pickled per chunk: a chunk task carries only segment names,
-shapes and the λ range; workers attach lazily and cache the mapping
-until the segment names change.  Each worker also keeps a
+not re-pickled per lease: a task carries only segment names, shapes and
+the λ range; workers attach lazily and cache the mapping until the
+segment names change.  Each worker also keeps a
 :class:`repro.core.engine.NormalHitStore` for the normal segment it has
 attached, so a range it scans again in a later iteration reads its
 normal hits instead of recomputing them; the store goes with the
-segment.
+segment.  A pruned lease ships a copy of its slice of the bound table
+and gets it back refreshed.
 
-Pruned iterations ship each chunk a copy of its slice of the bound
-table (:meth:`repro.core.bounds.BoundTable.slice`); the worker prunes
-against it and returns it refreshed, and the parent writes the slices
-back in partition order.  The scan counters (``decode_strides``,
-``inner_tables_built``, ``threads_skipped``) merge across workers like
-every other :class:`KernelCounters` field.
-
-A lost worker never loses a greedy iteration: a crashed or timed-out
-chunk is re-submitted per the engine's :class:`repro.faults.RetryPolicy`
-(with exponential backoff) and finally retried inline in the parent
-(with a one-time :class:`PoolDegradedWarning`); a broken pool is rebuilt
-before the next attempt.  Every detection and recovery is recorded in
-the engine's :class:`repro.faults.FaultReport`, and a
-:class:`repro.faults.FaultPlan` can deterministically inject chunk
-crashes, hangs, and stragglers for testing.
+Recovery is the fleet's one rule (:func:`repro.core.distributed.
+run_lease`).  A lost worker — a broken executor, a missed
+``retry_policy.deadline_s`` or an ``OSError`` — raises
+:class:`repro.core.distributed.WorkerLost` out of the scan: the executor
+is replaced once, its stuck workers terminated, and the holder retries
+with backoff and then forfeits; survivors steal the lease, and the
+driver's inline drain (holder ``-1``) scans in this process when no rank
+is left.  A real loss warns once per engine
+(:class:`PoolDegradedWarning`).  Injected faults are ``rank``-site
+:class:`repro.faults.FaultSpec` events, exactly as on the distributed
+backend.
 """
 
 from __future__ import annotations
 
 import os
-import time
+import threading
 import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, CancelledError, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
+from repro.core.distributed import WorkerLost
 from repro.core.engine import NormalHitStore, best_in_thread_range
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.core.reduction import multi_stage_reduce
-from repro.faults.plan import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.faults.report import FaultReport
-from repro.scheduling.equiarea import LEASES_PER_PULLER, equiarea_range_boundaries
+from repro.scheduling.equiarea import LEASES_PER_PULLER
 from repro.scheduling.schemes import Scheme
-from repro.telemetry.session import Telemetry, get_telemetry
 from repro.scheduling.workload import (
     cumulative_work_before,
     total_threads,
     work_prefix_by_level,
 )
+from repro.telemetry.session import Telemetry, get_telemetry
+
+# Bound here but never called by the pool: the benchmark harness
+# (benchmarks/perf/trace.py) patches them by these names.
+from repro.core.reduction import multi_stage_reduce  # noqa: F401
+from repro.scheduling.equiarea import equiarea_range_boundaries  # noqa: F401
 
 __all__ = ["ChunkRecord", "PoolDegradedWarning", "PoolEngine", "PoolStats"]
 
+#: What a rank sees when the worker behind its scan is lost.  A
+#: cancelled future is a task the replaced executor never ran.
+_LOST = (BrokenExecutor, CancelledError, TimeoutError, OSError)
+
 
 class PoolDegradedWarning(RuntimeWarning):
-    """A worker chunk was recovered inline after a crash or timeout."""
+    """A worker process was lost; its λ-ranges were recovered."""
 
 
-# -- chunk task / result (what actually crosses the process boundary) ----
+# -- task / result (what actually crosses the process boundary) ----------
 
 
 @dataclass(frozen=True)
 class _ChunkTask:
-    """Everything a worker needs to search one λ chunk.
+    """Everything a worker needs to search one lease's λ range.
 
     Matrices travel by shared-memory segment name, never by value.
     """
@@ -101,17 +109,15 @@ class _ChunkTask:
     normal_shape: tuple[int, int]
     normal_samples: int
     params: FScoreParams
-    lam_start: int
-    lam_end: int
-    fault: "FaultSpec | None" = None
+    lam_start: int = 0
+    lam_end: int = 0
     trace: bool = False  # worker records spans/metrics and ships them back
     # Causal context of the dispatching span (repro.telemetry.causal):
-    # the worker session adopts it, so its scan_chunk span re-roots to
-    # the parent's timeline and joins the parent's trace_id.
+    # the worker session adopts it, so its scan_chunk span re-roots
+    # under the rank's lease.search span and joins the parent's trace.
     trace_ctx: "dict | None" = None
-    # Pruning: a copy of the parent table's slice covering this chunk.
-    # The worker prunes against it and ships it back refreshed in the
-    # result tuple.
+    # Pruning: a copy of the lease's slice of the bound table.  The
+    # worker prunes against it and ships it back refreshed.
     bounds: "BoundTable | None" = None
     sparse: bool = False
 
@@ -162,61 +168,21 @@ def _evict_stale(keep: set) -> None:
             pass
 
 
-def _apply_worker_fault(spec: FaultSpec) -> None:
-    """Worker-side realization of an injected chunk fault."""
-    if spec.kind == "crash":
-        os._exit(17)  # hard death: no exception crosses the pipe
-    elif spec.kind in ("hang", "straggler"):
-        # A hang outlives the parent's deadline (which recovers the
-        # chunk); a straggler merely finishes late.
-        time.sleep(spec.delay_s)
-
-
-def _scan(
-    task: _ChunkTask, tumor: BitMatrix, normal: BitMatrix,
-    normal_hits: "NormalHitStore | None" = None,
-):
-    """Search one chunk's λ range against its slice of the bound table.
-
-    Shared by the worker and the parent's inline retry, so a recovered
-    chunk prunes (and refreshes its slice) exactly like the lost attempt.
-    A worker passes its normal-hit store; the inline retry has none.
-    Returns ``(winner, counters, bounds)``; ``bounds`` is the refreshed
-    slice (``None`` when pruning is off).
-    """
-    counters = KernelCounters()
-    best = best_in_thread_range(
-        task.scheme,
-        task.g,
-        tumor,
-        normal,
-        task.params,
-        task.lam_start,
-        task.lam_end,
-        counters=counters,
-        bounds=task.bounds,
-        sparse=task.sparse,
-        normal_hits=normal_hits,
-    )
-    return best, counters, task.bounds
-
-
 def _search_chunk(task: _ChunkTask):
     """Worker-side: attach, search the λ range, return winner + accounting.
 
-    Returns ``(winner, counters, pid, wall_s, telemetry_state, bounds)``.
+    Returns ``(winner, counters, pid, wall_s, telemetry_state, bounds)``;
+    ``bounds`` is the refreshed slice (``None`` when pruning is off).
     When ``task.trace`` is set the worker records a ``scan_chunk`` span
     in a *fresh local* session — never the fork-inherited global one —
     and ships the exported state back over this result channel for the
-    parent to merge.
+    rank to merge.
     """
     telemetry = Telemetry(enabled=task.trace)
     telemetry.adopt_context(task.trace_ctx)
     with telemetry.timed_span(
         "scan_chunk", cat="pool", lam_start=task.lam_start, lam_end=task.lam_end
     ) as span:
-        if task.fault is not None:
-            _apply_worker_fault(task.fault)
         _evict_stale({task.tumor_name, task.normal_name})
         tumor = BitMatrix(
             _attach(task.tumor_name, task.tumor_shape), task.tumor_samples
@@ -229,9 +195,26 @@ def _search_chunk(task: _ChunkTask):
             store = _NORMAL_HITS[task.normal_name] = NormalHitStore.reuse(
                 _NORMAL_HITS.get(task.normal_name), task.scheme, task.g, normal
             )
-        best, counters, bounds = _scan(task, tumor, normal, store)
+        counters = KernelCounters()
+        best = best_in_thread_range(
+            task.scheme, task.g, tumor, normal, task.params,
+            task.lam_start, task.lam_end,
+            counters=counters, bounds=task.bounds, sparse=task.sparse,
+            normal_hits=store,
+        )
     state = telemetry.export_state() if task.trace else None
-    return best, counters, os.getpid(), span.duration_s, state, bounds
+    return best, counters, os.getpid(), span.duration_s, state, task.bounds
+
+
+def _terminate(executor: ProcessPoolExecutor) -> None:
+    """Shut ``executor`` down and kill its workers: a lost or late worker
+    would otherwise keep running an abandoned scan (and hold up
+    interpreter exit)."""
+    procs = list((getattr(executor, "_processes", None) or {}).values())
+    executor.shutdown(wait=False, cancel_futures=True)
+    for proc in procs:
+        if proc.is_alive():
+            proc.terminate()
 
 
 # -- per-run statistics --------------------------------------------------
@@ -239,7 +222,11 @@ def _search_chunk(task: _ChunkTask):
 
 @dataclass(frozen=True)
 class ChunkRecord:
-    """What one worker chunk of one arg-max call did."""
+    """What one lease of one arg-max call did, as its completer saw it.
+
+    ``inline_retry`` marks a range the driver drained in this process
+    (``worker_pid`` is then the parent's).
+    """
 
     chunk: int
     lam_start: int
@@ -316,32 +303,29 @@ class PoolEngine:
     scheme:
         Loop-flattening scheme (the thread grid being partitioned).
     n_workers:
-        Worker processes in the persistent pool.
+        Worker processes in the persistent executor, and rank threads
+        pulling leases for them.
     retry_policy:
-        Shared recovery policy: ``deadline_s`` is the per-chunk seconds
-        before the parent gives up on a worker and recovers the chunk
-        (``None`` waits forever); ``resubmits`` re-submissions to the
-        (rebuilt) pool with backoff before the guaranteed inline
-        retry; ``straggler_after_s`` as the soft straggler-detection
-        threshold.
+        The fleet's recovery policy: ``deadline_s`` is both the lease
+        TTL and how long a rank waits on its worker before declaring it
+        lost (``None`` waits forever); ``resubmits`` retries by the same
+        rank, with backoff, before it forfeits the lease;
+        ``straggler_after_s`` the soft straggler threshold.
     fault_plan:
-        Optional deterministic fault injection (site ``"pool"``,
-        target = chunk index, call = arg-max call number).
+        Optional deterministic fault injection: ``rank``-site specs
+        (target = rank, call = arg-max call number) and ``membership``
+        churn, as on the distributed backend.
     elastic:
-        Lease-grained scheduling: the range is cut into
-        :data:`LEASES_PER_PULLER` equi-area leases per worker instead of
-        one chunk per worker, all submitted up front — the executor's
-        task queue then *is* the work-stealing mechanism (a free worker
-        pulls the next lease, so a straggling worker cannot hold back
-        more than one lease's work), and the timeout/resubmit recovery
-        path doubles as the steal of a lost lease.  Winners and
-        ``combos_scored`` are bit-identical to the default cut: both
-        feed the same partition-ordered reduce.
+        Lease grain: :data:`LEASES_PER_PULLER` equi-area leases per
+        worker instead of one, so a free rank pulls the next lease and
+        a straggling worker holds back at most one lease's work.
+        Winners and ``combos_scored`` are bit-identical to the default
+        cut: both fold through the same lease-ordered merge.
     sparse:
-        Forwarded to every chunk's :func:`best_in_thread_range`.
+        Forwarded to every lease's :func:`best_in_thread_range`.
         Winners and ``combos_scored`` do not depend on it or on the
-        cut; ``word_reads`` depends on the cut (each chunk builds its
-        own inner tables) and on which worker ran which chunk before
+        cut; ``word_reads`` depends on the cut (each lease builds its
+        own inner tables) and on which worker ran which lease before
         (each worker stores the normal hits of the ranges it scanned).
     """
 
@@ -358,9 +342,16 @@ class PoolEngine:
     _pool: "ProcessPoolExecutor | None" = field(
         default=None, init=False, repr=False, compare=False
     )
+    _lock: threading.RLock = field(
+        default_factory=threading.RLock, init=False, repr=False, compare=False
+    )
     _segments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The engine's first worker loss, and whether it has been warned
+    # about (once per engine).
+    _loss: "BaseException | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _warned: bool = field(default=False, init=False, repr=False, compare=False)
-    _timed_out: bool = field(default=False, init=False, repr=False, compare=False)
     _calls: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -369,25 +360,35 @@ class PoolEngine:
 
     @property
     def _n_cuts(self) -> int:
-        """Ranges per call: lease-grained when elastic, else one per
+        """Leases per call: lease-grained when elastic, else one per
         worker (the paper's one-partition-per-device shape)."""
         return (LEASES_PER_PULLER if self.elastic else 1) * self.n_workers
 
-    # -- pool / shared-memory lifecycle -------------------------------
+    # -- executor / shared-memory lifecycle ---------------------------
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            import multiprocessing
+        with self._lock:
+            if self._pool is None:
+                import multiprocessing
 
-            try:  # fork where the platform has it, else its default
-                context = multiprocessing.get_context("fork")
-            except ValueError:
-                context = multiprocessing.get_context()
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers, mp_context=context,
-                initializer=_init_worker,
-            )
-        return self._pool
+                try:  # fork where the platform has it, else its default
+                    context = multiprocessing.get_context("fork")
+                except ValueError:
+                    context = multiprocessing.get_context()
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.n_workers, mp_context=context,
+                    initializer=_init_worker,
+                )
+            return self._pool
+
+    def _lose(self, executor: ProcessPoolExecutor, exc: BaseException) -> None:
+        """A worker of ``executor`` is lost: replace the executor once,
+        whichever rank saw it first, and keep the loss for the warning."""
+        with self._lock:
+            self._loss = self._loss or exc
+            if self._pool is executor:
+                self._pool = None  # the next submit builds a fresh one
+        _terminate(executor)
 
     def _publish(self, slot: str, matrix: BitMatrix, stats: "PoolStats | None"):
         """Copy a matrix into a named segment once; reuse while unchanged."""
@@ -417,20 +418,11 @@ class PoolEngine:
         return shm.name
 
     def close(self) -> None:
-        """Shut the pool down and release the shared-memory segments."""
-        if self._pool is not None:
-            # A timed-out chunk leaves its worker running an abandoned
-            # search; without a kill, interpreter exit would block on it.
-            stuck = (
-                list(getattr(self._pool, "_processes", {}).values())
-                if self._timed_out
-                else []
-            )
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            for proc in stuck:
-                if proc.is_alive():
-                    proc.terminate()
-            self._pool = None
+        """Shut the executor down and release the shared-memory segments."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
         for seg in self._segments.values():
             try:
                 seg.shm.close()
@@ -451,112 +443,55 @@ class PoolEngine:
         except Exception:
             pass
 
-    # -- degradation ---------------------------------------------------
+    # -- one lease's scan ------------------------------------------------
 
-    def _note_failure(self, exc: BaseException) -> None:
-        """Bookkeeping common to every detected chunk loss."""
-        tel = get_telemetry()
-        if not self._warned:
-            self._warned = True
-            warnings.warn(
-                f"pool worker lost ({type(exc).__name__}: {exc}); "
-                "recovering the λ-range — results are unaffected",
-                PoolDegradedWarning,
-                stacklevel=4,
-            )
-            # First degradation of the run: snapshot the black box while
-            # the timeline still shows the healthy-to-degraded edge.
-            if tel.flight is not None:
-                tel.flight.dump(
-                    "pool-degraded", exc=exc, telemetry=tel,
-                    fault_report=self.report,
-                )
-        if isinstance(exc, TimeoutError):
-            self._timed_out = True
-        if isinstance(exc, BrokenExecutor) and self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None  # rebuilt on the next attempt
+    def _scan(self, template: _ChunkTask, tumor, normal, done: dict,
+              lease, rank: int, counters: KernelCounters, bounds):
+        """Scan ``lease`` for ``rank`` (the ``scan`` of
+        :func:`repro.core.distributed.search_lease`).
 
-    def _recover_chunk(
-        self, exc: BaseException, chunk: int, call: int, task: _ChunkTask,
-        tumor, normal,
-    ):
-        """Detected loss of one chunk: resubmit per policy, then inline."""
-        kind = "hang" if isinstance(exc, TimeoutError) else "crash"
-        self._note_failure(exc)
-        if self.elastic:
-            # On the lease path a recovered chunk is a stolen lease: the
-            # range moves from the lost worker to a new holder (another
-            # worker on resubmit, the parent on the inline fallback).
-            get_telemetry().count("lease.steals")
-        policy = self.retry_policy
-        self.report.record(
-            kind, "pool", chunk, call, "detected",
-            detail=f"{type(exc).__name__}: {exc}",
-        )
-        tel = get_telemetry()
-        for attempt in range(1, policy.resubmits + 1):
-            with tel.span(
-                "fault.retry", cat="pool", chunk=chunk, call=call, attempt=attempt
-            ):
-                policy.sleep_before(attempt)
-                fault = (
-                    self.fault_plan.take("pool", chunk, call)
-                    if self.fault_plan is not None
-                    else None
-                )
-                # Re-root the retried chunk under the retry span so the
-                # critical path threads detection -> retry -> rescan.
-                retry_task = replace(
-                    task, fault=fault,
-                    trace_ctx=tel.context() or task.trace_ctx,
-                )
-                try:
-                    out = self._ensure_pool().submit(
-                        _search_chunk, retry_task
-                    ).result(timeout=policy.deadline_s)
-                except (BrokenExecutor, TimeoutError, OSError) as exc2:
-                    self._note_failure(exc2)
-                    self.report.record(
-                        "hang" if isinstance(exc2, TimeoutError) else "crash",
-                        "pool", chunk, call, "detected", attempt=attempt + 1,
-                        detail=f"{type(exc2).__name__}: {exc2}",
-                    )
-                    continue
-            self.report.record(
-                kind, "pool", chunk, call, "resubmitted", attempt=attempt + 1
-            )
-            return out + (False,)
-        self.report.record(
-            kind, "pool", chunk, call, "inline-retry",
-            attempt=policy.resubmits + 2,
-        )
-        # The guaranteed fallback: re-run the chunk in the parent.  The
-        # ``scan_chunk`` span lands directly in the parent's session
-        # (``inline=True``), so the shipped-state slot is ``None``.
-        with tel.timed_span(
-            "scan_chunk", cat="pool", lam_start=task.lam_start,
-            lam_end=task.lam_end, inline=True,
-        ) as span:
-            best, counters, bounds = _scan(task, tumor, normal)
-        return best, counters, os.getpid(), span.duration_s, None, bounds, True
-
-    def _ingest(self, result, tel):
-        """Merge one chunk result into the live session as it arrives.
-
-        Worker spans/metrics are absorbed (and progress counters fed)
-        here — in future-resolution order, not after the whole call —
-        so a concurrent ``/metrics`` scrape or progress monitor sees
-        per-chunk movement mid-iteration.  The later partition-order
-        loop only merges kernel counters and bound slices, keeping
-        those bit-deterministic.
+        A rank ships the range to a worker and merges what comes back; a
+        lost worker raises :class:`WorkerLost`.  The driver's drain
+        (rank ``-1``) scans in this process: the executor is what lost
+        the range.  ``done[(lease_id, rank)]`` keeps ``(pid, wall)`` of
+        every finished scan for :class:`PoolStats`.
         """
-        _, chunk_counters, _, _, tel_state, _, _ = result
-        tel.absorb_state(tel_state)
-        if tel.enabled:
-            tel.count("progress.combos_scored", chunk_counters.combos_scored)
-            tel.count("progress.combos_pruned", chunk_counters.combos_pruned)
-        return result
+        tel = get_telemetry()
+        lo, hi = lease.lam_start, lease.lam_end
+        if rank < 0:
+            with tel.timed_span(
+                "scan_chunk", cat="pool", lam_start=lo, lam_end=hi, inline=True
+            ) as span:
+                best = best_in_thread_range(
+                    self.scheme, template.g, tumor, normal, template.params,
+                    lo, hi, counters=counters, bounds=bounds, sparse=self.sparse,
+                )
+            done[lease.lease_id, rank] = (os.getpid(), span.duration_s)
+            return best
+        task = replace(
+            template, lam_start=lo, lam_end=hi, bounds=bounds,
+            trace_ctx=tel.context(),
+        )
+        executor = None
+        try:
+            with self._lock:
+                executor = self._ensure_pool()
+                future = executor.submit(_search_chunk, task)
+            best, found, pid, wall, state, refreshed = future.result(
+                timeout=self.retry_policy.deadline_s
+            )
+        except _LOST as exc:
+            if executor is not None:
+                self._lose(executor, exc)
+            raise WorkerLost(
+                f"pool worker lost ({type(exc).__name__}: {exc})"
+            ) from exc
+        tel.absorb_state(state)
+        counters.merge(found)
+        if refreshed is not None:
+            bounds.write_back(refreshed)
+        done[lease.lease_id, rank] = (pid, wall)
+        return best
 
     # -- the arg-max ---------------------------------------------------
 
@@ -574,14 +509,17 @@ class PoolEngine:
         """Pooled arg-max over ``[lam_start, lam_end)``.
 
         Bit-exact with :class:`SingleGpuEngine` over the same range: the
-        per-chunk winners are reduced with the library-wide tie rule, so
-        worker count and chunk boundaries never change the result.
+        per-lease winners fold through :meth:`LeaseLedger.merge`, so
+        worker count, cuts and recovery never change the result.
 
         ``bounds`` (a table covering ``[lam_start, lam_end)``) enables
-        pruning: each chunk task carries a copy of the table's slice for
-        its λ-range, workers prune against it, and the refreshed slices
-        are written back here in partition order.
+        pruning: each lease prunes against a copy of its slice and the
+        refreshed slices are written back in lease-id order.
         """
+        # Imported here: repro.cluster imports repro.core.
+        from repro.cluster.elastic import spmd_best_combo
+        from repro.cluster.leases import LeaseLedger
+
         g = tumor.n_genes
         if normal.n_genes != g:
             raise ValueError("tumor and normal matrices must share the gene axis")
@@ -594,120 +532,72 @@ class PoolEngine:
             return None
         call = self._calls
         self._calls += 1
-        tel = get_telemetry()
-        timeout = self.retry_policy.deadline_s
+
+        ledger = LeaseLedger.build(
+            self.scheme, g, self._n_cuts, lam_start, lam_end,
+            ttl_s=self.retry_policy.deadline_s,
+        )
+        template = _ChunkTask(
+            scheme=self.scheme,
+            g=g,
+            tumor_name=self._publish("tumor", tumor, stats),
+            tumor_shape=tumor.words.shape,
+            tumor_samples=tumor.n_samples,
+            normal_name=self._publish("normal", normal, stats),
+            normal_shape=normal.words.shape,
+            normal_samples=normal.n_samples,
+            params=params,
+            trace=get_telemetry().enabled,
+            sparse=self.sparse,
+        )
+        done: dict = {}
+        best = spmd_best_combo(
+            ledger, self.scheme, tumor, normal, params, self.n_workers,
+            fault_plan=self.fault_plan, retry_policy=self.retry_policy,
+            report=self.report, counters=counters, bounds=bounds,
+            sparse=self.sparse, max_wall_s=None, call=call,
+            scan=partial(self._scan, template, tumor, normal, done),
+        )
+        self._warn_on_loss()
         if stats is not None:
             stats.n_workers = self.n_workers
-
-        cuts = equiarea_range_boundaries(
-            self.scheme, g, lam_start, lam_end, self._n_cuts
-        )
-        ranges = [
-            (cuts[i], cuts[i + 1])
-            for i in range(len(cuts) - 1)
-            if cuts[i + 1] > cuts[i]
-        ]
-
-        t_name = self._publish("tumor", tumor, stats)
-        n_name = self._publish("normal", normal, stats)
-        # One dispatch context for the whole batch: the caller's current
-        # span (the solver's iteration / schedule span) — worker sessions
-        # adopt it so scan_chunk spans re-root onto this timeline.
-        dispatch_ctx = tel.context()
-        tasks = [
-            _ChunkTask(
-                scheme=self.scheme,
-                g=g,
-                tumor_name=t_name,
-                tumor_shape=tumor.words.shape,
-                tumor_samples=tumor.n_samples,
-                normal_name=n_name,
-                normal_shape=normal.words.shape,
-                normal_samples=normal.n_samples,
-                params=params,
-                lam_start=lo,
-                lam_end=hi,
-                fault=(
-                    self.fault_plan.take("pool", i, call)
-                    if self.fault_plan is not None
-                    else None
-                ),
-                trace=tel.enabled,
-                trace_ctx=dispatch_ctx,
-                bounds=None if bounds is None else bounds.slice(lo, hi),
-                sparse=self.sparse,
-            )
-            for i, (lo, hi) in enumerate(ranges)
-        ]
-
-        if tel.flight is not None:
-            tel.flight.set_assignments(
-                "pool",
-                [
-                    {"chunk": i, "lam_start": lo, "lam_end": hi, "call": call}
-                    for i, (lo, hi) in enumerate(ranges)
-                ],
-            )
-
-        pool = self._ensure_pool()
-        try:
-            futures = [pool.submit(_search_chunk, task) for task in tasks]
-        except BrokenExecutor as exc:  # pragma: no cover - submit-time break
-            futures = None
-            results = [
-                self._ingest(
-                    self._recover_chunk(exc, i, call, task, tumor, normal),
-                    tel,
-                )
-                for i, task in enumerate(tasks)
-            ]
-        if futures is not None:
-            results = []
-            for i, (fut, task) in enumerate(zip(futures, tasks)):
-                try:
-                    result = fut.result(timeout=timeout) + (False,)
-                except (BrokenExecutor, TimeoutError, OSError) as exc:
-                    result = self._recover_chunk(exc, i, call, task, tumor, normal)
-                results.append(self._ingest(result, tel))
-
-        prefix = work_prefix_by_level(self.scheme, g)
-        winners: list["MultiHitCombination | None"] = []
-        for i, (
-            (lo, hi),
-            (best, chunk_counters, pid, wall, tel_state, refreshed, retried),
-        ) in enumerate(zip(ranges, results)):
-            winners.append(best)
-            if refreshed is not None:
-                bounds.write_back(refreshed)
-            if counters is not None:
-                counters.merge(chunk_counters)
-            if not retried and self.retry_policy.is_straggler(wall):
-                self.report.record(
-                    "straggler", "pool", i, call, "observed",
-                    detail=f"{wall:.3f}s",
-                )
-            if stats is not None:
+            prefix = work_prefix_by_level(self.scheme, g)
+            for lease in ledger.leases:
+                pid, wall = done[lease.lease_id, lease.completed_by]
                 stats.chunks.append(
                     ChunkRecord(
-                        chunk=i,
-                        lam_start=lo,
-                        lam_end=hi,
-                        work=cumulative_work_before(self.scheme, g, hi, prefix)
-                        - cumulative_work_before(self.scheme, g, lo, prefix),
-                        combos_scored=chunk_counters.combos_scored,
+                        chunk=lease.lease_id,
+                        lam_start=lease.lam_start,
+                        lam_end=lease.lam_end,
+                        work=cumulative_work_before(
+                            self.scheme, g, lease.lam_end, prefix
+                        )
+                        - cumulative_work_before(
+                            self.scheme, g, lease.lam_start, prefix
+                        ),
+                        combos_scored=lease.counters.combos_scored,
                         wall_seconds=wall,
                         worker_pid=pid,
-                        inline_retry=retried,
+                        inline_retry=lease.completed_by < 0,
                     )
                 )
-        if tel.enabled and self.elastic:
-            # Lease accounting on the pool path: every submitted range
-            # is a grant (steals are counted at recovery).
-            tel.count("lease.grants", len(ranges))
+        return best
+
+    def _warn_on_loss(self) -> None:
+        """Warn once per engine, in the caller's thread, after a real loss
+        (a rank thread's warning would be retried into silence)."""
+        with self._lock:
+            if self._loss is None or self._warned:
+                return
+            self._warned = True
+        exc, tel = self._loss, get_telemetry()
         if tel.flight is not None:
-            # One registry snapshot per arg-max call: the black box's
-            # metric trail, sampled at the call cadence rather than on a
-            # timer so replay lines up with the span timeline.
-            tel.flight.record_metrics(tel.metrics)
-        with tel.span("reduce", cat="pool", candidates=len(winners)):
-            return multi_stage_reduce(winners)
+            tel.flight.dump(
+                "pool-degraded", exc=exc, telemetry=tel, fault_report=self.report,
+            )
+        warnings.warn(
+            f"pool worker lost ({type(exc).__name__}: {exc}); "
+            "recovering the λ-range — results are unaffected",
+            PoolDegradedWarning,
+            stacklevel=3,
+        )

@@ -89,12 +89,24 @@ class MultiHitResult:
 
 class _LocalEngine:
     """Engine surface of a backend that scans the whole grid in this
-    process: no recovery to report, nothing to release."""
+    process: no recovery to report, nothing to release, and one range
+    per call for the live ``progress.*`` feed (the fleets feed it per
+    completed lease, in :func:`repro.core.distributed.run_lease`)."""
 
     report = None
 
     def __init__(self, best_combo) -> None:
-        self.best_combo = best_combo
+        self._best_combo = best_combo
+
+    def best_combo(self, tumor, normal, params, counters, bounds=None):
+        scored, pruned = counters.combos_scored, counters.combos_pruned
+        best = self._best_combo(
+            tumor, normal, params, counters=counters, bounds=bounds
+        )
+        tel = get_telemetry()
+        tel.count("progress.combos_scored", counters.combos_scored - scored)
+        tel.count("progress.combos_pruned", counters.combos_pruned - pruned)
+        return best
 
     def close(self) -> None:
         pass
@@ -402,12 +414,6 @@ class MultiHitSolver:
             dt = span.duration_s
             iter_scored = counters.combos_scored - scored_0
             iter_pruned = counters.combos_pruned - pruned_0
-            if tel.enabled and self.backend != "pool":
-                # The pool backend live-feeds progress.* per chunk as
-                # futures resolve; every other backend reports here,
-                # once per iteration, so the totals never double-count.
-                tel.count("progress.combos_scored", iter_scored)
-                tel.count("progress.combos_pruned", iter_pruned)
             if best is None or best.tp == 0:
                 break
             combos.append(best)

@@ -4,11 +4,11 @@ Three pillars (see DESIGN § work distribution and recovery):
 
 * :class:`FaultPlan` / :class:`FaultSpec` — a deterministic, seedable
   fault-injection plan (rank crash at iteration *k*, worker hang,
-  slow-GPU straggler, fleet join/leave) hooked into the pool, the rank
-  fleet, its membership and the gpusim layer, so any failure scenario
-  is a reproducible test case;
+  slow-GPU straggler, fleet join/leave) hooked into the rank fleet
+  (both backends that run on it), its membership and the gpusim layer,
+  so any failure scenario is a reproducible test case;
 * :class:`RetryPolicy` — the shared retry/backoff/deadline policy every
-  recovery layer consults (extracted from the pool's PR 1 inline retry);
+  recovery layer consults;
 * :class:`FaultReport` — the per-run record of what was detected,
   retried, and rescheduled (a dead rank's λ-ranges handed whole to
   survivors by the lease ledger).

@@ -4,12 +4,12 @@ The paper's runs spanned up to 1000 Summit nodes, where a lost rank or a
 walltime kill is routine; testing the recovery machinery on real
 hardware failures is neither deterministic nor CI-friendly.  A
 :class:`FaultPlan` is the substitute: an explicit list of
-:class:`FaultSpec` events ("rank 1 crashes on arg-max call 0", "pool
-chunk 2 hangs on call 1", "rank 3 leaves once the solve is 20 % done")
-that the execution layers consult at well-defined injection points —
-:class:`repro.core.pool.PoolEngine` chunks,
-:func:`repro.core.distributed.run_lease` for a rank holding a lease
-on the thread fleet, the fleet's membership
+:class:`FaultSpec` events ("rank 1 crashes on arg-max call 0", "rank
+2 hangs on call 1", "rank 3 leaves once the solve is 20 % done") that
+the execution layers consult at well-defined injection points —
+:func:`repro.core.distributed.run_lease` for a rank holding a lease on
+either fleet (the distributed backend's rank threads, or the pool's,
+which scan in worker processes), the fleet's membership
 (:class:`repro.cluster.elastic.ElasticSPMDRunner`), and the block-level
 :class:`repro.gpusim.executor.BlockKernelExecutor`.  Each site takes
 only the kinds it acts on (:data:`SITE_KINDS`).
@@ -28,14 +28,13 @@ from dataclasses import dataclass, field
 
 __all__ = ["FAULT_KINDS", "FAULT_SITES", "FaultInjected", "FaultPlan", "FaultSpec"]
 
-#: Injection point -> the fault kinds it acts on: a pool worker chunk
-#: and a rank holding a lease crash, hang or straggle; a simulated-GPU
+#: Injection point -> the fault kinds it acts on: a rank holding a lease
+#: (on either fleet) crashes, hangs or straggles; a simulated-GPU
 #: block crashes or straggles (its cycles scale); the fleet's membership
 #: takes ``join`` / ``leave``, churn events rather than failures — a
 #: ``join`` registers ``target`` new ranks mid-solve, a ``leave`` drains
 #: rank ``target`` (its leases are forfeited back to the pool).
 SITE_KINDS = {
-    "pool": ("crash", "hang", "straggler"),
     "rank": ("crash", "hang", "straggler"),
     "gpu": ("crash", "straggler"),
     "membership": ("join", "leave"),
@@ -63,8 +62,8 @@ class FaultSpec:
         Where the fault fires; it must take ``kind`` (see
         :data:`SITE_KINDS`).
     target:
-        Site-local index: chunk index (pool), rank (rank, leave), block
-        id (gpu), number of new ranks (join).
+        Site-local index: rank (rank, leave), block id (gpu), number
+        of new ranks (join).
     at_call:
         Which arg-max call (greedy iteration) the fault fires on;
         ``None`` matches any call.
@@ -212,7 +211,7 @@ class FaultPlan:
         cls,
         seed: int,
         n_faults: int = 3,
-        sites: tuple[str, ...] = ("pool", "rank"),
+        sites: tuple[str, ...] = ("rank",),
         kinds: tuple[str, ...] = ("crash", "hang", "straggler"),
         max_target: int = 4,
         max_call: int = 3,

@@ -1,20 +1,18 @@
 """Shared retry/backoff policy for every recovery layer.
 
-The pool backend's worker processes and the distributed backend's rank
-threads need the same decision ("how many times, with what backoff,
-under what deadline?") made consistently.  :class:`RetryPolicy`
-centralizes it:
+Both rank fleets — the distributed backend's rank threads and the
+pool's, whose scans run in worker processes — need the same decision
+("how many times, with what backoff, under what deadline?") made
+consistently.  :class:`RetryPolicy` centralizes it:
 
-* ``resubmits`` — how many times a failed unit is re-submitted to its
-  original executor (pool worker / rank) before falling back to the
-  layer's last resort (inline recovery in the parent, or rescheduling
-  the range across survivors);
+* ``resubmits`` — how many times a rank retries a lost attempt on its
+  lease before it forfeits the lease to survivors (or, with none left,
+  to the driver's inline drain);
 * ``backoff_s`` / ``backoff_factor`` — exponential backoff between
   attempts (0 by default: tests and simulations should not sleep);
-* ``deadline_s`` — per-unit detection deadline, the same for both
-  units: a pool chunk that has not answered within it is declared lost,
-  and it is the TTL of a distributed lease, which expires (and is
-  stolen) when its rank stays silent inside a search that long.
+* ``deadline_s`` — the lease TTL: a lease whose rank stays silent
+  inside a search that long expires and is stolen, and a pool rank
+  that waits that long on its worker declares the worker lost.
   ``None``: no detector — a hung unit is only slow;
 * ``straggler_after_s`` — soft threshold: a unit that *completes* but
   took longer than this is recorded as a detected straggler (its result

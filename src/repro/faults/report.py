@@ -21,12 +21,13 @@ __all__ = ["FaultEvent", "FaultReport", "RescheduledRange"]
 class FaultEvent:
     """One detected fault and the action taken on it.
 
-    ``action`` is one of ``"resubmitted"`` (retried on the original
-    executor), ``"inline-retry"`` (recovered in the parent),
-    ``"lease-forfeit"`` (holder retired, its leases stolen by
-    survivors), ``"lease-expired"`` (holder silent past the TTL, its
-    lease stolen), or ``"observed"`` (detected but the result was kept,
-    e.g. a straggler that finished)."""
+    ``action`` is one of ``"detected"`` (an attempt lost),
+    ``"resubmitted"`` (retried by the same holder), ``"lease-forfeit"``
+    (holder retired, its leases stolen by survivors),
+    ``"lease-expired"`` (holder silent past the TTL, its lease stolen),
+    ``"inline-drain"`` (no rank left: the driver searched the lease),
+    or ``"observed"`` (detected but the result was kept, e.g. a
+    straggler that finished)."""
 
     kind: str
     site: str
@@ -128,7 +129,7 @@ class FaultReport:
     @property
     def n_retries(self) -> int:
         return sum(
-            1 for e in self.events if e.action in ("resubmitted", "inline-retry")
+            1 for e in self.events if e.action in ("resubmitted", "inline-drain")
         )
 
     @property

@@ -124,8 +124,8 @@ def equiarea_range_boundaries(
 
     The same level walk as :func:`equiarea_schedule`, restricted to an
     arbitrary thread sub-range so a single GPU partition (or the whole
-    grid) can itself be fanned out — the pool backend cuts its range into
-    equal-*work* worker chunks with this.  For the full grid the cuts are
+    grid) can itself be fanned out — :meth:`repro.cluster.leases.
+    LeaseLedger.build` cuts equal-*work* leases with this.  For the full grid the cuts are
     identical to ``equiarea_schedule(scheme, g, n_parts).boundaries``.
     """
     if n_parts < 1:

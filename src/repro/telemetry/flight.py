@@ -1,16 +1,17 @@
 """Flight recorder: a bounded in-memory timeline + post-mortem black box.
 
 Long solves die in ways post-hoc exporters cannot see: a rank crashes
-mid-iteration, the pool degrades, the solver raises — and the spans and
+mid-iteration, a pool worker dies, the solver raises — and the spans and
 metrics accumulated so far vanish with the process (or are never
 exported because ``write_*`` only runs on the happy path).  The
 :class:`FlightRecorder` is the operational answer: a thread-safe ring
-buffer that retains the most recent N span-close events, fault events,
-and metric snapshots per process, plus the *active λ-range assignments*
-of whatever engine is currently searching.
+buffer that retains the most recent N span-close events, fault events
+and notes per process, plus the *active λ-range assignments* (the
+lease table) of whichever fleet is currently searching.
 
-On any detected failure — leases stolen or forfeited on the rank fleet,
-a :class:`repro.core.pool.PoolDegradedWarning`-grade chunk loss, a
+On any detected failure — leases stolen or forfeited on the rank fleet
+(either backend), a pool worker lost (the
+:class:`repro.core.pool.PoolDegradedWarning` edge, once per engine), a
 device crash in the gpusim executor, or an unhandled solver exception —
 the instrumented layers call :meth:`FlightRecorder.dump`, which writes a
 post-mortem JSON "black box" (recent timeline + metrics registry
@@ -47,8 +48,8 @@ class FlightRecorder:
     out_dir:
         Directory black-box dumps are written into (created on demand).
     capacity:
-        Events retained (oldest evicted first).  Spans, fault events,
-        metric snapshots and notes share the one ring — a post-mortem
+        Events retained (oldest evicted first).  Spans, fault events
+        and notes share the one ring — a post-mortem
         wants the most recent *timeline*, not per-type quotas.
     max_dumps:
         Hard cap on black-box files written by this recorder; a
@@ -116,10 +117,6 @@ class FlightRecorder:
         if trace_id is not None:
             event["trace_id"] = trace_id
         self._append(event)
-
-    def record_metrics(self, registry) -> None:
-        """Retain a point-in-time metrics snapshot on the timeline."""
-        self._append({"type": "metrics", "snapshot": registry.to_dict()})
 
     def note(self, kind: str, **fields) -> None:
         """Free-form operational event (lease steals, reschedules...)."""

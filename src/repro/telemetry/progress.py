@@ -9,7 +9,8 @@ metrics registry:
 * **λ-coverage** — the solver publishes ``progress.combos_scheduled``
   (combinations per greedy iteration) and feeds
   ``progress.combos_scored`` / ``progress.combos_pruned`` counters
-  (per worker chunk on the pool backend, per iteration elsewhere); the
+  (per completed lease on the pool and distributed backends, per
+  iteration on the in-process ones); the
   monitor turns them into an in-iteration completion fraction;
 * **rank health** — the rank fleet exports the stalest live rank's
   heartbeat age (``spmd.heartbeat_stale_s.max``); the monitor surfaces

@@ -16,7 +16,7 @@ watch counters move mid-solve.
 
 The endpoint reads whatever session is installed at scrape time, so
 pool/SPMD workers feed it through the registry snapshots the engines
-absorb as each chunk/rank result arrives — mid-iteration, not
+absorb as each lease completes — mid-iteration, not
 end-of-run.  ``/healthz`` answers liveness probes with uptime JSON.
 
 No external dependency: :class:`MetricsServer` is

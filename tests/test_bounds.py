@@ -163,7 +163,7 @@ class TestBoundTable:
         assert np.isinf(np.delete(table.values, 41)).all()
 
     def test_payload_round_trip(self):
-        # What a pool chunk ships: the slice survives pickling, +inf too.
+        # What a pool lease ships: the slice survives pickling, +inf too.
         table = BoundTable.build(scheme_for(3, 2), 20)
         table.values[3] = 0.25
         clone = pickle.loads(pickle.dumps(table.slice(2, 6)))
@@ -304,12 +304,11 @@ class TestEquivalence:
         t, n = matrices
         base = MultiHitSolver(hits=3).solve(t, n)
         plan = FaultPlan(
-            (FaultSpec(kind="crash", site="pool", target=1, at_call=1),)
+            (FaultSpec(kind="crash", site="rank", target=1, at_call=1),)
         )
-        with pytest.warns(Warning):
-            pruned = MultiHitSolver(
-                hits=3, backend="pool", n_workers=2, prune=True, fault_plan=plan
-            ).solve(t, n)
+        pruned = MultiHitSolver(
+            hits=3, backend="pool", n_workers=2, prune=True, fault_plan=plan
+        ).solve(t, n)
         assert signature(pruned) == signature(base)
         assert pruned.fault_report is not None
         assert pruned.fault_report.events

@@ -130,7 +130,6 @@ class _FleetEngine:
     def __init__(self, engine: DistributedEngine) -> None:
         self.engine = engine
         self.report = engine.report
-        self.chunk_cuts = engine.chunk_cuts
         self.close = engine.close
         self.calls = 0
         self.normal_hits = None
@@ -139,7 +138,7 @@ class _FleetEngine:
         e = self.engine
         g = tumor.n_genes
         ledger = (
-            LeaseLedger(e.chunk_cuts(g))
+            LeaseLedger.build(e.scheme, g, LEASES_PER_PULLER * e.n_nodes)
             if e.elastic
             else LeaseLedger.from_schedule(e.build_schedule(g), e.gpus_per_node)
         )

@@ -1,5 +1,6 @@
-"""Fault-injection matrix: crash / hang / straggler across the pool,
-distributed, and gpusim layers.
+"""Fault-injection matrix: crash / hang / straggler across the rank
+fleet (the pool and distributed backends, one plan each) and the gpusim
+layer.
 
 The contract under test is the tentpole guarantee: under **any**
 deterministic :class:`FaultPlan`, a solve completes and its selected
@@ -8,11 +9,14 @@ changes who searches a λ-range, never the winner — and a run killed
 mid-iteration resumes from its checkpoint to an identical final result.
 """
 
+import warnings
+from collections import Counter
+
 import pytest
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core.checkpoint import load_state, solve_with_checkpoints
-from repro.core.distributed import DistributedEngine
+from repro.core.distributed import DistributedEngine, WorkerLost, run_lease
 from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
@@ -59,17 +63,19 @@ def cohort(rng):
 class TestFaultPlan:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            FaultSpec(kind="nope", site="pool")
+            FaultSpec(kind="nope", site="rank")
         with pytest.raises(ValueError):
             FaultSpec(kind="crash", site="nowhere")
+        # There is no pool site: a pool worker runs a rank's scan.
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultSpec(kind="crash", site="pool")
         with pytest.raises(ValueError):
-            FaultSpec(kind="crash", site="pool", count=0)
+            FaultSpec(kind="crash", site="rank", count=0)
         # Each site takes only the kinds it acts on: a gpu block cannot
         # hang, and nothing sends messages a fault could drop or delay.
         with pytest.raises(ValueError):
             FaultSpec(kind="hang", site="gpu")
         takes = {
-            "pool": {"crash", "hang", "straggler"},
             "rank": {"crash", "hang", "straggler"},
             "gpu": {"crash", "straggler"},
             "membership": {"join", "leave"},
@@ -86,9 +92,9 @@ class TestFaultPlan:
                         FaultSpec(kind=kind, site=site)
 
     def test_one_shot_take(self):
-        plan = FaultPlan((FaultSpec(kind="crash", site="pool", target=1, at_call=0),))
-        assert plan.take("pool", 1, 0).kind == "crash"
-        assert plan.take("pool", 1, 0) is None  # spent
+        plan = FaultPlan((FaultSpec(kind="crash", site="rank", target=1, at_call=0),))
+        assert plan.take("rank", 1, 0).kind == "crash"
+        assert plan.take("rank", 1, 0) is None  # spent
         assert plan.n_pending == 0
 
     def test_persistent_fault_keeps_firing(self):
@@ -98,18 +104,18 @@ class TestFaultPlan:
         assert plan.n_pending == 1
 
     def test_call_and_target_matching(self):
-        plan = FaultPlan((FaultSpec(kind="hang", site="pool", target=0, at_call=3),))
-        assert plan.take("pool", 0, 2) is None  # wrong call
-        assert plan.take("pool", 1, 3) is None  # wrong target
-        assert plan.take("rank", 0, 3) is None  # wrong site
-        assert plan.take("pool", 0, 3) is not None
+        plan = FaultPlan((FaultSpec(kind="hang", site="rank", target=0, at_call=3),))
+        assert plan.take("rank", 0, 2) is None  # wrong call
+        assert plan.take("rank", 1, 3) is None  # wrong target
+        assert plan.take("gpu", 0, 3) is None  # wrong site
+        assert plan.take("rank", 0, 3) is not None
 
     def test_reset_rearms(self):
-        plan = FaultPlan((FaultSpec(kind="crash", site="pool"),))
-        assert plan.take("pool", 0) is not None
-        assert plan.take("pool", 0) is None
+        plan = FaultPlan((FaultSpec(kind="crash", site="rank"),))
+        assert plan.take("rank", 0) is not None
+        assert plan.take("rank", 0) is None
         plan.reset()
-        assert plan.take("pool", 0) is not None
+        assert plan.take("rank", 0) is not None
 
     def test_seeded_plan_is_reproducible(self):
         a = FaultPlan.random(seed=7, n_faults=5)
@@ -147,99 +153,197 @@ class TestRetryPolicy:
         assert not policy.is_straggler(0.4)
 
 
-# -- pool column of the matrix -------------------------------------------
+# -- one fault matrix for both fleets ------------------------------------
+
+#: The two backends that run on the rank fleet.  Both engines below cut
+#: the same elastic ledger (``LEASES_PER_PULLER`` leases per rank, two
+#: ranks), so one plan meets the same leases on either.
+FLEETS = ("pool", "distributed")
+
+
+def _fleet(backend, **kw):
+    scheme = scheme_for(3, 2)
+    if backend == "pool":
+        return PoolEngine(scheme=scheme, n_workers=2, elastic=True, **kw)
+    return DistributedEngine(scheme=scheme, n_nodes=2, elastic=True, **kw)
+
+
+def _pairs(report, call=0):
+    """Call ``call``'s (kind, action) multiset, less the driver's drain:
+    a forfeited or expired lease goes to a surviving rank (a steal, no
+    event) or, once no rank is left pulling, to the driver
+    (``inline-drain``), and which comes first is up to the OS."""
+    return Counter(
+        (e.kind, e.action) for e in report.events
+        if e.call == call and e.action != "inline-drain"
+    )
 
 
 class TestPoolInjection:
-    def _ref(self, instance, scheme):
+    """Each case runs one ``rank``-site plan on both fleets: the same
+    winner, the same ``combos_scored`` (the single engine's) and the
+    same (kind, action) pairs.  An injected rank fault loses no worker
+    process, so the pool must not warn."""
+
+    def _both(self, instance, spec, policy, calls=1):
         tumor, normal, params = instance
-        return SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
+        scheme = scheme_for(3, 2)
+        ref_counters = KernelCounters()
+        ref = SingleGpuEngine(scheme=scheme).best_combo(
+            tumor, normal, params, counters=ref_counters
+        )
+        reports = {}
+        for backend in FLEETS:
+            engine = _fleet(
+                backend, fault_plan=FaultPlan((spec,)), retry_policy=policy
+            )
+            counters = KernelCounters()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", PoolDegradedWarning)
+                    for _ in range(calls):
+                        got = engine.best_combo(
+                            tumor, normal, params, counters=counters
+                        )
+            finally:
+                engine.close()
+            assert got == ref, backend
+            assert counters.combos_scored == calls * ref_counters.combos_scored
+            reports[backend] = engine.report
+        pool, dist = (reports[b] for b in FLEETS)
+        assert _pairs(pool, spec.at_call) == _pairs(dist, spec.at_call)
+        assert pool.n_rescheduled == dist.n_rescheduled
+        return pool
 
     def test_injected_crash_bit_exact(self, instance):
-        tumor, normal, params = instance
-        scheme = scheme_for(3, 2)
-        ref = self._ref(instance, scheme)
-        plan = FaultPlan((FaultSpec(kind="crash", site="pool", target=0, at_call=0),))
-        with PoolEngine(scheme=scheme, n_workers=2, fault_plan=plan) as eng:
-            with pytest.warns(PoolDegradedWarning):
-                got = eng.best_combo(tumor, normal, params)
-            assert got == ref
-            assert eng.report.n_detected >= 1
-            assert eng.report.events[0].kind == "crash"
-            assert any(e.action == "inline-retry" for e in eng.report.events)
+        # Persistent: rank 0 forfeits its lease, and a survivor's steal
+        # or the driver's drain searches it.
+        report = self._both(
+            instance,
+            FaultSpec(kind="crash", site="rank", target=0, at_call=0, count=-1),
+            RetryPolicy(),
+        )
+        assert _pairs(report) == Counter(
+            {("crash", "detected"): 1, ("crash", "lease-forfeit"): 1}
+        )
+        assert report.dead_ranks == (0,)
+        assert report.n_rescheduled == 1
 
     def test_transient_crash_recovered_by_resubmission(self, instance):
-        tumor, normal, params = instance
-        scheme = scheme_for(3, 2)
-        ref = self._ref(instance, scheme)
-        plan = FaultPlan((FaultSpec(kind="crash", site="pool", target=0, at_call=0),))
-        policy = RetryPolicy(resubmits=1)
-        with PoolEngine(
-            scheme=scheme, n_workers=2, fault_plan=plan, retry_policy=policy
-        ) as eng:
-            with pytest.warns(PoolDegradedWarning):
-                got = eng.best_combo(tumor, normal, params)
-            assert got == ref
-            assert any(e.action == "resubmitted" for e in eng.report.events)
-            assert not any(e.action == "inline-retry" for e in eng.report.events)
+        report = self._both(
+            instance,
+            FaultSpec(kind="crash", site="rank", target=0, at_call=0),
+            RetryPolicy(resubmits=1),
+        )
+        assert _pairs(report) == Counter(
+            {("crash", "detected"): 1, ("crash", "resubmitted"): 1}
+        )
+        assert report.n_rescheduled == 0
 
     def test_injected_hang_recovered_by_deadline(self, instance):
-        tumor, normal, params = instance
-        scheme = scheme_for(2, 1)
-        ref = self._ref(instance, scheme)
-        plan = FaultPlan(
-            (FaultSpec(kind="hang", site="pool", target=0, at_call=0, delay_s=10.0),)
+        # A real silence past the lease TTL: the lease expires and is
+        # searched elsewhere; the resurfacing rank's result is a dropped
+        # duplicate.
+        report = self._both(
+            instance,
+            FaultSpec(kind="hang", site="rank", target=0, at_call=0, delay_s=1.0),
+            RetryPolicy(deadline_s=0.4),
         )
-        policy = RetryPolicy(deadline_s=0.3)
-        with PoolEngine(
-            scheme=scheme, n_workers=2, fault_plan=plan, retry_policy=policy
-        ) as eng:
-            with pytest.warns(PoolDegradedWarning):
-                got = eng.best_combo(tumor, normal, params)
-            assert got == ref
-            assert eng.report.events[0].kind == "hang"
+        assert _pairs(report) == Counter({("hang", "lease-expired"): 1})
+        assert report.dead_ranks == (0,)
 
     def test_injected_straggler_observed_not_retried(self, instance):
-        import warnings as _warnings
-
-        tumor, normal, params = instance
-        scheme = scheme_for(2, 1)
-        ref = self._ref(instance, scheme)
-        plan = FaultPlan(
-            (FaultSpec(kind="straggler", site="pool", target=0, delay_s=0.15),)
+        # Call 0 forks the pool's workers (and is not compared: a slow
+        # fork may read as a straggler); the straggler fires on call 1.
+        report = self._both(
+            instance,
+            FaultSpec(kind="straggler", site="rank", target=0, at_call=1,
+                      delay_s=0.3),
+            RetryPolicy(straggler_after_s=0.15),
+            calls=2,
         )
-        policy = RetryPolicy(straggler_after_s=0.05)
-        with PoolEngine(
-            scheme=scheme, n_workers=2, fault_plan=plan, retry_policy=policy
-        ) as eng:
-            with _warnings.catch_warnings(record=True) as caught:
-                _warnings.simplefilter("always")
-                got = eng.best_combo(tumor, normal, params)
-            assert got == ref
-            assert not [
-                w for w in caught if issubclass(w.category, PoolDegradedWarning)
-            ]
-            stragglers = [e for e in eng.report.events if e.kind == "straggler"]
-            assert stragglers and stragglers[0].action == "observed"
+        assert _pairs(report, call=1) == Counter({("straggler", "observed"): 1})
+        assert report.n_rescheduled == 0
 
     def test_solver_with_plan_matches_clean_run(self, cohort):
         t, n = cohort
         clean = MultiHitSolver(hits=2, backend="pool", n_workers=2).solve(t, n)
         plan = FaultPlan(
             (
-                FaultSpec(kind="crash", site="pool", target=0, at_call=0),
-                FaultSpec(kind="crash", site="pool", target=1, at_call=1),
+                FaultSpec(kind="crash", site="rank", target=0, at_call=0),
+                FaultSpec(kind="crash", site="rank", target=1, at_call=1),
             )
         )
-        with pytest.warns(PoolDegradedWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PoolDegradedWarning)
             faulty = MultiHitSolver(
-                hits=2, backend="pool", n_workers=2, fault_plan=plan
+                hits=2, backend="pool", n_workers=2, fault_plan=plan,
+                retry_policy=RetryPolicy(resubmits=1),
             ).solve(t, n)
         assert signature(faulty.combinations) == signature(clean.combinations)
         assert faulty.uncovered == clean.uncovered
+        assert faulty.counters.combos_scored == clean.counters.combos_scored
         assert faulty.fault_report is not None
-        assert faulty.fault_report.n_retries >= 1
+        assert faulty.fault_report.n_retries == 2
         assert "FaultReport" in faulty.fault_report.describe()
+
+
+class TestRunLease:
+    """``run_lease`` retries a lost worker exactly like an injected
+    crash, and lets every other exception through."""
+
+    def _ledger(self):
+        from repro.cluster.leases import LeaseLedger
+
+        ledger = LeaseLedger((0, 10))
+        return ledger, ledger.acquire(0)
+
+    def test_lost_attempt_resubmitted_then_forfeit(self):
+        ledger, lease = self._ledger()
+        calls = []
+
+        def search(lease, rank, stall_s=0.0):
+            calls.append(rank)
+            if len(calls) == 1:
+                raise WorkerLost("worker died")
+            return None, KernelCounters()
+
+        report = FaultReport()
+        assert run_lease(
+            ledger, lease, 0, search, None, RetryPolicy(resubmits=1), report, 0
+        )
+        assert [(e.kind, e.action) for e in report.events] == [
+            ("crash", "detected"), ("crash", "resubmitted"),
+        ]
+        assert ledger.done and len(calls) == 2
+
+        def lost(lease, rank, stall_s=0.0):
+            raise WorkerLost("worker died")
+
+        ledger, lease = self._ledger()
+        report = FaultReport()
+        assert not run_lease(
+            ledger, lease, 0, lost, None, RetryPolicy(resubmits=1), report, 0
+        )
+        assert [(e.kind, e.action) for e in report.events] == [
+            ("crash", "detected"), ("crash", "detected"),
+            ("crash", "lease-forfeit"),
+        ]
+        assert ledger.n_available == 1 and not ledger.has_work_for(0)
+
+    def test_other_exceptions_propagate(self):
+        ledger, lease = self._ledger()
+
+        def buggy(lease, rank, stall_s=0.0):
+            raise ValueError("scan bug")
+
+        report = FaultReport()
+        with pytest.raises(ValueError, match="scan bug"):
+            run_lease(
+                ledger, lease, 0, buggy, None, RetryPolicy(resubmits=3),
+                report, 0,
+            )
+        assert report.events == []
 
 
 # -- distributed column --------------------------------------------------
@@ -386,15 +490,14 @@ class TestCheckpointedRecovery:
         t, n = cohort
         clean = MultiHitSolver(hits=2).solve(t, n)
         path = tmp_path / "run.ckpt"
-        plan = FaultPlan((FaultSpec(kind="crash", site="pool", target=0, at_call=0),))
-        with pytest.warns(PoolDegradedWarning):
-            solve_with_checkpoints(
-                MultiHitSolver(
-                    hits=2, backend="pool", n_workers=2,
-                    fault_plan=plan, max_iterations=1,
-                ),
-                t, n, path,
-            )
+        plan = FaultPlan((FaultSpec(kind="crash", site="rank", target=0, at_call=0),))
+        solve_with_checkpoints(
+            MultiHitSolver(
+                hits=2, backend="pool", n_workers=2,
+                fault_plan=plan, max_iterations=1,
+            ),
+            t, n, path,
+        )
         resumed = solve_with_checkpoints(
             MultiHitSolver(hits=2, backend="pool", n_workers=2), t, n, path
         )

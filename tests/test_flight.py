@@ -12,6 +12,7 @@ The operational promises:
 """
 
 import json
+import os
 import warnings
 
 import pytest
@@ -162,18 +163,25 @@ class TestRankCrashDump:
         assert len(ranges) == len(moved)
 
 
+def _die(task):
+    """A pool worker that dies mid-task (module-level: forked workers
+    find it by reference)."""
+    os._exit(1)
+
+
 class TestPoolAndSolverDumps:
-    def test_pool_degraded_dump(self, tmp_path, small_matrices):
+    def test_pool_degraded_dump(self, tmp_path, small_matrices, monkeypatch):
+        import repro.core.pool as pool_module
+
         t, n, _ = small_matrices
         fr = FlightRecorder(out_dir=tmp_path)
+        # Every worker dies: a real loss, not an injected rank fault.
+        monkeypatch.setattr(pool_module, "_search_chunk", _die)
         with telemetry_session() as tel:
             tel.attach_flight(fr)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                MultiHitSolver(
-                    hits=2, backend="pool", n_workers=2,
-                    fault_plan=_plan("pool", target=0, at_call=1),
-                ).solve(t, n)
+                MultiHitSolver(hits=2, backend="pool", n_workers=2).solve(t, n)
         names = [p.name for p in sorted(tmp_path.glob("blackbox-*.json"))]
         assert any("pool-degraded" in name for name in names)
 

@@ -2,9 +2,10 @@
 
 The contract under test: ``backend="pool"`` is bit-exact with
 ``backend="single"`` — same combinations, same F-scores, same
-tie-breaks, same merged counters — for every worker count and partition
-boundary, and a lost worker degrades to an inline retry without changing
-any of that.
+tie-breaks, same merged counters — for every worker count and lease
+cut, and a worker process that dies or times out is a lost attempt on
+its rank's lease: survivors or the driver's inline drain search the
+range without changing any of that, with one warning per engine.
 """
 
 import os
@@ -111,7 +112,7 @@ class TestRangeBoundaries:
 
 
 class TestPoolBitExactness:
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
     def test_engine_matches_single(self, instance, n_workers):
         tumor, normal, params = instance
         scheme = scheme_for(3, 2)
@@ -138,6 +139,35 @@ class TestPoolBitExactness:
         with PoolEngine(scheme=scheme, n_workers=3) as eng:
             got = eng.best_combo(tumor, normal, params, lam_start=lo, lam_end=hi)
         assert got == ref
+
+    def test_solver_trajectory_matches_single(self, rng):
+        """Winners and every iteration's scored/pruned counts equal the
+        single engine's, for static and elastic leases, pruned or not,
+        on one to three workers.  Pruned, each lease keeps its own
+        incumbent, so only a one-lease cut scores what single scores;
+        every cut still examines the whole grid each iteration."""
+        t = rng.random((11, 48)) < 0.35
+        n = rng.random((11, 40)) < 0.15
+
+        def trajectory(result, exact):
+            return signature(result.combinations), [
+                (r.combos_scored, r.combos_pruned) if exact
+                else r.combos_scored + r.combos_pruned
+                for r in result.iterations
+            ]
+
+        for prune in (False, True):
+            ref = MultiHitSolver(hits=3, prune=prune).solve(t, n)
+            for elastic in (False, True):
+                for n_workers in (1, 2, 3):
+                    got = MultiHitSolver(
+                        hits=3, backend="pool", n_workers=n_workers,
+                        elastic=elastic, prune=prune,
+                    ).solve(t, n)
+                    exact = not prune or (n_workers == 1 and not elastic)
+                    assert trajectory(got, exact) == trajectory(ref, exact), (
+                        prune, elastic, n_workers,
+                    )
 
     def test_tie_straddling_worker_boundary(self):
         # All-ones tumor: every combination ties at the maximal F, so
@@ -242,6 +272,18 @@ class TestStatsAndSharedMemory:
         assert sum(row["chunks"] for row in per_worker.values()) == len(stats.chunks)
         assert "PoolStats" in stats.describe()
 
+    def test_chunk_records_tile_a_subrange(self, instance):
+        tumor, normal, params = instance
+        scheme = scheme_for(3, 2)
+        lo, hi = 3, total_threads(scheme, tumor.n_genes) - 2
+        stats = PoolStats()
+        with PoolEngine(scheme=scheme, n_workers=3, elastic=True) as eng:
+            eng.best_combo(tumor, normal, params, lo, hi, stats=stats)
+        edges = [(c.lam_start, c.lam_end) for c in stats.chunks]
+        assert edges[0][0] == lo and edges[-1][1] == hi
+        assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+        assert [c.chunk for c in stats.chunks] == list(range(len(edges)))
+
     def test_close_is_idempotent(self, instance):
         tumor, normal, params = instance
         eng = PoolEngine(scheme=scheme_for(2, 1), n_workers=2)
@@ -276,7 +318,7 @@ class TestStatsAndSharedMemory:
             try:
                 attached = future.result(timeout=10)
             except TimeoutError:
-                eng._timed_out = True  # close() terminates the hung worker
+                pool_module._terminate(eng._pool)  # kill the hung worker
                 raise
             np.testing.assert_array_equal(attached, tumor.words)
         finally:
@@ -374,7 +416,7 @@ class TestGracefulDegradation:
         assert all(c.worker_pid != os.getpid() for c in healthy)
 
     def test_timed_out_chunk_range_is_bit_exact(self, instance, monkeypatch):
-        """The inline retry of a timed-out chunk searches exactly the chunk's
+        """The driver's drain of a timed-out lease searches exactly the lease's
         [lam_start, lam_end) range — merged result identical to single-GPU."""
         tumor, normal, params = instance
         scheme = scheme_for(2, 1)

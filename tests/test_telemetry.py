@@ -501,9 +501,10 @@ class TestPruneSummaryAgreement:
 
 
 class TestPoolFaultRetryMerge:
-    """A retried chunk must merge its telemetry exactly once: span
-    identity stays unique and the live progress feed equals the kernel
-    total (a double-ingest would overshoot it)."""
+    """A pool lease recovered from a crashed rank must merge its
+    telemetry exactly once: span identity stays unique and the live
+    progress feed equals the kernel total (a double-ingest would
+    overshoot it)."""
 
     def test_no_double_merge_on_injected_crash(self, small_matrices):
         import warnings
@@ -513,7 +514,7 @@ class TestPoolFaultRetryMerge:
         t, n, _ = small_matrices
         clean, _ = _solve("pool", small_matrices, telemetry_on=False, n_workers=2)
         plan = FaultPlan(
-            [FaultSpec(kind="crash", site="pool", target=0, at_call=1)]
+            [FaultSpec(kind="crash", site="rank", target=0, at_call=1)]
         )
         with telemetry_session() as tel:
             with warnings.catch_warnings():
@@ -526,7 +527,7 @@ class TestPoolFaultRetryMerge:
         spans = tel.tracer.export()
         keys = [(s["pid"], s["id"]) for s in spans]
         assert len(set(keys)) == len(keys)
-        # Each chunk was ingested exactly once: the per-chunk progress
+        # Each lease was counted exactly once: the per-lease progress
         # feed closes against the kernel counter totals.
         c = tel.metrics.to_dict()["counters"]
         assert c["progress.combos_scored"] == faulted.counters.combos_scored
