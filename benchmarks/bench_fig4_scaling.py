@@ -62,9 +62,9 @@ def test_fig4_scaling_full_sweep(benchmark, show):
 def test_fig4_pool_backend_four_workers(benchmark, show):
     """Measured 4-worker pool arg-max: bit-exact vs single, stats shown.
 
-    The process-pool analogue of Fig. 4's per-device partitioning: the
-    equi-area cuts hand each worker a near-equal share of the C(g, h)
-    combination workload, and the reported per-worker stats make the
+    The host-level analogue of Fig. 4's per-device partitioning: the
+    equi-area cuts hand each rank a near-equal share of the C(g, h)
+    combination workload, and the reported per-rank stats make the
     measured partition balance visible.
     """
     from repro.bitmatrix.matrix import BitMatrix
@@ -79,7 +79,7 @@ def test_fig4_pool_backend_four_workers(benchmark, show):
 
     stats = PoolStats()
     with PoolEngine(scheme=scheme, n_workers=4) as eng:
-        eng.best_combo(tumor, normal, params)  # warm the worker pool
+        eng.best_combo(tumor, normal, params)  # fill the normal-hit store
         got = benchmark.pedantic(
             lambda: eng.best_combo(tumor, normal, params, stats=stats),
             rounds=3,

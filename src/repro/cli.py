@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--nodes", type=int, default=2, help="distributed backend only")
     p_solve.add_argument(
-        "--workers", type=int, default=2, help="pool backend: worker processes"
+        "--workers", type=int, default=2, help="pool backend: rank threads"
     )
     p_solve.add_argument(
         "--prune", action="store_true",
@@ -56,13 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
              "winners stay bit-identical, and membership churn — joins, "
              "leaves, dead ranks — is absorbed by survivors stealing the "
              "affected λ-leases)",
-    )
-    p_solve.add_argument(
-        "--sparse", action=argparse.BooleanOptionalAction, default=True,
-        help="sparsity-driven scoring body of the flat (inner == 0) "
-             "scheme: nonzero-stride skipping, shared-prefix AND caching "
-             "and zero-prefix run skipping (bit-identical winners; nested "
-             "schemes have one scan body and ignore it)",
     )
     p_solve.add_argument("--output", type=str, default=None, help="save result JSON")
     p_solve.add_argument(
@@ -263,7 +256,7 @@ def _run_solve(args: argparse.Namespace, telemetry) -> int:
         hits = args.hits
     solver = MultiHitSolver(
         hits=hits, backend=args.backend, n_nodes=args.nodes, n_workers=args.workers,
-        prune=args.prune, elastic=args.elastic, sparse=args.sparse,
+        prune=args.prune, elastic=args.elastic,
     )
     if args.checkpoint:
         from pathlib import Path

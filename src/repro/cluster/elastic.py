@@ -6,10 +6,11 @@ paper's static schedule (one lease per partition, pinned to the owning
 rank), ``build`` for unpinned equi-area leases — on
 :class:`ElasticSPMDRunner`, the one driver of a ledger.  Both fleets
 call it once per greedy iteration: ``backend="distributed"``
-(:class:`repro.core.distributed.DistributedEngine`), whose rank threads
-scan in-thread, and ``backend="pool"`` (:class:`repro.core.pool.
-PoolEngine`), whose rank threads ship each lease to a worker process.
-Ranks search with ``search_lease`` and recover with ``run_lease`` (the
+(:class:`repro.core.distributed.DistributedEngine`, the paper's pinned
+schedule or elastic leases over ``n_nodes`` ranks) and ``backend="pool"``
+(:class:`repro.core.pool.PoolEngine`, equi-area leases of any λ-range
+over ``n_workers`` ranks).  Every rank is a thread that scans its lease
+in-thread with ``search_lease`` and recovers with ``run_lease`` (the
 one recovery rule) from :mod:`repro.core.distributed`.
 
 The fleet never aborts.  Ranks *pull* leases, renew them with a
@@ -365,7 +366,6 @@ def spmd_best_combo(
     max_wall_s: "float | None" = 120.0,
     call: int = 0,
     normal_hits: "NormalHitStore | None" = None,
-    scan=None,
 ) -> "MultiHitCombination | None":
     """One arg-max on a thread fleet of ``n_ranks`` over ``ledger``.
 
@@ -383,15 +383,13 @@ def spmd_best_combo(
     :func:`repro.core.distributed.search_lease`), and the refreshed
     slices are written back in lease-id order once the ledger is done.
     ``normal_hits`` (a :class:`repro.core.engine.NormalHitStore`) is
-    shared by every rank's unpruned scans.  ``scan`` is how a rank
-    scans a lease (see :func:`repro.core.distributed.search_lease`):
-    in its own thread by default, in a worker process for the pool.
+    shared by every rank's unpruned scans.
     """
     refreshed: dict = {}
     search = partial(
         search_lease, scheme, tumor=tumor, normal=normal, params=params,
         bounds=bounds, refreshed=refreshed, sparse=sparse, call=call,
-        normal_hits=normal_hits, scan=scan,
+        normal_hits=normal_hits,
     )
     ElasticSPMDRunner(
         n_ranks=n_ranks,

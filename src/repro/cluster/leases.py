@@ -65,7 +65,8 @@ class Lease:
     at acquire time, ``stolen_from_ctx`` is the *previous* holder's
     grant context saved when the grant was revoked, and
     ``complete_ctx`` is the completing span (the merge links
-    ``complete`` edges to these).  ``victim_ctx`` is the pending
+    ``complete`` edges to these).  ``wall_seconds`` is the completing
+    attempt's search time.  ``victim_ctx`` is the pending
     ``stolen_from_ctx`` *bound at grant time*: the thief's search links
     its ``steal`` edge to the victim it is redoing work for, and a
     later revocation of the thief's own grant (a hang outliving its
@@ -85,6 +86,7 @@ class Lease:
     result: "object | None" = None
     counters: "object | None" = None
     completed_by: "int | None" = None
+    wall_seconds: float = 0.0
     grant_ctx: "dict | None" = None
     stolen_from_ctx: "dict | None" = None
     victim_ctx: "dict | None" = None
@@ -272,20 +274,6 @@ class LeaseLedger:
             if lease.state == "granted" and lease.holder == holder:
                 lease.grant_ctx = get_telemetry().context()
 
-    def renew(self, holder: int, now: "float | None" = None) -> int:
-        """Extend the deadlines of every lease ``holder`` currently holds."""
-        if self.ttl_s is None:
-            return 0
-        if now is None:
-            now = time.monotonic()
-        n = 0
-        with self._lock:
-            for lease in self.leases:
-                if lease.state == "granted" and lease.holder == holder:
-                    lease.deadline = now + self.ttl_s
-                    n += 1
-        return n
-
     def sync_heartbeats(
         self, heartbeats: "list[float]", now: "float | None" = None
     ) -> None:
@@ -384,6 +372,7 @@ class LeaseLedger:
         holder: int,
         result: "object | None",
         counters: "object | None" = None,
+        wall_seconds: float = 0.0,
     ) -> bool:
         """Record a lease's range-winner; duplicates are dropped.
 
@@ -414,6 +403,7 @@ class LeaseLedger:
             lease.deadline = float("inf")
             lease.result = result
             lease.counters = counters
+            lease.wall_seconds = wall_seconds
             lease.completed_by = holder
             lease.complete_ctx = tel.context()
         if tel.enabled:

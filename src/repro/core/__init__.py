@@ -24,7 +24,7 @@ from repro.core.sequential import sequential_best_combo, sequential_solve
 from repro.core.engine import SingleGpuEngine, best_in_thread_range
 from repro.core.reduction import ReductionStats, block_reduce, multi_stage_reduce
 from repro.core.distributed import DistributedEngine
-from repro.core.pool import ChunkRecord, PoolDegradedWarning, PoolEngine, PoolStats
+from repro.core.pool import ChunkRecord, PoolEngine, PoolStats
 from repro.core.solver import IterationRecord, MultiHitResult, MultiHitSolver
 from repro.core.checkpoint import (
     SolverState,
@@ -55,7 +55,6 @@ __all__ = [
     "PoolEngine",
     "PoolStats",
     "ChunkRecord",
-    "PoolDegradedWarning",
     "MultiHitSolver",
     "MultiHitResult",
     "IterationRecord",

@@ -21,13 +21,12 @@ The two scheduling modes differ only in the ledger they build:
   fleet mid-call.
 
 Recovery is one rule for both, and for the pool's ranks
-(:mod:`repro.core.pool`): a crash on a granted lease — injected, or a
-:class:`WorkerLost` from a pool rank's scan — is retried by
-the same holder up to ``retry_policy.resubmits`` times with backoff,
-then the holder is retired and its leases — the one it held and the
-ones pinned to it — go back to the pool for survivors to steal (the
-driver itself, holder ``-1``, if nobody survives).  A hang is a real
-silence inside the search: past the lease TTL,
+(:mod:`repro.core.pool`): a crash injected on a granted lease is
+retried by the same holder up to ``retry_policy.resubmits`` times with
+backoff, then the holder is retired and its leases — the one it held
+and the ones pinned to it — go back to the pool for survivors to steal
+(the driver itself, holder ``-1``, if nobody survives).  A hang is a
+real silence inside the search: past the lease TTL,
 ``retry_policy.deadline_s``, the lease expires and a survivor steals
 it.  A pruned lease searches a copy of its slice of the bound table,
 whoever ends up searching it, so recovery keeps the pruning speedup.
@@ -56,20 +55,12 @@ from repro.telemetry.session import get_telemetry
 
 __all__ = [
     "DistributedEngine",
-    "WorkerLost",
     "node_candidates",
     "run_lease",
     "search_lease",
 ]
 
 GPUS_PER_NODE = 6
-
-
-class WorkerLost(RuntimeError):
-    """A search attempt lost with the process running it (it died,
-    missed the deadline, or its pipe broke).  :func:`run_lease` retries
-    it exactly like an injected crash; any other exception from a search
-    is a bug and propagates."""
 
 
 def search_lease(
@@ -85,7 +76,6 @@ def search_lease(
     call: int = 0,
     stall_s: float = 0.0,
     normal_hits: "NormalHitStore | None" = None,
-    scan=None,
 ) -> "tuple[MultiHitCombination | None, KernelCounters]":
     """Search one lease's λ-range; returns ``(winner, counters)``.
 
@@ -105,10 +95,6 @@ def search_lease(
     real thread: the holder goes quiet for that long inside the search
     span, spanned as comm time so attribution can explain the lost wall
     clock.
-
-    ``scan(lease, rank, counters, bounds)`` replaces the in-thread
-    :func:`best_in_thread_range` call: the pool's ranks ship the range to
-    a worker process (:class:`repro.core.pool.PoolEngine`).
     """
     tel = get_telemetry()
     lo, hi = lease.lam_start, lease.lam_end
@@ -126,16 +112,13 @@ def search_lease(
         if stall_s > 0:
             with tel.span("comm.stall", cat="comm", rank=rank, delay_s=stall_s):
                 time.sleep(stall_s)
-        if scan is None:
-            winner = best_in_thread_range(
-                scheme, tumor.n_genes, tumor, normal, params, lo, hi,
-                counters=counters,
-                bounds=lease_bounds,
-                sparse=sparse,
-                normal_hits=normal_hits,
-            )
-        else:
-            winner = scan(lease, rank, counters, lease_bounds)
+        winner = best_in_thread_range(
+            scheme, tumor.n_genes, tumor, normal, params, lo, hi,
+            counters=counters,
+            bounds=lease_bounds,
+            sparse=sparse,
+            normal_hits=normal_hits,
+        )
     if lease_bounds is not None:
         refreshed.setdefault(lease.lease_id, lease_bounds)
     return winner, counters
@@ -154,8 +137,8 @@ def run_lease(
     """One granted lease under the retry policy — the one recovery rule.
 
     ``search(lease, rank, stall_s=)`` returns ``(winner, counters)``.  A
-    crash injected on the grant, or a :class:`WorkerLost` raised by the
-    search, loses the attempt; the holder retries in place up to
+    crash injected on the grant loses the attempt (any exception from
+    the search is a bug and propagates); the holder retries in place up to
     ``policy.resubmits`` times with backoff (``"resubmitted"``), then is
     retired (``"lease-forfeit"``): the lease it held and the ones pinned
     to it go back to the pool, and ``False`` tells the rank to stop.
@@ -186,17 +169,9 @@ def run_lease(
             report.record("crash", "rank", rank, call, "detected", attempt=attempt)
             continue
         started = time.monotonic()
-        try:
-            winner, lease_counters = search(
-                lease, rank, stall_s=spec.delay_s if spec is not None else 0.0
-            )
-        except WorkerLost as exc:
-            crashed = True
-            report.record(
-                "crash", "rank", rank, call, "detected", attempt=attempt,
-                detail=str(exc),
-            )
-            continue
+        winner, lease_counters = search(
+            lease, rank, stall_s=spec.delay_s if spec is not None else 0.0
+        )
         wall = time.monotonic() - started
         if kind == "straggler" or policy.is_straggler(wall):
             report.record(
@@ -205,7 +180,10 @@ def run_lease(
             )
         if crashed:
             report.record("crash", "rank", rank, call, "resubmitted", attempt=attempt)
-        if ledger.complete(lease.lease_id, rank, winner, counters=lease_counters):
+        if ledger.complete(
+            lease.lease_id, rank, winner, counters=lease_counters,
+            wall_seconds=wall,
+        ):
             # Live progress, once per completed range on either fleet;
             # a duplicate completion adds nothing.
             tel.count("progress.combos_scored", lease_counters.combos_scored)

@@ -107,8 +107,8 @@ class KernelCounters:
     ``word_reads_skipped`` (the traffic the dense path would have charged
     minus what was actually gathered — so ``word_reads +
     word_reads_skipped`` reproduces the dense charge exactly).  They all
-    ride the same merge path as the scoring counters so pool workers,
-    distributed ranks, and elastic leases report pruning, fusion, and
+    ride the same merge path as the scoring counters so the leases of
+    either backend, pinned or elastic, report pruning, fusion, and
     sparsity effectiveness for free.
     """
 

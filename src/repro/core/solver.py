@@ -128,9 +128,9 @@ def _sequential_engine(solver: "MultiHitSolver"):
 
 
 def _pool_engine(solver: "MultiHitSolver"):
-    # One persistent pool for the whole greedy run: workers (and the
-    # normal matrix's shared segment) survive across iterations; only
-    # the re-spliced tumor matrix is re-shipped.
+    # One engine for the run, like the distributed one: its normal-hit
+    # store serves every iteration's scans, and its arg-max call counter
+    # lines up with greedy iterations for the fault plan.
     return PoolEngine(
         scheme=solver.scheme,
         n_workers=solver.n_workers,
@@ -179,8 +179,8 @@ class MultiHitSolver:
         TP penalty weight of Equation 1.
     backend:
         ``"single"`` (vectorized single-GPU engine), ``"pool"`` (the
-        single-GPU search fanned out over a persistent multiprocess
-        worker pool), ``"distributed"`` (scheduled multi-node engine) or
+        single-GPU search fanned out over equi-area leases on
+        ``n_workers`` rank threads), ``"distributed"`` (scheduled multi-node engine) or
         ``"sequential"`` (dense oracle).
     scheme:
         Loop-flattening scheme; defaults to ``(h-1)x1`` (the paper's 3x1
@@ -195,7 +195,7 @@ class MultiHitSolver:
     n_nodes / gpus_per_node:
         Simulated Summit shape for the distributed backend.
     n_workers:
-        Worker processes for the pool backend (ignored otherwise).
+        Rank threads of the pool backend (ignored otherwise).
     fault_plan / retry_policy:
         Fault-tolerance knobs forwarded to the pool / distributed
         engine; detected faults and recovery actions come back on

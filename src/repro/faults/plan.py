@@ -8,8 +8,8 @@ hardware failures is neither deterministic nor CI-friendly.  A
 2 hangs on call 1", "rank 3 leaves once the solve is 20 % done") that
 the execution layers consult at well-defined injection points —
 :func:`repro.core.distributed.run_lease` for a rank holding a lease on
-either fleet (the distributed backend's rank threads, or the pool's,
-which scan in worker processes), the fleet's membership
+either backend's rank threads (distributed or pool), the fleet's
+membership
 (:class:`repro.cluster.elastic.ElasticSPMDRunner`), and the block-level
 :class:`repro.gpusim.executor.BlockKernelExecutor`.  Each site takes
 only the kinds it acts on (:data:`SITE_KINDS`).

@@ -1,9 +1,8 @@
 """Shared retry/backoff policy for every recovery layer.
 
-Both rank fleets — the distributed backend's rank threads and the
-pool's, whose scans run in worker processes — need the same decision
-("how many times, with what backoff, under what deadline?") made
-consistently.  :class:`RetryPolicy` centralizes it:
+Both backends that fan out — distributed and pool, whose ranks are
+threads of the same fleet — need the same decision ("how many times,
+with what backoff, under what deadline?") made consistently.  :class:`RetryPolicy` centralizes it:
 
 * ``resubmits`` — how many times a rank retries a lost attempt on its
   lease before it forfeits the lease to survivors (or, with none left,
@@ -11,9 +10,8 @@ consistently.  :class:`RetryPolicy` centralizes it:
 * ``backoff_s`` / ``backoff_factor`` — exponential backoff between
   attempts (0 by default: tests and simulations should not sleep);
 * ``deadline_s`` — the lease TTL: a lease whose rank stays silent
-  inside a search that long expires and is stolen, and a pool rank
-  that waits that long on its worker declares the worker lost.
-  ``None``: no detector — a hung unit is only slow;
+  inside a search that long expires and is stolen.  ``None``: no
+  detector — a hung unit is only slow;
 * ``straggler_after_s`` — soft threshold: a unit that *completes* but
   took longer than this is recorded as a detected straggler (its result
   is kept — slow is not wrong).

@@ -36,8 +36,8 @@ __all__ = [
     "lambda_cut_for_work",
 ]
 
-#: The elastic lease grain: equi-area ranges cut per puller (pool worker
-#: or rank) when work is pulled rather than pre-assigned.  Finer than
+#: The elastic lease grain: equi-area ranges cut per puller (a rank of
+#: either backend) when work is pulled rather than pre-assigned.  Finer than
 #: one-per-puller so stealing has grain — a lost or straggling puller
 #: re-pools a quarter of its share, not all of it.
 LEASES_PER_PULLER = 4

@@ -10,7 +10,7 @@ solve and how many workers/nodes it may use — by one rule:
   per-thread cost model the cost-aware scheduler balances);
 * at or below :data:`SINGLE_THRESHOLD` modeled cycles, or on a host with
   fewer than two cores, the job runs on the in-process ``single`` engine
-  (a pool's spawn and hand-off cost more than it saves);
+  (a pool's rank threads and lease bookkeeping cost more than they save);
 * above it, the job fans out over the ``pool`` with a budget
   proportional to its share of the outstanding modeled work, at least
   two workers and at most ``os.cpu_count()`` (more workers than cores
@@ -37,9 +37,9 @@ __all__ = ["DispatchDecision", "FleetState", "SINGLE_THRESHOLD", "decide"]
 #: Modeled cycles (:class:`repro.scheduling.costaware.ThreadCostModel`)
 #: at or below which a job runs in-process: the measured break-even of
 #: ``single`` against a 2-worker pool on a 2-core host, which falls
-#: between 2.3e7 and 3.9e7 at 3 hits (G 100-120) and between 1.5e7 and
-#: 3.6e7 at 4 hits (G 40-50).  DESIGN §14 has the table.
-SINGLE_THRESHOLD = 3e7
+#: between 1.3e8 and 1.8e8 at 3 hits (G 180-200) and between 1.4e8 and
+#: 2.3e8 at 4 hits (G 70-80).  DESIGN §14 has the table.
+SINGLE_THRESHOLD = 1.5e8
 
 
 @dataclass(frozen=True)

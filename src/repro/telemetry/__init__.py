@@ -2,8 +2,8 @@
 
 The observability substrate shared by every execution backend: a
 :class:`Tracer` of nested thread/rank-aware spans, a
-:class:`MetricsRegistry` of counters/gauges/histograms with
-cross-process merge, and exporters for JSONL event logs, Chrome
+:class:`MetricsRegistry` of counters/gauges/histograms with a typed
+merge, and exporters for JSONL event logs, Chrome
 ``trace_event`` JSON (Perfetto-loadable), and a run summary JSON
 (``multihit solve --metrics-out``).
 

@@ -13,10 +13,6 @@ edge ``kind``   boundary
                 ``bcast`` span links to the latest span of the rank it
                 waited on (the slowest rank, or the root) — virtual
                 time only; the thread fleet sends no messages.
-``dispatch``    parent → pool worker: the dispatching span context
-                ships on the ``_ChunkTask`` and is installed as the
-                worker tracer's ``remote_parent``, so the worker's root
-                span re-roots to it.
 ``steal``       previous holder → thief: when a lease is re-granted
                 after expiry/forfeit, the context captured at the
                 moment the previous grant was revoked is linked from

@@ -421,7 +421,8 @@ def load_trace(path) -> "list[dict]":
 
     Accepts the three shapes exporters produce: JSONL (one record per
     line, ``type: "span"`` rows kept), a bare JSON list of span dicts,
-    or an object with a ``"spans"`` key (``export_state`` payloads).
+    or an object with a ``"spans"`` key (a gateway job's
+    ``?spans=1`` payload).
     """
     text = Path(path).read_text()
     try:

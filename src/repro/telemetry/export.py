@@ -85,13 +85,13 @@ def chrome_trace(telemetry: Telemetry) -> dict:
     """Build a Chrome ``trace_event`` JSON object from recorded spans.
 
     Complete (``"X"``) events with microsecond timestamps; one
-    ``process_name`` metadata event per distinct pid so merged pool
-    workers show up as named tracks in Perfetto.  Causal span links
-    (see :mod:`repro.telemetry.causal`) become Perfetto **flow events**:
+    ``process_name`` metadata event per distinct pid so absorbed spans
+    from other pids show up as named tracks in Perfetto.  Causal span
+    links (see :mod:`repro.telemetry.causal`) become Perfetto **flow events**:
     a ``ph: "s"`` at the source span and a binding-point ``ph: "f"``
     (``bp: "e"``) at the destination, matched by ``id``/``cat`` — the
     arrows Perfetto draws across tracks.  A link whose source span was
-    never recorded (dropped message, disabled worker) emits nothing, so
+    never recorded (dropped message, disabled session) emits nothing, so
     exported flows are never dangling.
     """
     events: list[dict] = []

@@ -1,7 +1,7 @@
 """Flight recorder: a bounded in-memory timeline + post-mortem black box.
 
 Long solves die in ways post-hoc exporters cannot see: a rank crashes
-mid-iteration, a pool worker dies, the solver raises — and the spans and
+mid-iteration, a device fails, the solver raises — and the spans and
 metrics accumulated so far vanish with the process (or are never
 exported because ``write_*`` only runs on the happy path).  The
 :class:`FlightRecorder` is the operational answer: a thread-safe ring
@@ -10,11 +10,9 @@ and notes per process, plus the *active λ-range assignments* (the
 lease table) of whichever fleet is currently searching.
 
 On any detected failure — leases stolen or forfeited on the rank fleet
-(either backend), a pool worker lost (the
-:class:`repro.core.pool.PoolDegradedWarning` edge, once per engine), a
-device crash in the gpusim executor, or an unhandled solver exception —
-the instrumented layers call :meth:`FlightRecorder.dump`, which writes a
-post-mortem JSON "black box" (recent timeline + metrics registry
+(either backend), a device crash in the gpusim executor, or an
+unhandled solver exception — the instrumented layers call
+:meth:`FlightRecorder.dump`, which writes a post-mortem JSON "black box" (recent timeline + metrics registry
 snapshot + :class:`repro.faults.FaultReport` + active assignments)
 through the same atomic tmp + fsync + ``os.replace`` discipline as
 checkpoints.  Dumps are sequence-numbered, so a cascade of failures
@@ -22,8 +20,8 @@ leaves one readable file per event.
 
 Attach a recorder to a live session with
 :meth:`repro.telemetry.Telemetry.attach_flight`; it subscribes to the
-tracer's span-close feed (including spans absorbed from pool workers)
-and to the fault report's live routing.  A session without a recorder
+tracer's span-close feed (including absorbed spans) and to the fault
+report's live routing.  A session without a recorder
 pays one ``None`` check per fault event and nothing per span.
 """
 

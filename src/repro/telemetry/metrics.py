@@ -1,4 +1,4 @@
-"""Unified counter / gauge / histogram registry with cross-process merge.
+"""Unified counter / gauge / histogram registry with a typed merge.
 
 One namespace for every series something reads (``tests/
 test_telemetry_catalogue.py`` names each one's reader): the scoring
@@ -8,10 +8,9 @@ events (``lease.*``, ``faults.events``), rank heartbeats
 (``spmd.heartbeat_stale_s.max``) and the gateway's job lifecycle
 (``job.*``).
 
-Registries merge: pool workers ship ``to_dict()`` snapshots back over
-the existing result channel and the parent folds them in with
-:meth:`merge_dict`.  Counters add, gauges last-write-wins, histograms
-combine their count/sum/min/max moments.
+Registries merge: the gateway folds a job's ``to_dict()`` snapshot
+into its own registry with :meth:`merge_dict`.  Counters add, gauges
+last-write-wins, histograms combine their count/sum/min/max moments.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ watch counters move mid-solve.
   ``_min`` / ``_max`` gauges (the registry keeps moments, not buckets).
 
 The endpoint reads whatever session is installed at scrape time, so
-pool/SPMD workers feed it through the registry snapshots the engines
-absorb as each lease completes — mid-iteration, not
-end-of-run.  ``/healthz`` answers liveness probes with uptime JSON.
+the rank threads of either backend feed it as each lease completes —
+mid-iteration, not end-of-run.  ``/healthz`` answers liveness probes
+with uptime JSON.
 
 No external dependency: :class:`MetricsServer` is
 ``http.server.ThreadingHTTPServer`` on a daemon thread, and

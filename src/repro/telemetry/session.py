@@ -76,8 +76,8 @@ class Telemetry:
     def attach_flight(self, recorder) -> "Telemetry":
         """Install a :class:`repro.telemetry.flight.FlightRecorder`.
 
-        The recorder subscribes to span closes (including spans absorbed
-        from pool workers); engines consult ``telemetry.flight`` at
+        The recorder subscribes to span closes (including absorbed
+        spans); engines consult ``telemetry.flight`` at
         their failure-detection sites to dump the black box.
         """
         self.flight = recorder
@@ -125,37 +125,6 @@ class Telemetry:
         if not self.enabled:
             return None
         return self.tracer.context()
-
-    def adopt_context(self, ctx: "dict | None") -> "Telemetry":
-        """Join the trace ``ctx`` belongs to (worker-side re-rooting).
-
-        Pool workers build a fresh session per chunk and call this
-        with the dispatching context shipped to them: the session
-        takes over the trace id and records a ``dispatch`` link from
-        every stack-root span to the dispatching span.  A ``None``
-        context (disabled parent) is a no-op.
-        """
-        if not self.enabled or not ctx:
-            return self
-        trace = ctx.get("trace")
-        if trace:
-            self.trace_id = trace
-            self.tracer.trace_id = trace
-        self.tracer.remote_parent = {"pid": ctx["pid"], "id": ctx["id"]}
-        return self
-
-    # -- cross-process state -------------------------------------------
-
-    def export_state(self) -> dict:
-        """Snapshot spans + metrics for shipping to another process."""
-        return {"spans": self.tracer.export(), "metrics": self.metrics.to_dict()}
-
-    def absorb_state(self, state: "dict | None") -> None:
-        """Merge a worker/rank ``export_state`` snapshot into this session."""
-        if not self.enabled or not state:
-            return
-        self.tracer.absorb(state.get("spans", []))
-        self.metrics.merge_dict(state.get("metrics", {}))
 
 
 NULL_TELEMETRY = Telemetry(enabled=False)

@@ -4,9 +4,8 @@ A :class:`Tracer` produces :class:`Span` context managers.  Spans nest
 per thread (a per-thread open-span stack supplies the parent id), carry
 the producing process id and thread id, and optionally an SPMD/MPI rank.
 Timestamps are ``time.perf_counter_ns()`` readings — on Linux this is
-``CLOCK_MONOTONIC``, which is shared across processes on one machine, so
-spans shipped from pool workers back to the parent land on the same
-timeline.
+``CLOCK_MONOTONIC``, so the spans of every thread (the rank fleet's
+ranks included) land on one timeline.
 
 The disabled path allocates nothing: a disabled telemetry session hands
 out the shared :data:`NOOP_SPAN` singleton, whose ``__enter__``/
@@ -92,13 +91,13 @@ class Span:
     ``parent_id`` is resolved at ``__enter__`` from the producing
     thread's open-span stack; ``rank`` is inherited from the enclosing
     span when not given explicitly.  Span ids are unique within one
-    *process* (drawn from a process-wide counter, so a worker that
-    builds a fresh short-lived tracer per chunk never reuses an id);
-    merged cross-process spans are distinguished by ``(pid, span_id)``.
+    *process* (drawn from a process-wide counter, so sessions that come
+    and go, one per gateway job, never reuse an id); absorbed spans
+    from elsewhere (a :class:`repro.cluster.virtual.VirtualCluster`'s
+    ranks) are distinguished by ``(pid, span_id)``.
 
     ``trace_id`` is stamped from the tracer at ``__enter__`` and ties
-    every span of one solve/job together even after cross-process
-    absorption.  ``links`` holds *causal* edges to spans that happened
+    every span of one solve/job together.  ``links`` holds *causal* edges to spans that happened
     before this one on another thread, rank, or process — each link is
     ``{"pid": int, "id": int, "kind": str}`` referencing the causing
     span by its ``(pid, span_id)`` key.  Links are what lets the
@@ -150,10 +149,6 @@ class Span:
             self.parent_id = stack[-1].span_id
             if self.rank is None:
                 self.rank = stack[-1].rank
-        elif tracer.remote_parent is not None:
-            # Root span of a worker that inherited a cross-process
-            # parent context: re-root causally via a dispatch link.
-            self.link(tracer.remote_parent, kind="dispatch")
         if self.trace_id is None:
             self.trace_id = tracer.trace_id
         self.tid = threading.get_ident()
@@ -212,7 +207,7 @@ class Span:
 
 # Process-wide id source: every tracer in a process draws from the same
 # counter, so (pid, span_id) stays unique even when short-lived tracers
-# come and go (pool workers build one per chunk).
+# come and go (one session per gateway job).
 _SPAN_IDS = itertools.count(1)
 
 
@@ -226,10 +221,8 @@ class Tracer:
         self._lock = threading.Lock()
         self._local = threading.local()
         # Causal-trace identity: every span entered on this tracer is
-        # stamped with trace_id; remote_parent (a context dict) re-roots
-        # stack-root spans of adopted worker tracers via dispatch links.
+        # stamped with trace_id.
         self.trace_id: "str | None" = None
-        self.remote_parent: "dict | None" = None
         # Optional span-close subscriber (the flight recorder's live
         # feed).  One attribute load + branch per close when unset; only
         # enabled sessions record at all, so the no-op path is untouched.
@@ -270,8 +263,8 @@ class Tracer:
         """The calling thread's current span as a propagatable context.
 
         The dict (``{"trace": str|None, "pid": int, "id": int}``) is
-        JSON/pickle-friendly so it can ride on comm messages, lease
-        records, and pool task tuples.  ``None`` when no span is open.
+        JSON-friendly so it can ride on lease records and flight-recorder
+        dumps.  ``None`` when no span is open.
         """
         span = self.current_span()
         if span is None:
@@ -283,7 +276,8 @@ class Tracer:
         }
 
     def absorb(self, span_dicts: "list[dict]") -> None:
-        """Merge spans exported by another process (pool workers)."""
+        """Merge spans recorded elsewhere (a simulated job's virtual-time
+        spans, :class:`repro.cluster.virtual.VirtualCluster`)."""
         with self._lock:
             for d in span_dicts:
                 self.spans.append(Span.from_dict(d))

@@ -5,11 +5,10 @@ The invariants the causal layer promises:
 * contexts are plain dicts minted only by enabled sessions; every
   ``link``-shaped API is a no-op on ``None`` so call sites never branch
   on enabled/disabled;
-* pool workers re-root under the dispatching span via ``dispatch``
-  edges, stolen-lease searches link the victim via ``steal`` edges,
-  and the reduce links every lease completion via ``complete`` edges;
-* ``(pid, span_id)`` stays unique across absorbed worker spans, and
-  every recorded link resolves to a recorded span (edge integrity);
+* stolen-lease searches link the victim via ``steal`` edges, and the
+  reduce links every lease completion via ``complete`` edges;
+* ``(pid, span_id)`` stays unique, and every recorded link resolves to
+  a recorded span (edge integrity);
 * the critical-path extractor tiles the trace window (coverage >= 0.95
   on real traces) and threads across ranks through causal edges;
 * per-bucket attribution closes against total rank-seconds within 1%;
@@ -46,7 +45,6 @@ from repro.telemetry import (
     telemetry_session,
     write_jsonl,
 )
-from repro.telemetry.causal import new_trace_id
 from repro.telemetry.spans import Span
 
 
@@ -91,29 +89,6 @@ class TestContexts:
         assert back.trace_id == tel.trace_id
         assert back.links == [{"pid": 7, "id": 9, "kind": "message"}]
 
-    def test_adopt_context_reroots_stack_roots(self):
-        trace = new_trace_id()
-        tel = Telemetry()
-        tel.adopt_context({"trace": trace, "pid": 42, "id": 17})
-        assert tel.trace_id == trace
-        with tel.span("root") as root:
-            with tel.span("child") as child:
-                pass
-        # Only the stack root re-roots; the child keeps its tree parent.
-        assert root.links == [{"pid": 42, "id": 17, "kind": "dispatch"}]
-        assert child.links is None
-        assert child.parent_id == root.span_id
-        assert root.trace_id == trace and child.trace_id == trace
-
-    def test_adopt_none_or_disabled_is_noop(self):
-        tel = Telemetry()
-        before = tel.trace_id
-        tel.adopt_context(None)
-        assert tel.trace_id == before and tel.tracer.remote_parent is None
-        off = Telemetry(enabled=False)
-        off.adopt_context({"trace": "t", "pid": 1, "id": 2})
-        assert off.trace_id is None
-
     def test_context_resolves_installed_session(self):
         with telemetry_session() as tel:
             with tel.span("work") as span:
@@ -129,33 +104,6 @@ def _edge_integrity(spans):
     for s in spans:
         for link in s.get("links") or ():
             assert (link["pid"], link["id"]) in keys, (s["name"], link)
-
-
-# ---------------------------------------------------------------------------
-# dispatch edges across the pool
-
-
-class TestPoolDispatch:
-    def test_worker_spans_reroot_and_share_trace(self, small_matrices):
-        t, n, _params = small_matrices
-        solver = MultiHitSolver(hits=2, backend="pool", n_workers=2)
-        with telemetry_session() as tel:
-            solver.solve(t, n)
-        spans = tel.tracer.export()
-        _edge_integrity(spans)
-        parent_pid = os.getpid()
-        worker_spans = [s for s in spans if s["pid"] != parent_pid]
-        assert worker_spans, "no spans absorbed from pool workers"
-        # Worker spans join the dispatching trace end to end.
-        assert {s.get("trace") for s in worker_spans} == {tel.trace_id}
-        dispatch_links = [
-            link
-            for s in worker_spans
-            for link in s.get("links") or ()
-            if link["kind"] == "dispatch"
-        ]
-        assert dispatch_links, "no dispatch edges from worker roots"
-        assert {link["pid"] for link in dispatch_links} == {parent_pid}
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,17 @@ changes who searches a λ-range, never the winner — and a run killed
 mid-iteration resumes from its checkpoint to an identical final result.
 """
 
-import warnings
 from collections import Counter
 
 import pytest
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core.checkpoint import load_state, solve_with_checkpoints
-from repro.core.distributed import DistributedEngine, WorkerLost, run_lease
+from repro.core.distributed import DistributedEngine, run_lease
 from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.core.pool import PoolDegradedWarning, PoolEngine
+from repro.core.pool import PoolEngine
 from repro.core.solver import MultiHitSolver
 from repro.faults import (
     FAULT_KINDS,
@@ -182,8 +181,7 @@ def _pairs(report, call=0):
 class TestPoolInjection:
     """Each case runs one ``rank``-site plan on both fleets: the same
     winner, the same ``combos_scored`` (the single engine's) and the
-    same (kind, action) pairs.  An injected rank fault loses no worker
-    process, so the pool must not warn."""
+    same (kind, action) pairs."""
 
     def _both(self, instance, spec, policy, calls=1):
         tumor, normal, params = instance
@@ -199,12 +197,10 @@ class TestPoolInjection:
             )
             counters = KernelCounters()
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", PoolDegradedWarning)
-                    for _ in range(calls):
-                        got = engine.best_combo(
-                            tumor, normal, params, counters=counters
-                        )
+                for _ in range(calls):
+                    got = engine.best_combo(
+                        tumor, normal, params, counters=counters
+                    )
             finally:
                 engine.close()
             assert got == ref, backend
@@ -253,8 +249,9 @@ class TestPoolInjection:
         assert report.dead_ranks == (0,)
 
     def test_injected_straggler_observed_not_retried(self, instance):
-        # Call 0 forks the pool's workers (and is not compared: a slow
-        # fork may read as a straggler); the straggler fires on call 1.
+        # Call 0 fills the engines' normal-hit stores (and is not
+        # compared: a slow first scan may read as a straggler); the
+        # straggler fires on call 1.
         report = self._both(
             instance,
             FaultSpec(kind="straggler", site="rank", target=0, at_call=1,
@@ -274,12 +271,10 @@ class TestPoolInjection:
                 FaultSpec(kind="crash", site="rank", target=1, at_call=1),
             )
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", PoolDegradedWarning)
-            faulty = MultiHitSolver(
-                hits=2, backend="pool", n_workers=2, fault_plan=plan,
-                retry_policy=RetryPolicy(resubmits=1),
-            ).solve(t, n)
+        faulty = MultiHitSolver(
+            hits=2, backend="pool", n_workers=2, fault_plan=plan,
+            retry_policy=RetryPolicy(resubmits=1),
+        ).solve(t, n)
         assert signature(faulty.combinations) == signature(clean.combinations)
         assert faulty.uncovered == clean.uncovered
         assert faulty.counters.combos_scored == clean.counters.combos_scored
@@ -289,8 +284,8 @@ class TestPoolInjection:
 
 
 class TestRunLease:
-    """``run_lease`` retries a lost worker exactly like an injected
-    crash, and lets every other exception through."""
+    """``run_lease`` retries an injected crash in place, then forfeits,
+    and lets every exception from the search through."""
 
     def _ledger(self):
         from repro.cluster.leases import LeaseLedger
@@ -304,27 +299,27 @@ class TestRunLease:
 
         def search(lease, rank, stall_s=0.0):
             calls.append(rank)
-            if len(calls) == 1:
-                raise WorkerLost("worker died")
             return None, KernelCounters()
 
+        once = FaultPlan((FaultSpec(kind="crash", site="rank", target=0),))
         report = FaultReport()
         assert run_lease(
-            ledger, lease, 0, search, None, RetryPolicy(resubmits=1), report, 0
+            ledger, lease, 0, search, once, RetryPolicy(resubmits=1), report, 0
         )
         assert [(e.kind, e.action) for e in report.events] == [
             ("crash", "detected"), ("crash", "resubmitted"),
         ]
-        assert ledger.done and len(calls) == 2
+        assert ledger.done and calls == [0]
 
-        def lost(lease, rank, stall_s=0.0):
-            raise WorkerLost("worker died")
-
+        always = FaultPlan(
+            (FaultSpec(kind="crash", site="rank", target=0, count=-1),)
+        )
         ledger, lease = self._ledger()
         report = FaultReport()
         assert not run_lease(
-            ledger, lease, 0, lost, None, RetryPolicy(resubmits=1), report, 0
+            ledger, lease, 0, search, always, RetryPolicy(resubmits=1), report, 0
         )
+        assert calls == [0]  # a crashed attempt never reaches the search
         assert [(e.kind, e.action) for e in report.events] == [
             ("crash", "detected"), ("crash", "detected"),
             ("crash", "lease-forfeit"),

@@ -5,15 +5,12 @@ The operational promises:
 * the ring is bounded (oldest events evicted) and thread-safe;
 * a rank crash produces a dump carrying the failed rank's final spans,
   the fault report, and the λ-ranges rescheduled onto survivors;
-* the pool's first degradation and an unhandled solver exception each
-  leave a black box;
+* an unhandled solver exception leaves a black box;
 * dumps are atomic, schema-stamped, and capped by ``max_dumps``;
 * a session without a recorder behaves exactly as before (no listener).
 """
 
 import json
-import os
-import warnings
 
 import pytest
 
@@ -163,28 +160,7 @@ class TestRankCrashDump:
         assert len(ranges) == len(moved)
 
 
-def _die(task):
-    """A pool worker that dies mid-task (module-level: forked workers
-    find it by reference)."""
-    os._exit(1)
-
-
 class TestPoolAndSolverDumps:
-    def test_pool_degraded_dump(self, tmp_path, small_matrices, monkeypatch):
-        import repro.core.pool as pool_module
-
-        t, n, _ = small_matrices
-        fr = FlightRecorder(out_dir=tmp_path)
-        # Every worker dies: a real loss, not an injected rank fault.
-        monkeypatch.setattr(pool_module, "_search_chunk", _die)
-        with telemetry_session() as tel:
-            tel.attach_flight(fr)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                MultiHitSolver(hits=2, backend="pool", n_workers=2).solve(t, n)
-        names = [p.name for p in sorted(tmp_path.glob("blackbox-*.json"))]
-        assert any("pool-degraded" in name for name in names)
-
     def test_solver_exception_dump(self, tmp_path, small_matrices):
         t, n, _ = small_matrices
         fr = FlightRecorder(out_dir=tmp_path)

@@ -10,6 +10,7 @@ duplicates, cannot change the winner.
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -84,14 +85,15 @@ class TestLifecycle:
         ledger = LeaseLedger((0, 5, 10), ttl_s=1.0)
         lease = ledger.acquire(0, now=100.0)
         assert lease.deadline == pytest.approx(101.0)
-        assert ledger.renew(0, now=105.0) == 1
+        ledger.sync_heartbeats([105.0], now=105.0)
         assert lease.deadline == pytest.approx(106.0)
         assert not ledger.expire(now=105.5)
 
     def test_renew_without_ttl_is_noop(self):
         ledger = LeaseLedger((0, 5, 10))
-        ledger.acquire(0)
-        assert ledger.renew(0) == 0
+        lease = ledger.acquire(0)
+        ledger.sync_heartbeats([time.monotonic() + 50.0])
+        assert lease.deadline == float("inf")
 
     def test_heartbeats_renew_granted_leases(self):
         ledger = LeaseLedger((0, 5, 10), ttl_s=1.0)

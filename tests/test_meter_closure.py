@@ -5,19 +5,16 @@ Generated from the switch space: every way of distributing the arg-max
 call of its thread fleet, pinned and elastic) x ``prune`` x ``sparse``.
 
 Pruned or not, the scan meters what it gathers: ``word_reads`` equals a
-tally of every row gather of the solve, iteration by iteration, counted
-in this process and in the pool workers forked from it.  What it
-gathers — unlike ``combos_scored`` and the winners, which nothing can
-move — depends on where the backend cuts the grid (each call builds its
-own inner tables) and, unpruned, on which normal hits the scanning
-process has stored (a pool worker holds only those of ranges it scanned
-before).  The hits-4 cells (the paper's 3x1 scheme and the 2x2 one,
+tally of every row gather of the solve, iteration by iteration.  What
+it gathers — unlike ``combos_scored`` and the winners, which nothing
+can move — depends on where the backend cuts the grid (each call
+builds its own inner tables) and, unpruned, on which normal hits the
+engine's store already holds.  The hits-4 cells (the paper's 3x1 scheme and the 2x2 one,
 whose valid inner columns are not a suffix) run single and on the
 fleet's shared store.
 """
 
-import multiprocessing
-import os
+import threading
 from unittest.mock import patch
 
 import pytest
@@ -46,15 +43,21 @@ BACKENDS = {
 }
 
 
-def _tally_gathers(monkeypatch, tumor, normal):
-    """Words every row gather of the solve touches, summed across the
-    process and the pool workers forked from it (shared memory).
+class _Tally:
+    def __init__(self) -> None:
+        self.value = 0
+        self.lock = threading.Lock()
 
-    In this process only gathers from the solve's own matrices count — the
-    inputs and each spliced tumor matrix — since a thread an earlier test
-    left running may still be scanning here."""
-    tally = multiprocessing.get_context("fork").Value("q", 0)
-    ours, parent = [tumor, normal], os.getpid()
+
+def _tally_gathers(monkeypatch, tumor, normal):
+    """Words every row gather of the solve touches, summed over every
+    thread that scans for it.
+
+    Only gathers from the solve's own matrices count — the inputs and
+    each spliced tumor matrix — since a thread an earlier test left
+    running may still be scanning here."""
+    tally = _Tally()
+    ours = [tumor, normal]
     gather, splice = engine_mod._and_reduce_rows, solver_module.splice_columns
 
     def spliced(*args):
@@ -62,8 +65,8 @@ def _tally_gathers(monkeypatch, tumor, normal):
         return ours[-1]
 
     def counted(matrix, combos):
-        if os.getpid() != parent or any(matrix is m for m in ours):
-            with tally.get_lock():
+        if any(matrix is m for m in ours):
+            with tally.lock:
                 tally.value += combos.size * matrix.n_words
         return gather(matrix, combos)
 

@@ -4,8 +4,8 @@ Switching the store off (a zero byte budget) must change nothing but
 ``word_reads`` and wall time — winners, tie-breaks, ``combos_scored`` and
 every other :class:`IterationRecord` field — on every backend, every
 scheme shape, splice or mask, a resumed run and a budget that covers only
-part of the grid.  Whether a rank thread or a pool worker finds a range
-stored depends on scheduling; the answers must not.
+part of the grid.  Whether a rank thread finds a range stored depends on
+scheduling; the answers must not.
 """
 
 import dataclasses
@@ -19,14 +19,13 @@ import numpy as np
 import pytest
 
 import repro.core.engine as engine_mod
-import repro.core.pool as pool_module
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core import solver as solver_module
 from repro.core.distributed import DistributedEngine
 from repro.core.engine import NormalHitStore, SingleGpuEngine, best_in_thread_range
 from repro.core.fscore import FScoreParams
 from repro.core.memopt import MemoryConfig
-from repro.core.pool import PoolEngine, _ChunkTask
+from repro.core.pool import PoolEngine
 from repro.core.solver import MultiHitSolver
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, scheme_for
@@ -296,49 +295,60 @@ class TestBinding:
         assert NormalHitStore.reuse(None, flat, 14, normal) is None
 
 
-class TestPoolWorkerStore:
-    def test_dropped_with_its_normal_segment(self):
-        """A worker keys its store by normal segment: the next job's
-        segment evicts it, so two jobs never share counts."""
+class TestPoolStore:
+    """The pool's rank threads share one store per engine, as the
+    distributed backend's do."""
+
+    def test_rebinds_on_a_new_normal_matrix(self):
+        """The next job's normal matrix gets a new store, so two jobs
+        never share counts."""
         t, n = _cohort()
         tumor = BitMatrix.from_dense(t)
         params = FScoreParams(n_tumor=t.shape[1], n_normal=n.shape[1])
         scheme = scheme_for(3, 2)
-        total = total_threads(scheme, 14)
-        with PoolEngine(scheme=scheme, n_workers=1) as eng:
+        with PoolEngine(scheme=scheme, n_workers=2) as eng:
+            normal_a = BitMatrix.from_dense(n)
+            best_a = eng.best_combo(tumor, normal_a, params)
+            store_a = eng._normal_hits
+            assert store_a.filled.all()
+            assert eng.best_combo(tumor, normal_a, params) == best_a
+            assert eng._normal_hits is store_a
 
-            def task(normal):
-                return _ChunkTask(
-                    scheme=scheme, g=14,
-                    tumor_name=eng._publish("tumor", tumor, None),
-                    tumor_shape=tumor.words.shape,
-                    tumor_samples=tumor.n_samples,
-                    normal_name=eng._publish("normal", normal, None),
-                    normal_shape=normal.words.shape,
-                    normal_samples=normal.n_samples,
-                    params=params, lam_start=0, lam_end=total,
-                )
+            normal_b = BitMatrix.from_dense(~n)  # the next job
+            best_b = eng.best_combo(tumor, normal_b, params)
+            store_b = eng._normal_hits
+        assert store_b is not store_a
+        assert not np.array_equal(store_b.counts, store_a.counts)
+        assert best_b == SingleGpuEngine(scheme=scheme).best_combo(
+            tumor, normal_b, params
+        )
 
-            try:
-                first = task(BitMatrix.from_dense(n))
-                best_a = pool_module._search_chunk(first)[0]
-                store_a = pool_module._NORMAL_HITS[first.normal_name]
-                assert store_a.filled.all()
-                assert pool_module._search_chunk(first)[0] == best_a
-                assert pool_module._NORMAL_HITS[first.normal_name] is store_a
-
-                second = task(BitMatrix.from_dense(~n))  # the next job
-                best_b = pool_module._search_chunk(second)[0]
-                assert set(pool_module._NORMAL_HITS) == {second.normal_name}
-                store_b = pool_module._NORMAL_HITS[second.normal_name]
-                assert store_b is not store_a
-                assert not np.array_equal(store_b.counts, store_a.counts)
-                assert best_b == SingleGpuEngine(scheme=scheme).best_combo(
-                    tumor, BitMatrix.from_dense(~n), params
-                )
-            finally:
-                pool_module._evict_stale(set())
-        assert not pool_module._NORMAL_HITS
+    def test_one_store_per_engine(self):
+        """Elastic leases land on whichever rank is free; with one store
+        shared by the ranks, what a solve gathers does not depend on
+        which rank ran which lease."""
+        rng = np.random.default_rng(33)
+        t, n = rng.random((40, 200)) < 0.3, rng.random((40, 160)) < 0.15
+        runs = [
+            MultiHitSolver(
+                hits=3, backend="pool", n_workers=2, elastic=True,
+                max_iterations=ITERATIONS,
+            ).solve(t, n)
+            for _ in range(3)
+        ]
+        reads = [[r.word_reads for r in run.iterations] for run in runs]
+        assert reads[1] == reads[0] and reads[2] == reads[0]
+        dist = MultiHitSolver(
+            hits=3, backend="distributed", n_nodes=2, elastic=True,
+            max_iterations=ITERATIONS,
+        ).solve(t, n)
+        for run in runs:
+            assert [c.genes for c in run.combinations] == [
+                c.genes for c in dist.combinations
+            ]
+            assert [r.combos_scored for r in run.iterations] == [
+                r.combos_scored for r in dist.iterations
+            ]
 
 
 class TestDuplicatedScans:

@@ -1,30 +1,22 @@
-"""Tests for the multiprocess equi-area execution backend.
+"""Tests for the equi-area rank-thread execution backend.
 
 The contract under test: ``backend="pool"`` is bit-exact with
 ``backend="single"`` — same combinations, same F-scores, same
 tie-breaks, same merged counters — for every worker count and lease
-cut, and a worker process that dies or times out is a lost attempt on
-its rank's lease: survivors or the driver's inline drain search the
-range without changing any of that, with one warning per engine.
+cut.  Recovery from injected rank faults is the fleet's, and is tested
+on both backends at once (``tests/test_faults.py::TestPoolInjection``).
 """
-
-import os
-import threading
-import time
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.core.pool as pool_module
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.core.pool import PoolDegradedWarning, PoolEngine, PoolStats
-from repro.faults.policy import RetryPolicy
+from repro.core.pool import PoolEngine, PoolStats
 from repro.core.sequential import sequential_solve
 from repro.core.solver import MultiHitSolver
 from repro.scheduling.equiarea import equiarea_range_boundaries, equiarea_schedule
@@ -41,21 +33,11 @@ def signature(combos):
 
 
 def _work_tuple(c):
-    """The partition-independent part: each chunk gathers the inner
-    tables it builds, and reads normal hits from its worker's store only
-    where that worker scanned the range before, so ``word_reads``
-    depends on the cut and on scheduling (tests/test_meter_closure.py
-    closes it against a tally of the gathers)."""
+    """The partition-independent part: each lease gathers the inner
+    tables it builds, so ``word_reads`` depends on the cut
+    (tests/test_meter_closure.py closes it against a tally of the
+    gathers)."""
     return (c.combos_scored, c.word_ops)
-
-
-# Module-level so fork workers can unpickle them by reference.
-def _crash_chunk(task):
-    os._exit(1)
-
-
-def _slow_chunk(task):
-    time.sleep(5)
 
 
 @pytest.fixture
@@ -233,24 +215,10 @@ class TestSolverBackendEquivalence:
             MultiHitSolver(backend="pool", n_workers=0)
 
 
-# -- shared-memory lifecycle and stats -----------------------------------
+# -- stats -----------------------------------------------------------------
 
 
 class TestStatsAndSharedMemory:
-    def test_matrices_shipped_once_while_unchanged(self, instance):
-        tumor, normal, params = instance
-        stats = PoolStats()
-        with PoolEngine(scheme=scheme_for(3, 2), n_workers=4) as eng:
-            first = eng.best_combo(tumor, normal, params, stats=stats)
-            second = eng.best_combo(tumor, normal, params, stats=stats)
-            assert first == second
-            assert stats.n_publishes == 2  # tumor + normal, once each
-            assert stats.shipped_bytes == tumor.words.nbytes + normal.words.nbytes
-            # A new tumor matrix (a greedy splice) re-ships tumor only.
-            spliced = BitMatrix(tumor.words.copy(), tumor.n_samples)
-            eng.best_combo(spliced, normal, params, stats=stats)
-            assert stats.n_publishes == 3
-
     def test_chunk_records_cover_range_exactly(self, instance):
         tumor, normal, params = instance
         scheme = scheme_for(3, 2)
@@ -268,7 +236,10 @@ class TestStatsAndSharedMemory:
             scheme, tumor.n_genes
         )
         assert stats.n_inline_retries == 0
+        # Each row's wall is its completing attempt's, timed by run_lease.
+        assert all(c.wall_seconds > 0 for c in stats.chunks)
         per_worker = stats.per_worker()
+        assert set(per_worker) <= set(range(4))  # keyed by rank
         assert sum(row["chunks"] for row in per_worker.values()) == len(stats.chunks)
         assert "PoolStats" in stats.describe()
 
@@ -290,155 +261,3 @@ class TestStatsAndSharedMemory:
         eng.best_combo(tumor, normal, params)
         eng.close()
         eng.close()
-
-    def test_worker_forked_while_tracker_lock_held_still_attaches(
-        self, instance
-    ):
-        """Another thread (another gateway job) inside the resource
-        tracker when the pool forks must not hang the worker's attach."""
-        from multiprocessing import resource_tracker
-
-        tumor, _, _ = instance
-        eng = PoolEngine(scheme=scheme_for(2, 1), n_workers=1)
-        name = eng._publish("tumor", tumor, None)
-        holding, release = threading.Event(), threading.Event()
-
-        def hold_tracker_lock():
-            with resource_tracker._resource_tracker._lock:
-                holding.set()
-                release.wait(30)
-
-        holder = threading.Thread(target=hold_tracker_lock)
-        holder.start()
-        try:
-            assert holding.wait(10)
-            # The pool forks its worker here, inside submit().
-            future = eng._ensure_pool().submit(
-                pool_module._attach, name, tumor.words.shape)
-            try:
-                attached = future.result(timeout=10)
-            except TimeoutError:
-                pool_module._terminate(eng._pool)  # kill the hung worker
-                raise
-            np.testing.assert_array_equal(attached, tumor.words)
-        finally:
-            release.set()
-            holder.join(10)
-            eng.close()
-
-
-# -- graceful degradation ------------------------------------------------
-
-
-class TestGracefulDegradation:
-    def test_worker_crash_recovers_inline_with_one_warning(
-        self, instance, monkeypatch
-    ):
-        tumor, normal, params = instance
-        scheme = scheme_for(3, 2)
-        ref = SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
-        # Fork workers inherit the patched module, so every chunk dies.
-        monkeypatch.setattr(pool_module, "_search_chunk", _crash_chunk)
-        with PoolEngine(scheme=scheme, n_workers=2) as eng:
-            stats = PoolStats()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                got = eng.best_combo(tumor, normal, params, stats=stats)
-            degraded = [
-                w for w in caught if issubclass(w.category, PoolDegradedWarning)
-            ]
-            assert got == ref
-            assert len(degraded) == 1  # warn once, not per chunk
-            assert stats.n_inline_retries == len(stats.chunks)
-            # The pool is rebuilt: with the real worker restored the next
-            # call runs on fresh processes with no further warnings.
-            monkeypatch.undo()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                again = eng.best_combo(tumor, normal, params)
-            assert again == ref
-            assert not [
-                w for w in caught if issubclass(w.category, PoolDegradedWarning)
-            ]
-
-    def test_worker_timeout_recovers_inline(self, instance, monkeypatch):
-        tumor, normal, params = instance
-        scheme = scheme_for(2, 1)
-        ref = SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
-        monkeypatch.setattr(pool_module, "_search_chunk", _slow_chunk)
-        with PoolEngine(
-            scheme=scheme, n_workers=2, retry_policy=RetryPolicy(deadline_s=0.2)
-        ) as eng:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                got = eng.best_combo(tumor, normal, params)
-        assert got == ref
-        assert [w for w in caught if issubclass(w.category, PoolDegradedWarning)]
-
-    def test_warn_once_survives_pool_rebuild(self, instance, monkeypatch):
-        """A second degraded call after the rebuild must not warn again."""
-        tumor, normal, params = instance
-        scheme = scheme_for(3, 2)
-        ref = SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
-        monkeypatch.setattr(pool_module, "_search_chunk", _crash_chunk)
-        with PoolEngine(scheme=scheme, n_workers=2) as eng:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                first = eng.best_combo(tumor, normal, params)
-                second = eng.best_combo(tumor, normal, params)
-            assert first == ref and second == ref
-            degraded = [
-                w for w in caught if issubclass(w.category, PoolDegradedWarning)
-            ]
-            assert len(degraded) == 1
-
-    def test_inline_retry_stats_survive_pool_rebuild(self, instance, monkeypatch):
-        """Chunk records from a degraded call stay intact after the rebuilt
-        pool serves a later, healthy call into the same PoolStats."""
-        tumor, normal, params = instance
-        scheme = scheme_for(3, 2)
-        monkeypatch.setattr(pool_module, "_search_chunk", _crash_chunk)
-        stats = PoolStats()
-        with PoolEngine(scheme=scheme, n_workers=2) as eng:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", PoolDegradedWarning)
-                eng.best_combo(tumor, normal, params, stats=stats)
-            degraded_chunks = len(stats.chunks)
-            assert stats.n_inline_retries == degraded_chunks > 0
-            monkeypatch.undo()
-            eng.best_combo(tumor, normal, params, stats=stats)
-        assert len(stats.chunks) == 2 * degraded_chunks
-        # The degraded call's records are untouched; the healthy call's
-        # chunks went to real workers.
-        assert stats.n_inline_retries == degraded_chunks
-        healthy = stats.chunks[degraded_chunks:]
-        assert all(not c.inline_retry for c in healthy)
-        assert all(c.worker_pid != os.getpid() for c in healthy)
-
-    def test_timed_out_chunk_range_is_bit_exact(self, instance, monkeypatch):
-        """The driver's drain of a timed-out lease searches exactly the lease's
-        [lam_start, lam_end) range — merged result identical to single-GPU."""
-        tumor, normal, params = instance
-        scheme = scheme_for(2, 1)
-        ref_counters = KernelCounters()
-        ref = SingleGpuEngine(scheme=scheme).best_combo(
-            tumor, normal, params, counters=ref_counters
-        )
-        monkeypatch.setattr(pool_module, "_search_chunk", _slow_chunk)
-        stats = PoolStats()
-        counters = KernelCounters()
-        with PoolEngine(
-            scheme=scheme, n_workers=2, retry_policy=RetryPolicy(deadline_s=0.2)
-        ) as eng:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", PoolDegradedWarning)
-                got = eng.best_combo(
-                    tumor, normal, params, counters=counters, stats=stats
-                )
-        assert got == ref
-        assert _work_tuple(counters) == _work_tuple(ref_counters)
-        retried = [c for c in stats.chunks if c.inline_retry]
-        assert retried
-        for c in retried:
-            assert c.lam_start < c.lam_end
-            assert c.worker_pid == os.getpid()

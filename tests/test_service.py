@@ -274,7 +274,7 @@ class TestDispatch:
         cores(2)
         fleet = FleetState()
         below = decide(self._job(spec_for(0, n_genes=60)), fleet)
-        above = decide(self._job(spec_for(0, n_genes=140)), fleet)
+        above = decide(self._job(spec_for(0, n_genes=220)), fleet)
         assert below.est_cost < SINGLE_THRESHOLD < above.est_cost
         assert below.backend == "single"
         assert (above.backend, above.n_workers) == ("pool", 2)
