@@ -13,15 +13,17 @@ over ``n_workers`` ranks).  Every rank is a thread that scans its lease
 in-thread with ``search_lease`` and recovers with ``run_lease`` (the
 one recovery rule) from :mod:`repro.core.distributed`.
 
-The fleet never aborts.  Ranks *pull* leases, renew them with a
-heartbeat between leases (no message is sent during an arg-max), and
-can join or leave mid-solve: a **joining** rank starts pulling; a
-**leaving** rank finishes the lease it holds, then retires; a
-**crashed** rank retries in place under the policy, then is retired and
-forfeits its leases, held and pinned; a **hung** rank really goes
-silent, so its lease expires off its stale heartbeat once the ledger's
-TTL passes.  Either way a survivor steals the range and the winner is
-unchanged (see the determinism argument in :mod:`repro.cluster.leases`).
+The fleet never aborts.  Ranks *pull* leases (no message is sent
+during an arg-max) and can join or leave mid-solve: a **joining** rank
+starts pulling; a **leaving** rank finishes the lease it holds, then
+retires; a **crashed** rank retries in place under the policy, then is
+retired and forfeits its leases, held and pinned; a **hung** rank
+really goes silent, so its lease expires once the ledger's TTL, armed
+when the rank took it, passes.  Either way a survivor steals the range
+and the winner is unchanged (see the determinism argument in
+:mod:`repro.cluster.leases`).  A rank's heartbeat, beaten between
+leases, only feeds the staleness gauge and the supervisor's test of
+whether anybody still answers.
 Joins and leaves come only from the fault plan's ``membership`` specs:
 as on an allocation, nothing resizes the fleet at run time.  This is
 the only rank runner: the paper's Section III-E reduce of one candidate
@@ -59,19 +61,6 @@ _POLL_S = 0.01
 _DRAIN_GRACE_S = 2.0
 
 
-def export_heartbeat_staleness(telemetry, heartbeats, live_ranks, now) -> None:
-    """Publish ``spmd.heartbeat_stale_s.max``, the stalest live rank's
-    silence, re-written on each call (a rank that finished or left no
-    longer counts).  The progress monitor reads it to flag a world whose
-    ranks have gone quiet before any deadline actually trips."""
-    if not telemetry.enabled:
-        return
-    telemetry.set_gauge(
-        "spmd.heartbeat_stale_s.max",
-        max((now - heartbeats[r] for r in live_ranks), default=0.0),
-    )
-
-
 @dataclass
 class ElasticSPMDRunner:
     """Drive a lease ledger to completion on an elastic thread fleet.
@@ -87,12 +76,14 @@ class ElasticSPMDRunner:
     churn lands in the call it is due however fast the ranks drain it.
 
     The runner is deadlock-free by construction: every lease either
-    completes, expires (``ledger.ttl_s`` off a stale heartbeat), or is
-    forfeited — and once no rank is left that answers (every thread
+    completes, expires (``ledger.ttl_s`` after its holder took it), or
+    is forfeited — and once no rank is left that answers (every thread
     gone, or silent past the TTL), the supervisor itself drains the
     pool inline (holder ``-1``), so :meth:`run` returns a
     fully-completed ledger unless a silent rank sits on a lease that
     cannot expire.  ``max_wall_s`` bounds that case (``None``: no cap).
+    A run's threads and heartbeats live on the runner: one ledger at a
+    time.
     """
 
     n_ranks: int
@@ -118,8 +109,16 @@ class ElasticSPMDRunner:
         leases.  On return the ledger is fully completed and the moved
         leases are in ``report``; merge/counters are the caller's.
         """
-        tel = get_telemetry()
-        fleet = _Fleet(self, ledger, search, call)
+        tel = self.tel = get_telemetry()
+        self.ledger, self.search, self.call = ledger, search, call
+        #: Last-beat monotonic time per rank id (a plain list: ranks
+        #: never message each other during an arg-max).
+        self.heartbeats = [0.0] * self.max_ranks
+        self.threads: "dict[int, threading.Thread]" = {}
+        self.leaving: "dict[int, threading.Event]" = {}
+        self.stopping = threading.Event()
+        #: Set on every completed lease and rank exit: wakes the supervisor.
+        self.progress = threading.Event()
         if tel.flight is not None:
             tel.flight.set_assignments("lease", ledger.assignment_rows(call))
         with tel.span(
@@ -134,12 +133,15 @@ class ElasticSPMDRunner:
             # Joiners start empty.
             first_round = [ledger.acquire(r) for r in range(self.n_ranks)]
             for rank, lease in enumerate(first_round):
-                fleet.spawn(rank, lease)
-            fleet.observe(time.monotonic())
+                self._spawn(rank, lease)
+            self._observe(time.monotonic())
             try:
-                self._supervise(fleet)
+                self._supervise()
             finally:
-                fleet.stop()
+                self.stopping.set()
+                t_end = time.monotonic() + _DRAIN_GRACE_S
+                for thread in self.threads.values():
+                    thread.join(timeout=max(0.0, t_end - time.monotonic()))
         for moved in ledger.moved():
             self.report.record_reschedule(*moved, call=call)
         # Stragglers resurfacing after a steal leave duplicates behind;
@@ -152,28 +154,25 @@ class ElasticSPMDRunner:
                     "lease-churn", telemetry=tel, fault_report=self.report
                 )
 
-    def _supervise(self, fleet: "_Fleet") -> None:
-        """Renew, expire, churn and fall back until the ledger is done;
-        woken by every completion, and at least every ``_POLL_S``."""
-        ledger = fleet.ledger
+    def _supervise(self) -> None:
+        """Expire, churn and fall back until the ledger is done; woken
+        by every completion, and at least every ``_POLL_S``."""
+        ledger = self.ledger
         started = time.monotonic()
         while True:
-            fleet.progress.clear()
+            self.progress.clear()
             now = time.monotonic()
-            # Heartbeats are the renewal protocol: re-arm lease deadlines
-            # off the beats, then reclaim the stale ones for survivors
-            # to steal.
-            ledger.sync_heartbeats(fleet.heartbeats, now)
+            # Reclaim leases held past their TTL for survivors to steal.
             for lease in ledger.expire(now):
                 self.report.record(
-                    "hang", "rank", lease.previous_holders[-1], fleet.call,
+                    "hang", "rank", lease.previous_holders[-1], self.call,
                     "lease-expired",
                     detail=(
                         f"lease {lease.lease_id} "
                         f"[{lease.lam_start}, {lease.lam_end})"
                     ),
                 )
-            fleet.apply_churn()
+            self._apply_churn()
             if ledger.done:
                 return
             if self.max_wall_s is not None and now - started > self.max_wall_s:
@@ -182,45 +181,35 @@ class ElasticSPMDRunner:
                     f" with {ledger.n_leases - ledger.n_completed}"
                     " leases outstanding"
                 )
-            live = fleet.observe(now)
+            live = self._observe(now)
             ttl = ledger.ttl_s
             if not any(
-                ttl is None or now - fleet.heartbeats[r] <= ttl for r in live
+                ttl is None or now - self.heartbeats[r] <= ttl for r in live
             ):
                 # Nobody left who answers — every rank is gone, or
                 # silent past the TTL: the driver drains the pool itself
                 # (holder -1), the guaranteed fallback.
-                fleet.drain_inline()
+                self._drain_inline()
                 if ledger.done:
                     continue
-            fleet.progress.wait(_POLL_S)
+            self.progress.wait(_POLL_S)
 
+    def _observe(self, now: float) -> "list[int]":
+        """Publish ``spmd.heartbeat_stale_s.max``, the stalest live
+        rank's silence (a rank that finished or left no longer counts),
+        which the progress monitor reads to flag a world gone quiet
+        before any deadline trips; returns the live ranks."""
+        live = [r for r, t in self.threads.items() if t.is_alive()]
+        self.tel.set_gauge(
+            "spmd.heartbeat_stale_s.max",
+            max((now - self.heartbeats[r] for r in live), default=0.0),
+        )
+        return live
 
-class _Fleet:
-    """One run's rank threads: their heartbeats, joins and departures."""
-
-    def __init__(
-        self, runner: ElasticSPMDRunner, ledger: LeaseLedger, search, call: int
-    ) -> None:
-        self.runner = runner
-        self.ledger = ledger
-        self.search = search
-        self.call = call
-        self.tel = get_telemetry()
-        #: Last-beat monotonic time per rank id (a plain list: ranks
-        #: never message each other during an arg-max).
-        self.heartbeats = [0.0] * runner.max_ranks
-        self.threads: "dict[int, threading.Thread]" = {}
-        self.leaving: "dict[int, threading.Event]" = {}
-        self.next_rank = runner.n_ranks
-        self.stopping = threading.Event()
-        #: Set on every completed lease and rank exit: wakes the supervisor.
-        self.progress = threading.Event()
-
-    def spawn(self, rank: int, lease=None) -> bool:
+    def _spawn(self, rank: int, lease=None) -> bool:
         """Start rank ``rank`` (on ``lease`` if the launch granted it one);
         ``False`` when the world has no room left."""
-        if rank >= self.runner.max_ranks:
+        if rank >= self.max_ranks:
             return False
         self.leaving[rank] = threading.Event()
         self.heartbeats[rank] = time.monotonic()
@@ -232,23 +221,10 @@ class _Fleet:
         thread.start()
         return True
 
-    def stop(self) -> None:
-        self.stopping.set()
-        t_end = time.monotonic() + _DRAIN_GRACE_S
-        for thread in self.threads.values():
-            thread.join(timeout=max(0.0, t_end - time.monotonic()))
-
-    def observe(self, now: float) -> "list[int]":
-        """Export heartbeat staleness; returns the ranks whose threads
-        are alive."""
-        live = [r for r, t in self.threads.items() if t.is_alive()]
-        export_heartbeat_staleness(self.tel, self.heartbeats, live, now)
-        return live
-
-    def apply_churn(self) -> None:
+    def _apply_churn(self) -> None:
         """Consume the membership specs that are due: a join starts fresh
         ranks, a leave asks a rank to drain."""
-        plan, report = self.runner.fault_plan, self.runner.report
+        plan, report = self.fault_plan, self.report
         if plan is None:
             return
         frac = self.ledger.completed_fraction()
@@ -256,13 +232,13 @@ class _Fleet:
         for spec in plan.take_churn(self.call, frac):
             if spec.kind == "join":
                 for _ in range(max(1, spec.target)):
-                    if not self.spawn(self.next_rank):
+                    rank = len(self.threads)  # ranks are numbered in order
+                    if not self._spawn(rank):
                         break
                     report.record(
-                        "join", "membership", self.next_rank, self.call,
-                        "joined", detail=at,
+                        "join", "membership", rank, self.call, "joined",
+                        detail=at,
                     )
-                    self.next_rank += 1
                 continue
             leaving = self.leaving.get(spec.target)
             if leaving is not None and not leaving.is_set():
@@ -271,6 +247,18 @@ class _Fleet:
                     "leave", "membership", spec.target, self.call, "drained",
                     detail=at,
                 )
+
+    def _drain_inline(self) -> None:
+        # Dead ranks hold nothing (every exit path retires) and a silent
+        # rank's reservations lapsed with its lease, so whatever nobody
+        # holds is in the shared pool.  No fault is injected on the
+        # driver (``run_lease`` takes none for holder -1).
+        while (lease := self.ledger.acquire(-1)) is not None:
+            self._run_lease(-1, lease)
+            self.report.record(
+                "crash", "rank", -1, self.call, "inline-drain",
+                detail=f"lease {lease.lease_id} recovered by driver",
+            )
 
     def _worker(self, rank: int, lease) -> None:
         # Inherit the spawner's (possibly thread-scoped, per-job)
@@ -281,18 +269,17 @@ class _Fleet:
                 self._rank_body(rank, lease)
         except BaseException as exc:  # noqa: BLE001 - survivable by design
             self.ledger.retire(rank)
-            self.runner.report.record(
+            self.report.record(
                 "crash", "rank", rank, self.call, "lease-forfeit",
                 detail=f"{type(exc).__name__}: {exc}",
             )
         finally:
             self.progress.set()
 
-    def _run(self, rank: int, lease) -> bool:
-        runner = self.runner
+    def _run_lease(self, rank: int, lease) -> bool:
         kept = run_lease(
-            self.ledger, lease, rank, self.search, runner.fault_plan,
-            runner.retry_policy, runner.report, self.call,
+            self.ledger, lease, rank, self.search, self.fault_plan,
+            self.retry_policy, self.report, self.call,
         )
         self.progress.set()
         return kept
@@ -301,8 +288,7 @@ class _Fleet:
         ledger, leaving, beats = self.ledger, self.leaving[rank], self.heartbeats
         if lease is not None:  # granted by the driver before the launch
             ledger.take_up(lease, rank)
-            beats[rank] = time.monotonic()
-            if not self._run(rank, lease):
+            if not self._run_lease(rank, lease):
                 return
         while not (self.stopping.is_set() or ledger.done):
             beats[rank] = time.monotonic()
@@ -330,23 +316,8 @@ class _Fleet:
                         time.sleep(_POLL_S)
                         beats[rank] = time.monotonic()
                 continue
-            if not self._run(rank, lease):
+            if not self._run_lease(rank, lease):
                 return  # retired: its leases are the survivors' now
-
-    def drain_inline(self) -> None:
-        # Dead ranks hold nothing (every exit path retires) and a silent
-        # rank's reservations lapsed with its lease, so whatever nobody
-        # holds is in the shared pool.
-        runner = self.runner
-        while (lease := self.ledger.acquire(-1)) is not None:
-            run_lease(
-                self.ledger, lease, -1, self.search, None,
-                runner.retry_policy, runner.report, self.call,
-            )
-            runner.report.record(
-                "crash", "rank", -1, self.call, "inline-drain",
-                detail=f"lease {lease.lease_id} recovered by driver",
-            )
 
 
 def spmd_best_combo(
@@ -369,14 +340,12 @@ def spmd_best_combo(
 ) -> "MultiHitCombination | None":
     """One arg-max on a thread fleet of ``n_ranks`` over ``ledger``.
 
-    The ledger decides the schedule: ``LeaseLedger.from_schedule(...)``
-    is the paper's static one (each rank searches its own partitions
-    unless it fails), ``LeaseLedger.build(...)`` an elastic pool, cut
-    finer than one-per-rank so stealing has grain.  Give it a ``ttl_s``
-    for hung ranks to be stolen from.  Whatever happens to the ranks,
-    the winners fold through :meth:`LeaseLedger.merge` in lease-id
-    order (``reduction_stats`` records its stages): the result is
-    bit-identical to any fixed-world run over the same grid.
+    The ledger decides the schedule (pinned ``from_schedule`` leases or
+    pulled ``build`` ones; a ``ttl_s`` lets survivors steal from hung
+    ranks).  Whatever happens to the ranks, the winners fold through
+    :meth:`LeaseLedger.merge` in lease-id order (``reduction_stats``
+    records its stages): the result is bit-identical to any fixed-world
+    run over the same grid.
 
     ``bounds`` (a table covering the ledger's range) turns pruning on:
     each lease prunes against a copy of its slice (see

@@ -6,9 +6,9 @@ structurally straggler-prone once pruning makes per-range work
 non-uniform, and helpless when ranks join or leave mid-solve.  The
 elastic path instead cuts each iteration's λ-space into a pool of
 **leases**, finer than one-per-rank, owned by a :class:`LeaseLedger`
-on the driver (rank 0): ranks *pull* leases, renew them through the
-heartbeat channel, and a lease whose holder goes silent (or departs)
-returns to the pool for a survivor to steal.
+on the driver (rank 0): ranks *pull* leases, each grant arms a
+time-to-live, and a lease whose holder stays silent past it (or
+departs) returns to the pool for a survivor to steal.
 
 Determinism argument: a lease's result is a pure function of its
 ``[lam_start, lam_end)`` range — never of who computed it or when — and
@@ -98,12 +98,13 @@ class Lease:
 
 
 class LeaseLedger:
-    """Thread-safe lease pool with heartbeat-driven expiry.
+    """Thread-safe lease pool with TTL expiry.
 
-    One ledger per arg-max call.  ``ttl_s`` arms a renewal deadline on
-    every grant: a holder that neither completes nor renews within the
-    TTL loses the lease back to the pool (``ttl_s=None`` disables the
-    clock: a silent holder then keeps its lease until it resurfaces).
+    One ledger per arg-max call.  ``ttl_s`` arms a deadline on every
+    grant (restarted by :meth:`take_up`): a holder that does not
+    complete within the TTL loses the lease back to the pool once
+    :meth:`expire` runs (``ttl_s=None`` disables the clock: a silent
+    holder then keeps its lease until it resurfaces).
     """
 
     def __init__(
@@ -209,6 +210,12 @@ class LeaseLedger:
         for lease_id in self._pools.pop(holder, ()):
             heapq.heappush(shared, lease_id)
 
+    def _deadline(self, now: "float | None") -> float:
+        """When a grant armed at ``now`` expires (``inf``: no TTL)."""
+        if self.ttl_s is None:
+            return float("inf")
+        return (time.monotonic() if now is None else now) + self.ttl_s
+
     def acquire(self, holder: int, now: "float | None" = None) -> "Lease | None":
         """Grant ``holder`` the lowest-id available lease it may take.
 
@@ -237,11 +244,7 @@ class LeaseLedger:
             lease.grant_ctx = tel.context()
             lease.victim_ctx = lease.stolen_from_ctx
             lease.stolen_from_ctx = None
-            if now is None:
-                now = time.monotonic()
-            lease.deadline = (
-                now + self.ttl_s if self.ttl_s is not None else float("inf")
-            )
+            lease.deadline = self._deadline(now)
             self._n_granted += 1
             self.n_grants += 1
             if stolen:
@@ -262,39 +265,19 @@ class LeaseLedger:
                         )
             return lease
 
-    def take_up(self, lease: Lease, holder: int) -> None:
+    def take_up(self, lease: Lease, holder: int, now: "float | None" = None) -> None:
         """``holder`` starts on a lease the driver acquired on its behalf.
 
         The grant is causally the holder's, so its context becomes the
         holder's own span (a later thief's ``steal`` edge must reach the
-        victim's timeline, not the driver's) — unless the grant has been
-        revoked in the meantime.
+        victim's timeline, not the driver's), and the TTL restarts now:
+        the holder's silence is timed from when it took the lease up, not
+        from the launch.  A grant revoked in the meantime is left alone.
         """
         with self._lock:
             if lease.state == "granted" and lease.holder == holder:
                 lease.grant_ctx = get_telemetry().context()
-
-    def sync_heartbeats(
-        self, heartbeats: "list[float]", now: "float | None" = None
-    ) -> None:
-        """Re-arm deadlines from the fleet's heartbeats.
-
-        ``heartbeats[r]`` is rank ``r``'s last-beat monotonic time (a
-        rank beats between leases and while it waits for one); a granted
-        lease's deadline becomes ``beat + ttl_s``, so only a silence
-        inside one search can outlive the TTL.
-        """
-        if self.ttl_s is None:
-            return
-        with self._lock:
-            for lease in self.leases:
-                if lease.state != "granted":
-                    continue
-                h = lease.holder
-                if h is not None and 0 <= h < len(heartbeats):
-                    lease.deadline = max(
-                        lease.deadline, heartbeats[h] + self.ttl_s
-                    )
+                lease.deadline = self._deadline(now)
 
     def _revoke(self, lost, event: str) -> "list[Lease]":
         """Return every granted lease for which ``lost(lease)`` holds to

@@ -9,27 +9,24 @@ Each rank is a thread of :func:`repro.cluster.elastic.spmd_best_combo`,
 the one driver of a ledger, running :func:`search_lease` under
 :func:`run_lease`.
 
-The two scheduling modes differ only in the ledger they build:
+Both backends that fan out — this one and the pool
+(:mod:`repro.core.pool`) — are :class:`FleetEngine` subclasses and
+differ only in the ledger they build:
 
-* static (``elastic=False``): the cuts are the schedule's partition
-  boundaries and each lease is **pinned** to the rank that owns the
-  partition (``part // gpus_per_node``), so a healthy run is exactly the
-  paper's one-partition-per-GPU schedule;
-* ``elastic=True``: :data:`LEASES_PER_PULLER` equi-area cuts per rank,
-  nothing pinned — whichever rank is free pulls the next lease, and
+* static (``elastic=False``): here the schedule's partitions, each lease
+  **pinned** to the rank that owns it (``part // gpus_per_node``), so a
+  healthy run is exactly the paper's one-partition-per-GPU schedule; on
+  the pool one unpinned equi-area lease per worker;
+* ``elastic=True``: :data:`LEASES_PER_PULLER` unpinned equi-area cuts
+  per rank — whichever rank is free pulls the next lease, and
   ``membership``-site :class:`FaultSpec` churn (join/leave) resizes the
   fleet mid-call.
 
-Recovery is one rule for both, and for the pool's ranks
-(:mod:`repro.core.pool`): a crash injected on a granted lease is
-retried by the same holder up to ``retry_policy.resubmits`` times with
-backoff, then the holder is retired and its leases — the one it held
-and the ones pinned to it — go back to the pool for survivors to steal
-(the driver itself, holder ``-1``, if nobody survives).  A hang is a
-real silence inside the search: past the lease TTL,
-``retry_policy.deadline_s``, the lease expires and a survivor steals
-it.  A pruned lease searches a copy of its slice of the bound table,
-whoever ends up searching it, so recovery keeps the pruning speedup.
+Recovery is one rule for every ledger, :func:`run_lease`: retry a
+crashed attempt in place, then retire the holder and let survivors
+steal its leases; a lease held past its TTL expires to a survivor.  A
+pruned lease searches a copy of its slice of the bound table, whoever
+ends up searching it, so recovery keeps the pruning speedup.
 """
 
 from __future__ import annotations
@@ -212,30 +209,21 @@ def node_candidates(leases) -> "list[MultiHitCombination | None]":
     return candidates
 
 
-@dataclass
-class DistributedEngine:
-    """Multi-node search over a lease ledger of the thread grid.
+@dataclass(kw_only=True)
+class FleetEngine:
+    """What both fan-out backends share: one arg-max path on the fleet.
 
-    Parameters mirror a Summit job: ``n_nodes`` MPI ranks with
-    ``gpus_per_node`` GPU partitions each.  ``scheduler`` builds the
-    static partition (equi-area by default).
-
-    ``elastic`` replaces the pinned partition-per-GPU leases with
-    :data:`LEASES_PER_PULLER` unpinned ones per node that whichever rank
-    is free pulls; membership churn specs grow/shrink the fleet
-    mid-call.  Winners are bit-identical either way.
-
-    ``fault_plan`` injects rank faults and churn; recovery follows the
-    module's one rule under ``retry_policy``, whose ``deadline_s`` is
-    the lease TTL, and everything detected/retried/stolen lands in
+    Each call builds a ledger — :data:`LEASES_PER_PULLER` unpinned
+    equi-area leases per rank when ``elastic``, else the subclass's
+    ``_static_ledger`` — whose lease TTL is ``retry_policy.deadline_s``,
+    and runs it on rank threads (:func:`repro.cluster.elastic.
+    spmd_best_combo`, no wall-clock cap).  ``fault_plan`` faults are
+    numbered by arg-max call and recovered by :func:`run_lease` into
     ``report``.  One :class:`repro.core.engine.NormalHitStore`, kept
-    across calls, serves every rank thread's unpruned scans.
+    across calls, serves every rank's unpruned scans.
     """
 
     scheme: Scheme
-    n_nodes: int
-    gpus_per_node: int = GPUS_PER_NODE
-    scheduler: str = "equiarea"
     fault_plan: "FaultPlan | None" = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     elastic: bool = False
@@ -249,40 +237,24 @@ class DistributedEngine:
         default=None, init=False, repr=False, compare=False
     )
 
-    def build_schedule(self, g: int) -> Schedule:
-        n_parts = self.n_nodes * self.gpus_per_node
-        with get_telemetry().span(
-            "schedule", cat="distributed", scheduler=self.scheduler, n_parts=n_parts
-        ):
-            if self.scheduler == "equiarea":
-                return equiarea_schedule(self.scheme, g, n_parts)
-            if self.scheduler == "equidistance":
-                from repro.scheduling.equidistance import equidistance_schedule
-
-                return equidistance_schedule(self.scheme, g, n_parts)
-            raise ValueError(f"unknown scheduler {self.scheduler!r}")
-
     def close(self) -> None:
         """Nothing to release: the rank threads and the ledger live for
         one call."""
 
-    def best_combo(
+    def _argmax(
         self,
         tumor: BitMatrix,
         normal: BitMatrix,
         params: FScoreParams,
+        n_ranks: int,
+        lam_start: int = 0,
+        lam_end: "int | None" = None,
         counters: "KernelCounters | None" = None,
         reduction_stats: "ReductionStats | None" = None,
         bounds: "BoundTable | None" = None,
-    ) -> "MultiHitCombination | None":
-        """Full distributed arg-max: every lease's winner reduced at root.
-
-        The ledger runs on ``n_nodes`` rank threads
-        (:func:`repro.cluster.elastic.spmd_best_combo`), with
-        ``retry_policy.deadline_s`` as its lease TTL and no wall-clock
-        cap.  The reduction folds per-lease winners in lease-id order,
-        so no scheduling or recovery detail can reach the result.
-        """
+    ):
+        """One arg-max over ``[lam_start, lam_end)`` on ``n_ranks`` rank
+        threads; returns ``(winner, ledger)``."""
         # Imported here: repro.cluster imports this module for search_lease.
         from repro.cluster.elastic import spmd_best_combo
         from repro.cluster.leases import LeaseLedger
@@ -297,19 +269,71 @@ class DistributedEngine:
         ttl = self.retry_policy.deadline_s
         ledger = (
             LeaseLedger.build(
-                self.scheme, g, LEASES_PER_PULLER * self.n_nodes, ttl_s=ttl
+                self.scheme, g, LEASES_PER_PULLER * n_ranks, lam_start,
+                lam_end, ttl_s=ttl,
             )
             if self.elastic
-            else LeaseLedger.from_schedule(
-                self.build_schedule(g), self.gpus_per_node, ttl_s=ttl
-            )
+            else self._static_ledger(g, lam_start, lam_end, ttl)
         )
-        return spmd_best_combo(
-            ledger, self.scheme, tumor, normal, params, self.n_nodes,
+        best = spmd_best_combo(
+            ledger, self.scheme, tumor, normal, params, n_ranks,
             fault_plan=self.fault_plan, retry_policy=self.retry_policy,
             report=self.report, counters=counters,
             reduction_stats=reduction_stats, bounds=bounds,
-            sparse=self.sparse, max_wall_s=None,
-            call=call,
+            sparse=self.sparse, max_wall_s=None, call=call,
             normal_hits=None if bounds is not None else self._normal_hits,
         )
+        return best, ledger
+
+
+@dataclass(kw_only=True)
+class DistributedEngine(FleetEngine):
+    """Multi-node search over a lease ledger of the thread grid.
+
+    Parameters mirror a Summit job: ``n_nodes`` MPI ranks with
+    ``gpus_per_node`` GPU partitions each.  The static ledger is
+    ``scheduler``'s partition (equi-area by default), one lease per
+    partition pinned to the rank that owns it; the rest is
+    :class:`FleetEngine`'s.
+    """
+
+    n_nodes: int
+    gpus_per_node: int = GPUS_PER_NODE
+    scheduler: str = "equiarea"
+
+    def build_schedule(self, g: int) -> Schedule:
+        n_parts = self.n_nodes * self.gpus_per_node
+        with get_telemetry().span(
+            "schedule", cat="distributed", scheduler=self.scheduler, n_parts=n_parts
+        ):
+            if self.scheduler == "equiarea":
+                return equiarea_schedule(self.scheme, g, n_parts)
+            if self.scheduler == "equidistance":
+                from repro.scheduling.equidistance import equidistance_schedule
+
+                return equidistance_schedule(self.scheme, g, n_parts)
+            raise ValueError(f"unknown scheduler {self.scheduler!r}")
+
+    def _static_ledger(self, g, lam_start, lam_end, ttl_s):
+        from repro.cluster.leases import LeaseLedger
+
+        return LeaseLedger.from_schedule(
+            self.build_schedule(g), self.gpus_per_node, ttl_s=ttl_s
+        )
+
+    def best_combo(
+        self,
+        tumor: BitMatrix,
+        normal: BitMatrix,
+        params: FScoreParams,
+        counters: "KernelCounters | None" = None,
+        reduction_stats: "ReductionStats | None" = None,
+        bounds: "BoundTable | None" = None,
+    ) -> "MultiHitCombination | None":
+        """Full distributed arg-max: every lease's winner reduced at
+        root, in lease-id order, so no scheduling or recovery detail can
+        reach the result."""
+        return self._argmax(
+            tumor, normal, params, self.n_nodes, counters=counters,
+            reduction_stats=reduction_stats, bounds=bounds,
+        )[0]

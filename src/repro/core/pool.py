@@ -1,18 +1,12 @@
 """Equi-area rank-thread execution backend (the ``"pool"`` backend).
 
-The paper's scale-out cuts the thread grid into equal-*work* ranges,
-searches each independently and folds the per-range winners through the
-multi-stage max-reduction.  The pool is that shape on the cores of one
-host, on the rank fleet of :mod:`repro.cluster.elastic` exactly as the
-distributed backend runs it: each call cuts its λ-range into equi-area
-leases (one per worker, or :data:`LEASES_PER_PULLER` per worker when
-``elastic``), and ``n_workers`` rank threads scan them in-thread
-(:func:`repro.core.distributed.search_lease`) against one
-:class:`repro.core.engine.NormalHitStore` kept across calls.  Winners
-fold through :meth:`LeaseLedger.merge` in lease-id order, so winners,
-tie-breaks and ``combos_scored`` are bit-exact with ``"single"`` for any
-worker count, cut or schedule.  Recovery is the fleet's one rule
-(:func:`repro.core.distributed.run_lease`) under ``rank``-site faults.
+The paper's scale-out — cut the thread grid into equal-*work* ranges,
+search each, fold the winners through the multi-stage max-reduction —
+on the cores of one host: a :class:`repro.core.distributed.FleetEngine`
+whose static ledger is one unpinned equi-area lease per worker, over
+any λ-range.  Its ``n_workers`` rank threads run exactly as the
+distributed backend's, so winners, tie-breaks and ``combos_scored`` are
+bit-exact with ``"single"`` for any worker count, cut or schedule.
 """
 
 from __future__ import annotations
@@ -23,14 +17,9 @@ from dataclasses import dataclass, field
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
-from repro.core.engine import NormalHitStore
+from repro.core.distributed import FleetEngine
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.faults.plan import FaultPlan
-from repro.faults.policy import RetryPolicy
-from repro.faults.report import FaultReport
-from repro.scheduling.equiarea import LEASES_PER_PULLER
-from repro.scheduling.schemes import Scheme
 from repro.scheduling.workload import (
     cumulative_work_before,
     total_threads,
@@ -124,49 +113,39 @@ class PoolStats:
 # -- the engine ----------------------------------------------------------
 
 
-@dataclass
-class PoolEngine:
+@dataclass(kw_only=True)
+class PoolEngine(FleetEngine):
     """Equi-area arg-max over a λ thread-range, on rank threads.
 
-    ``n_workers`` rank threads pull the leases.  ``retry_policy`` and
-    ``fault_plan`` (``rank``-site specs, target = rank, call = arg-max
-    call number, and ``membership`` churn) act as on the distributed
-    backend; ``retry_policy.deadline_s`` is the lease TTL.  ``elastic``
-    cuts :data:`LEASES_PER_PULLER` leases per worker instead of one, so
-    a straggling rank holds back at most one lease's work.  ``sparse``
-    is forwarded to every scan.  Winners and ``combos_scored`` depend on
-    none of these; ``word_reads`` depends on the cut (each lease builds
-    its own inner tables), not on which rank ran which lease.
+    ``n_workers`` rank threads pull one lease per worker, or
+    :data:`LEASES_PER_PULLER` per worker when ``elastic``, so a
+    straggling rank holds back at most one lease's work; the rest is
+    :class:`FleetEngine`'s.  ``word_reads`` depends on the cut (each
+    lease builds its own inner tables), not on which rank ran which
+    lease.
     """
 
-    scheme: Scheme
     n_workers: int = 2
-    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
-    fault_plan: "FaultPlan | None" = None
-    elastic: bool = False
-    sparse: bool = False
-    report: FaultReport = field(
-        default_factory=FaultReport, repr=False, compare=False
-    )
-
-    _calls: int = field(default=0, init=False, repr=False, compare=False)
-    _normal_hits: "NormalHitStore | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
 
-    def close(self) -> None:
-        """Nothing to release: the rank threads and the ledger live for
-        one call."""
+    # Bound in this class for the benchmark harness, which times it here.
+    close = FleetEngine.close
 
     def __enter__(self) -> "PoolEngine":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def _static_ledger(self, g, lam_start, lam_end, ttl_s):
+        from repro.cluster.leases import LeaseLedger
+
+        return LeaseLedger.build(
+            self.scheme, g, self.n_workers, lam_start, lam_end, ttl_s=ttl_s
+        )
 
     def best_combo(
         self,
@@ -189,10 +168,6 @@ class PoolEngine:
         pruning: each lease prunes against a copy of its slice and the
         refreshed slices are written back in lease-id order.
         """
-        # Imported here: repro.cluster imports repro.core.
-        from repro.cluster.elastic import spmd_best_combo
-        from repro.cluster.leases import LeaseLedger
-
         g = tumor.n_genes
         if normal.n_genes != g:
             raise ValueError("tumor and normal matrices must share the gene axis")
@@ -203,24 +178,9 @@ class PoolEngine:
         lam_end = min(lam_end, total)
         if lam_end <= lam_start:
             return None
-        call = self._calls
-        self._calls += 1
-        if bounds is None:
-            self._normal_hits = NormalHitStore.reuse(
-                self._normal_hits, self.scheme, g, normal
-            )
-
-        n_leases = (LEASES_PER_PULLER if self.elastic else 1) * self.n_workers
-        ledger = LeaseLedger.build(
-            self.scheme, g, n_leases, lam_start, lam_end,
-            ttl_s=self.retry_policy.deadline_s,
-        )
-        best = spmd_best_combo(
-            ledger, self.scheme, tumor, normal, params, self.n_workers,
-            fault_plan=self.fault_plan, retry_policy=self.retry_policy,
-            report=self.report, counters=counters, bounds=bounds,
-            sparse=self.sparse, max_wall_s=None, call=call,
-            normal_hits=None if bounds is not None else self._normal_hits,
+        best, ledger = self._argmax(
+            tumor, normal, params, self.n_workers, lam_start, lam_end,
+            counters=counters, bounds=bounds,
         )
         if stats is not None:
             stats.n_workers = self.n_workers

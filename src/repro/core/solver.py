@@ -127,13 +127,13 @@ def _sequential_engine(solver: "MultiHitSolver"):
     return _LocalEngine(best_combo)
 
 
-def _pool_engine(solver: "MultiHitSolver"):
-    # One engine for the run, like the distributed one: its normal-hit
-    # store serves every iteration's scans, and its arg-max call counter
-    # lines up with greedy iterations for the fault plan.
-    return PoolEngine(
+def _fleet_options(solver: "MultiHitSolver") -> dict:
+    # One engine for the run on either fleet: its normal-hit store
+    # serves every iteration's scans, its arg-max call counter lines up
+    # with greedy iterations ("rank 1 crashes at iteration k") and its
+    # fault report spans the whole solve.
+    return dict(
         scheme=solver.scheme,
-        n_workers=solver.n_workers,
         fault_plan=solver.fault_plan,
         retry_policy=solver.retry_policy or RetryPolicy(),
         elastic=solver.elastic,
@@ -141,18 +141,15 @@ def _pool_engine(solver: "MultiHitSolver"):
     )
 
 
+def _pool_engine(solver: "MultiHitSolver"):
+    return PoolEngine(n_workers=solver.n_workers, **_fleet_options(solver))
+
+
 def _distributed_engine(solver: "MultiHitSolver"):
-    # One engine for the run so its arg-max call counter lines up with
-    # greedy iterations ("rank 1 crashes at iteration k") and its fault
-    # report spans the whole solve.
     return DistributedEngine(
-        scheme=solver.scheme,
         n_nodes=solver.n_nodes,
         gpus_per_node=solver.gpus_per_node,
-        fault_plan=solver.fault_plan,
-        retry_policy=solver.retry_policy or RetryPolicy(),
-        elastic=solver.elastic,
-        sparse=solver.sparse,
+        **_fleet_options(solver),
     )
 
 

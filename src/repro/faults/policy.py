@@ -9,9 +9,9 @@ with what backoff, under what deadline?") made consistently.  :class:`RetryPolic
   to the driver's inline drain);
 * ``backoff_s`` / ``backoff_factor`` — exponential backoff between
   attempts (0 by default: tests and simulations should not sleep);
-* ``deadline_s`` — the lease TTL: a lease whose rank stays silent
-  inside a search that long expires and is stolen.  ``None``: no
-  detector — a hung unit is only slow;
+* ``deadline_s`` — the lease TTL, timed from when the rank takes the
+  lease up: a lease not completed within it expires and is stolen.
+  ``None``: no detector — a hung unit is only slow;
 * ``straggler_after_s`` — soft threshold: a unit that *completes* but
   took longer than this is recorded as a detected straggler (its result
   is kept — slow is not wrong).

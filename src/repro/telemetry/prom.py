@@ -55,6 +55,10 @@ MAX_BODY_BYTES = 1 << 20
 #: keep-alive requests) before its handler thread drops it.
 REQUEST_TIMEOUT_S = 10.0
 
+#: How often the serving thread checks for :meth:`MetricsServer.stop`;
+#: ``stop`` waits up to this long (``serve_forever``'s default is 0.5 s).
+SHUTDOWN_POLL_S = 0.05
+
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SAMPLE = re.compile(
     r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?[0-9.eE+-]+|NaN|[+-]Inf)$"
@@ -349,6 +353,7 @@ class MetricsServer:
         self.port = self._server.server_address[1]
         self._thread = threading.Thread(
             target=self._server.serve_forever,
+            args=(SHUTDOWN_POLL_S,),
             name="repro-metrics-server",
             daemon=True,
         )

@@ -120,7 +120,7 @@ def _cohort():
     return rng.random((13, 48)) < 0.4, rng.random((13, 40)) < 0.15
 
 
-class _FleetEngine:
+class _DirectSPMD:
     """:func:`spmd_best_combo` called directly behind the solver's engine
     surface, so the matrix drives the public entry point through the
     same greedy loop — cuts, bound table, splicing, fault plan, a
@@ -159,7 +159,7 @@ class _FleetEngine:
 _engine = solver_module._ENGINES["distributed"]
 DRIVERS = {
     "engine": _engine,
-    "thread-fleet": lambda solver: _FleetEngine(_engine(solver)),
+    "thread-fleet": lambda solver: _DirectSPMD(_engine(solver)),
 }
 
 
@@ -309,7 +309,7 @@ class TestRetryPolicyOnLeases:
             retry_policy=RetryPolicy(straggler_after_s=0.0),
         )
         if driver == "thread-fleet":
-            engine = _FleetEngine(engine)
+            engine = _DirectSPMD(engine)
         engine.best_combo(tumor, normal, params)
         assert engine.report.events
         assert all(

@@ -527,12 +527,12 @@ class TestElasticScalingModel:
 
 
 class TestLeaseFlightEvents:
-    def test_steal_leaves_a_note_and_assignment_trail(self, instance):
+    def test_steal_leaves_a_note_and_assignment_trail(self, instance, tmp_path):
         from repro.telemetry.flight import FlightRecorder
 
         tumor, normal, params = instance
         with telemetry_session() as tel:
-            tel.attach_flight(FlightRecorder())
+            tel.attach_flight(FlightRecorder(out_dir=tmp_path))
             plan = FaultPlan(
                 (FaultSpec(kind="crash", site="rank", target=1, count=-1),)
             )

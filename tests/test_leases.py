@@ -81,30 +81,25 @@ class TestLifecycle:
         assert ledger.done and ledger.n_completed == 2
         assert ledger.completed_fraction() == 1.0
 
-    def test_renew_extends_deadline(self):
-        ledger = LeaseLedger((0, 5, 10), ttl_s=1.0)
-        lease = ledger.acquire(0, now=100.0)
-        assert lease.deadline == pytest.approx(101.0)
-        ledger.sync_heartbeats([105.0], now=105.0)
-        assert lease.deadline == pytest.approx(106.0)
-        assert not ledger.expire(now=105.5)
-
-    def test_renew_without_ttl_is_noop(self):
-        ledger = LeaseLedger((0, 5, 10))
-        lease = ledger.acquire(0)
-        ledger.sync_heartbeats([time.monotonic() + 50.0])
-        assert lease.deadline == float("inf")
-
-    def test_heartbeats_renew_granted_leases(self):
+    def test_take_up_restarts_the_ttl(self):
         ledger = LeaseLedger((0, 5, 10), ttl_s=1.0)
         lease = ledger.acquire(2, now=100.0)
-        # Rank 2 beats at t=104: the lease deadline follows the
-        # heartbeat with no explicit renew call.
-        ledger.sync_heartbeats([0.0, 0.0, 104.0], now=104.0)
+        assert lease.deadline == pytest.approx(101.0)
+        # The holder takes up the driver's grant at t=104: its silence is
+        # timed from there, so the lease outlives the launch's deadline.
+        ledger.take_up(lease, 2, now=104.0)
         assert lease.deadline == pytest.approx(105.0)
-        # A beat older than the armed deadline never shortens it.
-        ledger.sync_heartbeats([0.0, 0.0, 50.0], now=104.0)
-        assert lease.deadline == pytest.approx(105.0)
+        assert not ledger.expire(now=104.5)
+        assert ledger.expire(now=105.5) == [lease]
+        # Taken up by anyone but the holder, it is left alone.
+        stolen = ledger.acquire(1, now=106.0)
+        ledger.take_up(stolen, 2, now=200.0)
+        assert stolen.deadline == pytest.approx(107.0)
+        # Without a TTL the deadline stays at infinity.
+        untimed = LeaseLedger((0, 5, 10))
+        lease = untimed.acquire(0)
+        untimed.take_up(lease, 0, now=time.monotonic() + 50.0)
+        assert lease.deadline == float("inf")
 
     def test_expire_reclaims_and_next_grant_is_a_steal(self):
         ledger = LeaseLedger((0, 5, 10), ttl_s=1.0)
