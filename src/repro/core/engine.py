@@ -14,9 +14,9 @@ walk, :func:`repro.combinatorics.enumeration.combinations_array` — a
 scan inverts λ only at its two ends), its fixed rows AND-reduced once
 per thread, and it is scored against the inner AND-table of its
 *lowest* level — the widest one, a superset of every higher level's —
-with :func:`repro.core.kernels.fused_pair_popcount`, a word-major
-popcount product that, word by word, touches only the base rows carrying
-the word when fewer than half do.  Entries whose inner genes do not lie
+with :func:`repro.core.kernels.fused_pair_popcount`, a native
+AND+popcount product against the word-major table that skips zero base
+words and runs without the GIL.  Entries whose inner genes do not lie
 above the thread's top gene belong to no thread: they are dropped and
 not counted, and the valid ones are scored once, row-major, which is
 combination-rank order.  The epilogue forms Equation 1's numerator
@@ -263,7 +263,7 @@ def _score_tile(
     top = tuples[:, -1]
     valid = inner[:, 0] > top[:, None] if top[-1] > level.m else None
     base_t = _gather(tumor, tuples, counters)
-    tp = fused_pair_popcount(base_t, level.tumor_w, base_t != 0)
+    tp = fused_pair_popcount(base_t, level.tumor_w)
     hits = None
     if normal_hits is not None:
         store, lam = normal_hits
@@ -271,9 +271,7 @@ def _score_tile(
         hits = store.read(lam, hi)
     if hits is None:
         base_n = _gather(normal, tuples, counters)
-        hits = fused_pair_popcount(
-            base_n, level.normal_w(normal, counters), base_n != 0
-        )
+        hits = fused_pair_popcount(base_n, level.normal_w(normal, counters))
         hits = hits.ravel() if valid is None else hits[valid]
         if normal_hits is not None and hi <= store.lam_cap:
             store.write(lam, hi, hits)

@@ -14,9 +14,11 @@ runs over slices of at most ``word_stride`` packed words at a time
 per-combination integer totals, so no full ``(B, n_words)``
 intermediate is materialized.  :func:`fused_pair_popcount` is the
 nested scheme's ``(B, L)`` product of thread base rows against an inner
-table, summed one packed word at a time.  Popcounts are exact integers,
-so both are bit-identical to the single-shot reference (kept as
-:func:`score_combos_reference` and enforced by tests).
+table: one call into a native C kernel (``_tile.c``, built and loaded by
+:mod:`repro.core.tile`) that skips zero base words and releases the GIL,
+or, without a compiler, a chunked numpy broadcast.  Popcounts are exact
+integers, so both are bit-identical to the single-shot reference (kept
+as :func:`score_combos_reference` and enforced by tests).
 
 ``sparse=True`` switches :func:`score_combos` to the sparsity-driven
 path (Prabhu et al.): a :class:`~repro.bitmatrix.sparsity.SparsityIndex`
@@ -50,6 +52,7 @@ import numpy as np
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.bitmatrix.sparsity import stride_any_mask
+from repro.core import tile
 from repro.core.combination import MultiHitCombination
 from repro.core.fscore import FScoreParams, fscore
 
@@ -68,7 +71,7 @@ __all__ = [
 # the stride chunking in the engine the live working set stays within
 # L1/L2 while each word is still touched exactly once.
 DEFAULT_WORD_STRIDE = 64
-# Largest fused_pair_popcount product (words) computed as one broadcast.
+# Largest temporary (words) of fused_pair_popcount's numpy fallback.
 _CUBE_ELEMENTS = 1 << 16
 
 
@@ -308,42 +311,40 @@ def _score_combos_sparse(
     return f, tp, tn
 
 
-def fused_pair_popcount(
-    base: np.ndarray, inner_w: np.ndarray, base_nonzero: np.ndarray
-) -> np.ndarray:
-    """``(B, L)`` int32 popcounts of ``base[b] & inner[l]``, word by word.
+def fused_pair_popcount(base: np.ndarray, inner_w: np.ndarray) -> np.ndarray:
+    """``(B, L)`` int32 popcounts of ``base[b] & inner[l]``.
 
     The engine's nested-scheme hot loop: ``base`` ``(B, W)`` holds each
     thread's AND-reduced fixed-gene rows, ``inner_w`` ``(W, L)`` the
-    cached inner AND-table stored word-major.  The tile is accumulated
-    one packed word at a time — ``out += popcount(base[:, k] & inner_w[k])``
-    — so a full tile never materializes a ``(B, L, W)`` cube and every
-    temporary is ``(B, L)``.
-
-    ``base_nonzero`` (bool ``(B, W)``, ``base != 0``) says which base
-    words carry any bit.  A word no base row carries is skipped; a
-    word fewer than half the rows carry is broadcast over those rows
-    only.  Zero words add 0 to every popcount, so the choice — made per
-    word from the data — never changes a bit of the result.  A short,
-    wide product — at most :data:`_CUBE_ELEMENTS` words, no more rows
-    than inner columns (the pruned scan's small batches) — is one
-    ``(B, W, L)`` broadcast instead: the same popcounts without a numpy
-    call per word.  The broadcast's inner loop runs along ``L``, so a
-    tall, narrow tile keeps the per-word loop.
+    cached inner AND-table stored word-major; both must be C-contiguous
+    uint64.  The product is one call into the native kernel
+    (:mod:`repro.core.tile`, ``_tile.c``), which keeps each base word in
+    a register across the inner loop, skips zero base words and runs
+    without the GIL.  Without it, the same popcounts come from the
+    ``(B, W, L)`` broadcast over the rows that are not all zero, cut
+    into row chunks of at most :data:`_CUBE_ELEMENTS` words (one row at
+    least).
     """
-    n_rows = base.shape[0]
-    if n_rows <= inner_w.shape[1] and n_rows * inner_w.size <= _CUBE_ELEMENTS:
-        return np.bitwise_count(base[:, :, None] & inner_w[None]).sum(
+    for a in (base, inner_w):
+        if a.dtype != np.uint64 or not a.flags.c_contiguous:
+            raise ValueError("fused_pair_popcount needs C-contiguous uint64 arrays")
+    (n_rows, n_words), n_cols = base.shape, inner_w.shape[1]
+    if inner_w.shape[0] != n_words:
+        raise ValueError(f"base has {n_words} words, inner_w {inner_w.shape[0]}")
+    native = tile.kernel()
+    if native is not None:
+        out = np.empty((n_rows, n_cols), dtype=np.int32)
+        native(base.ctypes.data, inner_w.ctypes.data, out.ctypes.data,
+               n_rows, n_words, n_cols)
+        return out
+    out = np.zeros((n_rows, n_cols), dtype=np.int32)
+    live = np.flatnonzero(base.any(axis=1))
+    step = max(1, _CUBE_ELEMENTS // max(1, inner_w.size))
+    for r in range(0, len(live), step):
+        rows = live[r : r + step]
+        out[rows] = np.bitwise_count(base[rows, :, None] & inner_w[None]).sum(
             axis=1, dtype=np.int32
         )
-    out = np.zeros((n_rows, inner_w.shape[1]), dtype=np.int32)
-    live = np.count_nonzero(base_nonzero, axis=0)
-    for k in np.flatnonzero(live):
-        if 2 * live[k] < n_rows:
-            rows = np.flatnonzero(base_nonzero[:, k])
-            out[rows] += np.bitwise_count(base[rows, k, None] & inner_w[None, k])
-        else:
-            out += np.bitwise_count(base[:, k, None] & inner_w[None, k])
     return out
 
 

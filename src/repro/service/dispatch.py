@@ -36,10 +36,13 @@ __all__ = ["DispatchDecision", "FleetState", "SINGLE_THRESHOLD", "decide"]
 
 #: Modeled cycles (:class:`repro.scheduling.costaware.ThreadCostModel`)
 #: at or below which a job runs in-process: the measured break-even of
-#: ``single`` against a 2-worker pool on a 2-core host, which falls
-#: between 1.3e8 and 1.8e8 at 3 hits (G 180-200) and between 1.4e8 and
-#: 2.3e8 at 4 hits (G 70-80).  DESIGN §14 has the table.
-SINGLE_THRESHOLD = 1.5e8
+#: ``single`` against a 2-worker pool on a 2-core host.  With the native
+#: tile kernel, single's time over the pool's read 0.80-1.15 up to 3-hit
+#: G 600 (4.8e9) at either density, 0.97-1.03 at G 600 at the paper's
+#: density; at G 800 (1.1e10) it read 0.93 there and 1.26 on a dense
+#: cohort.  The model cannot see density, so the line sits just above
+#: 3-hit G 600.  DESIGN §14 has the table.
+SINGLE_THRESHOLD = 5e9
 
 
 @dataclass(frozen=True)

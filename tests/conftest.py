@@ -6,8 +6,22 @@ import numpy as np
 import pytest
 
 from repro.bitmatrix.matrix import BitMatrix
+from repro.core import tile
 from repro.core.fscore import FScoreParams
 from repro.data.synthesis import CohortConfig, generate_cohort
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--tile-fallback",
+        action="store_true",
+        help="score tiles with the numpy fallback instead of the native kernel",
+    )
+
+
+def pytest_configure(config):
+    if config.getoption("--tile-fallback"):
+        tile.FALLBACK = True
 
 
 @pytest.fixture

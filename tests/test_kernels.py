@@ -1,12 +1,14 @@
 """Tests for the vectorized scoring kernels."""
 
 import itertools
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 from repro.bitmatrix.matrix import BitMatrix
-from repro.bitmatrix.sparsity import stride_any_mask
+from repro.core import tile
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import (
     DEFAULT_WORD_STRIDE,
@@ -17,6 +19,27 @@ from repro.core.kernels import (
     score_combos,
     score_combos_reference,
 )
+
+
+#: The two bodies of ``fused_pair_popcount``; each must give the same counts.
+TILE_PATHS = ("native", "fallback")
+
+
+@contextmanager
+def tile_path(path: str):
+    """Score tiles on ``path``: the native kernel or the numpy fallback."""
+    with patch.object(tile, "FALLBACK", path == "fallback"):
+        yield
+
+
+def _words(rng, shape) -> np.ndarray:
+    """Packed words over the whole uint64 range, bit 63 included."""
+    return rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+
+
+def _pair_popcount(base, inner) -> np.ndarray:
+    """The ``(B, L)`` reference: one ``(B, L, W)`` broadcast."""
+    return np.bitwise_count(base[:, None, :] & inner[None, :, :]).sum(axis=2)
 
 
 class TestScoreCombos:
@@ -79,8 +102,8 @@ class TestScoreCombos:
 
 
 class TestFusedKernels:
-    """The fused kernels (word-stride ``score_combos``, word-by-word
-    ``fused_pair_popcount``) must be bit-identical to the single-shot
+    """The fused kernels (word-stride ``score_combos``, the native and
+    fallback ``fused_pair_popcount``) must be bit-identical to the single-shot
     reference — popcounts are exact integers, so any drift is a bug, not
     rounding."""
 
@@ -114,39 +137,61 @@ class TestFusedKernels:
     ])
     def test_fused_pair_popcount_matches_broadcast(self, n_words):
         rng = np.random.default_rng(7)
-        base = rng.integers(0, 1 << 63, size=(13, n_words), dtype=np.uint64)
-        inner = rng.integers(0, 1 << 63, size=(9, n_words), dtype=np.uint64)
-        got = fused_pair_popcount(base, np.ascontiguousarray(inner.T), base != 0)
-        want = (
-            np.bitwise_count(base[:, None, :] & inner[None, :, :])
-            .sum(axis=2)
-            .astype(np.int64)
-        )
-        np.testing.assert_array_equal(got, want)
+        base = _words(rng, (13, n_words))
+        inner = _words(rng, (9, n_words))
+        for path in TILE_PATHS:
+            with tile_path(path):
+                got = fused_pair_popcount(base, np.ascontiguousarray(inner.T))
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, _pair_popcount(base, inner))
 
-    def test_fused_pair_popcount_per_word_row_choice(self):
-        # Word k is nonzero in 0 rows (skipped), 1 row and 3 rows (only
-        # those rows touched), exactly half and all rows (every row
-        # broadcast): the per-word choice never changes a count.
+    @pytest.mark.parametrize("path", TILE_PATHS)
+    @pytest.mark.parametrize("shape", [
+        (1, 5, 9), (13, 5, 1), (1, 1, 1), (0, 5, 9),
+        (300, 32, 200),  # many row chunks on the fallback
+    ])
+    def test_fused_pair_popcount_edge_shapes(self, shape, path):
+        n_rows, n_words, n_cols = shape
+        rng = np.random.default_rng(11)
+        base = _words(rng, (n_rows, n_words))
+        inner = _words(rng, (n_cols, n_words))
+        with tile_path(path):
+            got = fused_pair_popcount(base, np.ascontiguousarray(inner.T))
+        np.testing.assert_array_equal(got, _pair_popcount(base, inner))
+
+    @pytest.mark.parametrize("path", TILE_PATHS)
+    def test_fused_pair_popcount_skips_zero_words(self, path):
+        # Zero base columns, a zero base row, a zero inner row and an
+        # all-zero base: a skipped word adds 0 to every count.
         rng = np.random.default_rng(5)
-        base = rng.integers(1, 1 << 63, size=(8, 5), dtype=np.uint64)
-        base[:, 0] = 0
-        base[1:, 1] = 0
-        base[4:, 2] = 0
-        base[[0, 2, 4, 5, 6], 4] = 0
-        inner = rng.integers(0, 1 << 63, size=(6, 5), dtype=np.uint64)
+        base = _words(rng, (8, 5))
+        base[:, [0, 3]] = 0
+        base[6] = 0
+        inner = _words(rng, (6, 5))
         inner[2] = 0
-        want = (
-            np.bitwise_count(base[:, None, :] & inner[None, :, :])
-            .sum(axis=2)
-            .astype(np.int64)
-        )
         inner_w = np.ascontiguousarray(inner.T)
-        got = fused_pair_popcount(base, inner_w, stride_any_mask(base, 1))
-        assert got.dtype == np.int32
-        np.testing.assert_array_equal(got, want)
-        zero = np.zeros_like(base)
-        assert not fused_pair_popcount(zero, inner_w, zero != 0).any()
+        with tile_path(path):
+            got = fused_pair_popcount(base, inner_w)
+            zero = fused_pair_popcount(np.zeros_like(base), inner_w)
+        np.testing.assert_array_equal(got, _pair_popcount(base, inner))
+        assert not got[6].any() and not got[:, 2].any()
+        assert not zero.any()
+
+    @pytest.mark.parametrize("path", TILE_PATHS)
+    def test_fused_pair_popcount_rejects_what_it_cannot_read(self, path):
+        rng = np.random.default_rng(3)
+        base = _words(rng, (4, 6))
+        inner_w = _words(rng, (6, 5))
+        with tile_path(path):
+            for bad in (
+                (base[:, ::2], inner_w[:3]),  # a strided base
+                (base, np.asfortranarray(inner_w)),
+                (base.view(np.int64), inner_w),
+            ):
+                with pytest.raises(ValueError, match="C-contiguous uint64"):
+                    fused_pair_popcount(*bad)
+            with pytest.raises(ValueError, match="words"):
+                fused_pair_popcount(base, inner_w[:5])
 
 
 class TestBestOf:

@@ -177,9 +177,9 @@ class TestNormalSidePopcounts:
         calls, per_iteration = [0], []
         kernel = engine_mod.fused_pair_popcount
 
-        def counted(base, inner_w, nonzero):
+        def counted(base, inner_w):
             calls[0] += base.shape[1] == 5
-            return kernel(base, inner_w, nonzero)
+            return kernel(base, inner_w)
 
         patches = {"fused_pair_popcount": counted, "_TILE_ELEMENTS": 64}
         if budget is not None:

@@ -28,6 +28,7 @@ from repro.core.sequential import sequential_best_combo
 from repro.core.solver import MultiHitSolver
 from repro.scheduling.schemes import SCHEME_2X1, SCHEME_2X2, SCHEME_3X1
 from repro.scheduling.workload import cumulative_work_before
+from tests.test_kernels import TILE_PATHS, tile_path
 
 
 def _tie_cohort():
@@ -159,46 +160,48 @@ def test_score_tile_matches_the_2d_reference(scheme_id, shape, store, data):
         tiles(scheme, shape, 2 if store == "straddle" else 1)
     )
     tuples = combinations_array(scheme.flattened, lam, hi)
-    m = int(tuples[0, -1])
-    counters = KernelCounters()
-    level = _Level(scheme, g, m, tumor, counters)
+    level = _Level(scheme, g, int(tuples[0, -1]), tumor, KernelCounters())
     grid, combos, f, tp, tn = _reference(tuples, level, tumor, normal, params)
     best = _incumbent(data.draw, grid, tp, params)
     thread_max = data.draw(st.booleans())
 
-    hits = None
-    if store != "none":
-        itemsize = np.min_scalar_type(normal.n_samples).itemsize
-        budget = engine_mod.NORMAL_HIT_BUDGET
-        if store == "straddle":
-            budget = itemsize * cumulative_work_before(scheme, g, lam + 1)
-        with patch.object(engine_mod, "NORMAL_HIT_BUDGET", budget):
-            hits = NormalHitStore(scheme, g, normal)
-        if store == "straddle":
-            assert lam < hits.lam_cap < hi
-        if store == "hit":
-            _score_tile(
-                scheme, tuples, level, tumor, normal, params, None,
-                KernelCounters(), (hits, lam),
-            )
-            assert hits.read(lam, hi) is not None
+    for path in TILE_PATHS:  # a fresh level, store and counters on each
+        counters = KernelCounters()
+        level = _Level(scheme, g, level.m, tumor, counters)
+        with tile_path(path):
+            hits = None
+            if store != "none":
+                itemsize = np.min_scalar_type(normal.n_samples).itemsize
+                budget = engine_mod.NORMAL_HIT_BUDGET
+                if store == "straddle":
+                    budget = itemsize * cumulative_work_before(scheme, g, lam + 1)
+                with patch.object(engine_mod, "NORMAL_HIT_BUDGET", budget):
+                    hits = NormalHitStore(scheme, g, normal)
+                if store == "straddle":
+                    assert lam < hits.lam_cap < hi
+                if store == "hit":
+                    _score_tile(
+                        scheme, tuples, level, tumor, normal, params, None,
+                        KernelCounters(), (hits, lam),
+                    )
+                    assert hits.read(lam, hi) is not None
 
-    got = _score_tile(
-        scheme, tuples, level, tumor, normal, params, best, counters,
-        None if hits is None else (hits, lam), thread_max=thread_max,
-    )
-    _check(got, grid, combos, f, tp, tn, best, thread_max)
-    assert counters.combos_scored == len(combos)
-    if store == "hit":  # the tumor side alone: the level's table, the base rows
-        assert counters.word_reads == tumor.n_words * (
-            level.inner.size + tuples.size
-        )
-    if store in ("miss", "hit"):  # the stored counts are the valid entries'
-        np.testing.assert_array_equal(
-            hits.read(lam, hi), params.n_normal - tn
-        )
-    if store == "straddle":
-        assert not hits.filled[lam:].any()
+            got = _score_tile(
+                scheme, tuples, level, tumor, normal, params, best, counters,
+                None if hits is None else (hits, lam), thread_max=thread_max,
+            )
+            _check(got, grid, combos, f, tp, tn, best, thread_max)
+            assert counters.combos_scored == len(combos)
+            if store == "hit":  # the tumor side alone: the level's table, the base rows
+                assert counters.word_reads == tumor.n_words * (
+                    level.inner.size + tuples.size
+                )
+            if store in ("miss", "hit"):  # the stored counts are the valid entries'
+                np.testing.assert_array_equal(
+                    hits.read(lam, hi), params.n_normal - tn
+                )
+            if store == "straddle":
+                assert not hits.filled[lam:].any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -216,11 +219,13 @@ def test_pruned_batches_match_the_2d_reference(scheme_id, data):
     level = _Level(scheme, g, int(tuples[0, -1]), tumor, KernelCounters())
     grid, combos, f, tp, tn = _reference(tuples, level, tumor, normal, params)
     best = _incumbent(data.draw, grid, tp, params)
-    got = _score_tile(
-        scheme, tuples, level, tumor, normal, params, best, KernelCounters(),
-        thread_max=True,
-    )
-    _check(got, grid, combos, f, tp, tn, best, thread_max=True)
+    for path in TILE_PATHS:
+        with tile_path(path):
+            got = _score_tile(
+                scheme, tuples, level, tumor, normal, params, best,
+                KernelCounters(), thread_max=True,
+            )
+        _check(got, grid, combos, f, tp, tn, best, thread_max=True)
 
 
 # -- one Equation 1 ----------------------------------------------------------
