@@ -204,7 +204,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     from repro.telemetry import (
         FlightRecorder,
-        MetricsServer,
         ProgressMonitor,
         telemetry_session,
     )
@@ -217,6 +216,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             telemetry.attach_flight(FlightRecorder(out_dir=args.flight_recorder))
             _note(args, f"flight recorder armed: {args.flight_recorder}")
         if args.prom_port is not None:
+            from repro.service import MetricsServer
+
             server = stack.enter_context(
                 MetricsServer(telemetry=telemetry, port=args.prom_port)
             )

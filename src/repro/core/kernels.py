@@ -16,9 +16,10 @@ intermediate is materialized.  :func:`fused_pair_popcount` is the
 nested scheme's ``(B, L)`` product of thread base rows against an inner
 table: one call into a native C kernel (``_tile.c``, built and loaded by
 :mod:`repro.core.tile`) that skips zero base words and releases the GIL,
-or, without a compiler, a chunked numpy broadcast.  Popcounts are exact
-integers, so both are bit-identical to the single-shot reference (kept
-as :func:`score_combos_reference` and enforced by tests).
+or, without a compiler, a numpy loop over the words that skips the same
+zero words.  Popcounts are exact integers, so both are bit-identical to
+the single-shot reference (kept as :func:`score_combos_reference` and
+enforced by tests).
 
 ``sparse=True`` switches :func:`score_combos` to the sparsity-driven
 path (Prabhu et al.): a :class:`~repro.bitmatrix.sparsity.SparsityIndex`
@@ -71,8 +72,6 @@ __all__ = [
 # the stride chunking in the engine the live working set stays within
 # L1/L2 while each word is still touched exactly once.
 DEFAULT_WORD_STRIDE = 64
-# Largest temporary (words) of fused_pair_popcount's numpy fallback.
-_CUBE_ELEMENTS = 1 << 16
 
 
 def resolve_word_stride(word_stride: "int | None") -> int:
@@ -320,10 +319,9 @@ def fused_pair_popcount(base: np.ndarray, inner_w: np.ndarray) -> np.ndarray:
     uint64.  The product is one call into the native kernel
     (:mod:`repro.core.tile`, ``_tile.c``), which keeps each base word in
     a register across the inner loop, skips zero base words and runs
-    without the GIL.  Without it, the same popcounts come from the
-    ``(B, W, L)`` broadcast over the rows that are not all zero, cut
-    into row chunks of at most :data:`_CUBE_ELEMENTS` words (one row at
-    least).
+    without the GIL.  Without it, a numpy loop over the words follows
+    the same rule: word ``k`` adds its popcounts to the rows whose base
+    word ``k`` is not zero.
     """
     for a in (base, inner_w):
         if a.dtype != np.uint64 or not a.flags.c_contiguous:
@@ -338,13 +336,10 @@ def fused_pair_popcount(base: np.ndarray, inner_w: np.ndarray) -> np.ndarray:
                n_rows, n_words, n_cols)
         return out
     out = np.zeros((n_rows, n_cols), dtype=np.int32)
-    live = np.flatnonzero(base.any(axis=1))
-    step = max(1, _CUBE_ELEMENTS // max(1, inner_w.size))
-    for r in range(0, len(live), step):
-        rows = live[r : r + step]
-        out[rows] = np.bitwise_count(base[rows, :, None] & inner_w[None]).sum(
-            axis=1, dtype=np.int32
-        )
+    for k in range(n_words):
+        rows = np.flatnonzero(base[:, k])
+        if len(rows):
+            out[rows] += np.bitwise_count(base[rows, k, None] & inner_w[k])
     return out
 
 

@@ -8,11 +8,13 @@ execution over the existing engine fleet:
 * :mod:`repro.service.dispatch` — the one sizing rule (backend + budget
   from the job's modeled cost, tenant pins honored);
 * :mod:`repro.service.runner` — supervisor threads driving the solvers;
-* :mod:`repro.service.http` — the stdlib HTTP API (``repro serve``).
+* :mod:`repro.service.http` — the one stdlib HTTP server, serving the
+  job API (``repro serve``) or just ``/metrics`` + ``/healthz``
+  (:class:`MetricsServer`, ``multihit solve --prom-port``).
 """
 
 from repro.service.dispatch import DispatchDecision, FleetState
-from repro.service.http import Gateway, GatewayServer, validate_spec
+from repro.service.http import Gateway, MetricsServer, validate_spec
 from repro.service.jobs import Job, JobState, JobStore
 from repro.service.queue import (
     AdmissionError,
@@ -28,11 +30,11 @@ __all__ = [
     "DispatchDecision",
     "FleetState",
     "Gateway",
-    "GatewayServer",
     "Job",
     "JobRunner",
     "JobState",
     "JobStore",
+    "MetricsServer",
     "QueueFullError",
     "QuotaExceededError",
     "validate_spec",

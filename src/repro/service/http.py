@@ -1,8 +1,14 @@
-"""The gateway: HTTP front door + orchestration of store/queue/runner.
+"""The gateway's HTTP layer: one route-table server, and the job API on it.
 
-Grown from the PR-5 ``MetricsServer`` skeleton — :class:`GatewayServer`
-subclasses it and mounts the job API beside the scrape endpoints, all
-on one stdlib ``ThreadingHTTPServer``:
+:class:`HttpServer` serves a list of ``(method, path regex, fn)``
+routes from a stdlib ``ThreadingHTTPServer`` on a daemon thread, and
+checks each request's framing before any route sees it.
+
+:func:`metrics_routes` are the scrape endpoints, ``/metrics`` (the live
+registry in Prometheus text, :mod:`repro.telemetry.prom`) and
+``/healthz``.  :class:`MetricsServer` serves just those (``multihit
+solve --prom-port``); :class:`Gateway` serves them beside its job API
+on one socket:
 
 ====== ============================ ==========================================
 method path                         behavior
@@ -13,6 +19,8 @@ POST   ``/v1/jobs``                 submit a cohort -> ``202`` + job id
 GET    ``/v1/jobs``                 list jobs (``?tenant=`` / ``?state=``)
 GET    ``/v1/jobs/<id>``            lifecycle + progress/ETA
 GET    ``/v1/jobs/<id>/result``     the solve result (``409`` until terminal)
+GET    ``/v1/jobs/<id>/trace``      causal analysis of the job's trace
+                                    (``409`` until written)
 DELETE ``/v1/jobs/<id>``            cancel (queued: instant; running: within
                                     one solver iteration)
 GET    ``/metrics``                 gateway-wide Prometheus exposition
@@ -43,6 +51,10 @@ from __future__ import annotations
 
 import json
 import re
+import threading
+import time
+from dataclasses import dataclass, field
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs
 
@@ -52,15 +64,220 @@ from repro.data.synthesis import CohortConfig
 from repro.service.jobs import Job, JobState, JobStore
 from repro.service.queue import AdmissionError, AdmissionQueue
 from repro.service.runner import JobRunner
-from repro.telemetry.prom import (
-    MetricsServer,
-    Response,
-    _Server,
-    json_reply,
-)
-from repro.telemetry.session import Telemetry
+from repro.telemetry.prom import PROM_CONTENT_TYPE, render_prometheus
+from repro.telemetry.session import Telemetry, get_telemetry
 
-__all__ = ["Gateway", "GatewayServer", "validate_spec"]
+__all__ = [
+    "Gateway",
+    "HttpServer",
+    "MetricsServer",
+    "metrics_routes",
+    "validate_spec",
+]
+
+#: Largest request body any route reads (a gateway job spec is well
+#: under a kilobyte); a larger declared ``Content-Length`` is a 413.
+MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a connection may sit silent mid-request (or idle between
+#: keep-alive requests) before its handler thread drops it.
+REQUEST_TIMEOUT_S = 10.0
+
+#: How often the serving thread checks for :meth:`HttpServer.stop`;
+#: ``stop`` waits up to this long (``serve_forever``'s default is 0.5 s).
+SHUTDOWN_POLL_S = 0.05
+
+
+@dataclass
+class Response:
+    """A route's reply; ``headers`` are extras (``Retry-After`` on a 429)."""
+
+    status: int
+    ctype: str
+    body: bytes
+    headers: "dict[str, str]" = field(default_factory=dict)
+
+
+def json_reply(
+    status: int, payload: dict, headers: "dict[str, str] | None" = None
+) -> Response:
+    return Response(
+        status, "application/json",
+        (json.dumps(payload) + "\n").encode(), headers or {},
+    )
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Frames one request and hands it to the server's ``route``.
+
+    A malformed ``Content-Length`` is a 400 and one over
+    :data:`MAX_BODY_BYTES` a 413, both with the body unread; a body cut
+    short is dropped unanswered; a route that raises is a 500.
+    ``timeout`` (:data:`REQUEST_TIMEOUT_S`) bounds every socket read: a
+    client that stalls mid-body times out, and ``handle_one_request``
+    closes its connection.
+    """
+
+    def setup(self) -> None:
+        self.timeout = REQUEST_TIMEOUT_S  # read per connection
+        super().setup()
+
+    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:  # noqa: N802
+        self._dispatch("POST")
+
+    def do_DELETE(self) -> None:  # noqa: N802
+        self._dispatch("DELETE")
+
+    def _dispatch(self, method: str) -> None:
+        path, _, query = self.path.partition("?")
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self._refuse(400, "malformed Content-Length")
+            return
+        if int(declared) > MAX_BODY_BYTES:
+            self._refuse(413, f"body over {MAX_BODY_BYTES} bytes")
+            return
+        body = self.rfile.read(int(declared))
+        if len(body) < int(declared):
+            # The client closed before sending its whole body: a
+            # truncated request is never routed, nor answered.
+            self.close_connection = True
+            return
+        try:
+            resp = self.server.route(method, path, body, query)
+        except Exception as exc:  # route bug: answer 500, keep serving
+            resp = json_reply(500, {"error": f"{type(exc).__name__}: {exc}"})
+        self._reply(resp)
+
+    def _refuse(self, status: int, error: str) -> None:
+        # The body stays unread, so the connection cannot carry another
+        # request.
+        self.close_connection = True
+        self._reply(json_reply(status, {"error": error}))
+
+    def _reply(self, resp: Response) -> None:
+        self.send_response(resp.status)
+        self.send_header("Content-Type", resp.ctype)
+        self.send_header("Content-Length", str(len(resp.body)))
+        for key, value in resp.headers.items():
+            self.send_header(key, value)
+        self.end_headers()
+        self.wfile.write(resp.body)
+
+    def log_message(self, *args) -> None:  # silence per-request stderr spam
+        pass
+
+
+class HttpServer:
+    """A route table served from a daemon-thread ``ThreadingHTTPServer``.
+
+    ``routes`` is a list of ``(method, path regex, fn)``; ``fn(match,
+    body, query)`` returns a :class:`Response`.  The first route whose
+    pattern and method match answers; a path some route matches under
+    another method is a 405, any other a 404.  ``port=0`` binds an ephemeral port (read it back from
+    ``.port``).  Use as a context manager or call :meth:`start` /
+    :meth:`stop`; ``stop()`` is idempotent and safe before ``start()``,
+    and the server may be started again after it.
+    """
+
+    def __init__(self, routes, host: str = "127.0.0.1", port: int = 0) -> None:
+        self.routes = [(method, re.compile(path), fn) for method, path, fn in routes]
+        self.host = host
+        self.port = port
+        self._httpd: "ThreadingHTTPServer | None" = None
+        self._thread: "threading.Thread | None" = None
+
+    def route(self, method: str, path: str, body: bytes, query: str) -> Response:
+        matched_path = False
+        for want_method, pattern, fn in self.routes:
+            match = pattern.match(path)
+            if match is None:
+                continue
+            matched_path = True
+            if want_method == method:
+                return fn(match, body, query)
+        if matched_path:
+            return json_reply(405, {"error": f"method {method} not allowed"})
+        return Response(404, "text/plain; charset=utf-8", b"not found\n")
+
+    def start(self) -> "HttpServer":
+        if self._httpd is not None:
+            return self
+        # The stdlib defaults already give daemon handler threads and
+        # SO_REUSEADDR (quick rebinds never trip over TIME_WAIT).
+        self._httpd = ThreadingHTTPServer((self.host, self.port), _Handler)
+        self._httpd.route = self.route
+        self.port = self._httpd.server_address[1]
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever,
+            args=(SHUTDOWN_POLL_S,),
+            name="repro-http-server",
+            daemon=True,
+        )
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Shut the server down; a no-op when not (or no longer) running."""
+        httpd, self._httpd = self._httpd, None
+        if httpd is not None:
+            httpd.shutdown()
+            httpd.server_close()
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            thread.join(timeout=5.0)
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    def __enter__(self) -> "HttpServer":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+
+def metrics_routes(telemetry=None, health=None) -> list:
+    """``/metrics`` and ``/healthz`` as routes for an :class:`HttpServer`.
+
+    ``telemetry=None`` scrapes whatever session is installed at request
+    time; pass a session to pin the endpoint to one run.  ``/healthz``
+    answers ``{"status": "ok", "uptime_s": ...}`` (uptime since this
+    call), plus the fields ``health()`` returns when given.
+    """
+    started_at = time.monotonic()
+
+    def scrape(match, body, query) -> Response:
+        text = render_prometheus((telemetry or get_telemetry()).metrics)
+        return Response(200, PROM_CONTENT_TYPE, text.encode())
+
+    def healthz(match, body, query) -> Response:
+        payload = {
+            "status": "ok",
+            "uptime_s": round(time.monotonic() - started_at, 3),
+        }
+        if health is not None:
+            payload.update(health())
+        return json_reply(200, payload)
+
+    return [("GET", r"^/metrics$", scrape), ("GET", r"^/healthz$", healthz)]
+
+
+class MetricsServer(HttpServer):
+    """Just the scrape endpoints (:func:`metrics_routes`) on a daemon thread."""
+
+    def __init__(
+        self,
+        telemetry=None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+    ) -> None:
+        super().__init__(metrics_routes(telemetry), host, port)
+
 
 #: The gateway's one list of cohort keys — a registry ``dataset`` name or
 #: tenant-settable :class:`CohortConfig` fields — with their JSON types.
@@ -164,8 +381,18 @@ class Gateway:
             max_concurrent=max_concurrent,
             max_workers=max_workers,
         )
-        self.server = GatewayServer(
-            gateway=self, telemetry=self.telemetry, host=host, port=port
+        one_job = r"^/v1/jobs/(?P<job_id>[\w-]+)"
+        self.server = HttpServer(
+            metrics_routes(self.telemetry, health=self._health) + [
+                ("POST", r"^/v1/jobs$", self._route_submit),
+                ("GET", r"^/v1/jobs$", self._route_list),
+                ("GET", one_job + "/result$", self._route_result),
+                ("GET", one_job + "/trace$", self._route_trace),
+                ("GET", one_job + "$", self._route_status),
+                ("DELETE", one_job + "$", self._route_cancel),
+            ],
+            host,
+            port,
         )
         self._recovered = self._recover()
 
@@ -249,8 +476,6 @@ class Gateway:
         self, job_ids, timeout: float = 60.0, poll_s: float = 0.05
     ) -> list[Job]:
         """Block until the given jobs are terminal (testing/CLI helper)."""
-        import time
-
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             jobs = [self.store.get(j) for j in job_ids]
@@ -262,52 +487,13 @@ class Gateway:
             f"{[(j.job_id, j.state) for j in jobs if j is not None and not j.terminal]}"
         )
 
-
-class _GatewayHTTP(_Server):
-    """The route table: ``/v1/*`` mounted beside ``/metrics``/``/healthz``."""
-
-    def __init__(self, addr, telemetry, gateway: Gateway):
-        self.gateway = gateway  # before super(): build_routes runs in init
-        super().__init__(addr, telemetry)
-
-    def build_routes(self):
-        return super().build_routes() + [
-            ("POST", re.compile(r"^/v1/jobs$"), self._route_submit),
-            ("GET", re.compile(r"^/v1/jobs$"), self._route_list),
-            (
-                "GET",
-                re.compile(r"^/v1/jobs/(?P<job_id>[\w-]+)/result$"),
-                self._route_result,
-            ),
-            (
-                "GET",
-                re.compile(r"^/v1/jobs/(?P<job_id>[\w-]+)/trace$"),
-                self._route_trace,
-            ),
-            (
-                "GET",
-                re.compile(r"^/v1/jobs/(?P<job_id>[\w-]+)$"),
-                self._route_status,
-            ),
-            (
-                "DELETE",
-                re.compile(r"^/v1/jobs/(?P<job_id>[\w-]+)$"),
-                self._route_cancel,
-            ),
-        ]
-
-    def _route_healthz(self, match, body, query) -> Response:
-        resp = super()._route_healthz(match, body, query)
-        payload = json.loads(resp.body)
-        payload.update(
-            {
-                "jobs": len(self.gateway.store),
-                "backlog": self.gateway.queue.backlog,
-                "in_flight": self.gateway.queue.in_flight,
-                "running": self.gateway.runner.n_running,
-            }
-        )
-        return json_reply(200, payload)
+    def _health(self) -> dict:
+        return {
+            "jobs": len(self.store),
+            "backlog": self.queue.backlog,
+            "in_flight": self.queue.in_flight,
+            "running": self.runner.n_running,
+        }
 
     # -- /v1 routes ----------------------------------------------------
 
@@ -321,7 +507,7 @@ class _GatewayHTTP(_Server):
                 400, {"error": f"invalid JSON: {type(exc).__name__}: {exc}"}
             )
         try:
-            job = self.gateway.submit(payload)
+            job = self.submit(payload)
         except AdmissionError as exc:
             return json_reply(
                 429,
@@ -341,20 +527,20 @@ class _GatewayHTTP(_Server):
 
     def _route_list(self, match, body, query) -> Response:
         params = parse_qs(query)
-        jobs = self.gateway.jobs(
+        jobs = self.jobs(
             tenant=params.get("tenant", [None])[0],
             state=params.get("state", [None])[0],
         )
         return json_reply(200, {"jobs": [j.summary() for j in jobs]})
 
     def _route_status(self, match, body, query) -> Response:
-        job = self.gateway.job(match.group("job_id"))
+        job = self.job(match.group("job_id"))
         if job is None:
             return json_reply(404, {"error": "unknown job"})
         return json_reply(200, job.summary())
 
     def _route_result(self, match, body, query) -> Response:
-        job = self.gateway.job(match.group("job_id"))
+        job = self.job(match.group("job_id"))
         if job is None:
             return json_reply(404, {"error": "unknown job"})
         if not job.terminal:
@@ -376,12 +562,10 @@ class _GatewayHTTP(_Server):
         from ``traces/<job id>.jsonl`` (written by the runner on every
         job exit path).  ``?spans=1`` includes the raw span dicts.
         """
-        job = self.gateway.job(match.group("job_id"))
+        job = self.job(match.group("job_id"))
         if job is None:
             return json_reply(404, {"error": "unknown job"})
-        trace_path = (
-            self.gateway.state_dir / "traces" / f"{job.job_id}.jsonl"
-        )
+        trace_path = self.state_dir / "traces" / f"{job.job_id}.jsonl"
         if not trace_path.exists():
             return json_reply(
                 409,
@@ -416,25 +600,14 @@ class _GatewayHTTP(_Server):
 
     def _route_cancel(self, match, body, query) -> Response:
         job_id = match.group("job_id")
-        job = self.gateway.job(job_id)
+        job = self.job(job_id)
         if job is None:
             return json_reply(404, {"error": "unknown job"})
         if job.terminal:
             return json_reply(
                 409, {"error": f"job already terminal ({job.state})"}
             )
-        self.gateway.cancel(job_id)
+        self.cancel(job_id)
         return json_reply(
-            202, {"job_id": job_id, "state": self.gateway.job(job_id).state}
+            202, {"job_id": job_id, "state": self.job(job_id).state}
         )
-
-
-class GatewayServer(MetricsServer):
-    """The gateway's HTTP endpoint: MetricsServer + the ``/v1`` API."""
-
-    def __init__(self, gateway: Gateway, telemetry=None, **kwargs) -> None:
-        super().__init__(telemetry=telemetry, **kwargs)
-        self.gateway = gateway
-
-    def _make_server(self) -> _GatewayHTTP:
-        return _GatewayHTTP((self.host, self.port), self.telemetry, self.gateway)

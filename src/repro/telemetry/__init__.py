@@ -23,6 +23,10 @@ stamped across every async boundary (see :mod:`repro.telemetry.causal`),
 and the offline analyzer (:mod:`repro.telemetry.critpath`) that turns
 an exported trace into a critical path + per-bucket time attribution
 (``multihit trace analyze``).
+
+:mod:`repro.telemetry.prom` renders the live registry in the Prometheus
+text format; serving it over HTTP (``/metrics``, ``/healthz``) is
+:mod:`repro.service.http`'s ``MetricsServer``.
 """
 
 from repro.telemetry.causal import new_trace_id
@@ -57,11 +61,7 @@ from repro.telemetry.export import (
     write_summary,
 )
 from repro.telemetry.flight import FLIGHT_SCHEMA, FlightRecorder
-from repro.telemetry.prom import (
-    MetricsServer,
-    render_prometheus,
-    validate_prometheus,
-)
+from repro.telemetry.prom import render_prometheus, validate_prometheus
 from repro.telemetry.progress import ProgressMonitor, ProgressSnapshot
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "FlightRecorder",
     "HistogramStat",
     "MetricsRegistry",
-    "MetricsServer",
     "NOOP_SPAN",
     "NULL_TELEMETRY",
     "ProgressMonitor",

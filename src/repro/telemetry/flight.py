@@ -31,6 +31,7 @@ import json
 import threading
 import time
 from collections import deque
+from dataclasses import asdict
 from pathlib import Path
 
 __all__ = ["FLIGHT_SCHEMA", "FlightRecorder"]
@@ -176,29 +177,8 @@ class FlightRecorder:
                 "n_retries": fault_report.n_retries,
                 "n_rescheduled": fault_report.n_rescheduled,
                 "dead_ranks": list(fault_report.dead_ranks),
-                "events": [
-                    {
-                        "kind": e.kind,
-                        "site": e.site,
-                        "target": e.target,
-                        "call": e.call,
-                        "action": e.action,
-                        "attempt": e.attempt,
-                        "detail": e.detail,
-                        "trace_id": e.trace_id,
-                    }
-                    for e in fault_report.events
-                ],
-                "rescheduled": [
-                    {
-                        "dead_rank": r.dead_rank,
-                        "survivor": r.survivor,
-                        "lam_start": r.lam_start,
-                        "lam_end": r.lam_end,
-                        "call": r.call,
-                    }
-                    for r in fault_report.rescheduled
-                ],
+                "events": [asdict(e) for e in fault_report.events],
+                "rescheduled": [asdict(r) for r in fault_report.rescheduled],
             }
         return payload
 

@@ -1,6 +1,7 @@
 """Tests for the CLI."""
 
 import json
+import re
 
 import pytest
 
@@ -56,6 +57,18 @@ class TestCommands:
              "--hits", "2", "--backend", "distributed", "--nodes", "2"]
         )
         assert code == 0
+
+    def test_solve_serves_metrics_on_an_ephemeral_port(self, capsys):
+        code = main(
+            ["solve", "--genes", "20", "--tumor", "40", "--normal", "40",
+             "--hits", "2", "--prom-port", "0"]
+        )
+        assert code == 0
+        port = re.search(
+            r"^metrics: http://127\.0\.0\.1:(\d+)/metrics$",
+            capsys.readouterr().err, re.M,
+        )
+        assert port is not None and int(port.group(1)) != 0
 
     def test_solve_checkpoint_roundtrip(self, capsys, tmp_path):
         """Interrupted run + relaunch through --checkpoint reproduces the

@@ -244,9 +244,11 @@ class TestElasticRunner:
             ElasticSPMDRunner(n_ranks=4, max_ranks=2)
 
     def test_wall_deadline_raises(self, instance):
+        # A 1 s hang outlasts the 0.5 s deadline, and the rank threads
+        # finish their sleep inside the runner's drain grace.
         plan = FaultPlan(
             tuple(
-                FaultSpec(kind="hang", site="rank", target=r, delay_s=30.0,
+                FaultSpec(kind="hang", site="rank", target=r, delay_s=1.0,
                           count=-1)
                 for r in range(2)
             )

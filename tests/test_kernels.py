@@ -148,7 +148,7 @@ class TestFusedKernels:
     @pytest.mark.parametrize("path", TILE_PATHS)
     @pytest.mark.parametrize("shape", [
         (1, 5, 9), (13, 5, 1), (1, 1, 1), (0, 5, 9),
-        (300, 32, 200),  # many row chunks on the fallback
+        (300, 32, 200),  # a dense tile: every word live on the fallback
     ])
     def test_fused_pair_popcount_edge_shapes(self, shape, path):
         n_rows, n_words, n_cols = shape

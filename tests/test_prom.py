@@ -16,19 +16,16 @@ import urllib.request
 import pytest
 
 from repro.core.solver import MultiHitSolver
+from repro.service import MetricsServer
+from repro.service.http import MAX_BODY_BYTES, HttpServer, metrics_routes
 from repro.telemetry import (
     MetricsRegistry,
-    MetricsServer,
     Telemetry,
     render_prometheus,
     telemetry_session,
     validate_prometheus,
 )
-from repro.telemetry.prom import (
-    MAX_BODY_BYTES,
-    PROM_CONTENT_TYPE,
-    prometheus_name,
-)
+from repro.telemetry.prom import PROM_CONTENT_TYPE, prometheus_name
 
 
 def _get(url: str):
@@ -232,20 +229,11 @@ class TestServerLifecycle:
             assert err.value.code == 405
 
     def test_route_bug_answers_500_and_survives(self):
-        class BrokenServer(MetricsServer):
-            def _make_server(self):
-                server = super()._make_server()
-                import re
+        def boom(match, body, query):
+            raise RuntimeError("route bug")
 
-                def boom(match, body, query):
-                    raise RuntimeError("route bug")
-
-                server.routes.append(
-                    ("GET", re.compile(r"^/boom$"), boom)
-                )
-                return server
-
-        with BrokenServer() as server:
+        routes = metrics_routes() + [("GET", r"^/boom$", boom)]
+        with HttpServer(routes) as server:
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get(server.url + "/boom")
             assert err.value.code == 500

@@ -29,7 +29,7 @@ from repro.service.dispatch import SINGLE_THRESHOLD, FleetState, _job_cost, deci
 from repro.service.runner import JobRunner
 from repro.service.http import _ALLOWED_COHORT_KEYS, _ALLOWED_SOLVER_KEYS
 from repro.service.jobs import ACTIVE_STATES, TERMINAL_STATES, Job
-from repro.telemetry import prom
+from repro.service import http as service_http
 from tests.test_checkpoint import draw_damage
 
 
@@ -568,7 +568,7 @@ class TestGatewayEndToEnd:
         """A client that declares more body than it sends and goes quiet
         loses its connection after the handler timeout; nothing is
         stored, and the gateway keeps serving."""
-        monkeypatch.setattr(prom, "REQUEST_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(service_http, "REQUEST_TIMEOUT_S", 0.3)
         with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
             with _raw_post(gw.port, 100, b'{"ten') as sock:
                 assert sock.recv(1024) == b""  # closed, unanswered

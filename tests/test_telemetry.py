@@ -544,7 +544,8 @@ class TestLiveComponentsBitIdentity:
     )
     def test_bit_identical_with_live_stack(self, small_matrices, tmp_path,
                                            backend, kw):
-        from repro.telemetry import FlightRecorder, MetricsServer, ProgressMonitor
+        from repro.service import MetricsServer
+        from repro.telemetry import FlightRecorder, ProgressMonitor
 
         t, n, _ = small_matrices
         off, _ = _solve(backend, small_matrices, telemetry_on=False, **kw)
