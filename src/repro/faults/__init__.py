@@ -3,10 +3,10 @@
 Three pillars (see DESIGN § work distribution and recovery):
 
 * :class:`FaultPlan` / :class:`FaultSpec` — a deterministic, seedable
-  fault-injection plan (rank crash at iteration *k*, worker hang,
-  slow-GPU straggler, fleet join/leave) hooked into the rank fleet
-  (both backends that run on it), its membership and the gpusim layer,
-  so any failure scenario is a reproducible test case;
+  fault-injection plan (rank crash at iteration *k*, rank hang, rank
+  straggler, fleet join/leave) hooked into the rank fleet (both
+  backends that run on it) and its membership, so any failure scenario
+  is a reproducible test case;
 * :class:`RetryPolicy` — the shared retry/backoff/deadline policy every
   recovery layer consults;
 * :class:`FaultReport` — the per-run record of what was detected,
@@ -21,7 +21,6 @@ candidates exist or how ties break.
 from repro.faults.plan import (
     FAULT_KINDS,
     FAULT_SITES,
-    FaultInjected,
     FaultPlan,
     FaultSpec,
 )
@@ -31,7 +30,6 @@ from repro.faults.report import FaultEvent, FaultReport, RescheduledRange
 __all__ = [
     "FAULT_KINDS",
     "FAULT_SITES",
-    "FaultInjected",
     "FaultPlan",
     "FaultSpec",
     "RetryPolicy",

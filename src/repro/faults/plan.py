@@ -6,13 +6,11 @@ hardware failures is neither deterministic nor CI-friendly.  A
 :class:`FaultPlan` is the substitute: an explicit list of
 :class:`FaultSpec` events ("rank 1 crashes on arg-max call 0", "rank
 2 hangs on call 1", "rank 3 leaves once the solve is 20 % done") that
-the execution layers consult at well-defined injection points —
+the execution layers consult at two injection points —
 :func:`repro.core.distributed.run_lease` for a rank holding a lease on
-either backend's rank threads (distributed or pool), the fleet's
-membership
-(:class:`repro.cluster.elastic.ElasticSPMDRunner`), and the block-level
-:class:`repro.gpusim.executor.BlockKernelExecutor`.  Each site takes
-only the kinds it acts on (:data:`SITE_KINDS`).
+either backend's rank threads (distributed or pool), and the fleet's
+membership (:class:`repro.cluster.elastic.ElasticSPMDRunner`).  Each
+site takes only the kinds it acts on (:data:`SITE_KINDS`).
 
 Every spec fires a bounded number of times (``count``; ``-1`` =
 persistent, e.g. a node that stays dead), so an injected failure either
@@ -26,26 +24,20 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-__all__ = ["FAULT_KINDS", "FAULT_SITES", "FaultInjected", "FaultPlan", "FaultSpec"]
+__all__ = ["FAULT_KINDS", "FAULT_SITES", "FaultPlan", "FaultSpec"]
 
 #: Injection point -> the fault kinds it acts on: a rank holding a lease
-#: (on either fleet) crashes, hangs or straggles; a simulated-GPU
-#: block crashes or straggles (its cycles scale); the fleet's membership
+#: (on either fleet) crashes, hangs or straggles; the fleet's membership
 #: takes ``join`` / ``leave``, churn events rather than failures — a
 #: ``join`` registers ``target`` new ranks mid-solve, a ``leave`` drains
 #: rank ``target`` (its leases are forfeited back to the pool).
 SITE_KINDS = {
     "rank": ("crash", "hang", "straggler"),
-    "gpu": ("crash", "straggler"),
     "membership": ("join", "leave"),
 }
 
 FAULT_SITES = tuple(SITE_KINDS)
 FAULT_KINDS = tuple(dict.fromkeys(k for kinds in SITE_KINDS.values() for k in kinds))
-
-
-class FaultInjected(RuntimeError):
-    """Raised at an injection point to simulate a failure."""
 
 
 @dataclass(frozen=True)
@@ -62,8 +54,8 @@ class FaultSpec:
         Where the fault fires; it must take ``kind`` (see
         :data:`SITE_KINDS`).
     target:
-        Site-local index: rank (rank, leave), block id (gpu), number
-        of new ranks (join).
+        Site-local index: rank (rank, leave), number of new ranks
+        (join).
     at_call:
         Which arg-max call (greedy iteration) the fault fires on;
         ``None`` matches any call.
@@ -79,8 +71,6 @@ class FaultSpec:
         ``[0, 1]``) the solve must reach before the churn fires — a
         deterministic "mid-solve" trigger that does not depend on wall
         time.
-    slowdown:
-        Cycle multiplier for a ``gpu``-site straggler.
     """
 
     kind: str
@@ -89,7 +79,6 @@ class FaultSpec:
     at_call: "int | None" = None
     count: int = 1
     delay_s: float = 0.05
-    slowdown: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -211,20 +200,21 @@ class FaultPlan:
         cls,
         seed: int,
         n_faults: int = 3,
-        sites: tuple[str, ...] = ("rank",),
-        kinds: tuple[str, ...] = ("crash", "hang", "straggler"),
         max_target: int = 4,
         max_call: int = 3,
         delay_s: float = 0.05,
     ) -> "FaultPlan":
-        """Derive a reproducible plan from a seed (same seed, same plan)."""
+        """Derive a reproducible plan of ``rank``-site faults from a seed
+        (same seed, same plan)."""
         import random as _random
 
         rng = _random.Random(seed)
+        # One site left to draw from, but the draw still advances the
+        # generator: keep it so a seed gives the plan it always gave.
         specs = tuple(
             FaultSpec(
-                kind=rng.choice(kinds),
-                site=rng.choice(sites),
+                kind=rng.choice(SITE_KINDS["rank"]),
+                site=rng.choice(("rank",)),
                 target=rng.randrange(max_target),
                 at_call=rng.randrange(max_call),
                 delay_s=delay_s,

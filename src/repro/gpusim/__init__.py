@@ -17,16 +17,12 @@ from repro.gpusim.kernel import KernelStats
 from repro.gpusim.timing import KernelTiming, TimingTuning, kernel_time
 from repro.gpusim.counters import GpuMetrics, metrics_from_timing
 from repro.gpusim.profiler import GpuProfile, Profiler
-from repro.gpusim.executor import BlockKernelExecutor, BlockResult, KernelLaunchResult
 from repro.gpusim.occupancy import KernelResources, Occupancy, occupancy
 
 __all__ = [
     "KernelResources",
     "Occupancy",
     "occupancy",
-    "BlockKernelExecutor",
-    "BlockResult",
-    "KernelLaunchResult",
     "DeviceSpec",
     "V100",
     "KernelStats",

@@ -28,10 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.gpusim.device import V100, DeviceSpec
 from repro.gpusim.kernel import KernelStats
 
-__all__ = ["TimingTuning", "KernelTiming", "kernel_time"]
+__all__ = ["TimingTuning", "KernelTiming", "kernel_time", "kernel_times"]
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,8 @@ class TimingTuning:
 
 @dataclass(frozen=True)
 class KernelTiming:
-    """Resolved resource times for one kernel launch on one GPU."""
+    """Resolved resource times for one kernel launch on one GPU (from
+    :func:`kernel_times`, arrays of launches: ``bound`` excepted)."""
 
     t_compute_s: float
     t_setup_s: float
@@ -108,7 +111,9 @@ class KernelTiming:
 
     @property
     def busy_s(self) -> float:
-        return max(self.t_compute_s + self.t_setup_s, self.t_memory_s, self.t_tail_s)
+        return np.maximum(
+            np.maximum(self.t_compute_s + self.t_setup_s, self.t_memory_s), self.t_tail_s
+        )
 
     @property
     def total_s(self) -> float:
@@ -137,31 +142,47 @@ def kernel_time(
     tuning: TimingTuning = TimingTuning(),
 ) -> KernelTiming:
     """Evaluate the three-bound timing model for one launch."""
-    if stats.n_threads == 0 or stats.n_combos == 0:
-        return KernelTiming(0.0, 0.0, 0.0, 0.0, tuning.kernel_launch_s, 1.0)
-    ops_combo = tuning.ops_per_combo(stats.words_per_combo, stats.rows_per_combo)
-    ops = stats.n_combos * ops_combo
-    setup = stats.n_threads * tuning.setup_ops_per_thread(
-        stats.words_per_combo, stats.prefetched_rows
+    timing = kernel_times(
+        stats.n_threads, stats.n_combos, stats.max_thread_combos, stats.bytes_read,
+        stats.words_per_combo, stats.rows_per_combo, stats.prefetched_rows,
+        device, tuning,
     )
-    issue_hide = min(1.0, stats.n_threads / tuning.compute_hide_threads)
+    return KernelTiming(**{name: float(v) for name, v in vars(timing).items()})
+
+
+def kernel_times(
+    n_threads, n_combos, max_thread_combos, bytes_read,
+    words: int, rows: int, prefetched: int,
+    device: DeviceSpec = V100,
+    tuning: TimingTuning = TimingTuning(),
+) -> KernelTiming:
+    """The three-bound model over arrays of launches (or scalars).
+
+    The four counts are :class:`KernelStats`' fields of the same names,
+    one launch per element; ``words`` / ``rows`` / ``prefetched`` (its
+    ``words_per_combo`` / ``rows_per_combo`` / ``prefetched_rows``) are
+    shared.  A launch with no threads or no combinations costs only its
+    launch overhead.
+    """
+    n_threads = np.asarray(n_threads, dtype=np.float64)
+    n_combos = np.asarray(n_combos, dtype=np.float64)
+    idle = (n_threads == 0) | (n_combos == 0)
+    ops_combo = tuning.ops_per_combo(words, rows)
+    setup_ops = tuning.setup_ops_per_thread(words, prefetched)
+    issue_hide = np.minimum(1.0, n_threads / tuning.compute_hide_threads)
+    hide = np.minimum(1.0, n_threads / tuning.latency_hide_threads)
     int_throughput = device.peak_int_ops_per_s * tuning.issue_efficiency * issue_hide
-    t_compute = ops / int_throughput
-    t_setup = setup / int_throughput
-    hide = min(1.0, stats.n_threads / tuning.latency_hide_threads)
-    dram_bytes = stats.bytes_read / tuning.cache_reuse
-    t_memory = dram_bytes / (device.dram_bandwidth_bps * hide)
+    dram_bytes = np.asarray(bytes_read, dtype=np.float64) / tuning.cache_reuse
+    with np.errstate(divide="ignore", invalid="ignore"):  # idle: dropped below
+        t_compute = n_combos * ops_combo / int_throughput
+        t_setup = n_threads * setup_ops / int_throughput
+        t_memory = dram_bytes / (device.dram_bandwidth_bps * hide)
     t_tail = (
-        (stats.max_thread_combos * ops_combo
-         + tuning.setup_ops_per_thread(stats.words_per_combo, stats.prefetched_rows))
-        / device.clock_hz
-    )
+        np.asarray(max_thread_combos, dtype=np.float64) * ops_combo + setup_ops
+    ) / device.clock_hz
     return KernelTiming(
-        t_compute_s=t_compute,
-        t_setup_s=t_setup,
-        t_memory_s=t_memory,
-        t_tail_s=t_tail,
+        *(np.where(idle, 0.0, t) for t in (t_compute, t_setup, t_memory, t_tail)),
         launch_s=tuning.kernel_launch_s,
-        hide_factor=hide,
-        issue_hide=issue_hide,
+        hide_factor=np.where(idle, 1.0, hide),
+        issue_hide=np.where(idle, 1.0, issue_hide),
     )

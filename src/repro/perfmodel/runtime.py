@@ -37,7 +37,7 @@ from repro.core.combination import COMBO_RECORD_BYTES
 from repro.core.memopt import MemoryConfig, global_word_reads
 from repro.gpusim.device import V100, DeviceSpec
 from repro.gpusim.kernel import KernelStats
-from repro.gpusim.timing import TimingTuning, kernel_time
+from repro.gpusim.timing import TimingTuning, kernel_times
 from repro.perfmodel.workloads import WorkloadSpec
 from repro.scheduling.equiarea import equiarea_schedule
 from repro.scheduling.equidistance import equidistance_schedule
@@ -104,8 +104,16 @@ def partition_kernel_stats(
 ) -> KernelStats:
     """Exact kernel statistics for one GPU partition (uncached path)."""
     prof = _profile_one(schedule, part, part_work, memory)
-    return _stats_from_profile(
-        prof, schedule.scheme, tumor_words + normal_words, memory
+    words = tumor_words + normal_words
+    pre, rows = memory.combo_rows(schedule.scheme)
+    return KernelStats(
+        n_threads=prof.n_threads,
+        n_combos=prof.n_combos,
+        words_per_combo=words,
+        rows_per_combo=rows,
+        prefetched_rows=pre,
+        bytes_read=prof.word_read_units * words * 8,
+        max_thread_combos=prof.max_thread_combos,
     )
 
 
@@ -133,21 +141,6 @@ def partition_profiles(schedule: Schedule, memory: MemoryConfig) -> list[Partiti
     return [_profile_one(schedule, p, work[p], memory) for p in range(schedule.n_parts)]
 
 
-def _stats_from_profile(
-    prof: PartitionProfile, scheme: Scheme, words: int, memory: MemoryConfig
-) -> KernelStats:
-    pre, rows = memory.combo_rows(scheme)
-    return KernelStats(
-        n_threads=prof.n_threads,
-        n_combos=prof.n_combos,
-        words_per_combo=words,
-        rows_per_combo=rows,
-        prefetched_rows=pre,
-        bytes_read=prof.word_read_units * words * 8,
-        max_thread_combos=prof.max_thread_combos,
-    )
-
-
 def gpu_busy_times(
     schedule: Schedule,
     tumor_words: int,
@@ -157,15 +150,21 @@ def gpu_busy_times(
     tuning: TimingTuning = TimingTuning(),
     profiles: "list[PartitionProfile] | None" = None,
 ) -> np.ndarray:
-    """Per-partition kernel total times for one greedy iteration."""
+    """Per-partition kernel total times for one greedy iteration, in one
+    :func:`kernel_times` call over the statistics
+    :func:`partition_kernel_stats` builds one partition at a time."""
     if profiles is None:
         profiles = partition_profiles(schedule, memory)
     words = tumor_words + normal_words
-    times = np.empty(len(profiles))
-    for p, prof in enumerate(profiles):
-        stats = _stats_from_profile(prof, schedule.scheme, words, memory)
-        times[p] = kernel_time(stats, device, tuning).total_s
-    return times
+    pre, rows = memory.combo_rows(schedule.scheme)
+    counts = np.array(
+        [
+            (p.n_threads, p.n_combos, p.max_thread_combos, p.word_read_units * words * 8)
+            for p in profiles
+        ],
+        dtype=np.float64,
+    ).reshape(-1, 4)
+    return kernel_times(*counts.T, words, rows, pre, device, tuning).total_s
 
 
 @dataclass
@@ -351,12 +350,11 @@ def interleaved_gpu_busy_times(
     Same timing model as :func:`gpu_busy_times`; the statistics are summed
     over each partition's disjoint blocks.
     """
-    words = tumor_words + normal_words
     work = schedule.work_per_part()
-    times = np.empty(schedule.n_parts)
+    profiles = []
     for p in range(schedule.n_parts):
         blocks = schedule.ranges(p)
-        prof = PartitionProfile(
+        profiles.append(PartitionProfile(
             n_threads=sum(hi - lo for lo, hi in blocks),
             n_combos=work[p],
             max_thread_combos=max(schedule.max_thread_work(p), 1 if work[p] else 0),
@@ -364,10 +362,10 @@ def interleaved_gpu_busy_times(
                 global_word_reads(schedule.scheme, schedule.g, 1, lo, hi, memory)
                 for lo, hi in blocks
             ),
-        )
-        stats = _stats_from_profile(prof, schedule.scheme, words, memory)
-        times[p] = kernel_time(stats, device, tuning).total_s
-    return times
+        ))
+    return gpu_busy_times(
+        schedule, tumor_words, normal_words, memory, device, tuning, profiles
+    )
 
 
 def single_gpu_scan_seconds(

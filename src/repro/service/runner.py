@@ -206,7 +206,7 @@ class JobRunner:
         tel.count(f"job.backend.{decision.backend}")
 
         # The per-job session adopts the trace id minted at submission,
-        # so every span of the solve (including pool-worker and rank
+        # so every span of the solve (including the rank threads'
         # spans) joins the gateway request's trace end to end.
         job_tel = Telemetry(enabled=True, trace_id=job.trace_id)
         recorder = FlightRecorder(out_dir=self.flight_dir, tag=job_id)

@@ -422,30 +422,65 @@ def load_trace(path) -> "list[dict]":
     Accepts the three shapes exporters produce: JSONL (one record per
     line, ``type: "span"`` rows kept), a bare JSON list of span dicts,
     or an object with a ``"spans"`` key (a gateway job's
-    ``?spans=1`` payload).
+    ``?spans=1`` payload).  Raises :class:`ValueError` naming the first
+    record that is not a span the analysis can read (see
+    :func:`_check_span`).
     """
     text = Path(path).read_text()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:
         payload = None  # multiple JSONL records: parse line by line
-    if isinstance(payload, list):
-        return payload
     if isinstance(payload, dict):
         if "spans" in payload:
-            return payload["spans"]
-        if payload.get("type") == "span":
-            return [{k: v for k, v in payload.items() if k != "type"}]
-        return []
+            payload = payload["spans"]
+        elif payload.get("type") == "span":
+            payload = [{k: v for k, v in payload.items() if k != "type"}]
+        else:
+            return []
+    if isinstance(payload, list):
+        for i, span in enumerate(payload):
+            _check_span(span, f"span {i}")
+        return payload
+    if payload is not None:
+        raise ValueError(f"expected a list of spans, got {payload!r}")
     spans = []
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError(f"line {n}: {record!r} is not an object")
         if record.get("type") == "span":
-            spans.append({k: v for k, v in record.items() if k != "type"})
+            span = {k: v for k, v in record.items() if k != "type"}
+            _check_span(span, f"line {n}")
+            spans.append(span)
     return spans
+
+
+def _is_int(value, types=(int,)) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _check_span(span, where: str) -> None:
+    """Raise ValueError unless ``span`` is an object with integer ``pid``
+    / ``id``, numeric ``start_ns`` / ``end_ns``, a string ``name`` and,
+    if present, ``links`` a list of objects with integer ``pid`` / ``id``."""
+    if not isinstance(span, dict):
+        raise ValueError(f"{where}: {span!r} is not an object")
+    bad = [k for k in ("pid", "id") if not _is_int(span.get(k))]
+    bad += [k for k in ("start_ns", "end_ns") if not _is_int(span.get(k), (int, float))]
+    if not isinstance(span.get("name"), str):
+        bad.append("name")
+    links = span.get("links", [])
+    if not isinstance(links, list) or not all(
+        isinstance(x, dict) and _is_int(x.get("pid")) and _is_int(x.get("id"))
+        for x in links
+    ):
+        bad.append("links")
+    if bad:
+        raise ValueError(f"{where}: missing or mistyped {', '.join(bad)}")
 
 
 def format_report(report: dict, top: int = 10) -> str:

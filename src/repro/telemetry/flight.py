@@ -10,8 +10,7 @@ and notes per process, plus the *active λ-range assignments* (the
 lease table) of whichever fleet is currently searching.
 
 On any detected failure — leases stolen or forfeited on the rank fleet
-(either backend), a device crash in the gpusim executor, or an
-unhandled solver exception — the instrumented layers call
+(either backend) or an unhandled solver exception — the instrumented layers call
 :meth:`FlightRecorder.dump`, which writes a post-mortem JSON "black box" (recent timeline + metrics registry
 snapshot + :class:`repro.faults.FaultReport` + active assignments)
 through the same atomic tmp + fsync + ``os.replace`` discipline as

@@ -325,6 +325,23 @@ class TestTraceCLI:
         path.write_text("")
         assert main(["trace", "analyze", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"spans": 5}',
+            '{"type": "span", "name": "a", "pid": 1, "id": 1, '
+            '"start_ns": 0, "end_ns": 1}\n[1]\n',
+            '{"type": "span", "name": "a", "pid": 1, "id": 1}\n',
+        ],
+        ids=["list-of-ints", "spans-not-a-list", "jsonl-line-not-object", "no-times"],
+    )
+    def test_analyze_malformed_trace(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        assert main(["trace", "analyze", str(path)]) == 2
+        assert "error: cannot load trace" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # acceptance: traced elastic solve with straggler + steal

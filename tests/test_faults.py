@@ -1,6 +1,5 @@
 """Fault-injection matrix: crash / hang / straggler across the rank
-fleet (the pool and distributed backends, one plan each) and the gpusim
-layer.
+fleet (the pool and distributed backends, one plan each).
 
 The contract under test is the tentpole guarantee: under **any**
 deterministic :class:`FaultPlan`, a solve completes and its selected
@@ -24,13 +23,11 @@ from repro.core.solver import MultiHitSolver
 from repro.faults import (
     FAULT_KINDS,
     FAULT_SITES,
-    FaultInjected,
     FaultPlan,
     FaultReport,
     FaultSpec,
     RetryPolicy,
 )
-from repro.gpusim.executor import BlockKernelExecutor
 from repro.scheduling.schemes import scheme_for
 
 
@@ -70,13 +67,16 @@ class TestFaultPlan:
             FaultSpec(kind="crash", site="pool")
         with pytest.raises(ValueError):
             FaultSpec(kind="crash", site="rank", count=0)
-        # Each site takes only the kinds it acts on: a gpu block cannot
-        # hang, and nothing sends messages a fault could drop or delay.
+        # There is no gpu site: the timing model runs no kernel to fail.
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultSpec(kind="crash", site="gpu")
+        # Each site takes only the kinds it acts on: membership churn is
+        # no failure, and nothing sends messages a fault could drop or
+        # delay.
         with pytest.raises(ValueError):
-            FaultSpec(kind="hang", site="gpu")
+            FaultSpec(kind="crash", site="membership")
         takes = {
             "rank": {"crash", "hang", "straggler"},
-            "gpu": {"crash", "straggler"},
             "membership": {"join", "leave"},
         }
         assert FAULT_SITES == tuple(takes)
@@ -106,7 +106,7 @@ class TestFaultPlan:
         plan = FaultPlan((FaultSpec(kind="hang", site="rank", target=0, at_call=3),))
         assert plan.take("rank", 0, 2) is None  # wrong call
         assert plan.take("rank", 1, 3) is None  # wrong target
-        assert plan.take("gpu", 0, 3) is None  # wrong site
+        assert plan.take("membership", 0, 3) is None  # wrong site
         assert plan.take("rank", 0, 3) is not None
 
     def test_reset_rearms(self):
@@ -430,37 +430,6 @@ class TestDistributedInjection:
         assert signature(faulty.combinations) == signature(clean.combinations)
         assert faulty.fault_report is not None
         assert faulty.fault_report.n_rescheduled >= 1
-
-
-# -- gpusim column -------------------------------------------------------
-
-
-class TestGpusimInjection:
-    def test_straggler_scales_cycles_not_winner(self, instance):
-        tumor, normal, params = instance
-        clean = BlockKernelExecutor(scheme=scheme_for(2, 1)).launch(
-            tumor, normal, params
-        )
-        plan = FaultPlan(
-            (FaultSpec(kind="straggler", site="gpu", target=0, slowdown=3.0),)
-        )
-        report = FaultReport()
-        slow = BlockKernelExecutor(
-            scheme=scheme_for(2, 1), fault_plan=plan, report=report
-        ).launch(tumor, normal, params)
-        assert slow.winner == clean.winner
-        assert slow.blocks[0].cycles == pytest.approx(clean.blocks[0].cycles * 3.0)
-        for fast, ref in zip(slow.blocks[1:], clean.blocks[1:]):
-            assert fast.cycles == pytest.approx(ref.cycles)
-        assert any(e.site == "gpu" for e in report.events)
-
-    def test_device_crash_raises(self, instance):
-        tumor, normal, params = instance
-        plan = FaultPlan((FaultSpec(kind="crash", site="gpu", target=0),))
-        with pytest.raises(FaultInjected):
-            BlockKernelExecutor(scheme=scheme_for(2, 1), fault_plan=plan).launch(
-                tumor, normal, params
-            )
 
 
 # -- checkpointed recovery -----------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.memopt import MemoryConfig
+from repro.gpusim.kernel import KernelStats
 from repro.gpusim.timing import TimingTuning, kernel_time
 from repro.perfmodel.runtime import (
     IterationModel,
@@ -75,13 +76,19 @@ class TestPartitionStats:
             for p, w in enumerate(schedule.work_per_part())
         ]
         via_profiles = gpu_busy_times(schedule, 3, 2, mem)
-        for p, s in enumerate(direct):
-            assert kernel_time(s).total_s == pytest.approx(via_profiles[p])
+        # One formula evaluates both: the schedule-wide arrays and each
+        # launch alone agree to the last bit.
+        assert [kernel_time(s).total_s for s in direct] == via_profiles.tolist()
 
     def test_empty_partition(self):
         schedule = equiarea_schedule(SCHEME_3X1, 5, 20)
         profs = partition_profiles(schedule, MemoryConfig())
         assert any(p.n_threads == 0 for p in profs)
+        # An idle partition costs exactly its launch, as one idle launch.
+        times = gpu_busy_times(schedule, 1, 1, MemoryConfig(), profiles=profs)
+        launch = kernel_time(KernelStats(0, 0, 2, 1, 2, 0, 0)).total_s
+        assert launch == TimingTuning().kernel_launch_s
+        assert all(t == launch for t, p in zip(times, profs) if p.n_threads == 0)
 
 
 class TestJobModel:

@@ -4,13 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import FScoreParams
-from repro.gpusim.executor import BlockKernelExecutor
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.schemes import SCHEME_3X1, Scheme
 from repro.scheduling.workload import thread_work_array, total_threads
@@ -70,28 +69,6 @@ def small_instances(draw):
         FScoreParams(n_tumor=nt, n_normal=nn),
         g,
     )
-
-
-class TestExecutorEngineEquivalence:
-    @settings(
-        max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-    )
-    @given(small_instances(), st.integers(min_value=1, max_value=3))
-    def test_block_executor_matches_engine(self, instance, flattened):
-        tumor, normal, params, g = instance
-        hits = flattened + 1
-        if g <= hits:
-            return
-        scheme = Scheme(flattened, 1)
-        ref = SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
-        got = BlockKernelExecutor(scheme=scheme, block_size=16).launch(
-            tumor, normal, params
-        )
-        if ref is None:
-            assert got.winner is None
-        else:
-            assert got.winner.genes == ref.genes
-            assert got.winner.f == pytest.approx(ref.f, abs=1e-15)
 
 
 class TestFScoreOrderInvariance:

@@ -1,7 +1,7 @@
 """Every telemetry series has a reader.
 
 One enabled session per run below — each backend, a checkpointed solve,
-a gpusim launch and profile, a gateway job and a traced simulated job —
+a gpusim profile, a gateway job and a traced simulated job —
 records every counter, gauge and histogram name and every span name it
 emits.  ``CATALOGUE`` maps each metric name (or dynamic family) to the
 non-test file that reads it: the progress monitor, a documented
@@ -187,10 +187,7 @@ def _collect(tel: Telemetry) -> Run:
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory) -> "dict[str, Run]":
-    from repro.bitmatrix.matrix import BitMatrix
     from repro.core.checkpoint import solve_with_checkpoints
-    from repro.core.fscore import FScoreParams
-    from repro.gpusim.executor import BlockKernelExecutor
     from repro.gpusim.kernel import KernelStats
     from repro.gpusim.profiler import Profiler
     from repro.perfmodel.runtime import JobModel
@@ -217,10 +214,6 @@ def runs(tmp_path_factory) -> "dict[str, Run]":
         )
 
     with telemetry_session() as tel:
-        BlockKernelExecutor(scheme=SCHEME_3X1, block_size=64).launch(
-            BitMatrix.from_dense(tumor), BitMatrix.from_dense(normal),
-            FScoreParams(n_tumor=40, n_normal=35),
-        )
         Profiler().profile([
             KernelStats(
                 n_threads=2_000, n_combos=2_000_000, words_per_combo=4,
