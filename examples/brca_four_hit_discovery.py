@@ -5,8 +5,15 @@ count reduced so the exhaustive 4-hit search runs on a laptop), solves on
 the 75% training split, and scores the resulting classifier on the
 held-out 25% — the exact evaluation protocol of Section IV-F.
 
-Run:  python examples/brca_four_hit_discovery.py
+Run:  python examples/brca_four_hit_discovery.py [RESULT.json]
+
+The result is archived to ``RESULT.json`` when given, else into a fresh
+temporary directory (the path is printed), never the working directory.
 """
+
+import sys
+import tempfile
+from pathlib import Path
 
 from repro import (
     MultiHitClassifier,
@@ -19,7 +26,7 @@ from repro import (
 from repro.io.results import save_result
 
 
-def main() -> None:
+def main(out: "str | None" = None) -> None:
     brca = cancer("BRCA")
     print(f"{brca.name} ({brca.abbrev}): {brca.n_tumor} tumor / "
           f"{brca.n_normal} normal samples (paper-exact counts)")
@@ -48,9 +55,11 @@ def main() -> None:
     print(f"\nheld-out performance: {perf.describe()}")
     print("(paper averages across 11 cancers: sensitivity 0.83, specificity 0.90)")
 
-    save_result(result, "brca_four_hit_result.json")
-    print("result archived to brca_four_hit_result.json")
+    if out is None:
+        out = Path(tempfile.mkdtemp(prefix="brca-")) / "brca_four_hit_result.json"
+    save_result(result, out)
+    print(f"result archived to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1] if len(sys.argv) > 1 else None)

@@ -1,9 +1,12 @@
 """Builds, caches and loads the native tile kernel (``_tile.c``).
 
-:func:`repro.core.kernels.fused_pair_popcount` calls :func:`kernel`,
-which returns the C entry point, or ``None`` when the numpy fallback
-must run instead.  The first call in a process loads the library, once,
-under a lock (two rank threads may make that call together):
+:func:`repro.core.engine._score_tile` calls :func:`kernel`, which
+returns the one C entry point, ``tile_score`` (a whole tile: gather,
+AND+popcount product, Equation 1 and the tile's winner), or ``None``
+when the numpy fallback (:func:`repro.core.engine._score_tile_numpy`,
+bit-identical) must run instead.  The first call in a process loads the
+library, once, under a lock (two rank threads may make that call
+together):
 
 * it is looked up in the cache directory, ``$XDG_CACHE_HOME/repro``
   (``~/.cache/repro`` when that is unset or relative), or
@@ -21,7 +24,8 @@ under a lock (two rank threads may make that call together):
 
 The library is opened with :class:`ctypes.CDLL`, which releases the
 GIL for the length of each call, so rank threads score tiles in
-parallel.
+parallel.  It is built with ``-ffp-contract=off`` (see :data:`FLAGS`):
+its F must be :func:`repro.core.fscore.fscore`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +47,14 @@ FALLBACK = False
 COMPILER = "gcc"
 # -march=native is most of the speed (DESIGN §12): plain -O3 targets
 # baseline x86-64, which has no popcount instruction, and loses to numpy.
-FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
+# -ffp-contract=off: gcc may otherwise fuse the numerator's multiply and
+# add into one FMA, which rounds once where numpy rounds twice (at TP 37,
+# TN 7, alpha 0.1: 10.700000000000001 against 10.7).  -fopenmp-simd lets
+# the per-thread max vectorize; it links no OpenMP runtime.
+FLAGS = (
+    "-O3", "-march=native", "-ffp-contract=off", "-fopenmp-simd",
+    "-shared", "-fPIC",
+)
 
 _SOURCE = Path(__file__).with_name("_tile.c")
 _lock = threading.Lock()
@@ -100,15 +111,24 @@ def _build() -> Path:
 
 
 def _load():
-    fn = ctypes.CDLL(str(_build())).tile_popcount
-    fn.restype = None
-    fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 3
+    p, i, d = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    fn = ctypes.CDLL(str(_build())).tile_score
+    fn.restype = i
+    fn.argtypes = [
+        # per level: tumor words, width; normal words, width; inner,
+        # columns, d; the tumor inner table; scratch; winner
+        p, i, p, i, p, i, i, p, p, p,
+        # per tile: tuples, rows, f; the normal inner table (NULL on a
+        # store hit); store slice, itemsize; Nn, alpha, denominator,
+        # incumbent F; per-thread maxima
+        p, i, i, p, p, i, i, d, d, d, p,
+    ]
     return fn
 
 
 def kernel():
-    """``tile_popcount(base, inner_w, out, B, W, L)``, or ``None`` for the
-    fallback (forced, or the library could not be built)."""
+    """``tile_score`` (``_tile.c``), or ``None`` for the fallback
+    (forced, or the library could not be built)."""
     global _loaded, _kernel
     if FALLBACK:
         return None

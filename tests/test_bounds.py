@@ -20,7 +20,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.engine as engine_mod
-import repro.core.kernels as kernels_mod
 from repro.bitmatrix.matrix import BitMatrix
 from repro.combinatorics.decode import combos_from_linear
 from repro.core.bounds import BoundTable
@@ -34,6 +33,7 @@ from repro.data.synthesis import CohortConfig, generate_cohort
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.scheduling.schemes import scheme_for
 from repro.scheduling.workload import total_threads
+from tests.test_meter_closure import tally_gathers
 
 
 def signature(result):
@@ -407,20 +407,7 @@ class TestFusedTrafficIdentity:
 
     @pytest.fixture
     def gathered(self, monkeypatch):
-        tally = [0]
-        rows, fused = engine_mod._and_reduce_rows, kernels_mod._fused_and_popcount
-
-        def count_rows(matrix, combos):
-            tally[0] += combos.size * matrix.n_words
-            return rows(matrix, combos)
-
-        def count_fused(words, combos, word_stride):
-            tally[0] += combos.size * words.shape[1]
-            return fused(words, combos, word_stride)
-
-        monkeypatch.setattr(engine_mod, "_and_reduce_rows", count_rows)
-        monkeypatch.setattr(kernels_mod, "_fused_and_popcount", count_fused)
-        return tally
+        return tally_gathers(monkeypatch)
 
     @pytest.mark.parametrize("flattened", [2, 3])
     def test_identity_closes_across_iterations_and_compaction(
@@ -439,13 +426,13 @@ class TestFusedTrafficIdentity:
             # reusing the table is sound): the identity must hold at the
             # compacted width.
             tumor_now = splice_columns(tumor, keep)
-            gathered[0] = 0
+            gathered.value = 0
             c = KernelCounters()
             best_in_thread_range(
                 scheme, g, tumor_now, normal, params,
                 0, total_threads(scheme, g), counters=c, bounds=table,
             )
-            assert c.word_reads == gathered[0] > 0
+            assert c.word_reads == gathered.value > 0
             assert c.decode_strides > 0 and c.threads_skipped > 0
             # Accounting closes combination-for-combination.
             assert c.combos_scored + c.combos_pruned == math.comb(g, 3)

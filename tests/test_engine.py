@@ -33,6 +33,7 @@ from repro.scheduling.schemes import (
     scheme_for,
 )
 from repro.scheduling.workload import level_range, level_work, total_threads
+from tests.test_meter_closure import tally_gathers
 
 
 @pytest.fixture
@@ -176,28 +177,21 @@ class TestCounters:
     @pytest.mark.parametrize(
         "scheme", [Scheme(4, 0), SCHEME_3X1, SCHEME_2X2, Scheme(1, 3)]
     )
-    def test_traffic_metered_as_gathered(self, instance, scheme):
+    def test_traffic_metered_as_gathered(self, instance, scheme, monkeypatch):
         # At the default tile size a tile scores a run of levels against
         # its lowest level's table, so it builds fewer tables than the
         # model counts: word_reads is the gather tally, bounded by it.
         _, _, tumor, normal, params = instance
-        tally = [0]
-        gather = engine_mod._and_reduce_rows
-
-        def counted(matrix, combos):
-            tally[0] += combos.size * matrix.n_words
-            return gather(matrix, combos)
-
+        tally = tally_gathers(monkeypatch)
         counters = KernelCounters()
-        with patch.object(engine_mod, "_and_reduce_rows", counted):
-            best_in_thread_range(
-                scheme, 14, tumor, normal, params,
-                0, total_threads(scheme, 14), counters=counters,
-            )
+        best_in_thread_range(
+            scheme, 14, tumor, normal, params,
+            0, total_threads(scheme, 14), counters=counters,
+        )
         w = tumor.n_words + normal.n_words
         model = fused_word_reads(scheme, 14, w, 0, total_threads(scheme, 14))
         if scheme.inner:
-            assert counters.word_reads == tally[0]
+            assert counters.word_reads == tally.value
             assert 0 < counters.word_reads <= model
         else:
             assert counters.word_reads == model

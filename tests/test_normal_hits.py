@@ -166,43 +166,50 @@ class TestBitIdentity:
 class TestNormalSidePopcounts:
     """Iterations from the second on score the tumor side only."""
 
-    def _normal_calls(self, budget=None):
-        """Normal-side ``fused_pair_popcount`` calls per iteration.
+    def _normal_rows(self, budget=None):
+        """Normal rows gathered per iteration, read off ``word_reads``.
 
-        The tumor matrix is 2 words wide, the normal 5: a product over
-        5-word base rows is the normal side."""
+        The normal matrix is 5 words wide, wider than the tumor's 2, so
+        every iteration cuts the same tiles and gathers the same ``R``
+        tumor rows (base rows and inner tables): iteration ``k`` reads
+        ``w_k * R + 5 * N_k`` words, ``w_k`` the tumor width it scanned
+        and ``N_k`` the normal rows.  The first finds the store empty
+        and gathers every tile's normal side: ``N_1 = R``."""
         rng = np.random.default_rng(4)
         t = rng.random((16, 120)) < 0.35
         n = rng.random((16, 300)) < 0.2
-        calls, per_iteration = [0], []
-        kernel = engine_mod.fused_pair_popcount
-
-        def counted(base, inner_w):
-            calls[0] += base.shape[1] == 5
-            return kernel(base, inner_w)
-
-        patches = {"fused_pair_popcount": counted, "_TILE_ELEMENTS": 64}
+        patches = {"_TILE_ELEMENTS": 64}
         if budget is not None:
             patches["NORMAL_HIT_BUDGET"] = budget
         with patch.multiple(engine_mod, **patches):
-            MultiHitSolver(hits=3, max_iterations=4).solve(
-                t, n, on_iteration=lambda s: per_iteration.append(calls[0])
-            )
-        return [b - a for a, b in zip([0] + per_iteration, per_iteration)]
+            result = MultiHitSolver(hits=3, max_iterations=4).solve(t, n)
+        records = result.iterations
+        assert len(records) == 4
+        widths = [BitMatrix.from_dense(t).n_words] + [
+            r.tumor_words for r in records[:-1]
+        ]
+        rows, left = divmod(records[0].word_reads, widths[0] + 5)
+        assert left == 0
+        normal = []
+        for r, w in zip(records, widths):
+            n_rows, left = divmod(r.word_reads - w * rows, 5)
+            assert left == 0
+            normal.append(n_rows)
+        return normal
 
     def test_zero_after_the_first_iteration_when_the_store_fits(self):
-        calls = self._normal_calls()
-        assert calls[0] > 0
-        assert calls[1:] == [0] * (len(calls) - 1)
+        rows = self._normal_rows()
+        assert rows[0] > 0
+        assert rows[1:] == [0] * (len(rows) - 1)
 
     def test_every_iteration_without_a_store(self):
-        calls = self._normal_calls(budget=0)
-        assert all(c == calls[0] > 0 for c in calls)
+        rows = self._normal_rows(budget=0)
+        assert all(r == rows[0] > 0 for r in rows)
 
     def test_past_the_cap_threads_are_rescored(self):
         # Half the grid's 2-byte counts (Nn = 300).
-        calls = self._normal_calls(budget=math.comb(16, 3))
-        assert all(0 < c < calls[0] for c in calls[1:])
+        rows = self._normal_rows(budget=math.comb(16, 3))
+        assert all(0 < r < rows[0] for r in rows[1:])
 
 
 class TestCountWidths:

@@ -9,6 +9,7 @@ combinations tie in F but not in the numerator.
 """
 
 import math
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -24,9 +25,9 @@ from repro.core.combination import MultiHitCombination
 from repro.core.engine import NormalHitStore, _Level, _score_tile
 from repro.core.fscore import FScoreParams, fscore, numerator
 from repro.core.kernels import KernelCounters, best_of, score_combos_reference
-from repro.core.sequential import sequential_best_combo
+from repro.core.sequential import sequential_best_combo, sequential_solve
 from repro.core.solver import MultiHitSolver
-from repro.scheduling.schemes import SCHEME_2X1, SCHEME_2X2, SCHEME_3X1
+from repro.scheduling.schemes import SCHEME_1X1, SCHEME_2X1, SCHEME_2X2, SCHEME_3X1
 from repro.scheduling.workload import cumulative_work_before
 from tests.test_kernels import TILE_PATHS, tile_path
 
@@ -226,6 +227,107 @@ def test_pruned_batches_match_the_2d_reference(scheme_id, data):
                 KernelCounters(), thread_max=True,
             )
         _check(got, grid, combos, f, tp, tn, best, thread_max=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    alpha=st.sampled_from([0.3, 0.7, 1.0, 2.5, 1e-7]),
+    shape=st.sampled_from(["inside", "cross"]),
+)
+@pytest.mark.parametrize("scheme_id", SCHEMES)
+def test_score_tile_at_a_non_default_alpha(scheme_id, alpha, shape, data):
+    """Every per-thread maximum and the winner's F are ``fscore``'s, bit
+    for bit, at any α."""
+    scheme = SCHEMES[scheme_id]
+    g, lam, hi, tumor, normal, params = data.draw(tiles(scheme, shape))
+    params = FScoreParams(params.n_tumor, params.n_normal, alpha)
+    tuples = combinations_array(scheme.flattened, lam, hi)
+    level = _Level(scheme, g, int(tuples[0, -1]), tumor, KernelCounters())
+    grid, combos, f, tp, tn = _reference(tuples, level, tumor, normal, params)
+    for path in TILE_PATHS:
+        with tile_path(path):
+            got = _score_tile(
+                scheme, tuples, level, tumor, normal, params, None,
+                KernelCounters(), thread_max=True,
+            )
+        _check(got, grid, combos, f, tp, tn, None, thread_max=True)
+        assert got[0].tobytes() == grid.max(axis=1).tobytes()
+
+
+# -- the native tile's rounding and edges ------------------------------------
+
+
+class TestNativeRounding:
+    """The tile's F is ``fscore``'s bit for bit: the numerator rounds
+    twice, as numpy's does, never once as a fused multiply-add would."""
+
+    def test_the_numerator_rounds_twice(self):
+        params = FScoreParams(n_tumor=40, n_normal=10)
+        assert numerator(37, 7, params) == 10.7
+        # One rounding of the exact alpha * TP + TN is the next double up.
+        assert float(Fraction(37) * Fraction(0.1) + 7) == 10.700000000000001
+        assert 10.7 / params.denominator != 10.700000000000001 / params.denominator
+
+    @pytest.mark.parametrize("path", TILE_PATHS)
+    def test_tp_37_tn_7_at_alpha_0_1(self, path):
+        tumor = np.zeros((3, 40), dtype=bool)
+        tumor[[0, 1], :37] = True
+        normal = np.zeros((3, 10), dtype=bool)
+        normal[[0, 1], :3] = True
+        t, n = BitMatrix.from_dense(tumor), BitMatrix.from_dense(normal)
+        params = FScoreParams(n_tumor=40, n_normal=10, alpha=0.1)
+        level = _Level(SCHEME_1X1, 3, 0, t, KernelCounters())
+        with tile_path(path):
+            lam_max, cand = _score_tile(
+                SCHEME_1X1, combinations_array(1, 0, 2), level, t, n, params,
+                None, KernelCounters(), thread_max=True,
+            )
+        want = np.float64(fscore(37, 7, params)).tobytes()
+        assert (cand.genes, cand.tp, cand.tn) == ((0, 1), 37, 7)
+        assert np.float64(cand.f).tobytes() == want
+        assert lam_max[0].tobytes() == want
+
+
+class TestNativeEdges:
+    """Whole solves against ``sequential_solve`` where the native tile has
+    edges: base rows past 64 words, 1- and 4-byte normal-hit stores (read
+    from the second iteration on), the 2x2 scheme's valid columns that are
+    not a suffix, and the pruned scan's per-thread maxima."""
+
+    #: case -> (hits, scheme or None, Nt, Nn, genes)
+    CASES = {
+        "wide-rows": (3, None, 4200, 4150, 8),
+        "uint8-store": (3, None, 90, 200, 9),
+        "uint32-store": (3, None, 90, 65600, 7),
+        "2x2": (4, SCHEME_2X2, 120, 110, 9),
+    }
+
+    @pytest.mark.parametrize("prune", [False, True], ids=["full", "pruned"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_solve_matches_the_oracle(self, case, prune):
+        hits, scheme, n_tumor, n_normal, g = self.CASES[case]
+        rng = np.random.default_rng(n_tumor + n_normal)
+        t = rng.random((g, n_tumor)) < 0.6
+        n = rng.random((g, n_normal)) < 0.2
+        if n_normal > 65535:  # counts past two bytes: rows all but 3g ones
+            n[:] = True
+            for gene in range(g):
+                n[gene, rng.choice(n_normal, 3 * g, replace=False)] = False
+        knobs = {} if scheme is None else {"scheme": scheme}
+        got = MultiHitSolver(
+            hits=hits, max_iterations=3, prune=prune, **knobs
+        ).solve(t, n)
+        want = sequential_solve(t, n, hits, max_iterations=3)
+        assert len(got.combinations) == 3  # two iterations read the store
+        assert [(c.genes, c.f, c.tp, c.tn) for c in got.combinations] == [
+            (c.genes, c.f, c.tp, c.tn) for c in want
+        ]
+
+    def test_the_cases_reach_their_edges(self):
+        assert BitMatrix.from_dense(np.zeros((1, 4200), bool)).n_words > 64
+        assert np.min_scalar_type(200) == np.uint8
+        assert np.min_scalar_type(65600) == np.uint32
 
 
 # -- one Equation 1 ----------------------------------------------------------

@@ -20,9 +20,14 @@ import numpy as np
 import pytest
 
 import repro
+from repro.bitmatrix.matrix import BitMatrix
 from repro.core import tile
-from repro.core.kernels import fused_pair_popcount
-from tests.test_kernels import TILE_PATHS, _pair_popcount, _words, tile_path
+from repro.core.engine import best_in_thread_range
+from repro.core.fscore import FScoreParams
+from repro.core.sequential import sequential_best_combo
+from repro.scheduling.schemes import scheme_for
+from repro.scheduling.workload import total_threads
+from tests.test_kernels import TILE_PATHS, tile_path
 from tests.test_normal_hits import BACKENDS, _solve
 
 needs_compiler = pytest.mark.skipif(
@@ -49,6 +54,29 @@ def _checkout_files() -> set:
     return found
 
 
+def _instance():
+    rng = np.random.default_rng(2)
+    return rng.random((9, 70)) < 0.4, rng.random((9, 50)) < 0.2
+
+
+def _scan():
+    """The winner of a whole-grid scan, every tile through ``_score_tile``."""
+    t, n = _instance()
+    params, scheme = FScoreParams(n_tumor=70, n_normal=50), scheme_for(3, 2)
+    best = best_in_thread_range(
+        scheme, 9, BitMatrix.from_dense(t), BitMatrix.from_dense(n), params,
+        0, total_threads(scheme, 9),
+    )
+    return best.genes, best.f, best.tp, best.tn
+
+
+def _oracle():
+    best = sequential_best_combo(
+        *_instance(), 3, FScoreParams(n_tumor=70, n_normal=50)
+    )
+    return best.genes, best.f, best.tp, best.tn
+
+
 class TestLoader:
     @needs_compiler
     def test_a_miss_compiles_into_the_cache_and_not_the_checkout(self, unloaded):
@@ -56,12 +84,7 @@ class TestLoader:
         assert tile.kernel() is not None
         assert [p.suffix for p in unloaded.iterdir()] == [".so"]  # no temp left
         assert _checkout_files() == before
-        rng = np.random.default_rng(2)
-        base, inner = _words(rng, (7, 3)), _words(rng, (5, 3))
-        np.testing.assert_array_equal(
-            fused_pair_popcount(base, np.ascontiguousarray(inner.T)),
-            _pair_popcount(base, inner),
-        )
+        assert _scan() == _oracle()
 
     @needs_compiler
     def test_a_hit_starts_no_subprocess(self, unloaded, monkeypatch):
@@ -103,18 +126,12 @@ class TestLoader:
         self, unloaded, monkeypatch
     ):
         monkeypatch.setattr(tile, "COMPILER", str(unloaded / "no-such-compiler"))
-        rng = np.random.default_rng(4)
-        base, inner = _words(rng, (6, 4)), _words(rng, (3, 4))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = [
-                fused_pair_popcount(base, np.ascontiguousarray(inner.T))
-                for _ in range(3)
-            ]
+            got = [_scan() for _ in range(3)]
         assert [w.category for w in caught] == [RuntimeWarning]
         assert tile.kernel() is None
-        for g in got:
-            np.testing.assert_array_equal(g, _pair_popcount(base, inner))
+        assert got == [_oracle()] * 3
 
 
 def _record(result):
