@@ -1,41 +1,88 @@
-/* One tile of the nested scan, whole (repro.core.engine._score_tile).
+/* The nested scan's native kernel (repro.core.engine, built and loaded
+ * by repro.core.tile).  Two entry points share one scoring body:
  *
- * Threads are the B rows of `tuples` (f fixed genes each, λ-sorted),
- * scored against the inner table of the tile's lowest level: `inner`
- * (L, d) gene tuples in colex order, `tumor_w` / `normal_w` their
- * AND-reduced rows stored word-major (W, L).  Entry (b, l) belongs to
- * thread b when inner[l, 0] > tuples[b, f - 1]; the valid entries,
- * row-major, are combination-rank order.  Per thread the call
+ *   scan_range  walks a whole λ range of threads in colex order — one
+ *               call per lease — reading and filling the normal-hit
+ *               store per thread (the unpruned scan);
+ *   tile_score  scores an explicit λ-sorted batch of threads against
+ *               an incumbent and reports each thread's maximum F (the
+ *               pruned best-first scan).
  *
- *   1. AND-reduces the f fixed rows of `tumor` (and, on a store miss,
- *      of `normal`) into `scratch`;
+ * Both score against one inner table, the table of the call's lowest
+ * level: `inner` (L, d) gene tuples in colex order, `tumor_w` /
+ * `normal_w` their AND-reduced rows stored word-major (W, L).  A lower
+ * level's table is a superset of a higher one's: entry l belongs to a
+ * thread with top gene t when inner[l, 0] > t, and a thread's valid
+ * entries, in column order, are combination-rank order.  Per thread,
+ * score_thread
+ *
+ *   1. AND-reduces the f fixed rows of `tumor` (and, unless its normal
+ *      hits are stored, of `normal`) into scratch;
  *   2. popcounts base & inner over the thread's valid columns only,
  *      keeping each base word in a register across the columns and
  *      skipping zero base words (they add 0 to every count);
- *   3. takes the normal hits from `hits` (a store hit: `normal_w` is
- *      NULL) or from the product, writing them compacted in rank order
- *      to `hits` when it is not NULL (a store fill);
+ *   3. takes the normal hits from the store (a hit) or from the
+ *      product, writing them to the store when it holds the thread
+ *      (a fill);
  *   4. finds the thread's maximum of Equation 1's numerator
  *      fl(fl(TP * alpha) + TN), exactly repro.core.fscore.numerator
  *      (built with -ffp-contract=off, so the two roundings are never
- *      fused into one FMA), and writes max / denom to thread_max[b].
- *      The numerator of (max TP, max TN) bounds it, and is it when
- *      every TP is 0: the exact one is formed only for a thread that
- *      can reach the running best, or whose maximum is wanted;
+ *      fused into one FMA).  The numerator of (max TP, max TN) bounds
+ *      it, and is it when every TP is 0: the exact one is formed only
+ *      for a thread that can reach the running best, or whose maximum
+ *      is wanted;
  *   5. when that F can tie or beat the running best (initially the
- *      caller's incumbent F, or -inf), rescans the thread's entries in
- *      F: a greater F takes the lead, an equal one takes it when its
- *      gene tuple — thread tuple, then inner tuple — is smaller.
+ *      incumbent's F, or -inf), rescans the thread's entries in F: a
+ *      greater F takes the lead, an equal one takes it when its gene
+ *      tuple — thread tuple, then inner tuple — is smaller.
  *
- * Returns the number of valid entries; win = (b, l, TP, normal hits) of
- * the tile's best entry when its F is >= the incumbent's, b = -1 else,
- * then the words the call's fixed-row gathers read.
- * `hits` holds `itemsize`-byte unsigned counts (1, 2, 4 or 8).
+ * Both return the number of valid entries scored and fill `win`:
+ * win[0] the winner's column (-1 when nothing reached the incumbent),
+ * win[1] its TP, win[2] its normal hits, win[3] the words the fixed-row
+ * gathers read, win[4] store hits, win[5] store fills, win[6] threads
+ * scored, win[7 .. 7 + f) the winner's thread tuple.
+ * The store holds `itemsize`-byte unsigned counts (1, 2, 4 or 8).
  * `scratch` holds tw + nw + 2 * L + 2 words.
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+enum { W_COL, W_TP, W_NH, W_READ, W_HITS, W_FILLS, W_THREADS, W_GENES };
+
+/* One call's inner table, matrices, Equation 1 and running winner. */
+struct scan {
+    const uint64_t *tumor, *normal, *tumor_w, *normal_w;
+    int64_t tw, nw, n_cols, d, f;
+    const int64_t *inner;
+    uint64_t *base_t, *base_n;
+    int32_t *tp, *nh;
+    int64_t *runs, *win;
+    int64_t n_normal;
+    double alpha, denom, lead;
+};
+
+/* The call's state over caller-provided scratch; clears the winner. */
+static struct scan setup(const uint64_t *tumor, int64_t tw,
+                         const uint64_t *normal, int64_t nw,
+                         const int64_t *inner, int64_t n_cols, int64_t d,
+                         const uint64_t *tumor_w, const uint64_t *normal_w,
+                         uint64_t *scratch, int64_t *win, int64_t f,
+                         int64_t n_normal, double alpha, double denom,
+                         double lead)
+{
+    int32_t *tp = (int32_t *)(scratch + tw + nw);
+    memset(win, 0, W_GENES * sizeof *win);
+    win[W_COL] = -1;
+    return (struct scan){
+        .tumor = tumor, .normal = normal, .tumor_w = tumor_w,
+        .normal_w = normal_w, .tw = tw, .nw = nw, .n_cols = n_cols, .d = d,
+        .f = f, .inner = inner, .base_t = scratch, .base_n = scratch + tw,
+        .tp = tp, .nh = tp + n_cols,
+        .runs = (int64_t *)(scratch + tw + nw + n_cols), .win = win,
+        .n_normal = n_normal, .alpha = alpha, .denom = denom, .lead = lead,
+    };
+}
 
 /* AND-reduces the f rows `genes` of m into out; returns the words read. */
 static int64_t and_rows(const uint64_t *m, int64_t w, const int64_t *genes,
@@ -166,86 +213,153 @@ static int64_t valid_runs(const int64_t *inner, int64_t n_cols, int64_t d,
     return n_runs;
 }
 
-int64_t tile_score(const uint64_t *tumor, int64_t tw,
-                   const uint64_t *normal, int64_t nw,
-                   const int64_t *inner, int64_t n_cols, int64_t d,
-                   const uint64_t *tumor_w, uint64_t *scratch, int64_t *win,
-                   const int64_t *tuples, int64_t n_rows, int64_t f,
-                   const uint64_t *normal_w, void *hits, int64_t itemsize,
-                   int64_t n_normal, double alpha, double denom,
-                   double best_f, double *thread_max)
+/* Scores thread `genes`; returns its valid entries.  `hits` is NULL (no
+ * store) or the thread's first count in the store, read when `stored`
+ * and filled otherwise.  Writes the thread's maximum F to *thread_max
+ * when that is not NULL. */
+static int64_t score_thread(struct scan *s, const int64_t *genes,
+                            void *hits, int64_t itemsize, int stored,
+                            double *thread_max)
 {
-    uint64_t *base_t = scratch, *base_n = scratch + tw;
-    int32_t *tp = (int32_t *)(base_n + nw);
-    int32_t *nh = tp + n_cols;
-    int64_t *runs = (int64_t *)(scratch + tw + nw + n_cols);
-    int64_t pos = 0, cb = -1, cl = -1, read = 0;
-    double lead = best_f;
-
-    for (int64_t b = 0; b < n_rows; b++) {
-        const int64_t *genes = tuples + b * f;
-        const int64_t n_runs = valid_runs(inner, n_cols, d, genes[f - 1], runs);
-        read += and_rows(tumor, tw, genes, f, base_t);
-        product(base_t, tw, tumor_w, n_cols, runs, n_runs, tp);
-        if (normal_w != NULL) {
-            read += and_rows(normal, nw, genes, f, base_n);
-            product(base_n, nw, normal_w, n_cols, runs, n_runs, nh);
-        }
-        const int64_t first = pos;
-        int32_t tp_max = 0, nh_min = INT32_MAX;
+    const int64_t f = s->f, d = s->d;
+    const double alpha = s->alpha, denom = s->denom;
+    int32_t *tp = s->tp, *nh = s->nh;
+    int64_t *runs = s->runs, *win = s->win;
+    const int64_t n_runs = valid_runs(s->inner, s->n_cols, d, genes[f - 1], runs);
+    win[W_READ] += and_rows(s->tumor, s->tw, genes, f, s->base_t);
+    product(s->base_t, s->tw, s->tumor_w, s->n_cols, runs, n_runs, tp);
+    if (!stored) {
+        win[W_READ] += and_rows(s->normal, s->nw, genes, f, s->base_n);
+        product(s->base_n, s->nw, s->normal_w, s->n_cols, runs, n_runs, nh);
+    }
+    int64_t pos = 0;
+    int32_t tp_max = 0, nh_min = INT32_MAX;
+    for (int64_t r = 0; r < n_runs; r++) {
+        const int64_t at = runs[2 * r], n = runs[2 * r + 1] - at;
+        if (hits != NULL)
+            copy_hits(hits, pos, itemsize, nh + at, n, stored);
+        extremes(tp + at, nh + at, n, &tp_max, &nh_min);
+        pos += n;
+    }
+    /* The numerator of (max TP, max TN) bounds every entry's, since
+     * rounding is monotone, and is their maximum when every TP is 0
+     * (each numerator is then its TN).  Only a thread that can reach
+     * the lead, or whose maximum is wanted, needs the exact one. */
+    double rmax = (double)tp_max * alpha;
+    rmax += (double)(s->n_normal - nh_min);
+    if (pos == 0)
+        rmax = -INFINITY;
+    else if (tp_max != 0 && (thread_max != NULL || rmax / denom >= s->lead)) {
+        rmax = -INFINITY;
         for (int64_t r = 0; r < n_runs; r++) {
-            const int64_t s = runs[2 * r], n = runs[2 * r + 1] - s;
-            if (normal_w == NULL)
-                copy_hits(hits, pos, itemsize, nh + s, n, 1);
-            else if (hits != NULL)
-                copy_hits(hits, pos, itemsize, nh + s, n, 0);
-            extremes(tp + s, nh + s, n, &tp_max, &nh_min);
-            pos += n;
+            const int64_t at = runs[2 * r];
+            rmax = max_numerator(tp + at, nh + at, runs[2 * r + 1] - at,
+                                 (int32_t)s->n_normal, alpha, rmax);
         }
-        /* The numerator of (max TP, max TN) bounds every entry's, since
-         * rounding is monotone, and is their maximum when every TP is 0
-         * (each numerator is then its TN).  Only a thread that can reach
-         * the lead, or whose maximum is wanted, needs the exact one. */
-        double rmax = (double)tp_max * alpha;
-        rmax += (double)(n_normal - nh_min);
-        if (pos == first)
-            rmax = -INFINITY;
-        else if (tp_max != 0 && (thread_max != NULL || rmax / denom >= lead)) {
-            rmax = -INFINITY;
-            for (int64_t r = 0; r < n_runs; r++) {
-                const int64_t s = runs[2 * r];
-                rmax = max_numerator(tp + s, nh + s, runs[2 * r + 1] - s,
-                                     (int32_t)n_normal, alpha, rmax);
-            }
-        }
-        if (thread_max != NULL)
-            thread_max[b] = rmax / denom;
-        /* A thread's entries tie the lead only if its tuple is smaller
-         * than the leader's (an inner tuple decides within a thread). */
-        const double rf = rmax / denom;
-        if (!(rf > lead || (rf == lead && (cb < 0 || lex_less(genes, tuples + cb * f, f)))))
-            continue;
-        for (int64_t r = 0; r < n_runs; r++) {
-            for (int64_t l = runs[2 * r]; l < runs[2 * r + 1]; l++) {
-                double num = (double)tp[l] * alpha;
-                num += (double)(n_normal - nh[l]);
-                const double fv = num / denom;
-                if (fv > lead
-                    || (fv == lead
-                        && (cb < 0
-                            || (b == cb ? lex_less(inner + l * d, inner + cl * d, d)
-                                        : lex_less(genes, tuples + cb * f, f))))) {
-                    lead = fv;
-                    cb = b;
-                    cl = l;
-                    win[2] = tp[l];
-                    win[3] = nh[l];
-                }
+    }
+    if (thread_max != NULL)
+        *thread_max = rmax / denom;
+    /* A thread's entries tie the lead only if its tuple is smaller than
+     * the leader's (an inner tuple decides within a thread). */
+    int64_t *lead_genes = win + W_GENES;
+    const double rf = rmax / denom;
+    if (!(rf > s->lead
+          || (rf == s->lead && (win[W_COL] < 0 || lex_less(genes, lead_genes, f)))))
+        return pos;
+    int mine = 0;
+    for (int64_t r = 0; r < n_runs; r++) {
+        for (int64_t l = runs[2 * r]; l < runs[2 * r + 1]; l++) {
+            double num = (double)tp[l] * alpha;
+            num += (double)(s->n_normal - nh[l]);
+            const double fv = num / denom;
+            if (fv > s->lead
+                || (fv == s->lead
+                    && (win[W_COL] < 0
+                        || (mine ? lex_less(s->inner + l * d, s->inner + win[W_COL] * d, d)
+                                 : lex_less(genes, lead_genes, f))))) {
+                s->lead = fv;
+                win[W_COL] = l;
+                win[W_TP] = tp[l];
+                win[W_NH] = nh[l];
+                if (!mine)
+                    memcpy(lead_genes, genes, (size_t)f * sizeof *genes);
+                mine = 1;
             }
         }
     }
-    win[0] = cb;
-    win[1] = cl;
-    win[4] = read;
     return pos;
+}
+
+/* The colex successor of the f-tuple c, in place. */
+static void next_tuple(int64_t *c, int64_t f)
+{
+    int64_t i = 0;
+    while (i + 1 < f && c[i] + 1 == c[i + 1])
+        i++;
+    c[i]++;
+    for (int64_t j = 0; j < i; j++)
+        c[j] = j;
+}
+
+/* Threads genes, its n_threads - 1 colex successors.  The first
+ * n_stored of them are held by the store: their counts run from `hits`,
+ * their filled marks from `filled`.  A mark is read with an acquire load
+ * and set with a release store after its counts are written, so a
+ * reader never sees a half-written slice, and two calls that fill one
+ * thread write equal counts.  `genes` is stepped in place. */
+int64_t scan_range(const uint64_t *tumor, int64_t tw,
+                   const uint64_t *normal, int64_t nw,
+                   const int64_t *inner, int64_t n_cols, int64_t d,
+                   const uint64_t *tumor_w, const uint64_t *normal_w,
+                   uint64_t *scratch, int64_t *win,
+                   int64_t *genes, int64_t n_threads, int64_t f,
+                   void *hits, uint8_t *filled, int64_t itemsize,
+                   int64_t n_stored, int64_t n_normal, double alpha,
+                   double denom)
+{
+    struct scan s = setup(tumor, tw, normal, nw, inner, n_cols, d, tumor_w,
+                          normal_w, scratch, win, f, n_normal, alpha, denom,
+                          -INFINITY);
+    int64_t pos = 0, n_valid = 0;
+    for (int64_t i = 0; i < n_threads; i++) {
+        void *at = NULL;
+        int stored = 0;
+        if (i < n_stored) {
+            at = (char *)hits + pos * itemsize;
+            stored = __atomic_load_n(filled + i, __ATOMIC_ACQUIRE);
+        }
+        const int64_t n = score_thread(&s, genes, at, itemsize, stored, NULL);
+        if (stored)
+            win[W_HITS]++;
+        else if (at != NULL) {
+            __atomic_store_n(filled + i, 1, __ATOMIC_RELEASE);
+            win[W_FILLS]++;
+        }
+        pos += n;
+        n_valid += n;
+        next_tuple(genes, f);
+    }
+    win[W_THREADS] = n_threads;
+    return n_valid;
+}
+
+/* Threads `tuples` (n_rows λ-sorted f-tuples), no store; each thread's
+ * maximum F goes to thread_max[b]. */
+int64_t tile_score(const uint64_t *tumor, int64_t tw,
+                   const uint64_t *normal, int64_t nw,
+                   const int64_t *inner, int64_t n_cols, int64_t d,
+                   const uint64_t *tumor_w, const uint64_t *normal_w,
+                   uint64_t *scratch, int64_t *win,
+                   const int64_t *tuples, int64_t n_rows, int64_t f,
+                   int64_t n_normal, double alpha, double denom,
+                   double best_f, double *thread_max)
+{
+    struct scan s = setup(tumor, tw, normal, nw, inner, n_cols, d, tumor_w,
+                          normal_w, scratch, win, f, n_normal, alpha, denom,
+                          best_f);
+    int64_t n_valid = 0;
+    for (int64_t b = 0; b < n_rows; b++)
+        n_valid += score_thread(&s, tuples + b * f, NULL, 0, 0, thread_max + b);
+    win[W_THREADS] = n_rows;
+    return n_valid;
 }

@@ -6,33 +6,27 @@ of the genes above its top index.  Scores are bit-exact with the
 sequential reference; ties resolve to the lexicographically smallest
 gene tuple.
 
-The scan scores *tiles*, not threads or levels: :func:`_scan_range`
-cuts its λ-range into runs of adjacent threads that fill one fixed
-``(B, L)`` element budget (:data:`_TILE_ELEMENTS`), however many
-workload levels a run crosses.  A tile's tuples are enumerated (a level
-walk, :func:`repro.combinatorics.enumeration.combinations_array` — a
-scan inverts λ only at its two ends) and scored against the inner
-AND-table of its *lowest* level — the widest one, a superset of every
-higher level's — stored word-major.  Entries whose inner genes do not
-lie above the thread's top gene belong to no thread: they are dropped
-and not counted, and the valid ones are scored once, row-major, which
-is combination-rank order.
-
-The whole tile is one call into the native kernel (``_tile.c``, built
-and loaded by :mod:`repro.core.tile`), without the GIL: per thread it
+An unpruned scan is one call into the native kernel (``_tile.c``,
+built and loaded by :mod:`repro.core.tile`) per λ range — per lease on
+a fanned-out backend — without the GIL.  :func:`_scan_range` inverts
+only the range's first λ; ``scan_range`` then walks the threads in
+colex order and scores every one against *one inner table per scan*,
+the AND-table of the range's first (lowest) level, stored word-major:
+a lower level's table is a superset of every higher level's, and the
+kernel selects a thread's valid columns (inner genes above its top
+gene), which are scored once, in combination-rank order.  Per thread it
 AND-reduces the fixed rows, popcounts them against the table over the
-valid columns only (skipping zero base words), takes or stores the
-normal hits, forms Equation 1's numerator ``fl(fl(α·TP) + TN)`` exactly
-as :func:`repro.core.fscore.numerator` does (compiled with
-``-ffp-contract=off``, so no FMA merges the two roundings), and keeps
-the thread's maximum.  The tile's maximum is found on numerators —
-division by the positive constant ``Nt + Nn`` is monotone — and ties
-are settled in F, since division can merge different numerators: only
-a thread whose F can tie or beat the running best is rescanned, and the
-lexicographic rule compares the thread tuple, then the inner tuple.
-Python keeps the enumeration, the counters and building the candidate.
-Without a compiler (or under ``tile.FALLBACK``) :func:`_score_tile_numpy`
-does the same in numpy, bit-identical.
+valid columns only (skipping zero base words), reads or fills the
+normal-hit store, forms Equation 1's numerator ``fl(fl(α·TP) + TN)``
+exactly as :func:`repro.core.fscore.numerator` does (compiled with
+``-ffp-contract=off``, so no FMA merges the two roundings) and keeps
+the running winner.  The maximum is found on numerators — division by
+the positive constant ``Nt + Nn`` is monotone — and ties are settled in
+F, since division can merge different numerators: only a thread whose
+F can tie or beat the running best is rescanned, and the lexicographic
+rule compares the thread tuple, then the inner tuple.  Python keeps the
+counters and building the winner.  There is no other body: a C compiler
+is required.
 
 ``sparse`` selects nothing on this nested path (it still selects the
 flat scheme's :func:`repro.core.kernels.score_combos` body).
@@ -42,12 +36,13 @@ only on the normal matrix, which no greedy iteration changes (BitSplicing
 narrows the tumor side alone), so a :class:`NormalHitStore` keeps every
 combination's normal popcount, indexed by combination rank: thread λ's
 combinations occupy ``[cumulative_work_before(λ),
-cumulative_work_before(λ + 1))``, so a tile's valid entries (row-major)
-are one contiguous slice wherever a partition or a tile is cut, in the
-order the tile scores them (the native kernel reads and writes it in
-place, at the store's itemsize).  A tile's first scan fills its slice;
-every later scan reads it as it is and gathers, ANDs and popcounts only
-the tumor side (a level's normal inner table is built only on a miss).
+cumulative_work_before(λ + 1))``, so a range's valid entries are one
+contiguous slice wherever a partition is cut, in the order the scan
+scores them (the kernel reads and writes it in place, at the store's
+itemsize).  A thread's first scan fills its counts and then marks it
+filled; every later scan reads them as they are and gathers, ANDs and
+popcounts only the tumor side (the normal inner table is built only
+when some thread of the range misses the store).
 The store is capped at :data:`NORMAL_HIT_BUDGET` bytes.  ``C(G, h)``
 counts of ``np.min_scalar_type(Nn)`` fit at cohort scale (2.5 MiB at
 G 200, h 3, Nn < 65536); threads past the cap are scored in full every
@@ -56,11 +51,13 @@ of them are.
 
 Counters: ``combos_scored`` and ``word_ops`` count the valid entries
 (``word_ops`` at its dense definition, ``(hits - 1)`` row ANDs per
-combination); ``decode_strides`` counts tiles and ``inner_tables_built``
-the inner tables built.  ``word_reads`` is what the scan gathers, on
-every nested path: ``f`` rows per thread of each tile and ``d`` rows per
-inner combination of each table built, from each matrix it gathers
-from, so a tile whose normal hits are stored charges only tumor rows.
+combination); ``decode_strides`` counts scan calls (unpruned) or
+batches (pruned) and ``inner_tables_built`` the inner tables built, one
+per call.  ``word_reads`` is what the scan gathers, on every nested
+path: ``f`` rows per thread and ``d`` rows per inner combination of
+each table built, from each matrix it gathers from, so a thread whose
+normal hits are stored charges only tumor rows.  The unpruned charge
+is derived from the thread and store-hit counts the kernel reports.
 ``word_reads_skipped`` stays 0.
 
 When a :class:`repro.core.bounds.BoundTable` is supplied the engine runs
@@ -68,8 +65,9 @@ an exact branch and bound instead (:func:`_best_pruned`): every thread
 is bounded by ``min(stored, ceiling)`` — its exact maximum when last
 scored, and ``fscore(TP_prefix, Nn)`` from its tumor prefix — and
 threads are scored best-first in doubling λ-sorted batches until the
-next bound is *strictly* below the incumbent.  The incumbent is
-maintained with the tuple-comparing
+next bound is *strictly* below the incumbent, each batch one call into
+the kernel's ``tile_score`` against the call's one inner table.  The
+incumbent is maintained with the tuple-comparing
 :func:`repro.core.combination.better`, so the winner — F, TP, TN, and
 the lexicographic tie rule — is bit-identical to the unpruned scan.
 It never uses the normal-hit store, and
@@ -86,24 +84,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bitmatrix.matrix import BitMatrix
-from repro.combinatorics.decode import combos_from_linear, top_index
+from repro.combinatorics.decode import combos_from_linear
 
 # Bound here but never called by the scan: the benchmark harness
 # (benchmarks/perf/trace.py) patches them by these names.
 from repro.bitmatrix.sparsity import stride_any_mask  # noqa: F401
 from repro.combinatorics.decode import top_index_array  # noqa: F401
+from repro.core.kernels import fused_pair_popcount  # noqa: F401
 from repro.combinatorics.enumeration import combinations_array
 from repro.core import tile
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination, better
-from repro.core.fscore import FScoreParams, fscore, numerator
-from repro.core.kernels import (
-    KernelCounters,
-    _lexmin_rows,
-    best_of,
-    fused_pair_popcount,
-    score_combos,
-)
+from repro.core.fscore import FScoreParams, fscore
+from repro.core.kernels import KernelCounters, best_of, score_combos
 from repro.scheduling.schemes import Scheme
 from repro.scheduling.workload import (
     cumulative_work_before,
@@ -122,8 +115,8 @@ __all__ = [
 
 # Soft cap on elements (combinations x words) per flat-scheme stride.
 _CHUNK_ELEMENTS = 1 << 22
-# Entries per nested-scheme tile, threads x max(inner combinations, row
-# words): every temporary of a tile holds at most this many 8-byte values.
+# Entries per pruned batch, threads x max(inner combinations, row words),
+# and threads per window of the pruned ceiling pass x row words.
 _TILE_ELEMENTS = 1 << 16
 #: Bytes one :class:`NormalHitStore` may hold.
 NORMAL_HIT_BUDGET = 32 << 20
@@ -157,6 +150,7 @@ class NormalHitStore:
             ) // level_work(scheme, g, m)
         self.counts = np.empty(self._rank(self.lam_cap), dtype=dtype)
         self.filled = np.zeros(self.lam_cap, dtype=bool)
+        self._at = self.counts.ctypes.data, self.filled.ctypes.data
 
     @classmethod
     def reuse(
@@ -189,18 +183,11 @@ class NormalHitStore:
             return None
         return self.counts[self._rank(lo) : self._rank(hi)]
 
-    def slot(self, lo: int, hi: int) -> np.ndarray:
-        """The counts of threads ``[lo, hi)`` in rank order, a writable
-        view (``hi <= lam_cap``)."""
-        return self.counts[self._rank(lo) : self._rank(hi)]
-
-    def write(self, lo: int, hi: int, counts: "np.ndarray | None" = None) -> None:
-        """Store the counts of threads ``[lo, hi)`` (rank order, ``hi <=
-        lam_cap``) and mark them filled; ``None``: they were written into
-        :meth:`slot` in place."""
-        if counts is not None:
-            self.slot(lo, hi)[...] = counts
-        self.filled[lo:hi] = True
+    def at(self, lam: int) -> tuple[int, int]:
+        """The kernel's addresses of thread ``lam``'s first count and of
+        its filled mark (``lam < lam_cap``)."""
+        counts, filled = self._at
+        return counts + self._rank(lam) * self.counts.itemsize, filled + lam
 
 
 def _and_reduce_rows(matrix: BitMatrix, combos: np.ndarray) -> np.ndarray:
@@ -223,215 +210,92 @@ def _gather(
     return _and_reduce_rows(matrix, combos)
 
 
-class _Level:
-    """Level ``m``'s inner combinations over genes ``m+1 .. g-1`` and
-    their AND rows, stored word-major ``(W, L)``: the tumor rows at once,
-    the normal rows on first use."""
+class _Table:
+    """One call's inner table: level ``m``'s inner combinations over genes
+    ``m+1 .. g-1`` and their AND rows, stored word-major ``(W, L)`` — the
+    normal rows unless ``with_normal`` is false.  ``m`` is the call's
+    lowest level, whose table is a superset of every higher level's.
+
+    ``args`` are the kernel's table arguments, read once per call
+    (reading an array's address costs microseconds): both matrices,
+    both tables, and a scratch and winner buffer of the call's own.
+    ``win`` is the winner (column, TP, normal hits), then the words the
+    fixed-row gathers read, store hits, store fills, threads scored and
+    the winner's thread tuple (``_tile.c``)."""
 
     def __init__(
         self, scheme: Scheme, g: int, m: int, tumor: BitMatrix,
-        counters: KernelCounters,
+        normal: BitMatrix, counters: KernelCounters, with_normal: bool = True,
     ) -> None:
         d = scheme.inner
-        self.m = m
         self.inner = combinations_array(d, 0, math.comb(g - 1 - m, d))
         self.inner += m + 1
         self.tumor_w = np.ascontiguousarray(_gather(tumor, self.inner, counters).T)
-        self._normal_w = None
-        self._native = None
+        self.normal_w = (
+            np.ascontiguousarray(_gather(normal, self.inner, counters).T)
+            if with_normal else None
+        )
         counters.inner_tables_built += 1
+        self.row_words = tumor.n_words, normal.n_words
+        self.win = np.empty(7 + scheme.flattened, np.int64)
+        self._scratch = np.empty(
+            tumor.n_words + normal.n_words + 2 * len(self.inner) + 2, np.uint64
+        )
+        self.args = (
+            tumor.words.ctypes.data, tumor.n_words,
+            normal.words.ctypes.data, normal.n_words,
+            self.inner.ctypes.data, *self.inner.shape,
+            self.tumor_w.ctypes.data,
+            None if self.normal_w is None else self.normal_w.ctypes.data,
+            self._scratch.ctypes.data, self.win.ctypes.data,
+        )
 
-    def normal_w(self, normal: BitMatrix, counters: KernelCounters) -> np.ndarray:
-        if self._normal_w is None:
-            self._normal_w = np.ascontiguousarray(
-                _gather(normal, self.inner, counters).T
-            )
-        return self._normal_w
+    def charge(self, scheme: Scheme, n_valid: int, counters: KernelCounters) -> None:
+        """Charge ``n_valid`` scored entries at the dense definition."""
+        counters.combos_scored += n_valid
+        counters.word_ops += n_valid * (scheme.hits - 1) * sum(self.row_words)
 
-    def native_args(self, tumor: BitMatrix, normal: BitMatrix) -> tuple:
-        """The native call's per-level arguments: both matrices (those the
-        level is scored against, always the same), this level's tables
-        and a scratch and winner buffer of its own (a level is never
-        scored by two threads at once).  ``win`` is the tile's winner
-        ``(b, l, TP, normal hits)`` and the words its fixed-row gathers
-        read, which the meter's tests tally.  Made on the first native
-        tile: reading an array's address costs microseconds."""
-        if self._native is None:
-            self._scratch = np.empty(
-                tumor.n_words + normal.n_words + 2 * len(self.inner) + 2, np.uint64
-            )
-            self.win = np.empty(5, np.int64)
-            self._native = (
-                tumor.words.ctypes.data, tumor.n_words,
-                normal.words.ctypes.data, normal.n_words,
-                self.inner.ctypes.data, *self.inner.shape,
-                self.tumor_w.ctypes.data, self._scratch.ctypes.data,
-                self.win.ctypes.data,
-            )
-        return self._native
+    def winner(self, params: FScoreParams) -> "MultiHitCombination | None":
+        """The last call's winner, ``None`` if nothing reached its
+        incumbent."""
+        col, tp, hit = self.win[:3].tolist()
+        if col < 0:
+            return None
+        tn = int(params.n_normal) - hit
+        return MultiHitCombination(
+            genes=(*self.win[7:].tolist(), *self.inner[col].tolist()),
+            f=float(fscore(tp, tn, params)),
+            tp=tp,
+            tn=tn,
+        )
 
 
 def _score_tile(
     scheme: Scheme,
     tuples: np.ndarray,
-    level: _Level,
-    tumor: BitMatrix,
-    normal: BitMatrix,
+    table: _Table,
     params: FScoreParams,
     best: "MultiHitCombination | None",
     counters: KernelCounters,
-    normal_hits: "tuple[NormalHitStore, int] | None" = None,
-    thread_max: bool = False,
-) -> tuple["np.ndarray | None", "MultiHitCombination | None"]:
-    """Score one tile: threads ``tuples`` (lowest level ``level.m``)
-    against that level's inner table.
+) -> tuple[np.ndarray, "MultiHitCombination | None"]:
+    """Score one pruned batch: threads ``tuples`` (λ-sorted, none below
+    the table's level) against ``table``, in one call into the kernel's
+    ``tile_score``.
 
-    Returns each thread's maximum F (with ``thread_max``, which only the
-    pruned caller reads; ``None`` otherwise) and the tile's candidate —
-    ``None`` unless it can displace or tie ``best``.  Entries whose inner
-    genes do not lie above the thread's top gene belong to no thread and
-    are dropped; the valid ones are scored once, row-major, which is
-    combination-rank order (the store's).  ``normal_hits`` is a store
-    and the tile's first thread λ: the tile is then the threads
-    ``[λ, λ + B)``, whose stored normal hits replace the normal side, or
-    whose normal side fills the store.
-
-    The whole tile is one call into the native kernel (``_tile.c``, see
-    :mod:`repro.core.tile`), which gathers, multiplies, scores and picks
-    the winner without the GIL; :func:`_score_tile_numpy` is the
-    fallback, bit-identical.
+    Returns each thread's maximum F and the batch's candidate — ``None``
+    unless it can displace or tie ``best``.  Entries whose inner genes do
+    not lie above the thread's top gene belong to no thread and are
+    dropped; the valid ones are scored once.
     """
-    native = tile.kernel()
-    if native is None:
-        return _score_tile_numpy(
-            scheme, tuples, level, tumor, normal, params, best, counters,
-            normal_hits, thread_max,
-        )
-    n_rows = len(tuples)
-    store = hits = fill = None
-    if normal_hits is not None:
-        store, lam = normal_hits
-        hits = store.read(lam, lam + n_rows)
-    counters.word_reads += tuples.size * tumor.n_words
-    normal_w = None
-    if hits is None:
-        counters.word_reads += tuples.size * normal.n_words
-        normal_w = level.normal_w(normal, counters).ctypes.data
-        if store is not None and lam + n_rows <= store.lam_cap:
-            hits = fill = store.slot(lam, lam + n_rows)
-    lam_max = np.empty(n_rows) if thread_max else None
-    n_valid = native(
-        *level.native_args(tumor, normal),
-        tuples.ctypes.data, n_rows, scheme.flattened, normal_w,
-        None if hits is None else hits.ctypes.data,
-        0 if store is None else store.counts.itemsize,
+    lam_max = np.empty(len(tuples))
+    n_valid = tile.kernel().tile_score(
+        *table.args, tuples.ctypes.data, len(tuples), scheme.flattened,
         params.n_normal, params.alpha, params.denominator,
-        -math.inf if best is None else best.f,
-        None if lam_max is None else lam_max.ctypes.data,
+        -math.inf if best is None else best.f, lam_max.ctypes.data,
     )
-    if fill is not None:
-        store.write(lam, lam + n_rows)
-    counters.combos_scored += n_valid
-    counters.word_ops += (
-        n_valid * (scheme.hits - 1) * (tumor.n_words + normal.n_words)
-    )
-    b, col, tp, hit, _ = level.win.tolist()
-    if b < 0:
-        return lam_max, None
-    tn = int(params.n_normal) - hit
-    return lam_max, MultiHitCombination(
-        genes=(*tuples[b].tolist(), *level.inner[col].tolist()),
-        f=float(fscore(tp, tn, params)),
-        tp=tp,
-        tn=tn,
-    )
-
-
-def _score_tile_numpy(
-    scheme: Scheme,
-    tuples: np.ndarray,
-    level: _Level,
-    tumor: BitMatrix,
-    normal: BitMatrix,
-    params: FScoreParams,
-    best: "MultiHitCombination | None",
-    counters: KernelCounters,
-    normal_hits: "tuple[NormalHitStore, int] | None",
-    thread_max: bool,
-) -> tuple["np.ndarray | None", "MultiHitCombination | None"]:
-    """:func:`_score_tile` in numpy, for a host without the native
-    kernel (or ``tile.FALLBACK``).
-
-    The epilogue forms Equation 1's numerator ``fl(α·TP) + TN``
-    (:func:`repro.core.fscore.numerator`) in one float64 buffer and
-    divides only its maximum by ``Nt + Nn``: division by a positive
-    constant is monotone, so that is the tile's maximum F.  F itself is
-    materialised only on a tile that can displace or tie the incumbent,
-    to find its ties, which are taken in F because division can merge
-    different numerators.  A tile whose integer ceiling
-    ``fscore(max TP, Nn)`` is strictly below the incumbent skips the
-    float pass, and per-thread maxima are formed only for the pruned
-    caller.
-    """
-    inner = level.inner
-    top = tuples[:, -1]
-    valid = inner[:, 0] > top[:, None] if top[-1] > level.m else None
-    base_t = _gather(tumor, tuples, counters)
-    tp = fused_pair_popcount(base_t, level.tumor_w)
-    hits = None
-    if normal_hits is not None:
-        store, lam = normal_hits
-        hi = lam + len(tuples)
-        hits = store.read(lam, hi)
-    if hits is None:
-        base_n = _gather(normal, tuples, counters)
-        hits = fused_pair_popcount(base_n, level.normal_w(normal, counters))
-        hits = hits.ravel() if valid is None else hits[valid]
-        if normal_hits is not None and hi <= store.lam_cap:
-            store.write(lam, hi, hits)
-    n_valid = len(hits)
-    counters.combos_scored += n_valid
-    counters.word_ops += (
-        n_valid * (scheme.hits - 1) * (tumor.n_words + normal.n_words)
-    )
-    # The tile's F ceiling from integers alone: TN <= Nn, and the whole
-    # tile's TP (a superset of the valid entries) bounds theirs.  The
-    # pruned caller needs every thread's exact maximum, so never skips.
-    if (
-        not thread_max
-        and best is not None
-        and fscore(tp.max(), params.n_normal, params) < best.f
-    ):
-        return None, None
-    tp = tp.ravel() if valid is None else tp[valid]
-    # int32, not the store's type: under NEP 50, Nn minus a uint8 or
-    # uint16 array would stay in that type.
-    tn = np.subtract(params.n_normal, hits, dtype=np.int32)
-    num = numerator(tp, tn, params)
-    fmax = num.max() / params.denominator
-    lam_max = None
-    if thread_max:  # each thread's valid entries are one run of ``num``
-        per_row = (
-            np.full(len(tuples), len(inner)) if valid is None
-            else np.count_nonzero(valid, axis=1)
-        )
-        starts = np.cumsum(per_row) - per_row
-        lam_max = np.maximum.reduceat(num, starts) / params.denominator
-    if best is not None and fmax < best.f:
-        return lam_max, None
-    # Ties in F, not in the numerator: division can merge numerators.
-    ties = np.flatnonzero(np.divide(num, params.denominator, out=num) == fmax)
-    at = ties if valid is None else np.flatnonzero(valid)[ties]
-    i, j = np.divmod(at, len(inner))
-    rows = np.concatenate([tuples[i], inner[j]], axis=1)
-    genes = _lexmin_rows(rows)
-    k = ties[np.flatnonzero((rows == genes).all(axis=1))[0]]
-    return lam_max, MultiHitCombination(
-        genes=tuple(int(x) for x in genes),
-        f=float(fmax),
-        tp=int(tp[k]),
-        tn=int(tn[k]),
-    )
+    counters.word_reads += tuples.size * sum(table.row_words)
+    table.charge(scheme, n_valid, counters)
+    return lam_max, table.winner(params)
 
 
 def _scan_range(
@@ -474,34 +338,36 @@ def _scan_range(
             best = better(best, best_of(combos, fvals, tp, tn))
         return best
 
-    # The scan's only inversions — its first thread's level and its last
-    # thread's.  Threads above level g-1-d have empty inner loops, so a
-    # range reaching them ends where they begin.
-    m = top_index(lam_start, f_ord)
-    if top_index(lam_end - 1, f_ord) > g - 1 - d:
-        lam_end = math.comb(g - d, f_ord)
-    level = None
-
-    start = lam_start
-    while start < lam_end:
-        if level is None or level.m != m:  # one table live at a time
-            level = _Level(scheme, g, m, tumor, counters)
-        # Rows fill the budget against the wider of the tile's two
-        # shapes, (B, L) entries and (B, W) base words.
-        width = max(len(level.inner), tumor.n_words, normal.n_words)
-        end = min(start + max(1, _TILE_ELEMENTS // width), lam_end)
-        tuples = combinations_array(f_ord, start, end)
-        counters.decode_strides += 1
-        _, cand = _score_tile(
-            scheme, tuples, level, tumor, normal, params, best, counters,
-            None if normal_hits is None else (normal_hits, start),
-        )
-        best = better(best, cand)
-        # The next tile's lowest level, read off this tile's last row.
-        top_last = int(tuples[-1, -1])
-        m = top_last if end < math.comb(top_last + 1, f_ord) else top_last + 1
-        start = end
-    return best
+    # Threads above level g-1-d have empty inner loops, so a range
+    # reaching them ends where they begin.
+    lam_end = min(lam_end, math.comb(g - d, f_ord))
+    if lam_end <= lam_start:
+        return None
+    n = lam_end - lam_start
+    # The scan's one inversion; the kernel steps the tuple from here.
+    genes = combinations_array(f_ord, lam_start, lam_start + 1)[0]
+    store, hits, filled, n_stored = normal_hits, None, None, 0
+    if store is not None and lam_start < store.lam_cap:
+        n_stored = min(lam_end, store.lam_cap) - lam_start
+        hits, filled = store.at(lam_start)
+    missed = n_stored < n or not store.filled[lam_start:lam_end].all()
+    table = _Table(
+        scheme, g, int(genes[-1]), tumor, normal, counters, with_normal=missed
+    )
+    n_valid = tile.kernel().scan_range(
+        *table.args, genes.ctypes.data, n, f_ord,
+        hits, filled, 0 if store is None else store.counts.itemsize, n_stored,
+        params.n_normal, params.alpha, params.denominator,
+    )
+    # f fixed rows per thread, the normal ones unless stored: from the
+    # thread and store-hit counts the kernel reports.
+    threads, stored = int(table.win[6]), int(table.win[4])
+    counters.word_reads += f_ord * (
+        threads * tumor.n_words + (threads - stored) * normal.n_words
+    )
+    counters.decode_strides += 1
+    table.charge(scheme, n_valid, counters)
+    return table.winner(params)
 
 
 def _prefix_ceilings(
@@ -558,7 +424,8 @@ def best_in_thread_range(
     maximum F.  ``sparse`` reaches only the flat scheme
     (``inner == 0``), whose :func:`repro.core.kernels.score_combos`
     still has a sparsity-driven body (at the kernel's default word
-    stride); the nested scan has one body.
+    stride); the nested scan has one body.  Unpruned and nested, the
+    call is one native ``scan_range`` call, whatever the range.
     ``normal_hits`` (a :class:`NormalHitStore` bound to ``scheme``,
     ``g`` and ``normal``) serves and keeps the unpruned nested scan's
     normal hit counts; the pruned and flat paths ignore it.
@@ -615,8 +482,8 @@ def _best_pruned(
     (:meth:`BoundTable.visit_order`) and visited in descending bound
     order.  Threads are scored in batches that double from one thread
     up to the tile budget: a batch is decoded with
-    :func:`combos_from_linear`, sorted by λ and scored against the inner
-    table of its lowest level (built once per call), and each scored
+    :func:`combos_from_linear`, sorted by λ and scored against the call's
+    one inner table, that of the range's lowest level, and each scored
     thread's entry becomes its exact maximum.  The scan stops at the
     first bound *strictly* below the incumbent; the threads left
     unvisited add their combinations to ``combos_pruned``.
@@ -632,8 +499,8 @@ def _best_pruned(
     :func:`better` makes the winner independent of visiting order.
 
     ``word_reads`` counts the ceiling pass's tumor rows on top of the
-    scan's gathers: each batch's ``f`` rows per thread and each inner
-    table built.
+    scan's gathers: each batch's ``f`` rows per thread and the inner
+    table.
     """
     f_ord, d = scheme.flattened, scheme.inner
     # Threads above level g-1-d own no combination: never visited.
@@ -645,13 +512,12 @@ def _best_pruned(
     )
     order, keys = bounds.visit_order(ceiling)
     neg_keys = -keys  # ascending, for the stop search
-    w = tumor.n_words + normal.n_words
-    if d:
-        widest = max(math.comb(g - 1 - int(tops[0]), d), tumor.n_words, normal.n_words)
+    if d:  # one table, the range's lowest level's
+        table = _Table(scheme, g, int(tops[0]), tumor, normal, counters)
+        widest = max(len(table.inner), tumor.n_words, normal.n_words)
         budget = max(1, _TILE_ELEMENTS // widest)
     else:
-        budget = max(1, _CHUNK_ELEMENTS // (f_ord * w))
-    tables: dict = {}
+        budget = max(1, _CHUNK_ELEMENTS // (f_ord * (tumor.n_words + normal.n_words)))
     best: "MultiHitCombination | None" = None
     pos, size = 0, 1
     while pos < n:
@@ -664,12 +530,8 @@ def _best_pruned(
         tuples = combos_from_linear(picked + lam_start, f_ord)
         counters.decode_strides += 1
         if d:
-            m = int(tuples[0, -1])
-            if m not in tables:
-                tables[m] = _Level(scheme, g, m, tumor, counters)
             lam_max, cand = _score_tile(
-                scheme, tuples, tables[m], tumor, normal, params, best,
-                counters, thread_max=True,
+                scheme, tuples, table, params, best, counters
             )
         else:
             lam_max, tp, tn = score_combos(

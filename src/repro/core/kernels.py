@@ -6,21 +6,20 @@ TN``), then computes F.  Here a *block* of combinations is scored at once
 with broadcast bitwise ops; results are bit-exact with the sequential
 reference.
 
-Two scoring primitives, one per scheme shape.  :func:`score_combos`
+One numpy scoring primitive.  :func:`score_combos`
 scores explicit combinations one row each (the flat scheme's scan and
 the public API) and is *word-stride fused*: gather -> AND -> popcount
 runs over slices of at most ``word_stride`` packed words at a time
 (default :data:`DEFAULT_WORD_STRIDE`), accumulating popcounts into
 per-combination integer totals, so no full ``(B, n_words)``
-intermediate is materialized.  :func:`fused_pair_popcount` is the
-nested scheme's ``(B, L)`` product of thread base rows against an inner
-table for the numpy tile body (:func:`repro.core.engine.
-_score_tile_numpy`), which runs only without a compiler or under
-``tile.FALLBACK``: natively, the engine scores a whole tile — gather,
-product, F and winner — in one call into ``_tile.c`` (built and loaded
-by :mod:`repro.core.tile`).  Popcounts are exact integers, so every
-body is bit-identical to the single-shot reference (kept as
-:func:`score_combos_reference` and enforced by tests).
+intermediate is materialized.  The nested scheme is scored natively:
+one call into ``_tile.c`` (built and loaded by :mod:`repro.core.tile`)
+per unpruned range or pruned batch.  :func:`fused_pair_popcount`, the
+``(B, L)`` product of thread base rows against an inner table, has no
+caller left; the benchmark harness still patches it by name.
+Popcounts are exact integers, so every body is bit-identical to the
+single-shot reference (kept as :func:`score_combos_reference` and
+enforced by tests).
 
 ``sparse=True`` switches :func:`score_combos` to the sparsity-driven
 path (Prabhu et al.): a :class:`~repro.bitmatrix.sparsity.SparsityIndex`
@@ -92,12 +91,12 @@ class KernelCounters:
     ``combos_scored`` counts the combinations scored; ``word_ops`` the
     row ANDs they cost at the dense definition, ``(h - 1)`` rows of
     ``tumor + normal`` words each; ``word_reads`` the words gathered, on
-    every path — on nested schemes each tile's ``f`` rows per thread and
+    every path — on nested schemes each scored thread's ``f`` rows and
     each inner table built, from the tumor matrix and, unless the
-    tile's normal hits are stored (:class:`repro.core.engine.
+    thread's normal hits are stored (:class:`repro.core.engine.
     NormalHitStore`), from the normal one.  ``decode_strides`` counts
-    the strides (flat) or tiles (nested) the scan enumerated and
-    ``inner_tables_built`` the inner tables it built.  The pruned
+    the strides (flat), scan calls (nested) or batches (pruned) the scan
+    enumerated and ``inner_tables_built`` the inner tables it built.  The pruned
     best-first path (:mod:`repro.core.bounds`) also counts its ceiling
     pass's tumor rows and alone populates ``combos_pruned`` and
     ``threads_*`` (threads scored / left unvisited).  Four fields are set only by the flat
@@ -313,13 +312,12 @@ def _score_combos_sparse(
 def fused_pair_popcount(base: np.ndarray, inner_w: np.ndarray) -> np.ndarray:
     """``(B, L)`` int32 popcounts of ``base[b] & inner[l]``.
 
-    The numpy fallback's tile product (:func:`repro.core.engine.
-    _score_tile_numpy`; natively the whole tile is one call into
-    ``_tile.c``): ``base`` ``(B, W)`` holds each thread's AND-reduced
-    fixed-gene rows, ``inner_w`` ``(W, L)`` the cached inner AND-table
-    stored word-major; both must be C-contiguous uint64.  A loop over
-    the words skips zero words: word ``k`` adds its popcounts to the rows
-    whose base word ``k`` is not zero.
+    ``base`` ``(B, W)`` holds each thread's AND-reduced fixed-gene rows,
+    ``inner_w`` ``(W, L)`` an inner AND-table stored word-major; both
+    must be C-contiguous uint64.  A loop over the words skips zero words:
+    word ``k`` adds its popcounts to the rows whose base word ``k`` is
+    not zero.  Nothing scores with it (the native kernel does); it stays
+    for the benchmark harness, which patches it by name.
     """
     for a in (base, inner_w):
         if a.dtype != np.uint64 or not a.flags.c_contiguous:

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.bitmatrix.splicing import splice_columns
+from repro.core import tile
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
 from repro.core.distributed import DistributedEngine
@@ -315,6 +316,8 @@ class MultiHitSolver:
             combos, active = resume.restore(tumor, self.hits, params)
             work = self._compact(tumor, active)
 
+        if self.backend != "sequential" and self.scheme.inner:
+            tile.kernel()  # cannot build: one error here, before any fan-out
         engine = _ENGINES[self.backend](self)
         tel = get_telemetry()
         try:

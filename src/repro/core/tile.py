@@ -1,12 +1,12 @@
-"""Builds, caches and loads the native tile kernel (``_tile.c``).
+"""Builds, caches and loads the native kernel (``_tile.c``).
 
-:func:`repro.core.engine._score_tile` calls :func:`kernel`, which
-returns the one C entry point, ``tile_score`` (a whole tile: gather,
-AND+popcount product, Equation 1 and the tile's winner), or ``None``
-when the numpy fallback (:func:`repro.core.engine._score_tile_numpy`,
-bit-identical) must run instead.  The first call in a process loads the
-library, once, under a lock (two rank threads may make that call
-together):
+:func:`kernel` returns the loaded library, whose two entry points
+:mod:`repro.core.engine` calls: ``scan_range`` (one call per unpruned
+λ range: walk, gather, product, store, Equation 1 and the range's
+winner) and ``tile_score`` (one pruned batch, with each thread's
+maximum).  There is no other scoring body: a C compiler is required.
+The first call in a process loads the library, once, under a lock (two
+rank threads may make that call together):
 
 * it is looked up in the cache directory, ``$XDG_CACHE_HOME/repro``
   (``~/.cache/repro`` when that is unset or relative), or
@@ -20,12 +20,13 @@ together):
   directory and ``os.replace``-d into place, so processes racing to
   build it each publish a whole file;
 * if anything fails (no compiler, a compile error, an unloadable file)
-  it warns once and the fallback runs for the rest of the process.
+  it raises one :class:`RuntimeError` that names the compiler, the
+  flags and the cache directory; the next call tries again.
 
 The library is opened with :class:`ctypes.CDLL`, which releases the
-GIL for the length of each call, so rank threads score tiles in
-parallel.  It is built with ``-ffp-contract=off`` (see :data:`FLAGS`):
-its F must be :func:`repro.core.fscore.fscore`'s bit for bit.
+GIL for the length of each call, so rank threads scan in parallel.  It
+is built with ``-ffp-contract=off`` (see :data:`FLAGS`): its F must be
+:func:`repro.core.fscore.fscore`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -37,13 +38,10 @@ import platform
 import subprocess
 import tempfile
 import threading
-import warnings
 from pathlib import Path
 
-__all__ = ["COMPILER", "FALLBACK", "FLAGS", "kernel"]
+__all__ = ["COMPILER", "FLAGS", "kernel"]
 
-#: Forces the numpy fallback when true (the tests' ``--tile-fallback``).
-FALLBACK = False
 COMPILER = "gcc"
 # -march=native is most of the speed (DESIGN §12): plain -O3 targets
 # baseline x86-64, which has no popcount instruction, and loses to numpy.
@@ -58,7 +56,6 @@ FLAGS = (
 
 _SOURCE = Path(__file__).with_name("_tile.c")
 _lock = threading.Lock()
-_loaded = False
 _kernel = None
 
 
@@ -73,11 +70,16 @@ def _cpu() -> str:
     return platform.machine()
 
 
-def _cache_dir() -> Path:
+def _cache_dirs() -> tuple[Path, Path]:
+    """The cache directory, then the one used when it is not writable."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):  # unset, empty or relative: the default
         base = Path.home() / ".cache"
-    for d in (Path(base) / "repro", Path(tempfile.gettempdir()) / "repro"):
+    return Path(base) / "repro", Path(tempfile.gettempdir()) / "repro"
+
+
+def _cache_dir() -> Path:
+    for d in _cache_dirs():
         try:
             d.mkdir(parents=True, exist_ok=True)
         except OSError:
@@ -110,39 +112,42 @@ def _build() -> Path:
     return path
 
 
-def _load():
+def _load() -> ctypes.CDLL:
     p, i, d = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    fn = ctypes.CDLL(str(_build())).tile_score
-    fn.restype = i
-    fn.argtypes = [
-        # per level: tumor words, width; normal words, width; inner,
-        # columns, d; the tumor inner table; scratch; winner
-        p, i, p, i, p, i, i, p, p, p,
-        # per tile: tuples, rows, f; the normal inner table (NULL on a
-        # store hit); store slice, itemsize; Nn, alpha, denominator,
-        # incumbent F; per-thread maxima
-        p, i, i, p, p, i, i, d, d, d, p,
-    ]
-    return fn
+    lib = ctypes.CDLL(str(_build()))
+    # Both entry points start with the call's table: tumor words, width;
+    # normal words, width; inner, columns, d; the tumor and normal inner
+    # tables (normal NULL when every thread's hits are stored); scratch;
+    # winner.
+    table = [p, i, p, i, p, i, i, p, p, p, p]
+    # The range's first tuple, threads, f; store counts, filled marks,
+    # itemsize, stored threads; Nn, alpha, denominator.
+    lib.scan_range.argtypes = [*table, p, i, i, p, p, i, i, i, d, d]
+    # Tuples, rows, f; Nn, alpha, denominator, incumbent F; maxima.
+    lib.tile_score.argtypes = [*table, p, i, i, i, d, d, d, p]
+    lib.scan_range.restype = lib.tile_score.restype = i
+    return lib
 
 
-def kernel():
-    """``tile_score`` (``_tile.c``), or ``None`` for the fallback
-    (forced, or the library could not be built)."""
-    global _loaded, _kernel
-    if FALLBACK:
-        return None
-    if not _loaded:
+def kernel() -> ctypes.CDLL:
+    """The loaded ``_tile.c``, with ``scan_range`` and ``tile_score``;
+    raises :class:`RuntimeError` when it cannot be built or loaded."""
+    global _kernel
+    if _kernel is None:
         with _lock:
-            if not _loaded:
+            if _kernel is None:
                 try:
                     _kernel = _load()
-                except Exception as exc:  # any failure means the fallback
-                    warnings.warn(
-                        f"native tile kernel unavailable ({exc!r}); "
-                        "scoring with the numpy fallback",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                _loaded = True
+                except Exception as exc:
+                    raise RuntimeError(
+                        "the native kernel could not be built or loaded: "
+                        f"{COMPILER} {' '.join(FLAGS)} {_SOURCE.name} into the "
+                        f"cache directory {' or '.join(map(str, _cache_dirs()))} "
+                        f"failed ({exc!r}{_stderr(exc)}); a C compiler is required"
+                    ) from exc
     return _kernel
+
+
+def _stderr(exc: Exception) -> str:
+    err = getattr(exc, "stderr", None)
+    return f": {err.decode(errors='replace').strip()[-2000:]}" if err else ""

@@ -369,7 +369,7 @@ class TestEffectiveness:
         # From iteration 2 the unpruned scan reads its normal hits from
         # the store and gathers tumor rows only.
         assert (tail(base, "word_reads"), tail(pruned, "word_reads")) == (
-            28_880, 35_811,
+            28_880, 33_260,
         )
         # Run totals include the final probe iteration, which ends the
         # loop without a record.
@@ -400,8 +400,8 @@ class TestEffectiveness:
 
 class TestFusedTrafficIdentity:
     """``word_reads`` on the pruned path is what it gathers: the ceiling
-    pass's tumor rows, each batch's base rows and every inner table it
-    builds.  The identity must close against a tally of the actual row
+    pass's tumor rows, each batch's base rows and the call's one inner
+    table.  The identity must close against a tally of the actual row
     gathers, across iterations and column compaction, on nested and
     flat schemes."""
 

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from repro.bitmatrix.splicing import splice_columns
 from repro.combinatorics.decode import combos_from_linear, top_index
 from repro.core.bounds import BoundTable
 from repro.core.combination import better
-from repro.core.engine import SingleGpuEngine, best_in_thread_range
+from repro.core.engine import NormalHitStore, SingleGpuEngine, best_in_thread_range
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import (
     KernelCounters,
@@ -33,7 +32,8 @@ from repro.scheduling.schemes import (
     scheme_for,
 )
 from repro.scheduling.workload import level_range, level_work, total_threads
-from tests.test_meter_closure import tally_gathers
+from tests.scan_cuts import cuts
+from tests.test_meter_closure import tally_gathers, wrap_kernel
 
 
 @pytest.fixture
@@ -54,9 +54,9 @@ def fused_word_reads(scheme, g, words, lam_start, lam_end):
     ``f`` fixed rows once, and each workload level's inner AND-table
     (``C(g-1-m, d)`` combinations of ``d`` rows) once — the flat scheme
     (``d == 0``) reads a thread's ``f`` rows once and nothing else.
-    Exact for the flat scan and for a nested scan of one thread per
-    tile; an upper bound for a nested tile that scores a run of levels
-    against its lowest level's table."""
+    Exact for the flat scan and for a nested scan split into one call
+    per level; an upper bound for a nested scan that scores a run of
+    levels against its first level's table."""
     if lam_end <= lam_start:
         return 0
     f, d = scheme.flattened, scheme.inner
@@ -157,18 +157,18 @@ class TestCounters:
         # The scan is the meter on the flat (d == 0) and nested paths
         # alike: word_ops = combos * (h-1) * w for every scheme covering
         # the same combinations, and word_reads is what the scan
-        # gathers.  With one thread per tile no tile crosses a level, so
-        # every level builds its tables once and word_reads is the fused
-        # model exactly.
+        # gathers.  Split into one call per level, no call crosses a
+        # level, so every level builds its tables once and word_reads is
+        # the fused model exactly.
         _, _, tumor, normal, params = instance
         w = tumor.n_words + normal.n_words
         combos = math.comb(14, 4)
         model = fused_word_reads(scheme, 14, w, 0, total_threads(scheme, 14))
         counters = KernelCounters()
-        with patch.object(engine_mod, "_TILE_ELEMENTS", 1):
+        for m in range(14):
             best_in_thread_range(
-                scheme, 14, tumor, normal, params,
-                0, total_threads(scheme, 14), counters=counters,
+                scheme, 14, tumor, normal, params, *level_range(scheme, m),
+                counters=counters,
             )
         assert counters.combos_scored == combos
         assert counters.word_reads == model
@@ -178,9 +178,9 @@ class TestCounters:
         "scheme", [Scheme(4, 0), SCHEME_3X1, SCHEME_2X2, Scheme(1, 3)]
     )
     def test_traffic_metered_as_gathered(self, instance, scheme, monkeypatch):
-        # At the default tile size a tile scores a run of levels against
-        # its lowest level's table, so it builds fewer tables than the
-        # model counts: word_reads is the gather tally, bounded by it.
+        # One call scores every level against its first level's table,
+        # so it builds fewer tables than the model counts: word_reads is
+        # the gather tally, bounded by it.
         _, _, tumor, normal, params = instance
         tally = tally_gathers(monkeypatch)
         counters = KernelCounters()
@@ -216,41 +216,39 @@ class TestCounters:
 class TestEnumeratedStrides:
     @pytest.mark.parametrize("hits", [3, 4])
     def test_inversions_scale_with_scans_not_strides(self, hits, monkeypatch):
-        # A scan inverts λ at its two ends, with the scalar top_index, and
-        # enumerates every tile in between — each tile's lowest level is
-        # read off the previous tile's last row — so the engine's
-        # inversions run twice per scan whatever G, while the tile count
-        # grows (tiles shrunk so that it must).  The array decoders are
-        # never on the scan's path.
-        calls = [0]
-        scalar = engine_mod.top_index
+        # A scan inverts λ once — its first thread, a one-row
+        # combinations_array — and makes one native call, which steps
+        # every later thread itself: whatever G, the engine inverts and
+        # calls the kernel once per scan, and counts one stride.  The
+        # array decoders are never on the scan's path.
+        inversions, calls = [], []
+        enumerate_ = engine_mod.combinations_array
 
-        def counting(lam, order):
-            assert isinstance(lam, int)
-            calls[0] += 1
-            return scalar(lam, order)
+        def counting(order, lo, hi):
+            if order == hits - 1:  # the thread tuples, not the inner table
+                inversions.append(hi - lo)
+            return enumerate_(order, lo, hi)
 
         def forbidden(*args):
             raise AssertionError("the scan called an array decoder")
 
-        monkeypatch.setattr(engine_mod, "top_index", counting)
+        monkeypatch.setattr(engine_mod, "combinations_array", counting)
         for name in ("combos_from_linear", "top_index_array"):
             monkeypatch.setattr(decode, name, forbidden)
             monkeypatch.setattr(engine_mod, name, forbidden)
-        monkeypatch.setattr(engine_mod, "_TILE_ELEMENTS", 64)
-        per_g = {}
+        wrap_kernel(monkeypatch, lambda name, args: calls.append(name))
         for g in (24, 40):
             rng = np.random.default_rng(g)
             tumor = rng.random((g, 120)) < 0.2
             normal = rng.random((g, 100)) < 0.1
-            calls[0] = 0
+            inversions.clear()
+            calls.clear()
             result = MultiHitSolver(hits=hits, max_iterations=3).solve(tumor, normal)
             scans = len(result.iterations)  # single backend, unpruned
             assert scans == 3
-            assert calls[0] == 2 * scans
-            per_g[g] = result.counters.decode_strides
-        # Same inversion count at both sizes; only the tile count followed G.
-        assert per_g[40] > per_g[24] > 2 * 3
+            assert inversions == [1] * scans
+            assert calls == ["scan_range"] * scans
+            assert result.counters.decode_strides == scans
 
     def test_flat_scheme_stride_follows_row_width(self, rng):
         # 13-word rows: a flat stride is sized by its gathered words like
@@ -284,9 +282,32 @@ class TestTieDeterminism:
 
 
 class TestTiledScan:
-    """The nested scan scores tiles that cross workload levels against
-    the inner table of their lowest level; nothing about that may show
-    in a winner, a tie, a count or a bound."""
+    """The nested scan scores every level of its range against the inner
+    table of its first level, in one native call; nothing about that, or
+    about where a range is split, may show in a winner, a tie, a count
+    or a bound."""
+
+    @pytest.mark.parametrize(
+        "scheme", [SCHEME_3X1, SCHEME_2X2, Scheme(1, 3), scheme_for(3, 2)]
+    )
+    @pytest.mark.parametrize("stored", [False, True], ids=["plain", "store"])
+    def test_one_native_call_per_unpruned_call(
+        self, instance, scheme, stored, monkeypatch
+    ):
+        _, _, tumor, normal, params = instance
+        calls = []
+        wrap_kernel(monkeypatch, lambda name, args: calls.append(name))
+        total = total_threads(scheme, 14)
+        ends = math.comb(14 - scheme.inner, scheme.flattened)  # inner loops end
+        store = NormalHitStore(scheme, 14, normal) if stored else None
+        # Whole, one thread, mid-level to mid-level, and past the last
+        # thread with an inner loop.
+        for lo, hi in ((0, total), (0, 1), (ends // 3, 2 * ends // 3), (ends // 2, total)):
+            calls.clear()
+            best_in_thread_range(
+                scheme, 14, tumor, normal, params, lo, hi, normal_hits=store
+            )
+            assert calls == ["scan_range"]
 
     @settings(
         max_examples=60, deadline=None,
@@ -315,14 +336,13 @@ class TestTiledScan:
         total = total_threads(scheme, g)
         cut = int(cut_at * total)
         counters = KernelCounters()
-        with patch.object(engine_mod, "_TILE_ELEMENTS", tile):
-            halves = [
-                best_in_thread_range(
+        # Each half split further into scans of ``tile`` entries.
+        got = None
+        for a, b in ((0, cut), (cut, total)):
+            for lo, hi in cuts(scheme, g, tumor, normal, a, b, tile):
+                got = better(got, best_in_thread_range(
                     scheme, g, tumor, normal, params, lo, hi, counters=counters
-                )
-                for lo, hi in ((0, cut), (cut, total))
-            ]
-        got = better(*halves)
+                ))
         ref = sequential_best_combo(t, n, hits, params)
         assert (got.genes, got.f, got.tp, got.tn) == (
             ref.genes, ref.f, ref.tp, ref.tn

@@ -1,14 +1,11 @@
 """Tests for the vectorized scoring kernels."""
 
 import itertools
-from contextlib import contextmanager
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 from repro.bitmatrix.matrix import BitMatrix
-from repro.core import tile
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import (
     DEFAULT_WORD_STRIDE,
@@ -19,20 +16,6 @@ from repro.core.kernels import (
     score_combos,
     score_combos_reference,
 )
-
-
-#: The two tile bodies, the native kernel and the numpy fallback
-#: (``tile.FALLBACK``); each must give the same answers.  Only the
-#: fallback calls ``fused_pair_popcount``, which has one body: it must
-#: not depend on which path the process is on.
-TILE_PATHS = ("native", "fallback")
-
-
-@contextmanager
-def tile_path(path: str):
-    """Score tiles on ``path``: the native kernel or the numpy fallback."""
-    with patch.object(tile, "FALLBACK", path == "fallback"):
-        yield
 
 
 def _words(rng, shape) -> np.ndarray:
@@ -105,9 +88,10 @@ class TestScoreCombos:
 
 
 class TestFusedKernels:
-    """The fused kernels (word-stride ``score_combos``, the fallback's
-    ``fused_pair_popcount``) must be bit-identical to the single-shot reference — popcounts are exact
-    integers, so any drift is a bug, not rounding."""
+    """The fused kernels (word-stride ``score_combos``, and
+    ``fused_pair_popcount``, which only the benchmark harness still names)
+    must be bit-identical to the single-shot reference — popcounts are
+    exact integers, so any drift is a bug, not rounding."""
 
     def _random_matrices(self, rng, n_genes, n_samples):
         t = rng.random((n_genes, n_samples)) < 0.35
@@ -145,22 +129,19 @@ class TestFusedKernels:
         assert got.dtype == np.int32
         np.testing.assert_array_equal(got, _pair_popcount(base, inner))
 
-    @pytest.mark.parametrize("path", TILE_PATHS)
     @pytest.mark.parametrize("shape", [
         (1, 5, 9), (13, 5, 1), (1, 1, 1), (0, 5, 9),
-        (300, 32, 200),  # a dense tile: every word live on the fallback
+        (300, 32, 200),  # a dense tile: every word live
     ])
-    def test_fused_pair_popcount_edge_shapes(self, shape, path):
+    def test_fused_pair_popcount_edge_shapes(self, shape):
         n_rows, n_words, n_cols = shape
         rng = np.random.default_rng(11)
         base = _words(rng, (n_rows, n_words))
         inner = _words(rng, (n_cols, n_words))
-        with tile_path(path):
-            got = fused_pair_popcount(base, np.ascontiguousarray(inner.T))
+        got = fused_pair_popcount(base, np.ascontiguousarray(inner.T))
         np.testing.assert_array_equal(got, _pair_popcount(base, inner))
 
-    @pytest.mark.parametrize("path", TILE_PATHS)
-    def test_fused_pair_popcount_skips_zero_words(self, path):
+    def test_fused_pair_popcount_skips_zero_words(self):
         # Zero base columns, a zero base row, a zero inner row and an
         # all-zero base: a skipped word adds 0 to every count.
         rng = np.random.default_rng(5)
@@ -170,28 +151,25 @@ class TestFusedKernels:
         inner = _words(rng, (6, 5))
         inner[2] = 0
         inner_w = np.ascontiguousarray(inner.T)
-        with tile_path(path):
-            got = fused_pair_popcount(base, inner_w)
-            zero = fused_pair_popcount(np.zeros_like(base), inner_w)
+        got = fused_pair_popcount(base, inner_w)
+        zero = fused_pair_popcount(np.zeros_like(base), inner_w)
         np.testing.assert_array_equal(got, _pair_popcount(base, inner))
         assert not got[6].any() and not got[:, 2].any()
         assert not zero.any()
 
-    @pytest.mark.parametrize("path", TILE_PATHS)
-    def test_fused_pair_popcount_rejects_what_it_cannot_read(self, path):
+    def test_fused_pair_popcount_rejects_what_it_cannot_read(self):
         rng = np.random.default_rng(3)
         base = _words(rng, (4, 6))
         inner_w = _words(rng, (6, 5))
-        with tile_path(path):
-            for bad in (
-                (base[:, ::2], inner_w[:3]),  # a strided base
-                (base, np.asfortranarray(inner_w)),
-                (base.view(np.int64), inner_w),
-            ):
-                with pytest.raises(ValueError, match="C-contiguous uint64"):
-                    fused_pair_popcount(*bad)
-            with pytest.raises(ValueError, match="words"):
-                fused_pair_popcount(base, inner_w[:5])
+        for bad in (
+            (base[:, ::2], inner_w[:3]),  # a strided base
+            (base, np.asfortranarray(inner_w)),
+            (base.view(np.int64), inner_w),
+        ):
+            with pytest.raises(ValueError, match="C-contiguous uint64"):
+                fused_pair_popcount(*bad)
+        with pytest.raises(ValueError, match="words"):
+            fused_pair_popcount(base, inner_w[:5])
 
 
 class TestBestOf:

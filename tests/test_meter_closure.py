@@ -6,15 +6,16 @@ call of its thread fleet, pinned and elastic) x ``prune`` x ``sparse``.
 
 Pruned or not, the scan meters what it gathers: ``word_reads`` equals a
 tally of every row gather of the solve, iteration by iteration, on
-either tile body (:func:`tally_gathers`).  What
+every native call (:func:`tally_gathers`).  What
 it gathers — unlike ``combos_scored`` and the winners, which nothing
 can move — depends on where the backend cuts the grid (each call
-builds its own inner tables) and, unpruned, on which normal hits the
+builds its own inner table) and, unpruned, on which normal hits the
 engine's store already holds.  The hits-4 cells (the paper's 3x1 scheme and the 2x2 one,
 whose valid inner columns are not a suffix) run single and on the
 fleet's shared store.
 """
 
+import ctypes
 import threading
 from unittest.mock import patch
 
@@ -56,23 +57,45 @@ class _Tally:
             self.value += words
 
 
+#: The kernel's winner buffer among its arguments (after tumor, width,
+#: normal, width, inner, columns, d, both tables and scratch) and, in it,
+#: the words the call's fixed-row gathers read (``_tile.c``).
+WIN, W_READ = 10, 3
+
+
+def wrap_kernel(monkeypatch, after) -> None:
+    """Route every native call through ``after(name, args)``, called
+    once the call returns."""
+    lib = tile.kernel()
+
+    class Wrapped:
+        def __getattr__(self, name):
+            fn = getattr(lib, name)
+
+            def call(*args):
+                n_valid = fn(*args)
+                after(name, args)
+                return n_valid
+
+            return call
+
+    monkeypatch.setattr(tile, "kernel", Wrapped)
+
+
 def tally_gathers(monkeypatch, ours=None) -> _Tally:
     """Words every row gather of a scan touches, summed over every thread
     that scans for it.
 
-    Python gathers rows in ``engine._and_reduce_rows`` (inner tables, the
-    pruned ceiling pass, the numpy tile body's base rows) and
-    ``kernels._fused_and_popcount`` (the flat scheme).  The native tile
-    gathers its base rows itself and reports the words those gathers
-    read in its winner buffer (``level.win[4]``), so those are tallied
-    after each ``engine._score_tile`` from the kernel's own count, not
-    from the engine's charge.  With ``ours`` (a list of matrices, which
-    the caller may extend), only gathers from those count."""
+    Python gathers rows in ``engine._and_reduce_rows`` (inner tables and
+    the pruned ceiling pass) and ``kernels._fused_and_popcount`` (the
+    flat scheme).  The native kernel gathers the threads' fixed rows
+    itself and reports the words those gathers read in its winner
+    buffer, so those are tallied after each native call from the
+    kernel's own count, not from the engine's charge.  With ``ours`` (a
+    list of matrices, which the caller may extend), only gathers from
+    those count."""
     tally = _Tally()
-    gather, flat, score = (
-        engine_mod._and_reduce_rows, kernels_mod._fused_and_popcount,
-        engine_mod._score_tile,
-    )
+    gather, flat = engine_mod._and_reduce_rows, kernels_mod._fused_and_popcount
 
     def counts(words):
         return ours is None or any(words is m.words for m in ours)
@@ -87,15 +110,13 @@ def tally_gathers(monkeypatch, ours=None) -> _Tally:
             tally.add(combos.size * words.shape[1])
         return flat(words, combos, word_stride)
 
-    def scored(scheme, tuples, level, tumor, normal, *args, **kwargs):
-        out = score(scheme, tuples, level, tumor, normal, *args, **kwargs)
-        if tile.kernel() is not None and counts(tumor.words):
-            tally.add(int(level.win[4]))
-        return out
+    def native(name, args):  # args[0]: the tumor matrix's address
+        if ours is None or any(args[0] == m.words.ctypes.data for m in ours):
+            tally.add(ctypes.c_int64.from_address(args[WIN] + 8 * W_READ).value)
 
     monkeypatch.setattr(engine_mod, "_and_reduce_rows", counted)
     monkeypatch.setattr(kernels_mod, "_fused_and_popcount", counted_flat)
-    monkeypatch.setattr(engine_mod, "_score_tile", scored)
+    wrap_kernel(monkeypatch, native)
     return tally
 
 

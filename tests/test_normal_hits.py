@@ -8,6 +8,7 @@ part of the grid.  Whether a rank thread finds a range stored depends on
 scheduling; the answers must not.
 """
 
+import contextlib
 import dataclasses
 import math
 import threading
@@ -26,10 +27,12 @@ from repro.core.engine import NormalHitStore, SingleGpuEngine, best_in_thread_ra
 from repro.core.fscore import FScoreParams
 from repro.core.memopt import MemoryConfig
 from repro.core.pool import PoolEngine
+from repro.core.sequential import sequential_solve
 from repro.core.solver import MultiHitSolver
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, scheme_for
 from repro.scheduling.workload import total_threads
+from tests.scan_cuts import scans_cut
 from tests.test_distributed import DRIVERS
 
 ITERATIONS = 4
@@ -83,12 +86,14 @@ def _outcome(result):
     )
 
 
-def _solve(knobs, driver="engine", budget=None, resume=None, tile=None):
+def _solve(knobs, driver="engine", budget=None, resume=None, cut=None):
+    """A solve; ``cut``: every unpruned scan split at that many entries
+    (:func:`tests.scan_cuts.scans_cut`)."""
     if budget is None:
         budget = engine_mod.NORMAL_HIT_BUDGET
     with patch.dict(solver_module._ENGINES, distributed=DRIVERS[driver]), \
             patch.object(engine_mod, "NORMAL_HIT_BUDGET", budget), \
-            patch.object(engine_mod, "_TILE_ELEMENTS", tile or engine_mod._TILE_ELEMENTS):
+            scans_cut(cut) if cut else contextlib.nullcontext():
         return MultiHitSolver(max_iterations=ITERATIONS, **knobs).solve(
             *_cohort(), resume=resume
         )
@@ -147,18 +152,19 @@ class TestBitIdentity:
         "backend", ["single", "distributed-elastic", "pool-2"]
     )
     def test_budget_covering_part_of_the_grid(self, backend):
-        """Half the grid's 1-byte counts (Nn = 130), in small tiles so
-        some lie below the cap: those are stored, the rest rescored."""
+        """Half the grid's 1-byte counts (Nn = 130), in small scans so
+        some lie below the cap, one across it: those below are stored,
+        the rest rescored."""
         knobs, driver = BACKENDS[backend]
         budget, scheme = math.comb(14, 3) // 2, scheme_for(3, 2)
         with patch.object(engine_mod, "NORMAL_HIT_BUDGET", budget):
             store = NormalHitStore(scheme, 14, BitMatrix.from_dense(_cohort()[1]))
         assert 0 < store.lam_cap < total_threads(scheme, 14)
-        got = _solve({**knobs, "hits": 3}, driver, budget=budget, tile=64)
+        got = _solve({**knobs, "hits": 3}, driver, budget=budget, cut=64)
         assert _outcome(got) == _outcome(_reference("hits3"))
         if backend == "single":
-            off = _solve({"hits": 3}, budget=0, tile=64)
-            full = _solve({"hits": 3}, tile=64)
+            off = _solve({"hits": 3}, budget=0, cut=64)
+            full = _solve({"hits": 3}, cut=64)
             second = [r.iterations[1].word_reads for r in (full, got, off)]
             assert second == sorted(set(second))  # strictly between
 
@@ -170,18 +176,17 @@ class TestNormalSidePopcounts:
         """Normal rows gathered per iteration, read off ``word_reads``.
 
         The normal matrix is 5 words wide, wider than the tumor's 2, so
-        every iteration cuts the same tiles and gathers the same ``R``
-        tumor rows (base rows and inner tables): iteration ``k`` reads
-        ``w_k * R + 5 * N_k`` words, ``w_k`` the tumor width it scanned
-        and ``N_k`` the normal rows.  The first finds the store empty
-        and gathers every tile's normal side: ``N_1 = R``."""
+        every iteration cuts its scan into the same pieces
+        (:func:`tests.scan_cuts.cuts`) and gathers the same ``R`` tumor
+        rows (base rows and one inner table per piece): iteration ``k``
+        reads ``w_k * R + 5 * N_k`` words, ``w_k`` the tumor width it
+        scanned and ``N_k`` the normal rows.  The first finds the store
+        empty and gathers every piece's normal side: ``N_1 = R``."""
         rng = np.random.default_rng(4)
         t = rng.random((16, 120)) < 0.35
         n = rng.random((16, 300)) < 0.2
-        patches = {"_TILE_ELEMENTS": 64}
-        if budget is not None:
-            patches["NORMAL_HIT_BUDGET"] = budget
-        with patch.multiple(engine_mod, **patches):
+        budget = engine_mod.NORMAL_HIT_BUDGET if budget is None else budget
+        with patch.object(engine_mod, "NORMAL_HIT_BUDGET", budget), scans_cut(64):
             result = MultiHitSolver(hits=3, max_iterations=4).solve(t, n)
         records = result.iterations
         assert len(records) == 4
@@ -377,7 +382,7 @@ class TestDuplicatedScans:
                 scheme, 14, tumor, normal, params, 0, total, normal_hits=shared
             ))
 
-        with patch.object(engine_mod, "_TILE_ELEMENTS", 64):  # many tiles
+        with scans_cut(64):  # many scans, each filling part of the store
             threads = [threading.Thread(target=scan) for _ in range(4)]
             for th in threads:
                 th.start()
@@ -391,6 +396,28 @@ class TestDuplicatedScans:
         np.testing.assert_array_equal(shared.counts, alone.counts)
         reference = best_in_thread_range(scheme, 14, tumor, normal, params, 0, total)
         assert winners == [reference] * 4
+
+    def test_two_rank_threads_share_one_store(self):
+        """Two rank threads of ``distributed`` scan their leases against
+        the engine's one store, one native call per lease: the first
+        iteration fills it, the second reads it, and both match the
+        oracle bit for bit."""
+        t, n = _cohort()
+        engine = DistributedEngine(
+            scheme=scheme_for(3, 2), n_nodes=2, gpus_per_node=1, elastic=True,
+        )
+        with patch.dict(solver_module._ENGINES, distributed=lambda solver: engine):
+            got = MultiHitSolver(
+                hits=3, backend="distributed", n_nodes=2, gpus_per_node=1,
+                elastic=True, max_iterations=2,
+            ).solve(t, n)
+        want = sequential_solve(t, n, 3, max_iterations=2)
+        assert [(c.genes, c.f, c.tp, c.tn) for c in got.combinations] == [
+            (c.genes, c.f, c.tp, c.tn) for c in want
+        ]
+        assert [r.combos_scored for r in got.iterations] == [math.comb(14, 3)] * 2
+        assert got.counters.combos_scored == 2 * math.comb(14, 3)
+        assert engine._normal_hits.filled.all()
 
     def test_stolen_lease_leaves_winners_unchanged(self):
         """A hung rank's lease expires and is stolen; the rank resurfaces

@@ -1,11 +1,13 @@
-"""The tile epilogue: valid entries scored once, in combination-rank order.
+"""The kernel's epilogue: valid entries scored once, in combination-rank order.
 
-``engine._score_tile`` drops the entries of a tile that belong to no
-thread, forms Equation 1's numerator over the rest and divides only its
-maximum.  These tests hold it to a 2-D reference built from
-``score_combos_reference`` over the tile's valid combinations, and hold
-every backend to the sequential oracle on a cohort whose two best
-combinations tie in F but not in the numerator.
+Both native entry points — ``scan_range`` (an unpruned range, through
+``engine.best_in_thread_range``) and ``tile_score`` (a pruned batch,
+through ``engine._score_tile``) — drop the entries of their table that
+belong to no thread, form Equation 1's numerator over the rest and
+divide only its maximum.  These tests hold both to a 2-D reference
+built from ``score_combos_reference`` over the range's valid
+combinations, and hold every backend to the sequential oracle on a
+cohort whose two best combinations tie in F but not in the numerator.
 """
 
 import math
@@ -22,14 +24,13 @@ from repro.bitmatrix.matrix import BitMatrix
 from repro.combinatorics.decode import combos_from_linear
 from repro.combinatorics.enumeration import combinations_array
 from repro.core.combination import MultiHitCombination
-from repro.core.engine import NormalHitStore, _Level, _score_tile
+from repro.core.engine import NormalHitStore, _score_tile, _Table, best_in_thread_range
 from repro.core.fscore import FScoreParams, fscore, numerator
 from repro.core.kernels import KernelCounters, best_of, score_combos_reference
 from repro.core.sequential import sequential_best_combo, sequential_solve
 from repro.core.solver import MultiHitSolver
 from repro.scheduling.schemes import SCHEME_1X1, SCHEME_2X1, SCHEME_2X2, SCHEME_3X1
 from repro.scheduling.workload import cumulative_work_before
-from tests.test_kernels import TILE_PATHS, tile_path
 
 
 def _tie_cohort():
@@ -82,13 +83,18 @@ class TestTieOnF:
 SCHEMES = {"2x1": SCHEME_2X1, "3x1": SCHEME_3X1, "2x2": SCHEME_2X2}
 
 
-def _reference(tuples, level, tumor, normal, params):
+def _table(scheme, g, tuples, tumor, normal):
+    """The inner table of the tile's lowest level, as its scan builds."""
+    return _Table(scheme, g, int(tuples[0, -1]), tumor, normal, KernelCounters())
+
+
+def _reference(tuples, table, tumor, normal, params):
     """``(B, L)`` F with ``-inf`` off the valid entries, and the valid
     combinations with their scores in row-major order."""
-    rows, cols = np.nonzero(level.inner[:, 0] > tuples[:, -1][:, None])
-    combos = np.concatenate([tuples[rows], level.inner[cols]], axis=1)
+    rows, cols = np.nonzero(table.inner[:, 0] > tuples[:, -1][:, None])
+    combos = np.concatenate([tuples[rows], table.inner[cols]], axis=1)
     f, tp, tn = score_combos_reference(tumor, normal, combos, params)
-    grid = np.full((len(tuples), len(level.inner)), -np.inf)
+    grid = np.full((len(tuples), len(table.inner)), -np.inf)
     grid[rows, cols] = f
     return grid, combos, f, tp, tn
 
@@ -134,12 +140,10 @@ def _incumbent(draw, grid, tp, params):
     return None if f is None else MultiHitCombination(genes=(0, 1), f=float(f))
 
 
-def _check(got, grid, combos, f, tp, tn, best, thread_max):
+def _check(got, grid, combos, f, tp, tn, best):
     lam_max, cand = got
-    if thread_max:
+    if lam_max is not None:  # a scan reports no per-thread maxima
         np.testing.assert_array_equal(lam_max, grid.max(axis=1))
-    else:
-        assert lam_max is None
     if best is not None and grid.max() < best.f:
         assert cand is None
     else:
@@ -155,54 +159,52 @@ def _check(got, grid, combos, f, tp, tn, best, thread_max):
 @pytest.mark.parametrize("shape", ["inside", "cross"])
 @pytest.mark.parametrize("scheme_id", SCHEMES)
 def test_score_tile_matches_the_2d_reference(scheme_id, shape, store, data):
+    """The threads ``[lam, hi)`` as a pruned batch against an incumbent,
+    and as an unpruned scan with the store empty, full, or capped inside
+    the range."""
     scheme = SCHEMES[scheme_id]
-    # A straddled cap lies strictly inside the tile: two threads at least.
+    # A straddled cap lies strictly inside the range: two threads at least.
     g, lam, hi, tumor, normal, params = data.draw(
         tiles(scheme, shape, 2 if store == "straddle" else 1)
     )
     tuples = combinations_array(scheme.flattened, lam, hi)
-    level = _Level(scheme, g, int(tuples[0, -1]), tumor, KernelCounters())
-    grid, combos, f, tp, tn = _reference(tuples, level, tumor, normal, params)
+    table = _table(scheme, g, tuples, tumor, normal)
+    grid, combos, f, tp, tn = _reference(tuples, table, tumor, normal, params)
     best = _incumbent(data.draw, grid, tp, params)
-    thread_max = data.draw(st.booleans())
+    got = _score_tile(scheme, tuples, table, params, best, KernelCounters())
+    _check(got, grid, combos, f, tp, tn, best)
 
-    for path in TILE_PATHS:  # a fresh level, store and counters on each
-        counters = KernelCounters()
-        level = _Level(scheme, g, level.m, tumor, counters)
-        with tile_path(path):
-            hits = None
-            if store != "none":
-                itemsize = np.min_scalar_type(normal.n_samples).itemsize
-                budget = engine_mod.NORMAL_HIT_BUDGET
-                if store == "straddle":
-                    budget = itemsize * cumulative_work_before(scheme, g, lam + 1)
-                with patch.object(engine_mod, "NORMAL_HIT_BUDGET", budget):
-                    hits = NormalHitStore(scheme, g, normal)
-                if store == "straddle":
-                    assert lam < hits.lam_cap < hi
-                if store == "hit":
-                    _score_tile(
-                        scheme, tuples, level, tumor, normal, params, None,
-                        KernelCounters(), (hits, lam),
-                    )
-                    assert hits.read(lam, hi) is not None
-
-            got = _score_tile(
-                scheme, tuples, level, tumor, normal, params, best, counters,
-                None if hits is None else (hits, lam), thread_max=thread_max,
+    hits = None
+    if store != "none":
+        itemsize = np.min_scalar_type(normal.n_samples).itemsize
+        budget = engine_mod.NORMAL_HIT_BUDGET
+        if store == "straddle":
+            budget = itemsize * cumulative_work_before(scheme, g, lam + 1)
+        with patch.object(engine_mod, "NORMAL_HIT_BUDGET", budget):
+            hits = NormalHitStore(scheme, g, normal)
+        if store == "straddle":
+            assert lam < hits.lam_cap < hi
+        if store == "hit":
+            best_in_thread_range(
+                scheme, g, tumor, normal, params, lam, hi, normal_hits=hits
             )
-            _check(got, grid, combos, f, tp, tn, best, thread_max)
-            assert counters.combos_scored == len(combos)
-            if store == "hit":  # the tumor side alone: the level's table, the base rows
-                assert counters.word_reads == tumor.n_words * (
-                    level.inner.size + tuples.size
-                )
-            if store in ("miss", "hit"):  # the stored counts are the valid entries'
-                np.testing.assert_array_equal(
-                    hits.read(lam, hi), params.n_normal - tn
-                )
-            if store == "straddle":
-                assert not hits.filled[lam:].any()
+            assert hits.read(lam, hi) is not None
+    counters = KernelCounters()
+    cand = best_in_thread_range(
+        scheme, g, tumor, normal, params, lam, hi, counters, normal_hits=hits
+    )
+    _check((None, cand), grid, combos, f, tp, tn, None)
+    assert counters.combos_scored == len(combos)
+    if store == "hit":  # the tumor side alone: the range's table, the base rows
+        assert counters.word_reads == tumor.n_words * (
+            table.inner.size + tuples.size
+        )
+    if store in ("miss", "hit"):  # the stored counts are the valid entries'
+        np.testing.assert_array_equal(hits.read(lam, hi), params.n_normal - tn)
+    if store == "straddle":  # the threads below the cap filled, in rank order
+        assert hits.filled[lam:].all()
+        below = hits.counts[cumulative_work_before(scheme, g, lam):]
+        np.testing.assert_array_equal(below, (params.n_normal - tn)[: len(below)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,16 +219,11 @@ def test_pruned_batches_match_the_2d_reference(scheme_id, data):
         st.sets(st.integers(lam + 1, hi - 1), max_size=hi - lam - 1)
     ) | {lam})
     tuples = combos_from_linear(np.asarray(picked), scheme.flattened)
-    level = _Level(scheme, g, int(tuples[0, -1]), tumor, KernelCounters())
-    grid, combos, f, tp, tn = _reference(tuples, level, tumor, normal, params)
+    table = _table(scheme, g, tuples, tumor, normal)
+    grid, combos, f, tp, tn = _reference(tuples, table, tumor, normal, params)
     best = _incumbent(data.draw, grid, tp, params)
-    for path in TILE_PATHS:
-        with tile_path(path):
-            got = _score_tile(
-                scheme, tuples, level, tumor, normal, params, best,
-                KernelCounters(), thread_max=True,
-            )
-        _check(got, grid, combos, f, tp, tn, best, thread_max=True)
+    got = _score_tile(scheme, tuples, table, params, best, KernelCounters())
+    _check(got, grid, combos, f, tp, tn, best)
 
 
 @settings(max_examples=40, deadline=None)
@@ -243,16 +240,13 @@ def test_score_tile_at_a_non_default_alpha(scheme_id, alpha, shape, data):
     g, lam, hi, tumor, normal, params = data.draw(tiles(scheme, shape))
     params = FScoreParams(params.n_tumor, params.n_normal, alpha)
     tuples = combinations_array(scheme.flattened, lam, hi)
-    level = _Level(scheme, g, int(tuples[0, -1]), tumor, KernelCounters())
-    grid, combos, f, tp, tn = _reference(tuples, level, tumor, normal, params)
-    for path in TILE_PATHS:
-        with tile_path(path):
-            got = _score_tile(
-                scheme, tuples, level, tumor, normal, params, None,
-                KernelCounters(), thread_max=True,
-            )
-        _check(got, grid, combos, f, tp, tn, None, thread_max=True)
-        assert got[0].tobytes() == grid.max(axis=1).tobytes()
+    table = _table(scheme, g, tuples, tumor, normal)
+    grid, combos, f, tp, tn = _reference(tuples, table, tumor, normal, params)
+    got = _score_tile(scheme, tuples, table, params, None, KernelCounters())
+    _check(got, grid, combos, f, tp, tn, None)
+    assert got[0].tobytes() == grid.max(axis=1).tobytes()
+    cand = best_in_thread_range(scheme, g, tumor, normal, params, lam, hi)
+    _check((None, cand), grid, combos, f, tp, tn, None)
 
 
 # -- the native tile's rounding and edges ------------------------------------
@@ -269,23 +263,23 @@ class TestNativeRounding:
         assert float(Fraction(37) * Fraction(0.1) + 7) == 10.700000000000001
         assert 10.7 / params.denominator != 10.700000000000001 / params.denominator
 
-    @pytest.mark.parametrize("path", TILE_PATHS)
-    def test_tp_37_tn_7_at_alpha_0_1(self, path):
+    def test_tp_37_tn_7_at_alpha_0_1(self):
         tumor = np.zeros((3, 40), dtype=bool)
         tumor[[0, 1], :37] = True
         normal = np.zeros((3, 10), dtype=bool)
         normal[[0, 1], :3] = True
         t, n = BitMatrix.from_dense(tumor), BitMatrix.from_dense(normal)
         params = FScoreParams(n_tumor=40, n_normal=10, alpha=0.1)
-        level = _Level(SCHEME_1X1, 3, 0, t, KernelCounters())
-        with tile_path(path):
-            lam_max, cand = _score_tile(
-                SCHEME_1X1, combinations_array(1, 0, 2), level, t, n, params,
-                None, KernelCounters(), thread_max=True,
-            )
+        tuples = combinations_array(1, 0, 2)
+        table = _table(SCHEME_1X1, 3, tuples, t, n)
+        lam_max, cand = _score_tile(
+            SCHEME_1X1, tuples, table, params, None, KernelCounters()
+        )
+        scanned = best_in_thread_range(SCHEME_1X1, 3, t, n, params, 0, 2)
         want = np.float64(fscore(37, 7, params)).tobytes()
-        assert (cand.genes, cand.tp, cand.tn) == ((0, 1), 37, 7)
-        assert np.float64(cand.f).tobytes() == want
+        for c in (cand, scanned):  # the pruned batch, the unpruned scan
+            assert (c.genes, c.tp, c.tn) == ((0, 1), 37, 7)
+            assert np.float64(c.f).tobytes() == want
         assert lam_max[0].tobytes() == want
 
 

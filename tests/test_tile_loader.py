@@ -1,18 +1,19 @@
-"""The native tile kernel's loader, and solves on both tile paths.
+"""The native kernel's loader, and solves on both of its paths.
 
 ``repro.core.tile`` builds ``_tile.c`` once per cache key into the cache
-directory, loads it once per process and falls back to numpy, with one
-warning, whenever it cannot.  Whichever path scores the tiles, a solve
-must not change: popcounts are integers.
+directory, loads it once per process and raises one error, naming the
+compiler, the flags and the cache directory, whenever it cannot: there
+is no other scoring body.  Whichever native path scores a solve — the
+unpruned scan or the pruned batches — it must give the oracle's answer.
 """
 
 import dataclasses
+import math
 import os
 import shutil
 import subprocess
 import threading
 import time
-import warnings
 from pathlib import Path
 from unittest.mock import patch
 
@@ -24,11 +25,11 @@ from repro.bitmatrix.matrix import BitMatrix
 from repro.core import tile
 from repro.core.engine import best_in_thread_range
 from repro.core.fscore import FScoreParams
-from repro.core.sequential import sequential_best_combo
+from repro.core.sequential import sequential_best_combo, sequential_solve
+from repro.core.solver import MultiHitSolver
 from repro.scheduling.schemes import scheme_for
 from repro.scheduling.workload import total_threads
-from tests.test_kernels import TILE_PATHS, tile_path
-from tests.test_normal_hits import BACKENDS, _solve
+from tests.test_normal_hits import BACKENDS, ITERATIONS, _cohort, _solve
 
 needs_compiler = pytest.mark.skipif(
     shutil.which(tile.COMPILER) is None, reason="no C compiler on this host"
@@ -40,8 +41,6 @@ def unloaded(monkeypatch, tmp_path) -> Path:
     """A process that has not loaded the kernel yet, with an empty cache
     directory under ``tmp_path``; returns that directory."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(tile, "FALLBACK", False)
-    monkeypatch.setattr(tile, "_loaded", False)
     monkeypatch.setattr(tile, "_kernel", None)
     return tmp_path / "repro"
 
@@ -60,7 +59,7 @@ def _instance():
 
 
 def _scan():
-    """The winner of a whole-grid scan, every tile through ``_score_tile``."""
+    """The winner of a whole-grid scan, one native call."""
     t, n = _instance()
     params, scheme = FScoreParams(n_tumor=70, n_normal=50), scheme_for(3, 2)
     best = best_in_thread_range(
@@ -89,7 +88,6 @@ class TestLoader:
     @needs_compiler
     def test_a_hit_starts_no_subprocess(self, unloaded, monkeypatch):
         tile.kernel()  # the miss: builds the library
-        monkeypatch.setattr(tile, "_loaded", False)
         monkeypatch.setattr(tile, "_kernel", None)
 
         def no_process(*args, **kwargs):
@@ -122,16 +120,19 @@ class TestLoader:
         assert len(loads) == 1
         assert got[0] is got[1] is not None
 
-    def test_a_broken_compiler_falls_back_with_one_warning(
-        self, unloaded, monkeypatch
-    ):
-        monkeypatch.setattr(tile, "COMPILER", str(unloaded / "no-such-compiler"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = [_scan() for _ in range(3)]
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert tile.kernel() is None
-        assert got == [_oracle()] * 3
+    def test_a_broken_compiler_raises_one_error(self, unloaded, monkeypatch):
+        broken = str(unloaded / "no-such-compiler")
+        monkeypatch.setattr(tile, "COMPILER", broken)
+        t, n = _instance()
+        for _ in range(2):  # the next solve tries again, and fails the same
+            with pytest.raises(RuntimeError) as caught:
+                MultiHitSolver(hits=3, backend="distributed", n_nodes=2).solve(t, n)
+            text = str(caught.value)
+            assert broken in text and " ".join(tile.FLAGS) in text
+            assert str(unloaded) in text
+        assert tile._kernel is None
+        monkeypatch.setattr(tile, "COMPILER", "gcc")
+        assert _scan() == _oracle()  # a working compiler loads it
 
 
 def _record(result):
@@ -149,9 +150,23 @@ def _record(result):
 @pytest.mark.parametrize("prune", [False, True])
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_a_solve_is_the_same_on_both_tile_paths(backend, prune):
+    """The kernel's two paths — ``scan_range`` unpruned, ``tile_score``
+    pruned — give every backend the oracle's winners, bit for bit, and
+    account for the whole grid every iteration: unpruned, each scores it
+    all, as the oracle does, with ``single``'s records but
+    ``word_reads``; pruned, what it scores and what it prunes add up to
+    it (how much is pruned depends on the backend's cuts)."""
     knobs, driver = BACKENDS[backend]
-    got = []
-    for path in TILE_PATHS:
-        with tile_path(path):
-            got.append(_record(_solve({**knobs, "hits": 3, "prune": prune}, driver)))
-    assert got[0] == got[1]
+    got = _solve({**knobs, "hits": 3, "prune": prune}, driver)
+    want = sequential_solve(*_cohort(), 3, max_iterations=ITERATIONS)
+    assert _record(got)[0] == [(c.genes, c.f, c.tp, c.tn) for c in want]
+    grid = [math.comb(14, 3)] * len(want)
+    assert [r.combos_scored + r.combos_pruned for r in got.iterations] == grid
+    if not prune:
+        def records(result):
+            return [
+                {k: v for k, v in r.items() if k != "word_reads"}
+                for r in _record(result)[2]
+            ]
+
+        assert records(got) == records(_solve({"hits": 3}))
