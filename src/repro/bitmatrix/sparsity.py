@@ -3,14 +3,15 @@
 Real mutation matrices are extremely sparse (a few percent of samples
 mutated per gene), and BitSplicing makes the late-iteration tumor matrix
 sparser still.  A :class:`SparsityIndex` summarizes a
-:class:`~repro.bitmatrix.matrix.BitMatrix` for the sparsity-driven
-scoring path: per-row popcounts plus a per-row boolean mask of which
-``word_stride``-word slices contain any set bit.
+:class:`~repro.bitmatrix.matrix.BitMatrix`: per-row popcounts plus a
+per-row boolean mask of which ``word_stride``-word slices contain any
+set bit.  No scan reads it (the native kernel skips zero words itself);
+the benchmark harness reports its ``nonzero_fraction`` and times
+:meth:`SparsityIndex.build`.
 
-The stride mask enables an *exact* skip: the AND of several rows is zero
+The stride mask proves an *exact* skip: the AND of several rows is zero
 on every stride where any participating row's mask bit is clear, and an
-all-zero stride contributes 0 to every popcount.  Skipping it changes
-traffic, never results.
+all-zero stride contributes 0 to every popcount.
 
 The index is derived data.  Because :class:`BitMatrix` is frozen and
 BitSplicing column compaction always produces a *new* matrix, a cached

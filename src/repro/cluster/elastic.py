@@ -333,7 +333,6 @@ def spmd_best_combo(
     counters: "KernelCounters | None" = None,
     reduction_stats: "ReductionStats | None" = None,
     bounds: "BoundTable | None" = None,
-    sparse: bool = False,
     max_wall_s: "float | None" = 120.0,
     call: int = 0,
     normal_hits: "NormalHitStore | None" = None,
@@ -357,7 +356,7 @@ def spmd_best_combo(
     refreshed: dict = {}
     search = partial(
         search_lease, scheme, tumor=tumor, normal=normal, params=params,
-        bounds=bounds, refreshed=refreshed, sparse=sparse, call=call,
+        bounds=bounds, refreshed=refreshed, call=call,
         normal_hits=normal_hits,
     )
     ElasticSPMDRunner(

@@ -69,7 +69,6 @@ def search_lease(
     params: FScoreParams,
     bounds: "BoundTable | None" = None,
     refreshed: "dict | None" = None,
-    sparse: bool = False,
     call: int = 0,
     stall_s: float = 0.0,
     normal_hits: "NormalHitStore | None" = None,
@@ -113,7 +112,6 @@ def search_lease(
             scheme, tumor.n_genes, tumor, normal, params, lo, hi,
             counters=counters,
             bounds=lease_bounds,
-            sparse=sparse,
             normal_hits=normal_hits,
         )
     if lease_bounds is not None:
@@ -227,7 +225,6 @@ class FleetEngine:
     fault_plan: "FaultPlan | None" = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     elastic: bool = False
-    sparse: bool = False
     report: FaultReport = field(
         default_factory=FaultReport, repr=False, compare=False
     )
@@ -280,7 +277,7 @@ class FleetEngine:
             fault_plan=self.fault_plan, retry_policy=self.retry_policy,
             report=self.report, counters=counters,
             reduction_stats=reduction_stats, bounds=bounds,
-            sparse=self.sparse, max_wall_s=None, call=call,
+            max_wall_s=None, call=call,
             normal_hits=None if bounds is not None else self._normal_hits,
         )
         return best, ledger

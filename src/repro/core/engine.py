@@ -26,10 +26,8 @@ F, since division can merge different numerators: only a thread whose
 F can tie or beat the running best is rescanned, and the lexicographic
 rule compares the thread tuple, then the inner tuple.  Python keeps the
 counters and building the winner.  There is no other body: a C compiler
-is required.
-
-``sparse`` selects nothing on this nested path (it still selects the
-flat scheme's :func:`repro.core.kernels.score_combos` body).
+is required, and a flat scheme (``inner == 0``, no inner loop) is
+refused — the paper implements only nested schemes.
 
 Normal hits are computed once per solve.  Equation 1's ``TN`` depends
 only on the normal matrix, which no greedy iteration changes (BitSplicing
@@ -53,12 +51,11 @@ Counters: ``combos_scored`` and ``word_ops`` count the valid entries
 (``word_ops`` at its dense definition, ``(hits - 1)`` row ANDs per
 combination); ``decode_strides`` counts scan calls (unpruned) or
 batches (pruned) and ``inner_tables_built`` the inner tables built, one
-per call.  ``word_reads`` is what the scan gathers, on every nested
+per call.  ``word_reads`` is what the scan gathers, on either
 path: ``f`` rows per thread and ``d`` rows per inner combination of
 each table built, from each matrix it gathers from, so a thread whose
 normal hits are stored charges only tumor rows.  The unpruned charge
 is derived from the thread and store-hit counts the kernel reports.
-``word_reads_skipped`` stays 0.
 
 When a :class:`repro.core.bounds.BoundTable` is supplied the engine runs
 an exact branch and bound instead (:func:`_best_pruned`): every thread
@@ -90,13 +87,13 @@ from repro.combinatorics.decode import combos_from_linear
 # (benchmarks/perf/trace.py) patches them by these names.
 from repro.bitmatrix.sparsity import stride_any_mask  # noqa: F401
 from repro.combinatorics.decode import top_index_array  # noqa: F401
-from repro.core.kernels import fused_pair_popcount  # noqa: F401
+from repro.core.kernels import best_of, fused_pair_popcount, score_combos  # noqa: F401
 from repro.combinatorics.enumeration import combinations_array
 from repro.core import tile
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination, better
 from repro.core.fscore import FScoreParams, fscore
-from repro.core.kernels import KernelCounters, best_of, score_combos
+from repro.core.kernels import KernelCounters
 from repro.scheduling.schemes import Scheme
 from repro.scheduling.workload import (
     cumulative_work_before,
@@ -113,8 +110,6 @@ __all__ = [
     "best_in_thread_range",
 ]
 
-# Soft cap on elements (combinations x words) per flat-scheme stride.
-_CHUNK_ELEMENTS = 1 << 22
 # Entries per pruned batch, threads x max(inner combinations, row words),
 # and threads per window of the pruned ceiling pass x row words.
 _TILE_ELEMENTS = 1 << 16
@@ -162,10 +157,8 @@ class NormalHitStore:
     ) -> "NormalHitStore | None":
         """The store an engine hands an unpruned scan of ``normal``:
         ``store`` while it is bound to ``(scheme, g, normal)``, a new one
-        otherwise, and ``None`` for a flat scheme, which reads none.  A
-        pruned scan reads none either; its callers pass no store."""
-        if not scheme.inner:
-            return None
+        otherwise.  A pruned scan reads none; its callers pass no
+        store."""
         if store is not None and store.binds(scheme, g, normal):
             return store
         return cls(scheme, g, normal)
@@ -188,6 +181,16 @@ class NormalHitStore:
         its filled mark (``lam < lam_cap``)."""
         counts, filled = self._at
         return counts + self._rank(lam) * self.counts.itemsize, filled + lam
+
+
+def require_nested(scheme: Scheme) -> None:
+    """Refuse a flat scheme: the kernel scans a thread's inner loop."""
+    if not scheme.inner:
+        raise ValueError(
+            f"flat scheme (flattened={scheme.flattened}, inner=0) has no "
+            "inner loop to scan; accepted schemes are nested, inner >= 1: "
+            "the paper's 2x2 and 3x1, or any (h-k)xk with 1 <= k < h"
+        )
 
 
 def _and_reduce_rows(matrix: BitMatrix, combos: np.ndarray) -> np.ndarray:
@@ -307,37 +310,15 @@ def _scan_range(
     lam_start: int,
     lam_end: int,
     counters: KernelCounters,
-    sparse: bool = False,
     normal_hits: "NormalHitStore | None" = None,
 ) -> "MultiHitCombination | None":
-    """Exhaustively score threads ``[lam_start, lam_end)`` in λ order.
+    """Exhaustively score threads ``[lam_start, lam_end)`` in λ order, in
+    one native ``scan_range`` call.
 
     ``counters`` meters the scan (see the module docstring for what each
-    field means on either path).
+    field means).
     """
-    f_ord = scheme.flattened
-    d = scheme.inner
-    best: "MultiHitCombination | None" = None
-
-    if d == 0:
-        # Threads == combinations: enumerate and score directly; the
-        # kernel meters its own gathers on either path.
-        chunk = max(
-            1, _CHUNK_ELEMENTS // (f_ord * (tumor.n_words + normal.n_words))
-        )
-        for start in range(lam_start, lam_end, chunk):
-            combos = combinations_array(f_ord, start, min(start + chunk, lam_end))
-            counters.decode_strides += 1
-            fvals, tp, tn = score_combos(
-                tumor, normal, combos, params, counters,
-                sparse=sparse,
-                skip_below=(
-                    best.f if sparse and best is not None else None
-                ),
-            )
-            best = better(best, best_of(combos, fvals, tp, tn))
-        return best
-
+    f_ord, d = scheme.flattened, scheme.inner
     # Threads above level g-1-d have empty inner loops, so a range
     # reaching them ends where they begin.
     lam_end = min(lam_end, math.comb(g - d, f_ord))
@@ -410,7 +391,6 @@ def best_in_thread_range(
     lam_end: int,
     counters: "KernelCounters | None" = None,
     bounds: "BoundTable | None" = None,
-    sparse: bool = False,
     normal_hits: "NormalHitStore | None" = None,
 ) -> "MultiHitCombination | None":
     """Best combination among those owned by threads ``[lam_start, lam_end)``.
@@ -421,17 +401,15 @@ def best_in_thread_range(
     ``bounds`` (a :class:`repro.core.bounds.BoundTable` covering exactly
     this range) switches on the pruned best-first path; the table is
     mutated in place — every scored thread's entry becomes its exact
-    maximum F.  ``sparse`` reaches only the flat scheme
-    (``inner == 0``), whose :func:`repro.core.kernels.score_combos`
-    still has a sparsity-driven body (at the kernel's default word
-    stride); the nested scan has one body.  Unpruned and nested, the
-    call is one native ``scan_range`` call, whatever the range.
-    ``normal_hits`` (a :class:`NormalHitStore` bound to ``scheme``,
-    ``g`` and ``normal``) serves and keeps the unpruned nested scan's
-    normal hit counts; the pruned and flat paths ignore it.
-    The winner is bit-identical across every combination of ``bounds``,
-    ``sparse`` and ``normal_hits``; only the work counters differ.
+    maximum F.  Unpruned, the call is one native ``scan_range`` call,
+    whatever the range.  ``normal_hits`` (a :class:`NormalHitStore`
+    bound to ``scheme``, ``g`` and ``normal``) serves and keeps the
+    unpruned scan's normal hit counts; the pruned path ignores it.
+    The winner is bit-identical with and without ``bounds`` and
+    ``normal_hits``; only the work counters differ.  A flat scheme
+    (``inner == 0``) is refused with a ``ValueError``.
     """
+    require_nested(scheme)
     if tumor.n_genes != g or normal.n_genes != g:
         raise ValueError("matrix gene count must match g")
     lam_end = min(lam_end, total_threads(scheme, g))
@@ -456,11 +434,11 @@ def best_in_thread_range(
     if bounds is not None:
         return _best_pruned(
             scheme, g, tumor, normal, params, lam_start, lam_end,
-            bounds, counters, sparse,
+            bounds, counters,
         )
     return _scan_range(
         scheme, g, tumor, normal, params, lam_start, lam_end, counters,
-        sparse=sparse, normal_hits=normal_hits,
+        normal_hits=normal_hits,
     )
 
 
@@ -474,7 +452,6 @@ def _best_pruned(
     lam_end: int,
     bounds: BoundTable,
     counters: KernelCounters,
-    sparse: bool = False,
 ) -> "MultiHitCombination | None":
     """Best-first branch and bound over the threads of one range.
 
@@ -489,14 +466,13 @@ def _best_pruned(
     unvisited add their combinations to ``combos_pruned``.
 
     Soundness: a stored bound is the exact maximum F the thread reached
-    when it was last scored (on the flat scheme's sparse body, the
-    ``TP = 0`` ceiling where zero-prefix runs were resolved wholesale —
-    an upper bound), F is non-increasing across iterations (TP shrinks,
-    TN is fixed, float rounding is monotone), the ceiling bounds every
-    combination of the thread now, and a thread is left only when its
-    bound is *strictly* below the incumbent's F — so an unvisited thread
-    holds neither the winner nor an equal-F tie, and the tuple-comparing
-    :func:`better` makes the winner independent of visiting order.
+    when it was last scored, F is non-increasing across iterations (TP
+    shrinks, TN is fixed, float rounding is monotone), the ceiling bounds
+    every combination of the thread now, and a thread is left only when
+    its bound is *strictly* below the incumbent's F — so an unvisited
+    thread holds neither the winner nor an equal-F tie, and the
+    tuple-comparing :func:`better` makes the winner independent of
+    visiting order.
 
     ``word_reads`` counts the ceiling pass's tumor rows on top of the
     scan's gathers: each batch's ``f`` rows per thread and the inner
@@ -512,12 +488,10 @@ def _best_pruned(
     )
     order, keys = bounds.visit_order(ceiling)
     neg_keys = -keys  # ascending, for the stop search
-    if d:  # one table, the range's lowest level's
-        table = _Table(scheme, g, int(tops[0]), tumor, normal, counters)
-        widest = max(len(table.inner), tumor.n_words, normal.n_words)
-        budget = max(1, _TILE_ELEMENTS // widest)
-    else:
-        budget = max(1, _CHUNK_ELEMENTS // (f_ord * (tumor.n_words + normal.n_words)))
+    # One table, the range's lowest level's.
+    table = _Table(scheme, g, int(tops[0]), tumor, normal, counters)
+    widest = max(len(table.inner), tumor.n_words, normal.n_words)
+    budget = max(1, _TILE_ELEMENTS // widest)
     best: "MultiHitCombination | None" = None
     pos, size = 0, 1
     while pos < n:
@@ -529,17 +503,7 @@ def _best_pruned(
         picked = np.sort(order[pos : min(pos + size, stop)])
         tuples = combos_from_linear(picked + lam_start, f_ord)
         counters.decode_strides += 1
-        if d:
-            lam_max, cand = _score_tile(
-                scheme, tuples, table, params, best, counters
-            )
-        else:
-            lam_max, tp, tn = score_combos(
-                tumor, normal, tuples, params, counters,
-                sparse=sparse,
-                skip_below=best.f if sparse and best is not None else None,
-            )
-            cand = best_of(tuples, lam_max, tp, tn)
+        lam_max, cand = _score_tile(scheme, tuples, table, params, best, counters)
         bounds.refresh(picked, lam_max)
         best = better(best, cand)
         counters.threads_scanned += len(picked)
@@ -557,15 +521,12 @@ class SingleGpuEngine:
     """Convenience wrapper: one simulated GPU searching a thread range.
 
     Used standalone it searches the whole grid (the "single V100"
-    baseline configuration of the prior paper).  ``sparse`` selects the
-    flat scheme's sparsity-driven scoring body; winners are
-    bit-identical either way.  The engine keeps one
+    baseline configuration of the prior paper).  The engine keeps one
     :class:`NormalHitStore` for the normal matrix it last searched, so
     a solve's unpruned scans compute each normal hit count once.
     """
 
     scheme: Scheme
-    sparse: bool = False
     _normal_hits: "NormalHitStore | None" = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -597,6 +558,5 @@ class SingleGpuEngine:
             lam_end,
             counters=counters,
             bounds=bounds,
-            sparse=self.sparse,
             normal_hits=None if bounds is not None else self._normal_hits,
         )

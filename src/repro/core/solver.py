@@ -22,7 +22,7 @@ from repro.core import tile
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
 from repro.core.distributed import DistributedEngine
-from repro.core.engine import SingleGpuEngine
+from repro.core.engine import SingleGpuEngine, require_nested
 from repro.core.fscore import DEFAULT_ALPHA, FScoreParams
 from repro.core.kernels import KernelCounters
 from repro.core.memopt import MemoryConfig
@@ -114,9 +114,7 @@ class _LocalEngine:
 
 
 def _single_engine(solver: "MultiHitSolver"):
-    return _LocalEngine(
-        SingleGpuEngine(scheme=solver.scheme, sparse=solver.sparse).best_combo
-    )
+    return _LocalEngine(SingleGpuEngine(scheme=solver.scheme).best_combo)
 
 
 def _sequential_engine(solver: "MultiHitSolver"):
@@ -138,7 +136,6 @@ def _fleet_options(solver: "MultiHitSolver") -> dict:
         fault_plan=solver.fault_plan,
         retry_policy=solver.retry_policy or RetryPolicy(),
         elastic=solver.elastic,
-        sparse=solver.sparse,
     )
 
 
@@ -182,7 +179,8 @@ class MultiHitSolver:
         ``"sequential"`` (dense oracle).
     scheme:
         Loop-flattening scheme; defaults to ``(h-1)x1`` (the paper's 3x1
-        for ``h = 4``).
+        for ``h = 4``).  It must be nested (``inner >= 1``): a flat
+        scheme, with no inner loop, is refused.
     memory:
         The paper's memory optimizations.  ``memory.bitsplice`` selects
         splice-vs-mask handling of covered samples (unpruned runs); the
@@ -219,14 +217,10 @@ class MultiHitSolver:
         :class:`FaultSpec` churn (join/leave) resizes the fleet
         mid-solve.  Winners are bit-identical to the static run.
     sparse:
-        Sparsity-driven scoring body of the flat scheme (``inner == 0``,
-        default on): nonzero-stride skipping, shared-prefix AND caching
-        and zero-prefix run skipping in ``score_combos``, where
-        ``counters.word_reads_skipped`` is what the dense body would have
-        gathered on top of ``word_reads``.  Nested schemes (every
-        default scheme) have one scan body and ignore it.  Winners,
-        iteration trajectory and ``combos_scored`` are bit-identical
-        either way.  Ignored by the ``"sequential"`` oracle.
+        Read by nothing: every scan runs the one native body, which
+        skips zero words on its own.  The field stays declared only
+        because the benchmark harness passes ``sparse=False``; ROADMAP
+        item 1(d) drops that and deletes the field.
 
     These fields are the one declaration of the solve-path options (the
     CLI and the gateway build a ``MultiHitSolver`` from what they are
@@ -257,6 +251,7 @@ class MultiHitSolver:
             raise ValueError(
                 f"scheme searches {self.scheme.hits}-hit combos, expected {self.hits}"
             )
+        require_nested(self.scheme)
         if self.backend not in _ENGINES:
             raise ValueError(f"unknown backend {self.backend!r}")
         if min(self.n_workers, self.n_nodes, self.gpus_per_node) < 1:
@@ -316,7 +311,7 @@ class MultiHitSolver:
             combos, active = resume.restore(tumor, self.hits, params)
             work = self._compact(tumor, active)
 
-        if self.backend != "sequential" and self.scheme.inner:
+        if self.backend != "sequential":
             tile.kernel()  # cannot build: one error here, before any fan-out
         engine = _ENGINES[self.backend](self)
         tel = get_telemetry()

@@ -18,6 +18,13 @@ from repro.core.solver import IterationRecord, MultiHitResult
 
 __all__ = ["result_to_dict", "save_result", "load_result"]
 
+#: Counters older files may carry and no engine keeps any more: the
+#: block-table engine's block counts and the sparse scoring body's four.
+_RETIRED_COUNTERS = frozenset({
+    "blocks_scanned", "blocks_skipped", "strides_skipped_sparse",
+    "prefix_and_hits", "zero_prefix_runs_skipped", "word_reads_skipped",
+})
+
 
 def result_to_dict(result: MultiHitResult) -> dict:
     """Plain-JSON representation of a solver run."""
@@ -88,10 +95,8 @@ def load_result(path: "str | Path") -> MultiHitResult:
         )
         for r in raw["iterations"]
     ]
-    # Files from the block-table engine also carry its block counts.
     counters = KernelCounters(**{
-        k: v for k, v in raw["counters"].items()
-        if k not in ("blocks_scanned", "blocks_skipped")
+        k: v for k, v in raw["counters"].items() if k not in _RETIRED_COUNTERS
     })
     return MultiHitResult(
         combinations=combos,

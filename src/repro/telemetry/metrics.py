@@ -99,8 +99,6 @@ class MetricsRegistry:
             self.inc("kernel.decode_strides", counters.decode_strides)
         if counters.inner_tables_built:
             self.inc("kernel.inner_tables_built", counters.inner_tables_built)
-        if counters.word_reads_skipped:
-            self.inc("kernel.word_reads_skipped", counters.word_reads_skipped)
         if counters.threads_scanned or counters.threads_skipped:
             self.inc("prune.combos_pruned", counters.combos_pruned)
             self.inc("prune.threads_skipped", counters.threads_skipped)

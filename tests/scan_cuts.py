@@ -42,11 +42,11 @@ def scans_cut(budget):
     scan = engine_mod._scan_range
 
     def cut(scheme, g, tumor, normal, params, lam_start, lam_end, counters,
-            sparse=False, normal_hits=None):
+            normal_hits=None):
         best = None
         for lo, hi in cuts(scheme, g, tumor, normal, lam_start, lam_end, budget):
             best = better(best, scan(scheme, g, tumor, normal, params, lo, hi,
-                                     counters, sparse, normal_hits))
+                                     counters, normal_hits))
         return best
 
     with patch.object(engine_mod, "_scan_range", cut):

@@ -402,8 +402,8 @@ class TestFusedTrafficIdentity:
     """``word_reads`` on the pruned path is what it gathers: the ceiling
     pass's tumor rows, each batch's base rows and the call's one inner
     table.  The identity must close against a tally of the actual row
-    gathers, across iterations and column compaction, on nested and
-    flat schemes."""
+    gathers, across iterations and column compaction, on the 2x1 and
+    the paper's 3x1 scheme."""
 
     @pytest.fixture
     def gathered(self, monkeypatch):
@@ -417,7 +417,7 @@ class TestFusedTrafficIdentity:
 
         t, n = matrices
         tumor, normal, params = _packed(t, n)
-        scheme = scheme_for(3, flattened)
+        scheme = scheme_for(flattened + 1, flattened)
         g = t.shape[0]
         table = BoundTable.build(scheme, g)
         keep = np.ones(tumor.n_samples, dtype=bool)
@@ -435,7 +435,7 @@ class TestFusedTrafficIdentity:
             assert c.word_reads == gathered.value > 0
             assert c.decode_strides > 0 and c.threads_skipped > 0
             # Accounting closes combination-for-combination.
-            assert c.combos_scored + c.combos_pruned == math.comb(g, 3)
+            assert c.combos_scored + c.combos_pruned == math.comb(g, scheme.hits)
             keep[: tumor.n_samples // (4 - iteration)] = False
 
     def test_supers_skipped_surface_in_solver_counters(self, matrices):

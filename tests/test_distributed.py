@@ -3,7 +3,11 @@
 ``TestDistributionMatrix`` is generated from the switch space: both
 ways into the thread fleet (the engine behind ``backend="distributed"``
 and a direct :func:`spmd_best_combo` call) x both scheduling modes x
-pruning x the sparse path x every fault the fleet recovers.  Whatever
+pruning x a dense or a sparse cohort x every fault the fleet recovers.
+The sparse cohort is blocky, like cancer subtypes: a gene is mutated
+only in the samples of two of four 64-sample blocks, so a thread's
+AND-reduced fixed rows are mostly zero words, which the native kernel
+skips.  Whatever
 the cell, the solve must select the winners of ``backend="single"``
 (tie-breaks included) and score every combination exactly once; for a
 fixed cut set — the same mode — pruning and traffic counters must equal
@@ -25,6 +29,7 @@ from repro.core import solver as solver_module
 from repro.core.distributed import DistributedEngine
 from repro.core.engine import NormalHitStore, SingleGpuEngine
 from repro.core.reduction import ReductionStats
+from repro.core.sequential import sequential_solve
 from repro.core.solver import MultiHitSolver
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.scheduling.equiarea import LEASES_PER_PULLER
@@ -115,9 +120,18 @@ FAULT_CASES = {
 
 
 @lru_cache(maxsize=None)
-def _cohort():
+def _cohort(sparse=False):
     rng = np.random.default_rng(2021)
-    return rng.random((13, 48)) < 0.4, rng.random((13, 40)) < 0.15
+    if not sparse:
+        return rng.random((13, 48)) < 0.4, rng.random((13, 40)) < 0.15
+    gene = np.arange(13)[:, None]
+    block = np.arange(256)[None, :] // 64
+    home = (block == gene % 4) | (block == (gene + 1) % 4)
+    normal_home = np.arange(192)[None, :] // 64 == gene % 3
+    return (
+        (rng.random((13, 256)) < 0.5) & home,
+        (rng.random((13, 192)) < 0.15) & normal_home,
+    )
 
 
 class _DirectSPMD:
@@ -151,7 +165,7 @@ class _DirectSPMD:
         return spmd_best_combo(
             ledger, e.scheme, tumor, normal, params, e.n_nodes,
             fault_plan=e.fault_plan, retry_policy=e.retry_policy,
-            report=e.report, sparse=e.sparse, call=self.calls - 1,
+            report=e.report, call=self.calls - 1,
             normal_hits=None if pruned else self.normal_hits, **search,
         )
 
@@ -163,7 +177,10 @@ DRIVERS = {
 }
 
 
-def _solve(backend="distributed", fault_case="clean", driver="engine", **kw):
+def _solve(
+    backend="distributed", fault_case="clean", driver="engine", sparse=False,
+    **kw,
+):
     plan, policy = FAULT_CASES[fault_case]
     if backend == "distributed":
         kw = {"n_nodes": N_NODES, "gpus_per_node": GPUS_PER_NODE, **kw}
@@ -171,7 +188,7 @@ def _solve(backend="distributed", fault_case="clean", driver="engine", **kw):
         return MultiHitSolver(
             hits=3, backend=backend, max_iterations=4,
             fault_plan=plan(), retry_policy=policy, **kw,
-        ).solve(*_cohort())
+        ).solve(*_cohort(sparse))
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +198,10 @@ def _clean(elastic, prune, sparse):
 
 @lru_cache(maxsize=None)
 def _single(sparse):
-    return _solve(backend="single", sparse=sparse)
+    single = _solve(backend="single", sparse=sparse)
+    oracle = sequential_solve(*_cohort(sparse), 3, max_iterations=4)
+    assert _winners(single) == [(c.genes, c.f, c.tp, c.tn) for c in oracle]
+    return single
 
 
 def _winners(result):
@@ -269,7 +289,7 @@ class TestDistributionMatrix:
         try:
             solve = threading.Thread(
                 target=lambda: out.append(
-                    _solve(n_nodes=8, elastic=True, prune=True, sparse=False)
+                    _solve(n_nodes=8, elastic=True, prune=True)
                 ),
                 daemon=True,
             )

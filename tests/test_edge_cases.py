@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.core.engine as engine_mod
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core.engine import SingleGpuEngine, best_in_thread_range
 from repro.core.fscore import FScoreParams
@@ -25,17 +24,23 @@ class TestEngineChunking:
             got = SingleGpuEngine(scheme=SCHEME_3X1).best_combo(tumor, normal, params)
         assert got.genes == ref.genes and got.f == ref.f
 
-    def test_tiny_chunks_d0_scheme(self, monkeypatch, rng):
-        from repro.scheduling.schemes import Scheme
-
+    def test_tiny_chunks_d0_scheme(self, rng):
+        """The 3-hit grid the flat 3x0 scheme strided is scanned by its
+        nested twin, cut into tiny scans; the flat scheme is refused."""
         t = rng.random((10, 30)) < 0.4
         n = rng.random((10, 30)) < 0.1
         params = FScoreParams(n_tumor=30, n_normal=30)
         tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
-        ref = SingleGpuEngine(scheme=Scheme(3, 0)).best_combo(tumor, normal, params)
-        monkeypatch.setattr(engine_mod, "_CHUNK_ELEMENTS", 7)
-        got = SingleGpuEngine(scheme=Scheme(3, 0)).best_combo(tumor, normal, params)
-        assert got.genes == ref.genes
+        with pytest.raises(ValueError, match="flat scheme"):
+            SingleGpuEngine(scheme=Scheme(3, 0)).best_combo(tumor, normal, params)
+        ref = sequential_best_combo(t, n, 3, params)
+        with scans_cut(7):
+            got = SingleGpuEngine(scheme=Scheme(2, 1)).best_combo(
+                tumor, normal, params
+            )
+        assert (got.genes, got.f, got.tp, got.tn) == (
+            ref.genes, ref.f, ref.tp, ref.tn
+        )
 
 
 class TestDegenerateInputs:

@@ -16,21 +16,11 @@ from repro.combinatorics.decode import combos_from_linear, top_index
 from repro.core.bounds import BoundTable
 from repro.core.combination import better
 from repro.core.engine import NormalHitStore, SingleGpuEngine, best_in_thread_range
-from repro.core.fscore import FScoreParams
-from repro.core.kernels import (
-    KernelCounters,
-    score_combos_reference,
-    tp_zero_ceiling,
-)
+from repro.core.fscore import FScoreParams, fscore
+from repro.core.kernels import KernelCounters, score_combos_reference
 from repro.core.sequential import sequential_best_combo
 from repro.core.solver import MultiHitSolver
-from repro.scheduling.schemes import (
-    SCHEME_2X2,
-    SCHEME_3X1,
-    SCHEME_4X1,
-    Scheme,
-    scheme_for,
-)
+from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, Scheme, scheme_for
 from repro.scheduling.workload import level_range, level_work, total_threads
 from tests.scan_cuts import cuts
 from tests.test_meter_closure import tally_gathers, wrap_kernel
@@ -52,11 +42,9 @@ def instance(rng):
 def fused_word_reads(scheme, g, words, lam_start, lam_end):
     """The fused scan's traffic model over a thread range: every thread's
     ``f`` fixed rows once, and each workload level's inner AND-table
-    (``C(g-1-m, d)`` combinations of ``d`` rows) once — the flat scheme
-    (``d == 0``) reads a thread's ``f`` rows once and nothing else.
-    Exact for the flat scan and for a nested scan split into one call
-    per level; an upper bound for a nested scan that scores a run of
-    levels against its first level's table."""
+    (``C(g-1-m, d)`` combinations of ``d`` rows) once.  Exact for a scan
+    split into one call per level; an upper bound for a scan that scores
+    a run of levels against its first level's table."""
     if lam_end <= lam_start:
         return 0
     f, d = scheme.flattened, scheme.inner
@@ -66,14 +54,12 @@ def fused_word_reads(scheme, g, words, lam_start, lam_end):
         n_threads = min(b, lam_end) - max(a, lam_start)
         if n_threads <= 0:
             continue
-        if d == 0:
-            total += n_threads * f
-        elif level_work(scheme, g, m):
+        if level_work(scheme, g, m):
             total += n_threads * f + level_work(scheme, g, m) * d
     return total * words
 
 
-ALL_SCHEMES = [Scheme(1, 1), Scheme(2, 1), Scheme(1, 2), SCHEME_2X2, SCHEME_3X1, SCHEME_4X1, Scheme(2, 0), Scheme(3, 0)]
+ALL_SCHEMES = [Scheme(1, 1), Scheme(2, 1), Scheme(1, 2), SCHEME_2X2, SCHEME_3X1, Scheme(1, 3), Scheme(2, 3), Scheme(4, 1)]
 
 
 class TestFullRangeEquivalence:
@@ -90,7 +76,7 @@ class TestFullRangeEquivalence:
         _, _, tumor, normal, params = instance
         winners = [
             SingleGpuEngine(scheme=s).best_combo(tumor, normal, params)
-            for s in (SCHEME_2X2, SCHEME_3X1, SCHEME_4X1, Scheme(1, 3))
+            for s in (SCHEME_2X2, SCHEME_3X1, Scheme(1, 3))
         ]
         assert len({(w.genes, round(w.f, 14)) for w in winners}) == 1
 
@@ -151,18 +137,17 @@ class TestCounters:
         assert counters.word_reads > 0
 
     @pytest.mark.parametrize(
-        "scheme", [Scheme(4, 0), SCHEME_3X1, SCHEME_2X2, Scheme(1, 3)]
+        "scheme", [Scheme(2, 1), SCHEME_3X1, SCHEME_2X2, Scheme(1, 3)]
     )
     def test_traffic_metered_exactly_once(self, instance, scheme):
-        # The scan is the meter on the flat (d == 0) and nested paths
-        # alike: word_ops = combos * (h-1) * w for every scheme covering
-        # the same combinations, and word_reads is what the scan
-        # gathers.  Split into one call per level, no call crosses a
-        # level, so every level builds its tables once and word_reads is
-        # the fused model exactly.
+        # The scan is the meter: word_ops = combos * (h-1) * w for every
+        # scheme covering the same combinations, and word_reads is what
+        # the scan gathers.  Split into one call per level, no call
+        # crosses a level, so every level builds its tables once and
+        # word_reads is the fused model exactly.
         _, _, tumor, normal, params = instance
         w = tumor.n_words + normal.n_words
-        combos = math.comb(14, 4)
+        combos = math.comb(14, scheme.hits)
         model = fused_word_reads(scheme, 14, w, 0, total_threads(scheme, 14))
         counters = KernelCounters()
         for m in range(14):
@@ -172,10 +157,10 @@ class TestCounters:
             )
         assert counters.combos_scored == combos
         assert counters.word_reads == model
-        assert counters.word_ops == combos * 3 * w
+        assert counters.word_ops == combos * (scheme.hits - 1) * w
 
     @pytest.mark.parametrize(
-        "scheme", [Scheme(4, 0), SCHEME_3X1, SCHEME_2X2, Scheme(1, 3)]
+        "scheme", [Scheme(2, 1), SCHEME_3X1, SCHEME_2X2, Scheme(1, 3)]
     )
     def test_traffic_metered_as_gathered(self, instance, scheme, monkeypatch):
         # One call scores every level against its first level's table,
@@ -190,27 +175,24 @@ class TestCounters:
         )
         w = tumor.n_words + normal.n_words
         model = fused_word_reads(scheme, 14, w, 0, total_threads(scheme, 14))
-        if scheme.inner:
-            assert counters.word_reads == tally.value
-            assert 0 < counters.word_reads <= model
-        else:
-            assert counters.word_reads == model
+        assert counters.word_reads == tally.value
+        assert 0 < counters.word_reads <= model
 
     def test_work_parity_between_paths(self, instance):
-        # The d == 0 and d > 0 code paths do the same work on an
-        # equivalent grid; they gather differently (a flat thread reads
-        # all h rows per combination, a nested one its f fixed rows once
-        # against a shared inner table), so the nested scan reads less.
+        # The 3x1 and 2x2 decompositions do the same work on the 4-hit
+        # grid; they gather differently (3 fixed rows per thread of
+        # C(14, 3) against an 11-column table, or 2 per thread of
+        # C(14, 2) against a 66-column one), so the 2x2 scan reads less.
         _, _, tumor, normal, params = instance
-        flat, nested = KernelCounters(), KernelCounters()
-        for scheme, counters in ((Scheme(4, 0), flat), (SCHEME_3X1, nested)):
+        deep, wide = KernelCounters(), KernelCounters()
+        for scheme, counters in ((SCHEME_3X1, deep), (SCHEME_2X2, wide)):
             best_in_thread_range(
                 scheme, 14, tumor, normal, params,
                 0, total_threads(scheme, 14), counters=counters,
             )
-        assert flat.word_ops == nested.word_ops
-        assert flat.combos_scored == nested.combos_scored
-        assert nested.word_reads < flat.word_reads
+        assert deep.word_ops == wide.word_ops
+        assert deep.combos_scored == wide.combos_scored
+        assert wide.word_reads < deep.word_reads
 
 
 class TestEnumeratedStrides:
@@ -249,26 +231,6 @@ class TestEnumeratedStrides:
             assert inversions == [1] * scans
             assert calls == ["scan_range"] * scans
             assert result.counters.decode_strides == scans
-
-    def test_flat_scheme_stride_follows_row_width(self, rng):
-        # 13-word rows: a flat stride is sized by its gathered words like
-        # a nested one, so C(70, 3) combinations take several strides.
-        t = rng.random((70, 800)) < 0.1
-        n = rng.random((70, 800)) < 0.05
-        tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
-        assert tumor.n_words == normal.n_words == 13
-        params = FScoreParams(n_tumor=800, n_normal=800)
-        flat, nested = KernelCounters(), KernelCounters()
-        winners = [
-            best_in_thread_range(
-                scheme, 70, tumor, normal, params,
-                0, total_threads(scheme, 70), counters=counters,
-            )
-            for scheme, counters in ((Scheme(3, 0), flat), (Scheme(2, 1), nested))
-        ]
-        assert winners[0] == winners[1]
-        assert flat.combos_scored == nested.combos_scored == math.comb(70, 3)
-        assert flat.decode_strides > 1
 
 
 class TestTieDeterminism:
@@ -362,7 +324,7 @@ class TestTiledScan:
         n = rng.random((g, nn)) < 0.6
         tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
         params = FScoreParams(n_tumor=nt, n_normal=nn)
-        ceiling = tp_zero_ceiling(params)
+        ceiling = fscore(0, nn, params)
         for scheme in (scheme_for(3, 2), scheme_for(4, 3), scheme_for(4, 2)):
             table = BoundTable.build(scheme, g)
             keep = np.ones(nt, dtype=bool)
@@ -371,7 +333,7 @@ class TestTiledScan:
                 before = table.values.copy()
                 best = best_in_thread_range(
                     scheme, g, t_now, normal, params,
-                    0, total_threads(scheme, g), bounds=table, sparse=True,
+                    0, total_threads(scheme, g), bounds=table,
                 )
                 assert best.f > ceiling
                 refreshed = np.flatnonzero(table.values != before)

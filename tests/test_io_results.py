@@ -41,3 +41,29 @@ class TestRoundTrip:
             assert a.newly_covered == b.newly_covered
             assert a.tumor_words == b.tumor_words
             assert a.combination.genes == b.combination.genes
+
+
+class TestVersionSkew:
+    def test_loads_files_with_retired_counters(self, solved, tmp_path):
+        """Files written by older engines carry counters no engine keeps:
+        the block table's block counts and the sparse scoring body's
+        four.  They load, and the kept counters survive."""
+        import json
+
+        payload = result_to_dict(solved)
+        retired = {
+            "blocks_scanned": 3, "blocks_skipped": 4,
+            "strides_skipped_sparse": 5, "prefix_and_hits": 6,
+            "zero_prefix_runs_skipped": 7, "word_reads_skipped": 8,
+        }
+        payload["counters"].update(retired)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        back = load_result(path)
+        assert back.counters.combos_scored == solved.counters.combos_scored
+        assert back.counters.word_reads == solved.counters.word_reads
+        assert [c.genes for c in back.combinations] == [
+            c.genes for c in solved.combinations
+        ]
+        for name in retired:
+            assert getattr(back.counters, name, 0) == 0

@@ -2,7 +2,8 @@
 
 Generated from the switch space: every way of distributing the arg-max
 (single, pool x {1, 2, 4} workers, the distributed engine and a direct
-call of its thread fleet, pinned and elastic) x ``prune`` x ``sparse``.
+call of its thread fleet, pinned and elastic) x ``prune`` x the dense
+or the blocky sparse cohort of ``tests/test_distributed.py``.
 
 Pruned or not, the scan meters what it gathers: ``word_reads`` equals a
 tally of every row gather of the solve, iteration by iteration, on
@@ -22,7 +23,6 @@ from unittest.mock import patch
 import pytest
 
 import repro.core.engine as engine_mod
-import repro.core.kernels as kernels_mod
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core import tile
 from repro.core import solver as solver_module
@@ -87,15 +87,14 @@ def tally_gathers(monkeypatch, ours=None) -> _Tally:
     that scans for it.
 
     Python gathers rows in ``engine._and_reduce_rows`` (inner tables and
-    the pruned ceiling pass) and ``kernels._fused_and_popcount`` (the
-    flat scheme).  The native kernel gathers the threads' fixed rows
+    the pruned ceiling pass).  The native kernel gathers the threads' fixed rows
     itself and reports the words those gathers read in its winner
     buffer, so those are tallied after each native call from the
     kernel's own count, not from the engine's charge.  With ``ours`` (a
     list of matrices, which the caller may extend), only gathers from
     those count."""
     tally = _Tally()
-    gather, flat = engine_mod._and_reduce_rows, kernels_mod._fused_and_popcount
+    gather = engine_mod._and_reduce_rows
 
     def counts(words):
         return ours is None or any(words is m.words for m in ours)
@@ -105,17 +104,11 @@ def tally_gathers(monkeypatch, ours=None) -> _Tally:
             tally.add(combos.size * matrix.n_words)
         return gather(matrix, combos)
 
-    def counted_flat(words, combos, word_stride):
-        if counts(words):
-            tally.add(combos.size * words.shape[1])
-        return flat(words, combos, word_stride)
-
     def native(name, args):  # args[0]: the tumor matrix's address
         if ours is None or any(args[0] == m.words.ctypes.data for m in ours):
             tally.add(ctypes.c_int64.from_address(args[WIN] + 8 * W_READ).value)
 
     monkeypatch.setattr(engine_mod, "_and_reduce_rows", counted)
-    monkeypatch.setattr(kernels_mod, "_fused_and_popcount", counted_flat)
     wrap_kernel(monkeypatch, native)
     return tally
 
@@ -150,14 +143,14 @@ HITS4 = {
 def test_metered_traffic_equals_the_model(backend, prune, sparse, monkeypatch):
     knobs, driver = {**BACKENDS, **HITS4}[backend]
     knobs = {"hits": 3, **knobs}
-    t, n = _cohort()
+    t, n = _cohort(sparse)
     tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
     tally = _tally_gathers(monkeypatch, tumor, normal)
     gathered = []  # the tally as each iteration left it
 
     with patch.dict(solver_module._ENGINES, distributed=DRIVERS[driver]):
         solver = MultiHitSolver(
-            max_iterations=ITERATIONS, prune=prune, sparse=sparse, **knobs
+            max_iterations=ITERATIONS, prune=prune, **knobs
         )
         result = solver.solve(
             tumor, normal, on_iteration=lambda state: gathered.append(tally.value)
@@ -169,12 +162,10 @@ def test_metered_traffic_equals_the_model(backend, prune, sparse, monkeypatch):
     per_iteration = [b - a for a, b in zip([0] + gathered, gathered)]
     assert [r.word_reads for r in result.iterations] == per_iteration
     assert c.word_reads == gathered[-1]
-    assert c.word_reads_skipped == 0
 
     # What no cut can move: the winners, and unpruned the scored count.
     reference = MultiHitSolver(
         hits=knobs["hits"], scheme=solver.scheme, max_iterations=ITERATIONS,
-        sparse=sparse,
     ).solve(tumor, normal)
     assert _winners(result) == _winners(reference)
     assert c.combos_scored + c.combos_pruned == reference.counters.combos_scored

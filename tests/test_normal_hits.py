@@ -303,8 +303,10 @@ class TestBinding:
         table = BoundTable.build(SCHEME_3X1, 14)
         engine.best_combo(tumor, normal, params, bounds=table)
         assert engine._normal_hits is None
-        flat = scheme_for(3, 3)
-        assert NormalHitStore.reuse(None, flat, 14, normal) is None
+        # A flat scheme gets no store: its scans are refused outright.
+        flat = SingleGpuEngine(scheme=scheme_for(3, 3))
+        with pytest.raises(ValueError, match="flat scheme"):
+            flat.best_combo(tumor, normal, params)
 
 
 class TestPoolStore:

@@ -65,3 +65,24 @@ def test_every_module_has_docstring():
         assert first.startswith('"""') or first.startswith("'''"), (
             f"{path} lacks a module docstring"
         )
+
+
+def test_kernels_export_one_scoring_api():
+    """The sparse scoring body and its helpers are gone: every scan runs
+    in the native kernel, and ``score_combos`` keeps one dense body."""
+    import inspect
+
+    from repro.core import kernels
+
+    assert set(kernels.__all__) == {
+        "DEFAULT_WORD_STRIDE", "KernelCounters", "best_of",
+        "fused_pair_popcount", "resolve_word_stride", "score_combos",
+        "score_combos_reference",
+    }
+    for gone in (
+        "tp_zero_ceiling", "_score_combos_sparse", "_prefix_run_starts",
+        "_and_rows",
+    ):
+        assert not hasattr(kernels, gone), gone
+    params = inspect.signature(kernels.score_combos).parameters
+    assert "sparse" not in params and "skip_below" not in params

@@ -189,26 +189,15 @@ class TestSolverBackendEquivalence:
         t = rng.random((g, int(rng.integers(3, 25)))) < rng.uniform(0.1, 0.7)
         n = rng.random((g, int(rng.integers(1, 25)))) < rng.uniform(0.0, 0.4)
         ref = MultiHitSolver(hits=hits, backend="single").solve(t, n)
-        # Dense reference: its word_ops are partition-invariant, unlike
-        # the sparse default's (prefix runs split at chunk boundaries).
-        dense_ref = MultiHitSolver(
-            hits=hits, backend="single", sparse=False
-        ).solve(t, n)
-        seq = signature(sequential_solve(t, n, hits))
-        assert signature(ref.combinations) == seq
-        assert signature(dense_ref.combinations) == seq
+        assert signature(ref.combinations) == signature(sequential_solve(t, n, hits))
         for n_workers in (1, 2, 4):
             got = MultiHitSolver(
                 hits=hits, backend="pool", n_workers=n_workers
             ).solve(t, n)
             assert signature(got.combinations) == signature(ref.combinations)
             assert got.uncovered == ref.uncovered
-            assert got.counters.combos_scored == ref.counters.combos_scored
-            dense = MultiHitSolver(
-                hits=hits, backend="pool", n_workers=n_workers, sparse=False
-            ).solve(t, n)
-            assert signature(dense.combinations) == signature(ref.combinations)
-            assert _work_tuple(dense.counters) == _work_tuple(dense_ref.counters)
+            # word_ops is partition-invariant; what a cut gathers is not.
+            assert _work_tuple(got.counters) == _work_tuple(ref.counters)
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.core.engine as engine_mod
 from repro.cluster import spmd_best_combo
 from repro.core.distributed import DistributedEngine, search_lease
 from repro.core.engine import SingleGpuEngine, best_in_thread_range
@@ -73,6 +74,53 @@ class TestOptionsLedger:
         for name in self.REMOVED:
             with pytest.raises(TypeError, match=name):
                 build(**{name: 8})
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda **kw: SingleGpuEngine(scheme=SCHEME_3X1, **kw),
+            lambda **kw: PoolEngine(scheme=SCHEME_3X1, **kw),
+            lambda **kw: DistributedEngine(scheme=SCHEME_3X1, n_nodes=2, **kw),
+            lambda **kw: search_lease(SCHEME_3X1, None, 0, None, None, None, **kw),
+            lambda **kw: spmd_best_combo(None, SCHEME_3X1, None, None, None, 1, **kw),
+            lambda **kw: best_in_thread_range(
+                SCHEME_3X1, 8, None, None, None, 0, 1, **kw
+            ),
+            lambda **kw: engine_mod._scan_range(
+                SCHEME_3X1, 8, None, None, None, 0, 1, None, **kw
+            ),
+            lambda **kw: engine_mod._best_pruned(
+                SCHEME_3X1, 8, None, None, None, 0, 1, None, None, **kw
+            ),
+        ],
+        ids=[
+            "SingleGpuEngine", "PoolEngine", "DistributedEngine", "search_lease",
+            "spmd_best_combo", "best_in_thread_range", "_scan_range",
+            "_best_pruned",
+        ],
+    )
+    def test_sparse_stops_at_the_solver(self, call):
+        """Every scan runs the one native body: ``sparse`` is a solver
+        field only, read by nothing below it."""
+        with pytest.raises(TypeError, match="sparse"):
+            call(sparse=True)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda scheme: MultiHitSolver(hits=scheme.hits, scheme=scheme),
+            lambda scheme: best_in_thread_range(
+                scheme, 8, None, None, None, 0, 1
+            ),
+        ],
+        ids=["MultiHitSolver", "best_in_thread_range"],
+    )
+    @pytest.mark.parametrize("hits", [2, 3, 4])
+    def test_flat_scheme_is_refused(self, call, hits):
+        """A flat scheme has no inner loop for the kernel to scan; the
+        error names the schemes that are accepted."""
+        with pytest.raises(ValueError, match="flat scheme.*2x2 and 3x1"):
+            call(Scheme(hits, 0))
 
     def test_fleet_entry_point_lost_its_stride(self):
         with pytest.raises(TypeError, match="word_stride"):

@@ -1,32 +1,39 @@
-"""Sparsity-driven scoring path: index units, exactness, counter closure.
+"""Adversarial inputs on the native scan, and the sparsity index.
 
-The contract under test: ``sparse=True`` is a *traffic* optimization —
-``(f, tp, tn)``, winners, and ``combos_scored`` are bit-identical to the
-dense path on every backend, and the metered traffic closes exactly
-(``word_reads + word_reads_skipped`` reproduces the dense charge).  Only
-the flat scheme's ``score_combos`` has a sparse body; on nested schemes
-the switch selects nothing, which the engine-level checks pin too.
+Every scan runs in the native kernel (``_tile.c``), which skips each
+zero word of a thread's AND-reduced fixed rows.  The engineered matrices
+below (all-zero rows, one bit per row, dense, sparse), the post-splice
+widths and an all-ties block stress that skip, the word tail and the tie
+rule.  On each, the unpruned and the pruned :func:`best_in_thread_range`
+must equal the arg-max of a :func:`score_combos_reference` grid, ties
+going to the smallest gene tuple (:func:`best_of`), and the meter must
+close on the words the scan gathers.  :class:`SparsityIndex` is read by
+no scan; the benchmark harness reports its ``nonzero_fraction``.
 """
 
+import dataclasses
 import itertools
+import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.engine as engine_mod
 from repro.bitmatrix.matrix import BitMatrix
 from repro.bitmatrix.sparsity import SparsityIndex, stride_any_mask
 from repro.bitmatrix.splicing import splice_columns
+from repro.combinatorics.enumeration import combinations_array
 from repro.core.bounds import BoundTable
-from repro.core.engine import SingleGpuEngine, best_in_thread_range
-from repro.core.fscore import FScoreParams
+from repro.core.engine import NormalHitStore, SingleGpuEngine, best_in_thread_range
+from repro.core.fscore import FScoreParams, fscore
 from repro.core.kernels import (
     KernelCounters,
     best_of,
     score_combos,
     score_combos_reference,
-    tp_zero_ceiling,
 )
 from repro.core.solver import MultiHitSolver
 from repro.scheduling.schemes import scheme_for
@@ -37,8 +44,41 @@ def _all_combos(g, h):
     return np.array(list(itertools.combinations(range(g), h)), dtype=np.int64)
 
 
+def _key(c):
+    return (c.genes, c.f, c.tp, c.tn)
+
+
 def _signature(combos):
-    return [(c.genes, c.f, c.tp, c.tn) for c in combos]
+    return [_key(c) for c in combos]
+
+
+def _grid_argmax(tumor, normal, params, h):
+    """The reference grid's winner under the tie rule."""
+    combos = _all_combos(tumor.n_genes, h)
+    return best_of(combos, *score_combos_reference(tumor, normal, combos, params))
+
+
+def _scan(scheme, tumor, normal, params, pruned, **kw):
+    """One native scan of the whole grid, unpruned or pruned."""
+    g = tumor.n_genes
+    return best_in_thread_range(
+        scheme, g, tumor, normal, params, 0, total_threads(scheme, g),
+        bounds=BoundTable.build(scheme, g) if pruned else None, **kw,
+    )
+
+
+def _assert_scans_match_reference(scheme, tumor, normal, params):
+    ref = _key(_grid_argmax(tumor, normal, params, scheme.hits))
+    for pruned in (False, True):
+        assert _key(_scan(scheme, tumor, normal, params, pruned)) == ref, pruned
+
+
+def _closed_form_reads(scheme, g, row_words):
+    """Words one unpruned scan of the whole grid gathers: ``f`` rows per
+    thread with an inner loop, and its one inner table, that of the
+    first thread's level, ``C(g-f, d)`` combinations of ``d`` rows."""
+    f, d = scheme.flattened, scheme.inner
+    return row_words * (f * math.comb(g - d, f) + d * math.comb(g - f, d))
 
 
 # -- the index ------------------------------------------------------------
@@ -84,7 +124,7 @@ class TestSparsityIndex:
         assert empty.sparsity(1).nonzero_fraction == 0.0
 
 
-# -- kernel exactness and closure -----------------------------------------
+# -- adversarial matrices on the native scan -----------------------------
 
 
 def _adversarial_matrix(rng, g, n_samples, kind):
@@ -106,6 +146,8 @@ KINDS = ["zero_rows", "single_bit", "dense", "sparse"]
 
 
 class TestSparseScoreCombos:
+    """Engineered sparse and dense inputs, scored by the native scan."""
+
     @settings(
         max_examples=25, deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
@@ -115,103 +157,94 @@ class TestSparseScoreCombos:
         st.integers(min_value=2, max_value=4),
         st.sampled_from(KINDS),
         st.sampled_from(KINDS),
-        st.sampled_from([1, 3, 8, 64]),
+        st.integers(min_value=1, max_value=3),
     )
-    def test_matches_reference_adversarial(self, seed, h, tk, nk, stride):
+    def test_matches_reference_adversarial(self, seed, h, tk, nk, flattened):
         rng = np.random.default_rng(seed)
         g = int(rng.integers(h + 1, 10))
         ns = int(rng.integers(1, 500))
         tumor = _adversarial_matrix(rng, g, ns, tk)
         normal = _adversarial_matrix(rng, g, ns, nk)
         params = FScoreParams(n_tumor=ns, n_normal=ns)
-        combos = _all_combos(g, h)
-        f, tp, tn = score_combos(
-            tumor, normal, combos, params, sparse=True, word_stride=stride
-        )
-        rf, rtp, rtn = score_combos_reference(tumor, normal, combos, params)
-        np.testing.assert_array_equal(tp, rtp)
-        np.testing.assert_array_equal(tn, rtn)
-        np.testing.assert_array_equal(f, rf)
+        scheme = scheme_for(h, min(flattened, h - 1))
+        _assert_scans_match_reference(scheme, tumor, normal, params)
 
     def test_post_splice_widths(self):
         # BitSplicing makes ragged widths (and wider zero tails); the
-        # sparse path must stay exact on the compacted matrices.
+        # scan must stay exact on the compacted matrices.
         rng = np.random.default_rng(5)
         dense_t = rng.random((8, 300)) < 0.1
         dense_n = rng.random((8, 300)) < 0.05
         tumor = BitMatrix.from_dense(dense_t)
         normal = BitMatrix.from_dense(dense_n)
-        keep = rng.random(300) < 0.3
-        tumor_s = splice_columns(tumor, keep)
-        params = FScoreParams(n_tumor=tumor_s.n_samples, n_normal=300)
-        combos = _all_combos(8, 3)
-        for stride in (1, 2, 64):
-            f, tp, tn = score_combos(
-                tumor_s, normal, combos, params, sparse=True, word_stride=stride
+        for keep_fraction in (0.3, 0.7):
+            keep = rng.random(300) < keep_fraction
+            tumor_s = splice_columns(tumor, keep)
+            assert tumor_s.n_words < tumor.n_words
+            params = FScoreParams(n_tumor=tumor_s.n_samples, n_normal=300)
+            for scheme in (scheme_for(3, 2), scheme_for(3, 1)):
+                _assert_scans_match_reference(scheme, tumor_s, normal, params)
+
+    def test_all_ties_block(self):
+        # Every combination scores the same F: the winner is the
+        # smallest gene tuple on either scan, as on the reference grid.
+        ones = BitMatrix.from_dense(np.ones((9, 130), dtype=bool))
+        zeros = BitMatrix.from_dense(np.zeros((9, 70), dtype=bool))
+        params = FScoreParams(n_tumor=130, n_normal=70)
+        for scheme in (scheme_for(3, 2), scheme_for(4, 2), scheme_for(4, 3)):
+            assert _grid_argmax(ones, zeros, params, scheme.hits).genes == tuple(
+                range(scheme.hits)
             )
-            rf, rtp, rtn = score_combos_reference(tumor_s, normal, combos, params)
-            np.testing.assert_array_equal(tp, rtp)
-            np.testing.assert_array_equal(tn, rtn)
+            _assert_scans_match_reference(scheme, ones, zeros, params)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_counter_closure(self, kind):
+        # The meter is what the scan gathers, whatever the words hold:
+        # skipping zero words changes no count.
         rng = np.random.default_rng(9)
         tumor = _adversarial_matrix(rng, 9, 400, kind)
         normal = _adversarial_matrix(rng, 9, 400, "sparse")
         params = FScoreParams(n_tumor=400, n_normal=400)
-        combos = _all_combos(9, 3)
-        dense_c = KernelCounters()
-        score_combos(tumor, normal, combos, params, dense_c, word_stride=2)
-        sparse_c = KernelCounters()
-        score_combos(
-            tumor, normal, combos, params, sparse_c, word_stride=2, sparse=True
-        )
-        # Identical work accounting; traffic closes against the dense charge.
-        assert sparse_c.combos_scored == dense_c.combos_scored == len(combos)
-        assert (
-            sparse_c.word_reads + sparse_c.word_reads_skipped
-            == dense_c.word_reads
-            == len(combos) * 3 * (tumor.n_words + normal.n_words)
-        )
-        assert sparse_c.word_reads >= 0
-        # Prefix caching always engages for h > 1 on the full combo grid.
-        assert sparse_c.prefix_and_hits > 0
+        scheme = scheme_for(3, 2)
+        c = KernelCounters()
+        _scan(scheme, tumor, normal, params, pruned=False, counters=c)
+        w = tumor.n_words + normal.n_words
+        assert c.combos_scored == math.comb(9, 3)
+        assert c.word_ops == math.comb(9, 3) * 2 * w
+        assert c.word_reads == _closed_form_reads(scheme, 9, w)
+        assert (c.decode_strides, c.inner_tables_built) == (1, 1)
 
     def test_zero_prefix_skip_is_gated_and_sound(self):
-        # A tumor matrix with an all-zero gene makes every run through it
-        # zero-prefix.  Without skip_below the values stay exact; with a
-        # strictly-better incumbent the skipped rows report the ceiling.
+        # Gene 1's tumor row is all zero, so every thread whose fixed
+        # genes include it has an all-zero prefix: each of its words is
+        # skipped, and its combinations score TP = 0 exactly.  Pruned,
+        # the prefix ceiling fscore(0, Nn) gates those threads: with an
+        # incumbent strictly above it they are never visited (sound:
+        # none of them can win or tie), and the winner is unchanged.
         rng = np.random.default_rng(2)
         dense_t = rng.random((6, 100)) < 0.3
-        dense_t[5] = False  # gene 5 kills any combo containing it
+        dense_t[1] = False
         tumor = BitMatrix.from_dense(dense_t)
         normal = BitMatrix.from_dense(rng.random((6, 100)) < 0.1)
         params = FScoreParams(n_tumor=100, n_normal=100)
-        combos = _all_combos(6, 3)
-        rf, rtp, rtn = score_combos_reference(tumor, normal, combos, params)
-        # Exact without skip_below.
-        f, tp, tn = score_combos(tumor, normal, combos, params, sparse=True)
-        np.testing.assert_array_equal(tn, rtn)
-        ceiling = tp_zero_ceiling(params)
+        scheme = scheme_for(3, 2)
+        ref = _grid_argmax(tumor, normal, params, 3)
+        ceiling = fscore(0, params.n_normal, params)
+        assert ref.f > ceiling
+        assert _key(_scan(scheme, tumor, normal, params, pruned=False)) == _key(ref)
+        table = BoundTable.build(scheme, 6)
         c = KernelCounters()
-        f2, tp2, tn2 = score_combos(
-            tumor, normal, combos, params, c, sparse=True,
-            skip_below=ceiling + 0.1,
+        got = best_in_thread_range(
+            scheme, 6, tumor, normal, params, 0, total_threads(scheme, 6),
+            counters=c, bounds=table,
         )
-        assert c.zero_prefix_runs_skipped > 0
-        np.testing.assert_array_equal(tp2, rtp)  # tp is exact either way
-        skipped = tp2 == 0
-        # Skipped rows sit exactly at the ceiling — a sound upper bound
-        # that can never beat or tie a strictly-better incumbent.
-        assert np.all(f2 <= np.maximum(rf, ceiling))
-        assert np.all(f2[~skipped] == rf[~skipped])
-        # With skip_below at/below the ceiling nothing is skipped.
-        c2 = KernelCounters()
-        f3, _, tn3 = score_combos(
-            tumor, normal, combos, params, c2, sparse=True, skip_below=ceiling
-        )
-        assert c2.zero_prefix_runs_skipped == 0
-        np.testing.assert_array_equal(tn3, rtn)
+        assert _key(got) == _key(ref)
+        n = math.comb(6 - scheme.inner, scheme.flattened)  # with inner loops
+        tuples = combinations_array(scheme.flattened, 0, n)
+        through_1 = np.flatnonzero((tuples == 1).any(axis=1))
+        assert len(through_1) == 4
+        assert np.isinf(table.values[through_1]).all()  # never visited
+        assert c.threads_skipped >= len(through_1)
 
 
 # -- engine / backend equivalence -----------------------------------------
@@ -224,70 +257,73 @@ class TestEngineSparseEquivalence:
         normal = BitMatrix.from_dense(rng.random((g, ns)) < 0.04)
         return tumor, normal, FScoreParams(n_tumor=ns, n_normal=ns)
 
-    @pytest.mark.parametrize("scheme", [scheme_for(3, 3), scheme_for(3, 2)])
+    @pytest.mark.parametrize("scheme", [scheme_for(3, 1), scheme_for(3, 2)])
     @pytest.mark.parametrize("stride", [1, 2, 64])
     def test_winner_bit_identical(self, scheme, stride):
-        # The engine scans at the kernel's default stride; the sparse
-        # kernel at any stride picks the engine's dense winner.
+        # The native scan picks the winner of score_combos' grid at any
+        # word stride.
         tumor, normal, params = self._instance()
-        dense = SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
+        native = SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
         combos = _all_combos(tumor.n_genes, scheme.hits)
         got = best_of(combos, *score_combos(
-            tumor, normal, combos, params, sparse=True, word_stride=stride,
+            tumor, normal, combos, params, word_stride=stride,
         ))
-        assert got == dense
+        assert got == native
 
-    @pytest.mark.parametrize("scheme", [scheme_for(3, 3), scheme_for(3, 2)])
+    @pytest.mark.parametrize("scheme", [scheme_for(3, 1), scheme_for(3, 2)])
     def test_pruned_sparse_matches_dense(self, scheme):
+        # On a sparse instance the pruned scan, fresh and on its own
+        # refreshed bounds, picks the unpruned scan's winner.
         tumor, normal, params = self._instance(seed=3)
         g = tumor.n_genes
-        dense = SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
+        full = SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
         table = BoundTable.build(scheme, g)
         c = KernelCounters()
-        eng = SingleGpuEngine(scheme=scheme, sparse=True)
+        eng = SingleGpuEngine(scheme=scheme)
         first = eng.best_combo(tumor, normal, params, counters=c, bounds=table)
         again = eng.best_combo(tumor, normal, params, counters=c, bounds=table)
-        assert first == dense
-        assert again == dense
+        assert first == full
+        assert again == full
 
     def test_engine_counter_closure_unpruned(self):
-        # Same scan, sparse vs dense: identical combos_scored, and the
-        # traffic plus its skipped complement reproduces the dense model
-        # charge exactly (the nested scan has one body, so skipped is 0).
+        # The scan that fills the normal-hit store gathers both matrices;
+        # the next one reads the stored counts and gathers tumor rows
+        # only.  Same winner, same combinations scored.
         tumor, normal, params = self._instance(seed=7)
         scheme = scheme_for(3, 2)
-        end = total_threads(scheme, tumor.n_genes)
-        dense_c, sparse_c = KernelCounters(), KernelCounters()
-        a = best_in_thread_range(
-            scheme, tumor.n_genes, tumor, normal, params, 0, end,
-            counters=dense_c,
-        )
-        b = best_in_thread_range(
-            scheme, tumor.n_genes, tumor, normal, params, 0, end,
-            counters=sparse_c, sparse=True,
-        )
-        assert a == b
-        assert sparse_c.combos_scored == dense_c.combos_scored
-        assert (
-            sparse_c.word_reads + sparse_c.word_reads_skipped
-            == dense_c.word_reads
-        )
+        g = tumor.n_genes
+        store = NormalHitStore(scheme, g, normal)
+        fill, read = KernelCounters(), KernelCounters()
+        a = _scan(scheme, tumor, normal, params, False, counters=fill,
+                  normal_hits=store)
+        b = _scan(scheme, tumor, normal, params, False, counters=read,
+                  normal_hits=store)
+        assert a == b == _grid_argmax(tumor, normal, params, 3)
+        assert read.combos_scored == fill.combos_scored == math.comb(g, 3)
+        w = tumor.n_words + normal.n_words
+        assert fill.word_reads == _closed_form_reads(scheme, g, w)
+        assert read.word_reads == _closed_form_reads(scheme, g, tumor.n_words)
 
     def test_counters_merge_new_fields(self):
-        a = KernelCounters(
-            strides_skipped_sparse=1, prefix_and_hits=2,
-            zero_prefix_runs_skipped=3, word_reads_skipped=4,
+        # merge sums every field; the retired sparse counters are
+        # read-only aliases that read 0 (the benchmark harness reads them).
+        names = [f.name for f in dataclasses.fields(KernelCounters)]
+        a = KernelCounters(**{n: i for i, n in enumerate(names, 1)})
+        a.merge(KernelCounters(**{n: 10 * i for i, n in enumerate(names, 1)}))
+        assert [getattr(a, n) for n in names] == [
+            11 * i for i in range(1, len(names) + 1)
+        ]
+        retired = (
+            "strides_skipped_sparse", "prefix_and_hits",
+            "zero_prefix_runs_skipped", "word_reads_skipped",
         )
-        a.merge(
-            KernelCounters(
-                strides_skipped_sparse=10, prefix_and_hits=20,
-                zero_prefix_runs_skipped=30, word_reads_skipped=40,
-            )
-        )
-        assert (
-            a.strides_skipped_sparse, a.prefix_and_hits,
-            a.zero_prefix_runs_skipped, a.word_reads_skipped,
-        ) == (11, 22, 33, 44)
+        for name in retired:
+            assert name not in names
+            assert getattr(a, name) == 0
+            with pytest.raises(AttributeError):
+                setattr(a, name, 1)
+            with pytest.raises(TypeError):
+                KernelCounters(**{name: 1})
 
 
 class TestSolverBackendsSparse:
@@ -299,9 +335,8 @@ class TestSolverBackendsSparse:
 
     def test_serial_pool_distributed_elastic_agree(self):
         t, n = self._cohort()
-        ref = MultiHitSolver(hits=3, sparse=False).solve(t, n)
+        ref = MultiHitSolver(hits=3).solve(t, n)
         configs = [
-            dict(),
             dict(prune=True),
             dict(backend="pool", n_workers=2),
             dict(backend="pool", n_workers=2, prune=True),
@@ -309,7 +344,7 @@ class TestSolverBackendsSparse:
             dict(backend="distributed", n_nodes=2, elastic=True),
         ]
         for kw in configs:
-            got = MultiHitSolver(hits=3, sparse=True, **kw).solve(t, n)
+            got = MultiHitSolver(hits=3, **kw).solve(t, n)
             assert _signature(got.combinations) == _signature(ref.combinations)
             assert got.uncovered == ref.uncovered
             assert (
@@ -318,10 +353,19 @@ class TestSolverBackendsSparse:
             )
 
     def test_solver_closure_and_savings(self):
+        # The store saves every normal gather after the first iteration
+        # and moves nothing else; each solve's iterations (four, then the
+        # cap ends the loop) sum to its run total.
         t, n = self._cohort(seed=6)
-        dense = MultiHitSolver(hits=3, sparse=False).solve(t, n)
-        sparse = MultiHitSolver(hits=3, sparse=True).solve(t, n)
-        sc, dc = sparse.counters, dense.counters
-        assert sc.combos_scored == dc.combos_scored
-        assert sc.word_reads + sc.word_reads_skipped == dc.word_reads
-        assert sc.word_reads <= dc.word_reads
+        stored = MultiHitSolver(hits=3, max_iterations=4).solve(t, n)
+        with patch.object(engine_mod, "NORMAL_HIT_BUDGET", 0):
+            plain = MultiHitSolver(hits=3, max_iterations=4).solve(t, n)
+        assert _signature(stored.combinations) == _signature(plain.combinations)
+        assert len(stored.iterations) == 4
+        sc, pc = stored.counters, plain.counters
+        assert (sc.combos_scored, sc.word_ops) == (pc.combos_scored, pc.word_ops)
+        for result in (stored, plain):
+            assert sum(r.word_reads for r in result.iterations) == (
+                result.counters.word_reads
+            )
+        assert sc.word_reads < pc.word_reads
