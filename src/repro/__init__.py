@@ -35,7 +35,6 @@ from repro.scheduling import (
     SCHEME_1X3,
     SCHEME_2X2,
     SCHEME_3X1,
-    SCHEME_4X1,
     Schedule,
     equiarea_schedule,
     equidistance_schedule,
@@ -76,7 +75,6 @@ __all__ = [
     "SCHEME_1X3",
     "SCHEME_2X2",
     "SCHEME_3X1",
-    "SCHEME_4X1",
     "Schedule",
     "equiarea_schedule",
     "equidistance_schedule",

@@ -1,4 +1,4 @@
-"""Evaluation: the multi-hit classifier, accuracy metrics, gene analysis."""
+"""Evaluation: the multi-hit classifier and its accuracy metrics."""
 
 from repro.analysis.classifier import MultiHitClassifier
 from repro.analysis.metrics import (
@@ -6,33 +6,10 @@ from repro.analysis.metrics import (
     sensitivity_specificity,
     wilson_interval,
 )
-from repro.analysis.coverage import (
-    CoverageCurve,
-    cover_quality,
-    coverage_curve,
-    greedy_bound,
-)
-from repro.analysis.controls import PermutationTest, permutation_test_best_f
-from repro.analysis.overlap import (
-    GeneRanking,
-    combination_jaccard,
-    gene_recurrence,
-    rank_genes,
-)
 
 __all__ = [
     "MultiHitClassifier",
     "ClassifierPerformance",
     "sensitivity_specificity",
     "wilson_interval",
-    "PermutationTest",
-    "permutation_test_best_f",
-    "CoverageCurve",
-    "coverage_curve",
-    "cover_quality",
-    "greedy_bound",
-    "GeneRanking",
-    "combination_jaccard",
-    "gene_recurrence",
-    "rank_genes",
 ]

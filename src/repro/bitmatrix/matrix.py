@@ -107,10 +107,6 @@ class BitMatrix:
         """Number of samples carrying mutations in every gene of ``genes``."""
         return int(np.bitwise_count(self.and_reduce(genes)).sum())
 
-    def popcount_rows(self) -> np.ndarray:
-        """Per-gene mutated-sample counts."""
-        return np.bitwise_count(self.words).sum(axis=1).astype(np.int64)
-
     def sparsity(self, word_stride: int = 64) -> "SparsityIndex":
         """The row-sparsity index at ``word_stride`` (built once, cached).
 
@@ -143,10 +139,6 @@ class BitMatrix:
         return unpack_bool_matrix(words[None, :], self.n_samples)[0]
 
     # -- convenience --------------------------------------------------
-
-    def select_genes(self, genes: np.ndarray) -> "BitMatrix":
-        """Row-subset view as a new BitMatrix (same sample columns)."""
-        return BitMatrix(self.words[np.asarray(genes, dtype=np.int64)], self.n_samples)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):

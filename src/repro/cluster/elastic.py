@@ -45,7 +45,6 @@ from repro.core.distributed import run_lease, search_lease
 from repro.core.engine import NormalHitStore
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.core.reduction import ReductionStats
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.faults.report import FaultReport
@@ -65,13 +64,14 @@ _DRAIN_GRACE_S = 2.0
 class ElasticSPMDRunner:
     """Drive a lease ledger to completion on an elastic thread fleet.
 
-    ``n_ranks`` threads start immediately; up to ``max_ranks`` total can
-    exist over the run (the heartbeat table is pre-sized, like an MPI
-    session opened with room to grow).  Faults and membership churn
-    come from ``fault_plan``: ``rank``-site specs fire on a granted
-    lease and are recovered by :func:`repro.core.distributed.run_lease`
-    under ``retry_policy``; ``membership``-site specs fire in the
-    supervisor once the solve reaches their progress-fraction trigger —
+    ``n_ranks`` threads start immediately; up to :attr:`max_ranks`
+    (``2 * n_ranks + 2``) total can exist over the run (the heartbeat
+    table is pre-sized, like an MPI session opened with room to grow).
+    Faults and membership churn come from ``fault_plan``: ``rank``-site
+    specs fire on a granted lease and are recovered by
+    :func:`repro.core.distributed.run_lease` under ``retry_policy``;
+    ``membership``-site specs fire in the supervisor once the solve
+    reaches their progress-fraction trigger —
     at the latest on the pass that sees the ledger done, so a plan's
     churn lands in the call it is due however fast the ranks drain it.
 
@@ -87,7 +87,6 @@ class ElasticSPMDRunner:
     """
 
     n_ranks: int
-    max_ranks: "int | None" = None
     max_wall_s: "float | None" = 120.0
     fault_plan: "FaultPlan | None" = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
@@ -96,10 +95,11 @@ class ElasticSPMDRunner:
     def __post_init__(self) -> None:
         if self.n_ranks < 1:
             raise ValueError("need at least one rank")
-        if self.max_ranks is None:
-            self.max_ranks = 2 * self.n_ranks + 2
-        if self.max_ranks < self.n_ranks:
-            raise ValueError("max_ranks must be >= n_ranks")
+
+    @property
+    def max_ranks(self) -> int:
+        """Ranks the world has room for: launch plus joiners."""
+        return 2 * self.n_ranks + 2
 
     def run(self, ledger: LeaseLedger, search, call: int = 0) -> None:
         """Pull every lease through ``search`` to completion.
@@ -331,7 +331,6 @@ def spmd_best_combo(
     retry_policy: "RetryPolicy | None" = None,
     report: "FaultReport | None" = None,
     counters: "KernelCounters | None" = None,
-    reduction_stats: "ReductionStats | None" = None,
     bounds: "BoundTable | None" = None,
     max_wall_s: "float | None" = 120.0,
     call: int = 0,
@@ -342,9 +341,8 @@ def spmd_best_combo(
     The ledger decides the schedule (pinned ``from_schedule`` leases or
     pulled ``build`` ones; a ``ttl_s`` lets survivors steal from hung
     ranks).  Whatever happens to the ranks, the winners fold through
-    :meth:`LeaseLedger.merge` in lease-id order (``reduction_stats``
-    records its stages): the result is bit-identical to any fixed-world
-    run over the same grid.
+    :meth:`LeaseLedger.merge` in lease-id order: the result is
+    bit-identical to any fixed-world run over the same grid.
 
     ``bounds`` (a table covering the ledger's range) turns pruning on:
     each lease prunes against a copy of its slice (see
@@ -378,4 +376,4 @@ def spmd_best_combo(
         # slowest lease chain instead of dead-ending at the reduce.
         for ctx in ledger.completion_contexts():
             sp.link(ctx, kind="complete")
-        return ledger.merge(stats=reduction_stats)
+        return ledger.merge()

@@ -156,18 +156,14 @@ class LeaseLedger:
         scheme,
         g: int,
         n_leases: int,
-        lam_start: int = 0,
-        lam_end: "int | None" = None,
         ttl_s: "float | None" = None,
     ) -> "LeaseLedger":
-        """Equi-area lease cuts over ``[lam_start, lam_end)``.
+        """Equi-area lease cuts over the whole thread grid.
 
         The same O(G) level walk as every other cut in the repo.
         """
-        if lam_end is None:
-            lam_end = total_threads(scheme, g)
         cuts = equiarea_range_boundaries(
-            scheme, g, lam_start, lam_end, max(1, n_leases)
+            scheme, g, 0, total_threads(scheme, g), max(1, n_leases)
         )
         return cls(cuts, ttl_s=ttl_s)
 
@@ -460,7 +456,7 @@ class LeaseLedger:
 
     # -- deterministic merge -------------------------------------------
 
-    def merge(self, stats=None):
+    def merge(self):
         """Fold the per-lease winners in lease-id order: on-rank first
         (:func:`repro.core.distributed.node_candidates`, the paper's
         stage 2), then at the root (stage 3).  The whole determinism
@@ -472,7 +468,7 @@ class LeaseLedger:
         ]
         if incomplete:
             raise RuntimeError(f"leases not completed: {incomplete}")
-        return multi_stage_reduce(node_candidates(self.leases), stats=stats)
+        return multi_stage_reduce(node_candidates(self.leases))
 
     def merge_counters(self, into) -> None:
         """Fold per-lease kernel counters in lease-id order into ``into``."""

@@ -39,10 +39,5 @@ class NetworkModel:
         """Binomial-tree broadcast (same shape as the reduce)."""
         return self.tree_reduce_time(n_ranks, n_bytes)
 
-    def allreduce_time(self, n_ranks: int, n_bytes: int) -> float:
-        return self.tree_reduce_time(n_ranks, n_bytes) + self.bcast_time(
-            n_ranks, n_bytes
-        )
-
 
 SUMMIT_NETWORK = NetworkModel()

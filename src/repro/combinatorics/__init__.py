@@ -29,10 +29,7 @@ from repro.combinatorics.tetrahedral import (
     tetrahedral_size,
     sqrt_729l2_minus_3_logexp,
 )
-from repro.combinatorics.enumeration import (
-    combinations_array,
-    iter_combination_blocks,
-)
+from repro.combinatorics.enumeration import combinations_array
 
 __all__ = [
     "binomial",
@@ -50,5 +47,4 @@ __all__ = [
     "tetrahedral_size",
     "sqrt_729l2_minus_3_logexp",
     "combinations_array",
-    "iter_combination_blocks",
 ]

@@ -15,15 +15,13 @@ the random-access decoder.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
 from repro.combinatorics.decode import top_index
 
-__all__ = ["combinations_array", "iter_combination_blocks"]
+__all__ = ["combinations_array"]
 
 
 def combinations_array(order: int, lam_start: int, lam_end: int) -> np.ndarray:
@@ -95,21 +93,3 @@ def _fill_whole_levels(out: np.ndarray, m: int, counts: list) -> None:
         starts = np.cumsum([0] + counts[:-2])
         within = np.arange(n_rest) - np.repeat(starts, counts[:-1])
         out[:n_rest, :-1] = last[within]
-
-
-def iter_combination_blocks(
-    order: int, g: int, block: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(lam_start, indices)`` blocks covering all ``C(g, order)`` ids.
-
-    Mirrors the grid-stride pattern of the CUDA kernels: a fixed block of
-    ``block`` linear ids is enumerated and processed at a time.
-    """
-    if block <= 0:
-        raise ValueError("block must be positive")
-    total = math.comb(g, order)
-    for start in itertools.count(0, block):
-        if start >= total:
-            return
-        end = min(start + block, total)
-        yield start, combinations_array(order, start, end)

@@ -16,13 +16,12 @@ from repro.core.combination import (
     COMBO_DTYPE,
     COMBO_RECORD_BYTES,
     MultiHitCombination,
-    colex_rank,
 )
 from repro.core.kernels import best_of, score_combos
 from repro.core.memopt import MemoryConfig
 from repro.core.sequential import sequential_best_combo, sequential_solve
 from repro.core.engine import SingleGpuEngine, best_in_thread_range
-from repro.core.reduction import ReductionStats, block_reduce, multi_stage_reduce
+from repro.core.reduction import block_reduce, multi_stage_reduce
 from repro.core.distributed import DistributedEngine
 from repro.core.pool import ChunkRecord, PoolEngine, PoolStats
 from repro.core.solver import IterationRecord, MultiHitResult, MultiHitSolver
@@ -40,7 +39,6 @@ __all__ = [
     "COMBO_DTYPE",
     "COMBO_RECORD_BYTES",
     "MultiHitCombination",
-    "colex_rank",
     "score_combos",
     "best_of",
     "MemoryConfig",
@@ -48,7 +46,6 @@ __all__ = [
     "sequential_solve",
     "SingleGpuEngine",
     "best_in_thread_range",
-    "ReductionStats",
     "block_reduce",
     "multi_stage_reduce",
     "DistributedEngine",

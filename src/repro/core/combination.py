@@ -12,9 +12,7 @@ the identical winner — the property the equivalence tests assert.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +20,6 @@ __all__ = [
     "COMBO_DTYPE",
     "COMBO_RECORD_BYTES",
     "MultiHitCombination",
-    "colex_rank",
     "better",
 ]
 
@@ -65,11 +62,6 @@ class MultiHitCombination:
     def from_record(cls, rec: np.ndarray, tp: int = 0, tn: int = 0) -> "MultiHitCombination":
         genes = tuple(int(g) for g in rec["genes"] if g >= 0)
         return cls(genes=genes, f=float(rec["f"]), tp=tp, tn=tn)
-
-
-def colex_rank(genes: Sequence[int]) -> int:
-    """Combinatorial-number-system rank of a strictly increasing tuple."""
-    return sum(math.comb(int(g), r + 1) for r, g in enumerate(genes))
 
 
 def better(a: "MultiHitCombination | None", b: "MultiHitCombination | None") -> "MultiHitCombination | None":

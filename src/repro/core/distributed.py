@@ -41,7 +41,7 @@ from repro.core.combination import MultiHitCombination
 from repro.core.engine import NormalHitStore, best_in_thread_range
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.core.reduction import ReductionStats, multi_stage_reduce
+from repro.core.reduction import multi_stage_reduce
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.faults.report import FaultReport
@@ -244,14 +244,11 @@ class FleetEngine:
         normal: BitMatrix,
         params: FScoreParams,
         n_ranks: int,
-        lam_start: int = 0,
-        lam_end: "int | None" = None,
         counters: "KernelCounters | None" = None,
-        reduction_stats: "ReductionStats | None" = None,
         bounds: "BoundTable | None" = None,
     ):
-        """One arg-max over ``[lam_start, lam_end)`` on ``n_ranks`` rank
-        threads; returns ``(winner, ledger)``."""
+        """One arg-max over the whole grid on ``n_ranks`` rank threads;
+        returns ``(winner, ledger)``."""
         # Imported here: repro.cluster imports this module for search_lease.
         from repro.cluster.elastic import spmd_best_combo
         from repro.cluster.leases import LeaseLedger
@@ -266,17 +263,15 @@ class FleetEngine:
         ttl = self.retry_policy.deadline_s
         ledger = (
             LeaseLedger.build(
-                self.scheme, g, LEASES_PER_PULLER * n_ranks, lam_start,
-                lam_end, ttl_s=ttl,
+                self.scheme, g, LEASES_PER_PULLER * n_ranks, ttl_s=ttl
             )
             if self.elastic
-            else self._static_ledger(g, lam_start, lam_end, ttl)
+            else self._static_ledger(g, ttl)
         )
         best = spmd_best_combo(
             ledger, self.scheme, tumor, normal, params, n_ranks,
             fault_plan=self.fault_plan, retry_policy=self.retry_policy,
-            report=self.report, counters=counters,
-            reduction_stats=reduction_stats, bounds=bounds,
+            report=self.report, counters=counters, bounds=bounds,
             max_wall_s=None, call=call,
             normal_hits=None if bounds is not None else self._normal_hits,
         )
@@ -311,7 +306,7 @@ class DistributedEngine(FleetEngine):
                 return equidistance_schedule(self.scheme, g, n_parts)
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
 
-    def _static_ledger(self, g, lam_start, lam_end, ttl_s):
+    def _static_ledger(self, g, ttl_s):
         from repro.cluster.leases import LeaseLedger
 
         return LeaseLedger.from_schedule(
@@ -324,7 +319,6 @@ class DistributedEngine(FleetEngine):
         normal: BitMatrix,
         params: FScoreParams,
         counters: "KernelCounters | None" = None,
-        reduction_stats: "ReductionStats | None" = None,
         bounds: "BoundTable | None" = None,
     ) -> "MultiHitCombination | None":
         """Full distributed arg-max: every lease's winner reduced at
@@ -332,5 +326,5 @@ class DistributedEngine(FleetEngine):
         reach the result."""
         return self._argmax(
             tumor, normal, params, self.n_nodes, counters=counters,
-            reduction_stats=reduction_stats, bounds=bounds,
+            bounds=bounds,
         )[0]

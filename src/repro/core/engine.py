@@ -26,8 +26,8 @@ F, since division can merge different numerators: only a thread whose
 F can tie or beat the running best is rescanned, and the lexicographic
 rule compares the thread tuple, then the inner tuple.  Python keeps the
 counters and building the winner.  There is no other body: a C compiler
-is required, and a flat scheme (``inner == 0``, no inner loop) is
-refused — the paper implements only nested schemes.
+is required, and every :class:`Scheme` is nested (``inner >= 1``) —
+the paper implements only nested schemes.
 
 Normal hits are computed once per solve.  Equation 1's ``TN`` depends
 only on the normal matrix, which no greedy iteration changes (BitSplicing
@@ -181,16 +181,6 @@ class NormalHitStore:
         its filled mark (``lam < lam_cap``)."""
         counts, filled = self._at
         return counts + self._rank(lam) * self.counts.itemsize, filled + lam
-
-
-def require_nested(scheme: Scheme) -> None:
-    """Refuse a flat scheme: the kernel scans a thread's inner loop."""
-    if not scheme.inner:
-        raise ValueError(
-            f"flat scheme (flattened={scheme.flattened}, inner=0) has no "
-            "inner loop to scan; accepted schemes are nested, inner >= 1: "
-            "the paper's 2x2 and 3x1, or any (h-k)xk with 1 <= k < h"
-        )
 
 
 def _and_reduce_rows(matrix: BitMatrix, combos: np.ndarray) -> np.ndarray:
@@ -406,10 +396,8 @@ def best_in_thread_range(
     bound to ``scheme``, ``g`` and ``normal``) serves and keeps the
     unpruned scan's normal hit counts; the pruned path ignores it.
     The winner is bit-identical with and without ``bounds`` and
-    ``normal_hits``; only the work counters differ.  A flat scheme
-    (``inner == 0``) is refused with a ``ValueError``.
+    ``normal_hits``; only the work counters differ.
     """
-    require_nested(scheme)
     if tumor.n_genes != g or normal.n_genes != g:
         raise ValueError("matrix gene count must match g")
     lam_end = min(lam_end, total_threads(scheme, g))
@@ -518,12 +506,12 @@ def _best_pruned(
 
 @dataclass
 class SingleGpuEngine:
-    """Convenience wrapper: one simulated GPU searching a thread range.
+    """Convenience wrapper: one simulated GPU searching the whole grid
+    (the "single V100" baseline configuration of the prior paper).
 
-    Used standalone it searches the whole grid (the "single V100"
-    baseline configuration of the prior paper).  The engine keeps one
-    :class:`NormalHitStore` for the normal matrix it last searched, so
-    a solve's unpruned scans compute each normal hit count once.
+    The engine keeps one :class:`NormalHitStore` for the normal matrix
+    it last searched, so a solve's unpruned scans compute each normal
+    hit count once.
     """
 
     scheme: Scheme
@@ -536,14 +524,10 @@ class SingleGpuEngine:
         tumor: BitMatrix,
         normal: BitMatrix,
         params: FScoreParams,
-        lam_start: int = 0,
-        lam_end: "int | None" = None,
         counters: "KernelCounters | None" = None,
         bounds: "BoundTable | None" = None,
     ) -> "MultiHitCombination | None":
         g = tumor.n_genes
-        if lam_end is None:
-            lam_end = total_threads(self.scheme, g)
         if bounds is None:
             self._normal_hits = NormalHitStore.reuse(
                 self._normal_hits, self.scheme, g, normal
@@ -554,8 +538,8 @@ class SingleGpuEngine:
             tumor,
             normal,
             params,
-            lam_start,
-            lam_end,
+            0,
+            total_threads(self.scheme, g),
             counters=counters,
             bounds=bounds,
             normal_hits=None if bounds is not None else self._normal_hits,

@@ -4,7 +4,7 @@ The paper's scale-out — cut the thread grid into equal-*work* ranges,
 search each, fold the winners through the multi-stage max-reduction —
 on the cores of one host: a :class:`repro.core.distributed.FleetEngine`
 whose static ledger is one unpinned equi-area lease per worker, over
-any λ-range.  Its ``n_workers`` rank threads run exactly as the
+the whole grid.  Its ``n_workers`` rank threads run exactly as the
 distributed backend's, so winners, tie-breaks and ``combos_scored`` are
 bit-exact with ``"single"`` for any worker count, cut or schedule.
 """
@@ -20,11 +20,7 @@ from repro.core.combination import MultiHitCombination
 from repro.core.distributed import FleetEngine
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.scheduling.workload import (
-    cumulative_work_before,
-    total_threads,
-    work_prefix_by_level,
-)
+from repro.scheduling.workload import cumulative_work_before, work_prefix_by_level
 
 # Bound here but never called by the pool: the benchmark harness
 # (benchmarks/perf/trace.py) patches them by these names.
@@ -115,7 +111,7 @@ class PoolStats:
 
 @dataclass(kw_only=True)
 class PoolEngine(FleetEngine):
-    """Equi-area arg-max over a λ thread-range, on rank threads.
+    """Equi-area arg-max over the thread grid, on rank threads.
 
     ``n_workers`` rank threads pull one lease per worker, or
     :data:`LEASES_PER_PULLER` per worker when ``elastic``, so a
@@ -140,47 +136,36 @@ class PoolEngine(FleetEngine):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _static_ledger(self, g, lam_start, lam_end, ttl_s):
+    def _static_ledger(self, g, ttl_s):
         from repro.cluster.leases import LeaseLedger
 
-        return LeaseLedger.build(
-            self.scheme, g, self.n_workers, lam_start, lam_end, ttl_s=ttl_s
-        )
+        return LeaseLedger.build(self.scheme, g, self.n_workers, ttl_s=ttl_s)
 
     def best_combo(
         self,
         tumor: BitMatrix,
         normal: BitMatrix,
         params: FScoreParams,
-        lam_start: int = 0,
-        lam_end: "int | None" = None,
         counters: "KernelCounters | None" = None,
         stats: "PoolStats | None" = None,
         bounds: "BoundTable | None" = None,
     ) -> "MultiHitCombination | None":
-        """Pooled arg-max over ``[lam_start, lam_end)``.
+        """Pooled arg-max over the whole grid.
 
-        Bit-exact with :class:`SingleGpuEngine` over the same range: the
-        per-lease winners fold through :meth:`LeaseLedger.merge`, so
-        worker count, cuts and recovery never change the result.
+        Bit-exact with :class:`SingleGpuEngine`: the per-lease winners
+        fold through :meth:`LeaseLedger.merge`, so worker count, cuts
+        and recovery never change the result.
 
-        ``bounds`` (a table covering ``[lam_start, lam_end)``) enables
-        pruning: each lease prunes against a copy of its slice and the
-        refreshed slices are written back in lease-id order.
+        ``bounds`` (a table covering the grid) enables pruning: each
+        lease prunes against a copy of its slice and the refreshed
+        slices are written back in lease-id order.
         """
         g = tumor.n_genes
         if normal.n_genes != g:
             raise ValueError("tumor and normal matrices must share the gene axis")
-        total = total_threads(self.scheme, g)
-        if lam_end is None:
-            lam_end = total
-        lam_start = max(0, lam_start)
-        lam_end = min(lam_end, total)
-        if lam_end <= lam_start:
-            return None
         best, ledger = self._argmax(
-            tumor, normal, params, self.n_workers, lam_start, lam_end,
-            counters=counters, bounds=bounds,
+            tumor, normal, params, self.n_workers, counters=counters,
+            bounds=bounds,
         )
         if stats is not None:
             stats.n_workers = self.n_workers

@@ -19,29 +19,13 @@ GB -> 20 B accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core.combination import COMBO_RECORD_BYTES, MultiHitCombination, better
 from repro.scheduling.schemes import Scheme
 from repro.scheduling.workload import total_threads
 
-__all__ = ["DEFAULT_BLOCK_SIZE", "ReductionStats", "block_reduce", "multi_stage_reduce", "reduction_plan"]
+__all__ = ["DEFAULT_BLOCK_SIZE", "block_reduce", "multi_stage_reduce", "reduction_plan"]
 
 DEFAULT_BLOCK_SIZE = 512
-
-
-@dataclass
-class ReductionStats:
-    """Entry counts and byte volumes at each reduction stage."""
-
-    stage_entries: list[int] = field(default_factory=list)
-
-    def record(self, entries: int) -> None:
-        self.stage_entries.append(entries)
-
-    @property
-    def stage_bytes(self) -> list[int]:
-        return [e * COMBO_RECORD_BYTES for e in self.stage_entries]
 
 
 def block_reduce(
@@ -63,7 +47,6 @@ def block_reduce(
 def multi_stage_reduce(
     candidates: list["MultiHitCombination | None"],
     block_size: int = DEFAULT_BLOCK_SIZE,
-    stats: "ReductionStats | None" = None,
 ) -> "MultiHitCombination | None":
     """Repeated block reduction until one candidate remains.
 
@@ -73,12 +56,8 @@ def multi_stage_reduce(
     if block_size < 2:
         raise ValueError("multi-stage reduction needs block_size >= 2")
     level = list(candidates)
-    if stats is not None:
-        stats.record(len(level))
     while len(level) > 1:
         level = block_reduce(level, block_size)
-        if stats is not None:
-            stats.record(len(level))
     return level[0] if level else None
 
 

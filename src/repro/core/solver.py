@@ -22,7 +22,7 @@ from repro.core import tile
 from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
 from repro.core.distributed import DistributedEngine
-from repro.core.engine import SingleGpuEngine, require_nested
+from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import DEFAULT_ALPHA, FScoreParams
 from repro.core.kernels import KernelCounters
 from repro.core.memopt import MemoryConfig
@@ -44,6 +44,13 @@ class IterationRecord:
     ``combos_scored`` / ``combos_pruned`` / ``word_reads`` are this
     iteration's deltas of the run counters — the per-iteration pruning
     trajectory ``tests/test_bounds.py`` pins.
+
+    Only an arg-max that picks a combination gets a record.  A solve
+    that ends by exhaustion (the last arg-max returns ``None`` or a
+    winner with TP 0) ran that closing scan too: it is metered into
+    :attr:`MultiHitResult.counters` but recorded here nowhere, so on
+    such a run the records sum to the run counters minus one full scan
+    (``C(G, h)`` combinations scored or pruned).
     """
 
     iteration: int
@@ -60,7 +67,13 @@ class IterationRecord:
 
 @dataclass
 class MultiHitResult:
-    """Output of a full greedy run."""
+    """Output of a full greedy run.
+
+    ``counters`` meters every arg-max the run made, including the
+    closing scan of a run that ends by exhaustion, which has no
+    :class:`IterationRecord`; a run stopped by ``max_iterations`` or by
+    covering every tumor sample makes no closing scan.
+    """
 
     combinations: list[MultiHitCombination]
     iterations: list[IterationRecord]
@@ -179,12 +192,12 @@ class MultiHitSolver:
         ``"sequential"`` (dense oracle).
     scheme:
         Loop-flattening scheme; defaults to ``(h-1)x1`` (the paper's 3x1
-        for ``h = 4``).  It must be nested (``inner >= 1``): a flat
-        scheme, with no inner loop, is refused.
+        for ``h = 4``).  Every :class:`Scheme` is nested
+        (``inner >= 1``): a flat one cannot be built.
     memory:
         The paper's memory optimizations.  ``memory.bitsplice`` selects
         splice-vs-mask handling of covered samples (unpruned runs); the
-        register-prefetch flags cannot be expressed by the NumPy scan,
+        register-prefetch flags change nothing the native kernel does,
         which gathers each thread's fixed rows once regardless — they
         parameterise the models (:func:`repro.core.memopt.
         global_word_reads`, :class:`repro.perfmodel.runtime.JobModel`).
@@ -251,7 +264,6 @@ class MultiHitSolver:
             raise ValueError(
                 f"scheme searches {self.scheme.hits}-hit combos, expected {self.hits}"
             )
-        require_nested(self.scheme)
         if self.backend not in _ENGINES:
             raise ValueError(f"unknown backend {self.backend!r}")
         if min(self.n_workers, self.n_nodes, self.gpus_per_node) < 1:

@@ -17,12 +17,6 @@ from repro.data.synthesis import CohortConfig, SyntheticCohort, generate_cohort
 from repro.data.split import train_test_split
 from repro.data.io import load_cohort, save_cohort
 from repro.data.registry import DATASETS, dataset, dataset_names
-from repro.data.stats import (
-    CohortSummary,
-    cooccurrence_matrix,
-    pairwise_log_odds,
-    summarize_matrix,
-)
 from repro.data.maf import MafRecord, read_maf, summarize_maf, write_maf
 from repro.data.hotspots import GeneMutationProfile, positional_distribution
 
@@ -41,10 +35,6 @@ __all__ = [
     "DATASETS",
     "dataset",
     "dataset_names",
-    "CohortSummary",
-    "summarize_matrix",
-    "cooccurrence_matrix",
-    "pairwise_log_odds",
     "MafRecord",
     "read_maf",
     "write_maf",

@@ -58,15 +58,3 @@ class GeneSampleMatrix:
             gene_names=self.gene_names,
             sample_ids=tuple(self.sample_ids[i] for i in idx),
         )
-
-    def gene_index(self, name: str) -> int:
-        try:
-            return self.gene_names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown gene {name!r}") from None
-
-    def mutation_frequency(self) -> np.ndarray:
-        """Per-gene fraction of mutated samples."""
-        if self.n_samples == 0:
-            return np.zeros(self.n_genes)
-        return self.values.mean(axis=1)

@@ -184,12 +184,6 @@ class FaultPlan:
         )
         return cls(specs=leaves + (join,))
 
-    @property
-    def n_pending(self) -> int:
-        """Faults that have not fully fired yet (persistent count as 1)."""
-        with self._lock:
-            return sum(1 for left in self._remaining.values() if left != 0)
-
     def reset(self) -> None:
         """Re-arm every spec (for replaying the identical scenario)."""
         with self._lock:

@@ -30,7 +30,6 @@ from repro.mutlevel.synthesis import (
 )
 from repro.mutlevel.solver import MutationLevelResult, solve_mutation_level
 from repro.mutlevel.discrimination import DiscriminationReport, compare_resolutions
-from repro.mutlevel.classifier import ResolutionComparison, evaluate_resolutions
 from repro.mutlevel.projection import (
     extra_hit_factor,
     mutation_level_factor,
@@ -48,8 +47,6 @@ __all__ = [
     "solve_mutation_level",
     "DiscriminationReport",
     "compare_resolutions",
-    "ResolutionComparison",
-    "evaluate_resolutions",
     "required_speedup",
     "mutation_level_factor",
     "extra_hit_factor",

@@ -77,26 +77,6 @@ class MutationMatrix:
     def to_bitmatrix(self) -> BitMatrix:
         return BitMatrix.from_dense(self.values)
 
-    def feature_index(self, gene: str, position: int) -> int:
-        """Index of the feature containing ``gene:position``."""
-        for idx, f in enumerate(self.features):
-            if f.gene == gene and f.contains(position):
-                return idx
-        raise KeyError(f"no feature covering {gene}:{position}")
-
-    def collapse_to_genes(self) -> tuple[np.ndarray, tuple[str, ...]]:
-        """OR features of each gene back into a gene-sample matrix.
-
-        Returns (dense matrix, gene names) — the gene-level view of the
-        same calls, used by the resolution-comparison analysis.
-        """
-        genes = sorted({f.gene for f in self.features})
-        gene_idx = {g: i for i, g in enumerate(genes)}
-        out = np.zeros((len(genes), self.n_samples), dtype=bool)
-        for f_idx, f in enumerate(self.features):
-            out[gene_idx[f.gene]] |= self.values[f_idx]
-        return out, tuple(genes)
-
 
 def expand_calls(
     records: list[MafRecord],

@@ -19,7 +19,6 @@ from repro.perfmodel.runtime import (
 )
 from repro.perfmodel.memory import GpuMemoryPlan, plan_memory
 from repro.perfmodel.roofline import RooflinePoint, operating_point, ridge_intensity
-from repro.perfmodel.iterations import IterationFit, fit_iteration_model
 from repro.perfmodel.utilization import profile_schedule
 from repro.perfmodel.scaling import (
     elastic_strong_scaling_sweep,
@@ -47,8 +46,6 @@ __all__ = [
     "RooflinePoint",
     "operating_point",
     "ridge_intensity",
-    "IterationFit",
-    "fit_iteration_model",
     "profile_schedule",
     "ScalingPoint",
     "strong_scaling_sweep",

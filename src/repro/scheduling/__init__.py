@@ -10,10 +10,9 @@ partition is (nearly) equal, and does so in O(G) by walking the G discrete
 workload levels rather than the ``C(G, 3)`` individual threads.
 """
 
-from repro.scheduling.schemes import Scheme, SCHEME_1X3, SCHEME_2X2, SCHEME_3X1, SCHEME_4X1
+from repro.scheduling.schemes import Scheme, SCHEME_1X3, SCHEME_2X2, SCHEME_3X1
 from repro.scheduling.workload import (
     cumulative_work_before,
-    level_thread_counts,
     level_work,
     thread_work_array,
     total_threads,
@@ -46,11 +45,9 @@ __all__ = [
     "SCHEME_1X3",
     "SCHEME_2X2",
     "SCHEME_3X1",
-    "SCHEME_4X1",
     "Schedule",
     "cumulative_work_before",
     "thread_work_array",
-    "level_thread_counts",
     "level_work",
     "total_threads",
     "total_work",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.combinatorics.decode import top_index
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.schemes import Scheme
 from repro.scheduling.workload import level_range, level_work, total_threads
@@ -30,7 +29,6 @@ from repro.scheduling.workload import level_range, level_work, total_threads
 __all__ = [
     "ThreadCostModel",
     "costaware_schedule",
-    "schedule_cost_per_part",
     "latency_aware_schedule",
     "total_schedule_cost",
 ]
@@ -114,32 +112,6 @@ def costaware_schedule(
         boundaries.append(min(cut, t_total))
     boundaries.append(t_total)
     return Schedule(scheme=scheme, g=g, boundaries=tuple(boundaries), policy="costaware")
-
-
-def schedule_cost_per_part(
-    schedule: Schedule, cost: "ThreadCostModel | None" = None
-) -> list[float]:
-    """Modeled cost of each partition of any schedule (for comparisons)."""
-    cost = cost or ThreadCostModel()
-    scheme, g = schedule.scheme, schedule.g
-    # Cost of threads below a boundary, assembled from whole levels plus
-    # the partial level at the cut (same decomposition as work_per_part).
-    prefix = [0.0] * (g + 1)
-    acc = 0.0
-    for m in range(g):
-        lo, hi = level_range(scheme, m)
-        acc += (hi - lo) * cost.level_cost(scheme, g, m)
-        prefix[m + 1] = acc
-
-    def cost_before(lam: int) -> float:
-        if lam == 0:
-            return 0.0
-        top = top_index(lam - 1, scheme.flattened)
-        lo, _ = level_range(scheme, top)
-        return prefix[top] + (lam - lo) * cost.level_cost(scheme, g, top)
-
-    cuts = [cost_before(b) for b in schedule.boundaries]
-    return [cuts[p + 1] - cuts[p] for p in range(schedule.n_parts)]
 
 
 def latency_aware_schedule(

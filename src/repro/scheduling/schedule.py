@@ -50,11 +50,6 @@ class Schedule:
     def thread_range(self, part: int) -> tuple[int, int]:
         return self.boundaries[part], self.boundaries[part + 1]
 
-    def rank_partitions(self, rank: int, gpus_per_rank: int) -> list[int]:
-        """The partition ids ``rank`` owns under the rank-major mapping."""
-        first = rank * gpus_per_rank
-        return list(range(first, min(first + gpus_per_rank, self.n_parts)))
-
     def thread_counts(self) -> np.ndarray:
         b = np.asarray(self.boundaries, dtype=np.float64)
         return np.diff(b)

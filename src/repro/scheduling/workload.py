@@ -24,7 +24,6 @@ __all__ = [
     "total_work",
     "cumulative_work_before",
     "level_work",
-    "level_thread_counts",
     "level_range",
     "thread_top_index",
     "thread_work_array",
@@ -48,16 +47,6 @@ def total_work(scheme: Scheme, g: int) -> int:
 def level_work(scheme: Scheme, g: int, m: int) -> int:
     """Inner-loop combinations per thread at level ``m`` (largest index)."""
     return binomial(g - 1 - m, scheme.inner)
-
-
-def level_thread_counts(scheme: Scheme, g: int) -> np.ndarray:
-    """Threads per level ``m`` for ``m in [0, g)`` — ``C(m, f-1)`` as float64.
-
-    Levels below ``f - 1`` hold zero threads (no room for the smaller
-    indices).  Float64 is exact here for all realistic ``g``.
-    """
-    m = np.arange(g, dtype=np.float64)
-    return binomial_float(m, scheme.flattened - 1)
 
 
 def level_range(scheme: Scheme, m: int) -> tuple[int, int]:

@@ -41,7 +41,11 @@ __all__ = ["DispatchDecision", "FleetState", "SINGLE_THRESHOLD", "decide"]
 #: G 600 (4.8e9) at either density, 0.97-1.03 at G 600 at the paper's
 #: density; at G 800 (1.1e10) it read 0.93 there and 1.26 on a dense
 #: cohort.  The model cannot see density, so the line sits just above
-#: 3-hit G 600.  DESIGN §14 has the table.
+#: 3-hit G 600.  DESIGN §14 has the table.  Those measurements predate
+#: the scan's one native call per lease: since then two rank threads
+#: read 1.24-1.61x ``single`` at 3-hit G 600 (in-process fan-out probe),
+#: so the line is stale, and it stays unchanged until a fan-out
+#: benchmark workload (ROADMAP's ``fan3_wide``) can re-measure it.
 SINGLE_THRESHOLD = 5e9
 
 

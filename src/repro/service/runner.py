@@ -60,6 +60,9 @@ __all__ = ["CHECKPOINT_INTERVAL_S", "JobRunner"]
 #: interval keeps saves under 0.05 % of a long solve; one save per
 #: iteration was 16 % of a 4-iteration, ~10 ms gateway job.
 CHECKPOINT_INTERVAL_S = 1.0
+#: How long the supervisor blocks on the admission queue before it
+#: re-checks whether it was stopped.
+CLAIM_TIMEOUT_S = 0.2
 
 
 class JobRunner:
@@ -78,7 +81,6 @@ class JobRunner:
         telemetry: "Telemetry | None" = None,
         max_concurrent: int = 2,
         max_workers: int = 8,
-        claim_timeout_s: float = 0.2,
     ) -> None:
         if max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
@@ -87,7 +89,6 @@ class JobRunner:
         self.state_dir = Path(state_dir)
         self.telemetry = telemetry or Telemetry(enabled=True)
         self.max_concurrent = max_concurrent
-        self.claim_timeout_s = claim_timeout_s
         self.fleet = FleetState(max_workers=max_workers)
         self.checkpoint_dir = self.state_dir / "checkpoints"
         self.flight_dir = self.state_dir / "flight"
@@ -163,7 +164,7 @@ class JobRunner:
 
     def _supervise(self) -> None:
         while not self._stop.is_set():
-            job_id = self.queue.claim(timeout=self.claim_timeout_s)
+            job_id = self.queue.claim(timeout=CLAIM_TIMEOUT_S)
             if job_id is None:
                 continue
             try:

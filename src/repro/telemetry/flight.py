@@ -36,6 +36,13 @@ from pathlib import Path
 __all__ = ["FLIGHT_SCHEMA", "FlightRecorder"]
 
 FLIGHT_SCHEMA = "repro.telemetry.flight/v1"
+#: Events a recorder retains (oldest evicted first).  Spans, fault
+#: events and notes share the one ring — a post-mortem wants the most
+#: recent *timeline*, not per-type quotas.
+CAPACITY = 512
+#: Hard cap on black-box files one recorder writes: a fault storm
+#: cannot fill the disk.
+MAX_DUMPS = 16
 
 
 class FlightRecorder:
@@ -45,13 +52,8 @@ class FlightRecorder:
     ----------
     out_dir:
         Directory black-box dumps are written into (created on demand).
-    capacity:
-        Events retained (oldest evicted first).  Spans, fault events
-        and notes share the one ring — a post-mortem
-        wants the most recent *timeline*, not per-type quotas.
-    max_dumps:
-        Hard cap on black-box files written by this recorder; a
-        fault storm cannot fill the disk.
+        The ring holds :data:`CAPACITY` events and at most
+        :data:`MAX_DUMPS` dumps are written.
     tag:
         Optional namespace woven into every dump filename
         (``blackbox-<tag>-NNN-<reason>.json``).  Concurrent solves
@@ -69,18 +71,12 @@ class FlightRecorder:
     def __init__(
         self,
         out_dir: "str | Path" = "flight-recorder",
-        capacity: int = 512,
-        max_dumps: int = 16,
         tag: str = "",
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.out_dir = Path(out_dir)
-        self.capacity = capacity
-        self.max_dumps = max_dumps
         self.tag = _slug(tag) if tag else ""
         self.dumps: list[Path] = []
-        self._events: deque = deque(maxlen=capacity)
+        self._events: deque = deque(maxlen=CAPACITY)
         self._assignments: dict[str, list] = {}
         self._lock = threading.Lock()
         self._seq = 0
@@ -197,7 +193,7 @@ class FlightRecorder:
         from repro.telemetry.export import atomic_write_text
 
         with self._lock:
-            if len(self.dumps) >= self.max_dumps:
+            if len(self.dumps) >= MAX_DUMPS:
                 return None
             n = len(self.dumps)
             stem = f"blackbox-{self.tag}-" if self.tag else "blackbox-"

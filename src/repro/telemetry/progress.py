@@ -46,6 +46,8 @@ __all__ = ["ProgressMonitor", "ProgressSnapshot"]
 #: Retained spans past which a sample skips the causal analysis (the
 #: gauges keep their last exported values).
 SPAN_CAP = 4096
+#: Sampling cadence of the monitor thread.
+INTERVAL_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -102,25 +104,21 @@ def _fmt_duration(seconds: "float | None") -> str:
 
 
 class ProgressMonitor:
-    """Samples the live registry on a daemon thread; renders + re-exports.
+    """Samples the live registry every :data:`INTERVAL_S` on a daemon
+    thread; renders + re-exports.
 
     Parameters
     ----------
     telemetry:
         Session to watch; ``None`` resolves the installed session at
         each sample (matches the CLI lifecycle).
-    interval_s:
-        Sampling cadence.
     stream:
         Where the single-line status goes (``None`` disables rendering;
         the monitor still samples and exports gauges).
     """
 
-    def __init__(self, telemetry=None, interval_s: float = 0.5, stream=None) -> None:
-        if interval_s <= 0:
-            raise ValueError("interval_s must be > 0")
+    def __init__(self, telemetry=None, stream=None) -> None:
         self.telemetry = telemetry
-        self.interval_s = interval_s
         self.stream = stream
         self.samples: list[ProgressSnapshot] = []
         self._stop = threading.Event()
@@ -224,7 +222,7 @@ class ProgressMonitor:
     # -- the sampling thread -------------------------------------------
 
     def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
+        while not self._stop.wait(INTERVAL_S):
             self._render(self.sample())
 
     def _render(self, snapshot: ProgressSnapshot) -> None:

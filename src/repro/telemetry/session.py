@@ -180,15 +180,13 @@ def telemetry_session(enabled: bool = True):
 
 
 @contextmanager
-def thread_telemetry_session(telemetry: "Telemetry | None" = None, enabled: bool = True):
-    """Install a session for this thread only, for a ``with`` block.
+def thread_telemetry_session(telemetry: Telemetry):
+    """Install ``telemetry`` for this thread only, for a ``with`` block.
 
     The gateway's job runner wraps each job's solve in one of these so
     concurrent jobs accumulate spans and metrics into their own
     registries instead of each other's (or the gateway's).
     """
-    if telemetry is None:
-        telemetry = Telemetry(enabled=enabled)
     previous = set_thread_telemetry(telemetry)
     try:
         yield telemetry

@@ -9,7 +9,6 @@ from repro.core.combination import (
     COMBO_RECORD_BYTES,
     MultiHitCombination,
     better,
-    colex_rank,
 )
 
 
@@ -46,19 +45,6 @@ class TestValidation:
 
     def test_hits(self):
         assert MultiHitCombination(genes=(1, 2, 3, 4), f=0.0).hits == 4
-
-
-class TestColexRank:
-    def test_matches_enumeration(self):
-        assert colex_rank((0, 1)) == 0
-        assert colex_rank((0, 1, 2)) == 0
-        assert colex_rank((1, 2, 3)) == 3
-        assert colex_rank((0, 1, 2, 3)) == 0
-
-    def test_rank_formula(self):
-        genes = (4, 9, 17, 40)
-        expected = sum(math.comb(g, r + 1) for r, g in enumerate(genes))
-        assert colex_rank(genes) == expected
 
 
 class TestBetter:

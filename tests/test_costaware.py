@@ -10,7 +10,6 @@ from repro.scheduling.costaware import (
     ThreadCostModel,
     costaware_schedule,
     latency_aware_schedule,
-    schedule_cost_per_part,
 )
 from repro.scheduling.equiarea import equiarea_schedule, lambda_cut_for_work
 from repro.scheduling.interleaved import interleaved_schedule
@@ -63,7 +62,12 @@ class TestCostAware:
     def test_cost_balanced(self):
         cost = ThreadCostModel(setup=500.0, per_combo=2.0)
         ca = costaware_schedule(SCHEME_2X2, 50, 8, cost)
-        costs = schedule_cost_per_part(ca, cost)
+        # Each partition's modeled cost: setup per thread plus its inner
+        # combinations (the per-thread model the cut balances).
+        costs = [
+            n * cost.setup + w * cost.per_combo
+            for n, w in zip(ca.thread_counts(), ca.work_per_part())
+        ]
         assert max(costs) / (sum(costs) / len(costs)) < 1.05
 
     def test_validation(self):

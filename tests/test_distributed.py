@@ -28,7 +28,6 @@ from repro.cluster import LeaseLedger, spmd_best_combo
 from repro.core import solver as solver_module
 from repro.core.distributed import DistributedEngine
 from repro.core.engine import NormalHitStore, SingleGpuEngine
-from repro.core.reduction import ReductionStats
 from repro.core.sequential import sequential_solve
 from repro.core.solver import MultiHitSolver
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
@@ -60,13 +59,6 @@ class TestDistributedEngine:
         eng = DistributedEngine(scheme=SCHEME_3X1, n_nodes=2, scheduler="magic")
         with pytest.raises(ValueError):
             eng.best_combo(tumor, normal, params)
-
-    def test_reduction_stats_filled(self, small_bitmatrices):
-        tumor, normal, params = small_bitmatrices
-        stats = ReductionStats()
-        eng = DistributedEngine(scheme=SCHEME_3X1, n_nodes=4, gpus_per_node=2)
-        eng.best_combo(tumor, normal, params, reduction_stats=stats)
-        assert stats.stage_entries[0] == 4  # one candidate per rank
 
     def test_more_gpus_than_threads(self, small_bitmatrices):
         tumor, normal, params = small_bitmatrices

@@ -26,13 +26,13 @@ class TestEngineChunking:
 
     def test_tiny_chunks_d0_scheme(self, rng):
         """The 3-hit grid the flat 3x0 scheme strided is scanned by its
-        nested twin, cut into tiny scans; the flat scheme is refused."""
+        nested twin, cut into tiny scans; the flat scheme cannot be built."""
         t = rng.random((10, 30)) < 0.4
         n = rng.random((10, 30)) < 0.1
         params = FScoreParams(n_tumor=30, n_normal=30)
         tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
         with pytest.raises(ValueError, match="flat scheme"):
-            SingleGpuEngine(scheme=Scheme(3, 0)).best_combo(tumor, normal, params)
+            Scheme(3, 0)
         ref = sequential_best_combo(t, n, 3, params)
         with scans_cut(7):
             got = SingleGpuEngine(scheme=Scheme(2, 1)).best_combo(

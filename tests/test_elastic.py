@@ -240,8 +240,6 @@ class TestElasticRunner:
     def test_runner_validation(self):
         with pytest.raises(ValueError):
             ElasticSPMDRunner(n_ranks=0)
-        with pytest.raises(ValueError):
-            ElasticSPMDRunner(n_ranks=4, max_ranks=2)
 
     def test_wall_deadline_raises(self, instance):
         # A 1 s hang outlasts the 0.5 s deadline, and the rank threads

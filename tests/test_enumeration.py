@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.combinatorics.decode import combos_from_linear
-from repro.combinatorics.enumeration import combinations_array, iter_combination_blocks
+from repro.combinatorics.enumeration import combinations_array
 
 
 def _colex(g, order):
@@ -89,23 +89,3 @@ class TestCombinationsArray:
             combinations_array(2, 5, 3)
         with pytest.raises(ValueError):
             combinations_array(2, -1, 3)
-
-
-class TestBlocks:
-    @pytest.mark.parametrize("order,g,block", [(2, 10, 7), (3, 10, 11), (2, 15, 200), (3, 12, 1), (4, 9, 13)])
-    def test_blocks_cover_exactly_once(self, order, g, block):
-        seen = []
-        for start, combos in iter_combination_blocks(order, g, block):
-            assert len(combos) <= block
-            seen.extend(tuple(r) for r in combos)
-        assert len(seen) == math.comb(g, order)
-        assert len(set(seen)) == len(seen)
-        assert set(seen) == set(itertools.combinations(range(g), order))
-
-    def test_blocks_start_offsets(self):
-        starts = [s for s, _ in iter_combination_blocks(2, 10, 10)]
-        assert starts == [0, 10, 20, 30, 40]
-
-    def test_invalid_block(self):
-        with pytest.raises(ValueError):
-            list(iter_combination_blocks(2, 10, 0))

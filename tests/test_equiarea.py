@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from repro.scheduling.equiarea import equiarea_schedule, equiarea_schedule_naive
 from repro.scheduling.equidistance import equidistance_schedule
-from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, SCHEME_4X1, Scheme
+from repro.scheduling.schemes import SCHEME_1X3, SCHEME_2X2, SCHEME_3X1, Scheme
 from repro.scheduling.workload import level_work, total_threads, total_work
 
-SCHEMES = [Scheme(1, 1), Scheme(2, 1), SCHEME_2X2, SCHEME_3X1, SCHEME_4X1]
+SCHEMES = [Scheme(1, 1), Scheme(2, 1), SCHEME_2X2, SCHEME_3X1, SCHEME_1X3]
 
 
 class TestLevelWalkCorrectness:

@@ -67,7 +67,7 @@ class TestGreedyEquivalence:
         t = rng.random((11, 30)) < 0.4
         n = rng.random((11, 25)) < 0.15
         hits = 4
-        if flattened == hits:  # flat: no inner loop for the kernel to scan
+        if flattened == hits:  # flat: cannot be built, no inner loop
             with pytest.raises(ValueError, match="flat scheme"):
                 MultiHitSolver(hits=hits, scheme=scheme_for(hits, flattened))
             return

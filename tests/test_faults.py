@@ -94,13 +94,11 @@ class TestFaultPlan:
         plan = FaultPlan((FaultSpec(kind="crash", site="rank", target=1, at_call=0),))
         assert plan.take("rank", 1, 0).kind == "crash"
         assert plan.take("rank", 1, 0) is None  # spent
-        assert plan.n_pending == 0
 
     def test_persistent_fault_keeps_firing(self):
         plan = FaultPlan((FaultSpec(kind="crash", site="rank", target=2, count=-1),))
         for _ in range(5):
             assert plan.take("rank", 2) is not None
-        assert plan.n_pending == 1
 
     def test_call_and_target_matching(self):
         plan = FaultPlan((FaultSpec(kind="hang", site="rank", target=0, at_call=3),))

@@ -6,7 +6,7 @@ The operational promises:
 * a rank crash produces a dump carrying the failed rank's final spans,
   the fault report, and the λ-ranges rescheduled onto survivors;
 * an unhandled solver exception leaves a black box;
-* dumps are atomic, schema-stamped, and capped by ``max_dumps``;
+* dumps are atomic, schema-stamped, and capped by ``MAX_DUMPS``;
 * a session without a recorder behaves exactly as before (no listener).
 """
 
@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+import repro.telemetry.flight as flight
 from repro.core.solver import MultiHitSolver
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.telemetry import FLIGHT_SCHEMA, FlightRecorder, telemetry_session
@@ -25,8 +26,9 @@ def _plan(site, target=0, at_call=1, kind="crash", **kw):
 
 
 class TestRing:
-    def test_capacity_evicts_oldest(self, tmp_path):
-        fr = FlightRecorder(out_dir=tmp_path, capacity=3)
+    def test_capacity_evicts_oldest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(flight, "CAPACITY", 3)
+        fr = FlightRecorder(out_dir=tmp_path)
         for i in range(5):
             fr.note("tick", i=i)
         timeline = fr.timeline()
@@ -55,8 +57,9 @@ class TestRing:
                 pass
         assert fr.timeline() == []
 
-    def test_dump_cap(self, tmp_path):
-        fr = FlightRecorder(out_dir=tmp_path, max_dumps=2)
+    def test_dump_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(flight, "MAX_DUMPS", 2)
+        fr = FlightRecorder(out_dir=tmp_path)
         assert fr.dump("one") is not None
         assert fr.dump("two") is not None
         assert fr.dump("three") is None

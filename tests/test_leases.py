@@ -17,7 +17,6 @@ import pytest
 from repro.cluster.leases import LEASE_STATES, Lease, LeaseLedger
 from repro.core.engine import SingleGpuEngine, best_in_thread_range
 from repro.core.kernels import KernelCounters
-from repro.core.reduction import ReductionStats
 from repro.scheduling.schemes import SCHEME_3X1, scheme_for
 from repro.scheduling.workload import cumulative_work_before, total_threads
 from repro.telemetry.session import telemetry_session
@@ -342,9 +341,7 @@ class TestDeterministicMerge:
                 )
                 ledger.complete(i, holder=order_seed % 3, result=winner,
                                 counters=counters)
-            stats = ReductionStats()
-            merged = ledger.merge(stats=stats)
-            assert stats.stage_entries and stats.stage_entries[0] <= ledger.n_leases
+            merged = ledger.merge()
             total = KernelCounters()
             ledger.merge_counters(total)
             return merged, total.combos_scored

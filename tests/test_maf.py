@@ -26,9 +26,10 @@ class TestSummarize:
         m = summarize_maf(RECORDS)
         assert m.gene_names == ("IDH1", "KRAS", "TP53")
         assert m.sample_ids == ("S1", "S2", "S3")
-        assert m.values[m.gene_index("TP53"), 0]  # TP53 in S1
-        assert m.values[m.gene_index("TP53"), 1]
-        assert not m.values[m.gene_index("KRAS"), 2]
+        tp53, kras = m.gene_names.index("TP53"), m.gene_names.index("KRAS")
+        assert m.values[tp53, 0]  # TP53 in S1
+        assert m.values[tp53, 1]
+        assert not m.values[kras, 2]
 
     def test_silent_excluded_by_default(self):
         only_silent = [MafRecord("GENE", "S1", 5, "Silent")]

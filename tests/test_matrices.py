@@ -38,17 +38,3 @@ class TestOps:
         assert sub.sample_ids == ("s0", "s3", "s5")
         np.testing.assert_array_equal(sub.values, m.values[:, [0, 3, 5]])
 
-    def test_gene_index(self):
-        m = make()
-        assert m.gene_index("g2") == 2
-        with pytest.raises(KeyError):
-            m.gene_index("nope")
-
-    def test_mutation_frequency(self):
-        values = np.array([[1, 1, 0, 0], [1, 0, 0, 0]], dtype=bool)
-        m = GeneSampleMatrix(values, ("a", "b"), ("w", "x", "y", "z"))
-        np.testing.assert_allclose(m.mutation_frequency(), [0.5, 0.25])
-
-    def test_empty_samples_frequency(self):
-        m = GeneSampleMatrix(np.zeros((2, 0), dtype=bool), ("a", "b"), ())
-        np.testing.assert_array_equal(m.mutation_frequency(), [0.0, 0.0])

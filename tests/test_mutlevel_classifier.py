@@ -1,7 +1,5 @@
-"""Tests for the gene-vs-mutation resolution classifier comparison."""
+"""Tests for the gene-level view of a positional cohort."""
 
-
-from repro.mutlevel.classifier import evaluate_resolutions
 from repro.mutlevel.synthesis import PositionalCohortConfig, generate_positional_cohort
 
 
@@ -17,29 +15,6 @@ def cohort(bg=0.3, hits=2, seed=4, n=240):
             seed=seed,
         )
     )
-
-
-class TestResolutionComparison:
-    def test_mutation_level_dominates_in_noisy_regime(self):
-        # High passenger background: gene-level matches normals by any
-        # position, mutation-level needs the exact hotspot.
-        r = evaluate_resolutions(cohort(bg=0.3, hits=2))
-        assert r.specificity_gain > 0.15
-        assert r.mutation_level.specificity > 0.9
-        assert r.mutation_level.sensitivity >= r.gene_level.sensitivity - 0.1
-
-    def test_clean_regime_both_work(self):
-        r = evaluate_resolutions(cohort(bg=0.05, hits=3))
-        assert r.gene_level.specificity > 0.9
-        assert r.mutation_level.specificity > 0.9
-
-    def test_named_performances(self):
-        r = evaluate_resolutions(cohort(bg=0.1, hits=2))
-        assert r.gene_level.name == "gene-level"
-        assert r.mutation_level.name == "mutation-level"
-        for p in (r.gene_level, r.mutation_level):
-            assert 0.0 <= p.sensitivity <= 1.0
-            assert p.sensitivity_ci[0] <= p.sensitivity <= p.sensitivity_ci[1]
 
 
 class TestGeneMatrices:

@@ -39,7 +39,7 @@ class TestExpandCalls:
         labels = [f.label for f in m.features]
         assert labels == ["IDH1:97", "IDH1:132", "MUC6:5", "MUC6:900"]
         assert m.sample_ids == ("S1", "S2", "S3")
-        hot = m.feature_index("IDH1", 132)
+        hot = labels.index("IDH1:132")
         np.testing.assert_array_equal(m.values[hot], [True, True, False])
 
     def test_silent_excluded(self):
@@ -88,21 +88,7 @@ class TestMutationMatrix:
         m = expand_calls(CALLS)
         np.testing.assert_array_equal(m.to_bitmatrix().to_dense(), m.values)
 
-    def test_collapse_to_genes(self):
-        m = expand_calls(CALLS)
-        dense, genes = m.collapse_to_genes()
-        assert genes == ("IDH1", "MUC6")
-        # IDH1 mutated in S1 (132), S2 (132), S3 (97).
-        np.testing.assert_array_equal(dense[0], [True, True, True])
-        np.testing.assert_array_equal(dense[1], [True, True, False])
-
-    def test_feature_index_missing(self):
-        m = expand_calls(CALLS)
-        with pytest.raises(KeyError):
-            m.feature_index("IDH1", 999)
-
     def test_expansion_factor(self):
         # Mutation matrices have more rows than genes — the 20x effect.
         m = expand_calls(CALLS)
-        _, genes = m.collapse_to_genes()
-        assert m.n_features > len(genes)
+        assert m.n_features > len({f.gene for f in m.features})

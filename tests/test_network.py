@@ -35,9 +35,3 @@ class TestTreeReduce:
 
     def test_bcast_symmetry(self):
         assert SUMMIT_NETWORK.bcast_time(64, 100) == SUMMIT_NETWORK.tree_reduce_time(64, 100)
-
-    def test_allreduce_is_reduce_plus_bcast(self):
-        n, b = 16, 128
-        assert SUMMIT_NETWORK.allreduce_time(n, b) == pytest.approx(
-            SUMMIT_NETWORK.tree_reduce_time(n, b) + SUMMIT_NETWORK.bcast_time(n, b)
-        )

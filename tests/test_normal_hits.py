@@ -303,10 +303,9 @@ class TestBinding:
         table = BoundTable.build(SCHEME_3X1, 14)
         engine.best_combo(tumor, normal, params, bounds=table)
         assert engine._normal_hits is None
-        # A flat scheme gets no store: its scans are refused outright.
-        flat = SingleGpuEngine(scheme=scheme_for(3, 3))
+        # A flat scheme gets no store: it cannot even be built.
         with pytest.raises(ValueError, match="flat scheme"):
-            flat.best_combo(tumor, normal, params)
+            scheme_for(3, 3)
 
 
 class TestPoolStore:

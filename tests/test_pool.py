@@ -108,20 +108,6 @@ class TestPoolBitExactness:
         assert got == ref
         assert _work_tuple(pool_counters) == _work_tuple(ref_counters)
 
-    def test_subrange_matches_engine(self, instance):
-        tumor, normal, params = instance
-        scheme = scheme_for(3, 2)
-        total = total_threads(scheme, tumor.n_genes)
-        lo, hi = total // 7, 5 * total // 6
-        from repro.core.engine import best_in_thread_range
-
-        ref = best_in_thread_range(
-            scheme, tumor.n_genes, tumor, normal, params, lo, hi
-        )
-        with PoolEngine(scheme=scheme, n_workers=3) as eng:
-            got = eng.best_combo(tumor, normal, params, lam_start=lo, lam_end=hi)
-        assert got == ref
-
     def test_solver_trajectory_matches_single(self, rng):
         """Winners and every iteration's scored/pruned counts equal the
         single engine's, for static and elastic leases, pruned or not,
@@ -167,7 +153,6 @@ class TestPoolBitExactness:
     def test_empty_range_and_validation(self, instance):
         tumor, normal, params = instance
         with PoolEngine(scheme=scheme_for(2, 1), n_workers=2) as eng:
-            assert eng.best_combo(tumor, normal, params, 5, 5) is None
             bad = BitMatrix.from_dense(np.zeros((9, 4), dtype=bool))
             with pytest.raises(ValueError):
                 eng.best_combo(tumor, bad, params)
@@ -232,15 +217,15 @@ class TestStatsAndSharedMemory:
         assert sum(row["chunks"] for row in per_worker.values()) == len(stats.chunks)
         assert "PoolStats" in stats.describe()
 
-    def test_chunk_records_tile_a_subrange(self, instance):
+    def test_elastic_chunk_records_tile_the_grid(self, instance):
         tumor, normal, params = instance
         scheme = scheme_for(3, 2)
-        lo, hi = 3, total_threads(scheme, tumor.n_genes) - 2
         stats = PoolStats()
         with PoolEngine(scheme=scheme, n_workers=3, elastic=True) as eng:
-            eng.best_combo(tumor, normal, params, lo, hi, stats=stats)
+            eng.best_combo(tumor, normal, params, stats=stats)
         edges = [(c.lam_start, c.lam_end) for c in stats.chunks]
-        assert edges[0][0] == lo and edges[-1][1] == hi
+        assert edges[0][0] == 0
+        assert edges[-1][1] == total_threads(scheme, tumor.n_genes)
         assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
         assert [c.chunk for c in stats.chunks] == list(range(len(edges)))
 

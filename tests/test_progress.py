@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+import repro.telemetry.progress as progress
 from repro.core.solver import MultiHitSolver
 from repro.telemetry import (
     ProgressMonitor,
@@ -78,7 +79,7 @@ class TestStatusLine:
 class TestLiveSampling:
     def test_sample_reflects_solver_accounting(self, small_matrices):
         t, n, _ = small_matrices
-        monitor = ProgressMonitor(interval_s=10.0)  # sample manually
+        monitor = ProgressMonitor()  # never started: sampled manually
         with telemetry_session() as tel:
             monitor.telemetry = tel
             result = MultiHitSolver(hits=2).solve(t, n)
@@ -94,13 +95,12 @@ class TestLiveSampling:
         gauges = tel.metrics.to_dict()["gauges"]
         assert gauges["progress.fraction"] == snap.fraction
 
-    def test_monitor_thread_renders_and_stops(self, small_matrices):
+    def test_monitor_thread_renders_and_stops(self, small_matrices, monkeypatch):
         t, n, _ = small_matrices
+        monkeypatch.setattr(progress, "INTERVAL_S", 0.01)
         stream = io.StringIO()
         with telemetry_session() as tel:
-            with ProgressMonitor(
-                telemetry=tel, interval_s=0.01, stream=stream
-            ) as monitor:
+            with ProgressMonitor(telemetry=tel, stream=stream) as monitor:
                 MultiHitSolver(hits=2, backend="pool", n_workers=2).solve(t, n)
             assert monitor._thread is None  # stopped on exit
         out = stream.getvalue()
@@ -109,11 +109,7 @@ class TestLiveSampling:
         assert monitor.samples  # collected at least the final sample
 
     def test_monitor_without_telemetry_is_inert(self):
-        monitor = ProgressMonitor(interval_s=0.01, stream=None)
+        monitor = ProgressMonitor(stream=None)
         snap = monitor.sample()  # NULL_TELEMETRY: all zeros, no crash
         assert snap.combos_examined == 0 and snap.iteration_total == 0
         assert snap.eta_s is None
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            ProgressMonitor(interval_s=0.0)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.combination import COMBO_RECORD_BYTES, MultiHitCombination, better
 from repro.core.reduction import (
     DEFAULT_BLOCK_SIZE,
-    ReductionStats,
     block_reduce,
     multi_stage_reduce,
     reduction_plan,
@@ -52,13 +51,6 @@ class TestMultiStage:
             expected = better(expected, c)
         got = multi_stage_reduce(cands, block_size=8)
         assert got.genes == expected.genes and got.f == expected.f
-
-    def test_stats_record_stage_sizes(self):
-        cands = [combo(2 * i, 0.5) for i in range(100)]
-        stats = ReductionStats()
-        multi_stage_reduce(cands, block_size=10, stats=stats)
-        assert stats.stage_entries == [100, 10, 1]
-        assert stats.stage_bytes == [2000, 200, 20]
 
     def test_empty(self):
         assert multi_stage_reduce([]) is None

@@ -1,12 +1,18 @@
 """Tests for the top-level greedy solver."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import repro.core.engine as engine_mod
-from repro.cluster import spmd_best_combo
+import repro.core.reduction as reduction
+import repro.service.runner as runner
+import repro.telemetry.flight as flight
+import repro.telemetry.progress as progress
+from repro.cluster import ElasticSPMDRunner, spmd_best_combo
+from repro.cluster.leases import LeaseLedger
 from repro.core.distributed import DistributedEngine, search_lease
 from repro.core.engine import SingleGpuEngine, best_in_thread_range
 from repro.core.memopt import MemoryConfig
@@ -15,6 +21,7 @@ from repro.core.sequential import sequential_solve
 from repro.core.solver import MultiHitSolver
 from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, Scheme
 from repro.service.http import _ALLOWED_SOLVER_KEYS
+from repro.telemetry.session import thread_telemetry_session
 
 
 class TestConfiguration:
@@ -117,10 +124,85 @@ class TestOptionsLedger:
     )
     @pytest.mark.parametrize("hits", [2, 3, 4])
     def test_flat_scheme_is_refused(self, call, hits):
-        """A flat scheme has no inner loop for the kernel to scan; the
-        error names the schemes that are accepted."""
+        """A flat scheme has no inner loop for the kernel to scan, so
+        ``Scheme`` refuses to build one and no entry point ever sees it;
+        the error names the schemes that are accepted."""
         with pytest.raises(ValueError, match="flat scheme.*2x2 and 3x1"):
             call(Scheme(hits, 0))
+
+    #: Signature -> (a call that binds its arguments, the parameters it
+    #: lost because only tests ever set them).
+    SEAMS = {
+        "multi_stage_reduce": (
+            lambda **kw: reduction.multi_stage_reduce([], **kw), ["stats"]
+        ),
+        "LeaseLedger.merge": (
+            lambda **kw: LeaseLedger.merge(None, **kw), ["stats"]
+        ),
+        "spmd_best_combo": (
+            lambda **kw: spmd_best_combo(None, SCHEME_3X1, None, None, None, 1, **kw),
+            ["reduction_stats"],
+        ),
+        "DistributedEngine.best_combo": (
+            lambda **kw: DistributedEngine(scheme=SCHEME_3X1, n_nodes=2).best_combo(
+                None, None, None, **kw
+            ),
+            ["reduction_stats"],
+        ),
+        "SingleGpuEngine.best_combo": (
+            lambda **kw: SingleGpuEngine(scheme=SCHEME_3X1).best_combo(
+                None, None, None, **kw
+            ),
+            ["lam_start", "lam_end"],
+        ),
+        "PoolEngine.best_combo": (
+            lambda **kw: PoolEngine(scheme=SCHEME_3X1).best_combo(
+                None, None, None, **kw
+            ),
+            ["lam_start", "lam_end"],
+        ),
+        "LeaseLedger.build": (
+            lambda **kw: LeaseLedger.build(SCHEME_3X1, 8, 2, **kw),
+            ["lam_start", "lam_end"],
+        ),
+        "ElasticSPMDRunner": (
+            lambda **kw: ElasticSPMDRunner(n_ranks=1, **kw), ["max_ranks"]
+        ),
+        "FlightRecorder": (
+            lambda **kw: flight.FlightRecorder(**kw), ["capacity", "max_dumps"]
+        ),
+        "ProgressMonitor": (
+            lambda **kw: progress.ProgressMonitor(**kw), ["interval_s"]
+        ),
+        "JobRunner": (
+            lambda **kw: runner.JobRunner(None, None, None, **kw),
+            ["claim_timeout_s"],
+        ),
+        "thread_telemetry_session": (
+            lambda **kw: thread_telemetry_session(None, **kw), ["enabled"]
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            pytest.param(call, name, id=f"{owner}.{name}")
+            for owner, (call, names) in SEAMS.items()
+            for name in names
+        ],
+    )
+    def test_seams_only_tests_set_are_gone(self, call, name):
+        """Sixteen parameters that only tests ever set: each is a
+        ``TypeError`` now (a constant, or the whole grid, took its place)."""
+        with pytest.raises(TypeError, match=name):
+            call(**{name: 1})
+
+    def test_knob_constants_keep_their_defaults(self):
+        assert (flight.CAPACITY, flight.MAX_DUMPS) == (512, 16)
+        assert progress.INTERVAL_S == 0.5
+        assert runner.CLAIM_TIMEOUT_S == 0.2
+        assert ElasticSPMDRunner(n_ranks=3).max_ranks == 8
+        assert not hasattr(reduction, "ReductionStats")
 
     def test_fleet_entry_point_lost_its_stride(self):
         with pytest.raises(TypeError, match="word_stride"):
@@ -152,6 +234,49 @@ class TestOptionsLedger:
         prefetch flags, and ``bitsplice`` is read in ``_compact``."""
         with pytest.raises(TypeError, match="memory"):
             call(memory=MemoryConfig())
+
+
+class TestClosingArgMax:
+    """The run counters meter every arg-max; the iteration records only
+    those that picked a combination.  A run ended by exhaustion made one
+    more full scan than it recorded; one ended by ``max_iterations`` or
+    by full cover made none."""
+
+    G, HITS = 9, 3
+
+    def _unrecorded(self, result):
+        counters = result.counters
+        recorded = sum(r.combos_scored + r.combos_pruned for r in result.iterations)
+        return counters.combos_scored + counters.combos_pruned - recorded
+
+    def _solve(self, t, n, backend, prune, **kw):
+        fleet = {"n_nodes": 2} if backend == "distributed" else {}
+        return MultiHitSolver(
+            hits=self.HITS, backend=backend, prune=prune, **fleet, **kw
+        ).solve(t, n)
+
+    @pytest.mark.parametrize("prune", [False, True], ids=["unpruned", "pruned"])
+    @pytest.mark.parametrize("backend", ["single", "distributed"])
+    def test_unrecorded_work_is_the_closing_scan(self, rng, backend, prune):
+        # No normal mutations: every combination's TN is the same, so any
+        # combination that covers a sample outscores one that covers none.
+        n = np.zeros((self.G, 20), dtype=bool)
+        t = rng.random((self.G, 30)) < 0.3
+        for s in range(30):  # every sample carries at least HITS genes ...
+            t[[(s + k) % self.G for k in range(self.HITS)], s] = True
+        t[:, 0] = False  # ... but this one carries none: never covered
+        exhausted = self._solve(t, n, backend, prune)
+        assert exhausted.uncovered == 1
+        assert self._unrecorded(exhausted) == math.comb(self.G, self.HITS)
+
+        capped = self._solve(t, n, backend, prune, max_iterations=1)
+        assert capped.uncovered > 1 and len(capped.iterations) == 1
+        assert self._unrecorded(capped) == 0
+
+        t[: self.HITS, 0] = True
+        covered = self._solve(t, n, backend, prune)
+        assert covered.uncovered == 0
+        assert self._unrecorded(covered) == 0
 
 
 class TestGreedyLoop:

@@ -109,7 +109,9 @@ class TestSparsityIndex:
         assert isinstance(idx, SparsityIndex)
         assert m.sparsity(2) is idx  # cached per stride
         assert m.sparsity(4) is not idx
-        np.testing.assert_array_equal(idx.row_popcounts, m.popcount_rows())
+        np.testing.assert_array_equal(
+            idx.row_popcounts, m.to_dense().sum(axis=1)
+        )
         assert idx.n_strides == (m.n_words + 1) // 2
         assert 0.0 <= idx.nonzero_fraction <= 1.0
 

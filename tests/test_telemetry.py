@@ -543,16 +543,17 @@ class TestLiveComponentsBitIdentity:
         ],
     )
     def test_bit_identical_with_live_stack(self, small_matrices, tmp_path,
-                                           backend, kw):
+                                           backend, kw, monkeypatch):
         from repro.service import MetricsServer
-        from repro.telemetry import FlightRecorder, ProgressMonitor
+        from repro.telemetry import FlightRecorder, ProgressMonitor, progress
 
+        monkeypatch.setattr(progress, "INTERVAL_S", 0.01)
         t, n, _ = small_matrices
         off, _ = _solve(backend, small_matrices, telemetry_on=False, **kw)
         with telemetry_session() as tel:
             tel.attach_flight(FlightRecorder(out_dir=tmp_path))
             with MetricsServer(telemetry=tel):
-                with ProgressMonitor(telemetry=tel, interval_s=0.01):
+                with ProgressMonitor(telemetry=tel):
                     on = MultiHitSolver(hits=2, backend=backend, **kw).solve(t, n)
         assert _fingerprint(on) == _fingerprint(off)
         # No fault, no black box — the recorder observed silently.

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, SCHEME_4X1, Scheme
+from repro.scheduling.schemes import SCHEME_1X3, SCHEME_2X2, SCHEME_3X1, Scheme
 from repro.scheduling.workload import (
     level_range,
-    level_thread_counts,
     level_work,
     thread_top_index,
     thread_work_array,
@@ -20,7 +19,7 @@ from repro.scheduling.workload import (
     work_prefix_by_level,
 )
 
-ALL_SCHEMES = [Scheme(1, 1), Scheme(2, 1), SCHEME_2X2, SCHEME_3X1, SCHEME_4X1]
+ALL_SCHEMES = [Scheme(1, 1), Scheme(2, 1), SCHEME_2X2, SCHEME_3X1, SCHEME_1X3]
 
 
 def brute_force_work(scheme, g):
@@ -73,15 +72,6 @@ class TestLevels:
             assert lo == covered or hi == lo  # contiguous (empty levels allowed)
             covered = max(covered, hi)
         assert covered == total_threads(scheme, g)
-
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_level_counts(self, scheme):
-        g = 15
-        counts = level_thread_counts(scheme, g)
-        assert counts.sum() == total_threads(scheme, g)
-        for m in range(g):
-            lo, hi = level_range(scheme, m)
-            assert hi - lo == counts[m]
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_top_index_consistent_with_ranges(self, scheme):
