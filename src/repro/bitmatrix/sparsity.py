@@ -67,10 +67,6 @@ class SparsityIndex:
     stride_any: np.ndarray
 
     @property
-    def n_strides(self) -> int:
-        return self.stride_any.shape[1]
-
-    @property
     def nonzero_fraction(self) -> float:
         """Fraction of (row, stride) slices containing any set bit."""
         if self.stride_any.size == 0:

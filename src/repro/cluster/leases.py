@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from repro.core.distributed import node_candidates
 from repro.core.reduction import multi_stage_reduce
 from repro.scheduling.equiarea import equiarea_range_boundaries
-from repro.scheduling.workload import total_threads
 from repro.telemetry.session import get_telemetry
 
 __all__ = ["Lease", "LeaseLedger", "LEASE_STATES"]
@@ -162,9 +161,7 @@ class LeaseLedger:
 
         The same O(G) level walk as every other cut in the repo.
         """
-        cuts = equiarea_range_boundaries(
-            scheme, g, 0, total_threads(scheme, g), max(1, n_leases)
-        )
+        cuts = equiarea_range_boundaries(scheme, g, max(1, n_leases))
         return cls(cuts, ttl_s=ttl_s)
 
     @classmethod
@@ -402,11 +399,6 @@ class LeaseLedger:
     def n_available(self) -> int:
         with self._lock:
             return self._available()
-
-    @property
-    def n_granted(self) -> int:
-        with self._lock:
-            return self._n_granted
 
     @property
     def n_completed(self) -> int:

@@ -21,9 +21,5 @@ class SummitNodeSpec:
     gpu_memory_bytes: int = 16 * 1024**3
     mpi_processes: int = 1
 
-    @property
-    def total_gpu_memory_bytes(self) -> int:
-        return self.n_gpus * self.gpu_memory_bytes
-
 
 SUMMIT_NODE = SummitNodeSpec()

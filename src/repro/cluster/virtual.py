@@ -123,11 +123,6 @@ class VirtualCluster:
         if self.trace:
             self._emit(name, "virtual", starts)
 
-    def compute_rank(self, rank: int, duration: float) -> None:
-        durations = np.zeros(self.n_ranks)
-        durations[rank] = duration
-        self.compute(durations)
-
     # -- communication -----------------------------------------------------
 
     def reduce_to_root(self, n_bytes: int) -> float:

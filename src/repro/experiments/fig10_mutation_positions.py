@@ -28,10 +28,6 @@ class PositionalPanel:
     n_samples: int
 
     @property
-    def percent(self) -> np.ndarray:
-        return 100.0 * self.counts / max(self.n_samples, 1)
-
-    @property
     def peak_position(self) -> int:
         return int(np.argmax(self.counts)) + 1
 

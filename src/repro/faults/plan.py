@@ -184,11 +184,6 @@ class FaultPlan:
         )
         return cls(specs=leaves + (join,))
 
-    def reset(self) -> None:
-        """Re-arm every spec (for replaying the identical scenario)."""
-        with self._lock:
-            self._remaining = {i: s.count for i, s in enumerate(self.specs)}
-
     @classmethod
     def random(
         cls,

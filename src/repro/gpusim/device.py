@@ -25,10 +25,6 @@ class DeviceSpec:
         return self.n_sms * self.cores_per_sm
 
     @property
-    def max_resident_threads(self) -> int:
-        return self.n_sms * self.max_threads_per_sm
-
-    @property
     def peak_int_ops_per_s(self) -> float:
         """Peak simple-integer (bitwise AND / popcount) throughput."""
         return self.n_cores * self.clock_hz

@@ -60,7 +60,3 @@ class KernelStats:
     @property
     def n_blocks(self) -> int:
         return (self.n_threads + self.block_size - 1) // self.block_size
-
-    @property
-    def mean_thread_combos(self) -> float:
-        return self.n_combos / self.n_threads if self.n_threads else 0.0

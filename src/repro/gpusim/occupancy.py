@@ -48,11 +48,6 @@ class KernelResources:
     def registers_per_thread(self) -> int:
         return self.base_registers
 
-    @property
-    def local_bytes_per_thread(self) -> int:
-        """Stack bytes holding the prefetched rows."""
-        return 8 * self.prefetched_rows * self.words
-
     def __post_init__(self) -> None:
         if self.block_size < 32 or self.block_size % 32:
             raise ValueError("block_size must be a positive multiple of 32")

@@ -33,9 +33,6 @@ class MutationFeature:
             return f"{self.gene}:{self.position_bin}"
         return f"{self.gene}:{self.position_bin}-{self.position_bin + self.bin_size - 1}"
 
-    def contains(self, position: int) -> bool:
-        return self.position_bin <= position < self.position_bin + self.bin_size
-
 
 @dataclass(frozen=True)
 class MutationMatrix:

@@ -36,10 +36,6 @@ class MutationLevelResult:
     def coverage(self) -> float:
         return self.raw.coverage
 
-    def genes_of(self, combo_index: int) -> tuple[str, ...]:
-        """The gene names behind one combination (for gene-level comparison)."""
-        return tuple(sorted({f.gene for f in self.combinations[combo_index]}))
-
 
 def solve_mutation_level(
     tumor: MutationMatrix,

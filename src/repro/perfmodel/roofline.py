@@ -47,11 +47,6 @@ class RooflinePoint:
     def compute_bound(self) -> bool:
         return self.intensity >= self.ridge
 
-    @property
-    def attainable_ops_per_s(self) -> float:
-        """min(peak, intensity * bandwidth) — the roofline itself."""
-        return min(self.peak_ops_per_s, self.intensity * self.peak_bandwidth_bps)
-
 
 def ridge_intensity(
     device: DeviceSpec = V100, tuning: "TimingTuning | None" = None

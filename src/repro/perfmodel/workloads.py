@@ -1,9 +1,9 @@
 """Paper-scale workload descriptions.
 
-Sample and gene counts stated in the paper are kept exact (BRCA: 911
-tumor samples, G = 19411; LGG: 532 tumor / 329 normal); the rest are
-synthetic-but-plausible TCGA magnitudes, consistent with
-:mod:`repro.data.cancers`.
+The four named workloads take their gene and sample counts from the
+cancer catalogue (:mod:`repro.data.cancers`), which keeps the paper's
+stated figures exact (BRCA: 911 tumor samples, G = 19411; LGG: 532
+tumor / 329 normal).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bitmatrix.packing import words_for
+from repro.data.cancers import cancer
 
 __all__ = ["WorkloadSpec", "BRCA", "ACC", "ESCA", "LGG"]
 
@@ -44,8 +45,11 @@ class WorkloadSpec:
         return self.tumor_words + self.normal_words
 
 
-# Exact figures from the paper where stated; see repro.data.cancers.
-BRCA = WorkloadSpec(name="BRCA", g=19411, n_tumor=911, n_normal=1019)
-LGG = WorkloadSpec(name="LGG", g=17900, n_tumor=532, n_normal=329)
-ACC = WorkloadSpec(name="ACC", g=8400, n_tumor=77, n_normal=85)
-ESCA = WorkloadSpec(name="ESCA", g=14300, n_tumor=184, n_normal=201)
+def _cohort_shape(abbrev: str) -> WorkloadSpec:
+    c = cancer(abbrev)
+    return WorkloadSpec(
+        name=c.abbrev, g=c.n_genes, n_tumor=c.n_tumor, n_normal=c.n_normal
+    )
+
+
+BRCA, LGG, ACC, ESCA = map(_cohort_shape, ("BRCA", "LGG", "ACC", "ESCA"))

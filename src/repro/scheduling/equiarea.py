@@ -20,7 +20,6 @@ import numpy as np
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.schemes import Scheme
 from repro.scheduling.workload import (
-    cumulative_work_before,
     level_range,
     level_work,
     total_threads,
@@ -118,31 +117,15 @@ def equiarea_schedule(scheme: Scheme, g: int, n_parts: int) -> Schedule:
 
 
 def equiarea_range_boundaries(
-    scheme: Scheme, g: int, lam_start: int, lam_end: int, n_parts: int
+    scheme: Scheme, g: int, n_parts: int
 ) -> tuple[int, ...]:
-    """Equi-area cut points of the sub-range ``[lam_start, lam_end)``.
+    """Equi-area cut points of the whole thread grid, as a tuple.
 
-    The same level walk as :func:`equiarea_schedule`, restricted to an
-    arbitrary thread sub-range so a single GPU partition (or the whole
-    grid) can itself be fanned out — :meth:`repro.cluster.leases.
-    LeaseLedger.build` cuts equal-*work* leases with this.  For the full grid the cuts are
-    identical to ``equiarea_schedule(scheme, g, n_parts).boundaries``.
+    The cuts of :func:`equiarea_schedule`;
+    :meth:`repro.cluster.leases.LeaseLedger.build` cuts equal-*work*
+    leases with this.
     """
-    if n_parts < 1:
-        raise ValueError("n_parts must be >= 1")
-    t_total = total_threads(scheme, g)
-    lam_start = max(0, min(lam_start, t_total))
-    lam_end = max(lam_start, min(lam_end, t_total))
-    prefix = work_prefix_by_level(scheme, g)
-    w_lo = cumulative_work_before(scheme, g, lam_start, prefix)
-    span = cumulative_work_before(scheme, g, lam_end, prefix) - w_lo
-    bounds = [lam_start]
-    for p in range(1, n_parts):
-        target = w_lo + (span * p + n_parts - 1) // n_parts  # ceil
-        cut = lambda_cut_for_work(scheme, g, target, prefix)
-        bounds.append(min(max(cut, bounds[-1]), lam_end))
-    bounds.append(lam_end)
-    return tuple(bounds)
+    return equiarea_schedule(scheme, g, n_parts).boundaries
 
 
 def equiarea_schedule_naive(scheme: Scheme, g: int, n_parts: int) -> Schedule:

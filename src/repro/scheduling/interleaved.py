@@ -86,9 +86,6 @@ class InterleavedSchedule:
             for p in range(self.n_parts)
         ]
 
-    def thread_counts(self) -> list[int]:
-        return [sum(hi - lo for lo, hi in self.ranges(p)) for p in range(self.n_parts)]
-
     def max_thread_work(self, part: int) -> int:
         """Heaviest thread in the partition (first thread of its first block)."""
         ranges = self.ranges(part)

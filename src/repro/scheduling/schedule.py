@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.scheduling.schemes import Scheme
-from repro.scheduling.workload import total_threads, total_work
+from repro.scheduling.workload import total_threads
 
 __all__ = ["Schedule"]
 
@@ -50,10 +48,6 @@ class Schedule:
     def thread_range(self, part: int) -> tuple[int, int]:
         return self.boundaries[part], self.boundaries[part + 1]
 
-    def thread_counts(self) -> np.ndarray:
-        b = np.asarray(self.boundaries, dtype=np.float64)
-        return np.diff(b)
-
     # -- exact per-partition work -------------------------------------
 
     def _work_before(self, lam: int) -> int:
@@ -79,10 +73,6 @@ class Schedule:
         if mean == 0:
             return 1.0
         return max(work) / mean
-
-    def validate(self) -> None:
-        """Assert the partition covers all work exactly once."""
-        assert sum(self.work_per_part()) == total_work(self.scheme, self.g)
 
     def describe(self) -> str:
         work = self.work_per_part()

@@ -3,8 +3,9 @@
 The subsystem layers admission control, dispatch, and supervised
 execution over the existing engine fleet:
 
-* :mod:`repro.service.jobs` — job lifecycle + atomic JSON job store;
-* :mod:`repro.service.queue` — bounded admission queue, tenant quotas;
+* :mod:`repro.service.jobs` — job lifecycle + atomic JSON job store, the
+  one record of a job's state: the FIFO queue, admission (fleet-wide
+  depth, tenant quotas) and the in-flight accounting are its job states;
 * :mod:`repro.service.dispatch` — the one sizing rule (backend + budget
   from the job's modeled cost, tenant pins honored);
 * :mod:`repro.service.runner` — supervisor threads driving the solvers;
@@ -13,12 +14,13 @@ execution over the existing engine fleet:
   (:class:`MetricsServer`, ``multihit solve --prom-port``).
 """
 
-from repro.service.dispatch import DispatchDecision, FleetState
+from repro.service.dispatch import DispatchDecision
 from repro.service.http import Gateway, MetricsServer, validate_spec
-from repro.service.jobs import Job, JobState, JobStore
-from repro.service.queue import (
+from repro.service.jobs import (
     AdmissionError,
-    AdmissionQueue,
+    Job,
+    JobState,
+    JobStore,
     QueueFullError,
     QuotaExceededError,
 )
@@ -26,9 +28,7 @@ from repro.service.runner import JobRunner
 
 __all__ = [
     "AdmissionError",
-    "AdmissionQueue",
     "DispatchDecision",
-    "FleetState",
     "Gateway",
     "Job",
     "JobRunner",

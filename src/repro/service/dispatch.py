@@ -1,9 +1,10 @@
 """The sizing rule: backend + worker budget per job, from its modeled cost.
 
 Admission decides *whether* a job enters the fleet; dispatch decides
-*where* and *how big*.  :func:`decide` maps (job spec, current fleet
-state) to a :class:`DispatchDecision` — which engine backend runs the
-solve and how many workers/nodes it may use — by one rule:
+*where* and *how big*.  :func:`decide` maps (job spec, the fleet's
+outstanding modeled cost, its worker cap) to a :class:`DispatchDecision`
+— which engine backend runs the solve and how many workers/nodes it may
+use — by one rule:
 
 * model the job's full scan cost with
   :func:`repro.scheduling.costaware.total_schedule_cost` (the same
@@ -12,9 +13,10 @@ solve and how many workers/nodes it may use — by one rule:
   fewer than two cores, the job runs on the in-process ``single`` engine
   (a pool's rank threads and lease bookkeeping cost more than they save);
 * above it, the job fans out over the ``pool`` with a budget
-  proportional to its share of the outstanding modeled work, at least
-  two workers and at most ``os.cpu_count()`` (more workers than cores
-  only time-slice).
+  proportional to its share of the outstanding modeled work (its own
+  plus ``load``, what the job store's other admitted and running jobs
+  cost), at least two workers and at most ``os.cpu_count()`` (more
+  workers than cores only time-slice).
 
 A tenant may pin ``solver.backend`` / ``solver.n_workers`` /
 ``solver.n_nodes`` in the submission (value-checked there, so used here
@@ -25,14 +27,13 @@ clamped only to the fleet's ``max_workers``.
 from __future__ import annotations
 
 import os
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.data.registry import _SPECS
 from repro.scheduling.costaware import total_schedule_cost
 from repro.scheduling.schemes import scheme_for
 
-__all__ = ["DispatchDecision", "FleetState", "SINGLE_THRESHOLD", "decide"]
+__all__ = ["DispatchDecision", "SINGLE_THRESHOLD", "decide"]
 
 #: Modeled cycles (:class:`repro.scheduling.costaware.ThreadCostModel`)
 #: at or below which a job runs in-process: the measured break-even of
@@ -67,33 +68,6 @@ class DispatchDecision:
         }
 
 
-@dataclass
-class FleetState:
-    """What dispatch can see of the fleet: capacity and outstanding work.
-
-    ``running`` maps job id -> its decision; the runner registers a job
-    at admission and unregisters at completion, under ``lock`` (the
-    rule reads it while the supervisors mutate it).
-    """
-
-    max_workers: int = 8
-    running: dict = field(default_factory=dict)
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def register(self, job_id: str, decision: DispatchDecision) -> None:
-        with self.lock:
-            self.running[job_id] = decision
-
-    def unregister(self, job_id: str) -> None:
-        with self.lock:
-            self.running.pop(job_id, None)
-
-    def load(self) -> float:
-        """Outstanding modeled cost of the running jobs."""
-        with self.lock:
-            return sum(d.est_cost for d in self.running.values())
-
-
 def _job_cost(spec: dict) -> float:
     """Modeled scan cost of the job's cohort (abstract cycles).
 
@@ -112,21 +86,25 @@ def _job_cost(spec: dict) -> float:
     return total_schedule_cost(scheme_for(hits, hits - 1), g)
 
 
-def decide(job, fleet: FleetState) -> DispatchDecision:
-    """Size ``job`` from its modeled cost, honoring the tenant's pins."""
+def decide(job, load: float, max_workers: int) -> DispatchDecision:
+    """Size ``job`` from its modeled cost, honoring the tenant's pins.
+
+    ``load`` is the modeled cost of the fleet's other admitted or
+    running jobs; ``max_workers`` caps any job's workers.
+    """
     pins = job.spec.get("solver", {})
     est = _job_cost(job.spec)
-    budget = min(fleet.max_workers, os.cpu_count() or 1)
+    budget = min(max_workers, os.cpu_count() or 1)
     backend = pins.get("backend")
     if backend is None:
         backend = "pool" if est > SINGLE_THRESHOLD and budget >= 2 else "single"
     if backend == "single":
         n_workers = 1
     else:
-        total = fleet.load() + est
+        total = load + est
         share = est / total if total > 0 else 1.0
         n_workers = max(2, round(share * budget))
-    n_workers = max(1, min(pins.get("n_workers", n_workers), fleet.max_workers))
+    n_workers = max(1, min(pins.get("n_workers", n_workers), max_workers))
     return DispatchDecision(
         backend=backend,
         n_workers=n_workers,

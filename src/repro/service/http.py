@@ -37,14 +37,15 @@ Submission body (JSON)::
       "solver": {"hits": 3, "prune": true}        # optional knobs/pins
     }
 
-:class:`Gateway` is the composition root: it builds the job store, the
-admission queue and the runner (which sizes each job with the one
-dispatch rule, :func:`repro.service.dispatch.decide`), recovers
-interrupted jobs from a previous process (non-terminal jobs are
-re-queued; their per-job checkpoints turn the re-run into a resume),
-and serves until stopped.  The Python API (:meth:`Gateway.submit` /
-:meth:`Gateway.cancel`) is the same code path the HTTP routes call —
-the tests drive both.
+:class:`Gateway` is the composition root: it builds the job store
+(the one record of every job, and the queue with its admission limits)
+and the runner (which sizes each job with the one dispatch rule,
+:func:`repro.service.dispatch.decide`), recovers interrupted jobs from a
+previous process (non-terminal jobs are re-queued, whatever the limits
+it boots under; their per-job checkpoints turn the re-run into a
+resume), and serves until stopped.  The Python API
+(:meth:`Gateway.submit` / :meth:`Gateway.cancel`) is the same code path
+the HTTP routes call — the tests drive both.
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ from urllib.parse import parse_qs
 from repro.core.solver import MultiHitSolver
 from repro.data.registry import dataset_names
 from repro.data.synthesis import CohortConfig
-from repro.service.jobs import Job, JobState, JobStore
-from repro.service.queue import AdmissionError, AdmissionQueue
+from repro.service.jobs import AdmissionError, Job, JobState, JobStore
 from repro.service.runner import JobRunner
 from repro.telemetry.prom import PROM_CONTENT_TYPE, render_prometheus
 from repro.telemetry.session import Telemetry, get_telemetry
@@ -356,7 +356,7 @@ def validate_spec(payload: dict) -> tuple[str, dict]:
 
 
 class Gateway:
-    """Composition root: store + queue + dispatch + runner + HTTP server."""
+    """Composition root: job store + dispatch + runner + HTTP server."""
 
     def __init__(
         self,
@@ -371,11 +371,11 @@ class Gateway:
     ) -> None:
         self.state_dir = Path(state_dir)
         self.telemetry = telemetry or Telemetry(enabled=True)
-        self.store = JobStore(self.state_dir)
-        self.queue = AdmissionQueue(depth=queue_depth, tenant_quota=tenant_quota)
+        self.store = JobStore(
+            self.state_dir, depth=queue_depth, tenant_quota=tenant_quota
+        )
         self.runner = JobRunner(
             store=self.store,
-            queue=self.queue,
             state_dir=self.state_dir,
             telemetry=self.telemetry,
             max_concurrent=max_concurrent,
@@ -402,10 +402,11 @@ class Gateway:
         """Re-queue jobs interrupted by a previous gateway's death.
 
         Non-terminal jobs (``queued`` / ``admitted`` / ``running``) go
-        back to the queue in their original submission order; their
-        per-job checkpoint files make the re-run resume mid-cover.
-        Tenant in-flight accounting is rebuilt through the normal
-        admission path (quotas hold across restarts).
+        back to the queue in their original submission order, without
+        an admission check: a gateway rebooted under tighter limits
+        runs them all, and answers new submissions 429 until the
+        backlog drains.  Their per-job checkpoint files make the re-run
+        resume mid-cover.
         """
         recovered = 0
         for job in self.store.jobs():
@@ -416,7 +417,6 @@ class Gateway:
                 self.telemetry.count("job.cancelled")
                 continue
             self.store.requeue(job.job_id)
-            self.queue.submit(job.job_id, job.tenant)
             self.telemetry.count("job.recovered")
             recovered += 1
         return recovered
@@ -449,22 +449,29 @@ class Gateway:
     def submit(self, payload: dict) -> Job:
         """Validate + admit + enqueue; raises ValueError/AdmissionError."""
         tenant, spec = validate_spec(payload)
-        job = self.store.new_job(tenant, spec)
         try:
-            self.queue.submit(job.job_id, tenant)
+            job = self.store.new_job(tenant, spec)
         except AdmissionError:
-            # Rejected at admission: the record survives as failed so
-            # the tenant can audit the rejection, but it never runs.
-            self.store.transition(
-                job.job_id, JobState.FAILED, error="rejected: queue full or quota"
-            )
             self.telemetry.count("job.rejected")
             raise
         self.telemetry.count("job.submitted")
         return job
 
     def cancel(self, job_id: str) -> bool:
-        return self.runner.cancel(job_id)
+        """Request cancellation; returns whether the request landed.
+
+        A still-queued job is cancelled immediately (never runs); a
+        running one stops within one solver iteration.  Terminal jobs
+        are not cancellable.
+        """
+        state = self.store.cancel(job_id)
+        if state is None:
+            return False
+        self.telemetry.count(
+            "job.cancelled" if state == JobState.CANCELLED
+            else "job.cancel_requested"
+        )
+        return True
 
     def job(self, job_id: str) -> "Job | None":
         return self.store.get(job_id)
@@ -490,9 +497,9 @@ class Gateway:
     def _health(self) -> dict:
         return {
             "jobs": len(self.store),
-            "backlog": self.queue.backlog,
-            "in_flight": self.queue.in_flight,
-            "running": self.runner.n_running,
+            "backlog": self.store.backlog,
+            "in_flight": self.store.in_flight,
+            "running": self.store.running,
         }
 
     # -- /v1 routes ----------------------------------------------------

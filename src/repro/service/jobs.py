@@ -1,4 +1,4 @@
-"""Job lifecycle + the atomic JSON-on-disk job store.
+"""Job lifecycle + the atomic JSON-on-disk job store, which is the queue.
 
 A *job* is one tenant's request to solve one cohort: the cohort spec
 (either generative parameters for :func:`repro.data.synthesis.generate_cohort`
@@ -10,16 +10,22 @@ moves through
 
 ``queued`` means accepted past admission control but not yet claimed;
 ``admitted`` means a supervisor thread claimed it and the dispatch
-rule sized its backend + worker budget; ``cancelled`` can be entered
+rule is sizing its backend + worker budget; ``cancelled`` can be entered
 from any non-terminal state (a queued job cancels instantly, a running
 one within one solver iteration via the cooperative ``should_stop``).
 
+:class:`JobStore` is the one record of a job's state.  Admission, the
+FIFO queue, the in-flight count, the tenant loads, the fleet's
+outstanding modeled cost and the running count are all read from the
+job states under the store's one lock; nothing else keeps a copy to
+fall out of step.
+
 A write is durable only where restart recovery reads what it records.
-Submission, ``running`` (which carries the dispatch decision), every
-terminal state and every ``cancel_requested`` go through the same
-atomic discipline as checkpoints (sibling tmp file + fsync +
-``os.replace``), one file per job, so a crashed or restarted gateway
-recovers the exact set of jobs from the directory — and a job
+Submission (or its rejection), ``running`` (which carries the dispatch
+decision), every terminal state and every ``cancel_requested`` go
+through the same atomic discipline as checkpoints (sibling tmp file +
+fsync + ``os.replace``), one file per job, so a crashed or restarted
+gateway recovers the exact set of jobs from the directory — and a job
 interrupted mid-solve resumes from its per-job checkpoint file rather
 than restarting.  Entering ``admitted`` and the runner's progress feed
 are published in memory only: recovery re-queues every active job
@@ -40,10 +46,13 @@ from repro.telemetry.export import atomic_write_text
 
 __all__ = [
     "ACTIVE_STATES",
+    "AdmissionError",
     "JOB_SCHEMA",
     "Job",
     "JobState",
     "JobStore",
+    "QueueFullError",
+    "QuotaExceededError",
     "TERMINAL_STATES",
 ]
 
@@ -194,41 +203,84 @@ class Job:
         }
 
 
+class AdmissionError(Exception):
+    """Base of submit-time rejections; maps to HTTP 429."""
+
+    #: advisory seconds before the client should retry
+    retry_after_s = 1.0
+
+
+class QueueFullError(AdmissionError):
+    """The fleet-wide in-flight bound is hit."""
+
+
+class QuotaExceededError(AdmissionError):
+    """The submitting tenant is at its in-flight quota."""
+
+
 class JobStore:
-    """One JSON file per job under ``root/jobs/``, written atomically.
+    """One JSON file per job under ``root/jobs/``: the one record of a job.
 
-    The store is the gateway's source of truth: memory holds every
-    job's current state, and the directory holds what restart recovery
-    reads.  :meth:`new_job`, :meth:`update`, :meth:`requeue` and every
-    :meth:`transition` except into ``admitted`` write the job's file
-    (tmp + fsync + ``os.replace``, so a crash mid-write can never leave
-    a torn file); :meth:`publish` and entering ``admitted`` change
-    memory only, and the job's next write carries them.  A fresh store
-    pointed at an existing directory reloads every job (what gateway
-    restart recovery is built on).
+    Memory holds each job's current state, the directory what restart
+    recovery reads, and the states are also the queue and its
+    accounting, read under the store's one lock.  The ``queued`` jobs in
+    submission order are the queue (:meth:`claim` takes the oldest); the
+    ``queued``, ``admitted`` and ``running`` ones are in flight, and
+    :meth:`new_job` admits a submission only while fewer than ``depth``
+    are, fleet-wide, and fewer than ``tenant_quota`` of its tenant's
+    (``0``: no quota) — one noisy tenant cannot starve the fleet.  A
+    rejected submission is refused now (HTTP 429), never parked in an
+    unbounded backlog.
 
-    All mutations are serialized by one lock — the HTTP threads, the
-    supervisor threads, and the progress feeds all touch jobs
-    concurrently.
+    :meth:`new_job`, :meth:`update`, :meth:`requeue`, :meth:`cancel` and
+    every :meth:`transition` except into ``admitted`` write the job's
+    file (tmp + fsync + ``os.replace``, so a crash mid-write can never
+    leave a torn file); :meth:`publish`, :meth:`claim` and entering
+    ``admitted`` change memory only, and the job's next write carries
+    them.  A fresh store pointed at an existing directory reloads every
+    job (what gateway restart recovery is built on); the jobs it finds
+    in flight count toward the limits, whatever the limits are.
     """
 
-    def __init__(self, root: "str | Path") -> None:
+    def __init__(
+        self, root: "str | Path", depth: int = 32, tenant_quota: int = 8
+    ) -> None:
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        if tenant_quota < 0:
+            raise ValueError("tenant_quota must be >= 0")
+        self.depth = depth
+        self.tenant_quota = tenant_quota
         self.root = Path(root)
         self.jobs_dir = self.root / "jobs"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.RLock()
+        # One lock for every job: the HTTP threads, the supervisors
+        # (blocked in ``claim``) and the progress feeds all share it.
+        self._lock = threading.Condition()
         self._jobs: dict[str, Job] = {}
+        # The jobs in flight, in submission order.
+        self._active: dict[str, Job] = {}
+        loaded = []
         for path in sorted(self.jobs_dir.glob("job-*.json")):
             try:
-                job = Job.from_payload(json.loads(path.read_text()))
+                loaded.append(Job.from_payload(json.loads(path.read_text())))
             except ValueError:  # torn, undecodable or malformed
                 continue  # skip the entry, don't brick the store
+        for job in sorted(loaded, key=lambda j: j.created_at):
             self._jobs[job.job_id] = job
+            if not job.terminal:
+                self._active[job.job_id] = job
 
     # -- creation ------------------------------------------------------
 
     def new_job(self, tenant: str, spec: dict) -> Job:
-        """Mint a queued job (persisted immediately)."""
+        """Admit and persist a queued job.
+
+        Over the depth or the tenant's quota, the job is persisted as
+        ``failed`` (the tenant can audit the rejection; it never runs)
+        and :class:`QueueFullError` / :class:`QuotaExceededError` is
+        raised.
+        """
         from repro.telemetry.causal import new_trace_id
 
         now = time.time()
@@ -242,8 +294,30 @@ class JobStore:
         )
         with self._lock:
             self._jobs[job.job_id] = job
+            try:
+                self._admit_locked(tenant)
+            except AdmissionError:
+                job.state = JobState.FAILED
+                job.error = "rejected: queue full or quota"
+                self._save_locked(job)
+                raise
+            self._active[job.job_id] = job
             self._save_locked(job)
+            self._lock.notify()
         return job
+
+    def _admit_locked(self, tenant: str) -> None:
+        in_flight = len(self._active)
+        if in_flight >= self.depth:
+            raise QueueFullError(
+                f"queue full: {in_flight}/{self.depth} jobs in flight"
+            )
+        load = sum(j.tenant == tenant for j in self._active.values())
+        if self.tenant_quota and load >= self.tenant_quota:
+            raise QuotaExceededError(
+                f"tenant {tenant!r} at quota: {load}/{self.tenant_quota} "
+                "jobs in flight"
+            )
 
     # -- access --------------------------------------------------------
 
@@ -267,6 +341,53 @@ class JobStore:
         with self._lock:
             return len(self._jobs)
 
+    @property
+    def backlog(self) -> int:
+        """Jobs queued: admitted past the limits, not yet claimed."""
+        return self._count(JobState.QUEUED)
+
+    @property
+    def in_flight(self) -> int:
+        """Jobs queued, admitted or running: what the limits count."""
+        with self._lock:
+            return len(self._active)
+
+    @property
+    def running(self) -> int:
+        """Jobs running: claimed, sized and solving."""
+        return self._count(JobState.RUNNING)
+
+    def _count(self, state: str) -> int:
+        with self._lock:
+            return sum(j.state == state for j in self._active.values())
+
+    def others_cost(self, job_id: str) -> float:
+        """Modeled cost (``dispatch["est_cost"]``) of the admitted and
+        running jobs other than ``job_id``: the dispatch rule's load."""
+        with self._lock:
+            return sum(
+                (j.dispatch or {}).get("est_cost", 0.0)
+                for j in self._active.values()
+                if j.state != JobState.QUEUED and j.job_id != job_id
+            )
+
+    # -- the supervisor side -------------------------------------------
+
+    def claim(self, timeout: "float | None" = None) -> "Job | None":
+        """Move the oldest queued job to ``admitted`` (in memory) and
+        return it; ``None`` if none is queued within ``timeout``."""
+        with self._lock:
+            job = self._lock.wait_for(self._oldest_queued, timeout)
+            if job is not None:
+                self._enter_locked(job, JobState.ADMITTED, {})
+            return job
+
+    def _oldest_queued(self) -> "Job | None":
+        return next(
+            (j for j in self._active.values() if j.state == JobState.QUEUED),
+            None,
+        )
+
     # -- mutation ------------------------------------------------------
 
     def transition(self, job_id: str, state: str, **updates) -> Job:
@@ -280,16 +401,27 @@ class JobStore:
         """
         with self._lock:
             job = self._require(job_id)
-            if not job.can_enter(state):
-                raise ValueError(
-                    f"illegal transition {job.state!r} -> {state!r} "
-                    f"for {job_id}"
-                )
-            job.state = state
-            self._apply_locked(
-                job, updates, durable=state != JobState.ADMITTED
-            )
+            self._enter_locked(job, state, updates)
             return job
+
+    def cancel(self, job_id: str) -> "str | None":
+        """Record a cancel request; the job's state after it.
+
+        A queued job is cancelled at once (it never runs); an admitted
+        or running one keeps its state, and its supervisor stops it
+        within one solver iteration.  ``None`` for an unknown or
+        terminal job: the request landed nowhere.
+        """
+        with self._lock:
+            job = self._jobs.get(job_id)
+            if job is None or job.terminal:
+                return None
+            updates = {"cancel_requested": True}
+            if job.state == JobState.QUEUED:
+                self._enter_locked(job, JobState.CANCELLED, updates)
+            else:
+                self._apply_locked(job, updates)
+            return job.state
 
     def requeue(self, job_id: str) -> Job:
         """Reset an interrupted (non-terminal) job back to ``queued``.
@@ -298,14 +430,17 @@ class JobStore:
         gateway restart recovery: a job found ``admitted`` or
         ``running`` at boot was interrupted by the previous process's
         death, and goes back to the queue (its checkpoint makes the
-        re-run a resume, not a restart).  Terminal jobs are refused.
+        re-run a resume, not a restart) without an admission check.
+        Its stale dispatch decision is dropped; a supervisor sizes it
+        afresh.  Terminal jobs are refused.
         """
         with self._lock:
             job = self._require(job_id)
             if job.terminal:
                 raise ValueError(f"cannot requeue terminal job {job_id}")
             job.state = JobState.QUEUED
-            self._apply_locked(job, {})
+            self._apply_locked(job, {"dispatch": None})
+            self._lock.notify()
             return job
 
     def update(self, job_id: str, **updates) -> Job:
@@ -331,6 +466,17 @@ class JobStore:
         if job is None:
             raise KeyError(f"unknown job {job_id!r}")
         return job
+
+    def _enter_locked(self, job: Job, state: str, updates: dict) -> None:
+        if not job.can_enter(state):
+            raise ValueError(
+                f"illegal transition {job.state!r} -> {state!r} "
+                f"for {job.job_id}"
+            )
+        job.state = state
+        if job.terminal:
+            self._active.pop(job.job_id, None)
+        self._apply_locked(job, updates, durable=state != JobState.ADMITTED)
 
     def _apply_locked(
         self, job: Job, updates: dict, durable: bool = True

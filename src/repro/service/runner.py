@@ -1,10 +1,13 @@
 """The job runner: supervisor threads executing jobs on the engines.
 
-``max_concurrent`` supervisor threads block on the admission queue,
-claim jobs FIFO, size each one with the dispatch rule
-(:func:`repro.service.dispatch.decide`: backend + budget from its
-modeled cost, tenant pins honored), and drive the existing solver stack end to end.  Per job, the runner
-isolates everything the engines share process-wide:
+``max_concurrent`` supervisor threads block on the job store
+(:meth:`repro.service.jobs.JobStore.claim`), claim jobs FIFO, size each
+one with the dispatch rule (:func:`repro.service.dispatch.decide`:
+backend + budget from its modeled cost and the store's other admitted
+and running jobs, tenant pins honored), and drive the existing solver
+stack end to end.  The runner keeps no record of its own: which jobs
+run, and which were asked to cancel, is read from the store.  Per job,
+the runner isolates everything the engines share process-wide:
 
 * **telemetry** — each job solves inside its own thread-scoped
   :class:`~repro.telemetry.session.Telemetry` session (rank threads
@@ -31,9 +34,10 @@ store's memory only (HTTP pollers read memory; recovery re-queues
 every active job whatever it says), and the terminal write carries the
 final progress.
 
-Cancellation is cooperative: ``cancel()`` sets the job's event, the
-solver's ``should_stop`` observes it between iterations, and the job
-lands in ``cancelled`` with the combinations found so far (still
+Cancellation is cooperative: a cancel request sets the job's stored
+``cancel_requested`` flag, the solver's ``should_stop`` reads it (and
+the runner's stop event) between iterations, and the job lands in
+``cancelled`` with the combinations found so far (still
 checkpointed — a cancelled job's partial work is inspectable and
 resumable).  A job that raises is ``failed`` with the error recorded
 and its flight dump written; the supervisor thread survives to run the
@@ -46,9 +50,8 @@ import threading
 import time
 from pathlib import Path
 
-from repro.service.dispatch import FleetState, decide
+from repro.service.dispatch import decide
 from repro.service.jobs import JobState, JobStore
-from repro.service.queue import AdmissionQueue
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.session import Telemetry, thread_telemetry_session
 
@@ -60,7 +63,7 @@ __all__ = ["CHECKPOINT_INTERVAL_S", "JobRunner"]
 #: interval keeps saves under 0.05 % of a long solve; one save per
 #: iteration was 16 % of a 4-iteration, ~10 ms gateway job.
 CHECKPOINT_INTERVAL_S = 1.0
-#: How long the supervisor blocks on the admission queue before it
+#: How long the supervisor blocks on the job store's queue before it
 #: re-checks whether it was stopped.
 CLAIM_TIMEOUT_S = 0.2
 
@@ -76,7 +79,6 @@ class JobRunner:
     def __init__(
         self,
         store: JobStore,
-        queue: AdmissionQueue,
         state_dir: "str | Path",
         telemetry: "Telemetry | None" = None,
         max_concurrent: int = 2,
@@ -85,21 +87,16 @@ class JobRunner:
         if max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
         self.store = store
-        self.queue = queue
         self.state_dir = Path(state_dir)
         self.telemetry = telemetry or Telemetry(enabled=True)
         self.max_concurrent = max_concurrent
-        self.fleet = FleetState(max_workers=max_workers)
+        self.max_workers = max_workers
         self.checkpoint_dir = self.state_dir / "checkpoints"
         self.flight_dir = self.state_dir / "flight"
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         self.flight_dir.mkdir(parents=True, exist_ok=True)
-        self._cancel_events: dict[str, threading.Event] = {}
-        self._cancel_lock = threading.Lock()
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
-        self._running = 0
-        self._running_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -117,92 +114,45 @@ class JobRunner:
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Stop claiming; cancel running jobs; join the supervisors."""
+        """Stop claiming; interrupt running jobs; join the supervisors."""
         self._stop.set()
-        with self._cancel_lock:
-            for event in self._cancel_events.values():
-                event.set()
         deadline = time.monotonic() + timeout
         for t in self._threads:
             t.join(timeout=max(0.0, deadline - time.monotonic()))
         self._threads = []
 
-    @property
-    def n_running(self) -> int:
-        with self._running_lock:
-            return self._running
-
-    # -- cancellation --------------------------------------------------
-
-    def cancel(self, job_id: str) -> bool:
-        """Request cancellation; returns whether the request landed.
-
-        A still-queued job is cancelled immediately (never runs); a
-        running one stops within one solver iteration.  Terminal jobs
-        are not cancellable.
-        """
-        job = self.store.get(job_id)
-        if job is None or job.terminal:
-            return False
-        self.store.update(job_id, cancel_requested=True)
-        with self._cancel_lock:
-            event = self._cancel_events.setdefault(job_id, threading.Event())
-        event.set()
-        if self.queue.abandon(job_id):
-            # Never claimed: finalize here, no solver will see it.
-            self.store.transition(job_id, JobState.CANCELLED)
-            self.telemetry.count("job.cancelled")
-            return True
-        self.telemetry.count("job.cancel_requested")
-        return True
-
-    def _cancel_event(self, job_id: str) -> threading.Event:
-        with self._cancel_lock:
-            return self._cancel_events.setdefault(job_id, threading.Event())
-
     # -- the supervisor loop -------------------------------------------
 
     def _supervise(self) -> None:
         while not self._stop.is_set():
-            job_id = self.queue.claim(timeout=CLAIM_TIMEOUT_S)
-            if job_id is None:
+            job = self.store.claim(timeout=CLAIM_TIMEOUT_S)
+            if job is None:
                 continue
             try:
-                self._run_job(job_id)
+                self._run_job(job)
             except Exception as exc:
                 # Whatever ``_run_job`` does not contain itself (dispatch,
                 # store I/O): this job fails, the thread keeps claiming.
-                job = self.store.get(job_id)
-                if job is not None and job.can_enter(JobState.FAILED):
+                if job.can_enter(JobState.FAILED):
                     self.store.transition(
-                        job_id, JobState.FAILED,
+                        job.job_id, JobState.FAILED,
                         error=f"{type(exc).__name__}: {exc}",
                     )
                     self.telemetry.count("job.failed")
-            finally:
-                self.queue.release(job_id)
-                self.fleet.unregister(job_id)
-                with self._cancel_lock:
-                    self._cancel_events.pop(job_id, None)
 
-    def _run_job(self, job_id: str) -> None:
+    def _run_job(self, job) -> None:
         tel = self.telemetry
-        job = self.store.get(job_id)
-        if job is None:
-            return
-        event = self._cancel_event(job_id)
+        job_id = job.job_id
         if job.cancel_requested or self._stop.is_set():
-            if job.can_enter(JobState.CANCELLED):
-                self.store.transition(job_id, JobState.CANCELLED)
-                tel.count("job.cancelled")
+            self.store.transition(job_id, JobState.CANCELLED)
+            tel.count("job.cancelled")
             return
-        decision = decide(job, self.fleet)
-        self.fleet.register(job_id, decision)
-        # Published in memory only; the ``running`` write below is the
-        # one that persists the decision.
-        self.store.transition(
-            job_id, JobState.ADMITTED, dispatch=decision.to_payload()
+        decision = decide(
+            job, self.store.others_cost(job_id), self.max_workers
         )
+        # The decision enters the store's load (the next job's sizing
+        # input) at once; the ``running`` write below persists it.
+        self.store.publish(job_id, dispatch=decision.to_payload())
         tel.count("job.admitted")
         tel.count(f"job.backend.{decision.backend}")
 
@@ -213,18 +163,20 @@ class JobRunner:
         recorder = FlightRecorder(out_dir=self.flight_dir, tag=job_id)
         job_tel.attach_flight(recorder)
         self.store.transition(job_id, JobState.RUNNING)
-        with self._running_lock:
-            self._running += 1
-            tel.set_gauge("job.running", self._running)
+        tel.set_gauge("job.running", self.store.running)
         t_start = time.monotonic()
         finalized = False
+
+        def should_stop() -> bool:
+            # ``job`` is the store's live record: a cancel request lands
+            # on it under the store's lock.
+            return job.cancel_requested or self._stop.is_set()
+
         try:
             with thread_telemetry_session(job_tel):
-                result = self._solve(job, decision, event)
-            cancelled = event.is_set()
-            current = self.store.get(job_id)
-            user_cancel = current is not None and current.cancel_requested
-            if cancelled and not user_cancel:
+                result = self._solve(job, decision, should_stop)
+            cancelled = job.cancel_requested
+            if self._stop.is_set() and not cancelled:
                 # Gateway shutdown, not a tenant cancel: leave the job in
                 # ``running`` so restart recovery re-queues it and the
                 # solve resumes from its checkpoint.
@@ -261,9 +213,7 @@ class JobRunner:
             )
             tel.count("job.failed")
         finally:
-            with self._running_lock:
-                self._running -= 1
-                tel.set_gauge("job.running", self._running)
+            tel.set_gauge("job.running", self.store.running)
             tel.observe("job.wall_s", time.monotonic() - t_start)
             if not finalized:
                 self._merge_job_metrics(job_tel)
@@ -271,7 +221,7 @@ class JobRunner:
 
     # -- execution -----------------------------------------------------
 
-    def _solve(self, job, decision, event: threading.Event):
+    def _solve(self, job, decision, should_stop):
         from repro.core.checkpoint import solve_with_checkpoints
         from repro.core.solver import MultiHitSolver
 
@@ -315,7 +265,7 @@ class JobRunner:
             normal,
             self.checkpoint_dir / f"{job.job_id}.json",
             on_iteration=on_iteration,
-            should_stop=event.is_set,
+            should_stop=should_stop,
             min_interval_s=CHECKPOINT_INTERVAL_S,
         )
 

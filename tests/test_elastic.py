@@ -404,7 +404,7 @@ class TestPoolLeases:
 class TestVirtualClusterMembership:
     def test_join_extends_the_fleet_at_current_time(self):
         cluster = VirtualCluster(n_ranks=3)
-        cluster.compute_rank(0, 5.0)
+        cluster.compute(np.array([5.0, 0.0, 0.0]))
         cluster.join(2)
         assert cluster.n_ranks == 5
         # A joiner's clock starts at the join time, not at zero.
@@ -412,7 +412,7 @@ class TestVirtualClusterMembership:
 
     def test_leave_moves_timelines_to_departed(self):
         cluster = VirtualCluster(n_ranks=4)
-        cluster.compute_rank(3, 2.0)
+        cluster.compute(np.array([0.0, 0.0, 0.0, 2.0]))
         cluster.leave([3, 1])
         assert cluster.n_ranks == 2
         assert len(cluster.departed) == 2

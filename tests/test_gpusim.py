@@ -26,7 +26,7 @@ def stats(n_threads=200_000, n_combos=10**9, words=31, rows=2, pre=2, max_combos
 class TestDevice:
     def test_v100_shape(self):
         assert V100.n_cores == 5120
-        assert V100.max_resident_threads == 163_840
+        assert V100.n_sms * V100.max_threads_per_sm == 163_840
         assert V100.dram_bytes == 16 * 1024**3
         assert V100.peak_int_ops_per_s == pytest.approx(5120 * 1.53e9)
 
@@ -42,7 +42,7 @@ class TestKernelStats:
     def test_blocks(self):
         s = stats(n_threads=1025)
         assert s.n_blocks == 3
-        assert s.mean_thread_combos == pytest.approx(10**9 / 1025)
+        assert s.n_combos / s.n_threads == pytest.approx(10**9 / 1025)
 
 
 class TestTimingModel:

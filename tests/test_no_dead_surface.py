@@ -9,6 +9,12 @@ helper a sibling calls), never its docstrings or ``__all__``; a package
 re-export alone is no caller.  A name only tests reach is a capability
 no caller uses: delete it, or give it a caller.  The allow-list holds
 the exceptions, each with its reason.
+
+The same holds one level down: every public method and property of a
+public class must be named as ``.name`` or ``name(`` by some file
+outside ``tests/``, where a ``def name(`` line (a definition) never
+counts.  Its own module counts, since a sibling method calling it is a
+caller.  :data:`ALLOWED_MEMBERS` holds the exceptions.
 """
 
 import ast
@@ -36,6 +42,13 @@ ALLOWED = {
     # Oracles the test suite checks the program against.
     "score_combos_reference": "one-shot scoring oracle of the native scan",
     "validate_prometheus": "strict checker of the /metrics exposition format",
+}
+
+ALLOWED_MEMBERS = {
+    # The paper's 20-byte result record (Section III-E): the layout is
+    # the paper's, pinned by tests, and no program path writes it yet.
+    "MultiHitCombination.to_record": "the paper's 20-byte record, packed",
+    "MultiHitCombination.from_record": "the paper's 20-byte record, read",
 }
 
 
@@ -106,6 +119,63 @@ def unreached_names() -> "list[str]":
             ):
                 missing.append(f"{module.relative_to(ROOT / 'src')}:{name}")
     return missing
+
+
+def _members(path: Path) -> "list[str]":
+    """``Class.member`` for every public method or property of the
+    module's public top-level classes."""
+    return [
+        f"{cls.name}.{node.name}"
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _member_uses() -> set:
+    """Every ``x`` the corpus names as ``.x`` or ``x(``, minus ``def x(``."""
+    used: set = set()
+    for path in _corpus():
+        text = path.read_text()
+        used.update(re.findall(r"\.(\w+)", text))
+        used.update(
+            name
+            for define, name in re.findall(r"(\bdef\s+)?\b(\w+)\(", text)
+            if not define
+        )
+    return used
+
+
+def unreached_members() -> "list[str]":
+    """``module:Class.member`` for every public method or property that
+    no file outside tests calls or reads."""
+    used = _member_uses()
+    return [
+        f"{module.relative_to(ROOT / 'src')}:{member}"
+        for module in sorted(SRC.rglob("*.py"))
+        for member in _members(module)
+        if member not in ALLOWED_MEMBERS and member.split(".")[1] not in used
+    ]
+
+
+def test_every_public_member_has_a_caller_outside_tests():
+    assert unreached_members() == []
+
+
+def test_member_allow_list_entries_are_still_needed():
+    defined = {
+        member for module in SRC.rglob("*.py") for member in _members(module)
+    }
+    assert set(ALLOWED_MEMBERS) <= defined
+    saved = dict(ALLOWED_MEMBERS)
+    ALLOWED_MEMBERS.clear()
+    try:
+        unreached = {entry.split(":")[1] for entry in unreached_members()}
+    finally:
+        ALLOWED_MEMBERS.update(saved)
+    assert set(saved) <= unreached
 
 
 def test_every_public_name_has_a_caller_outside_tests():

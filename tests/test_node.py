@@ -14,8 +14,8 @@ class TestSummitNode:
         # Section III-E: 512 GB CPU memory, 16 GB per GPU.
         assert SUMMIT_NODE.cpu_memory_bytes == 512 * 1024**3
         assert SUMMIT_NODE.gpu_memory_bytes == 16 * 1024**3
-        assert SUMMIT_NODE.total_gpu_memory_bytes == 96 * 1024**3
+        assert SUMMIT_NODE.n_gpus * SUMMIT_NODE.gpu_memory_bytes == 96 * 1024**3
 
     def test_custom_spec(self):
         node = SummitNodeSpec(n_gpus=4)
-        assert node.total_gpu_memory_bytes == 4 * 16 * 1024**3
+        assert node.n_gpus * node.gpu_memory_bytes == 4 * 16 * 1024**3

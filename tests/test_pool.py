@@ -21,11 +21,7 @@ from repro.core.sequential import sequential_solve
 from repro.core.solver import MultiHitSolver
 from repro.scheduling.equiarea import equiarea_range_boundaries, equiarea_schedule
 from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, Scheme, scheme_for
-from repro.scheduling.workload import (
-    cumulative_work_before,
-    total_threads,
-    total_work,
-)
+from repro.scheduling.workload import total_threads, total_work
 
 
 def signature(combos):
@@ -59,35 +55,16 @@ class TestRangeBoundaries:
     @pytest.mark.parametrize("n_parts", [1, 2, 5, 13])
     def test_full_range_matches_schedule(self, scheme, n_parts):
         g = 20
-        total = total_threads(scheme, g)
-        bounds = equiarea_range_boundaries(scheme, g, 0, total, n_parts)
+        bounds = equiarea_range_boundaries(scheme, g, n_parts)
         assert bounds == equiarea_schedule(scheme, g, n_parts).boundaries
-
-    def test_subrange_cuts_balance_work(self):
-        scheme, g = SCHEME_3X1, 30
-        lo, hi = 100, 3500
-        bounds = equiarea_range_boundaries(scheme, g, lo, hi, 6)
-        assert bounds[0] == lo and bounds[-1] == hi
-        assert all(a <= b for a, b in zip(bounds, bounds[1:]))
-        works = [
-            cumulative_work_before(scheme, g, b)
-            - cumulative_work_before(scheme, g, a)
-            for a, b in zip(bounds, bounds[1:])
-        ]
-        assert sum(works) == cumulative_work_before(
-            scheme, g, hi
-        ) - cumulative_work_before(scheme, g, lo)
-        mean = sum(works) / len(works)
-        assert max(works) <= mean + (g - scheme.flattened)  # one thread's work
 
     def test_clamps_and_degenerate_ranges(self):
         scheme, g = SCHEME_3X1, 10
         total = total_threads(scheme, g)
-        assert equiarea_range_boundaries(scheme, g, -5, total + 99, 2)[0] == 0
-        assert equiarea_range_boundaries(scheme, g, -5, total + 99, 2)[-1] == total
-        assert equiarea_range_boundaries(scheme, g, 7, 7, 3) == (7, 7, 7, 7)
+        assert equiarea_range_boundaries(scheme, g, 2)[0] == 0
+        assert equiarea_range_boundaries(scheme, g, 2)[-1] == total
         with pytest.raises(ValueError):
-            equiarea_range_boundaries(scheme, g, 0, total, 0)
+            equiarea_range_boundaries(scheme, g, 0)
 
 
 # -- bit-exactness -------------------------------------------------------

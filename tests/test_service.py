@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.core.solver import MultiHitSolver
 from repro.data.synthesis import CohortConfig, generate_cohort
 from repro.service import (
-    AdmissionQueue,
     Gateway,
     JobState,
     JobStore,
@@ -25,7 +24,7 @@ from repro.service import (
     validate_spec,
 )
 from repro.service import runner as runner_mod
-from repro.service.dispatch import SINGLE_THRESHOLD, FleetState, _job_cost, decide
+from repro.service.dispatch import SINGLE_THRESHOLD, _job_cost, decide
 from repro.service.runner import JobRunner
 from repro.service.http import _ALLOWED_COHORT_KEYS, _ALLOWED_SOLVER_KEYS
 from repro.service.jobs import ACTIVE_STATES, TERMINAL_STATES, Job
@@ -187,43 +186,84 @@ class TestJobStore:
 
 
 # ---------------------------------------------------------------------------
-# admission queue
+# admission: the job store is the queue
 
 
 class TestAdmissionQueue:
-    def test_depth_bound(self):
-        q = AdmissionQueue(depth=2, tenant_quota=0)
-        q.submit("a", "t1")
-        q.submit("b", "t2")
+    def test_depth_bound(self, tmp_path):
+        store = JobStore(tmp_path, depth=2, tenant_quota=0)
+        a = store.new_job("t1", {})
+        store.new_job("t2", {})
+        with pytest.raises(QueueFullError, match="queue full: 2/2"):
+            store.new_job("t3", {})
+        # claiming does NOT free capacity (the job is still in flight)...
+        assert store.claim(timeout=0).job_id == a.job_id
+        store.transition(a.job_id, JobState.RUNNING)
         with pytest.raises(QueueFullError):
-            q.submit("c", "t3")
-        # claiming does NOT free capacity (job still in flight)...
-        assert q.claim(timeout=0) == "a"
+            store.new_job("t3", {})
+        # ...reaching a terminal state does.
+        store.transition(a.job_id, JobState.DONE)
+        store.new_job("t3", {})
+        assert (store.backlog, store.in_flight, store.running) == (2, 2, 0)
+
+    def test_tenant_quota(self, tmp_path):
+        store = JobStore(tmp_path, depth=16, tenant_quota=2)
+        a = store.new_job("noisy", {})
+        store.new_job("noisy", {})
+        with pytest.raises(QuotaExceededError, match="'noisy' at quota: 2/2"):
+            store.new_job("noisy", {})
+        store.new_job("quiet", {})  # other tenants unaffected
+        store.transition(a.job_id, JobState.CANCELLED)
+        store.new_job("noisy", {})  # a terminal job reopens the quota
+
+    def test_rejection_is_written_once_as_failed(self, tmp_path, monkeypatch):
+        writes = []
+        monkeypatch.setattr(
+            JobStore, "_save_locked",
+            lambda self, job: writes.append((job.job_id, job.state)),
+        )
+        store = JobStore(tmp_path, depth=1)
+        store.new_job("t", {})
         with pytest.raises(QueueFullError):
-            q.submit("c", "t3")
-        # ...releasing does.
-        q.release("a")
-        q.submit("c", "t3")
+            store.new_job("t", {})
+        rejected = writes[-1][0]
+        assert writes[1:] == [(rejected, JobState.FAILED)]
+        assert store.get(rejected).error == "rejected: queue full or quota"
+        assert store.in_flight == 1
 
-    def test_tenant_quota(self):
-        q = AdmissionQueue(depth=16, tenant_quota=2)
-        q.submit("a", "noisy")
-        q.submit("b", "noisy")
-        with pytest.raises(QuotaExceededError):
-            q.submit("c", "noisy")
-        q.submit("d", "quiet")  # other tenants unaffected
-        q.release("a")
-        q.submit("c", "noisy")  # freed slot reopens the quota
+    def test_fifo_claim_and_cancel(self, tmp_path):
+        store = JobStore(tmp_path, depth=8)
+        a, b, c = (store.new_job("t", {}) for _ in range(3))
+        assert store.cancel(b.job_id) == JobState.CANCELLED
+        assert store.cancel(b.job_id) is None  # already terminal
+        assert store.get(b.job_id).cancel_requested
+        claimed = [store.claim(timeout=0), store.claim(timeout=0)]
+        assert [j.job_id for j in claimed] == [a.job_id, c.job_id]
+        assert all(j.state == JobState.ADMITTED for j in claimed)
+        assert store.claim(timeout=0) is None
+        assert store.in_flight == 2  # the cancel released b's slot
+        # A claimed job keeps its state; its runner sees the flag.
+        assert store.cancel(a.job_id) == JobState.ADMITTED
+        assert store.get(a.job_id).cancel_requested
 
-    def test_fifo_claim_and_abandon(self):
-        q = AdmissionQueue(depth=8)
-        for jid in ("a", "b", "c"):
-            q.submit(jid, "t")
-        assert q.abandon("b") is True
-        assert q.abandon("b") is False  # already gone
-        assert [q.claim(timeout=0), q.claim(timeout=0)] == ["a", "c"]
-        assert q.claim(timeout=0) is None
-        assert q.tenant_load("t") == 2  # abandon released b's slot
+    def test_requeue_keeps_submission_order_and_drops_dispatch(self, tmp_path):
+        store = JobStore(tmp_path)
+        a, b = store.new_job("t", {}), store.new_job("t", {})
+        store.claim(timeout=0)
+        store.publish(a.job_id, dispatch={"backend": "single", "est_cost": 5.0})
+        assert store.others_cost(b.job_id) == 5.0
+        assert store.others_cost(a.job_id) == 0.0
+        store.transition(a.job_id, JobState.RUNNING)
+        store.requeue(a.job_id)
+        assert store.get(a.job_id).dispatch is None
+        assert store.others_cost(b.job_id) == 0.0
+        assert store.claim(timeout=0).job_id == a.job_id
+
+    def test_limits_validated(self, tmp_path):
+        with pytest.raises(ValueError, match="depth"):
+            JobStore(tmp_path, depth=0)
+        with pytest.raises(ValueError, match="tenant_quota"):
+            JobStore(tmp_path, tenant_quota=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,41 +280,39 @@ class TestDispatch:
         return lambda n: monkeypatch.setattr(os, "cpu_count", lambda: n)
 
     def test_pins_honored_and_clamped(self):
-        fleet = FleetState(max_workers=4)
         decision = decide(
             self._job({"cohort": {"n_genes": 20},
                        "solver": {"backend": "pool", "n_workers": 99}}),
-            fleet,
+            0.0, 4,
         )
         assert decision.backend == "pool"
         assert decision.n_workers == 4  # clamped to the fleet
         assert decision.n_nodes == 4
-        single = decide(self._job(spec_for(0, solver={"backend": "single"})), fleet)
+        single = decide(self._job(spec_for(0, solver={"backend": "single"})), 0.0, 4)
         assert (single.backend, single.n_workers, single.n_nodes) == ("single", 1, 1)
         nodes = decide(self._job(spec_for(0, solver={
-            "backend": "distributed", "n_workers": 2, "n_nodes": 3})), fleet)
+            "backend": "distributed", "n_workers": 2, "n_nodes": 3})), 0.0, 4)
         assert (nodes.backend, nodes.n_workers, nodes.n_nodes) == (
             "distributed", 2, 3)
 
     def test_cost_aware_sizes_to_the_job(self, cores):
         cores(8)
-        fleet = FleetState(max_workers=8)
-        small = decide(self._job(spec_for(0, n_genes=10)), fleet)
+        small = decide(self._job(spec_for(0, n_genes=10)), 0.0, 8)
         assert small.backend == "single"
         assert small.n_workers == 1
-        big = decide(self._job(spec_for(0, n_genes=800)), fleet)
+        big = decide(self._job(spec_for(0, n_genes=800)), 0.0, 8)
         assert big.backend == "pool"
         assert big.n_workers == 8  # alone in the fleet: the whole budget
         assert big.est_cost > small.est_cost
         # A second job of the same cost gets its half of the budget.
-        fleet.register("job-a", big)
-        assert decide(self._job(spec_for(1, n_genes=800)), fleet).n_workers == 4
+        assert decide(
+            self._job(spec_for(1, n_genes=800)), big.est_cost, 8
+        ).n_workers == 4
 
     def test_threshold_sits_at_the_measured_break_even(self, cores):
         cores(2)
-        fleet = FleetState()
-        below = decide(self._job(spec_for(0, n_genes=600)), fleet)
-        above = decide(self._job(spec_for(0, n_genes=700)), fleet)
+        below = decide(self._job(spec_for(0, n_genes=600)), 0.0, 8)
+        above = decide(self._job(spec_for(0, n_genes=700)), 0.0, 8)
         assert below.est_cost < SINGLE_THRESHOLD < above.est_cost
         assert below.backend == "single"
         assert (above.backend, above.n_workers) == ("pool", 2)
@@ -287,17 +325,17 @@ class TestDispatch:
         choice for the fleet: it leaves the second core to another job."""
         cores(2)
         job = self._job(spec_for(0, hits=hits, n_genes=n_genes))
-        assert decide(job, FleetState()).backend == "single"
+        assert decide(job, 0.0, 8).backend == "single"
 
     def test_budget_capped_at_the_core_count(self, cores):
         big = self._job(spec_for(0, n_genes=800))
         cores(2)
-        assert decide(big, FleetState(max_workers=8)).n_workers == 2
+        assert decide(big, 0.0, 8).n_workers == 2
         cores(1)
-        assert decide(big, FleetState(max_workers=8)).backend == "single"
+        assert decide(big, 0.0, 8).backend == "single"
         # A tenant's pinned worker count is theirs: only max_workers clamps.
         pinned = self._job(spec_for(0, solver={"backend": "pool", "n_workers": 6}))
-        assert decide(pinned, FleetState(max_workers=8)).n_workers == 6
+        assert decide(pinned, 0.0, 8).n_workers == 6
 
     def test_dataset_job_priced_from_its_recipe(self):
         named = _job_cost({"cohort": {"dataset": "brca-mini"}})
@@ -313,8 +351,7 @@ class TestDispatch:
         with pytest.raises(TypeError, match="policy"):
             Gateway(state_dir=tmp_path, policy="cost_aware")
         with pytest.raises(TypeError, match="policy"):
-            JobRunner(store=JobStore(tmp_path), queue=AdmissionQueue(),
-                      policy=None, state_dir=tmp_path)
+            JobRunner(store=JobStore(tmp_path), policy=None, state_dir=tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +623,7 @@ class TestGatewayEndToEnd:
                 sock.shutdown(socket.SHUT_WR)
                 assert sock.recv(1024) == b""
             assert len(gw.store) == 0
-            assert gw.queue.backlog == 0 and gw.queue.in_flight == 0
+            assert gw.store.backlog == 0 and gw.store.in_flight == 0
             assert _http("GET", f"{gw.url}/healthz")[0] == 200
 
     def test_trace_endpoint_serves_causal_analysis(
@@ -691,7 +728,6 @@ class TestGatewayEndToEnd:
             # Submit refuses this spec; queue it the way a job file
             # written before the value check would arrive.
             crash = gw.store.new_job("clumsy", bad)
-            gw.queue.submit(crash.job_id, crash.tenant)
             good = gw.submit(spec_for(5))
             done = gw.wait([crash.job_id, good.job_id], timeout=120)
         crashed, ok = done
@@ -727,7 +763,7 @@ class TestGatewayEndToEnd:
                     {"cohort": cohort, "solver": solver})
                 assert status == 400 and named in body["error"], body
             assert len(gw.store) == 0
-            assert gw.queue.backlog == 0 and gw.queue.in_flight == 0
+            assert gw.store.backlog == 0 and gw.store.in_flight == 0
 
     def test_bad_cohort_values_are_400_and_leave_no_trace(self, tmp_path):
         """A cohort that could only fail once a runner claimed it is
@@ -749,7 +785,7 @@ class TestGatewayEndToEnd:
                 assert status == 400 and named in body["error"], body
             assert len(gw.store) == 0
             assert not list((tmp_path / "jobs").iterdir())
-            assert gw.queue.backlog == 0 and gw.queue.in_flight == 0
+            assert gw.store.backlog == 0 and gw.store.in_flight == 0
             # A valid spec is stored exactly as submitted.
             job = gw.submit(good)
             stored = json.loads((tmp_path / "jobs" / f"{job.job_id}.json").read_text())
@@ -763,11 +799,11 @@ class TestGatewayEndToEnd:
     ):
         seen = []
 
-        def first_job_explodes(job, fleet):
+        def first_job_explodes(job, *sizing):
             seen.append(job.job_id)
             if len(seen) == 1:
                 raise RuntimeError("dispatch exploded")
-            return decide(job, fleet)
+            return decide(job, *sizing)
 
         monkeypatch.setattr(runner_mod, "decide", first_job_explodes)
         with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
@@ -905,6 +941,40 @@ class TestRestartRecovery:
         assert signature(done.result["combinations"]) == signature(
             direct_solve(spec).combinations)
 
+    @pytest.mark.parametrize(
+        "limits", [{"queue_depth": 2}, {"tenant_quota": 2}],
+        ids=["depth", "quota"],
+    )
+    def test_reboot_under_tighter_limits_runs_the_backlog(self, tmp_path, limits):
+        """Four queued jobs of one tenant, stored under a depth of 4: a
+        gateway rebooted on them with a depth or a quota of 2 boots,
+        answers a fifth submission with 429, runs all four, and then
+        admits again."""
+        first = Gateway(state_dir=tmp_path, queue_depth=4)  # never started
+        specs = [spec_for(seed) for seed in (0, 2, 4, 6)]  # all tenant-0
+        ids = [first.submit(spec).job_id for spec in specs]
+        del first
+
+        gw = Gateway(state_dir=tmp_path, max_concurrent=1, **limits)
+        try:
+            assert gw._recovered == 4
+            gw.server.start()
+            status, body, headers = _http(
+                "POST", f"{gw.url}/v1/jobs", spec_for(8))
+            assert status == 429, body
+            assert int(headers["Retry-After"]) >= 1
+            gw.start()
+            done = gw.wait(ids, timeout=120)
+            assert [j.state for j in done] == [JobState.DONE] * 4
+            for job, spec in zip(done, specs):
+                assert signature(job.result["combinations"]) == signature(
+                    direct_solve(spec).combinations)
+            status, sub, _ = _http("POST", f"{gw.url}/v1/jobs", spec_for(8))
+            assert status == 202
+            assert gw.wait([sub["job_id"]], timeout=120)[0].state == JobState.DONE
+        finally:
+            gw.stop()
+
     def test_cancel_requested_job_finalized_at_boot(self, tmp_path):
         store = JobStore(tmp_path)
         job = store.new_job("t", spec_for(0))
@@ -1039,5 +1109,5 @@ class TestDurability:
         with pytest.raises(TypeError, match="checkpoint_every"):
             Gateway(state_dir=tmp_path, checkpoint_every=1)
         with pytest.raises(TypeError, match="checkpoint_every"):
-            JobRunner(store=JobStore(tmp_path), queue=AdmissionQueue(),
-                      state_dir=tmp_path, checkpoint_every=1)
+            JobRunner(store=JobStore(tmp_path), state_dir=tmp_path,
+                      checkpoint_every=1)

@@ -112,7 +112,7 @@ class TestSparsityIndex:
         np.testing.assert_array_equal(
             idx.row_popcounts, m.to_dense().sum(axis=1)
         )
-        assert idx.n_strides == (m.n_words + 1) // 2
+        assert idx.stride_any.shape[1] == (m.n_words + 1) // 2
         assert 0.0 <= idx.nonzero_fraction <= 1.0
 
     def test_rejects_non_2d(self):

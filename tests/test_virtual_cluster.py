@@ -35,7 +35,7 @@ class TestCompute:
 
     def test_compute_rank(self):
         vc = make(2)
-        vc.compute_rank(1, 5.0)
+        vc.compute(np.array([0.0, 5.0]))  # one rank computes, alone
         assert vc.clock[1] == 5.0 and vc.clock[0] == 0.0
 
 
