@@ -18,7 +18,8 @@ the runner isolates everything the engines share process-wide:
   lifecycle counters (``job.completed`` / ``job.failed`` / ...) move.
 * **checkpoints** — each job writes ``checkpoints/<job id>.json`` under
   the gateway state dir, by the clock (at most one save per
-  :data:`CHECKPOINT_INTERVAL_S`, plus the final state); a restarted
+  :data:`CHECKPOINT_INTERVAL_S`, plus the final state; the first save
+  is a snapshot, later ones append a record to it); a restarted
   gateway re-queues interrupted jobs and their solves resume from the
   checkpoint, bit-identical.
 * **flight recorder** — each job gets its own recorder tagged with the
@@ -143,9 +144,15 @@ class JobRunner:
     def _run_job(self, job) -> None:
         tel = self.telemetry
         job_id = job.job_id
-        if job.cancel_requested or self._stop.is_set():
+        if job.cancel_requested:
             self.store.transition(job_id, JobState.CANCELLED)
             tel.count("job.cancelled")
+            return
+        if self._stop.is_set():
+            # Claimed as the gateway stopped: ``admitted`` lives in memory
+            # only, so the job is still ``queued`` on disk and restart
+            # recovery runs it.
+            tel.count("job.interrupted")
             return
         decision = decide(
             job, self.store.others_cost(job_id), self.max_workers

@@ -43,11 +43,12 @@ SUMMARY_SCHEMA = "repro.telemetry.summary/v1"
 def atomic_write_text(path: "str | Path", text: str) -> Path:
     """Write ``text`` to ``path`` atomically (tmp + fsync + ``os.replace``).
 
-    The one durable-write body of the repo — exporters, checkpoints
-    (:func:`repro.core.checkpoint.save_state`) and the gateway's job
-    store all call it: a crash mid-write can never leave a torn file
-    behind — ``path`` holds either the previous complete artifact or the
-    new one.
+    The repo's durable whole-file write — exporters, a checkpoint's
+    snapshot (:func:`repro.core.checkpoint.save_state`, a run's first
+    save; later saves append fsynced records to that file) and the
+    gateway's job store all call it: a crash mid-write can never leave a
+    torn file behind — ``path`` holds either the previous complete
+    artifact or the new one.
     Parent directories are created as needed, so exporters can target
     per-run output trees that do not exist yet.
     """

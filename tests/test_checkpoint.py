@@ -190,12 +190,16 @@ class TestCadence:
     def _record_saves(monkeypatch):
         import repro.core.checkpoint as ckpt_module
 
+        # Every save of a run, snapshot or appended record, goes through
+        # the run's journal.
         writes = []
-        real_save = ckpt_module.save_state
+        real_save = ckpt_module._Journal.save
         monkeypatch.setattr(
-            ckpt_module,
-            "save_state",
-            lambda state, p: (writes.append(state.n_found), real_save(state, p)),
+            ckpt_module._Journal,
+            "save",
+            lambda journal, state: (
+                writes.append(state.n_found), real_save(journal, state)
+            ),
         )
         return writes
 
@@ -363,3 +367,191 @@ class TestMalformedFiles:
         except ValueError:
             pass
 
+
+# -- the journal: a snapshot line, then one record per save ------------------
+
+
+@lru_cache(maxsize=None)
+def _journal():
+    """The fixture instance, the bytes of its 4-save journal (a snapshot
+    and three records) and the state each save wrote."""
+    rng = np.random.default_rng(12345)
+    instance = rng.random((12, 50)) < 0.4, rng.random((12, 50)) < 0.12
+    states = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        solve_with_checkpoints(
+            MultiHitSolver(hits=2, max_iterations=4), *instance, path,
+            on_iteration=states.append,
+        )
+        return instance, path.read_bytes(), tuple(states)
+
+
+def _load_bytes(blob: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        path.write_bytes(blob)
+        return load_state(path)
+
+
+def _same_state(a: SolverState, b: SolverState) -> bool:
+    return (
+        (a.hits, a.alpha, a.combinations) == (b.hits, b.alpha, b.combinations)
+        and np.array_equal(a.active, b.active)
+    )
+
+
+def _edit_line(blob: bytes, index: int, edit) -> bytes:
+    lines = blob.decode().split("\n")
+    lines[index] = json.dumps(edit(json.loads(lines[index])))
+    return "\n".join(lines).encode()
+
+
+class TestJournal:
+    def test_first_save_is_a_snapshot_later_saves_append(self):
+        _, blob, states = _journal()
+        lines = blob.decode().split("\n")
+        assert len(states) == 4 and lines[-1] == ""
+        head, *records = (json.loads(line) for line in lines[:-1])
+        assert head["format_version"] == 2
+        assert len(head["combinations"]) == 1
+        assert [len(r["combinations"]) for r in records] == [1, 1, 1]
+        assert [len(r["covered"]) for r in records] == [
+            c.tp for c in states[-1].combinations[1:]
+        ]
+        assert _same_state(_load_bytes(blob), states[-1])
+
+    def test_tear_inside_the_snapshot_raises(self):
+        _, blob, _ = _journal()
+        for cut in range(blob.index(b"\n")):
+            with pytest.raises(ValueError):
+                _load_bytes(blob[:cut])
+
+    def test_tear_inside_the_tail_loads_the_last_complete_record(self):
+        """Every cut after the snapshot loads the state of the last
+        newline-terminated line before it, and a resumed run adopts it
+        and finishes bit-identical to an uninterrupted one."""
+        instance, blob, states = _journal()
+        full = MultiHitSolver(hits=2).solve(*instance)
+        adopted = set()
+        for cut in range(blob.index(b"\n") + 1, len(blob) + 1):
+            saves = blob[:cut].count(b"\n")
+            state = _load_bytes(blob[:cut])
+            assert _same_state(state, states[saves - 1]), cut
+            if saves not in adopted:
+                adopted.add(saves)
+                resumed = MultiHitSolver(hits=2).solve(*instance, resume=state)
+                assert signature(resumed) == signature(full)
+        assert adopted == {1, 2, 3, 4}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_flipped_journal_loads_or_raises_value_error(self, data):
+        """Every single-byte flip of a journal is refused with
+        ``ValueError``, or loads a state that the resumed run adopts or
+        refuses with ``ValueError``."""
+        instance, blob, _ = _journal()
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        flipped = blob[at] ^ data.draw(st.integers(1, 255), label="mask")
+        try:
+            state = _load_bytes(blob[:at] + bytes([flipped]) + blob[at + 1 :])
+        except ValueError:
+            return
+        try:
+            MultiHitSolver(hits=2, max_iterations=1).solve(*instance, resume=state)
+        except ValueError:
+            pass
+
+    def test_version_1_file_loads(self):
+        _, _, states = _journal()
+        state = states[1]
+        payload = {
+            "format_version": 1, "hits": 2, "alpha": state.alpha,
+            "combinations": [
+                {"genes": list(c.genes), "f": c.f, "tp": c.tp, "tn": c.tn}
+                for c in state.combinations
+            ],
+            "active": np.flatnonzero(state.active).tolist(),
+            "n_samples": int(state.active.shape[0]),
+        }
+        blob = (json.dumps(payload) + "\n").encode()
+        assert _same_state(_load_bytes(blob), state)
+        with pytest.raises(ValueError, match="version 1"):
+            _load_bytes(blob + b'{"combinations": [], "covered": []}\n')
+
+    def test_version_9_header_refused(self):
+        _, blob, _ = _journal()
+        future = _edit_line(blob, 0, lambda raw: {**raw, "format_version": 9})
+        with pytest.raises(ValueError, match="unsupported"):
+            _load_bytes(future)
+
+    @pytest.mark.parametrize(
+        "index, edit, field",
+        [
+            (0, lambda raw: {**raw, "active": raw["active"][1:]}, "active"),
+            (1, lambda raw: {**raw, "covered": raw["covered"][1:]}, "covered"),
+            (1, lambda raw: {**raw, "covered": [0] + raw["covered"][1:]},
+             "covered"),
+            (1, lambda raw: {**raw, "covered": raw["covered"][:1] * 2
+                             + raw["covered"][2:]}, "covered"),
+            (2, lambda raw: {**raw, "covered": [50] + raw["covered"][1:]},
+             "covered"),
+            (2, lambda raw: {**raw, "combinations": [{"genes": [3, 7]}]}, "f"),
+            (3, lambda raw: [raw], "combinations"),
+        ],
+        ids=[
+            "active-disagrees-with-tp", "covered-short-of-tp",
+            "covered-already-covered", "covered-repeated", "covered-past-end",
+            "record-combination-without-f", "record-not-an-object",
+        ],
+    )
+    def test_inconsistent_record_rejected_naming_the_field(
+        self, index, edit, field
+    ):
+        _, blob, _ = _journal()
+        with pytest.raises(ValueError, match=field):
+            _load_bytes(_edit_line(blob, index, edit))
+
+    def test_fsync_dying_on_the_third_save(self, tmp_path, monkeypatch):
+        """The file a save that dies at its fsync leaves loads as the
+        save before it or as the save itself, and resumes bit-identical."""
+        import os as _os
+
+        instance, _, states = _journal()
+        real_fsync = _os.fsync
+        calls = []
+
+        def dying_on_third(fd):
+            calls.append(fd)
+            if len(calls) == 3:
+                raise OSError("simulated power loss")
+            real_fsync(fd)
+
+        path = tmp_path / "ckpt.json"
+        monkeypatch.setattr(_os, "fsync", dying_on_third)
+        with pytest.raises(OSError, match="simulated"):
+            solve_with_checkpoints(
+                MultiHitSolver(hits=2, max_iterations=4), *instance, path
+            )
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == [path]
+        state = load_state(path)
+        assert any(_same_state(state, states[i]) for i in (1, 2))
+        full = MultiHitSolver(hits=2).solve(*instance)
+        resumed = solve_with_checkpoints(MultiHitSolver(hits=2), *instance, path)
+        assert signature(resumed) == signature(full)
+
+    def test_resumed_run_compacts_and_drops_a_torn_tail(self, tmp_path):
+        instance, blob, states = _journal()
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(blob + b'{"combinations": [{"gen')
+        result = solve_with_checkpoints(
+            MultiHitSolver(hits=2, max_iterations=6), *instance, path
+        )
+        lines = path.read_text().split("\n")
+        assert lines[-1] == ""  # no torn tail left
+        head = json.loads(lines[0])
+        assert head["format_version"] == 2
+        assert len(head["combinations"]) == states[-1].n_found + 1
+        assert len(lines) - 1 == 2  # one snapshot, one appended record
+        assert load_state(path).combinations == tuple(result.combinations)

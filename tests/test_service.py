@@ -862,6 +862,19 @@ class TestGatewayEndToEnd:
 
 
 class TestRestartRecovery:
+    def test_job_claimed_at_shutdown_stays_queued(self, tmp_path):
+        """A job claimed as the runner stops is not a tenant cancel: it
+        stays ``queued`` on disk, so the next boot runs it."""
+        store = JobStore(tmp_path)
+        job = store.new_job("t", spec_for(0))
+        runner = JobRunner(store=store, state_dir=tmp_path)
+        assert store.claim(timeout=0).job_id == job.job_id
+        runner._stop.set()
+        runner._run_job(job)
+        reloaded = JobStore(tmp_path).get(job.job_id)
+        assert reloaded.state == JobState.QUEUED
+        assert not reloaded.cancel_requested
+
     def test_interrupted_job_resumes_from_checkpoint(self, tmp_path):
         """A job found running at boot re-queues and resumes, bit-identical."""
         spec = {
@@ -1052,11 +1065,11 @@ class TestDurability:
 
         monkeypatch.setattr(runner_mod, "CHECKPOINT_INTERVAL_S", 0.01)
         saves = []
-        real_save = checkpoint_mod.save_state
+        real_save = checkpoint_mod._Journal.save
         monkeypatch.setattr(
-            checkpoint_mod, "save_state",
-            lambda state, path: (saves.append(state.n_found),
-                                 real_save(state, path)),
+            checkpoint_mod._Journal, "save",
+            lambda journal, state: (saves.append(state.n_found),
+                                    real_save(journal, state)),
         )
         spec = spec_for(0, n_genes=32, n_tumor=120, n_normal=120)
         with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
