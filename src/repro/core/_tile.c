@@ -18,37 +18,58 @@
  *
  *   1. AND-reduces the f fixed rows of `tumor` (and, unless its normal
  *      hits are stored, of `normal`) into scratch;
- *   2. popcounts base & inner over the thread's valid columns only,
- *      keeping each base word in a register across the columns and
- *      skipping zero base words (they add 0 to every count);
- *   3. takes the normal hits from the store (a hit) or from the
- *      product, writing them to the store when it holds the thread
- *      (a fill);
- *   4. finds the thread's maximum of Equation 1's numerator
+ *   2. unless its normal hits are stored, popcounts the normal base &
+ *      inner over the thread's valid columns only, keeping each base
+ *      word in a register across the columns and skipping zero base
+ *      words (they add 0 to every count); a thread the store holds
+ *      writes those counts and their minimum, `least`, to the store
+ *      (a fill) before its filled mark is released — normal side first;
+ *   3. bounds the thread before any tumor product, when the store holds
+ *      it: every entry's TP is at most popcount(tumor base) and its TN
+ *      at most Nn - least, so fl(fl(popcount * alpha) + (Nn - least))
+ *      / denom bounds its F (rounding is monotone).  A thread whose
+ *      ceiling cannot take or tie the lead (the step 6 predicate) is
+ *      done: its entries count as scored, and win[7] counts it.
+ *      Threads past the store's cap, and tile_score's, have no `least`
+ *      and never take this skip;
+ *   4. popcounts the tumor base & inner the same way, and takes the
+ *      normal hits from the store (a hit) or step 2;
+ *   5. finds the thread's maximum of Equation 1's numerator
  *      fl(fl(TP * alpha) + TN), exactly repro.core.fscore.numerator
  *      (built with -ffp-contract=off, so the two roundings are never
  *      fused into one FMA).  The numerator of (max TP, max TN) bounds
  *      it, and is it when every TP is 0: the exact one is formed only
  *      for a thread that can reach the running best, or whose maximum
  *      is wanted;
- *   5. when that F can tie or beat the running best (initially the
+ *   6. when that F can tie or beat the running best (initially the
  *      incumbent's F, or -inf), rescans the thread's entries in F: a
  *      greater F takes the lead, an equal one takes it when its gene
  *      tuple — thread tuple, then inner tuple — is smaller.
+ *
+ * `least` is fixed for a solve: BitSplicing narrows the tumor side
+ * alone.  It is written with the counts, before the release store of
+ * the thread's filled mark, and read after its acquire load, so a
+ * reader that sees the mark sees both.  Each scan_range call starts from
+ * lead -inf, so which threads step 3 skips depends only on where the
+ * range is cut.
  *
  * Both return the number of valid entries scored and fill `win`:
  * win[0] the winner's column (-1 when nothing reached the incumbent),
  * win[1] its TP, win[2] its normal hits, win[3] the words the fixed-row
  * gathers read, win[4] store hits, win[5] store fills, win[6] threads
- * scored, win[7 .. 7 + f) the winner's thread tuple.
- * The store holds `itemsize`-byte unsigned counts (1, 2, 4 or 8).
+ * scored, win[7] threads bounded before their tumor product (step 3),
+ * win[8 .. 8 + f) the winner's thread tuple.
+ * The store holds `itemsize`-byte unsigned counts (1, 2, 4 or 8) and
+ * one int32 `least` per thread.
  * `scratch` holds tw + nw + 2 * L + 2 words.
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
-enum { W_COL, W_TP, W_NH, W_READ, W_HITS, W_FILLS, W_THREADS, W_GENES };
+enum {
+    W_COL, W_TP, W_NH, W_READ, W_HITS, W_FILLS, W_THREADS, W_BOUNDED, W_GENES
+};
 
 /* One call's inner table, matrices, Equation 1 and running winner. */
 struct scan {
@@ -213,33 +234,79 @@ static int64_t valid_runs(const int64_t *inner, int64_t n_cols, int64_t d,
     return n_runs;
 }
 
-/* Scores thread `genes`; returns its valid entries.  `hits` is NULL (no
- * store) or the thread's first count in the store, read when `stored`
- * and filled otherwise.  Writes the thread's maximum F to *thread_max
- * when that is not NULL. */
+/* Whether F rf — an entry of thread `genes`, or a bound on them — can
+ * take the lead: a greater F does; an equal one only when there is no
+ * leader or the thread's tuple is smaller than the leader's (the rescan
+ * settles ties inside one thread by the inner tuple). */
+static int reaches(const struct scan *s, const int64_t *genes, double rf)
+{
+    return rf > s->lead
+           || (rf == s->lead
+               && (s->win[W_COL] < 0 || lex_less(genes, s->win + W_GENES, s->f)));
+}
+
+/* Writes a thread's normal hits nh, over its n_runs runs of valid
+ * columns, to its store slice `hits`; returns their minimum (INT32_MAX
+ * for a thread without entries). */
+static int32_t fill(void *hits, int64_t itemsize, int32_t *nh,
+                    const int64_t *runs, int64_t n_runs)
+{
+    int32_t least = INT32_MAX;
+    for (int64_t r = 0, pos = 0; r < n_runs; r++) {
+        const int64_t at = runs[2 * r], n = runs[2 * r + 1] - at;
+        copy_hits(hits, pos, itemsize, nh + at, n, 0);
+        for (int64_t i = at; i < at + n; i++)
+            least = nh[i] < least ? nh[i] : least;
+        pos += n;
+    }
+    return least;
+}
+
+/* Scores thread `genes`; returns its valid entries.  `hits` and `least`
+ * are NULL (no store) or the thread's first count and least count in
+ * the store, read when `stored` and filled otherwise.  Writes the
+ * thread's maximum F to *thread_max when that is not NULL. */
 static int64_t score_thread(struct scan *s, const int64_t *genes,
                             void *hits, int64_t itemsize, int stored,
-                            double *thread_max)
+                            int32_t *least, double *thread_max)
 {
     const int64_t f = s->f, d = s->d;
     const double alpha = s->alpha, denom = s->denom;
     int32_t *tp = s->tp, *nh = s->nh;
     int64_t *runs = s->runs, *win = s->win;
     const int64_t n_runs = valid_runs(s->inner, s->n_cols, d, genes[f - 1], runs);
+    int64_t pos = 0;
+    for (int64_t r = 0; r < n_runs; r++)
+        pos += runs[2 * r + 1] - runs[2 * r];
     win[W_READ] += and_rows(s->tumor, s->tw, genes, f, s->base_t);
-    product(s->base_t, s->tw, s->tumor_w, s->n_cols, runs, n_runs, tp);
     if (!stored) {
         win[W_READ] += and_rows(s->normal, s->nw, genes, f, s->base_n);
         product(s->base_n, s->nw, s->normal_w, s->n_cols, runs, n_runs, nh);
     }
-    int64_t pos = 0;
+    if (least != NULL) {
+        if (!stored)
+            *least = fill(hits, itemsize, nh, runs, n_runs);
+        /* Every entry's TP is at most the base row's popcount and its TN
+         * at most Nn - least: their numerator bounds the thread's F
+         * (rounding is monotone) before any tumor product. */
+        int64_t tp_base = 0;
+        for (int64_t k = 0; k < s->tw; k++)
+            tp_base += __builtin_popcountll(s->base_t[k]);
+        double ceiling = (double)tp_base * alpha;
+        ceiling += (double)(s->n_normal - *least);
+        if (!reaches(s, genes, ceiling / denom)) {
+            win[W_BOUNDED]++;
+            return pos;
+        }
+    }
+    product(s->base_t, s->tw, s->tumor_w, s->n_cols, runs, n_runs, tp);
     int32_t tp_max = 0, nh_min = INT32_MAX;
-    for (int64_t r = 0; r < n_runs; r++) {
+    for (int64_t r = 0, at_hit = 0; r < n_runs; r++) {
         const int64_t at = runs[2 * r], n = runs[2 * r + 1] - at;
-        if (hits != NULL)
-            copy_hits(hits, pos, itemsize, nh + at, n, stored);
+        if (stored)
+            copy_hits(hits, at_hit, itemsize, nh + at, n, 1);
         extremes(tp + at, nh + at, n, &tp_max, &nh_min);
-        pos += n;
+        at_hit += n;
     }
     /* The numerator of (max TP, max TN) bounds every entry's, since
      * rounding is monotone, and is their maximum when every TP is 0
@@ -259,13 +326,9 @@ static int64_t score_thread(struct scan *s, const int64_t *genes,
     }
     if (thread_max != NULL)
         *thread_max = rmax / denom;
-    /* A thread's entries tie the lead only if its tuple is smaller than
-     * the leader's (an inner tuple decides within a thread). */
-    int64_t *lead_genes = win + W_GENES;
-    const double rf = rmax / denom;
-    if (!(rf > s->lead
-          || (rf == s->lead && (win[W_COL] < 0 || lex_less(genes, lead_genes, f)))))
+    if (!reaches(s, genes, rmax / denom))
         return pos;
+    int64_t *lead_genes = win + W_GENES;
     int mine = 0;
     for (int64_t r = 0; r < n_runs; r++) {
         for (int64_t l = runs[2 * r]; l < runs[2 * r + 1]; l++) {
@@ -303,19 +366,20 @@ static void next_tuple(int64_t *c, int64_t f)
 
 /* Threads genes, its n_threads - 1 colex successors.  The first
  * n_stored of them are held by the store: their counts run from `hits`,
- * their filled marks from `filled`.  A mark is read with an acquire load
- * and set with a release store after its counts are written, so a
- * reader never sees a half-written slice, and two calls that fill one
- * thread write equal counts.  `genes` is stepped in place. */
+ * their least counts from `least`, their filled marks from `filled`.  A
+ * mark is read with an acquire load and set with a release store after
+ * its counts and least count are written, so a reader never sees a
+ * half-written slice, and two calls that fill one thread write equal
+ * values.  `genes` is stepped in place. */
 int64_t scan_range(const uint64_t *tumor, int64_t tw,
                    const uint64_t *normal, int64_t nw,
                    const int64_t *inner, int64_t n_cols, int64_t d,
                    const uint64_t *tumor_w, const uint64_t *normal_w,
                    uint64_t *scratch, int64_t *win,
                    int64_t *genes, int64_t n_threads, int64_t f,
-                   void *hits, uint8_t *filled, int64_t itemsize,
-                   int64_t n_stored, int64_t n_normal, double alpha,
-                   double denom)
+                   void *hits, uint8_t *filled, int32_t *least,
+                   int64_t itemsize, int64_t n_stored, int64_t n_normal,
+                   double alpha, double denom)
 {
     struct scan s = setup(tumor, tw, normal, nw, inner, n_cols, d, tumor_w,
                           normal_w, scratch, win, f, n_normal, alpha, denom,
@@ -323,12 +387,15 @@ int64_t scan_range(const uint64_t *tumor, int64_t tw,
     int64_t pos = 0, n_valid = 0;
     for (int64_t i = 0; i < n_threads; i++) {
         void *at = NULL;
+        int32_t *at_least = NULL;
         int stored = 0;
         if (i < n_stored) {
             at = (char *)hits + pos * itemsize;
+            at_least = least + i;
             stored = __atomic_load_n(filled + i, __ATOMIC_ACQUIRE);
         }
-        const int64_t n = score_thread(&s, genes, at, itemsize, stored, NULL);
+        const int64_t n = score_thread(&s, genes, at, itemsize, stored,
+                                       at_least, NULL);
         if (stored)
             win[W_HITS]++;
         else if (at != NULL) {
@@ -359,7 +426,8 @@ int64_t tile_score(const uint64_t *tumor, int64_t tw,
                           best_f);
     int64_t n_valid = 0;
     for (int64_t b = 0; b < n_rows; b++)
-        n_valid += score_thread(&s, tuples + b * f, NULL, 0, 0, thread_max + b);
+        n_valid += score_thread(&s, tuples + b * f, NULL, 0, 0, NULL,
+                                thread_max + b);
     win[W_THREADS] = n_rows;
     return n_valid;
 }

@@ -15,9 +15,11 @@ the AND-table of the range's first (lowest) level, stored word-major:
 a lower level's table is a superset of every higher level's, and the
 kernel selects a thread's valid columns (inner genes above its top
 gene), which are scored once, in combination-rank order.  Per thread it
-AND-reduces the fixed rows, popcounts them against the table over the
-valid columns only (skipping zero base words), reads or fills the
-normal-hit store, forms Equation 1's numerator ``fl(fl(α·TP) + TN)``
+AND-reduces the fixed rows, reads or fills the normal-hit store (a fill
+popcounts the normal side first), bounds a stored thread by its
+normal-hit floor before any tumor product (below), popcounts the tumor
+rows against the table over the valid columns only (skipping zero base
+words), forms Equation 1's numerator ``fl(fl(α·TP) + TN)``
 exactly as :func:`repro.core.fscore.numerator` does (compiled with
 ``-ffp-contract=off``, so no FMA merges the two roundings) and keeps
 the running winner.  The maximum is found on numerators — division by
@@ -41,20 +43,31 @@ itemsize).  A thread's first scan fills its counts and then marks it
 filled; every later scan reads them as they are and gathers, ANDs and
 popcounts only the tumor side (the normal inner table is built only
 when some thread of the range misses the store).
-The store is capped at :data:`NORMAL_HIT_BUDGET` bytes.  ``C(G, h)``
-counts of ``np.min_scalar_type(Nn)`` fit at cohort scale (2.5 MiB at
-G 200, h 3, Nn < 65536); threads past the cap are scored in full every
-time, and at the paper's scale (``C(20000, 4)`` combinations) almost all
-of them are.
+Beside its counts a stored thread keeps ``NormalHitStore.least``, the
+smallest of them, fixed for the solve.  Every entry's ``TP`` is at most
+the popcount of the thread's AND-reduced tumor rows and its ``TN`` at
+most ``Nn - least``, so their numerator bounds the thread's F (rounding
+is monotone); a thread whose bound cannot take or tie the running lead
+— the rescan's own test — skips its tumor product, and
+``threads_bounded`` counts it.  Each scan starts with no lead.
+The store is capped at :data:`NORMAL_HIT_BUDGET` bytes, counts and
+4-byte ``least`` values together.  ``C(G, h)`` counts of
+``np.min_scalar_type(Nn)`` fit at cohort scale (2.5 MiB of counts and
+80 KB of ``least`` at G 200, h 3, Nn < 65536); threads past the cap have
+no ``least``, are never bounded and are scored in full every time, and
+at the paper's scale (``C(20000, 4)`` combinations) almost all of them
+are.
 
-Counters: ``combos_scored`` and ``word_ops`` count the valid entries
-(``word_ops`` at its dense definition, ``(hits - 1)`` row ANDs per
-combination); ``decode_strides`` counts scan calls (unpruned) or
-batches (pruned) and ``inner_tables_built`` the inner tables built, one
-per call.  ``word_reads`` is what the scan gathers, on either
-path: ``f`` rows per thread and ``d`` rows per inner combination of
-each table built, from each matrix it gathers from, so a thread whose
-normal hits are stored charges only tumor rows.  The unpruned charge
+Counters: ``combos_scored`` and ``word_ops`` count the valid entries,
+each computed or bounded out of the running lead — below it, or at it
+behind a smaller leader — (``word_ops`` at its dense definition,
+``(hits - 1)`` row ANDs per combination); ``threads_bounded`` counts the
+threads the normal-hit floor skipped; ``decode_strides`` counts scan
+calls (unpruned) or batches (pruned) and ``inner_tables_built`` the
+inner tables built, one per call.  ``word_reads`` is what the scan
+gathers, on either path: ``f`` rows per thread and ``d`` rows per inner
+combination of each table built, from each matrix it gathers from, so a
+thread whose normal hits are stored charges only tumor rows.  The unpruned charge
 is derived from the thread and store-hit counts the kernel reports.
 
 When a :class:`repro.core.bounds.BoundTable` is supplied the engine runs
@@ -115,6 +128,8 @@ __all__ = [
 _TILE_ELEMENTS = 1 << 16
 #: Bytes one :class:`NormalHitStore` may hold.
 NORMAL_HIT_BUDGET = 32 << 20
+# Bytes of one stored thread's least count (an int32 in ``_tile.c``).
+_LEAST = 4
 
 
 class NormalHitStore:
@@ -122,30 +137,42 @@ class NormalHitStore:
 
     Bound to one ``(scheme, g, normal)``: counts are indexed by
     combination rank (:func:`cumulative_work_before` of the thread plus
-    the offset in its inner loop) and typed ``np.min_scalar_type(Nn)``.
-    The lowest-λ threads whose counts fit :data:`NORMAL_HIT_BUDGET`
-    bytes are stored (``[0, lam_cap)``, at most the threads whose inner
-    loops are not empty); pages are committed as they fill.  A thread is
-    marked filled once its counts are written, so a reader on another
-    thread never sees a half-written slice, and two scans of one thread
-    write equal counts.
+    the offset in its inner loop) and typed ``np.min_scalar_type(Nn)``;
+    ``least[λ]`` (int32) is thread λ's smallest count, the floor the
+    kernel bounds the thread with before its tumor product.  The
+    lowest-λ threads whose counts and ``least`` fit
+    :data:`NORMAL_HIT_BUDGET` bytes are stored (``[0, lam_cap)``, at
+    most the threads whose inner loops are not empty); pages are
+    committed as they fill.  A thread is marked filled once its counts
+    and ``least`` are written, so a reader on another thread never sees
+    a half-written slice, and two scans of one thread write equal
+    values.
     """
 
     def __init__(self, scheme: Scheme, g: int, normal: BitMatrix) -> None:
         self.scheme, self.g, self._words = scheme, g, normal.words
         dtype = np.min_scalar_type(normal.n_samples)
         self._prefix = work_prefix_by_level(scheme, g)
-        cap = NORMAL_HIT_BUDGET // dtype.itemsize
-        if self._prefix[g] <= cap:
-            self.lam_cap = math.comb(g - scheme.inner, scheme.flattened)
-        else:  # the whole levels below m fit, then part of level m
-            m = bisect.bisect_right(self._prefix, cap) - 1
-            self.lam_cap = level_range(scheme, m)[0] + (
-                cap - self._prefix[m]
-            ) // level_work(scheme, g, m)
+        # Bytes of the threads below each level with inner loops: their
+        # counts and one least count each.  The whole levels below m fit,
+        # then part of level m (all of them when m is the last).
+        top = g - scheme.inner
+        below = [
+            dtype.itemsize * self._prefix[m] + _LEAST * level_range(scheme, m)[0]
+            for m in range(top + 1)
+        ]
+        m = bisect.bisect_right(below, NORMAL_HIT_BUDGET) - 1
+        self.lam_cap = level_range(scheme, m)[0]
+        if m < top:
+            self.lam_cap += (NORMAL_HIT_BUDGET - below[m]) // (
+                dtype.itemsize * level_work(scheme, g, m) + _LEAST
+            )
         self.counts = np.empty(self._rank(self.lam_cap), dtype=dtype)
+        self.least = np.empty(self.lam_cap, dtype=np.int32)
         self.filled = np.zeros(self.lam_cap, dtype=bool)
-        self._at = self.counts.ctypes.data, self.filled.ctypes.data
+        self._at = (
+            self.counts.ctypes.data, self.filled.ctypes.data, self.least.ctypes.data
+        )
 
     @classmethod
     def reuse(
@@ -176,11 +203,15 @@ class NormalHitStore:
             return None
         return self.counts[self._rank(lo) : self._rank(hi)]
 
-    def at(self, lam: int) -> tuple[int, int]:
-        """The kernel's addresses of thread ``lam``'s first count and of
-        its filled mark (``lam < lam_cap``)."""
-        counts, filled = self._at
-        return counts + self._rank(lam) * self.counts.itemsize, filled + lam
+    def at(self, lam: int) -> tuple[int, int, int]:
+        """The kernel's addresses of thread ``lam``'s first count, its
+        filled mark and its least count (``lam < lam_cap``)."""
+        counts, filled, least = self._at
+        return (
+            counts + self._rank(lam) * self.counts.itemsize,
+            filled + lam,
+            least + lam * _LEAST,
+        )
 
 
 def _and_reduce_rows(matrix: BitMatrix, combos: np.ndarray) -> np.ndarray:
@@ -213,8 +244,9 @@ class _Table:
     (reading an array's address costs microseconds): both matrices,
     both tables, and a scratch and winner buffer of the call's own.
     ``win`` is the winner (column, TP, normal hits), then the words the
-    fixed-row gathers read, store hits, store fills, threads scored and
-    the winner's thread tuple (``_tile.c``)."""
+    fixed-row gathers read, store hits, store fills, threads scored,
+    threads bounded before their tumor product and the winner's thread
+    tuple (``_tile.c``)."""
 
     def __init__(
         self, scheme: Scheme, g: int, m: int, tumor: BitMatrix,
@@ -230,7 +262,7 @@ class _Table:
         )
         counters.inner_tables_built += 1
         self.row_words = tumor.n_words, normal.n_words
-        self.win = np.empty(7 + scheme.flattened, np.int64)
+        self.win = np.empty(8 + scheme.flattened, np.int64)
         self._scratch = np.empty(
             tumor.n_words + normal.n_words + 2 * len(self.inner) + 2, np.uint64
         )
@@ -256,7 +288,7 @@ class _Table:
             return None
         tn = int(params.n_normal) - hit
         return MultiHitCombination(
-            genes=(*self.win[7:].tolist(), *self.inner[col].tolist()),
+            genes=(*self.win[8:].tolist(), *self.inner[col].tolist()),
             f=float(fscore(tp, tn, params)),
             tp=tp,
             tn=tn,
@@ -317,17 +349,19 @@ def _scan_range(
     n = lam_end - lam_start
     # The scan's one inversion; the kernel steps the tuple from here.
     genes = combinations_array(f_ord, lam_start, lam_start + 1)[0]
-    store, hits, filled, n_stored = normal_hits, None, None, 0
+    store, n_stored = normal_hits, 0
+    hits = filled = least = None
     if store is not None and lam_start < store.lam_cap:
         n_stored = min(lam_end, store.lam_cap) - lam_start
-        hits, filled = store.at(lam_start)
+        hits, filled, least = store.at(lam_start)
     missed = n_stored < n or not store.filled[lam_start:lam_end].all()
     table = _Table(
         scheme, g, int(genes[-1]), tumor, normal, counters, with_normal=missed
     )
     n_valid = tile.kernel().scan_range(
         *table.args, genes.ctypes.data, n, f_ord,
-        hits, filled, 0 if store is None else store.counts.itemsize, n_stored,
+        hits, filled, least, 0 if store is None else store.counts.itemsize,
+        n_stored,
         params.n_normal, params.alpha, params.denominator,
     )
     # f fixed rows per thread, the normal ones unless stored: from the
@@ -336,6 +370,7 @@ def _scan_range(
     counters.word_reads += f_ord * (
         threads * tumor.n_words + (threads - stored) * normal.n_words
     )
+    counters.threads_bounded += int(table.win[7])
     counters.decode_strides += 1
     table.charge(scheme, n_valid, counters)
     return table.winner(params)

@@ -71,12 +71,18 @@ class KernelCounters:
     are stored (:class:`repro.core.engine.NormalHitStore`), from the
     normal one.  ``decode_strides`` counts the scan calls (unpruned) or
     batches (pruned) the scan enumerated and ``inner_tables_built`` the
-    inner tables it built.  The pruned best-first path
-    (:mod:`repro.core.bounds`) also counts its ceiling pass's tumor rows
-    and alone populates ``combos_pruned`` and ``threads_*`` (threads
-    scored / left unvisited).  They all ride one merge path, so the
-    leases of either backend, pinned or elastic, report scoring, traffic
-    and pruning for free.
+    inner tables it built.  ``threads_bounded`` counts the unpruned
+    scan's threads whose normal-hit floor (``NormalHitStore.least``) and
+    tumor base-row popcount bounded them out of the running lead (below
+    it, or at it behind a smaller leader), so the kernel skipped their
+    tumor product; their entries still count in ``combos_scored``.  It depends on where a backend cuts the
+    grid (each scan starts from no lead), not on which rank ran a range.
+    The pruned best-first path (:mod:`repro.core.bounds`) leaves it 0,
+    also counts its ceiling pass's tumor rows and alone populates
+    ``combos_pruned``, ``threads_scanned`` and ``threads_skipped``
+    (threads scored / left unvisited).  They all ride one merge path, so
+    the leases of either backend, pinned or elastic, report scoring,
+    traffic and pruning for free.
     """
 
     combos_scored: int = 0
@@ -85,6 +91,7 @@ class KernelCounters:
     combos_pruned: int = 0
     threads_scanned: int = 0
     threads_skipped: int = 0
+    threads_bounded: int = 0
     decode_strides: int = 0
     inner_tables_built: int = 0
 
@@ -95,6 +102,7 @@ class KernelCounters:
         self.combos_pruned += other.combos_pruned
         self.threads_scanned += other.threads_scanned
         self.threads_skipped += other.threads_skipped
+        self.threads_bounded += other.threads_bounded
         self.decode_strides += other.decode_strides
         self.inner_tables_built += other.inner_tables_built
 

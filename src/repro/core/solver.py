@@ -268,6 +268,10 @@ class MultiHitSolver:
             raise ValueError(f"unknown backend {self.backend!r}")
         if min(self.n_workers, self.n_nodes, self.gpus_per_node) < 1:
             raise ValueError("n_workers, n_nodes and gpus_per_node must be >= 1")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError(
+                f"max_iterations must be >= 1 or None, got {self.max_iterations}"
+            )
         if self.elastic and self.backend not in ("pool", "distributed"):
             raise ValueError(
                 "elastic work stealing needs backend 'pool' or 'distributed' "

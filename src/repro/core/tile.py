@@ -2,11 +2,11 @@
 
 :func:`kernel` returns the loaded library, whose two entry points
 :mod:`repro.core.engine` calls: ``scan_range`` (one call per unpruned
-λ range: walk, gather, product, store, Equation 1 and the range's
-winner) and ``tile_score`` (one pruned batch, with each thread's
-maximum).  There is no other scoring body: a C compiler is required.
-The first call in a process loads the library, once, under a lock (two
-rank threads may make that call together):
+λ range: walk, gather, store, per-thread bound, product, Equation 1
+and the range's winner) and ``tile_score`` (one pruned batch, with
+each thread's maximum).  There is no other scoring body: a C compiler
+is required.  The first call in a process loads the library, once,
+under a lock (two rank threads may make that call together):
 
 * it is looked up in the cache directory, ``$XDG_CACHE_HOME/repro``
   (``~/.cache/repro`` when that is unset or relative), or
@@ -121,8 +121,8 @@ def _load() -> ctypes.CDLL:
     # winner.
     table = [p, i, p, i, p, i, i, p, p, p, p]
     # The range's first tuple, threads, f; store counts, filled marks,
-    # itemsize, stored threads; Nn, alpha, denominator.
-    lib.scan_range.argtypes = [*table, p, i, i, p, p, i, i, i, d, d]
+    # least counts, itemsize, stored threads; Nn, alpha, denominator.
+    lib.scan_range.argtypes = [*table, p, i, i, p, p, p, i, i, i, d, d]
     # Tuples, rows, f; Nn, alpha, denominator, incumbent F; maxima.
     lib.tile_score.argtypes = [*table, p, i, i, i, d, d, d, p]
     lib.scan_range.restype = lib.tile_score.restype = i

@@ -42,6 +42,7 @@ def result_to_dict(result: MultiHitResult) -> dict:
             "combos_pruned": result.counters.combos_pruned,
             "threads_scanned": result.counters.threads_scanned,
             "threads_skipped": result.counters.threads_skipped,
+            "threads_bounded": result.counters.threads_bounded,
         },
         "combinations": [
             {"genes": list(c.genes), "f": c.f, "tp": c.tp, "tn": c.tn}

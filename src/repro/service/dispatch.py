@@ -20,8 +20,9 @@ use — by one rule:
 
 A tenant may pin ``solver.backend`` / ``solver.n_workers`` /
 ``solver.n_nodes`` in the submission (value-checked there, so used here
-as given); pins win over the rule, and a pinned ``n_workers`` is
-clamped only to the fleet's ``max_workers``.
+as given); pins win over the rule, and a pinned ``n_workers`` or
+``n_nodes`` is clamped only to the fleet's ``max_workers`` (each node is
+one rank thread).
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ __all__ = ["DispatchDecision", "SINGLE_THRESHOLD", "decide"]
 #: 3-hit G 600.  DESIGN §14 has the table.  Those measurements predate
 #: the scan's one native call per lease: since then two rank threads
 #: read 1.24-1.61x ``single`` at 3-hit G 600 (in-process fan-out probe),
-#: so the line is stale, and it stays unchanged until a fan-out
-#: benchmark workload (ROADMAP's ``fan3_wide``) can re-measure it.
+#: and 1.07-1.36x once the kernel bounded threads before their tumor
+#: product, so the line is stale, and it stays unchanged until a
+#: fan-out benchmark workload (ROADMAP's ``fan3_wide``) can re-measure
+#: it.
 SINGLE_THRESHOLD = 5e9
 
 
@@ -108,6 +111,6 @@ def decide(job, load: float, max_workers: int) -> DispatchDecision:
     return DispatchDecision(
         backend=backend,
         n_workers=n_workers,
-        n_nodes=pins.get("n_nodes", n_workers),
+        n_nodes=max(1, min(pins.get("n_nodes", n_workers), max_workers)),
         est_cost=est,
     )

@@ -99,6 +99,8 @@ class MetricsRegistry:
             self.inc("kernel.decode_strides", counters.decode_strides)
         if counters.inner_tables_built:
             self.inc("kernel.inner_tables_built", counters.inner_tables_built)
+        if counters.threads_bounded:
+            self.inc("kernel.threads_bounded", counters.threads_bounded)
         if counters.threads_scanned or counters.threads_skipped:
             self.inc("prune.combos_pruned", counters.combos_pruned)
             self.inc("prune.threads_skipped", counters.threads_skipped)

@@ -231,6 +231,11 @@ class TestDistributionMatrix:
         # Work accounting closes: every combination is scored or pruned
         # exactly once, and identically to the failure-free engine run.
         assert got.counters == clean.counters
+        # Each lease starts from no lead, so the threads its normal-hit
+        # floor bounds depend on the cuts alone; the pruned path has no
+        # store and bounds none.
+        assert got.counters.threads_bounded == clean.counters.threads_bounded
+        assert (got.counters.threads_bounded > 0) == (not prune)
         report = got.fault_report
         if fault_case == "clean":
             assert not report.events and not report.rescheduled
@@ -260,7 +265,8 @@ class TestDistributionMatrix:
     @pytest.mark.parametrize("prune", [False, True], ids=["full", "pruned"])
     def test_pinned_is_elastic_with_one_lease_per_partition(self, prune, sparse):
         """The identity that made the static driver redundant: the same
-        cuts through either mode do the same work, counter for counter.
+        cuts through either mode do the same work, counter for counter
+        (``threads_bounded`` included: each lease starts from no lead).
         With as many GPUs per node as the lease grain, the pinned
         partitions *are* the elastic leases."""
         shape = dict(gpus_per_node=LEASES_PER_PULLER, prune=prune, sparse=sparse)

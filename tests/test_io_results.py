@@ -24,6 +24,7 @@ class TestRoundTrip:
         assert back.params == solved.params
         assert back.uncovered == solved.uncovered
         assert back.counters.combos_scored == solved.counters.combos_scored
+        assert back.counters.threads_bounded == solved.counters.threads_bounded > 0
         assert len(back.iterations) == len(solved.iterations)
         assert back.coverage == pytest.approx(solved.coverage)
 

@@ -5,7 +5,9 @@ Switching the store off (a zero byte budget) must change nothing but
 every other :class:`IterationRecord` field — on every backend, every
 scheme shape, splice or mask, a resumed run and a budget that covers only
 part of the grid.  Whether a rank thread finds a range stored depends on
-scheduling; the answers must not.
+scheduling; the answers must not.  The store's per-thread floor,
+``least``, lets the kernel bound threads before their tumor product:
+``TestNormalHitFloor`` holds greedy arg-maxes to brute force with it.
 """
 
 import contextlib
@@ -18,20 +20,24 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.engine as engine_mod
 from repro.bitmatrix.matrix import BitMatrix
+from repro.combinatorics.enumeration import combinations_array
 from repro.core import solver as solver_module
 from repro.core.distributed import DistributedEngine
 from repro.core.engine import NormalHitStore, SingleGpuEngine, best_in_thread_range
 from repro.core.fscore import FScoreParams
+from repro.core.kernels import KernelCounters, best_of, score_combos_reference
 from repro.core.memopt import MemoryConfig
 from repro.core.pool import PoolEngine
 from repro.core.sequential import sequential_solve
 from repro.core.solver import MultiHitSolver
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, scheme_for
-from repro.scheduling.workload import total_threads
+from repro.scheduling.workload import cumulative_work_before, total_threads
 from tests.scan_cuts import scans_cut
 from tests.test_distributed import DRIVERS
 
@@ -395,6 +401,7 @@ class TestDuplicatedScans:
             )
         assert shared.filled.all()
         np.testing.assert_array_equal(shared.counts, alone.counts)
+        np.testing.assert_array_equal(shared.least, alone.least)
         reference = best_in_thread_range(scheme, 14, tumor, normal, params, 0, total)
         assert winners == [reference] * 4
 
@@ -450,3 +457,88 @@ class TestDuplicatedScans:
             total_threads(engine.scheme, 14), normal_hits=fresh,
         )
         np.testing.assert_array_equal(store.counts, fresh.counts)
+        np.testing.assert_array_equal(store.least, fresh.least)
+
+
+# -- the normal-hit floor bounds threads before their tumor product ----------
+
+#: engine id -> a fresh engine for a scheme: one GPU, or two nodes of two.
+ENGINES = {
+    "single": lambda scheme: SingleGpuEngine(scheme=scheme),
+    "distributed-pinned": lambda scheme: DistributedEngine(
+        scheme=scheme, n_nodes=2, gpus_per_node=2
+    ),
+    "distributed-elastic": lambda scheme: DistributedEngine(
+        scheme=scheme, n_nodes=2, gpus_per_node=2, elastic=True
+    ),
+}
+
+
+@st.composite
+def floor_cohorts(draw):
+    """A cohort with the bound's edges: a duplicated gene (equal F across
+    threads), a gene no tumor carries (all-zero tumor bases), α of 0.1,
+    1 or 1e-7, 66-word tumor rows, 1-, 2- and 4-byte stores, and a
+    budget whose cap falls strictly inside the grid."""
+    hits = draw(st.sampled_from([3, 4]))
+    scheme = scheme_for(hits, hits - 1)
+    g = draw(st.integers(hits + 2, 9))
+    n_tumor = draw(st.sampled_from([70, 4200]))
+    n_normal = draw(st.sampled_from([90, 300, 65600]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.random((g, n_tumor)) < draw(st.sampled_from([0.3, 0.7]))
+    n = rng.random((g, n_normal)) < draw(st.sampled_from([0.05, 0.3]))
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, g - 1), min_size=2, max_size=2, unique=True))
+        t[b], n[b] = t[a], n[a]
+    if draw(st.booleans()):
+        t[draw(st.integers(0, g - 1))] = False
+    alpha = draw(st.sampled_from([0.1, 1.0, 1e-7]))
+    budget = engine_mod.NORMAL_HIT_BUDGET
+    cap = math.comb(g - scheme.inner, scheme.flattened)  # threads with inner loops
+    if draw(st.booleans()):  # counts and a 4-byte least for `cap` threads
+        cap = draw(st.integers(1, cap - 1))
+        itemsize = np.min_scalar_type(n_normal).itemsize
+        budget = itemsize * cumulative_work_before(scheme, g, cap) + 4 * cap
+    return scheme, t, n, alpha, budget, cap
+
+
+class TestNormalHitFloor:
+    """Each greedy arg-max, with threads bounded out before their tumor
+    product, is the brute-force arg-max of every combination, tie rule
+    included; threads past the store's cap have no floor and are scored
+    in full."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=floor_cohorts())
+    @pytest.mark.parametrize("engine_id", ENGINES)
+    def test_greedy_argmaxes_match_brute_force(self, engine_id, case):
+        scheme, t, n, alpha, budget, cap = case
+        g = t.shape[0]
+        normal = BitMatrix.from_dense(n)
+        params = FScoreParams(n_tumor=t.shape[1], n_normal=n.shape[1], alpha=alpha)
+        combos = combinations_array(scheme.hits, 0, math.comb(g, scheme.hits))
+        active = np.ones(t.shape[1], dtype=bool)
+        engine = ENGINES[engine_id](scheme)
+        try:
+            with patch.object(engine_mod, "NORMAL_HIT_BUDGET", budget):
+                for _ in range(3):
+                    tumor = BitMatrix.from_dense(t[:, active])
+                    counters = KernelCounters()
+                    got = engine.best_combo(tumor, normal, params, counters)
+                    want = best_of(
+                        combos, *score_combos_reference(tumor, normal, combos, params)
+                    )
+                    assert (got.genes, got.f, got.tp, got.tn) == (
+                        want.genes, want.f, want.tp, want.tn,
+                    )
+                    assert counters.combos_scored == len(combos)
+                    # Only stored threads are bounded, at most once per scan.
+                    assert counters.threads_bounded <= cap
+                    assert engine._normal_hits.lam_cap == cap
+                    active &= ~t[list(got.genes)].all(axis=0)
+                    if got.tp == 0 or not active.any():
+                        break
+        finally:
+            if hasattr(engine, "close"):
+                engine.close()

@@ -294,6 +294,11 @@ class TestDispatch:
             "backend": "distributed", "n_workers": 2, "n_nodes": 3})), 0.0, 4)
         assert (nodes.backend, nodes.n_workers, nodes.n_nodes) == (
             "distributed", 2, 3)
+        # A node is one rank thread: a huge pin is clamped like n_workers,
+        # so it never reaches the runner's one-thread-per-rank spawn.
+        huge = decide(self._job(spec_for(0, solver={
+            "backend": "distributed", "n_nodes": 10**6})), 0.0, 4)
+        assert huge.n_nodes == 4
 
     def test_cost_aware_sizes_to_the_job(self, cores):
         cores(8)
@@ -436,6 +441,8 @@ class TestValidateSpec:
         ({"elastic": True, "backend": "sequential"}, "backend"),
         ({"prune_blocks": 64}, "unknown solver keys"),
         ({"lease_blocks": 8}, "unknown solver keys"),
+        ({"max_iterations": 0}, "max_iterations"),
+        ({"max_iterations": -3}, "max_iterations"),
     ])
     def test_rejects_out_of_range_and_removed(self, solver, named):
         with pytest.raises(ValueError, match=named):
@@ -756,6 +763,7 @@ class TestGatewayEndToEnd:
                 ({"n_workers": "x"}, "n_workers"),
                 ({"hits": "3"}, "hits"),
                 ({"hits": 3, "elastic": True}, "elastic"),
+                ({"hits": 3, "max_iterations": 0}, "max_iterations"),
                 ({"hits": 3, "prune_blocks": 64}, "unknown solver keys"),
             ]:
                 status, body, _ = _http(

@@ -331,6 +331,13 @@ class TestGreedyLoop:
         res = MultiHitSolver(hits=2, max_iterations=3).solve(t, n)
         assert len(res.combinations) <= 3
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_max_iterations_below_one_refused(self, cap):
+        """A cap that would stop before the first arg-max is refused at
+        construction, so the gateway answers 400 instead of storing it."""
+        with pytest.raises(ValueError, match="max_iterations"):
+            MultiHitSolver(hits=2, max_iterations=cap)
+
     def test_accepts_bitmatrix_input(self, small_bitmatrices):
         tumor, normal, _ = small_bitmatrices
         res = MultiHitSolver(hits=2).solve(tumor, normal)

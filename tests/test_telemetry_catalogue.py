@@ -69,6 +69,7 @@ CATALOGUE = {
         "kernel.combos_scored": CI,
         "kernel.decode_strides": README,
         "kernel.inner_tables_built": README,
+        "kernel.threads_bounded": README,
         "kernel.word_reads": README,
         "lease.completed": README,
         "lease.forfeited": README,

@@ -8,6 +8,9 @@ divide only its maximum.  These tests hold both to a 2-D reference
 built from ``score_combos_reference`` over the range's valid
 combinations, and hold every backend to the sequential oracle on a
 cohort whose two best combinations tie in F but not in the numerator.
+``scan_range`` also bounds each stored thread by its normal-hit floor
+before the tumor product; ``test_bounded_scans_match_the_2d_reference``
+draws the ties, all-zero tumor bases and α values at that bound's edges.
 """
 
 import math
@@ -178,8 +181,9 @@ def test_score_tile_matches_the_2d_reference(scheme_id, shape, store, data):
     if store != "none":
         itemsize = np.min_scalar_type(normal.n_samples).itemsize
         budget = engine_mod.NORMAL_HIT_BUDGET
-        if store == "straddle":
+        if store == "straddle":  # counts and a 4-byte least per thread
             budget = itemsize * cumulative_work_before(scheme, g, lam + 1)
+            budget += 4 * (lam + 1)
         with patch.object(engine_mod, "NORMAL_HIT_BUDGET", budget):
             hits = NormalHitStore(scheme, g, normal)
         if store == "straddle":
@@ -322,6 +326,76 @@ class TestNativeEdges:
         assert BitMatrix.from_dense(np.zeros((1, 4200), bool)).n_words > 64
         assert np.min_scalar_type(200) == np.uint8
         assert np.min_scalar_type(65600) == np.uint32
+
+
+# -- the bound before the tumor product ---------------------------------------
+
+
+@st.composite
+def edged_tiles(draw, scheme):
+    """:func:`tiles`' tile with the bound's edges drawn in: a duplicated
+    gene (equal rows on both sides, so F ties across threads), a gene no
+    tumor carries (every thread holding it has an all-zero tumor base)
+    and an α that makes TP count for little or as much as TN."""
+    shape = draw(st.sampled_from(["inside", "cross"]))
+    g, lam, hi, tumor, normal, params = draw(tiles(scheme, shape))
+    t, n = tumor.to_dense(), normal.to_dense()
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, g - 1), min_size=2, max_size=2, unique=True))
+        t[b], n[b] = t[a], n[a]
+    if draw(st.booleans()):
+        t[draw(st.integers(0, g - 1))] = False
+    alpha = draw(st.sampled_from([0.1, 1.0, 1e-7]))
+    params = FScoreParams(params.n_tumor, params.n_normal, alpha)
+    return g, lam, hi, BitMatrix.from_dense(t), BitMatrix.from_dense(n), params
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("scheme_id", SCHEMES)
+def test_bounded_scans_match_the_2d_reference(scheme_id, data):
+    """A range scanned through one store twice — filling it, then
+    reading it — and without a store wins what the 2-D reference wins,
+    tie rule included, and scores every valid entry.  A fill bounds the
+    threads a hit bounds: both take the test after the normal side, and
+    each scan starts from no lead.  Without a store nothing is bounded,
+    and the range's first thread never is."""
+    scheme = SCHEMES[scheme_id]
+    g, lam, hi, tumor, normal, params = data.draw(edged_tiles(scheme))
+    tuples = combinations_array(scheme.flattened, lam, hi)
+    table = _table(scheme, g, tuples, tumor, normal)
+    grid, combos, f, tp, tn = _reference(tuples, table, tumor, normal, params)
+    store = NormalHitStore(scheme, g, normal)
+    bounded = []
+    for hits in (store, store, None):
+        counters = KernelCounters()
+        cand = best_in_thread_range(
+            scheme, g, tumor, normal, params, lam, hi, counters, normal_hits=hits
+        )
+        _check((None, cand), grid, combos, f, tp, tn, None)
+        assert counters.combos_scored == len(combos)
+        bounded.append(counters.threads_bounded)
+    fill, hit, plain = bounded
+    assert fill == hit < hi - lam
+    assert plain == 0
+
+
+class TestBoundBeforeTheProduct:
+    """Whole solves: the bound engages on a dense cohort, and never on
+    the pruned path, which has its own bounds and no store."""
+
+    def test_dense_solves_bound_threads_and_pruned_ones_none(self):
+        rng = np.random.default_rng(7)
+        t = rng.random((24, 300)) < 0.3
+        n = rng.random((24, 280)) < 0.15
+        full = MultiHitSolver(hits=3, max_iterations=3).solve(t, n)
+        pruned = MultiHitSolver(hits=3, max_iterations=3, prune=True).solve(t, n)
+        assert [c.genes for c in full.combinations] == [
+            c.genes for c in pruned.combinations
+        ]
+        assert full.counters.combos_scored == 3 * math.comb(24, 3)
+        assert full.counters.threads_bounded > 0
+        assert pruned.counters.threads_bounded == 0
 
 
 # -- one Equation 1 ----------------------------------------------------------
