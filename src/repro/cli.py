@@ -45,11 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, help="pool backend: rank threads"
     )
     p_solve.add_argument(
-        "--prune", action="store_true",
-        help="best-first branch and bound in every arg-max (bit-identical "
-             "results, a few percent of the combinations scored)",
-    )
-    p_solve.add_argument(
         "--elastic", action="store_true",
         help="lease-based work stealing instead of fixed partitions "
              "(pool/distributed backends, four leases per rank/worker; "
@@ -257,7 +252,7 @@ def _run_solve(args: argparse.Namespace, telemetry) -> int:
         hits = args.hits
     solver = MultiHitSolver(
         hits=hits, backend=args.backend, n_nodes=args.nodes, n_workers=args.workers,
-        prune=args.prune, elastic=args.elastic,
+        elastic=args.elastic,
     )
     if args.checkpoint:
         from pathlib import Path

@@ -39,7 +39,6 @@ from functools import partial
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.cluster.leases import LeaseLedger
-from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
 from repro.core.distributed import run_lease, search_lease
 from repro.core.engine import NormalHitStore
@@ -331,7 +330,6 @@ def spmd_best_combo(
     retry_policy: "RetryPolicy | None" = None,
     report: "FaultReport | None" = None,
     counters: "KernelCounters | None" = None,
-    bounds: "BoundTable | None" = None,
     max_wall_s: "float | None" = 120.0,
     call: int = 0,
     normal_hits: "NormalHitStore | None" = None,
@@ -344,18 +342,12 @@ def spmd_best_combo(
     :meth:`LeaseLedger.merge` in lease-id order: the result is
     bit-identical to any fixed-world run over the same grid.
 
-    ``bounds`` (a table covering the ledger's range) turns pruning on:
-    each lease prunes against a copy of its slice (see
-    :func:`repro.core.distributed.search_lease`), and the refreshed
-    slices are written back in lease-id order once the ledger is done.
     ``normal_hits`` (a :class:`repro.core.engine.NormalHitStore`) is
-    shared by every rank's unpruned scans.
+    shared by every rank's scans.
     """
-    refreshed: dict = {}
     search = partial(
         search_lease, scheme, tumor=tumor, normal=normal, params=params,
-        bounds=bounds, refreshed=refreshed, call=call,
-        normal_hits=normal_hits,
+        call=call, normal_hits=normal_hits,
     )
     ElasticSPMDRunner(
         n_ranks=n_ranks,
@@ -366,8 +358,6 @@ def spmd_best_combo(
     ).run(ledger, search, call=call)
     if counters is not None:
         ledger.merge_counters(counters)
-    for lease_id in sorted(refreshed):
-        bounds.write_back(refreshed[lease_id])
     with get_telemetry().span(
         "reduce", cat="spmd", leases=ledger.n_leases, call=call
     ) as sp:

@@ -10,7 +10,6 @@ distributed over a simulated Summit (schedule -> per-GPU search ->
 multi-stage reduction).
 """
 
-from repro.core.bounds import BoundTable
 from repro.core.fscore import FScoreParams, fscore
 from repro.core.combination import (
     COMBO_DTYPE,
@@ -33,7 +32,6 @@ from repro.core.checkpoint import (
 )
 
 __all__ = [
-    "BoundTable",
     "FScoreParams",
     "fscore",
     "COMBO_DTYPE",

@@ -1,64 +1,66 @@
 /* The nested scan's native kernel (repro.core.engine, built and loaded
- * by repro.core.tile).  Two entry points share one scoring body:
+ * by repro.core.tile).  Its one entry point, scan_range, walks a λ range
+ * of threads in colex order — one call per scan: a whole grid on the
+ * single backend, a lease on the fleet — and reads and fills the
+ * normal-hit store per thread.
  *
- *   scan_range  walks a whole λ range of threads in colex order — one
- *               call per lease — reading and filling the normal-hit
- *               store per thread (the unpruned scan);
- *   tile_score  scores an explicit λ-sorted batch of threads against
- *               an incumbent and reports each thread's maximum F (the
- *               pruned best-first scan).
+ * Every thread is scored against one inner table, the table of the
+ * call's lowest level: `inner` (L, d) gene tuples in colex order,
+ * `tumor_w` / `normal_w` their AND-reduced rows stored word-major
+ * (W, L).  A lower level's table is a superset of a higher one's: entry
+ * l belongs to a thread with top gene t when inner[l, 0] > t, and a
+ * thread's valid entries, in column order, are combination-rank order.
+ * Per thread, score_thread
  *
- * Both score against one inner table, the table of the call's lowest
- * level: `inner` (L, d) gene tuples in colex order, `tumor_w` /
- * `normal_w` their AND-reduced rows stored word-major (W, L).  A lower
- * level's table is a superset of a higher one's: entry l belongs to a
- * thread with top gene t when inner[l, 0] > t, and a thread's valid
- * entries, in column order, are combination-rank order.  Per thread,
- * score_thread
- *
- *   1. AND-reduces the f fixed rows of `tumor` (and, unless its normal
- *      hits are stored, of `normal`) into scratch;
- *   2. unless its normal hits are stored, popcounts the normal base &
- *      inner over the thread's valid columns only, keeping each base
- *      word in a register across the columns and skipping zero base
- *      words (they add 0 to every count); a thread the store holds
- *      writes those counts and their minimum, `least`, to the store
- *      (a fill) before its filled mark is released — normal side first;
- *   3. bounds the thread before any tumor product, when the store holds
- *      it: every entry's TP is at most popcount(tumor base) and its TN
- *      at most Nn - least, so fl(fl(popcount * alpha) + (Nn - least))
- *      / denom bounds its F (rounding is monotone).  A thread whose
- *      ceiling cannot take or tie the lead (the step 6 predicate) is
- *      done: its entries count as scored, and win[7] counts it.
- *      Threads past the store's cap, and tile_score's, have no `least`
- *      and never take this skip;
- *   4. popcounts the tumor base & inner the same way, and takes the
- *      normal hits from the store (a hit) or step 2;
- *   5. finds the thread's maximum of Equation 1's numerator
+ *   1. tumor prefix: AND-reduces the f fixed rows of `tumor` into
+ *      scratch and popcounts them.  No entry of the thread has a larger
+ *      TP than that popcount, TP_prefix;
+ *   2. prefix ceiling: unless the store holds the thread's normal hits,
+ *      bounds its F by fl(fl(TP_prefix * alpha) + Nn) / denom — every
+ *      TN is at most Nn, and rounding is monotone.  A thread whose
+ *      ceiling cannot take or tie the lead (the step 6 predicate,
+ *      reaches) is done: its entries count as scored, win[7] counts it,
+ *      and it is not filled, so a later scan fills it only if it passes;
+ *   3. normal side or fill: unless its normal hits are stored,
+ *      AND-reduces the f fixed rows of `normal` and popcounts them
+ *      against the normal table over the thread's valid columns only,
+ *      keeping each base word in a register across the columns and
+ *      skipping zero base words (they add 0 to every count).  A thread
+ *      the store holds writes those counts and their minimum, `least`,
+ *      to the store (a fill) before its filled mark is released;
+ *   4. least bound: when the store holds the thread (read or just
+ *      filled), every entry's TN is at most Nn - least, so
+ *      fl(fl(TP_prefix * alpha) + (Nn - least)) / denom bounds its F;
+ *      a thread that cannot reach the lead is done as in step 2;
+ *   5. tumor product: popcounts the tumor base & inner the same way,
+ *      takes the normal hits from the store (a hit) or step 3, and
+ *      finds the thread's maximum of Equation 1's numerator
  *      fl(fl(TP * alpha) + TN), exactly repro.core.fscore.numerator
  *      (built with -ffp-contract=off, so the two roundings are never
  *      fused into one FMA).  The numerator of (max TP, max TN) bounds
  *      it, and is it when every TP is 0: the exact one is formed only
- *      for a thread that can reach the running best, or whose maximum
- *      is wanted;
- *   6. when that F can tie or beat the running best (initially the
- *      incumbent's F, or -inf), rescans the thread's entries in F: a
- *      greater F takes the lead, an equal one takes it when its gene
- *      tuple — thread tuple, then inner tuple — is smaller.
+ *      for a thread that can reach the running best;
+ *   6. when that F can tie or beat the running best (initially -inf),
+ *      rescans the thread's entries in F: a greater F takes the lead,
+ *      an equal one takes it when its gene tuple — thread tuple, then
+ *      inner tuple — is smaller.
  *
+ * Steps 2 and 4 skip the same threads whatever the store holds: the
+ * least ceiling is never above the prefix one, so a thread is skipped
+ * exactly when its least ceiling (or, past the store's cap, its prefix
+ * ceiling) misses the lead.  Which threads are skipped depends only on
+ * where the range is cut, since each call starts from lead -inf.
  * `least` is fixed for a solve: BitSplicing narrows the tumor side
  * alone.  It is written with the counts, before the release store of
  * the thread's filled mark, and read after its acquire load, so a
- * reader that sees the mark sees both.  Each scan_range call starts from
- * lead -inf, so which threads step 3 skips depends only on where the
- * range is cut.
+ * reader that sees the mark sees both.
  *
- * Both return the number of valid entries scored and fill `win`:
- * win[0] the winner's column (-1 when nothing reached the incumbent),
+ * scan_range returns the number of valid entries scored and fills
+ * `win`: win[0] the winner's column (-1 when the range has no entry),
  * win[1] its TP, win[2] its normal hits, win[3] the words the fixed-row
  * gathers read, win[4] store hits, win[5] store fills, win[6] threads
- * scored, win[7] threads bounded before their tumor product (step 3),
- * win[8 .. 8 + f) the winner's thread tuple.
+ * scored, win[7] threads bounded before their tumor product (steps 2
+ * and 4), win[8 .. 8 + f) the winner's thread tuple.
  * The store holds `itemsize`-byte unsigned counts (1, 2, 4 or 8) and
  * one int32 `least` per thread.
  * `scratch` holds tw + nw + 2 * L + 2 words.
@@ -89,8 +91,7 @@ static struct scan setup(const uint64_t *tumor, int64_t tw,
                          const int64_t *inner, int64_t n_cols, int64_t d,
                          const uint64_t *tumor_w, const uint64_t *normal_w,
                          uint64_t *scratch, int64_t *win, int64_t f,
-                         int64_t n_normal, double alpha, double denom,
-                         double lead)
+                         int64_t n_normal, double alpha, double denom)
 {
     int32_t *tp = (int32_t *)(scratch + tw + nw);
     memset(win, 0, W_GENES * sizeof *win);
@@ -101,7 +102,8 @@ static struct scan setup(const uint64_t *tumor, int64_t tw,
         .f = f, .inner = inner, .base_t = scratch, .base_n = scratch + tw,
         .tp = tp, .nh = tp + n_cols,
         .runs = (int64_t *)(scratch + tw + nw + n_cols), .win = win,
-        .n_normal = n_normal, .alpha = alpha, .denom = denom, .lead = lead,
+        .n_normal = n_normal, .alpha = alpha, .denom = denom,
+        .lead = -INFINITY,
     };
 }
 
@@ -262,13 +264,28 @@ static int32_t fill(void *hits, int64_t itemsize, int32_t *nh,
     return least;
 }
 
-/* Scores thread `genes`; returns its valid entries.  `hits` and `least`
- * are NULL (no store) or the thread's first count and least count in
- * the store, read when `stored` and filled otherwise.  Writes the
- * thread's maximum F to *thread_max when that is not NULL. */
+/* Whether the thread's entries, each with TP at most tp_prefix and
+ * normal hits at least nh_floor, can reach the lead; counts the thread
+ * in win[7] when they cannot. */
+static int ceiling_reaches(struct scan *s, const int64_t *genes,
+                           int64_t tp_prefix, int32_t nh_floor)
+{
+    double ceiling = (double)tp_prefix * s->alpha;
+    ceiling += (double)(s->n_normal - nh_floor);
+    if (reaches(s, genes, ceiling / s->denom))
+        return 1;
+    s->win[W_BOUNDED]++;
+    return 0;
+}
+
+/* Scores thread `genes`; returns its valid entries.  `mark` is NULL (no
+ * store) or the thread's filled mark, with `hits` and `least` its first
+ * count and least count in the store: read when the mark is set, filled
+ * (and the mark released) otherwise, unless the prefix ceiling bounds
+ * the thread first. */
 static int64_t score_thread(struct scan *s, const int64_t *genes,
-                            void *hits, int64_t itemsize, int stored,
-                            int32_t *least, double *thread_max)
+                            void *hits, int64_t itemsize, uint8_t *mark,
+                            int32_t *least)
 {
     const int64_t f = s->f, d = s->d;
     const double alpha = s->alpha, denom = s->denom;
@@ -278,27 +295,26 @@ static int64_t score_thread(struct scan *s, const int64_t *genes,
     int64_t pos = 0;
     for (int64_t r = 0; r < n_runs; r++)
         pos += runs[2 * r + 1] - runs[2 * r];
+    const int stored = mark != NULL && __atomic_load_n(mark, __ATOMIC_ACQUIRE);
     win[W_READ] += and_rows(s->tumor, s->tw, genes, f, s->base_t);
-    if (!stored) {
+    int64_t tp_prefix = 0;
+    for (int64_t k = 0; k < s->tw; k++)
+        tp_prefix += __builtin_popcountll(s->base_t[k]);
+    if (stored)
+        win[W_HITS]++;
+    else {
+        if (!ceiling_reaches(s, genes, tp_prefix, 0))
+            return pos;
         win[W_READ] += and_rows(s->normal, s->nw, genes, f, s->base_n);
         product(s->base_n, s->nw, s->normal_w, s->n_cols, runs, n_runs, nh);
-    }
-    if (least != NULL) {
-        if (!stored)
+        if (mark != NULL) {
             *least = fill(hits, itemsize, nh, runs, n_runs);
-        /* Every entry's TP is at most the base row's popcount and its TN
-         * at most Nn - least: their numerator bounds the thread's F
-         * (rounding is monotone) before any tumor product. */
-        int64_t tp_base = 0;
-        for (int64_t k = 0; k < s->tw; k++)
-            tp_base += __builtin_popcountll(s->base_t[k]);
-        double ceiling = (double)tp_base * alpha;
-        ceiling += (double)(s->n_normal - *least);
-        if (!reaches(s, genes, ceiling / denom)) {
-            win[W_BOUNDED]++;
-            return pos;
+            __atomic_store_n(mark, 1, __ATOMIC_RELEASE);
+            win[W_FILLS]++;
         }
     }
+    if (mark != NULL && !ceiling_reaches(s, genes, tp_prefix, *least))
+        return pos;
     product(s->base_t, s->tw, s->tumor_w, s->n_cols, runs, n_runs, tp);
     int32_t tp_max = 0, nh_min = INT32_MAX;
     for (int64_t r = 0, at_hit = 0; r < n_runs; r++) {
@@ -311,12 +327,12 @@ static int64_t score_thread(struct scan *s, const int64_t *genes,
     /* The numerator of (max TP, max TN) bounds every entry's, since
      * rounding is monotone, and is their maximum when every TP is 0
      * (each numerator is then its TN).  Only a thread that can reach
-     * the lead, or whose maximum is wanted, needs the exact one. */
+     * the lead needs the exact one. */
     double rmax = (double)tp_max * alpha;
     rmax += (double)(s->n_normal - nh_min);
     if (pos == 0)
         rmax = -INFINITY;
-    else if (tp_max != 0 && (thread_max != NULL || rmax / denom >= s->lead)) {
+    else if (tp_max != 0 && rmax / denom >= s->lead) {
         rmax = -INFINITY;
         for (int64_t r = 0; r < n_runs; r++) {
             const int64_t at = runs[2 * r];
@@ -324,8 +340,6 @@ static int64_t score_thread(struct scan *s, const int64_t *genes,
                                  (int32_t)s->n_normal, alpha, rmax);
         }
     }
-    if (thread_max != NULL)
-        *thread_max = rmax / denom;
     if (!reaches(s, genes, rmax / denom))
         return pos;
     int64_t *lead_genes = win + W_GENES;
@@ -382,52 +396,17 @@ int64_t scan_range(const uint64_t *tumor, int64_t tw,
                    double alpha, double denom)
 {
     struct scan s = setup(tumor, tw, normal, nw, inner, n_cols, d, tumor_w,
-                          normal_w, scratch, win, f, n_normal, alpha, denom,
-                          -INFINITY);
+                          normal_w, scratch, win, f, n_normal, alpha, denom);
     int64_t pos = 0, n_valid = 0;
     for (int64_t i = 0; i < n_threads; i++) {
-        void *at = NULL;
-        int32_t *at_least = NULL;
-        int stored = 0;
-        if (i < n_stored) {
-            at = (char *)hits + pos * itemsize;
-            at_least = least + i;
-            stored = __atomic_load_n(filled + i, __ATOMIC_ACQUIRE);
-        }
-        const int64_t n = score_thread(&s, genes, at, itemsize, stored,
-                                       at_least, NULL);
-        if (stored)
-            win[W_HITS]++;
-        else if (at != NULL) {
-            __atomic_store_n(filled + i, 1, __ATOMIC_RELEASE);
-            win[W_FILLS]++;
-        }
+        const int held = i < n_stored;
+        const int64_t n = score_thread(
+            &s, genes, held ? (char *)hits + pos * itemsize : NULL, itemsize,
+            held ? filled + i : NULL, held ? least + i : NULL);
         pos += n;
         n_valid += n;
         next_tuple(genes, f);
     }
     win[W_THREADS] = n_threads;
-    return n_valid;
-}
-
-/* Threads `tuples` (n_rows λ-sorted f-tuples), no store; each thread's
- * maximum F goes to thread_max[b]. */
-int64_t tile_score(const uint64_t *tumor, int64_t tw,
-                   const uint64_t *normal, int64_t nw,
-                   const int64_t *inner, int64_t n_cols, int64_t d,
-                   const uint64_t *tumor_w, const uint64_t *normal_w,
-                   uint64_t *scratch, int64_t *win,
-                   const int64_t *tuples, int64_t n_rows, int64_t f,
-                   int64_t n_normal, double alpha, double denom,
-                   double best_f, double *thread_max)
-{
-    struct scan s = setup(tumor, tw, normal, nw, inner, n_cols, d, tumor_w,
-                          normal_w, scratch, win, f, n_normal, alpha, denom,
-                          best_f);
-    int64_t n_valid = 0;
-    for (int64_t b = 0; b < n_rows; b++)
-        n_valid += score_thread(&s, tuples + b * f, NULL, 0, 0, NULL,
-                                thread_max + b);
-    win[W_THREADS] = n_rows;
     return n_valid;
 }

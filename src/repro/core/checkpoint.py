@@ -47,9 +47,8 @@ _READABLE_VERSIONS = (1, 2)
 class SolverState:
     """Resumable snapshot of the greedy loop between iterations.
 
-    The pruned engine's bound table is a cache and is not part of it: a
-    resumed run rescans under the prefix ceiling alone and produces
-    bit-identical iterations.
+    Nothing the scan caches is part of it: a resumed run rebuilds its
+    normal-hit store and produces bit-identical iterations.
     """
 
     hits: int
@@ -241,7 +240,7 @@ def load_state(path: "str | Path") -> SolverState:
     still uncovered, so a snapshot's covered count (``n_samples`` minus
     ``active``) is the sum of its combinations' ``tp``, and so is each
     record's ``covered`` count; both are checked.  The ``bound_table``
-    key older files carry is ignored.
+    key that files of the retired pruned engine carry is ignored.
     """
     snapshot, *records = Path(path).read_text().split("\n")
     # With the snapshot's newline present, the last piece is "" (the file

@@ -24,9 +24,7 @@ differ only in the ledger they build:
 
 Recovery is one rule for every ledger, :func:`run_lease`: retry a
 crashed attempt in place, then retire the holder and let survivors
-steal its leases; a lease held past its TTL expires to a survivor.  A
-pruned lease searches a copy of its slice of the bound table, whoever
-ends up searching it, so recovery keeps the pruning speedup.
+steal its leases; a lease held past its TTL expires to a survivor.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from repro.bitmatrix.matrix import BitMatrix
-from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
 from repro.core.engine import NormalHitStore, best_in_thread_range
 from repro.core.fscore import FScoreParams
@@ -67,8 +64,6 @@ def search_lease(
     tumor: BitMatrix,
     normal: BitMatrix,
     params: FScoreParams,
-    bounds: "BoundTable | None" = None,
-    refreshed: "dict | None" = None,
     call: int = 0,
     stall_s: float = 0.0,
     normal_hits: "NormalHitStore | None" = None,
@@ -76,11 +71,7 @@ def search_lease(
     """Search one lease's λ-range; returns ``(winner, counters)``.
 
     The winner is a pure function of the range, so any holder may run
-    this for any lease.  With ``bounds`` the lease prunes against a copy
-    of its slice of the table, taken at grant, and leaves the refreshed
-    slice in ``refreshed[lease_id]`` for the caller to write back once
-    the ledger is done.  The table is not written during the call, so
-    every search of a lease refreshes the same values.  Metering rides
+    this for any lease.  Metering rides
     the lease, not the run counters, so a range that is stolen and
     computed twice still counts once: the ledger keeps the first
     completion's counters.  ``normal_hits`` is the engine's store, shared
@@ -94,7 +85,6 @@ def search_lease(
     """
     tel = get_telemetry()
     lo, hi = lease.lam_start, lease.lam_end
-    lease_bounds = None if bounds is None else bounds.slice(lo, hi)
     counters = KernelCounters()
     stolen = lease.grants > 1 or lease.owner not in (None, rank)
     with tel.span(
@@ -111,11 +101,8 @@ def search_lease(
         winner = best_in_thread_range(
             scheme, tumor.n_genes, tumor, normal, params, lo, hi,
             counters=counters,
-            bounds=lease_bounds,
             normal_hits=normal_hits,
         )
-    if lease_bounds is not None:
-        refreshed.setdefault(lease.lease_id, lease_bounds)
     return winner, counters
 
 
@@ -182,7 +169,6 @@ def run_lease(
             # Live progress, once per completed range on either fleet;
             # a duplicate completion adds nothing.
             tel.count("progress.combos_scored", lease_counters.combos_scored)
-            tel.count("progress.combos_pruned", lease_counters.combos_pruned)
         return True
     report.record(
         "crash", "rank", rank, call, "lease-forfeit",
@@ -218,7 +204,7 @@ class FleetEngine:
     spmd_best_combo`, no wall-clock cap).  ``fault_plan`` faults are
     numbered by arg-max call and recovered by :func:`run_lease` into
     ``report``.  One :class:`repro.core.engine.NormalHitStore`, kept
-    across calls, serves every rank's unpruned scans.
+    across calls, serves every rank's scans.
     """
 
     scheme: Scheme
@@ -245,7 +231,6 @@ class FleetEngine:
         params: FScoreParams,
         n_ranks: int,
         counters: "KernelCounters | None" = None,
-        bounds: "BoundTable | None" = None,
     ):
         """One arg-max over the whole grid on ``n_ranks`` rank threads;
         returns ``(winner, ledger)``."""
@@ -256,10 +241,9 @@ class FleetEngine:
         call = self._calls
         self._calls += 1
         g = tumor.n_genes
-        if bounds is None:
-            self._normal_hits = NormalHitStore.reuse(
-                self._normal_hits, self.scheme, g, normal
-            )
+        self._normal_hits = NormalHitStore.reuse(
+            self._normal_hits, self.scheme, g, normal
+        )
         ttl = self.retry_policy.deadline_s
         ledger = (
             LeaseLedger.build(
@@ -271,9 +255,8 @@ class FleetEngine:
         best = spmd_best_combo(
             ledger, self.scheme, tumor, normal, params, n_ranks,
             fault_plan=self.fault_plan, retry_policy=self.retry_policy,
-            report=self.report, counters=counters, bounds=bounds,
-            max_wall_s=None, call=call,
-            normal_hits=None if bounds is not None else self._normal_hits,
+            report=self.report, counters=counters, max_wall_s=None,
+            call=call, normal_hits=self._normal_hits,
         )
         return best, ledger
 
@@ -319,12 +302,10 @@ class DistributedEngine(FleetEngine):
         normal: BitMatrix,
         params: FScoreParams,
         counters: "KernelCounters | None" = None,
-        bounds: "BoundTable | None" = None,
     ) -> "MultiHitCombination | None":
         """Full distributed arg-max: every lease's winner reduced at
         root, in lease-id order, so no scheduling or recovery detail can
         reach the result."""
         return self._argmax(
-            tumor, normal, params, self.n_nodes, counters=counters,
-            bounds=bounds,
+            tumor, normal, params, self.n_nodes, counters=counters
         )[0]

@@ -6,20 +6,21 @@ of the genes above its top index.  Scores are bit-exact with the
 sequential reference; ties resolve to the lexicographically smallest
 gene tuple.
 
-An unpruned scan is one call into the native kernel (``_tile.c``,
-built and loaded by :mod:`repro.core.tile`) per λ range — per lease on
-a fanned-out backend — without the GIL.  :func:`_scan_range` inverts
+Every arg-max is one call into the native kernel (``_tile.c``, built and
+loaded by :mod:`repro.core.tile`) per λ range — per lease on a
+fanned-out backend — without the GIL.  :func:`_scan_range` inverts
 only the range's first λ; ``scan_range`` then walks the threads in
 colex order and scores every one against *one inner table per scan*,
 the AND-table of the range's first (lowest) level, stored word-major:
 a lower level's table is a superset of every higher level's, and the
 kernel selects a thread's valid columns (inner genes above its top
 gene), which are scored once, in combination-rank order.  Per thread it
-AND-reduces the fixed rows, reads or fills the normal-hit store (a fill
-popcounts the normal side first), bounds a stored thread by its
-normal-hit floor before any tumor product (below), popcounts the tumor
-rows against the table over the valid columns only (skipping zero base
-words), forms Equation 1's numerator ``fl(fl(α·TP) + TN)``
+AND-reduces the tumor prefix (the fixed rows), bounds the thread by its
+prefix ceiling unless its normal hits are stored, reads or fills the
+normal-hit store (a fill popcounts the normal side first), bounds a
+stored thread by its normal-hit floor (both bounds below), popcounts
+the tumor rows against the table over the valid columns only (skipping
+zero base words), forms Equation 1's numerator ``fl(fl(α·TP) + TN)``
 exactly as :func:`repro.core.fscore.numerator` does (compiled with
 ``-ffp-contract=off``, so no FMA merges the two roundings) and keeps
 the running winner.  The maximum is found on numerators — division by
@@ -39,50 +40,44 @@ combinations occupy ``[cumulative_work_before(λ),
 cumulative_work_before(λ + 1))``, so a range's valid entries are one
 contiguous slice wherever a partition is cut, in the order the scan
 scores them (the kernel reads and writes it in place, at the store's
-itemsize).  A thread's first scan fills its counts and then marks it
-filled; every later scan reads them as they are and gathers, ANDs and
-popcounts only the tumor side (the normal inner table is built only
-when some thread of the range misses the store).
-Beside its counts a stored thread keeps ``NormalHitStore.least``, the
-smallest of them, fixed for the solve.  Every entry's ``TP`` is at most
-the popcount of the thread's AND-reduced tumor rows and its ``TN`` at
-most ``Nn - least``, so their numerator bounds the thread's F (rounding
-is monotone); a thread whose bound cannot take or tie the running lead
-— the rescan's own test — skips its tumor product, and
-``threads_bounded`` counts it.  Each scan starts with no lead.
+itemsize).  A thread's counts are filled by the first scan that gets
+past its prefix ceiling, which then marks it filled; every later scan
+reads them as they are and gathers, ANDs and popcounts only the tumor
+side (the normal inner table is built only when some thread of the
+range misses the store).
+
+Two bounds skip a thread's tumor product, both tested by the rescan's
+own predicate — a thread whose bound cannot take or tie the running
+lead is skipped, and ``threads_bounded`` counts it.  Every entry's
+``TP`` is at most ``TP_prefix``, the popcount of the thread's
+AND-reduced tumor rows, and its ``TN`` at most ``Nn``, so
+``fscore(TP_prefix, Nn)`` bounds its F (rounding is monotone): that
+prefix ceiling is tested before any normal work on every thread whose
+normal hits are not stored, and a thread it skips is not filled.  A
+stored thread keeps ``NormalHitStore.least``, the smallest of its
+counts, fixed for the solve, so its ``TN`` is at most ``Nn - least``
+and ``fscore``'s numerator of ``(TP_prefix, Nn - least)`` bounds it
+tighter.  Each scan starts with no lead, so which threads are skipped
+depends only on where the grid is cut, never on what the store holds.
 The store is capped at :data:`NORMAL_HIT_BUDGET` bytes, counts and
 4-byte ``least`` values together.  ``C(G, h)`` counts of
 ``np.min_scalar_type(Nn)`` fit at cohort scale (2.5 MiB of counts and
-80 KB of ``least`` at G 200, h 3, Nn < 65536); threads past the cap have
-no ``least``, are never bounded and are scored in full every time, and
-at the paper's scale (``C(20000, 4)`` combinations) almost all of them
-are.
+80 KB of ``least`` at G 200, h 3, Nn < 65536); threads past the cap
+are bounded by their prefix ceiling alone and scored in full whenever
+it passes, and at the paper's scale (``C(20000, 4)`` combinations)
+almost all of them are past it.
 
 Counters: ``combos_scored`` and ``word_ops`` count the valid entries,
 each computed or bounded out of the running lead — below it, or at it
 behind a smaller leader — (``word_ops`` at its dense definition,
 ``(hits - 1)`` row ANDs per combination); ``threads_bounded`` counts the
-threads the normal-hit floor skipped; ``decode_strides`` counts scan
-calls (unpruned) or batches (pruned) and ``inner_tables_built`` the
-inner tables built, one per call.  ``word_reads`` is what the scan
-gathers, on either path: ``f`` rows per thread and ``d`` rows per inner
-combination of each table built, from each matrix it gathers from, so a
-thread whose normal hits are stored charges only tumor rows.  The unpruned charge
-is derived from the thread and store-hit counts the kernel reports.
-
-When a :class:`repro.core.bounds.BoundTable` is supplied the engine runs
-an exact branch and bound instead (:func:`_best_pruned`): every thread
-is bounded by ``min(stored, ceiling)`` — its exact maximum when last
-scored, and ``fscore(TP_prefix, Nn)`` from its tumor prefix — and
-threads are scored best-first in doubling λ-sorted batches until the
-next bound is *strictly* below the incumbent, each batch one call into
-the kernel's ``tile_score`` against the call's one inner table.  The
-incumbent is maintained with the tuple-comparing
-:func:`repro.core.combination.better`, so the winner — F, TP, TN, and
-the lexicographic tie rule — is bit-identical to the unpruned scan.
-It never uses the normal-hit store, and
-``threads_scanned`` / ``threads_skipped`` / ``combos_pruned`` record
-what the bounds saved.
+threads either bound skipped; ``decode_strides`` counts scan calls and
+``inner_tables_built`` the inner tables built, one per call.
+``word_reads`` is what the scan gathers: ``d`` rows per inner
+combination of each table built, from each matrix it gathers from, and
+the fixed rows the kernel gathers, as it counts them — ``f`` tumor rows
+per thread, and ``f`` normal rows per thread that gets past its prefix
+ceiling without stored normal hits.
 """
 
 from __future__ import annotations
@@ -94,17 +89,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bitmatrix.matrix import BitMatrix
-from repro.combinatorics.decode import combos_from_linear
 
 # Bound here but never called by the scan: the benchmark harness
 # (benchmarks/perf/trace.py) patches them by these names.
 from repro.bitmatrix.sparsity import stride_any_mask  # noqa: F401
-from repro.combinatorics.decode import top_index_array  # noqa: F401
+from repro.combinatorics.decode import combos_from_linear, top_index_array  # noqa: F401
 from repro.core.kernels import best_of, fused_pair_popcount, score_combos  # noqa: F401
 from repro.combinatorics.enumeration import combinations_array
 from repro.core import tile
-from repro.core.bounds import BoundTable
-from repro.core.combination import MultiHitCombination, better
+from repro.core.combination import MultiHitCombination
 from repro.core.fscore import FScoreParams, fscore
 from repro.core.kernels import KernelCounters
 from repro.scheduling.schemes import Scheme
@@ -123,9 +116,6 @@ __all__ = [
     "best_in_thread_range",
 ]
 
-# Entries per pruned batch, threads x max(inner combinations, row words),
-# and threads per window of the pruned ceiling pass x row words.
-_TILE_ELEMENTS = 1 << 16
 #: Bytes one :class:`NormalHitStore` may hold.
 NORMAL_HIT_BUDGET = 32 << 20
 # Bytes of one stored thread's least count (an int32 in ``_tile.c``).
@@ -182,10 +172,9 @@ class NormalHitStore:
         g: int,
         normal: BitMatrix,
     ) -> "NormalHitStore | None":
-        """The store an engine hands an unpruned scan of ``normal``:
-        ``store`` while it is bound to ``(scheme, g, normal)``, a new one
-        otherwise.  A pruned scan reads none; its callers pass no
-        store."""
+        """The store an engine hands a scan of ``normal``: ``store``
+        while it is bound to ``(scheme, g, normal)``, a new one
+        otherwise."""
         if store is not None and store.binds(scheme, g, normal):
             return store
         return cls(scheme, g, normal)
@@ -281,8 +270,8 @@ class _Table:
         counters.word_ops += n_valid * (scheme.hits - 1) * sum(self.row_words)
 
     def winner(self, params: FScoreParams) -> "MultiHitCombination | None":
-        """The last call's winner, ``None`` if nothing reached its
-        incumbent."""
+        """The last call's winner, ``None`` when its range had no
+        entry."""
         col, tp, hit = self.win[:3].tolist()
         if col < 0:
             return None
@@ -293,34 +282,6 @@ class _Table:
             tp=tp,
             tn=tn,
         )
-
-
-def _score_tile(
-    scheme: Scheme,
-    tuples: np.ndarray,
-    table: _Table,
-    params: FScoreParams,
-    best: "MultiHitCombination | None",
-    counters: KernelCounters,
-) -> tuple[np.ndarray, "MultiHitCombination | None"]:
-    """Score one pruned batch: threads ``tuples`` (λ-sorted, none below
-    the table's level) against ``table``, in one call into the kernel's
-    ``tile_score``.
-
-    Returns each thread's maximum F and the batch's candidate — ``None``
-    unless it can displace or tie ``best``.  Entries whose inner genes do
-    not lie above the thread's top gene belong to no thread and are
-    dropped; the valid ones are scored once.
-    """
-    lam_max = np.empty(len(tuples))
-    n_valid = tile.kernel().tile_score(
-        *table.args, tuples.ctypes.data, len(tuples), scheme.flattened,
-        params.n_normal, params.alpha, params.denominator,
-        -math.inf if best is None else best.f, lam_max.ctypes.data,
-    )
-    counters.word_reads += tuples.size * sum(table.row_words)
-    table.charge(scheme, n_valid, counters)
-    return lam_max, table.winner(params)
 
 
 def _scan_range(
@@ -364,46 +325,11 @@ def _scan_range(
         n_stored,
         params.n_normal, params.alpha, params.denominator,
     )
-    # f fixed rows per thread, the normal ones unless stored: from the
-    # thread and store-hit counts the kernel reports.
-    threads, stored = int(table.win[6]), int(table.win[4])
-    counters.word_reads += f_ord * (
-        threads * tumor.n_words + (threads - stored) * normal.n_words
-    )
+    counters.word_reads += int(table.win[3])  # the fixed rows, as gathered
     counters.threads_bounded += int(table.win[7])
     counters.decode_strides += 1
     table.charge(scheme, n_valid, counters)
     return table.winner(params)
-
-
-def _prefix_ceilings(
-    scheme: Scheme,
-    tumor: BitMatrix,
-    params: FScoreParams,
-    lam_start: int,
-    lam_end: int,
-    counters: KernelCounters,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each thread's top gene and F ceiling over ``[lam_start, lam_end)``.
-
-    A thread's combinations all contain its ``f`` fixed genes, so their
-    ``TP`` is at most ``TP_prefix``, the popcount of the AND of those
-    genes' tumor rows, and their ``TN`` at most ``Nn``: F is at most
-    ``fscore(TP_prefix, Nn)`` (float rounding is monotone).  One pass per
-    call, in tile-sized λ windows; it gathers ``f`` tumor rows per thread.
-    """
-    f_ord = scheme.flattened
-    tops = np.empty(lam_end - lam_start, dtype=np.int64)
-    tp = np.empty(lam_end - lam_start, dtype=np.int64)
-    window = max(1, _TILE_ELEMENTS // max(1, tumor.n_words))
-    for start in range(lam_start, lam_end, window):
-        end = min(start + window, lam_end)
-        tuples = combinations_array(f_ord, start, end)
-        rows = _gather(tumor, tuples, counters)
-        at = slice(start - lam_start, end - lam_start)
-        tp[at] = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
-        tops[at] = tuples[:, -1]
-    return tops, fscore(tp, params.n_normal, params)
 
 
 def best_in_thread_range(
@@ -415,7 +341,6 @@ def best_in_thread_range(
     lam_start: int,
     lam_end: int,
     counters: "KernelCounters | None" = None,
-    bounds: "BoundTable | None" = None,
     normal_hits: "NormalHitStore | None" = None,
 ) -> "MultiHitCombination | None":
     """Best combination among those owned by threads ``[lam_start, lam_end)``.
@@ -423,26 +348,15 @@ def best_in_thread_range(
     A thread owns every ``hits``-combination formed by its decoded
     ``flattened``-tuple plus ``inner`` further genes above its top index.
 
-    ``bounds`` (a :class:`repro.core.bounds.BoundTable` covering exactly
-    this range) switches on the pruned best-first path; the table is
-    mutated in place — every scored thread's entry becomes its exact
-    maximum F.  Unpruned, the call is one native ``scan_range`` call,
-    whatever the range.  ``normal_hits`` (a :class:`NormalHitStore`
-    bound to ``scheme``, ``g`` and ``normal``) serves and keeps the
-    unpruned scan's normal hit counts; the pruned path ignores it.
-    The winner is bit-identical with and without ``bounds`` and
-    ``normal_hits``; only the work counters differ.
+    The call is one native ``scan_range`` call, whatever the range.
+    ``normal_hits`` (a :class:`NormalHitStore` bound to ``scheme``,
+    ``g`` and ``normal``) serves and keeps the scan's normal hit counts.
+    The winner is bit-identical with and without ``normal_hits``; only
+    the traffic counters differ.
     """
     if tumor.n_genes != g or normal.n_genes != g:
         raise ValueError("matrix gene count must match g")
     lam_end = min(lam_end, total_threads(scheme, g))
-    if bounds is not None and (bounds.lam_start, bounds.lam_end) != (
-        lam_start, lam_end
-    ):
-        raise ValueError(
-            f"bound table covers [{bounds.lam_start}, {bounds.lam_end}), "
-            f"the scan [{lam_start}, {lam_end})"
-        )
     if normal_hits is not None and not normal_hits.binds(scheme, g, normal):
         raise ValueError(
             f"normal-hit store is bound to {normal_hits.scheme} over "
@@ -454,89 +368,10 @@ def best_in_thread_range(
     if counters is None:
         counters = KernelCounters()  # metered and dropped
 
-    if bounds is not None:
-        return _best_pruned(
-            scheme, g, tumor, normal, params, lam_start, lam_end,
-            bounds, counters,
-        )
     return _scan_range(
         scheme, g, tumor, normal, params, lam_start, lam_end, counters,
         normal_hits=normal_hits,
     )
-
-
-def _best_pruned(
-    scheme: Scheme,
-    g: int,
-    tumor: BitMatrix,
-    normal: BitMatrix,
-    params: FScoreParams,
-    lam_start: int,
-    lam_end: int,
-    bounds: BoundTable,
-    counters: KernelCounters,
-) -> "MultiHitCombination | None":
-    """Best-first branch and bound over the threads of one range.
-
-    Each thread is bounded by ``min(stored, ceiling)``
-    (:meth:`BoundTable.visit_order`) and visited in descending bound
-    order.  Threads are scored in batches that double from one thread
-    up to the tile budget: a batch is decoded with
-    :func:`combos_from_linear`, sorted by λ and scored against the call's
-    one inner table, that of the range's lowest level, and each scored
-    thread's entry becomes its exact maximum.  The scan stops at the
-    first bound *strictly* below the incumbent; the threads left
-    unvisited add their combinations to ``combos_pruned``.
-
-    Soundness: a stored bound is the exact maximum F the thread reached
-    when it was last scored, F is non-increasing across iterations (TP
-    shrinks, TN is fixed, float rounding is monotone), the ceiling bounds
-    every combination of the thread now, and a thread is left only when
-    its bound is *strictly* below the incumbent's F — so an unvisited
-    thread holds neither the winner nor an equal-F tie, and the
-    tuple-comparing :func:`better` makes the winner independent of
-    visiting order.
-
-    ``word_reads`` counts the ceiling pass's tumor rows on top of the
-    scan's gathers: each batch's ``f`` rows per thread and the inner
-    table.
-    """
-    f_ord, d = scheme.flattened, scheme.inner
-    # Threads above level g-1-d own no combination: never visited.
-    n = min(lam_end, math.comb(g - d, f_ord)) - lam_start
-    if n <= 0:
-        return None
-    tops, ceiling = _prefix_ceilings(
-        scheme, tumor, params, lam_start, lam_start + n, counters
-    )
-    order, keys = bounds.visit_order(ceiling)
-    neg_keys = -keys  # ascending, for the stop search
-    # One table, the range's lowest level's.
-    table = _Table(scheme, g, int(tops[0]), tumor, normal, counters)
-    widest = max(len(table.inner), tumor.n_words, normal.n_words)
-    budget = max(1, _TILE_ELEMENTS // widest)
-    best: "MultiHitCombination | None" = None
-    pos, size = 0, 1
-    while pos < n:
-        stop = n if best is None else int(
-            np.searchsorted(neg_keys, -best.f, side="right")
-        )
-        if stop <= pos:
-            break
-        picked = np.sort(order[pos : min(pos + size, stop)])
-        tuples = combos_from_linear(picked + lam_start, f_ord)
-        counters.decode_strides += 1
-        lam_max, cand = _score_tile(scheme, tuples, table, params, best, counters)
-        bounds.refresh(picked, lam_max)
-        best = better(best, cand)
-        counters.threads_scanned += len(picked)
-        pos += len(picked)
-        size = min(2 * size, budget)
-    rest = order[pos:]
-    counters.threads_skipped += len(rest)
-    work = np.array([level_work(scheme, g, m) for m in range(g)], dtype=np.int64)
-    counters.combos_pruned += int(work[tops[rest]].sum())
-    return best
 
 
 @dataclass
@@ -545,8 +380,8 @@ class SingleGpuEngine:
     (the "single V100" baseline configuration of the prior paper).
 
     The engine keeps one :class:`NormalHitStore` for the normal matrix
-    it last searched, so a solve's unpruned scans compute each normal
-    hit count once.
+    it last searched, so a solve's scans compute each normal hit count
+    once.
     """
 
     scheme: Scheme
@@ -560,13 +395,11 @@ class SingleGpuEngine:
         normal: BitMatrix,
         params: FScoreParams,
         counters: "KernelCounters | None" = None,
-        bounds: "BoundTable | None" = None,
     ) -> "MultiHitCombination | None":
         g = tumor.n_genes
-        if bounds is None:
-            self._normal_hits = NormalHitStore.reuse(
-                self._normal_hits, self.scheme, g, normal
-            )
+        self._normal_hits = NormalHitStore.reuse(
+            self._normal_hits, self.scheme, g, normal
+        )
         return best_in_thread_range(
             self.scheme,
             g,
@@ -576,6 +409,5 @@ class SingleGpuEngine:
             0,
             total_threads(self.scheme, g),
             counters=counters,
-            bounds=bounds,
-            normal_hits=None if bounds is not None else self._normal_hits,
+            normal_hits=self._normal_hits,
         )

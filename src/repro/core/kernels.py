@@ -9,7 +9,7 @@ reference.
 The engine's scans do not score here: every scan of the nested schemes
 the paper implements (2x2, 3x1 and their ``(h-1)x1`` kin) is one call
 into ``_tile.c`` (built and loaded by :mod:`repro.core.tile`) per
-unpruned range or pruned batch, which skips every zero base word.  What
+range, which skips every zero base word.  What
 is left is the public scoring API.  :func:`score_combos` scores explicit
 combinations one row each and is *word-stride fused*: gather -> AND ->
 popcount runs over slices of at most ``word_stride`` packed words at a
@@ -66,31 +66,27 @@ class KernelCounters:
     ``combos_scored`` counts the combinations scored; ``word_ops`` the
     row ANDs they cost at the dense definition, ``(h - 1)`` rows of
     ``tumor + normal`` words each; ``word_reads`` the words gathered, on
-    every path — each scored thread's ``f`` rows and each inner table
-    built, from the tumor matrix and, unless the thread's normal hits
-    are stored (:class:`repro.core.engine.NormalHitStore`), from the
-    normal one.  ``decode_strides`` counts the scan calls (unpruned) or
-    batches (pruned) the scan enumerated and ``inner_tables_built`` the
-    inner tables it built.  ``threads_bounded`` counts the unpruned
-    scan's threads whose normal-hit floor (``NormalHitStore.least``) and
-    tumor base-row popcount bounded them out of the running lead (below
-    it, or at it behind a smaller leader), so the kernel skipped their
-    tumor product; their entries still count in ``combos_scored``.  It depends on where a backend cuts the
-    grid (each scan starts from no lead), not on which rank ran a range.
-    The pruned best-first path (:mod:`repro.core.bounds`) leaves it 0,
-    also counts its ceiling pass's tumor rows and alone populates
-    ``combos_pruned``, ``threads_scanned`` and ``threads_skipped``
-    (threads scored / left unvisited).  They all ride one merge path, so
-    the leases of either backend, pinned or elastic, report scoring,
-    traffic and pruning for free.
+    every path — each inner table built and each thread's ``f`` fixed
+    rows, from the tumor matrix and, unless the thread's normal hits
+    are stored (:class:`repro.core.engine.NormalHitStore`) or its tumor
+    prefix bounded it first, from the normal one.  ``decode_strides``
+    counts the scan calls and ``inner_tables_built`` the inner tables
+    they built.  ``threads_bounded`` counts the threads whose tumor-prefix
+    ceiling, or normal-hit floor (``NormalHitStore.least``), bounded
+    them out of the running lead (below it, or at it behind a smaller
+    leader), so the kernel skipped their tumor product; their entries
+    still count in ``combos_scored``.  It depends on where a backend
+    cuts the grid (each scan starts from no lead), not on which rank
+    ran a range or what the store held.  ``combos_pruned`` is always 0:
+    every combination is scored, and the result file still reports it.
+    They all ride one merge path, so the leases of either backend,
+    pinned or elastic, report scoring and traffic for free.
     """
 
     combos_scored: int = 0
     word_reads: int = 0
     word_ops: int = 0
     combos_pruned: int = 0
-    threads_scanned: int = 0
-    threads_skipped: int = 0
     threads_bounded: int = 0
     decode_strides: int = 0
     inner_tables_built: int = 0
@@ -100,18 +96,16 @@ class KernelCounters:
         self.word_reads += other.word_reads
         self.word_ops += other.word_ops
         self.combos_pruned += other.combos_pruned
-        self.threads_scanned += other.threads_scanned
-        self.threads_skipped += other.threads_skipped
         self.threads_bounded += other.threads_bounded
         self.decode_strides += other.decode_strides
         self.inner_tables_built += other.inner_tables_built
 
-    # Harness-only (benchmarks/perf/layers.py reads them): the thread
-    # skip count under the block table's name, and the retired sparse
-    # scoring body's four counters, which read 0.
-    supers_skipped = property(lambda self: self.threads_skipped)
-    strides_skipped_sparse = prefix_and_hits = property(lambda self: 0)
-    zero_prefix_runs_skipped = word_reads_skipped = property(lambda self: 0)
+    # Harness-only (benchmarks/perf/layers.py reads them): the retired
+    # block table's skip count and the retired sparse scoring body's
+    # four counters, which read 0.
+    supers_skipped = strides_skipped_sparse = property(lambda self: 0)
+    prefix_and_hits = zero_prefix_runs_skipped = property(lambda self: 0)
+    word_reads_skipped = property(lambda self: 0)
 
 
 def _lexmin_rows(rows: np.ndarray) -> np.ndarray:

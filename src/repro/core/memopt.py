@@ -17,8 +17,8 @@ cannot express the register prefetches (it gathers every fixed row once
 regardless), so nothing below :class:`~repro.core.solver.MultiHitSolver`
 takes a :class:`MemoryConfig`.  What the scan loads is its own
 ``word_reads`` counter, gathered on every path: each thread's fixed rows
-once, each inner table it builds once, and on unpruned nested scans only
-the tumor side once a combination's normal hits are stored
+once, each inner table it builds once, and only the tumor side once a
+combination's normal hits are stored or its tumor prefix bounds it
 (:class:`repro.core.engine.NormalHitStore`).
 """
 

@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass, field
 
 from repro.bitmatrix.matrix import BitMatrix
-from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
 from repro.core.distributed import FleetEngine
 from repro.core.fscore import FScoreParams
@@ -148,24 +147,18 @@ class PoolEngine(FleetEngine):
         params: FScoreParams,
         counters: "KernelCounters | None" = None,
         stats: "PoolStats | None" = None,
-        bounds: "BoundTable | None" = None,
     ) -> "MultiHitCombination | None":
         """Pooled arg-max over the whole grid.
 
         Bit-exact with :class:`SingleGpuEngine`: the per-lease winners
         fold through :meth:`LeaseLedger.merge`, so worker count, cuts
         and recovery never change the result.
-
-        ``bounds`` (a table covering the grid) enables pruning: each
-        lease prunes against a copy of its slice and the refreshed
-        slices are written back in lease-id order.
         """
         g = tumor.n_genes
         if normal.n_genes != g:
             raise ValueError("tumor and normal matrices must share the gene axis")
         best, ledger = self._argmax(
-            tumor, normal, params, self.n_workers, counters=counters,
-            bounds=bounds,
+            tumor, normal, params, self.n_workers, counters=counters
         )
         if stats is not None:
             stats.n_workers = self.n_workers

@@ -19,7 +19,6 @@ import numpy as np
 from repro.bitmatrix.matrix import BitMatrix
 from repro.bitmatrix.splicing import splice_columns
 from repro.core import tile
-from repro.core.bounds import BoundTable
 from repro.core.combination import MultiHitCombination
 from repro.core.distributed import DistributedEngine
 from repro.core.engine import SingleGpuEngine
@@ -41,16 +40,16 @@ __all__ = ["IterationRecord", "MultiHitResult", "MultiHitSolver"]
 class IterationRecord:
     """What one greedy iteration saw and chose.
 
-    ``combos_scored`` / ``combos_pruned`` / ``word_reads`` are this
-    iteration's deltas of the run counters — the per-iteration pruning
-    trajectory ``tests/test_bounds.py`` pins.
+    ``combos_scored`` / ``word_reads`` are this iteration's deltas of
+    the run counters; ``combos_pruned`` is always 0 (every combination
+    is scored), kept because result files carry it.
 
     Only an arg-max that picks a combination gets a record.  A solve
     that ends by exhaustion (the last arg-max returns ``None`` or a
     winner with TP 0) ran that closing scan too: it is metered into
     :attr:`MultiHitResult.counters` but recorded here nowhere, so on
     such a run the records sum to the run counters minus one full scan
-    (``C(G, h)`` combinations scored or pruned).
+    (``C(G, h)`` combinations scored).
     """
 
     iteration: int
@@ -112,14 +111,12 @@ class _LocalEngine:
     def __init__(self, best_combo) -> None:
         self._best_combo = best_combo
 
-    def best_combo(self, tumor, normal, params, counters, bounds=None):
-        scored, pruned = counters.combos_scored, counters.combos_pruned
-        best = self._best_combo(
-            tumor, normal, params, counters=counters, bounds=bounds
+    def best_combo(self, tumor, normal, params, counters):
+        scored = counters.combos_scored
+        best = self._best_combo(tumor, normal, params, counters=counters)
+        get_telemetry().count(
+            "progress.combos_scored", counters.combos_scored - scored
         )
-        tel = get_telemetry()
-        tel.count("progress.combos_scored", counters.combos_scored - scored)
-        tel.count("progress.combos_pruned", counters.combos_pruned - pruned)
         return best
 
     def close(self) -> None:
@@ -165,7 +162,7 @@ def _distributed_engine(solver: "MultiHitSolver"):
 
 
 #: Backend name -> factory of the run's engine.  Every engine answers
-#: ``best_combo(tumor, normal, params, counters=, bounds=)`` and exposes
+#: ``best_combo(tumor, normal, params, counters=)`` and exposes
 #: ``report`` and ``close()``.
 _ENGINES = {
     "single": _single_engine,
@@ -196,7 +193,7 @@ class MultiHitSolver:
         (``inner >= 1``): a flat one cannot be built.
     memory:
         The paper's memory optimizations.  ``memory.bitsplice`` selects
-        splice-vs-mask handling of covered samples (unpruned runs); the
+        splice-vs-mask handling of covered samples; the
         register-prefetch flags change nothing the native kernel does,
         which gathers each thread's fixed rows once regardless — they
         parameterise the models (:func:`repro.core.memopt.
@@ -210,17 +207,13 @@ class MultiHitSolver:
         engine; detected faults and recovery actions come back on
         ``result.fault_report``.
     prune:
-        Make every arg-max an exact branch and bound: a persistent
-        :class:`repro.core.bounds.BoundTable` keeps one upper bound on F
-        per λ thread (8 bytes per thread), each thread is bounded by
-        ``min(stored, fscore(TP_prefix, Nn))``, threads are scored
-        best-first, and the scan stops at the first bound strictly
-        below the incumbent — from the first iteration on, since the
-        prefix ceiling needs no history.  The scan runs on a
-        column-compacted tumor matrix.  Results are bit-identical to
-        the unpruned engine on every backend; only the work counters
-        (and wall time) change.  Ignored by the ``"sequential"``
-        oracle.
+        Read by nothing; pinned by the harness until ROADMAP 1(d).  Every
+        arg-max is the one native scan, which bounds each thread by its
+        tumor-prefix ceiling ``fscore(TP_prefix, Nn)`` (and, once its
+        normal hits are stored, by its normal-hit floor) before its
+        tumor product, so there is no separate pruned path to switch
+        on.  The benchmark harness passes ``prune=True`` and the gateway
+        still accepts the key, so stored jobs and existing clients load.
     elastic:
         Lease-based work stealing instead of fixed partitions
         (``"distributed"`` and ``"pool"`` backends).  The λ-space is cut
@@ -333,18 +326,12 @@ class MultiHitSolver:
         tel = get_telemetry()
         try:
             try:
-                table = (
-                    BoundTable.build(self.scheme, tumor.n_genes)
-                    if self.prune and self.backend != "sequential"
-                    else None
-                )
                 with tel.span(
                     "solve", cat="solver", backend=self.backend, hits=self.hits,
-                    prune=self.prune,
                 ):
                     result = self._greedy_loop(
                         tumor, normal, params, counters, combos, records, work,
-                        active, on_iteration, engine, table, should_stop,
+                        active, on_iteration, engine, should_stop,
                     )
             except Exception as exc:
                 # Post-mortem black box for a run that dies mid-solve:
@@ -367,12 +354,11 @@ class MultiHitSolver:
     def _compact(self, tumor: BitMatrix, active: np.ndarray) -> BitMatrix:
         """The scoring matrix for the current ``active`` set.
 
-        Pruned runs always repack the uncovered columns into a narrower
-        matrix (less word traffic, narrower popcounts); unpruned runs
-        honor the splice-vs-mask ablation knob — the one place
-        ``memory`` is read on the solve path.
+        Splicing repacks the uncovered columns into a narrower matrix
+        (less word traffic, narrower popcounts); the ablation masks them
+        in place — the one place ``memory`` is read on the solve path.
         """
-        if self.prune or self.memory.bitsplice:
+        if self.memory.bitsplice:
             return splice_columns(tumor, active)
         # Mask covered columns in place: same width, zeroed bits.
         mask = tumor.sample_mask_to_words(active)
@@ -382,14 +368,14 @@ class MultiHitSolver:
 
     def _greedy_loop(
         self, tumor, normal, params, counters, combos, records, work, active,
-        on_iteration, engine, table, should_stop=None,
+        on_iteration, engine, should_stop=None,
     ) -> MultiHitResult:
         tel = get_telemetry()
         if tel.enabled:
-            # Live-progress plumbing: every iteration scans the same
-            # C(g, hits) grid (scored + pruned partitions it), so the
-            # scheduled gauge plus the running scored/pruned counters
-            # give the monitor an in-iteration completion fraction.
+            # Live-progress plumbing: every iteration scores the same
+            # C(g, hits) grid, so the scheduled gauge plus the running
+            # scored counter give the monitor an in-iteration completion
+            # fraction.
             tel.set_gauge(
                 "progress.combos_scheduled", math.comb(tumor.n_genes, self.hits)
             )
@@ -400,15 +386,12 @@ class MultiHitSolver:
                 break
             remaining_before = int(active.sum())
             scored_0 = counters.combos_scored
-            pruned_0 = counters.combos_pruned
             reads_0 = counters.word_reads
             if tel.enabled:
                 tel.set_gauge("progress.iteration", len(combos) + 1)
-                live = tel.metrics.counters
                 tel.set_gauge(
                     "progress.iteration_base",
-                    live.get("progress.combos_scored", 0)
-                    + live.get("progress.combos_pruned", 0),
+                    tel.metrics.counters.get("progress.combos_scored", 0),
                 )
             # The span is the timing source: `timed_span` measures wall
             # time even with telemetry disabled, so `wall_seconds` keeps
@@ -419,12 +402,9 @@ class MultiHitSolver:
                 iteration=len(combos) + 1,
                 remaining=remaining_before,
             ) as span:
-                best = engine.best_combo(
-                    work, normal, params, counters=counters, bounds=table
-                )
+                best = engine.best_combo(work, normal, params, counters=counters)
             dt = span.duration_s
             iter_scored = counters.combos_scored - scored_0
-            iter_pruned = counters.combos_pruned - pruned_0
             if best is None or best.tp == 0:
                 break
             combos.append(best)
@@ -442,7 +422,6 @@ class MultiHitSolver:
                     tumor_words=work.n_words,
                     wall_seconds=dt,
                     combos_scored=iter_scored,
-                    combos_pruned=iter_pruned,
                     word_reads=counters.word_reads - reads_0,
                 )
             )

@@ -1,11 +1,10 @@
 """Builds, caches and loads the native kernel (``_tile.c``).
 
-:func:`kernel` returns the loaded library, whose two entry points
-:mod:`repro.core.engine` calls: ``scan_range`` (one call per unpruned
-λ range: walk, gather, store, per-thread bound, product, Equation 1
-and the range's winner) and ``tile_score`` (one pruned batch, with
-each thread's maximum).  There is no other scoring body: a C compiler
-is required.  The first call in a process loads the library, once,
+:func:`kernel` returns the loaded library, whose one entry point
+:mod:`repro.core.engine` calls: ``scan_range`` (one call per λ range:
+walk, gather, store, per-thread bounds, product, Equation 1 and the
+range's winner).  There is no other scoring body: a C compiler is
+required.  The first call in a process loads the library, once,
 under a lock (two rank threads may make that call together):
 
 * it is looked up in the cache directory, ``$XDG_CACHE_HOME/repro``
@@ -115,23 +114,20 @@ def _build() -> Path:
 def _load() -> ctypes.CDLL:
     p, i, d = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib = ctypes.CDLL(str(_build()))
-    # Both entry points start with the call's table: tumor words, width;
-    # normal words, width; inner, columns, d; the tumor and normal inner
-    # tables (normal NULL when every thread's hits are stored); scratch;
-    # winner.
-    table = [p, i, p, i, p, i, i, p, p, p, p]
-    # The range's first tuple, threads, f; store counts, filled marks,
-    # least counts, itemsize, stored threads; Nn, alpha, denominator.
-    lib.scan_range.argtypes = [*table, p, i, i, p, p, p, i, i, i, d, d]
-    # Tuples, rows, f; Nn, alpha, denominator, incumbent F; maxima.
-    lib.tile_score.argtypes = [*table, p, i, i, i, d, d, d, p]
-    lib.scan_range.restype = lib.tile_score.restype = i
+    # The call's table: tumor words, width; normal words, width; inner,
+    # columns, d; the tumor and normal inner tables (normal NULL when
+    # every thread's hits are stored); scratch; winner.  Then the range's
+    # first tuple, threads, f; store counts, filled marks, least counts,
+    # itemsize, stored threads; Nn, alpha, denominator.
+    lib.scan_range.argtypes = [
+        p, i, p, i, p, i, i, p, p, p, p, p, i, i, p, p, p, i, i, i, d, d,
+    ]
+    lib.scan_range.restype = i
     return lib
 
 
 def kernel() -> ctypes.CDLL:
-    """The loaded ``_tile.c``, with ``scan_range`` and ``tile_score``;
-    raises :class:`RuntimeError` when it cannot be built or loaded."""
+    """The loaded ``_tile.c``, with ``scan_range``; raises :class:`RuntimeError` when it cannot be built or loaded."""
     global _kernel
     if _kernel is None:
         with _lock:

@@ -19,10 +19,12 @@ from repro.core.solver import IterationRecord, MultiHitResult
 __all__ = ["result_to_dict", "save_result", "load_result"]
 
 #: Counters older files may carry and no engine keeps any more: the
-#: block-table engine's block counts and the sparse scoring body's four.
+#: block-table engine's block counts, the best-first engine's thread
+#: counts and the sparse scoring body's four.
 _RETIRED_COUNTERS = frozenset({
-    "blocks_scanned", "blocks_skipped", "strides_skipped_sparse",
-    "prefix_and_hits", "zero_prefix_runs_skipped", "word_reads_skipped",
+    "blocks_scanned", "blocks_skipped", "threads_scanned", "threads_skipped",
+    "strides_skipped_sparse", "prefix_and_hits", "zero_prefix_runs_skipped",
+    "word_reads_skipped",
 })
 
 
@@ -40,8 +42,6 @@ def result_to_dict(result: MultiHitResult) -> dict:
             "word_reads": result.counters.word_reads,
             "word_ops": result.counters.word_ops,
             "combos_pruned": result.counters.combos_pruned,
-            "threads_scanned": result.counters.threads_scanned,
-            "threads_skipped": result.counters.threads_skipped,
             "threads_bounded": result.counters.threads_bounded,
         },
         "combinations": [

@@ -23,7 +23,7 @@ thread's) wall-clock split into exclusive per-span time and bucketed:
 =============  =====================================================
 bucket         spans
 =============  =====================================================
-compute        scan/search/reduce/prune work (the default)
+compute        scan/search/reduce work (the default)
 comm_wait      ``cat == "comm"`` — blocking recv, stalls, send
 lease_wait     ``lease.wait`` — idle polling for a grantable lease
 retry          ``fault.retry`` recovery attempts

@@ -2,8 +2,8 @@
 
 One namespace for every series something reads (``tests/
 test_telemetry_catalogue.py`` names each one's reader): the scoring
-kernel's :class:`~repro.core.kernels.KernelCounters` (``kernel.*``,
-``prune.*``), the live progress feed (``progress.*``), lease and fault
+kernel's :class:`~repro.core.kernels.KernelCounters` (``kernel.*``),
+the live progress feed (``progress.*``), lease and fault
 events (``lease.*``, ``faults.events``), rank heartbeats
 (``spmd.heartbeat_stale_s.max``) and the gateway's job lifecycle
 (``job.*``).
@@ -87,12 +87,7 @@ class MetricsRegistry:
     # -- absorption of existing accounting streams ---------------------
 
     def absorb_kernel_counters(self, counters) -> None:
-        """Fold a :class:`repro.core.kernels.KernelCounters` in.
-
-        The pruning fields land under ``prune.*``: they describe the
-        pruned best-first engine, not kernel traffic, and are only
-        emitted when the pruned path actually ran.
-        """
+        """Fold a :class:`repro.core.kernels.KernelCounters` in."""
         self.inc("kernel.combos_scored", counters.combos_scored)
         self.inc("kernel.word_reads", counters.word_reads)
         if counters.decode_strides:
@@ -101,10 +96,6 @@ class MetricsRegistry:
             self.inc("kernel.inner_tables_built", counters.inner_tables_built)
         if counters.threads_bounded:
             self.inc("kernel.threads_bounded", counters.threads_bounded)
-        if counters.threads_scanned or counters.threads_skipped:
-            self.inc("prune.combos_pruned", counters.combos_pruned)
-            self.inc("prune.threads_skipped", counters.threads_skipped)
-            self.inc("prune.threads_scanned", counters.threads_scanned)
 
     # -- merge / serialization -----------------------------------------
 

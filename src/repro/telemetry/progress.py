@@ -7,9 +7,8 @@ finish?" without being killed and post-processed.  The
 metrics registry:
 
 * **λ-coverage** — the solver publishes ``progress.combos_scheduled``
-  (combinations per greedy iteration) and feeds
-  ``progress.combos_scored`` / ``progress.combos_pruned`` counters
-  (per completed lease on the pool and distributed backends, per
+  (combinations per greedy iteration) and feeds the
+  ``progress.combos_scored`` counter (per completed lease on the pool and distributed backends, per
   iteration on the in-process ones); the
   monitor turns them into an in-iteration completion fraction;
 * **rank health** — the rank fleet exports the stalest live rank's
@@ -56,7 +55,7 @@ class ProgressSnapshot:
 
     elapsed_s: float
     iteration: int
-    combos_examined: int  # scored + pruned, cumulative over the run
+    combos_examined: int  # scored, cumulative over the run
     iteration_done: int  # examined within the current iteration
     iteration_total: int  # scheduled combinations per iteration
     fraction: float  # iteration_done / iteration_total
@@ -147,9 +146,7 @@ class ProgressMonitor:
             self._t0 = now
         elapsed = now - self._t0
 
-        scored = counters.get("progress.combos_scored", 0)
-        pruned = counters.get("progress.combos_pruned", 0)
-        examined = scored + pruned
+        examined = counters.get("progress.combos_scored", 0)
         total = int(gauges.get("progress.combos_scheduled", 0))
         base = int(gauges.get("progress.iteration_base", 0))
         iteration = int(gauges.get("progress.iteration", 0))
@@ -235,9 +232,7 @@ class ProgressMonitor:
             return self
         self._t0 = time.monotonic()
         state = self._session().metrics.to_dict()["counters"]
-        self._examined0 = state.get("progress.combos_scored", 0) + state.get(
-            "progress.combos_pruned", 0
-        )
+        self._examined0 = state.get("progress.combos_scored", 0)
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._loop, name="repro-progress-monitor", daemon=True

@@ -25,6 +25,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", flag, "8"])
 
+    def test_prune_is_gone(self):
+        """Every arg-max bounds its threads in the one scan: ``--prune``
+        would change nothing, so it is not a flag."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["solve", "--prune"])
+
     def test_checkpoint_cadence_is_a_solve_flag_only(self):
         """``serve`` checkpoints by the clock, so it has no cadence flag;
         ``solve`` keeps its iteration cadence."""

@@ -129,8 +129,8 @@ def _cohort(sparse=False):
 class _DirectSPMD:
     """:func:`spmd_best_combo` called directly behind the solver's engine
     surface, so the matrix drives the public entry point through the
-    same greedy loop — cuts, bound table, splicing, fault plan, a
-    normal-hit store kept across calls — as the engine it borrows its
+    same greedy loop — cuts, splicing, fault plan, a normal-hit store
+    kept across calls — as the engine it borrows its
     configuration from (but no lease TTL)."""
 
     def __init__(self, engine: DistributedEngine) -> None:
@@ -149,16 +149,14 @@ class _DirectSPMD:
             else LeaseLedger.from_schedule(e.build_schedule(g), e.gpus_per_node)
         )
         self.calls += 1
-        pruned = search.get("bounds") is not None
-        if not pruned:
-            self.normal_hits = NormalHitStore.reuse(
-                self.normal_hits, e.scheme, g, normal
-            )
+        self.normal_hits = NormalHitStore.reuse(
+            self.normal_hits, e.scheme, g, normal
+        )
         return spmd_best_combo(
             ledger, e.scheme, tumor, normal, params, e.n_nodes,
             fault_plan=e.fault_plan, retry_policy=e.retry_policy,
             report=e.report, call=self.calls - 1,
-            normal_hits=None if pruned else self.normal_hits, **search,
+            normal_hits=self.normal_hits, **search,
         )
 
 
@@ -228,14 +226,14 @@ class TestDistributionMatrix:
         clean = _clean(elastic, prune, sparse)
         assert _winners(got) == _winners(_single(sparse))
         assert len(got.combinations) == 4
-        # Work accounting closes: every combination is scored or pruned
-        # exactly once, and identically to the failure-free engine run.
+        # Work accounting closes: every combination is scored exactly
+        # once, and identically to the failure-free engine run.
         assert got.counters == clean.counters
-        # Each lease starts from no lead, so the threads its normal-hit
-        # floor bounds depend on the cuts alone; the pruned path has no
-        # store and bounds none.
+        # Each lease starts from no lead, so the threads its bounds skip
+        # depend on the cuts alone; ``prune`` is read by nothing.
         assert got.counters.threads_bounded == clean.counters.threads_bounded
-        assert (got.counters.threads_bounded > 0) == (not prune)
+        assert got.counters.threads_bounded > 0
+        assert got.counters.combos_pruned == 0
         report = got.fault_report
         if fault_case == "clean":
             assert not report.events and not report.rescheduled
@@ -278,8 +276,8 @@ class TestDistributionMatrix:
         )
 
     def test_more_rank_threads_than_cores_under_a_short_switch_interval(self):
-        """Rank threads share the bound table, the fault report and the
-        ledger: with four times the cores' worth of ranks preempted every
+        """Rank threads share the normal-hit store, the fault report and
+        the ledger: with four times the cores' worth of ranks preempted every
         few bytecodes, a lost update would move a winner or a counter."""
         out = []
         interval = sys.getswitchinterval()
@@ -299,8 +297,7 @@ class TestDistributionMatrix:
         (got,) = out
         reference = _single(False)
         assert _winners(got) == _winners(reference)
-        c = got.counters
-        assert c.combos_scored + c.combos_pruned == reference.counters.combos_scored
+        assert got.counters.combos_scored == reference.counters.combos_scored
 
     def test_unpruned_work_is_mode_independent(self):
         assert (

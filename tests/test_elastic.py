@@ -18,7 +18,6 @@ from repro.bitmatrix.matrix import BitMatrix
 from repro.cluster.elastic import ElasticSPMDRunner, spmd_best_combo
 from repro.cluster.leases import LeaseLedger
 from repro.cluster.virtual import VirtualCluster
-from repro.core.bounds import BoundTable
 from repro.core.distributed import DistributedEngine
 from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import FScoreParams
@@ -341,20 +340,22 @@ class TestElasticDistributed:
         assert churn == {("leave", "drained"), ("join", "joined")}
 
     def test_pruned_elastic_crash_matches_pruned_static(self, instance):
+        """A dead rank's leases, stolen, bound and win what the static
+        run's do (the bounds are the scan's own: nothing travels with a
+        lease)."""
         tumor, normal, params = instance
-        g = tumor.n_genes
         scheme = scheme_for(3, 2)
         plan = FaultPlan((FaultSpec(kind="crash", site="rank", target=0, count=-1),))
         kwargs = dict(scheme=scheme, n_nodes=3, gpus_per_node=2)
         clean = DistributedEngine(**kwargs)
         faulty = DistributedEngine(**kwargs, elastic=True, fault_plan=plan)
-        ref_bounds = BoundTable.build(scheme, g)
-        bounds = BoundTable.build(scheme, g)
-        ref = clean.best_combo(tumor, normal, params, bounds=ref_bounds)
-        got = faulty.best_combo(tumor, normal, params, bounds=bounds)
+        ref_counters, counters = KernelCounters(), KernelCounters()
+        ref = clean.best_combo(tumor, normal, params, counters=ref_counters)
+        got = faulty.best_combo(tumor, normal, params, counters=counters)
         assert got == ref
-        # Each lease bounds its own slice, whoever searched it.
-        assert np.isfinite(bounds.values).any()
+        # Each lease bounds its own threads, whoever searched it.
+        assert counters.threads_bounded > 0
+        assert counters.combos_scored == ref_counters.combos_scored
 
     def test_solver_elastic_distributed_under_churn(self, cohort):
         t, n = cohort

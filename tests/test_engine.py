@@ -13,7 +13,6 @@ import repro.core.engine as engine_mod
 from repro.bitmatrix.matrix import BitMatrix
 from repro.bitmatrix.splicing import splice_columns
 from repro.combinatorics.decode import combos_from_linear, top_index
-from repro.core.bounds import BoundTable
 from repro.core.combination import better
 from repro.core.engine import NormalHitStore, SingleGpuEngine, best_in_thread_range
 from repro.core.fscore import FScoreParams, fscore
@@ -144,7 +143,9 @@ class TestCounters:
         # scheme covering the same combinations, and word_reads is what
         # the scan gathers.  Split into one call per level, no call
         # crosses a level, so every level builds its tables once and
-        # word_reads is the fused model exactly.
+        # word_reads is the fused model less the normal fixed rows of
+        # the threads their tumor prefix bounded (with no store, every
+        # bound is the prefix's).
         _, _, tumor, normal, params = instance
         w = tumor.n_words + normal.n_words
         combos = math.comb(14, scheme.hits)
@@ -156,7 +157,9 @@ class TestCounters:
                 counters=counters,
             )
         assert counters.combos_scored == combos
-        assert counters.word_reads == model
+        assert counters.word_reads == model - (
+            scheme.flattened * normal.n_words * counters.threads_bounded
+        )
         assert counters.word_ops == combos * (scheme.hits - 1) * w
 
     @pytest.mark.parametrize(
@@ -311,12 +314,14 @@ class TestTiledScan:
         )
         assert counters.combos_scored == math.comb(g, hits)
 
-    def test_refreshed_bounds_are_exact_block_maxima(self):
+    def test_prefix_ceilings_bound_every_thread(self):
         # Threads through an all-zero tumor gene have TP = 0 everywhere,
         # and with a dense normal matrix their best F sits below the
-        # TP = 0 ceiling fscore(0, Nn).  Every refreshed bound is the
-        # thread's exact maximum, recounted by the reference scorer, and
-        # every stored bound still bounds its thread after the splice.
+        # TP = 0 ceiling fscore(0, Nn).  Every thread's prefix ceiling
+        # fscore(TP_prefix, Nn), which the kernel bounds it by, is at
+        # least its exact maximum, recounted by the reference scorer,
+        # after every splice; and the scan that bounds threads by it
+        # still wins the reference's winner.
         rng = np.random.default_rng(4)
         g, nt, nn = 16, 600, 40
         t = rng.random((g, nt)) < 0.7
@@ -324,26 +329,30 @@ class TestTiledScan:
         n = rng.random((g, nn)) < 0.6
         tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
         params = FScoreParams(n_tumor=nt, n_normal=nn)
-        ceiling = fscore(0, nn, params)
         for scheme in (scheme_for(3, 2), scheme_for(4, 3), scheme_for(4, 2)):
-            table = BoundTable.build(scheme, g)
             keep = np.ones(nt, dtype=bool)
             for _ in range(3):
                 t_now = splice_columns(tumor, keep)
-                before = table.values.copy()
+                counters = KernelCounters()
                 best = best_in_thread_range(
                     scheme, g, t_now, normal, params,
-                    0, total_threads(scheme, g), bounds=table,
+                    0, total_threads(scheme, g), counters=counters,
                 )
-                assert best.f > ceiling
-                refreshed = np.flatnonzero(table.values != before)
-                assert refreshed.size
-                for lam in refreshed:
+                ref = sequential_best_combo(
+                    t_now.to_dense(), n, scheme.hits, params
+                )
+                assert best == ref
+                assert best.f > fscore(0, nn, params)
+                assert counters.threads_bounded > 0
+                n_threads = math.comb(g - scheme.inner, scheme.flattened)
+                tuples = combos_from_linear(np.arange(n_threads), scheme.flattened)
+                prefix = t_now.words[tuples[:, 0]]
+                for c in range(1, scheme.flattened):
+                    prefix = prefix & t_now.words[tuples[:, c]]
+                tp_prefix = np.bitwise_count(prefix).sum(axis=1)
+                for lam in range(n_threads):
                     exact = _thread_max(scheme, g, t_now, normal, params, lam)
-                    assert table.values[lam] == exact
-                for lam in np.flatnonzero(np.isfinite(table.values)):
-                    exact = _thread_max(scheme, g, t_now, normal, params, lam)
-                    assert table.values[lam] >= exact
+                    assert fscore(int(tp_prefix[lam]), nn, params) >= exact
                 keep[rng.random(nt) < 0.3] = False
 
     def test_full_grid_takes_few_tiles(self):

@@ -47,13 +47,15 @@ class TestRoundTrip:
 class TestVersionSkew:
     def test_loads_files_with_retired_counters(self, solved, tmp_path):
         """Files written by older engines carry counters no engine keeps:
-        the block table's block counts and the sparse scoring body's
-        four.  They load, and the kept counters survive."""
+        the block table's block counts, the best-first engine's thread
+        counts and the sparse scoring body's four.  They load, and the
+        kept counters survive."""
         import json
 
         payload = result_to_dict(solved)
         retired = {
             "blocks_scanned": 3, "blocks_skipped": 4,
+            "threads_scanned": 9, "threads_skipped": 10,
             "strides_skipped_sparse": 5, "prefix_and_hits": 6,
             "zero_prefix_runs_skipped": 7, "word_reads_skipped": 8,
         }

@@ -78,16 +78,16 @@ class TestScoreCombos:
 
     def test_counters_merge_fusion_fields(self):
         a = KernelCounters(
-            threads_skipped=1, decode_strides=2, inner_tables_built=3,
+            combos_pruned=1, decode_strides=2, inner_tables_built=3,
             threads_bounded=4,
         )
         b = KernelCounters(
-            threads_skipped=10, decode_strides=20, inner_tables_built=30,
+            combos_pruned=10, decode_strides=20, inner_tables_built=30,
             threads_bounded=40,
         )
         a.merge(b)
         assert (
-            a.threads_skipped, a.decode_strides, a.inner_tables_built,
+            a.combos_pruned, a.decode_strides, a.inner_tables_built,
             a.threads_bounded,
         ) == (11, 22, 33, 44)
 

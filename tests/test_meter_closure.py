@@ -2,16 +2,17 @@
 
 Generated from the switch space: every way of distributing the arg-max
 (single, pool x {1, 2, 4} workers, the distributed engine and a direct
-call of its thread fleet, pinned and elastic) x ``prune`` x the dense
-or the blocky sparse cohort of ``tests/test_distributed.py``.
+call of its thread fleet, pinned and elastic) x ``prune`` (read by
+nothing, so it must move nothing) x the dense or the blocky sparse
+cohort of ``tests/test_distributed.py``.
 
-Pruned or not, the scan meters what it gathers: ``word_reads`` equals a
-tally of every row gather of the solve, iteration by iteration, on
-every native call (:func:`tally_gathers`).  What
-it gathers — unlike ``combos_scored`` and the winners, which nothing
-can move — depends on where the backend cuts the grid (each call
-builds its own inner table) and, unpruned, on which normal hits the
-engine's store already holds.  The hits-4 cells (the paper's 3x1 scheme and the 2x2 one,
+The scan meters what it gathers: ``word_reads`` equals a tally of every
+row gather of the solve, iteration by iteration, on every native call
+(:func:`tally_gathers`).  What it gathers — unlike ``combos_scored`` and
+the winners, which nothing can move — depends on where the backend cuts
+the grid (each call builds its own inner table, and each thread's
+bounds depend on the lead its call has reached) and on which normal
+hits the engine's store already holds.  The hits-4 cells (the paper's 3x1 scheme and the 2x2 one,
 whose valid inner columns are not a suffix) run single and on the
 fleet's shared store.
 """
@@ -59,8 +60,9 @@ class _Tally:
 
 #: The kernel's winner buffer among its arguments (after tumor, width,
 #: normal, width, inner, columns, d, both tables and scratch) and, in it,
-#: the words the call's fixed-row gathers read (``_tile.c``).
-WIN, W_READ = 10, 3
+#: the words the call's fixed-row gathers read and the threads it
+#: bounded (``_tile.c``).
+WIN, W_READ, W_BOUNDED = 10, 3, 7
 
 
 def wrap_kernel(monkeypatch, after) -> None:
@@ -86,8 +88,8 @@ def tally_gathers(monkeypatch, ours=None) -> _Tally:
     """Words every row gather of a scan touches, summed over every thread
     that scans for it.
 
-    Python gathers rows in ``engine._and_reduce_rows`` (inner tables and
-    the pruned ceiling pass).  The native kernel gathers the threads' fixed rows
+    Python gathers rows in ``engine._and_reduce_rows`` (inner tables).
+    The native kernel gathers the threads' fixed rows
     itself and reports the words those gathers read in its winner
     buffer, so those are tallied after each native call from the
     kernel's own count, not from the engine's charge.  With ``ours`` (a
@@ -157,15 +159,15 @@ def test_metered_traffic_equals_the_model(backend, prune, sparse, monkeypatch):
         )
     assert len(result.iterations) == ITERATIONS  # the cap ended the loop
     c = result.counters
-    assert (c.combos_pruned > 0) == prune  # pruning engaged: threads were left
+    assert c.combos_pruned == 0 and c.threads_bounded > 0
 
     per_iteration = [b - a for a, b in zip([0] + gathered, gathered)]
     assert [r.word_reads for r in result.iterations] == per_iteration
     assert c.word_reads == gathered[-1]
 
-    # What no cut can move: the winners, and unpruned the scored count.
+    # What no cut can move: the winners and the scored count.
     reference = MultiHitSolver(
         hits=knobs["hits"], scheme=solver.scheme, max_iterations=ITERATIONS,
     ).solve(tumor, normal)
     assert _winners(result) == _winners(reference)
-    assert c.combos_scored + c.combos_pruned == reference.counters.combos_scored
+    assert c.combos_scored == reference.counters.combos_scored

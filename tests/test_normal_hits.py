@@ -5,12 +5,16 @@ Switching the store off (a zero byte budget) must change nothing but
 every other :class:`IterationRecord` field — on every backend, every
 scheme shape, splice or mask, a resumed run and a budget that covers only
 part of the grid.  Whether a rank thread finds a range stored depends on
-scheduling; the answers must not.  The store's per-thread floor,
-``least``, lets the kernel bound threads before their tumor product:
-``TestNormalHitFloor`` holds greedy arg-maxes to brute force with it.
+scheduling; the answers must not.  The kernel bounds every thread
+before its tumor product: by its tumor-prefix ceiling while its normal
+hits are not stored — a thread that ceiling bounds is not filled, so
+fills are lazy — and by the store's per-thread floor, ``least``, once
+they are.  ``TestNormalHitFloor`` holds greedy arg-maxes to brute force
+with both.
 """
 
 import contextlib
+import ctypes
 import dataclasses
 import math
 import threading
@@ -25,6 +29,7 @@ from hypothesis import strategies as st
 
 import repro.core.engine as engine_mod
 from repro.bitmatrix.matrix import BitMatrix
+from repro.combinatorics.decode import top_index
 from repro.combinatorics.enumeration import combinations_array
 from repro.core import solver as solver_module
 from repro.core.distributed import DistributedEngine
@@ -38,7 +43,8 @@ from repro.core.solver import MultiHitSolver
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, scheme_for
 from repro.scheduling.workload import cumulative_work_before, total_threads
-from tests.scan_cuts import scans_cut
+from tests.scan_cuts import cuts, scans_cut
+from tests.test_meter_closure import W_BOUNDED, WIN, wrap_kernel
 from tests.test_distributed import DRIVERS
 
 ITERATIONS = 4
@@ -90,6 +96,17 @@ def _outcome(result):
         result.uncovered,
         records,
     )
+
+
+def _assert_same_counts(a, b):
+    """The threads both stores hold have equal counts and least counts
+    (an unfilled thread's slots hold whatever the allocation held)."""
+    both = a.filled & b.filled
+    assert both.any()
+    ranks = [cumulative_work_before(a.scheme, a.g, lam) for lam in range(a.lam_cap + 1)]
+    entries = np.repeat(both, np.diff(ranks))
+    np.testing.assert_array_equal(a.counts[entries], b.counts[entries])
+    np.testing.assert_array_equal(a.least[both], b.least[both])
 
 
 def _solve(knobs, driver="engine", budget=None, resume=None, cut=None):
@@ -178,49 +195,66 @@ class TestBitIdentity:
 class TestNormalSidePopcounts:
     """Iterations from the second on score the tumor side only."""
 
-    def _normal_rows(self, budget=None):
-        """Normal rows gathered per iteration, read off ``word_reads``.
+    def _normal_rows(self, budget=None, monkeypatch=None):
+        """Normal rows gathered per iteration, read off ``word_reads``,
+        and ``R``, the rows every piece's normal side has.
 
         The normal matrix is 5 words wide, wider than the tumor's 2, so
         every iteration cuts its scan into the same pieces
         (:func:`tests.scan_cuts.cuts`) and gathers the same ``R`` tumor
-        rows (base rows and one inner table per piece): iteration ``k``
-        reads ``w_k * R + 5 * N_k`` words, ``w_k`` the tumor width it
-        scanned and ``N_k`` the normal rows.  The first finds the store
-        empty and gathers every piece's normal side: ``N_1 = R``."""
+        rows (``f`` base rows per thread and one inner table per piece):
+        iteration ``k`` reads ``w_k * R + 5 * N_k`` words, ``w_k`` the
+        tumor width it scanned and ``N_k`` the normal rows.  With
+        ``monkeypatch``, also the threads each iteration bounded."""
         rng = np.random.default_rng(4)
         t = rng.random((16, 120)) < 0.35
         n = rng.random((16, 300)) < 0.2
+        scheme, g = scheme_for(3, 2), 16
+        tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
+        rows = 0
+        for lo, hi in cuts(scheme, g, tumor, normal, 0, total_threads(scheme, g), 64):
+            level = top_index(lo, scheme.flattened)
+            rows += scheme.flattened * (hi - lo) + scheme.inner * math.comb(
+                g - 1 - level, scheme.inner
+            )
+        bounded = [0]
+        if monkeypatch is not None:
+            wrap_kernel(monkeypatch, lambda name, args: bounded.__setitem__(
+                0, bounded[0] + ctypes.c_int64.from_address(args[WIN] + 8 * W_BOUNDED).value
+            ))
+        per_iteration = []
         budget = engine_mod.NORMAL_HIT_BUDGET if budget is None else budget
         with patch.object(engine_mod, "NORMAL_HIT_BUDGET", budget), scans_cut(64):
-            result = MultiHitSolver(hits=3, max_iterations=4).solve(t, n)
+            result = MultiHitSolver(hits=3, max_iterations=4).solve(
+                t, n, on_iteration=lambda _: per_iteration.append(bounded[0])
+            )
         records = result.iterations
         assert len(records) == 4
-        widths = [BitMatrix.from_dense(t).n_words] + [
-            r.tumor_words for r in records[:-1]
-        ]
-        rows, left = divmod(records[0].word_reads, widths[0] + 5)
-        assert left == 0
-        normal = []
+        widths = [tumor.n_words] + [r.tumor_words for r in records[:-1]]
+        normal_rows = []
         for r, w in zip(records, widths):
             n_rows, left = divmod(r.word_reads - w * rows, 5)
             assert left == 0
-            normal.append(n_rows)
-        return normal
+            normal_rows.append(n_rows)
+        return normal_rows, rows, np.diff([0, *per_iteration]).tolist()
 
     def test_zero_after_the_first_iteration_when_the_store_fits(self):
-        rows = self._normal_rows()
-        assert rows[0] > 0
-        assert rows[1:] == [0] * (len(rows) - 1)
+        normal_rows, rows, _ = self._normal_rows()
+        assert 0 < normal_rows[0] <= rows
+        assert normal_rows[1:] == [0] * (len(normal_rows) - 1)
 
-    def test_every_iteration_without_a_store(self):
-        rows = self._normal_rows(budget=0)
-        assert all(r == rows[0] > 0 for r in rows)
+    def test_every_iteration_without_a_store(self, monkeypatch):
+        """Every iteration gathers every piece's normal side but the
+        fixed rows of the threads its tumor prefix bounded (with no
+        store, every bound is the prefix's)."""
+        normal_rows, rows, bounded = self._normal_rows(budget=0, monkeypatch=monkeypatch)
+        assert normal_rows == [rows - 2 * b for b in bounded]
+        assert all(0 < r <= rows for r in normal_rows)
 
     def test_past_the_cap_threads_are_rescored(self):
         # Half the grid's 2-byte counts (Nn = 300).
-        rows = self._normal_rows(budget=math.comb(16, 3))
-        assert all(0 < r < rows[0] for r in rows[1:])
+        normal_rows, _, _ = self._normal_rows(budget=math.comb(16, 3))
+        assert all(0 < r < normal_rows[0] for r in normal_rows[1:])
 
 
 class TestCountWidths:
@@ -301,18 +335,6 @@ class TestBinding:
         )
         assert engine._normal_hits is not first
 
-    def test_pruned_and_flat_scans_get_none(self, setup):
-        tumor, normal, params, _ = setup
-        from repro.core.bounds import BoundTable
-
-        engine = SingleGpuEngine(scheme=SCHEME_3X1)
-        table = BoundTable.build(SCHEME_3X1, 14)
-        engine.best_combo(tumor, normal, params, bounds=table)
-        assert engine._normal_hits is None
-        # A flat scheme gets no store: it cannot even be built.
-        with pytest.raises(ValueError, match="flat scheme"):
-            scheme_for(3, 3)
-
 
 class TestPoolStore:
     """The pool's rank threads share one store per engine, as the
@@ -329,7 +351,8 @@ class TestPoolStore:
             normal_a = BitMatrix.from_dense(n)
             best_a = eng.best_combo(tumor, normal_a, params)
             store_a = eng._normal_hits
-            assert store_a.filled.all()
+            assert store_a.binds(scheme, tumor.n_genes, normal_a)
+            assert store_a.filled.any()
             assert eng.best_combo(tumor, normal_a, params) == best_a
             assert eng._normal_hits is store_a
 
@@ -337,7 +360,16 @@ class TestPoolStore:
             best_b = eng.best_combo(tumor, normal_b, params)
             store_b = eng._normal_hits
         assert store_b is not store_a
-        assert not np.array_equal(store_b.counts, store_a.counts)
+        assert store_b.binds(scheme, tumor.n_genes, normal_b)
+        assert not store_a.binds(scheme, tumor.n_genes, normal_b)
+        # Fills are lazy (a thread its tumor prefix bounds is not
+        # filled): compare the threads both stores hold.
+        both = np.flatnonzero(store_a.filled & store_b.filled)
+        assert both.size
+        assert any(
+            not np.array_equal(store_a.read(lam, lam + 1), store_b.read(lam, lam + 1))
+            for lam in both
+        )
         assert best_b == SingleGpuEngine(scheme=scheme).best_combo(
             tumor, normal_b, params
         )
@@ -399,9 +431,10 @@ class TestDuplicatedScans:
             best_in_thread_range(
                 scheme, 14, tumor, normal, params, 0, total, normal_hits=alone
             )
-        assert shared.filled.all()
-        np.testing.assert_array_equal(shared.counts, alone.counts)
-        np.testing.assert_array_equal(shared.least, alone.least)
+        # Which threads a piece's prefix ceiling leaves unfilled depends
+        # on the piece alone.
+        np.testing.assert_array_equal(shared.filled, alone.filled)
+        _assert_same_counts(shared, alone)
         reference = best_in_thread_range(scheme, 14, tumor, normal, params, 0, total)
         assert winners == [reference] * 4
 
@@ -448,16 +481,13 @@ class TestDuplicatedScans:
             ).solve(t, n)
         assert any(e.action == "lease-expired" for e in got.fault_report.events)
         assert _outcome(got) == _outcome(_reference("hits3"))
-        store = engine._normal_hits
-        assert store.filled.all()
         tumor, normal, params = self._instance()
         fresh = NormalHitStore(engine.scheme, 14, normal)
         best_in_thread_range(
             engine.scheme, 14, tumor, normal, params, 0,
             total_threads(engine.scheme, 14), normal_hits=fresh,
         )
-        np.testing.assert_array_equal(store.counts, fresh.counts)
-        np.testing.assert_array_equal(store.least, fresh.least)
+        _assert_same_counts(engine._normal_hits, fresh)
 
 
 # -- the normal-hit floor bounds threads before their tumor product ----------
@@ -506,8 +536,8 @@ def floor_cohorts(draw):
 class TestNormalHitFloor:
     """Each greedy arg-max, with threads bounded out before their tumor
     product, is the brute-force arg-max of every combination, tie rule
-    included; threads past the store's cap have no floor and are scored
-    in full."""
+    included; threads past the store's cap have no floor and are
+    bounded by their tumor prefix alone."""
 
     @settings(max_examples=25, deadline=None)
     @given(case=floor_cohorts())
@@ -533,8 +563,10 @@ class TestNormalHitFloor:
                         want.genes, want.f, want.tp, want.tn,
                     )
                     assert counters.combos_scored == len(combos)
-                    # Only stored threads are bounded, at most once per scan.
-                    assert counters.threads_bounded <= cap
+                    # A scan never bounds its first thread.
+                    assert counters.threads_bounded < math.comb(
+                        g - scheme.inner, scheme.flattened
+                    )
                     assert engine._normal_hits.lam_cap == cap
                     active &= ~t[list(got.genes)].all(axis=0)
                     if got.tp == 0 or not active.any():

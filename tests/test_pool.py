@@ -87,30 +87,26 @@ class TestPoolBitExactness:
 
     def test_solver_trajectory_matches_single(self, rng):
         """Winners and every iteration's scored/pruned counts equal the
-        single engine's, for static and elastic leases, pruned or not,
-        on one to three workers.  Pruned, each lease keeps its own
-        incumbent, so only a one-lease cut scores what single scores;
-        every cut still examines the whole grid each iteration."""
+        single engine's, for static and elastic leases, with ``prune``
+        (read by nothing) on or off, on one to three workers: every cut
+        scores the whole grid each iteration."""
         t = rng.random((11, 48)) < 0.35
         n = rng.random((11, 40)) < 0.15
 
-        def trajectory(result, exact):
+        def trajectory(result):
             return signature(result.combinations), [
-                (r.combos_scored, r.combos_pruned) if exact
-                else r.combos_scored + r.combos_pruned
-                for r in result.iterations
+                (r.combos_scored, r.combos_pruned) for r in result.iterations
             ]
 
+        ref = MultiHitSolver(hits=3).solve(t, n)
         for prune in (False, True):
-            ref = MultiHitSolver(hits=3, prune=prune).solve(t, n)
             for elastic in (False, True):
                 for n_workers in (1, 2, 3):
                     got = MultiHitSolver(
                         hits=3, backend="pool", n_workers=n_workers,
                         elastic=elastic, prune=prune,
                     ).solve(t, n)
-                    exact = not prune or (n_workers == 1 and not elastic)
-                    assert trajectory(got, exact) == trajectory(ref, exact), (
+                    assert trajectory(got) == trajectory(ref), (
                         prune, elastic, n_workers,
                     )
 

@@ -552,6 +552,22 @@ class TestGatewayEndToEnd:
         # per-job kernel traffic was folded in under job.*
         assert any(k.startswith("job.") and "combos" in k for k in counters)
 
+    def test_prune_is_accepted_and_moves_nothing(self, tmp_path):
+        """Stored job files and existing clients still send ``"prune"``:
+        the key is accepted, and a job with it wins what the same job
+        without it wins (every arg-max bounds its threads in one scan)."""
+        specs = [spec_for(2, solver={"prune": flag}) for flag in (True, False)]
+        with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
+            jobs = [gw.submit(spec) for spec in specs]
+            done = gw.wait([j.job_id for j in jobs], timeout=120)
+        assert [j.state for j in done] == [JobState.DONE] * 2
+        pruned, plain = (job.result for job in done)
+        assert pruned["combinations"] == plain["combinations"]
+        assert pruned["uncovered"] == plain["uncovered"]
+        assert signature(pruned["combinations"]) == signature(
+            direct_solve(specs[1]).combinations
+        )
+
     def test_http_roundtrip_and_errors(self, tmp_path):
         with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
             url = gw.url

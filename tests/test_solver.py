@@ -96,14 +96,10 @@ class TestOptionsLedger:
             lambda **kw: engine_mod._scan_range(
                 SCHEME_3X1, 8, None, None, None, 0, 1, None, **kw
             ),
-            lambda **kw: engine_mod._best_pruned(
-                SCHEME_3X1, 8, None, None, None, 0, 1, None, None, **kw
-            ),
         ],
         ids=[
             "SingleGpuEngine", "PoolEngine", "DistributedEngine", "search_lease",
             "spmd_best_combo", "best_in_thread_range", "_scan_range",
-            "_best_pruned",
         ],
     )
     def test_sparse_stops_at_the_solver(self, call):
@@ -111,6 +107,35 @@ class TestOptionsLedger:
         field only, read by nothing below it."""
         with pytest.raises(TypeError, match="sparse"):
             call(sparse=True)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda **kw: SingleGpuEngine(scheme=SCHEME_3X1).best_combo(
+                None, None, None, **kw
+            ),
+            lambda **kw: PoolEngine(scheme=SCHEME_3X1).best_combo(
+                None, None, None, **kw
+            ),
+            lambda **kw: DistributedEngine(scheme=SCHEME_3X1, n_nodes=2).best_combo(
+                None, None, None, **kw
+            ),
+            lambda **kw: search_lease(SCHEME_3X1, None, 0, None, None, None, **kw),
+            lambda **kw: spmd_best_combo(None, SCHEME_3X1, None, None, None, 1, **kw),
+            lambda **kw: best_in_thread_range(
+                SCHEME_3X1, 8, None, None, None, 0, 1, **kw
+            ),
+        ],
+        ids=[
+            "SingleGpuEngine", "PoolEngine", "DistributedEngine", "search_lease",
+            "spmd_best_combo", "best_in_thread_range",
+        ],
+    )
+    def test_prune_stops_at_the_solver(self, call):
+        """There is one scan, which bounds threads itself: ``prune`` is a
+        solver field only, and no bound table travels below it."""
+        with pytest.raises(TypeError, match="bounds"):
+            call(bounds=object())
 
     @pytest.mark.parametrize(
         "call",
@@ -246,8 +271,8 @@ class TestClosingArgMax:
 
     def _unrecorded(self, result):
         counters = result.counters
-        recorded = sum(r.combos_scored + r.combos_pruned for r in result.iterations)
-        return counters.combos_scored + counters.combos_pruned - recorded
+        recorded = sum(r.combos_scored for r in result.iterations)
+        return counters.combos_scored - recorded
 
     def _solve(self, t, n, backend, prune, **kw):
         fleet = {"n_nodes": 2} if backend == "distributed" else {}

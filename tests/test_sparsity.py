@@ -4,10 +4,11 @@ Every scan runs in the native kernel (``_tile.c``), which skips each
 zero word of a thread's AND-reduced fixed rows.  The engineered matrices
 below (all-zero rows, one bit per row, dense, sparse), the post-splice
 widths and an all-ties block stress that skip, the word tail and the tie
-rule.  On each, the unpruned and the pruned :func:`best_in_thread_range`
-must equal the arg-max of a :func:`score_combos_reference` grid, ties
-going to the smallest gene tuple (:func:`best_of`), and the meter must
-close on the words the scan gathers.  :class:`SparsityIndex` is read by
+rule.  On each, :func:`best_in_thread_range`, with the normal-hit store
+off and filling, must equal the arg-max of a
+:func:`score_combos_reference` grid, ties going to the smallest gene
+tuple (:func:`best_of`), and the meter must close on the words the scan
+gathers.  :class:`SparsityIndex` is read by
 no scan; the benchmark harness reports its ``nonzero_fraction``.
 """
 
@@ -26,7 +27,6 @@ from repro.bitmatrix.matrix import BitMatrix
 from repro.bitmatrix.sparsity import SparsityIndex, stride_any_mask
 from repro.bitmatrix.splicing import splice_columns
 from repro.combinatorics.enumeration import combinations_array
-from repro.core.bounds import BoundTable
 from repro.core.engine import NormalHitStore, SingleGpuEngine, best_in_thread_range
 from repro.core.fscore import FScoreParams, fscore
 from repro.core.kernels import (
@@ -58,19 +58,20 @@ def _grid_argmax(tumor, normal, params, h):
     return best_of(combos, *score_combos_reference(tumor, normal, combos, params))
 
 
-def _scan(scheme, tumor, normal, params, pruned, **kw):
-    """One native scan of the whole grid, unpruned or pruned."""
+def _scan(scheme, tumor, normal, params, store=None, **kw):
+    """One native scan of the whole grid, through ``store`` (a
+    :class:`NormalHitStore`) or none."""
     g = tumor.n_genes
     return best_in_thread_range(
         scheme, g, tumor, normal, params, 0, total_threads(scheme, g),
-        bounds=BoundTable.build(scheme, g) if pruned else None, **kw,
+        normal_hits=store, **kw,
     )
 
 
 def _assert_scans_match_reference(scheme, tumor, normal, params):
     ref = _key(_grid_argmax(tumor, normal, params, scheme.hits))
-    for pruned in (False, True):
-        assert _key(_scan(scheme, tumor, normal, params, pruned)) == ref, pruned
+    for store in (None, NormalHitStore(scheme, tumor.n_genes, normal)):
+        assert _key(_scan(scheme, tumor, normal, params, store)) == ref, store
 
 
 def _closed_form_reads(scheme, g, row_words):
@@ -202,27 +203,31 @@ class TestSparseScoreCombos:
     @pytest.mark.parametrize("kind", KINDS)
     def test_counter_closure(self, kind):
         # The meter is what the scan gathers, whatever the words hold:
-        # skipping zero words changes no count.
+        # skipping zero words changes no count.  Without a store, a
+        # thread its tumor prefix bounds gathers no normal row.
         rng = np.random.default_rng(9)
         tumor = _adversarial_matrix(rng, 9, 400, kind)
         normal = _adversarial_matrix(rng, 9, 400, "sparse")
         params = FScoreParams(n_tumor=400, n_normal=400)
         scheme = scheme_for(3, 2)
         c = KernelCounters()
-        _scan(scheme, tumor, normal, params, pruned=False, counters=c)
+        _scan(scheme, tumor, normal, params, counters=c)
         w = tumor.n_words + normal.n_words
         assert c.combos_scored == math.comb(9, 3)
         assert c.word_ops == math.comb(9, 3) * 2 * w
-        assert c.word_reads == _closed_form_reads(scheme, 9, w)
+        assert c.word_reads == _closed_form_reads(scheme, 9, w) - (
+            scheme.flattened * normal.n_words * c.threads_bounded
+        )
         assert (c.decode_strides, c.inner_tables_built) == (1, 1)
 
     def test_zero_prefix_skip_is_gated_and_sound(self):
         # Gene 1's tumor row is all zero, so every thread whose fixed
         # genes include it has an all-zero prefix: each of its words is
-        # skipped, and its combinations score TP = 0 exactly.  Pruned,
-        # the prefix ceiling fscore(0, Nn) gates those threads: with an
-        # incumbent strictly above it they are never visited (sound:
-        # none of them can win or tie), and the winner is unchanged.
+        # skipped, and its combinations score TP = 0 exactly.  The prefix
+        # ceiling fscore(0, Nn) gates those threads: once the lead is
+        # above it, or at it behind a smaller leader, they are bounded
+        # before any normal work, so never filled (sound: none of them
+        # can win or tie), and the winner is unchanged.
         rng = np.random.default_rng(2)
         dense_t = rng.random((6, 100)) < 0.3
         dense_t[1] = False
@@ -233,20 +238,20 @@ class TestSparseScoreCombos:
         ref = _grid_argmax(tumor, normal, params, 3)
         ceiling = fscore(0, params.n_normal, params)
         assert ref.f > ceiling
-        assert _key(_scan(scheme, tumor, normal, params, pruned=False)) == _key(ref)
-        table = BoundTable.build(scheme, 6)
+        assert _key(_scan(scheme, tumor, normal, params)) == _key(ref)
+        store = NormalHitStore(scheme, 6, normal)
         c = KernelCounters()
-        got = best_in_thread_range(
-            scheme, 6, tumor, normal, params, 0, total_threads(scheme, 6),
-            counters=c, bounds=table,
-        )
+        got = _scan(scheme, tumor, normal, params, store, counters=c)
         assert _key(got) == _key(ref)
         n = math.comb(6 - scheme.inner, scheme.flattened)  # with inner loops
         tuples = combinations_array(scheme.flattened, 0, n)
         through_1 = np.flatnonzero((tuples == 1).any(axis=1))
         assert len(through_1) == 4
-        assert np.isinf(table.values[through_1]).all()  # never visited
-        assert c.threads_skipped >= len(through_1)
+        # The first, thread 0, is scanned from no lead; the rest are
+        # bounded by their prefix and never filled.
+        assert through_1[0] == 0 and store.filled[0]
+        assert not store.filled[through_1[1:]].any()
+        assert c.threads_bounded >= len(through_1) - 1
 
 
 # -- engine / backend equivalence -----------------------------------------
@@ -274,18 +279,15 @@ class TestEngineSparseEquivalence:
 
     @pytest.mark.parametrize("scheme", [scheme_for(3, 1), scheme_for(3, 2)])
     def test_pruned_sparse_matches_dense(self, scheme):
-        # On a sparse instance the pruned scan, fresh and on its own
-        # refreshed bounds, picks the unpruned scan's winner.
+        # On a sparse instance the engine, filling its store and then
+        # reading it, picks the winner of the reference grid.
         tumor, normal, params = self._instance(seed=3)
-        g = tumor.n_genes
-        full = SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
-        table = BoundTable.build(scheme, g)
+        want = _grid_argmax(tumor, normal, params, scheme.hits)
         c = KernelCounters()
         eng = SingleGpuEngine(scheme=scheme)
-        first = eng.best_combo(tumor, normal, params, counters=c, bounds=table)
-        again = eng.best_combo(tumor, normal, params, counters=c, bounds=table)
-        assert first == full
-        assert again == full
+        first = eng.best_combo(tumor, normal, params, counters=c)
+        again = eng.best_combo(tumor, normal, params, counters=c)
+        assert _key(first) == _key(again) == _key(want)
 
     def test_engine_counter_closure_unpruned(self):
         # The scan that fills the normal-hit store gathers both matrices;
@@ -296,15 +298,23 @@ class TestEngineSparseEquivalence:
         g = tumor.n_genes
         store = NormalHitStore(scheme, g, normal)
         fill, read = KernelCounters(), KernelCounters()
-        a = _scan(scheme, tumor, normal, params, False, counters=fill,
-                  normal_hits=store)
-        b = _scan(scheme, tumor, normal, params, False, counters=read,
-                  normal_hits=store)
+        a = _scan(scheme, tumor, normal, params, store, counters=fill)
+        b = _scan(scheme, tumor, normal, params, store, counters=read)
         assert a == b == _grid_argmax(tumor, normal, params, 3)
         assert read.combos_scored == fill.combos_scored == math.comb(g, 3)
+        # A thread its tumor prefix bounds is not filled: the fill skips
+        # its normal rows, and the read bounds it again (the lead moves
+        # alike) and builds the normal table for it.
+        unfilled = int((~store.filled[: math.comb(g - 1, 2)]).sum())
+        f, d = scheme.flattened, scheme.inner
+        table = d * math.comb(g - f, d)  # the scan's one inner table
         w = tumor.n_words + normal.n_words
-        assert fill.word_reads == _closed_form_reads(scheme, g, w)
-        assert read.word_reads == _closed_form_reads(scheme, g, tumor.n_words)
+        assert fill.word_reads == _closed_form_reads(scheme, g, w) - (
+            f * normal.n_words * unfilled
+        )
+        assert read.word_reads == _closed_form_reads(scheme, g, tumor.n_words) + (
+            normal.n_words * table if unfilled else 0
+        )
 
     def test_counters_merge_new_fields(self):
         # merge sums every field; the retired sparse counters are
@@ -349,10 +359,7 @@ class TestSolverBackendsSparse:
             got = MultiHitSolver(hits=3, **kw).solve(t, n)
             assert _signature(got.combinations) == _signature(ref.combinations)
             assert got.uncovered == ref.uncovered
-            assert (
-                got.counters.combos_scored + got.counters.combos_pruned
-                == ref.counters.combos_scored
-            )
+            assert got.counters.combos_scored == ref.counters.combos_scored
 
     def test_solver_closure_and_savings(self):
         # The store saves every normal gather after the first iteration

@@ -18,7 +18,7 @@ counter copy) is not a reader.  The tests fail when
 * span names disagree with DESIGN §9's taxonomy, or link kinds with the
   edge vocabulary of :mod:`repro.telemetry.causal` and DESIGN §16.
 
-The same runs close the live progress accounting: scored + pruned is
+The same runs close the live progress accounting: the scored count is
 ``iterations × C(G, h)``, the final sample's fraction is 1.0, and no
 ETA exists before a combination has been examined.
 """
@@ -75,9 +75,7 @@ CATALOGUE = {
         "lease.forfeited": README,
         "lease.grants": DESIGN,
         "lease.steals": DESIGN,
-        "progress.combos_pruned": PROGRESS,
         "progress.combos_scored": PROGRESS,
-        "prune.*": README,
         "solver.solves": CI,
     },
     "gauge": {
@@ -349,9 +347,7 @@ def test_progress_closes(runs, label):
     run = runs[label]
     counters = run.metrics["counters"]
     iterations = sum(span["name"] == "iteration" for span in run.spans)
-    examined = counters["progress.combos_scored"] + counters.get(
-        "progress.combos_pruned", 0
-    )
+    examined = counters["progress.combos_scored"]
     assert iterations > 0
     assert examined == iterations * math.comb(_N_GENES, _HITS)
     assert run.after.fraction == 1.0
@@ -364,7 +360,5 @@ def test_gateway_job_progress_closes(runs):
     run = runs["gateway"]
     counters = run.metrics["counters"]
     iterations = sum(span["name"] == "iteration" for span in run.spans)
-    examined = counters["job.progress.combos_scored"] + counters.get(
-        "job.progress.combos_pruned", 0
-    )
+    examined = counters["job.progress.combos_scored"]
     assert examined == iterations * math.comb(_N_GENES, _HITS)

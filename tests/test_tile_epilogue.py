@@ -1,16 +1,17 @@
 """The kernel's epilogue: valid entries scored once, in combination-rank order.
 
-Both native entry points — ``scan_range`` (an unpruned range, through
-``engine.best_in_thread_range``) and ``tile_score`` (a pruned batch,
-through ``engine._score_tile``) — drop the entries of their table that
-belong to no thread, form Equation 1's numerator over the rest and
-divide only its maximum.  These tests hold both to a 2-D reference
-built from ``score_combos_reference`` over the range's valid
-combinations, and hold every backend to the sequential oracle on a
-cohort whose two best combinations tie in F but not in the numerator.
-``scan_range`` also bounds each stored thread by its normal-hit floor
-before the tumor product; ``test_bounded_scans_match_the_2d_reference``
-draws the ties, all-zero tumor bases and α values at that bound's edges.
+The native entry point ``scan_range`` (through ``engine._scan_range``)
+drops the entries of its table that belong to no thread, forms
+Equation 1's numerator over the rest and divides only its maximum.
+These tests hold it to a 2-D reference built from
+``score_combos_reference`` over the range's valid combinations, with the
+normal-hit store empty, full, partly filled or capped inside the range,
+and hold every backend to the sequential oracle on a cohort whose two
+best combinations tie in F but not in the numerator.  ``scan_range``
+also bounds each thread before its tumor product, by its tumor-prefix
+ceiling and, once stored, its normal-hit floor;
+``test_bounded_scans_match_the_2d_reference`` draws the ties, all-zero
+tumor bases and α values at those bounds' edges.
 """
 
 import math
@@ -24,10 +25,8 @@ from hypothesis import strategies as st
 
 import repro.core.engine as engine_mod
 from repro.bitmatrix.matrix import BitMatrix
-from repro.combinatorics.decode import combos_from_linear
 from repro.combinatorics.enumeration import combinations_array
-from repro.core.combination import MultiHitCombination
-from repro.core.engine import NormalHitStore, _score_tile, _Table, best_in_thread_range
+from repro.core.engine import NormalHitStore, _Table, best_in_thread_range
 from repro.core.fscore import FScoreParams, fscore, numerator
 from repro.core.kernels import KernelCounters, best_of, score_combos_reference
 from repro.core.sequential import sequential_best_combo, sequential_solve
@@ -92,14 +91,42 @@ def _table(scheme, g, tuples, tumor, normal):
 
 
 def _reference(tuples, table, tumor, normal, params):
-    """``(B, L)`` F with ``-inf`` off the valid entries, and the valid
-    combinations with their scores in row-major order."""
+    """The valid combinations in combination-rank order, each entry's
+    thread offset in the range, and their scores."""
     rows, cols = np.nonzero(table.inner[:, 0] > tuples[:, -1][:, None])
     combos = np.concatenate([tuples[rows], table.inner[cols]], axis=1)
-    f, tp, tn = score_combos_reference(tumor, normal, combos, params)
-    grid = np.full((len(tuples), len(table.inner)), -np.inf)
-    grid[rows, cols] = f
-    return grid, combos, f, tp, tn
+    return rows, combos, *score_combos_reference(tumor, normal, combos, params)
+
+
+def _scan(scheme, g, lam, hi, tumor, normal, params, store=None):
+    """``[lam, hi)`` in one native scan; its winner and counters."""
+    counters = KernelCounters()
+    cand = engine_mod._scan_range(
+        scheme, g, tumor, normal, params, lam, hi, counters, store
+    )
+    return cand, counters
+
+
+def _check(cand, combos, f, tp, tn):
+    want = best_of(combos, f, tp, tn)
+    assert (cand.genes, cand.f, cand.tp, cand.tn) == (
+        want.genes, want.f, want.tp, want.tn,
+    )
+    assert np.float64(cand.f).tobytes() == np.float64(want.f).tobytes()
+
+
+def _check_store(store, scheme, g, lam, hi, rows, counts, counters):
+    """The range's stored threads hold their valid entries' counts, in
+    rank order; a thread the scan left unfilled was bounded by its tumor
+    prefix, and the range's first thread never is."""
+    held = lam + rows < store.lam_cap
+    start = cumulative_work_before(scheme, g, lam)
+    got = store.counts[start : start + held.sum()]
+    filled = store.filled[lam + rows[held]]
+    np.testing.assert_array_equal(got[filled], counts[held][filled])
+    assert store.filled[lam]
+    unfilled = (~store.filled[lam : min(hi, store.lam_cap)]).sum()
+    assert unfilled <= counters.threads_bounded
 
 
 @st.composite
@@ -132,39 +159,15 @@ def tiles(draw, scheme, shape, min_threads=1):
     return g, lam, hi, tumor, normal, params
 
 
-def _incumbent(draw, grid, tp, params):
-    """``None``, or an incumbent just below, at or just above the tile's
-    maximum F, at its best TP's ``TN = Nn`` ceiling, or far from it."""
-    fmax = grid.max()
-    f = draw(st.sampled_from([
-        None, fmax, np.nextafter(fmax, -np.inf), np.nextafter(fmax, np.inf),
-        fscore(tp.max(), params.n_normal, params), -1.0, 2.0,
-    ]))
-    return None if f is None else MultiHitCombination(genes=(0, 1), f=float(f))
-
-
-def _check(got, grid, combos, f, tp, tn, best):
-    lam_max, cand = got
-    if lam_max is not None:  # a scan reports no per-thread maxima
-        np.testing.assert_array_equal(lam_max, grid.max(axis=1))
-    if best is not None and grid.max() < best.f:
-        assert cand is None
-    else:
-        want = best_of(combos, f, tp, tn)
-        assert (cand.genes, cand.f, cand.tp, cand.tn) == (
-            want.genes, want.f, want.tp, want.tn,
-        )
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize("store", ["none", "miss", "hit", "straddle"])
 @pytest.mark.parametrize("shape", ["inside", "cross"])
 @pytest.mark.parametrize("scheme_id", SCHEMES)
 def test_score_tile_matches_the_2d_reference(scheme_id, shape, store, data):
-    """The threads ``[lam, hi)`` as a pruned batch against an incumbent,
-    and as an unpruned scan with the store empty, full, or capped inside
-    the range."""
+    """The threads ``[lam, hi)`` as one scan with the store off, empty
+    (a fill), already filled by that scan (a hit), or capped inside the
+    range."""
     scheme = SCHEMES[scheme_id]
     # A straddled cap lies strictly inside the range: two threads at least.
     g, lam, hi, tumor, normal, params = data.draw(
@@ -172,11 +175,7 @@ def test_score_tile_matches_the_2d_reference(scheme_id, shape, store, data):
     )
     tuples = combinations_array(scheme.flattened, lam, hi)
     table = _table(scheme, g, tuples, tumor, normal)
-    grid, combos, f, tp, tn = _reference(tuples, table, tumor, normal, params)
-    best = _incumbent(data.draw, grid, tp, params)
-    got = _score_tile(scheme, tuples, table, params, best, KernelCounters())
-    _check(got, grid, combos, f, tp, tn, best)
-
+    rows, combos, f, tp, tn = _reference(tuples, table, tumor, normal, params)
     hits = None
     if store != "none":
         itemsize = np.min_scalar_type(normal.n_samples).itemsize
@@ -189,45 +188,51 @@ def test_score_tile_matches_the_2d_reference(scheme_id, shape, store, data):
         if store == "straddle":
             assert lam < hits.lam_cap < hi
         if store == "hit":
-            best_in_thread_range(
-                scheme, g, tumor, normal, params, lam, hi, normal_hits=hits
-            )
-            assert hits.read(lam, hi) is not None
-    counters = KernelCounters()
-    cand = best_in_thread_range(
-        scheme, g, tumor, normal, params, lam, hi, counters, normal_hits=hits
-    )
-    _check((None, cand), grid, combos, f, tp, tn, None)
+            _scan(scheme, g, lam, hi, tumor, normal, params, hits)
+    cand, counters = _scan(scheme, g, lam, hi, tumor, normal, params, hits)
+    _check(cand, combos, f, tp, tn)
     assert counters.combos_scored == len(combos)
-    if store == "hit":  # the tumor side alone: the range's table, the base rows
+    assert counters.threads_bounded < hi - lam
+    if store == "hit":
+        # The tumor side alone: the range's table and base rows, and the
+        # normal table only when the fill left a thread to its prefix
+        # ceiling, which bounds it again (the lead moves as before).
+        missed = not hits.filled[lam:hi].all()
         assert counters.word_reads == tumor.n_words * (
             table.inner.size + tuples.size
+        ) + missed * normal.n_words * table.inner.size
+    if hits is not None:
+        _check_store(
+            hits, scheme, g, lam, hi, rows, params.n_normal - tn, counters
         )
-    if store in ("miss", "hit"):  # the stored counts are the valid entries'
-        np.testing.assert_array_equal(hits.read(lam, hi), params.n_normal - tn)
-    if store == "straddle":  # the threads below the cap filled, in rank order
-        assert hits.filled[lam:].all()
-        below = hits.counts[cumulative_work_before(scheme, g, lam):]
-        np.testing.assert_array_equal(below, (params.n_normal - tn)[: len(below)])
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize("scheme_id", SCHEMES)
 def test_pruned_batches_match_the_2d_reference(scheme_id, data):
-    """The pruned caller's tiles: a λ-sorted subset of threads, no store,
-    per-thread maxima wanted."""
+    """What the pruned batches did — score a λ-sorted subset of threads
+    and leave the rest to their bounds — the one scan now does against
+    a partly filled store: a subset of the threads filled beforehand,
+    each alone (a scan never bounds its first thread), as an earlier
+    iteration leaves the threads that got past their prefix ceilings;
+    the rest bounded by that ceiling or filled by this scan."""
     scheme = SCHEMES[scheme_id]
     g, lam, hi, tumor, normal, params = data.draw(tiles(scheme, "cross"))
     picked = sorted(data.draw(
         st.sets(st.integers(lam + 1, hi - 1), max_size=hi - lam - 1)
-    ) | {lam})
-    tuples = combos_from_linear(np.asarray(picked), scheme.flattened)
+    ))
+    store = NormalHitStore(scheme, g, normal)
+    for p in picked:
+        _scan(scheme, g, p, p + 1, tumor, normal, params, store)
+    assert store.filled[picked].all()
+    tuples = combinations_array(scheme.flattened, lam, hi)
     table = _table(scheme, g, tuples, tumor, normal)
-    grid, combos, f, tp, tn = _reference(tuples, table, tumor, normal, params)
-    best = _incumbent(data.draw, grid, tp, params)
-    got = _score_tile(scheme, tuples, table, params, best, KernelCounters())
-    _check(got, grid, combos, f, tp, tn, best)
+    rows, combos, f, tp, tn = _reference(tuples, table, tumor, normal, params)
+    cand, counters = _scan(scheme, g, lam, hi, tumor, normal, params, store)
+    _check(cand, combos, f, tp, tn)
+    assert counters.combos_scored == len(combos)
+    _check_store(store, scheme, g, lam, hi, rows, params.n_normal - tn, counters)
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,19 +243,17 @@ def test_pruned_batches_match_the_2d_reference(scheme_id, data):
 )
 @pytest.mark.parametrize("scheme_id", SCHEMES)
 def test_score_tile_at_a_non_default_alpha(scheme_id, alpha, shape, data):
-    """Every per-thread maximum and the winner's F are ``fscore``'s, bit
-    for bit, at any α."""
+    """The winner's F is ``fscore``'s, bit for bit, at any α, with the
+    store off and while it fills."""
     scheme = SCHEMES[scheme_id]
     g, lam, hi, tumor, normal, params = data.draw(tiles(scheme, shape))
     params = FScoreParams(params.n_tumor, params.n_normal, alpha)
     tuples = combinations_array(scheme.flattened, lam, hi)
     table = _table(scheme, g, tuples, tumor, normal)
-    grid, combos, f, tp, tn = _reference(tuples, table, tumor, normal, params)
-    got = _score_tile(scheme, tuples, table, params, None, KernelCounters())
-    _check(got, grid, combos, f, tp, tn, None)
-    assert got[0].tobytes() == grid.max(axis=1).tobytes()
-    cand = best_in_thread_range(scheme, g, tumor, normal, params, lam, hi)
-    _check((None, cand), grid, combos, f, tp, tn, None)
+    _, combos, f, tp, tn = _reference(tuples, table, tumor, normal, params)
+    for store in (None, NormalHitStore(scheme, g, normal)):
+        cand, _ = _scan(scheme, g, lam, hi, tumor, normal, params, store)
+        _check(cand, combos, f, tp, tn)
 
 
 # -- the native tile's rounding and edges ------------------------------------
@@ -274,24 +277,19 @@ class TestNativeRounding:
         normal[[0, 1], :3] = True
         t, n = BitMatrix.from_dense(tumor), BitMatrix.from_dense(normal)
         params = FScoreParams(n_tumor=40, n_normal=10, alpha=0.1)
-        tuples = combinations_array(1, 0, 2)
-        table = _table(SCHEME_1X1, 3, tuples, t, n)
-        lam_max, cand = _score_tile(
-            SCHEME_1X1, tuples, table, params, None, KernelCounters()
-        )
         scanned = best_in_thread_range(SCHEME_1X1, 3, t, n, params, 0, 2)
-        want = np.float64(fscore(37, 7, params)).tobytes()
-        for c in (cand, scanned):  # the pruned batch, the unpruned scan
-            assert (c.genes, c.tp, c.tn) == ((0, 1), 37, 7)
-            assert np.float64(c.f).tobytes() == want
-        assert lam_max[0].tobytes() == want
+        assert (scanned.genes, scanned.tp, scanned.tn) == ((0, 1), 37, 7)
+        assert np.float64(scanned.f).tobytes() == np.float64(
+            fscore(37, 7, params)
+        ).tobytes()
 
 
 class TestNativeEdges:
     """Whole solves against ``sequential_solve`` where the native tile has
     edges: base rows past 64 words, 1- and 4-byte normal-hit stores (read
-    from the second iteration on), the 2x2 scheme's valid columns that are
-    not a suffix, and the pruned scan's per-thread maxima."""
+    from the second iteration on) and the 2x2 scheme's valid columns that
+    are not a suffix.  ``prune`` is read by nothing: its cells pin that
+    it changes nothing."""
 
     #: case -> (hits, scheme or None, Nt, Nn, genes)
     CASES = {
@@ -357,37 +355,39 @@ def test_bounded_scans_match_the_2d_reference(scheme_id, data):
     """A range scanned through one store twice — filling it, then
     reading it — and without a store wins what the 2-D reference wins,
     tie rule included, and scores every valid entry.  A fill bounds the
-    threads a hit bounds: both take the test after the normal side, and
-    each scan starts from no lead.  Without a store nothing is bounded,
-    and the range's first thread never is."""
+    threads a hit bounds: a stored thread's floor ceiling is never above
+    its prefix ceiling, and each scan starts from no lead, so the lead
+    moves alike.  Without a store only the prefix ceiling bounds, so
+    it bounds no more; the range's first thread is never bounded."""
     scheme = SCHEMES[scheme_id]
     g, lam, hi, tumor, normal, params = data.draw(edged_tiles(scheme))
     tuples = combinations_array(scheme.flattened, lam, hi)
     table = _table(scheme, g, tuples, tumor, normal)
-    grid, combos, f, tp, tn = _reference(tuples, table, tumor, normal, params)
+    _, combos, f, tp, tn = _reference(tuples, table, tumor, normal, params)
     store = NormalHitStore(scheme, g, normal)
     bounded = []
     for hits in (store, store, None):
-        counters = KernelCounters()
-        cand = best_in_thread_range(
-            scheme, g, tumor, normal, params, lam, hi, counters, normal_hits=hits
-        )
-        _check((None, cand), grid, combos, f, tp, tn, None)
+        cand, counters = _scan(scheme, g, lam, hi, tumor, normal, params, hits)
+        _check(cand, combos, f, tp, tn)
         assert counters.combos_scored == len(combos)
         bounded.append(counters.threads_bounded)
     fill, hit, plain = bounded
-    assert fill == hit < hi - lam
-    assert plain == 0
+    assert plain <= fill == hit < hi - lam
+
+
+def _dense_cohort():
+    rng = np.random.default_rng(7)
+    return rng.random((24, 300)) < 0.3, rng.random((24, 280)) < 0.15
 
 
 class TestBoundBeforeTheProduct:
-    """Whole solves: the bound engages on a dense cohort, and never on
-    the pruned path, which has its own bounds and no store."""
+    """Whole scans and solves: the bounds engage on a dense cohort and
+    ``prune`` moves nothing; threads past the store's cap are bounded by
+    their tumor prefix; a thread its prefix left unfilled is filled by a
+    later iteration that gets past it, and read after that."""
 
-    def test_dense_solves_bound_threads_and_pruned_ones_none(self):
-        rng = np.random.default_rng(7)
-        t = rng.random((24, 300)) < 0.3
-        n = rng.random((24, 280)) < 0.15
+    def test_dense_solves_bound_threads_with_or_without_prune(self):
+        t, n = _dense_cohort()
         full = MultiHitSolver(hits=3, max_iterations=3).solve(t, n)
         pruned = MultiHitSolver(hits=3, max_iterations=3, prune=True).solve(t, n)
         assert [c.genes for c in full.combinations] == [
@@ -395,7 +395,67 @@ class TestBoundBeforeTheProduct:
         ]
         assert full.counters.combos_scored == 3 * math.comb(24, 3)
         assert full.counters.threads_bounded > 0
-        assert pruned.counters.threads_bounded == 0
+        assert pruned.counters == full.counters
+
+    def test_threads_past_the_cap_are_bounded(self):
+        t, n = _dense_cohort()
+        tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
+        params = FScoreParams(n_tumor=300, n_normal=280)
+        g = 24
+        # The store holds thread 0 alone: counts and one 4-byte least.
+        budget = np.min_scalar_type(280).itemsize * cumulative_work_before(
+            SCHEME_2X1, g, 1
+        ) + 4
+        with patch.object(engine_mod, "NORMAL_HIT_BUDGET", budget):
+            store = NormalHitStore(SCHEME_2X1, g, normal)
+        assert store.lam_cap == 1
+        counters = KernelCounters()
+        got = best_in_thread_range(
+            SCHEME_2X1, g, tumor, normal, params, 0, math.comb(g, 2),
+            counters, normal_hits=store,
+        )
+        want = sequential_best_combo(t, n, 3, params)
+        assert (got.genes, got.f, got.tp, got.tn) == (
+            want.genes, want.f, want.tp, want.tn,
+        )
+        assert counters.combos_scored == math.comb(g, 3)
+        # Thread 0 is scanned first, from no lead, so it is never
+        # bounded: every bounded thread lies past the cap.
+        assert counters.threads_bounded > 0
+
+    def test_a_thread_left_unfilled_is_filled_later(self, monkeypatch):
+        t, n = _dense_cohort()
+        stores, filled = [], []
+        reuse = NormalHitStore.reuse.__func__
+
+        def spy(cls, *args):
+            stores.append(reuse(cls, *args))
+            return stores[-1]
+
+        monkeypatch.setattr(NormalHitStore, "reuse", classmethod(spy))
+        result = MultiHitSolver(hits=3).solve(
+            t, n, on_iteration=lambda _: filled.append(stores[-1].filled.copy())
+        )
+        assert [(c.genes, c.f, c.tp, c.tn) for c in result.combinations] == [
+            (c.genes, c.f, c.tp, c.tn) for c in sequential_solve(t, n, 3)
+        ]
+        (store,) = set(stores)
+        # Threads first filled by iteration k, 2 <= k < the last one, so
+        # iteration k + 1 read them.
+        late = np.flatnonzero(filled[-2] & ~filled[0])
+        assert late.size
+        normal = BitMatrix.from_dense(n)
+        tumor = BitMatrix.from_dense(t)
+        params = FScoreParams(n_tumor=300, n_normal=280)
+        tuples = combinations_array(2, 0, math.comb(24 - 1, 2))
+        table = _table(SCHEME_2X1, 24, tuples, tumor, normal)
+        rows, _, _, _, tn = _reference(tuples, table, tumor, normal, params)
+        for lam in late:  # the late fills hold the thread's counts
+            at = cumulative_work_before(SCHEME_2X1, 24, lam)
+            want = 280 - tn[rows == lam]
+            np.testing.assert_array_equal(
+                store.counts[at : at + len(want)], want
+            )
 
 
 # -- one Equation 1 ----------------------------------------------------------

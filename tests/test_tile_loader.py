@@ -1,10 +1,10 @@
-"""The native kernel's loader, and solves on both of its paths.
+"""The native kernel's loader, and solves through its one entry point.
 
 ``repro.core.tile`` builds ``_tile.c`` once per cache key into the cache
 directory, loads it once per process and raises one error, naming the
 compiler, the flags and the cache directory, whenever it cannot: there
-is no other scoring body.  Whichever native path scores a solve — the
-unpruned scan or the pruned batches — it must give the oracle's answer.
+is no other scoring body.  Every solve is scored by ``scan_range``, with
+``prune`` on or off, and must give the oracle's answer.
 """
 
 import dataclasses
@@ -150,23 +150,22 @@ def _record(result):
 @pytest.mark.parametrize("prune", [False, True])
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_a_solve_is_the_same_on_both_tile_paths(backend, prune):
-    """The kernel's two paths — ``scan_range`` unpruned, ``tile_score``
-    pruned — give every backend the oracle's winners, bit for bit, and
-    account for the whole grid every iteration: unpruned, each scores it
-    all, as the oracle does, with ``single``'s records but
-    ``word_reads``; pruned, what it scores and what it prunes add up to
-    it (how much is pruned depends on the backend's cuts)."""
+    """With ``prune`` on or off (read by nothing: the pruned batches were
+    deleted, and ``scan_range`` bounds threads itself) every backend gets
+    the oracle's winners, bit for bit, and scores the whole grid every
+    iteration, as the oracle does, with ``single``'s records but
+    ``word_reads``."""
     knobs, driver = BACKENDS[backend]
     got = _solve({**knobs, "hits": 3, "prune": prune}, driver)
     want = sequential_solve(*_cohort(), 3, max_iterations=ITERATIONS)
     assert _record(got)[0] == [(c.genes, c.f, c.tp, c.tn) for c in want]
     grid = [math.comb(14, 3)] * len(want)
-    assert [r.combos_scored + r.combos_pruned for r in got.iterations] == grid
-    if not prune:
-        def records(result):
-            return [
-                {k: v for k, v in r.items() if k != "word_reads"}
-                for r in _record(result)[2]
-            ]
+    assert [r.combos_scored for r in got.iterations] == grid
 
-        assert records(got) == records(_solve({"hits": 3}))
+    def records(result):
+        return [
+            {k: v for k, v in r.items() if k != "word_reads"}
+            for r in _record(result)[2]
+        ]
+
+    assert records(got) == records(_solve({"hits": 3}))
