@@ -60,16 +60,18 @@ def test_fig4_scaling_full_sweep(benchmark, show):
 
 
 def test_fig4_pool_backend_four_workers(benchmark, show):
-    """Measured 4-worker pool arg-max: bit-exact vs single, stats shown.
+    """Measured 4-rank pool arg-max: bit-exact vs single, leases shown.
 
-    The host-level analogue of Fig. 4's per-device partitioning: the
-    equi-area cuts hand each rank a near-equal share of the C(g, h)
-    combination workload, and the reported per-rank stats make the
-    measured partition balance visible.
+    The host-level analogue of Fig. 4's per-device partitioning:
+    ``backend="pool"`` is the distributed engine with one equi-area
+    partition per rank, so each rank's lease holds a near-equal share of
+    the C(g, h) combination workload, and the run's lease ledger makes
+    the measured partition balance visible.
     """
     from repro.bitmatrix.matrix import BitMatrix
-    from repro.core import FScoreParams, PoolEngine, PoolStats, SingleGpuEngine
+    from repro.core import DistributedEngine, FScoreParams, SingleGpuEngine
     from repro.scheduling.schemes import scheme_for
+    from repro.scheduling.workload import total_work
 
     rng = np.random.default_rng(42)
     tumor = BitMatrix.from_dense(rng.random((60, 120)) < 0.35)
@@ -77,21 +79,30 @@ def test_fig4_pool_backend_four_workers(benchmark, show):
     params = FScoreParams(n_tumor=120, n_normal=100)
     scheme = scheme_for(3, 2)
 
-    stats = PoolStats()
-    with PoolEngine(scheme=scheme, n_workers=4) as eng:
-        eng.best_combo(tumor, normal, params)  # fill the normal-hit store
-        got = benchmark.pedantic(
-            lambda: eng.best_combo(tumor, normal, params, stats=stats),
-            rounds=3,
-            iterations=1,
-        )
+    eng = DistributedEngine(scheme=scheme, n_nodes=4, gpus_per_node=1)
+    eng.best_combo(tumor, normal, params)  # fill the normal-hit store
+    got = benchmark.pedantic(
+        lambda: eng.best_combo(tumor, normal, params), rounds=3, iterations=1
+    )
 
     ref = SingleGpuEngine(scheme=scheme).best_combo(tumor, normal, params)
     assert got == ref
-    assert stats.n_workers == 4
-    assert stats.n_inline_retries == 0
-    # Equi-area cuts: every chunk's work within one thread of the mean.
-    works = [c.work for c in stats.chunks]
-    mean = sum(works) / len(works)
-    assert max(works) <= mean + (tumor.n_genes - scheme.flattened)
-    show(stats.describe())
+    leases = eng.ledger.leases
+    # One pinned lease per rank, each completed by its owner.
+    assert [lease.owner for lease in leases] == [0, 1, 2, 3]
+    assert [lease.completed_by for lease in leases] == [0, 1, 2, 3]
+    scored = [lease.counters.combos_scored for lease in leases]
+    assert sum(scored) == total_work(scheme, tumor.n_genes)
+    # Equi-area cuts: every lease's work within one thread of the mean.
+    mean = sum(scored) / len(scored)
+    assert max(scored) <= mean + (tumor.n_genes - scheme.flattened)
+    show(
+        "\n".join(
+            ["  lease | holder | wall (s) | combos scored"]
+            + [
+                f"  {lease.lease_id:5d} | {lease.completed_by:6d} | "
+                f"{lease.wall_seconds:8.4f} | {lease.counters.combos_scored:13d}"
+                for lease in leases
+            ]
+        )
+    )

@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--nodes", type=int, default=2, help="distributed backend only")
     p_solve.add_argument(
-        "--workers", type=int, default=2, help="pool backend: rank threads"
+        "--workers", type=int, default=2, help="pool backend: ranks, one partition each"
     )
     p_solve.add_argument(
         "--elastic", action="store_true",

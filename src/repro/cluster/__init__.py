@@ -5,9 +5,10 @@ GPUs).  This package substitutes:
 
 * :class:`LeaseLedger` / :class:`ElasticSPMDRunner` /
   :func:`spmd_best_combo` — λ-range leases and the one thread fleet,
-  which runs ``backend="distributed"`` and ``backend="pool"``: ranks
-  pull leases (pinned one-per-partition for the paper's static
-  schedule, unpinned for an elastic run or the pool), and join/leave
+  which runs ``backend="distributed"`` and ``backend="pool"`` (the same
+  engine with one partition per rank): ranks pull leases (pinned
+  one-per-partition for the paper's static schedule, unpinned for an
+  elastic run), and join/leave
   mid-solve while survivors steal ranges whose TTL ran out or whose
   holder forfeited them (winners stay bit-identical).  The paper's Section III-E reduce of one 20-byte
   candidate per rank is :meth:`LeaseLedger.merge`.  A run's fleet size

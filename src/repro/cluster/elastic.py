@@ -4,14 +4,14 @@
 :class:`repro.cluster.leases.LeaseLedger` — ``from_schedule`` for the
 paper's static schedule (one lease per partition, pinned to the owning
 rank), ``build`` for unpinned equi-area leases — on
-:class:`ElasticSPMDRunner`, the one driver of a ledger.  Both fleets
-call it once per greedy iteration: ``backend="distributed"``
-(:class:`repro.core.distributed.DistributedEngine`, the paper's pinned
-schedule or elastic leases over ``n_nodes`` ranks) and ``backend="pool"``
-(:class:`repro.core.pool.PoolEngine`, equi-area leases of any λ-range
-over ``n_workers`` ranks).  Every rank is a thread that scans its lease
-in-thread with ``search_lease`` and recovers with ``run_lease`` (the
-one recovery rule) from :mod:`repro.core.distributed`.
+:class:`ElasticSPMDRunner`, the one driver of a ledger.  The one
+fan-out engine, :class:`repro.core.distributed.DistributedEngine`, calls
+it once per greedy iteration with the paper's pinned schedule or
+elastic leases: over ``n_nodes`` ranks for ``backend="distributed"``, and
+over ``n_workers`` ranks of one partition each for ``backend="pool"``.
+Every rank is a thread that scans its lease in-thread with
+``search_lease`` and recovers with ``run_lease`` (the one recovery
+rule) from :mod:`repro.core.distributed`.
 
 The fleet never aborts.  Ranks *pull* leases (no message is sent
 during an arg-max) and can join or leave mid-solve: a **joining** rank

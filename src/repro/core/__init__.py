@@ -22,7 +22,6 @@ from repro.core.sequential import sequential_best_combo, sequential_solve
 from repro.core.engine import SingleGpuEngine, best_in_thread_range
 from repro.core.reduction import block_reduce, multi_stage_reduce
 from repro.core.distributed import DistributedEngine
-from repro.core.pool import ChunkRecord, PoolEngine, PoolStats
 from repro.core.solver import IterationRecord, MultiHitResult, MultiHitSolver
 from repro.core.checkpoint import (
     SolverState,
@@ -47,9 +46,6 @@ __all__ = [
     "block_reduce",
     "multi_stage_reduce",
     "DistributedEngine",
-    "PoolEngine",
-    "PoolStats",
-    "ChunkRecord",
     "MultiHitSolver",
     "MultiHitResult",
     "IterationRecord",

@@ -9,14 +9,14 @@ Each rank is a thread of :func:`repro.cluster.elastic.spmd_best_combo`,
 the one driver of a ledger, running :func:`search_lease` under
 :func:`run_lease`.
 
-Both backends that fan out — this one and the pool
-(:mod:`repro.core.pool`) — are :class:`FleetEngine` subclasses and
-differ only in the ledger they build:
+:class:`DistributedEngine` is the one engine of both backends that fan
+out: ``backend="distributed"`` over ``n_nodes`` ranks of
+``gpus_per_node`` partitions, and ``backend="pool"`` over ``n_workers``
+ranks of one partition each.  It builds one of two ledgers:
 
-* static (``elastic=False``): here the schedule's partitions, each lease
+* static (``elastic=False``): the schedule's partitions, each lease
   **pinned** to the rank that owns it (``part // gpus_per_node``), so a
-  healthy run is exactly the paper's one-partition-per-GPU schedule; on
-  the pool one unpinned equi-area lease per worker;
+  healthy run is exactly the paper's one-partition-per-GPU schedule;
 * ``elastic=True``: :data:`LEASES_PER_PULLER` unpinned equi-area cuts
   per rank — whichever rank is free pulls the next lease, and
   ``membership``-site :class:`FaultSpec` churn (join/leave) resizes the
@@ -194,87 +194,44 @@ def node_candidates(leases) -> "list[MultiHitCombination | None]":
 
 
 @dataclass(kw_only=True)
-class FleetEngine:
-    """What both fan-out backends share: one arg-max path on the fleet.
+class DistributedEngine:
+    """Multi-node search over a lease ledger of the thread grid — the one
+    engine of every backend that fans out.
 
-    Each call builds a ledger — :data:`LEASES_PER_PULLER` unpinned
-    equi-area leases per rank when ``elastic``, else the subclass's
-    ``_static_ledger`` — whose lease TTL is ``retry_policy.deadline_s``,
-    and runs it on rank threads (:func:`repro.cluster.elastic.
+    Parameters mirror a Summit job: ``n_nodes`` MPI ranks with
+    ``gpus_per_node`` GPU partitions each (``backend="pool"`` is
+    ``gpus_per_node=1``: one partition per rank).  Each call builds a
+    ledger — ``scheduler``'s partition (equi-area by default), one lease
+    per partition pinned to the rank that owns it, or
+    :data:`LEASES_PER_PULLER` unpinned equi-area leases per rank when
+    ``elastic`` — whose lease TTL is ``retry_policy.deadline_s``, and
+    runs it on rank threads (:func:`repro.cluster.elastic.
     spmd_best_combo`, no wall-clock cap).  ``fault_plan`` faults are
     numbered by arg-max call and recovered by :func:`run_lease` into
     ``report``.  One :class:`repro.core.engine.NormalHitStore`, kept
-    across calls, serves every rank's scans.
+    across calls, serves every rank's scans; ``ledger`` is the last
+    call's, whose leases hold each range's completer, wall time and
+    counters.
     """
 
     scheme: Scheme
+    n_nodes: int
+    gpus_per_node: int = GPUS_PER_NODE
+    scheduler: str = "equiarea"
     fault_plan: "FaultPlan | None" = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     elastic: bool = False
     report: FaultReport = field(
         default_factory=FaultReport, repr=False, compare=False
     )
+    ledger: "object | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     _calls: int = field(default=0, init=False, repr=False, compare=False)
     _normal_hits: "NormalHitStore | None" = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    def close(self) -> None:
-        """Nothing to release: the rank threads and the ledger live for
-        one call."""
-
-    def _argmax(
-        self,
-        tumor: BitMatrix,
-        normal: BitMatrix,
-        params: FScoreParams,
-        n_ranks: int,
-        counters: "KernelCounters | None" = None,
-    ):
-        """One arg-max over the whole grid on ``n_ranks`` rank threads;
-        returns ``(winner, ledger)``."""
-        # Imported here: repro.cluster imports this module for search_lease.
-        from repro.cluster.elastic import spmd_best_combo
-        from repro.cluster.leases import LeaseLedger
-
-        call = self._calls
-        self._calls += 1
-        g = tumor.n_genes
-        self._normal_hits = NormalHitStore.reuse(
-            self._normal_hits, self.scheme, g, normal
-        )
-        ttl = self.retry_policy.deadline_s
-        ledger = (
-            LeaseLedger.build(
-                self.scheme, g, LEASES_PER_PULLER * n_ranks, ttl_s=ttl
-            )
-            if self.elastic
-            else self._static_ledger(g, ttl)
-        )
-        best = spmd_best_combo(
-            ledger, self.scheme, tumor, normal, params, n_ranks,
-            fault_plan=self.fault_plan, retry_policy=self.retry_policy,
-            report=self.report, counters=counters, max_wall_s=None,
-            call=call, normal_hits=self._normal_hits,
-        )
-        return best, ledger
-
-
-@dataclass(kw_only=True)
-class DistributedEngine(FleetEngine):
-    """Multi-node search over a lease ledger of the thread grid.
-
-    Parameters mirror a Summit job: ``n_nodes`` MPI ranks with
-    ``gpus_per_node`` GPU partitions each.  The static ledger is
-    ``scheduler``'s partition (equi-area by default), one lease per
-    partition pinned to the rank that owns it; the rest is
-    :class:`FleetEngine`'s.
-    """
-
-    n_nodes: int
-    gpus_per_node: int = GPUS_PER_NODE
-    scheduler: str = "equiarea"
 
     def build_schedule(self, g: int) -> Schedule:
         n_parts = self.n_nodes * self.gpus_per_node
@@ -289,12 +246,9 @@ class DistributedEngine(FleetEngine):
                 return equidistance_schedule(self.scheme, g, n_parts)
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
 
-    def _static_ledger(self, g, ttl_s):
-        from repro.cluster.leases import LeaseLedger
-
-        return LeaseLedger.from_schedule(
-            self.build_schedule(g), self.gpus_per_node, ttl_s=ttl_s
-        )
+    def close(self) -> None:
+        """Nothing to release: the rank threads and the ledger live for
+        one call."""
 
     def best_combo(
         self,
@@ -306,6 +260,31 @@ class DistributedEngine(FleetEngine):
         """Full distributed arg-max: every lease's winner reduced at
         root, in lease-id order, so no scheduling or recovery detail can
         reach the result."""
-        return self._argmax(
-            tumor, normal, params, self.n_nodes, counters=counters
-        )[0]
+        # Imported here: repro.cluster imports this module for search_lease.
+        from repro.cluster.elastic import spmd_best_combo
+        from repro.cluster.leases import LeaseLedger
+
+        g = tumor.n_genes
+        if normal.n_genes != g:
+            raise ValueError("tumor and normal matrices must share the gene axis")
+        call = self._calls
+        self._calls += 1
+        self._normal_hits = NormalHitStore.reuse(
+            self._normal_hits, self.scheme, g, normal
+        )
+        ttl = self.retry_policy.deadline_s
+        self.ledger = (
+            LeaseLedger.build(
+                self.scheme, g, LEASES_PER_PULLER * self.n_nodes, ttl_s=ttl
+            )
+            if self.elastic
+            else LeaseLedger.from_schedule(
+                self.build_schedule(g), self.gpus_per_node, ttl_s=ttl
+            )
+        )
+        return spmd_best_combo(
+            self.ledger, self.scheme, tumor, normal, params, self.n_nodes,
+            fault_plan=self.fault_plan, retry_policy=self.retry_policy,
+            report=self.report, counters=counters, max_wall_s=None,
+            call=call, normal_hits=self._normal_hits,
+        )

@@ -185,13 +185,6 @@ class NormalHitStore:
     def _rank(self, lam: int) -> int:
         return cumulative_work_before(self.scheme, self.g, lam, self._prefix)
 
-    def read(self, lo: int, hi: int) -> "np.ndarray | None":
-        """Counts of threads ``[lo, hi)`` in rank order, or ``None``
-        unless every one of them is stored."""
-        if hi > self.lam_cap or not self.filled[lo:hi].all():
-            return None
-        return self.counts[self._rank(lo) : self._rank(hi)]
-
     def at(self, lam: int) -> tuple[int, int, int]:
         """The kernel's addresses of thread ``lam``'s first count, its
         filled mark and its least count (``lam < lam_cap``)."""

@@ -1,8 +1,9 @@
 """Top-level greedy multi-hit solver (the public entry point).
 
-Wraps the per-iteration arg-max (single-GPU engine, distributed engine,
-or the sequential oracle) in the weighted-set-cover greedy loop: score ->
-pick best -> exclude covered tumor samples -> repeat.  Covered samples
+Wraps the per-iteration arg-max (single-GPU engine, distributed engine
+— also behind ``"pool"`` — or the sequential oracle) in the
+weighted-set-cover greedy loop: score -> pick best -> exclude covered
+tumor samples -> repeat.  Covered samples
 are either *spliced* out of the packed matrix (BitSplicing, the paper's
 approach) or masked in place (the ablation baseline) — results are
 identical; the packed width, and hence the work per subsequent iteration,
@@ -25,7 +26,6 @@ from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import DEFAULT_ALPHA, FScoreParams
 from repro.core.kernels import KernelCounters
 from repro.core.memopt import MemoryConfig
-from repro.core.pool import PoolEngine
 from repro.core.sequential import sequential_best_combo
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
@@ -136,28 +136,20 @@ def _sequential_engine(solver: "MultiHitSolver"):
     return _LocalEngine(best_combo)
 
 
-def _fleet_options(solver: "MultiHitSolver") -> dict:
-    # One engine for the run on either fleet: its normal-hit store
-    # serves every iteration's scans, its arg-max call counter lines up
-    # with greedy iterations ("rank 1 crashes at iteration k") and its
-    # fault report spans the whole solve.
-    return dict(
+def _distributed_engine(solver: "MultiHitSolver") -> DistributedEngine:
+    # One engine for the run on the fleet: its normal-hit store serves
+    # every iteration's scans, its arg-max call counter lines up with
+    # greedy iterations ("rank 1 crashes at iteration k") and its fault
+    # report spans the whole solve.  ``pool`` is the same engine with
+    # one partition per rank.
+    pool = solver.backend == "pool"
+    return DistributedEngine(
         scheme=solver.scheme,
+        n_nodes=solver.n_workers if pool else solver.n_nodes,
+        gpus_per_node=1 if pool else solver.gpus_per_node,
         fault_plan=solver.fault_plan,
         retry_policy=solver.retry_policy or RetryPolicy(),
         elastic=solver.elastic,
-    )
-
-
-def _pool_engine(solver: "MultiHitSolver"):
-    return PoolEngine(n_workers=solver.n_workers, **_fleet_options(solver))
-
-
-def _distributed_engine(solver: "MultiHitSolver"):
-    return DistributedEngine(
-        n_nodes=solver.n_nodes,
-        gpus_per_node=solver.gpus_per_node,
-        **_fleet_options(solver),
     )
 
 
@@ -166,7 +158,7 @@ def _distributed_engine(solver: "MultiHitSolver"):
 #: ``report`` and ``close()``.
 _ENGINES = {
     "single": _single_engine,
-    "pool": _pool_engine,
+    "pool": _distributed_engine,
     "distributed": _distributed_engine,
     "sequential": _sequential_engine,
 }
@@ -183,10 +175,10 @@ class MultiHitSolver:
     alpha:
         TP penalty weight of Equation 1.
     backend:
-        ``"single"`` (vectorized single-GPU engine), ``"pool"`` (the
-        single-GPU search fanned out over equi-area leases on
-        ``n_workers`` rank threads), ``"distributed"`` (scheduled multi-node engine) or
-        ``"sequential"`` (dense oracle).
+        ``"single"`` (vectorized single-GPU engine), ``"distributed"``
+        (scheduled multi-node engine, :class:`DistributedEngine`),
+        ``"pool"`` (that engine with one partition per rank, on
+        ``n_workers`` rank threads) or ``"sequential"`` (dense oracle).
     scheme:
         Loop-flattening scheme; defaults to ``(h-1)x1`` (the paper's 3x1
         for ``h = 4``).  Every :class:`Scheme` is nested
@@ -201,10 +193,10 @@ class MultiHitSolver:
     n_nodes / gpus_per_node:
         Simulated Summit shape for the distributed backend.
     n_workers:
-        Rank threads of the pool backend (ignored otherwise).
+        Ranks of the pool backend, one partition each (ignored
+        otherwise).
     fault_plan / retry_policy:
-        Fault-tolerance knobs forwarded to the pool / distributed
-        engine; detected faults and recovery actions come back on
+        Fault-tolerance knobs forwarded to the fleet engine; detected faults and recovery actions come back on
         ``result.fault_report``.
     prune:
         Read by nothing; pinned by the harness until ROADMAP 1(d).  Every
@@ -218,7 +210,7 @@ class MultiHitSolver:
         Lease-based work stealing instead of fixed partitions
         (``"distributed"`` and ``"pool"`` backends).  The λ-space is cut
         into :data:`repro.scheduling.equiarea.LEASES_PER_PULLER`
-        equi-area leases per rank/worker; ranks pull leases, a dead
+        equi-area leases per rank; ranks pull leases, a dead
         rank's leases are stolen by survivors, and ``membership``-site
         :class:`FaultSpec` churn (join/leave) resizes the fleet
         mid-solve.  Winners are bit-identical to the static run.

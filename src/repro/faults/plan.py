@@ -8,8 +8,8 @@ hardware failures is neither deterministic nor CI-friendly.  A
 2 hangs on call 1", "rank 3 leaves once the solve is 20 % done") that
 the execution layers consult at two injection points —
 :func:`repro.core.distributed.run_lease` for a rank holding a lease on
-either backend's rank threads (distributed or pool), and the fleet's
-membership (:class:`repro.cluster.elastic.ElasticSPMDRunner`).  Each
+the fleet engine's rank threads (``distributed`` or ``pool``), and the
+fleet's membership (:class:`repro.cluster.elastic.ElasticSPMDRunner`).  Each
 site takes only the kinds it acts on (:data:`SITE_KINDS`).
 
 Every spec fires a bounded number of times (``count``; ``-1`` =

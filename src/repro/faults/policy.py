@@ -1,7 +1,7 @@
 """Shared retry/backoff policy for every recovery layer.
 
-Both backends that fan out — distributed and pool, whose ranks are
-threads of the same fleet — need the same decision ("how many times,
+Every backend that fans out — distributed, and pool (the same engine
+with one partition per rank) — needs the same decision ("how many times,
 with what backoff, under what deadline?") made consistently.  :class:`RetryPolicy` centralizes it:
 
 * ``resubmits`` — how many times a rank retries a lost attempt on its

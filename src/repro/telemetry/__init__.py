@@ -14,7 +14,8 @@ loads and a branch per site when disabled.  Enable per run::
     from repro.telemetry import telemetry_session, write_chrome_trace
 
     with telemetry_session() as tel:
-        result = MultiHitSolver(backend="pool").solve(tumor, normal)
+        # "pool": the distributed engine, one partition per rank thread
+        result = MultiHitSolver(backend="pool", n_workers=2).solve(tumor, normal)
     write_chrome_trace("trace.json", tel)
 
 Enabled sessions additionally carry a causal identity: a ``trace_id``

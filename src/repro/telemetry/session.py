@@ -1,6 +1,6 @@
 """The telemetry session: one tracer + one metrics registry per run.
 
-Instrumented layers (solver, pool, distributed engine, rank fleet,
+Instrumented layers (solver, distributed engine, rank fleet,
 gpusim, checkpoints) call :func:`get_telemetry` and talk to
 whatever session is installed.  The default is :data:`NULL_TELEMETRY`, a
 permanently disabled session whose ``span``/``count`` calls are no-ops

@@ -3,7 +3,8 @@
 The contract: under **any** mid-solve membership churn — ranks joining,
 draining, crashing, or going silent until their leases are stolen — the
 elastic paths (:class:`ElasticSPMDRunner` called directly, behind
-``DistributedEngine(elastic=True)``, and the lease-grained pool) select
+``DistributedEngine(elastic=True)``, and its ``backend="pool"``
+spelling, one partition per rank) select
 bit-identical winners to the static failure-free run, and the kernel
 counters close (every combination is scored exactly once on the
 unpruned path).  The timing-free cells of that contract are generated in
@@ -22,7 +23,6 @@ from repro.core.distributed import DistributedEngine
 from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.core.pool import PoolEngine
 from repro.core.solver import MultiHitSolver
 from repro.data.synthesis import CohortConfig, generate_cohort
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -373,10 +373,13 @@ class TestElasticDistributed:
             MultiHitSolver(hits=2, elastic=True, backend="single")
 
 
-# -- lease-grained pool --------------------------------------------------
+# -- the pool spelling, lease-grained -------------------------------------
 
 
 class TestPoolLeases:
+    """``backend="pool"`` pulls the same elastic leases: it is the
+    distributed engine with one partition per rank."""
+
     def test_lease_grained_pool_bit_exact(self, instance):
         tumor, normal, params = instance
         scheme = scheme_for(3, 2)
@@ -385,8 +388,10 @@ class TestPoolLeases:
             tumor, normal, params, counters=ref_counters
         )
         counters = KernelCounters()
-        with PoolEngine(scheme=scheme, n_workers=2, elastic=True) as eng:
-            got = eng.best_combo(tumor, normal, params, counters=counters)
+        eng = DistributedEngine(
+            scheme=scheme, n_nodes=2, gpus_per_node=1, elastic=True
+        )
+        got = eng.best_combo(tumor, normal, params, counters=counters)
         assert got == ref
         assert counters.combos_scored == ref_counters.combos_scored
 

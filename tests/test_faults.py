@@ -18,7 +18,6 @@ from repro.core.distributed import DistributedEngine, run_lease
 from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.core.pool import PoolEngine
 from repro.core.solver import MultiHitSolver
 from repro.faults import (
     FAULT_KINDS,
@@ -150,19 +149,15 @@ class TestRetryPolicy:
         assert not policy.is_straggler(0.4)
 
 
-# -- one fault matrix for both fleets ------------------------------------
-
-#: The two backends that run on the rank fleet.  Both engines below cut
-#: the same elastic ledger (``LEASES_PER_PULLER`` leases per rank, two
-#: ranks), so one plan meets the same leases on either.
-FLEETS = ("pool", "distributed")
+# -- the fault matrix on the one fleet engine ------------------------------
 
 
-def _fleet(backend, **kw):
-    scheme = scheme_for(3, 2)
-    if backend == "pool":
-        return PoolEngine(scheme=scheme, n_workers=2, elastic=True, **kw)
-    return DistributedEngine(scheme=scheme, n_nodes=2, elastic=True, **kw)
+def _fleet(**kw):
+    """The engine ``backend="pool"`` builds for two ranks, elastic:
+    ``LEASES_PER_PULLER`` unpinned leases per rank."""
+    return DistributedEngine(
+        scheme=scheme_for(3, 2), n_nodes=2, gpus_per_node=1, elastic=True, **kw
+    )
 
 
 def _pairs(report, call=0):
@@ -177,42 +172,29 @@ def _pairs(report, call=0):
 
 
 class TestPoolInjection:
-    """Each case runs one ``rank``-site plan on both fleets: the same
-    winner, the same ``combos_scored`` (the single engine's) and the
-    same (kind, action) pairs."""
+    """Each case runs one ``rank``-site plan once on the fleet engine:
+    the winner and ``combos_scored`` are the single engine's, and the
+    (kind, action) pairs are the plan's."""
 
-    def _both(self, instance, spec, policy, calls=1):
+    def _run(self, instance, spec, policy, calls=1):
         tumor, normal, params = instance
         scheme = scheme_for(3, 2)
         ref_counters = KernelCounters()
         ref = SingleGpuEngine(scheme=scheme).best_combo(
             tumor, normal, params, counters=ref_counters
         )
-        reports = {}
-        for backend in FLEETS:
-            engine = _fleet(
-                backend, fault_plan=FaultPlan((spec,)), retry_policy=policy
-            )
-            counters = KernelCounters()
-            try:
-                for _ in range(calls):
-                    got = engine.best_combo(
-                        tumor, normal, params, counters=counters
-                    )
-            finally:
-                engine.close()
-            assert got == ref, backend
-            assert counters.combos_scored == calls * ref_counters.combos_scored
-            reports[backend] = engine.report
-        pool, dist = (reports[b] for b in FLEETS)
-        assert _pairs(pool, spec.at_call) == _pairs(dist, spec.at_call)
-        assert pool.n_rescheduled == dist.n_rescheduled
-        return pool
+        engine = _fleet(fault_plan=FaultPlan((spec,)), retry_policy=policy)
+        counters = KernelCounters()
+        for _ in range(calls):
+            got = engine.best_combo(tumor, normal, params, counters=counters)
+        assert got == ref
+        assert counters.combos_scored == calls * ref_counters.combos_scored
+        return engine.report
 
     def test_injected_crash_bit_exact(self, instance):
         # Persistent: rank 0 forfeits its lease, and a survivor's steal
         # or the driver's drain searches it.
-        report = self._both(
+        report = self._run(
             instance,
             FaultSpec(kind="crash", site="rank", target=0, at_call=0, count=-1),
             RetryPolicy(),
@@ -224,7 +206,7 @@ class TestPoolInjection:
         assert report.n_rescheduled == 1
 
     def test_transient_crash_recovered_by_resubmission(self, instance):
-        report = self._both(
+        report = self._run(
             instance,
             FaultSpec(kind="crash", site="rank", target=0, at_call=0),
             RetryPolicy(resubmits=1),
@@ -238,7 +220,7 @@ class TestPoolInjection:
         # A real silence past the lease TTL: the lease expires and is
         # searched elsewhere; the resurfacing rank's result is a dropped
         # duplicate.
-        report = self._both(
+        report = self._run(
             instance,
             FaultSpec(kind="hang", site="rank", target=0, at_call=0, delay_s=1.0),
             RetryPolicy(deadline_s=0.4),
@@ -250,7 +232,7 @@ class TestPoolInjection:
         # Call 0 fills the engines' normal-hit stores (and is not
         # compared: a slow first scan may read as a straggler); the
         # straggler fires on call 1.
-        report = self._both(
+        report = self._run(
             instance,
             FaultSpec(kind="straggler", site="rank", target=0, at_call=1,
                       delay_s=0.3),

@@ -37,7 +37,6 @@ from repro.core.engine import NormalHitStore, SingleGpuEngine, best_in_thread_ra
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters, best_of, score_combos_reference
 from repro.core.memopt import MemoryConfig
-from repro.core.pool import PoolEngine
 from repro.core.sequential import sequential_solve
 from repro.core.solver import MultiHitSolver
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
@@ -337,8 +336,8 @@ class TestBinding:
 
 
 class TestPoolStore:
-    """The pool's rank threads share one store per engine, as the
-    distributed backend's do."""
+    """The pool spelling's rank threads share one store per engine: it
+    is the distributed engine, one partition per rank."""
 
     def test_rebinds_on_a_new_normal_matrix(self):
         """The next job's normal matrix gets a new store, so two jobs
@@ -347,18 +346,18 @@ class TestPoolStore:
         tumor = BitMatrix.from_dense(t)
         params = FScoreParams(n_tumor=t.shape[1], n_normal=n.shape[1])
         scheme = scheme_for(3, 2)
-        with PoolEngine(scheme=scheme, n_workers=2) as eng:
-            normal_a = BitMatrix.from_dense(n)
-            best_a = eng.best_combo(tumor, normal_a, params)
-            store_a = eng._normal_hits
-            assert store_a.binds(scheme, tumor.n_genes, normal_a)
-            assert store_a.filled.any()
-            assert eng.best_combo(tumor, normal_a, params) == best_a
-            assert eng._normal_hits is store_a
+        eng = DistributedEngine(scheme=scheme, n_nodes=2, gpus_per_node=1)
+        normal_a = BitMatrix.from_dense(n)
+        best_a = eng.best_combo(tumor, normal_a, params)
+        store_a = eng._normal_hits
+        assert store_a.binds(scheme, tumor.n_genes, normal_a)
+        assert store_a.filled.any()
+        assert eng.best_combo(tumor, normal_a, params) == best_a
+        assert eng._normal_hits is store_a
 
-            normal_b = BitMatrix.from_dense(~n)  # the next job
-            best_b = eng.best_combo(tumor, normal_b, params)
-            store_b = eng._normal_hits
+        normal_b = BitMatrix.from_dense(~n)  # the next job
+        best_b = eng.best_combo(tumor, normal_b, params)
+        store_b = eng._normal_hits
         assert store_b is not store_a
         assert store_b.binds(scheme, tumor.n_genes, normal_b)
         assert not store_a.binds(scheme, tumor.n_genes, normal_b)
@@ -366,8 +365,16 @@ class TestPoolStore:
         # filled): compare the threads both stores hold.
         both = np.flatnonzero(store_a.filled & store_b.filled)
         assert both.size
+
+        def counts(store, lam):
+            lo, hi = (
+                cumulative_work_before(scheme, tumor.n_genes, x)
+                for x in (lam, lam + 1)
+            )
+            return store.counts[lo:hi]
+
         assert any(
-            not np.array_equal(store_a.read(lam, lam + 1), store_b.read(lam, lam + 1))
+            not np.array_equal(counts(store_a, lam), counts(store_b, lam))
             for lam in both
         )
         assert best_b == SingleGpuEngine(scheme=scheme).best_combo(

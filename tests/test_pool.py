@@ -1,11 +1,18 @@
-"""Tests for the equi-area rank-thread execution backend.
+"""Tests for ``backend="pool"``: the distributed engine, one partition
+per rank.
 
-The contract under test: ``backend="pool"`` is bit-exact with
-``backend="single"`` — same combinations, same F-scores, same
-tie-breaks, same merged counters — for every worker count and lease
-cut.  Recovery from injected rank faults is the fleet's, and is tested
-on both backends at once (``tests/test_faults.py::TestPoolInjection``).
+The contract under test: ``MultiHitSolver(backend="pool",
+n_workers=k)`` runs :class:`DistributedEngine` with ``n_nodes=k`` and
+``gpus_per_node=1`` — counter for counter and record for record the
+``backend="distributed"`` run of that shape — and is bit-exact with
+``backend="single"``: same combinations, same F-scores, same
+tie-breaks, same merged counters, for every rank count and lease cut.
+Recovery from injected rank faults is the fleet's
+(``tests/test_faults.py::TestPoolInjection``).
 """
+
+import dataclasses
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,10 +20,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bitmatrix.matrix import BitMatrix
+from repro.core import solver as solver_module
+from repro.core.distributed import DistributedEngine
 from repro.core.engine import SingleGpuEngine
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.core.pool import PoolEngine, PoolStats
 from repro.core.sequential import sequential_solve
 from repro.core.solver import MultiHitSolver
 from repro.scheduling.equiarea import equiarea_range_boundaries, equiarea_schedule
@@ -34,6 +42,16 @@ def _work_tuple(c):
     (tests/test_meter_closure.py closes it against a tally of the
     gathers)."""
     return (c.combos_scored, c.word_ops)
+
+
+def _pool_engine(scheme, n_workers, **solver):
+    """The engine ``backend="pool"`` builds for ``n_workers`` ranks."""
+    return solver_module._ENGINES["pool"](
+        MultiHitSolver(
+            hits=scheme.hits, scheme=scheme, backend="pool",
+            n_workers=n_workers, **solver,
+        )
+    )
 
 
 @pytest.fixture
@@ -80,8 +98,9 @@ class TestPoolBitExactness:
             tumor, normal, params, counters=ref_counters
         )
         pool_counters = KernelCounters()
-        with PoolEngine(scheme=scheme, n_workers=n_workers) as eng:
-            got = eng.best_combo(tumor, normal, params, counters=pool_counters)
+        got = _pool_engine(scheme, n_workers).best_combo(
+            tumor, normal, params, counters=pool_counters
+        )
         assert got == ref
         assert _work_tuple(pool_counters) == _work_tuple(ref_counters)
 
@@ -112,25 +131,24 @@ class TestPoolBitExactness:
 
     def test_tie_straddling_worker_boundary(self):
         # All-ones tumor: every combination ties at the maximal F, so
-        # each worker chunk returns its own lex-smallest candidate and
-        # the cross-chunk reduction must still pick the global
+        # each rank's lease returns its own lex-smallest candidate and
+        # the cross-lease reduction must still pick the global
         # lex-smallest — exactly the single-engine tie rule.
         t = BitMatrix.from_dense(np.ones((10, 20), dtype=bool))
         n = BitMatrix.from_dense(np.zeros((10, 20), dtype=bool))
         params = FScoreParams(n_tumor=20, n_normal=20)
         for n_workers in (2, 3, 4):
-            with PoolEngine(scheme=SCHEME_3X1, n_workers=n_workers) as eng:
-                got = eng.best_combo(t, n, params)
+            got = _pool_engine(SCHEME_3X1, n_workers).best_combo(t, n, params)
             assert got.genes == (0, 1, 2, 3)
 
     def test_empty_range_and_validation(self, instance):
         tumor, normal, params = instance
-        with PoolEngine(scheme=scheme_for(2, 1), n_workers=2) as eng:
-            bad = BitMatrix.from_dense(np.zeros((9, 4), dtype=bool))
-            with pytest.raises(ValueError):
-                eng.best_combo(tumor, bad, params)
+        eng = _pool_engine(scheme_for(2, 1), 2)
+        bad = BitMatrix.from_dense(np.zeros((9, 4), dtype=bool))
         with pytest.raises(ValueError):
-            PoolEngine(scheme=SCHEME_3X1, n_workers=0)
+            eng.best_combo(tumor, bad, params)
+        with pytest.raises(ValueError):
+            _pool_engine(SCHEME_3X1, 0)
 
 
 class TestSolverBackendEquivalence:
@@ -162,49 +180,69 @@ class TestSolverBackendEquivalence:
             MultiHitSolver(backend="pool", n_workers=0)
 
 
-# -- stats -----------------------------------------------------------------
+# -- the spelling -----------------------------------------------------------
 
 
-class TestStatsAndSharedMemory:
-    def test_chunk_records_cover_range_exactly(self, instance):
+class TestPoolSpelling:
+    """``backend="pool"`` is a spelling of ``backend="distributed"``."""
+
+    @pytest.mark.parametrize("elastic", [False, True], ids=["static", "elastic"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_is_the_distributed_engine_with_one_partition_per_rank(
+        self, rng, k, elastic
+    ):
+        t = rng.random((16, 90)) < 0.3
+        n = rng.random((16, 70)) < 0.15
+        built, build = [], solver_module._ENGINES["pool"]
+
+        def spy(solver):
+            built.append(build(solver))
+            return built[-1]
+
+        with patch.dict(solver_module._ENGINES, pool=spy):
+            pool = MultiHitSolver(
+                hits=3, backend="pool", n_workers=k, elastic=elastic,
+                max_iterations=4,
+            ).solve(t, n)
+        (engine,) = built
+        assert type(engine) is DistributedEngine
+        assert (engine.n_nodes, engine.gpus_per_node) == (k, 1)
+        assert engine.elastic is elastic
+
+        dist = MultiHitSolver(
+            hits=3, backend="distributed", n_nodes=k, gpus_per_node=1,
+            elastic=elastic, max_iterations=4,
+        ).solve(t, n)
+        assert dataclasses.asdict(pool.counters) == dataclasses.asdict(dist.counters)
+        assert pool.counters.threads_bounded > 0
+
+        def records(result):
+            return [
+                dataclasses.replace(r, wall_seconds=0.0) for r in result.iterations
+            ]
+
+        assert len(pool.iterations) == 4
+        assert records(pool) == records(dist)
+        assert pool.uncovered == dist.uncovered
+
+    @pytest.mark.parametrize("elastic", [False, True], ids=["static", "elastic"])
+    def test_ledger_leases_tile_the_grid(self, instance, elastic):
+        """The last call's ledger holds one row per lease: its range,
+        its completer and its counters, which add up to the grid."""
         tumor, normal, params = instance
         scheme = scheme_for(3, 2)
-        stats = PoolStats()
-        with PoolEngine(scheme=scheme, n_workers=4) as eng:
-            eng.best_combo(tumor, normal, params, stats=stats)
-        assert stats.n_workers == 4
-        assert 1 <= len(stats.chunks) <= 4
-        assert stats.chunks[0].lam_start == 0
-        assert stats.chunks[-1].lam_end == total_threads(scheme, tumor.n_genes)
-        assert sum(c.work for c in stats.chunks) == total_work(
-            scheme, tumor.n_genes
-        )
-        assert sum(c.combos_scored for c in stats.chunks) == total_work(
-            scheme, tumor.n_genes
-        )
-        assert stats.n_inline_retries == 0
-        # Each row's wall is its completing attempt's, timed by run_lease.
-        assert all(c.wall_seconds > 0 for c in stats.chunks)
-        per_worker = stats.per_worker()
-        assert set(per_worker) <= set(range(4))  # keyed by rank
-        assert sum(row["chunks"] for row in per_worker.values()) == len(stats.chunks)
-        assert "PoolStats" in stats.describe()
-
-    def test_elastic_chunk_records_tile_the_grid(self, instance):
-        tumor, normal, params = instance
-        scheme = scheme_for(3, 2)
-        stats = PoolStats()
-        with PoolEngine(scheme=scheme, n_workers=3, elastic=True) as eng:
-            eng.best_combo(tumor, normal, params, stats=stats)
-        edges = [(c.lam_start, c.lam_end) for c in stats.chunks]
+        eng = _pool_engine(scheme, 3, elastic=elastic)
+        eng.best_combo(tumor, normal, params)
+        leases = eng.ledger.leases
+        edges = [(lease.lam_start, lease.lam_end) for lease in leases]
         assert edges[0][0] == 0
         assert edges[-1][1] == total_threads(scheme, tumor.n_genes)
         assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
-        assert [c.chunk for c in stats.chunks] == list(range(len(edges)))
-
-    def test_close_is_idempotent(self, instance):
-        tumor, normal, params = instance
-        eng = PoolEngine(scheme=scheme_for(2, 1), n_workers=2)
-        eng.best_combo(tumor, normal, params)
-        eng.close()
-        eng.close()
+        assert [lease.lease_id for lease in leases] == list(range(len(edges)))
+        assert {lease.completed_by for lease in leases} <= {0, 1, 2}
+        assert all(lease.wall_seconds > 0 for lease in leases)
+        assert sum(lease.counters.combos_scored for lease in leases) == total_work(
+            scheme, tumor.n_genes
+        )
+        if not elastic:  # one partition per rank, pinned to it
+            assert [lease.owner for lease in leases] == [0, 1, 2]

@@ -978,6 +978,27 @@ class TestRestartRecovery:
         assert signature(done.result["combinations"]) == signature(
             direct_solve(spec).combinations)
 
+    def test_job_file_pinned_to_the_pool_recovers(self, tmp_path):
+        """A job file stored with ``"backend": "pool", "n_workers": 2``
+        in its spec and its dispatch loads at boot and runs on the one
+        fan-out engine (two ranks, one partition each): ``done``, with
+        ``single``'s winners."""
+        spec = spec_for(7, solver={"backend": "pool", "n_workers": 2})
+        store = JobStore(tmp_path)
+        job = store.new_job("old", spec)
+        store.transition(job.job_id, JobState.ADMITTED, dispatch={
+            "backend": "pool", "n_workers": 2, "n_nodes": 2, "est_cost": 1.2e5,
+        })
+        store.transition(job.job_id, JobState.RUNNING)
+        del store
+        with Gateway(state_dir=tmp_path, max_concurrent=1) as gw:
+            assert gw._recovered == 1
+            done = gw.wait([job.job_id], timeout=120)[0]
+        assert done.state == JobState.DONE
+        assert (done.dispatch["backend"], done.dispatch["n_workers"]) == ("pool", 2)
+        assert signature(done.result["combinations"]) == signature(
+            direct_solve(spec).combinations)
+
     @pytest.mark.parametrize(
         "limits", [{"queue_depth": 2}, {"tenant_quota": 2}],
         ids=["depth", "quota"],

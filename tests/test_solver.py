@@ -16,7 +16,6 @@ from repro.cluster.leases import LeaseLedger
 from repro.core.distributed import DistributedEngine, search_lease
 from repro.core.engine import SingleGpuEngine, best_in_thread_range
 from repro.core.memopt import MemoryConfig
-from repro.core.pool import PoolEngine
 from repro.core.sequential import sequential_solve
 from repro.core.solver import MultiHitSolver
 from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, Scheme
@@ -72,10 +71,9 @@ class TestOptionsLedger:
         [
             MultiHitSolver,
             lambda **kw: SingleGpuEngine(scheme=SCHEME_3X1, **kw),
-            lambda **kw: PoolEngine(scheme=SCHEME_3X1, **kw),
             lambda **kw: DistributedEngine(scheme=SCHEME_3X1, n_nodes=2, **kw),
         ],
-        ids=["MultiHitSolver", "SingleGpuEngine", "PoolEngine", "DistributedEngine"],
+        ids=["MultiHitSolver", "SingleGpuEngine", "DistributedEngine"],
     )
     def test_removed_keywords_are_type_errors(self, build):
         for name in self.REMOVED:
@@ -86,7 +84,6 @@ class TestOptionsLedger:
         "call",
         [
             lambda **kw: SingleGpuEngine(scheme=SCHEME_3X1, **kw),
-            lambda **kw: PoolEngine(scheme=SCHEME_3X1, **kw),
             lambda **kw: DistributedEngine(scheme=SCHEME_3X1, n_nodes=2, **kw),
             lambda **kw: search_lease(SCHEME_3X1, None, 0, None, None, None, **kw),
             lambda **kw: spmd_best_combo(None, SCHEME_3X1, None, None, None, 1, **kw),
@@ -98,7 +95,7 @@ class TestOptionsLedger:
             ),
         ],
         ids=[
-            "SingleGpuEngine", "PoolEngine", "DistributedEngine", "search_lease",
+            "SingleGpuEngine", "DistributedEngine", "search_lease",
             "spmd_best_combo", "best_in_thread_range", "_scan_range",
         ],
     )
@@ -114,9 +111,6 @@ class TestOptionsLedger:
             lambda **kw: SingleGpuEngine(scheme=SCHEME_3X1).best_combo(
                 None, None, None, **kw
             ),
-            lambda **kw: PoolEngine(scheme=SCHEME_3X1).best_combo(
-                None, None, None, **kw
-            ),
             lambda **kw: DistributedEngine(scheme=SCHEME_3X1, n_nodes=2).best_combo(
                 None, None, None, **kw
             ),
@@ -127,7 +121,7 @@ class TestOptionsLedger:
             ),
         ],
         ids=[
-            "SingleGpuEngine", "PoolEngine", "DistributedEngine", "search_lease",
+            "SingleGpuEngine", "DistributedEngine", "search_lease",
             "spmd_best_combo", "best_in_thread_range",
         ],
     )
@@ -180,12 +174,6 @@ class TestOptionsLedger:
             ),
             ["lam_start", "lam_end"],
         ),
-        "PoolEngine.best_combo": (
-            lambda **kw: PoolEngine(scheme=SCHEME_3X1).best_combo(
-                None, None, None, **kw
-            ),
-            ["lam_start", "lam_end"],
-        ),
         "LeaseLedger.build": (
             lambda **kw: LeaseLedger.build(SCHEME_3X1, 8, 2, **kw),
             ["lam_start", "lam_end"],
@@ -217,7 +205,7 @@ class TestOptionsLedger:
         ],
     )
     def test_seams_only_tests_set_are_gone(self, call, name):
-        """Sixteen parameters that only tests ever set: each is a
+        """Fourteen parameters that only tests ever set: each is a
         ``TypeError`` now (a constant, or the whole grid, took its place)."""
         with pytest.raises(TypeError, match=name):
             call(**{name: 1})
@@ -241,7 +229,6 @@ class TestOptionsLedger:
         "call",
         [
             lambda **kw: SingleGpuEngine(scheme=SCHEME_3X1, **kw),
-            lambda **kw: PoolEngine(scheme=SCHEME_3X1, **kw),
             lambda **kw: DistributedEngine(scheme=SCHEME_3X1, n_nodes=2, **kw),
             lambda **kw: search_lease(SCHEME_3X1, None, 0, None, None, None, **kw),
             lambda **kw: spmd_best_combo(None, SCHEME_3X1, None, None, None, 1, **kw),
@@ -250,7 +237,7 @@ class TestOptionsLedger:
             ),
         ],
         ids=[
-            "SingleGpuEngine", "PoolEngine", "DistributedEngine", "search_lease",
+            "SingleGpuEngine", "DistributedEngine", "search_lease",
             "spmd_best_combo", "best_in_thread_range",
         ],
     )
