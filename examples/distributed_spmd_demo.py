@@ -2,12 +2,12 @@
 
 Demonstrates the paper's execution structure end-to-end: an equi-area
 schedule partitions the 3x1 thread grid over 4 simulated Summit nodes
-(x6 GPUs).  The thread fleet runs that schedule as pinned leases — each
-rank on its own thread searches its own partitions, and one candidate
-per rank is reduced at the root — first healthy, then with rank 2 dead
-(its partitions are stolen by the survivors, and the winner must not
-change); finally the full greedy loop runs distributed and is checked
-against the single-engine result.
+(x6 GPUs).  The thread fleet runs that schedule as one lease per
+partition — each rank on its own thread pulls the lowest free lease and
+searches it, and the leases' candidates are reduced at the root — first
+healthy, then with rank 2 dead (the range it held is stolen by a
+survivor, and the winner must not change); finally the full greedy loop
+runs distributed and is checked against the single-engine result.
 
 Run:  python examples/distributed_spmd_demo.py
 """
@@ -38,13 +38,11 @@ def main() -> None:
     schedule = equiarea_schedule(SCHEME_3X1, tumor.n_genes, N_NODES * GPUS_PER_NODE)
     print(schedule.describe())
     work = schedule.work_per_part()
-    for rank in range(N_NODES):
-        parts = work[rank * GPUS_PER_NODE : (rank + 1) * GPUS_PER_NODE]
-        print(f"  rank {rank}: per-GPU work {parts}")
+    print(f"  per-partition work: {min(work)} .. {max(work)}")
 
     print(f"\nrunning one greedy iteration on the fleet over {N_NODES} ranks...")
     winner = spmd_best_combo(
-        LeaseLedger.from_schedule(schedule, GPUS_PER_NODE),
+        LeaseLedger(schedule.boundaries),
         SCHEME_3X1, tumor, normal, params, N_NODES,
     )
     names = ",".join(cohort.tumor.gene_names[g] for g in winner.genes)
@@ -54,7 +52,7 @@ def main() -> None:
     print("\nsame schedule with rank 2 dead...")
     report = FaultReport()
     survived = spmd_best_combo(
-        LeaseLedger.from_schedule(schedule, GPUS_PER_NODE),
+        LeaseLedger(schedule.boundaries),
         SCHEME_3X1, tumor, normal, params, N_NODES,
         fault_plan=FaultPlan(
             (FaultSpec(kind="crash", site="rank", target=2, count=-1),)
@@ -62,7 +60,7 @@ def main() -> None:
         report=report,
     )
     assert survived == winner, "recovery must not change the winner"
-    print(f"  same winner; {report.n_rescheduled} partitions of rank "
+    print(f"  same winner; {report.n_rescheduled} partition(s) held by rank "
           f"{report.dead_ranks[0]} stolen by ranks "
           f"{sorted({r.survivor for r in report.rescheduled})}")
 

@@ -6,12 +6,12 @@ GPUs).  This package substitutes:
 * :class:`LeaseLedger` / :class:`ElasticSPMDRunner` /
   :func:`spmd_best_combo` — λ-range leases and the one thread fleet,
   which runs ``backend="distributed"`` and ``backend="pool"`` (the same
-  engine with one partition per rank): ranks pull leases (pinned
-  one-per-partition for the paper's static schedule, unpinned for an
-  elastic run), and join/leave
-  mid-solve while survivors steal ranges whose TTL ran out or whose
-  holder forfeited them (winners stay bit-identical).  The paper's Section III-E reduce of one 20-byte
-  candidate per rank is :meth:`LeaseLedger.merge`.  A run's fleet size
+  engine with one partition per rank): ranks pull leases, lowest id
+  first (one per partition for the paper's static schedule, finer cuts
+  for an elastic run), and join/leave mid-solve while survivors steal
+  ranges whose TTL ran out or whose holder forfeited them (winners stay
+  bit-identical).  The paper's Section III-E reduce of the ranks'
+  20-byte candidates is :meth:`LeaseLedger.merge`.  A run's fleet size
   is fixed at launch, as on an allocation; only the fault plan's
   membership specs change it;
 * :class:`VirtualCluster` — a deterministic virtual-time engine with a

@@ -1,33 +1,34 @@
 """The rank fleet: ranks pull leases off one ledger.
 
 :func:`spmd_best_combo` runs an arg-max over a ready
-:class:`repro.cluster.leases.LeaseLedger` — ``from_schedule`` for the
-paper's static schedule (one lease per partition, pinned to the owning
-rank), ``build`` for unpinned equi-area leases — on
-:class:`ElasticSPMDRunner`, the one driver of a ledger.  The one
-fan-out engine, :class:`repro.core.distributed.DistributedEngine`, calls
-it once per greedy iteration with the paper's pinned schedule or
-elastic leases: over ``n_nodes`` ranks for ``backend="distributed"``, and
-over ``n_workers`` ranks of one partition each for ``backend="pool"``.
-Every rank is a thread that scans its lease in-thread with
-``search_lease`` and recovers with ``run_lease`` (the one recovery
-rule) from :mod:`repro.core.distributed`.
+:class:`repro.cluster.leases.LeaseLedger` — cut at a schedule's
+partition boundaries for the paper's static schedule, or ``build`` for
+finer equi-area leases — on :class:`ElasticSPMDRunner`, the one driver
+of a ledger.  The one fan-out engine,
+:class:`repro.core.distributed.DistributedEngine`, calls it once per
+greedy iteration with the paper's static schedule or elastic leases:
+over ``n_nodes`` ranks for ``backend="distributed"``, and over
+``n_workers`` ranks of one partition each for ``backend="pool"``.
+Every rank is a thread that pulls the lowest free lease, scans it
+in-thread with ``search_lease`` and recovers with ``run_lease`` (the
+one recovery rule) from :mod:`repro.core.distributed`; a rank that
+finds the pool empty exits.
 
 The fleet never aborts.  Ranks *pull* leases (no message is sent
 during an arg-max) and can join or leave mid-solve: a **joining** rank
 starts pulling; a **leaving** rank finishes the lease it holds, then
 retires; a **crashed** rank retries in place under the policy, then is
-retired and forfeits its leases, held and pinned; a **hung** rank
-really goes silent, so its lease expires once the ledger's TTL, armed
-when the rank took it, passes.  Either way a survivor steals the range
-and the winner is unchanged (see the determinism argument in
-:mod:`repro.cluster.leases`).  A rank's heartbeat, beaten between
-leases, only feeds the staleness gauge and the supervisor's test of
-whether anybody still answers.
+retired and forfeits the lease it holds; a **hung** rank really goes
+silent, so its lease expires once the ledger's TTL, armed when the rank
+took it, passes.  Either way a survivor still pulling, or the driver,
+steals the range and the winner is unchanged (see the determinism
+argument in :mod:`repro.cluster.leases`).  A rank's heartbeat, beaten
+between leases, only feeds the staleness gauge and the supervisor's
+test of whether anybody still answers.
 Joins and leaves come only from the fault plan's ``membership`` specs:
 as on an allocation, nothing resizes the fleet at run time.  This is
-the only rank runner: the paper's Section III-E reduce of one candidate
-per rank is :meth:`LeaseLedger.merge`.
+the only rank runner: the paper's Section III-E reduce of the ranks'
+candidates is :meth:`LeaseLedger.merge`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from repro.telemetry.session import get_telemetry, set_thread_telemetry
 
 __all__ = ["ElasticSPMDRunner", "spmd_best_combo"]
 
-#: Supervisor / idle-rank poll period.
+#: Supervisor poll period.
 _POLL_S = 0.01
 #: How long :meth:`ElasticSPMDRunner.run` waits for rank threads to
 #: unwind once the ledger is done before abandoning them (daemonic).
@@ -248,9 +249,8 @@ class ElasticSPMDRunner:
                 )
 
     def _drain_inline(self) -> None:
-        # Dead ranks hold nothing (every exit path retires) and a silent
-        # rank's reservations lapsed with its lease, so whatever nobody
-        # holds is in the shared pool.  No fault is injected on the
+        # Dead ranks hold nothing (every exit path retires), so whatever
+        # nobody holds is in the pool.  No fault is injected on the
         # driver (``run_lease`` takes none for holder -1).
         while (lease := self.ledger.acquire(-1)) is not None:
             self._run_lease(-1, lease)
@@ -298,25 +298,12 @@ class ElasticSPMDRunner:
                 return
             lease = ledger.acquire(rank)
             if lease is None:
-                if not ledger.n_available:
-                    # Pool drained.  What is still granted is its
-                    # holder's to finish; if that holder goes silent the
-                    # expired lease falls to whoever is still pulling,
-                    # or to the driver.
-                    return
-                # What is left is reserved for live peers: wait for it
-                # to be unpinned.  One lease.wait span per waiting
-                # stretch, not per poll tick.
-                with self.tel.span("lease.wait", cat="spmd", rank=rank):
-                    while ledger.n_available and not (
-                        self.stopping.is_set() or leaving.is_set()
-                        or ledger.has_work_for(rank)
-                    ):
-                        time.sleep(_POLL_S)
-                        beats[rank] = time.monotonic()
-                continue
+                # Pool drained.  What is still granted is its holder's to
+                # finish; if that holder goes silent the expired lease
+                # falls to whoever is still pulling, or to the driver.
+                return
             if not self._run_lease(rank, lease):
-                return  # retired: its leases are the survivors' now
+                return  # retired: its lease is the survivors' now
 
 
 def spmd_best_combo(
@@ -336,8 +323,8 @@ def spmd_best_combo(
 ) -> "MultiHitCombination | None":
     """One arg-max on a thread fleet of ``n_ranks`` over ``ledger``.
 
-    The ledger decides the schedule (pinned ``from_schedule`` leases or
-    pulled ``build`` ones; a ``ttl_s`` lets survivors steal from hung
+    The ledger decides the schedule (a static schedule's partitions or
+    finer ``build`` cuts; a ``ttl_s`` lets survivors steal from hung
     ranks).  Whatever happens to the ranks, the winners fold through
     :meth:`LeaseLedger.merge` in lease-id order: the result is
     bit-identical to any fixed-world run over the same grid.

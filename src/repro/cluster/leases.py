@@ -21,11 +21,9 @@ range-winners on every run.  Kernel counters are kept per lease and
 folded in the same order, with duplicates dropped at completion time,
 so work accounting closes exactly once per lease.
 
-A static schedule is the same ledger with every lease **pinned**: lease
-*i* carries the rank that owns partition *i* (``owners``), ``acquire``
-hands a pinned lease only to its owner, and retiring the owner unpins
-its leases for survivors to steal.  Leases without an owner are pulled
-by whoever asks first.
+A static schedule is the same ledger cut at the schedule's partition
+boundaries: its cuts balance the work, and no lease is reserved for a
+rank.  Every lease is pulled by whoever asks first, lowest id first.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.core.distributed import node_candidates
 from repro.core.reduction import multi_stage_reduce
 from repro.scheduling.equiarea import equiarea_range_boundaries
 from repro.telemetry.session import get_telemetry
@@ -55,9 +52,8 @@ class Lease:
     ``grants`` counts how many times the lease was handed out; any grant
     after the first is a steal (the range moved to a new holder after an
     expiry or forfeiture).  ``previous_holders`` keeps the churn trail
-    for fault attribution.  ``owner`` is the rank a pinned lease is
-    reserved for (``None``: anyone may pull it); it stays recorded after
-    the owner retires, so a dump still shows whose partition moved.
+    for fault attribution: its first entry is the rank the lease
+    started with.
 
     The ``*_ctx`` fields carry causal span contexts (see
     :mod:`repro.telemetry.causal`): ``grant_ctx`` is the holder's span
@@ -76,7 +72,6 @@ class Lease:
     lease_id: int
     lam_start: int
     lam_end: int
-    owner: "int | None" = None
     state: str = "available"
     holder: "int | None" = None
     deadline: float = float("inf")
@@ -109,36 +104,25 @@ class LeaseLedger:
     def __init__(
         self,
         boundaries: "tuple[int, ...]",
-        owners: "list[int] | None" = None,
         ttl_s: "float | None" = None,
     ) -> None:
         if len(boundaries) < 2:
             raise ValueError("need at least one lease range")
         self.boundaries = tuple(boundaries)
-        if owners is not None and len(owners) != len(self.boundaries) - 1:
-            raise ValueError("need exactly one owner per lease range")
         self.ttl_s = ttl_s
         self.leases: "list[Lease]" = []
-        for i, (lo, hi) in enumerate(
-            zip(self.boundaries[:-1], self.boundaries[1:])
-        ):
+        for lo, hi in zip(self.boundaries[:-1], self.boundaries[1:]):
             if hi > lo:  # duplicate cuts (tiny grids) make empty ranges
                 self.leases.append(
-                    Lease(
-                        lease_id=len(self.leases), lam_start=lo, lam_end=hi,
-                        owner=None if owners is None else owners[i],
-                    )
+                    Lease(lease_id=len(self.leases), lam_start=lo, lam_end=hi)
                 )
         if not self.leases:
             raise ValueError("every lease range is empty")
         self._lock = threading.Lock()
         self._retired: set = set()
-        # Available lease ids as min-heaps: one per live pinned owner plus
-        # the shared pool (key ``None``), so a grant never scans the
-        # leases.  Ids are appended in ascending order: already heaps.
-        self._pools: "dict[int | None, list[int]]" = {}
-        for lease in self.leases:
-            self._pools.setdefault(lease.owner, []).append(lease.lease_id)
+        # Available lease ids as one min-heap, so a grant never scans the
+        # leases.  Ids are appended in ascending order: already a heap.
+        self._heap: "list[int]" = [lease.lease_id for lease in self.leases]
         self._n_granted = 0
         self._n_completed = 0
         self.n_steals = 0
@@ -164,44 +148,7 @@ class LeaseLedger:
         cuts = equiarea_range_boundaries(scheme, g, max(1, n_leases))
         return cls(cuts, ttl_s=ttl_s)
 
-    @classmethod
-    def from_schedule(
-        cls, schedule, gpus_per_rank: int, ttl_s: "float | None" = None
-    ) -> "LeaseLedger":
-        """The paper's static schedule as a ledger: one lease per
-        partition, lease *i* pinned to the rank that owns partition *i*
-        under the rank-major mapping (``i // gpus_per_rank``)."""
-        owners = [part // gpus_per_rank for part in range(schedule.n_parts)]
-        return cls(schedule.boundaries, owners=owners, ttl_s=ttl_s)
-
     # -- lifecycle -----------------------------------------------------
-
-    def _peek(self, key: "int | None") -> "int | None":
-        """Lowest available lease id in pool ``key`` (caller holds the lock)."""
-        pool = self._pools.get(key)
-        # A lease completed while pooled (an expired holder resurfacing
-        # before the steal) leaves a stale id behind; drop it here.
-        while pool and self.leases[pool[0]].state != "available":
-            heapq.heappop(pool)
-        return pool[0] if pool else None
-
-    def _takeable(self, holder: int) -> "list[list[int]]":
-        """The non-empty pools ``holder`` may draw from: its own pinned
-        leases and the shared pool (caller holds the lock)."""
-        if holder in self._retired:
-            return []
-        return [
-            self._pools[key]
-            for key in (holder, None)
-            if self._peek(key) is not None
-        ]
-
-    def _unpin(self, holder: int) -> None:
-        """Move the available leases reserved for ``holder`` to the
-        shared pool (caller holds the lock)."""
-        shared = self._pools.setdefault(None, [])
-        for lease_id in self._pools.pop(holder, ()):
-            heapq.heappush(shared, lease_id)
 
     def _deadline(self, now: "float | None") -> float:
         """When a grant armed at ``now`` expires (``inf``: no TTL)."""
@@ -210,22 +157,23 @@ class LeaseLedger:
         return (time.monotonic() if now is None else now) + self.ttl_s
 
     def acquire(self, holder: int, now: "float | None" = None) -> "Lease | None":
-        """Grant ``holder`` the lowest-id available lease it may take.
+        """Grant ``holder`` the lowest-id available lease.
 
-        That is a lease pinned to ``holder`` or one in the shared pool
-        (never pinned, or unpinned when its owner retired).  Returns
-        ``None`` when there is none or the holder has been retired.  A
-        grant after a previous holder lost the lease, or of a lease
-        pinned to someone else, counts as a steal.
+        Returns ``None`` when there is none or the holder has been
+        retired.  A grant after a previous holder lost the lease counts
+        as a steal.
         """
         tel = get_telemetry()
         with self._lock:
-            pools = self._takeable(holder)
-            if not pools:
+            heap = self._heap
+            # A lease completed while pooled (an expired holder
+            # resurfacing before the steal) leaves a stale id behind.
+            while heap and self.leases[heap[0]].state != "available":
+                heapq.heappop(heap)
+            if holder in self._retired or not heap:
                 return None
-            pool = min(pools, key=lambda ids: ids[0])
-            lease = self.leases[heapq.heappop(pool)]
-            stolen = lease.grants > 0 or lease.owner not in (None, holder)
+            lease = self.leases[heapq.heappop(heap)]
+            stolen = lease.grants > 0
             lease.state = "granted"
             lease.holder = holder
             lease.grants += 1
@@ -275,15 +223,8 @@ class LeaseLedger:
     def _revoke(self, lost, event: str) -> "list[Lease]":
         """Return every granted lease for which ``lost(lease)`` holds to
         the pool; ``event`` (``expired`` / ``forfeited``) names the
-        counters and the flight-recorder note.
-
-        A forfeited lease stays reserved for a live owner (it dropped
-        one grant, it is still pulling).  An expired one goes to the
-        shared pool and takes the silent holder's other reservations
-        with it: nothing may wait on a rank that stopped answering.
-        """
+        counters and the flight-recorder note."""
         tel = get_telemetry()
-        silent = event == "expired"
         revoked: "list[Lease]" = []
         with self._lock:
             for lease in self.leases:
@@ -296,12 +237,7 @@ class LeaseLedger:
                 lease.stolen_from_ctx = lease.grant_ctx
                 lease.grant_ctx = None
                 self._n_granted -= 1
-                key = lease.owner
-                if silent:
-                    self._unpin(lease.previous_holders[-1])
-                if silent or key in self._retired:
-                    key = None
-                heapq.heappush(self._pools.setdefault(key, []), lease.lease_id)
+                heapq.heappush(self._heap, lease.lease_id)
                 revoked.append(lease)
             if revoked:
                 tally = f"n_{event}"  # n_expired / n_forfeited
@@ -323,8 +259,7 @@ class LeaseLedger:
     def expire(self, now: "float | None" = None) -> "list[Lease]":
         """Reclaim granted leases whose deadline has passed.
 
-        The reclaimed leases return to the shared pool, pinned or not;
-        the next ``acquire`` by any live rank is the steal.
+        The next ``acquire`` by any live rank is the steal.
         """
         if now is None:
             now = time.monotonic()
@@ -335,11 +270,10 @@ class LeaseLedger:
         return self._revoke(lambda lease: lease.holder == holder, "forfeited")
 
     def retire(self, holder: int) -> "list[Lease]":
-        """Permanently bar ``holder`` from new grants, forfeit the leases
-        it holds and unpin the ones reserved for it."""
+        """Permanently bar ``holder`` from new grants and forfeit the
+        leases it holds."""
         with self._lock:
             self._retired.add(holder)
-            self._unpin(holder)
         return self.forfeit(holder)
 
     def complete(
@@ -392,14 +326,6 @@ class LeaseLedger:
     def n_leases(self) -> int:
         return len(self.leases)
 
-    def _available(self) -> int:
-        return len(self.leases) - self._n_granted - self._n_completed
-
-    @property
-    def n_available(self) -> int:
-        with self._lock:
-            return self._available()
-
     @property
     def n_completed(self) -> int:
         with self._lock:
@@ -414,28 +340,17 @@ class LeaseLedger:
         with self._lock:
             return self._n_completed / len(self.leases)
 
-    def has_work_for(self, holder: int) -> bool:
-        """Whether :meth:`acquire` would grant ``holder`` a lease now."""
-        with self._lock:
-            return bool(self._takeable(holder))
-
     def moved(self) -> "list[tuple[int, int, int, int]]":
         """``(origin, finisher, lam_start, lam_end)`` for every lease
-        completed by someone other than the rank it started with — its
-        owner, or its first holder: the rescheduled work of a call."""
+        completed by someone other than its first holder: the rescheduled
+        work of a call."""
         with self._lock:
-            out = []
-            for lease in self.leases:
-                origin = lease.owner
-                if origin is None and lease.previous_holders:
-                    origin = lease.previous_holders[0]
-                if lease.state == "completed" and origin not in (
-                    None, lease.completed_by
-                ):
-                    out.append(
-                        (origin, lease.completed_by, lease.lam_start, lease.lam_end)
-                    )
-            return out
+            return [
+                (origin, lease.completed_by, lease.lam_start, lease.lam_end)
+                for lease in self.leases
+                if lease.state == "completed" and lease.previous_holders
+                and (origin := lease.previous_holders[0]) != lease.completed_by
+            ]
 
     def completion_contexts(self) -> "list[dict]":
         """Completion span contexts in lease-id order (for merge links)."""
@@ -449,18 +364,16 @@ class LeaseLedger:
     # -- deterministic merge -------------------------------------------
 
     def merge(self):
-        """Fold the per-lease winners in lease-id order: on-rank first
-        (:func:`repro.core.distributed.node_candidates`, the paper's
-        stage 2), then at the root (stage 3).  The whole determinism
-        story: the reduction input is identical regardless of which rank
-        completed which lease, or in what order, so churn cannot change
-        the winner."""
+        """Fold the per-lease winners in lease-id order.  The whole
+        determinism story: the reduction input is identical regardless
+        of which rank completed which lease, or in what order, so churn
+        cannot change the winner."""
         incomplete = [
             lease.lease_id for lease in self.leases if lease.state != "completed"
         ]
         if incomplete:
             raise RuntimeError(f"leases not completed: {incomplete}")
-        return multi_stage_reduce(node_candidates(self.leases))
+        return multi_stage_reduce([lease.result for lease in self.leases])
 
     def merge_counters(self, into) -> None:
         """Fold per-lease kernel counters in lease-id order into ``into``."""
@@ -478,29 +391,9 @@ class LeaseLedger:
                     "lam_end": lease.lam_end,
                     "state": lease.state,
                     "holder": lease.holder,
-                    **({} if lease.owner is None else {"owner": lease.owner}),
                     "grants": lease.grants,
                     "previous_holders": list(lease.previous_holders),
                     **({"call": call} if call is not None else {}),
                 }
                 for lease in self.leases
             ]
-
-    def describe(self) -> str:
-        with self._lock:
-            lines = [
-                f"LeaseLedger: {len(self.leases)} leases "
-                f"({self._n_completed} done, "
-                f"{self._n_granted} granted, "
-                f"{self._available()} available) "
-                f"steals={self.n_steals} expired={self.n_expired} "
-                f"forfeited={self.n_forfeited} duplicates={self.n_duplicates}"
-            ]
-            for lease in self.leases:
-                holder = "-" if lease.holder is None else str(lease.holder)
-                lines.append(
-                    f"  lease {lease.lease_id:3d} [{lease.lam_start}, "
-                    f"{lease.lam_end}) {lease.state:9s} holder={holder} "
-                    f"grants={lease.grants}"
-                )
-        return "\n".join(lines)

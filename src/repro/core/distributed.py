@@ -12,15 +12,15 @@ the one driver of a ledger, running :func:`search_lease` under
 :class:`DistributedEngine` is the one engine of both backends that fan
 out: ``backend="distributed"`` over ``n_nodes`` ranks of
 ``gpus_per_node`` partitions, and ``backend="pool"`` over ``n_workers``
-ranks of one partition each.  It builds one of two ledgers:
+ranks of one partition each.  It builds one of two ledgers, and in
+both whichever rank is free pulls the lowest free lease:
 
-* static (``elastic=False``): the schedule's partitions, each lease
-  **pinned** to the rank that owns it (``part // gpus_per_node``), so a
-  healthy run is exactly the paper's one-partition-per-GPU schedule;
-* ``elastic=True``: :data:`LEASES_PER_PULLER` unpinned equi-area cuts
-  per rank — whichever rank is free pulls the next lease, and
-  ``membership``-site :class:`FaultSpec` churn (join/leave) resizes the
-  fleet mid-call.
+* static (``elastic=False``): one lease per partition of the schedule
+  (``n_nodes * gpus_per_node`` equi-area or equidistance cuts), the
+  paper's one-partition-per-GPU schedule, balanced by its cuts alone;
+* ``elastic=True``: :data:`LEASES_PER_PULLER` equi-area cuts per rank,
+  and ``membership``-site :class:`FaultSpec` churn (join/leave) resizes
+  the fleet mid-call.
 
 Recovery is one rule for every ledger, :func:`run_lease`: retry a
 crashed attempt in place, then retire the holder and let survivors
@@ -31,14 +31,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
 
 from repro.bitmatrix.matrix import BitMatrix
 from repro.core.combination import MultiHitCombination
 from repro.core.engine import NormalHitStore, best_in_thread_range
 from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
-from repro.core.reduction import multi_stage_reduce
+# Bound but never called here: the benchmark harness
+# (benchmarks/perf/trace.py) patches it by this name.
+from repro.core.reduction import multi_stage_reduce  # noqa: F401
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.faults.report import FaultReport
@@ -49,7 +50,6 @@ from repro.telemetry.session import get_telemetry
 
 __all__ = [
     "DistributedEngine",
-    "node_candidates",
     "run_lease",
     "search_lease",
 ]
@@ -86,7 +86,7 @@ def search_lease(
     tel = get_telemetry()
     lo, hi = lease.lam_start, lease.lam_end
     counters = KernelCounters()
-    stolen = lease.grants > 1 or lease.owner not in (None, rank)
+    stolen = lease.grants > 1
     with tel.span(
         "lease.search", cat="distributed", rank=rank, lease=lease.lease_id,
         lam_start=lo, lam_end=hi, call=call,
@@ -122,8 +122,8 @@ def run_lease(
     crash injected on the grant loses the attempt (any exception from
     the search is a bug and propagates); the holder retries in place up to
     ``policy.resubmits`` times with backoff (``"resubmitted"``), then is
-    retired (``"lease-forfeit"``): the lease it held and the ones pinned
-    to it go back to the pool, and ``False`` tells the rank to stop.
+    retired (``"lease-forfeit"``): the lease it held goes back to the
+    pool, and ``False`` tells the rank to stop.
     Every completed lease is checked against ``policy.is_straggler``,
     injected or not, and feeds the live ``progress.*`` counters once.
 
@@ -179,20 +179,6 @@ def run_lease(
     return False
 
 
-def node_candidates(leases) -> "list[MultiHitCombination | None]":
-    """Stage 2 of the reduction, on-rank: a pinned rank's leases fold to
-    the one 20-byte candidate that leaves the node; an unpinned lease
-    stands alone.  ``leases`` come in lease-id order and a pinned rank's
-    are contiguous, so the fold never depends on who searched what."""
-    candidates: "list[MultiHitCombination | None]" = []
-    for owner, group in groupby(leases, key=lambda lease: lease.owner):
-        results = [lease.result for lease in group]
-        candidates.extend(
-            results if owner is None else [multi_stage_reduce(results)]
-        )
-    return candidates
-
-
 @dataclass(kw_only=True)
 class DistributedEngine:
     """Multi-node search over a lease ledger of the thread grid — the one
@@ -202,9 +188,8 @@ class DistributedEngine:
     ``gpus_per_node`` GPU partitions each (``backend="pool"`` is
     ``gpus_per_node=1``: one partition per rank).  Each call builds a
     ledger — ``scheduler``'s partition (equi-area by default), one lease
-    per partition pinned to the rank that owns it, or
-    :data:`LEASES_PER_PULLER` unpinned equi-area leases per rank when
-    ``elastic`` — whose lease TTL is ``retry_policy.deadline_s``, and
+    per partition, or :data:`LEASES_PER_PULLER` equi-area leases per
+    rank when ``elastic`` — whose lease TTL is ``retry_policy.deadline_s``, and
     runs it on rank threads (:func:`repro.cluster.elastic.
     spmd_best_combo`, no wall-clock cap).  ``fault_plan`` faults are
     numbered by arg-max call and recovered by :func:`run_lease` into
@@ -278,9 +263,7 @@ class DistributedEngine:
                 self.scheme, g, LEASES_PER_PULLER * self.n_nodes, ttl_s=ttl
             )
             if self.elastic
-            else LeaseLedger.from_schedule(
-                self.build_schedule(g), self.gpus_per_node, ttl_s=ttl
-            )
+            else LeaseLedger(self.build_schedule(g).boundaries, ttl_s=ttl)
         )
         return spmd_best_combo(
             self.ledger, self.scheme, tumor, normal, params, self.n_nodes,

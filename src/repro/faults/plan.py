@@ -211,15 +211,3 @@ class FaultPlan:
             for _ in range(n_faults)
         )
         return cls(specs=specs)
-
-    def describe(self) -> str:
-        lines = [f"FaultPlan: {len(self.specs)} planned faults"]
-        with self._lock:
-            for i, s in enumerate(self.specs):
-                left = self._remaining[i]
-                state = "persistent" if left < 0 else f"{left} left"
-                at = "any call" if s.at_call is None else f"call {s.at_call}"
-                lines.append(
-                    f"  {s.kind:10s} @ {s.site}/{s.target} ({at}) [{state}]"
-                )
-        return "\n".join(lines)

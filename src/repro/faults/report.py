@@ -118,10 +118,6 @@ class FaultReport:
                 call=call,
             )
 
-    def merge(self, other: "FaultReport") -> None:
-        self.events.extend(other.events)
-        self.rescheduled.extend(other.rescheduled)
-
     @property
     def n_detected(self) -> int:
         return len(self.events)

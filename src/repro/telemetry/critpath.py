@@ -26,6 +26,7 @@ bucket         spans
 compute        scan/search/reduce work (the default)
 comm_wait      ``cat == "comm"`` — blocking recv, stalls, send
 lease_wait     ``lease.wait`` — idle polling for a grantable lease
+               (no longer recorded; kept so older traces analyze)
 retry          ``fault.retry`` recovery attempts
 steal          searches of stolen leases (``attrs.stolen``)
 checkpoint     ``cat == "checkpoint"`` — state save I/O

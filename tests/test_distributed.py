@@ -146,7 +146,7 @@ class _DirectSPMD:
         ledger = (
             LeaseLedger.build(e.scheme, g, LEASES_PER_PULLER * e.n_nodes)
             if e.elastic
-            else LeaseLedger.from_schedule(e.build_schedule(g), e.gpus_per_node)
+            else LeaseLedger(e.build_schedule(g).boundaries)
         )
         self.calls += 1
         self.normal_hits = NormalHitStore.reuse(
@@ -215,6 +215,8 @@ class TestDistributionMatrix:
     )
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     @pytest.mark.parametrize("prune", [False, True], ids=["full", "pruned"])
+    # ``pinned`` is the static mode's id, kept from when its leases were
+    # reserved for their ranks.
     @pytest.mark.parametrize("elastic", [False, True], ids=["pinned", "elastic"])
     def test_cell_matches_clean_run(
         self, elastic, prune, sparse, driver, fault_case
@@ -243,7 +245,7 @@ class TestDistributionMatrix:
             assert retired == set(range(N_NODES))
             assert {r.survivor for r in report.rescheduled} == {-1}
         if driver == "thread-fleet" and (elastic or "churn" in fault_case):
-            # Which thread pulls which unpinned lease, and how far along
+            # Which thread pulls which elastic lease, and how far along
             # the solve is when the supervisor polls, is up to the OS:
             # the answer is fixed, the report is not.
             return
@@ -265,14 +267,15 @@ class TestDistributionMatrix:
         """The identity that made the static driver redundant: the same
         cuts through either mode do the same work, counter for counter
         (``threads_bounded`` included: each lease starts from no lead).
-        With as many GPUs per node as the lease grain, the pinned
-        partitions *are* the elastic leases."""
+        With as many GPUs per node as the lease grain, the static
+        partitions *are* the elastic leases (the test keeps the name it
+        had when static leases were pinned to their ranks)."""
         shape = dict(gpus_per_node=LEASES_PER_PULLER, prune=prune, sparse=sparse)
-        pinned = _solve(elastic=False, **shape)
+        static = _solve(elastic=False, **shape)
         elastic = _solve(elastic=True, **shape)
-        assert _winners(elastic) == _winners(pinned)
+        assert _winners(elastic) == _winners(static)
         assert dataclasses.asdict(elastic.counters) == dataclasses.asdict(
-            pinned.counters
+            static.counters
         )
 
     def test_more_rank_threads_than_cores_under_a_short_switch_interval(self):
@@ -313,6 +316,7 @@ class TestRetryPolicyOnLeases:
     @pytest.mark.parametrize(
         "elastic,driver",
         [(e, d) for d in DRIVERS for e in (False, True)],
+        # ``pinned``: the static mode, named from when its leases were pinned.
         ids=["pinned", "elastic", "pinned-thread-fleet", "elastic-thread-fleet"],
     )
     def test_slow_lease_is_reported_without_injection(

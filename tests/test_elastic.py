@@ -48,7 +48,7 @@ def instance(rng):
 
 
 def fleet(instance, n_ranks, n_leases=None, ttl_s=0.5, **kw):
-    """One arg-max on the thread fleet over unpinned equi-area leases;
+    """One arg-max on the thread fleet over equi-area leases;
     returns ``(winner, ledger)``."""
     tumor, normal, params = instance
     ledger = LeaseLedger.build(
@@ -179,15 +179,19 @@ class TestElasticRunner:
 
     @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "unpinned"])
     def test_hung_rank_is_stolen_from(self, instance, pinned):
-        """A rank silent past the TTL loses its lease — and, pinned, its
-        reservations — to the survivors, who must still be around to
-        take it: idle ranks wait while any grant is outstanding."""
+        """A rank silent past the TTL loses its lease to a rank still
+        pulling or, once its peers have drained the pool and left, to the
+        driver.  ``pinned`` runs the paper's static cuts (one lease per
+        partition; no lease is reserved for a rank, the id is kept from
+        when they were), ``unpinned`` the finer equi-area grain."""
         tumor, normal, params = instance
-        schedule = equiarea_schedule(SCHEME_3X1, tumor.n_genes, 6)
         ledger = (
-            LeaseLedger.from_schedule(schedule, 2, ttl_s=0.2)
+            LeaseLedger(
+                equiarea_schedule(SCHEME_3X1, tumor.n_genes, 6).boundaries,
+                ttl_s=0.2,
+            )
             if pinned
-            else LeaseLedger(schedule.boundaries, ttl_s=0.2)
+            else LeaseLedger.build(SCHEME_3X1, tumor.n_genes, 12, ttl_s=0.2)
         )
         # Rank 0 holds a lease from the first round, however fast its
         # peers drain the rest.
@@ -402,6 +406,31 @@ class TestPoolLeases:
             hits=2, backend="pool", n_workers=2, elastic=True
         ).solve(t, n)
         assert signature(elastic.combinations) == signature(clean.combinations)
+
+
+class TestStaticLeases:
+    """The paper's static schedule reserves no lease for a rank: its cuts
+    balance the work, and whichever rank is free pulls the next lease."""
+
+    def test_idle_rank_takes_the_stragglers_share(self, instance):
+        tumor, normal, params = instance
+        plan = FaultPlan(
+            (FaultSpec(kind="straggler", site="rank", target=1, delay_s=0.2),)
+        )
+        eng = DistributedEngine(
+            scheme=SCHEME_3X1, n_nodes=2, gpus_per_node=3, fault_plan=plan
+        )
+        with telemetry_session() as tel:
+            got = eng.best_combo(tumor, normal, params)
+            names = {span["name"] for span in tel.tracer.export()}
+        assert got == SingleGpuEngine(scheme=SCHEME_3X1).best_combo(
+            tumor, normal, params
+        )
+        # Rank 1 took lease 1 at launch and went quiet; rank 0 ran the
+        # rest instead of idling until rank 1 came back for its share.
+        completed_by = [lease.completed_by for lease in eng.ledger.leases]
+        assert completed_by == [0, 1, 0, 0, 0, 0]
+        assert "lease.search" in names and "lease.wait" not in names
 
 
 # -- membership + gauges ------------------------------------------------

@@ -110,12 +110,14 @@ class TestRankCrashDump:
         kinds = {(e["type"], e.get("kind")) for e in payload["timeline"]}
         assert ("fault", "crash") in kinds
         assert ("note", "reschedule") in kinds
-        # ...and the assignments say whose partitions moved to whom.
+        # ...and the assignments say whose partitions moved: a lease's
+        # first previous holder is the rank it started with.
         rows = payload["assignments"]["lease"]
-        assert {row["owner"] for row in rows} == {0, 1}
-        moved = [row for row in rows if row["owner"] == 0]
+        assert all("owner" not in row for row in rows)
+        moved = [row for row in rows if row["previous_holders"][:1] == [0]]
         assert moved and all(row["state"] == "completed" for row in moved)
-        assert all(row["previous_holders"] in ([], [0]) for row in moved)
+        assert all(row["previous_holders"] == [0] for row in moved)
+        assert len(moved) == len(report["rescheduled"])
 
     def test_fleet_churn_dump_names_moved_partitions(self, rng, tmp_path):
         """A *survived* failure on the thread fleet dumps with the lease
@@ -134,7 +136,7 @@ class TestRankCrashDump:
 
         def solve(**kw):
             return spmd_best_combo(
-                LeaseLedger.from_schedule(schedule, 2), SCHEME_3X1, t, n,
+                LeaseLedger(schedule.boundaries), SCHEME_3X1, t, n,
                 params, 2, **kw,
             )
 
@@ -155,9 +157,10 @@ class TestRankCrashDump:
         ]
         assert churn, "no lease-churn black box"
         payload = churn[0]
-        moved = [r for r in payload["assignments"]["lease"] if r["owner"] == 0]
+        rows = payload["assignments"]["lease"]
+        moved = [r for r in rows if r["previous_holders"][:1] == [0]]
         assert moved and all(r["state"] == "completed" for r in moved)
-        assert all(r["previous_holders"] in ([], [0]) for r in moved)
+        assert all(r["previous_holders"] == [0] for r in moved)
         ranges = payload["fault_report"]["rescheduled"]
         assert {(r["dead_rank"], r["survivor"]) for r in ranges} == {(0, 1)}
         assert len(ranges) == len(moved)

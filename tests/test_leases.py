@@ -12,11 +12,16 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from repro.bitmatrix.matrix import BitMatrix
 from repro.cluster.leases import LEASE_STATES, Lease, LeaseLedger
+from repro.core.distributed import DistributedEngine
 from repro.core.engine import SingleGpuEngine, best_in_thread_range
+from repro.core.fscore import FScoreParams
 from repro.core.kernels import KernelCounters
+from repro.faults.policy import RetryPolicy
 from repro.scheduling.schemes import SCHEME_3X1, scheme_for
 from repro.scheduling.workload import cumulative_work_before, total_threads
 from repro.telemetry.session import telemetry_session
@@ -29,6 +34,10 @@ def ledger():
 
 def n_granted(ledger) -> int:
     return sum(lease.state == "granted" for lease in ledger.leases)
+
+
+def n_available(ledger) -> int:
+    return sum(lease.state == "available" for lease in ledger.leases)
 
 
 class TestLedgerConstruction:
@@ -159,17 +168,18 @@ class TestLifecycle:
         ledger.acquire(7)
         rows = ledger.assignment_rows()
         assert {r["holder"] for r in rows if r["state"] == "granted"} == {3, 7}
-        assert (ledger.n_available, n_granted(ledger), ledger.n_completed) == (
+        assert (n_available(ledger), n_granted(ledger), ledger.n_completed) == (
             1, 2, 0,
         )
 
-    def test_describe_and_assignment_rows(self, ledger):
+    def test_assignment_rows(self, ledger):
         ledger.acquire(0)
-        text = ledger.describe()
-        assert "granted" in text and "steals=0" in text
         rows = ledger.assignment_rows(call=2)
         assert len(rows) == ledger.n_leases
         assert rows[0]["holder"] == 0 and rows[0]["call"] == 2
+        assert rows[0]["state"] == "granted" and rows[1]["state"] == "available"
+        # No lease is reserved for a rank, so no row names an owner.
+        assert all("owner" not in row for row in rows)
 
     def test_take_up_moves_the_grant_to_the_holders_span(self):
         # A lease the driver acquired on a rank's behalf is causally the
@@ -191,70 +201,86 @@ class TestLifecycle:
 
 
 class TestPinnedLeases:
-    """A static schedule on the ledger: lease i is reserved for owners[i]."""
+    """A static schedule on the ledger: one lease per partition, reserved
+    for no rank (the class keeps its name from when leases were pinned
+    to owner ranks).  Any live rank gets the lowest available id."""
 
-    def test_pinned_lease_goes_only_to_its_live_owner(self):
-        ledger = LeaseLedger((0, 5, 10, 15, 20), owners=[0, 0, 1, 1])
-        assert ledger.acquire(1).lease_id == 2  # skips rank 0's leases
-        assert ledger.acquire(7) is None  # a stranger owns nothing
-        assert ledger.acquire(0).lease_id == 0
+    def test_any_live_rank_gets_the_lowest_id(self):
+        ledger = LeaseLedger((0, 5, 10, 15, 20))
+        assert ledger.acquire(1).lease_id == 0
+        assert ledger.acquire(7).lease_id == 1  # a rank no cut names
+        assert ledger.acquire(0).lease_id == 2
         assert ledger.n_steals == 0
 
     def test_retire_unpins_for_survivors_to_steal(self):
-        ledger = LeaseLedger((0, 5, 10, 15, 20), owners=[0, 0, 1, 1])
+        """A retired holder's lease returns to the heap, and the next
+        ``acquire`` by any live rank takes it before higher ids."""
+        ledger = LeaseLedger((0, 5, 10, 15, 20))
         held = ledger.acquire(0)
+        assert ledger.acquire(1).lease_id == 1
         ledger.retire(0)
-        # Both of rank 0's leases — the forfeited grant and the one it
-        # never reached — are now anyone's, lowest id first.
-        assert [ledger.acquire(1).lease_id for _ in range(4)] == [0, 1, 2, 3]
-        assert ledger.n_steals == 2 and ledger.n_forfeited == 1
-        assert held.previous_holders == [0] and held.owner == 0
+        assert ledger.acquire(0) is None  # barred
+        assert [ledger.acquire(2).lease_id for _ in range(3)] == [0, 2, 3]
+        assert ledger.n_steals == 1 and ledger.n_forfeited == 1
+        assert held.previous_holders == [0] and held.holder == 2
 
     def test_expired_pinned_lease_is_anyones(self):
-        """A silent owner keeps no reservation: its expired lease and the
-        ones it never reached all go to the shared pool."""
-        ledger = LeaseLedger((0, 5, 10), owners=[1, 1], ttl_s=1.0)
+        """A silent holder's expired lease goes back to the heap, ahead of
+        every higher id."""
+        ledger = LeaseLedger((0, 5, 10), ttl_s=1.0)
         held = ledger.acquire(1, now=0.0)
-        assert ledger.acquire(0, now=0.0) is None  # all reserved for rank 1
         assert ledger.expire(now=2.0) == [held]
         assert ledger.acquire(0, now=2.0) is held and ledger.n_steals == 1
         assert ledger.acquire(0, now=2.0).lease_id == 1
-        assert ledger.n_steals == 2
+        assert ledger.n_steals == 1
 
-    def test_forfeited_pinned_lease_stays_reserved(self):
-        ledger = LeaseLedger((0, 5, 10), owners=[1, 1])
+    def test_forfeited_lease_goes_to_the_next_puller(self):
+        ledger = LeaseLedger((0, 5, 10))
         held = ledger.acquire(1)
         assert ledger.forfeit(1) == [held]
-        assert not ledger.has_work_for(0) and ledger.acquire(0) is None
-        assert ledger.has_work_for(1) and ledger.acquire(1) is held
+        # A forfeit bars nobody: the next puller, whoever it is, steals it.
+        assert ledger.acquire(0) is held and ledger.n_steals == 1
+        assert ledger.acquire(1).lease_id == 1
 
-    def test_from_schedule_pins_rank_major(self):
-        from repro.scheduling.equiarea import equiarea_schedule
-
-        schedule = equiarea_schedule(SCHEME_3X1, 20, 6)
-        ledger = LeaseLedger.from_schedule(schedule, gpus_per_rank=2, ttl_s=3.0)
-        assert ledger.boundaries == schedule.boundaries and ledger.ttl_s == 3.0
-        assert [lease.owner for lease in ledger.leases] == [0, 0, 1, 1, 2, 2]
+    def test_static_ledger_cuts_at_the_schedule(self):
+        """A static ``DistributedEngine`` call builds one lease per
+        partition of its schedule, with the retry policy's TTL."""
+        rng = np.random.default_rng(0)
+        tumor = BitMatrix.from_dense(rng.random((20, 12)) < 0.3)
+        normal = BitMatrix.from_dense(rng.random((20, 12)) < 0.1)
+        eng = DistributedEngine(
+            scheme=SCHEME_3X1, n_nodes=3, gpus_per_node=2,
+            retry_policy=RetryPolicy(deadline_s=3.0),
+        )
+        eng.best_combo(tumor, normal, FScoreParams(n_tumor=12, n_normal=12))
+        schedule = eng.build_schedule(20)
+        assert eng.ledger.boundaries == schedule.boundaries
+        assert eng.ledger.ttl_s == 3.0 and eng.ledger.n_leases == 6
 
     def test_moved_names_origin_of_leases_finished_elsewhere(self):
-        ledger = LeaseLedger((0, 5, 10, 15), owners=[0, 1, 1])
+        """``moved()`` names a lease's first holder as its origin."""
+        ledger = LeaseLedger((0, 5, 10, 15))
         ledger.complete(ledger.acquire(0).lease_id, 0, "own")
+        ledger.acquire(1)
         ledger.acquire(1)
         ledger.retire(1)
         for _ in range(2):
             ledger.complete(ledger.acquire(0).lease_id, 0, "stolen")
         assert ledger.moved() == [(1, 0, 5, 10), (1, 0, 10, 15)]
+        # A lease lost and then finished by its first holder did not move.
+        ledger = LeaseLedger((0, 5), ttl_s=1.0)
+        lease = ledger.acquire(3, now=0.0)
+        ledger.expire(now=2.0)
+        ledger.complete(ledger.acquire(4, now=2.0).lease_id, 3, "late")
+        assert lease.previous_holders == [3, 4] and ledger.moved() == []
 
-    def test_owners_drop_with_empty_ranges(self):
-        ledger = LeaseLedger((0, 5, 5, 9), owners=[0, 1, 2])
-        assert [(l.lease_id, l.owner) for l in ledger.leases] == [(0, 0), (1, 2)]
+    def test_empty_ranges_drop(self):
+        ledger = LeaseLedger((0, 5, 5, 9))
+        assert [(l.lease_id, l.lam_start, l.lam_end) for l in ledger.leases] == [
+            (0, 0, 5), (1, 5, 9),
+        ]
         with pytest.raises(ValueError):
-            LeaseLedger((0, 5, 9), owners=[0])
-
-    def test_assignment_rows_name_the_owner(self):
-        pinned = LeaseLedger((0, 5, 10), owners=[0, 1]).assignment_rows()
-        assert [row["owner"] for row in pinned] == [0, 1]
-        assert "owner" not in LeaseLedger((0, 5, 10)).assignment_rows()[0]
+            LeaseLedger((3, 3, 3))
 
     def test_counts_stay_consistent_through_churn(self):
         ledger = LeaseLedger(tuple(range(0, 41, 5)), ttl_s=1.0)
@@ -262,7 +288,7 @@ class TestPinnedLeases:
         ledger.expire(now=5.0)  # both back in the pool
         ledger.complete(a.lease_id, 0, "late")  # completed while pooled
         assert ledger.acquire(2, now=5.0) is b  # the stale id is skipped
-        assert (ledger.n_available, n_granted(ledger), ledger.n_completed) == (
+        assert (n_available(ledger), n_granted(ledger), ledger.n_completed) == (
             6, 1, 1,
         )
         assert ledger.completed_fraction() == 1 / 8 and not ledger.done
@@ -274,10 +300,7 @@ class TestConcurrentBookkeeping:
         lost update to the per-state counts or the id pools would leave
         them disagreeing with the leases themselves."""
         n_leases, n_threads = 200, 8
-        ledger = LeaseLedger(
-            tuple(range(n_leases + 1)),
-            owners=[i % n_threads for i in range(n_leases)],
-        )
+        ledger = LeaseLedger(tuple(range(n_leases + 1)))
         completions = []
 
         def holder(rank):
@@ -286,11 +309,11 @@ class TestConcurrentBookkeeping:
                 lease = ledger.acquire(rank)
                 if lease is None:
                     if rank % 2:
-                        return  # retired, or nothing it may take is left
+                        return  # retired, or the pool is drained
                     continue
                 if rng.random() < 0.3:
-                    # Odd ranks die for good (unpinning their leases for
-                    # the even ones), even ranks merely drop the grant.
+                    # Odd ranks die for good (their grant back to the
+                    # heap for the even ones), even ranks merely drop it.
                     (ledger.retire if rank % 2 else ledger.forfeit)(rank)
                 elif ledger.complete(lease.lease_id, rank, rank):
                     completions.append(lease.lease_id)
@@ -310,7 +333,7 @@ class TestConcurrentBookkeeping:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert ledger.done and sorted(completions) == list(range(n_leases))
-        assert (ledger.n_available, n_granted(ledger), ledger.n_completed) == (
+        assert (n_available(ledger), n_granted(ledger), ledger.n_completed) == (
             0, 0, n_leases,
         )
         assert ledger.n_grants == n_leases + ledger.n_forfeited

@@ -2,7 +2,9 @@
 
 Generated from the switch space: every way of distributing the arg-max
 (single, pool x {1, 2, 4} workers, the distributed engine and a direct
-call of its thread fleet, pinned and elastic) x ``prune`` (read by
+call of its thread fleet, static and elastic; the static cells keep
+the ids ``*-pinned`` from when static leases were pinned to ranks) x
+``prune`` (read by
 nothing, so it must move nothing) x the dense or the blocky sparse
 cohort of ``tests/test_distributed.py``.
 

@@ -49,7 +49,9 @@ from tests.test_distributed import DRIVERS
 ITERATIONS = 4
 _SHAPE = {"backend": "distributed", "n_nodes": 2, "gpus_per_node": 2}
 
-#: cell id -> (solver knobs, driver of the distributed ledger)
+#: cell id -> (solver knobs, driver of the distributed ledger); the
+#: ``*-pinned`` cells are the static schedule, named from when its leases
+#: were pinned to ranks.
 BACKENDS = {
     "single": ({"backend": "single"}, "engine"),
     "pool-1": ({"backend": "pool", "n_workers": 1}, "engine"),
@@ -499,7 +501,8 @@ class TestDuplicatedScans:
 
 # -- the normal-hit floor bounds threads before their tumor product ----------
 
-#: engine id -> a fresh engine for a scheme: one GPU, or two nodes of two.
+#: engine id -> a fresh engine for a scheme: one GPU, or two nodes of two
+#: (``distributed-pinned``: the static schedule).
 ENGINES = {
     "single": lambda scheme: SingleGpuEngine(scheme=scheme),
     "distributed-pinned": lambda scheme: DistributedEngine(

@@ -244,5 +244,5 @@ class TestPoolSpelling:
         assert sum(lease.counters.combos_scored for lease in leases) == total_work(
             scheme, tumor.n_genes
         )
-        if not elastic:  # one partition per rank, pinned to it
-            assert [lease.owner for lease in leases] == [0, 1, 2]
+        if not elastic:  # one partition per rank; the launch grants lease r to rank r
+            assert [lease.completed_by for lease in leases] == [0, 1, 2]

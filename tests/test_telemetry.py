@@ -420,7 +420,7 @@ class TestSpmdMerge:
 
         def solve():
             return spmd_best_combo(
-                LeaseLedger.from_schedule(schedule, 2), SCHEME_3X1, t, n,
+                LeaseLedger(schedule.boundaries), SCHEME_3X1, t, n,
                 params, 2,
             )
 
