@@ -11,16 +11,21 @@ loaded by :mod:`repro.core.tile`) per λ range — per lease on a
 fanned-out backend — without the GIL.  :func:`_scan_range` inverts
 only the range's first λ; ``scan_range`` then walks the threads in
 colex order and scores every one against *one inner table per scan*,
-the AND-table of the range's first (lowest) level, stored word-major:
+the AND-table of the range's first (lowest) level, one row per entry:
 a lower level's table is a superset of every higher level's, and the
 kernel selects a thread's valid columns (inner genes above its top
-gene), which are scored once, in combination-rank order.  Per thread it
-AND-reduces the tumor prefix (the fixed rows), bounds the thread by its
+gene), which are scored once, in combination-rank order.  It keeps the
+AND of each colex group's top tumor rows (the threads that share their
+top ``k`` fixed genes, ``k < f``, are contiguous) and skips a whole
+group whose ceiling misses the running lead.  Per thread it ANDs one
+more row into its group's prefix (the tumor prefix of the fixed rows),
+bounds the thread by its
 prefix ceiling unless its normal hits are stored, reads or fills the
 normal-hit store (a fill popcounts the normal side first), bounds a
 stored thread by its normal-hit floor (both bounds below), popcounts
-the tumor rows against the table over the valid columns only (skipping
-zero base words), forms Equation 1's numerator ``fl(fl(α·TP) + TN)``
+the tumor prefix against the table rows of the candidate columns only
+(the valid columns whose own ceiling, at ``TP_prefix`` and their normal
+hits, reaches the lead), forms Equation 1's numerator ``fl(fl(α·TP) + TN)``
 exactly as :func:`repro.core.fscore.numerator` does (compiled with
 ``-ffp-contract=off``, so no FMA merges the two roundings) and keeps
 the running winner.  The maximum is found on numerators — division by
@@ -48,7 +53,8 @@ range misses the store).
 
 Two bounds skip a thread's tumor product, both tested by the rescan's
 own predicate — a thread whose bound cannot take or tie the running
-lead is skipped, and ``threads_bounded`` counts it.  Every entry's
+lead is skipped, and ``threads_bounded`` counts it — and a third skips
+whole groups of threads before their tumor prefix.  Every entry's
 ``TP`` is at most ``TP_prefix``, the popcount of the thread's
 AND-reduced tumor rows, and its ``TN`` at most ``Nn``, so
 ``fscore(TP_prefix, Nn)`` bounds its F (rounding is monotone): that
@@ -57,7 +63,13 @@ normal hits are not stored, and a thread it skips is not filled.  A
 stored thread keeps ``NormalHitStore.least``, the smallest of its
 counts, fixed for the solve, so its ``TN`` is at most ``Nn - least``
 and ``fscore``'s numerator of ``(TP_prefix, Nn - least)`` bounds it
-tighter.  Each scan starts with no lead, so which threads are skipped
+tighter.  The group ceiling ``fscore(popcount, Nn)`` of a colex group's
+top-row AND is at least every member's prefix ceiling, so a group whose
+ceiling lies strictly below the lead holds only threads those bounds
+would skip, none of which moves the lead: the kernel skips the group in
+O(1) and counts each member bounded, so the bounded threads, the
+winners and ``combos_scored`` are those of the per-thread bounds alone.
+Each scan starts with no lead, so which threads are skipped
 depends only on where the grid is cut, never on what the store holds.
 The store is capped at :data:`NORMAL_HIT_BUDGET` bytes, counts and
 4-byte ``least`` values together.  ``C(G, h)`` counts of
@@ -71,13 +83,14 @@ Counters: ``combos_scored`` and ``word_ops`` count the valid entries,
 each computed or bounded out of the running lead — below it, or at it
 behind a smaller leader — (``word_ops`` at its dense definition,
 ``(hits - 1)`` row ANDs per combination); ``threads_bounded`` counts the
-threads either bound skipped; ``decode_strides`` counts scan calls and
-``inner_tables_built`` the inner tables built, one per call.
-``word_reads`` is what the scan gathers: ``d`` rows per inner
-combination of each table built, from each matrix it gathers from, and
-the fixed rows the kernel gathers, as it counts them — ``f`` tumor rows
-per thread, and ``f`` normal rows per thread that gets past its prefix
-ceiling without stored normal hits.
+threads any bound skipped, each member of a skipped group included;
+``decode_strides`` counts scan calls and ``inner_tables_built`` the
+inner tables built, one per call.  ``word_reads`` is what the scan
+gathers: ``d`` rows per inner combination of each table built, from
+each matrix it gathers from, and the fixed rows the kernel gathers, as
+it counts them — one tumor row per group depth it enters and one per
+thread no group skips, and ``f`` normal rows per thread that gets past
+its prefix ceiling without stored normal hits.
 """
 
 from __future__ import annotations
@@ -218,7 +231,7 @@ def _gather(
 
 class _Table:
     """One call's inner table: level ``m``'s inner combinations over genes
-    ``m+1 .. g-1`` and their AND rows, stored word-major ``(W, L)`` — the
+    ``m+1 .. g-1`` and their AND rows, one row per entry ``(L, W)`` — the
     normal rows unless ``with_normal`` is false.  ``m`` is the call's
     lowest level, whose table is a superset of every higher level's.
 
@@ -237,23 +250,25 @@ class _Table:
         d = scheme.inner
         self.inner = combinations_array(d, 0, math.comb(g - 1 - m, d))
         self.inner += m + 1
-        self.tumor_w = np.ascontiguousarray(_gather(tumor, self.inner, counters).T)
-        self.normal_w = (
-            np.ascontiguousarray(_gather(normal, self.inner, counters).T)
-            if with_normal else None
+        self.tumor_in = _gather(tumor, self.inner, counters)
+        self.normal_in = (
+            _gather(normal, self.inner, counters) if with_normal else None
         )
         counters.inner_tables_built += 1
         self.row_words = tumor.n_words, normal.n_words
         self.win = np.empty(8 + scheme.flattened, np.int64)
         self._scratch = np.empty(
-            tumor.n_words + normal.n_words + 2 * len(self.inner) + 2, np.uint64
+            # The prefix depths, the normal base, five int32 rows of L.
+            scheme.flattened * tumor.n_words + normal.n_words
+            + 3 * len(self.inner) + 2,
+            np.uint64,
         )
         self.args = (
             tumor.words.ctypes.data, tumor.n_words,
             normal.words.ctypes.data, normal.n_words,
             self.inner.ctypes.data, *self.inner.shape,
-            self.tumor_w.ctypes.data,
-            None if self.normal_w is None else self.normal_w.ctypes.data,
+            self.tumor_in.ctypes.data,
+            None if self.normal_in is None else self.normal_in.ctypes.data,
             self._scratch.ctypes.data, self.win.ctypes.data,
         )
 

@@ -46,12 +46,8 @@ COMPILER = "gcc"
 # baseline x86-64, which has no popcount instruction, and loses to numpy.
 # -ffp-contract=off: gcc may otherwise fuse the numerator's multiply and
 # add into one FMA, which rounds once where numpy rounds twice (at TP 37,
-# TN 7, alpha 0.1: 10.700000000000001 against 10.7).  -fopenmp-simd lets
-# the per-thread max vectorize; it links no OpenMP runtime.
-FLAGS = (
-    "-O3", "-march=native", "-ffp-contract=off", "-fopenmp-simd",
-    "-shared", "-fPIC",
-)
+# TN 7, alpha 0.1: 10.700000000000001 against 10.7).
+FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 _SOURCE = Path(__file__).with_name("_tile.c")
 _lock = threading.Lock()

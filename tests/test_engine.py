@@ -22,6 +22,7 @@ from repro.core.solver import MultiHitSolver
 from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, Scheme, scheme_for
 from repro.scheduling.workload import level_range, level_work, total_threads
 from tests.scan_cuts import cuts
+from tests.scan_walk import walk
 from tests.test_meter_closure import tally_gathers, wrap_kernel
 
 
@@ -142,24 +143,29 @@ class TestCounters:
         # The scan is the meter: word_ops = combos * (h-1) * w for every
         # scheme covering the same combinations, and word_reads is what
         # the scan gathers.  Split into one call per level, no call
-        # crosses a level, so every level builds its tables once and
-        # word_reads is the fused model less the normal fixed rows of
-        # the threads their tumor prefix bounded (with no store, every
-        # bound is the prefix's).
+        # crosses a level, so every level builds its tables once, and
+        # each call gathers the fixed rows its walk does: a tumor row
+        # per group depth entered and per thread no group skipped, and
+        # (with no store, every bound is the prefix's) the normal rows
+        # of the threads their tumor prefix did not bound.
         _, _, tumor, normal, params = instance
         w = tumor.n_words + normal.n_words
         combos = math.comb(14, scheme.hits)
-        model = fused_word_reads(scheme, 14, w, 0, total_threads(scheme, 14))
+        tables = fixed = bounded = 0
         counters = KernelCounters()
         for m in range(14):
+            lo, hi = level_range(scheme, m)
+            if hi > lo and level_work(scheme, 14, m):
+                tables += level_work(scheme, 14, m) * scheme.inner * w
+            walked = walk(scheme, 14, tumor, normal, params, lo, hi)
+            fixed += walked.fixed_reads(tumor, normal)
+            bounded += walked.bounded
             best_in_thread_range(
-                scheme, 14, tumor, normal, params, *level_range(scheme, m),
-                counters=counters,
+                scheme, 14, tumor, normal, params, lo, hi, counters=counters,
             )
         assert counters.combos_scored == combos
-        assert counters.word_reads == model - (
-            scheme.flattened * normal.n_words * counters.threads_bounded
-        )
+        assert counters.threads_bounded == bounded
+        assert counters.word_reads == tables + fixed
         assert counters.word_ops == combos * (scheme.hits - 1) * w
 
     @pytest.mark.parametrize(
@@ -183,19 +189,28 @@ class TestCounters:
 
     def test_work_parity_between_paths(self, instance):
         # The 3x1 and 2x2 decompositions do the same work on the 4-hit
-        # grid; they gather differently (3 fixed rows per thread of
-        # C(14, 3) against an 11-column table, or 2 per thread of
-        # C(14, 2) against a 66-column one), so the 2x2 scan reads less.
+        # grid; they gather differently: each its one inner table (an
+        # 11-column table of 1 row, or a 66-column one of 2) and the
+        # fixed rows its walk gathers.  The 3x1 threads of C(14, 3) fall
+        # in groups of 2 and 1 top genes that the group ceiling skips
+        # whole, the 2x2 threads of C(14, 2) in groups of 1, so here the
+        # 3x1 scan reads less.
         _, _, tumor, normal, params = instance
+        w = tumor.n_words + normal.n_words
         deep, wide = KernelCounters(), KernelCounters()
         for scheme, counters in ((SCHEME_3X1, deep), (SCHEME_2X2, wide)):
+            f, d = scheme.flattened, scheme.inner
+            walked = walk(scheme, 14, tumor, normal, params, 0, total_threads(scheme, 14))
             best_in_thread_range(
                 scheme, 14, tumor, normal, params,
                 0, total_threads(scheme, 14), counters=counters,
             )
+            assert counters.word_reads == d * math.comb(14 - f, d) * w + (
+                walked.fixed_reads(tumor, normal)
+            )
         assert deep.word_ops == wide.word_ops
         assert deep.combos_scored == wide.combos_scored
-        assert wide.word_reads < deep.word_reads
+        assert deep.word_reads < wide.word_reads
 
 
 class TestEnumeratedStrides:

@@ -43,6 +43,7 @@ from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.scheduling.schemes import SCHEME_2X2, SCHEME_3X1, scheme_for
 from repro.scheduling.workload import cumulative_work_before, total_threads
 from tests.scan_cuts import cuts, scans_cut
+from tests.scan_walk import walk
 from tests.test_meter_closure import W_BOUNDED, WIN, wrap_kernel
 from tests.test_distributed import DRIVERS
 
@@ -202,39 +203,57 @@ class TestNormalSidePopcounts:
 
         The normal matrix is 5 words wide, wider than the tumor's 2, so
         every iteration cuts its scan into the same pieces
-        (:func:`tests.scan_cuts.cuts`) and gathers the same ``R`` tumor
-        rows (``f`` base rows per thread and one inner table per piece):
-        iteration ``k`` reads ``w_k * R + 5 * N_k`` words, ``w_k`` the
-        tumor width it scanned and ``N_k`` the normal rows.  With
-        ``monkeypatch``, also the threads each iteration bounded."""
+        (:func:`tests.scan_cuts.cuts`).  Each piece gathers one inner
+        table of ``d * C(g-1-m, d)`` rows per side it builds and the
+        fixed rows of its walk (:func:`tests.scan_walk.walk`, replayed
+        on the piece's own inputs before it runs): iteration ``k`` reads
+        ``w_k * T + 5 * N_k`` words plus its walks' tumor words, ``w_k``
+        the tumor width it scanned, ``T`` the tables' rows and ``N_k``
+        the normal rows.  ``R`` is ``T`` plus ``f`` rows per thread.
+        With ``monkeypatch``, also the threads each iteration bounded."""
         rng = np.random.default_rng(4)
         t = rng.random((16, 120)) < 0.35
         n = rng.random((16, 300)) < 0.2
         scheme, g = scheme_for(3, 2), 16
         tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
-        rows = 0
+        tables = rows = 0
         for lo, hi in cuts(scheme, g, tumor, normal, 0, total_threads(scheme, g), 64):
             level = top_index(lo, scheme.flattened)
-            rows += scheme.flattened * (hi - lo) + scheme.inner * math.comb(
-                g - 1 - level, scheme.inner
-            )
+            tables += scheme.inner * math.comb(g - 1 - level, scheme.inner)
+            rows += scheme.flattened * (hi - lo)
+        rows += tables
         bounded = [0]
         if monkeypatch is not None:
             wrap_kernel(monkeypatch, lambda name, args: bounded.__setitem__(
                 0, bounded[0] + ctypes.c_int64.from_address(args[WIN] + 8 * W_BOUNDED).value
             ))
-        per_iteration = []
+        walked = [0]  # the walks' tumor words so far
+        scan = engine_mod._scan_range
+
+        def replayed(scheme, g, tumor, normal, params, lo, hi, counters, store=None):
+            piece = walk(scheme, g, tumor, normal, params, lo, hi, store)
+            walked[0] += piece.tumor_rows * tumor.n_words
+            return scan(scheme, g, tumor, normal, params, lo, hi, counters, store)
+
+        per_iteration, tumor_words = [], []
+
+        def record(_):
+            per_iteration.append(bounded[0])
+            tumor_words.append(walked[0])
+
         budget = engine_mod.NORMAL_HIT_BUDGET if budget is None else budget
-        with patch.object(engine_mod, "NORMAL_HIT_BUDGET", budget), scans_cut(64):
+        with patch.object(engine_mod, "NORMAL_HIT_BUDGET", budget), patch.object(
+            engine_mod, "_scan_range", replayed
+        ), scans_cut(64):
             result = MultiHitSolver(hits=3, max_iterations=4).solve(
-                t, n, on_iteration=lambda _: per_iteration.append(bounded[0])
+                t, n, on_iteration=record
             )
         records = result.iterations
         assert len(records) == 4
         widths = [tumor.n_words] + [r.tumor_words for r in records[:-1]]
         normal_rows = []
-        for r, w in zip(records, widths):
-            n_rows, left = divmod(r.word_reads - w * rows, 5)
+        for r, w, fixed in zip(records, widths, np.diff([0, *tumor_words])):
+            n_rows, left = divmod(r.word_reads - w * tables - fixed, 5)
             assert left == 0
             normal_rows.append(n_rows)
         return normal_rows, rows, np.diff([0, *per_iteration]).tolist()

@@ -38,6 +38,7 @@ from repro.core.kernels import (
 from repro.core.solver import MultiHitSolver
 from repro.scheduling.schemes import scheme_for
 from repro.scheduling.workload import total_threads
+from tests.scan_walk import walk
 
 
 def _all_combos(g, h):
@@ -74,12 +75,18 @@ def _assert_scans_match_reference(scheme, tumor, normal, params):
         assert _key(_scan(scheme, tumor, normal, params, store)) == ref, store
 
 
-def _closed_form_reads(scheme, g, row_words):
-    """Words one unpruned scan of the whole grid gathers: ``f`` rows per
-    thread with an inner loop, and its one inner table, that of the
-    first thread's level, ``C(g-f, d)`` combinations of ``d`` rows."""
+def _table_reads(scheme, g, row_words):
+    """Words one scan of the whole grid gathers for its one inner table,
+    that of the first thread's level: ``C(g-f, d)`` combinations of ``d``
+    rows."""
     f, d = scheme.flattened, scheme.inner
-    return row_words * (f * math.comb(g - d, f) + d * math.comb(g - f, d))
+    return row_words * d * math.comb(g - f, d)
+
+
+def _walk(scheme, tumor, normal, params, store=None):
+    """:func:`tests.scan_walk.walk` of the whole grid as one scan."""
+    g = tumor.n_genes
+    return walk(scheme, g, tumor, normal, params, 0, total_threads(scheme, g), store)
 
 
 # -- the index ------------------------------------------------------------
@@ -203,20 +210,24 @@ class TestSparseScoreCombos:
     @pytest.mark.parametrize("kind", KINDS)
     def test_counter_closure(self, kind):
         # The meter is what the scan gathers, whatever the words hold:
-        # skipping zero words changes no count.  Without a store, a
-        # thread its tumor prefix bounds gathers no normal row.
+        # skipping zero words changes no count.  Its fixed rows are the
+        # walk's: a tumor row per group depth entered and per thread no
+        # group skipped, and, without a store, the normal rows of every
+        # thread its tumor prefix does not bound.
         rng = np.random.default_rng(9)
         tumor = _adversarial_matrix(rng, 9, 400, kind)
         normal = _adversarial_matrix(rng, 9, 400, "sparse")
         params = FScoreParams(n_tumor=400, n_normal=400)
         scheme = scheme_for(3, 2)
+        walked = _walk(scheme, tumor, normal, params)
         c = KernelCounters()
         _scan(scheme, tumor, normal, params, counters=c)
         w = tumor.n_words + normal.n_words
-        assert c.combos_scored == math.comb(9, 3)
+        assert c.combos_scored == math.comb(9, 3) == walked.scored
         assert c.word_ops == math.comb(9, 3) * 2 * w
-        assert c.word_reads == _closed_form_reads(scheme, 9, w) - (
-            scheme.flattened * normal.n_words * c.threads_bounded
+        assert c.threads_bounded == walked.bounded
+        assert c.word_reads == _table_reads(scheme, 9, w) + walked.fixed_reads(
+            tumor, normal
         )
         assert (c.decode_strides, c.inner_tables_built) == (1, 1)
 
@@ -298,23 +309,28 @@ class TestEngineSparseEquivalence:
         g = tumor.n_genes
         store = NormalHitStore(scheme, g, normal)
         fill, read = KernelCounters(), KernelCounters()
+        filling = _walk(scheme, tumor, normal, params, store)
         a = _scan(scheme, tumor, normal, params, store, counters=fill)
+        reading = _walk(scheme, tumor, normal, params, store)
         b = _scan(scheme, tumor, normal, params, store, counters=read)
         assert a == b == _grid_argmax(tumor, normal, params, 3)
         assert read.combos_scored == fill.combos_scored == math.comb(g, 3)
         # A thread its tumor prefix bounds is not filled: the fill skips
         # its normal rows, and the read bounds it again (the lead moves
-        # alike) and builds the normal table for it.
+        # alike, through the same groups) and builds the normal table
+        # for it.
         unfilled = int((~store.filled[: math.comb(g - 1, 2)]).sum())
-        f, d = scheme.flattened, scheme.inner
-        table = d * math.comb(g - f, d)  # the scan's one inner table
+        f = scheme.flattened
+        assert filling.normal_rows == f * (math.comb(g - 1, 2) - unfilled)
+        assert reading.normal_rows == 0
+        assert reading.tumor_rows == filling.tumor_rows
         w = tumor.n_words + normal.n_words
-        assert fill.word_reads == _closed_form_reads(scheme, g, w) - (
-            f * normal.n_words * unfilled
+        assert fill.word_reads == _table_reads(scheme, g, w) + filling.fixed_reads(
+            tumor, normal
         )
-        assert read.word_reads == _closed_form_reads(scheme, g, tumor.n_words) + (
-            normal.n_words * table if unfilled else 0
-        )
+        assert read.word_reads == _table_reads(scheme, g, tumor.n_words) + (
+            _table_reads(scheme, g, normal.n_words) if unfilled else 0
+        ) + reading.fixed_reads(tumor, normal)
 
     def test_counters_merge_new_fields(self):
         # merge sums every field; the retired sparse counters are

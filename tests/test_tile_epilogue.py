@@ -11,7 +11,11 @@ best combinations tie in F but not in the numerator.  ``scan_range``
 also bounds each thread before its tumor product, by its tumor-prefix
 ceiling and, once stored, its normal-hit floor;
 ``test_bounded_scans_match_the_2d_reference`` draws the ties, all-zero
-tumor bases and α values at those bounds' edges.
+tumor bases and α values at those bounds' edges.  It skips a whole
+colex group of threads whose top rows' ceiling misses the lead: the
+tiles include ranges cut mid-group at every depth, and the scan's
+bounded threads, scored entries and words read are held to
+:mod:`tests.scan_walk`'s replay of the walk.
 """
 
 import math
@@ -33,6 +37,7 @@ from repro.core.sequential import sequential_best_combo, sequential_solve
 from repro.core.solver import MultiHitSolver
 from repro.scheduling.schemes import SCHEME_1X1, SCHEME_2X1, SCHEME_2X2, SCHEME_3X1
 from repro.scheduling.workload import cumulative_work_before
+from tests.scan_walk import walk
 
 
 def _tie_cohort():
@@ -129,23 +134,41 @@ def _check_store(store, scheme, g, lam, hi, rows, counts, counters):
     assert unfilled <= counters.threads_bounded
 
 
+def _group_end(draw, scheme, g):
+    """A thread that is the first of its depth-``j`` group (the threads
+    sharing its top ``j`` genes) but not of its depth-``j - 1`` one, ``j``
+    drawn from ``1 .. f`` (``j = f``: first of no group but itself)."""
+    f, d = scheme.flattened, scheme.inner
+    j = draw(st.integers(1, f))
+    r = f - j  # lower genes 0 .. r-1, then a larger gene than r at depth j
+    top = draw(st.sets(st.integers(r + (j > 1), g - d - 1), min_size=j, max_size=j))
+    return sum(math.comb(c, i + 1) for i, c in enumerate([*range(r), *sorted(top)]))
+
+
 @st.composite
 def tiles(draw, scheme, shape, min_threads=1):
     """A contiguous tile ``[lam, hi)`` of at least ``min_threads`` threads
-    with inner loops, inside its lowest level or crossing into higher
-    ones, and a cohort."""
+    with inner loops, inside its lowest level, crossing into higher
+    ones, or cut mid-group (each end a :func:`_group_end`, so the range
+    starts mid-group at every depth below the drawn one and ends likewise,
+    or runs to the grid's end), and a cohort."""
     f, d = scheme.flattened, scheme.inner
     g = draw(st.integers(scheme.hits + 2, 10))
     n_threads = math.comb(g - d, f)
-    # Levels (top genes) with threads; a crossing tile needs a next one.
-    last = g - 1 - d if shape == "inside" else g - 2 - d
-    m = draw(st.integers(f - 1, last))
-    lam = draw(st.integers(math.comb(m, f), math.comb(m + 1, f) - 1))
+    if shape == "mid-group":
+        end = n_threads if draw(st.booleans()) else _group_end(draw, scheme, g)
+        lam, hi = sorted([_group_end(draw, scheme, g), end])
+        assume(hi - lam >= min_threads)
+    else:
+        # Levels (top genes) with threads; a crossing tile needs a next one.
+        last = g - 1 - d if shape == "inside" else g - 2 - d
+        m = draw(st.integers(f - 1, last))
+        lam = draw(st.integers(math.comb(m, f), math.comb(m + 1, f) - 1))
     if shape == "inside":
         end = min(math.comb(m + 1, f), n_threads)
         assume(end - lam >= min_threads)
         hi = draw(st.integers(lam + min_threads, end))
-    else:
+    elif shape == "cross":
         hi = draw(st.integers(math.comb(m + 1, f) + 1, n_threads))
     n_tumor = draw(st.integers(1, 140))
     n_normal = draw(st.integers(1, 300))
@@ -159,16 +182,28 @@ def tiles(draw, scheme, shape, min_threads=1):
     return g, lam, hi, tumor, normal, params
 
 
+TILE_SCHEMES = {"1x1": SCHEME_1X1, **SCHEMES}
+TILE_CELLS = [
+    (scheme_id, shape, store)
+    for scheme_id in TILE_SCHEMES
+    for shape in ("inside", "cross", "mid-group")
+    for store in ("none", "miss", "hit", "straddle")
+    # A 1x1 level holds one thread: no cap lies strictly inside it.
+    if (scheme_id, shape, store) != ("1x1", "inside", "straddle")
+]
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-@pytest.mark.parametrize("store", ["none", "miss", "hit", "straddle"])
-@pytest.mark.parametrize("shape", ["inside", "cross"])
-@pytest.mark.parametrize("scheme_id", SCHEMES)
+@pytest.mark.parametrize("scheme_id,shape,store", TILE_CELLS)
 def test_score_tile_matches_the_2d_reference(scheme_id, shape, store, data):
     """The threads ``[lam, hi)`` as one scan with the store off, empty
     (a fill), already filled by that scan (a hit), or capped inside the
-    range."""
-    scheme = SCHEMES[scheme_id]
+    range.  The group ceiling bounds exactly the threads the per-thread
+    walk bounds (a group's ceiling is at least each member's, and a
+    skipped thread never moves the lead), and the scan gathers exactly
+    the group walk's fixed rows (:mod:`tests.scan_walk`)."""
+    scheme = TILE_SCHEMES[scheme_id]
     # A straddled cap lies strictly inside the range: two threads at least.
     g, lam, hi, tumor, normal, params = data.draw(
         tiles(scheme, shape, 2 if store == "straddle" else 1)
@@ -189,18 +224,23 @@ def test_score_tile_matches_the_2d_reference(scheme_id, shape, store, data):
             assert lam < hits.lam_cap < hi
         if store == "hit":
             _scan(scheme, g, lam, hi, tumor, normal, params, hits)
+    walked = walk(scheme, g, tumor, normal, params, lam, hi, hits)
+    per_thread = walk(scheme, g, tumor, normal, params, lam, hi, hits, groups=False)
+    missed = hits is None or hi > hits.lam_cap or not hits.filled[lam:hi].all()
     cand, counters = _scan(scheme, g, lam, hi, tumor, normal, params, hits)
     _check(cand, combos, f, tp, tn)
-    assert counters.combos_scored == len(combos)
-    assert counters.threads_bounded < hi - lam
-    if store == "hit":
-        # The tumor side alone: the range's table and base rows, and the
-        # normal table only when the fill left a thread to its prefix
-        # ceiling, which bounds it again (the lead moves as before).
-        missed = not hits.filled[lam:hi].all()
-        assert counters.word_reads == tumor.n_words * (
-            table.inner.size + tuples.size
-        ) + missed * normal.n_words * table.inner.size
+    assert counters.combos_scored == len(combos) == walked.scored == per_thread.scored
+    assert counters.threads_bounded == walked.bounded == per_thread.bounded < hi - lam
+    assert walked.normal_rows == per_thread.normal_rows
+    # The range's table, the normal one only when some thread is not
+    # stored, and the fixed rows of the walk.  On a hit that is the
+    # tumor side alone, and the normal table only when the fill left a
+    # thread to its prefix ceiling, which bounds it again (the lead
+    # moves as before).
+    assert counters.word_reads == tumor.n_words * table.inner.size + (
+        missed * normal.n_words * table.inner.size
+    ) + walked.fixed_reads(tumor, normal)
+    assert store != "hit" or walked.normal_rows == 0
     if hits is not None:
         _check_store(
             hits, scheme, g, lam, hi, rows, params.n_normal - tn, counters
@@ -335,7 +375,7 @@ def edged_tiles(draw, scheme):
     gene (equal rows on both sides, so F ties across threads), a gene no
     tumor carries (every thread holding it has an all-zero tumor base)
     and an α that makes TP count for little or as much as TN."""
-    shape = draw(st.sampled_from(["inside", "cross"]))
+    shape = draw(st.sampled_from(["inside", "cross", "mid-group"]))
     g, lam, hi, tumor, normal, params = draw(tiles(scheme, shape))
     t, n = tumor.to_dense(), normal.to_dense()
     if draw(st.booleans()):
@@ -456,6 +496,37 @@ class TestBoundBeforeTheProduct:
             np.testing.assert_array_equal(
                 store.counts[at : at + len(want)], want
             )
+
+
+# -- the group ceiling -------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme_id", ["2x1", "3x1", "2x2"])
+def test_group_ceiling_skips_whole_groups(scheme_id):
+    """Genes 0-3 share half the tumor samples and no normal one, so the
+    range's first thread takes a lead that most groups' ceilings miss: the
+    scan gathers the walk's tumor rows, fewer than one per thread, and
+    the per-thread walk, ``f`` per thread, bounds the same threads."""
+    scheme = SCHEMES[scheme_id]
+    rng = np.random.default_rng(11)
+    t, n = rng.random((24, 300)) < 0.3, rng.random((24, 280)) < 0.15
+    t[:4, :150], n[:4] = True, False
+    tumor, normal = BitMatrix.from_dense(t), BitMatrix.from_dense(n)
+    params = FScoreParams(n_tumor=300, n_normal=280)
+    g, f = 24, scheme.flattened
+    end = math.comb(g - scheme.inner, f)
+    walked = walk(scheme, g, tumor, normal, params, 0, end)
+    per_thread = walk(scheme, g, tumor, normal, params, 0, end, groups=False)
+    counters = KernelCounters()
+    got = best_in_thread_range(scheme, g, tumor, normal, params, 0, end, counters)
+    assert set(got.genes[:3]) < {0, 1, 2, 3}
+    assert counters.threads_bounded == walked.bounded == per_thread.bounded
+    assert walked.normal_rows == per_thread.normal_rows
+    assert walked.tumor_rows < end < per_thread.tumor_rows == f * end
+    table = scheme.inner * math.comb(g - f, scheme.inner)
+    assert counters.word_reads == table * (tumor.n_words + normal.n_words) + (
+        walked.fixed_reads(tumor, normal)
+    )
 
 
 # -- one Equation 1 ----------------------------------------------------------
